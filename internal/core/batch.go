@@ -727,20 +727,7 @@ func (b *Batch) refreshRow(i int) (changed bool) {
 		m++
 	}
 	cands[m] = int32(b.Responder) // delivery edge, last-edge rule
-	m++
-	for a := 1; a < m; a++ {
-		for j := a; j > 0 && cands[j] < cands[j-1]; j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
-	w := 1
-	for a := 1; a < m; a++ {
-		if cands[a] != cands[a-1] {
-			cands[w] = cands[a]
-			w++
-		}
-	}
-	m = w
+	m = game.SortUnique(cands[:m+1])
 	sc := s.scorer(id, b.ID)
 	s.solveScorers[i] = sc
 	quals := s.refreshQual[:m]
@@ -829,24 +816,10 @@ func (b *Batch) buildSparseRows(n int) (row, rowLen []int32, succ []int32, qual 
 				m++
 			}
 			cands[m] = int32(b.Responder) // delivery edge, last-edge rule
-			m++
-			// Insertion sort ascending (m ≤ d+1): the induction must visit
-			// candidates in the dense scan's order for tie-break identity.
-			for a := 1; a < m; a++ {
-				for j := a; j > 0 && cands[j] < cands[j-1]; j-- {
-					cands[j], cands[j-1] = cands[j-1], cands[j]
-				}
-			}
-			// Deduplicate (defensive: neighbor lists should be duplicate
-			// free, but a repeated candidate must not be visited twice).
-			w := 1
-			for a := 1; a < m; a++ {
-				if cands[a] != cands[a-1] {
-					cands[w] = cands[a]
-					w++
-				}
-			}
-			m = w
+			// Ascending and duplicate free: the induction must visit
+			// candidates in the dense scan's order for tie-break identity
+			// (neighbor lists should already be duplicate free).
+			m = game.SortUnique(cands[:m+1])
 			qrow := qual[row[i]:row[i+1]]
 			for a := 0; a < m; a++ {
 				// Edge returns the literal 1 for v == R, matching the

@@ -796,6 +796,32 @@ func (g *PathGame) solveCell(prev []Decision, i int) Decision {
 	return best
 }
 
+// SortUnique sorts xs ascending in place, drops repeated values and
+// returns how many distinct values now lead xs. It is the one row
+// primitive every Adjacency builder shares: candidates must be ascending
+// for the induction to visit them in the dense scan's order (tie-break
+// identity), and a repeated candidate must not be visited twice.
+// Insertion sort, because rows hold at most d+1 entries and arrive nearly
+// sorted (a neighbor list with R appended), where it beats slices.Sort.
+func SortUnique(xs []int32) int {
+	if len(xs) == 0 {
+		return 0
+	}
+	for a := 1; a < len(xs); a++ {
+		for j := a; j > 0 && xs[j] < xs[j-1]; j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
+	}
+	w := 1
+	for a := 1; a < len(xs); a++ {
+		if xs[a] != xs[a-1] {
+			xs[w] = xs[a]
+			w++
+		}
+	}
+	return w
+}
+
 // edgeQ returns q(i, j) under either formulation (−1 when absent); the
 // sparse lookup binary-searches i's candidate list, which the Adjacency
 // contract guarantees is in ascending vertex order. Used by the

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"p2panon/internal/dist"
+	"p2panon/internal/core"
+	"p2panon/internal/overlay"
+	"p2panon/internal/quality"
 	"p2panon/internal/telemetry"
 	"p2panon/internal/transport"
 )
@@ -18,11 +20,18 @@ import (
 // instrumented into a shared registry, scrapes the Prometheus endpoint
 // over HTTP, and asserts every netwire_* family is exposed with exactly
 // the label sets the package documents — the contract dashboards are
-// built against.
+// built against. The router is a Model-II router instrumented into the
+// same registry, as a live run wires it, so its SPNE cache families are
+// held to the same contract.
 func TestNetwireMetricsExposition(t *testing.T) {
 	topo := buildTopo(8, 4, 17)
-	r := transport.NewRandomRouter(topo, dist.NewSource(18))
+	avail := make(map[overlay.NodeID]float64, len(topo))
+	for id := range topo {
+		avail[id] = 0.5
+	}
+	r := transport.NewUtilityIIRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), avail)
 	reg := telemetry.NewRegistry()
+	r.Instrument(reg)
 	c := NewCluster(Config{})
 	c.Instrument(reg, nil)
 	t.Cleanup(c.Close)
@@ -68,6 +77,8 @@ func TestNetwireMetricsExposition(t *testing.T) {
 		"netwire_connections_total", "netwire_settlements_total",
 		"netwire_connect_latency_seconds", "netwire_path_length_hops",
 		"netwire_nack_hops",
+		"transport_spne_cache_total", "transport_spne_cache_entries",
+		"transport_spne_cache_evictions_total",
 	} {
 		if !strings.Contains(body, "# HELP "+family+" ") {
 			t.Errorf("missing HELP for %s", family)
@@ -92,6 +103,10 @@ func TestNetwireMetricsExposition(t *testing.T) {
 		`netwire_connections_total{result="fail"}`,
 		`netwire_bytes_total{dir="sent"}`,
 		`netwire_bytes_total{dir="recv"}`,
+		`transport_spne_cache_total{result="hit"}`,
+		`transport_spne_cache_total{result="miss"}`,
+		`transport_spne_cache_entries`,
+		`transport_spne_cache_evictions_total`,
 	}
 	for k := KindHello; k < kindEnd; k++ {
 		series = append(series,
@@ -105,8 +120,9 @@ func TestNetwireMetricsExposition(t *testing.T) {
 	}
 
 	// The batch above must be visible in the scraped values: 3 completed
-	// connections, at least one successful dial, live byte counters, and a
-	// 3-observation latency histogram.
+	// connections — each one solve, held in the router's cache — at least
+	// one successful dial, live byte counters, and a 3-observation latency
+	// histogram.
 	for series, min := range map[string]int{
 		`netwire_connections_total{result="ok"}`:            3,
 		`netwire_dials_total{result="ok"}`:                  1,
@@ -116,6 +132,8 @@ func TestNetwireMetricsExposition(t *testing.T) {
 		`netwire_frames_total{dir="sent",kind="probe"}`:     1,
 		`netwire_frames_total{dir="recv",kind="probe_ack"}`: 1,
 		`netwire_connect_latency_seconds_count`:             3,
+		`transport_spne_cache_total{result="miss"}`:         3,
+		`transport_spne_cache_entries`:                      3,
 	} {
 		if got := scrapeValue(t, body, series); got < min {
 			t.Errorf("%s = %d, want >= %d", series, got, min)

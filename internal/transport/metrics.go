@@ -20,6 +20,8 @@ const (
 	metricPathLength        = "transport_path_length_hops"
 	metricNackHops          = "transport_nack_hops"
 	metricSPNECacheTotal    = "transport_spne_cache_total" // label result: hit|miss
+	metricSPNECacheEntries  = "transport_spne_cache_entries"
+	metricSPNECacheEvicted  = "transport_spne_cache_evictions_total"
 )
 
 // Metrics is the runtime's instrument set, founded on a

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"sort"
 	"sync"
 
 	"p2panon/internal/core"
@@ -95,17 +94,24 @@ func (r *RandomRouter) NextHop(self, pred, initiator, responder overlay.NodeID, 
 // with the configured weights. Safe for concurrent use; implements
 // ChurnAware so reformed paths avoid peers found dead.
 type UtilityRouter struct {
-	mu    sync.Mutex
-	topo  Topology
+	mu sync.Mutex
+	// nbrs[id] is id's neighbor list from the topology snapshot, sorted
+	// ascending and duplicate free (game.SortUnique, once at construction);
+	// nil for an id that is not a key of the topology. Its length is the
+	// stage game's vertex space, max node id + 1.
+	nbrs  [][]int32
 	w     quality.Weights
 	c     core.Contract
 	avail map[overlay.NodeID]float64
 	dead  map[overlay.NodeID]struct{}
 	// hist[batch][edge] counts connections that used the edge; conns
 	// tracks per-batch connection counts for the selectivity denominator.
-	hist  map[int]map[[2]overlay.NodeID]map[int]struct{}
+	hist  map[int]edgeUses
 	conns map[int]map[int]struct{}
 }
+
+// edgeUses maps a directed edge to the connections of one batch that used it.
+type edgeUses map[[2]overlay.NodeID]map[int]struct{}
 
 // NewUtilityRouter builds a Model-I router. avail maps node → availability
 // estimate in [0, 1] (e.g. from probe snapshots before going live).
@@ -113,13 +119,28 @@ func NewUtilityRouter(topo Topology, w quality.Weights, c core.Contract, avail m
 	if err := w.Validate(); err != nil {
 		panic(err)
 	}
+	maxID := overlay.NodeID(0)
+	for id, nbs := range topo {
+		maxID = max(maxID, id)
+		for _, v := range nbs {
+			maxID = max(maxID, v)
+		}
+	}
+	nbrs := make([][]int32, maxID+1)
+	for id, nbs := range topo {
+		row := make([]int32, len(nbs))
+		for a, v := range nbs {
+			row[a] = int32(v)
+		}
+		nbrs[id] = row[:game.SortUnique(row)]
+	}
 	return &UtilityRouter{
-		topo:  topo,
+		nbrs:  nbrs,
 		w:     w,
 		c:     c,
 		avail: avail,
 		dead:  make(map[overlay.NodeID]struct{}),
-		hist:  make(map[int]map[[2]overlay.NodeID]map[int]struct{}),
+		hist:  make(map[int]edgeUses),
 		conns: make(map[int]map[int]struct{}),
 	}
 }
@@ -140,39 +161,45 @@ func (r *UtilityRouter) MarkLive(id overlay.NodeID) {
 
 // NextHop implements Router: maximise P_f + q·P_r (costs are uniform in
 // the live demo, so they do not affect the argmax), ties to higher q then
-// lower ID.
+// lower ID — strict > over the ascending neighbor list. Candidates are
+// filtered as Topology.candidatesOf does.
 func (r *UtilityRouter) NextHop(self, pred, initiator, responder overlay.NodeID, batch, conn, remaining int) (overlay.NodeID, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cands := r.topo.candidatesOf(self, pred, initiator, responder, r.dead)
-	if len(cands) == 0 {
+	if self < 0 || int(self) >= len(r.nbrs) {
 		return overlay.None, true
 	}
 	k := len(r.conns[batch]) + 1
-	type scored struct {
-		id overlay.NodeID
-		q  float64
-	}
-	best := scored{id: overlay.None, q: -1}
-	ids := append([]overlay.NodeID(nil), cands...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, v := range ids {
-		sigma := r.selectivity(batch, self, v, k)
-		q := r.w.Edge(sigma, r.avail[v])
-		if q > best.q {
-			best = scored{id: v, q: q}
+	uses := r.hist[batch]
+	// Edge never scores below 0, so the first candidate displaces the
+	// sentinel and best stays None only when there is no candidate.
+	best, bestQ := overlay.None, -1.0
+	for _, j := range r.nbrs[self] {
+		v := overlay.NodeID(j)
+		if v == pred || v == initiator || v == responder || v == self {
+			continue
+		}
+		if _, gone := r.dead[v]; gone {
+			continue
+		}
+		if q := r.w.Edge(uses.selectivity(self, v, k), r.avail[v]); q > bestQ {
+			best, bestQ = v, q
 		}
 	}
-	r.record(batch, conn, self, best.id)
-	return best.id, false
+	if best == overlay.None {
+		return overlay.None, true
+	}
+	r.record(batch, conn, self, best)
+	return best, false
 }
 
-func (r *UtilityRouter) selectivity(batch int, from, to overlay.NodeID, k int) float64 {
+// selectivity is σ(from, to) for the batch's k-th connection: the share of
+// the k−1 earlier connections that used the edge.
+func (u edgeUses) selectivity(from, to overlay.NodeID, k int) float64 {
 	if k <= 1 {
 		return 0
 	}
-	uses := len(r.hist[batch][[2]overlay.NodeID{from, to}])
-	sigma := float64(uses) / float64(k-1)
+	sigma := float64(len(u[[2]overlay.NodeID{from, to}])) / float64(k-1)
 	if sigma > 1 {
 		sigma = 1
 	}
@@ -182,7 +209,7 @@ func (r *UtilityRouter) selectivity(batch int, from, to overlay.NodeID, k int) f
 func (r *UtilityRouter) record(batch, conn int, from, to overlay.NodeID) {
 	edges, ok := r.hist[batch]
 	if !ok {
-		edges = make(map[[2]overlay.NodeID]map[int]struct{})
+		edges = make(edgeUses)
 		r.hist[batch] = edges
 	}
 	e := [2]overlay.NodeID{from, to}
@@ -196,91 +223,132 @@ func (r *UtilityRouter) record(batch, conn int, from, to overlay.NodeID) {
 	r.conns[batch][conn] = struct{}{}
 }
 
+// spneCacheCap bounds how many connections' prescriptions the Model-II
+// router keeps. A connection reads its entry once per hop and never again
+// after it confirms, so the cache only has to outlast the connections in
+// flight at once; a long run's memory no longer grows with its length.
+const spneCacheCap = 64
+
 // UtilityIIRouter implements Utility Model II over the live runtime: at
-// each hop it solves the bounded path game from itself to the responder
-// over the topology snapshot — edge qualities from the same per-batch
-// selectivity and static availability the Model-I router uses — and plays
-// the SPNE prescription. The solved table is cached per (batch, conn)
-// since qualities are stable within a connection. Safe for concurrent use.
+// each hop it plays the SPNE prescription of the bounded path game from
+// itself to the responder over the topology snapshot — edge qualities from
+// the same per-batch selectivity and static availability the Model-I
+// router uses. The game is built as sparse neighbor rows (see fillRows) and
+// solved once per (batch, conn), since qualities are stable within a
+// connection; the prescriptions of the spneCacheCap most recently solved
+// connections are kept. Safe for concurrent use.
 type UtilityIIRouter struct {
 	*UtilityRouter
-	nodes int // vertex-space size for the path game (max node id + 1)
 
+	// cacheMu guards everything below; it is taken before mu, never after.
 	cacheMu sync.Mutex
-	cache   map[[2]int]*spneCacheEntry
+	// slots is a ring in solve order: the solved-th solve since the cache
+	// was last emptied lands in slot solved % spneCacheCap, evicting what
+	// was there, so min(solved, spneCacheCap) slots are live.
+	slots  [spneCacheCap]spneCacheEntry
+	solved int
+
+	// The stage game and its storage, reused by every solve: CSR rows
+	// (row/succ/qual, O(n·d)) and the Decision table SolveInto recycles.
+	game  game.PathGame
+	row   []int32
+	succ  []int32
+	qual  []float64
+	table [][]game.Decision
 
 	// SPNE cache instrumentation, bound by Instrument (nil-safe when not).
-	cacheHits, cacheMisses *telemetry.Counter
+	cacheHits, cacheMisses, cacheEvictions *telemetry.Counter
+	cacheEntries                           *telemetry.Gauge
 }
 
+// spneCacheEntry is one connection's solved game, reduced to what NextHop
+// reads: next[h*nodes+i] is the successor prescribed to i with h hops of
+// budget left (−1 for none). Its storage is reused by the slot's next
+// occupant.
 type spneCacheEntry struct {
+	key       [2]int // (batch, conn)
 	responder overlay.NodeID
-	table     [][]game.Decision
 	budget    int
+	next      []int32
+}
+
+// at reads the prescription for self with h hops left from a table that is
+// nodes wide.
+func (e *spneCacheEntry) at(h, nodes int, self overlay.NodeID) overlay.NodeID {
+	return overlay.NodeID(e.next[h*nodes+int(self)])
 }
 
 // NewUtilityIIRouter builds a Model-II router over the topology snapshot.
 func NewUtilityIIRouter(topo Topology, w quality.Weights, c core.Contract, avail map[overlay.NodeID]float64) *UtilityIIRouter {
-	maxID := overlay.NodeID(0)
-	for id, nbs := range topo {
-		if id > maxID {
-			maxID = id
-		}
-		for _, v := range nbs {
-			if v > maxID {
-				maxID = v
-			}
+	r := &UtilityIIRouter{UtilityRouter: NewUtilityRouter(topo, w, c, avail)}
+	edges := 0
+	for _, nb := range r.nbrs {
+		if nb != nil {
+			edges += len(nb) + 1 // every neighbor plus the delivery edge
 		}
 	}
-	return &UtilityIIRouter{
-		UtilityRouter: NewUtilityRouter(topo, w, c, avail),
-		nodes:         int(maxID) + 1,
-		cache:         make(map[[2]int]*spneCacheEntry),
+	r.row = make([]int32, len(r.nbrs)+1)
+	r.succ = make([]int32, edges)
+	r.qual = make([]float64, edges)
+	r.game = game.PathGame{
+		Nodes: len(r.nbrs),
+		Adjacency: func(i int) ([]int32, []float64) {
+			lo, hi := r.row[i], r.row[i+1]
+			return r.succ[lo:hi], r.qual[lo:hi]
+		},
+		Pf: r.c.Pf,
+		Pr: r.c.Pr,
 	}
+	return r
 }
 
-// Instrument binds the router's SPNE cache hit/miss counters into reg,
-// so game-layer solve reuse is visible on the exposition endpoint. Call
+// Instrument binds the router's SPNE cache instruments into reg — hits,
+// misses, evictions and the current entry count — so game-layer solve
+// reuse and the cache bound are visible on the exposition endpoint. Call
 // before traffic starts.
 func (r *UtilityIIRouter) Instrument(reg *telemetry.Registry) {
 	reg.Help(metricSPNECacheTotal, "SPNE table lookups served from cache (result=hit) vs solved fresh (result=miss)")
+	reg.Help(metricSPNECacheEntries, "connections whose SPNE prescription is cached (bounded)")
+	reg.Help(metricSPNECacheEvicted, "cached SPNE prescriptions displaced by a newer solve")
 	r.cacheHits = reg.Counter(metricSPNECacheTotal, telemetry.Labels{"result": "hit"})
 	r.cacheMisses = reg.Counter(metricSPNECacheTotal, telemetry.Labels{"result": "miss"})
+	r.cacheEvictions = reg.Counter(metricSPNECacheEvicted, nil)
+	r.cacheEntries = reg.Gauge(metricSPNECacheEntries, nil)
 }
 
 // MarkDead implements ChurnAware: besides excluding id from candidates,
-// cached SPNE tables are discarded — they may prescribe routes through the
-// corpse, and a reformed attempt must re-solve without it.
+// cached prescriptions are discarded — they may route through the corpse,
+// and a reformed attempt must re-solve without it.
 func (r *UtilityIIRouter) MarkDead(id overlay.NodeID) {
 	r.UtilityRouter.MarkDead(id)
-	r.cacheMu.Lock()
-	r.cache = make(map[[2]int]*spneCacheEntry)
-	r.cacheMu.Unlock()
+	r.dropCache()
 }
 
-// MarkLive implements ChurnAware; stale tables solved without the
+// MarkLive implements ChurnAware; stale prescriptions solved without the
 // returned peer are merely conservative, but dropping them lets routing
 // use it again immediately.
 func (r *UtilityIIRouter) MarkLive(id overlay.NodeID) {
 	r.UtilityRouter.MarkLive(id)
+	r.dropCache()
+}
+
+// dropCache empties the cache and restarts its eviction order; the slots
+// keep their storage for the next occupants.
+func (r *UtilityIIRouter) dropCache() {
 	r.cacheMu.Lock()
-	r.cache = make(map[[2]int]*spneCacheEntry)
+	r.solved = 0
+	r.cacheEntries.Set(0)
 	r.cacheMu.Unlock()
 }
 
 // NextHop implements Router via SPNE play.
 func (r *UtilityIIRouter) NextHop(self, pred, initiator, responder overlay.NodeID, batch, conn, remaining int) (overlay.NodeID, bool) {
-	entry := r.solve(initiator, responder, batch, conn, remaining)
-	if remaining > entry.budget {
-		remaining = entry.budget
-	}
-	d := entry.table[remaining][self]
-	if d.Next < 0 || overlay.NodeID(d.Next) == pred {
+	next := r.prescribed(self, initiator, responder, batch, conn, remaining)
+	if next < 0 || next == pred {
 		// No feasible continuation, or an immediate return (the table is
 		// computed over walks): fall back to the local Model-I rule.
 		return r.UtilityRouter.NextHop(self, pred, initiator, responder, batch, conn, remaining)
 	}
-	next := overlay.NodeID(d.Next)
 	if next == responder {
 		return overlay.None, true
 	}
@@ -290,67 +358,115 @@ func (r *UtilityIIRouter) NextHop(self, pred, initiator, responder overlay.NodeI
 	return next, false
 }
 
-// solve returns (building if needed) the SPNE table for this connection.
-func (r *UtilityIIRouter) solve(initiator, responder overlay.NodeID, batch, conn, remaining int) *spneCacheEntry {
+// prescribed returns the SPNE successor of self with remaining hops left
+// in this connection's game, solving it if the cache does not hold it. A
+// connection whose entry was evicted or dropped mid-path re-solves against
+// the history as it stands now, exactly as it does after MarkDead.
+func (r *UtilityIIRouter) prescribed(self, initiator, responder overlay.NodeID, batch, conn, remaining int) overlay.NodeID {
 	key := [2]int{batch, conn}
 	r.cacheMu.Lock()
 	defer r.cacheMu.Unlock()
-	if e, ok := r.cache[key]; ok && e.responder == responder && e.budget >= remaining {
+	e := r.cached(key)
+	if e != nil && e.responder == responder && e.budget >= remaining {
 		r.cacheHits.Inc()
-		return e
+		return e.at(remaining, len(r.nbrs), self)
 	}
 	r.cacheMisses.Inc()
-	budget := remaining
-	g := &game.PathGame{
-		Nodes:     r.nodes,
-		Responder: int(responder),
-		EdgeQuality: func(i, j int) float64 {
-			return r.liveEdgeQuality(overlay.NodeID(i), overlay.NodeID(j), initiator, responder, batch)
-		},
-		Pf:      r.c.Pf,
-		Pr:      r.c.Pr,
-		MaxHops: budget,
+	if e == nil {
+		// A key that is cached but no longer fits is re-solved in place;
+		// a new one takes the oldest solve's slot.
+		e = &r.slots[r.solved%spneCacheCap]
+		if r.solved >= spneCacheCap {
+			r.cacheEvictions.Inc()
+		}
+		r.solved++
+		r.cacheEntries.Set(int64(min(r.solved, spneCacheCap)))
 	}
-	e := &spneCacheEntry{responder: responder, table: g.Solve(), budget: budget}
-	r.cache[key] = e
-	return e
-}
-
-// liveEdgeQuality scores (i, j) for the stage game: delivery edges have
-// quality 1; overlay edges score w_s·σ + w_a·α; everything else is absent.
-func (r *UtilityIIRouter) liveEdgeQuality(i, j, initiator, responder overlay.NodeID, batch int) float64 {
-	if i == j || i == responder {
-		return -1
-	}
-	if _, ok := r.topo[i]; !ok {
-		return -1
-	}
-	r.mu.Lock()
-	_, iDead := r.dead[i]
-	_, jDead := r.dead[j]
-	r.mu.Unlock()
-	if iDead || jDead {
-		return -1
-	}
-	if j == responder {
-		return 1
-	}
-	if j == initiator {
-		return -1
-	}
-	found := false
-	for _, v := range r.topo[i] {
-		if v == j {
-			found = true
-			break
+	e.key, e.responder, e.budget = key, responder, remaining
+	e.next = e.next[:0]
+	for _, stage := range r.solve(initiator, responder, batch, remaining) {
+		for _, d := range stage {
+			e.next = append(e.next, int32(d.Next))
 		}
 	}
-	if !found {
-		return -1
+	return e.at(remaining, len(r.nbrs), self)
+}
+
+// cached returns the live entry for key, or nil. It scans the ring from the
+// newest solve backwards: a connection in flight is among the latest
+// solves, so the scan usually ends at its first probe. Caller holds cacheMu.
+func (r *UtilityIIRouter) cached(key [2]int) *spneCacheEntry {
+	for age := 1; age <= min(r.solved, spneCacheCap); age++ {
+		if e := &r.slots[(r.solved-age)%spneCacheCap]; e.key == key {
+			return e
+		}
 	}
+	return nil
+}
+
+// solve builds and solves the budget-stage game of one connection of batch
+// and returns its table, which the next solve overwrites. Caller holds
+// cacheMu.
+func (r *UtilityIIRouter) solve(initiator, responder overlay.NodeID, batch, budget int) [][]game.Decision {
+	r.fillRows(initiator, responder, batch)
+	r.game.Responder = int(responder)
+	r.game.MaxHops = budget
+	if len(r.table) > budget {
+		// A table grown for a longer budget serves a shorter one.
+		return r.game.SolveInto(r.table[:budget+1])
+	}
+	r.table = r.game.SolveInto(nil)
+	return r.table
+}
+
+// fillRows writes the stage game's sparse adjacency into the CSR scratch.
+// Node i gets a row iff it is a key of the topology, alive and not R. The
+// row lists, ascending, i's live neighbors other than i itself and I,
+// scored w_s·σ + w_a·α, and — for every such i, neighbor of R or not — the
+// delivery edge (i, R) with the literal quality 1 at R's ascending
+// position, unless R is dead. Ascending order makes the sparse induction
+// break ties exactly as a dense scan over j would.
+//
+// History and the dead set are read under one hold of mu, so a solve sees
+// one consistent state.
+func (r *UtilityIIRouter) fillRows(initiator, responder overlay.NodeID, batch int) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	k := len(r.conns[batch]) + 1
-	sigma := r.selectivity(batch, i, j, k)
-	r.mu.Unlock()
-	return r.w.Edge(sigma, r.avail[j])
+	uses := r.hist[batch]
+	_, rDead := r.dead[responder]
+	deliver := int32(responder)
+	pos := int32(0)
+	for i, nb := range r.nbrs {
+		r.row[i] = pos
+		id := overlay.NodeID(i)
+		if nb == nil || id == responder {
+			continue
+		}
+		if _, gone := r.dead[id]; gone {
+			continue
+		}
+		delivered := rDead
+		for _, j := range nb {
+			if !delivered && j >= deliver {
+				r.succ[pos], r.qual[pos] = deliver, 1
+				pos++
+				delivered = true
+			}
+			v := overlay.NodeID(j)
+			if v == responder || v == id || v == initiator {
+				continue
+			}
+			if _, gone := r.dead[v]; gone {
+				continue
+			}
+			r.succ[pos], r.qual[pos] = j, r.w.Edge(uses.selectivity(id, v, k), r.avail[v])
+			pos++
+		}
+		if !delivered {
+			r.succ[pos], r.qual[pos] = deliver, 1
+			pos++
+		}
+	}
+	r.row[len(r.nbrs)] = pos
 }

@@ -1,0 +1,347 @@
+package transport
+
+import (
+	"math"
+	"testing"
+
+	"p2panon/internal/core"
+	"p2panon/internal/dist"
+	"p2panon/internal/game"
+	"p2panon/internal/overlay"
+	"p2panon/internal/quality"
+	"p2panon/internal/telemetry"
+)
+
+// liveEdgeQuality is the dense stage game the Model-II router solved
+// before it built sparse rows, kept as the oracle fillRows is pinned
+// against: q(i, j) asked pair by pair over the raw topology snapshot —
+// delivery edges have quality 1; overlay edges score w_s·σ + w_a·α;
+// everything else is absent.
+func (r *UtilityIIRouter) liveEdgeQuality(topo Topology, i, j, initiator, responder overlay.NodeID, batch int) float64 {
+	if i == j || i == responder {
+		return -1
+	}
+	if _, ok := topo[i]; !ok {
+		return -1
+	}
+	r.mu.Lock()
+	_, iDead := r.dead[i]
+	_, jDead := r.dead[j]
+	r.mu.Unlock()
+	if iDead || jDead {
+		return -1
+	}
+	if j == responder {
+		return 1
+	}
+	if j == initiator {
+		return -1
+	}
+	found := false
+	for _, v := range topo[i] {
+		if v == j {
+			found = true
+			break
+		}
+	}
+	if !found {
+		return -1
+	}
+	r.mu.Lock()
+	k := len(r.conns[batch]) + 1
+	sigma := r.hist[batch].selectivity(i, j, k)
+	r.mu.Unlock()
+	return r.w.Edge(sigma, r.avail[j])
+}
+
+// denseTable solves the oracle game with the dense full-sweep solver.
+func (r *UtilityIIRouter) denseTable(topo Topology, initiator, responder overlay.NodeID, batch, budget int) [][]game.Decision {
+	g := &game.PathGame{
+		Nodes:     len(r.nbrs),
+		Responder: int(responder),
+		EdgeQuality: func(i, j int) float64 {
+			return r.liveEdgeQuality(topo, overlay.NodeID(i), overlay.NodeID(j), initiator, responder, batch)
+		},
+		Pf:      r.c.Pf,
+		Pr:      r.c.Pr,
+		MaxHops: budget,
+	}
+	return g.Solve()
+}
+
+func requireSameTable(t *testing.T, got, want [][]game.Decision) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d stages, want %d", len(got), len(want))
+	}
+	for h := range want {
+		if len(got[h]) != len(want[h]) {
+			t.Fatalf("stage %d: %d cells, want %d", h, len(got[h]), len(want[h]))
+		}
+		for i := range want[h] {
+			g, w := got[h][i], want[h][i]
+			if g.Node != w.Node || g.Next != w.Next ||
+				math.Float64bits(g.Utility) != math.Float64bits(w.Utility) ||
+				math.Float64bits(g.Quality) != math.Float64bits(w.Quality) {
+				t.Fatalf("table[%d][%d] = %+v, want %+v", h, i, g, w)
+			}
+		}
+	}
+}
+
+// awkwardWorld draws a topology with everything fillRows has to get right
+// beyond the tidy snapshots SnapshotTopology produces: repeated and self
+// entries in neighbor lists, ids that are listed as neighbors but are not
+// keys (one inside the key range, two past it), a key with no neighbors,
+// and availabilities from a four-value set so qualities tie often and the
+// lowest-id tie-break decides — 0 among them, because a zero-quality edge
+// into a neighbor that delivers ties with delivering directly, which is
+// what makes the delivery edge's position in its row matter.
+func awkwardWorld(seed uint64) (Topology, map[overlay.NodeID]float64, int) {
+	rng := dist.NewSource(seed)
+	n := 12 + rng.Intn(14)
+	topo := buildTopo(n, 3+rng.Intn(3), seed+1000)
+	ids := n + 2
+	for i := 0; i < n; i++ {
+		id := overlay.NodeID(i)
+		switch rng.Intn(4) {
+		case 0:
+			topo[id] = append(topo[id], topo[id][0]) // repeated entry
+		case 1:
+			topo[id] = append(topo[id], id) // self entry
+		case 2:
+			topo[id] = append(topo[id], overlay.NodeID(n+rng.Intn(2))) // keyless id
+		}
+	}
+	delete(topo, overlay.NodeID(1+rng.Intn(n-2))) // listed by others, no row of its own
+	topo[overlay.NodeID(1+rng.Intn(n-2))] = []overlay.NodeID{}
+	avail := make(map[overlay.NodeID]float64, ids)
+	for i := 0; i < ids; i++ {
+		avail[overlay.NodeID(i)] = 0.25 * float64(rng.Intn(4))
+	}
+	return topo, avail, ids
+}
+
+// TestLiveSparseMatchesDense pins the sparse rows against the retained
+// dense oracle, cell by cell and bit for bit, for budgets 1..5 — with
+// per-batch history (k > 1), dead forwarders, a dead responder, I adjacent
+// to R, R inside and outside neighbor lists, keyless ids and repeated
+// entries all in play.
+func TestLiveSparseMatchesDense(t *testing.T) {
+	var adjacentIR, rListed, rUnlisted, deadR, withHistory int
+	for seed := uint64(1); seed <= 12; seed++ {
+		topo, avail, ids := awkwardWorld(seed)
+		r := NewUtilityIIRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), avail)
+		if len(r.nbrs) != ids {
+			t.Fatalf("seed %d: vertex space %d, want %d", seed, len(r.nbrs), ids)
+		}
+		rng := dist.NewSource(seed + 2000)
+		// Batch 1 has history from several connections, some edges shared;
+		// batch 2 has one connection's worth; batch 3 has none.
+		for conn := 1; conn <= 6; conn++ {
+			for e := 0; e < 4; e++ {
+				from := overlay.NodeID(rng.Intn(ids))
+				if nbs := topo[from]; len(nbs) > 0 {
+					r.record(1, conn, from, nbs[rng.Intn(len(nbs))])
+				}
+			}
+		}
+		r.record(2, 1, 0, topo[0][0])
+		dead := []overlay.NodeID{overlay.NodeID(rng.Intn(ids)), overlay.NodeID(rng.Intn(ids))}
+		for _, id := range dead {
+			r.MarkDead(id)
+		}
+		for pair := 0; pair < 12; pair++ {
+			initiator := overlay.NodeID(rng.Intn(ids))
+			responder := overlay.NodeID(rng.Intn(ids))
+			switch pair {
+			case 0: // I adjacent to R
+				initiator = 0
+				responder = topo[0][0]
+			case 1: // dead responder: no delivery edge anywhere
+				responder = dead[0]
+			}
+			if _, gone := r.dead[responder]; gone {
+				deadR++
+			}
+			for _, v := range topo[initiator] {
+				if v == responder {
+					adjacentIR++
+				}
+			}
+			for id, nbs := range topo {
+				listed := false
+				for _, v := range nbs {
+					listed = listed || v == responder
+				}
+				if id != responder && listed {
+					rListed++
+				} else if id != responder {
+					rUnlisted++
+				}
+			}
+			for batch := 1; batch <= 3; batch++ {
+				if len(r.conns[batch]) > 0 {
+					withHistory++
+				}
+				for budget := 1; budget <= 5; budget++ {
+					got := r.solve(initiator, responder, batch, budget)
+					requireSameTable(t, got, r.denseTable(topo, initiator, responder, batch, budget))
+					for i := range r.nbrs {
+						succ, _ := r.game.Adjacency(i)
+						for a := 1; a < len(succ); a++ {
+							if succ[a-1] >= succ[a] {
+								t.Fatalf("seed %d: row %d not strictly ascending: %v", seed, i, succ)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for name, n := range map[string]int{
+		"I adjacent to R": adjacentIR, "R inside a neighbor list": rListed, "R outside a neighbor list": rUnlisted,
+		"dead responder": deadR, "batch with history": withHistory,
+	} {
+		if n == 0 {
+			t.Errorf("no case covered %q", name)
+		}
+	}
+}
+
+// walk plays one connection by calling NextHop at each holder in turn, as
+// the transport does, and returns how many calls it took.
+func walk(r Router, initiator, responder overlay.NodeID, batch, conn, budget int) (calls int) {
+	self, pred := initiator, overlay.None
+	for remaining := budget; remaining > 0; remaining-- {
+		next, deliver := r.NextHop(self, pred, initiator, responder, batch, conn, remaining)
+		calls++
+		if deliver {
+			break
+		}
+		self, pred = next, self
+	}
+	return calls
+}
+
+func cacheCounts(r *UtilityIIRouter) (hits, misses, evictions, entries int64) {
+	return r.cacheHits.Value(), r.cacheMisses.Value(), r.cacheEvictions.Value(), r.cacheEntries.Value()
+}
+
+// TestSPNECacheBounded drives ten times the cache's capacity in
+// connections and checks the bound, the counters the benchmark reads, and
+// that a connection whose entry was evicted or dropped mid-path re-solves
+// against the current state.
+func TestSPNECacheBounded(t *testing.T) {
+	const n, budget = 40, 5
+	topo := buildTopo(n, 6, 31)
+	r := NewUtilityIIRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), uniformAvail(n))
+	r.Instrument(telemetry.NewRegistry())
+
+	conns := 0
+	for batch := 1; conns < 10*spneCacheCap; batch++ {
+		initiator, responder := overlay.NodeID(batch%n), overlay.NodeID((batch+n/2)%n)
+		for conn := 1; conn <= 10; conn++ {
+			h0, m0, _, _ := cacheCounts(r)
+			calls := walk(r, initiator, responder, batch, conn, budget)
+			conns++
+			hits, misses, evictions, entries := cacheCounts(r)
+			if calls != budget {
+				t.Fatalf("batch %d conn %d took %d NextHop calls, want %d", batch, conn, calls, budget)
+			}
+			if misses-m0 != 1 || hits-h0 != int64(calls-1) {
+				t.Fatalf("batch %d conn %d: %d misses and %d hits over %d calls, want 1 and %d",
+					batch, conn, misses-m0, hits-h0, calls, calls-1)
+			}
+			if want := int64(min(conns, spneCacheCap)); entries != want {
+				t.Fatalf("after %d connections: %d entries, want %d", conns, entries, want)
+			}
+			if want := int64(max(conns-spneCacheCap, 0)); evictions != want {
+				t.Fatalf("after %d connections: %d evictions, want %d", conns, evictions, want)
+			}
+		}
+	}
+
+	// An evicted connection: its first hop is solved and cached, then a
+	// cache's worth of other connections displaces it. Its second hop is a
+	// miss that re-solves — with the first hop now in the batch's history —
+	// and agrees with the oracle for that state.
+	const batch = 1000
+	initiator, responder := overlay.NodeID(0), overlay.NodeID(n-1)
+	first, _ := r.NextHop(initiator, overlay.None, initiator, responder, batch, 1, budget)
+	for conn := 1; conn <= spneCacheCap; conn++ {
+		walk(r, 1, overlay.NodeID(n-2), batch+1, conn, budget)
+	}
+	if r.cached([2]int{batch, 1}) != nil {
+		t.Fatal("connection survived a cache's worth of later solves")
+	}
+	_, m0, _, _ := cacheCounts(r)
+	second, deliver := r.NextHop(first, initiator, initiator, responder, batch, 1, budget-1)
+	if _, m1, _, _ := cacheCounts(r); m1-m0 != 1 {
+		t.Fatalf("evicted connection's next hop counted %d misses, want 1", m1-m0)
+	}
+	want := overlay.NodeID(r.denseTable(topo, initiator, responder, batch, budget-1)[budget-1][first].Next)
+	if deliver || second != want {
+		t.Fatalf("evicted connection re-solved to %d (deliver=%v), oracle says %d", second, deliver, want)
+	}
+
+	// A dropped connection: the hop its cached prescription names next is
+	// found dead. MarkDead empties the cache and its eviction order, and
+	// the re-solve routes around the corpse.
+	first, _ = r.NextHop(initiator, overlay.None, initiator, responder, batch, 2, budget)
+	corpse := r.prescribed(first, initiator, responder, batch, 2, budget-1)
+	if corpse < 0 || corpse == responder {
+		t.Fatalf("prescription at %d is %d, need a forwarder to kill", first, corpse)
+	}
+	r.MarkDead(corpse)
+	if _, _, _, entries := cacheCounts(r); entries != 0 || r.cached([2]int{batch, 2}) != nil {
+		t.Fatalf("MarkDead left %d entries, dropped connection still cached: %v", entries, r.cached([2]int{batch, 2}) != nil)
+	}
+	_, m0, ev0, _ := cacheCounts(r)
+	second, _ = r.NextHop(first, initiator, initiator, responder, batch, 2, budget-1)
+	if second == corpse {
+		t.Fatalf("re-solve still routes through dead peer %d", corpse)
+	}
+	if _, m1, _, entries := cacheCounts(r); m1-m0 != 1 || entries != 1 {
+		t.Fatalf("after MarkDead: %d misses, %d entries, want 1 and 1", m1-m0, entries)
+	}
+	// The eviction order restarted too: the cache fills to its capacity
+	// again before anything is evicted.
+	for conn := 1; conn < spneCacheCap+5; conn++ {
+		walk(r, 1, overlay.NodeID(n-2), batch+2, conn, budget)
+	}
+	if _, _, ev1, entries := cacheCounts(r); ev1-ev0 != 5 || entries != spneCacheCap {
+		t.Fatalf("after refill: %d evictions, %d entries, want 5 and %d", ev1-ev0, entries, spneCacheCap)
+	}
+	r.MarkLive(corpse)
+	if _, _, _, entries := cacheCounts(r); entries != 0 {
+		t.Fatalf("MarkLive left %d entries", entries)
+	}
+}
+
+// TestSPNEWarmSolveAllocs pins the steady state: with the cache full and
+// every buffer grown, solving a new connection — rows, induction, evicting
+// and reusing the oldest entry's storage — allocates nothing.
+func TestSPNEWarmSolveAllocs(t *testing.T) {
+	const n, budget = 40, 5
+	topo := buildTopo(n, 6, 32)
+	r := NewUtilityIIRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), uniformAvail(n))
+	r.Instrument(telemetry.NewRegistry())
+	for conn := 1; conn <= 3; conn++ {
+		walk(r, 0, n-1, 1, conn, budget) // history, so rows score σ > 0
+	}
+	conn := 100
+	solve := func() {
+		conn++
+		r.prescribed(0, 0, n-1, 1, conn, budget)
+	}
+	for i := 0; i < 2*spneCacheCap; i++ {
+		solve()
+	}
+	if allocs := testing.AllocsPerRun(200, solve); allocs != 0 {
+		t.Fatalf("warm solve allocates %.0f times, want 0", allocs)
+	}
+	if _, misses, evictions, _ := cacheCounts(r); evictions == 0 || misses < 200 {
+		t.Fatalf("pin did not exercise eviction: %d misses, %d evictions", misses, evictions)
+	}
+}
