@@ -21,10 +21,9 @@ import (
 // registration, and frames between parts cross real TCP between
 // separate listener/link runtimes — the in-process model of the
 // multi-process cluster (clusterd workers run exactly one part each).
-// It implements transport.Conductor plus the conformance suite's
-// optional surfaces, so the partitioned topology runs the same
-// behavioral table as the single-runtime backends and must produce
-// byte-identical transcripts and span logs.
+// It implements transport.Conductor, so the partitioned topology runs
+// the same behavioral table as the single-runtime backends and must
+// produce byte-identical transcripts and span logs.
 type MultiCluster struct {
 	parts []*netwire.Cluster
 
@@ -112,27 +111,7 @@ func (m *MultiCluster) RunSecureBatch(initiator, responder overlay.NodeID, contr
 // accounting as a single runtime, dispatching each connection to its
 // initiator's part.
 func (m *MultiCluster) RunTrace(pairs []trace.Pair, opt transport.TraceOptions) *transport.TraceResult {
-	res := &transport.TraceResult{Outcomes: make([]*transport.BatchOutcome, len(pairs))}
-	for i := range res.Outcomes {
-		res.Outcomes[i] = transport.NewBatchOutcome()
-	}
-	for k, conn := range trace.Interleave(pairs) {
-		if opt.Before != nil {
-			opt.Before(k, res)
-		}
-		p := &pairs[conn.Pair]
-		out := res.Outcomes[conn.Pair]
-		path, reforms, err := m.ConnectDetail(p.Initiator, p.Responder, p.Index+1, conn.Conn, opt.Budget, opt.Timeout)
-		res.Reformations += reforms
-		out.Reformations += reforms
-		if err != nil {
-			res.Failed++
-			continue
-		}
-		res.Completed++
-		out.Record(path, p.Initiator)
-	}
-	return res
+	return transport.RunTrace(m.ConnectDetail, pairs, opt)
 }
 
 // SettleBatch delegates to the initiator's runtime; settle frames cross

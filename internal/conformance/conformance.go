@@ -6,9 +6,11 @@
 // totals — is executed against every backend through the shared
 // transport.Conductor surface, and each deterministic case additionally
 // emits a canonical transcript that must be byte-identical across
-// backends. A change that makes the two runtimes drift (different NACK
-// accounting, a different retry schedule, different settlement payoffs)
-// fails here before it can mislead an experiment.
+// backends. The protocol itself runs once, in transport.Driver; what can
+// still drift is what each backend's links answer (when a send is
+// refused, when a message expires, where a settlement lands), and a
+// change that makes them drift fails here before it can mislead an
+// experiment.
 //
 // The suite lives in a non-test file so future backends (e.g. a faultsim
 // wrapper, a UDP codec) register themselves with one Backend literal and
@@ -38,26 +40,6 @@ import (
 type Backend struct {
 	Name string
 	New  func(t testing.TB, latency time.Duration) transport.Conductor
-}
-
-// SecureBatcher is the §5 secure-protocol surface both backends expose on
-// top of Conductor: k contract-carrying connections, forwarder-sealed
-// path records, initiator-side validation with the batch key.
-type SecureBatcher interface {
-	RunSecureBatch(initiator, responder overlay.NodeID, contract *onion.SignedContract, bk *onion.BatchKey, k, budget int, timeout time.Duration) (*transport.BatchOutcome, error)
-}
-
-// SpanInstrumented is the causal-tracing surface both backends expose:
-// attach a span recorder and every connection emits a deterministic span
-// tree whose ids derive from causal coordinates, not arrival order.
-type SpanInstrumented interface {
-	SetSpans(r *telemetry.SpanRecorder)
-	Spans() *telemetry.SpanRecorder
-}
-
-// Settler is the split-payment distribution surface.
-type Settler interface {
-	SettleBatch(initiator overlay.NodeID, batch int, out *transport.BatchOutcome, contract core.Contract) (int, error)
 }
 
 // tcase is one row of the conformance table. run drives a fresh conductor
@@ -140,6 +122,31 @@ func outcomeLines(m transport.MetricsSnapshot) []string {
 // pathLine renders a realised path canonically.
 func pathLine(path []overlay.NodeID) string {
 	return fmt.Sprintf("path=%v", path)
+}
+
+// attachSpans gives cd a recorder in the canonical, byte-comparable
+// configuration: fixed seed, no clock.
+func attachSpans(cd transport.Conductor) *telemetry.SpanRecorder {
+	rec := telemetry.NewSpanRecorder(1 << 12)
+	rec.SetSeed(42)
+	cd.SetSpans(rec)
+	return rec
+}
+
+// spanLines renders the recorded span log canonically, one transcript
+// line per span. Span ids are chain hashes of causal coordinates carried
+// in the trace context, so every backend must mint the same log —
+// failure paths (nack, reform, timeout, fail) included.
+func spanLines(t *testing.T, rec *telemetry.SpanRecorder) []string {
+	t.Helper()
+	if rec.Dropped() != 0 {
+		t.Fatalf("recorder dropped %d spans", rec.Dropped())
+	}
+	var sb strings.Builder
+	if err := rec.WriteJSONL(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
 }
 
 // settlementLines renders a batch's split-payment settlement canonically:
@@ -294,6 +301,7 @@ func caseNackReformation(t *testing.T, b Backend) []string {
 		}
 	}
 	cd.SetRetry(fastRetry)
+	rec := attachSpans(cd)
 	cd.RemovePeer(1)
 	path, reforms, err := cd.ConnectDetail(0, 3, 1, 1, 4, 5*time.Second)
 	if err != nil {
@@ -309,7 +317,8 @@ func caseNackReformation(t *testing.T, b Backend) []string {
 	if m.Nacks != 1 || m.Connects != 1 || m.Failures != 0 {
 		t.Fatalf("counters after one reformation: %+v", m)
 	}
-	return append([]string{pathLine(path), fmt.Sprintf("reformations=%d", reforms)}, outcomeLines(m)...)
+	lines := append([]string{pathLine(path), fmt.Sprintf("reformations=%d", reforms)}, outcomeLines(m)...)
+	return append(lines, spanLines(t, rec)...)
 }
 
 // caseRetrySchedule: a router pinned through a permanently dead relay
@@ -327,6 +336,7 @@ func caseRetrySchedule(t *testing.T, b Backend) []string {
 		}
 	}
 	cd.SetRetry(fastRetry)
+	rec := attachSpans(cd)
 	cd.RemovePeer(1)
 	_, reforms, err := cd.ConnectDetail(0, 2, 1, 1, 10, 5*time.Second)
 	if err == nil {
@@ -345,10 +355,11 @@ func caseRetrySchedule(t *testing.T, b Backend) []string {
 	if m.Dropped != int64(fastRetry.MaxAttempts) {
 		t.Fatalf("dropped = %d, want one refused delivery per attempt = %d", m.Dropped, fastRetry.MaxAttempts)
 	}
-	return append([]string{
+	lines := append([]string{
 		"terminal=failed",
 		fmt.Sprintf("reformations=%d dropped=%d", reforms, m.Dropped),
 	}, outcomeLines(m)...)
+	return append(lines, spanLines(t, rec)...)
 }
 
 // caseChurnMidBatch: the preferred relay is abruptly killed halfway
@@ -416,6 +427,7 @@ func caseTimeoutDeadline(t *testing.T, b Backend) []string {
 	const window = 25 * time.Millisecond
 	cd := joinLine(t, b, 3, latency)
 	cd.SetRetry(transport.RetryPolicy{MaxAttempts: 1})
+	rec := attachSpans(cd)
 	_, _, err := cd.ConnectDetail(0, 2, 1, 1, 6, window)
 	if err == nil {
 		t.Fatal("connection outran a latency larger than its window")
@@ -437,10 +449,11 @@ func caseTimeoutDeadline(t *testing.T, b Backend) []string {
 	if m.Expired != 1 {
 		t.Fatalf("expired = %d, want exactly the one in-flight message", m.Expired)
 	}
-	return append([]string{
+	lines := append([]string{
 		"terminal=timeout",
 		fmt.Sprintf("expired=%d", m.Expired),
 	}, outcomeLines(m)...)
+	return append(lines, spanLines(t, rec)...)
 }
 
 // caseSettlementTotals is the acceptance bar: one 5-connection batch over
@@ -474,17 +487,7 @@ func caseSettlementTotals(t *testing.T, b Backend) []string {
 // the sockets interleave.
 func caseSpanTranscript(t *testing.T, b Backend) []string {
 	cd := joinLine(t, b, 5, 0)
-	si, ok := cd.(SpanInstrumented)
-	if !ok {
-		t.Fatalf("backend %s does not implement SetSpans", b.Name)
-	}
-	st, ok := cd.(Settler)
-	if !ok {
-		t.Fatalf("backend %s does not implement SettleBatch", b.Name)
-	}
-	rec := telemetry.NewSpanRecorder(1 << 12)
-	rec.SetSeed(42)
-	si.SetSpans(rec)
+	rec := attachSpans(cd)
 
 	const k = 2
 	out, err := cd.RunBatch(0, 4, 3, k, 8, 10*time.Second)
@@ -492,7 +495,7 @@ func caseSpanTranscript(t *testing.T, b Backend) []string {
 		t.Fatal(err)
 	}
 	contract := core.Contract{Pf: 1.5, Pr: 20}
-	if _, err := st.SettleBatch(0, 3, out, contract); err != nil {
+	if _, err := cd.SettleBatch(0, 3, out, contract); err != nil {
 		t.Fatal(err)
 	}
 	// Per connection: launch, one hop span per non-responder path member,
@@ -510,18 +513,7 @@ func caseSpanTranscript(t *testing.T, b Backend) []string {
 	if got := rec.Total(); got != want {
 		t.Fatalf("recorded %d spans, want %d", got, want)
 	}
-	if rec.Dropped() != 0 {
-		t.Fatalf("recorder dropped %d spans", rec.Dropped())
-	}
-	var sb strings.Builder
-	if err := rec.WriteJSONL(&sb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
-	if len(lines) != want {
-		t.Fatalf("span log has %d lines, want %d", len(lines), want)
-	}
-	return lines
+	return spanLines(t, rec)
 }
 
 // caseSecureBatch runs the §5 protocol over both backends: contract
@@ -538,11 +530,7 @@ func caseSecureBatch(t *testing.T, b Backend) []string {
 		t.Fatal(err)
 	}
 	cd := joinLine(t, b, 5, 0)
-	sb, ok := cd.(SecureBatcher)
-	if !ok {
-		t.Fatalf("backend %s does not implement RunSecureBatch", b.Name)
-	}
-	out, err := sb.RunSecureBatch(0, 4, contract, bk, 3, 8, 10*time.Second)
+	out, err := cd.RunSecureBatch(0, 4, contract, bk, 3, 8, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +545,7 @@ func caseSecureBatch(t *testing.T, b Backend) []string {
 	tampered := *contract
 	tampered.Sig = append([]byte(nil), contract.Sig...)
 	tampered.Sig[0] ^= 0xff
-	if _, err := sb.RunSecureBatch(0, 4, &tampered, bk, 1, 8, 5*time.Second); err == nil {
+	if _, err := cd.RunSecureBatch(0, 4, &tampered, bk, 1, 8, 5*time.Second); err == nil {
 		t.Fatal("tampered contract accepted")
 	}
 

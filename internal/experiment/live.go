@@ -149,13 +149,7 @@ func RunLive(s LiveSetup) (*LiveOutcome, error) {
 	if s.Telemetry != nil || s.Tracer != nil {
 		live.Instrument(s.Telemetry, s.Tracer)
 	}
-	if s.Spans != nil {
-		si, ok := live.(interface{ SetSpans(*telemetry.SpanRecorder) })
-		if !ok {
-			return nil, fmt.Errorf("experiment: conductor %T cannot record spans", live)
-		}
-		si.SetSpans(s.Spans)
-	}
+	live.SetSpans(s.Spans)
 	for id := range topo {
 		if err := live.Join(id, router); err != nil {
 			return nil, err

@@ -12,12 +12,9 @@ import (
 	"time"
 
 	"p2panon/internal/core"
-	"p2panon/internal/onion"
 	"p2panon/internal/overlay"
 	"p2panon/internal/telemetry"
-	"p2panon/internal/trace"
 	"p2panon/internal/transport"
-	"p2panon/internal/vclock"
 )
 
 // Config parameterises the socket layer. The zero value of any field is
@@ -31,7 +28,9 @@ type Config struct {
 	// DialTimeout/HandshakeTimeout bound connection establishment;
 	// WriteTimeout bounds one frame write; IdleTimeout closes inbound
 	// connections with no traffic; EnqueueTimeout is how long a sender
-	// blocks on a full outbound queue before the frame is refused.
+	// blocks on a full outbound queue before the frame is refused. These
+	// socket guards run on the real clock — the kernel does not speak
+	// virtual time; only the protocol schedule follows SetClock.
 	DialTimeout, HandshakeTimeout, WriteTimeout, IdleTimeout, EnqueueTimeout time.Duration
 	// QueueCap is the per-peer outbound queue bound.
 	QueueCap int
@@ -71,47 +70,27 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// wireResult is the terminal event of one connection attempt.
-type wireResult struct {
-	path    []overlay.NodeID
-	records []onion.PathRecord
-	err     error
-	fatal   bool
-	// span is the causal span the terminal frame carried: the responder's
-	// respond span for a confirm, the nack span for a NACK. The initiator
-	// parents its deliver/fail span on it.
-	span telemetry.SpanID
-}
-
-// Cluster is the loopback harness and runtime: N nodes on ephemeral
-// 127.0.0.1 ports, a shared address directory, and the connection driver
-// with bounded-retry path reformation. It implements transport.Conductor,
-// so every driver that runs over the in-process backend runs over TCP
-// unchanged.
+// Cluster is the TCP backend: the shared connection driver
+// (transport.Driver) over a link model of N nodes on ephemeral 127.0.0.1
+// ports and a shared address directory. It implements
+// transport.Conductor, so every caller that runs over the in-process
+// backend runs over TCP unchanged.
 type Cluster struct {
+	*transport.Driver
+
 	cfg     Config
 	latency time.Duration
 
-	mu        sync.RWMutex
-	nodes     map[overlay.NodeID]*Node
-	addrs     map[overlay.NodeID]string
-	markers   []transport.ChurnAware
-	markerSet map[transport.ChurnAware]struct{}
+	mu    sync.RWMutex
+	nodes map[overlay.NodeID]*Node
+	addrs map[overlay.NodeID]string
 
-	retry   transport.RetryPolicy
-	clock   vclock.Clock
 	metrics *metrics
-	tracer  *telemetry.Tracer
-	spans   *telemetry.SpanRecorder
-
-	pendMu  sync.Mutex
-	pending map[int]chan wireResult
 
 	probeMu sync.Mutex
 	probes  map[uint64]chan struct{}
 
-	nonce   atomic.Uint64
-	attempt atomic.Int64
+	nonce atomic.Uint64
 
 	wg       sync.WaitGroup
 	quit     chan struct{}
@@ -129,18 +108,15 @@ type Cluster struct {
 func NewCluster(cfg Config) *Cluster {
 	cfg.fillDefaults()
 	c := &Cluster{
-		cfg:       cfg,
-		latency:   cfg.Latency,
-		nodes:     make(map[overlay.NodeID]*Node),
-		addrs:     make(map[overlay.NodeID]string),
-		markerSet: make(map[transport.ChurnAware]struct{}),
-		retry:     transport.DefaultRetryPolicy(),
-		clock:     vclock.Real(),
-		metrics:   newMetrics(telemetry.NewRegistry()),
-		pending:   make(map[int]chan wireResult),
-		probes:    make(map[uint64]chan struct{}),
-		quit:      make(chan struct{}),
+		cfg:     cfg,
+		latency: cfg.Latency,
+		nodes:   make(map[overlay.NodeID]*Node),
+		addrs:   make(map[overlay.NodeID]string),
+		probes:  make(map[uint64]chan struct{}),
+		quit:    make(chan struct{}),
 	}
+	c.Driver = transport.NewDriver(c, "netwire")
+	c.metrics = newMetrics(c.Telemetry())
 	if dir := os.Getenv("NETWIRE_LOG_DIR"); dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err == nil {
 			name := filepath.Join(dir, fmt.Sprintf("netwire-%d-%d.log", os.Getpid(), time.Now().UnixNano()))
@@ -165,53 +141,27 @@ func (c *Cluster) logf(format string, args ...any) {
 // Instrument rebinds the cluster's metrics into reg and attaches tr as
 // the lifecycle tracer (either may be nil). Call before traffic starts.
 func (c *Cluster) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
+	c.Driver.Instrument(reg, tr)
 	if reg != nil {
 		c.metrics = newMetrics(reg)
 	}
-	c.tracer = tr
 }
-
-// SetSpans attaches a causal span recorder: every connection then emits
-// the same deterministic span tree as the in-process backend — span ids
-// are chain hashes of causal coordinates carried in the frames' trace
-// context, never of arrival order, so both backends produce byte-equal
-// logs for the same seeded workload. A nil recorder disables emission.
-// Call before traffic starts.
-func (c *Cluster) SetSpans(r *telemetry.SpanRecorder) { c.spans = r }
-
-// Spans returns the attached span recorder, or nil.
-func (c *Cluster) Spans() *telemetry.SpanRecorder { return c.spans }
-
-// Telemetry returns the registry backing the cluster's metrics.
-func (c *Cluster) Telemetry() *telemetry.Registry { return c.metrics.reg }
 
 // Metrics returns the transport-compatible counter snapshot.
-func (c *Cluster) Metrics() transport.MetricsSnapshot { return c.metrics.snapshot() }
+func (c *Cluster) Metrics() transport.MetricsSnapshot {
+	s := c.Driver.Metrics()
+	s.Sent = c.metrics.sent.Value()
+	s.Dropped = c.metrics.dropped.Value()
+	s.Expired = c.metrics.deadlineExpired.Value()
+	s.InboxHighWater = c.metrics.queueDepth.Value()
+	return s
+}
 
 // ResetMetrics zeroes the cluster's instruments.
-func (c *Cluster) ResetMetrics() { c.metrics.reset() }
-
-// SetRetry replaces the reformation policy. Not safe to race Connect.
-func (c *Cluster) SetRetry(p transport.RetryPolicy) {
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = 1
-	}
-	c.retry = p
+func (c *Cluster) ResetMetrics() {
+	c.Driver.ResetMetrics()
+	c.metrics.reset()
 }
-
-// SetClock replaces the protocol clock (attempt windows, backoff,
-// artificial latency). Socket-level guards (dial/write/idle deadlines)
-// stay on the real clock — the kernel does not speak virtual time. Call
-// before traffic starts.
-func (c *Cluster) SetClock(clk vclock.Clock) {
-	if clk == nil {
-		clk = vclock.Real()
-	}
-	c.clock = clk
-}
-
-// Clock returns the protocol clock.
-func (c *Cluster) Clock() vclock.Clock { return c.clock }
 
 // Join spins up a node: a listener on an ephemeral 127.0.0.1 port, the
 // accept loop, and a directory entry its peers dial. ChurnAware routers
@@ -225,13 +175,11 @@ func (c *Cluster) Join(id overlay.NodeID, r transport.Router) error {
 		return fmt.Errorf("netwire: listen: %w", err)
 	}
 	nd := &Node{
-		id:       id,
+		Station:  transport.NewStation(id, r),
 		c:        c,
-		router:   r,
 		ln:       ln,
 		links:    make(map[overlay.NodeID]*link),
 		inbound:  make(map[net.Conn]struct{}),
-		forwards: make(map[int]int),
 		credited: make(map[int]float64),
 		killed:   make(chan struct{}),
 	}
@@ -243,17 +191,8 @@ func (c *Cluster) Join(id overlay.NodeID, r transport.Router) error {
 	}
 	c.nodes[id] = nd
 	c.addrs[id] = ln.Addr().String()
-	ca, aware := r.(transport.ChurnAware)
-	if aware {
-		if _, seen := c.markerSet[ca]; !seen {
-			c.markerSet[ca] = struct{}{}
-			c.markers = append(c.markers, ca)
-		}
-	}
 	c.mu.Unlock()
-	if aware {
-		ca.MarkLive(id)
-	}
+	c.Joined(id, r)
 	c.logf("node %d: listening on %s", id, ln.Addr())
 	c.wg.Add(1)
 	go nd.acceptLoop()
@@ -265,17 +204,6 @@ func (c *Cluster) Node(id overlay.NodeID) *Node {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.nodes[id]
-}
-
-// NodeIDs returns the IDs of all live nodes.
-func (c *Cluster) NodeIDs() []overlay.NodeID {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	ids := make([]overlay.NodeID, 0, len(c.nodes))
-	for id := range c.nodes {
-		ids = append(ids, id)
-	}
-	return ids
 }
 
 // addrOf resolves a peer's dial address. The directory keeps entries for
@@ -305,18 +233,11 @@ func (c *Cluster) RegisterPeer(id overlay.NodeID, addr string) {
 // NoteDead feeds an externally learned death (an orchestrator's fault
 // notice for a peer in another process) to every ChurnAware router, the
 // same signal a failed local delivery produces.
-func (c *Cluster) NoteDead(id overlay.NodeID) { c.markDead(id) }
+func (c *Cluster) NoteDead(id overlay.NodeID) { c.MarkDead(id) }
 
 // NoteLive is NoteDead's inverse: a restarted remote peer is marked live
 // again so routers may draw it.
-func (c *Cluster) NoteLive(id overlay.NodeID) {
-	c.mu.RLock()
-	ms := append([]transport.ChurnAware(nil), c.markers...)
-	c.mu.RUnlock()
-	for _, m := range ms {
-		m.MarkLive(id)
-	}
-}
+func (c *Cluster) NoteLive(id overlay.NodeID) { c.MarkLive(id) }
 
 // RemovePeer models an abrupt departure: the node's listener and every
 // connection close immediately; peers discover the corpse by failed
@@ -365,347 +286,26 @@ func (c *Cluster) isClosed() bool {
 	}
 }
 
-// markDead tells every ChurnAware router that id was found dead.
-func (c *Cluster) markDead(id overlay.NodeID) {
-	c.mu.RLock()
-	ms := append([]transport.ChurnAware(nil), c.markers...)
-	c.mu.RUnlock()
-	for _, m := range ms {
-		m.MarkDead(id)
+// Local implements transport.Link: the station of a node hosted here.
+func (c *Cluster) Local(id overlay.NodeID) *transport.Station {
+	if nd := c.Node(id); nd != nil {
+		return nd.Station
 	}
+	return nil
 }
 
-// resolve delivers an attempt's terminal result, if anyone still waits.
-func (c *Cluster) resolve(attempt int, res wireResult) {
-	c.pendMu.Lock()
-	ch, ok := c.pending[attempt]
-	if ok {
-		delete(c.pending, attempt)
-	}
-	c.pendMu.Unlock()
-	if ok {
-		ch <- res // buffered; exactly one resolver after the delete wins
-	}
+// Addressable implements transport.Link: a hosted node, or one hosted by
+// another cluster whose dial-back address RegisterPeer recorded.
+func (c *Cluster) Addressable(id overlay.NodeID) bool {
+	_, ok := c.addrOf(id)
+	return ok
 }
 
-// traceTerminal records a connection's terminal lifecycle event.
-func (c *Cluster) traceTerminal(kind telemetry.EventKind, batch, conn int, initiator overlay.NodeID, hop int, detail string) {
-	if c.tracer == nil {
-		return
-	}
-	c.tracer.Record(telemetry.Event{
-		Kind: kind, Batch: batch, Conn: conn, Node: int(initiator), Hop: hop, Detail: detail,
-	})
-}
-
-// connect runs one connection with bounded retry — the same schedule as
-// transport.Network.connect: per-attempt window = timeout/MaxAttempts,
-// exponential backoff between attempts, fatal NACKs end immediately.
-func (c *Cluster) connect(initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration, contract *onion.SignedContract) (wireResult, int, error) {
-	if c.Node(initiator) == nil {
-		return wireResult{}, 0, fmt.Errorf("netwire: unknown initiator %d", initiator)
-	}
-	if c.Node(responder) == nil {
-		// A responder hosted by another cluster (RegisterPeer) is reachable
-		// through the directory; only a node no one knows an address for is
-		// rejected early, like the in-process backend rejects unknown peers.
-		if _, ok := c.addrOf(responder); !ok {
-			return wireResult{}, 0, fmt.Errorf("netwire: unknown responder %d", responder)
-		}
-	}
-	if initiator == responder {
-		return wireResult{}, 0, errors.New("netwire: initiator == responder")
-	}
-	policy := c.retry
-	if policy.MaxAttempts < 1 {
-		policy.MaxAttempts = 1
-	}
-	start := c.clock.Now()
-	if c.tracer != nil {
-		c.tracer.Record(telemetry.Event{
-			Kind: telemetry.KindLaunch, Batch: batch, Conn: conn,
-			Node: int(initiator), Detail: fmt.Sprintf("responder %d budget %d", responder, budget),
-		})
-	}
-	// Span context: one trace per (batch, I, R); the root is minted lazily
-	// by every connection (the recorder deduplicates by id). Attempt
-	// coordinates on initiator-side spans are the per-connection ordinal,
-	// NOT the frame's Attempt field — that one is a cluster-global counter.
-	var trace, root telemetry.SpanID
-	if c.spans != nil {
-		trace = c.spans.TraceID(batch, int(initiator), int(responder))
-		root = telemetry.NewSpanID(trace, telemetry.SpanBatch, 0, 0, 0, int(initiator))
-		c.spans.Record(telemetry.Span{
-			Trace: trace, ID: root, Kind: telemetry.SpanBatch, Batch: batch, Node: int(initiator),
-		})
-	}
-	deadline := start.Add(timeout)
-	per := timeout / time.Duration(policy.MaxAttempts)
-	if per <= 0 {
-		per = timeout
-	}
-	backoff := policy.BaseBackoff
-	reforms := 0
-	lastAttempt := 1
-	var lastErr error
-	var prevSpan telemetry.SpanID // outcome span of the previous attempt
-	for attempt := 1; attempt <= policy.MaxAttempts; attempt++ {
-		lastAttempt = attempt
-		remaining := c.clock.Until(deadline)
-		if remaining <= 0 {
-			break
-		}
-		if attempt > 1 {
-			if backoff > 0 {
-				pause := backoff
-				if pause > remaining {
-					pause = remaining
-				}
-				c.clock.Sleep(pause)
-				if backoff *= 2; policy.MaxBackoff > 0 && backoff > policy.MaxBackoff {
-					backoff = policy.MaxBackoff
-				}
-				if remaining = c.clock.Until(deadline); remaining <= 0 {
-					break
-				}
-			}
-			reforms++
-			c.metrics.reformations.Inc()
-			if c.tracer != nil {
-				c.tracer.Record(telemetry.Event{
-					Kind: telemetry.KindReformation, Batch: batch, Conn: conn,
-					Node: int(initiator), Detail: fmt.Sprintf("attempt %d", attempt),
-				})
-			}
-			if c.spans != nil {
-				parent := prevSpan
-				if parent == 0 {
-					parent = root
-				}
-				reform := telemetry.NewSpanID(parent, telemetry.SpanReform, conn, attempt, 0, int(initiator))
-				c.spans.Record(telemetry.Span{
-					Trace: trace, ID: reform, Parent: parent, Kind: telemetry.SpanReform,
-					Batch: batch, Conn: conn, Attempt: attempt, Node: int(initiator),
-				})
-			}
-		}
-		window := per
-		if window > remaining {
-			window = remaining
-		}
-		launch := telemetry.SpanID(0)
-		if c.spans != nil {
-			launch = telemetry.NewSpanID(root, telemetry.SpanLaunch, conn, attempt, 0, int(initiator))
-			c.spans.Record(telemetry.Span{
-				Trace: trace, ID: launch, Parent: root, Kind: telemetry.SpanLaunch,
-				Batch: batch, Conn: conn, Attempt: attempt, Node: int(initiator),
-			})
-		}
-		prevSpan = launch
-		aid := int(c.attempt.Add(1))
-		ch := make(chan wireResult, 1)
-		c.pendMu.Lock()
-		c.pending[aid] = ch
-		c.pendMu.Unlock()
-		nd := c.Node(initiator)
-		if nd == nil {
-			c.deregister(aid)
-			c.metrics.failures.Inc()
-			c.traceTerminal(telemetry.KindFailed, batch, conn, initiator, 0, "initiator departed")
-			c.failSpan(trace, prevSpan, batch, conn, attempt, initiator)
-			return wireResult{}, reforms, fmt.Errorf("netwire: initiator %d departed", initiator)
-		}
-		abs := c.clock.Now().Add(window)
-		f := &Frame{
-			Kind:      KindForward,
-			Batch:     batch,
-			Conn:      conn,
-			Attempt:   aid,
-			From:      overlay.None,
-			Initiator: initiator,
-			Responder: responder,
-			Remaining: budget,
-			Contract:  contract,
-			Trace:     trace,
-			Span:      launch,
-		}
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			nd.handleFrame(f, abs)
-		}()
-		timer := c.clock.NewTimer(window)
-		select {
-		case res := <-ch:
-			timer.Stop()
-			if res.err == nil {
-				c.metrics.connects.Inc()
-				c.metrics.connectLatency.Observe(c.clock.Since(start).Seconds())
-				c.metrics.pathLen.Observe(float64(len(res.path)))
-				c.traceTerminal(telemetry.KindDelivered, batch, conn, initiator, len(res.path),
-					fmt.Sprintf("path len %d after %d reformations", len(res.path), reforms))
-				if c.spans != nil {
-					parent := res.span
-					if parent == 0 {
-						parent = launch
-					}
-					deliver := telemetry.NewSpanID(parent, telemetry.SpanDeliver, conn, attempt, 0, int(initiator))
-					c.spans.Record(telemetry.Span{
-						Trace: trace, ID: deliver, Parent: parent, Kind: telemetry.SpanDeliver,
-						Batch: batch, Conn: conn, Attempt: attempt, Node: int(initiator),
-					})
-				}
-				return res, reforms, nil
-			}
-			lastErr = res.err
-			if res.span != 0 {
-				prevSpan = res.span
-			}
-			if res.fatal {
-				c.metrics.failures.Inc()
-				c.traceTerminal(telemetry.KindFailed, batch, conn, initiator, 0, res.err.Error())
-				c.failSpan(trace, prevSpan, batch, conn, attempt, initiator)
-				return wireResult{}, reforms, res.err
-			}
-		case <-timer.C:
-			c.deregister(aid)
-			c.metrics.timeouts.Inc()
-			lastErr = fmt.Errorf("netwire: attempt %d of connection %d/%d timed out after %v", attempt, batch, conn, window)
-			if c.spans != nil {
-				timeoutSpan := telemetry.NewSpanID(launch, telemetry.SpanTimeout, conn, attempt, 0, int(initiator))
-				c.spans.Record(telemetry.Span{
-					Trace: trace, ID: timeoutSpan, Parent: launch, Kind: telemetry.SpanTimeout,
-					Batch: batch, Conn: conn, Attempt: attempt, Node: int(initiator),
-				})
-				prevSpan = timeoutSpan
-			}
-		}
-	}
-	c.metrics.failures.Inc()
-	if lastErr == nil {
-		lastErr = fmt.Errorf("netwire: connection %d/%d timed out after %v", batch, conn, timeout)
-	}
-	c.traceTerminal(telemetry.KindFailed, batch, conn, initiator, 0, lastErr.Error())
-	if prevSpan == 0 {
-		prevSpan = root
-	}
-	c.failSpan(trace, prevSpan, batch, conn, lastAttempt, initiator)
-	return wireResult{}, reforms, fmt.Errorf("netwire: connection %d/%d failed after %d reformations: %w", batch, conn, reforms, lastErr)
-}
-
-// failSpan emits the terminal fail span of a connection, parented on the
-// last causal step (nack span, timeout span, or the launch itself).
-func (c *Cluster) failSpan(trace, parent telemetry.SpanID, batch, conn, attempt int, initiator overlay.NodeID) {
-	if c.spans == nil {
-		return
-	}
-	id := telemetry.NewSpanID(parent, telemetry.SpanFail, conn, attempt, 0, int(initiator))
-	c.spans.Record(telemetry.Span{
-		Trace: trace, ID: id, Parent: parent, Kind: telemetry.SpanFail,
-		Batch: batch, Conn: conn, Attempt: attempt, Node: int(initiator),
-	})
-}
-
-// deregister abandons a pending attempt.
-func (c *Cluster) deregister(attempt int) {
-	c.pendMu.Lock()
-	delete(c.pending, attempt)
-	c.pendMu.Unlock()
-}
-
-// Connect runs one connection over TCP and returns the realised path.
-func (c *Cluster) Connect(initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration) ([]overlay.NodeID, error) {
-	res, _, err := c.connect(initiator, responder, batch, conn, budget, timeout, nil)
-	if err != nil {
-		return nil, err
-	}
-	return res.path, nil
-}
-
-// ConnectDetail runs one connection and additionally reports the number
-// of path reformations performed.
-func (c *Cluster) ConnectDetail(initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration) ([]overlay.NodeID, int, error) {
-	res, reforms, err := c.connect(initiator, responder, batch, conn, budget, timeout, nil)
-	if err != nil {
-		return nil, reforms, err
-	}
-	return res.path, reforms, nil
-}
-
-// RunBatch executes k connections sequentially and aggregates the
-// outcome, exactly like the in-process backend.
-func (c *Cluster) RunBatch(initiator, responder overlay.NodeID, batch, k, budget int, timeout time.Duration) (*transport.BatchOutcome, error) {
-	out := transport.NewBatchOutcome()
-	for conn := 1; conn <= k; conn++ {
-		res, reforms, err := c.connect(initiator, responder, batch, conn, budget, timeout, nil)
-		out.Reformations += reforms
-		if err != nil {
-			return out, err
-		}
-		out.Record(res.path, initiator)
-	}
-	return out, nil
-}
-
-// RunSecureBatch runs k connections under a signed contract — forwarders
-// verify it before working and seal per-hop records that travel back in
-// the CONFIRM frames — then validates every realised path with the batch
-// key, mirroring transport.Network.RunSecureBatch over the wire.
-func (c *Cluster) RunSecureBatch(initiator, responder overlay.NodeID, contract *onion.SignedContract, bk *onion.BatchKey, k, budget int, timeout time.Duration) (*transport.BatchOutcome, error) {
-	if bk == nil {
-		return nil, errors.New("netwire: nil batch key")
-	}
-	if contract == nil {
-		return nil, errors.New("netwire: nil contract")
-	}
-	if !contract.Verify() {
-		return nil, errors.New("netwire: contract signature invalid")
-	}
-	out := transport.NewBatchOutcome()
-	for conn := 1; conn <= k; conn++ {
-		res, reforms, err := c.connect(initiator, responder, int(contract.BatchID), conn, budget, timeout, contract)
-		out.Reformations += reforms
-		if err != nil {
-			return out, err
-		}
-		validated, err := bk.RecreatePath(contract, uint64(conn), initiator, responder, res.records)
-		if err != nil {
-			return out, fmt.Errorf("netwire: connection %d failed validation: %w", conn, err)
-		}
-		if len(validated) != len(res.path) {
-			return out, fmt.Errorf("netwire: connection %d: validated path length %d != observed %d",
-				conn, len(validated), len(res.path))
-		}
-		out.Record(validated, initiator)
-	}
-	return out, nil
-}
-
-// RunTrace replays a trace workload over the cluster: pairs interleaved
-// round-robin, failures counted and skipped — identical semantics to
-// transport.Network.RunTrace.
-func (c *Cluster) RunTrace(pairs []trace.Pair, opt transport.TraceOptions) *transport.TraceResult {
-	res := &transport.TraceResult{Outcomes: make([]*transport.BatchOutcome, len(pairs))}
-	for i := range res.Outcomes {
-		res.Outcomes[i] = transport.NewBatchOutcome()
-	}
-	for k, conn := range trace.Interleave(pairs) {
-		if opt.Before != nil {
-			opt.Before(k, res)
-		}
-		p := &pairs[conn.Pair]
-		out := res.Outcomes[conn.Pair]
-		cr, reforms, err := c.connect(p.Initiator, p.Responder, p.Index+1, conn.Conn, opt.Budget, opt.Timeout, nil)
-		res.Reformations += reforms
-		out.Reformations += reforms
-		if err != nil {
-			res.Failed++
-			continue
-		}
-		res.Completed++
-		out.Record(cr.path, p.Initiator)
-	}
-	return res
+// Send implements transport.Link: the message leaves through the link
+// node from keeps to node to. A node that is gone sends nothing.
+func (c *Cluster) Send(from, to overlay.NodeID, m transport.Message) bool {
+	nd := c.Node(from)
+	return nd != nil && nd.sendMsg(to, frameOf(m), m.Deadline)
 }
 
 // SettleBatch distributes a completed batch's split payment over the
@@ -722,10 +322,10 @@ func (c *Cluster) SettleBatch(initiator overlay.NodeID, batch int, out *transpor
 	// where it actually happened — yet with the same ids the in-process
 	// backend derives, because both hash the same causal coordinates.
 	var trace, root telemetry.SpanID
-	if c.spans != nil && len(out.Paths) > 0 {
+	if spans := c.Spans(); spans != nil && len(out.Paths) > 0 {
 		first := out.Paths[0]
 		responder := first[len(first)-1]
-		trace = c.spans.TraceID(batch, int(initiator), int(responder))
+		trace = spans.TraceID(batch, int(initiator), int(responder))
 		root = telemetry.NewSpanID(trace, telemetry.SpanBatch, 0, 0, 0, int(initiator))
 	}
 	sent := 0
@@ -768,7 +368,7 @@ func (c *Cluster) Probe(from, to overlay.NodeID, timeout time.Duration) bool {
 	if !nd.sendMsg(to, &Frame{Kind: KindProbe, Node: from, Nonce: nonce}, time.Time{}) {
 		return false
 	}
-	timer := c.clock.NewTimer(timeout)
+	timer := c.Clock().NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case <-ch:

@@ -1,13 +1,19 @@
 package netwire
 
 import (
+	"encoding/binary"
+	"io"
+	"net"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"p2panon/internal/core"
 	"p2panon/internal/dist"
+	"p2panon/internal/onion"
 	"p2panon/internal/overlay"
 	"p2panon/internal/transport"
 )
@@ -249,5 +255,124 @@ func TestClusterUnknownResponder(t *testing.T) {
 	}
 	if _, err := c.Connect(0, 0, 1, 1, 3, time.Second); err == nil {
 		t.Fatal("self-connection succeeded")
+	}
+}
+
+// TestNackFrameCarriesNoContract plays a remote initiator on raw sockets,
+// the way a node in another process appears to a cluster: node 0 sends
+// node 1 a FORWARD under a signed contract, node 1 seals its record and
+// finds its successor undeliverable, and the NACK it dials back to node 0
+// must carry neither the contract nor the records — no reverse-path node
+// reads them.
+func TestNackFrameCarriesNoContract(t *testing.T) {
+	bk, err := onion.NewBatchKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	contract, _, err := onion.NewSignedContract(1, 75, 150, bk.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0") // node 0's listener
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ln.(*net.TCPListener).SetDeadline(time.Now().Add(10 * time.Second))
+
+	c := NewCluster(Config{})
+	t.Cleanup(c.Close)
+	viaNowhere := transport.RouterFunc(func(self, pred, initiator, responder overlay.NodeID, batch, conn, remaining int) (overlay.NodeID, bool) {
+		return 2, false // a node nobody knows an address for
+	})
+	if err := c.Join(1, viaNowhere); err != nil {
+		t.Fatal(err)
+	}
+	c.RegisterPeer(0, ln.Addr().String())
+
+	out, err := net.Dial("tcp", c.Node(1).Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	out.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := WriteFrame(out, &Frame{Kind: KindHello, Node: 0, Nonce: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if ack, _, err := ReadFrame(out); err != nil || ack.Kind != KindHelloAck {
+		t.Fatalf("handshake with node 1: %v %v", ack, err)
+	}
+	if _, err := WriteFrame(out, &Frame{
+		Kind: KindForward, Batch: 1, Conn: 1, Attempt: 7,
+		From: 0, Initiator: 0, Responder: 3, Remaining: 4,
+		Path: []overlay.NodeID{0}, Contract: contract,
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	back, err := ln.Accept()
+	if err != nil {
+		t.Fatalf("node 1 never dialled back: %v", err)
+	}
+	defer back.Close()
+	back.SetDeadline(time.Now().Add(10 * time.Second))
+	hello, _, err := ReadFrame(back)
+	if err != nil || hello.Kind != KindHello || hello.Node != 1 {
+		t.Fatalf("handshake from node 1: %v %v", hello, err)
+	}
+	if _, err := WriteFrame(back, &Frame{Kind: KindHelloAck, Node: 0, Nonce: hello.Nonce}); err != nil {
+		t.Fatal(err)
+	}
+	var hdr [frameHeaderSize]byte
+	if _, err := io.ReadFull(back, hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	raw := append(hdr[:], make([]byte, binary.BigEndian.Uint32(hdr[:]))...)
+	if _, err := io.ReadFull(back, raw[frameHeaderSize:]); err != nil {
+		t.Fatal(err)
+	}
+	nack, err := DecodeFrame(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nack.Kind != KindNack || nack.Attempt != 7 || !strings.Contains(nack.Reason, "next hop 2 departed") {
+		t.Fatalf("got %s frame for attempt %d, reason %q; want the NACK for attempt 7", nack.Kind, nack.Attempt, nack.Reason)
+	}
+	// flags follows version, kind and the nine fixed 8-byte fields.
+	if flags := raw[frameHeaderSize+2+9*8]; flags&flagContract != 0 {
+		t.Fatalf("NACK frame flags %#x have the contract bit set (%d bytes on the wire)", flags, len(raw))
+	}
+	if nack.Contract != nil || len(nack.Records) != 0 {
+		t.Fatalf("NACK frame carries contract=%v and %d records", nack.Contract != nil, len(nack.Records))
+	}
+}
+
+// TestFrameMessageConversion pins the read/write boundary: every field of
+// a protocol message survives frameOf and message, and the three message
+// kinds land on the three frame kinds.
+func TestFrameMessageConversion(t *testing.T) {
+	kinds := map[transport.MsgKind]Kind{
+		transport.MsgForward: KindForward,
+		transport.MsgConfirm: KindConfirm,
+		transport.MsgNack:    KindNack,
+	}
+	for mk, fk := range kinds {
+		m := transport.Message{
+			Kind: mk, Batch: 1, Conn: 2, Attempt: 3,
+			From: 4, Initiator: 5, Responder: 6, Remaining: 7,
+			Path: []overlay.NodeID{5, 4}, Hop: 1,
+			Deadline: time.Unix(9, 0),
+			Reason:   "r", Fatal: true,
+			Contract: &onion.SignedContract{BatchID: 1},
+			Records:  []onion.PathRecord{{Sealed: []byte{1}}},
+			Trace:    10, Span: 11,
+		}
+		f := frameOf(m)
+		if f.Kind != fk {
+			t.Fatalf("message kind %d became frame kind %s, want %s", mk, f.Kind, fk)
+		}
+		if got := f.message(m.Deadline); !reflect.DeepEqual(got, m) {
+			t.Fatalf("round trip lost fields:\n got %+v\nwant %+v", got, m)
+		}
 	}
 }

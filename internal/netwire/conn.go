@@ -137,7 +137,7 @@ func (l *link) failQueued() {
 // silently — the initiator's attempt timer is due anyway.
 func (l *link) deliver(of outFrame) {
 	c := l.owner.c
-	if !of.abs.IsZero() && c.clock.Now().After(of.abs) {
+	if !of.abs.IsZero() && c.Clock().Now().After(of.abs) {
 		c.metrics.deadlineExpired.Inc()
 		return
 	}
@@ -145,7 +145,7 @@ func (l *link) deliver(of outFrame) {
 		conn, err := l.dial()
 		if err != nil {
 			c.metrics.dialsFail.Inc()
-			c.logf("node %d: dial peer %d: %v", l.owner.id, l.peer.id, err)
+			c.logf("node %d: dial peer %d: %v", l.owner.ID, l.peer.id, err)
 			l.owner.onDeliveryFail(l.peer.id, of)
 			return
 		}
@@ -154,7 +154,7 @@ func (l *link) deliver(of outFrame) {
 		l.conn = conn
 	}
 	if !of.abs.IsZero() {
-		of.f.DeadlineMicros = c.clock.Until(of.abs).Microseconds()
+		of.f.DeadlineMicros = c.Clock().Until(of.abs).Microseconds()
 		if of.f.DeadlineMicros <= 0 {
 			c.metrics.deadlineExpired.Inc()
 			return
@@ -166,7 +166,7 @@ func (l *link) deliver(of outFrame) {
 		if ne, ok := err.(net.Error); ok && ne.Timeout() {
 			c.metrics.deadlineWrite.Inc()
 		}
-		c.logf("node %d: write %s to peer %d: %v", l.owner.id, of.f.Kind, l.peer.id, err)
+		c.logf("node %d: write %s to peer %d: %v", l.owner.ID, of.f.Kind, l.peer.id, err)
 		l.conn.Close()
 		l.conn = nil
 		c.metrics.connsOpen.Add(-1)
@@ -190,7 +190,7 @@ func (l *link) dial() (net.Conn, error) {
 	}
 	l.to = addr
 	conn.SetDeadline(time.Now().Add(c.cfg.HandshakeTimeout))
-	hello := &Frame{Kind: KindHello, Node: l.owner.id, Nonce: c.nonce.Add(1)}
+	hello := &Frame{Kind: KindHello, Node: l.owner.ID, Nonce: c.nonce.Add(1)}
 	if n, err := WriteFrame(conn, hello); err != nil {
 		conn.Close()
 		return nil, err

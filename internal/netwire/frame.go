@@ -1,10 +1,14 @@
 // Package netwire is the socket-backed sibling of package transport: the
 // same forwarding protocol — FORWARD out, CONFIRM/NACK back along the
-// reverse path, bounded-retry path reformation — but carried over real TCP
-// connections with a length-prefixed, versioned frame codec instead of
-// in-process channels. A netwire.Cluster implements transport.Conductor,
-// so the experiment drivers, churn hooks and the backend-conformance suite
-// run unchanged over either backend.
+// reverse path, bounded-retry path reformation — run by the same
+// transport.Driver, but carried over real TCP connections with a
+// length-prefixed, versioned frame codec instead of in-process channels.
+// The package holds only what is socket about that: listeners, per-peer
+// links, the handshake, the Frame ↔ transport.Message conversion at the
+// read/write boundary, and the probe/settle/claim frames. A
+// netwire.Cluster implements transport.Conductor, so the experiment
+// drivers, churn hooks and the backend-conformance suite run unchanged
+// over either backend.
 //
 // The wire protocol (DESIGN.md §3e):
 //
@@ -162,7 +166,7 @@ type Frame struct {
 	Nonce uint64
 
 	// Forward/Confirm/Nack: the protocol message, mirroring
-	// transport.message field for field. Attempt distinguishes
+	// transport.Message field for field. Attempt distinguishes
 	// reformation attempts of one connection so a stale confirm cannot
 	// resolve a relaunched attempt. DeadlineMicros is the attempt budget
 	// remaining at send time in microseconds (0 = none).
@@ -439,32 +443,39 @@ func DecodeFrame(data []byte) (*Frame, error) {
 	if len(data) > frameHeaderSize+int(n) {
 		return nil, ErrTrailingData
 	}
-	return decodeBody(data[frameHeaderSize:])
+	f := new(Frame)
+	if err := f.decodeBody(data[frameHeaderSize:]); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
-func decodeBody(body []byte) (*Frame, error) {
+// decodeBody overwrites f with the frame body encodes. Nothing of f's
+// previous value survives, so a reader may decode every frame of a
+// connection into one Frame it owns; on error f is unspecified.
+func (f *Frame) decodeBody(body []byte) error {
 	r := &frameReader{buf: body}
 	ver := r.u8()
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if ver != Version {
-		return nil, fmt.Errorf("%w: got %d, speak %d", ErrBadVersion, ver, Version)
+		return fmt.Errorf("%w: got %d, speak %d", ErrBadVersion, ver, Version)
 	}
-	f := &Frame{Kind: Kind(r.u8())}
+	*f = Frame{Kind: Kind(r.u8())}
 	if max := BodyCap(f.Kind); max >= 0 && len(body) > max {
-		return nil, fmt.Errorf("%w: %v body %d bytes > %d", ErrOversized, f.Kind, len(body), max)
+		return fmt.Errorf("%w: %v body %d bytes > %d", ErrOversized, f.Kind, len(body), max)
 	}
 	switch f.Kind {
 	case KindHello, KindHelloAck:
 		f.Node = overlay.NodeID(r.i64())
 		f.Nonce = r.u64()
 		if err := f.decodeTraceTail(r, len(body)); err != nil {
-			return nil, err
+			return err
 		}
 	case KindForward, KindConfirm, KindNack:
 		if err := f.decodeMessage(r); err != nil {
-			return nil, err
+			return err
 		}
 	case KindProbe, KindProbeAck:
 		f.Nonce = r.u64()
@@ -475,36 +486,36 @@ func decodeBody(body []byte) (*Frame, error) {
 		f.Forwards = int(r.i64())
 		f.Payoff = math.Float64frombits(r.u64())
 		if err := f.decodeTraceTail(r, len(body)); err != nil {
-			return nil, err
+			return err
 		}
 	case KindClaim:
 		f.Batch = int(r.i64())
 		claimLen := r.u32()
 		if r.err == nil && claimLen > MaxFrameSize {
-			return nil, fmt.Errorf("%w: claim %d bytes", ErrFieldTooLong, claimLen)
+			return fmt.Errorf("%w: claim %d bytes", ErrFieldTooLong, claimLen)
 		}
 		if b := r.take(claimLen); b != nil {
 			claim, err := payment.DecodeAggregateClaim(b)
 			if err != nil {
-				return nil, fmt.Errorf("netwire: decoding aggregate claim: %w", err)
+				return fmt.Errorf("netwire: decoding aggregate claim: %w", err)
 			}
 			f.AggClaim = &claim
 		}
 		if err := f.decodeTraceTail(r, len(body)); err != nil {
-			return nil, err
+			return err
 		}
 	default:
 		if r.err == nil {
-			return nil, fmt.Errorf("%w: %d", ErrBadKind, f.Kind)
+			return fmt.Errorf("%w: %d", ErrBadKind, f.Kind)
 		}
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if r.off != len(body) {
-		return nil, ErrTrailingData
+		return ErrTrailingData
 	}
-	return f, nil
+	return nil
 }
 
 func (f *Frame) decodeMessage(r *frameReader) error {
@@ -614,45 +625,53 @@ func WriteFrame(w io.Writer, f *Frame) (int, error) {
 // hostile prefix cannot force a large allocation for a small-payload
 // kind, let alone a multi-gigabyte one.
 func ReadFrame(r io.Reader) (*Frame, int, error) {
+	f := new(Frame)
+	n, err := f.readFrom(r)
+	if err != nil {
+		return nil, n, err
+	}
+	return f, n, nil
+}
+
+// readFrom is ReadFrame into a Frame the caller owns (see decodeBody).
+func (f *Frame) readFrom(r io.Reader) (int, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > MaxFrameSize {
-		return nil, frameHeaderSize, fmt.Errorf("%w: declared body %d bytes > %d", ErrOversized, n, MaxFrameSize)
+		return frameHeaderSize, fmt.Errorf("%w: declared body %d bytes > %d", ErrOversized, n, MaxFrameSize)
 	}
 	if n < 2 {
 		// Too short for even the version/kind prologue; drain it and let
 		// decodeBody produce the canonical ErrShortFrame.
 		body := make([]byte, n)
 		if _, err := io.ReadFull(r, body); err != nil {
-			return nil, frameHeaderSize, fmt.Errorf("netwire: frame body: %w", err)
+			return frameHeaderSize, fmt.Errorf("netwire: frame body: %w", err)
 		}
-		f, err := decodeBody(body)
-		return f, frameHeaderSize + int(n), err
+		return frameHeaderSize + int(n), f.decodeBody(body)
 	}
 	var prologue [2]byte
 	if _, err := io.ReadFull(r, prologue[:]); err != nil {
-		return nil, frameHeaderSize, fmt.Errorf("netwire: frame body: %w", err)
+		return frameHeaderSize, fmt.Errorf("netwire: frame body: %w", err)
 	}
 	consumed := frameHeaderSize + 2
 	if prologue[0] != Version {
-		return nil, consumed, fmt.Errorf("%w: got %d, speak %d", ErrBadVersion, prologue[0], Version)
+		return consumed, fmt.Errorf("%w: got %d, speak %d", ErrBadVersion, prologue[0], Version)
 	}
 	kind := Kind(prologue[1])
 	max := BodyCap(kind)
 	if max < 0 {
-		return nil, consumed, fmt.Errorf("%w: %d", ErrBadKind, kind)
+		return consumed, fmt.Errorf("%w: %d", ErrBadKind, kind)
 	}
 	if int(n) > max {
-		return nil, consumed, fmt.Errorf("%w: %v body %d bytes > %d", ErrOversized, kind, n, max)
+		return consumed, fmt.Errorf("%w: %v body %d bytes > %d", ErrOversized, kind, n, max)
 	}
 	body := make([]byte, n)
 	body[0], body[1] = prologue[0], prologue[1]
 	if _, err := io.ReadFull(r, body[2:]); err != nil {
-		return nil, consumed, fmt.Errorf("netwire: frame body: %w", err)
+		return consumed, fmt.Errorf("netwire: frame body: %w", err)
 	}
-	f, err := decodeBody(body)
-	return f, frameHeaderSize + int(n), err
+	return frameHeaderSize + int(n), f.decodeBody(body)
 }

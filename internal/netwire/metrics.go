@@ -1,40 +1,28 @@
 package netwire
 
-import (
-	"p2panon/internal/telemetry"
-	"p2panon/internal/transport"
-)
+import "p2panon/internal/telemetry"
 
 // Netwire metric names as exposed on the Prometheus endpoint. The frame
-// and byte counters are split by direction, dials by result; the protocol
-// counters mirror the transport family so the two backends read alike on
-// one dashboard.
+// and byte counters are split by direction, dials by result. The
+// protocol families (netwire_nacks_total, netwire_connections_total, …)
+// are bound by the shared transport.Driver from the "netwire" prefix, so
+// the two backends read alike on one dashboard.
 const (
-	metricDialsTotal     = "netwire_dials_total"  // label result: ok|fail
-	metricFramesTotal    = "netwire_frames_total" // labels dir: sent|recv, kind
-	metricBytesTotal     = "netwire_bytes_total"  // label dir: sent|recv
-	metricQueueDepth     = "netwire_queue_depth_high_water"
-	metricConnsOpen      = "netwire_conns_open"
-	metricDeadlineHits   = "netwire_deadline_hits_total" // label op: read|write|expired
-	metricMessagesTotal  = "netwire_messages_total"      // label kind: sent|dropped
-	metricNacksTotal     = "netwire_nacks_total"
-	metricRejectsTotal   = "netwire_contract_rejects_total"
-	metricTimeoutsTotal  = "netwire_timeouts_total"
-	metricReformsTotal   = "netwire_reformations_total"
-	metricConnsTotal     = "netwire_connections_total" // label result: ok|fail
-	metricSettlesTotal   = "netwire_settlements_total"
-	metricConnectLatency = "netwire_connect_latency_seconds"
-	metricPathLength     = "netwire_path_length_hops"
-	metricNackHops       = "netwire_nack_hops"
+	metricDialsTotal    = "netwire_dials_total"  // label result: ok|fail
+	metricFramesTotal   = "netwire_frames_total" // labels dir: sent|recv, kind
+	metricBytesTotal    = "netwire_bytes_total"  // label dir: sent|recv
+	metricQueueDepth    = "netwire_queue_depth_high_water"
+	metricConnsOpen     = "netwire_conns_open"
+	metricDeadlineHits  = "netwire_deadline_hits_total" // label op: read|write|expired
+	metricMessagesTotal = "netwire_messages_total"      // label kind: sent|dropped
+	metricSettlesTotal  = "netwire_settlements_total"
 )
 
-// metrics is the cluster's instrument set: the socket-layer counters
-// (dials, frames, bytes, queue depth, deadline hits) plus the protocol
-// counters every backend shares, from which Snapshot builds the
-// transport-compatible view the Conductor interface promises.
+// metrics is the cluster's own instrument set: the socket-layer counters
+// (dials, frames, bytes, queue depth, deadline hits) and the link-model
+// message counts Cluster.Metrics folds into the transport-compatible
+// snapshot.
 type metrics struct {
-	reg *telemetry.Registry
-
 	dialsOK, dialsFail *telemetry.Counter
 	bytesSent          *telemetry.Counter
 	bytesRecv          *telemetry.Counter
@@ -44,18 +32,9 @@ type metrics struct {
 	deadlineWrite      *telemetry.Counter
 	deadlineExpired    *telemetry.Counter
 
-	sent            *telemetry.Counter
-	dropped         *telemetry.Counter
-	nacks           *telemetry.Counter
-	contractRejects *telemetry.Counter
-	timeouts        *telemetry.Counter
-	reformations    *telemetry.Counter
-	connects        *telemetry.Counter
-	failures        *telemetry.Counter
-	settles         *telemetry.Counter
-	connectLatency  *telemetry.Histogram
-	pathLen         *telemetry.Histogram
-	nackHops        *telemetry.Histogram
+	sent    *telemetry.Counter
+	dropped *telemetry.Counter
+	settles *telemetry.Counter
 
 	framesSent map[Kind]*telemetry.Counter
 	framesRecv map[Kind]*telemetry.Counter
@@ -69,17 +48,8 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 	reg.Help(metricConnsOpen, "open TCP connections (both directions)")
 	reg.Help(metricDeadlineHits, "socket deadline hits (op=read|write) and frames dropped past their attempt deadline (op=expired)")
 	reg.Help(metricMessagesTotal, "protocol messages handed to links (kind=sent) and lost to unreachable peers (kind=dropped)")
-	reg.Help(metricNacksTotal, "NACK frames generated by relays on delivery failure")
-	reg.Help(metricRejectsTotal, "forwarding contracts rejected by relays")
-	reg.Help(metricTimeoutsTotal, "connection attempts abandoned on deadline")
-	reg.Help(metricReformsTotal, "path reformations after NACK or timeout")
-	reg.Help(metricConnsTotal, "connections terminally completed (result=ok) or abandoned (result=fail)")
 	reg.Help(metricSettlesTotal, "settlement frames delivered to forwarders")
-	reg.Help(metricConnectLatency, "end-to-end connect latency including reformations")
-	reg.Help(metricPathLength, "realised path length in nodes (I..R inclusive)")
-	reg.Help(metricNackHops, "hops a path had progressed when a NACK was generated")
 	m := &metrics{
-		reg:             reg,
 		dialsOK:         reg.Counter(metricDialsTotal, telemetry.Labels{"result": "ok"}),
 		dialsFail:       reg.Counter(metricDialsTotal, telemetry.Labels{"result": "fail"}),
 		bytesSent:       reg.Counter(metricBytesTotal, telemetry.Labels{"dir": "sent"}),
@@ -91,16 +61,7 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		deadlineExpired: reg.Counter(metricDeadlineHits, telemetry.Labels{"op": "expired"}),
 		sent:            reg.Counter(metricMessagesTotal, telemetry.Labels{"kind": "sent"}),
 		dropped:         reg.Counter(metricMessagesTotal, telemetry.Labels{"kind": "dropped"}),
-		nacks:           reg.Counter(metricNacksTotal, nil),
-		contractRejects: reg.Counter(metricRejectsTotal, nil),
-		timeouts:        reg.Counter(metricTimeoutsTotal, nil),
-		reformations:    reg.Counter(metricReformsTotal, nil),
-		connects:        reg.Counter(metricConnsTotal, telemetry.Labels{"result": "ok"}),
-		failures:        reg.Counter(metricConnsTotal, telemetry.Labels{"result": "fail"}),
 		settles:         reg.Counter(metricSettlesTotal, nil),
-		connectLatency:  reg.Histogram(metricConnectLatency, telemetry.LogBuckets(100e-6, 2, 17), nil),
-		pathLen:         reg.Histogram(metricPathLength, telemetry.LinearBuckets(2, 1, 15), nil),
-		nackHops:        reg.Histogram(metricNackHops, telemetry.LinearBuckets(1, 1, 12), nil),
 		framesSent:      make(map[Kind]*telemetry.Counter),
 		framesRecv:      make(map[Kind]*telemetry.Counter),
 	}
@@ -126,32 +87,12 @@ func (m *metrics) noteRecv(k Kind, bytes int) {
 	m.bytesRecv.Add(int64(bytes))
 }
 
-// snapshot builds the transport-compatible counter view.
-func (m *metrics) snapshot() transport.MetricsSnapshot {
-	return transport.MetricsSnapshot{
-		Sent:            m.sent.Value(),
-		Dropped:         m.dropped.Value(),
-		Expired:         m.deadlineExpired.Value(),
-		Nacks:           m.nacks.Value(),
-		ContractRejects: m.contractRejects.Value(),
-		Timeouts:        m.timeouts.Value(),
-		Reformations:    m.reformations.Value(),
-		Connects:        m.connects.Value(),
-		Failures:        m.failures.Value(),
-		InboxHighWater:  m.queueDepth.Value(),
-		ConnectLatency:  m.connectLatency.Snapshot(),
-		PathLength:      m.pathLen.Snapshot(),
-		NackHops:        m.nackHops.Snapshot(),
-	}
-}
-
 // reset zeroes the cluster's own instruments.
 func (m *metrics) reset() {
 	for _, c := range []*telemetry.Counter{
 		m.dialsOK, m.dialsFail, m.bytesSent, m.bytesRecv,
 		m.deadlineRead, m.deadlineWrite, m.deadlineExpired,
-		m.sent, m.dropped, m.nacks, m.contractRejects, m.timeouts,
-		m.reformations, m.connects, m.failures, m.settles,
+		m.sent, m.dropped, m.settles,
 	} {
 		c.Reset()
 	}
@@ -163,7 +104,4 @@ func (m *metrics) reset() {
 	}
 	m.queueDepth.Reset()
 	m.connsOpen.Reset()
-	m.connectLatency.Reset()
-	m.pathLen.Reset()
-	m.nackHops.Reset()
 }

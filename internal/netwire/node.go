@@ -2,12 +2,10 @@ package netwire
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"time"
 
-	"p2panon/internal/onion"
 	"p2panon/internal/overlay"
 	"p2panon/internal/telemetry"
 	"p2panon/internal/transport"
@@ -18,19 +16,17 @@ var (
 	errBadHandshake = errors.New("netwire: handshake rejected")
 )
 
-// Node is one cluster member: a TCP listener on 127.0.0.1, a router, the
-// per-peer outbound links, and the forwarding state machine — the
-// socket-backed analogue of transport.Peer.
+// Node is one cluster member: its protocol station, a TCP listener on
+// 127.0.0.1 and the per-peer outbound links — the socket-backed analogue
+// of transport.Peer.
 type Node struct {
-	id     overlay.NodeID
-	c      *Cluster
-	router transport.Router
-	ln     net.Listener
+	*transport.Station
+	c  *Cluster
+	ln net.Listener
 
 	mu       sync.Mutex
 	links    map[overlay.NodeID]*link
 	inbound  map[net.Conn]struct{}
-	forwards map[int]int     // batch -> forwarding instances
 	credited map[int]float64 // batch -> settled payoff received
 
 	killed   chan struct{}
@@ -39,13 +35,6 @@ type Node struct {
 
 // Addr returns the node's listen address.
 func (nd *Node) Addr() string { return nd.ln.Addr().String() }
-
-// Forwards returns this node's forwarding-instance count for a batch.
-func (nd *Node) Forwards(batch int) int {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	return nd.forwards[batch]
-}
 
 // Credited returns the split payment this node has received for a batch
 // via Settle frames.
@@ -119,19 +108,23 @@ func (nd *Node) readLoop(conn net.Conn) {
 	conn.SetDeadline(time.Now().Add(nd.c.cfg.HandshakeTimeout))
 	hello, n, err := ReadFrame(conn)
 	if err != nil || hello.Kind != KindHello {
-		nd.c.logf("node %d: inbound handshake: %v", nd.id, err)
+		nd.c.logf("node %d: inbound handshake: %v", nd.ID, err)
 		return
 	}
 	nd.c.metrics.noteRecv(KindHello, n)
-	ack := &Frame{Kind: KindHelloAck, Node: nd.id, Nonce: hello.Nonce}
+	ack := &Frame{Kind: KindHelloAck, Node: nd.ID, Nonce: hello.Nonce}
 	if n, err := WriteFrame(conn, ack); err != nil {
 		return
 	} else {
 		nd.c.metrics.noteSent(KindHelloAck, n)
 	}
+	// Every frame of the connection decodes into this one Frame: a
+	// protocol frame is copied into a transport.Message before it is
+	// handled, and no handler keeps the pointer.
+	var f Frame
 	for {
 		conn.SetReadDeadline(time.Now().Add(nd.c.cfg.IdleTimeout))
-		f, n, err := ReadFrame(conn)
+		n, err := f.readFrom(conn)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				nd.c.metrics.deadlineRead.Inc()
@@ -146,23 +139,19 @@ func (nd *Node) readLoop(conn net.Conn) {
 		}
 		var abs time.Time
 		if f.DeadlineMicros > 0 {
-			abs = nd.c.clock.Now().Add(time.Duration(f.DeadlineMicros) * time.Microsecond)
+			abs = nd.c.Clock().Now().Add(time.Duration(f.DeadlineMicros) * time.Microsecond)
 		}
-		nd.handleFrame(f, abs)
+		nd.handleFrame(&f, abs)
 	}
 }
 
 // handleFrame dispatches one protocol frame.
 func (nd *Node) handleFrame(f *Frame, abs time.Time) {
 	switch f.Kind {
-	case KindForward:
-		nd.handleForward(f, abs)
-	case KindConfirm:
-		nd.relayBack(f, abs, wireResult{path: f.Path, records: f.Records, span: f.Span})
-	case KindNack:
-		nd.relayBack(f, abs, wireResult{err: fmt.Errorf("netwire: %s", f.Reason), fatal: f.Fatal, span: f.Span})
+	case KindForward, KindConfirm, KindNack:
+		nd.c.Handle(nd.Station, f.message(abs))
 	case KindProbe:
-		nd.sendMsg(f.Node, &Frame{Kind: KindProbeAck, Node: nd.id, Nonce: f.Nonce}, time.Time{})
+		nd.sendMsg(f.Node, &Frame{Kind: KindProbeAck, Node: nd.ID, Nonce: f.Nonce}, time.Time{})
 	case KindProbeAck:
 		nd.c.resolveProbe(f.Nonce)
 	case KindSettle:
@@ -172,192 +161,76 @@ func (nd *Node) handleFrame(f *Frame, abs time.Time) {
 		nd.c.metrics.settles.Inc()
 		// The settle span is minted where the credit lands, from the batch
 		// root the frame carried — same id the in-process backend derives.
-		if nd.c.spans != nil && f.Trace != 0 {
-			span := telemetry.NewSpanID(f.Span, telemetry.SpanSettle, 0, 0, 0, int(nd.id))
-			nd.c.spans.Record(telemetry.Span{
+		if spans := nd.c.Spans(); spans != nil && f.Trace != 0 {
+			span := telemetry.NewSpanID(f.Span, telemetry.SpanSettle, 0, 0, 0, int(nd.ID))
+			spans.Record(telemetry.Span{
 				Trace: f.Trace, ID: span, Parent: f.Span, Kind: telemetry.SpanSettle,
-				Batch: f.Batch, Node: int(nd.id), Detail: transport.SettleDetail(f.Payoff),
+				Batch: f.Batch, Node: int(nd.ID), Detail: transport.SettleDetail(f.Payoff),
 			})
 		}
 	}
 }
 
-// handleForward is one stage of path formation — field for field the
-// logic of transport.Peer.handleForward, over frames.
-func (nd *Node) handleForward(f *Frame, abs time.Time) {
-	f.Path = append(f.Path, nd.id)
-	if nd.id == f.Responder {
-		// The respond span closes the forward chain; the confirm carries it
-		// so the initiator can parent its deliver span on it.
-		if nd.c.spans != nil && f.Trace != 0 {
-			respondSpan := telemetry.NewSpanID(f.Span, telemetry.SpanRespond, f.Conn, 0, len(f.Path)-1, int(nd.id))
-			nd.c.spans.Record(telemetry.Span{
-				Trace: f.Trace, ID: respondSpan, Parent: f.Span, Kind: telemetry.SpanRespond,
-				Batch: f.Batch, Conn: f.Conn, Hop: len(f.Path) - 1, Node: int(nd.id),
-			})
-			f.Span = respondSpan
-		}
-		confirm := *f
-		confirm.Kind = KindConfirm
-		confirm.Hop = len(f.Path) - 2 // index of our predecessor
-		nd.reverseRoute(&confirm, abs)
-		return
-	}
-	if f.Contract != nil && !f.Contract.Verify() {
-		nd.c.metrics.contractRejects.Inc()
-		if tr := nd.c.tracer; tr != nil {
-			tr.Record(telemetry.Event{
-				Kind: telemetry.KindContractReject, Batch: f.Batch, Conn: f.Conn,
-				Node: int(nd.id), Hop: len(f.Path) - 1,
-			})
-		}
-		nd.nackBack(f, len(f.Path)-2, "contract failed verification", true, abs)
-		return
-	}
-	if nd.id != f.Initiator {
-		nd.mu.Lock()
-		nd.forwards[f.Batch]++
-		nd.mu.Unlock()
-	}
-	if tr := nd.c.tracer; tr != nil {
-		tr.Record(telemetry.Event{
-			Kind: telemetry.KindHopForward, Batch: f.Batch, Conn: f.Conn,
-			Node: int(nd.id), Hop: len(f.Path) - 1,
-		})
-	}
-	// Chain the causal span: this hop's span hashes its predecessor's, so
-	// the id is derivable from the carried trace context alone — the
-	// property that keeps remote nodes in lock-step with the in-process
-	// backend's ids.
-	if nd.c.spans != nil && f.Trace != 0 {
-		hopSpan := telemetry.NewSpanID(f.Span, telemetry.SpanHop, f.Conn, 0, len(f.Path)-1, int(nd.id))
-		nd.c.spans.Record(telemetry.Span{
-			Trace: f.Trace, ID: hopSpan, Parent: f.Span, Kind: telemetry.SpanHop,
-			Batch: f.Batch, Conn: f.Conn, Hop: len(f.Path) - 1, Node: int(nd.id),
-		})
-		f.Span = hopSpan
-	}
-	var next overlay.NodeID
-	if f.Remaining <= 0 {
-		next = f.Responder
-	} else {
-		n, deliver := nd.router.NextHop(nd.id, f.From, f.Initiator, f.Responder, f.Batch, f.Conn, f.Remaining)
-		if deliver {
-			next = f.Responder
-		} else {
-			next = n
-		}
-	}
-	if f.Contract != nil && nd.id != f.Initiator {
-		rec, err := onion.NewPathRecord(f.Contract, uint64(f.Conn), len(f.Path)-1, nd.id, f.From, next)
-		if err == nil {
-			f.Records = append(f.Records, rec)
-		}
-	}
-	out := *f
-	out.From = nd.id
-	out.Remaining = f.Remaining - 1
-	if !nd.sendMsg(next, &out, abs) {
-		nd.c.markDead(next)
-		nd.nackBack(&out, len(out.Path)-2, fmt.Sprintf("next hop %d unreachable", next), false, abs)
+// frameOf renders a protocol message as a frame. DeadlineMicros stays
+// zero here: the link stamps the budget that remains when it writes.
+func frameOf(m transport.Message) *Frame {
+	return &Frame{
+		Kind:      KindForward + Kind(m.Kind),
+		Batch:     m.Batch,
+		Conn:      m.Conn,
+		Attempt:   m.Attempt,
+		From:      m.From,
+		Initiator: m.Initiator,
+		Responder: m.Responder,
+		Remaining: m.Remaining,
+		Hop:       m.Hop,
+		Path:      m.Path,
+		Reason:    m.Reason,
+		Fatal:     m.Fatal,
+		Contract:  m.Contract,
+		Records:   m.Records,
+		Trace:     m.Trace,
+		Span:      m.Span,
 	}
 }
 
-// relayBack moves a CONFIRM/NACK one reverse-path member closer to the
-// initiator, collapsing consecutive entries of this node itself; at index
-// 0 the attempt resolves with the terminal result.
-func (nd *Node) relayBack(f *Frame, abs time.Time, terminal wireResult) {
-	for {
-		if f.Hop <= 0 {
-			nd.c.resolve(f.Attempt, terminal)
-			return
-		}
-		f.Hop--
-		if f.Path[f.Hop] == nd.id {
-			continue
-		}
-		nd.reverseRoute(f, abs)
-		return
+// message is frameOf's inverse for a Forward/Confirm/Nack frame, with the
+// attempt deadline the caller re-anchored on the local clock.
+func (f *Frame) message(deadline time.Time) transport.Message {
+	return transport.Message{
+		Kind:      transport.MsgKind(f.Kind - KindForward),
+		Batch:     f.Batch,
+		Conn:      f.Conn,
+		Attempt:   f.Attempt,
+		From:      f.From,
+		Initiator: f.Initiator,
+		Responder: f.Responder,
+		Remaining: f.Remaining,
+		Hop:       f.Hop,
+		Path:      f.Path,
+		Deadline:  deadline,
+		Reason:    f.Reason,
+		Fatal:     f.Fatal,
+		Contract:  f.Contract,
+		Records:   f.Records,
+		Trace:     f.Trace,
+		Span:      f.Span,
 	}
-}
-
-// reverseRoute sends a CONFIRM/NACK to Path[Hop], skipping members that
-// refuse the frame synchronously. Asynchronous delivery failures continue
-// the walk via onDeliveryFail.
-func (nd *Node) reverseRoute(f *Frame, abs time.Time) {
-	for {
-		if nd.sendMsg(f.Path[f.Hop], f, abs) {
-			return
-		}
-		nd.c.markDead(f.Path[f.Hop])
-		if f.Hop == 0 {
-			return
-		}
-		f.Hop--
-	}
-}
-
-// nackBack generates a NACK for msg back along its reverse path starting
-// at Path[fromIdx]; fromIdx below zero resolves the attempt directly.
-func (nd *Node) nackBack(f *Frame, fromIdx int, reason string, fatal bool, abs time.Time) {
-	c := nd.c
-	c.metrics.nacks.Inc()
-	c.metrics.nackHops.Observe(float64(len(f.Path)))
-	if tr := c.tracer; tr != nil {
-		tr.Record(telemetry.Event{
-			Kind: telemetry.KindNack, Batch: f.Batch, Conn: f.Conn,
-			Node: int(f.Initiator), Hop: len(f.Path), Detail: reason,
-		})
-	}
-	nackSpan := telemetry.SpanID(0)
-	if c.spans != nil && f.Trace != 0 {
-		nackSpan = telemetry.NewSpanID(f.Span, telemetry.SpanNack, f.Conn, 0, len(f.Path), int(f.Initiator))
-		c.spans.Record(telemetry.Span{
-			Trace: f.Trace, ID: nackSpan, Parent: f.Span, Kind: telemetry.SpanNack,
-			Batch: f.Batch, Conn: f.Conn, Hop: len(f.Path), Node: int(f.Initiator), Detail: reason,
-		})
-	}
-	if fromIdx < 0 || len(f.Path) == 0 {
-		c.resolve(f.Attempt, wireResult{err: fmt.Errorf("netwire: %s", reason), fatal: fatal, span: nackSpan})
-		return
-	}
-	nack := *f
-	nack.Kind = KindNack
-	nack.Hop = fromIdx
-	nack.Reason = reason
-	nack.Fatal = fatal
-	nack.Records = nil
-	nack.Span = nackSpan
-	if f.Path[fromIdx] == nd.id {
-		// The NACK starts at this node itself (e.g. a delivery failure we
-		// detected): relay it locally instead of a TCP round trip to self.
-		nd.relayBack(&nack, abs, wireResult{err: fmt.Errorf("netwire: %s", reason), fatal: fatal, span: nackSpan})
-		return
-	}
-	nd.reverseRoute(&nack, abs)
 }
 
 // onDeliveryFail is the link writer's failure callback: the frame could
-// not be delivered to `to`. Mirrors transport's async-drop handling — a
-// lost FORWARD becomes a NACK toward the initiator, a lost CONFIRM/NACK
-// is rerouted one reverse-path member further down, anything else just
-// dies.
+// not be delivered to `to`. A protocol message goes back to the driver,
+// which marks the corpse and NACKs or reroutes; anything else just dies.
 func (nd *Node) onDeliveryFail(to overlay.NodeID, of outFrame) {
 	c := nd.c
 	if c.isClosed() {
 		return
 	}
 	c.metrics.dropped.Inc()
-	c.markDead(to)
-	f := of.f
-	switch f.Kind {
-	case KindForward:
-		nd.nackBack(f, len(f.Path)-1, fmt.Sprintf("next hop %d unreachable", to), false, of.abs)
-	case KindConfirm, KindNack:
-		if f.Hop > 0 {
-			f.Hop--
-			nd.reverseRoute(f, of.abs)
-		}
+	if isProtocol(of.f.Kind) {
+		c.Undeliverable(nd.ID, to, of.f.message(of.abs))
+	} else {
+		c.MarkDead(to)
 	}
 }
 
@@ -373,7 +246,7 @@ func (nd *Node) sendMsg(to overlay.NodeID, f *Frame, abs time.Time) bool {
 		return false
 	default:
 	}
-	if to == nd.id {
+	if to == nd.ID {
 		nd.noteSentMsg(f.Kind)
 		nd.c.wg.Add(1)
 		go func() {
@@ -385,7 +258,7 @@ func (nd *Node) sendMsg(to overlay.NodeID, f *Frame, abs time.Time) bool {
 	l := nd.linkTo(to)
 	if nd.c.latency > 0 {
 		nd.noteSentMsg(f.Kind)
-		nd.c.clock.AfterFunc(nd.c.latency, func() {
+		nd.c.Clock().AfterFunc(nd.c.latency, func() {
 			if !l.enqueue(outFrame{f: f, abs: abs}) {
 				nd.onDeliveryFail(to, outFrame{f: f, abs: abs})
 			}

@@ -340,42 +340,3 @@ func (m *ReceiptMinter) verifyAggregateSlow(c *AggregateClaim) int {
 	}
 	return n
 }
-
-// RunAggregated is Settlement.Run over rolled-up chain claims: the same
-// payout rule (m·P_f + P_r/‖π‖, integer division, remainder to the
-// initiator) with one O(m) chain verification per claim. Rejected claims
-// count all their entries as rejected receipts.
-func (s *Settlement) RunAggregated(claims []AggregateClaim) ([]Payout, error) {
-	if s.Bank == nil || s.Minter == nil {
-		return nil, errors.New("payment: settlement missing bank or minter")
-	}
-	if s.Pf < 0 || s.Pr < 0 {
-		return nil, ErrBadAmount
-	}
-	accepted := make([]Payout, 0, len(claims))
-	rejected := 0
-	verify := s.Minter.aggregateVerifier()
-	for i := range claims {
-		m := verify(&claims[i])
-		if m > 0 {
-			accepted = append(accepted, Payout{Forwarder: claims[i].Forwarder, Forwards: m})
-		} else {
-			rejected += len(claims[i].Entries)
-		}
-	}
-	if len(accepted) == 0 {
-		s.Bank.noteSettlement(nil, rejected)
-		return nil, nil
-	}
-	share := s.Pr / Amount(len(accepted))
-	for i := range accepted {
-		accepted[i].Amount = Amount(accepted[i].Forwards)*s.Pf + share
-	}
-	for i := range accepted {
-		if err := s.payBlind(accepted[i].Forwarder, accepted[i].Amount); err != nil {
-			return accepted[:i], fmt.Errorf("payment: paying forwarder %d: %w", accepted[i].Forwarder, err)
-		}
-	}
-	s.Bank.noteSettlement(accepted, rejected)
-	return accepted, nil
-}

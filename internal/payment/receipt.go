@@ -153,12 +153,6 @@ type Settlement struct {
 	Minter    *ReceiptMinter
 	Initiator AccountID
 	Pf, Pr    Amount
-
-	// SerialDeposits restores the historical one-Deposit-per-token
-	// payout path. By default the whole batch's tokens go through one
-	// Bank.DepositBatch call, so signature checks ride the bank's
-	// parallel verify pool instead of running one RSA verify at a time.
-	SerialDeposits bool
 }
 
 // Payout records one forwarder's settled amount.
@@ -196,26 +190,21 @@ func (s *Settlement) Run(claims []Claim) ([]Payout, error) {
 		accepted[i].Amount = Amount(accepted[i].Forwards)*s.Pf + share
 	}
 	// Second pass: move the money through blind tokens.
-	if s.SerialDeposits {
-		for i := range accepted {
-			if err := s.payBlind(accepted[i].Forwarder, accepted[i].Amount); err != nil {
-				return accepted[:i], fmt.Errorf("payment: paying forwarder %d: %w", accepted[i].Forwarder, err)
-			}
-		}
-	} else if err := s.payBlindBatch(accepted); err != nil {
+	if err := s.payBlindBatch(accepted); err != nil {
 		return nil, err
 	}
 	s.Bank.noteSettlement(accepted, countRejected(claims, accepted))
 	return accepted, nil
 }
 
-// payBlindBatch withdraws every forwarder's tokens (withdrawal is a
-// per-token blind-signing exchange and stays serial), then deposits
-// the whole epoch in one Bank.DepositBatch call. Token values and the
-// final balances are identical to the serial path; only the deposit
-// verification is batched. On a deposit error the failing token's
-// forwarder is named, but unlike the serial path later deposits in
-// the epoch have already been applied.
+// payBlindBatch withdraws every forwarder's tokens in power-of-two
+// denominations (withdrawal is a per-token blind-signing exchange and
+// stays serial), then deposits the whole epoch in one Bank.DepositBatch
+// call, so signature checks ride the bank's parallel verify pool. Fixed
+// denominations matter for unlinkability: unique token values would let
+// the bank match withdrawals to deposits by amount alone. On a deposit
+// error the failing token's forwarder is named; later deposits in the
+// epoch have already been applied.
 func (s *Settlement) payBlindBatch(accepted []Payout) error {
 	var reqs []DepositRequest
 	for i := range accepted {
@@ -234,24 +223,6 @@ func (s *Settlement) payBlindBatch(accepted []Payout) error {
 		if err != nil {
 			return fmt.Errorf("payment: paying forwarder %d: %w", reqs[j].Account, err)
 		}
-	}
-	return nil
-}
-
-// payBlind moves amt from the initiator to the forwarder through blind
-// tokens in power-of-two denominations. Fixed denominations matter for
-// unlinkability: unique token values would let the bank match withdrawals
-// to deposits by amount alone.
-func (s *Settlement) payBlind(to AccountID, amt Amount) error {
-	if amt <= 0 {
-		return nil
-	}
-	tokens, err := s.Bank.WithdrawAmount(s.Initiator, amt, nil)
-	if err != nil {
-		return err
-	}
-	if _, err := s.Bank.DepositAll(to, tokens); err != nil {
-		return err
 	}
 	return nil
 }

@@ -244,31 +244,22 @@ func TestQuickCountValidBounds(t *testing.T) {
 	}
 }
 
-// TestSettlementBatchVsSerialBalances pins the batched deposit path
-// against the historical serial one: the same claims settled on two
-// identically configured banks leave identical payouts and identical
-// per-account balances, whether the epoch's tokens go through one
-// DepositBatch call (the default) or one Deposit per token.
+// TestSettlementBatchVsSerialBalances pins Settlement.Run's batched
+// deposit path against the serial oracle: the same payouts moved on an
+// identically configured bank by one WithdrawAmount + DepositAll per
+// forwarder leave identical per-account balances.
 func TestSettlementBatchVsSerialBalances(t *testing.T) {
-	run := func(serial bool) ([]Payout, map[AccountID]Amount) {
+	setup := func() (*Bank, *ReceiptMinter) {
 		t.Helper()
 		b := freshBank(t)
 		b.OpenAccount(1, 100000)
 		for id := AccountID(10); id <= 13; id++ {
 			b.OpenAccount(id, 7)
 		}
-		m := minter(t)
-		claims := []Claim{
-			{Forwarder: 10, Receipts: []Receipt{m.Mint(1, 1, 10), m.Mint(2, 1, 10), m.Mint(3, 1, 10)}},
-			{Forwarder: 11, Receipts: []Receipt{m.Mint(1, 2, 11)}},
-			{Forwarder: 12, Receipts: []Receipt{m.Mint(2, 2, 12), m.Mint(3, 2, 12)}},
-			{Forwarder: 13}, // nothing valid: unpaid, not in ‖π‖
-		}
-		s := &Settlement{Bank: b, Minter: m, Initiator: 1, Pf: 35, Pr: 100, SerialDeposits: serial}
-		payouts, err := s.Run(claims)
-		if err != nil {
-			t.Fatal(err)
-		}
+		return b, minter(t)
+	}
+	balances := func(b *Bank) map[AccountID]Amount {
+		t.Helper()
 		bal := make(map[AccountID]Amount)
 		for _, id := range []AccountID{1, 10, 11, 12, 13} {
 			v, err := b.Balance(id)
@@ -277,17 +268,35 @@ func TestSettlementBatchVsSerialBalances(t *testing.T) {
 			}
 			bal[id] = v
 		}
-		return payouts, bal
+		return bal
 	}
-	batchPay, batchBal := run(false)
-	serialPay, serialBal := run(true)
-	if !reflect.DeepEqual(batchPay, serialPay) {
-		t.Fatalf("payouts diverge: batch %v, serial %v", batchPay, serialPay)
+
+	b, m := setup()
+	claims := []Claim{
+		{Forwarder: 10, Receipts: []Receipt{m.Mint(1, 1, 10), m.Mint(2, 1, 10), m.Mint(3, 1, 10)}},
+		{Forwarder: 11, Receipts: []Receipt{m.Mint(1, 2, 11)}},
+		{Forwarder: 12, Receipts: []Receipt{m.Mint(2, 2, 12), m.Mint(3, 2, 12)}},
+		{Forwarder: 13}, // nothing valid: unpaid, not in ‖π‖
 	}
-	if !reflect.DeepEqual(batchBal, serialBal) {
-		t.Fatalf("balances diverge: batch %v, serial %v", batchBal, serialBal)
+	payouts, err := (&Settlement{Bank: b, Minter: m, Initiator: 1, Pf: 35, Pr: 100}).Run(claims)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(batchPay) != 3 {
-		t.Fatalf("payouts = %v, want 3 forwarders paid", batchPay)
+	if want := []Payout{{10, 3, 138}, {11, 1, 68}, {12, 2, 103}}; !reflect.DeepEqual(payouts, want) {
+		t.Fatalf("payouts = %v, want %v (m·35 + 100/3)", payouts, want)
+	}
+
+	serial, _ := setup()
+	for _, p := range payouts {
+		tokens, err := serial.WithdrawAmount(1, p.Amount, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := serial.DepositAll(p.Forwarder, tokens); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := balances(b), balances(serial); !reflect.DeepEqual(got, want) {
+		t.Fatalf("balances diverge: batch %v, serial %v", got, want)
 	}
 }

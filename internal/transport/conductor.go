@@ -3,6 +3,8 @@ package transport
 import (
 	"time"
 
+	"p2panon/internal/core"
+	"p2panon/internal/onion"
 	"p2panon/internal/overlay"
 	"p2panon/internal/telemetry"
 	"p2panon/internal/trace"
@@ -30,11 +32,25 @@ type Conductor interface {
 	RunBatch(initiator, responder overlay.NodeID, batch, k, budget int, timeout time.Duration) (*BatchOutcome, error)
 	RunTrace(pairs []trace.Pair, opt TraceOptions) *TraceResult
 
+	// RunSecureBatch is RunBatch under the §5 protocol: k
+	// contract-carrying connections, forwarder-sealed path records,
+	// initiator-side validation with the batch key. SettleBatch
+	// distributes a completed batch's split payment and returns how many
+	// forwarders were notified.
+	RunSecureBatch(initiator, responder overlay.NodeID, contract *onion.SignedContract, bk *onion.BatchKey, k, budget int, timeout time.Duration) (*BatchOutcome, error)
+	SettleBatch(initiator overlay.NodeID, batch int, out *BatchOutcome, contract core.Contract) (int, error)
+
 	// Instrument rebinds metrics into a shared registry and attaches a
 	// lifecycle tracer; Metrics returns the common counter snapshot.
 	Instrument(reg *telemetry.Registry, tr *telemetry.Tracer)
 	Metrics() MetricsSnapshot
 	ResetMetrics()
+
+	// SetSpans attaches a causal span recorder (nil disables): every
+	// connection then emits a deterministic span tree whose ids derive
+	// from causal coordinates, not arrival order.
+	SetSpans(r *telemetry.SpanRecorder)
+	Spans() *telemetry.SpanRecorder
 
 	// SetRetry and SetClock configure reformation behaviour and the
 	// timing source (virtual in deterministic tests).
@@ -50,17 +66,6 @@ type Conductor interface {
 func (n *Network) Join(id overlay.NodeID, r Router) error {
 	_, err := n.AddPeer(id, r)
 	return err
-}
-
-// ConnectDetail runs one connection like Connect and additionally returns
-// the number of path reformations performed — the Conductor-shaped view
-// the conformance suite asserts on.
-func (n *Network) ConnectDetail(initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration) ([]overlay.NodeID, int, error) {
-	res, reforms, err := n.connect(initiator, responder, batch, conn, budget, timeout, nil)
-	if err != nil {
-		return nil, reforms, err
-	}
-	return res.path, reforms, nil
 }
 
 var _ Conductor = (*Network)(nil)

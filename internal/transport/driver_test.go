@@ -1,0 +1,431 @@
+package transport
+
+import (
+	"fmt"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"p2panon/internal/onion"
+	"p2panon/internal/overlay"
+	"p2panon/internal/telemetry"
+	"p2panon/internal/vclock"
+)
+
+// scriptClock is a virtual clock that never blocks: Sleep advances it on
+// the spot and both Sleep and NewTimer log their argument, so a test reads
+// the driver's exact backoff and attempt-window schedule.
+type scriptClock struct {
+	*vclock.Virtual
+	sleeps, windows []time.Duration
+}
+
+func (c *scriptClock) Sleep(d time.Duration) {
+	c.sleeps = append(c.sleeps, d)
+	c.Advance(d)
+}
+
+func (c *scriptClock) NewTimer(d time.Duration) *vclock.Timer {
+	c.windows = append(c.windows, d)
+	return c.Virtual.NewTimer(d)
+}
+
+// fate is what the scripted link does with one message.
+type fate int
+
+const (
+	deliver fate = iota // hand it to the target's handler, synchronously
+	refuse              // synchronous drop: Send returns false
+	swallow             // accept, never deliver; the attempt window runs out
+	lose                // accept, then report it undeliverable
+	tamper              // deliver with the contract's signature broken
+)
+
+// scriptLink is a Link with no sockets and no goroutines: every message
+// meets the fate the case's script picks, and delivery is a direct call
+// into the driver, so a whole connection runs on the test's goroutine.
+type scriptLink struct {
+	d        *Driver
+	clk      *scriptClock
+	stations map[overlay.NodeID]*Station
+	script   func(from, to overlay.NodeID, m Message) fate
+	hideFrom int // Local answers nil from this call on (0 = never)
+	locals   int
+	sends    int
+	nacks    []Message // every NACK the link was handed
+	held     []held    // swallowed messages, for late replay
+}
+
+type held struct {
+	to overlay.NodeID
+	m  Message
+}
+
+func (l *scriptLink) Local(id overlay.NodeID) *Station {
+	l.locals++
+	if l.hideFrom > 0 && l.locals >= l.hideFrom {
+		return nil
+	}
+	return l.stations[id]
+}
+
+func (l *scriptLink) Addressable(id overlay.NodeID) bool { return l.stations[id] != nil }
+
+func (l *scriptLink) Send(from, to overlay.NodeID, m Message) bool {
+	l.sends++
+	if m.Kind == MsgNack {
+		l.nacks = append(l.nacks, m)
+	}
+	switch l.script(from, to, m) {
+	case refuse:
+		return false
+	case swallow:
+		l.held = append(l.held, held{to, m})
+		l.clk.Advance(l.clk.Until(m.Deadline))
+	case lose:
+		l.d.Undeliverable(from, to, m)
+	case tamper:
+		bad := *m.Contract
+		bad.Pf++
+		m.Contract = &bad
+		l.d.Handle(l.stations[to], m)
+	default:
+		l.d.Handle(l.stations[to], m)
+	}
+	return true
+}
+
+// backupRouter walks 0 → 1 → 2 → 4, switching node 1's successor to the
+// backup relay 3 once 2 is known dead; 4 is the responder.
+type backupRouter struct{ dead map[overlay.NodeID]bool }
+
+func (r *backupRouter) NextHop(self, pred, initiator, responder overlay.NodeID, batch, conn, remaining int) (overlay.NodeID, bool) {
+	switch {
+	case self == 0:
+		return 1, false
+	case self == 1 && !r.dead[2]:
+		return 2, false
+	case self == 1:
+		return 3, false
+	}
+	return responder, true
+}
+func (r *backupRouter) MarkDead(id overlay.NodeID) { r.dead[id] = true }
+func (r *backupRouter) MarkLive(id overlay.NodeID) { delete(r.dead, id) }
+
+// spanTree renders the recorded spans as sorted
+// "kind aATTEMPT hHOP nNODE <- parent" lines (sorted because forwarder-side
+// spans of different attempts share every coordinate but their id).
+func spanTree(rec *telemetry.SpanRecorder) []string {
+	spans := rec.Spans()
+	byID := make(map[telemetry.SpanID]telemetry.Span, len(spans))
+	for _, s := range spans {
+		byID[s.ID] = s
+	}
+	name := func(s telemetry.Span) string {
+		return fmt.Sprintf("%s a%d h%d n%d", s.Kind, s.Attempt, s.Hop, s.Node)
+	}
+	var out []string
+	for _, s := range spans {
+		parent := "-"
+		if s.Parent != 0 {
+			parent = name(byID[s.Parent])
+		}
+		out = append(out, name(s)+" <- "+parent)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestDriverOverScriptedLink drives every outcome of the connection
+// driver over a scripted link on a virtual clock and pins, per outcome,
+// the attempt windows, the backoff sleeps, the causal span tree and that
+// the pending-attempt table is empty afterwards.
+func TestDriverOverScriptedLink(t *testing.T) {
+	bk, err := onion.NewBatchKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	contract, _, err := onion.NewSignedContract(1, 75, 150, bk.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ms = time.Millisecond
+	sendsTo := func(dead overlay.NodeID, f fate) func(from, to overlay.NodeID, m Message) fate {
+		return func(from, to overlay.NodeID, m Message) fate {
+			if to == dead && m.Kind == MsgForward {
+				return f
+			}
+			return deliver
+		}
+	}
+	firstSendTo := func(target overlay.NodeID, f fate) func(from, to overlay.NodeID, m Message) fate {
+		done := false
+		return func(from, to overlay.NodeID, m Message) fate {
+			if to == target && !done {
+				done = true
+				return f
+			}
+			return deliver
+		}
+	}
+	// Attempt 1 dies at node 1 (its successor 2 is gone), attempt 2 goes
+	// through the backup relay 3.
+	viaBackup := []string{
+		"batch a0 h0 n0 <- -",
+		"launch a1 h0 n0 <- batch a0 h0 n0",
+		"hop a0 h0 n0 <- launch a1 h0 n0",
+		"hop a0 h1 n1 <- hop a0 h0 n0",
+		"nack a0 h2 n0 <- hop a0 h1 n1",
+		"reform a2 h0 n0 <- nack a0 h2 n0",
+		"launch a2 h0 n0 <- batch a0 h0 n0",
+		"hop a0 h0 n0 <- launch a2 h0 n0",
+		"hop a0 h1 n1 <- hop a0 h0 n0",
+		"hop a0 h2 n3 <- hop a0 h1 n1",
+		"respond a0 h3 n4 <- hop a0 h2 n3",
+		"deliver a2 h0 n0 <- respond a0 h3 n4",
+	}
+	cases := []struct {
+		name      string
+		initiator overlay.NodeID
+		retry     RetryPolicy
+		timeout   time.Duration
+		script    func(from, to overlay.NodeID, m Message) fate
+		hideFrom  int
+		secure    bool
+
+		wantPath    []overlay.NodeID
+		wantErr     string
+		wantReforms int
+		wantSends   int
+		wantWindows []time.Duration
+		wantSleeps  []time.Duration
+		wantSpans   []string
+	}{
+		{
+			name:    "deliver",
+			retry:   RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * ms, MaxBackoff: 300 * ms},
+			timeout: 900 * ms,
+			script:  sendsTo(overlay.None, deliver),
+
+			wantPath:    []overlay.NodeID{0, 1, 2, 4},
+			wantSends:   6, // three links out, three back: the launch crosses none
+			wantWindows: []time.Duration{300 * ms},
+			wantSpans: []string{
+				"batch a0 h0 n0 <- -",
+				"hop a0 h0 n0 <- launch a1 h0 n0",
+				"hop a0 h1 n1 <- hop a0 h0 n0",
+				"hop a0 h2 n2 <- hop a0 h1 n1",
+				"respond a0 h3 n4 <- hop a0 h2 n2",
+				"launch a1 h0 n0 <- batch a0 h0 n0",
+				"deliver a1 h0 n0 <- respond a0 h3 n4",
+			},
+		},
+		{
+			name:    "nack-reform-deliver",
+			retry:   RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * ms, MaxBackoff: 300 * ms},
+			timeout: 900 * ms,
+			script:  sendsTo(2, refuse),
+			secure:  true,
+
+			wantPath:    []overlay.NodeID{0, 1, 3, 4},
+			wantReforms: 1,
+			wantSends:   9, // 0→1, 1→2 refused, NACK 1→0; then 3 out, 3 back
+			wantWindows: []time.Duration{300 * ms, 300 * ms},
+			wantSleeps:  []time.Duration{100 * ms},
+			wantSpans:   viaBackup,
+		},
+		{
+			name:    "lost-after-accept",
+			retry:   RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * ms, MaxBackoff: 300 * ms},
+			timeout: 900 * ms,
+			script:  sendsTo(2, lose),
+
+			wantPath:    []overlay.NodeID{0, 1, 3, 4},
+			wantReforms: 1,
+			wantSends:   9, // the NACK starts at node 1 itself and goes straight to 0
+			wantWindows: []time.Duration{300 * ms, 300 * ms},
+			wantSleeps:  []time.Duration{100 * ms},
+			wantSpans:   viaBackup,
+		},
+		{
+			name:    "fatal-nack",
+			retry:   RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * ms, MaxBackoff: 300 * ms},
+			timeout: 900 * ms,
+			script:  firstSendTo(1, tamper),
+			secure:  true,
+
+			wantErr:     "contract failed verification",
+			wantSends:   2, // 0→1, fatal NACK 1→0; no retry
+			wantWindows: []time.Duration{300 * ms},
+			wantSpans: []string{
+				"batch a0 h0 n0 <- -",
+				"hop a0 h0 n0 <- launch a1 h0 n0",
+				"nack a0 h2 n0 <- hop a0 h0 n0",
+				"launch a1 h0 n0 <- batch a0 h0 n0",
+				"fail a1 h0 n0 <- nack a0 h2 n0",
+			},
+		},
+		{
+			name:    "timeout-reform",
+			retry:   RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * ms, MaxBackoff: 300 * ms},
+			timeout: 900 * ms,
+			script:  firstSendTo(2, swallow),
+
+			wantPath:    []overlay.NodeID{0, 1, 2, 4},
+			wantReforms: 1,
+			wantSends:   8, // 0→1, 1→2 swallowed; then 3 out, 3 back
+			wantWindows: []time.Duration{300 * ms, 300 * ms},
+			wantSleeps:  []time.Duration{100 * ms},
+			wantSpans: []string{
+				"batch a0 h0 n0 <- -",
+				"hop a0 h0 n0 <- launch a1 h0 n0",
+				"hop a0 h0 n0 <- launch a2 h0 n0",
+				"hop a0 h1 n1 <- hop a0 h0 n0",
+				"hop a0 h1 n1 <- hop a0 h0 n0",
+				"hop a0 h2 n2 <- hop a0 h1 n1",
+				"respond a0 h3 n4 <- hop a0 h2 n2",
+				"launch a1 h0 n0 <- batch a0 h0 n0",
+				"timeout a1 h0 n0 <- launch a1 h0 n0",
+				"launch a2 h0 n0 <- batch a0 h0 n0",
+				"deliver a2 h0 n0 <- respond a0 h3 n4",
+				"reform a2 h0 n0 <- timeout a1 h0 n0",
+			},
+		},
+		{
+			// Every attempt dies on a synchronous NACK at the initiator, so
+			// the only virtual time spent is backoff: 100 + 200 + 300 of the
+			// 700 ms, which clips the last window to the 100 ms that remain.
+			name:    "retries-exhausted",
+			retry:   RetryPolicy{MaxAttempts: 4, BaseBackoff: 100 * ms, MaxBackoff: 300 * ms},
+			timeout: 700 * ms,
+			script:  sendsTo(1, refuse),
+
+			wantErr:     "failed after 3 reformations: transport: next hop 1 departed",
+			wantReforms: 3,
+			wantSends:   4,
+			wantWindows: []time.Duration{175 * ms, 175 * ms, 175 * ms, 100 * ms},
+			wantSleeps:  []time.Duration{100 * ms, 200 * ms, 300 * ms},
+			wantSpans: []string{
+				"batch a0 h0 n0 <- -",
+				"hop a0 h0 n0 <- launch a1 h0 n0",
+				"hop a0 h0 n0 <- launch a2 h0 n0",
+				"hop a0 h0 n0 <- launch a3 h0 n0",
+				"hop a0 h0 n0 <- launch a4 h0 n0",
+				"nack a0 h1 n0 <- hop a0 h0 n0",
+				"nack a0 h1 n0 <- hop a0 h0 n0",
+				"nack a0 h1 n0 <- hop a0 h0 n0",
+				"nack a0 h1 n0 <- hop a0 h0 n0",
+				"launch a1 h0 n0 <- batch a0 h0 n0",
+				"launch a2 h0 n0 <- batch a0 h0 n0",
+				"reform a2 h0 n0 <- nack a0 h1 n0",
+				"launch a3 h0 n0 <- batch a0 h0 n0",
+				"reform a3 h0 n0 <- nack a0 h1 n0",
+				"launch a4 h0 n0 <- batch a0 h0 n0",
+				"reform a4 h0 n0 <- nack a0 h1 n0",
+				"fail a4 h0 n0 <- nack a0 h1 n0",
+			},
+		},
+		{
+			name:      "initiator-not-hosted",
+			initiator: 9,
+			retry:     DefaultRetryPolicy(),
+			timeout:   900 * ms,
+			script:    sendsTo(overlay.None, deliver),
+
+			wantErr: "unknown initiator 9",
+		},
+		{
+			name:     "initiator-departs-before-launch",
+			retry:    DefaultRetryPolicy(),
+			timeout:  900 * ms,
+			script:   sendsTo(overlay.None, deliver),
+			hideFrom: 2, // hosted when validated, gone when launched
+
+			wantErr: "initiator 0 departed",
+			wantSpans: []string{
+				"batch a0 h0 n0 <- -",
+				"launch a1 h0 n0 <- batch a0 h0 n0",
+				"fail a1 h0 n0 <- launch a1 h0 n0",
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := &scriptClock{Virtual: vclock.NewVirtual(time.Time{})}
+			r := &backupRouter{dead: make(map[overlay.NodeID]bool)}
+			l := &scriptLink{clk: clk, stations: make(map[overlay.NodeID]*Station), script: tc.script, hideFrom: tc.hideFrom}
+			d := NewDriver(l, "transport")
+			l.d = d
+			d.SetClock(clk)
+			d.SetRetry(tc.retry)
+			rec := telemetry.NewSpanRecorder(256)
+			d.SetSpans(rec)
+			for id := overlay.NodeID(0); id <= 4; id++ {
+				l.stations[id] = NewStation(id, r)
+				d.Joined(id, r)
+			}
+			var c *onion.SignedContract
+			if tc.secure {
+				c = contract
+			}
+			res, reforms, err := d.connect(tc.initiator, 4, 1, 1, 8, tc.timeout, c)
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatal(err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Fatalf("error %v, want one containing %q", err, tc.wantErr)
+			}
+			if !reflect.DeepEqual(res.path, tc.wantPath) {
+				t.Errorf("path %v, want %v", res.path, tc.wantPath)
+			}
+			if reforms != tc.wantReforms {
+				t.Errorf("reformations %d, want %d", reforms, tc.wantReforms)
+			}
+			if l.sends != tc.wantSends {
+				t.Errorf("link saw %d sends, want %d", l.sends, tc.wantSends)
+			}
+			if !reflect.DeepEqual(clk.windows, tc.wantWindows) {
+				t.Errorf("attempt windows %v, want %v", clk.windows, tc.wantWindows)
+			}
+			if !reflect.DeepEqual(clk.sleeps, tc.wantSleeps) {
+				t.Errorf("backoff sleeps %v, want %v", clk.sleeps, tc.wantSleeps)
+			}
+			sort.Strings(tc.wantSpans)
+			if got := spanTree(rec); !reflect.DeepEqual(got, tc.wantSpans) {
+				t.Errorf("span tree:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(tc.wantSpans, "\n  "))
+			}
+			if tc.secure && tc.wantErr == "" && len(res.records) != len(res.path)-2 {
+				t.Errorf("%d sealed records for path %v", len(res.records), res.path)
+			}
+			// A NACK carries neither the signed contract nor the records
+			// sealed so far: no reverse-path node reads them.
+			for _, n := range l.nacks {
+				if n.Contract != nil || n.Records != nil {
+					t.Errorf("NACK carries contract=%v records=%d", n.Contract != nil, len(n.Records))
+				}
+			}
+			if tc.secure && len(l.nacks) == 0 {
+				t.Error("secure case put no NACK on the link")
+			}
+			if len(d.pending) != 0 {
+				t.Errorf("%d attempts still pending after the outcome", len(d.pending))
+			}
+			// A message of an abandoned attempt that surfaces late runs its
+			// course — the CONFIRM reaches the initiator — and resolves
+			// nothing.
+			for _, h := range l.held {
+				before := rec.Total()
+				d.Handle(l.stations[h.to], h.m)
+				if rec.Total() == before {
+					t.Error("late message was not handled")
+				}
+				if len(d.pending) != 0 {
+					t.Errorf("late message left %d attempts pending", len(d.pending))
+				}
+			}
+		})
+	}
+}

@@ -42,13 +42,13 @@ type TraceResult struct {
 	Reformations      int
 }
 
-// RunTrace replays a trace workload over the live network: the pairs'
-// recurring connections are interleaved round-robin (trace.Interleave), so
-// batches progress together the way concurrent initiators would, while
-// each pair's own connections stay ordered. A connection that fails even
-// after reformation is counted and skipped — live churn must not abort the
-// rest of the workload.
-func (n *Network) RunTrace(pairs []trace.Pair, opt TraceOptions) *TraceResult {
+// RunTrace replays a trace workload through connect — any runtime's
+// ConnectDetail: the pairs' recurring connections are interleaved
+// round-robin (trace.Interleave), so batches progress together the way
+// concurrent initiators would, while each pair's own connections stay
+// ordered. A connection that fails even after reformation is counted and
+// skipped — live churn must not abort the rest of the workload.
+func RunTrace(connect func(initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration) ([]overlay.NodeID, int, error), pairs []trace.Pair, opt TraceOptions) *TraceResult {
 	res := &TraceResult{Outcomes: make([]*BatchOutcome, len(pairs))}
 	for i := range res.Outcomes {
 		res.Outcomes[i] = NewBatchOutcome()
@@ -59,7 +59,7 @@ func (n *Network) RunTrace(pairs []trace.Pair, opt TraceOptions) *TraceResult {
 		}
 		p := &pairs[c.Pair]
 		out := res.Outcomes[c.Pair]
-		cr, reforms, err := n.connect(p.Initiator, p.Responder, p.Index+1, c.Conn, opt.Budget, opt.Timeout, nil)
+		path, reforms, err := connect(p.Initiator, p.Responder, p.Index+1, c.Conn, opt.Budget, opt.Timeout)
 		res.Reformations += reforms
 		out.Reformations += reforms
 		if err != nil {
@@ -67,7 +67,12 @@ func (n *Network) RunTrace(pairs []trace.Pair, opt TraceOptions) *TraceResult {
 			continue
 		}
 		res.Completed++
-		out.Record(cr.path, p.Initiator)
+		out.Record(path, p.Initiator)
 	}
 	return res
+}
+
+// RunTrace replays a trace workload over this runtime.
+func (d *Driver) RunTrace(pairs []trace.Pair, opt TraceOptions) *TraceResult {
+	return RunTrace(d.ConnectDetail, pairs, opt)
 }

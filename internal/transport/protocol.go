@@ -1,0 +1,309 @@
+package transport
+
+import (
+	"fmt"
+	"sync"
+	"time"
+
+	"p2panon/internal/onion"
+	"p2panon/internal/overlay"
+	"p2panon/internal/telemetry"
+)
+
+// MsgKind discriminates protocol messages.
+type MsgKind uint8
+
+// The three messages of §2.2: FORWARD out, CONFIRM or NACK back.
+const (
+	MsgForward MsgKind = iota
+	MsgConfirm
+	MsgNack
+)
+
+// Message is what travels over links, by value. Every backend carries
+// exactly these fields — in-process through channels, over TCP inside a
+// netwire.Frame — so the forwarding state machine below is written once.
+type Message struct {
+	Kind  MsgKind
+	Batch int
+	Conn  int
+	// Attempt names the initiator's pending attempt this message belongs
+	// to; the terminal CONFIRM/NACK resolves it. A late message of an
+	// abandoned attempt finds nothing to resolve.
+	Attempt   int
+	From      overlay.NodeID
+	Initiator overlay.NodeID
+	Responder overlay.NodeID
+	Remaining int
+	// Path accumulates the node sequence; on the confirm/NACK leg it is
+	// frozen and Hop is the index of the current recipient on the reverse
+	// traversal.
+	Path []overlay.NodeID
+	Hop  int
+
+	// Deadline is the attempt's absolute expiry, stamped at launch and
+	// carried by every message of the attempt (forward, confirm and NACK
+	// legs alike). A message still in flight past it is dropped silently
+	// by the link — the initiator's attempt timer is already due, so
+	// nobody is waiting for it. Zero means no deadline.
+	Deadline time.Time
+
+	// Reason/Fatal describe a NACK.
+	Reason string
+	Fatal  bool
+
+	// Secure-protocol fields (§5): a signed contract that forwarders
+	// verify before working and the sealed per-hop records they
+	// contribute. A NACK carries neither: no reverse-path node reads them.
+	Contract *onion.SignedContract
+	Records  []onion.PathRecord
+
+	// Trace context: the connection's trace id and the span of the last
+	// causal step, which the next handler parents its own span on. Zero
+	// when span recording is off.
+	Trace telemetry.SpanID
+	Span  telemetry.SpanID
+}
+
+// Station is one hosted node's protocol state: its routing brain and its
+// forwarding-instance counts. A backend embeds one in its node type and
+// hands it to Driver.Handle with every message it delivers there.
+type Station struct {
+	ID     overlay.NodeID
+	router Router
+
+	mu       sync.Mutex
+	forwards map[int]int // batch -> forwarding instances by this node
+}
+
+// NewStation returns the protocol state of node id routing with r.
+func NewStation(id overlay.NodeID, r Router) *Station {
+	return &Station{ID: id, router: r, forwards: make(map[int]int)}
+}
+
+// Forwards returns this node's forwarding-instance count for a batch.
+func (s *Station) Forwards(batch int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.forwards[batch]
+}
+
+// Link is all the connection driver knows about a backend: how a message
+// leaves a node, and which ids the runtime hosts or can address. A link
+// that accepted a message (Send returned true) and later finds it
+// undeliverable reports that through Driver.Undeliverable; its own
+// accounting (sent/dropped/expired, queue depths) stays with it.
+type Link interface {
+	// Send hands m to the link on behalf of node from, addressed to node
+	// to. False is the synchronous drop signal: the target is known gone
+	// or the link refuses the message. A message past its Deadline may be
+	// accepted and die in the link, like a late packet on a wire.
+	Send(from, to overlay.NodeID, m Message) bool
+	// Local returns the station of a node this runtime hosts, or nil.
+	Local(id overlay.NodeID) *Station
+	// Addressable reports whether a message can be addressed to id: a
+	// hosted node, or one the link knows how to reach elsewhere.
+	Addressable(id overlay.NodeID) bool
+}
+
+// Handle is the link's delivery entry point: m arrived at hosted node st.
+func (d *Driver) Handle(st *Station, m Message) {
+	switch m.Kind {
+	case MsgForward:
+		d.handleForward(st, m)
+	case MsgConfirm, MsgNack:
+		d.relayBack(st.ID, m)
+	}
+}
+
+// Undeliverable is the link's failure entry point: m, which Send accepted
+// from node from for node to, could not be delivered. The corpse is
+// marked and the protocol kept moving — a lost FORWARD becomes a NACK
+// toward the initiator, a lost CONFIRM/NACK is rerouted one reverse-path
+// member further down.
+func (d *Driver) Undeliverable(from, to overlay.NodeID, m Message) {
+	d.MarkDead(to)
+	switch m.Kind {
+	case MsgForward:
+		d.nackBack(from, m, len(m.Path)-1, fmt.Sprintf("next hop %d departed", to), false)
+	case MsgConfirm, MsgNack:
+		if m.Hop > 0 {
+			m.Hop--
+			d.reverseRoute(from, m)
+		}
+	}
+}
+
+// handleForward is one stage of path formation.
+func (d *Driver) handleForward(st *Station, m Message) {
+	m.Path = append(m.Path, st.ID)
+	hop := len(m.Path) - 1
+	if st.ID == m.Responder {
+		// Payload arrived: send CONFIRM back along the reverse path. The
+		// respond span closes the forward chain; the confirm carries it so
+		// the initiator can parent its deliver span on it.
+		respondSpan := m.Span
+		if d.spans != nil && m.Trace != 0 {
+			respondSpan = telemetry.NewSpanID(m.Span, telemetry.SpanRespond, m.Conn, 0, hop, int(st.ID))
+			d.spans.Record(telemetry.Span{
+				Trace: m.Trace, ID: respondSpan, Parent: m.Span, Kind: telemetry.SpanRespond,
+				Batch: m.Batch, Conn: m.Conn, Hop: hop, Node: int(st.ID),
+			})
+		}
+		d.reverseRoute(st.ID, Message{
+			Kind:      MsgConfirm,
+			Batch:     m.Batch,
+			Conn:      m.Conn,
+			Attempt:   m.Attempt,
+			Initiator: m.Initiator,
+			Responder: m.Responder,
+			Path:      m.Path,
+			Hop:       hop - 1, // index of our predecessor
+			Deadline:  m.Deadline,
+			Contract:  m.Contract,
+			Records:   m.Records,
+			Trace:     m.Trace,
+			Span:      respondSpan,
+		})
+		return
+	}
+	// Secure protocol: verify the contract before doing any work (a
+	// rational forwarder will not forward for an unverifiable commitment)
+	// and NACK the initiator so it fails fast instead of waiting out its
+	// timeout. The rejection is fatal: no reformation fixes a bad contract.
+	if m.Contract != nil && !m.Contract.Verify() {
+		d.inst.contractRejects.Inc()
+		if d.tracer != nil {
+			d.tracer.Record(telemetry.Event{
+				Kind: telemetry.KindContractReject, Batch: m.Batch, Conn: m.Conn,
+				Node: int(st.ID), Hop: hop,
+			})
+		}
+		d.nackBack(st.ID, m, hop-1, "contract failed verification", true)
+		return
+	}
+	// Interior forwarding instance (the initiator does not count).
+	if st.ID != m.Initiator {
+		st.mu.Lock()
+		st.forwards[m.Batch]++
+		st.mu.Unlock()
+	}
+	if d.tracer != nil {
+		d.tracer.Record(telemetry.Event{
+			Kind: telemetry.KindHopForward, Batch: m.Batch, Conn: m.Conn,
+			Node: int(st.ID), Hop: hop,
+		})
+	}
+	// Chain the causal span: this hop's span hashes its predecessor's, so
+	// the id is derivable from carried context alone — the property that
+	// lets nodes in other processes mint the ids a single runtime would.
+	if d.spans != nil && m.Trace != 0 {
+		hopSpan := telemetry.NewSpanID(m.Span, telemetry.SpanHop, m.Conn, 0, hop, int(st.ID))
+		d.spans.Record(telemetry.Span{
+			Trace: m.Trace, ID: hopSpan, Parent: m.Span, Kind: telemetry.SpanHop,
+			Batch: m.Batch, Conn: m.Conn, Hop: hop, Node: int(st.ID),
+		})
+		m.Span = hopSpan
+	}
+	next := m.Responder
+	if m.Remaining > 0 {
+		if n, deliver := st.router.NextHop(st.ID, m.From, m.Initiator, m.Responder, m.Batch, m.Conn, m.Remaining); !deliver {
+			next = n
+		}
+	}
+	// Secure protocol: seal this hop's record to the batch key. The hop
+	// index is this forwarder's position (interior nodes so far).
+	if m.Contract != nil && st.ID != m.Initiator {
+		rec, err := onion.NewPathRecord(m.Contract, uint64(m.Conn), hop, st.ID, m.From, next)
+		if err == nil {
+			m.Records = append(m.Records, rec)
+		}
+	}
+	m.From = st.ID
+	m.Remaining--
+	if !d.link.Send(st.ID, next, m) {
+		// Synchronous drop: the chosen successor departed. Mark it dead
+		// and NACK back along the path (starting at our predecessor — we
+		// already know) so the initiator reforms at once.
+		d.MarkDead(next)
+		d.nackBack(st.ID, m, hop-1, fmt.Sprintf("next hop %d departed", next), false)
+	}
+}
+
+// relayBack moves a CONFIRM/NACK that reached node self one reverse-path
+// member closer to the initiator, collapsing consecutive entries of self
+// (a walk may revisit a node, and a node does not message itself). At
+// index 0 — the initiator, necessarily self — the attempt resolves.
+func (d *Driver) relayBack(self overlay.NodeID, m Message) {
+	for m.Hop > 0 {
+		m.Hop--
+		if m.Path[m.Hop] != self {
+			d.reverseRoute(self, m)
+			return
+		}
+	}
+	res := connResult{path: m.Path, records: m.Records, span: m.Span}
+	if m.Kind == MsgNack {
+		res = connResult{err: fmt.Errorf("transport: %s", m.Reason), fatal: m.Fatal, span: m.Span}
+	}
+	d.resolve(m.Attempt, res)
+}
+
+// reverseRoute sends a CONFIRM/NACK from node self to Path[Hop], skipping
+// reverse-path members the link refuses. If even the initiator is gone
+// the message dies — nobody is waiting for it.
+func (d *Driver) reverseRoute(self overlay.NodeID, m Message) {
+	for {
+		if d.link.Send(self, m.Path[m.Hop], m) {
+			return
+		}
+		d.MarkDead(m.Path[m.Hop])
+		if m.Hop == 0 {
+			return
+		}
+		m.Hop--
+	}
+}
+
+// nackBack generates, at node self, a NACK for m that enters the reverse
+// path at Path[fromIdx]. When that member is self — or fromIdx is below
+// zero, the failure being the initiator's own — the NACK is relayed from
+// here rather than sent.
+func (d *Driver) nackBack(self overlay.NodeID, m Message, fromIdx int, reason string, fatal bool) {
+	d.inst.nacks.Inc()
+	d.inst.nackHops.Observe(float64(len(m.Path)))
+	if d.tracer != nil {
+		d.tracer.Record(telemetry.Event{
+			Kind: telemetry.KindNack, Batch: m.Batch, Conn: m.Conn,
+			Node: int(m.Initiator), Hop: len(m.Path), Detail: reason,
+		})
+	}
+	nackSpan := telemetry.SpanID(0)
+	if d.spans != nil && m.Trace != 0 {
+		nackSpan = telemetry.NewSpanID(m.Span, telemetry.SpanNack, m.Conn, 0, len(m.Path), int(m.Initiator))
+		d.spans.Record(telemetry.Span{
+			Trace: m.Trace, ID: nackSpan, Parent: m.Span, Kind: telemetry.SpanNack,
+			Batch: m.Batch, Conn: m.Conn, Hop: len(m.Path), Node: int(m.Initiator), Detail: reason,
+		})
+	}
+	nack := Message{
+		Kind:      MsgNack,
+		Batch:     m.Batch,
+		Conn:      m.Conn,
+		Attempt:   m.Attempt,
+		Initiator: m.Initiator,
+		Responder: m.Responder,
+		Path:      m.Path,
+		Hop:       fromIdx,
+		Deadline:  m.Deadline,
+		Reason:    reason,
+		Fatal:     fatal,
+		Trace:     m.Trace,
+		Span:      nackSpan,
+	}
+	if fromIdx < 0 || m.Path[fromIdx] == self {
+		d.relayBack(self, nack)
+		return
+	}
+	d.reverseRoute(self, nack)
+}

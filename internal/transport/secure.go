@@ -22,17 +22,17 @@ type SecureOutcome struct {
 // record to the contract's batch key; the confirmation carries the records
 // back to the initiator. The caller (holding the batch private key)
 // validates with onion.BatchKey.RecreatePath. Mid-path departures are
-// retried per the network's RetryPolicy; a forwarder's contract rejection
+// retried per the RetryPolicy; a forwarder's contract rejection
 // is NACKed back and fails the connection immediately (fatal — no
 // reformation fixes a bad contract).
-func (n *Network) ConnectSecure(initiator, responder overlay.NodeID, contract *onion.SignedContract, conn, budget int, timeout time.Duration) (*SecureOutcome, error) {
+func (d *Driver) ConnectSecure(initiator, responder overlay.NodeID, contract *onion.SignedContract, conn, budget int, timeout time.Duration) (*SecureOutcome, error) {
 	if contract == nil {
 		return nil, errors.New("transport: nil contract")
 	}
 	if !contract.Verify() {
 		return nil, errors.New("transport: contract signature invalid")
 	}
-	res, _, err := n.connect(initiator, responder, int(contract.BatchID), conn, budget, timeout, contract)
+	res, _, err := d.connect(initiator, responder, int(contract.BatchID), conn, budget, timeout, contract)
 	if err != nil {
 		return nil, err
 	}
@@ -42,7 +42,7 @@ func (n *Network) ConnectSecure(initiator, responder overlay.NodeID, contract *o
 // RunSecureBatch runs k secure connections, validates every one with the
 // batch key, and aggregates. A validation failure aborts the batch — a
 // deployment would withhold payment instead.
-func (n *Network) RunSecureBatch(initiator, responder overlay.NodeID, contract *onion.SignedContract, bk *onion.BatchKey, k, budget int, timeout time.Duration) (*BatchOutcome, error) {
+func (d *Driver) RunSecureBatch(initiator, responder overlay.NodeID, contract *onion.SignedContract, bk *onion.BatchKey, k, budget int, timeout time.Duration) (*BatchOutcome, error) {
 	if bk == nil {
 		return nil, errors.New("transport: nil batch key")
 	}
@@ -54,7 +54,7 @@ func (n *Network) RunSecureBatch(initiator, responder overlay.NodeID, contract *
 	}
 	out := NewBatchOutcome()
 	for conn := 1; conn <= k; conn++ {
-		res, reforms, err := n.connect(initiator, responder, int(contract.BatchID), conn, budget, timeout, contract)
+		res, reforms, err := d.connect(initiator, responder, int(contract.BatchID), conn, budget, timeout, contract)
 		out.Reformations += reforms
 		if err != nil {
 			return out, err

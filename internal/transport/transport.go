@@ -12,6 +12,12 @@
 // retraces the reverse path collecting per-hop path information, which the
 // initiator uses to validate the path and account the batch.
 //
+// That protocol and its retry loop exist once, in Driver (driver.go for
+// the initiator side, protocol.go for the forwarder side), written
+// against the small Link interface. Network, in this file, is the
+// in-process link — peer registry, inbox goroutines, latency timers,
+// drain-on-leave — and package netwire supplies the TCP one.
+//
 // The runtime is churn-safe: peers may join and leave (AddPeer/RemovePeer)
 // concurrently with in-flight traffic. A send to a departed peer fails
 // synchronously and the holder NACKs back along the reverse path, so the
@@ -32,10 +38,8 @@ import (
 	"time"
 
 	"p2panon/internal/core"
-	"p2panon/internal/onion"
 	"p2panon/internal/overlay"
 	"p2panon/internal/telemetry"
-	"p2panon/internal/vclock"
 )
 
 // Router is a peer's routing brain: given that the peer holds a payload
@@ -64,122 +68,28 @@ type ChurnAware interface {
 	MarkLive(overlay.NodeID)
 }
 
-// message kinds.
-type msgKind uint8
-
-const (
-	msgForward msgKind = iota
-	msgConfirm
-	msgNack
-)
-
-// connResult is the terminal event of one connection attempt, delivered on
-// the attempt's done channel: a completed path (with sealed records under
-// the secure protocol) or an error. fatal marks errors a retry cannot fix
-// (e.g. an unverifiable contract).
-type connResult struct {
-	path    []overlay.NodeID
-	records []onion.PathRecord
-	err     error
-	fatal   bool
-	// span is the causal span the terminal message carried: the responder's
-	// respond span for a confirm, the nack span for a NACK. The initiator
-	// parents its deliver/fail span on it.
-	span telemetry.SpanID
-}
-
-// message is what travels over links.
-type message struct {
-	kind      msgKind
-	batch     int
-	conn      int
-	from      overlay.NodeID
-	initiator overlay.NodeID
-	responder overlay.NodeID
-	remaining int
-	// path accumulates the node sequence; on the confirm/NACK leg it is
-	// frozen and `hop` is the index of the current recipient on the
-	// reverse traversal.
-	path []overlay.NodeID
-	hop  int
-	done chan<- connResult // completion signal, owned by the initiator's attempt
-
-	// deadline is the attempt's absolute expiry, stamped by connect and
-	// carried by every message of the attempt (forward, confirm and NACK
-	// legs alike). A message that is still in flight past its deadline is
-	// dropped silently — the initiator's attempt timer is already due, so
-	// nobody is waiting for it — exactly how a socket transport's
-	// read/write deadlines kill late traffic. Zero means no deadline.
-	deadline time.Time
-
-	// reason/fatal describe a NACK.
-	reason string
-	fatal  bool
-
-	// Secure-protocol fields (§5): a signed contract that forwarders
-	// verify before working and the sealed per-hop records they
-	// contribute.
-	contract *onion.SignedContract
-	records  []onion.PathRecord
-
-	// Trace context: the connection's trace id and the span of the last
-	// causal step, which the next handler parents its own span on. Zero
-	// when span recording is off.
-	trace telemetry.SpanID
-	span  telemetry.SpanID
-}
-
-// Peer is one concurrently running overlay member.
+// Peer is one concurrently running overlay member: its protocol station
+// plus the inbox goroutine that feeds it.
 type Peer struct {
-	ID     overlay.NodeID
-	router Router
-	inbox  chan message
-	leave  chan struct{} // closed by RemovePeer
-	net    *Network
-
-	mu       sync.Mutex
-	forwards map[int]int // batch -> forwarding instances by this peer
+	*Station
+	inbox chan Message
+	leave chan struct{} // closed by RemovePeer
+	net   *Network
 }
 
-// Forwards returns this peer's forwarding-instance count for a batch.
-func (p *Peer) Forwards(batch int) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.forwards[batch]
-}
-
-// RetryPolicy bounds Connect's reformation behaviour: up to MaxAttempts
-// path formations per connection, separated by exponential backoff
-// starting at BaseBackoff and capped at MaxBackoff. Each attempt gets an
-// even share of the connection's total timeout as its deadline.
-type RetryPolicy struct {
-	MaxAttempts int
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-}
-
-// DefaultRetryPolicy allows two reformations per connection with a short
-// doubling backoff — enough to route around a mid-path departure without
-// masking a partitioned network.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 50 * time.Millisecond}
-}
-
-// Network is the concurrent runtime: a set of peers plus the link model.
-// All methods are safe for concurrent use; in particular AddPeer and
-// RemovePeer may race freely with in-flight traffic.
+// Network is the in-process backend: the shared connection Driver over a
+// link model of one goroutine and one inbox per peer, with an optional
+// per-link latency. All methods are safe for concurrent use; in
+// particular AddPeer and RemovePeer may race freely with in-flight
+// traffic.
 type Network struct {
-	mu        sync.RWMutex
-	peers     map[overlay.NodeID]*Peer
-	markers   []ChurnAware
-	markerSet map[ChurnAware]struct{}
+	*Driver
+
+	mu    sync.RWMutex
+	peers map[overlay.NodeID]*Peer
 
 	latency time.Duration
-	retry   RetryPolicy
-	clock   vclock.Clock
-	metrics *Metrics
-	tracer  *telemetry.Tracer
-	spans   *telemetry.SpanRecorder
+	metrics *linkMetrics
 	wg      sync.WaitGroup
 	quit    chan struct{}
 	once    sync.Once
@@ -188,80 +98,44 @@ type Network struct {
 // NewNetwork creates a runtime with the given per-link latency (0 for
 // as-fast-as-possible) and the default retry policy.
 func NewNetwork(latency time.Duration) *Network {
-	return &Network{
-		peers:     make(map[overlay.NodeID]*Peer),
-		markerSet: make(map[ChurnAware]struct{}),
-		latency:   latency,
-		retry:     DefaultRetryPolicy(),
-		clock:     vclock.Real(),
-		metrics:   newMetrics(telemetry.NewRegistry()),
-		quit:      make(chan struct{}),
+	n := &Network{
+		peers:   make(map[overlay.NodeID]*Peer),
+		latency: latency,
+		quit:    make(chan struct{}),
 	}
+	n.Driver = NewDriver(n, "transport")
+	n.metrics = newLinkMetrics(n.Telemetry())
+	return n
 }
 
-// Instrument rebinds the runtime's metrics into reg (so they appear on a
-// shared exposition endpoint next to other layers' instruments) and
-// attaches tr as the connection-lifecycle event tracer. Either argument
-// may be nil: a nil reg keeps the network's private registry, a nil
-// tracer disables event recording. Call before traffic starts — it is
-// not safe to race with in-flight connections.
+// Instrument rebinds the runtime's metrics into reg and attaches tr as
+// the lifecycle tracer; see Driver.Instrument for the nil cases.
 func (n *Network) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
+	n.Driver.Instrument(reg, tr)
 	if reg != nil {
-		n.metrics = newMetrics(reg)
+		n.metrics = newLinkMetrics(reg)
 	}
-	n.tracer = tr
 }
 
-// Telemetry returns the registry backing the runtime's metrics (the
-// network's own unless Instrument rebound it).
-func (n *Network) Telemetry() *telemetry.Registry { return n.metrics.reg }
-
-// Tracer returns the attached event tracer, or nil.
-func (n *Network) Tracer() *telemetry.Tracer { return n.tracer }
-
-// SetSpans attaches a causal span recorder: every connection then emits
-// a deterministic span tree — batch root, per-attempt launches, hops,
-// the responder's accept, nacks and terminal outcomes — whose ids are
-// derived from causal coordinates, so the same seeded workload yields
-// the same log on every backend. A nil recorder disables span emission.
-// Call before traffic starts; not safe to race with in-flight
-// connections.
-func (n *Network) SetSpans(r *telemetry.SpanRecorder) { n.spans = r }
-
-// Spans returns the attached span recorder, or nil.
-func (n *Network) Spans() *telemetry.SpanRecorder { return n.spans }
-
-// ResetMetrics zeroes the runtime's counters and histograms so the next
-// window reports from a clean slate (see MetricsSnapshot.Delta for the
-// subtraction-based alternative that keeps lifetime totals).
-func (n *Network) ResetMetrics() { n.metrics.Reset() }
-
-// SetClock replaces the runtime's clock — link latency, attempt deadlines
-// and retry backoff all read it. Pass a *vclock.Virtual (usually with
-// AutoAdvance running) to make timing-dependent tests deterministic and
-// wall-clock free. Call before traffic starts; not safe to race with
-// in-flight connections.
-func (n *Network) SetClock(c vclock.Clock) {
-	if c == nil {
-		c = vclock.Real()
-	}
-	n.clock = c
+// Metrics returns a snapshot of the runtime counters — consistent enough:
+// counters are independent, no cross-counter invariant holds mid-flight.
+func (n *Network) Metrics() MetricsSnapshot {
+	s := n.Driver.Metrics()
+	s.Sent = n.metrics.sent.Value()
+	s.Dropped = n.metrics.dropped.Value()
+	s.Expired = n.metrics.expired.Value()
+	s.InboxHighWater = n.metrics.inboxHighWater.Value()
+	return s
 }
 
-// Clock returns the clock the runtime schedules against.
-func (n *Network) Clock() vclock.Clock { return n.clock }
-
-// SetRetry replaces the retry policy. Not safe to call concurrently with
-// Connect.
-func (n *Network) SetRetry(p RetryPolicy) {
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = 1
-	}
-	n.retry = p
+// ResetMetrics zeroes the runtime's counters and histograms.
+func (n *Network) ResetMetrics() {
+	n.Driver.ResetMetrics()
+	n.metrics.sent.Reset()
+	n.metrics.dropped.Reset()
+	n.metrics.expired.Reset()
+	n.metrics.inboxHighWater.Reset()
 }
-
-// Metrics returns a snapshot of the runtime counters.
-func (n *Network) Metrics() MetricsSnapshot { return n.metrics.Snapshot() }
 
 // AddPeer spawns a peer goroutine with the given router. Adding the same
 // ID twice is an error. If the router is ChurnAware it is registered for
@@ -272,12 +146,10 @@ func (n *Network) AddPeer(id overlay.NodeID, r Router) (*Peer, error) {
 		return nil, errors.New("transport: nil router")
 	}
 	p := &Peer{
-		ID:       id,
-		router:   r,
-		inbox:    make(chan message, 64),
-		leave:    make(chan struct{}),
-		net:      n,
-		forwards: make(map[int]int),
+		Station: NewStation(id, r),
+		inbox:   make(chan Message, 64),
+		leave:   make(chan struct{}),
+		net:     n,
 	}
 	n.mu.Lock()
 	if _, dup := n.peers[id]; dup {
@@ -285,18 +157,9 @@ func (n *Network) AddPeer(id overlay.NodeID, r Router) (*Peer, error) {
 		return nil, fmt.Errorf("transport: duplicate peer %d", id)
 	}
 	n.peers[id] = p
-	ca, aware := r.(ChurnAware)
-	if aware {
-		if _, seen := n.markerSet[ca]; !seen {
-			n.markerSet[ca] = struct{}{}
-			n.markers = append(n.markers, ca)
-		}
-	}
 	n.wg.Add(1)
 	n.mu.Unlock()
-	if aware {
-		ca.MarkLive(id)
-	}
+	n.Joined(id, r)
 	go p.loop()
 	return p, nil
 }
@@ -343,27 +206,25 @@ func (n *Network) closed() bool {
 	}
 }
 
-// markDead tells every registered ChurnAware router that id was found
-// dead, so subsequent routing avoids it.
-func (n *Network) markDead(id overlay.NodeID) {
-	n.mu.RLock()
-	ms := append([]ChurnAware(nil), n.markers...)
-	n.mu.RUnlock()
-	for _, m := range ms {
-		m.MarkDead(id)
+// Local implements Link: the station of a joined peer.
+func (n *Network) Local(id overlay.NodeID) *Station {
+	if p := n.Peer(id); p != nil {
+		return p.Station
 	}
+	return nil
 }
 
-// send delivers msg to the peer `to` after the link latency. It returns
-// false — the synchronous drop signal — when the target is unknown or has
-// departed; the caller decides whether to NACK. With a non-zero latency
-// the delivery is asynchronous and a target that departs in flight is
-// handled by the network itself (drop count, dead-marking, NACK/reroute).
-func (n *Network) send(to overlay.NodeID, msg message) bool {
-	n.mu.RLock()
-	p, ok := n.peers[to]
-	n.mu.RUnlock()
-	if !ok {
+// Addressable implements Link: in-process, only joined peers are.
+func (n *Network) Addressable(id overlay.NodeID) bool { return n.Peer(id) != nil }
+
+// Send implements Link: msg reaches the inbox of peer `to` after the link
+// latency. It returns false — the synchronous drop signal — when the
+// target is unknown or has departed. With a non-zero latency the delivery
+// is asynchronous, and a target that departs in flight is reported
+// through lost.
+func (n *Network) Send(from, to overlay.NodeID, msg Message) bool {
+	p := n.Peer(to)
+	if p == nil {
 		n.metrics.dropped.Add(1)
 		return false
 	}
@@ -377,12 +238,12 @@ func (n *Network) send(to overlay.NodeID, msg message) bool {
 	}
 	n.metrics.sent.Add(1)
 	if n.latency > 0 {
-		n.clock.AfterFunc(n.latency, func() {
+		n.Clock().AfterFunc(n.latency, func() {
 			if n.expired(msg) {
 				return
 			}
 			if !n.deliver(p, msg) {
-				n.onAsyncDrop(to, msg)
+				n.lost(from, to, msg)
 			}
 		})
 		return true
@@ -395,11 +256,11 @@ func (n *Network) send(to overlay.NodeID, msg message) bool {
 }
 
 // expired reports (and counts) a message whose per-attempt deadline has
-// passed. The deadline travels with the message — set once by connect —
+// passed. The deadline travels with the message — set once at launch —
 // so every relay point applies the same timeout the initiator does,
 // mirroring the read/write deadlines of the socket backend.
-func (n *Network) expired(msg message) bool {
-	if msg.deadline.IsZero() || !n.clock.Now().After(msg.deadline) {
+func (n *Network) expired(msg Message) bool {
+	if msg.Deadline.IsZero() || !n.Clock().Now().After(msg.Deadline) {
 		return false
 	}
 	n.metrics.expired.Add(1)
@@ -408,7 +269,7 @@ func (n *Network) expired(msg message) bool {
 
 // deliver enqueues msg into p's inbox, failing when the peer has left or
 // the network is shutting down.
-func (n *Network) deliver(p *Peer, msg message) bool {
+func (n *Network) deliver(p *Peer, msg Message) bool {
 	select {
 	case <-p.leave:
 		return false
@@ -418,7 +279,7 @@ func (n *Network) deliver(p *Peer, msg message) bool {
 	}
 	select {
 	case p.inbox <- msg:
-		n.metrics.noteInboxDepth(int64(len(p.inbox)))
+		n.metrics.inboxHighWater.SetMax(int64(len(p.inbox)))
 		return true
 	case <-p.leave:
 		return false
@@ -427,96 +288,14 @@ func (n *Network) deliver(p *Peer, msg message) bool {
 	}
 }
 
-// onAsyncDrop handles a latency-delayed delivery whose target departed in
-// flight: count the drop, mark the corpse, and keep the protocol moving —
-// a lost FORWARD becomes a NACK to the initiator, a lost CONFIRM/NACK is
-// rerouted one reverse-path member further down.
-func (n *Network) onAsyncDrop(to overlay.NodeID, msg message) {
+// lost accounts a message the link had accepted for peer `to`, which
+// departed before taking it, and lets the driver recover.
+func (n *Network) lost(from, to overlay.NodeID, msg Message) {
 	if n.closed() {
 		return
 	}
 	n.metrics.dropped.Add(1)
-	n.markDead(to)
-	switch msg.kind {
-	case msgForward:
-		n.nackBack(msg, len(msg.path)-1, fmt.Sprintf("next hop %d departed", to), false)
-	case msgConfirm, msgNack:
-		if msg.hop > 0 {
-			msg.hop--
-			n.reverseRoute(msg)
-		}
-	}
-}
-
-// nackBack sends a NACK for msg back along its reverse path, starting at
-// path[fromIdx]. A fromIdx below zero (the failure happened at the
-// initiator itself) resolves the attempt directly.
-func (n *Network) nackBack(msg message, fromIdx int, reason string, fatal bool) {
-	n.metrics.nacks.Add(1)
-	n.metrics.nackHops.Observe(float64(len(msg.path)))
-	if n.tracer != nil {
-		n.tracer.Record(telemetry.Event{
-			Kind: telemetry.KindNack, Batch: msg.batch, Conn: msg.conn,
-			Node: int(msg.initiator), Hop: len(msg.path), Detail: reason,
-		})
-	}
-	nackSpan := telemetry.SpanID(0)
-	if n.spans != nil && msg.trace != 0 {
-		nackSpan = telemetry.NewSpanID(msg.span, telemetry.SpanNack, msg.conn, 0, len(msg.path), int(msg.initiator))
-		n.spans.Record(telemetry.Span{
-			Trace: msg.trace, ID: nackSpan, Parent: msg.span, Kind: telemetry.SpanNack,
-			Batch: msg.batch, Conn: msg.conn, Hop: len(msg.path), Node: int(msg.initiator), Detail: reason,
-		})
-	}
-	res := connResult{err: fmt.Errorf("transport: %s", reason), fatal: fatal, span: nackSpan}
-	if fromIdx < 0 || len(msg.path) == 0 {
-		resolve(msg.done, res)
-		return
-	}
-	nack := message{
-		kind:      msgNack,
-		batch:     msg.batch,
-		conn:      msg.conn,
-		initiator: msg.initiator,
-		responder: msg.responder,
-		path:      msg.path,
-		hop:       fromIdx,
-		done:      msg.done,
-		reason:    reason,
-		fatal:     fatal,
-		deadline:  msg.deadline,
-		trace:     msg.trace,
-		span:      nackSpan,
-	}
-	n.reverseRoute(nack)
-}
-
-// reverseRoute sends a CONFIRM/NACK to path[msg.hop], skipping departed
-// reverse-path members. If even the initiator is gone the message dies —
-// nobody is waiting for it.
-func (n *Network) reverseRoute(msg message) {
-	for {
-		if n.send(msg.path[msg.hop], msg) {
-			return
-		}
-		n.markDead(msg.path[msg.hop])
-		if msg.hop == 0 {
-			return
-		}
-		msg.hop--
-	}
-}
-
-// resolve delivers an attempt's terminal result without ever blocking
-// (the done channel is buffered and owned by exactly one attempt).
-func resolve(done chan<- connResult, res connResult) {
-	if done == nil {
-		return
-	}
-	select {
-	case done <- res:
-	default:
-	}
+	n.Undeliverable(from, to, msg)
 }
 
 // loop is the peer's goroutine body.
@@ -530,7 +309,7 @@ func (p *Peer) loop() {
 			p.drain()
 			return
 		case msg := <-p.inbox:
-			p.handle(msg)
+			p.net.Handle(p.Station, msg)
 		}
 	}
 }
@@ -543,377 +322,11 @@ func (p *Peer) drain() {
 	for {
 		select {
 		case msg := <-p.inbox:
-			p.net.metrics.dropped.Add(1)
-			switch msg.kind {
-			case msgForward:
-				p.net.nackBack(msg, len(msg.path)-1, fmt.Sprintf("peer %d departed", p.ID), false)
-			case msgConfirm, msgNack:
-				if msg.hop > 0 {
-					msg.hop--
-					p.net.reverseRoute(msg)
-				}
-			}
+			p.net.lost(p.ID, p.ID, msg)
 		default:
 			return
 		}
 	}
-}
-
-func (p *Peer) handle(msg message) {
-	switch msg.kind {
-	case msgForward:
-		p.handleForward(msg)
-	case msgConfirm:
-		p.handleConfirm(msg)
-	case msgNack:
-		p.handleNack(msg)
-	}
-}
-
-// handleForward is one stage of path formation.
-func (p *Peer) handleForward(msg message) {
-	msg.path = append(msg.path, p.ID)
-	if p.ID == msg.responder {
-		// Payload arrived: send CONFIRM back along the reverse path. The
-		// respond span closes the forward chain; the confirm carries it so
-		// the initiator can parent its deliver span on it.
-		respondSpan := msg.span
-		if p.net.spans != nil && msg.trace != 0 {
-			respondSpan = telemetry.NewSpanID(msg.span, telemetry.SpanRespond, msg.conn, 0, len(msg.path)-1, int(p.ID))
-			p.net.spans.Record(telemetry.Span{
-				Trace: msg.trace, ID: respondSpan, Parent: msg.span, Kind: telemetry.SpanRespond,
-				Batch: msg.batch, Conn: msg.conn, Hop: len(msg.path) - 1, Node: int(p.ID),
-			})
-		}
-		confirm := message{
-			kind:      msgConfirm,
-			batch:     msg.batch,
-			conn:      msg.conn,
-			initiator: msg.initiator,
-			responder: msg.responder,
-			path:      msg.path,
-			hop:       len(msg.path) - 2, // index of our predecessor
-			done:      msg.done,
-			contract:  msg.contract,
-			records:   msg.records,
-			deadline:  msg.deadline,
-			trace:     msg.trace,
-			span:      respondSpan,
-		}
-		p.net.reverseRoute(confirm)
-		return
-	}
-	// Secure protocol: verify the contract before doing any work (a
-	// rational forwarder will not forward for an unverifiable commitment)
-	// and NACK the initiator so it fails fast instead of waiting out its
-	// timeout. The rejection is fatal: no reformation fixes a bad contract.
-	if msg.contract != nil && !msg.contract.Verify() {
-		p.net.metrics.contractRejects.Add(1)
-		if p.net.tracer != nil {
-			p.net.tracer.Record(telemetry.Event{
-				Kind: telemetry.KindContractReject, Batch: msg.batch, Conn: msg.conn,
-				Node: int(p.ID), Hop: len(msg.path) - 1,
-			})
-		}
-		p.net.nackBack(msg, len(msg.path)-2, "contract failed verification", true)
-		return
-	}
-	// Interior forwarding instance (the initiator does not count).
-	if p.ID != msg.initiator {
-		p.mu.Lock()
-		p.forwards[msg.batch]++
-		p.mu.Unlock()
-	}
-	if p.net.tracer != nil {
-		p.net.tracer.Record(telemetry.Event{
-			Kind: telemetry.KindHopForward, Batch: msg.batch, Conn: msg.conn,
-			Node: int(p.ID), Hop: len(msg.path) - 1,
-		})
-	}
-	// Chain the causal span: this hop's span hashes its predecessor's, so
-	// the id is derivable from carried context alone — the property that
-	// lets the TCP backend mint identical ids on remote nodes.
-	if p.net.spans != nil && msg.trace != 0 {
-		hopSpan := telemetry.NewSpanID(msg.span, telemetry.SpanHop, msg.conn, 0, len(msg.path)-1, int(p.ID))
-		p.net.spans.Record(telemetry.Span{
-			Trace: msg.trace, ID: hopSpan, Parent: msg.span, Kind: telemetry.SpanHop,
-			Batch: msg.batch, Conn: msg.conn, Hop: len(msg.path) - 1, Node: int(p.ID),
-		})
-		msg.span = hopSpan
-	}
-	var next overlay.NodeID
-	if msg.remaining <= 0 {
-		next = msg.responder
-	} else {
-		n, deliver := p.router.NextHop(p.ID, msg.from, msg.initiator, msg.responder, msg.batch, msg.conn, msg.remaining)
-		if deliver {
-			next = msg.responder
-		} else {
-			next = n
-		}
-	}
-	// Secure protocol: seal this hop's record to the batch key. The hop
-	// index is this forwarder's position (interior nodes so far).
-	if msg.contract != nil && p.ID != msg.initiator {
-		rec, err := onion.NewPathRecord(msg.contract, uint64(msg.conn), len(msg.path)-1, p.ID, msg.from, next)
-		if err == nil {
-			msg.records = append(msg.records, rec)
-		}
-	}
-	out := msg
-	out.from = p.ID
-	out.remaining = msg.remaining - 1
-	if !p.net.send(next, out) {
-		// Synchronous drop: the chosen successor departed. Mark it dead
-		// and NACK back along the path (starting at our predecessor — we
-		// already know) so the initiator reforms at once.
-		p.net.markDead(next)
-		p.net.nackBack(out, len(out.path)-2, fmt.Sprintf("next hop %d departed", next), false)
-	}
-}
-
-// relayBack moves a CONFIRM/NACK one reverse-path member closer to the
-// initiator, collapsing consecutive entries of this peer itself (a walk
-// may revisit a node; self-sends could deadlock a full inbox). When the
-// initiator — index 0, necessarily this peer — is reached, the attempt is
-// resolved with the terminal result.
-func (p *Peer) relayBack(msg message, terminal connResult) {
-	for {
-		if msg.hop <= 0 {
-			resolve(msg.done, terminal)
-			return
-		}
-		msg.hop--
-		if msg.path[msg.hop] == p.ID {
-			continue
-		}
-		p.net.reverseRoute(msg)
-		return
-	}
-}
-
-// handleConfirm retraces the reverse path back to the initiator.
-func (p *Peer) handleConfirm(msg message) {
-	p.relayBack(msg, connResult{path: msg.path, records: msg.records, span: msg.span})
-}
-
-// handleNack retraces the reverse path like a confirm, terminating the
-// initiator's attempt with the carried error.
-func (p *Peer) handleNack(msg message) {
-	p.relayBack(msg, connResult{err: fmt.Errorf("transport: %s", msg.reason), fatal: msg.fatal, span: msg.span})
-}
-
-// traceTerminal records a connection's terminal lifecycle event.
-func (n *Network) traceTerminal(kind telemetry.EventKind, batch, conn int, initiator overlay.NodeID, hop int, detail string) {
-	if n.tracer == nil {
-		return
-	}
-	n.tracer.Record(telemetry.Event{
-		Kind: kind, Batch: batch, Conn: conn, Node: int(initiator), Hop: hop, Detail: detail,
-	})
-}
-
-// connect runs one connection with bounded retry: each attempt gets an
-// even share of timeout as its deadline; a timed-out or NACKed attempt is
-// relaunched — a path reformation — after exponential backoff, until the
-// policy's attempt budget or the overall deadline runs out. It returns the
-// terminal result plus the number of reformations performed.
-func (n *Network) connect(initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration, contract *onion.SignedContract) (connResult, int, error) {
-	if n.Peer(initiator) == nil {
-		return connResult{}, 0, fmt.Errorf("transport: unknown initiator %d", initiator)
-	}
-	if n.Peer(responder) == nil {
-		return connResult{}, 0, fmt.Errorf("transport: unknown responder %d", responder)
-	}
-	if initiator == responder {
-		return connResult{}, 0, errors.New("transport: initiator == responder")
-	}
-	policy := n.retry
-	if policy.MaxAttempts < 1 {
-		policy.MaxAttempts = 1
-	}
-	start := n.clock.Now()
-	if n.tracer != nil {
-		n.tracer.Record(telemetry.Event{
-			Kind: telemetry.KindLaunch, Batch: batch, Conn: conn,
-			Node: int(initiator), Detail: fmt.Sprintf("responder %d budget %d", responder, budget),
-		})
-	}
-	// Span context: one trace per (batch, I, R); its root span is minted
-	// lazily by every connection (the recorder deduplicates by id).
-	var trace, root telemetry.SpanID
-	if n.spans != nil {
-		trace = n.spans.TraceID(batch, int(initiator), int(responder))
-		root = telemetry.NewSpanID(trace, telemetry.SpanBatch, 0, 0, 0, int(initiator))
-		n.spans.Record(telemetry.Span{
-			Trace: trace, ID: root, Kind: telemetry.SpanBatch, Batch: batch, Node: int(initiator),
-		})
-	}
-	deadline := start.Add(timeout)
-	per := timeout / time.Duration(policy.MaxAttempts)
-	if per <= 0 {
-		per = timeout
-	}
-	backoff := policy.BaseBackoff
-	reforms := 0
-	lastAttempt := 1
-	var lastErr error
-	var prevSpan telemetry.SpanID // outcome span of the previous attempt
-	for attempt := 1; attempt <= policy.MaxAttempts; attempt++ {
-		lastAttempt = attempt
-		remaining := n.clock.Until(deadline)
-		if remaining <= 0 {
-			break
-		}
-		if attempt > 1 {
-			if backoff > 0 {
-				pause := backoff
-				if pause > remaining {
-					pause = remaining
-				}
-				n.clock.Sleep(pause)
-				if backoff *= 2; policy.MaxBackoff > 0 && backoff > policy.MaxBackoff {
-					backoff = policy.MaxBackoff
-				}
-				if remaining = n.clock.Until(deadline); remaining <= 0 {
-					break
-				}
-			}
-			reforms++
-			n.metrics.reformations.Add(1)
-			if n.tracer != nil {
-				n.tracer.Record(telemetry.Event{
-					Kind: telemetry.KindReformation, Batch: batch, Conn: conn,
-					Node: int(initiator), Detail: fmt.Sprintf("attempt %d", attempt),
-				})
-			}
-			if n.spans != nil {
-				parent := prevSpan
-				if parent == 0 {
-					parent = root
-				}
-				reform := telemetry.NewSpanID(parent, telemetry.SpanReform, conn, attempt, 0, int(initiator))
-				n.spans.Record(telemetry.Span{
-					Trace: trace, ID: reform, Parent: parent, Kind: telemetry.SpanReform,
-					Batch: batch, Conn: conn, Attempt: attempt, Node: int(initiator),
-				})
-			}
-		}
-		window := per
-		if window > remaining {
-			window = remaining
-		}
-		launch := telemetry.SpanID(0)
-		if n.spans != nil {
-			launch = telemetry.NewSpanID(root, telemetry.SpanLaunch, conn, attempt, 0, int(initiator))
-			n.spans.Record(telemetry.Span{
-				Trace: trace, ID: launch, Parent: root, Kind: telemetry.SpanLaunch,
-				Batch: batch, Conn: conn, Attempt: attempt, Node: int(initiator),
-			})
-		}
-		prevSpan = launch
-		done := make(chan connResult, 1)
-		sent := n.send(initiator, message{
-			kind:      msgForward,
-			batch:     batch,
-			conn:      conn,
-			from:      overlay.None,
-			initiator: initiator,
-			responder: responder,
-			remaining: budget,
-			contract:  contract,
-			deadline:  n.clock.Now().Add(window),
-			done:      done,
-			trace:     trace,
-			span:      launch,
-		})
-		if !sent {
-			n.metrics.failures.Add(1)
-			n.traceTerminal(telemetry.KindFailed, batch, conn, initiator, 0, "initiator departed")
-			n.failSpan(trace, prevSpan, batch, conn, attempt, initiator)
-			return connResult{}, reforms, fmt.Errorf("transport: initiator %d departed", initiator)
-		}
-		timer := n.clock.NewTimer(window)
-		select {
-		case res := <-done:
-			timer.Stop()
-			if res.err == nil {
-				n.metrics.connects.Add(1)
-				n.metrics.connectLatency.Observe(n.clock.Since(start).Seconds())
-				n.metrics.pathLen.Observe(float64(len(res.path)))
-				n.traceTerminal(telemetry.KindDelivered, batch, conn, initiator, len(res.path),
-					fmt.Sprintf("path len %d after %d reformations", len(res.path), reforms))
-				if n.spans != nil {
-					parent := res.span
-					if parent == 0 {
-						parent = launch
-					}
-					deliver := telemetry.NewSpanID(parent, telemetry.SpanDeliver, conn, attempt, 0, int(initiator))
-					n.spans.Record(telemetry.Span{
-						Trace: trace, ID: deliver, Parent: parent, Kind: telemetry.SpanDeliver,
-						Batch: batch, Conn: conn, Attempt: attempt, Node: int(initiator),
-					})
-				}
-				return res, reforms, nil
-			}
-			lastErr = res.err
-			if res.span != 0 {
-				prevSpan = res.span
-			}
-			if res.fatal {
-				n.metrics.failures.Add(1)
-				n.traceTerminal(telemetry.KindFailed, batch, conn, initiator, 0, res.err.Error())
-				n.failSpan(trace, prevSpan, batch, conn, attempt, initiator)
-				return connResult{}, reforms, res.err
-			}
-		case <-timer.C:
-			n.metrics.timeouts.Add(1)
-			lastErr = fmt.Errorf("transport: attempt %d of connection %d/%d timed out after %v", attempt, batch, conn, window)
-			if n.spans != nil {
-				timeoutSpan := telemetry.NewSpanID(launch, telemetry.SpanTimeout, conn, attempt, 0, int(initiator))
-				n.spans.Record(telemetry.Span{
-					Trace: trace, ID: timeoutSpan, Parent: launch, Kind: telemetry.SpanTimeout,
-					Batch: batch, Conn: conn, Attempt: attempt, Node: int(initiator),
-				})
-				prevSpan = timeoutSpan
-			}
-		}
-	}
-	n.metrics.failures.Add(1)
-	if lastErr == nil {
-		lastErr = fmt.Errorf("transport: connection %d/%d timed out after %v", batch, conn, timeout)
-	}
-	n.traceTerminal(telemetry.KindFailed, batch, conn, initiator, 0, lastErr.Error())
-	if prevSpan == 0 {
-		prevSpan = root
-	}
-	n.failSpan(trace, prevSpan, batch, conn, lastAttempt, initiator)
-	return connResult{}, reforms, fmt.Errorf("transport: connection %d/%d failed after %d reformations: %w", batch, conn, reforms, lastErr)
-}
-
-// failSpan emits the terminal fail span of a connection, parented on the
-// last causal step (nack span, timeout span, or the launch itself).
-func (n *Network) failSpan(trace, parent telemetry.SpanID, batch, conn, attempt int, initiator overlay.NodeID) {
-	if n.spans == nil {
-		return
-	}
-	id := telemetry.NewSpanID(parent, telemetry.SpanFail, conn, attempt, 0, int(initiator))
-	n.spans.Record(telemetry.Span{
-		Trace: trace, ID: id, Parent: parent, Kind: telemetry.SpanFail,
-		Batch: batch, Conn: conn, Attempt: attempt, Node: int(initiator),
-	})
-}
-
-// Connect runs one connection from initiator to responder with the given
-// hop budget and returns the realised path (I … R). It blocks until a
-// confirm returns or the timeout expires; mid-path departures are retried
-// per the network's RetryPolicy (path reformation) within that timeout.
-func (n *Network) Connect(initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration) ([]overlay.NodeID, error) {
-	res, _, err := n.connect(initiator, responder, batch, conn, budget, timeout, nil)
-	if err != nil {
-		return nil, err
-	}
-	return res.path, nil
 }
 
 // SettleDetail renders a settlement payoff as its exact float bits —
@@ -974,33 +387,18 @@ func (n *Network) SettleBatch(initiator overlay.NodeID, batch int, out *BatchOut
 	if n.Peer(initiator) == nil {
 		return 0, fmt.Errorf("transport: unknown initiator %d", initiator)
 	}
-	if n.spans != nil && len(out.Paths) > 0 {
+	if spans := n.Spans(); spans != nil && len(out.Paths) > 0 {
 		first := out.Paths[0]
 		responder := first[len(first)-1]
-		trace := n.spans.TraceID(batch, int(initiator), int(responder))
+		trace := spans.TraceID(batch, int(initiator), int(responder))
 		root := telemetry.NewSpanID(trace, telemetry.SpanBatch, 0, 0, 0, int(initiator))
 		for id := range out.Set {
 			span := telemetry.NewSpanID(root, telemetry.SpanSettle, 0, 0, 0, int(id))
-			n.spans.Record(telemetry.Span{
+			spans.Record(telemetry.Span{
 				Trace: trace, ID: span, Parent: root, Kind: telemetry.SpanSettle,
 				Batch: batch, Node: int(id), Detail: SettleDetail(out.Payoff(id, contract)),
 			})
 		}
 	}
 	return len(out.Set), nil
-}
-
-// RunBatch executes k connections sequentially (recurring connections of
-// one (I, R) pair are inherently ordered) and aggregates the outcome.
-func (n *Network) RunBatch(initiator, responder overlay.NodeID, batch, k, budget int, timeout time.Duration) (*BatchOutcome, error) {
-	out := NewBatchOutcome()
-	for conn := 1; conn <= k; conn++ {
-		res, reforms, err := n.connect(initiator, responder, batch, conn, budget, timeout, nil)
-		out.Reformations += reforms
-		if err != nil {
-			return out, err
-		}
-		out.Record(res.path, initiator)
-	}
-	return out, nil
 }
