@@ -15,11 +15,13 @@
 // internal/faultsim) instead of the simulator: it loads the plan JSON (or
 // generates one from a seed with gen:<seed>), replays the seeded world,
 // checks every system invariant and exits non-zero on a violation. With
-// -trace-out the run's full event trace is written as JSONL — byte-identical
-// across runs of the same plan. The plan's settle_queue/settle_delay fields
-// size the bounded async settlement queue and the virtual-clock delay after
-// batch close at which the world drains it (the deterministic drain point
-// of the payment pipeline; defaults 4 jobs / 0.5 s).
+// -trace-out the world's event log is written as JSONL — byte-identical
+// across runs of the same plan; the flag belongs to -faults alone (a live
+// run's record is its span log, -span-out). The plan's
+// settle_queue/settle_delay fields size the bounded async settlement queue
+// and the virtual-clock delay after batch close at which the world drains
+// it (the deterministic drain point of the payment pipeline; defaults 4
+// jobs / 0.5 s).
 //
 // -span-out captures the causal span log: in -faults mode the virtual-clock
 // span trees of the deterministic world (byte-identical across runs of the
@@ -47,10 +49,9 @@
 //
 // The telemetry flags expose the run's unified instrument registry:
 // -metrics-addr serves Prometheus text on /metrics (plus /metrics.json,
-// /trace and net/http/pprof under /debug/pprof/), -trace-out writes the
-// connection lifecycle event ring (launch, hop-forward, contract-reject,
-// NACK, reformation, delivered/failed) as JSONL at exit, and
-// -metrics-every logs a snapshot table to stderr on a fixed cadence.
+// net/http/pprof under /debug/pprof/ and, with -live, the span log so far
+// on /trace), and -metrics-every logs a snapshot table to stderr on a
+// fixed cadence. -trace-cap bounds the span recorder.
 package main
 
 import (
@@ -91,8 +92,8 @@ func main() {
 	liveRemovals := flag.Int("live-removals", 2, "busiest forwarders removed mid-run in the live replay")
 	netBackend := flag.String("net", "inproc", "live-replay forwarding backend: inproc | tcp (real 127.0.0.1 sockets via internal/netwire; implies -live)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live telemetry on this address (Prometheus /metrics, JSON /metrics.json, /trace, pprof); :0 picks a free port")
-	traceOut := flag.String("trace-out", "", "write connection lifecycle events as JSONL to this file at exit")
-	traceCap := flag.Int("trace-cap", 65536, "event-ring capacity for lifecycle tracing")
+	traceOut := flag.String("trace-out", "", "with -faults: write the fault world's event log as JSONL to this file (a live run's record is -span-out)")
+	traceCap := flag.Int("trace-cap", 65536, "span-recorder capacity; spans past it are counted as dropped")
 	metricsEvery := flag.Duration("metrics-every", 0, "log a telemetry snapshot table to stderr at this interval (0 = off)")
 	spanOut := flag.String("span-out", "", "write the causal span log as JSONL to this file (faultsim world or -live replay; read it with tracetool)")
 	phaseReport := flag.String("phase-report", "", "profile the simulator's phases and write the per-phase breakdown JSON to this file")
@@ -112,6 +113,10 @@ func main() {
 	if *faults != "" {
 		os.Exit(runFaults(*faults, *traceOut, *spanOut))
 	}
+	if *traceOut != "" {
+		fmt.Fprintln(os.Stderr, "anonsim: -trace-out writes the -faults event log only; a live run's lifecycle record is its span log, use -span-out")
+		os.Exit(2)
+	}
 
 	switch *netBackend {
 	case "inproc":
@@ -122,21 +127,26 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The unified registry/tracer back every instrumented layer of the
-	// run; they stay nil (all hooks no-ops) unless a telemetry flag asks
-	// for them.
+	// The unified registry and the span recorder back every instrumented
+	// layer of the run; they stay nil (all hooks no-ops) unless a
+	// telemetry flag asks for them.
 	var reg *telemetry.Registry
-	var tracer *telemetry.Tracer
-	if *metricsAddr != "" || *metricsEvery > 0 || *traceOut != "" {
+	if *metricsAddr != "" || *metricsEvery > 0 {
 		reg = telemetry.NewRegistry()
 	}
-	if *traceOut != "" || *metricsAddr != "" {
-		tracer = telemetry.NewTracer(*traceCap)
+	var spanRec *telemetry.SpanRecorder
+	if *spanOut != "" && !*live {
+		fmt.Fprintln(os.Stderr, "anonsim: -span-out captures spans from the -live replay or a -faults run; enabling -live")
+		*live = true
+	}
+	if *spanOut != "" || (*metricsAddr != "" && *live) {
+		spanRec = telemetry.NewSpanRecorder(*traceCap)
+		spanRec.SetSeed(int64(*seed))
 	}
 	var srv *telemetry.Server
 	if *metricsAddr != "" {
 		var err error
-		srv, err = telemetry.Serve(*metricsAddr, reg, tracer)
+		srv, err = telemetry.Serve(*metricsAddr, reg, spanRec)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "anonsim: metrics server: %v\n", err)
 			os.Exit(1)
@@ -193,15 +203,6 @@ func main() {
 		prof.Instrument(reg) // nil-safe: feeds sim_phase_seconds when serving
 		s.Profile = prof
 	}
-	var spanRec *telemetry.SpanRecorder
-	if *spanOut != "" {
-		if !*live {
-			fmt.Fprintln(os.Stderr, "anonsim: -span-out captures spans from the -live replay or a -faults run; enabling -live")
-			*live = true
-		}
-		spanRec = telemetry.NewSpanRecorder(*traceCap)
-		spanRec.SetSeed(int64(*seed))
-	}
 
 	res, err := experiment.Run(s)
 	if err != nil {
@@ -245,7 +246,7 @@ func main() {
 
 	if *live {
 		runLive(strategy, *netBackend, *n, *d, *pairs, *tx, *maxconn, *liveRemovals, *seed,
-			stats.Mean(res.NewEdgeRates), reg, tracer, spanRec)
+			stats.Mean(res.NewEdgeRates), reg, spanRec)
 	}
 
 	if reg != nil {
@@ -255,15 +256,7 @@ func main() {
 	if srv != nil {
 		scrapeSummary(srv.Addr())
 	}
-	if *traceOut != "" {
-		if err := tracer.DumpJSONL(*traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "anonsim: writing trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace: wrote %d events to %s (%d dropped by the ring)\n",
-			len(tracer.Events()), *traceOut, tracer.Dropped())
-	}
-	if spanRec != nil {
+	if *spanOut != "" {
 		if err := spanRec.DumpJSONL(*spanOut); err != nil {
 			fmt.Fprintf(os.Stderr, "anonsim: writing span log: %v\n", err)
 			os.Exit(1)
@@ -313,7 +306,7 @@ func scrapeSummary(addr string) {
 // simulator's new-edge rate. With backend "tcp" the replay runs over a
 // netwire loopback cluster — real sockets, the same Conductor surface.
 func runLive(strategy core.Strategy, backend string, n, d, pairs, tx, maxconn, removals int, seed uint64,
-	simNewEdge float64, reg *telemetry.Registry, tracer *telemetry.Tracer, spans *telemetry.SpanRecorder) {
+	simNewEdge float64, reg *telemetry.Registry, spans *telemetry.SpanRecorder) {
 	if strategy == core.FixedPath {
 		fmt.Println("\nlive replay: fixed-path has no live router; use random/utility-I/utility-II")
 		return
@@ -325,7 +318,6 @@ func runLive(strategy core.Strategy, backend string, n, d, pairs, tx, maxconn, r
 	ls.Strategy = strategy
 	ls.Seed = seed
 	ls.Telemetry = reg
-	ls.Tracer = tracer
 	ls.Spans = spans
 	if backend == "tcp" {
 		ls.NewConductor = func(latency time.Duration) transport.Conductor {

@@ -59,15 +59,17 @@ func main() {
 	routerI := transport.NewUtilityRouter(topo, quality.DefaultWeights(), contract, avail)
 	routerII := transport.NewUtilityIIRouter(topo, quality.DefaultWeights(), contract, avail)
 
-	// One shared registry and event tracer across the runtime and the
-	// SPNE router: the final report shows the unified series.
+	// One shared registry across the runtime and the SPNE router — the
+	// final report shows the unified series — and one span recorder, the
+	// causal record of every connection's lifecycle.
 	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer(8192)
+	spans := telemetry.NewSpanRecorder(8192)
 	routerII.Instrument(reg)
 
 	live := transport.NewNetwork(200 * time.Microsecond)
 	defer live.Close()
-	live.Instrument(reg, tracer)
+	live.Instrument(reg)
+	live.SetSpans(spans)
 	for id := range topo {
 		r := transport.Router(routerI)
 		if id%2 == 0 {
@@ -150,23 +152,23 @@ func main() {
 	}
 
 	// The unified telemetry view: every series both routers and the
-	// runtime wrote, the latency distribution, and the traced lifecycle
-	// of the churn phase's reformed connections.
+	// runtime wrote, the latency distribution, and the span log's count
+	// of NACKed attempts and delivered connections.
 	fmt.Println()
 	report.TelemetryTable("unified telemetry", reg.Snapshot()).Render(os.Stdout)
 	fmt.Println()
 	fmt.Print(report.HistogramChart("connect latency (seconds)", m.ConnectLatency, 40))
 	var nacked, delivered int
-	for _, ev := range tracer.Events() {
-		switch ev.Kind {
-		case telemetry.KindNack:
+	for _, sp := range spans.Spans() {
+		switch sp.Kind {
+		case telemetry.SpanNack:
 			nacked++
-		case telemetry.KindDelivered:
+		case telemetry.SpanDeliver:
 			delivered++
 		}
 	}
-	fmt.Printf("\ntrace ring: %d events (%d NACKs, %d delivered, %d dropped by the ring)\n",
-		len(tracer.Events()), nacked, delivered, tracer.Dropped())
+	fmt.Printf("\nspan log: %d spans (%d NACKs, %d delivered, %d dropped by the recorder)\n",
+		spans.Total(), nacked, delivered, spans.Dropped())
 }
 
 // busiestForwarder returns the non-endpoint peer with the most forwarding

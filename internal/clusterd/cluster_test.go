@@ -200,6 +200,27 @@ func TestClusterSoakChurn(t *testing.T) {
 	}
 }
 
+// TestClusterReportsDroppedSpans overflows every worker's recorder (cap 4)
+// and requires the loss to reach the merged artifact: each worker's
+// dropped-span count is a mandatory upload, so the run reports Dropped > 0
+// and the trace-capacity violation instead of judging a truncated log.
+func TestClusterReportsDroppedSpans(t *testing.T) {
+	comp := Composition{
+		Plan:    faultsim.Plan{Seed: 11, Nodes: 9, Batches: 2, Conns: 3, TraceCap: 4},
+		Workers: 3,
+	}
+	res, _ := runComposition(t, comp, "")
+	if res.Dropped == 0 {
+		t.Fatalf("3 workers recording into cap-4 recorders merged %d spans yet reported no drops", len(res.Spans))
+	}
+	for _, v := range res.Violations {
+		if v.Invariant == faultsim.InvTraceCapacity {
+			return
+		}
+	}
+	t.Fatalf("dropped=%d but no %s violation: %v", res.Dropped, faultsim.InvTraceCapacity, res.Violations)
+}
+
 // TestClusterOrphansExitWhenOrchestratorDies pins the self-reaping
 // property: a worker whose control connection dies exits on its own,
 // with no orchestrator left to kill it.

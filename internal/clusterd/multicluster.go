@@ -42,7 +42,7 @@ func NewMultiCluster(n int, cfg netwire.Config) *MultiCluster {
 	m := &MultiCluster{owner: make(map[overlay.NodeID]int)}
 	for i := 0; i < n; i++ {
 		c := netwire.NewCluster(cfg)
-		c.Instrument(reg, nil)
+		c.Instrument(reg)
 		m.parts = append(m.parts, c)
 	}
 	return m
@@ -125,11 +125,10 @@ func (m *MultiCluster) Node(id overlay.NodeID) *netwire.Node {
 	return m.partOf(id).Node(id)
 }
 
-// Instrument rebinds every part into reg (shared instruments aggregate)
-// and attaches the tracer.
-func (m *MultiCluster) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
+// Instrument rebinds every part into reg (shared instruments aggregate).
+func (m *MultiCluster) Instrument(reg *telemetry.Registry) {
 	for _, c := range m.parts {
-		c.Instrument(reg, tr)
+		c.Instrument(reg)
 	}
 }
 

@@ -1,7 +1,6 @@
 package clusterd
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -424,8 +423,8 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 	}
 	spansByWorker := make([][]telemetry.Span, comp.Workers)
 	for _, w := range workers {
-		var gotSpans, gotTel bool
-		for !gotSpans || !gotTel {
+		var gotSpans, gotTel, gotDropped bool
+		for !gotSpans || !gotTel || !gotDropped {
 			m, err := o.recv(ctx, w)
 			if err != nil {
 				return nil, fmt.Errorf("collecting artifacts: %w", err)
@@ -435,7 +434,7 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 			}
 			switch m.ArtifactKind {
 			case "spans":
-				spans, err := parseSpanJSONL(m.Data)
+				spans, err := telemetry.ReadSpans(bytes.NewReader(m.Data))
 				if err != nil {
 					return nil, fmt.Errorf("clusterd: worker %d spans: %w", w.index, err)
 				}
@@ -446,8 +445,12 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 				gotTel = true
 				o.saveArtifact(fmt.Sprintf("worker-%d.telemetry.json", w.index), m.Data)
 			case "dropped":
-				n, _ := strconv.Atoi(string(m.Data))
+				n, err := strconv.Atoi(string(m.Data))
+				if err != nil {
+					return nil, fmt.Errorf("clusterd: worker %d dropped-span count: %w", w.index, err)
+				}
 				result.Dropped += n
+				gotDropped = true
 			default:
 				o.saveArtifact(fmt.Sprintf("worker-%d.%s", w.index, m.ArtifactKind), m.Data)
 			}
@@ -460,13 +463,8 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 	result.Violations = faultsim.CheckClusterArtifact(comp.Plan, result.Batches, result.Observed, merged, result.Dropped)
 	if o.Dir != "" {
 		var buf bytes.Buffer
-		for _, s := range merged {
-			line, err := json.Marshal(s)
-			if err != nil {
-				return nil, err
-			}
-			buf.Write(line)
-			buf.WriteByte('\n')
+		if err := telemetry.WriteSpansJSONL(&buf, merged); err != nil {
+			return nil, err
 		}
 		o.saveArtifact("spans.jsonl", buf.Bytes())
 		res, err := json.MarshalIndent(result, "", "  ")
@@ -506,24 +504,4 @@ func reap(cmds []*exec.Cmd) {
 			<-done
 		}
 	}
-}
-
-// parseSpanJSONL decodes a span-per-line log, the SpanRecorder's
-// WriteJSONL format.
-func parseSpanJSONL(data []byte) ([]telemetry.Span, error) {
-	var out []telemetry.Span
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var s telemetry.Span
-		if err := json.Unmarshal(line, &s); err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, sc.Err()
 }

@@ -289,8 +289,8 @@ func (w *worker) collect(m *Msg) error {
 	return w.send(&Msg{Kind: MsgSignal, Name: fmt.Sprintf("done-%d", m.Batch)})
 }
 
-// upload ships the span log and telemetry snapshot, then reports how
-// many spans the recorder had to drop (only when nonzero).
+// upload ships the three artifacts the orchestrator waits for: the span
+// log, the telemetry snapshot and how many spans the recorder dropped.
 func (w *worker) upload() error {
 	var spans bytes.Buffer
 	if err := w.rec.WriteJSONL(&spans); err != nil {
@@ -306,11 +306,6 @@ func (w *worker) upload() error {
 	if err := w.send(&Msg{Kind: MsgArtifact, ArtifactKind: "telemetry", Data: tel.Bytes()}); err != nil {
 		return err
 	}
-	if d := w.rec.Dropped(); d > 0 {
-		data := []byte(strconv.FormatUint(d, 10))
-		if err := w.send(&Msg{Kind: MsgArtifact, ArtifactKind: "dropped", Data: data}); err != nil {
-			return err
-		}
-	}
-	return nil
+	dropped := []byte(strconv.FormatUint(w.rec.Dropped(), 10))
+	return w.send(&Msg{Kind: MsgArtifact, ArtifactKind: "dropped", Data: dropped})
 }

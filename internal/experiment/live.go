@@ -41,14 +41,13 @@ type LiveSetup struct {
 	// Telemetry, when non-nil, receives the run's instruments — the
 	// transport runtime's metrics plus overlay churn, probe updates and
 	// the SPNE cache counters — so a caller can expose one registry for
-	// the whole replay. Tracer, when non-nil, records the connection
-	// lifecycle events (launch, hop-forward, NACK, reformation,
-	// delivered/failed) into its ring.
+	// the whole replay.
 	Telemetry *telemetry.Registry
-	Tracer    *telemetry.Tracer
 	// Spans, when non-nil, is attached to the conductor so the replay
 	// emits deterministic causal span trees (batch roots, launches, hops,
-	// responds, delivers, settles) into it — the log cmd/tracetool reads.
+	// responds, nacks, reformations, delivers, settles) into it — the one
+	// record of each connection's lifecycle, and the log cmd/tracetool
+	// reads.
 	Spans *telemetry.SpanRecorder
 	// NewConductor, when non-nil, builds the forwarding backend the
 	// replay runs over — e.g. a netwire TCP loopback cluster — with the
@@ -146,9 +145,7 @@ func RunLive(s LiveSetup) (*LiveOutcome, error) {
 		live = transport.NewNetwork(s.Latency)
 	}
 	defer live.Close()
-	if s.Telemetry != nil || s.Tracer != nil {
-		live.Instrument(s.Telemetry, s.Tracer)
-	}
+	live.Instrument(s.Telemetry)
 	live.SetSpans(s.Spans)
 	for id := range topo {
 		if err := live.Join(id, router); err != nil {

@@ -6,15 +6,52 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
 	"p2panon/internal/telemetry"
 )
+
+// EventKind names an entry of the world's event log.
+type EventKind string
+
+// The lifecycle the world logs as each step is *accepted*: a connection
+// is launched, forwarded hop by hop, NACKed or timed out, reformed, and
+// finally delivered or failed; settled marks a batch's payment and fault
+// the application of a scheduled fault.
+const (
+	KindLaunch      EventKind = "launch"
+	KindHopForward  EventKind = "hop-forward"
+	KindNack        EventKind = "nack"
+	KindTimeout     EventKind = "timeout"
+	KindReformation EventKind = "reformation"
+	KindDelivered   EventKind = "delivered"
+	KindFailed      EventKind = "failed"
+	KindSettled     EventKind = "settled"
+	KindFault       EventKind = "fault"
+)
+
+// Event is one entry of the event log, the harness's own record of a run,
+// kept apart from the span log on purpose: invariants 4–6 compare against
+// it, and its acceptance-time semantics differ from a span's (a duplicated
+// message is two hop events and one span, a stale NACK is a span and no
+// event, a fault has no span). Node is the acting peer (the forwarder for
+// hop events, the initiator for connection-level ones), Hop its path
+// position where meaningful, Time the virtual clock on a fixed epoch.
+type Event struct {
+	Time   time.Time `json:"t"`
+	Kind   EventKind `json:"kind"`
+	Batch  int       `json:"batch"`
+	Conn   int       `json:"conn"`
+	Node   int       `json:"node"`
+	Hop    int       `json:"hop,omitempty"`
+	Detail string    `json:"detail,omitempty"`
+}
 
 // Result is everything one deterministic run produced: the full event
 // trace, the invariant verdict and the headline counters.
 type Result struct {
 	Plan       Plan
-	Events     []telemetry.Event
+	Events     []Event
 	Violations []Violation
 
 	Sends, OfflineDrops, Stale                    int64
@@ -76,7 +113,7 @@ func Run(p Plan) (*Result, error) {
 
 	res := &Result{
 		Plan:           p,
-		Events:         w.tracer.Events(),
+		Events:         w.events,
 		Sends:          w.cSends.Value(),
 		OfflineDrops:   w.cDrops.Value(),
 		Stale:          w.cStale.Value(),
@@ -88,7 +125,7 @@ func Run(p Plan) (*Result, error) {
 		Delivered:      w.cDelivered.Value(),
 		Failed:         w.cFailed.Value(),
 		FaultsInjected: w.cFaults.Value(),
-		TraceDropped:   w.tracer.Dropped(),
+		TraceDropped:   w.eventsDropped,
 		VirtualSeconds: float64(w.eng.Now()),
 		Spans:          w.spans.Spans(),
 		SpanDropped:    w.spans.Dropped(),

@@ -218,6 +218,43 @@ func TestSeededPlansSpanDeterminism(t *testing.T) {
 	}
 }
 
+// TestEventLogCapacity pins the event log's bound: a run that logs more
+// than Plan.TraceCap events keeps the oldest TraceCap of them — a prefix
+// of the unbounded run's log — counts the rest, and reports trace-capacity
+// instead of judging invariants 4–6 over a truncated history.
+func TestEventLogCapacity(t *testing.T) {
+	full, err := Run(Plan{Seed: 5, Batches: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 8
+	if len(full.Events) <= limit || full.TraceDropped != 0 || !full.OK() {
+		t.Fatalf("reference run: %d events, %d dropped, violations %v", len(full.Events), full.TraceDropped, full.Violations)
+	}
+	res, err := Run(Plan{Seed: 5, Batches: 1, TraceCap: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := full.TraceJSONL(); !bytes.HasPrefix(want, res.TraceJSONL()) || len(res.Events) != limit {
+		t.Fatalf("capped log is not the first %d events of the full one:\n%s", limit, res.TraceJSONL())
+	}
+	if want := uint64(len(full.Events) - limit); res.TraceDropped != want {
+		t.Fatalf("dropped %d events, want %d", res.TraceDropped, want)
+	}
+	fired := false
+	for _, v := range res.Violations {
+		switch v.Invariant {
+		case InvTraceCapacity:
+			fired = true
+		case InvContiguity, InvReformation, InvReconcile:
+			t.Fatalf("trace-backed invariant judged a truncated log: %v", v)
+		}
+	}
+	if !fired {
+		t.Fatalf("no %s violation: %v", InvTraceCapacity, res.Violations)
+	}
+}
+
 // TestValidateRejectsBadPlans spot-checks schedule validation.
 func TestValidateRejectsBadPlans(t *testing.T) {
 	cases := []Plan{

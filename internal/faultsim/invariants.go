@@ -18,7 +18,7 @@ const (
 	InvContiguity    = "path-contiguity"      // delivered paths are backed by contiguous hop traces
 	InvReformation   = "reformation-count"    // NACKs+timeouts balance reformations+failures
 	InvReconcile     = "telemetry-reconcile"  // counters agree with the trace and the mirrored expectations
-	InvTraceCapacity = "trace-capacity"       // the event ring never evicted
+	InvTraceCapacity = "trace-capacity"       // the event log never overflowed
 )
 
 // Violation is one invariant failure found after a run.
@@ -112,11 +112,11 @@ func (w *world) checkInvariants() []Violation {
 
 	// (7) Trace capacity first: the trace-backed checkers below are only
 	// meaningful over a complete event history.
-	if d := w.tracer.Dropped(); d > 0 {
-		add(InvTraceCapacity, "event ring evicted %d events (cap %d); trace-backed invariants skipped", d, w.plan.TraceCap)
+	if w.eventsDropped > 0 {
+		add(InvTraceCapacity, "event log dropped %d events (cap %d); trace-backed invariants skipped", w.eventsDropped, w.plan.TraceCap)
 		return out
 	}
-	events := w.tracer.Events()
+	events := w.events
 
 	// (4) Path contiguity: every delivered connection's path must be backed
 	// by a hop-forward trace at every position, in the delivering attempt.
@@ -128,7 +128,7 @@ func (w *world) checkInvariants() []Violation {
 	}
 	hops := make(map[hopKey]int)
 	for _, ev := range events {
-		if ev.Kind == telemetry.KindHopForward {
+		if ev.Kind == KindHopForward {
 			hops[hopKey{ev.Batch, ev.Conn, ev.Hop, ev.Node, ev.Detail}]++
 		}
 	}
@@ -147,20 +147,20 @@ func (w *world) checkInvariants() []Violation {
 	// (5) Reformation accounting: every NACK or timeout terminates exactly
 	// one attempt, which either reforms or fails the connection. Failures
 	// caused by an offline initiator at (re)launch consume no attempt.
-	kindCount := make(map[telemetry.EventKind]int64)
+	kindCount := make(map[EventKind]int64)
 	var failedNonOffline int64
 	for _, ev := range events {
 		kindCount[ev.Kind]++
-		if ev.Kind == telemetry.KindFailed && !strings.HasPrefix(ev.Detail, "cause=offline") {
+		if ev.Kind == KindFailed && !strings.HasPrefix(ev.Detail, "cause=offline") {
 			failedNonOffline++
 		}
 	}
-	lhs := kindCount[telemetry.KindNack] + kindCount[telemetry.KindTimeout]
-	rhs := kindCount[telemetry.KindReformation] + failedNonOffline
+	lhs := kindCount[KindNack] + kindCount[KindTimeout]
+	rhs := kindCount[KindReformation] + failedNonOffline
 	if lhs != rhs {
 		add(InvReformation, "%d NACKs + %d timeouts != %d reformations + %d non-offline failures",
-			kindCount[telemetry.KindNack], kindCount[telemetry.KindTimeout],
-			kindCount[telemetry.KindReformation], failedNonOffline)
+			kindCount[KindNack], kindCount[KindTimeout],
+			kindCount[KindReformation], failedNonOffline)
 	}
 
 	// (6) Reconciliation: the labelled counters and the structured trace
@@ -168,16 +168,16 @@ func (w *world) checkInvariants() []Violation {
 	// each other and with the expectations mirrored during injection.
 	recon := []struct {
 		metric string
-		kind   telemetry.EventKind
+		kind   EventKind
 	}{
-		{metricLaunches, telemetry.KindLaunch},
-		{metricHops, telemetry.KindHopForward},
-		{metricNacks, telemetry.KindNack},
-		{metricTimeouts, telemetry.KindTimeout},
-		{metricReforms, telemetry.KindReformation},
-		{metricDelivered, telemetry.KindDelivered},
-		{metricFailed, telemetry.KindFailed},
-		{metricFaults, telemetry.KindFault},
+		{metricLaunches, KindLaunch},
+		{metricHops, KindHopForward},
+		{metricNacks, KindNack},
+		{metricTimeouts, KindTimeout},
+		{metricReforms, KindReformation},
+		{metricDelivered, KindDelivered},
+		{metricFailed, KindFailed},
+		{metricFaults, KindFault},
 	}
 	for _, rc := range recon {
 		if got, want := w.reg.Counter(rc.metric, nil).Value(), kindCount[rc.kind]; got != want {
@@ -195,7 +195,7 @@ func (w *world) checkInvariants() []Violation {
 	if got := w.reg.Counter("payment_settlements_total", nil).Value(); got != settledBatches {
 		add(InvReconcile, "payment_settlements_total = %d, want %d settled batches", got, settledBatches)
 	}
-	if got, want := kindCount[telemetry.KindSettled], settledBatches; got != want {
+	if got, want := kindCount[KindSettled], settledBatches; got != want {
 		add(InvReconcile, "trace holds %d settled events, want %d", got, want)
 	}
 	dsCounter := w.reg.Counter("payment_cheats_detected_total", telemetry.Labels{"kind": "double_spend"})

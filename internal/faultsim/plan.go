@@ -113,8 +113,8 @@ type Plan struct {
 	SettleQueue int     `json:"settle_queue,omitempty"` // queue capacity
 	SettleDelay float64 `json:"settle_delay,omitempty"` // seconds to drain
 
-	// TraceCap bounds the event ring; the trace-capacity invariant fails
-	// if the run records more events than this.
+	// TraceCap bounds the event log and the span recorder alike; the
+	// trace-capacity invariant fails if the run logs more events than this.
 	TraceCap int `json:"trace_cap,omitempty"`
 
 	// KeyBits sizes the bank's RSA key (small keys keep runs fast; the

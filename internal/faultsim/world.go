@@ -17,9 +17,9 @@ import (
 	"p2panon/internal/transport"
 )
 
-// Harness metric names. Every counter with a trace-event twin is checked
-// against the trace by the reconciliation invariant; sends, offline drops
-// and stale replies have no per-event trace (they would flood the ring)
+// Harness metric names. Every counter with an event-log twin is checked
+// against the log by the reconciliation invariant; sends, offline drops
+// and stale replies have no per-event record (they would flood the log)
 // and are reported in Result only.
 const (
 	metricSends     = "faultsim_sends_total"
@@ -82,7 +82,8 @@ type connState struct {
 	backoff     float64
 	reforms     int
 	// launchSpan is this attempt's launch; prevSpan the last causal step
-	// (launch, nack or timeout) the next reform/fail span parents on.
+	// (the batch root before any launch, then launch, nack or timeout) the
+	// next reform/fail span parents on.
 	launchSpan, prevSpan telemetry.SpanID
 }
 
@@ -129,8 +130,11 @@ type world struct {
 	probes *probe.Set
 	bank   *payment.Bank
 	reg    *telemetry.Registry
-	tracer *telemetry.Tracer
 	spans  *telemetry.SpanRecorder
+
+	// The event log: at most plan.TraceCap entries, the overflow counted.
+	events        []Event
+	eventsDropped uint64
 
 	rng       *dist.Source // world randomness (endpoints, churn, probes)
 	routerRNG *dist.Source // router randomness, split per batch
@@ -167,7 +171,6 @@ func newWorld(p Plan) (*world, error) {
 		eng:       sim.NewEngine(),
 		bank:      bank,
 		reg:       reg,
-		tracer:    telemetry.NewTracer(p.TraceCap),
 		rng:       rng,
 		accounts:  make(map[overlay.NodeID]struct{}),
 		msgSeq:    make(map[[2]int]int),
@@ -206,18 +209,31 @@ func (w *world) vtime() time.Time {
 	return time.Unix(0, 0).UTC().Add(time.Duration(float64(w.eng.Now()) * float64(time.Second)))
 }
 
-// trace stamps ev with the virtual clock and records it.
-func (w *world) trace(ev telemetry.Event) {
+// trace stamps ev with the virtual clock and appends it to the event log.
+func (w *world) trace(ev Event) {
+	if len(w.events) >= w.plan.TraceCap {
+		w.eventsDropped++
+		return
+	}
 	ev.Time = w.vtime()
-	w.tracer.Record(ev)
+	w.events = append(w.events, ev)
+}
+
+// emit records an initiator-side span of the in-flight attempt.
+func (w *world) emit(kind telemetry.SpanKind, parent telemetry.SpanID) telemetry.SpanID {
+	cur, rec := w.cur, w.curRec
+	return w.spans.Emit(telemetry.Span{
+		Trace: rec.trace, Parent: parent, Kind: kind,
+		Batch: cur.batch, Conn: cur.conn, Attempt: cur.attempt, Node: int(rec.initiator),
+	})
 }
 
 // traceFault records the application of a scheduled fault. Counter and
 // event move together so reconciliation can compare them.
 func (w *world) traceFault(f Fault, detail string) {
 	w.cFaults.Inc()
-	w.trace(telemetry.Event{
-		Kind: telemetry.KindFault, Batch: f.Batch, Conn: f.Conn, Node: f.Node,
+	w.trace(Event{
+		Kind: KindFault, Batch: f.Batch, Conn: f.Conn, Node: f.Node,
 		Detail: fmt.Sprintf("%s: %s", f.Kind, detail),
 	})
 }
@@ -364,11 +380,7 @@ func (w *world) startBatch(b int) {
 	}
 	rec.initiator, rec.responder = good[ii], good[rr]
 
-	rec.trace = w.spans.TraceID(b, int(rec.initiator), int(rec.responder))
-	rec.root = telemetry.NewSpanID(rec.trace, telemetry.SpanBatch, 0, 0, 0, int(rec.initiator))
-	w.spans.Record(telemetry.Span{
-		Trace: rec.trace, ID: rec.root, Kind: telemetry.SpanBatch, Batch: b, Node: int(rec.initiator),
-	})
+	rec.trace, rec.root = w.spans.Root(b, int(rec.initiator), int(rec.responder))
 
 	topo := transport.SnapshotTopology(w.net)
 	rec.router = w.buildRouter(topo, w.availMap())
@@ -412,10 +424,10 @@ func (w *world) nextBatch() {
 
 func (w *world) launchConn(c int) {
 	rec := w.curRec
-	w.cur = &connState{batch: rec.batch, conn: c, attempt: 1, backoff: w.plan.BackoffBase}
+	w.cur = &connState{batch: rec.batch, conn: c, attempt: 1, backoff: w.plan.BackoffBase, prevSpan: rec.root}
 	w.cLaunches.Inc()
-	w.trace(telemetry.Event{
-		Kind: telemetry.KindLaunch, Batch: rec.batch, Conn: c, Node: int(rec.initiator),
+	w.trace(Event{
+		Kind: KindLaunch, Batch: rec.batch, Conn: c, Node: int(rec.initiator),
 		Detail: fmt.Sprintf("responder %d budget %d", rec.responder, w.plan.Budget),
 	})
 	w.startAttempt()
@@ -430,11 +442,7 @@ func (w *world) startAttempt() {
 		return
 	}
 	attempt := cur.attempt
-	launch := telemetry.NewSpanID(rec.root, telemetry.SpanLaunch, cur.conn, attempt, 0, int(rec.initiator))
-	w.spans.Record(telemetry.Span{
-		Trace: rec.trace, ID: launch, Parent: rec.root, Kind: telemetry.SpanLaunch,
-		Batch: cur.batch, Conn: cur.conn, Attempt: attempt, Node: int(rec.initiator),
-	})
+	launch := w.emit(telemetry.SpanLaunch, rec.root)
 	cur.launchSpan, cur.prevSpan = launch, launch
 	w.eng.AfterFunc(sim.Time(w.plan.AttemptTimeout), func(*sim.Engine) {
 		if w.cur != cur || cur.attempt != attempt || cur.resolved {
@@ -442,16 +450,11 @@ func (w *world) startAttempt() {
 		}
 		cur.resolved = true
 		w.cTimeouts.Inc()
-		w.trace(telemetry.Event{
-			Kind: telemetry.KindTimeout, Batch: cur.batch, Conn: cur.conn, Node: int(rec.initiator),
+		w.trace(Event{
+			Kind: KindTimeout, Batch: cur.batch, Conn: cur.conn, Node: int(rec.initiator),
 			Detail: fmt.Sprintf("attempt %d", attempt),
 		})
-		timeoutSpan := telemetry.NewSpanID(launch, telemetry.SpanTimeout, cur.conn, attempt, 0, int(rec.initiator))
-		w.spans.Record(telemetry.Span{
-			Trace: rec.trace, ID: timeoutSpan, Parent: launch, Kind: telemetry.SpanTimeout,
-			Batch: cur.batch, Conn: cur.conn, Attempt: attempt, Node: int(rec.initiator),
-		})
-		cur.prevSpan = timeoutSpan
+		cur.prevSpan = w.emit(telemetry.SpanTimeout, launch)
 		w.retryOrFail("timeout", "attempt deadline")
 	})
 	w.send(wmsg{
@@ -532,12 +535,11 @@ func (w *world) handleForward(m wmsg) {
 			hop = 0
 		}
 		respondSpan := m.span
-		if m.trace != 0 {
-			respondSpan = telemetry.NewSpanID(m.span, telemetry.SpanRespond, m.conn, 0, len(path)-1, int(self))
-			w.spans.Record(telemetry.Span{
-				Trace: m.trace, ID: respondSpan, Parent: m.span, Kind: telemetry.SpanRespond,
-				Batch: m.batch, Conn: m.conn, Hop: len(path) - 1, Node: int(self),
-			})
+		if id := w.spans.Emit(telemetry.Span{
+			Trace: m.trace, Parent: m.span, Kind: telemetry.SpanRespond,
+			Batch: m.batch, Conn: m.conn, Hop: len(path) - 1, Node: int(self),
+		}); id != 0 {
+			respondSpan = id
 		}
 		w.send(wmsg{
 			kind: wConfirm, batch: m.batch, conn: m.conn, attempt: m.attempt,
@@ -548,17 +550,15 @@ func (w *world) handleForward(m wmsg) {
 		return
 	}
 	w.cHops.Inc()
-	w.trace(telemetry.Event{
-		Kind: telemetry.KindHopForward, Batch: m.batch, Conn: m.conn, Node: int(self),
+	w.trace(Event{
+		Kind: KindHopForward, Batch: m.batch, Conn: m.conn, Node: int(self),
 		Hop: len(path) - 1, Detail: fmt.Sprintf("attempt %d", m.attempt),
 	})
-	if m.trace != 0 {
-		hopSpan := telemetry.NewSpanID(m.span, telemetry.SpanHop, m.conn, 0, len(path)-1, int(self))
-		w.spans.Record(telemetry.Span{
-			Trace: m.trace, ID: hopSpan, Parent: m.span, Kind: telemetry.SpanHop,
-			Batch: m.batch, Conn: m.conn, Hop: len(path) - 1, Node: int(self),
-		})
-		m.span = hopSpan
+	if id := w.spans.Emit(telemetry.Span{
+		Trace: m.trace, Parent: m.span, Kind: telemetry.SpanHop,
+		Batch: m.batch, Conn: m.conn, Hop: len(path) - 1, Node: int(self),
+	}); id != 0 {
+		m.span = id
 	}
 	next := m.responder
 	if m.remaining > 0 {
@@ -599,14 +599,10 @@ func (w *world) handleReverse(m wmsg) {
 // nackBack originates a NACK at path[fromIdx] (or directly at the
 // initiator when the path is empty).
 func (w *world) nackBack(m wmsg, fromIdx int, reason string) {
-	nackSpan := telemetry.SpanID(0)
-	if m.trace != 0 {
-		nackSpan = telemetry.NewSpanID(m.span, telemetry.SpanNack, m.conn, 0, len(m.path), int(m.initiator))
-		w.spans.Record(telemetry.Span{
-			Trace: m.trace, ID: nackSpan, Parent: m.span, Kind: telemetry.SpanNack,
-			Batch: m.batch, Conn: m.conn, Hop: len(m.path), Node: int(m.initiator), Detail: reason,
-		})
-	}
+	nackSpan := w.spans.Emit(telemetry.Span{
+		Trace: m.trace, Parent: m.span, Kind: telemetry.SpanNack,
+		Batch: m.batch, Conn: m.conn, Hop: len(m.path), Node: int(m.initiator), Detail: reason,
+	})
 	n := wmsg{
 		kind: wNack, batch: m.batch, conn: m.conn, attempt: m.attempt,
 		initiator: m.initiator, responder: m.responder,
@@ -638,22 +634,16 @@ func (w *world) acceptConfirm(m wmsg) {
 	cur, rec := w.cur, w.curRec
 	cur.resolved = true
 	w.cDelivered.Inc()
-	w.trace(telemetry.Event{
-		Kind: telemetry.KindDelivered, Batch: m.batch, Conn: m.conn, Node: int(m.initiator),
+	w.trace(Event{
+		Kind: KindDelivered, Batch: m.batch, Conn: m.conn, Node: int(m.initiator),
 		Hop:    len(m.path),
 		Detail: fmt.Sprintf("attempt %d path %d after %d reformations", m.attempt, len(m.path), cur.reforms),
 	})
-	if m.trace != 0 {
-		parent := m.span
-		if parent == 0 {
-			parent = cur.launchSpan
-		}
-		deliver := telemetry.NewSpanID(parent, telemetry.SpanDeliver, m.conn, m.attempt, 0, int(m.initiator))
-		w.spans.Record(telemetry.Span{
-			Trace: m.trace, ID: deliver, Parent: parent, Kind: telemetry.SpanDeliver,
-			Batch: m.batch, Conn: m.conn, Attempt: m.attempt, Node: int(m.initiator),
-		})
+	parent := m.span
+	if parent == 0 {
+		parent = cur.launchSpan
 	}
+	w.emit(telemetry.SpanDeliver, parent)
 	rec.delivered[m.conn] = deliveredConn{path: append([]overlay.NodeID(nil), m.path...), attempt: m.attempt}
 	for i := 1; i <= len(m.path)-2; i++ {
 		f := m.path[i]
@@ -669,8 +659,8 @@ func (w *world) acceptNack(m wmsg) {
 	}
 	w.cur.resolved = true
 	w.cNacks.Inc()
-	w.trace(telemetry.Event{
-		Kind: telemetry.KindNack, Batch: m.batch, Conn: m.conn, Node: int(m.initiator),
+	w.trace(Event{
+		Kind: KindNack, Batch: m.batch, Conn: m.conn, Node: int(m.initiator),
 		Hop: len(m.path), Detail: m.reason,
 	})
 	if m.span != 0 {
@@ -701,20 +691,11 @@ func (w *world) retryOrFail(cause, reason string) {
 		cur.attempt++
 		cur.resolved = false
 		w.cReforms.Inc()
-		w.trace(telemetry.Event{
-			Kind: telemetry.KindReformation, Batch: cur.batch, Conn: cur.conn, Node: int(w.curRec.initiator),
+		w.trace(Event{
+			Kind: KindReformation, Batch: cur.batch, Conn: cur.conn, Node: int(w.curRec.initiator),
 			Detail: fmt.Sprintf("attempt %d", cur.attempt),
 		})
-		rec := w.curRec
-		parent := cur.prevSpan
-		if parent == 0 {
-			parent = rec.root
-		}
-		reform := telemetry.NewSpanID(parent, telemetry.SpanReform, cur.conn, cur.attempt, 0, int(rec.initiator))
-		w.spans.Record(telemetry.Span{
-			Trace: rec.trace, ID: reform, Parent: parent, Kind: telemetry.SpanReform,
-			Batch: cur.batch, Conn: cur.conn, Attempt: cur.attempt, Node: int(rec.initiator),
-		})
+		w.emit(telemetry.SpanReform, cur.prevSpan)
 		w.startAttempt()
 	})
 }
@@ -723,19 +704,11 @@ func (w *world) failConn(cause, reason string) {
 	cur, rec := w.cur, w.curRec
 	cur.resolved = true
 	w.cFailed.Inc()
-	w.trace(telemetry.Event{
-		Kind: telemetry.KindFailed, Batch: cur.batch, Conn: cur.conn, Node: int(rec.initiator),
+	w.trace(Event{
+		Kind: KindFailed, Batch: cur.batch, Conn: cur.conn, Node: int(rec.initiator),
 		Detail: fmt.Sprintf("cause=%s: %s", cause, reason),
 	})
-	parent := cur.prevSpan
-	if parent == 0 {
-		parent = rec.root
-	}
-	fail := telemetry.NewSpanID(parent, telemetry.SpanFail, cur.conn, cur.attempt, 0, int(rec.initiator))
-	w.spans.Record(telemetry.Span{
-		Trace: rec.trace, ID: fail, Parent: parent, Kind: telemetry.SpanFail,
-		Batch: cur.batch, Conn: cur.conn, Attempt: cur.attempt, Node: int(rec.initiator),
-	})
+	w.emit(telemetry.SpanFail, cur.prevSpan)
 	w.finishConn()
 }
 
@@ -839,14 +812,13 @@ func (w *world) applySettleResult(res payment.SettleResult) {
 		rec.escrow.Close() // best effort: return whatever is still locked
 	} else {
 		rec.settled = true
-		w.trace(telemetry.Event{
-			Kind: telemetry.KindSettled, Batch: rec.batch, Node: int(rec.initiator),
+		w.trace(Event{
+			Kind: KindSettled, Batch: rec.batch, Node: int(rec.initiator),
 			Detail: fmt.Sprintf("%d payouts, refund %d", len(res.Payouts), res.Refund),
 		})
 		for _, po := range res.Payouts {
-			span := telemetry.NewSpanID(rec.root, telemetry.SpanSettle, 0, 0, 0, int(po.Forwarder))
-			w.spans.Record(telemetry.Span{
-				Trace: rec.trace, ID: span, Parent: rec.root, Kind: telemetry.SpanSettle,
+			w.spans.Emit(telemetry.Span{
+				Trace: rec.trace, Parent: rec.root, Kind: telemetry.SpanSettle,
 				Batch: rec.batch, Node: int(po.Forwarder),
 				Detail: fmt.Sprintf("payoff=%d forwards=%d", po.Amount, po.Forwards),
 			})

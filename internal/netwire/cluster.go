@@ -138,10 +138,10 @@ func (c *Cluster) logf(format string, args ...any) {
 	c.logMu.Unlock()
 }
 
-// Instrument rebinds the cluster's metrics into reg and attaches tr as
-// the lifecycle tracer (either may be nil). Call before traffic starts.
-func (c *Cluster) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
-	c.Driver.Instrument(reg, tr)
+// Instrument rebinds the cluster's metrics into reg (nil keeps the
+// current registry). Call before traffic starts.
+func (c *Cluster) Instrument(reg *telemetry.Registry) {
+	c.Driver.Instrument(reg)
 	if reg != nil {
 		c.metrics = newMetrics(reg)
 	}
@@ -322,11 +322,9 @@ func (c *Cluster) SettleBatch(initiator overlay.NodeID, batch int, out *transpor
 	// where it actually happened — yet with the same ids the in-process
 	// backend derives, because both hash the same causal coordinates.
 	var trace, root telemetry.SpanID
-	if spans := c.Spans(); spans != nil && len(out.Paths) > 0 {
+	if len(out.Paths) > 0 {
 		first := out.Paths[0]
-		responder := first[len(first)-1]
-		trace = spans.TraceID(batch, int(initiator), int(responder))
-		root = telemetry.NewSpanID(trace, telemetry.SpanBatch, 0, 0, 0, int(initiator))
+		trace, root = c.Spans().Root(batch, int(initiator), int(first[len(first)-1]))
 	}
 	sent := 0
 	for id := range out.Set {

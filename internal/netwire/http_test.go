@@ -33,7 +33,7 @@ func TestNetwireMetricsExposition(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	r.Instrument(reg)
 	c := NewCluster(Config{})
-	c.Instrument(reg, nil)
+	c.Instrument(reg)
 	t.Cleanup(c.Close)
 	for id := range topo {
 		if err := c.Join(id, r); err != nil {

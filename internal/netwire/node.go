@@ -162,9 +162,8 @@ func (nd *Node) handleFrame(f *Frame, abs time.Time) {
 		// The settle span is minted where the credit lands, from the batch
 		// root the frame carried — same id the in-process backend derives.
 		if spans := nd.c.Spans(); spans != nil && f.Trace != 0 {
-			span := telemetry.NewSpanID(f.Span, telemetry.SpanSettle, 0, 0, 0, int(nd.ID))
-			spans.Record(telemetry.Span{
-				Trace: f.Trace, ID: span, Parent: f.Span, Kind: telemetry.SpanSettle,
+			spans.Emit(telemetry.Span{
+				Trace: f.Trace, Parent: f.Span, Kind: telemetry.SpanSettle,
 				Batch: f.Batch, Node: int(nd.ID), Detail: transport.SettleDetail(f.Payoff),
 			})
 		}

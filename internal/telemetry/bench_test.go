@@ -34,12 +34,3 @@ func BenchmarkHistogramObserve(b *testing.B) {
 		}
 	})
 }
-
-func BenchmarkTracerRecord(b *testing.B) {
-	tr := NewTracer(4096)
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			tr.Record(Event{Kind: KindHopForward, Batch: 1, Conn: 1, Node: 2, Hop: 1})
-		}
-	})
-}

@@ -8,28 +8,28 @@ import (
 	"time"
 )
 
-// Handler returns an http.Handler exposing the registry and tracer:
+// Handler returns an http.Handler exposing the registry and the span
+// recorder:
 //
 //	/metrics       Prometheus text exposition
 //	/metrics.json  expvar-style JSON snapshot
-//	/trace         the tracer's retained events as JSONL
+//	/trace         the recorder's canonical span log as JSONL
 //	/debug/pprof/  the standard runtime profiles
 //
-// reg and tr may each be nil; the corresponding endpoints then serve
+// reg and spans may each be nil; the corresponding endpoints then serve
 // empty documents.
-func Handler(reg *Registry, tr *Tracer) http.Handler {
+func Handler(reg *Registry, spans *SpanRecorder) http.Handler {
 	mux := http.NewServeMux()
-	if reg != nil && tr != nil {
-		reg.Help("telemetry_trace_events", "Events ever recorded by the trace ring.")
-		reg.Help("telemetry_trace_dropped", "Events the bounded trace ring has evicted.")
+	if reg != nil && spans != nil {
+		reg.Help("telemetry_spans_recorded", "Distinct spans the recorder retains.")
+		reg.Help("telemetry_spans_dropped", "Spans the recorder's capacity bound rejected.")
 	}
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		// The tracer's own accounting is refreshed at scrape time, so the
-		// ring's loss rate is visible on the same dashboard as everything
-		// it traces.
-		if reg != nil && tr != nil {
-			reg.Gauge("telemetry_trace_events", nil).Set(int64(tr.Total()))
-			reg.Gauge("telemetry_trace_dropped", nil).Set(int64(tr.Dropped()))
+		// The recorder's own accounting is refreshed at scrape time, so its
+		// loss is visible on the same dashboard as everything it traces.
+		if reg != nil && spans != nil {
+			reg.Gauge("telemetry_spans_recorded", nil).Set(int64(spans.Total()))
+			reg.Gauge("telemetry_spans_dropped", nil).Set(int64(spans.Dropped()))
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = reg.WritePrometheus(w)
@@ -40,7 +40,7 @@ func Handler(reg *Registry, tr *Tracer) http.Handler {
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		_ = tr.WriteJSONL(w)
+		_ = spans.WriteJSONL(w)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -59,14 +59,14 @@ type Server struct {
 // Serve starts an exposition server on addr (e.g. ":9090", or ":0" for
 // an ephemeral port — read the bound address back with Addr). The server
 // runs until Close.
-func Serve(addr string, reg *Registry, tr *Tracer) (*Server, error) {
+func Serve(addr string, reg *Registry, spans *SpanRecorder) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
 	s := &Server{
 		ln:  ln,
-		srv: &http.Server{Handler: Handler(reg, tr), ReadHeaderTimeout: 5 * time.Second},
+		srv: &http.Server{Handler: Handler(reg, spans), ReadHeaderTimeout: 5 * time.Second},
 	}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -26,23 +27,25 @@ func TestHandlerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("hits_total", nil).Add(3)
 	reg.Histogram("lat_seconds", []float64{0.01}, nil).Observe(0.005)
-	tr := NewTracer(2)
-	for i := 0; i < 5; i++ {
-		tr.Record(Event{Kind: KindLaunch, Batch: 1, Conn: i, Node: 0})
+	rec := NewSpanRecorder(2)
+	trace, root := rec.Root(1, 0, 9)
+	for conn := 1; conn <= 4; conn++ {
+		rec.Emit(Span{Trace: trace, Parent: root, Kind: SpanLaunch, Batch: 1, Conn: conn, Attempt: 1})
 	}
 
-	ts := httptest.NewServer(Handler(reg, tr))
+	ts := httptest.NewServer(Handler(reg, rec))
 	defer ts.Close()
 
 	code, body := get(t, ts.URL+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status %d", code)
 	}
-	// The ring's own accounting is refreshed per scrape: 5 recorded into a
-	// 2-slot ring means 3 evicted, and both series carry HELP text.
+	// The recorder's own accounting is refreshed per scrape: 5 spans into
+	// a capacity of 2 means 3 dropped, and both series carry HELP text.
 	for _, want := range []string{
 		"hits_total 3", `lat_seconds_bucket{le="0.01"} 1`, "lat_seconds_count 1",
-		"# HELP telemetry_trace_dropped ", "telemetry_trace_events 5", "telemetry_trace_dropped 3",
+		"# HELP telemetry_spans_recorded ", "# HELP telemetry_spans_dropped ",
+		"telemetry_spans_recorded 2", "telemetry_spans_dropped 3",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
@@ -54,9 +57,12 @@ func TestHandlerEndpoints(t *testing.T) {
 		t.Fatalf("/metrics.json status %d body %s", code, body)
 	}
 
+	// /trace is the canonical span log: it reads back as exactly what the
+	// recorder retains.
 	code, body = get(t, ts.URL+"/trace")
-	if code != http.StatusOK || !strings.Contains(body, `"launch"`) {
-		t.Fatalf("/trace status %d body %s", code, body)
+	served, err := ReadSpans(strings.NewReader(body))
+	if code != http.StatusOK || err != nil || !reflect.DeepEqual(served, rec.Spans()) {
+		t.Fatalf("/trace status %d err %v body %s", code, err, body)
 	}
 
 	code, _ = get(t, ts.URL+"/debug/pprof/")
@@ -77,9 +83,9 @@ func TestServeEphemeral(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, "up 1") {
 		t.Fatalf("status %d body %s", code, body)
 	}
-	// /trace with a nil tracer serves an empty document, not an error.
+	// /trace with a nil recorder serves an empty document, not an error.
 	code, body = get(t, "http://"+srv.Addr()+"/trace")
 	if code != http.StatusOK || body != "" {
-		t.Fatalf("nil-tracer /trace: status %d body %q", code, body)
+		t.Fatalf("nil-recorder /trace: status %d body %q", code, body)
 	}
 }

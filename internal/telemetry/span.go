@@ -187,7 +187,7 @@ func NewSpanRecorder(capacity int) *SpanRecorder {
 	return &SpanRecorder{capacity: capacity, seen: make(map[SpanID]struct{})}
 }
 
-// SetSeed fixes the seed TraceID folds into every trace id. Nil-safe.
+// SetSeed fixes the seed Root folds into every trace id. Nil-safe.
 func (r *SpanRecorder) SetSeed(seed int64) {
 	if r == nil {
 		return
@@ -209,16 +209,40 @@ func (r *SpanRecorder) SetClock(fn func() int64) {
 	r.mu.Unlock()
 }
 
-// TraceID derives the trace id for (batch, initiator, responder) under
-// the recorder's seed. A nil recorder returns 0.
-func (r *SpanRecorder) TraceID(batch, initiator, responder int) SpanID {
+// Root opens the trace of one (batch, initiator, responder) pair: it
+// derives the trace id under the recorder's seed, records the batch root
+// span and returns both ids. Recording is idempotent, so every emitter
+// that needs the pair's context — each connection of the batch, its
+// settlement — calls Root again instead of passing ids around. A nil
+// recorder returns zeros, which turn every Emit below them into a no-op.
+func (r *SpanRecorder) Root(batch, initiator, responder int) (trace, root SpanID) {
 	if r == nil {
-		return 0
+		return 0, 0
 	}
 	r.mu.Lock()
 	seed := r.seed
 	r.mu.Unlock()
-	return NewTraceID(seed, batch, initiator, responder)
+	trace = NewTraceID(seed, batch, initiator, responder)
+	root = NewSpanID(trace, SpanBatch, 0, 0, 0, initiator)
+	r.Record(Span{Trace: trace, ID: root, Kind: SpanBatch, Batch: batch, Node: initiator})
+	return trace, root
+}
+
+// Emit records the child span s and returns its id, which it derives
+// from the coordinates s itself carries — NewSpanID over (Parent, Kind,
+// Conn, Attempt, Hop, Node); whatever s.ID held is overwritten. An
+// emitter therefore spells a span's coordinates once, and "a span's id
+// is the chain hash of exactly what it records" holds by construction.
+// It returns 0 and records nothing when the recorder is nil or s carries
+// no trace context (Trace == 0); what a site hands on in that case — 0
+// or the parent it was given — is the site's decision.
+func (r *SpanRecorder) Emit(s Span) SpanID {
+	if r == nil || s.Trace == 0 {
+		return 0
+	}
+	s.ID = NewSpanID(s.Parent, s.Kind, s.Conn, s.Attempt, s.Hop, s.Node)
+	r.Record(s)
+	return s.ID
 }
 
 // Record stores s unless its id was already recorded or the recorder is

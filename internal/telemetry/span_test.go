@@ -138,7 +138,10 @@ func TestSpanRecorderNilSafe(t *testing.T) {
 	rec.Record(Span{ID: 1})
 	rec.SetSeed(7)
 	rec.SetClock(nil)
-	if rec.TraceID(1, 2, 3) != 0 || rec.Total() != 0 || rec.Dropped() != 0 || rec.Spans() != nil {
+	if trace, root := rec.Root(1, 2, 3); trace != 0 || root != 0 || rec.Emit(Span{Trace: 1, Kind: SpanHop}) != 0 {
+		t.Fatal("nil recorder minted an id")
+	}
+	if rec.Total() != 0 || rec.Dropped() != 0 || rec.Spans() != nil {
 		t.Fatal("nil recorder not inert")
 	}
 	if err := rec.WriteJSONL(&bytes.Buffer{}); err != nil {
@@ -149,10 +152,8 @@ func TestSpanRecorderNilSafe(t *testing.T) {
 func TestReadSpansRoundTrip(t *testing.T) {
 	rec := NewSpanRecorder(8)
 	rec.SetSeed(99)
-	trace := rec.TraceID(2, 0, 5)
-	root := NewSpanID(trace, SpanBatch, 0, 0, 0, 0)
-	rec.Record(Span{Trace: trace, ID: root, Kind: SpanBatch, Batch: 2, Node: 0})
-	rec.Record(Span{Trace: trace, ID: NewSpanID(root, SpanSettle, 0, 0, 0, 3), Parent: root, Kind: SpanSettle, Batch: 2, Node: 3, Detail: "payoff=3ff0000000000000"})
+	trace, root := rec.Root(2, 0, 5)
+	rec.Emit(Span{Trace: trace, Parent: root, Kind: SpanSettle, Batch: 2, Node: 3, Detail: "payoff=3ff0000000000000"})
 
 	path := filepath.Join(t.TempDir(), "spans.jsonl")
 	if err := rec.DumpJSONL(path); err != nil {
@@ -195,5 +196,79 @@ func TestSpanRecorderConcurrent(t *testing.T) {
 	wg.Wait()
 	if rec.Total() != 1600 {
 		t.Fatalf("retained %d, want 1600", rec.Total())
+	}
+}
+
+// TestEmitDerivesIDFromRecordedCoordinates pins the emitter's contract for
+// every kind: the id it returns and records is NewSpanID — the independent
+// derivation — over exactly the coordinates the recorded span carries, and
+// the root is the batch span hashed under the seeded trace id.
+func TestEmitDerivesIDFromRecordedCoordinates(t *testing.T) {
+	rec := NewSpanRecorder(64)
+	rec.SetSeed(42)
+	trace, root := rec.Root(3, 7, 11)
+	if want := NewTraceID(42, 3, 7, 11); trace != want {
+		t.Fatalf("trace = %s, want %s", trace, want)
+	}
+	if want := NewSpanID(trace, SpanBatch, 0, 0, 0, 7); root != want {
+		t.Fatalf("root = %s, want %s", root, want)
+	}
+	if again, _ := rec.Root(3, 7, 11); again != trace || rec.Total() != 1 {
+		t.Fatalf("re-opening the root recorded it twice (%d spans)", rec.Total())
+	}
+	want := []Span{{Trace: trace, ID: root, Kind: SpanBatch, Batch: 3, Node: 7}}
+	parent := root
+	for _, s := range []Span{
+		{Kind: SpanLaunch, Conn: 2, Attempt: 1, Node: 7},
+		{Kind: SpanHop, Conn: 2, Hop: 1, Node: 5},
+		{Kind: SpanRespond, Conn: 2, Hop: 2, Node: 11},
+		{Kind: SpanDeliver, Conn: 2, Attempt: 1, Node: 7},
+		{Kind: SpanNack, Conn: 2, Hop: 2, Node: 7, Detail: "next hop 5 departed"},
+		{Kind: SpanTimeout, Conn: 2, Attempt: 1, Node: 7},
+		{Kind: SpanReform, Conn: 2, Attempt: 2, Node: 7},
+		{Kind: SpanFail, Conn: 2, Attempt: 3, Node: 7},
+		{Kind: SpanSettle, Node: 5, Detail: "payoff=3ff0000000000000"},
+	} {
+		s.Trace, s.Parent, s.Batch = trace, parent, 3
+		s.ID = 0xbad // whatever the caller left there is overwritten
+		id := rec.Emit(s)
+		if derived := NewSpanID(parent, s.Kind, s.Conn, s.Attempt, s.Hop, s.Node); id != derived {
+			t.Fatalf("%s: emitted id %s, NewSpanID over its coordinates gives %s", s.Kind, id, derived)
+		}
+		s.ID = id
+		want = append(want, s)
+		parent = id
+	}
+	SortSpans(want)
+	got := rec.Spans()
+	if len(got) != len(want) {
+		t.Fatalf("recorded %d spans, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("span %d: recorded %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if id := rec.Emit(Span{Parent: root, Kind: SpanHop, Conn: 9}); id != 0 || rec.Total() != len(want) {
+		t.Fatalf("a span without trace context was recorded (id %s)", id)
+	}
+}
+
+// TestDisabledEmissionDoesNotAllocate is the cost bound the live path
+// relies on when no recorder is attached, or a message carried no trace
+// context: opening a root and emitting a child touch no heap.
+func TestDisabledEmissionDoesNotAllocate(t *testing.T) {
+	var off *SpanRecorder
+	on := NewSpanRecorder(1)
+	reason := "next hop 5 departed"
+	if n := testing.AllocsPerRun(100, func() {
+		trace, root := off.Root(1, 2, 3)
+		off.Emit(Span{Trace: trace, Parent: root, Kind: SpanNack, Batch: 1, Conn: 4, Hop: 2, Node: 2, Detail: reason})
+		on.Emit(Span{Parent: 5, Kind: SpanHop, Batch: 1, Conn: 4, Hop: 2, Node: 6})
+	}); n != 0 {
+		t.Fatalf("disabled emission allocates %v times per run", n)
+	}
+	if on.Total() != 0 {
+		t.Fatal("a context-less span was recorded")
 	}
 }

@@ -1,7 +1,7 @@
 // Package telemetry is the unified observability layer: a registry of
 // named, label-tagged instruments — atomic counters, gauges and
-// lock-cheap log-scale histograms — plus a bounded structured event
-// tracer (see trace.go) and live exposition over HTTP (see http.go).
+// lock-cheap log-scale histograms — plus a bounded causal span recorder
+// (see span.go) and live exposition over HTTP (see http.go).
 //
 // Design rules:
 //
@@ -9,11 +9,10 @@
 //     once at construction (Registry get-or-create takes a lock) and
 //     then update them with single atomic operations.
 //   - Instruments are nil-safe: updating a nil *Counter, *Gauge,
-//     *Histogram or *Tracer is a no-op, so optional instrumentation
+//     *Histogram or *SpanRecorder is a no-op, so optional instrumentation
 //     costs one predictable branch when disabled.
-//   - Snapshots are plain values, mergeable and subtractable, so
-//     sequential windows and cross-shard aggregation are ordinary
-//     arithmetic.
+//   - Snapshots are plain values and subtractable, so sequential
+//     windows are ordinary arithmetic.
 //
 // The exposition formats are Prometheus text (WritePrometheus) and an
 // expvar-style JSON snapshot (WriteJSON).
@@ -29,7 +28,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Labels tag an instrument with dimensions (e.g. {"result": "ok"}).
@@ -175,9 +173,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveDuration records d in seconds. Nil-safe.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
 // Reset zeroes all buckets. Concurrent observations may land on either
 // side of the reset; cross-bucket exactness is not guaranteed mid-flight.
 // Nil-safe.
@@ -218,32 +213,6 @@ type HistogramSnapshot struct {
 	Counts []int64   `json:"counts"`
 	Count  int64     `json:"count"`
 	Sum    float64   `json:"sum"`
-}
-
-// Merge returns the bucket-wise sum of two snapshots of histograms with
-// identical bounds (it panics on mismatched shapes — merging different
-// metrics is a programming error). Merging with an empty snapshot
-// returns the other operand.
-func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
-	if len(s.Counts) == 0 {
-		return o
-	}
-	if len(o.Counts) == 0 {
-		return s
-	}
-	if len(s.Counts) != len(o.Counts) {
-		panic(fmt.Sprintf("telemetry: merging histograms with %d and %d buckets", len(s.Counts), len(o.Counts)))
-	}
-	out := HistogramSnapshot{
-		Bounds: s.Bounds,
-		Counts: make([]int64, len(s.Counts)),
-		Count:  s.Count + o.Count,
-		Sum:    s.Sum + o.Sum,
-	}
-	for i := range s.Counts {
-		out.Counts[i] = s.Counts[i] + o.Counts[i]
-	}
-	return out
 }
 
 // Delta returns this snapshot minus prev (per-window view of a

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -41,7 +40,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var c *Counter
 	var g *Gauge
 	var h *Histogram
-	var tr *Tracer
 	var r *Registry
 	c.Inc()
 	c.Add(3)
@@ -51,12 +49,10 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	g.Add(1)
 	g.Reset()
 	h.Observe(1)
-	h.ObserveDuration(time.Second)
 	h.Reset()
-	tr.Record(Event{Kind: KindLaunch})
 	r.Reset()
 	r.Help("x", "y")
-	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 || tr.Total() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {
 		t.Fatal("nil instruments recorded something")
 	}
 	if r.Counter("x", nil) != nil || r.Gauge("x", nil) != nil || r.Histogram("x", []float64{1}, nil) != nil {
@@ -127,14 +123,7 @@ func TestHistogramMergeDelta(t *testing.T) {
 	if d.Count != 1 || d.Counts[2] != 1 || d.Sum != 50 {
 		t.Fatalf("delta = %+v", d)
 	}
-	m := a.Merge(d)
-	if m.Count != b.Count || m.Sum != b.Sum {
-		t.Fatalf("merge(a, delta) = %+v, want %+v", m, b)
-	}
 	var empty HistogramSnapshot
-	if got := empty.Merge(a); got.Count != a.Count {
-		t.Fatal("merge with empty lost data")
-	}
 	if got := a.Delta(empty); got.Count != a.Count {
 		t.Fatal("delta against empty lost data")
 	}
@@ -263,7 +252,7 @@ func TestBucketHelpers(t *testing.T) {
 		func() { LogBuckets(0, 2, 3) },
 		func() { LogBuckets(1, 1, 3) },
 		func() { LinearBuckets(0, 0, 3) },
-		func() { NewTracer(0) },
+		func() { NewSpanRecorder(0) },
 	} {
 		func() {
 			defer func() {

@@ -40,15 +40,15 @@ type Conductor interface {
 	RunSecureBatch(initiator, responder overlay.NodeID, contract *onion.SignedContract, bk *onion.BatchKey, k, budget int, timeout time.Duration) (*BatchOutcome, error)
 	SettleBatch(initiator overlay.NodeID, batch int, out *BatchOutcome, contract core.Contract) (int, error)
 
-	// Instrument rebinds metrics into a shared registry and attaches a
-	// lifecycle tracer; Metrics returns the common counter snapshot.
-	Instrument(reg *telemetry.Registry, tr *telemetry.Tracer)
+	// Instrument rebinds metrics into a shared registry; Metrics returns
+	// the common counter snapshot.
+	Instrument(reg *telemetry.Registry)
 	Metrics() MetricsSnapshot
 	ResetMetrics()
 
-	// SetSpans attaches a causal span recorder (nil disables): every
-	// connection then emits a deterministic span tree whose ids derive
-	// from causal coordinates, not arrival order.
+	// SetSpans attaches the causal span recorder (nil disables), the one
+	// lifecycle record: every connection then emits a deterministic span
+	// tree whose ids derive from causal coordinates, not arrival order.
 	SetSpans(r *telemetry.SpanRecorder)
 	Spans() *telemetry.SpanRecorder
 

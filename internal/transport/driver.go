@@ -55,7 +55,6 @@ type Driver struct {
 
 	metricPrefix string
 	inst         *protocolMetrics
-	tracer       *telemetry.Tracer
 	spans        *telemetry.SpanRecorder
 
 	markMu    sync.RWMutex
@@ -85,33 +84,28 @@ func NewDriver(link Link, metricPrefix string) *Driver {
 	}
 }
 
-// Instrument rebinds the protocol instruments into reg (so they appear on
-// a shared exposition endpoint next to other layers' instruments) and
-// attaches tr as the connection-lifecycle event tracer. Either argument
-// may be nil: a nil reg keeps the current registry, a nil tracer disables
-// event recording. Call before traffic starts — it is not safe to race
-// with in-flight connections.
-func (d *Driver) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
+// Instrument rebinds the protocol instruments into reg, so they appear on
+// a shared exposition endpoint next to other layers' instruments; a nil
+// reg keeps the current registry. Call before traffic starts — it is not
+// safe to race with in-flight connections.
+func (d *Driver) Instrument(reg *telemetry.Registry) {
 	if reg != nil {
 		d.inst = newProtocolMetrics(reg, d.metricPrefix)
 	}
-	d.tracer = tr
 }
 
 // Telemetry returns the registry backing the runtime's metrics (a private
 // one unless Instrument rebound it).
 func (d *Driver) Telemetry() *telemetry.Registry { return d.inst.reg }
 
-// Tracer returns the attached event tracer, or nil.
-func (d *Driver) Tracer() *telemetry.Tracer { return d.tracer }
-
-// SetSpans attaches a causal span recorder: every connection then emits
-// a deterministic span tree — batch root, per-attempt launches, hops,
-// the responder's accept, nacks and terminal outcomes — whose ids are
-// chain hashes of causal coordinates carried in the messages' trace
-// context, never of arrival order, so the same seeded workload yields
-// the same log on every backend. A nil recorder disables span emission.
-// Call before traffic starts; not safe to race with in-flight
+// SetSpans attaches the causal span recorder, the one record of a
+// connection's lifecycle: every connection then emits a deterministic
+// span tree — batch root, per-attempt launches, hops, the responder's
+// accept, nacks, timeouts, reformations and the terminal outcome — whose
+// ids are chain hashes of causal coordinates carried in the messages'
+// trace context, never of arrival order, so the same seeded workload
+// yields the same log on every backend. A nil recorder disables span
+// emission. Call before traffic starts; not safe to race with in-flight
 // connections.
 func (d *Driver) SetSpans(r *telemetry.SpanRecorder) { d.spans = r }
 
@@ -209,16 +203,6 @@ func (d *Driver) abandon(attempt int) {
 	d.pendMu.Unlock()
 }
 
-// traceTerminal records a connection's terminal lifecycle event.
-func (d *Driver) traceTerminal(kind telemetry.EventKind, batch, conn int, initiator overlay.NodeID, hop int, detail string) {
-	if d.tracer == nil {
-		return
-	}
-	d.tracer.Record(telemetry.Event{
-		Kind: kind, Batch: batch, Conn: conn, Node: int(initiator), Hop: hop, Detail: detail,
-	})
-}
-
 // connect runs one connection with bounded retry: each attempt gets an
 // even share of timeout as its deadline; a timed-out or NACKed attempt is
 // relaunched — a path reformation — after exponential backoff, until the
@@ -236,22 +220,15 @@ func (d *Driver) connect(initiator, responder overlay.NodeID, batch, conn, budge
 	}
 	policy := d.retry
 	start := d.clock.Now()
-	if d.tracer != nil {
-		d.tracer.Record(telemetry.Event{
-			Kind: telemetry.KindLaunch, Batch: batch, Conn: conn,
-			Node: int(initiator), Detail: fmt.Sprintf("responder %d budget %d", responder, budget),
-		})
-	}
-	// Span context: one trace per (batch, I, R); its root span is minted
-	// lazily by every connection (the recorder deduplicates by id). The
-	// attempt coordinate of initiator-side spans is the per-connection
-	// ordinal, not Message.Attempt — that one is a driver-wide counter.
-	var trace, root telemetry.SpanID
-	if d.spans != nil {
-		trace = d.spans.TraceID(batch, int(initiator), int(responder))
-		root = telemetry.NewSpanID(trace, telemetry.SpanBatch, 0, 0, 0, int(initiator))
-		d.spans.Record(telemetry.Span{
-			Trace: trace, ID: root, Kind: telemetry.SpanBatch, Batch: batch, Node: int(initiator),
+	// Span context: one trace per (batch, I, R), its root re-opened by
+	// every connection (the recorder deduplicates by id). The attempt
+	// coordinate of initiator-side spans is the per-connection ordinal,
+	// not Message.Attempt — that one is a driver-wide counter.
+	trace, root := d.spans.Root(batch, int(initiator), int(responder))
+	emit := func(kind telemetry.SpanKind, parent telemetry.SpanID, attempt int) telemetry.SpanID {
+		return d.spans.Emit(telemetry.Span{
+			Trace: trace, Parent: parent, Kind: kind,
+			Batch: batch, Conn: conn, Attempt: attempt, Node: int(initiator),
 		})
 	}
 	deadline := start.Add(timeout)
@@ -263,7 +240,7 @@ func (d *Driver) connect(initiator, responder overlay.NodeID, batch, conn, budge
 	reforms := 0
 	lastAttempt := 1
 	var lastErr error
-	var prevSpan telemetry.SpanID // outcome span of the previous attempt
+	prevSpan := root // last causal step; the next reform or fail span parents on it
 	for attempt := 1; attempt <= policy.MaxAttempts; attempt++ {
 		lastAttempt = attempt
 		remaining := d.clock.Until(deadline)
@@ -286,42 +263,18 @@ func (d *Driver) connect(initiator, responder overlay.NodeID, batch, conn, budge
 			}
 			reforms++
 			d.inst.reformations.Inc()
-			if d.tracer != nil {
-				d.tracer.Record(telemetry.Event{
-					Kind: telemetry.KindReformation, Batch: batch, Conn: conn,
-					Node: int(initiator), Detail: fmt.Sprintf("attempt %d", attempt),
-				})
-			}
-			if d.spans != nil {
-				parent := prevSpan
-				if parent == 0 {
-					parent = root
-				}
-				reform := telemetry.NewSpanID(parent, telemetry.SpanReform, conn, attempt, 0, int(initiator))
-				d.spans.Record(telemetry.Span{
-					Trace: trace, ID: reform, Parent: parent, Kind: telemetry.SpanReform,
-					Batch: batch, Conn: conn, Attempt: attempt, Node: int(initiator),
-				})
-			}
+			emit(telemetry.SpanReform, prevSpan, attempt)
 		}
 		window := per
 		if window > remaining {
 			window = remaining
 		}
-		launch := telemetry.SpanID(0)
-		if d.spans != nil {
-			launch = telemetry.NewSpanID(root, telemetry.SpanLaunch, conn, attempt, 0, int(initiator))
-			d.spans.Record(telemetry.Span{
-				Trace: trace, ID: launch, Parent: root, Kind: telemetry.SpanLaunch,
-				Batch: batch, Conn: conn, Attempt: attempt, Node: int(initiator),
-			})
-		}
+		launch := emit(telemetry.SpanLaunch, root, attempt)
 		prevSpan = launch
 		st := d.link.Local(initiator)
 		if st == nil {
 			d.inst.failures.Inc()
-			d.traceTerminal(telemetry.KindFailed, batch, conn, initiator, 0, "initiator departed")
-			d.failSpan(trace, prevSpan, batch, conn, attempt, initiator)
+			emit(telemetry.SpanFail, prevSpan, attempt)
 			return connResult{}, reforms, fmt.Errorf("transport: initiator %d departed", initiator)
 		}
 		// The first FORWARD is handed to the initiator's own handler: a
@@ -349,19 +302,11 @@ func (d *Driver) connect(initiator, responder overlay.NodeID, batch, conn, budge
 				d.inst.connects.Inc()
 				d.inst.connectLatency.Observe(d.clock.Since(start).Seconds())
 				d.inst.pathLen.Observe(float64(len(res.path)))
-				d.traceTerminal(telemetry.KindDelivered, batch, conn, initiator, len(res.path),
-					fmt.Sprintf("path len %d after %d reformations", len(res.path), reforms))
-				if d.spans != nil {
-					parent := res.span
-					if parent == 0 {
-						parent = launch
-					}
-					deliver := telemetry.NewSpanID(parent, telemetry.SpanDeliver, conn, attempt, 0, int(initiator))
-					d.spans.Record(telemetry.Span{
-						Trace: trace, ID: deliver, Parent: parent, Kind: telemetry.SpanDeliver,
-						Batch: batch, Conn: conn, Attempt: attempt, Node: int(initiator),
-					})
+				parent := res.span
+				if parent == 0 {
+					parent = launch
 				}
+				emit(telemetry.SpanDeliver, parent, attempt)
 				return res, reforms, nil
 			}
 			lastErr = res.err
@@ -370,47 +315,22 @@ func (d *Driver) connect(initiator, responder overlay.NodeID, batch, conn, budge
 			}
 			if res.fatal {
 				d.inst.failures.Inc()
-				d.traceTerminal(telemetry.KindFailed, batch, conn, initiator, 0, res.err.Error())
-				d.failSpan(trace, prevSpan, batch, conn, attempt, initiator)
+				emit(telemetry.SpanFail, prevSpan, attempt)
 				return connResult{}, reforms, res.err
 			}
 		case <-timer.C:
 			d.abandon(aid)
 			d.inst.timeouts.Inc()
 			lastErr = fmt.Errorf("transport: attempt %d of connection %d/%d timed out after %v", attempt, batch, conn, window)
-			if d.spans != nil {
-				timeoutSpan := telemetry.NewSpanID(launch, telemetry.SpanTimeout, conn, attempt, 0, int(initiator))
-				d.spans.Record(telemetry.Span{
-					Trace: trace, ID: timeoutSpan, Parent: launch, Kind: telemetry.SpanTimeout,
-					Batch: batch, Conn: conn, Attempt: attempt, Node: int(initiator),
-				})
-				prevSpan = timeoutSpan
-			}
+			prevSpan = emit(telemetry.SpanTimeout, launch, attempt)
 		}
 	}
 	d.inst.failures.Inc()
 	if lastErr == nil {
 		lastErr = fmt.Errorf("transport: connection %d/%d timed out after %v", batch, conn, timeout)
 	}
-	d.traceTerminal(telemetry.KindFailed, batch, conn, initiator, 0, lastErr.Error())
-	if prevSpan == 0 {
-		prevSpan = root
-	}
-	d.failSpan(trace, prevSpan, batch, conn, lastAttempt, initiator)
+	emit(telemetry.SpanFail, prevSpan, lastAttempt)
 	return connResult{}, reforms, fmt.Errorf("transport: connection %d/%d failed after %d reformations: %w", batch, conn, reforms, lastErr)
-}
-
-// failSpan emits the terminal fail span of a connection, parented on the
-// last causal step (nack span, timeout span, or the launch itself).
-func (d *Driver) failSpan(trace, parent telemetry.SpanID, batch, conn, attempt int, initiator overlay.NodeID) {
-	if d.spans == nil {
-		return
-	}
-	id := telemetry.NewSpanID(parent, telemetry.SpanFail, conn, attempt, 0, int(initiator))
-	d.spans.Record(telemetry.Span{
-		Trace: trace, ID: id, Parent: parent, Kind: telemetry.SpanFail,
-		Batch: batch, Conn: conn, Attempt: attempt, Node: int(initiator),
-	})
 }
 
 // Connect runs one connection from initiator to responder with the given

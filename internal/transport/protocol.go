@@ -143,12 +143,11 @@ func (d *Driver) handleForward(st *Station, m Message) {
 		// respond span closes the forward chain; the confirm carries it so
 		// the initiator can parent its deliver span on it.
 		respondSpan := m.Span
-		if d.spans != nil && m.Trace != 0 {
-			respondSpan = telemetry.NewSpanID(m.Span, telemetry.SpanRespond, m.Conn, 0, hop, int(st.ID))
-			d.spans.Record(telemetry.Span{
-				Trace: m.Trace, ID: respondSpan, Parent: m.Span, Kind: telemetry.SpanRespond,
-				Batch: m.Batch, Conn: m.Conn, Hop: hop, Node: int(st.ID),
-			})
+		if id := d.spans.Emit(telemetry.Span{
+			Trace: m.Trace, Parent: m.Span, Kind: telemetry.SpanRespond,
+			Batch: m.Batch, Conn: m.Conn, Hop: hop, Node: int(st.ID),
+		}); id != 0 {
+			respondSpan = id
 		}
 		d.reverseRoute(st.ID, Message{
 			Kind:      MsgConfirm,
@@ -173,12 +172,6 @@ func (d *Driver) handleForward(st *Station, m Message) {
 	// timeout. The rejection is fatal: no reformation fixes a bad contract.
 	if m.Contract != nil && !m.Contract.Verify() {
 		d.inst.contractRejects.Inc()
-		if d.tracer != nil {
-			d.tracer.Record(telemetry.Event{
-				Kind: telemetry.KindContractReject, Batch: m.Batch, Conn: m.Conn,
-				Node: int(st.ID), Hop: hop,
-			})
-		}
 		d.nackBack(st.ID, m, hop-1, "contract failed verification", true)
 		return
 	}
@@ -188,22 +181,14 @@ func (d *Driver) handleForward(st *Station, m Message) {
 		st.forwards[m.Batch]++
 		st.mu.Unlock()
 	}
-	if d.tracer != nil {
-		d.tracer.Record(telemetry.Event{
-			Kind: telemetry.KindHopForward, Batch: m.Batch, Conn: m.Conn,
-			Node: int(st.ID), Hop: hop,
-		})
-	}
 	// Chain the causal span: this hop's span hashes its predecessor's, so
 	// the id is derivable from carried context alone — the property that
 	// lets nodes in other processes mint the ids a single runtime would.
-	if d.spans != nil && m.Trace != 0 {
-		hopSpan := telemetry.NewSpanID(m.Span, telemetry.SpanHop, m.Conn, 0, hop, int(st.ID))
-		d.spans.Record(telemetry.Span{
-			Trace: m.Trace, ID: hopSpan, Parent: m.Span, Kind: telemetry.SpanHop,
-			Batch: m.Batch, Conn: m.Conn, Hop: hop, Node: int(st.ID),
-		})
-		m.Span = hopSpan
+	if id := d.spans.Emit(telemetry.Span{
+		Trace: m.Trace, Parent: m.Span, Kind: telemetry.SpanHop,
+		Batch: m.Batch, Conn: m.Conn, Hop: hop, Node: int(st.ID),
+	}); id != 0 {
+		m.Span = id
 	}
 	next := m.Responder
 	if m.Remaining > 0 {
@@ -272,20 +257,10 @@ func (d *Driver) reverseRoute(self overlay.NodeID, m Message) {
 func (d *Driver) nackBack(self overlay.NodeID, m Message, fromIdx int, reason string, fatal bool) {
 	d.inst.nacks.Inc()
 	d.inst.nackHops.Observe(float64(len(m.Path)))
-	if d.tracer != nil {
-		d.tracer.Record(telemetry.Event{
-			Kind: telemetry.KindNack, Batch: m.Batch, Conn: m.Conn,
-			Node: int(m.Initiator), Hop: len(m.Path), Detail: reason,
-		})
-	}
-	nackSpan := telemetry.SpanID(0)
-	if d.spans != nil && m.Trace != 0 {
-		nackSpan = telemetry.NewSpanID(m.Span, telemetry.SpanNack, m.Conn, 0, len(m.Path), int(m.Initiator))
-		d.spans.Record(telemetry.Span{
-			Trace: m.Trace, ID: nackSpan, Parent: m.Span, Kind: telemetry.SpanNack,
-			Batch: m.Batch, Conn: m.Conn, Hop: len(m.Path), Node: int(m.Initiator), Detail: reason,
-		})
-	}
+	nackSpan := d.spans.Emit(telemetry.Span{
+		Trace: m.Trace, Parent: m.Span, Kind: telemetry.SpanNack,
+		Batch: m.Batch, Conn: m.Conn, Hop: len(m.Path), Node: int(m.Initiator), Detail: reason,
+	})
 	nack := Message{
 		Kind:      MsgNack,
 		Batch:     m.Batch,

@@ -10,13 +10,13 @@ import (
 
 // benchConnect drives repeated end-to-end connects over a 12-node line
 // with zero link latency, so every message pays the full hot path — send,
-// inbox depth note, forward trace hook, histogram observations at
-// completion — with nothing to hide behind. Comparing the three variants
-// bounds the telemetry overhead quoted in DESIGN.md §3b: Bare is the
-// default private registry, MetricsOnly rebinds into a shared registry
-// (the -metrics-addr configuration), Traced adds the lifecycle event ring
-// on top (the -trace-out configuration, ~13 events per connect here).
-func benchConnect(b *testing.B, latency time.Duration, reg *telemetry.Registry, tracer *telemetry.Tracer) {
+// inbox depth note, span emission, histogram observations at completion —
+// with nothing to hide behind. Comparing the three variants bounds the
+// telemetry overhead quoted in DESIGN.md §3b: Bare is the default private
+// registry, MetricsOnly rebinds into a shared registry (the -metrics-addr
+// configuration), Traced adds the span recorder on top (the -span-out
+// configuration, ~14 spans per connect here), sized so it never drops.
+func benchConnect(b *testing.B, latency time.Duration, reg *telemetry.Registry, traced bool) {
 	topo := lineTopology(12)
 	router := NewRandomRouter(topo, dist.NewSource(7))
 	net := NewNetwork(latency)
@@ -26,8 +26,9 @@ func benchConnect(b *testing.B, latency time.Duration, reg *telemetry.Registry, 
 			b.Fatal(err)
 		}
 	}
-	if reg != nil || tracer != nil {
-		net.Instrument(reg, tracer)
+	net.Instrument(reg)
+	if traced {
+		net.SetSpans(telemetry.NewSpanRecorder(32*b.N + 1))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -35,20 +36,23 @@ func benchConnect(b *testing.B, latency time.Duration, reg *telemetry.Registry, 
 			b.Fatal(err)
 		}
 	}
+	if d := net.Spans().Dropped(); d != 0 {
+		b.Fatalf("recorder dropped %d spans; the traced variant must measure recording", d)
+	}
 }
 
-func BenchmarkConnectBare(b *testing.B) { benchConnect(b, 0, nil, nil) }
+func BenchmarkConnectBare(b *testing.B) { benchConnect(b, 0, nil, false) }
 func BenchmarkConnectMetricsOnly(b *testing.B) {
-	benchConnect(b, 0, telemetry.NewRegistry(), nil)
+	benchConnect(b, 0, telemetry.NewRegistry(), false)
 }
 func BenchmarkConnectTraced(b *testing.B) {
-	benchConnect(b, 0, telemetry.NewRegistry(), telemetry.NewTracer(4096))
+	benchConnect(b, 0, telemetry.NewRegistry(), true)
 }
 
 // The latency variants repeat the comparison over links with a 20µs
 // delay — still far faster than any real network — to show the tracing
 // cost disappearing as soon as messages spend any time in flight.
-func BenchmarkConnectLatencyBare(b *testing.B) { benchConnect(b, 20*time.Microsecond, nil, nil) }
+func BenchmarkConnectLatencyBare(b *testing.B) { benchConnect(b, 20*time.Microsecond, nil, false) }
 func BenchmarkConnectLatencyTraced(b *testing.B) {
-	benchConnect(b, 20*time.Microsecond, telemetry.NewRegistry(), telemetry.NewTracer(4096))
+	benchConnect(b, 20*time.Microsecond, telemetry.NewRegistry(), true)
 }

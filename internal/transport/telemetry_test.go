@@ -41,47 +41,50 @@ func newLineNetwork(t testing.TB, n int) *Network {
 	return net
 }
 
+// TestTracerRecordsConnectionLifecycle pins the one lifecycle record: a
+// clean connection over a line is a single causal chain — batch root,
+// launch, one hop per node that forwarded (the initiator at hop 0
+// included), the responder's accept at hop len(path)-1, and the deliver —
+// each span parented on its predecessor.
 func TestTracerRecordsConnectionLifecycle(t *testing.T) {
 	net := newLineNetwork(t, 6)
 	defer net.Close()
 	reg := telemetry.NewRegistry()
-	tr := telemetry.NewTracer(1024)
-	net.Instrument(reg, tr)
+	net.Instrument(reg)
 	if net.Telemetry() != reg {
 		t.Fatal("Instrument did not rebind the registry")
 	}
-	if net.Tracer() != tr {
-		t.Fatal("Instrument did not attach the tracer")
-	}
+	rec := telemetry.NewSpanRecorder(1024)
+	net.SetSpans(rec)
 
 	path, err := net.Connect(0, 5, 1, 1, 8, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	var sawLaunch, sawForward, sawDelivered bool
-	for _, ev := range tr.Events() {
-		if ev.Batch != 1 || ev.Conn != 1 {
-			continue
-		}
-		switch ev.Kind {
-		case telemetry.KindLaunch:
-			sawLaunch = true
-			if ev.Node != 0 {
-				t.Fatalf("launch attributed to node %d, want initiator 0", ev.Node)
-			}
-		case telemetry.KindHopForward:
-			sawForward = true
-		case telemetry.KindDelivered:
-			sawDelivered = true
-			if ev.Hop != len(path) {
-				t.Fatalf("delivered hop %d, want path length %d", ev.Hop, len(path))
-			}
-		}
+	type step struct {
+		kind      telemetry.SpanKind
+		hop, node int
 	}
-	if !sawLaunch || !sawForward || !sawDelivered {
-		t.Fatalf("incomplete lifecycle: launch=%v forward=%v delivered=%v (events: %+v)",
-			sawLaunch, sawForward, sawDelivered, tr.Events())
+	want := []step{{telemetry.SpanBatch, 0, 0}, {telemetry.SpanLaunch, 0, 0}}
+	for i, n := range path[:len(path)-1] {
+		want = append(want, step{telemetry.SpanHop, i, int(n)})
+	}
+	want = append(want, step{telemetry.SpanRespond, len(path) - 1, 5}, step{telemetry.SpanDeliver, 0, 0})
+	children := make(map[telemetry.SpanID][]telemetry.Span)
+	for _, s := range rec.Spans() {
+		children[s.Parent] = append(children[s.Parent], s)
+	}
+	var parent telemetry.SpanID
+	for i, w := range want {
+		next := children[parent]
+		if len(next) != 1 || (step{next[0].Kind, next[0].Hop, next[0].Node}) != w {
+			t.Fatalf("step %d of path %v: want %+v under span %s, got %+v", i, path, w, parent, next)
+		}
+		parent = next[0].ID
+	}
+	if rec.Total() != len(want) {
+		t.Fatalf("%d spans recorded, want the %d of the chain: %+v", rec.Total(), len(want), rec.Spans())
 	}
 
 	m := net.Metrics()
@@ -163,8 +166,8 @@ func TestNackHistogramAndTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr := telemetry.NewTracer(256)
-	net.Instrument(nil, tr)
+	rec := telemetry.NewSpanRecorder(256)
+	net.SetSpans(rec)
 	_, err := net.Connect(0, 3, 1, 1, 8, 200*time.Millisecond)
 	if err == nil {
 		t.Fatal("connect to the departed responder unexpectedly succeeded")
@@ -173,17 +176,27 @@ func TestNackHistogramAndTrace(t *testing.T) {
 	if m.Nacks == 0 || m.NackHops.Count == 0 {
 		t.Fatalf("no NACKs observed: %v", m)
 	}
-	var sawNack, sawFailed bool
-	for _, ev := range tr.Events() {
-		switch ev.Kind {
-		case telemetry.KindNack:
-			sawNack = true
-		case telemetry.KindFailed:
-			sawFailed = true
+	// Every NACK is one span carrying the reason and the hop the path had
+	// reached (0-1-2, the responder would have been position 3); the
+	// connection's fail span hangs off the last of them.
+	nacks := make(map[telemetry.SpanID]bool)
+	var fails []telemetry.Span
+	for _, s := range rec.Spans() {
+		switch s.Kind {
+		case telemetry.SpanNack:
+			if s.Detail != "next hop 3 departed" || s.Hop != 3 || s.Node != 0 {
+				t.Fatalf("nack span = %+v, want reason %q at hop 3 attributed to initiator 0", s, "next hop 3 departed")
+			}
+			nacks[s.ID] = true
+		case telemetry.SpanFail:
+			fails = append(fails, s)
 		}
 	}
-	if !sawNack || !sawFailed {
-		t.Fatalf("trace missing nack=%v failed=%v", sawNack, sawFailed)
+	if int64(len(nacks)) != m.Nacks {
+		t.Fatalf("%d nack spans for %d counted NACKs", len(nacks), m.Nacks)
+	}
+	if len(fails) != 1 || !nacks[fails[0].Parent] {
+		t.Fatalf("fail spans = %+v, want one parented on a nack", fails)
 	}
 }
 

@@ -108,10 +108,10 @@ func NewNetwork(latency time.Duration) *Network {
 	return n
 }
 
-// Instrument rebinds the runtime's metrics into reg and attaches tr as
-// the lifecycle tracer; see Driver.Instrument for the nil cases.
-func (n *Network) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
-	n.Driver.Instrument(reg, tr)
+// Instrument rebinds the runtime's metrics into reg; a nil reg keeps the
+// current registry.
+func (n *Network) Instrument(reg *telemetry.Registry) {
+	n.Driver.Instrument(reg)
 	if reg != nil {
 		n.metrics = newLinkMetrics(reg)
 	}
@@ -389,13 +389,10 @@ func (n *Network) SettleBatch(initiator overlay.NodeID, batch int, out *BatchOut
 	}
 	if spans := n.Spans(); spans != nil && len(out.Paths) > 0 {
 		first := out.Paths[0]
-		responder := first[len(first)-1]
-		trace := spans.TraceID(batch, int(initiator), int(responder))
-		root := telemetry.NewSpanID(trace, telemetry.SpanBatch, 0, 0, 0, int(initiator))
+		trace, root := spans.Root(batch, int(initiator), int(first[len(first)-1]))
 		for id := range out.Set {
-			span := telemetry.NewSpanID(root, telemetry.SpanSettle, 0, 0, 0, int(id))
-			spans.Record(telemetry.Span{
-				Trace: trace, ID: span, Parent: root, Kind: telemetry.SpanSettle,
+			spans.Emit(telemetry.Span{
+				Trace: trace, Parent: root, Kind: telemetry.SpanSettle,
 				Batch: batch, Node: int(id), Detail: SettleDetail(out.Payoff(id, contract)),
 			})
 		}
