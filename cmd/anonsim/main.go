@@ -29,7 +29,7 @@
 // carried trace context. Feed the file to cmd/tracetool to reconstruct each
 // batch's I → forwarders → R → settlement tree, its critical path and the
 // per-forwarder attribution. -phase-report profiles the simulator's stages
-// (solve.rows, solve.induction, probe.tick, overlay.candidates, route.walk,
+// (solve.induction, probe.tick, overlay.candidates, route.walk,
 // escrow.settle) and writes the per-phase time/alloc breakdown JSON naming
 // the dominant phase; with -metrics-addr the same brackets also feed the
 // sim_phase_seconds histogram family.
@@ -271,8 +271,8 @@ func main() {
 		}
 		fmt.Printf("phases: wrote breakdown to %s (dominant: %s)\n", *phaseReport, prof.Dominant())
 		sv := res.Solver
-		fmt.Printf("solver: %d solves (%d warm incremental, %d fallbacks), %d induction stages skipped, %d frontier cells swept\n",
-			sv.Solves, sv.Incremental, sv.Fallbacks, sv.StagesSkipped, sv.FrontierCells)
+		fmt.Printf("solver: %d memo resets (%d discarded a filled memo), %d connections reused the memo, %d cells computed\n",
+			sv.Solves, sv.Fallbacks, sv.Incremental, sv.FrontierCells)
 	}
 }
 

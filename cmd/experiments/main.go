@@ -49,10 +49,10 @@ func main() {
 		base = experiment.Quick()
 	}
 	base.Seed = *seed
-	// Share the section pool with the intra-run sharded phases (UM-II
-	// sparse solves, probe tick rounds). Output stays byte-identical for
-	// any -jobs value — the golden test compares -jobs 8 against -jobs 1.
-	base.Core.SolveWorkers = *jobs
+	// Share the section pool's width with the intra-run sharded probe
+	// rounds. Output stays byte-identical for any -jobs value — the golden
+	// test compares -jobs 8 against -jobs 1.
+	base.ProbeWorkers = *jobs
 
 	selected := map[string]bool{}
 	if *only != "" {

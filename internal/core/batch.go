@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"slices"
-	"sync"
 
 	"p2panon/internal/game"
 	"p2panon/internal/history"
@@ -41,24 +38,28 @@ type Batch struct {
 	// histQual counts quality-relevant history mutations of this batch:
 	// recorded rows whose successor is not R (delivery rows never feed a
 	// scored edge), plus any row at all when capacity eviction is active.
-	// Together with the overlay and probe versions it stamps the solved
-	// SPNE table below, mirroring the transport router's cache semantics:
-	// a table is reused only while every input it consumed is unchanged.
+	// Together with the overlay and probe versions it stamps the batch's
+	// stage game below, mirroring the transport router's cache semantics:
+	// a solve is reused only while every input it consumed is unchanged.
 	histQual uint64
 
 	// histNodes is the set of nodes holding quality-relevant history for
 	// this batch — exactly the nodes whose scorer output can depend on
 	// the history version or the connection index k (everything else has
-	// selectivity 0 whatever k is). A warm re-solve marks them dirty when
-	// histQual or k moved instead of invalidating the whole table.
+	// selectivity 0 whatever k is). Only their stage-game rows are scored
+	// through the scorer; every other row is the system's base row.
 	histNodes map[overlay.NodeID]struct{}
 
-	// spne is the batch's cached Utility Model II prescription table,
-	// solved to the full MaxHops budget (rows for h ≤ budget are
-	// budget-independent, so one table serves every drawn budget). Also
-	// reused as the solve scratch buffer on invalidation.
-	spne      [][]game.Decision
+	// spneStamp is the version vector of the batch's last Utility Model II
+	// solve (see spneTable).
 	spneStamp spneStamp
+
+	// scorers caches the batch's per-node edge-quality scorers: the
+	// routing loop asks for one per hop. They live and die with the batch
+	// (Close drops them), so a long run holds scorers for its live batches
+	// only.
+	scorers map[overlay.NodeID]*quality.Scorer
+	closed  bool
 
 	// cands and scored are per-hop scratch buffers (candidate filter and
 	// Model-I utility ranking), reused to keep the routing loop
@@ -67,11 +68,11 @@ type Batch struct {
 	scored []scoredCand
 }
 
-// spneStamp records the version vector a cached SPNE table was solved
-// under: the overlay structural version, the probe-set estimate version,
-// the batch's quality-relevant history version, and the connection index
-// (irrelevant while the batch has no quality-relevant history, because
-// every selectivity is then 0 whatever k is).
+// spneStamp records the version vector a stage game was solved under: the
+// overlay structural version, the probe-set estimate version, the batch's
+// quality-relevant history version, and the connection index (left 0
+// while the batch has no quality-relevant history, because every
+// selectivity is then 0 whatever k is).
 type spneStamp struct {
 	valid bool
 	net   uint64
@@ -115,6 +116,7 @@ func (s *System) NewBatch(initiator, responder overlay.NodeID, c Contract, strat
 		return nil, fmt.Errorf("core: negative contract %+v", c)
 	}
 	s.batches++
+	s.open++
 	return &Batch{
 		ID:        s.batches,
 		Initiator: initiator,
@@ -200,12 +202,13 @@ func (b *Batch) RunConnection() *PathResult {
 		return res
 	}
 
-	// Utility Model II: fetch the stage-game SPNE for this connection;
-	// every good holder then plays its prescription. The solved table is
-	// cached batch-scoped and reused while its inputs are unchanged.
+	// Utility Model II: solve the subgame the play from (I, budget) can
+	// reach; every good holder then plays its prescription. The solve is
+	// rooted here, before the first hop is recorded: rows read history, so
+	// the walk's own hops must never leak into the game it is playing.
 	var spne [][]game.Decision
 	if b.Strategy == UtilityII {
-		spne = b.spneTable()
+		spne = b.spneTable(b.Initiator, budget)
 	}
 
 	cur := b.Initiator
@@ -213,7 +216,7 @@ func (b *Batch) RunConnection() *PathResult {
 	res.Nodes = append(res.Nodes, cur)
 
 	// route.walk covers the hop loop only; the SPNE solve above reports
-	// under the solve.* phases (a cache hit costs nothing to attribute).
+	// under solve.induction.
 	walk := b.sys.Prof.Start(telemetry.PhaseRouteWalk)
 	defer walk.End()
 
@@ -262,7 +265,7 @@ func (b *Batch) runFixedPath(res *PathResult, budget int) {
 	cur := b.Initiator
 	pred := overlay.None
 	res.Nodes = append(res.Nodes, cur)
-	sc := b.sys.scorer(b.Initiator, b.ID)
+	sc := b.scorer(b.Initiator)
 	for _, next := range b.fixedPath {
 		b.recordHop(res, cur, pred, next, sc.Edge(next, b.Responder, b.k))
 		pred, cur = cur, next
@@ -309,7 +312,7 @@ func (b *Batch) chooseNext(cur, pred overlay.NodeID, remaining int, spne [][]gam
 		shuffleIDs(b.sys.rng, candidates)
 		for _, v := range candidates {
 			if b.sys.accepts(v, b.Contract) {
-				return v, b.sys.scorer(cur, b.ID).Edge(v, b.Responder, b.k)
+				return v, b.scorer(cur).Edge(v, b.Responder, b.k)
 			}
 			res.Declined++
 			b.declines++
@@ -317,7 +320,9 @@ func (b *Batch) chooseNext(cur, pred overlay.NodeID, remaining int, spne [][]gam
 		return b.Responder, 1
 
 	case UtilityII:
-		if spne != nil && int(cur) < len(spne[remaining]) {
+		if spne != nil {
+			// (cur, remaining) lies in the cone solved at connection
+			// start: every hop follows an edge of the holder's row.
 			d := spne[remaining][cur]
 			// The SPNE table is computed over walks; refuse an immediate
 			// return to the predecessor (A→B→A cycling) and fall back to
@@ -329,7 +334,7 @@ func (b *Batch) chooseNext(cur, pred overlay.NodeID, remaining int, spne [][]gam
 					return b.Responder, 1
 				}
 				if b.sys.accepts(next, b.Contract) {
-					return next, b.sys.scorer(cur, b.ID).Edge(next, b.Responder, b.k)
+					return next, b.scorer(cur).Edge(next, b.Responder, b.k)
 				}
 				res.Declined++
 				b.declines++
@@ -348,7 +353,7 @@ func (b *Batch) chooseNext(cur, pred overlay.NodeID, remaining int, spne [][]gam
 // candidate, walk them in descending utility (ties broken by higher edge
 // quality, then lower ID for determinism), and return the first acceptor.
 func (b *Batch) chooseUtilityI(cur, pred overlay.NodeID, candidates []overlay.NodeID, res *PathResult) (overlay.NodeID, float64) {
-	sc := b.sys.scorer(cur, b.ID)
+	sc := b.scorer(cur)
 	scoredCands := b.scored[:0]
 	for _, v := range candidates {
 		var q float64
@@ -455,403 +460,149 @@ func (b *Batch) recordHop(res *PathResult, cur, pred, next overlay.NodeID, q flo
 	}
 }
 
-// spneTable returns the SPNE prescription table for the current
-// connection, reusing the batch's cached solve when every input it
-// consumed — overlay topology, probe estimates, this batch's
-// quality-relevant history and (when history matters) the connection
-// index — is unchanged. An invalidated table is first offered to the
-// incremental re-solver, which patches only what the recorded changes
-// can reach; when that cannot run (journal gap, population change,
-// oversized dirty set, scratch owned by another batch) the previous
-// table is recycled as scratch for a full solve.
-func (b *Batch) spneTable() [][]game.Decision {
-	netV, probeV := b.sys.Net.Version(), b.sys.Probes.Version()
-	st := b.spneStamp
-	if st.valid && st.net == netV && st.probe == probeV && st.hist == b.histQual &&
-		(b.histQual == 0 || st.k == b.k) {
-		return b.spne
+// scorer returns node's edge-quality scorer for this batch. The cached
+// entry is revalidated against the current profile and estimator pointers
+// — both are stable for a live batch, and a mismatch (the node's first
+// recorded row materialising its profile) rebuilds. The profile is
+// Peeked, not created: a node that never forwarded scores with a nil
+// profile (selectivity 0, exactly what an empty profile yields).
+func (b *Batch) scorer(node overlay.NodeID) *quality.Scorer {
+	h := b.sys.Hist.Peek(node, b.ID)
+	p := b.sys.Probes.For(node)
+	if sc := b.scorers[node]; sc != nil && sc.History == h && sc.Probe == p {
+		return sc
 	}
-	if st.valid && !b.sys.forceDense {
-		if b.resolveIncremental(st, netV, probeV) {
-			b.sys.mIncHit.Inc()
-			b.spneStamp = spneStamp{valid: true, net: netV, probe: probeV, hist: b.histQual, k: b.k}
-			return b.spne
-		}
-		// A valid solve existed but could not be patched: count the miss
-		// (first-time solves never reach here).
-		b.sys.mIncMiss.Inc()
-		b.sys.solverStats.Fallbacks++
+	sc := quality.NewScorer(b.sys.cfg.Weights, h, p)
+	if b.scorers == nil {
+		b.scorers = make(map[overlay.NodeID]*quality.Scorer)
 	}
-	b.spne = b.solveStageGame(b.spne)
-	b.spneStamp = spneStamp{valid: true, net: netV, probe: probeV, hist: b.histQual, k: b.k}
-	return b.spne
+	b.scorers[node] = sc
+	return sc
 }
 
-// solveStageGame builds and solves the L-stage path game for Utility Model
-// II over the current online overlay: vertices are all node IDs (offline
-// ones get no outgoing edges), each online node i has edges to its online
-// neighbors with q from i's own scorer, and every online node has the
-// delivery edge (i, R) with quality 1.
+// spneTable returns the Utility Model II prescription table with every
+// cell the play from (start, hops) can reach solved: the L-stage path
+// game over the current online overlay, where each online node i ≠ R has
+// edges to its online neighbors (other than I and R) with q from i's own
+// scorer, plus the delivery edge (i, R) with quality 1.
 //
-// The game is neighbor-local — a node only ever scores its candidate set
-// D(s) of size ≤ d — so the edge qualities are materialised as sparse
-// per-node candidate rows (O(N·d) memory and scorer calls) rather than
-// the dense n×n matrix earlier revisions used, which walled the engine
-// off around N ≈ 10⁴. Candidate rows are sorted ascending, so the sparse
-// induction visits successors in exactly the order the dense scan did and
-// every epsilon tie-break lands identically. The game is solved to the
-// full configured MaxHops so the table serves any drawn per-connection
-// budget (rows for h ≤ budget are identical either way — backward
-// induction fills bottom-up).
-func (b *Batch) solveStageGame(scratch [][]game.Decision) [][]game.Decision {
-	n := b.sys.Net.Len()
-	g := &game.PathGame{
-		Nodes:     n,
-		Responder: int(b.Responder),
-		Pf:        b.Contract.Pf,
-		Pr:        b.Contract.Pr,
-		Cost:      b.sys.cfg.Cost,
-		MaxHops:   b.sys.cfg.MaxHops,
-		Workers:   b.sys.cfg.SolveWorkers,
-	}
+// The solve is demand-driven (game.SolveFrom): only the cone of (start,
+// hops) is computed, over rows built for cone nodes only, into the
+// system's one memo. The memo is reused — a larger budget merely extends
+// it — while this batch solved last and its stamp is fresh, i.e. every
+// input the game consumed (overlay topology, probe estimates, this
+// batch's quality-relevant history and, when history matters, the
+// connection index) is unchanged; otherwise it is reset. Cells outside
+// the solved cones hold stale storage and must not be read.
+//
+// Estimator creation is the one RNG-consuming side effect of a solve, so
+// it is not left to the lazy rows: whenever the batch's stamp went stale
+// every online node other than R gets its estimator, in ascending ID
+// order — and not when the memo merely changed hands between interleaved
+// batches (the stamp is then fresh, and an unchanged overlay version means
+// the pass that stamped it already covered the same online set).
+func (b *Batch) spneTable(start overlay.NodeID, hops int) [][]game.Decision {
 	s := b.sys
-	if s.forceDense {
-		// Retained dense oracle (equivalence tests): O(n²) scan via the
-		// map-free closure, same scorer-creation order as the sparse
-		// prefetch (ascending i), so RNG streams stay aligned. The dense
-		// solver also runs no frontier or fixed-point shortcut — it is
-		// the reference everything else is pinned bit-identical against.
-		g.EdgeQuality = func(i, j int) float64 {
-			return b.stageEdgeQuality(overlay.NodeID(i), overlay.NodeID(j))
-		}
-		g.Workers = 0
-		g.Stats = &s.lastSolve
-		s.solveOwner = 0 // dense solves leave no reusable sparse rows
-		ps := s.Prof.Start(telemetry.PhaseSolveInduction)
-		table := g.SolveInto(scratch)
-		ps.End()
-		s.noteSolve(&s.lastSolve)
-		return table
+	now := spneStamp{valid: true, net: s.Net.Version(), probe: s.Probes.Version(), hist: b.histQual}
+	if b.histQual != 0 {
+		now.k = b.k
 	}
-	pr := s.Prof.Start(telemetry.PhaseSolveRows)
-	row, rowLen, succ, qual := b.buildSparseRows(n)
-	pr.End()
-	g.Adjacency = func(i int) ([]int32, []float64) {
-		lo, m := row[i], rowLen[i]
-		return succ[lo : lo+m], qual[lo : lo+m]
+	fresh := b.spneStamp == now
+	if !fresh {
+		s.createEstimators(b.Responder)
+		b.spneStamp = now
 	}
-	s.buildReverse(n)
-	prow, pred := s.solvePredRow, s.solvePred
-	g.Predecessors = func(j int32) []int32 { return pred[prow[j]:prow[j+1]] }
-	g.Stats = &s.lastSolve
-	g.Scratch = &s.solveSweep
-	if g.Workers > 1 {
-		g.Pool = s.sweepPool()
-	}
-	ps := s.Prof.Start(telemetry.PhaseSolveInduction)
-	table := g.SolveInto(scratch)
-	ps.End()
-	// Record what the warm re-solver needs to pick this solve up: whose
-	// rows the scratch holds, over how many nodes, and from which stage
-	// the table rows are pairwise identical.
-	s.solveOwner, s.solveN, s.solveConverged = b.ID, n, s.lastSolve.Converged
-	s.noteSolve(&s.lastSolve)
-	return table
-}
-
-// resolveIncremental attempts a warm re-solve of the batch's cached
-// table in place: it asks the overlay and probe journals exactly what
-// changed since the stamped versions, expands those changes into the set
-// of candidate rows that can feel them, refreshes those rows, and lets
-// game.ResolveInto propagate the rows whose contents actually moved
-// through the reverse CSR. Returns false — leaving the caller to run a
-// full solve — when any precondition fails:
-//
-//   - the sparse scratch describes another batch's solve or a different
-//     population size (any Join changes Net.Len);
-//   - a journal cannot cover the span (overlay.Touch wildcard, probe
-//     TickAll round, or eviction of old entries);
-//   - the dirty set exceeds half the population, where refreshing rows
-//     one by one loses to the sequential full rebuild;
-//   - a dirty node's neighbor list outgrew its slot span (neighbor
-//     repair), so its row no longer fits without recomputing offsets.
-//
-// Every bail-out happens before the first scorer prefetch, so the RNG
-// split sequence (estimator creation) is identical whether an event is
-// handled incrementally or by a full solve — the bit-equivalence suite
-// depends on that.
-func (b *Batch) resolveIncremental(st spneStamp, netV, probeV uint64) bool {
-	s := b.sys
-	n := s.Net.Len()
-	if s.solveOwner != b.ID || s.solveN != n {
-		return false
-	}
-	if len(b.spne) != s.cfg.MaxHops+1 || len(b.spne[0]) != n {
-		return false
-	}
-	ph := s.Prof.Start(telemetry.PhaseSolveIncremental)
-	defer ph.End()
-	buf, ok := s.Net.ChangesSince(st.net, s.dirtyNodes[:0])
-	s.dirtyNodes = buf
-	if !ok {
-		return false
-	}
-	netEnd := len(buf)
-	buf, ok = s.Probes.ChangesSince(st.probe, buf)
-	s.dirtyNodes = buf
-	if !ok {
-		return false
-	}
-	histMoved := st.hist != b.histQual || (b.histQual != 0 && st.k != b.k)
-
-	// Rebuild the reverse CSR from the current neighbor lists — needed
-	// both to expand lifecycle changes into the rows that can see them
-	// and for the frontier propagation inside ResolveInto.
-	s.buildReverse(n)
-	prow, pred := s.solvePredRow, s.solvePred
-
-	if cap(s.dirtyMark) < n {
-		s.dirtyMark = make([]bool, n)
-	}
-	mark := s.dirtyMark[:n]
-	list := s.dirtyList[:0]
-	add := func(x int32) {
-		if !mark[x] {
-			mark[x] = true
-			list = append(list, x)
-		}
-	}
-	// A lifecycle change of x rewrites x's own row and every row listing
-	// x (x appears or vanishes as a candidate); a neighbor edit or probe
-	// tick of x rewrites x's row only; history/k movement rewrites the
-	// rows of every node holding quality-relevant history for the batch.
-	for _, id := range buf[:netEnd] {
-		add(int32(id))
-		for _, p := range pred[prow[id]:prow[id+1]] {
-			add(p)
-		}
-	}
-	for _, id := range buf[netEnd:] {
-		add(int32(id))
-	}
-	if histMoved {
-		for id := range b.histNodes {
-			add(int32(id))
-		}
-	}
-	for _, x := range list {
-		mark[x] = false
-	}
-	s.dirtyList = list
-	if len(list)*2 > n {
-		return false
-	}
-	// Conservative fit check before any row is touched: a row can only
-	// have outgrown its span if its raw neighbor list did.
-	row, rowLen := s.solveRow[:n+1], s.solveLen[:n]
-	for _, x := range list {
-		id := overlay.NodeID(x)
-		if id == b.Responder || !s.Net.Online(id) {
-			continue
-		}
-		if len(s.Net.Node(id).Neighbors)+1 > int(row[x+1]-row[x]) {
-			return false
-		}
-	}
-	// Ascending refresh order, for two reasons: a node missing its probe
-	// estimator consumes an RNG split at scorer prefetch, and ascending
-	// IDs is the order every full solve creates them in — transcripts
-	// must not depend on which solve flavor handled an event. It also
-	// neutralises the map iteration order of histNodes above.
-	slices.Sort(list)
-	seeds := list[:0]
-	for _, x := range list {
-		if b.refreshRow(int(x)) {
-			seeds = append(seeds, x)
-		}
-	}
-	succ, qual := s.solveSucc, s.solveQual
 	g := &game.PathGame{
-		Nodes:     n,
+		Nodes:     s.Net.Len(),
 		Responder: int(b.Responder),
 		Pf:        b.Contract.Pf,
 		Pr:        b.Contract.Pr,
 		Cost:      s.cfg.Cost,
 		MaxHops:   s.cfg.MaxHops,
-		Workers:   s.cfg.SolveWorkers,
-		Adjacency: func(i int) ([]int32, []float64) {
-			lo, m := row[i], rowLen[i]
-			return succ[lo : lo+m], qual[lo : lo+m]
-		},
-		Predecessors: func(j int32) []int32 { return pred[prow[j]:prow[j+1]] },
-		Stats:        &s.lastSolve,
-		Scratch:      &s.solveSweep,
 	}
-	if g.Workers > 1 {
-		g.Pool = s.sweepPool()
+	reuse := fresh && s.memoOwner == b.ID
+	if reuse {
+		s.solverStats.Incremental++
+		s.mMemoReused.Inc()
+	} else {
+		if s.memoOwner != 0 {
+			s.solverStats.Fallbacks++
+		}
+		s.solverStats.Solves++
+		s.mMemoReset.Inc()
+		s.memoOwner = b.ID
 	}
-	g.ResolveInto(b.spne, seeds, s.solveConverged)
-	s.solveConverged = s.lastSolve.Converged
-	s.noteSolve(&s.lastSolve)
-	return true
+	if s.forceDense {
+		// Retained dense oracle (equivalence tests): the full table by an
+		// O(n²) scan through the map-free closure — the reference the
+		// demand-driven cells are pinned bit-identical against.
+		if !reuse {
+			g.EdgeQuality = func(i, j int) float64 {
+				return b.stageEdgeQuality(overlay.NodeID(i), overlay.NodeID(j))
+			}
+			s.dense = g.SolveInto(s.dense)
+		}
+		return s.dense
+	}
+	ph := s.Prof.Start(telemetry.PhaseSolveInduction)
+	if !reuse {
+		s.resetMemo(g.Nodes)
+	}
+	g.Adjacency = b.row
+	cells := g.SolveFrom(&s.memo, int(start), hops)
+	ph.End()
+	s.solverStats.FrontierCells += cells
+	s.mCells.Add(int64(cells))
+	return s.memo.Table()
 }
 
-// refreshRow recomputes node i's candidate row in place against the
-// current overlay/probe/history state, exactly as buildSparseRows' fill
-// would, and reports whether the row's contents actually changed (full
-// bit comparison — an unchanged row must not seed the frontier). The
-// caller has already verified the new candidates fit the row's span.
-func (b *Batch) refreshRow(i int) (changed bool) {
+// row is the stage game's Adjacency for the batch that owns the memo:
+// node i's candidate successors, ascending, with their edge qualities.
+// Rows are built on first use and kept until the memo is reset, so a
+// solve touches only the nodes of its cone. A row is the node's base row
+// (System.baseRow: batch-independent topology and availability) minus I,
+// R and offline candidates, with the delivery edge (i, R) = 1 spliced in
+// at R's ascending position — the sparse induction then visits successors
+// in exactly the order a dense scan over j would, so every epsilon
+// tie-break lands identically. Selectivity is non-zero only on the edges
+// of nodes holding quality-relevant history, so only those rows are
+// rescored through the batch's scorer. R and offline nodes have no row.
+func (b *Batch) row(i int) ([]int32, []float64) {
 	s := b.sys
-	lo := int(s.solveRow[i])
-	oldLen := int(s.solveLen[i])
-	id := overlay.NodeID(i)
-	if id == b.Responder || !s.Net.Online(id) {
-		s.solveScorers[i] = nil
-		s.solveLen[i] = 0
-		return oldLen != 0
-	}
-	neigh := s.Net.Node(id).Neighbors
-	want := len(neigh) + 1
-	if cap(s.refreshSucc) < want {
-		s.refreshSucc = make([]int32, want)
-		s.refreshQual = make([]float64, want)
-	}
-	cands := s.refreshSucc[:want]
-	m := 0
-	for _, v := range neigh {
-		if v == id || v == b.Responder || v == b.Initiator || !s.Net.Online(v) {
-			continue
-		}
-		cands[m] = int32(v)
-		m++
-	}
-	cands[m] = int32(b.Responder) // delivery edge, last-edge rule
-	m = game.SortUnique(cands[:m+1])
-	sc := s.scorer(id, b.ID)
-	s.solveScorers[i] = sc
-	quals := s.refreshQual[:m]
-	for a := 0; a < m; a++ {
-		quals[a] = sc.Edge(overlay.NodeID(cands[a]), b.Responder, b.k)
-	}
-	oldS := s.solveSucc[lo : lo+oldLen]
-	oldQ := s.solveQual[lo : lo+oldLen]
-	changed = m != oldLen
-	if !changed {
-		for a := 0; a < m; a++ {
-			if cands[a] != oldS[a] || math.Float64bits(quals[a]) != math.Float64bits(oldQ[a]) {
-				changed = true
-				break
+	if !s.rowBuilt[i] {
+		s.rowBuilt[i] = true
+		lo := len(s.rowSucc)
+		if id := overlay.NodeID(i); id != b.Responder && s.Net.Online(id) {
+			base := s.baseRow(id)
+			var sc *quality.Scorer
+			if _, ok := b.histNodes[id]; ok {
+				sc = b.scorer(id)
 			}
-		}
-	}
-	if changed {
-		copy(s.solveSucc[lo:lo+m], cands[:m])
-		copy(s.solveQual[lo:lo+m], quals)
-		s.solveLen[i] = int32(m)
-	}
-	return changed
-}
-
-// buildSparseRows materialises the stage game's sparse adjacency into the
-// system's reusable CSR-with-slack scratch and returns its views. Two
-// passes:
-//
-//  1. A sequential prefetch over ascending node IDs computes each node's
-//     slot offset and creates every lazily-built input — scorers, and
-//     through them probe estimators, whose construction consumes RNG
-//     stream splits. Creation order is exactly the order the dense build
-//     used, so transcripts stay byte-identical.
-//  2. A row fill — shardable over contiguous node regions when
-//     Config.SolveWorkers > 1, since it consumes no randomness, reads
-//     only overlay/probe/history state and writes disjoint slot ranges —
-//     gathers each node's eligible successors, sorts them ascending,
-//     deduplicates and scores them with the node's own scorer.
-func (b *Batch) buildSparseRows(n int) (row, rowLen []int32, succ []int32, qual []float64) {
-	s := b.sys
-	if cap(s.solveRow) < n+1 {
-		s.solveRow = make([]int32, n+1)
-	}
-	row = s.solveRow[:n+1]
-	slots := 0
-	for i := 0; i < n; i++ {
-		row[i] = int32(slots)
-		id := overlay.NodeID(i)
-		if id == b.Responder || !s.Net.Online(id) {
-			continue
-		}
-		// Upper bound: every neighbor plus the delivery edge to R.
-		slots += len(s.Net.Node(id).Neighbors) + 1
-	}
-	row[n] = int32(slots)
-	s.solveScratch(n, slots)
-	rowLen = s.solveLen[:n]
-	succ = s.solveSucc[:slots]
-	qual = s.solveQual[:slots]
-	scorers := s.solveScorers[:n]
-	for i := 0; i < n; i++ {
-		id := overlay.NodeID(i)
-		if id == b.Responder || !s.Net.Online(id) {
-			scorers[i] = nil
-			continue
-		}
-		scorers[i] = s.scorer(id, b.ID)
-	}
-
-	fill := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sc := scorers[i]
-			if sc == nil {
-				rowLen[i] = 0
-				continue
-			}
-			id := overlay.NodeID(i)
-			cands := succ[row[i]:row[i+1]]
-			m := 0
-			for _, v := range s.Net.Node(id).Neighbors {
-				if v == id || v == b.Responder || v == b.Initiator || !s.Net.Online(v) {
+			deliver := int32(b.Responder)
+			delivered := false
+			for a, j := range base.succ {
+				if !delivered && j >= deliver {
+					s.addEdge(deliver, 1)
+					delivered = true
+				}
+				v := overlay.NodeID(j)
+				if v == b.Responder || v == b.Initiator || !s.Net.Online(v) {
 					continue
 				}
-				cands[m] = int32(v)
-				m++
+				q := base.qual[a]
+				if sc != nil {
+					q = sc.Edge(v, b.Responder, b.k)
+				}
+				s.addEdge(j, q)
 			}
-			cands[m] = int32(b.Responder) // delivery edge, last-edge rule
-			// Ascending and duplicate free: the induction must visit
-			// candidates in the dense scan's order for tie-break identity
-			// (neighbor lists should already be duplicate free).
-			m = game.SortUnique(cands[:m+1])
-			qrow := qual[row[i]:row[i+1]]
-			for a := 0; a < m; a++ {
-				// Edge returns the literal 1 for v == R, matching the
-				// dense build's explicit delivery entry.
-				qrow[a] = sc.Edge(overlay.NodeID(cands[a]), b.Responder, b.k)
+			if !delivered {
+				s.addEdge(deliver, 1)
 			}
-			rowLen[i] = int32(m)
 		}
+		s.rowOff[i], s.rowLen[i] = int32(lo), int32(len(s.rowSucc)-lo)
 	}
-	workers := s.cfg.SolveWorkers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fill(0, n)
-		return row, rowLen, succ, qual
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fill(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return row, rowLen, succ, qual
+	lo, hi := s.rowOff[i], s.rowOff[i]+s.rowLen[i]
+	return s.rowSucc[lo:hi], s.rowQual[lo:hi]
 }
 
 // stageEdgeQuality returns q(i, j) for the stage game, or -1 when the edge
@@ -872,7 +623,7 @@ func (b *Batch) stageEdgeQuality(i, j overlay.NodeID) float64 {
 	if !b.sys.Net.IsNeighbor(i, j) {
 		return -1
 	}
-	return b.sys.scorer(i, b.ID).Edge(j, b.Responder, b.k)
+	return b.scorer(i).Edge(j, b.Responder, b.k)
 }
 
 // shuffleIDs is a tiny Fisher-Yates over node IDs using the system RNG.

@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"p2panon/internal/dist"
 	"p2panon/internal/game"
@@ -151,14 +152,6 @@ type Config struct {
 	// the paper's pure argmax; K > 1 trades a slightly larger forwarder
 	// set for unpredictability an always-online adversary cannot park on.
 	TopKJitter int
-	// SolveWorkers shards the Utility Model II solve — the sparse
-	// quality-row build and each backward-induction stage — over
-	// contiguous node regions, and is mirrored into probe ticking by the
-	// experiment harness. The sharded phases consume no randomness and
-	// write disjoint rows (all lazy RNG-consuming state is prefetched
-	// sequentially in ascending node order first), so transcripts are
-	// byte-identical whatever the value. 0 or 1 runs serially.
-	SolveWorkers int
 }
 
 // DefaultConfig returns the paper's experimental configuration.
@@ -190,9 +183,6 @@ func (c Config) validate() error {
 	if c.TopKJitter < 0 {
 		return fmt.Errorf("core: top-K jitter %d", c.TopKJitter)
 	}
-	if c.SolveWorkers < 0 {
-		return fmt.Errorf("core: solve workers %d", c.SolveWorkers)
-	}
 	return nil
 }
 
@@ -214,88 +204,52 @@ type System struct {
 	rng     *dist.Source
 	batches int
 
-	// scorers caches the per-(node, batch) edge-quality scorer: the
-	// routing loop asks for one per hop, and allocating each time was a
-	// measurable share of the per-connection cost. Entries are validated
-	// against the live profile/estimator pointers, so a dropped batch
-	// (history.Store.DropBatch) or freshly minted estimator rebuilds.
-	scorers map[scorerKey]*quality.Scorer
-
 	// minCt memoises minTransmission per node; the whole memo is keyed to
 	// the overlay's structural version, so any churn or neighbor edit
 	// invalidates it exactly.
 	minCt        map[overlay.NodeID]float64
 	minCtVersion uint64
 
-	// Sparse solve scratch for Utility Model II stage games, reused
-	// across solves (the simulator is single-threaded per System; solve
-	// workers only ever read it or write disjoint row ranges). The layout
-	// is CSR with slack: node i's candidate slots are
-	// solveSucc[solveRow[i]:solveRow[i+1]] — sized from its neighbor-list
-	// upper bound so offsets are computable before filtering — of which
-	// the first solveLen[i] are live (sorted ascending, deduplicated),
-	// with parallel qualities in solveQual. Working memory is O(n·d); the
-	// dense n×n float slab this replaces was the memory wall that capped
-	// the engine near N ≈ 10⁴.
-	solveRow  []int32
-	solveLen  []int32
-	solveSucc []int32
-	solveQual []float64
-	// solveScorers holds the per-solve prefetched scorers (nil for
-	// offline nodes and the responder) so the row fill is free of map
-	// access and safe to shard.
-	solveScorers []*quality.Scorer
+	// open counts batches not yet closed; the solve state below is
+	// released when the last one closes.
+	open int
 
-	// Reverse (predecessor) CSR over the raw neighbor lists, rebuilt on
-	// every sparse solve: the vertices that may list j in their candidate
-	// rows are solvePred[solvePredRow[j]:solvePredRow[j+1]]. Built from
-	// Neighbors unconditionally (offline and departed sources included),
-	// it over-approximates the game's true reverse adjacency — which is
-	// safe for frontier propagation (an extra predecessor is a recompute
-	// that finds its cell unchanged) and keeps a node that flaps back
-	// online covered without patching. Rebuilding per solve costs O(n·d)
-	// integer work and removes any journal of edge-level changes: rows
-	// whose forward adjacency drifted are in the dirty set anyway.
-	solvePredRow []int32
-	solvePred    []int32
+	// memo is the one demand-driven SPNE memo (game.SolveFrom), shared by
+	// every batch: it holds cells of the stage game of batch memoOwner (0
+	// = none) as of that batch's stamp, and is reset whenever another
+	// batch, or a stale stamp, asks for a solve. dense is the forceDense
+	// oracle's full table under the same ownership rule.
+	memo      game.Memo
+	memoOwner int
+	dense     [][]game.Decision
 
-	// solveSweep and pool are the frontier solver's work buffers and its
-	// persistent sweep workers (lazily created at cfg.SolveWorkers width).
-	solveSweep game.SweepScratch
-	pool       *game.Pool
+	// The memo owner's stage-game rows, built lazily for cone nodes (see
+	// Batch.row): once rowBuilt[i], node i's row is
+	// rowSucc/rowQual[rowOff[i]:][:rowLen[i]]. A memo reset empties the
+	// arenas and clears rowBuilt.
+	rowBuilt       []bool
+	rowOff, rowLen []int32
+	rowSucc        []int32
+	rowQual        []float64
 
-	// Warm-solve bookkeeping: the batch whose solve the CSR rows (and the
-	// Converged bound) currently describe, the node count it was built
-	// over, and the first stage from which that solve's table rows are
-	// pairwise identical. A warm re-solve is only attempted when the same
-	// batch solved last over the same population; anything else falls
-	// back to a full solve.
-	solveOwner     int
-	solveN         int
-	solveConverged int
+	// base holds the batch-independent part of every node's row (see
+	// baseRow), revalidated per use rather than per overlay or probe
+	// version: one churn event or probe round invalidates only the rows it
+	// actually touched. It outlives the memo.
+	base []baseRow
 
-	// Dirty-set assembly buffers for warm re-solves.
-	dirtyNodes  []overlay.NodeID
-	dirtyMark   []bool
-	dirtyList   []int32
-	refreshSucc []int32
-	refreshQual []float64
-
-	// lastSolve receives per-solve statistics from the game solver;
-	// solverStats accumulates them system-wide.
-	lastSolve   game.SolveStats
+	// solverStats accumulates the solve counters system-wide.
 	solverStats SolverStats
 
 	// Solve telemetry; nil (no-op) until Instrument binds them.
-	mStagesSkipped *telemetry.Counter
-	mFrontier      *telemetry.Gauge
-	mIncHit        *telemetry.Counter
-	mIncMiss       *telemetry.Counter
+	mCells      *telemetry.Counter
+	mMemoReused *telemetry.Counter
+	mMemoReset  *telemetry.Counter
 
-	// forceDense routes solveStageGame through the retained dense
-	// EdgeQuality oracle instead of the sparse adjacency path. Test-only:
-	// the sparse-vs-dense equivalence suite uses it to prove the two
-	// formulations produce bit-identical tables and payoffs.
+	// forceDense routes spneTable through the retained dense EdgeQuality
+	// oracle instead of the demand-driven solve. Test-only: the
+	// equivalence suites use it to prove the two produce bit-identical
+	// cells, paths and payoffs.
 	forceDense bool
 }
 
@@ -303,18 +257,16 @@ type System struct {
 // System's lifetime, mirroring the solve_* telemetry for callers without
 // a registry (anonsim's phase report).
 type SolverStats struct {
-	// Solves counts stage-game solves of any kind (cold, warm, dense).
+	// Solves counts memo resets: solves that started from nothing.
 	Solves int
-	// Incremental counts warm re-solves that succeeded.
+	// Incremental counts connections served from the memo as it stood —
+	// same batch, fresh stamp — computing at most the cells a larger
+	// budget adds.
 	Incremental int
-	// Fallbacks counts invalidations that held a valid previous solve but
-	// could not re-solve incrementally (journal gap, population change,
-	// oversized dirty set) and ran a full solve instead.
+	// Fallbacks counts the resets that discarded a memo another solve had
+	// filled (every reset but the first after a release).
 	Fallbacks int
-	// StagesSkipped totals induction stages satisfied by the fixed-point
-	// exit instead of a sweep.
-	StagesSkipped int
-	// FrontierCells totals cells recomputed by frontier sweeps.
+	// FrontierCells totals the cells computed: the cones, not the table.
 	FrontierCells int
 }
 
@@ -323,46 +275,22 @@ func (s *System) SolverStats() SolverStats { return s.solverStats }
 
 // Solve metric names (see System.Instrument).
 const (
-	metricSolveStagesSkipped = "solve_induction_stages_skipped"
-	metricSolveFrontierSize  = "solve_frontier_size"
-	metricSolveIncremental   = "solve_incremental_total"
+	metricSolveCells = "solve_cells_total"
+	metricSolveMemo  = "solve_memo_total"
 )
 
-// Instrument binds the solver's telemetry into reg: the fixed-point
-// stage-skip counter, a gauge holding the last solve's frontier size
-// (total cells recomputed by frontier sweeps; 0 for a full solve), and
-// the warm re-solve hit/miss counters. A miss is counted only when a
-// valid cached solve existed but could not be reused incrementally —
-// first-time solves and plain stamp hits touch neither counter.
+// Instrument binds the solver's telemetry into reg: the cells computed by
+// demand-driven solves, and per Utility Model II connection whether the
+// memo was reused as it stood or reset first.
 func (s *System) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.Help(metricSolveStagesSkipped, "backward-induction stages satisfied by the fixed-point exit instead of a sweep")
-	reg.Help(metricSolveFrontierSize, "cells recomputed by the last solve's frontier sweeps (0 = full sweeps)")
-	reg.Help(metricSolveIncremental, "warm SPNE re-solve attempts by result (hit = incremental, miss = fell back to a full solve)")
-	s.mStagesSkipped = reg.Counter(metricSolveStagesSkipped, nil)
-	s.mFrontier = reg.Gauge(metricSolveFrontierSize, nil)
-	s.mIncHit = reg.Counter(metricSolveIncremental, telemetry.Labels{"result": "hit"})
-	s.mIncMiss = reg.Counter(metricSolveIncremental, telemetry.Labels{"result": "miss"})
-}
-
-// noteSolve folds one solve's statistics into the counters. incremental
-// reports whether the solve was a successful warm re-solve.
-func (s *System) noteSolve(st *game.SolveStats) {
-	s.solverStats.Solves++
-	if st.Incremental {
-		s.solverStats.Incremental++
-	}
-	s.solverStats.StagesSkipped += st.StagesSkipped
-	s.solverStats.FrontierCells += st.FrontierCells
-	s.mStagesSkipped.Add(int64(st.StagesSkipped))
-	s.mFrontier.Set(int64(st.FrontierCells))
-}
-
-type scorerKey struct {
-	node  overlay.NodeID
-	batch int
+	reg.Help(metricSolveCells, "stage-game cells computed by demand-driven SPNE solves (the cones, not the full tables)")
+	reg.Help(metricSolveMemo, "Utility Model II connections by what their solve found (reused = same batch, fresh stamp; reset = solved from nothing)")
+	s.mCells = reg.Counter(metricSolveCells, nil)
+	s.mMemoReused = reg.Counter(metricSolveMemo, telemetry.Labels{"result": "reused"})
+	s.mMemoReset = reg.Counter(metricSolveMemo, telemetry.Labels{"result": "reset"})
 }
 
 // NewSystem constructs a routing system over an existing overlay. Probing
@@ -376,39 +304,17 @@ func NewSystem(cfg Config, net *overlay.Network, probes *probe.Set, rng *dist.So
 		return nil, fmt.Errorf("core: nil dependency (net=%v probes=%v rng=%v)", net == nil, probes == nil, rng == nil)
 	}
 	return &System{
-		Net:     net,
-		Probes:  probes,
-		Hist:    history.NewStore(cfg.HistoryCapacity),
-		cfg:     cfg,
-		rng:     rng,
-		scorers: make(map[scorerKey]*quality.Scorer),
-		minCt:   make(map[overlay.NodeID]float64),
+		Net:    net,
+		Probes: probes,
+		Hist:   history.NewStore(cfg.HistoryCapacity),
+		cfg:    cfg,
+		rng:    rng,
+		minCt:  make(map[overlay.NodeID]float64),
 	}, nil
 }
 
 // Config returns the system configuration.
 func (s *System) Config() Config { return s.cfg }
-
-// scorer returns node's edge-quality scorer for the given batch, cached
-// per (node, batch). The cached entry is revalidated against the current
-// profile and estimator pointers — both are stable for a live batch, and
-// a mismatch (e.g. after Batch.Close dropped the profiles, or the node's
-// first recorded row materialising its profile) rebuilds. The profile is
-// Peeked, not created: a node that never forwarded scores with a nil
-// profile (selectivity 0, exactly what an empty profile yields), so a
-// scale-frontier solve does not allocate index maps for every node it
-// merely scores.
-func (s *System) scorer(node overlay.NodeID, batch int) *quality.Scorer {
-	h := s.Hist.Peek(node, batch)
-	p := s.Probes.For(node)
-	key := scorerKey{node, batch}
-	if sc, ok := s.scorers[key]; ok && sc.History == h && sc.Probe == p {
-		return sc
-	}
-	sc := quality.NewScorer(s.cfg.Weights, h, p)
-	s.scorers[key] = sc
-	return sc
-}
 
 // accepts reports whether node agrees to forward under contract c: good
 // nodes apply Prop. 3's participation condition P_f > C^p + C^t(node→next
@@ -456,108 +362,87 @@ func (s *System) minTransmission(node overlay.NodeID) float64 {
 	return min
 }
 
-// Solve-scratch shrink policy: when the slot demand of a solve falls
-// below cap/solveShrinkDenom of a non-trivial retained buffer (mass
-// departures, or interleaved batches over overlays of very different
-// size), the scratch is reallocated at the exact demand instead of
-// pinning the high-water mark for the process lifetime.
-const (
-	solveShrinkDenom = 4
-	solveShrinkMin   = 4096
-)
-
-// solveScratch sizes the reusable sparse-solve buffers for a solve over n
-// nodes needing `slots` candidate slots, applying the shrink policy
-// above. solveRow is NOT touched — callers fill it while computing slots.
-func (s *System) solveScratch(n, slots int) {
-	if c := cap(s.solveSucc); c > solveShrinkMin && slots < c/solveShrinkDenom {
-		s.solveSucc, s.solveQual = nil, nil
+// createEstimators gives every online node other than r its probe
+// estimator, in ascending ID order. Creation splits the probe set's RNG
+// and fixes which neighbors the estimator starts out knowing, so when it
+// happens is part of the transcript; Batch.spneTable says when. Free when
+// no node lacks one.
+func (s *System) createEstimators(r overlay.NodeID) {
+	n := s.Net.Len()
+	if s.Probes.Len() == n {
+		return
 	}
-	if cap(s.solveSucc) < slots {
-		s.solveSucc = make([]int32, slots)
-		s.solveQual = make([]float64, slots)
-	}
-	if cap(s.solveLen) < n {
-		s.solveLen = make([]int32, n)
-	}
-	if cap(s.solveScorers) < n {
-		s.solveScorers = make([]*quality.Scorer, n)
-	}
-}
-
-// releaseSolveScratch drops the sparse-solve buffers entirely. Called on
-// Batch.Close so a settled large run does not pin its scratch; the next
-// solve rebuilds at the size it actually needs.
-func (s *System) releaseSolveScratch() {
-	s.solveRow, s.solveLen, s.solveSucc, s.solveQual, s.solveScorers = nil, nil, nil, nil, nil
-	s.solvePredRow, s.solvePred = nil, nil
-	s.solveSweep = game.SweepScratch{}
-	s.dirtyNodes, s.dirtyMark, s.dirtyList = nil, nil, nil
-	s.refreshSucc, s.refreshQual = nil, nil
-	s.solveOwner, s.solveN, s.solveConverged = 0, 0, 0
-	if s.pool != nil {
-		s.pool.Close()
-		s.pool = nil
-	}
-}
-
-// sweepPool returns (creating on first use) the persistent sweep worker
-// pool. Callers only ask for it when cfg.SolveWorkers > 1.
-func (s *System) sweepPool() *game.Pool {
-	if s.pool == nil {
-		s.pool = game.NewPool(s.cfg.SolveWorkers)
-	}
-	return s.pool
-}
-
-// buildReverse rebuilds the predecessor CSR from the current raw
-// neighbor lists with one counting pass, one prefix sum and one fill —
-// O(n·d) integer work, no branching on lifecycle state (see the field
-// comment for why the over-approximation is deliberate). Delivery edges
-// (i → R) are not represented: R's induction cell is constant, so it can
-// never enter a changed set and its predecessors are never asked for.
-func (s *System) buildReverse(n int) {
-	if cap(s.solvePredRow) < n+1 {
-		s.solvePredRow = make([]int32, n+1)
-	}
-	prow := s.solvePredRow[:n+1]
-	for j := range prow {
-		prow[j] = 0
-	}
-	edges := 0
-	for i := 0; i < n; i++ {
-		for _, v := range s.Net.Node(overlay.NodeID(i)).Neighbors {
-			if int(v) == i {
-				continue
-			}
-			prow[v+1]++
-			edges++
+	for id := overlay.NodeID(0); int(id) < n; id++ {
+		if id != r && s.Net.Online(id) {
+			s.Probes.For(id)
 		}
 	}
-	for j := 0; j < n; j++ {
-		prow[j+1] += prow[j]
+}
+
+// baseRow is the batch-independent part of one node's stage-game row: its
+// neighbors ascending and duplicate free (self dropped) with the quality
+// every batch without history on the edge scores them at,
+// Weights.Edge(0, α). It is valid while what it was built from is
+// unchanged: the owner's estimator has not ticked (est, probes) and its
+// raw neighbor list is the same (raw).
+type baseRow struct {
+	est    *probe.Estimator
+	probes int
+	raw    []overlay.NodeID
+	succ   []int32
+	qual   []float64
+}
+
+// baseRow returns id's base row, rebuilding it in place when stale.
+func (s *System) baseRow(id overlay.NodeID) *baseRow {
+	br := &s.base[id]
+	est := s.Probes.For(id)
+	raw := s.Net.Node(id).Neighbors
+	if br.est == est && br.probes == est.Probes() && slices.Equal(br.raw, raw) {
+		return br
 	}
-	if c := cap(s.solvePred); c > solveShrinkMin && edges < c/solveShrinkDenom {
-		s.solvePred = nil
-	}
-	if cap(s.solvePred) < edges {
-		s.solvePred = make([]int32, edges)
-	}
-	pred := s.solvePred[:edges]
-	// Fill using prow[j] as j's write cursor (sources ascend, so each
-	// predecessor list comes out sorted), then shift the cursors — now
-	// row ends — right one slot to restore the start offsets.
-	for i := 0; i < n; i++ {
-		for _, v := range s.Net.Node(overlay.NodeID(i)).Neighbors {
-			if int(v) == i {
-				continue
-			}
-			pred[prow[v]] = int32(i)
-			prow[v]++
+	br.est, br.probes = est, est.Probes()
+	br.raw = append(br.raw[:0], raw...)
+	br.succ = br.succ[:0]
+	for _, v := range raw {
+		if v != id {
+			br.succ = append(br.succ, int32(v))
 		}
 	}
-	for j := n; j > 0; j-- {
-		prow[j] = prow[j-1]
+	br.succ = br.succ[:game.SortUnique(br.succ)]
+	br.qual = br.qual[:0]
+	for _, v := range br.succ {
+		br.qual = append(br.qual, s.cfg.Weights.Edge(0, est.Availability(overlay.NodeID(v))))
 	}
-	prow[0] = 0
+	return br
+}
+
+// addEdge appends one candidate to the row under construction.
+func (s *System) addEdge(j int32, q float64) {
+	s.rowSucc, s.rowQual = append(s.rowSucc, j), append(s.rowQual, q)
+}
+
+// resetMemo forgets every solved cell and built row and sizes the solve
+// state for n nodes. Base rows survive: they revalidate themselves.
+func (s *System) resetMemo(n int) {
+	s.memo.Reset(n, s.cfg.MaxHops)
+	if len(s.rowBuilt) != n {
+		s.rowBuilt = make([]bool, n)
+		s.rowOff, s.rowLen = make([]int32, n), make([]int32, n)
+	}
+	clear(s.rowBuilt) // one byte per node: noise beside the epoch-marked table
+	s.rowSucc, s.rowQual = s.rowSucc[:0], s.rowQual[:0]
+	if len(s.base) < n {
+		s.base = append(s.base, make([]baseRow, n-len(s.base))...)
+	}
+}
+
+// releaseSolve drops the memo and the rows. Called when the last open
+// batch closes, so a settled large run does not pin its working set; the
+// next solve rebuilds at the size it actually needs. Base rows stay: they
+// are no batch's scratch but a view of overlay and probe state, O(d) per
+// node like the estimators they are read from.
+func (s *System) releaseSolve() {
+	s.memo, s.memoOwner, s.dense = game.Memo{}, 0, nil
+	s.rowBuilt, s.rowOff, s.rowLen, s.rowSucc, s.rowQual = nil, nil, nil, nil, nil
 }

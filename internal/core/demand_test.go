@@ -1,0 +1,188 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"sort"
+	"testing"
+
+	"p2panon/internal/game"
+	"p2panon/internal/overlay"
+)
+
+// rootedConn is one connection of a rooted-solve run: its path and edge
+// qualities, plus the decision table right after it ran — every cell on
+// the dense oracle (known == nil), the cells solved so far on the
+// demand-driven solver. Neither solver touches its table during the walk,
+// so both show the game as it stood when the connection started.
+type rootedConn struct {
+	batch int
+	res   *PathResult
+	table [][]game.Decision
+	known [][]bool
+}
+
+// runRootedScript runs eight connections on each of six batches, round
+// robin, so every solve finds the shared memo in another batch's hands.
+// The initiators are malicious nodes picked for having the most malicious
+// neighbors: a malicious holder routes at random without reading the
+// table, so these connections often record two hops — I's and a malicious
+// first relay's — before the first prescription is read.
+func runRootedScript(t *testing.T, dense bool) ([]rootedConn, [][]NodePayoff) {
+	t.Helper()
+	const n, batches, conns = 80, 6, 8
+	sys := equivSystem(t, n, 9, 1, dense)
+	bad := func(id overlay.NodeID) bool { return sys.Net.Node(id).Malicious }
+	var initiators []overlay.NodeID
+	badNeighbors := map[overlay.NodeID]int{}
+	for _, id := range sys.Net.AllIDs() {
+		if bad(id) {
+			initiators = append(initiators, id)
+			for _, v := range sys.Net.Node(id).Neighbors {
+				if bad(v) {
+					badNeighbors[id]++
+				}
+			}
+		}
+	}
+	sort.SliceStable(initiators, func(a, b int) bool {
+		return badNeighbors[initiators[a]] > badNeighbors[initiators[b]]
+	})
+	live := make([]*Batch, batches)
+	for k := range live {
+		r := overlay.NodeID(n - 1 - 7*k) // 79, 72, …: none is ≡ 3 (mod 7)
+		b, err := sys.NewBatch(initiators[k], r, Contract{Pf: 75, Pr: 150}, UtilityII)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[k] = b
+	}
+	var out []rootedConn
+	for c := 0; c < conns; c++ {
+		for k, b := range live {
+			rc := rootedConn{batch: k, res: b.RunConnection()}
+			tbl := sys.dense
+			if !dense {
+				tbl = sys.memo.Table()
+				rc.known = make([][]bool, len(tbl))
+			}
+			rc.table = make([][]game.Decision, len(tbl))
+			for h := range tbl {
+				rc.table[h] = append([]game.Decision(nil), tbl[h]...)
+				if !dense {
+					rc.known[h] = make([]bool, len(tbl[h]))
+					for i := range tbl[h] {
+						rc.known[h][i] = sys.memo.Known(h, i)
+					}
+				}
+			}
+			out = append(out, rc)
+		}
+	}
+	payoffs := make([][]NodePayoff, batches)
+	for k, b := range live {
+		payoffs[k] = b.Settle()
+	}
+	return out, payoffs
+}
+
+// TestDemandSolveRootedAtConnectionStart pins the two rules that keep the
+// demand-driven solver's transcripts identical to a full solve per
+// connection.
+//
+// Rooted at connection start: rows read history, so the cone must be
+// solved before the first hop is recorded. A solver that builds rows
+// lazily during the walk scores the rows of holders already passed with
+// the walk's own hops in their history, and the cells it then computes
+// differ from the oracle's.
+//
+// Creation follows the stamp, not the memo: a batch whose stamp is fresh
+// but whose memo another batch has since taken over solves again from
+// nothing, without another estimator-creation pass.
+func TestDemandSolveRootedAtConnectionStart(t *testing.T) {
+	t.Run("interleaved malicious initiators", func(t *testing.T) {
+		demand, demandPay := runRootedScript(t, false)
+		oracle, oraclePay := runRootedScript(t, true)
+		lateReads := 0
+		for c := range oracle {
+			d, o := demand[c], oracle[c]
+			label := fmt.Sprintf("conn %d (batch %d)", c, d.batch)
+			if fmt.Sprint(d.res.Nodes) != fmt.Sprint(o.res.Nodes) {
+				t.Fatalf("%s: path %v, oracle %v", label, d.res.Nodes, o.res.Nodes)
+			}
+			for e := range o.res.EdgeQualities {
+				if !sameBits(d.res.EdgeQualities[e], o.res.EdgeQualities[e]) {
+					t.Fatalf("%s edge %d: quality %x, oracle %x", label, e,
+						math.Float64bits(d.res.EdgeQualities[e]), math.Float64bits(o.res.EdgeQualities[e]))
+				}
+			}
+			if len(d.table) != len(o.table) {
+				t.Fatalf("%s: the connection ran without a solve", label)
+			}
+			rooted := false
+			for h := range o.table {
+				rooted = rooted || d.known[h][d.res.Nodes[0]]
+				for i := range o.table[h] {
+					if !d.known[h][i] {
+						continue
+					}
+					if !sameCell(d.table[h][i], o.table[h][i]) {
+						t.Fatalf("%s: cell (%d,%d) = %+v, oracle at connection start %+v", label, h, i, d.table[h][i], o.table[h][i])
+					}
+				}
+			}
+			if !rooted {
+				t.Fatalf("%s: no cell of the initiator is solved", label)
+			}
+			if p := d.res.Nodes; len(p) > 3 && isMalicious(p[1]) {
+				lateReads++
+			}
+		}
+		if lateReads < 3 {
+			t.Fatalf("only %d connections recorded two hops before the first table read; the script no longer exercises the rule", lateReads)
+		}
+		for k := range oraclePay {
+			if fmt.Sprint(demandPay[k]) != fmt.Sprint(oraclePay[k]) {
+				t.Fatalf("batch %d payoffs %v, oracle %v", k, demandPay[k], oraclePay[k])
+			}
+		}
+	})
+
+	t.Run("memo changes hands under a fresh stamp", func(t *testing.T) {
+		sys := equivSystem(t, 60, 5, 1, false)
+		a, err := sys.NewBatch(0, 59, Contract{Pf: 75, Pr: 150}, UtilityII)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := sys.NewBatch(1, 58, Contract{Pf: 75, Pr: 150}, UtilityII)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Net.Join(1, false) // a newcomer: the one node without an estimator
+		a.spneTable(a.Initiator, 3)
+		created := sys.Probes.Len()
+		if created != sys.Net.Len() {
+			t.Fatalf("a stale stamp's creation pass left %d of %d nodes with estimators", created, sys.Net.Len())
+		}
+		b.spneTable(b.Initiator, 3)
+		before := sys.SolverStats()
+		stamp := a.spneStamp
+
+		// Nothing moved: a's stamp is fresh, but the memo holds b's game.
+		a.spneTable(a.Initiator, 4)
+		if a.spneStamp != stamp {
+			t.Fatalf("stamp moved from %+v to %+v with no input changed", stamp, a.spneStamp)
+		}
+		if st := sys.SolverStats(); st.Solves != before.Solves+1 || st.Fallbacks != before.Fallbacks+1 || st.Incremental != before.Incremental {
+			t.Fatalf("a memo in other hands was not reset: %+v → %+v", before, st)
+		}
+		if sys.Probes.Len() != created {
+			t.Fatalf("estimators went from %d to %d on a fresh stamp", created, sys.Probes.Len())
+		}
+		requireSameTable(t, "a after b", fullTable(a), freshOracleSolve(a))
+		requireSameTable(t, "b after a", fullTable(b), freshOracleSolve(b))
+	})
+}
+
+// isMalicious mirrors equivSystem's marking.
+func isMalicious(id overlay.NodeID) bool { return id%7 == 3 }

@@ -110,17 +110,22 @@ func (b *Batch) GoodPayoffs() []NodePayoff {
 	return out
 }
 
-// Close forgets the batch's history profiles across all nodes — the paper
-// settles and discards batch state once the initiator has paid (§2.2's
-// payment "only after all the connections in π are completed"). Call
-// after Settle; further RunConnection calls would rebuild history from
-// scratch.
+// Close forgets the batch's history profiles across all nodes and its
+// scorers — the paper settles and discards batch state once the initiator
+// has paid (§2.2's payment "only after all the connections in π are
+// completed"). Call after Settle; further RunConnection calls would
+// rebuild history from scratch. The cost is the batch's own state; the
+// system's shared solve state is released when the last open batch closes.
 func (b *Batch) Close() {
 	b.sys.Hist.DropBatch(b.ID)
-	// The dropped profiles back any cached SPNE solve; a (hypothetical)
-	// later connection must not resurrect it.
-	b.spneStamp.valid = false
-	// Drop the system's solve scratch too: a settled large run must not
-	// pin its high-water working set; the next solve resizes exactly.
-	b.sys.releaseSolveScratch()
+	// The dropped profiles back any solve stamped for this batch; a
+	// (hypothetical) later connection must not resurrect it.
+	b.spneStamp = spneStamp{}
+	b.scorers = nil
+	if !b.closed {
+		b.closed = true
+		if b.sys.open--; b.sys.open == 0 {
+			b.sys.releaseSolve()
+		}
+	}
 }

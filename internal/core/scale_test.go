@@ -13,19 +13,16 @@ import (
 // scaleSystem builds a static overlay of n nodes (bulk-joined, degree 5)
 // with warmed probes and one UM-II batch, the configuration the N-sweep
 // benchmarks and the working-memory tests share.
-func scaleSystem(tb testing.TB, n, workers int, seed uint64) (*System, *Batch) {
+func scaleSystem(tb testing.TB, n int, seed uint64) (*System, *Batch) {
 	tb.Helper()
 	rng := dist.NewSource(seed)
 	net := overlay.NewNetwork(5, rng.Split())
 	net.GrowUniform(0, n)
 	probes := probe.NewSet(net, rng.Split(), 60)
-	probes.Workers = workers
 	for i := 0; i < 2; i++ {
 		probes.TickAll()
 	}
-	cfg := DefaultConfig()
-	cfg.SolveWorkers = workers
-	sys, err := NewSystem(cfg, net, probes, rng.Split())
+	sys, err := NewSystem(DefaultConfig(), net, probes, rng.Split())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -37,108 +34,131 @@ func scaleSystem(tb testing.TB, n, workers int, seed uint64) (*System, *Batch) {
 }
 
 // TestScaleFrontierWorkingMemory is the acceptance alloc test for the
-// sparse solve: a single UM-II batch at N = 10⁵ must complete with
-// O(n·d) working memory. It pins two things: (a) the retained solve
-// scratch is linear in n·d — a dense n×n float slab at this size would be
-// 80 GB and fail the cap bound by four orders of magnitude; (b) a warm
-// re-solve after a topology invalidation allocates a small constant
-// amount, i.e. nothing on the solve path materialises an n×n structure.
+// demand-driven solve: a single UM-II batch at N = 10⁵ must complete with
+// O(n·d) working memory. It pins two things: (a) the retained rows are
+// linear in n·d — a dense n×n float slab at this size would be 80 GB and
+// fail the cap bound by four orders of magnitude; (b) a re-solve after a
+// topology invalidation allocates a small constant amount, i.e. nothing
+// on the solve path materialises an n×n structure or rebuilds the memo.
 func TestScaleFrontierWorkingMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("N=1e5 build in -short mode")
 	}
 	const n = 100_000
-	sys, b := scaleSystem(t, n, 0, 11)
-	b.RunConnection() // warm: builds scratch, table, scorers, estimators
+	sys, b := scaleSystem(t, n, 11)
+	b.RunConnection() // warm: builds memo, rows, base rows, scorers
 
-	// (a) retained scratch is O(n·d): every node has ≤ degree+1 slots.
+	// (a) retained rows are O(n·d): every node has ≤ degree+1 slots.
 	maxSlots := n * (sys.Net.Degree() + 1)
-	if c := cap(sys.solveSucc); c > maxSlots {
-		t.Fatalf("solve scratch holds %d candidate slots, O(n·d) bound is %d", c, maxSlots)
+	if c := cap(sys.rowSucc); c == 0 || c > maxSlots {
+		t.Fatalf("solve rows hold %d candidate slots, O(n·d) bound is %d", c, maxSlots)
 	}
 
-	// (b) warm re-solves stay allocation-light. TotalAlloc is monotonic
-	// and unaffected by GC, so the delta is exactly what the re-solve +
+	// (b) re-solves stay allocation-light. TotalAlloc is monotonic and
+	// unaffected by GC, so the delta is exactly what the re-solve +
 	// connection allocated.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < 3; i++ {
-		sys.Net.Touch() // force a full re-solve of the stage game
+		sys.Net.Touch() // force a re-solve of the stage game
 		b.RunConnection()
 	}
 	runtime.ReadMemStats(&after)
 	delta := after.TotalAlloc - before.TotalAlloc
-	// Three full re-solves at n=1e5. The O(n·d) budget (scratch reuse,
-	// history rows, path bookkeeping) is well under 8 MB; one n×n float64
-	// slab alone would be 80 GB.
+	// Three re-solves at n=1e5. The budget (rows of nodes a longer budget
+	// reaches for the first time, history rows, path bookkeeping) is well
+	// under 8 MB; one n×n float64 slab alone would be 80 GB.
 	if limit := uint64(32 << 20); delta > limit {
-		t.Fatalf("3 warm re-solves allocated %d bytes (> %d): solve path is not O(n·d)", delta, limit)
+		t.Fatalf("3 re-solves allocated %d bytes (> %d): solve path is not O(n·d)", delta, limit)
 	}
 }
 
-// TestSolveScratchShrinks is the qualScratch-regression test: the solve
-// scratch must stop pinning its high-water capacity once demand drops.
-// Before the sparse rewrite the dense matrix grew to cap n² and was never
-// released; now a mass departure (demand < cap/4) reallocates exactly.
-func TestSolveScratchShrinks(t *testing.T) {
-	sys, b := scaleSystem(t, 3000, 0, 5)
-	b.RunConnection()
-	grown := cap(sys.solveSucc)
-	if grown == 0 {
-		t.Fatal("solve scratch empty after a UM-II connection")
-	}
-
-	// Take ~97% of the population offline: slot demand collapses.
-	for _, id := range sys.Net.OnlineIDs() {
-		if id != b.Initiator && id != b.Responder && int(id) >= 100 {
-			sys.Net.Leave(1, id, false)
-		}
-	}
-	b.RunConnection()
-	if c := cap(sys.solveSucc); c >= grown {
-		t.Fatalf("solve scratch still holds %d slots after shrink-worthy demand drop (was %d)", c, grown)
-	}
-}
-
-// TestSolveScratchReleasedOnClose pins that settling and closing a batch
-// drops the solve scratch entirely — a finished large run must not pin
-// its working set for the process lifetime.
+// TestSolveScratchReleasedOnClose pins that the system's shared solve
+// scratch — memo and rows — outlives a Close while another batch is still
+// open (no re-allocation on every Close) and is dropped entirely when the
+// last one closes: a finished large run must not pin its working set for
+// the process lifetime.
 func TestSolveScratchReleasedOnClose(t *testing.T) {
-	sys, b := scaleSystem(t, 500, 0, 6)
+	sys, b := scaleSystem(t, 500, 6)
+	other, err := sys.NewBatch(1, 2, Contract{Pf: 75, Pr: 150}, UtilityII)
+	if err != nil {
+		t.Fatal(err)
+	}
 	b.RunConnection()
-	if cap(sys.solveSucc) == 0 {
-		t.Fatal("solve scratch empty after a UM-II connection")
+	held := func() bool {
+		return sys.memo.Table() != nil && sys.rowBuilt != nil && sys.rowSucc != nil
+	}
+	if !held() {
+		t.Fatal("no solve state after a UM-II connection")
 	}
 	b.Settle()
 	b.Close()
-	if sys.solveSucc != nil || sys.solveQual != nil || sys.solveRow != nil ||
-		sys.solveLen != nil || sys.solveScorers != nil {
-		t.Fatal("Batch.Close left solve scratch pinned")
+	b.Close() // idempotent: must not count the batch out twice
+	if !held() || sys.memoOwner != b.ID {
+		t.Fatal("Batch.Close released the solve state while another batch is open")
 	}
-	if sys.solvePredRow != nil || sys.solvePred != nil {
-		t.Fatal("Batch.Close left the reverse CSR pinned")
+	other.Close()
+	if sys.memo.Table() != nil || sys.dense != nil || sys.memoOwner != 0 {
+		t.Fatal("closing the last batch left the memo pinned")
 	}
-	if sys.dirtyNodes != nil || sys.dirtyMark != nil || sys.dirtyList != nil ||
-		sys.refreshSucc != nil || sys.refreshQual != nil {
-		t.Fatal("Batch.Close left incremental re-solve buffers pinned")
+	if sys.rowBuilt != nil || sys.rowOff != nil || sys.rowLen != nil || sys.rowSucc != nil || sys.rowQual != nil {
+		t.Fatal("closing the last batch left the rows pinned")
 	}
-	if sys.pool != nil {
-		t.Fatal("Batch.Close left the sweep worker pool running")
-	}
-	if sys.solveOwner != 0 || sys.solveN != 0 || sys.solveConverged != 0 {
-		t.Fatal("Batch.Close left warm-solve bookkeeping set")
+}
+
+// TestScorersBoundedByLiveBatches is the regression for the scorer leak:
+// over 50 open/run/settle/close cycles with two batches live at a time,
+// the scorers held anywhere must stay bounded by what the live batches
+// can have touched — one per holder of one of their hops — and a closed
+// batch must hold none.
+func TestScorersBoundedByLiveBatches(t *testing.T) {
+	const conns = 4
+	sys, first := scaleSystem(t, 300, 21)
+	all := []*Batch{first}
+	live := []*Batch{first}
+	for cycle := 0; cycle < 50; cycle++ {
+		b, err := sys.NewBatch(overlay.NodeID(1+cycle), overlay.NodeID(299-cycle), Contract{Pf: 75, Pr: 150}, UtilityII)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, live = append(all, b), append(live, b)
+		for c := 0; c < conns; c++ {
+			for _, lb := range live {
+				lb.RunConnection()
+			}
+		}
+		live[0].Settle()
+		live[0].Close()
+		live = live[1:]
+
+		held := 0
+		for _, ab := range all {
+			held += len(ab.scorers)
+		}
+		// Each connection has at most MaxHops+1 holders, and a live batch
+		// has run at most 2·conns connections.
+		if bound := len(live) * 2 * conns * (sys.cfg.MaxHops + 1); held == 0 || held > bound {
+			t.Fatalf("cycle %d: %d scorers held for %d live batches (bound %d)", cycle, held, len(live), bound)
+		}
+		for _, ab := range all[:len(all)-len(live)] {
+			if ab.scorers != nil {
+				t.Fatalf("cycle %d: closed batch %d still holds %d scorers", cycle, ab.ID, len(ab.scorers))
+			}
+		}
 	}
 }
 
 // BenchmarkScaleFrontier is the N-sweep scale frontier (BENCH_PR6.json):
-// one op = one topology invalidation plus one UM-II connection, i.e. a
-// full cold sparse stage-game solve at population N on a static overlay.
-// The 10²–10⁴ points run in CI against the committed baseline; 10⁵ is the
+// one op = one topology invalidation plus one UM-II connection, i.e. one
+// demand-driven solve from nothing at population N on a static overlay.
+// The cone of a budget ≤ 6 holds a few thousand cells whatever N is, so
+// the curve is flat where the full solve it replaced grew with N. The
+// 10²–10⁴ points run in CI against the committed baseline; 10⁵ is the
 // acceptance point for the O(n·d) memory model.
 func BenchmarkScaleFrontier(b *testing.B) {
 	for _, n := range []int{100, 1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			sys, batch := scaleSystem(b, n, 0, 11)
+			sys, batch := scaleSystem(b, n, 11)
 			batch.RunConnection() // warm caches outside the timed region
 			b.ReportAllocs()
 			b.ResetTimer()

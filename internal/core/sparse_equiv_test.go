@@ -12,10 +12,11 @@ import (
 	"p2panon/internal/sim"
 )
 
-// equivSystem builds one system for the sparse-vs-dense equivalence runs.
+// equivSystem builds one system for the demand-vs-dense equivalence runs.
 // Everything that consumes randomness is derived from seed alone, so two
 // calls with the same seed build byte-identical worlds regardless of the
-// workers/dense knobs (which must not influence transcripts).
+// workers (sharded probe rounds) and dense knobs, which must not
+// influence transcripts.
 func equivSystem(t *testing.T, n int, seed uint64, workers int, dense bool) *System {
 	t.Helper()
 	rng := dist.NewSource(seed)
@@ -31,9 +32,7 @@ func equivSystem(t *testing.T, n int, seed uint64, workers int, dense bool) *Sys
 	for i := 0; i < 3; i++ {
 		probes.TickAll()
 	}
-	cfg := DefaultConfig()
-	cfg.SolveWorkers = workers
-	sys, err := NewSystem(cfg, net, probes, rng.Split())
+	sys, err := NewSystem(DefaultConfig(), net, probes, rng.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,22 +41,42 @@ func equivSystem(t *testing.T, n int, seed uint64, workers int, dense bool) *Sys
 }
 
 // equivRun is everything one scripted UM-II run produces: per-connection
-// paths with their edge qualities, per-round solved decision tables, and
-// the settled payoffs.
+// paths with their edge qualities, per-round solved decision tables, the
+// settled payoffs, and the most cells any one connection computed.
 type equivRun struct {
-	tables  [][][]game.Decision
-	paths   []*PathResult
-	payoffs []NodePayoff
+	tables    [][][]game.Decision
+	paths     []*PathResult
+	payoffs   []NodePayoff
+	connCells int
 }
 
-// copyTable deep-copies a decision table (spneTable returns the cached
-// backing storage, which later rounds overwrite).
-func copyTable(tbl [][]game.Decision) [][]game.Decision {
+// fullTable asks the batch's solver for every (i, h) and returns a copy of
+// the resulting table (the backing storage is overwritten by later
+// solves). On the demand-driven solver the roots accumulate in one memo,
+// so every cell ends up solved; the dense oracle returns its full table
+// from the first ask on.
+func fullTable(b *Batch) [][]game.Decision {
+	var tbl [][]game.Decision
+	for h := 0; h <= b.sys.cfg.MaxHops; h++ {
+		for i := 0; i < b.sys.Net.Len(); i++ {
+			tbl = b.spneTable(overlay.NodeID(i), h)
+		}
+	}
 	out := make([][]game.Decision, len(tbl))
 	for h := range tbl {
 		out[h] = append([]game.Decision(nil), tbl[h]...)
 	}
 	return out
+}
+
+// runConnection runs b's next connection and folds the cells it computed
+// into the run's high-water mark.
+func (r *equivRun) runConnection(b *Batch) *PathResult {
+	before := b.sys.solverStats.FrontierCells
+	res := b.RunConnection()
+	r.connCells = max(r.connCells, b.sys.solverStats.FrontierCells-before)
+	r.paths = append(r.paths, res)
+	return res
 }
 
 // runEquivScript drives one system through a deterministic churn /
@@ -95,8 +114,8 @@ func runEquivScript(t *testing.T, n int, seed uint64, workers int, dense bool) *
 			sys.Probes.TickAll()
 		case 3: // quiet round
 		}
-		out.paths = append(out.paths, b.RunConnection())
-		out.tables = append(out.tables, copyTable(b.spneTable()))
+		out.runConnection(b)
+		out.tables = append(out.tables, fullTable(b))
 	}
 	out.payoffs = b.Settle()
 	return out
@@ -106,6 +125,11 @@ func runEquivScript(t *testing.T, n int, seed uint64, workers int, dense bool) *
 // (plain == would also accept +0 vs −0 and reject equal NaNs).
 func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+// sameCell reports full bit-equality of two decisions.
+func sameCell(a, b game.Decision) bool {
+	return a.Node == b.Node && a.Next == b.Next && sameBits(a.Utility, b.Utility) && sameBits(a.Quality, b.Quality)
 }
 
 func requireSameRun(t *testing.T, label string, got, want *equivRun) {
@@ -123,10 +147,8 @@ func requireSameRun(t *testing.T, label string, got, want *equivRun) {
 				t.Fatalf("%s round %d: row %d len %d != %d", label, r, h, len(g[h]), len(w[h]))
 			}
 			for i := range g[h] {
-				gd, wd := g[h][i], w[h][i]
-				if gd.Node != wd.Node || gd.Next != wd.Next ||
-					!sameBits(gd.Utility, wd.Utility) || !sameBits(gd.Quality, wd.Quality) {
-					t.Fatalf("%s round %d: table[%d][%d] = %+v, want %+v", label, r, h, i, gd, wd)
+				if !sameCell(g[h][i], w[h][i]) {
+					t.Fatalf("%s round %d: table[%d][%d] = %+v, want %+v", label, r, h, i, g[h][i], w[h][i])
 				}
 			}
 		}
@@ -161,13 +183,27 @@ func requireSameRun(t *testing.T, label string, got, want *equivRun) {
 	}
 }
 
-// TestSparseDenseEquivalence is the randomized sparse-vs-dense equivalence
-// property: for populations up to N = 200, the sparse neighbor-local
-// solver — serial and sharded — must reproduce the retained dense
-// SolveInto oracle bit for bit: identical Decision tables (Float64bits on
-// utilities and qualities), identical chosen paths with identical edge
-// qualities, and identical UM-II settled payoffs, across churn, probe
-// ticks and history accumulation.
+// requireSmallCones fails unless the run's connections each computed
+// fewer cells than the full table holds — at N = 400 the cone of a budget
+// ≤ 6 cannot cover it, so a run that did is not demand-driven and its
+// equivalence with the oracle proves nothing.
+func requireSmallCones(t *testing.T, label string, n int, run *equivRun) {
+	t.Helper()
+	if n < 400 {
+		return
+	}
+	if full := (DefaultConfig().MaxHops + 1) * n; run.connCells == 0 || run.connCells >= full {
+		t.Errorf("%s: a connection computed %d cells, the full table has %d", label, run.connCells, full)
+	}
+}
+
+// TestSparseDenseEquivalence is the randomized demand-vs-dense
+// equivalence property: for populations up to N = 400, every cell the
+// demand-driven solver yields when asked for all (i, h) must reproduce
+// the retained dense SolveInto oracle bit for bit after every round
+// (Float64bits on utilities and qualities), with identical chosen paths
+// and edge qualities and identical UM-II settled payoffs, across churn,
+// probe ticks (serial and sharded) and history accumulation.
 func TestSparseDenseEquivalence(t *testing.T) {
 	cases := []struct {
 		n    int
@@ -177,6 +213,7 @@ func TestSparseDenseEquivalence(t *testing.T) {
 		{37, 7},
 		{80, 42},
 		{200, 1234},
+		{400, 31},
 	}
 	for _, tc := range cases {
 		dense := runEquivScript(t, tc.n, tc.seed, 1, true)
@@ -184,6 +221,7 @@ func TestSparseDenseEquivalence(t *testing.T) {
 			sparse := runEquivScript(t, tc.n, tc.seed, workers, false)
 			label := fmt.Sprintf("N=%d/seed=%d/workers=%d", tc.n, tc.seed, workers)
 			requireSameRun(t, label, sparse, dense)
+			requireSmallCones(t, label, tc.n, sparse)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // freshOracleSolve solves the batch's stage game from scratch through the
 // pre-index scan path: the map-free stageEdgeQuality oracle and a freshly
-// allocated table. It is the reference the cached spneTable is checked
+// allocated table. It is the reference the batch's own solver is checked
 // against.
 func freshOracleSolve(b *Batch) [][]game.Decision {
 	g := &game.PathGame{
@@ -47,11 +47,12 @@ func requireSameTable(t *testing.T, step string, got, want [][]game.Decision) {
 }
 
 // TestSPNECacheMatchesFreshSolve is the cache-equivalence property test:
-// across random topologies, the cached Utility Model II table must equal a
-// fresh solve at every point — after connections mutate history, after
-// probe ticks move estimates, and after churn (leave / rejoin / join /
-// neighbor repair) invalidates the topology. Any missed invalidation shows
-// up as a stale decision differing from the oracle.
+// across random topologies, the cells the batch's solver hands out — from
+// the memo, from base rows kept across solves — must equal a fresh solve
+// at every point: after connections mutate history, after probe ticks move
+// estimates, and after churn (leave / rejoin / join / neighbor repair)
+// invalidates the topology. Any missed invalidation shows up as a stale
+// decision differing from the oracle.
 func TestSPNECacheMatchesFreshSolve(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42, 1234} {
 		rng := dist.NewSource(seed ^ 0x9e3779b97f4a7c15)
@@ -61,7 +62,7 @@ func TestSPNECacheMatchesFreshSolve(t *testing.T) {
 			t.Fatal(err)
 		}
 		check := func(step string) {
-			requireSameTable(t, step, b.spneTable(), freshOracleSolve(b))
+			requireSameTable(t, step, fullTable(b), freshOracleSolve(b))
 		}
 		check("initial")
 		now := sim.Time(0)
@@ -96,23 +97,33 @@ func TestSPNECacheMatchesFreshSolve(t *testing.T) {
 	}
 }
 
-// TestSPNECacheHitReusesTable pins the cache-hit fast path: with every
-// input unchanged, spneTable must hand back the same backing table rather
-// than re-solving into fresh storage.
+// TestSPNECacheHitReusesTable pins the memo-hit fast path: with every
+// input unchanged, a repeated root must compute nothing, a larger budget
+// must only add cells, and a touched overlay must solve from nothing
+// again.
 func TestSPNECacheHitReusesTable(t *testing.T) {
 	sys := testSystem(t, 16, 5, 0)
 	b, err := sys.NewBatch(0, 15, Contract{Pf: 75, Pr: 150}, UtilityII)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := b.spneTable()
-	second := b.spneTable()
-	if &first[0][0] != &second[0][0] {
-		t.Fatal("unchanged inputs re-solved the SPNE table")
+	b.spneTable(b.Initiator, 3)
+	first := sys.SolverStats()
+	b.spneTable(b.Initiator, 3)
+	if st := sys.SolverStats(); st.Solves != first.Solves || st.FrontierCells != first.FrontierCells || st.Incremental != first.Incremental+1 {
+		t.Fatalf("unchanged inputs re-solved the root: %+v → %+v", first, st)
+	}
+	b.spneTable(b.Initiator, 5)
+	longer := sys.SolverStats()
+	if longer.Solves != first.Solves || longer.FrontierCells <= first.FrontierCells {
+		t.Fatalf("a larger budget did not extend the memo in place: %+v → %+v", first, longer)
 	}
 	sys.Net.Touch()
-	third := b.spneTable()
-	requireSameTable(t, "after Touch", third, freshOracleSolve(b))
+	b.spneTable(b.Initiator, 5)
+	if st := sys.SolverStats(); st.Solves != longer.Solves+1 || st.Fallbacks != longer.Fallbacks+1 {
+		t.Fatalf("Touch did not reset the memo: %+v → %+v", longer, st)
+	}
+	requireSameTable(t, "after Touch", fullTable(b), freshOracleSolve(b))
 }
 
 // TestSPNECacheInvalidatedOnClose pins that closing a batch (dropping its
@@ -124,7 +135,7 @@ func TestSPNECacheInvalidatedOnClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.RunConnection()
-	b.spneTable()
+	b.spneTable(b.Initiator, 2)
 	b.Close()
 	if b.spneStamp.valid {
 		t.Fatal("Close left the SPNE cache stamp valid")
@@ -153,35 +164,38 @@ func newBenchSystem(tb testing.TB, n int, seed uint64) *System {
 }
 
 // BenchmarkScorerReuse measures the per-hop scorer lookup the routing loop
-// performs — a cache hit after this PR, a NewScorer allocation before it.
+// performs — a hit in the batch's scorer cache.
 func BenchmarkScorerReuse(b *testing.B) {
 	sys := newBenchSystem(b, 64, 11)
+	batch, err := sys.NewBatch(0, 63, Contract{Pf: 75, Pr: 150}, UtilityII)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = sys.scorer(overlay.NodeID(i%64), 1)
+		_ = batch.scorer(overlay.NodeID(i % 64))
 	}
 }
 
-// BenchmarkSPNESimCache measures fetching the Utility Model II table with
-// every input unchanged — the steady-state path of a static overlay.
+// BenchmarkSPNESimCache measures asking for a solved root with every
+// input unchanged — the steady-state path of a static overlay.
 func BenchmarkSPNESimCache(b *testing.B) {
 	sys := newBenchSystem(b, 64, 13)
 	batch, err := sys.NewBatch(0, 63, Contract{Pf: 75, Pr: 150}, UtilityII)
 	if err != nil {
 		b.Fatal(err)
 	}
-	batch.spneTable() // warm the cache
+	batch.spneTable(batch.Initiator, sys.cfg.MaxHops) // warm the memo
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = batch.spneTable()
+		_ = batch.spneTable(batch.Initiator, sys.cfg.MaxHops)
 	}
 }
 
-// BenchmarkSPNESolveCold measures a full re-solve (the invalidation path),
-// for contrast with the cache hit above and with the pre-index map-memo
-// solver this PR replaced.
+// BenchmarkSPNESolveCold measures a solve from nothing (the invalidation
+// path) at the full budget, for contrast with the memo hit above.
 func BenchmarkSPNESolveCold(b *testing.B) {
 	sys := newBenchSystem(b, 64, 13)
 	batch, err := sys.NewBatch(0, 63, Contract{Pf: 75, Pr: 150}, UtilityII)
@@ -192,6 +206,6 @@ func BenchmarkSPNESolveCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys.Net.Touch()
-		_ = batch.spneTable()
+		_ = batch.spneTable(batch.Initiator, sys.cfg.MaxHops)
 	}
 }

@@ -58,6 +58,12 @@ type Setup struct {
 	// WarmupProbes ticks the estimators before the workload starts so
 	// availability scores are informative from the first connection.
 	WarmupProbes int
+	// ProbeWorkers shards every probe round over contiguous node regions
+	// (probe.Set.Workers). The sharded ticks are RNG-free past their
+	// sequential estimator prefetch, so transcripts are byte-identical
+	// whatever the value (the -jobs golden test pins this). 0 or 1 ticks
+	// serially.
+	ProbeWorkers int
 	// Seed drives all randomness.
 	Seed uint64
 	// Telemetry, when non-nil, receives the run's instruments: overlay
@@ -66,7 +72,7 @@ type Setup struct {
 	// per-event cost is a nil check).
 	Telemetry *telemetry.Registry
 	// Profile, when non-nil, receives the run's per-phase wall-time and
-	// allocation brackets (solve rows/induction, probe ticks, candidate
+	// allocation brackets (SPNE solve, probe ticks, candidate
 	// gathering, route walk, settlement). Purely observational: it never
 	// draws randomness or alters routing, so transcripts are unchanged.
 	Profile *telemetry.PhaseProfiler
@@ -136,9 +142,9 @@ type Result struct {
 	Skipped int
 	// TotalDeclines counts NULL plays across all batches.
 	TotalDeclines int
-	// Solver aggregates the run's SPNE solve statistics: how many solves
-	// ran, how many were warm incremental re-solves vs counted fallbacks,
-	// and the frontier/fixed-point work saved (-phase-report surfaces it).
+	// Solver aggregates the run's SPNE solve statistics: memo resets,
+	// connections that reused the memo, and the cells the cones computed
+	// (-phase-report surfaces it).
 	Solver core.SolverStats
 }
 
@@ -215,11 +221,7 @@ func newHarness(s Setup) (*harness, error) {
 	}
 
 	probes := probe.NewSet(net, rng.Split(), s.ProbePeriod)
-	// The solve worker pool doubles as the probe tick pool: both sharded
-	// phases are RNG-free past their sequential prefetches, so transcripts
-	// are byte-identical whatever the worker count (the -jobs golden test
-	// pins this).
-	probes.Workers = s.Core.SolveWorkers
+	probes.Workers = s.ProbeWorkers
 	probes.Prof = s.Profile
 	probes.Instrument(s.Telemetry)
 	for i := 0; i < s.WarmupProbes; i++ {

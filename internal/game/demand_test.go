@@ -1,0 +1,148 @@
+package game
+
+import (
+	"testing"
+	"testing/quick"
+
+	"p2panon/internal/dist"
+)
+
+// randomSparseGame draws a game in the simulator's shape: 20–59 vertices,
+// three candidate successors each (one in eight with a negative quality,
+// i.e. listed but absent), and a delivery edge to R for a third of them.
+func randomSparseGame(rng *dist.Source) (*PathGame, map[[2]int]float64) {
+	n := 20 + rng.Intn(40)
+	edges := make(map[[2]int]float64)
+	for i := 0; i < n-1; i++ {
+		for c := 0; c < 3; c++ {
+			if j := rng.Intn(n - 1); j != i {
+				q := rng.Float64()
+				if rng.Intn(8) == 0 {
+					q = -1
+				}
+				edges[[2]int{i, j}] = q
+			}
+		}
+		if rng.Intn(3) == 0 {
+			edges[[2]int{i, n - 1}] = 1
+		}
+	}
+	return &PathGame{
+		Nodes:     n,
+		Responder: n - 1,
+		Adjacency: sparseView(n, edges),
+		Pf:        10, Pr: 20,
+		Cost:    UniformCost(1, 1),
+		MaxHops: 6,
+	}, edges
+}
+
+// cone marks, independently of SolveFrom, the cells the play from
+// (start, hops) can reach: (i, h) reaches (j, h−1) over every existing
+// edge of a non-responder i.
+func cone(g *PathGame, edges map[[2]int]float64, in [][]bool, start, hops int) {
+	if in[hops][start] {
+		return
+	}
+	in[hops][start] = true
+	if hops == 0 || start == g.Responder {
+		return
+	}
+	for j := 0; j < g.Nodes; j++ {
+		if q, ok := edges[[2]int{start, j}]; ok && q >= 0 {
+			cone(g, edges, in, j, hops-1)
+		}
+	}
+}
+
+// Property: on random sparse games SolveFrom computes exactly the cone of
+// its root — every cell in it bit-equal to SolveInto's, nothing outside
+// it — a second root under the same epoch only adds the cells its own
+// cone is missing, a repeated root computes nothing, and Reset forgets
+// everything.
+func TestQuickSolveFromMatchesSolveInto(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := dist.NewSource(seed)
+		g, edges := randomSparseGame(rng)
+		full := g.Solve()
+		want := make([][]bool, g.MaxHops+1)
+		for h := range want {
+			want[h] = make([]bool, g.Nodes)
+		}
+		var m Memo
+		m.Reset(g.Nodes, g.MaxHops)
+		known := 0
+		roots := [][2]int{
+			{rng.Intn(g.Nodes), 1 + rng.Intn(3)},
+			{rng.Intn(g.Nodes), 4 + rng.Intn(3)},
+		}
+		roots = append(roots, [2]int{roots[0][0], g.MaxHops}, roots[1])
+		for r, root := range roots {
+			cone(g, edges, want, root[0], root[1])
+			size := 0
+			for h := range want {
+				for i, in := range want[h] {
+					if in {
+						size++
+					}
+					if m.Known(h, i) && !in {
+						t.Logf("seed %d root %d: cell (%d,%d) known before its cone was asked for", seed, r, h, i)
+						return false
+					}
+				}
+			}
+			got := g.SolveFrom(&m, root[0], root[1])
+			if got != size-known || (r == len(roots)-1 && got != 0) {
+				t.Logf("seed %d root %d %v: computed %d cells, cone adds %d", seed, r, root, got, size-known)
+				return false
+			}
+			known = size
+			for h := range want {
+				for i, in := range want[h] {
+					if m.Known(h, i) != in {
+						t.Logf("seed %d root %d: Known(%d,%d) = %v, cone says %v", seed, r, h, i, !in, in)
+						return false
+					}
+					if in && !sameCell(m.Table()[h][i], full[h][i]) {
+						t.Logf("seed %d root %d: cell (%d,%d) = %+v, SolveInto %+v", seed, r, h, i, m.Table()[h][i], full[h][i])
+						return false
+					}
+				}
+			}
+		}
+		m.Reset(g.Nodes, g.MaxHops)
+		for h := range want {
+			for i := range want[h] {
+				if m.Known(h, i) {
+					t.Logf("seed %d: cell (%d,%d) survived Reset", seed, h, i)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMemoEpochWrap pins the one place stale marks could alias: when the
+// 32-bit epoch wraps, Reset must clear the marks instead of reusing a
+// value old cells still carry.
+func TestMemoEpochWrap(t *testing.T) {
+	g := starGame(6)
+	var m Memo
+	m.Reset(g.Nodes, g.MaxHops)
+	g.SolveFrom(&m, 0, 2) // marks cells with epoch 1
+	m.epoch = ^uint32(0)
+	m.Reset(g.Nodes, g.MaxHops)
+	if m.epoch != 1 {
+		t.Fatalf("epoch after wrap = %d, want 1", m.epoch)
+	}
+	if m.Known(2, 0) {
+		t.Fatal("a cell marked in the first epoch 1 is known in the second")
+	}
+	if got := g.SolveFrom(&m, 0, 2); got == 0 {
+		t.Fatal("SolveFrom reused a cell from before the wrap")
+	}
+}

@@ -319,65 +319,26 @@ type PathGame struct {
 	// the serial one; 0 or 1 solves serially. Adjacency and EdgeQuality
 	// must then be safe for concurrent calls (pure reads are).
 	Workers int
-	// Predecessors, when non-nil, supplies the reverse adjacency: the
-	// vertices that list j as a candidate successor. Requires Adjacency.
-	// Setting it switches SolveInto to frontier-driven sweeps — stage h
-	// recomputes only cells with at least one successor whose decision
-	// changed at stage h−1 and copies the rest — and enables ResolveInto.
-	// The slice is only read during a solve and never retained; it need
-	// not be sorted, and may safely over-approximate (extra predecessors
-	// cost a recompute that finds the cell unchanged, never wrong bits).
-	Predecessors func(j int32) []int32
 	// Pool, when non-nil, runs sharded sweeps on this persistent worker
 	// pool instead of spawning per-stage goroutines. Chunking is identical
 	// either way, so results do not depend on which vehicle ran them.
 	Pool *Pool
-	// Stats, when non-nil, is overwritten by each SolveInto/ResolveInto
-	// with what the solve actually did (stages swept, stages skipped by
-	// the fixed-point exit, frontier cells touched).
+	// Stats, when non-nil, is overwritten by each SolveInto with what the
+	// solve actually did (stages swept, stages skipped by the fixed-point
+	// exit).
 	Stats *SolveStats
-	// Scratch, when non-nil, holds the frontier work buffers across
-	// solves so hot callers avoid re-allocating them. A zero value is
-	// ready to use; pass only buffers this game owns exclusively.
-	Scratch *SweepScratch
 }
 
 // SolveStats reports what a solve did, for telemetry and tests.
 type SolveStats struct {
-	// Stages is the number of induction stages actually swept (fully or
-	// by frontier).
+	// Stages is the number of induction stages actually swept.
 	Stages int
-	// StagesSkipped is the number of stages satisfied by copy (or left
-	// untouched by a warm re-solve) after the fixed point was detected.
+	// StagesSkipped is the number of stages satisfied by copy after the
+	// fixed point was detected.
 	StagesSkipped int
 	// Converged is the first stage c such that table rows c..MaxHops are
 	// pairwise bit-identical — MaxHops when the solve cannot claim more.
-	// Feed it back to ResolveInto as prevConverged.
 	Converged int
-	// FrontierCells is the total number of cells recomputed by frontier
-	// sweeps (0 for dense and full-sweep solves).
-	FrontierCells int
-	// Incremental is true when the solve was a warm ResolveInto.
-	Incremental bool
-}
-
-// SweepScratch holds the reusable buffers of frontier-driven solves: the
-// per-vertex dedupe marks and the frontier/changed index lists. The zero
-// value is ready; buffers grow on demand and are retained across solves.
-type SweepScratch struct {
-	mark         []bool
-	frontier     []int32
-	changed      []int32
-	chunkChanged [][]int32
-}
-
-// reset sizes the mark buffer for an n-vertex solve. Marks are kept
-// all-false between stages (gatherPreds clears the ones it set).
-func (sc *SweepScratch) reset(n int) {
-	if cap(sc.mark) < n {
-		sc.mark = make([]bool, n)
-	}
-	sc.mark = sc.mark[:n]
 }
 
 // Decision is the SPNE prescription at one information set: the successor
@@ -432,13 +393,13 @@ func (g *PathGame) SolveInto(table [][]Decision) [][]Decision {
 	switch {
 	case g.EdgeQuality != nil:
 		// Dense formulation: plain full sweeps. This path is the oracle
-		// the sparse and incremental solvers are pinned bit-identical
+		// the sparse and demand-driven solvers are pinned bit-identical
 		// against, so it stays free of every shortcut below.
 		for h := 1; h <= g.MaxHops; h++ {
 			g.sweepStage(table[h-1], table[h])
 			st.Stages++
 		}
-	case g.Predecessors == nil:
+	default:
 		// Sparse full sweeps with the fixed-point early exit: solveCell
 		// reads only the previous stage's Quality values, so once a
 		// stage's Quality row is bit-equal to the one before it, every
@@ -456,71 +417,6 @@ func (g *PathGame) SolveInto(table [][]Decision) [][]Decision {
 				break
 			}
 		}
-	default:
-		g.solveFrontier(table, st)
-	}
-	return table
-}
-
-// ResolveInto warm-starts a solve from a table this game produced before:
-// given the set of vertices whose row data (candidates, qualities, cost
-// inputs) may have changed since, it recomputes only the cells those
-// changes can reach — dirty rows at every stage, plus predecessors of
-// cells whose decision actually changed at the stage below — and leaves
-// the rest of the table in place. prevConverged must be the Converged
-// value the previous solve reported for this table; it bounds how early
-// the warm solve can prove the tail of the table is already correct.
-//
-// The table must come from a SolveInto/ResolveInto of a game with the
-// same Nodes, Responder and MaxHops; the result is bit-identical to a
-// cold SolveInto against the current data.
-func (g *PathGame) ResolveInto(table [][]Decision, dirty []int32, prevConverged int) [][]Decision {
-	g.validate()
-	if g.Predecessors == nil {
-		panic("game: ResolveInto needs Predecessors")
-	}
-	if len(table) != g.MaxHops+1 || len(table[0]) != g.Nodes {
-		panic(fmt.Sprintf("game: ResolveInto table is %d×%d, want %d×%d",
-			len(table), len(table[0]), g.MaxHops+1, g.Nodes))
-	}
-	st := g.stats()
-	*st = SolveStats{Converged: g.MaxHops, Incremental: true}
-	if len(dirty) == 0 {
-		// Nothing changed: the table is already the answer, and the old
-		// convergence bound still holds.
-		st.StagesSkipped = g.MaxHops
-		st.Converged = prevConverged
-		return table
-	}
-	if prevConverged < 0 {
-		prevConverged = 0
-	}
-	sc := g.scratch()
-	sc.reset(g.Nodes)
-	// Stage 0 depends only on (Nodes, Responder), which match by
-	// contract, so it is already correct and nothing changed there.
-	var changed []int32
-	emptyStreak := 0
-	for h := 1; h <= g.MaxHops; h++ {
-		frontier := sc.gatherPreds(g, dirty, changed)
-		changed = g.sweepFrontier(table[h-1], table[h], frontier, sc)
-		st.Stages++
-		st.FrontierCells += len(frontier)
-		if len(changed) > 0 {
-			emptyStreak = 0
-			continue
-		}
-		emptyStreak++
-		// Two consecutive unchanged stages mean rows h−1 and h match the
-		// old table exactly; if the old table's rows from h−1 up were
-		// already pairwise identical (h−1 ≥ prevConverged), the new rows
-		// h−1 and h are equal too, so every later row — untouched, and
-		// equal to row h in the old table — is already correct.
-		if emptyStreak >= 2 && h-1 >= prevConverged {
-			st.StagesSkipped = g.MaxHops - h
-			st.Converged = h - 1
-			return table
-		}
 	}
 	return table
 }
@@ -536,9 +432,6 @@ func (g *PathGame) validate() {
 	if (g.EdgeQuality == nil) == (g.Adjacency == nil) {
 		panic("game: PathGame needs exactly one of EdgeQuality and Adjacency")
 	}
-	if g.Predecessors != nil && g.Adjacency == nil {
-		panic("game: Predecessors requires Adjacency")
-	}
 }
 
 func (g *PathGame) stats() *SolveStats {
@@ -546,24 +439,6 @@ func (g *PathGame) stats() *SolveStats {
 		return g.Stats
 	}
 	return &SolveStats{}
-}
-
-func (g *PathGame) scratch() *SweepScratch {
-	if g.Scratch != nil {
-		return g.Scratch
-	}
-	return &SweepScratch{}
-}
-
-// sameDecision reports full bit-equality of two cells. Frontier
-// propagation must use full equality, not Quality alone: two successors
-// can tie on path quality while differing in transmission cost, so a
-// cell's Next/Utility can change with its Quality bits intact — and a
-// predecessor reading the stale cell later would diverge from the oracle.
-func sameDecision(a, b Decision) bool {
-	return a.Node == b.Node && a.Next == b.Next &&
-		math.Float64bits(a.Utility) == math.Float64bits(b.Utility) &&
-		math.Float64bits(a.Quality) == math.Float64bits(b.Quality)
 }
 
 // sameQualityRow reports bit-equality of two stages' Quality values —
@@ -576,129 +451,6 @@ func sameQualityRow(a, b []Decision) bool {
 		}
 	}
 	return true
-}
-
-// solveFrontier runs the cold frontier-driven solve: one full sweep for
-// stage 1, then per-stage recomputation of only the cells that can feel
-// the previous stage's changes, with everything else copied from the row
-// below. A cell i at stage h is a pure function of i's row data and its
-// successors' stage h−1 Qualities, so if no successor of i changed
-// between stages h−2 and h−1, cell i at stage h equals cell i at h−1 —
-// the copy is exact, not approximate.
-func (g *PathGame) solveFrontier(table [][]Decision, st *SolveStats) {
-	sc := g.scratch()
-	sc.reset(g.Nodes)
-	g.sweepStage(table[0], table[1])
-	st.Stages++
-	changed := sc.changed[:0]
-	for i := 0; i < g.Nodes; i++ {
-		if !sameDecision(table[1][i], table[0][i]) {
-			changed = append(changed, int32(i))
-		}
-	}
-	sc.changed = changed
-	for h := 2; h <= g.MaxHops; h++ {
-		frontier := sc.gatherPreds(g, nil, changed)
-		if len(frontier) == 0 {
-			// Nothing changed at stage h−1: rows h−2 and h−1 are
-			// identical, so every remaining stage repeats them.
-			for hh := h; hh <= g.MaxHops; hh++ {
-				copy(table[hh], table[h-1])
-			}
-			st.StagesSkipped = g.MaxHops - h + 1
-			st.Converged = h - 2
-			return
-		}
-		copy(table[h], table[h-1])
-		changed = g.sweepFrontier(table[h-1], table[h], frontier, sc)
-		st.Stages++
-		st.FrontierCells += len(frontier)
-	}
-}
-
-// gatherPreds assembles the deduped union of the seed set and every
-// predecessor of a changed cell into sc.frontier. Marks are cleared on
-// the way out so the buffer stays all-false between calls.
-func (sc *SweepScratch) gatherPreds(g *PathGame, seeds, changed []int32) []int32 {
-	f := sc.frontier[:0]
-	mark := sc.mark
-	for _, i := range seeds {
-		if !mark[i] {
-			mark[i] = true
-			f = append(f, i)
-		}
-	}
-	for _, c := range changed {
-		for _, p := range g.Predecessors(c) {
-			if !mark[p] {
-				mark[p] = true
-				f = append(f, p)
-			}
-		}
-	}
-	for _, i := range f {
-		mark[i] = false
-	}
-	sc.frontier = f
-	return f
-}
-
-// frontierShardMin is the per-worker frontier size below which a sharded
-// sweep is not worth its synchronization; small frontiers run serially.
-const frontierShardMin = 512
-
-// sweepFrontier recomputes exactly the frontier cells of cur from prev
-// and returns the ones whose value actually changed (full bit-equality
-// against the cell's prior content — for a cold solve that is the copied
-// row below, for a warm solve the previous table's value). Shards hand
-// out contiguous frontier ranges and concatenate per-chunk changed
-// buffers in chunk order, so the result is scheduling-independent.
-func (g *PathGame) sweepFrontier(prev, cur []Decision, frontier []int32, sc *SweepScratch) []int32 {
-	w := g.Workers
-	if w > 1 && len(frontier) >= w*frontierShardMin && g.Nodes > 1 {
-		if cap(sc.chunkChanged) < w {
-			next := make([][]int32, w)
-			copy(next, sc.chunkChanged)
-			sc.chunkChanged = next
-		}
-		chunks := sc.chunkChanged[:w]
-		chunk := (len(frontier) + w - 1) / w
-		g.runChunks(w, func(c int) {
-			lo := c * chunk
-			if lo > len(frontier) {
-				lo = len(frontier)
-			}
-			hi := lo + chunk
-			if hi > len(frontier) {
-				hi = len(frontier)
-			}
-			out := chunks[c][:0]
-			for _, i := range frontier[lo:hi] {
-				d := g.solveCell(prev, int(i))
-				if !sameDecision(d, cur[i]) {
-					out = append(out, i)
-				}
-				cur[i] = d
-			}
-			chunks[c] = out
-		})
-		out := sc.changed[:0]
-		for _, cbuf := range chunks {
-			out = append(out, cbuf...)
-		}
-		sc.changed = out
-		return out
-	}
-	out := sc.changed[:0]
-	for _, i := range frontier {
-		d := g.solveCell(prev, int(i))
-		if !sameDecision(d, cur[i]) {
-			out = append(out, i)
-		}
-		cur[i] = d
-	}
-	sc.changed = out
-	return out
 }
 
 // sweepStage fills one induction stage: cur[i] from the already-solved

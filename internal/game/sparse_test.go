@@ -7,43 +7,33 @@ import (
 )
 
 // sparseView materialises a dense edge map as the ascending candidate
-// rows and reverse index the sparse solver consumes, so a test can run
-// the same graph through every formulation.
-func sparseView(n int, edges map[[2]int]float64) (adj func(int) ([]int32, []float64), preds func(int32) []int32) {
+// rows the sparse solver consumes, so a test can run the same graph
+// through every formulation.
+func sparseView(n int, edges map[[2]int]float64) func(int) ([]int32, []float64) {
 	succ := make([][]int32, n)
 	qual := make([][]float64, n)
-	pred := make([][]int32, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if q, ok := edges[[2]int{i, j}]; ok {
 				succ[i] = append(succ[i], int32(j))
 				qual[i] = append(qual[i], q)
-				pred[j] = append(pred[j], int32(i))
 			}
 		}
 	}
-	adj = func(i int) ([]int32, []float64) { return succ[i], qual[i] }
-	preds = func(j int32) []int32 { return pred[j] }
-	return
+	return func(i int) ([]int32, []float64) { return succ[i], qual[i] }
 }
 
-// sparseGame is randomPathGame on the sparse formulation; withPreds also
-// wires the reverse index, enabling frontier mode.
-func sparseGame(seed uint64, withPreds bool) *PathGame {
+// sparseGame is randomPathGame on the sparse formulation.
+func sparseGame(seed uint64) *PathGame {
 	n, edges := randomPathEdges(seed)
-	adj, preds := sparseView(n, edges)
-	g := &PathGame{
+	return &PathGame{
 		Nodes:     n,
 		Responder: n - 1,
-		Adjacency: adj,
+		Adjacency: sparseView(n, edges),
 		Pf:        10, Pr: 20,
 		Cost:    UniformCost(1, 1),
 		MaxHops: n,
 	}
-	if withPreds {
-		g.Predecessors = preds
-	}
-	return g
 }
 
 func requireSameTable(t *testing.T, label string, got, want [][]Decision) {
@@ -53,11 +43,8 @@ func requireSameTable(t *testing.T, label string, got, want [][]Decision) {
 	}
 	for h := range got {
 		for i := range got[h] {
-			g, w := got[h][i], want[h][i]
-			if g.Node != w.Node || g.Next != w.Next ||
-				math.Float64bits(g.Utility) != math.Float64bits(w.Utility) ||
-				math.Float64bits(g.Quality) != math.Float64bits(w.Quality) {
-				t.Fatalf("%s: table[%d][%d] = %+v, want %+v", label, h, i, g, w)
+			if !sameCell(got[h][i], want[h][i]) {
+				t.Fatalf("%s: table[%d][%d] = %+v, want %+v", label, h, i, got[h][i], want[h][i])
 			}
 		}
 	}
@@ -70,7 +57,7 @@ func requireSameTable(t *testing.T, label string, got, want [][]Decision) {
 func TestEdgeQBinarySearch(t *testing.T) {
 	for seed := uint64(0); seed < 50; seed++ {
 		n, edges := randomPathEdges(seed)
-		g := sparseGame(seed, false)
+		g := sparseGame(seed)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				got := g.edgeQ(i, j)
@@ -103,23 +90,23 @@ func TestEdgeQBinarySearch(t *testing.T) {
 	}
 }
 
-// Property: the sparse solver — with and without the reverse index that
-// switches it into frontier mode — reproduces the dense oracle bit for
-// bit on arbitrary random games.
+// sameCell reports full bit-equality of two decisions.
+func sameCell(a, b Decision) bool {
+	return a.Node == b.Node && a.Next == b.Next &&
+		math.Float64bits(a.Utility) == math.Float64bits(b.Utility) &&
+		math.Float64bits(a.Quality) == math.Float64bits(b.Quality)
+}
+
+// Property: the sparse solver reproduces the dense oracle bit for bit on
+// arbitrary random games.
 func TestQuickSparseMatchesDense(t *testing.T) {
 	f := func(seed uint64) bool {
 		dense := randomPathGame(seed).Solve()
-		for _, withPreds := range []bool{false, true} {
-			g := sparseGame(seed, withPreds)
-			table := g.Solve()
-			for h := range table {
-				for i := range table[h] {
-					a, b := table[h][i], dense[h][i]
-					if a.Node != b.Node || a.Next != b.Next ||
-						math.Float64bits(a.Utility) != math.Float64bits(b.Utility) ||
-						math.Float64bits(a.Quality) != math.Float64bits(b.Quality) {
-						return false
-					}
+		table := sparseGame(seed).Solve()
+		for h := range table {
+			for i := range table[h] {
+				if !sameCell(table[h][i], dense[h][i]) {
+					return false
 				}
 			}
 		}
@@ -133,34 +120,29 @@ func TestQuickSparseMatchesDense(t *testing.T) {
 // starGame is a graph whose induction reaches its fixed point after one
 // stage: every non-responder node's only move is the direct edge to R,
 // so no row can improve with more hops.
-func starGame(n int, withPreds bool) *PathGame {
+func starGame(n int) *PathGame {
 	edges := make(map[[2]int]float64)
 	for i := 0; i < n-1; i++ {
 		edges[[2]int{i, n - 1}] = 1
 	}
-	adj, preds := sparseView(n, edges)
-	g := &PathGame{
+	return &PathGame{
 		Nodes:     n,
 		Responder: n - 1,
-		Adjacency: adj,
+		Adjacency: sparseView(n, edges),
 		Pf:        10, Pr: 20,
 		Cost:    UniformCost(1, 1),
 		MaxHops: 8,
 	}
-	if withPreds {
-		g.Predecessors = preds
-	}
-	return g
 }
 
 // TestSolveFixedPointExit pins the early exit: on a game that converges
-// after one stage both sparse modes must skip most stages, report a
+// after one stage the sparse solve must skip most stages, report a
 // Converged index below MaxHops, and still produce the dense oracle's
 // table (the skipped rows are materialised by copying, so callers see a
 // full table either way).
 func TestSolveFixedPointExit(t *testing.T) {
 	const n = 6
-	dg := starGame(n, false)
+	dg := starGame(n)
 	dg.Adjacency = nil
 	edges := make(map[[2]int]float64)
 	for i := 0; i < n-1; i++ {
@@ -173,59 +155,16 @@ func TestSolveFixedPointExit(t *testing.T) {
 		return -1
 	}
 	dense := dg.Solve()
-	for _, withPreds := range []bool{false, true} {
-		var st SolveStats
-		g := starGame(n, withPreds)
-		g.Stats = &st
-		table := g.Solve()
-		requireSameTable(t, "star", table, dense)
-		if st.StagesSkipped == 0 {
-			t.Fatalf("withPreds=%v: no stages skipped on a one-stage fixed point (%+v)", withPreds, st)
-		}
-		if st.Converged >= g.MaxHops {
-			t.Fatalf("withPreds=%v: Converged = %d, want < MaxHops (%+v)", withPreds, st.Converged, st)
-		}
+	var st SolveStats
+	g := starGame(n)
+	g.Stats = &st
+	table := g.Solve()
+	requireSameTable(t, "star", table, dense)
+	if st.StagesSkipped == 0 {
+		t.Fatalf("no stages skipped on a one-stage fixed point (%+v)", st)
 	}
-}
-
-// TestResolveIntoMatchesFullSolve is the warm-path regression at the
-// game layer: perturb one node's candidate row, re-solve incrementally
-// from that single dirty seed, and require the exact table a full solve
-// of the modified game produces. Also pins the empty-dirty passthrough.
-func TestResolveIntoMatchesFullSolve(t *testing.T) {
-	for seed := uint64(1); seed < 40; seed++ {
-		n, edges := randomPathEdges(seed)
-		g := sparseGame(seed, true)
-		var st SolveStats
-		g.Stats = &st
-		table := g.Solve()
-		prevConverged := st.Converged
-
-		// Empty dirty set: the table must pass through untouched.
-		before := make([][]Decision, len(table))
-		for h := range table {
-			before[h] = append([]Decision(nil), table[h]...)
-		}
-		g.ResolveInto(table, nil, prevConverged)
-		requireSameTable(t, "passthrough", table, before)
-		if !st.Incremental || st.Converged != prevConverged {
-			t.Fatalf("seed %d: passthrough stats %+v", seed, st)
-		}
-
-		// Perturb one node's outgoing qualities and re-solve from it.
-		dirty := int32(seed % uint64(n-1))
-		for j := 0; j < n; j++ {
-			if q, ok := edges[[2]int{int(dirty), j}]; ok {
-				edges[[2]int{int(dirty), j}] = q / 2
-			}
-		}
-		adj, preds := sparseView(n, edges)
-		g.Adjacency, g.Predecessors = adj, preds
-		g.ResolveInto(table, []int32{dirty}, prevConverged)
-
-		g2 := sparseGame(seed, true)
-		g2.Adjacency, g2.Predecessors = adj, preds
-		requireSameTable(t, "resolve", table, g2.Solve())
+	if st.Converged >= g.MaxHops {
+		t.Fatalf("Converged = %d, want < MaxHops (%+v)", st.Converged, st)
 	}
 }
 
@@ -239,8 +178,8 @@ func TestPoolSweepMatchesSerial(t *testing.T) {
 		t.Fatalf("Workers() = %d", pool.Workers())
 	}
 	for seed := uint64(0); seed < 20; seed++ {
-		want := sparseGame(seed, true).Solve()
-		g := sparseGame(seed, true)
+		want := sparseGame(seed).Solve()
+		g := sparseGame(seed)
 		g.Workers = 3
 		g.Pool = pool
 		requireSameTable(t, "pooled", g.Solve(), want)

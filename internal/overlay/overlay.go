@@ -10,7 +10,6 @@ package overlay
 
 import (
 	"fmt"
-	"sort"
 
 	"p2panon/internal/dist"
 	"p2panon/internal/sim"
@@ -81,12 +80,12 @@ type Node struct {
 // node's ID and its new state after every Join, Rejoin and Leave.
 type ChurnFunc func(id NodeID, s State)
 
-// Network is the overlay: the node table plus the online set. It is not
-// safe for concurrent use; the transport package provides the concurrent
-// runtime.
+// Network is the overlay: the node table, whose State fields are the
+// online set. It is not safe for concurrent use; the transport package
+// provides the concurrent runtime.
 type Network struct {
 	nodes     []*Node
-	online    map[NodeID]struct{}
+	online    int // nodes whose State is Online
 	degree    int
 	rng       *dist.Source
 	observers []ChurnFunc
@@ -96,15 +95,6 @@ type Network struct {
 	// memos) can invalidate exactly when topology state they consumed may
 	// have moved. Pure queries never advance it.
 	version uint64
-
-	// journal records which node each recent version bump touched, so
-	// incremental solvers can ask "what changed since version v" instead
-	// of invalidating wholesale. jbase is the newest version the journal
-	// can NOT account for: entries cover (jbase, version]. Touch is an
-	// out-of-band wildcard — it resets the journal and advances jbase,
-	// since the caller did not say which node it edited.
-	journal []journalEntry
-	jbase   uint64
 
 	// churn counters, one per destination state; nil (no-op) until
 	// Instrument binds them into a telemetry registry.
@@ -122,11 +112,7 @@ func NewNetwork(degree int, rng *dist.Source) *Network {
 	if rng == nil {
 		panic("overlay: nil rng")
 	}
-	return &Network{
-		online: make(map[NodeID]struct{}),
-		degree: degree,
-		rng:    rng,
-	}
+	return &Network{degree: degree, rng: rng}
 }
 
 // OnChurn registers fn to be notified of every subsequent lifecycle
@@ -149,62 +135,9 @@ func (n *Network) Instrument(reg *telemetry.Registry) {
 	n.churnDeparted = reg.Counter("overlay_churn_total", telemetry.Labels{"state": "departed"})
 }
 
-// journalEntry says version bumped because node changed.
-type journalEntry struct {
-	version uint64
-	node    NodeID
-}
-
-// journalCap bounds the change journal. When full, the oldest half is
-// dropped and jbase advances past it — readers that far behind fall back
-// to a full rebuild, exactly as if a wildcard had occurred.
-const journalCap = 1024
-
-// journalRecord attributes the current (just bumped) version to id.
-// Every version advance must either pass through here or reset the
-// journal via journalWildcard, or ChangesSince would claim coverage of
-// changes it never saw.
-func (n *Network) journalRecord(id NodeID) {
-	if len(n.journal) >= journalCap {
-		half := len(n.journal) / 2
-		n.jbase = n.journal[half-1].version
-		n.journal = append(n.journal[:0], n.journal[half:]...)
-	}
-	n.journal = append(n.journal, journalEntry{version: n.version, node: id})
-}
-
-// journalWildcard forgets the journal after an unattributable change.
-func (n *Network) journalWildcard() {
-	n.journal = n.journal[:0]
-	n.jbase = n.version
-}
-
-// ChangesSince appends to buf the IDs of every node the overlay touched
-// after version v (duplicates possible — one entry per change) and
-// reports whether the journal actually covers that span. ok == false
-// means v predates the journal's horizon (or a Touch wildcard occurred
-// since); the caller must then treat everything as changed. With
-// ok == true and no appended IDs, nothing changed since v.
-func (n *Network) ChangesSince(v uint64, buf []NodeID) ([]NodeID, bool) {
-	if v == n.version {
-		return buf, true
-	}
-	if v < n.jbase || v > n.version {
-		return buf, false
-	}
-	for i := len(n.journal) - 1; i >= 0; i-- {
-		if n.journal[i].version <= v {
-			break
-		}
-		buf = append(buf, n.journal[i].node)
-	}
-	return buf, true
-}
-
 // notifyChurn fans a transition out to the registered observers.
 func (n *Network) notifyChurn(id NodeID, s State) {
 	n.version++
-	n.journalRecord(id)
 	switch s {
 	case Online:
 		n.churnOnline.Inc()
@@ -231,18 +164,13 @@ func (n *Network) Version() uint64 { return n.version }
 
 // Touch records an out-of-band structural change: call it after mutating
 // a Node's Neighbors slice directly so version-keyed caches invalidate.
-// Touch cannot know which node was edited, so it also voids the change
-// journal — incremental consumers fall back to a full rebuild.
-func (n *Network) Touch() {
-	n.version++
-	n.journalWildcard()
-}
+func (n *Network) Touch() { n.version++ }
 
 // Len returns the total number of nodes ever created (any state).
 func (n *Network) Len() int { return len(n.nodes) }
 
 // OnlineCount returns the number of nodes currently online.
-func (n *Network) OnlineCount() int { return len(n.online) }
+func (n *Network) OnlineCount() int { return n.online }
 
 // Node returns the node with the given ID. It panics on an unknown ID —
 // IDs are only ever minted by Join, so an unknown ID is a programming
@@ -259,20 +187,21 @@ func (n *Network) Exists(id NodeID) bool {
 	return id >= 0 && int(id) < len(n.nodes)
 }
 
-// Online reports whether id is currently online.
+// Online reports whether id is currently online (false for an ID that
+// names no node).
 func (n *Network) Online(id NodeID) bool {
-	_, ok := n.online[id]
-	return ok
+	return n.Exists(id) && n.nodes[id].State == Online
 }
 
-// OnlineIDs returns the online node IDs in ascending order. The slice is
-// freshly allocated.
+// OnlineIDs returns the online node IDs in ascending order — the node
+// table's own order. The slice is freshly allocated.
 func (n *Network) OnlineIDs() []NodeID {
-	out := make([]NodeID, 0, len(n.online))
-	for id := range n.online {
-		out = append(out, id)
+	out := make([]NodeID, 0, n.online)
+	for _, node := range n.nodes {
+		if node.State == Online {
+			out = append(out, node.ID)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -300,7 +229,7 @@ func (n *Network) Join(now sim.Time, malicious bool) *Node {
 		sessionStart:   now,
 	}
 	n.nodes = append(n.nodes, node)
-	n.online[id] = struct{}{}
+	n.online++
 	node.Neighbors = n.pickNeighbors(id, nil)
 	n.notifyChurn(id, Online)
 	return node
@@ -309,9 +238,9 @@ func (n *Network) Join(now sim.Time, malicious bool) *Node {
 // GrowUniform bulk-joins count good nodes at time now: IDs are assigned
 // sequentially, every node comes up Online, and each samples its d
 // neighbors uniformly from the *final* population (excluding itself).
-// Join's incremental candidate-set sort costs O(n log n) per call —
-// O(n² log n) across a large build-out — which walls off scale-frontier
-// populations; GrowUniform is O(count·d) expected. Semantically it is the
+// Join gathers every online candidate, O(n) per call — O(n²) across a
+// large build-out — which walls off scale-frontier populations;
+// GrowUniform is O(count·d) expected. Semantically it is the
 // steady-state topology Join + RefreshNeighbors converge to, built in one
 // shot; churn observers and the version counter advance once per node,
 // exactly as with individual joins. Intended for constructing large
@@ -324,16 +253,15 @@ func (n *Network) GrowUniform(now sim.Time, count int) {
 	start := len(n.nodes)
 	total := start + count
 	for i := start; i < total; i++ {
-		id := NodeID(i)
 		n.nodes = append(n.nodes, &Node{
-			ID:             id,
+			ID:             NodeID(i),
 			State:          Online,
 			FirstJoin:      now,
 			FinalDeparture: now,
 			sessionStart:   now,
 		})
-		n.online[id] = struct{}{}
 	}
+	n.online += count
 	for i := start; i < total; i++ {
 		id := NodeID(i)
 		d := n.degree
@@ -376,7 +304,7 @@ func (n *Network) Rejoin(now sim.Time, id NodeID) {
 	}
 	node.State = Online
 	node.sessionStart = now
-	n.online[id] = struct{}{}
+	n.online++
 	// Repair any neighbors that departed while we were away.
 	n.RefreshNeighbors(id)
 	n.notifyChurn(id, Online)
@@ -396,28 +324,28 @@ func (n *Network) Leave(now sim.Time, id NodeID, final bool) {
 	} else {
 		node.State = Offline
 	}
-	delete(n.online, id)
+	n.online--
 	n.notifyChurn(id, node.State)
 }
 
 // pickNeighbors selects up to d random online nodes, excluding self and
-// anything in keep (already-held neighbors being retained).
+// anything in keep (already-held neighbors being retained). With nothing
+// to add it draws no randomness.
 func (n *Network) pickNeighbors(self NodeID, keep []NodeID) []NodeID {
+	want := n.degree - len(keep)
+	if want <= 0 {
+		return append([]NodeID(nil), keep...)
+	}
 	held := make(map[NodeID]struct{}, len(keep)+1)
 	held[self] = struct{}{}
 	for _, k := range keep {
 		held[k] = struct{}{}
 	}
-	candidates := make([]NodeID, 0, len(n.online))
-	for id := range n.online {
-		if _, skip := held[id]; !skip {
-			candidates = append(candidates, id)
+	candidates := make([]NodeID, 0, n.online)
+	for _, node := range n.nodes {
+		if _, skip := held[node.ID]; !skip && node.State == Online {
+			candidates = append(candidates, node.ID)
 		}
-	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
-	want := n.degree - len(keep)
-	if want <= 0 {
-		return append([]NodeID(nil), keep...)
 	}
 	if want > len(candidates) {
 		want = len(candidates)
@@ -446,13 +374,15 @@ func (n *Network) RefreshNeighbors(id NodeID) {
 			dropped++
 		}
 	}
+	if dropped == 0 && len(keep) >= n.degree {
+		return // nobody to replace: the common case on every Rejoin
+	}
 	node.Neighbors = n.pickNeighbors(id, keep)
 	// Only an actual edit — a departed neighbor dropped or a replacement
-	// found — is a structural change; the common repair-finds-nothing call
-	// must not invalidate topology-keyed caches.
+	// found — is a structural change; a repair that finds nothing must not
+	// invalidate topology-keyed caches.
 	if dropped > 0 || len(node.Neighbors) != len(keep) {
 		n.version++
-		n.journalRecord(id)
 	}
 }
 
@@ -482,12 +412,11 @@ func (n *Network) Availability(now sim.Time, id NodeID) float64 {
 // GoodOnline returns the online, non-malicious node IDs in ascending order.
 func (n *Network) GoodOnline() []NodeID {
 	var out []NodeID
-	for id := range n.online {
-		if !n.nodes[id].Malicious {
-			out = append(out, id)
+	for _, node := range n.nodes {
+		if node.State == Online && !node.Malicious {
+			out = append(out, node.ID)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

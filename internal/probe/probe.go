@@ -19,6 +19,7 @@ package probe
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -66,11 +67,6 @@ type Estimator struct {
 	// tables) can invalidate.
 	setVersion *uint64
 
-	// journal, when non-nil, attributes each version bump to this
-	// estimator's owner in the owning Set's change journal, so warm SPNE
-	// re-solves can treat only the ticked observer as dirty.
-	journal func(v uint64, owner overlay.NodeID)
-
 	// nil (no-op) until Instrument binds them.
 	ticks, credits, decays, inits *telemetry.Counter
 }
@@ -115,50 +111,45 @@ func (est *Estimator) Owner() overlay.NodeID { return est.owner }
 // Probes returns how many probing rounds have run.
 func (est *Estimator) Probes() int { return est.probes }
 
-// Tick runs one probing period: it reconciles the neighbor set (new
-// neighbors get a rand(0,T) initial session time; vanished neighbors are
-// forgotten), then credits T to live neighbors and decays dead ones. A
-// neighbor first seen this tick keeps its rand(0,T) initialisation and is
-// not also credited T — crediting both would let a fresh neighbor outrank
-// a node with one full observed period, inverting the paper's "higher
-// observed session time ⇒ higher availability" ordering.
+// Tick runs one probing period in one pass over the neighbor list: a new
+// neighbor gets a rand(0,T) initial session time, a known one is credited
+// T when live and decayed when dead; neighbors that vanished from the list
+// are then forgotten. A neighbor first seen this tick keeps its rand(0,T)
+// initialisation and is not also credited T — crediting both would let a
+// fresh neighbor outrank a node with one full observed period, inverting
+// the paper's "higher observed session time ⇒ higher availability"
+// ordering. A steady-state round allocates nothing.
 func (est *Estimator) Tick() {
 	est.probes++
 	est.ticks.Inc()
 	est.totalValid = false
 	if est.setVersion != nil {
-		v := atomic.AddUint64(est.setVersion, 1)
-		if est.journal != nil {
-			est.journal(v, est.owner)
-		}
+		atomic.AddUint64(est.setVersion, 1)
 	}
-	current := est.net.NeighborsOf(est.owner)
-	inSet := make(map[overlay.NodeID]struct{}, len(current))
-	fresh := make(map[overlay.NodeID]struct{})
+	// The owner's own list, not a copy: Tick only reads the overlay, and a
+	// sharded TickAll runs no overlay mutation alongside its workers, so
+	// concurrent ticks are concurrent pure reads.
+	current := est.net.Node(est.owner).Neighbors
 	for _, v := range current {
-		inSet[v] = struct{}{}
-		if _, known := est.session[v]; !known {
-			// New neighbor: initialise to rand(0, T) per the paper.
+		switch t, known := est.session[v]; {
+		case !known:
+			// New neighbor: initialise to rand(0, T) per the paper; the init
+			// stands in for the unobserved partial period.
 			est.session[v] = est.rng.Uniform(0, est.period.Seconds())
-			fresh[v] = struct{}{}
 			est.inits.Inc()
-		}
-	}
-	for v := range est.session {
-		if _, ok := inSet[v]; !ok {
-			delete(est.session, v) // no longer a neighbor
-		}
-	}
-	for _, v := range current {
-		if _, isNew := fresh[v]; isNew {
-			continue // the rand(0,T) init stands in for the unobserved partial period
-		}
-		if est.net.Online(v) {
-			est.session[v] += est.period.Seconds()
+		case est.net.Online(v):
+			est.session[v] = t + est.period.Seconds()
 			est.credits.Inc()
-		} else {
-			est.session[v] *= DecayOnMiss
+		default:
+			est.session[v] = t * DecayOnMiss
 			est.decays.Inc()
+		}
+	}
+	if len(est.session) != len(current) {
+		for v := range est.session {
+			if !slices.Contains(current, v) {
+				delete(est.session, v) // no longer a neighbor
+			}
 		}
 	}
 }
@@ -246,70 +237,14 @@ type Set struct {
 	// a member estimator advances it (atomically). Equal versions
 	// guarantee unchanged availability scores.
 	version uint64
-
-	// journal attributes recent version bumps to the estimator owner that
-	// ticked, mirroring the overlay's change journal: entries cover
-	// versions (jbase, version]. A TickAll round touches every online
-	// estimator, so it is recorded as a wildcard (journal cleared, jbase
-	// advanced) rather than one entry per node; only out-of-band
-	// individual Ticks are attributed. mu guards the journal fields —
-	// sharded TickAll rounds invoke the hook concurrently.
-	mu      sync.Mutex
-	journal []probeEntry
-	jbase   uint64
-	bulk    bool
-}
-
-// probeEntry says set version v bumped because node's estimator ticked.
-type probeEntry struct {
-	version uint64
-	node    overlay.NodeID
-}
-
-// probeJournalCap bounds the journal; see overlay.journalCap for the
-// eviction story (oldest half dropped, jbase advances past it).
-const probeJournalCap = 1024
-
-// journalTick records one attributed estimate change.
-func (s *Set) journalTick(v uint64, owner overlay.NodeID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.bulk {
-		return
-	}
-	if len(s.journal) >= probeJournalCap {
-		half := len(s.journal) / 2
-		s.jbase = s.journal[half-1].version
-		s.journal = append(s.journal[:0], s.journal[half:]...)
-	}
-	s.journal = append(s.journal, probeEntry{version: v, node: owner})
-}
-
-// ChangesSince appends to buf the owners whose estimates changed after
-// set version v and reports whether the journal covers that span. ok ==
-// false — v predates the horizon or a TickAll ran since — means the
-// caller must treat every estimate as changed.
-func (s *Set) ChangesSince(v uint64, buf []overlay.NodeID) ([]overlay.NodeID, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := atomic.LoadUint64(&s.version)
-	if v == cur {
-		return buf, true
-	}
-	if v < s.jbase || v > cur {
-		return buf, false
-	}
-	for i := len(s.journal) - 1; i >= 0; i-- {
-		if s.journal[i].version <= v {
-			break
-		}
-		buf = append(buf, s.journal[i].node)
-	}
-	return buf, true
 }
 
 // Version returns the set-wide estimate-change counter.
 func (s *Set) Version() uint64 { return atomic.LoadUint64(&s.version) }
+
+// Len returns how many estimators the set holds; equal to the overlay's
+// node count, no node is missing one.
+func (s *Set) Len() int { return len(s.byNode) }
 
 // Instrument binds every current and future estimator in the set into
 // reg (they share the probe_* series).
@@ -336,7 +271,6 @@ func (s *Set) For(id overlay.NodeID) *Estimator {
 	if !ok {
 		est = NewEstimator(id, s.net, s.rng.Split(), s.period)
 		est.setVersion = &s.version
-		est.journal = s.journalTick
 		if s.reg != nil {
 			est.Instrument(s.reg)
 		}
@@ -361,21 +295,6 @@ func (s *Set) TickAll() {
 	for i, id := range ids {
 		ests[i] = s.For(id)
 	}
-	// A full round changes every online estimate: recording it entry by
-	// entry would only flood the journal, so suppress attribution for the
-	// duration and mark the round as a wildcard afterwards (incremental
-	// consumers fall back to a full solve, which is the right answer when
-	// everything moved anyway).
-	s.mu.Lock()
-	s.bulk = true
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.bulk = false
-		s.journal = s.journal[:0]
-		s.jbase = atomic.LoadUint64(&s.version)
-		s.mu.Unlock()
-	}()
 	workers := s.Workers
 	if workers > len(ests) {
 		workers = len(ests)

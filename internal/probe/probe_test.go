@@ -64,6 +64,21 @@ func TestTickCreditsLiveNeighbors(t *testing.T) {
 	}
 }
 
+// TestSteadyStateTickAllocatesNothing pins that a probing round over a
+// settled neighbor set — the case TickAll hits for every online node,
+// every period — touches no heap: the neighbor list is read in place and
+// the per-tick bookkeeping stays on the stack. One neighbor is offline so
+// both the credit and the decay branch run.
+func TestSteadyStateTickAllocatesNothing(t *testing.T) {
+	net := buildNet(t, 12, 6, 3)
+	est := NewEstimator(5, net, dist.NewSource(2), DefaultPeriod)
+	net.Leave(1, net.NeighborsOf(5)[0], false)
+	est.Tick()
+	if allocs := testing.AllocsPerRun(100, est.Tick); allocs != 0 {
+		t.Fatalf("steady-state Tick allocates %v objects per round, want 0", allocs)
+	}
+}
+
 func TestAvailabilityNormalises(t *testing.T) {
 	net := buildNet(t, 12, 5, 5)
 	est := NewEstimator(0, net, dist.NewSource(6), 60)

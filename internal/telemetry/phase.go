@@ -15,11 +15,11 @@ import (
 // benchmarks, live runs and the JSON report all speak the same
 // vocabulary. Brackets do not subtract nested time: overlay.candidates
 // runs inside route.walk, so the walk's total includes it — every other
-// pair of phases is disjoint.
+// pair of phases is disjoint. The stage game's rows are built on demand
+// inside the solve, one cone node at a time, so their cost is part of
+// solve.induction: a bracket per row would cost more than the row.
 const (
-	PhaseSolveRows         = "solve.rows"         // sparse CSR row build (scorer prefetch + fill)
-	PhaseSolveInduction    = "solve.induction"    // backward-induction stage sweeps
-	PhaseSolveIncremental  = "solve.incremental"  // warm re-solve: journal drain, row refresh, frontier sweeps
+	PhaseSolveInduction    = "solve.induction"    // demand-driven SPNE solve at connection start, rows included
 	PhaseProbeTick         = "probe.tick"         // probe estimator TickAll rounds
 	PhaseOverlayCandidates = "overlay.candidates" // per-hop neighbor candidate gathering
 	PhaseRouteWalk         = "route.walk"         // per-connection forwarding walk

@@ -15,7 +15,7 @@ var allocSink []byte
 func TestPhaseProfilerAccumulates(t *testing.T) {
 	p := NewPhaseProfiler()
 	for i := 0; i < 3; i++ {
-		sp := p.Start(PhaseSolveRows)
+		sp := p.Start(PhaseSolveInduction)
 		allocSink = make([]byte, 64*1024)
 		sp.End()
 	}
@@ -31,15 +31,15 @@ func TestPhaseProfilerAccumulates(t *testing.T) {
 	for _, s := range stats {
 		byName[s.Phase] = s
 	}
-	rows := byName[PhaseSolveRows]
-	if rows.Count != 3 {
-		t.Fatalf("solve.rows count = %d, want 3", rows.Count)
+	solve := byName[PhaseSolveInduction]
+	if solve.Count != 3 {
+		t.Fatalf("solve.induction count = %d, want 3", solve.Count)
 	}
-	if rows.Bytes < 3*64*1024 {
-		t.Fatalf("solve.rows bytes = %d, want >= %d", rows.Bytes, 3*64*1024)
+	if solve.Bytes < 3*64*1024 {
+		t.Fatalf("solve.induction bytes = %d, want >= %d", solve.Bytes, 3*64*1024)
 	}
-	if rows.Objects < 3 {
-		t.Fatalf("solve.rows objects = %d, want >= 3", rows.Objects)
+	if solve.Objects < 3 {
+		t.Fatalf("solve.induction objects = %d, want >= 3", solve.Objects)
 	}
 	tick := byName[PhaseProbeTick]
 	if tick.Count != 1 || tick.NS < int64(time.Millisecond)/2 {
@@ -108,7 +108,7 @@ func TestPhaseProfilerInstrument(t *testing.T) {
 
 func TestPhaseProfilerNilSafe(t *testing.T) {
 	var p *PhaseProfiler
-	p.Start(PhaseSolveRows).End()
+	p.Start(PhaseSolveInduction).End()
 	p.Instrument(NewRegistry())
 	p.Reset()
 	if p.Snapshot() != nil || p.Dominant() != "" {

@@ -345,3 +345,30 @@ func TestSPNEWarmSolveAllocs(t *testing.T) {
 		t.Fatalf("pin did not exercise eviction: %d misses, %d evictions", misses, evictions)
 	}
 }
+
+// BenchmarkLiveSolve is the in-process guard for the code the live router
+// shares with the simulator's solver: one op is one cache-miss prescribed
+// — fillRows, game.SolveInto, sweepStage, solveCell, the prescription
+// copy — at inproc_um2_agg's shape (128 peers, degree 6, budget 5), with
+// history on the batch so rows score σ > 0. A change to internal/game is
+// measured by building this package's test binary at the parent commit
+// and at the change (go test -c) and alternating the two.
+func BenchmarkLiveSolve(b *testing.B) {
+	const n, budget = 128, 5
+	topo := buildTopo(n, 6, 32)
+	r := NewUtilityIIRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), uniformAvail(n))
+	for conn := 1; conn <= 3; conn++ {
+		walk(r, 0, n-1, 1, conn, budget)
+	}
+	conn := 100
+	for i := 0; i < 2*spneCacheCap; i++ { // fill the cache, grow every buffer
+		conn++
+		r.prescribed(0, 0, n-1, 1, conn, budget)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conn++
+		r.prescribed(0, 0, n-1, 1, conn, budget)
+	}
+}

@@ -7,18 +7,15 @@
 # a PR re-baselines the gate instead of editing the default filename in
 # every call site (CI reads the same file name in its -gate step).
 #
-# Six tiers:
+# Five tiers:
 #   - experiment benchmarks (repo root): whole figure pipelines, few
 #     iterations because each run is seconds of simulation;
 #   - micro-benchmarks (internal packages): the hot paths the performance
 #     work targets, timed properly;
-#   - N-sweep scale frontier: one cold sparse stage-game solve per op at
-#     N = 10², 10³, 10⁴ and 10⁵ on a static overlay, single iteration —
-#     the curve CI's bench-delta gate reads B/op and allocs/op from;
-#   - warm churn: one single-node lifecycle event plus one connection per
-#     op, warm (incremental re-solve from the churn journals) vs cold
-#     (journal wildcarded, full solve per event) — the warm/cold ratio is
-#     the incremental solver's headline number;
+#   - N-sweep scale frontier: one demand-driven stage-game solve from
+#     nothing per op at N = 10², 10³, 10⁴ and 10⁵ on a static overlay,
+#     single iteration — the curve CI's bench-delta gate reads B/op and
+#     allocs/op from;
 #   - phase breakdown: the N-sweep with the phase profiler attached,
 #     emitting per-phase <phase>-ns/op and <phase>-allocs/op custom
 #     metrics that name where each decade's cost lives (the -allocs/op
@@ -51,11 +48,6 @@ echo "== N-sweep scale frontier =="
 go test -run '^$' \
   -bench 'BenchmarkScaleFrontier' \
   -benchmem -benchtime 1x -timeout 30m ./internal/core/ | tee -a "$tmp"
-
-echo "== warm churn =="
-go test -run '^$' \
-  -bench 'BenchmarkWarmChurn' \
-  -benchmem -benchtime 20x -timeout 30m ./internal/core/ | tee -a "$tmp"
 
 echo "== phase breakdown =="
 go test -run '^$' \
