@@ -74,11 +74,11 @@ type Bank struct {
 	issued   atomic.Int64 // total withdrawn (escrowed in tokens)
 	redeemed atomic.Int64 // total deposited back
 
-	// verify is the lazily built signature-verification pool used by
-	// DepositBatch; see batch.go.
-	verifyMu      sync.Mutex
-	verifyPool    *verifyPool
-	verifyWorkers int
+	// workers is the lazily built pool the per-token RSA work of a
+	// settlement epoch — blind signing and deposit verification — fans
+	// out over; see batch.go.
+	workersMu sync.Mutex
+	workers   *workPool
 
 	// The audit ledger stays global — statements interleave operations
 	// across all accounts under one sequence. auditMu is a leaf lock:
@@ -152,9 +152,6 @@ func (b *Bank) spentShardOf(serial [32]byte) *spentShard {
 	return &b.spent[h>>(64-b.shardBits)]
 }
 
-// Shards returns the bank's shard count (for reporting and tests).
-func (b *Bank) Shards() int { return len(b.shards) }
-
 // lockAll acquires every account-shard lock in ascending order. While all
 // are held no account mutation (and therefore no issued/redeemed bump) can
 // be in flight, so the caller sees a consistent whole-bank snapshot.
@@ -224,24 +221,77 @@ func (b *Bank) Withdraw(id AccountID, req *WithdrawalRequest) (*big.Int, error) 
 	if req == nil || req.Denom() <= 0 {
 		return nil, ErrBadAmount
 	}
+	if _, err := b.debitAll(id, []DepositRequest{{Token: Token{Denom: req.denom}}}); err != nil {
+		return nil, err
+	}
+	return b.sign(req.blinded), nil
+}
+
+// sign returns the raw RSA signature c^D mod N, computed through the key's
+// CRT values: one half-size exponentiation per prime and Garner's
+// recombination, about a quarter of the work of the full-size power. The
+// result is released only after s^e ≡ c (mod N) holds — a fault in either
+// half would otherwise hand out a value whose difference from the true
+// signature factors N — and a failed check falls back to the plain power,
+// so a debited withdrawal always gets its signature.
+func (b *Bank) sign(c *big.Int) *big.Int {
+	k := b.key
+	if c.Sign() < 0 || c.Cmp(k.N) >= 0 {
+		c = new(big.Int).Mod(c, k.N)
+	}
+	p, q := k.Primes[0], k.Primes[1]
+	sig := new(big.Int).Exp(c, k.Precomputed.Dp, p)
+	m2 := new(big.Int).Exp(c, k.Precomputed.Dq, q)
+	s := powScratchPool.Get().(*powScratch)
+	defer powScratchPool.Put(s)
+	// sig = m2 + q·(Qinv·(m1 − m2) mod p)
+	s.mulMod(sig, sig.Sub(sig, m2), k.Precomputed.Qinv, p)
+	sig.Add(s.prod.Mul(sig, q), m2)
+	if s.pow(sig, k.E, k.N).Cmp(c) != 0 {
+		return sig.Exp(c, k.D, k.N)
+	}
+	return sig
+}
+
+// debitAll debits id by every request's denomination in order (the payee
+// a request names plays no part), all or nothing, under one hold of its
+// shard lock: a settlement epoch that the account cannot cover in full
+// debits nothing. On ErrInsufficientFunds it returns the index of the
+// first token the balance does not reach, which is the one a
+// token-by-token loop would have failed at.
+func (b *Bank) debitAll(id AccountID, reqs []DepositRequest) (int, error) {
 	s := b.shardOf(id)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	bal, ok := s.accounts[id]
 	if !ok {
-		s.mu.Unlock()
-		return nil, ErrUnknownAccount
+		return 0, ErrUnknownAccount
 	}
-	if bal < req.Denom() {
-		s.mu.Unlock()
-		return nil, ErrInsufficientFunds
+	left := bal
+	for i := range reqs {
+		if left -= reqs[i].Token.Denom; left < 0 {
+			return i, ErrInsufficientFunds
+		}
 	}
-	s.accounts[id] = bal - req.Denom()
-	b.issued.Add(int64(req.Denom()))
-	b.audit(id, "withdraw", req.Denom(), bal-req.Denom(), id)
+	for i := range reqs {
+		bal -= reqs[i].Token.Denom
+		b.audit(id, "withdraw", reqs[i].Token.Denom, bal, id)
+	}
+	b.issued.Add(int64(s.accounts[id] - bal))
+	s.accounts[id] = bal
+	return 0, nil
+}
+
+// voidWithdrawal returns to id the value of a debited token that will
+// never be redeemed: its signing exchange or its deposit failed and the
+// token is discarded.
+func (b *Bank) voidWithdrawal(id AccountID, amt Amount) {
+	s := b.shardOf(id)
+	s.mu.Lock()
+	s.accounts[id] += amt
+	b.issued.Add(-int64(amt))
+	b.audit(id, "withdraw-void", amt, s.accounts[id], id)
 	s.mu.Unlock()
-	// Raw RSA signature on the blinded digest.
-	sig := new(big.Int).Exp(req.Blinded(), b.key.D, b.key.N)
-	return sig, nil
 }
 
 // Deposit verifies a token and credits the depositor. A replayed serial is

@@ -50,17 +50,6 @@ func (b *Bank) WithdrawAmount(id AccountID, amount Amount, rng io.Reader) ([]Tok
 	return tokens, nil
 }
 
-// DepositAll deposits every token, stopping at the first failure and
-// reporting how many succeeded.
-func (b *Bank) DepositAll(id AccountID, tokens []Token) (int, error) {
-	for i, tok := range tokens {
-		if err := b.Deposit(id, tok); err != nil {
-			return i, err
-		}
-	}
-	return len(tokens), nil
-}
-
 // TokensValue sums the denominations of a token set.
 func TokensValue(tokens []Token) Amount {
 	var total Amount

@@ -234,7 +234,7 @@ func TestBlindingUnlinkability(t *testing.T) {
 	}
 	// The blinded value must not equal the raw digest (i.e. blinding did
 	// something).
-	h := tokenDigest(10, r1.serial, pub.N)
+	h := tokenDigest(new(big.Int), 10, r1.serial, pub.N)
 	if r1.Blinded().Cmp(h) == 0 {
 		t.Fatal("blinding is the identity")
 	}

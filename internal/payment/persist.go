@@ -11,7 +11,7 @@ import (
 // LedgerEntry is one line of an account statement.
 type LedgerEntry struct {
 	Seq     uint64
-	Kind    string // "open", "withdraw", "deposit", "transfer-in", "transfer-out"
+	Kind    string // "open", "withdraw", "withdraw-void", "deposit", "transfer-in", "transfer-out"
 	Amount  Amount
 	Balance Amount // balance after the entry
 	Peer    AccountID
@@ -114,7 +114,9 @@ func (b *Bank) Save(w io.Writer) error {
 
 // LoadBank restores a bank from a Save snapshot, distributing the state
 // over DefaultShards. The restored bank validates its key material before
-// use.
+// use and rebuilds the CRT values Bank.sign works through (gob does not
+// carry crypto/rsa's unexported precomputed state); a key that is not
+// two-prime has none and is rejected rather than signed with slowly.
 func LoadBank(r io.Reader) (*Bank, error) {
 	var st bankState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
@@ -125,6 +127,10 @@ func LoadBank(r io.Reader) (*Bank, error) {
 	}
 	if err := st.Key.Validate(); err != nil {
 		return nil, fmt.Errorf("payment: snapshot key invalid: %w", err)
+	}
+	st.Key.Precompute()
+	if pre := st.Key.Precomputed; len(st.Key.Primes) != 2 || pre.Dp == nil || pre.Dq == nil || pre.Qinv == nil {
+		return nil, fmt.Errorf("payment: snapshot key is not a two-prime key with CRT values")
 	}
 	b := newBankState(DefaultShards)
 	b.key = st.Key

@@ -197,32 +197,28 @@ func (s *Settlement) Run(claims []Claim) ([]Payout, error) {
 	return accepted, nil
 }
 
-// payBlindBatch withdraws every forwarder's tokens in power-of-two
-// denominations (withdrawal is a per-token blind-signing exchange and
-// stays serial), then deposits the whole epoch in one Bank.DepositBatch
-// call, so signature checks ride the bank's parallel verify pool. Fixed
-// denominations matter for unlinkability: unique token values would let
-// the bank match withdrawals to deposits by amount alone. On a deposit
-// error the failing token's forwarder is named; later deposits in the
-// epoch have already been applied.
+// payBlindBatch splits every forwarder's payout into power-of-two
+// denominations and moves the whole epoch through Bank.payBlind: one
+// all-or-nothing debit of the initiator, the blind-signing exchanges and
+// the deposit checks on the bank's worker pool, credits in (forwarder,
+// denomination) order. Fixed denominations matter for unlinkability:
+// unique token values would let the bank match withdrawals to deposits by
+// amount alone. An initiator that cannot cover the epoch is debited
+// nothing and nobody is paid; on a later error the failing token's
+// forwarder is named, its value is back with the initiator and every
+// other token of the epoch has been deposited.
 func (s *Settlement) payBlindBatch(accepted []Payout) error {
 	var reqs []DepositRequest
 	for i := range accepted {
 		if accepted[i].Amount <= 0 {
 			continue
 		}
-		tokens, err := s.Bank.WithdrawAmount(s.Initiator, accepted[i].Amount, nil)
-		if err != nil {
-			return fmt.Errorf("payment: paying forwarder %d: %w", accepted[i].Forwarder, err)
-		}
-		for _, tk := range tokens {
-			reqs = append(reqs, DepositRequest{Account: accepted[i].Forwarder, Token: tk})
+		for _, denom := range SplitDenominations(accepted[i].Amount) {
+			reqs = append(reqs, DepositRequest{Account: accepted[i].Forwarder, Token: Token{Denom: denom}})
 		}
 	}
-	for j, err := range s.Bank.DepositBatch(reqs) {
-		if err != nil {
-			return fmt.Errorf("payment: paying forwarder %d: %w", reqs[j].Account, err)
-		}
+	if i, err := s.Bank.payBlind(s.Initiator, reqs); err != nil {
+		return fmt.Errorf("payment: paying forwarder %d: %w", reqs[i].Account, err)
 	}
 	return nil
 }

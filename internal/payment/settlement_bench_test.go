@@ -42,7 +42,7 @@ func benchSettle(b *testing.B, n, perClaim int, tier string) {
 		b.Fatal(err)
 	}
 	if tier == "serial" {
-		bank.SetVerifyWorkers(1)
+		bank.setPoolWidth(1)
 	}
 	m, err := NewReceiptMinter([]byte("bench-settlement-secret"))
 	if err != nil {

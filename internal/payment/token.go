@@ -32,6 +32,8 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
+	"sync"
 )
 
 // Amount is money in integer credits. The paper's benefits (P_f ∈ [50,100])
@@ -46,22 +48,68 @@ type Token struct {
 	Sig    *big.Int
 }
 
-// tokenDigest hashes denom‖serial into an integer modulo n.
-func tokenDigest(denom Amount, serial [32]byte, n *big.Int) *big.Int {
+// tokenDigest hashes denom‖serial into h as an integer modulo n.
+func tokenDigest(h *big.Int, denom Amount, serial [32]byte, n *big.Int) *big.Int {
 	var buf [8 + 32]byte
 	binary.BigEndian.PutUint64(buf[:8], uint64(denom))
 	copy(buf[8:], serial[:])
 	sum := sha256.Sum256(buf[:])
 	// A 256-bit digest is far below any RSA modulus in use, so no
 	// reduction bias is possible; Mod keeps the types honest.
-	return new(big.Int).Mod(new(big.Int).SetBytes(sum[:]), n)
+	return h.Mod(h.SetBytes(sum[:]), n)
+}
+
+// powScratch holds the big.Ints one public-exponent power works in. A
+// token's life raises to the public exponent four times — the blinding
+// r^e, the bank's self-check of its signature, Unblind's verification and
+// the deposit's — and big.Int.Exp allocates its square, quotient and
+// remainder afresh each time; with the scratch pooled a warm VerifyToken
+// allocates nothing.
+type powScratch struct {
+	acc, prod, quo, base, digest big.Int
+}
+
+var powScratchPool = sync.Pool{New: func() any { return new(powScratch) }}
+
+// pow returns x^e mod n for the small public exponent e ≥ 1, by the same
+// left-to-right square-and-multiply math/big runs for a one-word exponent.
+// The result lives in the scratch and is valid until its next use.
+func (s *powScratch) pow(x *big.Int, e int, n *big.Int) *big.Int {
+	base := x
+	if x.Sign() < 0 || x.Cmp(n) >= 0 {
+		base = s.base.Mod(x, n)
+	}
+	s.acc.Set(base)
+	for bit := bits.Len(uint(e)) - 2; bit >= 0; bit-- {
+		s.mulMod(&s.acc, &s.acc, &s.acc, n)
+		if e>>uint(bit)&1 == 1 {
+			s.mulMod(&s.acc, &s.acc, base, n)
+		}
+	}
+	return &s.acc
+}
+
+// mulMod sets z = x·y mod n in [0, n). The product and the quotient land
+// in the scratch, so z may alias x or y.
+func (s *powScratch) mulMod(z, x, y, n *big.Int) {
+	s.prod.Mul(x, y)
+	s.quo.QuoRem(&s.prod, n, z)
+	if z.Sign() < 0 {
+		z.Add(z, n)
+	}
+}
+
+// verify reports whether sig^e ≡ H(denom‖serial) (mod N).
+func (s *powScratch) verify(pub *rsa.PublicKey, tok Token) bool {
+	return tok.Sig != nil &&
+		s.pow(tok.Sig, pub.E, pub.N).Cmp(tokenDigest(&s.digest, tok.Denom, tok.Serial, pub.N)) == 0
 }
 
 // WithdrawalRequest is the client-side state of one blind withdrawal.
 type WithdrawalRequest struct {
 	denom   Amount
 	serial  [32]byte
-	r       *big.Int // blinding factor
+	rInv    *big.Int // inverse of the blinding factor r
 	blinded *big.Int // H(denom‖serial)·r^e mod N
 	pub     *rsa.PublicKey
 }
@@ -82,25 +130,20 @@ func NewWithdrawalRequest(pub *rsa.PublicKey, denom Amount, rng io.Reader) (*Wit
 	}
 	// Blinding factor r must be invertible mod N; with N = p·q and random
 	// r < N this fails only with negligible probability, but retry anyway.
+	// Computing r⁻¹ is the proof, and Unblind needs it.
 	n := pub.N
-	e := big.NewInt(int64(pub.E))
-	for {
-		r, err := rand.Int(rng, n)
-		if err != nil {
+	var r *big.Int
+	for req.rInv == nil {
+		var err error
+		if r, err = rand.Int(rng, n); err != nil {
 			return nil, fmt.Errorf("payment: picking blinding factor: %w", err)
 		}
-		if r.Sign() == 0 {
-			continue
-		}
-		if new(big.Int).GCD(nil, nil, r, n).Cmp(big.NewInt(1)) != 0 {
-			continue
-		}
-		req.r = r
-		break
+		req.rInv = new(big.Int).ModInverse(r, n)
 	}
-	h := tokenDigest(denom, req.serial, n)
-	re := new(big.Int).Exp(req.r, e, n)
-	req.blinded = h.Mul(h, re).Mod(h, n)
+	s := powScratchPool.Get().(*powScratch)
+	req.blinded = tokenDigest(new(big.Int), denom, req.serial, n)
+	s.mulMod(req.blinded, req.blinded, s.pow(r, pub.E, n), n)
+	powScratchPool.Put(s)
 	return req, nil
 }
 
@@ -117,15 +160,11 @@ func (w *WithdrawalRequest) Denom() Amount { return w.denom }
 // token: sig = blindSig·r⁻¹ mod N. It verifies the result and fails if the
 // bank misbehaved.
 func (w *WithdrawalRequest) Unblind(blindSig *big.Int) (Token, error) {
-	n := w.pub.N
-	rInv := new(big.Int).ModInverse(w.r, n)
-	if rInv == nil {
-		return Token{}, errors.New("payment: blinding factor not invertible")
-	}
-	sig := new(big.Int).Mul(blindSig, rInv)
-	sig.Mod(sig, n)
-	tok := Token{Denom: w.denom, Serial: w.serial, Sig: sig}
-	if !VerifyToken(w.pub, tok) {
+	s := powScratchPool.Get().(*powScratch)
+	defer powScratchPool.Put(s)
+	tok := Token{Denom: w.denom, Serial: w.serial, Sig: new(big.Int)}
+	s.mulMod(tok.Sig, blindSig, w.rInv, w.pub.N)
+	if !s.verify(w.pub, tok) {
 		return Token{}, errors.New("payment: bank returned an invalid signature")
 	}
 	return tok, nil
@@ -134,11 +173,8 @@ func (w *WithdrawalRequest) Unblind(blindSig *big.Int) (Token, error) {
 // VerifyToken reports whether tok carries a valid bank signature:
 // sig^e ≡ H(denom‖serial) (mod N).
 func VerifyToken(pub *rsa.PublicKey, tok Token) bool {
-	if tok.Sig == nil {
-		return false
-	}
-	e := big.NewInt(int64(pub.E))
-	lhs := new(big.Int).Exp(tok.Sig, e, pub.N)
-	rhs := tokenDigest(tok.Denom, tok.Serial, pub.N)
-	return lhs.Cmp(rhs) == 0
+	s := powScratchPool.Get().(*powScratch)
+	ok := s.verify(pub, tok)
+	powScratchPool.Put(s)
+	return ok
 }
