@@ -1,6 +1,7 @@
 package netwire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"io"
 	"net"
@@ -344,6 +345,71 @@ func TestNackFrameCarriesNoContract(t *testing.T) {
 	}
 	if nack.Contract != nil || len(nack.Records) != 0 {
 		t.Fatalf("NACK frame carries contract=%v and %d records", nack.Contract != nil, len(nack.Records))
+	}
+}
+
+// TestInboundHandshakeRejectsNonHello is a peer that speaks before it
+// introduces itself: its first frame is well-formed but not a Hello. The
+// node closes the connection, says which kind it got (the log used to read
+// "inbound handshake: <nil>") and counts the rejection where /metrics
+// shows it. A Hello coalesced with the frame behind it is the opposite
+// case: both are served off the one read-ahead stream.
+func TestInboundHandshakeRejectsNonHello(t *testing.T) {
+	c := NewCluster(Config{})
+	t.Cleanup(c.Close)
+	var log bytes.Buffer
+	c.logw = &log
+	if err := c.Join(1, transport.RouterFunc(func(self, pred, initiator, responder overlay.NodeID, batch, conn, remaining int) (overlay.NodeID, bool) {
+		return responder, true
+	})); err != nil {
+		t.Fatal(err)
+	}
+	dial := func(frames ...*Frame) net.Conn {
+		conn, err := net.Dial("tcp", c.Node(1).Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		var wire []byte
+		for _, f := range frames {
+			if wire, err = f.AppendTo(wire); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+
+	rude := dial(&Frame{Kind: KindProbe, Node: 0, Nonce: 9})
+	if _, err := rude.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("connection that opened with a probe: read %v, want io.EOF", err)
+	}
+	if got := c.metrics.dialsRejected.Value(); got != 1 {
+		t.Fatalf("netwire_dials_total{result=rejected} = %d, want 1", got)
+	}
+	c.logMu.Lock()
+	logged := log.String()
+	c.logMu.Unlock()
+	if !strings.Contains(logged, "inbound handshake: first frame is probe, want hello") {
+		t.Fatalf("log does not name the kind received:\n%s", logged)
+	}
+
+	// Hello and a settle in one segment: the ack comes back and the settle,
+	// already sitting in the read-ahead, is credited.
+	polite := dial(&Frame{Kind: KindHello, Node: 0, Nonce: 1}, &Frame{Kind: KindSettle, Batch: 4, Node: 1, Payoff: 2.5})
+	if ack, _, err := ReadFrame(polite); err != nil || ack.Kind != KindHelloAck || ack.Nonce != 1 {
+		t.Fatalf("handshake: %v %v", ack, err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); c.Node(1).Credited(4) != 2.5; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("settle coalesced with the hello was never credited (got %v)", c.Node(1).Credited(4))
+		}
+	}
+	if got := c.metrics.dialsRejected.Value(); got != 1 {
+		t.Fatalf("a well-formed handshake was counted as rejected (%d)", got)
 	}
 }
 

@@ -23,15 +23,16 @@ type outFrame struct {
 // around the corpse.
 type link struct {
 	owner *Node
-	to    string // remembered for logs; the ID is authoritative
 	peer  peerRef
 
 	outbox chan outFrame
 	closed chan struct{}
 
 	// conn is owned by the writer goroutine exclusively (no lock); it is
-	// nil between failures so the next frame re-dials.
+	// nil between failures so the next frame re-dials. So is wbuf, the
+	// buffer every frame of the link is encoded into and written from.
 	conn net.Conn
+	wbuf []byte
 }
 
 // peerRef names the link's remote end.
@@ -161,7 +162,13 @@ func (l *link) deliver(of outFrame) {
 		}
 	}
 	l.conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-	n, err := WriteFrame(l.conn, of.f)
+	buf, err := of.f.AppendTo(l.wbuf[:0])
+	if err == nil {
+		if cap(buf) <= connBuf {
+			l.wbuf = buf // an outsized frame's buffer is not kept
+		}
+		_, err = l.conn.Write(buf)
+	}
 	if err != nil {
 		if ne, ok := err.(net.Error); ok && ne.Timeout() {
 			c.metrics.deadlineWrite.Inc()
@@ -173,7 +180,7 @@ func (l *link) deliver(of outFrame) {
 		l.owner.onDeliveryFail(l.peer.id, of)
 		return
 	}
-	c.metrics.noteSent(of.f.Kind, n)
+	c.metrics.noteSent(of.f.Kind, len(buf))
 }
 
 // dial opens and handshakes a fresh connection to the peer: Hello out,
@@ -188,7 +195,6 @@ func (l *link) dial() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.to = addr
 	conn.SetDeadline(time.Now().Add(c.cfg.HandshakeTimeout))
 	hello := &Frame{Kind: KindHello, Node: l.owner.ID, Nonce: c.nonce.Add(1)}
 	if n, err := WriteFrame(conn, hello); err != nil {

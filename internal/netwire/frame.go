@@ -46,8 +46,12 @@ const Version = 1
 // hostile length prefix from asking the reader for gigabytes.
 const MaxFrameSize = 1 << 20
 
-// frameHeaderSize is the length prefix in bytes.
-const frameHeaderSize = 4
+// frameHeaderSize is the length prefix in bytes; frameHeadSize adds the
+// version/kind prologue, all a reader needs to validate the prefix.
+const (
+	frameHeaderSize = 4
+	frameHeadSize   = frameHeaderSize + 2
+)
 
 // Field caps inside a message payload. Paths and records are bounded by
 // the hop budget in practice; the caps only guard the decoder.
@@ -200,45 +204,35 @@ type Frame struct {
 // hasTrace reports whether the frame carries trace context.
 func (f *Frame) hasTrace() bool { return f.Trace != 0 || f.Span != 0 }
 
-func appendU16(dst []byte, v int) []byte {
-	return append(dst, byte(v>>8), byte(v))
-}
-
-func appendI64(dst []byte, v int64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(v))
-	return append(dst, b[:]...)
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func appendU32(dst []byte, v int) []byte {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(v))
-	return append(dst, b[:]...)
-}
+func appendU16(dst []byte, v int) []byte    { return binary.BigEndian.AppendUint16(dst, uint16(v)) }
+func appendU32(dst []byte, v int) []byte    { return binary.BigEndian.AppendUint32(dst, uint32(v)) }
+func appendU64(dst []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(dst, v) }
+func appendI64(dst []byte, v int64) []byte  { return binary.BigEndian.AppendUint64(dst, uint64(v)) }
 
 // Encode renders the frame in canonical wire form, length prefix
 // included.
-func (f *Frame) Encode() ([]byte, error) {
-	body, err := f.encodeBody()
+func (f *Frame) Encode() ([]byte, error) { return f.AppendTo(nil) }
+
+// AppendTo appends the frame's canonical wire form to dst — the body is
+// written straight behind a placeholder prefix and the length patched in,
+// so encoding into a buffer with room allocates nothing. On error dst is
+// returned unchanged.
+func (f *Frame) AppendTo(dst []byte) ([]byte, error) {
+	out, err := f.appendBody(append(dst, 0, 0, 0, 0, Version, byte(f.Kind)))
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	if len(body) > MaxFrameSize {
-		return nil, fmt.Errorf("%w: body %d bytes > %d", ErrOversized, len(body), MaxFrameSize)
+	n := len(out) - len(dst) - frameHeaderSize
+	if n > MaxFrameSize {
+		return dst, fmt.Errorf("%w: body %d bytes > %d", ErrOversized, n, MaxFrameSize)
 	}
-	out := make([]byte, frameHeaderSize, frameHeaderSize+len(body))
-	binary.BigEndian.PutUint32(out, uint32(len(body)))
-	return append(out, body...), nil
+	binary.BigEndian.PutUint32(out[len(dst):], uint32(n))
+	return out, nil
 }
 
-func (f *Frame) encodeBody() ([]byte, error) {
-	out := []byte{Version, byte(f.Kind)}
+// appendBody appends the kind's payload behind the version/kind prologue
+// out already ends in.
+func (f *Frame) appendBody(out []byte) ([]byte, error) {
 	switch f.Kind {
 	case KindHello, KindHelloAck:
 		out = appendI64(out, int64(f.Node))
@@ -452,7 +446,9 @@ func DecodeFrame(data []byte) (*Frame, error) {
 
 // decodeBody overwrites f with the frame body encodes. Nothing of f's
 // previous value survives, so a reader may decode every frame of a
-// connection into one Frame it owns; on error f is unspecified.
+// connection into one Frame it owns; on error f is unspecified. Nothing
+// of body survives in f either — every field kept is copied out — so body
+// may be a window of a buffer the next read overwrites.
 func (f *Frame) decodeBody(body []byte) error {
 	r := &frameReader{buf: body}
 	ver := r.u8()
@@ -540,8 +536,11 @@ func (f *Frame) decodeMessage(r *frameReader) error {
 	if r.err == nil && pathLen > maxPathLen {
 		return fmt.Errorf("%w: path %d nodes", ErrFieldTooLong, pathLen)
 	}
-	for i := 0; i < pathLen && r.err == nil; i++ {
-		f.Path = append(f.Path, overlay.NodeID(r.i64()))
+	if b := r.take(8 * pathLen); len(b) > 0 {
+		f.Path = make([]overlay.NodeID, pathLen)
+		for i := range f.Path {
+			f.Path[i] = overlay.NodeID(int64(binary.BigEndian.Uint64(b[8*i:])))
+		}
 	}
 	reasonLen := r.u16()
 	if r.err == nil && reasonLen > maxReasonLen {
@@ -617,61 +616,110 @@ func WriteFrame(w io.Writer, f *Frame) (int, error) {
 	return w.Write(buf)
 }
 
-// ReadFrame reads exactly one frame from r, returning it with the total
-// bytes consumed. The length prefix is only ever trusted after
-// validation: the global MaxFrameSize bound is checked first, then the
-// two-byte version/kind prologue is read and the declared length checked
-// against the kind's BodyCap — all BEFORE the body is allocated, so a
-// hostile prefix cannot force a large allocation for a small-payload
-// kind, let alone a multi-gigabyte one.
+// ReadFrame reads exactly one frame from r — nothing past it, so frames
+// can be read off one stream call by call — returning it with the total
+// bytes consumed.
 func ReadFrame(r io.Reader) (*Frame, int, error) {
 	f := new(Frame)
-	n, err := f.readFrom(r)
+	s := frameStream{src: r, buf: make([]byte, frameHeadSize)}
+	n, err := s.next(f)
 	if err != nil {
 		return nil, n, err
 	}
 	return f, n, nil
 }
 
-// readFrom is ReadFrame into a Frame the caller owns (see decodeBody).
-func (f *Frame) readFrom(r io.Reader) (int, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// connBuf is the buffer a connection keeps per direction: the read-ahead
+// of an inbound connection's frameStream, and the most a link's writer
+// keeps of the buffer it encodes into. The mean protocol frame is ~125
+// bytes, so one Read of the socket brings in a whole frame, usually
+// several; a frame past connBuf gets a one-off buffer either way.
+const connBuf = 2048
+
+// frameStream reads the frames of one byte stream through a read-ahead
+// buffer: a frame that fits the buffer costs at most one Read of the
+// source and is decoded in place. With a buffer of just prefix + prologue
+// (ReadFrame's) it reads no further than the frame it returns.
+type frameStream struct {
+	src  io.Reader
+	buf  []byte // buf[r:w] is read but not yet consumed
+	r, w int
+}
+
+// fill reads from the source into dst[have:] until dst holds at least n
+// bytes, returning how many it holds. Like io.ReadFull it reports io.EOF
+// only at a clean boundary — have == 0 and nothing more to come.
+func (s *frameStream) fill(dst []byte, have, n int) (int, error) {
+	m, err := io.ReadAtLeast(s.src, dst[have:], n-have)
+	if err == io.EOF && have > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return have + m, err
+}
+
+// peek returns the next n <= len(buf) unconsumed bytes, reading from the
+// source only when fewer are buffered.
+func (s *frameStream) peek(n int) (b []byte, err error) {
+	if s.w-s.r < n {
+		s.w, s.r = copy(s.buf, s.buf[s.r:s.w]), 0
+		if s.w, err = s.fill(s.buf, s.w, n); err != nil {
+			return nil, err
+		}
+	}
+	return s.buf[s.r : s.r+n], nil
+}
+
+// next reads one frame into f, a Frame the caller owns (see decodeBody),
+// and returns the bytes consumed. The length prefix is only ever trusted
+// after validation: the global MaxFrameSize bound is checked first, then
+// the two-byte version/kind prologue is peeked and the declared length
+// checked against the kind's BodyCap — all BEFORE a body that does not
+// fit the read-ahead buffer is allocated, so a hostile prefix cannot force
+// a large allocation for a small-payload kind, let alone a multi-gigabyte
+// one. Such a body is a one-off allocation: a 1 MB claim does not stay
+// pinned to its socket.
+func (s *frameStream) next(f *Frame) (int, error) {
+	hdr, err := s.peek(frameHeaderSize)
+	if err != nil {
 		return 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameSize {
-		return frameHeaderSize, fmt.Errorf("%w: declared body %d bytes > %d", ErrOversized, n, MaxFrameSize)
+	declared := binary.BigEndian.Uint32(hdr)
+	if declared > MaxFrameSize {
+		return frameHeaderSize, fmt.Errorf("%w: declared body %d bytes > %d", ErrOversized, declared, MaxFrameSize)
 	}
-	if n < 2 {
-		// Too short for even the version/kind prologue; drain it and let
-		// decodeBody produce the canonical ErrShortFrame.
-		body := make([]byte, n)
-		if _, err := io.ReadFull(r, body); err != nil {
+	n := int(declared)
+	// A body too short for even the prologue skips these checks; decodeBody
+	// produces the canonical ErrShortFrame for it.
+	if n >= 2 {
+		head, err := s.peek(frameHeadSize)
+		if err != nil {
 			return frameHeaderSize, fmt.Errorf("netwire: frame body: %w", err)
 		}
-		return frameHeaderSize + int(n), f.decodeBody(body)
+		if head[frameHeaderSize] != Version {
+			return frameHeadSize, fmt.Errorf("%w: got %d, speak %d", ErrBadVersion, head[frameHeaderSize], Version)
+		}
+		kind := Kind(head[frameHeaderSize+1])
+		max := BodyCap(kind)
+		if max < 0 {
+			return frameHeadSize, fmt.Errorf("%w: %d", ErrBadKind, kind)
+		}
+		if n > max {
+			return frameHeadSize, fmt.Errorf("%w: %v body %d bytes > %d", ErrOversized, kind, n, max)
+		}
 	}
-	var prologue [2]byte
-	if _, err := io.ReadFull(r, prologue[:]); err != nil {
-		return frameHeaderSize, fmt.Errorf("netwire: frame body: %w", err)
+	s.r += frameHeaderSize
+	var body []byte
+	if n <= len(s.buf) {
+		body, err = s.peek(n)
+		s.r += len(body)
+	} else {
+		body = make([]byte, n)
+		have := copy(body, s.buf[s.r:s.w])
+		s.r, s.w = 0, 0
+		_, err = s.fill(body, have, n)
 	}
-	consumed := frameHeaderSize + 2
-	if prologue[0] != Version {
-		return consumed, fmt.Errorf("%w: got %d, speak %d", ErrBadVersion, prologue[0], Version)
+	if err != nil {
+		return frameHeaderSize + min(n, 2), fmt.Errorf("netwire: frame body: %w", err)
 	}
-	kind := Kind(prologue[1])
-	max := BodyCap(kind)
-	if max < 0 {
-		return consumed, fmt.Errorf("%w: %d", ErrBadKind, kind)
-	}
-	if int(n) > max {
-		return consumed, fmt.Errorf("%w: %v body %d bytes > %d", ErrOversized, kind, n, max)
-	}
-	body := make([]byte, n)
-	body[0], body[1] = prologue[0], prologue[1]
-	if _, err := io.ReadFull(r, body[2:]); err != nil {
-		return consumed, fmt.Errorf("netwire: frame body: %w", err)
-	}
-	return frameHeaderSize + int(n), f.decodeBody(body)
+	return frameHeaderSize + n, f.decodeBody(body)
 }

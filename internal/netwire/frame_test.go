@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -177,7 +178,9 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 // TestFrameRoundTripViaReader checks the stream reader agrees with the
-// buffer decoder, including the byte count.
+// buffer decoder, including the byte count — through ReadFrame, which
+// reads no further than each frame, and through a connection's read-ahead
+// stream, which must hand back the same frames from the same bytes.
 func TestFrameRoundTripViaReader(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var stream bytes.Buffer
@@ -190,6 +193,7 @@ func TestFrameRoundTripViaReader(t *testing.T) {
 		}
 	}
 	total := stream.Len()
+	ahead := frameStream{src: bytes.NewReader(stream.Bytes()), buf: make([]byte, connBuf)}
 	read := 0
 	for i, want := range frames {
 		g, n, err := ReadFrame(&stream)
@@ -200,10 +204,29 @@ func TestFrameRoundTripViaReader(t *testing.T) {
 		if g.Kind != want.Kind || g.Nonce != want.Nonce || g.Batch != want.Batch {
 			t.Fatalf("frame %d: mismatch after stream round trip", i)
 		}
+		var h Frame
+		if m, err := ahead.next(&h); err != nil || m != n {
+			t.Fatalf("frame %d through the read-ahead stream: n=%d (ReadFrame %d) err=%v", i, m, n, err)
+		}
+		if !bytes.Equal(mustEncode(t, &h), mustEncode(t, g)) {
+			t.Fatalf("frame %d: read-ahead stream and ReadFrame disagree", i)
+		}
 	}
 	if read != total {
 		t.Fatalf("ReadFrame consumed %d bytes of %d written", read, total)
 	}
+	if _, err := ahead.next(new(Frame)); err != io.EOF {
+		t.Fatalf("read-ahead stream after the last frame: %v, want io.EOF", err)
+	}
+}
+
+func mustEncode(t testing.TB, f *Frame) []byte {
+	t.Helper()
+	buf, err := f.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
 }
 
 // encodeRaw builds a frame buffer from a raw body, bypassing Encode's
@@ -303,6 +326,20 @@ func TestBodyCapEnforcedPerKind(t *testing.T) {
 			}
 			if left := r.Len(); left != len(buf)-6 {
 				t.Fatalf("ReadFrame drained %d bytes of the oversized body", len(buf)-6-left)
+			}
+
+			// The same prefix claiming the global maximum, on a connection's
+			// read-ahead stream: rejected from the peeked prologue with no
+			// body sized after it — the stream still owns its one buffer.
+			binary.BigEndian.PutUint32(buf, MaxFrameSize)
+			s := frameStream{src: bytes.NewReader(buf), buf: make([]byte, connBuf)}
+			own := &s.buf[0]
+			n, err = s.next(new(Frame))
+			if !errors.Is(err, ErrOversized) || n != 6 {
+				t.Fatalf("read-ahead stream: n=%d err=%v, want 6 and ErrOversized", n, err)
+			}
+			if &s.buf[0] != own || len(s.buf) != connBuf {
+				t.Fatalf("hostile prefix replaced the stream's buffer (now %d bytes)", len(s.buf))
 			}
 		})
 	}

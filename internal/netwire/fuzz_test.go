@@ -3,8 +3,10 @@ package netwire
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math/rand"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzFrameWire throws arbitrary byte strings at the frame decoder: it
@@ -57,6 +59,7 @@ func FuzzFrameWire(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame, err := DecodeFrame(data)
+		streamAgrees(t, data)
 		if err != nil {
 			if frame != nil {
 				t.Fatal("decoder returned both a frame and an error")
@@ -70,14 +73,55 @@ func FuzzFrameWire(f *testing.F) {
 		if !bytes.Equal(out, data) {
 			t.Fatalf("non-canonical accept:\n in  %x\n out %x", data, out)
 		}
-		// The stream reader must agree with the buffer decoder.
-		g, n, err := ReadFrame(bytes.NewReader(data))
-		if err != nil || n != len(data) {
-			t.Fatalf("ReadFrame disagreed with DecodeFrame: n=%d err=%v", n, err)
-		}
-		out2, err := g.Encode()
-		if err != nil || !bytes.Equal(out2, data) {
-			t.Fatalf("ReadFrame result not canonical: %v", err)
+		// Appending behind a prefix is the prefix followed by the encoding.
+		prefix := []byte("link buffer")
+		if app, err := frame.AppendTo(prefix); err != nil || !bytes.Equal(app, append(prefix, out...)) {
+			t.Fatalf("AppendTo(prefix) is not prefix followed by Encode(): %v", err)
 		}
 	})
+}
+
+// streamAgrees holds the stream readers — ReadFrame and a connection's
+// read-ahead stream, fed whole and a byte at a time — to the buffer
+// decoder: when data holds the whole frame its prefix declares, they
+// return what DecodeFrame returns for exactly those bytes (an equal frame,
+// or the same error: both run the same checks on the same bytes); when it
+// does not, they fail.
+func streamAgrees(t *testing.T, data []byte) {
+	var want *Frame
+	var wantErr error
+	end, complete := len(data), false
+	if len(data) >= frameHeaderSize {
+		if n := binary.BigEndian.Uint32(data); n > MaxFrameSize || int(n) <= len(data)-frameHeaderSize {
+			end, complete = min(len(data), frameHeaderSize+int(n)), true
+			want, wantErr = DecodeFrame(data[:end])
+		}
+	}
+	check := func(name string, got *Frame, n int, err error) {
+		switch {
+		case !complete:
+			if err == nil {
+				t.Fatalf("%s accepted a frame cut short", name)
+			}
+		case wantErr != nil:
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%s: %v, DecodeFrame: %v", name, err, wantErr)
+			}
+		default:
+			if err != nil || n != end || !bytes.Equal(mustEncode(t, got), mustEncode(t, want)) {
+				t.Fatalf("%s disagreed with DecodeFrame: n=%d of %d, err=%v", name, n, end, err)
+			}
+		}
+	}
+	g, n, err := ReadFrame(bytes.NewReader(data))
+	check("ReadFrame", g, n, err)
+	for name, src := range map[string]io.Reader{
+		"read-ahead stream":                bytes.NewReader(data),
+		"read-ahead stream, byte per read": iotest.OneByteReader(bytes.NewReader(data)),
+	} {
+		s := frameStream{src: src, buf: make([]byte, connBuf)}
+		var f Frame
+		n, err := s.next(&f)
+		check(name, &f, n, err)
+	}
 }

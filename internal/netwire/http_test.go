@@ -94,6 +94,7 @@ func TestNetwireMetricsExposition(t *testing.T) {
 	series := []string{
 		`netwire_dials_total{result="ok"}`,
 		`netwire_dials_total{result="fail"}`,
+		`netwire_dials_total{result="rejected"}`,
 		`netwire_deadline_hits_total{op="read"}`,
 		`netwire_deadline_hits_total{op="write"}`,
 		`netwire_deadline_hits_total{op="expired"}`,

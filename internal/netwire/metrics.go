@@ -8,7 +8,7 @@ import "p2panon/internal/telemetry"
 // are bound by the shared transport.Driver from the "netwire" prefix, so
 // the two backends read alike on one dashboard.
 const (
-	metricDialsTotal    = "netwire_dials_total"  // label result: ok|fail
+	metricDialsTotal    = "netwire_dials_total"  // label result: ok|fail|rejected
 	metricFramesTotal   = "netwire_frames_total" // labels dir: sent|recv, kind
 	metricBytesTotal    = "netwire_bytes_total"  // label dir: sent|recv
 	metricQueueDepth    = "netwire_queue_depth_high_water"
@@ -24,6 +24,7 @@ const (
 // snapshot.
 type metrics struct {
 	dialsOK, dialsFail *telemetry.Counter
+	dialsRejected      *telemetry.Counter // inbound: first frame was not a well-formed Hello
 	bytesSent          *telemetry.Counter
 	bytesRecv          *telemetry.Counter
 	queueDepth         *telemetry.Gauge
@@ -41,7 +42,7 @@ type metrics struct {
 }
 
 func newMetrics(reg *telemetry.Registry) *metrics {
-	reg.Help(metricDialsTotal, "outbound TCP dials by result")
+	reg.Help(metricDialsTotal, "TCP dials by result: outbound ok|fail, inbound rejected at the handshake")
 	reg.Help(metricFramesTotal, "wire frames by direction and kind")
 	reg.Help(metricBytesTotal, "wire bytes by direction (frame headers included)")
 	reg.Help(metricQueueDepth, "deepest any per-peer outbound queue has been")
@@ -52,6 +53,7 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 	m := &metrics{
 		dialsOK:         reg.Counter(metricDialsTotal, telemetry.Labels{"result": "ok"}),
 		dialsFail:       reg.Counter(metricDialsTotal, telemetry.Labels{"result": "fail"}),
+		dialsRejected:   reg.Counter(metricDialsTotal, telemetry.Labels{"result": "rejected"}),
 		bytesSent:       reg.Counter(metricBytesTotal, telemetry.Labels{"dir": "sent"}),
 		bytesRecv:       reg.Counter(metricBytesTotal, telemetry.Labels{"dir": "recv"}),
 		queueDepth:      reg.Gauge(metricQueueDepth, nil),
@@ -90,7 +92,7 @@ func (m *metrics) noteRecv(k Kind, bytes int) {
 // reset zeroes the cluster's own instruments.
 func (m *metrics) reset() {
 	for _, c := range []*telemetry.Counter{
-		m.dialsOK, m.dialsFail, m.bytesSent, m.bytesRecv,
+		m.dialsOK, m.dialsFail, m.dialsRejected, m.bytesSent, m.bytesRecv,
 		m.deadlineRead, m.deadlineWrite, m.deadlineExpired,
 		m.sent, m.dropped, m.settles,
 	} {

@@ -2,6 +2,7 @@ package netwire
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -106,25 +107,32 @@ func (nd *Node) readLoop(conn net.Conn) {
 		nd.c.metrics.connsOpen.Add(-1)
 	}()
 	conn.SetDeadline(time.Now().Add(nd.c.cfg.HandshakeTimeout))
-	hello, n, err := ReadFrame(conn)
-	if err != nil || hello.Kind != KindHello {
+	// One read-ahead stream for the whole connection, handshake included:
+	// the dialer's first protocol frame may arrive in the Hello's segment.
+	// Every frame decodes into this one Frame: a protocol frame is copied
+	// into a transport.Message before it is handled, and no handler keeps
+	// the pointer.
+	in := frameStream{src: conn, buf: make([]byte, connBuf)}
+	var f Frame
+	n, err := in.next(&f)
+	if err == nil && f.Kind != KindHello {
+		err = fmt.Errorf("first frame is %s, want %s", f.Kind, KindHello)
+	}
+	if err != nil {
+		nd.c.metrics.dialsRejected.Inc()
 		nd.c.logf("node %d: inbound handshake: %v", nd.ID, err)
 		return
 	}
 	nd.c.metrics.noteRecv(KindHello, n)
-	ack := &Frame{Kind: KindHelloAck, Node: nd.ID, Nonce: hello.Nonce}
+	ack := &Frame{Kind: KindHelloAck, Node: nd.ID, Nonce: f.Nonce}
 	if n, err := WriteFrame(conn, ack); err != nil {
 		return
 	} else {
 		nd.c.metrics.noteSent(KindHelloAck, n)
 	}
-	// Every frame of the connection decodes into this one Frame: a
-	// protocol frame is copied into a transport.Message before it is
-	// handled, and no handler keeps the pointer.
-	var f Frame
 	for {
 		conn.SetReadDeadline(time.Now().Add(nd.c.cfg.IdleTimeout))
-		n, err := f.readFrom(conn)
+		n, err := in.next(&f)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				nd.c.metrics.deadlineRead.Inc()

@@ -1,0 +1,205 @@
+package netwire
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"math/rand"
+	"strings"
+	"testing"
+	"testing/iotest"
+
+	"p2panon/internal/onion"
+	"p2panon/internal/overlay"
+	"p2panon/internal/payment"
+)
+
+// bigClaim is a claim frame whose body sits just under MaxFrameSize — far
+// past any read-ahead buffer.
+func bigClaim(t testing.TB) *Frame {
+	t.Helper()
+	claim := payment.AggregateClaim{Forwarder: 7, Entries: make([]payment.AggEntry, 65530)}
+	for i := range claim.Entries {
+		claim.Entries[i] = payment.AggEntry{Conn: i / 8, Hop: i % 8}
+	}
+	f := &Frame{Kind: KindClaim, Batch: 3, AggClaim: &claim}
+	if n := len(mustEncode(t, f)) - frameHeaderSize; n > MaxFrameSize || n < MaxFrameSize-1024 {
+		t.Fatalf("claim body %d bytes, want just under %d", n, MaxFrameSize)
+	}
+	return f
+}
+
+// TestFrameStreamBoundaries feeds one byte stream — random frames of every
+// kind, then a near-cap claim, then a small frame — through the frame
+// reader under every segmentation a TCP stream can produce: all frames
+// coalesced into one segment, one byte per Read, and read-ahead buffers
+// small enough that frames straddle their end. Frame boundaries are a
+// property of the bytes, never of how they arrived.
+func TestFrameStreamBoundaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var frames []*Frame
+	for i := 0; i < 40; i++ {
+		frames = append(frames, randomFrame(t, rng, Kind(1+i%int(kindEnd-1))))
+	}
+	frames = append(frames, bigClaim(t), &Frame{Kind: KindProbe, Nonce: 5})
+	var wire []byte
+	var ends []int
+	for _, f := range frames {
+		var err error
+		if wire, err = f.AppendTo(wire); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, len(wire))
+	}
+	sources := map[string]func() io.Reader{
+		"coalesced":     func() io.Reader { return bytes.NewReader(wire) },
+		"byte per read": func() io.Reader { return iotest.OneByteReader(bytes.NewReader(wire)) },
+		"half reads":    func() io.Reader { return iotest.HalfReader(bytes.NewReader(wire)) },
+	}
+	for name, src := range sources {
+		for _, size := range []int{frameHeadSize, 7, 64, 100, connBuf} {
+			s := frameStream{src: src(), buf: make([]byte, size)}
+			var f Frame
+			start := 0
+			for i, end := range ends {
+				n, err := s.next(&f)
+				if err != nil || n != end-start {
+					t.Fatalf("%s, buffer %d, frame %d (%s): n=%d want %d, err=%v", name, size, i, frames[i].Kind, n, end-start, err)
+				}
+				if !bytes.Equal(mustEncode(t, &f), wire[start:end]) {
+					t.Fatalf("%s, buffer %d, frame %d (%s): decoded frame re-encodes differently", name, size, i, frames[i].Kind)
+				}
+				start = end
+			}
+			if len(s.buf) != size {
+				t.Fatalf("%s: stream buffer grew from %d to %d bytes", name, size, len(s.buf))
+			}
+			if _, err := s.next(&f); err != io.EOF {
+				t.Fatalf("%s, buffer %d: after the last frame: %v, want io.EOF", name, size, err)
+			}
+		}
+	}
+}
+
+// TestFrameStreamEOF cuts a stream at every offset of its second frame:
+// a clean end between frames is io.EOF, an end inside the length prefix is
+// io.ErrUnexpectedEOF, and an end anywhere behind it is a "frame body"
+// error wrapping io.ErrUnexpectedEOF — whatever read-ahead was buffered
+// when the stream ended, and the same through ReadFrame.
+func TestFrameStreamEOF(t *testing.T) {
+	first := mustEncode(t, &Frame{Kind: KindProbe, Nonce: 1})
+	second := mustEncode(t, &Frame{Kind: KindForward, Batch: 2, Conn: 1, Attempt: 1, Responder: 9, Remaining: 3,
+		Path: []overlay.NodeID{0, 4}})
+	check := func(t *testing.T, cut int, err error) {
+		t.Helper()
+		switch {
+		case cut == 0:
+			if err != io.EOF {
+				t.Fatalf("cut at a frame boundary: %v, want io.EOF", err)
+			}
+		case cut < frameHeaderSize:
+			if err != io.ErrUnexpectedEOF {
+				t.Fatalf("cut %d bytes into the prefix: %v, want io.ErrUnexpectedEOF", cut, err)
+			}
+		default:
+			if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "frame body") {
+				t.Fatalf("cut %d bytes into the frame: %v, want a frame body error wrapping io.ErrUnexpectedEOF", cut, err)
+			}
+		}
+	}
+	for cut := 0; cut < len(second); cut++ {
+		wire := append(append([]byte(nil), first...), second[:cut]...)
+		for _, size := range []int{frameHeadSize, 16, connBuf} {
+			s := frameStream{src: bytes.NewReader(wire), buf: make([]byte, size)}
+			var f Frame
+			if _, err := s.next(&f); err != nil {
+				t.Fatalf("cut %d, buffer %d: first frame: %v", cut, size, err)
+			}
+			n, err := s.next(&f)
+			check(t, cut, err)
+			if want := min(cut, frameHeadSize); n > want {
+				t.Fatalf("cut %d, buffer %d: %d bytes reported consumed of a frame with %d present", cut, size, n, cut)
+			}
+		}
+		_, _, err := ReadFrame(bytes.NewReader(second[:cut]))
+		check(t, cut, err)
+	}
+}
+
+// forwardFrame is the frame the allocation pins measure: a 3-hop forward
+// as the benchmark's workloads relay it, trace context included.
+func forwardFrame(t testing.TB, contract bool) *Frame {
+	f := &Frame{
+		Kind: KindForward, Batch: 12, Conn: 3, Attempt: 1, From: 4, Initiator: 1, Responder: 9,
+		Remaining: 2, Hop: 3, Path: []overlay.NodeID{1, 6, 4}, DeadlineMicros: 150000,
+		Trace: 0xfeed, Span: 0xbeef,
+	}
+	if contract {
+		f.Contract = testContract(t, 12)
+		f.Records = []onion.PathRecord{{Sealed: make([]byte, 48)}, {Sealed: make([]byte, 48)}}
+	}
+	return f
+}
+
+// TestAppendToWarmAllocsZero pins the write side: encoding into a buffer
+// that already has room — what a link's writer does for every frame after
+// its first — allocates nothing, signed contract and path records
+// included.
+func TestAppendToWarmAllocsZero(t *testing.T) {
+	for _, contract := range []bool{false, true} {
+		f := forwardFrame(t, contract)
+		buf := mustEncode(t, f)
+		if allocs := testing.AllocsPerRun(200, func() {
+			var err error
+			if buf, err = f.AppendTo(buf[:0]); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("AppendTo into a warm buffer (contract %v): %v allocs, want 0", contract, allocs)
+		}
+	}
+}
+
+// loop replays one byte string forever, one Read per call of whatever
+// fits — a socket that always has the next frames waiting.
+type loop struct {
+	wire []byte
+	off  int
+}
+
+func (l *loop) Read(p []byte) (int, error) {
+	n := copy(p, l.wire[l.off:])
+	l.off = (l.off + n) % len(l.wire)
+	return n, nil
+}
+
+// TestFrameStreamSteadyStateAllocs pins the read side: a frame that fits
+// the read-ahead buffer is decoded in place, so the only allocations left
+// are what the frame hands on to the driver — its Path, plus the Reason of
+// a NACK.
+func TestFrameStreamSteadyStateAllocs(t *testing.T) {
+	nack := forwardFrame(t, false)
+	nack.Kind, nack.Reason = KindNack, "next hop 7 unreachable"
+	for _, tc := range []struct {
+		name string
+		f    *Frame
+		max  float64
+	}{
+		{"forward", forwardFrame(t, false), 1},
+		{"nack with reason", nack, 2},
+		{"settle", &Frame{Kind: KindSettle, Batch: 12, Node: 4, SetSize: 3, Forwards: 7, Payoff: 1.5, Trace: 1, Span: 2}, 0},
+	} {
+		s := frameStream{src: &loop{wire: mustEncode(t, tc.f)}, buf: make([]byte, connBuf)}
+		var f Frame
+		if allocs := testing.AllocsPerRun(500, func() {
+			if _, err := s.next(&f); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > tc.max {
+			t.Errorf("%s: %v allocs per buffered frame read, want <= %v", tc.name, allocs, tc.max)
+		}
+		if f.Kind != tc.f.Kind || f.Batch != tc.f.Batch || len(f.Path) != len(tc.f.Path) || f.Reason != tc.f.Reason {
+			t.Errorf("%s: last frame read is not the frame written: %+v", tc.name, f)
+		}
+	}
+}

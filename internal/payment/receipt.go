@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Receipt proves one forwarding instance: forwarder F handled hop `Hop` of
@@ -34,6 +35,12 @@ type ReceiptMinter struct {
 	// takes the pad setup (two compressions and several allocations) out of
 	// the hot path while producing bit-identical MACs.
 	ipadState, opadState []byte
+
+	// mint is the minter's own verifier over those states, nil when the
+	// self-check rejected them: Mint computes its MACs through it, under
+	// mu, instead of building an HMAC instance per receipt.
+	mu   sync.Mutex
+	mint *macVerifier
 }
 
 // NewReceiptMinter creates a minter from a batch secret. The secret must be
@@ -54,6 +61,7 @@ func NewReceiptMinter(secret []byte) (*ReceiptMinter, error) {
 	if v, ok := newMACVerifier(m.ipadState, m.opadState); ok {
 		v.setForwarder(3)
 		if got, err := v.mac(1, 2); err == nil && hmac.Equal(got, want[:]) {
+			m.mint = v
 			return m, nil
 		}
 	}
@@ -106,7 +114,19 @@ func receiptMAC(key []byte, conn, hop int, f AccountID) [32]byte {
 
 // Mint issues the receipt for forwarder f at hop hop of connection conn.
 func (m *ReceiptMinter) Mint(conn, hop int, f AccountID) Receipt {
-	return Receipt{Conn: conn, Hop: hop, Forwarder: f, MAC: receiptMAC(m.key, conn, hop, f)}
+	r := Receipt{Conn: conn, Hop: hop, Forwarder: f}
+	if m.mint != nil {
+		m.mu.Lock()
+		m.mint.setForwarder(f)
+		mac, err := m.mint.mac(conn, hop)
+		copy(r.MAC[:], mac)
+		m.mu.Unlock()
+		if err == nil {
+			return r
+		}
+	}
+	r.MAC = receiptMAC(m.key, conn, hop, f)
+	return r
 }
 
 // Verify reports whether r is authentic under this minter's secret.

@@ -1,7 +1,9 @@
 package payment
 
 import (
+	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -69,6 +71,76 @@ func TestMinterCopiesSecret(t *testing.T) {
 	if !m.Verify(r) {
 		t.Fatal("minter aliased caller's secret")
 	}
+}
+
+// TestMintMatchesReferenceMAC holds Mint's mid-state arithmetic to the
+// crypto/hmac reference over random keys of every interesting length —
+// one byte, around the SHA-256 block size, and past it, where RFC 2104
+// hashes the key first — and random coordinates, negative ones included.
+// It also covers the fallback: a minter without mid-states mints the same
+// receipts.
+func TestMintMatchesReferenceMAC(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, n := range []int{1, 16, 32, 63, 64, 65, 100, 200} {
+		for trial := 0; trial < 20; trial++ {
+			key := make([]byte, n)
+			rng.Read(key)
+			m, err := NewReceiptMinter(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.mint == nil {
+				t.Fatalf("%d-byte key: mid-state self-check failed, Mint would take the slow path", n)
+			}
+			slow := &ReceiptMinter{key: m.key}
+			for i := 0; i < 10; i++ {
+				conn, hop, f := int(rng.Int63())-1<<62, int(rng.Int63())-1<<62, AccountID(rng.Int63()-1<<62)
+				r := m.Mint(conn, hop, f)
+				if want := receiptMAC(key, conn, hop, f); r.MAC != want {
+					t.Fatalf("%d-byte key, (%d, %d, %d): Mint %x, reference %x", n, conn, hop, f, r.MAC, want)
+				}
+				if r != slow.Mint(conn, hop, f) || !m.Verify(r) {
+					t.Fatalf("%d-byte key: fallback mint differs or receipt does not verify", n)
+				}
+			}
+		}
+	}
+}
+
+// TestMintAllocsZero pins what the mid-states buy: a receipt costs no
+// allocation (crypto/hmac's instance per MAC was five).
+func TestMintAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates inside the digest")
+	}
+	m := minter(t)
+	var r Receipt
+	if got := testing.AllocsPerRun(200, func() { r = m.Mint(3, 1, 42) }); got != 0 {
+		t.Fatalf("Mint allocates %v times, want 0", got)
+	}
+	if !m.Verify(r) {
+		t.Fatal("receipt does not verify")
+	}
+}
+
+// TestMintConcurrent shares one minter between goroutines, as Mint's
+// callers always could.
+func TestMintConcurrent(t *testing.T) {
+	m := minter(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				if r := m.Mint(i, g, AccountID(g)); r.MAC != receiptMAC(m.key, i, g, AccountID(g)) {
+					t.Errorf("goroutine %d, receipt %d: wrong MAC", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestCountValidDeduplicatesAndFilters(t *testing.T) {
