@@ -9,7 +9,6 @@ package game
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // ---------------------------------------------------------------------------
@@ -305,7 +304,7 @@ type PathGame struct {
 	// dense solver's epsilon tie-breaks bit for bit. Entries with a
 	// negative quality are skipped like missing dense edges; a vertex with
 	// no outgoing edges returns empty slices. The slices are only read
-	// during SolveInto and never retained.
+	// during a solve and never retained.
 	Adjacency func(i int) (succ []int32, qual []float64)
 	// Pf, Pr are the contract's forwarding and routing benefits.
 	Pf, Pr float64
@@ -313,16 +312,6 @@ type PathGame struct {
 	Cost CostModel
 	// MaxHops caps the number of stages L.
 	MaxHops int
-	// Workers, when > 1, shards each induction stage h over contiguous
-	// vertex ranges. Stage h reads only stage h−1 and every cell write is
-	// disjoint, so the sharded sweep is deterministic and byte-identical to
-	// the serial one; 0 or 1 solves serially. Adjacency and EdgeQuality
-	// must then be safe for concurrent calls (pure reads are).
-	Workers int
-	// Pool, when non-nil, runs sharded sweeps on this persistent worker
-	// pool instead of spawning per-stage goroutines. Chunking is identical
-	// either way, so results do not depend on which vehicle ran them.
-	Pool *Pool
 	// Stats, when non-nil, is overwritten by each SolveInto with what the
 	// solve actually did (stages swept, stages skipped by the fixed-point
 	// exit).
@@ -454,54 +443,11 @@ func sameQualityRow(a, b []Decision) bool {
 }
 
 // sweepStage fills one induction stage: cur[i] from the already-solved
-// prev row, optionally sharded over contiguous vertex ranges (each shard
-// writes a disjoint slice of cur and only reads prev, so the result is
-// independent of scheduling).
+// prev row.
 func (g *PathGame) sweepStage(prev, cur []Decision) {
-	w := g.Workers
-	if w > g.Nodes {
-		w = g.Nodes
+	for i := 0; i < g.Nodes; i++ {
+		cur[i] = g.solveCell(prev, i)
 	}
-	if w <= 1 {
-		for i := 0; i < g.Nodes; i++ {
-			cur[i] = g.solveCell(prev, i)
-		}
-		return
-	}
-	chunk := (g.Nodes + w - 1) / w
-	g.runChunks(w, func(c int) {
-		lo := c * chunk
-		if lo > g.Nodes {
-			lo = g.Nodes
-		}
-		hi := lo + chunk
-		if hi > g.Nodes {
-			hi = g.Nodes
-		}
-		for i := lo; i < hi; i++ {
-			cur[i] = g.solveCell(prev, i)
-		}
-	})
-}
-
-// runChunks executes fn(c) for chunks 0..w−1, on the attached persistent
-// pool when there is one and on freshly spawned goroutines otherwise.
-// Chunk contents are identical either way, so the vehicle never shows in
-// the results.
-func (g *PathGame) runChunks(w int, fn func(chunk int)) {
-	if g.Pool != nil {
-		g.Pool.Run(w, fn)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for c := 0; c < w; c++ {
-		go func(c int) {
-			defer wg.Done()
-			fn(c)
-		}(c)
-	}
-	wg.Wait()
 }
 
 // solveCell computes the stage decision for vertex i given the previous

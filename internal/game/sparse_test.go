@@ -167,23 +167,3 @@ func TestSolveFixedPointExit(t *testing.T) {
 		t.Fatalf("Converged = %d, want < MaxHops (%+v)", st.Converged, st)
 	}
 }
-
-// TestPoolSweepMatchesSerial pins that sharding stage sweeps over a
-// persistent worker pool changes nothing observable, and that closing a
-// pool twice is safe.
-func TestPoolSweepMatchesSerial(t *testing.T) {
-	pool := NewPool(3)
-	defer pool.Close()
-	if pool.Workers() != 3 {
-		t.Fatalf("Workers() = %d", pool.Workers())
-	}
-	for seed := uint64(0); seed < 20; seed++ {
-		want := sparseGame(seed).Solve()
-		g := sparseGame(seed)
-		g.Workers = 3
-		g.Pool = pool
-		requireSameTable(t, "pooled", g.Solve(), want)
-	}
-	pool.Close()
-	pool.Close() // idempotent
-}

@@ -27,10 +27,10 @@ type poolTask struct {
 	wg    *sync.WaitGroup
 }
 
-// workPool mirrors game.Pool: persistent workers parked on a channel,
-// shut down by an explicit Close or the finalizer when the bank becomes
-// unreachable. Workers capture only the channel, never the pool or the
-// bank. One pool serves both halves of an epoch — blind signing and
+// workPool is the bank's persistent worker pool: workers parked on a
+// channel, shut down by an explicit Close or the finalizer when the bank
+// becomes unreachable. Workers capture only the channel, never the pool or
+// the bank. One pool serves both halves of an epoch — blind signing and
 // deposit verification never overlap within one, and two would only
 // oversubscribe the cores.
 type workPool struct {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"slices"
 	"sync"
 
 	"p2panon/internal/core"
@@ -98,20 +99,42 @@ type UtilityRouter struct {
 	// nbrs[id] is id's neighbor list from the topology snapshot, sorted
 	// ascending and duplicate free (game.SortUnique, once at construction);
 	// nil for an id that is not a key of the topology. Its length is the
-	// stage game's vertex space, max node id + 1.
+	// stage game's vertex space, max node id + 1, over which avail and dead
+	// are indexed too: an id outside it is nobody's candidate.
 	nbrs  [][]int32
 	w     quality.Weights
 	c     core.Contract
-	avail map[overlay.NodeID]float64
-	dead  map[overlay.NodeID]struct{}
-	// hist[batch][edge] counts connections that used the edge; conns
-	// tracks per-batch connection counts for the selectivity denominator.
-	hist  map[int]edgeUses
-	conns map[int]map[int]struct{}
+	avail []float64
+	dead  []bool
+	// batches holds each batch's routing history, selectivity's input.
+	batches map[int]*batchHist
 }
 
-// edgeUses maps a directed edge to the connections of one batch that used it.
-type edgeUses map[[2]overlay.NodeID]map[int]struct{}
+// batchHist is one batch's routing history: the directed edges its
+// connections used, each with the number of distinct connections that
+// used it, so a connection reusing an edge — a cycle, a re-attempt —
+// counts once. Edges are int32 pairs like the rows': no batch's history
+// is ever dropped, so its keys are kept small.
+type batchHist struct {
+	uses  map[[2]int32]int32
+	seen  map[connEdge]struct{} // the (conn, edge) pairs counted in uses
+	conns map[int]struct{}      // connections that recorded a hop
+}
+
+type connEdge struct {
+	conn int
+	edge [2]int32
+}
+
+// selectivity is σ(e) for the batch's next connection k: the share of the
+// k−1 connections that have recorded a hop so far (the one in flight
+// included once it has) that used e. A nil history has σ = 0 everywhere.
+func (h *batchHist) selectivity(e [2]int32) float64 {
+	if h == nil {
+		return 0
+	}
+	return float64(h.uses[e]) / float64(len(h.conns))
+}
 
 // NewUtilityRouter builds a Model-I router. avail maps node → availability
 // estimate in [0, 1] (e.g. from probe snapshots before going live).
@@ -134,28 +157,34 @@ func NewUtilityRouter(topo Topology, w quality.Weights, c core.Contract, avail m
 		}
 		nbrs[id] = row[:game.SortUnique(row)]
 	}
+	dense := make([]float64, len(nbrs))
+	for id, a := range avail {
+		if id >= 0 && id <= maxID {
+			dense[id] = a
+		}
+	}
 	return &UtilityRouter{
-		nbrs:  nbrs,
-		w:     w,
-		c:     c,
-		avail: avail,
-		dead:  make(map[overlay.NodeID]struct{}),
-		hist:  make(map[int]edgeUses),
-		conns: make(map[int]map[int]struct{}),
+		nbrs:    nbrs,
+		w:       w,
+		c:       c,
+		avail:   dense,
+		dead:    make([]bool, len(nbrs)),
+		batches: make(map[int]*batchHist),
 	}
 }
 
 // MarkDead implements ChurnAware: id is excluded from future candidates.
-func (r *UtilityRouter) MarkDead(id overlay.NodeID) {
-	r.mu.Lock()
-	r.dead[id] = struct{}{}
-	r.mu.Unlock()
-}
+func (r *UtilityRouter) MarkDead(id overlay.NodeID) { r.setDead(id, true) }
 
 // MarkLive implements ChurnAware: a rejoined id becomes routable again.
-func (r *UtilityRouter) MarkLive(id overlay.NodeID) {
+func (r *UtilityRouter) MarkLive(id overlay.NodeID) { r.setDead(id, false) }
+
+func (r *UtilityRouter) setDead(id overlay.NodeID, dead bool) {
+	if id < 0 || int(id) >= len(r.dead) {
+		return
+	}
 	r.mu.Lock()
-	delete(r.dead, id)
+	r.dead[id] = dead
 	r.mu.Unlock()
 }
 
@@ -169,20 +198,16 @@ func (r *UtilityRouter) NextHop(self, pred, initiator, responder overlay.NodeID,
 	if self < 0 || int(self) >= len(r.nbrs) {
 		return overlay.None, true
 	}
-	k := len(r.conns[batch]) + 1
-	uses := r.hist[batch]
+	h := r.batches[batch]
 	// Edge never scores below 0, so the first candidate displaces the
 	// sentinel and best stays None only when there is no candidate.
 	best, bestQ := overlay.None, -1.0
 	for _, j := range r.nbrs[self] {
 		v := overlay.NodeID(j)
-		if v == pred || v == initiator || v == responder || v == self {
+		if v == pred || v == initiator || v == responder || v == self || r.dead[j] {
 			continue
 		}
-		if _, gone := r.dead[v]; gone {
-			continue
-		}
-		if q := r.w.Edge(uses.selectivity(self, v, k), r.avail[v]); q > bestQ {
+		if q := r.w.Edge(h.selectivity([2]int32{int32(self), j}), r.avail[j]); q > bestQ {
 			best, bestQ = v, q
 		}
 	}
@@ -193,34 +218,20 @@ func (r *UtilityRouter) NextHop(self, pred, initiator, responder overlay.NodeID,
 	return best, false
 }
 
-// selectivity is σ(from, to) for the batch's k-th connection: the share of
-// the k−1 earlier connections that used the edge.
-func (u edgeUses) selectivity(from, to overlay.NodeID, k int) float64 {
-	if k <= 1 {
-		return 0
-	}
-	sigma := float64(len(u[[2]overlay.NodeID{from, to}])) / float64(k-1)
-	if sigma > 1 {
-		sigma = 1
-	}
-	return sigma
-}
-
+// record adds the hop from→to of connection conn to the batch's history.
+// Caller holds mu.
 func (r *UtilityRouter) record(batch, conn int, from, to overlay.NodeID) {
-	edges, ok := r.hist[batch]
-	if !ok {
-		edges = make(edgeUses)
-		r.hist[batch] = edges
+	h := r.batches[batch]
+	if h == nil {
+		h = &batchHist{uses: make(map[[2]int32]int32), seen: make(map[connEdge]struct{}), conns: make(map[int]struct{})}
+		r.batches[batch] = h
 	}
-	e := [2]overlay.NodeID{from, to}
-	if edges[e] == nil {
-		edges[e] = make(map[int]struct{})
+	e := [2]int32{int32(from), int32(to)}
+	if _, counted := h.seen[connEdge{conn, e}]; !counted {
+		h.seen[connEdge{conn, e}] = struct{}{}
+		h.uses[e]++
 	}
-	edges[e][conn] = struct{}{}
-	if r.conns[batch] == nil {
-		r.conns[batch] = make(map[int]struct{})
-	}
-	r.conns[batch][conn] = struct{}{}
+	h.conns[conn] = struct{}{}
 }
 
 // spneCacheCap bounds how many connections' prescriptions the Model-II
@@ -235,8 +246,10 @@ const spneCacheCap = 64
 // the same per-batch selectivity and static availability the Model-I
 // router uses. The game is built as sparse neighbor rows (see fillRows) and
 // solved once per (batch, conn), since qualities are stable within a
-// connection; the prescriptions of the spneCacheCap most recently solved
-// connections are kept. Safe for concurrent use.
+// connection — and only the cone of cells the connection's play can reach
+// (game.SolveFrom from its first holder and budget); the prescriptions of
+// the spneCacheCap most recently solved connections are kept. Safe for
+// concurrent use.
 type UtilityIIRouter struct {
 	*UtilityRouter
 
@@ -249,22 +262,33 @@ type UtilityIIRouter struct {
 	solved int
 
 	// The stage game and its storage, reused by every solve: CSR rows
-	// (row/succ/qual, O(n·d)) and the Decision table SolveInto recycles.
-	game  game.PathGame
-	row   []int32
-	succ  []int32
-	qual  []float64
-	table [][]game.Decision
+	// (row/succ/qual, O(n·d)) and the memo SolveFrom fills, sized for the
+	// largest budget solved so far (memoHops) so a shorter one reuses it.
+	game     game.PathGame
+	row      []int32
+	succ     []int32
+	qual     []float64
+	memo     game.Memo
+	memoHops int
+	// base[v] is the quality of an edge into v that no connection of the
+	// batch has used, Edge(0, α(v)): every row entry starts from it.
+	base []float64
 
 	// SPNE cache instrumentation, bound by Instrument (nil-safe when not).
 	cacheHits, cacheMisses, cacheEvictions *telemetry.Counter
 	cacheEntries                           *telemetry.Gauge
 }
 
+// unsolved marks a cache cell outside the solved cone. The play never
+// reads one (every hop follows an edge of the holder's row, and the cone
+// holds the cells of all of them); if it did, the read would count as a
+// miss and re-solve from there.
+const unsolved = -2
+
 // spneCacheEntry is one connection's solved game, reduced to what NextHop
 // reads: next[h*nodes+i] is the successor prescribed to i with h hops of
-// budget left (−1 for none). Its storage is reused by the slot's next
-// occupant.
+// budget left (−1 for none, unsolved outside the cone). Its storage is
+// reused by the slot's next occupant.
 type spneCacheEntry struct {
 	key       [2]int // (batch, conn)
 	responder overlay.NodeID
@@ -290,6 +314,10 @@ func NewUtilityIIRouter(topo Topology, w quality.Weights, c core.Contract, avail
 	r.row = make([]int32, len(r.nbrs)+1)
 	r.succ = make([]int32, edges)
 	r.qual = make([]float64, edges)
+	r.base = make([]float64, len(r.nbrs))
+	for v, a := range r.avail {
+		r.base[v] = w.Edge(0, a)
+	}
 	r.game = game.PathGame{
 		Nodes: len(r.nbrs),
 		Adjacency: func(i int) ([]int32, []float64) {
@@ -359,17 +387,23 @@ func (r *UtilityIIRouter) NextHop(self, pred, initiator, responder overlay.NodeI
 }
 
 // prescribed returns the SPNE successor of self with remaining hops left
-// in this connection's game, solving it if the cache does not hold it. A
-// connection whose entry was evicted or dropped mid-path re-solves against
-// the history as it stands now, exactly as it does after MarkDead.
+// in this connection's game, solving it if the cache does not hold it. The
+// solve is rooted at the connection's first read — its initiator and full
+// budget, before the first hop is recorded — and covers the cone of cells
+// the play from there can reach. A connection whose entry was evicted or
+// dropped mid-path re-solves from where it stands, against the history as
+// it stands now, exactly as it does after MarkDead.
 func (r *UtilityIIRouter) prescribed(self, initiator, responder overlay.NodeID, batch, conn, remaining int) overlay.NodeID {
 	key := [2]int{batch, conn}
+	nodes := len(r.nbrs)
 	r.cacheMu.Lock()
 	defer r.cacheMu.Unlock()
 	e := r.cached(key)
 	if e != nil && e.responder == responder && e.budget >= remaining {
-		r.cacheHits.Inc()
-		return e.at(remaining, len(r.nbrs), self)
+		if next := e.at(remaining, nodes, self); next != unsolved {
+			r.cacheHits.Inc()
+			return next
+		}
 	}
 	r.cacheMisses.Inc()
 	if e == nil {
@@ -382,14 +416,19 @@ func (r *UtilityIIRouter) prescribed(self, initiator, responder overlay.NodeID, 
 		r.solved++
 		r.cacheEntries.Set(int64(min(r.solved, spneCacheCap)))
 	}
+	r.solve(self, initiator, responder, batch, remaining)
 	e.key, e.responder, e.budget = key, responder, remaining
 	e.next = e.next[:0]
-	for _, stage := range r.solve(initiator, responder, batch, remaining) {
-		for _, d := range stage {
-			e.next = append(e.next, int32(d.Next))
+	for h, stage := range r.memo.Table()[:remaining+1] {
+		for i, d := range stage {
+			next := int32(unsolved)
+			if r.memo.Known(h, i) {
+				next = int32(d.Next)
+			}
+			e.next = append(e.next, next)
 		}
 	}
-	return e.at(remaining, len(r.nbrs), self)
+	return e.at(remaining, nodes, self)
 }
 
 // cached returns the live entry for key, or nil. It scans the ring from the
@@ -404,19 +443,27 @@ func (r *UtilityIIRouter) cached(key [2]int) *spneCacheEntry {
 	return nil
 }
 
-// solve builds and solves the budget-stage game of one connection of batch
-// and returns its table, which the next solve overwrites. Caller holds
+// solve builds the stage game of one connection of batch and solves, into
+// r.memo, the cone of cells the play from (start, budget) can reach; the
+// next solve overwrites it. Rows, history and the dead set are read under
+// one hold of mu, so a solve sees one consistent state. Caller holds
 // cacheMu.
-func (r *UtilityIIRouter) solve(initiator, responder overlay.NodeID, batch, budget int) [][]game.Decision {
+func (r *UtilityIIRouter) solve(start, initiator, responder overlay.NodeID, batch, budget int) {
+	r.mu.Lock()
 	r.fillRows(initiator, responder, batch)
+	startDead := r.dead[start]
+	r.mu.Unlock()
 	r.game.Responder = int(responder)
-	r.game.MaxHops = budget
-	if len(r.table) > budget {
-		// A table grown for a longer budget serves a shorter one.
-		return r.game.SolveInto(r.table[:budget+1])
+	r.memoHops = max(r.memoHops, budget)
+	r.memo.Reset(len(r.nbrs), r.memoHops)
+	r.game.SolveFrom(&r.memo, int(start), budget)
+	if startDead {
+		// A holder believed dead has no row, yet its Model-I fallback still
+		// forwards to one of its neighbors: the play goes on from there.
+		for _, j := range r.nbrs[start] {
+			r.game.SolveFrom(&r.memo, int(j), budget-1)
+		}
 	}
-	r.table = r.game.SolveInto(nil)
-	return r.table
 }
 
 // fillRows writes the stage game's sparse adjacency into the CSR scratch.
@@ -427,40 +474,28 @@ func (r *UtilityIIRouter) solve(initiator, responder overlay.NodeID, batch, budg
 // position, unless R is dead. Ascending order makes the sparse induction
 // break ties exactly as a dense scan over j would.
 //
-// History and the dead set are read under one hold of mu, so a solve sees
-// one consistent state.
+// σ is zero on every edge the batch's history does not name, where the
+// score is the base quality; the edges it names are rescored afterwards,
+// so the cost of history is its length, not the graph's. Caller holds mu.
 func (r *UtilityIIRouter) fillRows(initiator, responder overlay.NodeID, batch int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	k := len(r.conns[batch]) + 1
-	uses := r.hist[batch]
-	_, rDead := r.dead[responder]
-	deliver := int32(responder)
+	deliver, skip := int32(responder), int32(initiator)
 	pos := int32(0)
 	for i, nb := range r.nbrs {
 		r.row[i] = pos
-		id := overlay.NodeID(i)
-		if nb == nil || id == responder {
+		if nb == nil || int32(i) == deliver || r.dead[i] {
 			continue
 		}
-		if _, gone := r.dead[id]; gone {
-			continue
-		}
-		delivered := rDead
+		delivered := r.dead[deliver]
 		for _, j := range nb {
 			if !delivered && j >= deliver {
 				r.succ[pos], r.qual[pos] = deliver, 1
 				pos++
 				delivered = true
 			}
-			v := overlay.NodeID(j)
-			if v == responder || v == id || v == initiator {
+			if j == deliver || j == int32(i) || j == skip || r.dead[j] {
 				continue
 			}
-			if _, gone := r.dead[v]; gone {
-				continue
-			}
-			r.succ[pos], r.qual[pos] = j, r.w.Edge(uses.selectivity(id, v, k), r.avail[v])
+			r.succ[pos], r.qual[pos] = j, r.base[j]
 			pos++
 		}
 		if !delivered {
@@ -469,4 +504,19 @@ func (r *UtilityIIRouter) fillRows(initiator, responder overlay.NodeID, batch in
 		}
 	}
 	r.row[len(r.nbrs)] = pos
+
+	h := r.batches[batch]
+	if h == nil {
+		return
+	}
+	for e := range h.uses {
+		from, to := e[0], e[1]
+		if to == int32(responder) {
+			continue // the delivery edge is never scored
+		}
+		lo := r.row[from]
+		if a, ok := slices.BinarySearch(r.succ[lo:r.row[from+1]], to); ok {
+			r.qual[lo+int32(a)] = r.w.Edge(h.selectivity(e), r.avail[to])
+		}
+	}
 }

@@ -25,8 +25,7 @@ func (r *UtilityIIRouter) liveEdgeQuality(topo Topology, i, j, initiator, respon
 		return -1
 	}
 	r.mu.Lock()
-	_, iDead := r.dead[i]
-	_, jDead := r.dead[j]
+	iDead, jDead := r.dead[i], r.dead[j]
 	r.mu.Unlock()
 	if iDead || jDead {
 		return -1
@@ -48,8 +47,7 @@ func (r *UtilityIIRouter) liveEdgeQuality(topo Topology, i, j, initiator, respon
 		return -1
 	}
 	r.mu.Lock()
-	k := len(r.conns[batch]) + 1
-	sigma := r.hist[batch].selectivity(i, j, k)
+	sigma := r.batches[batch].selectivity([2]int32{int32(i), int32(j)})
 	r.mu.Unlock()
 	return r.w.Edge(sigma, r.avail[j])
 }
@@ -69,18 +67,20 @@ func (r *UtilityIIRouter) denseTable(topo Topology, initiator, responder overlay
 	return g.Solve()
 }
 
-func requireSameTable(t *testing.T, got, want [][]game.Decision) {
+// requireKnownCells compares every cell m holds a value for with the
+// oracle's, bit for bit.
+func requireKnownCells(t *testing.T, m *game.Memo, want [][]game.Decision) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%d stages, want %d", len(got), len(want))
-	}
+	got := m.Table()
 	for h := range want {
 		if len(got[h]) != len(want[h]) {
 			t.Fatalf("stage %d: %d cells, want %d", h, len(got[h]), len(want[h]))
 		}
-		for i := range want[h] {
-			g, w := got[h][i], want[h][i]
-			if g.Node != w.Node || g.Next != w.Next ||
+		for i, w := range want[h] {
+			if !m.Known(h, i) {
+				continue
+			}
+			if g := got[h][i]; g.Node != w.Node || g.Next != w.Next ||
 				math.Float64bits(g.Utility) != math.Float64bits(w.Utility) ||
 				math.Float64bits(g.Quality) != math.Float64bits(w.Quality) {
 				t.Fatalf("table[%d][%d] = %+v, want %+v", h, i, g, w)
@@ -122,11 +122,12 @@ func awkwardWorld(seed uint64) (Topology, map[overlay.NodeID]float64, int) {
 	return topo, avail, ids
 }
 
-// TestLiveSparseMatchesDense pins the sparse rows against the retained
-// dense oracle, cell by cell and bit for bit, for budgets 1..5 — with
-// per-batch history (k > 1), dead forwarders, a dead responder, I adjacent
-// to R, R inside and outside neighbor lists, keyless ids and repeated
-// entries all in play.
+// TestLiveSparseMatchesDense pins the sparse rows and the cone solve
+// against the retained dense oracle: every cell the solve from (I, budget)
+// computed, bit for bit, for budgets 1..5, the root always among them —
+// with per-batch history (k > 1), dead forwarders, a dead responder, I
+// adjacent to R, R inside and outside neighbor lists, keyless ids and
+// repeated entries all in play.
 func TestLiveSparseMatchesDense(t *testing.T) {
 	var adjacentIR, rListed, rUnlisted, deadR, withHistory int
 	for seed := uint64(1); seed <= 12; seed++ {
@@ -161,7 +162,7 @@ func TestLiveSparseMatchesDense(t *testing.T) {
 			case 1: // dead responder: no delivery edge anywhere
 				responder = dead[0]
 			}
-			if _, gone := r.dead[responder]; gone {
+			if r.dead[responder] {
 				deadR++
 			}
 			for _, v := range topo[initiator] {
@@ -181,12 +182,15 @@ func TestLiveSparseMatchesDense(t *testing.T) {
 				}
 			}
 			for batch := 1; batch <= 3; batch++ {
-				if len(r.conns[batch]) > 0 {
+				if r.batches[batch] != nil {
 					withHistory++
 				}
 				for budget := 1; budget <= 5; budget++ {
-					got := r.solve(initiator, responder, batch, budget)
-					requireSameTable(t, got, r.denseTable(topo, initiator, responder, batch, budget))
+					r.solve(initiator, initiator, responder, batch, budget)
+					if !r.memo.Known(budget, int(initiator)) {
+						t.Fatalf("seed %d: root (%d, %d) not solved", seed, initiator, budget)
+					}
+					requireKnownCells(t, &r.memo, r.denseTable(topo, initiator, responder, batch, budget))
 					for i := range r.nbrs {
 						succ, _ := r.game.Adjacency(i)
 						for a := 1; a < len(succ); a++ {
@@ -206,6 +210,121 @@ func TestLiveSparseMatchesDense(t *testing.T) {
 		if n == 0 {
 			t.Errorf("no case covered %q", name)
 		}
+	}
+}
+
+// TestConeClosedUnderDeviation plays connections whose holders deviate at
+// will — each hop goes to the prescription, to the Model-I fallback's
+// choice or to a uniformly random candidate of the holder — and checks
+// that the cone solved at the connection's first read holds every cell
+// the walk reads: no read finds an unsolved cell, every prescription
+// equals the full table's (the dense oracle as of connection start), and
+// each connection costs exactly one miss. One batch per world starts at a
+// node the router believes dead.
+func TestConeClosedUnderDeviation(t *testing.T) {
+	var reads, deviations int
+	for seed := uint64(1); seed <= 12; seed++ {
+		topo, avail, ids := awkwardWorld(seed)
+		r := NewUtilityIIRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), avail)
+		r.Instrument(telemetry.NewRegistry())
+		rng := dist.NewSource(seed + 3000)
+		corpse := overlay.NodeID(rng.Intn(ids))
+		r.MarkDead(corpse)
+		dead := map[overlay.NodeID]struct{}{corpse: {}}
+		for batch := 1; batch <= 4; batch++ {
+			initiator := overlay.NodeID(rng.Intn(ids))
+			if batch == 1 {
+				// An initiator believed dead has no row, but its Model-I
+				// fallback still forwards.
+				initiator = corpse
+			}
+			responder := overlay.NodeID(rng.Intn(ids - 1))
+			if responder >= initiator {
+				responder++
+			}
+			for conn := 1; conn <= 6; conn++ {
+				budget := 1 + rng.Intn(6)
+				want := r.denseTable(topo, initiator, responder, batch, budget)
+				_, m0, _, _ := cacheCounts(r)
+				self, pred := initiator, overlay.None
+				for remaining := budget; remaining > 0; remaining-- {
+					if e := r.cached([2]int{batch, conn}); e != nil && e.at(remaining, len(r.nbrs), self) == unsolved {
+						t.Fatalf("seed %d batch %d conn %d: cell (%d, %d) is outside the cone", seed, batch, conn, remaining, self)
+					}
+					got := r.prescribed(self, initiator, responder, batch, conn, remaining)
+					reads++
+					if int(got) != want[remaining][self].Next {
+						t.Fatalf("seed %d batch %d conn %d: prescription at (%d, %d) = %d, full table says %d",
+							seed, batch, conn, remaining, self, got, want[remaining][self].Next)
+					}
+					var next overlay.NodeID
+					var deliver bool
+					switch rng.Intn(3) {
+					case 0: // play the prescription, as NextHop does
+						next, deliver = r.NextHop(self, pred, initiator, responder, batch, conn, remaining)
+					case 1: // the Model-I fallback
+						next, deliver = r.UtilityRouter.NextHop(self, pred, initiator, responder, batch, conn, remaining)
+					default: // a holder that routes at random
+						cands := topo.candidatesOf(self, pred, initiator, responder, dead)
+						if deliver = len(cands) == 0; !deliver {
+							next = cands[rng.Intn(len(cands))]
+							r.record(batch, conn, self, next)
+						}
+					}
+					if deliver {
+						break
+					}
+					if next != got {
+						deviations++
+					}
+					self, pred = next, self
+				}
+				if _, m1, _, _ := cacheCounts(r); m1-m0 != 1 {
+					t.Fatalf("seed %d batch %d conn %d: %d misses, want 1", seed, batch, conn, m1-m0)
+				}
+			}
+		}
+	}
+	if deviations < reads/4 {
+		t.Fatalf("only %d of %d hops left the prescribed play", deviations, reads)
+	}
+}
+
+// TestBatchHistoryCountsConnections pins what selectivity counts: per
+// edge, the distinct connections that used it, over the distinct
+// connections that recorded a hop. A connection reusing an edge — a cycle,
+// a re-attempt — counts once; connections of one batch may interleave; k
+// rises as soon as a connection records its first hop; batches are apart.
+func TestBatchHistoryCountsConnections(t *testing.T) {
+	topo := Topology{0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
+	r := NewUtilityRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), uniformAvail(3))
+	sigma := func(from, to overlay.NodeID) float64 {
+		return r.batches[1].selectivity([2]int32{int32(from), int32(to)})
+	}
+	for _, s := range []struct {
+		conn     int
+		from, to overlay.NodeID
+		conns    int
+		s01, s12 float64 // σ(0→1), σ(1→2) afterwards
+	}{
+		{1, 0, 1, 1, 1, 0},             // conn 1's first hop
+		{1, 1, 0, 1, 1, 0},             // a cycle back to 0 …
+		{1, 0, 1, 1, 1, 0},             // … and the same edge again: once
+		{2, 1, 2, 2, 0.5, 0.5},         // conn 2's first hop: k rises
+		{1, 1, 2, 2, 0.5, 1},           // conn 1 again, after conn 2
+		{2, 1, 2, 2, 0.5, 1},           // conn 2's re-attempt re-records its hop
+		{3, 0, 1, 3, 2.0 / 3, 2.0 / 3}, // conn 3
+	} {
+		r.record(1, s.conn, s.from, s.to)
+		if got := len(r.batches[1].conns); got != s.conns {
+			t.Fatalf("after conn %d %d→%d: %d connections, want %d", s.conn, s.from, s.to, got, s.conns)
+		}
+		if a, b := sigma(0, 1), sigma(1, 2); a != s.s01 || b != s.s12 {
+			t.Fatalf("after conn %d %d→%d: σ(0→1) = %v, σ(1→2) = %v, want %v, %v", s.conn, s.from, s.to, a, b, s.s01, s.s12)
+		}
+	}
+	if got := r.batches[2].selectivity([2]int32{0, 1}); got != 0 {
+		t.Fatalf("batch without history has σ = %v", got)
 	}
 }
 
@@ -320,8 +439,10 @@ func TestSPNECacheBounded(t *testing.T) {
 }
 
 // TestSPNEWarmSolveAllocs pins the steady state: with the cache full and
-// every buffer grown, solving a new connection — rows, induction, evicting
-// and reusing the oldest entry's storage — allocates nothing.
+// every buffer grown, solving a new connection — rows, the cone, evicting
+// and reusing the oldest entry's storage — allocates nothing, and neither
+// does an evicted connection's re-solve one hop shorter (the memo keeps
+// the size of the longest budget seen).
 func TestSPNEWarmSolveAllocs(t *testing.T) {
 	const n, budget = 40, 5
 	topo := buildTopo(n, 6, 32)
@@ -334,6 +455,7 @@ func TestSPNEWarmSolveAllocs(t *testing.T) {
 	solve := func() {
 		conn++
 		r.prescribed(0, 0, n-1, 1, conn, budget)
+		r.prescribed(1, 0, n-1, 1, conn-spneCacheCap, budget-1) // evicted by now
 	}
 	for i := 0; i < 2*spneCacheCap; i++ {
 		solve()
@@ -341,18 +463,19 @@ func TestSPNEWarmSolveAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, solve); allocs != 0 {
 		t.Fatalf("warm solve allocates %.0f times, want 0", allocs)
 	}
-	if _, misses, evictions, _ := cacheCounts(r); evictions == 0 || misses < 200 {
+	if _, misses, evictions, _ := cacheCounts(r); evictions == 0 || misses < 400 {
 		t.Fatalf("pin did not exercise eviction: %d misses, %d evictions", misses, evictions)
 	}
 }
 
 // BenchmarkLiveSolve is the in-process guard for the code the live router
 // shares with the simulator's solver: one op is one cache-miss prescribed
-// — fillRows, game.SolveInto, sweepStage, solveCell, the prescription
-// copy — at inproc_um2_agg's shape (128 peers, degree 6, budget 5), with
-// history on the batch so rows score σ > 0. A change to internal/game is
-// measured by building this package's test binary at the parent commit
-// and at the change (go test -c) and alternating the two.
+// — fillRows with its σ overlay, game.SolveFrom's cone from (I, budget)
+// through solveCell, the prescription copy — at inproc_um2_agg's shape
+// (128 peers, degree 6, budget 5), with history on the batch so rows score
+// σ > 0. A change to internal/game is measured by building this package's
+// test binary at the parent commit and at the change (go test -c) and
+// alternating the two.
 func BenchmarkLiveSolve(b *testing.B) {
 	const n, budget = 128, 5
 	topo := buildTopo(n, 6, 32)

@@ -238,14 +238,7 @@ func (n *Network) Send(from, to overlay.NodeID, msg Message) bool {
 	}
 	n.metrics.sent.Add(1)
 	if n.latency > 0 {
-		n.Clock().AfterFunc(n.latency, func() {
-			if n.expired(msg) {
-				return
-			}
-			if !n.deliver(p, msg) {
-				n.lost(from, to, msg)
-			}
-		})
+		n.sendLater(p, from, to, msg)
 		return true
 	}
 	if !n.deliver(p, msg) {
@@ -253,6 +246,21 @@ func (n *Network) Send(from, to overlay.NodeID, msg Message) bool {
 		return false
 	}
 	return true
+}
+
+// sendLater delivers msg to p after the link latency. It is Send's latency
+// branch, kept out of Send because the timer closure's capture moves the
+// message it names to the heap: inside Send that was every message, at
+// zero latency too.
+func (n *Network) sendLater(p *Peer, from, to overlay.NodeID, msg Message) {
+	n.Clock().AfterFunc(n.latency, func() {
+		if n.expired(msg) {
+			return
+		}
+		if !n.deliver(p, msg) {
+			n.lost(from, to, msg)
+		}
+	})
 }
 
 // expired reports (and counts) a message whose per-attempt deadline has

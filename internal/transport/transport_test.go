@@ -256,6 +256,28 @@ func TestLatencyDelivery(t *testing.T) {
 	}
 }
 
+// TestSendZeroLatencyAllocs pins that an in-process message crosses a
+// zero-latency link without a heap copy: the latency branch's timer
+// closure must not make Send's message escape.
+func TestSendZeroLatencyAllocs(t *testing.T) {
+	n := NewNetwork(0)
+	defer n.Close()
+	// A registered peer with no inbox goroutine: the pin drains the inbox
+	// itself, so the only code measured is Send's.
+	p := &Peer{Station: NewStation(2, RouterFunc(nil)), inbox: make(chan Message, 1), leave: make(chan struct{}), net: n}
+	n.peers[2] = p
+	msg := Message{Kind: MsgForward, Batch: 1, Conn: 1, Initiator: 1, Responder: 3, Remaining: 4, Path: []overlay.NodeID{1}}
+	allocs := testing.AllocsPerRun(200, func() {
+		if !n.Send(1, 2, msg) {
+			t.Fatal("send to a registered peer dropped")
+		}
+		<-p.inbox
+	})
+	if allocs != 0 {
+		t.Fatalf("zero-latency Send allocates %.0f times, want 0", allocs)
+	}
+}
+
 func TestCloseIdempotentAndStopsPeers(t *testing.T) {
 	topo := buildTopo(5, 2, 15)
 	r := NewRandomRouter(topo, dist.NewSource(16))
