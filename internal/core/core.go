@@ -18,7 +18,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"p2panon/internal/dist"
 	"p2panon/internal/game"
@@ -382,37 +381,41 @@ func (s *System) createEstimators(r overlay.NodeID) {
 // baseRow is the batch-independent part of one node's stage-game row: its
 // neighbors ascending and duplicate free (self dropped) with the quality
 // every batch without history on the edge scores them at,
-// Weights.Edge(0, α). It is valid while what it was built from is
-// unchanged: the owner's estimator has not ticked (est, probes) and its
-// raw neighbor list is the same (raw).
+// Weights.Edge(0, α). succ is valid while the owner's neighbor list is
+// unchanged (nbrVer, the overlay's NeighborsVersion stamp; 0 = never
+// built); qual is valid while, in addition, the owner's estimator has not
+// ticked (est, probes). A probe round alone therefore only rescores the
+// row.
 type baseRow struct {
+	nbrVer uint64
 	est    *probe.Estimator
 	probes int
-	raw    []overlay.NodeID
 	succ   []int32
 	qual   []float64
 }
 
-// baseRow returns id's base row, rebuilding it in place when stale.
+// baseRow returns id's base row, rebuilding in place what is stale.
 func (s *System) baseRow(id overlay.NodeID) *baseRow {
 	br := &s.base[id]
 	est := s.Probes.For(id)
-	raw := s.Net.Node(id).Neighbors
-	if br.est == est && br.probes == est.Probes() && slices.Equal(br.raw, raw) {
-		return br
-	}
-	br.est, br.probes = est, est.Probes()
-	br.raw = append(br.raw[:0], raw...)
-	br.succ = br.succ[:0]
-	for _, v := range raw {
-		if v != id {
-			br.succ = append(br.succ, int32(v))
+	resorted := false
+	if v := s.Net.NeighborsVersion(id); br.nbrVer != v {
+		br.nbrVer = v
+		br.succ = br.succ[:0]
+		for _, u := range s.Net.Node(id).Neighbors {
+			if u != id {
+				br.succ = append(br.succ, int32(u))
+			}
 		}
+		br.succ = br.succ[:game.SortUnique(br.succ)]
+		resorted = true
 	}
-	br.succ = br.succ[:game.SortUnique(br.succ)]
-	br.qual = br.qual[:0]
-	for _, v := range br.succ {
-		br.qual = append(br.qual, s.cfg.Weights.Edge(0, est.Availability(overlay.NodeID(v))))
+	if resorted || br.est != est || br.probes != est.Probes() {
+		br.est, br.probes = est, est.Probes()
+		br.qual = br.qual[:0]
+		for _, v := range br.succ {
+			br.qual = append(br.qual, s.cfg.Weights.Edge(0, est.Availability(overlay.NodeID(v))))
+		}
 	}
 	return br
 }

@@ -461,13 +461,28 @@ func (g *PathGame) solveCell(prev []Decision, i int) Decision {
 		return Decision{Node: i, Next: -1, Utility: negInf, Quality: 0}
 	}
 	best := Decision{Node: i, Next: -1, Utility: negInf, Quality: negInf}
-	consider := func(j int, q float64) {
+	// One loop body for both formulations, so the edge rule cannot fork:
+	// the sparse branch walks i's row, the dense oracle every j.
+	var succ []int32
+	var qual []float64
+	sparse, n := g.Adjacency != nil, g.Nodes
+	if sparse {
+		succ, qual = g.Adjacency(i)
+		n = len(succ)
+	}
+	for idx := 0; idx < n; idx++ {
+		j, q := idx, 0.0
+		if sparse {
+			j, q = int(succ[idx]), qual[idx]
+		} else if j != i {
+			q = g.EdgeQuality(i, j)
+		}
 		if j == i || q < 0 {
-			return // self loop / no edge
+			continue // self loop / no edge
 		}
 		cont := prev[j].Quality
 		if math.IsInf(cont, -1) {
-			return // j cannot reach R in h-1 hops
+			continue // j cannot reach R in h-1 hops
 		}
 		pathQ := q + cont
 		u := g.Pf + pathQ*g.Pr - (g.Cost.Participation + g.Cost.Transmission(i, j))
@@ -476,19 +491,6 @@ func (g *PathGame) solveCell(prev []Decision, i int) Decision {
 		if u > best.Utility+1e-12 ||
 			(math.Abs(u-best.Utility) <= 1e-12 && pathQ > best.Quality+1e-12) {
 			best = Decision{Node: i, Next: j, Utility: u, Quality: pathQ}
-		}
-	}
-	if g.Adjacency != nil {
-		succ, qual := g.Adjacency(i)
-		for idx, j := range succ {
-			consider(int(j), qual[idx])
-		}
-	} else {
-		for j := 0; j < g.Nodes; j++ {
-			if j == i {
-				continue
-			}
-			consider(j, g.EdgeQuality(i, j))
 		}
 	}
 	return best

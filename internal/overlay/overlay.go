@@ -84,7 +84,12 @@ type ChurnFunc func(id NodeID, s State)
 // online set. It is not safe for concurrent use; the transport package
 // provides the concurrent runtime.
 type Network struct {
-	nodes     []*Node
+	nodes []*Node
+	// up[id] mirrors nodes[id].State == Online, so Online — asked per
+	// candidate per hop by the routing layer — reads one dense byte
+	// instead of chasing a *Node. Join, GrowUniform, Rejoin and Leave, the
+	// only writers of State, keep it in step.
+	up        []bool
 	online    int // nodes whose State is Online
 	degree    int
 	rng       *dist.Source
@@ -95,6 +100,12 @@ type Network struct {
 	// memos) can invalidate exactly when topology state they consumed may
 	// have moved. Pure queries never advance it.
 	version uint64
+
+	// nbrVer[id] is the version at which id's neighbor list last changed,
+	// and touched the version of the last Touch, which may have changed
+	// any list (see NeighborsVersion).
+	nbrVer  []uint64
+	touched uint64
 
 	// churn counters, one per destination state; nil (no-op) until
 	// Instrument binds them into a telemetry registry.
@@ -164,7 +175,18 @@ func (n *Network) Version() uint64 { return n.version }
 
 // Touch records an out-of-band structural change: call it after mutating
 // a Node's Neighbors slice directly so version-keyed caches invalidate.
-func (n *Network) Touch() { n.version++ }
+func (n *Network) Touch() {
+	n.version++
+	n.touched = n.version
+}
+
+// NeighborsVersion returns a stamp of id's neighbor list: it differs from
+// every earlier stamp of id once the list may have changed (an edit by
+// Join, GrowUniform or RefreshNeighbors, or any Touch), so a cache built
+// from the list can revalidate by one comparison instead of by content.
+func (n *Network) NeighborsVersion(id NodeID) uint64 {
+	return max(n.nbrVer[id], n.touched)
+}
 
 // Len returns the total number of nodes ever created (any state).
 func (n *Network) Len() int { return len(n.nodes) }
@@ -190,16 +212,16 @@ func (n *Network) Exists(id NodeID) bool {
 // Online reports whether id is currently online (false for an ID that
 // names no node).
 func (n *Network) Online(id NodeID) bool {
-	return n.Exists(id) && n.nodes[id].State == Online
+	return id >= 0 && int(id) < len(n.up) && n.up[id]
 }
 
 // OnlineIDs returns the online node IDs in ascending order — the node
 // table's own order. The slice is freshly allocated.
 func (n *Network) OnlineIDs() []NodeID {
 	out := make([]NodeID, 0, n.online)
-	for _, node := range n.nodes {
-		if node.State == Online {
-			out = append(out, node.ID)
+	for id, up := range n.up {
+		if up {
+			out = append(out, NodeID(id))
 		}
 	}
 	return out
@@ -229,9 +251,12 @@ func (n *Network) Join(now sim.Time, malicious bool) *Node {
 		sessionStart:   now,
 	}
 	n.nodes = append(n.nodes, node)
+	n.up = append(n.up, true)
 	n.online++
 	node.Neighbors = n.pickNeighbors(id, nil)
+	n.nbrVer = append(n.nbrVer, 0)
 	n.notifyChurn(id, Online)
+	n.nbrVer[id] = n.version
 	return node
 }
 
@@ -260,6 +285,7 @@ func (n *Network) GrowUniform(now sim.Time, count int) {
 			FinalDeparture: now,
 			sessionStart:   now,
 		})
+		n.up = append(n.up, true)
 	}
 	n.online += count
 	for i := start; i < total; i++ {
@@ -290,8 +316,10 @@ func (n *Network) GrowUniform(now sim.Time, count int) {
 		}
 		n.nodes[i].Neighbors = neigh
 	}
+	n.nbrVer = append(n.nbrVer, make([]uint64, count)...)
 	for i := start; i < total; i++ {
 		n.notifyChurn(NodeID(i), Online)
+		n.nbrVer[i] = n.version
 	}
 }
 
@@ -303,6 +331,7 @@ func (n *Network) Rejoin(now sim.Time, id NodeID) {
 		panic(fmt.Sprintf("overlay: Rejoin of %d in state %v", id, node.State))
 	}
 	node.State = Online
+	n.up[id] = true
 	node.sessionStart = now
 	n.online++
 	// Repair any neighbors that departed while we were away.
@@ -324,6 +353,7 @@ func (n *Network) Leave(now sim.Time, id NodeID, final bool) {
 	} else {
 		node.State = Offline
 	}
+	n.up[id] = false
 	n.online--
 	n.notifyChurn(id, node.State)
 }
@@ -383,6 +413,7 @@ func (n *Network) RefreshNeighbors(id NodeID) {
 	// invalidate topology-keyed caches.
 	if dropped > 0 || len(node.Neighbors) != len(keep) {
 		n.version++
+		n.nbrVer[id] = n.version
 	}
 }
 

@@ -52,12 +52,20 @@ type Estimator struct {
 	rng    *dist.Source
 	period sim.Time
 
-	session map[overlay.NodeID]float64 // observed session time t_s(u)
-	probes  int
+	// nbr and session are the tracked neighbors, in the order of the
+	// neighbor list the last Tick saw (the overlay keeps it duplicate
+	// free), and their observed session times t_s(u), index-aligned. A
+	// Tick whose list changed rebuilds them into spareNbr/spareSession and
+	// swaps the pairs, so no round allocates once both have grown to d.
+	nbr          []overlay.NodeID
+	session      []float64
+	spareNbr     []overlay.NodeID
+	spareSession []float64
+	probes       int
 
-	// total caches Σ_v t_s(v) so Availability is O(1) instead of summing
-	// the session map per call (the routing layer queries it once per
-	// candidate per hop). Invalidated whenever Tick mutates the map.
+	// total caches Σ_v t_s(v), summed in nbr order, so Availability scans
+	// only for the neighbor it is asked about (the routing layer queries
+	// it once per candidate per hop). Invalidated by every Tick.
 	total      float64
 	totalValid bool
 
@@ -80,17 +88,15 @@ func NewEstimator(owner overlay.NodeID, net *overlay.Network, rng *dist.Source, 
 	if rng == nil {
 		panic("probe: nil rng")
 	}
-	est := &Estimator{
+	nbr := slices.Clone(net.Node(owner).Neighbors)
+	return &Estimator{
 		owner:   owner,
 		net:     net,
 		rng:     rng,
 		period:  period,
-		session: make(map[overlay.NodeID]float64),
+		nbr:     nbr,
+		session: make([]float64, len(nbr)),
 	}
-	for _, v := range net.NeighborsOf(owner) {
-		est.session[v] = 0
-	}
-	return est
 }
 
 // Instrument binds the estimator's update counters into reg:
@@ -118,10 +124,10 @@ func (est *Estimator) Probes() int { return est.probes }
 // initialisation and is not also credited T — crediting both would let a
 // fresh neighbor outrank a node with one full observed period, inverting
 // the paper's "higher observed session time ⇒ higher availability"
-// ordering. A steady-state round allocates nothing.
+// ordering. A steady round never allocates, nor does one after a
+// neighbor replacement once both session buffers have grown.
 func (est *Estimator) Tick() {
 	est.probes++
-	est.ticks.Inc()
 	est.totalValid = false
 	if est.setVersion != nil {
 		atomic.AddUint64(est.setVersion, 1)
@@ -130,40 +136,62 @@ func (est *Estimator) Tick() {
 	// sharded TickAll runs no overlay mutation alongside its workers, so
 	// concurrent ticks are concurrent pure reads.
 	current := est.net.Node(est.owner).Neighbors
-	for _, v := range current {
-		switch t, known := est.session[v]; {
-		case !known:
-			// New neighbor: initialise to rand(0, T) per the paper; the init
-			// stands in for the unobserved partial period.
-			est.session[v] = est.rng.Uniform(0, est.period.Seconds())
-			est.inits.Inc()
-		case est.net.Online(v):
-			est.session[v] = t + est.period.Seconds()
-			est.credits.Inc()
-		default:
-			est.session[v] = t * DecayOnMiss
-			est.decays.Inc()
-		}
-	}
-	if len(est.session) != len(current) {
-		for v := range est.session {
-			if !slices.Contains(current, v) {
-				delete(est.session, v) // no longer a neighbor
+	var credits, decays, inits int64
+	if slices.Equal(current, est.nbr) {
+		// The common round: same neighbors in the same order, updated in
+		// place.
+		for k, v := range current {
+			if est.net.Online(v) {
+				est.session[k] += est.period.Seconds()
+				credits++
+			} else {
+				est.session[k] *= DecayOnMiss
+				decays++
 			}
 		}
+	} else {
+		// The list changed: rebuild the session times in its order, drawing
+		// rand(0,T) for each new neighbor in that order.
+		session := est.spareSession[:0]
+		for _, v := range current {
+			switch k := slices.Index(est.nbr, v); {
+			case k < 0:
+				// New neighbor: initialise to rand(0, T) per the paper; the
+				// init stands in for the unobserved partial period.
+				session = append(session, est.rng.Uniform(0, est.period.Seconds()))
+				inits++
+			case est.net.Online(v):
+				session = append(session, est.session[k]+est.period.Seconds())
+				credits++
+			default:
+				session = append(session, est.session[k]*DecayOnMiss)
+				decays++
+			}
+		}
+		nbr := append(est.spareNbr[:0], current...)
+		est.spareNbr, est.spareSession = est.nbr, est.session
+		est.nbr, est.session = nbr, session
 	}
+	est.ticks.Inc()
+	est.credits.Add(credits)
+	est.decays.Add(decays)
+	est.inits.Add(inits)
 }
 
 // SessionTime returns the observed session time t_s(u) for neighbor u, or
 // 0 if u is not currently tracked.
 func (est *Estimator) SessionTime(u overlay.NodeID) float64 {
-	return est.session[u]
+	if k := slices.Index(est.nbr, u); k >= 0 {
+		return est.session[k]
+	}
+	return 0
 }
 
 // Availability returns α_s(u) = t_s(u) / Σ_v t_s(v), the paper's
 // normalised availability estimate, in [0, 1]. Before any session time has
 // accumulated it returns an uninformative uniform 1/|D(s)| so that routing
-// has a well-defined score from the first connection.
+// has a well-defined score from the first connection. The sum runs in
+// neighbor-list order, so equal estimators give bit-equal shares.
 func (est *Estimator) Availability(u overlay.NodeID) float64 {
 	if !est.totalValid {
 		total := 0.0
@@ -173,23 +201,21 @@ func (est *Estimator) Availability(u overlay.NodeID) float64 {
 		est.total = total
 		est.totalValid = true
 	}
-	total := est.total
-	if total <= 0 {
-		if n := len(est.session); n > 0 {
-			if _, ok := est.session[u]; ok {
-				return 1 / float64(n)
-			}
-		}
+	k := slices.Index(est.nbr, u)
+	if k < 0 {
 		return 0
 	}
-	return est.session[u] / total
+	if est.total <= 0 {
+		return 1 / float64(len(est.nbr))
+	}
+	return est.session[k] / est.total
 }
 
 // Snapshot returns the availability of every tracked neighbor. The shares
 // sum to 1 whenever any session time has accumulated.
 func (est *Estimator) Snapshot() map[overlay.NodeID]float64 {
-	out := make(map[overlay.NodeID]float64, len(est.session))
-	for v := range est.session {
+	out := make(map[overlay.NodeID]float64, len(est.nbr))
+	for _, v := range est.nbr {
 		out[v] = est.Availability(v)
 	}
 	return out
@@ -216,12 +242,16 @@ type Set struct {
 	net    *overlay.Network
 	rng    *dist.Source
 	period sim.Time
-	byNode map[overlay.NodeID]*Estimator
 	reg    *telemetry.Registry
+
+	// byNode[id] is id's estimator, nil until For first asks; n counts the
+	// non-nil entries.
+	byNode []*Estimator
+	n      int
 
 	// Workers, when > 1, shards TickAll over contiguous regions of the
 	// online-ID list. Estimator creation (which consumes RNG splits and
-	// grows byNode) is hoisted into a sequential ascending-ID prefetch
+	// fills byNode) is hoisted into a sequential ascending-ID prefetch
 	// first, and each estimator's Tick touches only its own state plus
 	// atomics, so the sharded rounds are byte-identical to serial ones
 	// whatever the value.
@@ -244,14 +274,16 @@ func (s *Set) Version() uint64 { return atomic.LoadUint64(&s.version) }
 
 // Len returns how many estimators the set holds; equal to the overlay's
 // node count, no node is missing one.
-func (s *Set) Len() int { return len(s.byNode) }
+func (s *Set) Len() int { return s.n }
 
 // Instrument binds every current and future estimator in the set into
 // reg (they share the probe_* series).
 func (s *Set) Instrument(reg *telemetry.Registry) {
 	s.reg = reg
 	for _, est := range s.byNode {
-		est.Instrument(reg)
+		if est != nil {
+			est.Instrument(reg)
+		}
 	}
 }
 
@@ -261,21 +293,24 @@ func NewSet(net *overlay.Network, rng *dist.Source, period sim.Time) *Set {
 		net:    net,
 		rng:    rng,
 		period: period,
-		byNode: make(map[overlay.NodeID]*Estimator),
 	}
 }
 
 // For returns (creating on first use) the estimator owned by id.
 func (s *Set) For(id overlay.NodeID) *Estimator {
-	est, ok := s.byNode[id]
-	if !ok {
-		est = NewEstimator(id, s.net, s.rng.Split(), s.period)
-		est.setVersion = &s.version
-		if s.reg != nil {
-			est.Instrument(s.reg)
-		}
-		s.byNode[id] = est
+	if id >= 0 && int(id) < len(s.byNode) && s.byNode[id] != nil {
+		return s.byNode[id]
 	}
+	est := NewEstimator(id, s.net, s.rng.Split(), s.period)
+	est.setVersion = &s.version
+	if s.reg != nil {
+		est.Instrument(s.reg)
+	}
+	if int(id) >= len(s.byNode) {
+		s.byNode = append(s.byNode, make([]*Estimator, int(id)+1-len(s.byNode))...)
+	}
+	s.byNode[id] = est
+	s.n++
 	return est
 }
 

@@ -2,6 +2,7 @@ package probe
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -67,8 +68,10 @@ func TestTickCreditsLiveNeighbors(t *testing.T) {
 // TestSteadyStateTickAllocatesNothing pins that a probing round over a
 // settled neighbor set — the case TickAll hits for every online node,
 // every period — touches no heap: the neighbor list is read in place and
-// the per-tick bookkeeping stays on the stack. One neighbor is offline so
-// both the credit and the decay branch run.
+// the session times are updated in place. One neighbor is offline so both
+// the credit and the decay branch run. Once both session buffers have
+// grown, a round in which a neighbor was replaced allocates nothing
+// either: it rebuilds into the spare buffer and swaps.
 func TestSteadyStateTickAllocatesNothing(t *testing.T) {
 	net := buildNet(t, 12, 6, 3)
 	est := NewEstimator(5, net, dist.NewSource(2), DefaultPeriod)
@@ -76,6 +79,38 @@ func TestSteadyStateTickAllocatesNothing(t *testing.T) {
 	est.Tick()
 	if allocs := testing.AllocsPerRun(100, est.Tick); allocs != 0 {
 		t.Fatalf("steady-state Tick allocates %v objects per round, want 0", allocs)
+	}
+
+	// Alternate between two lists that differ in one neighbor, so every
+	// round replaces it (and draws its rand(0,T) initialisation).
+	node := net.Node(5)
+	lists := [2][]overlay.NodeID{net.NeighborsOf(5), net.NeighborsOf(5)}
+	for _, v := range net.AllIDs() {
+		if v != 5 && !slices.Contains(lists[0], v) {
+			lists[1][len(lists[1])-1] = v
+			break
+		}
+	}
+	round := 0
+	replace := func() {
+		round++
+		node.Neighbors = lists[round%2]
+		est.Tick()
+	}
+	replace() // warm-up: grows the spare buffer
+	if allocs := testing.AllocsPerRun(100, replace); allocs != 0 {
+		t.Fatalf("Tick after a neighbor replacement allocates %v objects per round, want 0", allocs)
+	}
+}
+
+// TestSetForKnownAllocatesNothing pins that looking up an existing
+// estimator — done per node per solve by the routing layer — is an index.
+func TestSetForKnownAllocatesNothing(t *testing.T) {
+	net := buildNet(t, 12, 4, 3)
+	set := NewSet(net, dist.NewSource(2), DefaultPeriod)
+	set.TickAll()
+	if allocs := testing.AllocsPerRun(100, func() { set.For(7) }); allocs != 0 {
+		t.Fatalf("Set.For on a known id allocates %v objects, want 0", allocs)
 	}
 }
 

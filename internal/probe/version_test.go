@@ -35,8 +35,8 @@ func TestSetVersionAdvancesPerTick(t *testing.T) {
 }
 
 // TestAvailabilityCachedTotalMatchesFreshSum drives churn through several
-// ticks and checks the O(1) cached-total Availability agrees with a fresh
-// sum over the session map.
+// ticks and checks the cached-total Availability is bit-equal to a fresh
+// sum over the tracked session times in neighbor-list order.
 func TestAvailabilityCachedTotalMatchesFreshSum(t *testing.T) {
 	rng := dist.NewSource(7)
 	net := overlay.NewNetwork(4, rng.Split())
@@ -55,14 +55,14 @@ func TestAvailabilityCachedTotalMatchesFreshSum(t *testing.T) {
 			for _, v := range est.session {
 				total += v
 			}
-			for u := range est.session {
+			for k, u := range est.nbr {
 				want := 0.0
 				if total > 0 {
-					want = est.session[u] / total
-				} else if n := len(est.session); n > 0 {
-					want = 1 / float64(n)
+					want = est.session[k] / total
+				} else {
+					want = 1 / float64(len(est.nbr))
 				}
-				if got := est.Availability(u); math.Abs(got-want) > 1e-12 {
+				if got := est.Availability(u); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("tick %d: Availability(%d→%d) = %g, want %g", tick, id, u, got, want)
 				}
 			}
