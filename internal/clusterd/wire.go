@@ -11,19 +11,20 @@
 package clusterd
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+
+	"p2panon/internal/wire"
 )
 
-// Control-protocol constants. The codec follows the netwire frame
-// discipline: a 4-byte big-endian length prefix, then a body of
-// version byte, kind byte, and a canonical payload. Canonical means
-// decode∘encode is the identity on every valid body: fixed field
-// order, minimal lengths, strictly ascending entry lists, no trailing
-// bytes — the property FuzzBarrierWire pins.
+// Control-protocol constants. Messages travel in internal/wire's frame
+// envelope, the one netwire frames use: a 4-byte big-endian length
+// prefix, then a body of version byte, kind byte, and a canonical
+// payload. Canonical means decode∘encode is the identity on every valid
+// body: fixed field order, minimal lengths, strictly ascending entry
+// lists, no trailing bytes — the property FuzzBarrierWire pins.
 const (
 	WireVersion = 1
 
@@ -109,17 +110,18 @@ func (k MsgKind) String() string {
 	}
 }
 
-// Codec errors, in the netwire style: each names exactly one way a body
-// can be malformed, so tests and the fuzzer can assert the right one.
+// Codec errors: each names exactly one way a body can be malformed, so
+// tests and the fuzzer can assert the right one. All but ErrMsgOrder are
+// internal/wire's shared set under this package's names.
 var (
-	ErrMsgShort      = errors.New("clusterd: message body too short")
-	ErrMsgVersion    = errors.New("clusterd: unsupported protocol version")
-	ErrMsgKind       = errors.New("clusterd: unknown message kind")
-	ErrMsgOversized  = errors.New("clusterd: message exceeds its size cap")
-	ErrMsgTrailing   = errors.New("clusterd: trailing bytes after message payload")
-	ErrMsgField      = errors.New("clusterd: field too long or empty")
+	ErrMsgShort      = wire.ErrShort
+	ErrMsgVersion    = wire.ErrVersion
+	ErrMsgKind       = wire.ErrKind
+	ErrMsgOversized  = wire.ErrOversized
+	ErrMsgTrailing   = wire.ErrTrailing
+	ErrMsgField      = wire.ErrField
 	ErrMsgOrder      = errors.New("clusterd: entry list not strictly ascending")
-	ErrMsgEntryCount = errors.New("clusterd: entry count exceeds bound")
+	ErrMsgEntryCount = wire.ErrCount
 )
 
 // AddrEntry is one directory line: a node and its dial-back address.
@@ -167,11 +169,11 @@ type Msg struct {
 	Text                          string // error
 }
 
-// bodyCap bounds a kind's body size before allocation, like netwire's
-// BodyCap: fixed-layout kinds get exact caps, variable kinds the global
-// bound.
-func bodyCap(k MsgKind) int {
-	switch k {
+// bodyCap bounds a kind's body size, checked before any body is
+// allocated: fixed-layout kinds get exact caps, variable kinds the global
+// bound, unknown kinds -1.
+func bodyCap(k byte) int {
+	switch MsgKind(k) {
 	case MsgHello:
 		return 2 + 4
 	case MsgShutdown:
@@ -185,403 +187,233 @@ func bodyCap(k MsgKind) int {
 	case MsgConfig, MsgAddrs, MsgResult, MsgCollect, MsgCredits, MsgArtifact:
 		return maxBody
 	default:
-		return 0
+		return -1
 	}
 }
 
-// appendString appends a u16 length-prefixed string.
-func appendString(b []byte, s string) []byte {
-	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...)
-}
-
-// appendBytes appends a u32 length-prefixed byte field.
-func appendBytes(b []byte, p []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(p)))
-	return append(b, p...)
-}
+// envelope is the control protocol's framing: its version and per-kind
+// caps.
+var envelope = wire.Envelope{Version: WireVersion, Max: maxBody, Cap: bodyCap}
 
 // EncodeMsg renders the canonical body (version, kind, payload) for m.
 // It validates the same bounds DecodeMsg enforces, so every encodable
 // message round-trips.
 func EncodeMsg(m *Msg) ([]byte, error) {
-	b := make([]byte, 0, 64)
-	b = append(b, WireVersion, byte(m.Kind))
+	frame, err := encodeFrame(m)
+	if err != nil {
+		return nil, err
+	}
+	return frame[wire.PrefixSize:], nil
+}
+
+// WriteMsg frames and writes one message, returning bytes written.
+func WriteMsg(w io.Writer, m *Msg) (int, error) {
+	frame, err := encodeFrame(m)
+	if err != nil {
+		return 0, err
+	}
+	return w.Write(frame)
+}
+
+// encodeFrame renders m's whole frame: length prefix, then body.
+func encodeFrame(m *Msg) ([]byte, error) {
+	b, err := appendPayload(envelope.Begin(make([]byte, 0, 64), byte(m.Kind)), m)
+	if err == nil {
+		err = envelope.End(b, 0)
+	}
+	return b, err
+}
+
+func appendPayload(b []byte, m *Msg) ([]byte, error) {
+	var err error
 	switch m.Kind {
 	case MsgHello:
 		if m.Worker < 0 {
 			return nil, ErrMsgField
 		}
-		b = binary.BigEndian.AppendUint32(b, uint32(m.Worker))
+		b = wire.AppendU32(b, m.Worker)
 	case MsgConfig:
-		if m.Worker < 0 || m.Workers < 1 || len(m.Comp) == 0 || len(m.Comp) > maxComp {
+		if m.Worker < 0 || m.Workers < 1 || len(m.Comp) == 0 {
 			return nil, ErrMsgField
 		}
-		b = binary.BigEndian.AppendUint32(b, uint32(m.Worker))
-		b = binary.BigEndian.AppendUint32(b, uint32(m.Workers))
-		b = appendBytes(b, m.Comp)
+		b = wire.AppendU32(b, m.Worker)
+		b = wire.AppendU32(b, m.Workers)
+		b, err = wire.AppendBytes32(b, m.Comp, maxComp)
 	case MsgAddrs:
 		if len(m.Addrs) > maxEntries {
 			return nil, ErrMsgEntryCount
 		}
-		b = binary.BigEndian.AppendUint32(b, uint32(len(m.Addrs)))
+		b = wire.AppendU32(b, len(m.Addrs))
 		prev := -1
 		for _, e := range m.Addrs {
-			if e.Node < 0 || e.Node <= prev {
+			if e.Node <= prev {
 				return nil, ErrMsgOrder
 			}
-			if len(e.Addr) == 0 || len(e.Addr) > maxAddr {
-				return nil, ErrMsgField
-			}
 			prev = e.Node
-			b = binary.BigEndian.AppendUint32(b, uint32(e.Node))
-			b = appendString(b, e.Addr)
+			if b, err = appendName(wire.AppendU32(b, e.Node), e.Addr, maxAddr); err != nil {
+				return nil, err
+			}
 		}
 	case MsgSignal, MsgRelease:
-		if len(m.Name) == 0 || len(m.Name) > maxName {
-			return nil, ErrMsgField
-		}
-		b = appendString(b, m.Name)
+		b, err = appendName(b, m.Name, maxName)
 	case MsgFault:
-		if len(m.Fault) == 0 || len(m.Fault) > maxFaultKind || m.Node < 0 || m.Batch < 0 {
+		if m.Node < 0 || m.Batch < 0 {
 			return nil, ErrMsgField
 		}
-		b = appendString(b, m.Fault)
-		b = binary.BigEndian.AppendUint32(b, uint32(m.Node))
-		b = binary.BigEndian.AppendUint32(b, uint32(m.Batch))
+		if b, err = appendName(b, m.Fault, maxFaultKind); err == nil {
+			b = wire.AppendU32(wire.AppendU32(b, m.Node), m.Batch)
+		}
 	case MsgResult:
 		if m.Batch < 0 || m.Initiator < 0 || m.Responder < 0 || m.SetSize < 0 {
 			return nil, ErrMsgField
 		}
-		b = binary.BigEndian.AppendUint32(b, uint32(m.Batch))
-		b = binary.BigEndian.AppendUint32(b, uint32(m.Initiator))
-		b = binary.BigEndian.AppendUint32(b, uint32(m.Responder))
-		b = binary.BigEndian.AppendUint32(b, uint32(m.SetSize))
+		for _, v := range []int{m.Batch, m.Initiator, m.Responder, m.SetSize} {
+			b = wire.AppendU32(b, v)
+		}
 		if m.Failed {
 			b = append(b, 1)
 		} else {
 			b = append(b, 0)
 		}
-		var err error
-		if b, err = appendCredits(b, m.Credits); err != nil {
-			return nil, err
-		}
+		b, err = appendCredits(b, m.Credits)
 	case MsgCollect, MsgCredits:
 		if m.Batch < 0 {
 			return nil, ErrMsgField
 		}
-		b = binary.BigEndian.AppendUint32(b, uint32(m.Batch))
-		var err error
-		if b, err = appendCredits(b, m.Credits); err != nil {
-			return nil, err
-		}
+		b, err = appendCredits(wire.AppendU32(b, m.Batch), m.Credits)
 	case MsgArtifact:
-		if len(m.ArtifactKind) == 0 || len(m.ArtifactKind) > maxArtifactKind {
-			return nil, ErrMsgField
+		if b, err = appendName(b, m.ArtifactKind, maxArtifactKind); err == nil {
+			b, err = wire.AppendBytes32(b, m.Data, maxBody)
 		}
-		b = appendString(b, m.ArtifactKind)
-		b = appendBytes(b, m.Data)
 	case MsgShutdown:
 	case MsgError:
-		if len(m.Text) == 0 || len(m.Text) > maxText {
-			return nil, ErrMsgField
-		}
-		b = appendString(b, m.Text)
+		b, err = appendName(b, m.Text, maxText)
 	default:
 		return nil, ErrMsgKind
 	}
-	if len(b) > bodyCap(m.Kind) || len(b) > maxBody {
-		return nil, ErrMsgOversized
+	return b, err
+}
+
+// appendName appends a string field that must be non-empty and at most
+// max bytes; readName is its decoder.
+func appendName(b []byte, s string, max int) ([]byte, error) {
+	if s == "" {
+		return b, ErrMsgField
 	}
-	return b, nil
+	return wire.AppendBytes16(b, s, max)
+}
+
+func readName(r *wire.Reader, max int) string {
+	s := r.String16(max)
+	r.Check(s != "", ErrMsgField)
+	return s
 }
 
 func appendCredits(b []byte, entries []CreditEntry) ([]byte, error) {
 	if len(entries) > maxEntries {
 		return nil, ErrMsgEntryCount
 	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(entries)))
+	b = wire.AppendU32(b, len(entries))
 	prev := -1
 	for _, e := range entries {
-		if e.Node < 0 || e.Node <= prev {
+		if e.Node <= prev {
 			return nil, ErrMsgOrder
 		}
 		if e.Forwards < 0 {
 			return nil, ErrMsgField
 		}
 		prev = e.Node
-		b = binary.BigEndian.AppendUint32(b, uint32(e.Node))
-		b = binary.BigEndian.AppendUint32(b, uint32(e.Forwards))
-		b = binary.BigEndian.AppendUint64(b, e.PayoffBits)
+		b = wire.AppendU32(b, e.Node)
+		b = wire.AppendU32(b, e.Forwards)
+		b = wire.AppendU64(b, e.PayoffBits)
 	}
 	return b, nil
 }
 
-// decoder walks a body with bounds checks.
-type decoder struct {
-	b   []byte
-	off int
-}
-
-func (d *decoder) u8() (byte, error) {
-	if d.off+1 > len(d.b) {
-		return 0, ErrMsgShort
+// readCredits decodes a credit list, its entry count bounded and its
+// bytes present before anything is allocated.
+func readCredits(r *wire.Reader) []CreditEntry {
+	n := r.U32()
+	r.Check(n <= maxEntries, ErrMsgEntryCount)
+	raw := wire.NewReader(r.Take(16 * n))
+	if r.Err() != nil {
+		return nil
 	}
-	v := d.b[d.off]
-	d.off++
-	return v, nil
-}
-
-func (d *decoder) u32() (uint32, error) {
-	if d.off+4 > len(d.b) {
-		return 0, ErrMsgShort
-	}
-	v := binary.BigEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v, nil
-}
-
-func (d *decoder) u64() (uint64, error) {
-	if d.off+8 > len(d.b) {
-		return 0, ErrMsgShort
-	}
-	v := binary.BigEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v, nil
-}
-
-func (d *decoder) str(max int) (string, error) {
-	if d.off+2 > len(d.b) {
-		return "", ErrMsgShort
-	}
-	n := int(binary.BigEndian.Uint16(d.b[d.off:]))
-	d.off += 2
-	if n > max {
-		return "", ErrMsgField
-	}
-	if d.off+n > len(d.b) {
-		return "", ErrMsgShort
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s, nil
-}
-
-func (d *decoder) bytes(max int) ([]byte, error) {
-	n, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > max {
-		return nil, ErrMsgField
-	}
-	if d.off+int(n) > len(d.b) {
-		return nil, ErrMsgShort
-	}
-	p := append([]byte(nil), d.b[d.off:d.off+int(n)]...)
-	d.off += int(n)
-	return p, nil
-}
-
-func (d *decoder) credits() ([]CreditEntry, error) {
-	n, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > maxEntries {
-		return nil, ErrMsgEntryCount
-	}
-	if d.off+int(n)*16 > len(d.b) {
-		return nil, ErrMsgShort
-	}
-	entries := make([]CreditEntry, 0, n)
+	entries := make([]CreditEntry, n)
 	prev := -1
-	for i := 0; i < int(n); i++ {
-		node, _ := d.u32()
-		fwd, _ := d.u32()
-		bits, _ := d.u64()
-		if int(node) <= prev {
-			return nil, ErrMsgOrder
-		}
-		prev = int(node)
-		entries = append(entries, CreditEntry{Node: int(node), Forwards: int(fwd), PayoffBits: bits})
+	for i := range entries {
+		e := CreditEntry{Node: raw.U32(), Forwards: raw.U32(), PayoffBits: raw.U64()}
+		r.Check(e.Node > prev, ErrMsgOrder)
+		prev, entries[i] = e.Node, e
 	}
-	return entries, nil
+	return entries
 }
 
 // DecodeMsg parses one canonical body. Every violation of the canonical
 // form — wrong version, unknown kind, short or trailing bytes, overlong
 // or empty fields, unsorted entries — is an error, never a guess.
 func DecodeMsg(body []byte) (*Msg, error) {
-	if len(body) < 2 {
-		return nil, ErrMsgShort
-	}
-	if body[0] != WireVersion {
-		return nil, ErrMsgVersion
-	}
-	k := MsgKind(body[1])
-	if k == 0 || k >= msgEnd {
-		return nil, ErrMsgKind
-	}
-	if len(body) > bodyCap(k) {
-		return nil, ErrMsgOversized
-	}
-	d := &decoder{b: body, off: 2}
-	m := &Msg{Kind: k}
-	var err error
-	switch k {
-	case MsgHello:
-		var w uint32
-		if w, err = d.u32(); err == nil {
-			m.Worker = int(w)
-		}
-	case MsgConfig:
-		var w, ws uint32
-		if w, err = d.u32(); err != nil {
-			break
-		}
-		if ws, err = d.u32(); err != nil {
-			break
-		}
-		m.Worker, m.Workers = int(w), int(ws)
-		if m.Workers < 1 {
-			return nil, ErrMsgField
-		}
-		if m.Comp, err = d.bytes(maxComp); err == nil && len(m.Comp) == 0 {
-			return nil, ErrMsgField
-		}
-	case MsgAddrs:
-		var n uint32
-		if n, err = d.u32(); err != nil {
-			break
-		}
-		if int(n) > maxEntries {
-			return nil, ErrMsgEntryCount
-		}
-		prev := -1
-		for i := 0; i < int(n); i++ {
-			var node uint32
-			if node, err = d.u32(); err != nil {
-				break
-			}
-			var addr string
-			if addr, err = d.str(maxAddr); err != nil {
-				break
-			}
-			if len(addr) == 0 {
-				return nil, ErrMsgField
-			}
-			if int(node) <= prev {
-				return nil, ErrMsgOrder
-			}
-			prev = int(node)
-			m.Addrs = append(m.Addrs, AddrEntry{Node: int(node), Addr: addr})
-		}
-	case MsgSignal, MsgRelease:
-		if m.Name, err = d.str(maxName); err == nil && len(m.Name) == 0 {
-			return nil, ErrMsgField
-		}
-	case MsgFault:
-		if m.Fault, err = d.str(maxFaultKind); err != nil {
-			break
-		}
-		if len(m.Fault) == 0 {
-			return nil, ErrMsgField
-		}
-		var node, batch uint32
-		if node, err = d.u32(); err != nil {
-			break
-		}
-		if batch, err = d.u32(); err != nil {
-			break
-		}
-		m.Node, m.Batch = int(node), int(batch)
-	case MsgResult:
-		var b, i2, r, s uint32
-		if b, err = d.u32(); err != nil {
-			break
-		}
-		if i2, err = d.u32(); err != nil {
-			break
-		}
-		if r, err = d.u32(); err != nil {
-			break
-		}
-		if s, err = d.u32(); err != nil {
-			break
-		}
-		var f byte
-		if f, err = d.u8(); err != nil {
-			break
-		}
-		if f > 1 {
-			return nil, ErrMsgField
-		}
-		m.Batch, m.Initiator, m.Responder, m.SetSize, m.Failed = int(b), int(i2), int(r), int(s), f == 1
-		m.Credits, err = d.credits()
-	case MsgCollect, MsgCredits:
-		var b uint32
-		if b, err = d.u32(); err != nil {
-			break
-		}
-		m.Batch = int(b)
-		m.Credits, err = d.credits()
-	case MsgArtifact:
-		if m.ArtifactKind, err = d.str(maxArtifactKind); err != nil {
-			break
-		}
-		if len(m.ArtifactKind) == 0 {
-			return nil, ErrMsgField
-		}
-		m.Data, err = d.bytes(maxBody)
-	case MsgShutdown:
-	case MsgError:
-		if m.Text, err = d.str(maxText); err == nil && len(m.Text) == 0 {
-			return nil, ErrMsgField
-		}
-	}
-	if err != nil {
+	if err := envelope.Check(body); err != nil {
 		return nil, err
 	}
-	if d.off != len(body) {
-		return nil, ErrMsgTrailing
+	r := wire.NewReader(body[2:])
+	m := &Msg{Kind: MsgKind(body[1])}
+	switch m.Kind {
+	case MsgHello:
+		m.Worker = r.U32()
+	case MsgConfig:
+		m.Worker, m.Workers = r.U32(), r.U32()
+		r.Check(m.Workers >= 1, ErrMsgField)
+		m.Comp = append([]byte(nil), r.Bytes32(maxComp)...)
+		r.Check(len(m.Comp) > 0, ErrMsgField)
+	case MsgAddrs:
+		n := r.U32()
+		r.Check(n <= maxEntries, ErrMsgEntryCount)
+		prev := -1
+		for i := 0; i < n && r.Err() == nil; i++ {
+			e := AddrEntry{Node: r.U32(), Addr: readName(&r, maxAddr)}
+			r.Check(e.Node > prev, ErrMsgOrder)
+			prev = e.Node
+			m.Addrs = append(m.Addrs, e)
+		}
+	case MsgSignal, MsgRelease:
+		m.Name = readName(&r, maxName)
+	case MsgFault:
+		m.Fault = readName(&r, maxFaultKind)
+		m.Node, m.Batch = r.U32(), r.U32()
+	case MsgResult:
+		m.Batch, m.Initiator, m.Responder, m.SetSize = r.U32(), r.U32(), r.U32(), r.U32()
+		failed := r.U8()
+		r.Check(failed <= 1, ErrMsgField)
+		m.Failed = failed == 1
+		m.Credits = readCredits(&r)
+	case MsgCollect, MsgCredits:
+		m.Batch = r.U32()
+		m.Credits = readCredits(&r)
+	case MsgArtifact:
+		m.ArtifactKind = readName(&r, maxArtifactKind)
+		m.Data = append([]byte(nil), r.Bytes32(maxBody)...)
+	case MsgError:
+		m.Text = readName(&r, maxText)
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-// WriteMsg frames and writes one message, returning bytes written.
-func WriteMsg(w io.Writer, m *Msg) (int, error) {
-	body, err := EncodeMsg(m)
-	if err != nil {
-		return 0, err
-	}
-	frame := make([]byte, 0, 4+len(body))
-	frame = binary.BigEndian.AppendUint32(frame, uint32(len(body)))
-	frame = append(frame, body...)
-	return w.Write(frame)
-}
-
-// ReadMsg reads one length-prefixed message, enforcing the body cap
-// before any body allocation. Returns the message and bytes consumed.
+// ReadMsg reads one length-prefixed message — nothing past it — checking
+// the declared length against the kind's body cap from the prologue
+// alone, before any body allocation. Returns the message and bytes
+// consumed.
 func ReadMsg(r io.Reader) (*Msg, int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, err
-	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n > maxBody {
-		return nil, 4, ErrMsgOversized
-	}
-	if n < 2 {
-		return nil, 4, ErrMsgShort
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, 4, err
+	body, n, err := envelope.NewStream(r, wire.HeadSize).Next()
+	if err != nil {
+		return nil, n, err
 	}
 	m, err := DecodeMsg(body)
 	if err != nil {
-		return nil, 4 + n, err
+		return nil, n, err
 	}
-	return m, 4 + n, nil
+	return m, n, nil
 }

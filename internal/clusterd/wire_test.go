@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -213,6 +214,20 @@ func TestReadMsgCaps(t *testing.T) {
 	// Truncated body after a plausible header.
 	if _, _, err := ReadMsg(bytes.NewReader([]byte{0, 0, 0, 9, WireVersion, byte(MsgHello)})); err == nil {
 		t.Fatal("truncated body: want error")
+	}
+	// A hello prologue declaring a 4 MiB body — within the global bound,
+	// absurd for a hello: refused from the prefix and prologue alone, with
+	// the declared body neither read nor allocated.
+	src := bytes.NewReader(append([]byte{0x00, 0x40, 0x00, 0x00, WireVersion, byte(MsgHello)}, make([]byte, 100)...))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, n, err := ReadMsg(src)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrMsgOversized) || n != 6 || src.Len() != 100 {
+		t.Fatalf("fat hello: n=%d, %d bytes left unread, err=%v; want 6, 100 and ErrMsgOversized", n, src.Len(), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("fat hello made ReadMsg allocate %d bytes", grew)
 	}
 }
 

@@ -2,9 +2,9 @@
 // 1998), the forwarding system the paper's mechanism builds on: expected
 // path lengths under probabilistic forwarding, the predecessor-observation
 // probability for colluding jondos, and the probable-innocence condition.
-// The experiment suite uses these closed forms to validate the simulator's
-// Crowds-coin termination mode and the coalition attack measurements
-// against theory.
+// No production code imports it: it is the analytic oracle that
+// internal/integration's tests hold the simulator's Crowds-coin
+// termination mode and the coalition attack measurements to.
 package crowds
 
 import (

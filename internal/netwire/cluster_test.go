@@ -17,6 +17,7 @@ import (
 	"p2panon/internal/onion"
 	"p2panon/internal/overlay"
 	"p2panon/internal/transport"
+	"p2panon/internal/wire"
 )
 
 // buildTopo creates a dense random topology over n nodes (the same
@@ -324,12 +325,12 @@ func TestNackFrameCarriesNoContract(t *testing.T) {
 	if _, err := WriteFrame(back, &Frame{Kind: KindHelloAck, Node: 0, Nonce: hello.Nonce}); err != nil {
 		t.Fatal(err)
 	}
-	var hdr [frameHeaderSize]byte
+	var hdr [wire.PrefixSize]byte
 	if _, err := io.ReadFull(back, hdr[:]); err != nil {
 		t.Fatal(err)
 	}
 	raw := append(hdr[:], make([]byte, binary.BigEndian.Uint32(hdr[:]))...)
-	if _, err := io.ReadFull(back, raw[frameHeaderSize:]); err != nil {
+	if _, err := io.ReadFull(back, raw[wire.PrefixSize:]); err != nil {
 		t.Fatal(err)
 	}
 	nack, err := DecodeFrame(raw)
@@ -340,7 +341,7 @@ func TestNackFrameCarriesNoContract(t *testing.T) {
 		t.Fatalf("got %s frame for attempt %d, reason %q; want the NACK for attempt 7", nack.Kind, nack.Attempt, nack.Reason)
 	}
 	// flags follows version, kind and the nine fixed 8-byte fields.
-	if flags := raw[frameHeaderSize+2+9*8]; flags&flagContract != 0 {
+	if flags := raw[wire.PrefixSize+2+9*8]; flags&flagContract != 0 {
 		t.Fatalf("NACK frame flags %#x have the contract bit set (%d bytes on the wire)", flags, len(raw))
 	}
 	if nack.Contract != nil || len(nack.Records) != 0 {

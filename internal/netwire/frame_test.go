@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"p2panon/internal/onion"
@@ -193,7 +194,7 @@ func TestFrameRoundTripViaReader(t *testing.T) {
 		}
 	}
 	total := stream.Len()
-	ahead := frameStream{src: bytes.NewReader(stream.Bytes()), buf: make([]byte, connBuf)}
+	ahead := envelope.NewStream(bytes.NewReader(stream.Bytes()), connBuf)
 	read := 0
 	for i, want := range frames {
 		g, n, err := ReadFrame(&stream)
@@ -205,7 +206,7 @@ func TestFrameRoundTripViaReader(t *testing.T) {
 			t.Fatalf("frame %d: mismatch after stream round trip", i)
 		}
 		var h Frame
-		if m, err := ahead.next(&h); err != nil || m != n {
+		if m, err := readFrame(ahead, &h); err != nil || m != n {
 			t.Fatalf("frame %d through the read-ahead stream: n=%d (ReadFrame %d) err=%v", i, m, n, err)
 		}
 		if !bytes.Equal(mustEncode(t, &h), mustEncode(t, g)) {
@@ -215,7 +216,7 @@ func TestFrameRoundTripViaReader(t *testing.T) {
 	if read != total {
 		t.Fatalf("ReadFrame consumed %d bytes of %d written", read, total)
 	}
-	if _, err := ahead.next(new(Frame)); err != io.EOF {
+	if _, err := readFrame(ahead, new(Frame)); err != io.EOF {
 		t.Fatalf("read-ahead stream after the last frame: %v, want io.EOF", err)
 	}
 }
@@ -330,16 +331,18 @@ func TestBodyCapEnforcedPerKind(t *testing.T) {
 
 			// The same prefix claiming the global maximum, on a connection's
 			// read-ahead stream: rejected from the peeked prologue with no
-			// body sized after it — the stream still owns its one buffer.
+			// body sized after it.
 			binary.BigEndian.PutUint32(buf, MaxFrameSize)
-			s := frameStream{src: bytes.NewReader(buf), buf: make([]byte, connBuf)}
-			own := &s.buf[0]
-			n, err = s.next(new(Frame))
+			s := envelope.NewStream(bytes.NewReader(buf), connBuf)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			n, err = readFrame(s, new(Frame))
+			runtime.ReadMemStats(&after)
 			if !errors.Is(err, ErrOversized) || n != 6 {
 				t.Fatalf("read-ahead stream: n=%d err=%v, want 6 and ErrOversized", n, err)
 			}
-			if &s.buf[0] != own || len(s.buf) != connBuf {
-				t.Fatalf("hostile prefix replaced the stream's buffer (now %d bytes)", len(s.buf))
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= MaxFrameSize/2 {
+				t.Fatalf("hostile prefix made the stream allocate %d bytes", grew)
 			}
 		})
 	}

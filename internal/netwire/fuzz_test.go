@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/iotest"
+
+	"p2panon/internal/wire"
 )
 
 // FuzzFrameWire throws arbitrary byte strings at the frame decoder: it
@@ -91,9 +93,9 @@ func streamAgrees(t *testing.T, data []byte) {
 	var want *Frame
 	var wantErr error
 	end, complete := len(data), false
-	if len(data) >= frameHeaderSize {
-		if n := binary.BigEndian.Uint32(data); n > MaxFrameSize || int(n) <= len(data)-frameHeaderSize {
-			end, complete = min(len(data), frameHeaderSize+int(n)), true
+	if len(data) >= wire.PrefixSize {
+		if n := binary.BigEndian.Uint32(data); n > MaxFrameSize || int(n) <= len(data)-wire.PrefixSize {
+			end, complete = min(len(data), wire.PrefixSize+int(n)), true
 			want, wantErr = DecodeFrame(data[:end])
 		}
 	}
@@ -119,9 +121,8 @@ func streamAgrees(t *testing.T, data []byte) {
 		"read-ahead stream":                bytes.NewReader(data),
 		"read-ahead stream, byte per read": iotest.OneByteReader(bytes.NewReader(data)),
 	} {
-		s := frameStream{src: src, buf: make([]byte, connBuf)}
 		var f Frame
-		n, err := s.next(&f)
+		n, err := readFrame(envelope.NewStream(src, connBuf), &f)
 		check(name, &f, n, err)
 	}
 }

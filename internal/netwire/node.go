@@ -112,9 +112,9 @@ func (nd *Node) readLoop(conn net.Conn) {
 	// Every frame decodes into this one Frame: a protocol frame is copied
 	// into a transport.Message before it is handled, and no handler keeps
 	// the pointer.
-	in := frameStream{src: conn, buf: make([]byte, connBuf)}
+	in := envelope.NewStream(conn, connBuf)
 	var f Frame
-	n, err := in.next(&f)
+	n, err := readFrame(in, &f)
 	if err == nil && f.Kind != KindHello {
 		err = fmt.Errorf("first frame is %s, want %s", f.Kind, KindHello)
 	}
@@ -132,7 +132,7 @@ func (nd *Node) readLoop(conn net.Conn) {
 	}
 	for {
 		conn.SetReadDeadline(time.Now().Add(nd.c.cfg.IdleTimeout))
-		n, err := in.next(&f)
+		n, err := readFrame(in, &f)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				nd.c.metrics.deadlineRead.Inc()

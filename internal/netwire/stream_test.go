@@ -12,6 +12,7 @@ import (
 	"p2panon/internal/onion"
 	"p2panon/internal/overlay"
 	"p2panon/internal/payment"
+	"p2panon/internal/wire"
 )
 
 // bigClaim is a claim frame whose body sits just under MaxFrameSize — far
@@ -23,7 +24,7 @@ func bigClaim(t testing.TB) *Frame {
 		claim.Entries[i] = payment.AggEntry{Conn: i / 8, Hop: i % 8}
 	}
 	f := &Frame{Kind: KindClaim, Batch: 3, AggClaim: &claim}
-	if n := len(mustEncode(t, f)) - frameHeaderSize; n > MaxFrameSize || n < MaxFrameSize-1024 {
+	if n := len(mustEncode(t, f)) - wire.PrefixSize; n > MaxFrameSize || n < MaxFrameSize-1024 {
 		t.Fatalf("claim body %d bytes, want just under %d", n, MaxFrameSize)
 	}
 	return f
@@ -42,39 +43,36 @@ func TestFrameStreamBoundaries(t *testing.T) {
 		frames = append(frames, randomFrame(t, rng, Kind(1+i%int(kindEnd-1))))
 	}
 	frames = append(frames, bigClaim(t), &Frame{Kind: KindProbe, Nonce: 5})
-	var wire []byte
+	var all []byte
 	var ends []int
 	for _, f := range frames {
 		var err error
-		if wire, err = f.AppendTo(wire); err != nil {
+		if all, err = f.AppendTo(all); err != nil {
 			t.Fatal(err)
 		}
-		ends = append(ends, len(wire))
+		ends = append(ends, len(all))
 	}
 	sources := map[string]func() io.Reader{
-		"coalesced":     func() io.Reader { return bytes.NewReader(wire) },
-		"byte per read": func() io.Reader { return iotest.OneByteReader(bytes.NewReader(wire)) },
-		"half reads":    func() io.Reader { return iotest.HalfReader(bytes.NewReader(wire)) },
+		"coalesced":     func() io.Reader { return bytes.NewReader(all) },
+		"byte per read": func() io.Reader { return iotest.OneByteReader(bytes.NewReader(all)) },
+		"half reads":    func() io.Reader { return iotest.HalfReader(bytes.NewReader(all)) },
 	}
 	for name, src := range sources {
-		for _, size := range []int{frameHeadSize, 7, 64, 100, connBuf} {
-			s := frameStream{src: src(), buf: make([]byte, size)}
+		for _, size := range []int{wire.HeadSize, 7, 64, 100, connBuf} {
+			s := envelope.NewStream(src(), size)
 			var f Frame
 			start := 0
 			for i, end := range ends {
-				n, err := s.next(&f)
+				n, err := readFrame(s, &f)
 				if err != nil || n != end-start {
 					t.Fatalf("%s, buffer %d, frame %d (%s): n=%d want %d, err=%v", name, size, i, frames[i].Kind, n, end-start, err)
 				}
-				if !bytes.Equal(mustEncode(t, &f), wire[start:end]) {
+				if !bytes.Equal(mustEncode(t, &f), all[start:end]) {
 					t.Fatalf("%s, buffer %d, frame %d (%s): decoded frame re-encodes differently", name, size, i, frames[i].Kind)
 				}
 				start = end
 			}
-			if len(s.buf) != size {
-				t.Fatalf("%s: stream buffer grew from %d to %d bytes", name, size, len(s.buf))
-			}
-			if _, err := s.next(&f); err != io.EOF {
+			if _, err := readFrame(s, &f); err != io.EOF {
 				t.Fatalf("%s, buffer %d: after the last frame: %v, want io.EOF", name, size, err)
 			}
 		}
@@ -97,7 +95,7 @@ func TestFrameStreamEOF(t *testing.T) {
 			if err != io.EOF {
 				t.Fatalf("cut at a frame boundary: %v, want io.EOF", err)
 			}
-		case cut < frameHeaderSize:
+		case cut < wire.PrefixSize:
 			if err != io.ErrUnexpectedEOF {
 				t.Fatalf("cut %d bytes into the prefix: %v, want io.ErrUnexpectedEOF", cut, err)
 			}
@@ -108,16 +106,16 @@ func TestFrameStreamEOF(t *testing.T) {
 		}
 	}
 	for cut := 0; cut < len(second); cut++ {
-		wire := append(append([]byte(nil), first...), second[:cut]...)
-		for _, size := range []int{frameHeadSize, 16, connBuf} {
-			s := frameStream{src: bytes.NewReader(wire), buf: make([]byte, size)}
+		data := append(append([]byte(nil), first...), second[:cut]...)
+		for _, size := range []int{wire.HeadSize, 16, connBuf} {
+			s := envelope.NewStream(bytes.NewReader(data), size)
 			var f Frame
-			if _, err := s.next(&f); err != nil {
+			if _, err := readFrame(s, &f); err != nil {
 				t.Fatalf("cut %d, buffer %d: first frame: %v", cut, size, err)
 			}
-			n, err := s.next(&f)
+			n, err := readFrame(s, &f)
 			check(t, cut, err)
-			if want := min(cut, frameHeadSize); n > want {
+			if want := min(cut, wire.HeadSize); n > want {
 				t.Fatalf("cut %d, buffer %d: %d bytes reported consumed of a frame with %d present", cut, size, n, cut)
 			}
 		}
@@ -144,10 +142,13 @@ func forwardFrame(t testing.TB, contract bool) *Frame {
 // TestAppendToWarmAllocsZero pins the write side: encoding into a buffer
 // that already has room — what a link's writer does for every frame after
 // its first — allocates nothing, signed contract and path records
-// included.
+// included, and a claim frame's aggregate claim is appended in place.
 func TestAppendToWarmAllocsZero(t *testing.T) {
-	for _, contract := range []bool{false, true} {
-		f := forwardFrame(t, contract)
+	for name, f := range map[string]*Frame{
+		"forward":               forwardFrame(t, false),
+		"forward with contract": forwardFrame(t, true),
+		"claim":                 claimFrame(10),
+	} {
 		buf := mustEncode(t, f)
 		if allocs := testing.AllocsPerRun(200, func() {
 			var err error
@@ -155,7 +156,7 @@ func TestAppendToWarmAllocsZero(t *testing.T) {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
-			t.Errorf("AppendTo into a warm buffer (contract %v): %v allocs, want 0", contract, allocs)
+			t.Errorf("AppendTo into a warm buffer (%s): %v allocs, want 0", name, allocs)
 		}
 	}
 }
@@ -189,10 +190,10 @@ func TestFrameStreamSteadyStateAllocs(t *testing.T) {
 		{"nack with reason", nack, 2},
 		{"settle", &Frame{Kind: KindSettle, Batch: 12, Node: 4, SetSize: 3, Forwards: 7, Payoff: 1.5, Trace: 1, Span: 2}, 0},
 	} {
-		s := frameStream{src: &loop{wire: mustEncode(t, tc.f)}, buf: make([]byte, connBuf)}
+		s := envelope.NewStream(&loop{wire: mustEncode(t, tc.f)}, connBuf)
 		var f Frame
 		if allocs := testing.AllocsPerRun(500, func() {
-			if _, err := s.next(&f); err != nil {
+			if _, err := readFrame(s, &f); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs > tc.max {

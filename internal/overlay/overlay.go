@@ -127,9 +127,9 @@ func NewNetwork(degree int, rng *dist.Source) *Network {
 }
 
 // OnChurn registers fn to be notified of every subsequent lifecycle
-// transition (Join, Rejoin, Leave — the churn hooks a live runtime mirrors
-// into peer goroutines; see transport.Mirror). Observers run synchronously
-// in registration order.
+// transition (Join, Rejoin, Leave) — faultsim's world opens a bank account
+// for each node as it first comes online this way. Observers run
+// synchronously in registration order.
 func (n *Network) OnChurn(fn ChurnFunc) {
 	if fn != nil {
 		n.observers = append(n.observers, fn)

@@ -264,15 +264,8 @@ func (m *ReceiptMinter) VerifyAggregate(c *AggregateClaim) int {
 // runs here too, so it is safe on undecoded hostile input.
 func (m *ReceiptMinter) verifyAggregateWith(v *macVerifier, fold hash.Hash, c *AggregateClaim) int {
 	n := len(c.Entries)
-	if n == 0 || n > MaxAggEntries {
+	if n == 0 || n > MaxAggEntries || !ascending(c.Entries) {
 		return 0
-	}
-	lastConn, lastHop := -1, -1
-	for _, e := range c.Entries {
-		if e.Conn < lastConn || (e.Conn == lastConn && e.Hop <= lastHop) {
-			return 0
-		}
-		lastConn, lastHop = e.Conn, e.Hop
 	}
 	v.setForwarder(c.Forwarder)
 	fold.Reset()

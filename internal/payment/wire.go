@@ -5,14 +5,18 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
+
+	"p2panon/internal/wire"
 )
 
-// Wire encodings for the two payment artifacts that cross the network: a
-// blind token handed to a forwarder (spend) and a forwarding receipt
-// submitted at settlement. Both encodings are canonical — every valid
-// byte string decodes to exactly one value and re-encodes to the same
-// bytes — so tokens and receipts can be compared, deduplicated and MACed
-// by their encoding without a parse step.
+// Wire encodings for the payment artifacts that cross the network: a
+// blind token handed to a forwarder (spend), a forwarding receipt and an
+// aggregate claim submitted at settlement. All are canonical — every
+// valid byte string decodes to exactly one value and re-encodes to the
+// same bytes — so they can be compared, deduplicated and MACed by their
+// encoding without a parse step. Each Encode is its Append form into a
+// buffer of the exact size.
 //
 // Token:   8B denom (big-endian) | 32B serial | 2B sig length | sig bytes
 // Receipt: 8B conn | 8B hop | 8B forwarder | 32B MAC  (56 bytes fixed)
@@ -27,30 +31,31 @@ const ReceiptWireSize = 8 + 8 + 8 + 32
 
 const tokenHeaderSize = 8 + 32 + 2
 
-// Wire decoding errors.
+// Wire decoding errors: internal/wire's shared set under this package's
+// names, plus the one malformation that is the payment formats' own.
 var (
-	ErrShortBuffer  = errors.New("payment: wire buffer too short")
-	ErrTrailingData = errors.New("payment: trailing bytes after encoded value")
-	ErrBadSigLength = errors.New("payment: signature length invalid")
+	ErrShortBuffer  = wire.ErrShort
+	ErrTrailingData = wire.ErrTrailing
+	ErrBadSigLength = wire.ErrField
 	ErrNonCanonical = errors.New("payment: non-canonical signature encoding")
 )
 
 // EncodeToken renders tok in the canonical wire format. It returns an
 // error on a nil or oversized signature rather than panicking: tokens
 // arrive from the payment layer but also from tests and fuzzers.
-func EncodeToken(tok Token) ([]byte, error) {
+func EncodeToken(tok Token) ([]byte, error) { return AppendToken(nil, tok) }
+
+// AppendToken appends tok's canonical encoding to dst, growing it once.
+func AppendToken(dst []byte, tok Token) ([]byte, error) {
 	if tok.Sig == nil || tok.Sig.Sign() < 0 {
-		return nil, errors.New("payment: token has no valid signature to encode")
+		return dst, errors.New("payment: token has no valid signature to encode")
 	}
 	sig := tok.Sig.Bytes() // minimal big-endian, empty for zero
-	if len(sig) > MaxSigBytes {
-		return nil, fmt.Errorf("%w: %d bytes > max %d", ErrBadSigLength, len(sig), MaxSigBytes)
+	out := wire.AppendI64(slices.Grow(dst, tokenHeaderSize+len(sig)), int64(tok.Denom))
+	out, err := wire.AppendBytes16(append(out, tok.Serial[:]...), sig, MaxSigBytes)
+	if err != nil {
+		return dst, err
 	}
-	out := make([]byte, tokenHeaderSize+len(sig))
-	binary.BigEndian.PutUint64(out[0:8], uint64(tok.Denom))
-	copy(out[8:40], tok.Serial[:])
-	binary.BigEndian.PutUint16(out[40:42], uint16(len(sig)))
-	copy(out[42:], sig)
 	return out, nil
 }
 
@@ -59,23 +64,13 @@ func EncodeToken(tok Token) ([]byte, error) {
 // garbage, so decode∘encode is the identity on valid tokens and encode∘
 // decode is the identity on valid byte strings.
 func DecodeToken(data []byte) (Token, error) {
-	if len(data) < tokenHeaderSize {
-		return Token{}, fmt.Errorf("%w: %d bytes, need at least %d", ErrShortBuffer, len(data), tokenHeaderSize)
+	r := wire.NewReader(data)
+	tok := Token{Denom: Amount(r.I64())}
+	copy(tok.Serial[:], r.Take(32))
+	sig := r.Bytes16(MaxSigBytes)
+	if err := r.Done(); err != nil {
+		return Token{}, err
 	}
-	var tok Token
-	tok.Denom = Amount(binary.BigEndian.Uint64(data[0:8]))
-	copy(tok.Serial[:], data[8:40])
-	sigLen := int(binary.BigEndian.Uint16(data[40:42]))
-	if sigLen > MaxSigBytes {
-		return Token{}, fmt.Errorf("%w: %d bytes > max %d", ErrBadSigLength, sigLen, MaxSigBytes)
-	}
-	if len(data) < tokenHeaderSize+sigLen {
-		return Token{}, fmt.Errorf("%w: signature needs %d bytes, %d remain", ErrShortBuffer, sigLen, len(data)-tokenHeaderSize)
-	}
-	if len(data) > tokenHeaderSize+sigLen {
-		return Token{}, ErrTrailingData
-	}
-	sig := data[tokenHeaderSize:]
 	if len(sig) > 0 && sig[0] == 0 {
 		// big.Int.Bytes never emits leading zeros; padded encodings would
 		// give one signature many byte forms.
@@ -85,14 +80,35 @@ func DecodeToken(data []byte) (Token, error) {
 	return tok, nil
 }
 
-// EncodeReceipt renders r in the fixed 56-byte wire format.
-func EncodeReceipt(r Receipt) []byte {
-	out := make([]byte, ReceiptWireSize)
-	binary.BigEndian.PutUint64(out[0:8], uint64(r.Conn))
-	binary.BigEndian.PutUint64(out[8:16], uint64(r.Hop))
-	binary.BigEndian.PutUint64(out[16:24], uint64(r.Forwarder))
-	copy(out[24:56], r.MAC[:])
-	return out
+// EncodeReceipt renders r in the fixed 56-byte wire format. The buffer
+// is sized here, where the call inlines, so a caller that only decodes it
+// again can keep it on its stack.
+func EncodeReceipt(r Receipt) []byte { return AppendReceipt(make([]byte, 0, ReceiptWireSize), r) }
+
+// AppendReceipt appends r's 56-byte encoding to dst, growing it once.
+func AppendReceipt(dst []byte, r Receipt) []byte {
+	dst = wire.AppendI64(slices.Grow(dst, ReceiptWireSize), int64(r.Conn))
+	dst = wire.AppendI64(dst, int64(r.Hop))
+	dst = wire.AppendI64(dst, int64(r.Forwarder))
+	return append(dst, r.MAC[:]...)
+}
+
+// DecodeReceipt parses a fixed-size receipt encoding, rejecting any other
+// length.
+func DecodeReceipt(data []byte) (Receipt, error) {
+	// The length is checked here rather than through the Reader's error,
+	// which escape analysis would tie to data: a caller's encode buffer
+	// could then not stay on its stack.
+	switch {
+	case len(data) < ReceiptWireSize:
+		return Receipt{}, ErrShortBuffer
+	case len(data) > ReceiptWireSize:
+		return Receipt{}, ErrTrailingData
+	}
+	rd := wire.NewReader(data)
+	r := Receipt{Conn: int(rd.I64()), Hop: int(rd.I64()), Forwarder: AccountID(rd.I64())}
+	copy(r.MAC[:], rd.Take(32))
+	return r, nil
 }
 
 // AggClaimWireSize returns the encoded size of an aggregate claim with n
@@ -109,85 +125,63 @@ func AggClaimWireSize(n int) int { return 8 + 4 + 16*n + 32 }
 // increasing (conn, hop) order have no encoding — the canonical order is
 // part of the format, so every valid byte string decodes to exactly one
 // claim.
-func EncodeAggregateClaim(c AggregateClaim) ([]byte, error) {
+func EncodeAggregateClaim(c AggregateClaim) ([]byte, error) { return AppendAggregateClaim(nil, c) }
+
+// AppendAggregateClaim appends c's canonical encoding to dst, growing it
+// once to the claim's known size.
+func AppendAggregateClaim(dst []byte, c AggregateClaim) ([]byte, error) {
 	n := len(c.Entries)
 	if n == 0 || n > MaxAggEntries {
-		return nil, fmt.Errorf("payment: aggregate claim with %d entries (want 1..%d)", n, MaxAggEntries)
+		return dst, fmt.Errorf("%w: aggregate claim with %d entries (want 1..%d)", wire.ErrCount, n, MaxAggEntries)
 	}
-	lastConn, lastHop := -1, -1
+	if !ascending(c.Entries) {
+		return dst, fmt.Errorf("%w: aggregate entries not strictly increasing", ErrNonCanonical)
+	}
+	out := wire.AppendI64(slices.Grow(dst, AggClaimWireSize(n)), int64(c.Forwarder))
+	out = wire.AppendU32(out, n)
 	for _, e := range c.Entries {
+		out = wire.AppendI64(out, int64(e.Conn))
+		out = wire.AppendI64(out, int64(e.Hop))
+	}
+	return append(out, c.Chain[:]...), nil
+}
+
+// ascending reports whether entries are in strictly increasing (conn,
+// hop) order, the claim format's canonical order.
+func ascending(entries []AggEntry) bool {
+	lastConn, lastHop := -1, -1
+	for _, e := range entries {
 		if e.Conn < lastConn || (e.Conn == lastConn && e.Hop <= lastHop) {
-			return nil, fmt.Errorf("%w: aggregate entries not strictly increasing", ErrNonCanonical)
+			return false
 		}
 		lastConn, lastHop = e.Conn, e.Hop
 	}
-	out := make([]byte, AggClaimWireSize(n))
-	binary.BigEndian.PutUint64(out[0:8], uint64(c.Forwarder))
-	binary.BigEndian.PutUint32(out[8:12], uint32(n))
-	off := 12
-	for _, e := range c.Entries {
-		binary.BigEndian.PutUint64(out[off:off+8], uint64(e.Conn))
-		binary.BigEndian.PutUint64(out[off+8:off+16], uint64(e.Hop))
-		off += 16
-	}
-	copy(out[off:], c.Chain[:])
-	return out, nil
+	return true
 }
 
 // DecodeAggregateClaim parses a canonical aggregate-claim encoding. It
-// rejects truncated or oversized buffers, hostile entry counts and
-// non-canonical (unordered or duplicate) entry lists before touching the
-// chain, so decode∘encode and encode∘decode are identities. A decoded
-// claim is well-formed, not authentic — only VerifyAggregate can accept
-// it.
+// rejects truncated or oversized buffers, hostile entry counts (before
+// allocating the entries) and non-canonical (unordered or duplicate)
+// entry lists, so decode∘encode and encode∘decode are identities. A
+// decoded claim is well-formed, not authentic — only VerifyAggregate can
+// accept it.
 func DecodeAggregateClaim(data []byte) (AggregateClaim, error) {
-	if len(data) < AggClaimWireSize(0) {
-		return AggregateClaim{}, fmt.Errorf("%w: %d bytes, need at least %d", ErrShortBuffer, len(data), AggClaimWireSize(0))
+	r := wire.NewReader(data)
+	c := AggregateClaim{Forwarder: AccountID(r.I64())}
+	n := r.U32()
+	r.Check(n > 0 && n <= MaxAggEntries, wire.ErrCount)
+	raw := r.Take(16 * n)
+	copy(c.Chain[:], r.Take(32))
+	if err := r.Done(); err != nil {
+		return AggregateClaim{}, err
 	}
-	n := int(binary.BigEndian.Uint32(data[8:12]))
-	if n == 0 || n > MaxAggEntries {
-		return AggregateClaim{}, fmt.Errorf("payment: aggregate claim count %d invalid (want 1..%d)", n, MaxAggEntries)
+	c.Entries = make([]AggEntry, n)
+	for i := range c.Entries {
+		e := raw[16*i : 16*i+16]
+		c.Entries[i] = AggEntry{Conn: int(int64(binary.BigEndian.Uint64(e))), Hop: int(int64(binary.BigEndian.Uint64(e[8:])))}
 	}
-	want := AggClaimWireSize(n)
-	if len(data) < want {
-		return AggregateClaim{}, fmt.Errorf("%w: %d bytes, claim with %d entries needs %d", ErrShortBuffer, len(data), n, want)
+	if !ascending(c.Entries) {
+		return AggregateClaim{}, fmt.Errorf("%w: aggregate entries not strictly increasing", ErrNonCanonical)
 	}
-	if len(data) > want {
-		return AggregateClaim{}, ErrTrailingData
-	}
-	c := AggregateClaim{
-		Forwarder: AccountID(int64(binary.BigEndian.Uint64(data[0:8]))),
-		Entries:   make([]AggEntry, n),
-	}
-	off := 12
-	lastConn, lastHop := -1, -1
-	for i := 0; i < n; i++ {
-		conn := int(int64(binary.BigEndian.Uint64(data[off : off+8])))
-		hop := int(int64(binary.BigEndian.Uint64(data[off+8 : off+16])))
-		if conn < lastConn || (conn == lastConn && hop <= lastHop) {
-			return AggregateClaim{}, fmt.Errorf("%w: aggregate entries not strictly increasing", ErrNonCanonical)
-		}
-		c.Entries[i] = AggEntry{Conn: conn, Hop: hop}
-		lastConn, lastHop = conn, hop
-		off += 16
-	}
-	copy(c.Chain[:], data[off:])
 	return c, nil
-}
-
-// DecodeReceipt parses a fixed-size receipt encoding, rejecting any other
-// length.
-func DecodeReceipt(data []byte) (Receipt, error) {
-	if len(data) < ReceiptWireSize {
-		return Receipt{}, fmt.Errorf("%w: %d bytes, need %d", ErrShortBuffer, len(data), ReceiptWireSize)
-	}
-	if len(data) > ReceiptWireSize {
-		return Receipt{}, ErrTrailingData
-	}
-	var r Receipt
-	r.Conn = int(int64(binary.BigEndian.Uint64(data[0:8])))
-	r.Hop = int(int64(binary.BigEndian.Uint64(data[8:16])))
-	r.Forwarder = AccountID(int64(binary.BigEndian.Uint64(data[16:24])))
-	copy(r.MAC[:], data[24:56])
-	return r, nil
 }

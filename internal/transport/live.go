@@ -7,21 +7,6 @@ import (
 	"p2panon/internal/trace"
 )
 
-// Mirror subscribes the live network to overlay churn: a node that comes
-// online is added as a peer (with a router from mkRouter), one that goes
-// offline or departs is removed. It lets the structural overlay's churn
-// model drive the concurrent runtime directly.
-func Mirror(o *overlay.Network, live *Network, mkRouter func(overlay.NodeID) Router) {
-	o.OnChurn(func(id overlay.NodeID, s overlay.State) {
-		switch s {
-		case overlay.Online:
-			_, _ = live.AddPeer(id, mkRouter(id)) // duplicate adds are no-ops
-		case overlay.Offline, overlay.Departed:
-			live.RemovePeer(id)
-		}
-	})
-}
-
 // TraceOptions parameterises a live replay of a trace workload.
 type TraceOptions struct {
 	// Budget is the per-connection hop budget; Timeout the per-connection

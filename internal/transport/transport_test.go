@@ -588,13 +588,28 @@ func TestRunTraceReplaysWorkloadUnderChurn(t *testing.T) {
 	}
 }
 
+// mirror subscribes the live network to overlay churn: a node that comes
+// online is added as a peer (with a router from mkRouter), one that goes
+// offline or departs is removed. It lets the structural overlay's churn
+// model drive the concurrent runtime directly.
+func mirror(o *overlay.Network, live *Network, mkRouter func(overlay.NodeID) Router) {
+	o.OnChurn(func(id overlay.NodeID, s overlay.State) {
+		switch s {
+		case overlay.Online:
+			_, _ = live.AddPeer(id, mkRouter(id)) // duplicate adds are no-ops
+		case overlay.Offline, overlay.Departed:
+			live.RemovePeer(id)
+		}
+	})
+}
+
 func TestMirrorFollowsOverlayChurn(t *testing.T) {
 	rng := dist.NewSource(28)
 	net := overlay.NewNetwork(3, rng.Split())
 	live := NewNetwork(0)
 	t.Cleanup(live.Close)
 	r := NewRandomRouter(Topology{}, rng.Split())
-	Mirror(net, live, func(overlay.NodeID) Router { return r })
+	mirror(net, live, func(overlay.NodeID) Router { return r })
 	for i := 0; i < 6; i++ {
 		net.Join(0, false)
 	}
