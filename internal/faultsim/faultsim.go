@@ -14,15 +14,16 @@ import (
 // EventKind names an entry of the world's event log.
 type EventKind string
 
-// The lifecycle the world logs as each step is *accepted*: a connection
-// is launched, forwarded hop by hop, NACKed or timed out, reformed, and
-// finally delivered or failed; settled marks a batch's payment and fault
-// the application of a scheduled fault.
+// The lifecycle the world logs. Launch is the world handing a connection
+// to the driver. The link logs each hop-forward as a forwarder hands it a
+// FORWARD, and the confirm as a CONFIRM reaches its initiator. Each
+// connection's completion logs the reformations the driver reported, then
+// delivered or failed. Settled marks a batch's payment, fault the
+// application of a scheduled fault.
 const (
 	KindLaunch      EventKind = "launch"
 	KindHopForward  EventKind = "hop-forward"
-	KindNack        EventKind = "nack"
-	KindTimeout     EventKind = "timeout"
+	KindConfirm     EventKind = "confirm"
 	KindReformation EventKind = "reformation"
 	KindDelivered   EventKind = "delivered"
 	KindFailed      EventKind = "failed"
@@ -31,12 +32,13 @@ const (
 )
 
 // Event is one entry of the event log, the harness's own record of a run,
-// kept apart from the span log on purpose: invariants 4–6 compare against
-// it, and its acceptance-time semantics differ from a span's (a duplicated
-// message is two hop events and one span, a stale NACK is a span and no
-// event, a fault has no span). Node is the acting peer (the forwarder for
-// hop events, the initiator for connection-level ones), Hop its path
-// position where meaningful, Time the virtual clock on a fixed epoch.
+// kept apart from the driver's span log on purpose: invariants 4–6 check
+// one against the other. It is fed from the link and from connection
+// completions, never from inside the protocol: a duplicated FORWARD is
+// two hop events, a stale CONFIRM a confirm event that resolved nothing,
+// a fault has no span. Node is the acting peer (the forwarder for hop
+// events, the initiator for connection-level ones), Hop its path position
+// where meaningful, Time the virtual clock on a fixed epoch.
 type Event struct {
 	Time   time.Time `json:"t"`
 	Kind   EventKind `json:"kind"`
@@ -48,7 +50,9 @@ type Event struct {
 }
 
 // Result is everything one deterministic run produced: the full event
-// trace, the invariant verdict and the headline counters.
+// trace, the invariant verdict and the headline counters. Nacks, Timeouts,
+// Reformations and Stale are the driver's own instruments; Nacks counts
+// NACKs generated, Stale replies that found their attempt already over.
 type Result struct {
 	Plan       Plan
 	Events     []Event
@@ -111,19 +115,20 @@ func Run(p Plan) (*Result, error) {
 	w.setup()
 	w.eng.Run()
 
+	m := w.drv.Metrics()
 	res := &Result{
 		Plan:           p,
 		Events:         w.events,
 		Sends:          w.cSends.Value(),
 		OfflineDrops:   w.cDrops.Value(),
-		Stale:          w.cStale.Value(),
-		Launches:       w.cLaunches.Value(),
-		Hops:           w.cHops.Value(),
-		Nacks:          w.cNacks.Value(),
-		Timeouts:       w.cTimeouts.Value(),
-		Reformations:   w.cReforms.Value(),
-		Delivered:      w.cDelivered.Value(),
-		Failed:         w.cFailed.Value(),
+		Stale:          w.reg.Counter(metricStale, nil).Value(),
+		Launches:       m.Connects + m.Failures,
+		Hops:           w.forwards,
+		Nacks:          m.Nacks,
+		Timeouts:       m.Timeouts,
+		Reformations:   m.Reformations,
+		Delivered:      m.Connects,
+		Failed:         m.Failures,
 		FaultsInjected: w.cFaults.Value(),
 		TraceDropped:   w.eventsDropped,
 		VirtualSeconds: float64(w.eng.Now()),
@@ -131,6 +136,12 @@ func Run(p Plan) (*Result, error) {
 		SpanDropped:    w.spans.Dropped(),
 	}
 	for _, rec := range w.batches {
+		for _, c := range rec.conns {
+			if c.refused {
+				res.Launches++
+				res.Failed++
+			}
+		}
 		switch {
 		case rec.settled:
 			res.SettledBatches++

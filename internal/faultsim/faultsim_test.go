@@ -7,6 +7,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"p2panon/internal/overlay"
+	"p2panon/internal/vclock"
 )
 
 // TestDeterministicTraces is the core replay guarantee: the same plan run
@@ -252,6 +255,127 @@ func TestEventLogCapacity(t *testing.T) {
 	}
 	if !fired {
 		t.Fatalf("no %s violation: %v", InvTraceCapacity, res.Violations)
+	}
+}
+
+// cleanWorld runs a fault-free plan to its end and returns the world,
+// whose invariants all hold.
+func cleanWorld(t *testing.T, p Plan) *world {
+	t.Helper()
+	w, err := newWorld(p.Normalize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.setup()
+	w.eng.Run()
+	if v := w.checkInvariants(); len(v) != 0 {
+		t.Fatalf("clean plan violates %v", v)
+	}
+	return w
+}
+
+// firstDelivered returns the first delivered connection's outcome.
+func firstDelivered(t *testing.T, w *world) *connOutcome {
+	t.Helper()
+	for _, rec := range w.batches {
+		for i := range rec.conns {
+			if rec.conns[i].path != nil {
+				return &rec.conns[i]
+			}
+		}
+	}
+	t.Fatal("no connection delivered")
+	return nil
+}
+
+// requireViolation re-runs the checkers and requires inv among the result.
+func requireViolation(t *testing.T, w *world, inv string) {
+	t.Helper()
+	vs := w.checkInvariants()
+	for _, v := range vs {
+		if v.Invariant == inv {
+			return
+		}
+	}
+	t.Fatalf("no %s violation: %v", inv, vs)
+}
+
+// TestContiguityCatchesUncarriedPath: invariant 4 reads delivered paths
+// from the driver's completions and the CONFIRMs and FORWARDs from the
+// link, so a delivered path the wire never carried must not pass.
+func TestContiguityCatchesUncarriedPath(t *testing.T) {
+	w := cleanWorld(t, Plan{Seed: 5, Batches: 2})
+	c := firstDelivered(t, w)
+	forged := append([]overlay.NodeID(nil), c.path...)
+	forged[len(forged)/2] = overlay.NodeID(w.plan.Nodes + 1000) // no such node
+	c.path = forged
+	requireViolation(t, w, InvContiguity)
+}
+
+// TestReformationCountCatchesMisreport: invariant 5 holds each
+// connection's reported reformations to the driver's launch and reform
+// spans, so one reformation too many must not pass.
+func TestReformationCountCatchesMisreport(t *testing.T) {
+	w := cleanWorld(t, Plan{Seed: 5, Batches: 2})
+	firstDelivered(t, w).reforms++
+	requireViolation(t, w, InvReformation)
+}
+
+// TestMidConnectionCrash crashes a node while a FORWARD or a CONFIRM is
+// in flight to it, which no generated plan does (their crashes land
+// before the first batch): the driver's offline-target handling must
+// hold every invariant. A crashed forwarder costs a NACK and one
+// reformation around it; a crashed initiator loses its CONFIRM, times
+// out, fails as departed, and the batch's later connections are refused.
+func TestMidConnectionCrash(t *testing.T) {
+	base := Plan{Seed: 5, Batches: 1}
+	// Connection 2's launch time and path, from a clean run.
+	w := cleanWorld(t, base)
+	var at float64
+	for _, ev := range w.events {
+		if ev.Conn == 2 && ev.Kind == KindLaunch {
+			at = ev.Time.Sub(vclock.Epoch).Seconds()
+		}
+	}
+	path := w.batches[0].conns[1].path
+	if at == 0 || len(path) < 3 {
+		t.Fatalf("clean run: conn 2 launched at %v over %v", at, path)
+	}
+	for _, tc := range []struct {
+		name   string
+		victim overlay.NodeID
+		check  func(t *testing.T, res *Result)
+	}{
+		{"forwarder", path[1], func(t *testing.T, res *Result) {
+			if res.Nacks == 0 || res.OfflineDrops == 0 || res.Reformations == 0 || res.Failed != 0 {
+				t.Errorf("nacks %d, offline drops %d, reformations %d, failed %d: want a NACK, a drop and a reformation, no failure",
+					res.Nacks, res.OfflineDrops, res.Reformations, res.Failed)
+			}
+		}},
+		{"initiator", path[0], func(t *testing.T, res *Result) {
+			refused, departed := 0, 0
+			for _, ev := range res.Events {
+				switch {
+				case ev.Kind != KindFailed:
+				case strings.HasPrefix(ev.Detail, "refused: "):
+					refused++
+				case strings.Contains(ev.Detail, "departed"):
+					departed++
+				}
+			}
+			if res.Delivered != 1 || departed != 1 || refused != res.Plan.Conns-2 || res.Timeouts == 0 {
+				t.Errorf("delivered %d, departed %d, refused %d, timeouts %d", res.Delivered, departed, refused, res.Timeouts)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := base
+			// Half a link latency after the launch: the first FORWARD is on
+			// the wire, and the victim is gone when it or its CONFIRM lands.
+			p.Faults = []Fault{{Kind: FaultCrash, At: at + 0.005, Node: int(tc.victim)}}
+			res := Check(t, p)
+			tc.check(t, res)
+		})
 	}
 }
 

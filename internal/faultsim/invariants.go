@@ -3,7 +3,6 @@ package faultsim
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"p2panon/internal/overlay"
 	"p2panon/internal/payment"
@@ -15,10 +14,10 @@ const (
 	InvSettlement    = "settlement"           // every non-skipped batch settles without error
 	InvConservation  = "payment-conservation" // credits are conserved and land where the rules say
 	InvDoubleSettle  = "double-settle"        // no forwarder is paid twice in one batch
-	InvContiguity    = "path-contiguity"      // delivered paths are backed by contiguous hop traces
-	InvReformation   = "reformation-count"    // NACKs+timeouts balance reformations+failures
+	InvContiguity    = "path-contiguity"      // delivered paths arrived as a CONFIRM over logged hop-forwards
+	InvReformation   = "reformation-count"    // per connection, launches, reform spans and reported reformations agree
 	InvReconcile     = "telemetry-reconcile"  // counters agree with the trace and the mirrored expectations
-	InvTraceCapacity = "trace-capacity"       // the event log never overflowed
+	InvTraceCapacity = "trace-capacity"       // neither the event log nor the span log overflowed
 )
 
 // Violation is one invariant failure found after a run.
@@ -110,78 +109,109 @@ func (w *world) checkInvariants() []Violation {
 		}
 	}
 
-	// (7) Trace capacity first: the trace-backed checkers below are only
-	// meaningful over a complete event history.
-	if w.eventsDropped > 0 {
-		add(InvTraceCapacity, "event log dropped %d events (cap %d); trace-backed invariants skipped", w.eventsDropped, w.plan.TraceCap)
+	// (7) Trace capacity first: the log- and span-backed checkers below
+	// are only meaningful over complete histories.
+	if dropped := w.spans.Dropped(); w.eventsDropped > 0 || dropped > 0 {
+		add(InvTraceCapacity, "event log dropped %d events, span log %d spans (cap %d); trace-backed invariants skipped",
+			w.eventsDropped, dropped, w.plan.TraceCap)
 		return out
 	}
-	events := w.events
-
-	// (4) Path contiguity: every delivered connection's path must be backed
-	// by a hop-forward trace at every position, in the delivering attempt.
-	// "At least one" rather than "exactly one": a duplicated message can
-	// legitimately re-trace a hop.
-	type hopKey struct {
-		batch, conn, hop, node int
-		attempt                string
+	type connKey struct{ batch, conn int }
+	type logKey struct {
+		connKey
+		kind      EventKind
+		hop, node int
+		detail    string
 	}
-	hops := make(map[hopKey]int)
-	for _, ev := range events {
-		if ev.Kind == KindHopForward {
-			hops[hopKey{ev.Batch, ev.Conn, ev.Hop, ev.Node, ev.Detail}]++
+	logged := make(map[logKey]bool)
+	kindCount := make(map[EventKind]int64)
+	for _, ev := range w.events {
+		kindCount[ev.Kind]++
+		switch ev.Kind {
+		case KindHopForward:
+			logged[logKey{connKey{ev.Batch, ev.Conn}, ev.Kind, ev.Hop, ev.Node, ev.Detail}] = true
+		case KindConfirm:
+			logged[logKey{connKey{ev.Batch, ev.Conn}, ev.Kind, 0, 0, ev.Detail}] = true
 		}
 	}
+
+	// (4) Path contiguity: every delivered path arrived at its initiator as
+	// the CONFIRM of the delivering attempt, and the link carried that
+	// attempt's FORWARD from each position but the responder's. "At least
+	// one": a duplicated message can legitimately be logged twice.
+	var refused int64
 	for _, rec := range w.batches {
-		for conn, d := range rec.delivered {
-			att := fmt.Sprintf("attempt %d", d.attempt)
-			for i := 0; i+1 < len(d.path); i++ {
-				if hops[hopKey{rec.batch, conn, i, int(d.path[i]), att}] == 0 {
-					add(InvContiguity, "batch %d conn %d: delivered path %v has no hop-forward trace at position %d (node %d, %s)",
-						rec.batch, conn, d.path, i, d.path[i], att)
+		for i, c := range rec.conns {
+			k := connKey{rec.batch, i + 1}
+			if c.refused {
+				refused++
+			}
+			if c.path == nil {
+				continue
+			}
+			if !logged[logKey{k, KindConfirm, 0, 0, pathDetail(c.attempt, c.path)}] {
+				add(InvContiguity, "batch %d conn %d: delivered path %v (attempt %d) never reached the initiator as a CONFIRM",
+					k.batch, k.conn, c.path, c.attempt)
+			}
+			for h := 0; h+1 < len(c.path); h++ {
+				if !logged[logKey{k, KindHopForward, h, int(c.path[h]), attemptDetail(c.attempt)}] {
+					add(InvContiguity, "batch %d conn %d: delivered path %v has no hop-forward at position %d (node %d, attempt %d)",
+						k.batch, k.conn, c.path, h, c.path[h], c.attempt)
 				}
 			}
 		}
 	}
 
-	// (5) Reformation accounting: every NACK or timeout terminates exactly
-	// one attempt, which either reforms or fails the connection. Failures
-	// caused by an offline initiator at (re)launch consume no attempt.
-	kindCount := make(map[EventKind]int64)
-	var failedNonOffline int64
-	for _, ev := range events {
-		kindCount[ev.Kind]++
-		if ev.Kind == KindFailed && !strings.HasPrefix(ev.Detail, "cause=offline") {
-			failedNonOffline++
+	// (5) Reformation accounting, per connection over the driver's spans:
+	// every launch but the first follows a reform span, every reform is one
+	// the driver reported, and the connection ends in exactly one deliver
+	// or fail. A refused connection has no spans at all.
+	type tally struct{ launch, reform, terminal int }
+	spans := make(map[connKey]tally)
+	for _, s := range w.spans.Spans() {
+		k := connKey{s.Batch, s.Conn}
+		t := spans[k]
+		switch s.Kind {
+		case telemetry.SpanLaunch:
+			t.launch++
+		case telemetry.SpanReform:
+			t.reform++
+		case telemetry.SpanDeliver, telemetry.SpanFail:
+			t.terminal++
+		}
+		spans[k] = t
+	}
+	for _, rec := range w.batches {
+		for i, c := range rec.conns {
+			t := spans[connKey{rec.batch, i + 1}]
+			launched := 1
+			if c.refused {
+				launched = 0
+			}
+			if t.launch != t.reform+launched || t.reform != c.reforms || t.terminal != launched {
+				add(InvReformation, "batch %d conn %d: %d launch, %d reform and %d deliver/fail spans for %d reported reformations",
+					rec.batch, i+1, t.launch, t.reform, t.terminal, c.reforms)
+			}
 		}
 	}
-	lhs := kindCount[KindNack] + kindCount[KindTimeout]
-	rhs := kindCount[KindReformation] + failedNonOffline
-	if lhs != rhs {
-		add(InvReformation, "%d NACKs + %d timeouts != %d reformations + %d non-offline failures",
-			kindCount[KindNack], kindCount[KindTimeout],
-			kindCount[KindReformation], failedNonOffline)
-	}
 
-	// (6) Reconciliation: the labelled counters and the structured trace
-	// are two independent records of the same run; they must agree with
-	// each other and with the expectations mirrored during injection.
-	recon := []struct {
-		metric string
-		kind   EventKind
+	// (6) Reconciliation: the event log and the driver's instruments are
+	// two independent records of the same run; they must agree with each
+	// other and with the expectations mirrored during injection.
+	ok := w.reg.Counter(metricConns, telemetry.Labels{"result": "ok"}).Value()
+	fail := w.reg.Counter(metricConns, telemetry.Labels{"result": "fail"}).Value()
+	for _, rc := range []struct {
+		what      string
+		got, want int64
 	}{
-		{metricLaunches, KindLaunch},
-		{metricHops, KindHopForward},
-		{metricNacks, KindNack},
-		{metricTimeouts, KindTimeout},
-		{metricReforms, KindReformation},
-		{metricDelivered, KindDelivered},
-		{metricFailed, KindFailed},
-		{metricFaults, KindFault},
-	}
-	for _, rc := range recon {
-		if got, want := w.reg.Counter(rc.metric, nil).Value(), kindCount[rc.kind]; got != want {
-			add(InvReconcile, "%s = %d but the trace holds %d %q events", rc.metric, got, want, rc.kind)
+		{"launch events vs connections ok+fail+refused", kindCount[KindLaunch], ok + fail + refused},
+		{"delivered events vs " + metricConns + "{result=ok}", kindCount[KindDelivered], ok},
+		{"failed events vs " + metricConns + "{result=fail}+refused", kindCount[KindFailed], fail + refused},
+		{"reformation events vs " + metricReforms, kindCount[KindReformation], w.reg.Counter(metricReforms, nil).Value()},
+		{"fault events vs " + metricFaults, kindCount[KindFault], w.cFaults.Value()},
+	} {
+		if rc.got != rc.want {
+			add(InvReconcile, "%s: %d != %d", rc.what, rc.got, rc.want)
 		}
 	}
 	var settledBatches int64

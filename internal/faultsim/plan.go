@@ -11,14 +11,15 @@
 // replays exactly, and Shrink can bisect a fault schedule down to a
 // minimal reproducer.
 //
-// The live transport runtime is concurrent by design and therefore
-// cannot give byte-identical traces; the harness instead re-implements
-// the transport's protocol semantics (FORWARD/CONFIRM/NACK, path
-// accumulation, reverse-path routing around corpses, bounded retry with
-// exponential backoff) as simulation events, reusing the real routers,
-// payment bank/escrow, churn driver, probe estimators and telemetry —
-// so the state machines under test are the production ones, only the
-// scheduler is virtual.
+// The protocol under test is the one every live backend runs: the
+// world is a transport.Link for a transport.Driver whose clock is the
+// world's engine (vclock.Engine), so attempt windows, backoff pauses and
+// link latency are all events on one queue. The world carries each
+// message with the plan's latency and message faults, hands it to a
+// real transport.Station, and reports an offline target to the driver.
+// The routers, payment bank and escrow, churn driver, probe estimators
+// and telemetry are the production ones too; only the scheduler is
+// virtual.
 package faultsim
 
 import (

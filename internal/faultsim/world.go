@@ -15,83 +15,30 @@ import (
 	"p2panon/internal/sim"
 	"p2panon/internal/telemetry"
 	"p2panon/internal/transport"
+	"p2panon/internal/vclock"
 )
 
-// Harness metric names. Every counter with an event-log twin is checked
-// against the log by the reconciliation invariant; sends, offline drops
-// and stale replies have no per-event record (they would flood the log)
-// and are reported in Result only.
+// Harness metric names: the link's own accounting. Sends and offline drops
+// have no per-send reconciliation; injected faults are reconciled against
+// the log's fault events. The protocol's counters are the driver's
+// transport_* instruments, bound into the world's registry.
 const (
-	metricSends     = "faultsim_sends_total"
-	metricDrops     = "faultsim_offline_drops_total"
-	metricStale     = "faultsim_stale_total"
-	metricLaunches  = "faultsim_launches_total"
-	metricHops      = "faultsim_hops_total"
-	metricNacks     = "faultsim_nacks_total"
-	metricTimeouts  = "faultsim_timeouts_total"
-	metricReforms   = "faultsim_reformations_total"
-	metricDelivered = "faultsim_delivered_total"
-	metricFailed    = "faultsim_failed_total"
-	metricFaults    = "faultsim_faults_injected_total"
+	metricSends  = "faultsim_sends_total"
+	metricDrops  = "faultsim_offline_drops_total"
+	metricFaults = "faultsim_faults_injected_total"
+
+	// The driver's instruments the world reads back.
+	metricConns   = "transport_connections_total" // label result: ok|fail
+	metricReforms = "transport_reformations_total"
+	metricStale   = "transport_stale_replies_total"
 )
 
-// wkind is a protocol message kind inside the world.
-type wkind uint8
-
-const (
-	wFwd wkind = iota
-	wConfirm
-	wNack
-)
-
-func (k wkind) String() string {
-	switch k {
-	case wFwd:
-		return "forward"
-	case wConfirm:
-		return "confirm"
-	default:
-		return "nack"
-	}
-}
-
-// wmsg is one in-flight protocol message. For forward messages `path` is
-// the accumulated forwarder path (appended on handling, always copied so
-// duplicated messages cannot alias); for reverse messages `hop` is the
-// index in path of the node the message is addressed to.
-type wmsg struct {
-	kind                 wkind
-	batch, conn, attempt int
-	from, to             overlay.NodeID
-	initiator, responder overlay.NodeID
-	remaining            int
-	path                 []overlay.NodeID
-	hop                  int
-	reason               string
-	// Trace context, carried exactly like the netwire frame extension:
-	// the batch trace id and the span of the last causal step.
-	trace, span telemetry.SpanID
-}
-
-// connState tracks the single in-flight connection (connections within a
-// batch run sequentially, as the live runtime's Connect loop does).
-type connState struct {
-	batch, conn int
-	attempt     int
-	resolved    bool
-	backoff     float64
-	reforms     int
-	// launchSpan is this attempt's launch; prevSpan the last causal step
-	// (the batch root before any launch, then launch, nack or timeout) the
-	// next reform/fail span parents on.
-	launchSpan, prevSpan telemetry.SpanID
-}
-
-// deliveredConn records one confirmed delivery for the path-contiguity
-// invariant.
-type deliveredConn struct {
-	path    []overlay.NodeID
-	attempt int
+// connOutcome is one connection's completion as the driver reported it.
+type connOutcome struct {
+	refused bool             // the driver refused it up front (initiator offline)
+	path    []overlay.NodeID // nil unless delivered
+	attempt int              // Message.Attempt of the delivering attempt
+	reforms int
 }
 
 // batchRecord is everything invariant checking needs about one batch.
@@ -103,14 +50,26 @@ type batchRecord struct {
 	escrow               *payment.Escrow
 	minter               *payment.ReceiptMinter
 	router               transport.Router
+	stations             map[overlay.NodeID]*transport.Station
 	receipts             map[overlay.NodeID][]payment.Receipt
-	delivered            map[int]deliveredConn
+	conns                []connOutcome // index conn-1
 	payouts              []payment.Payout
 	refund               payment.Amount
 	settleErr            error
 	settled              bool
 	expectRejected       int
 	trace, root          telemetry.SpanID
+}
+
+// station returns node id's protocol station for this batch: a real
+// transport.Station routing with the batch's router.
+func (rec *batchRecord) station(id overlay.NodeID) *transport.Station {
+	st := rec.stations[id]
+	if st == nil {
+		st = transport.NewStation(id, rec.router)
+		rec.stations[id] = st
+	}
+	return st
 }
 
 // faultSlot is a message fault awaiting its matching send.
@@ -120,13 +79,17 @@ type faultSlot struct {
 }
 
 // world is the deterministic protocol world: overlay, churn, probing,
-// routing, forwarding, escrow settlement — all scheduled on one sim.Engine
-// so that a (plan, seed) pair replays byte-identically.
+// routing, escrow settlement and the live transport.Driver — all
+// scheduled on one sim.Engine, which is also the driver's clock, so that a
+// (plan, seed) pair replays byte-identically. The world is the driver's
+// Link: it carries every message with the plan's latency and faults.
 type world struct {
 	plan   Plan
 	eng    *sim.Engine
+	clk    vclock.Clock
+	drv    *transport.Driver
 	net    *overlay.Network
-	drv    *churn.Driver
+	churn  *churn.Driver
 	probes *probe.Set
 	bank   *payment.Bank
 	reg    *telemetry.Registry
@@ -139,9 +102,8 @@ type world struct {
 	rng       *dist.Source // world randomness (endpoints, churn, probes)
 	routerRNG *dist.Source // router randomness, split per batch
 
-	cSends, cDrops, cStale                        *telemetry.Counter
-	cLaunches, cHops, cNacks, cTimeouts, cReforms *telemetry.Counter
-	cDelivered, cFailed, cFaults                  *telemetry.Counter
+	cSends, cDrops, cFaults *telemetry.Counter
+	forwards                int64 // FORWARDs handed to the link
 
 	accounts     map[overlay.NodeID]struct{}
 	openingTotal payment.Amount
@@ -152,10 +114,8 @@ type world struct {
 	expectCheatsDS int
 
 	batches      []*batchRecord
-	cur          *connState
 	curRec       *batchRecord
 	settleQ      *payment.SettleQueue
-	finished     bool
 	anySettleErr bool
 }
 
@@ -189,24 +149,24 @@ func newWorld(p Plan) (*world, error) {
 		return int64(float64(w.eng.Now()) * 1e6)
 	})
 
+	// The plan's timing is the driver's retry policy: MaxAttempts windows
+	// of AttemptTimeout each, backoff doubling from BackoffBase to
+	// BackoffMax between them.
+	w.clk = vclock.Engine(w.eng)
+	w.drv = transport.NewDriver(w, "transport")
+	w.drv.SetClock(w.clk)
+	w.drv.SetRetry(transport.RetryPolicy{
+		MaxAttempts: p.MaxAttempts,
+		BaseBackoff: sim.Time(p.BackoffBase).Duration(),
+		MaxBackoff:  sim.Time(p.BackoffMax).Duration(),
+	})
+	w.drv.Instrument(reg)
+	w.drv.SetSpans(w.spans)
+
 	w.cSends = reg.Counter(metricSends, nil)
 	w.cDrops = reg.Counter(metricDrops, nil)
-	w.cStale = reg.Counter(metricStale, nil)
-	w.cLaunches = reg.Counter(metricLaunches, nil)
-	w.cHops = reg.Counter(metricHops, nil)
-	w.cNacks = reg.Counter(metricNacks, nil)
-	w.cTimeouts = reg.Counter(metricTimeouts, nil)
-	w.cReforms = reg.Counter(metricReforms, nil)
-	w.cDelivered = reg.Counter(metricDelivered, nil)
-	w.cFailed = reg.Counter(metricFailed, nil)
 	w.cFaults = reg.Counter(metricFaults, nil)
 	return w, nil
-}
-
-// vtime maps virtual seconds onto a fixed epoch so trace timestamps are
-// seed-determined, never wall-clock.
-func (w *world) vtime() time.Time {
-	return time.Unix(0, 0).UTC().Add(time.Duration(float64(w.eng.Now()) * float64(time.Second)))
 }
 
 // trace stamps ev with the virtual clock and appends it to the event log.
@@ -215,17 +175,8 @@ func (w *world) trace(ev Event) {
 		w.eventsDropped++
 		return
 	}
-	ev.Time = w.vtime()
+	ev.Time = w.clk.Now()
 	w.events = append(w.events, ev)
-}
-
-// emit records an initiator-side span of the in-flight attempt.
-func (w *world) emit(kind telemetry.SpanKind, parent telemetry.SpanID) telemetry.SpanID {
-	cur, rec := w.cur, w.curRec
-	return w.spans.Emit(telemetry.Span{
-		Trace: rec.trace, Parent: parent, Kind: kind,
-		Batch: cur.batch, Conn: cur.conn, Attempt: cur.attempt, Node: int(rec.initiator),
-	})
 }
 
 // traceFault records the application of a scheduled fault. Counter and
@@ -236,6 +187,14 @@ func (w *world) traceFault(f Fault, detail string) {
 		Kind: KindFault, Batch: f.Batch, Conn: f.Conn, Node: f.Node,
 		Detail: fmt.Sprintf("%s: %s", f.Kind, detail),
 	})
+}
+
+// attemptDetail and pathDetail are the event details invariant 4 matches
+// a delivered connection against.
+func attemptDetail(attempt int) string { return fmt.Sprintf("attempt %d", attempt) }
+
+func pathDetail(attempt int, path []overlay.NodeID) string {
+	return fmt.Sprintf("attempt %d path %v", attempt, path)
 }
 
 // setup wires the world together and schedules everything up to the first
@@ -255,9 +214,9 @@ func (w *world) setup() {
 					w.openingTotal += opening
 				}
 			}
-			w.markLive(id)
+			w.drv.MarkLive(id)
 		case overlay.Offline, overlay.Departed:
-			w.markDead(id)
+			w.drv.MarkDead(id)
 		}
 	})
 
@@ -265,8 +224,8 @@ func (w *world) setup() {
 	cfg.N = w.plan.Nodes
 	cfg.MaliciousFraction = w.plan.MaliciousFraction
 	cfg.Static = !w.plan.Churn
-	w.drv = churn.NewDriver(cfg, w.net, w.rng.Split())
-	w.drv.Start(w.eng)
+	w.churn = churn.NewDriver(cfg, w.net, w.rng.Split())
+	w.churn.Start(w.eng)
 	w.probes.Attach(w.eng)
 
 	for i := range w.plan.Faults {
@@ -284,28 +243,86 @@ func (w *world) setup() {
 	w.eng.AfterFunc(sim.Time(2*w.plan.ProbePeriod+1), func(*sim.Engine) { w.startBatch(1) })
 }
 
-func (w *world) markDead(id overlay.NodeID) {
-	if w.curRec == nil || w.curRec.router == nil {
-		return
+// Local implements transport.Link: an online node's station in the
+// current batch. The driver asks only for initiators.
+func (w *world) Local(id overlay.NodeID) *transport.Station {
+	if w.curRec == nil || !w.net.Online(id) {
+		return nil
 	}
-	if ca, ok := w.curRec.router.(transport.ChurnAware); ok {
-		ca.MarkDead(id)
-	}
+	return w.curRec.station(id)
 }
 
-func (w *world) markLive(id overlay.NodeID) {
-	if w.curRec == nil || w.curRec.router == nil {
-		return
+// Addressable implements transport.Link: the world carries a message to
+// any node it has ever had; whether the node is up is decided on delivery.
+func (w *world) Addressable(id overlay.NodeID) bool { return w.net.Exists(id) }
+
+// Send implements transport.Link. Every message is accepted; the plan's
+// first message fault matching its (batch, conn, per-connection index)
+// drops, delays, duplicates or holds it back, and otherwise it arrives
+// Latency later. A FORWARD handed over is the event log's hop-forward.
+func (w *world) Send(from, to overlay.NodeID, m transport.Message) bool {
+	w.cSends.Inc()
+	if m.Kind == transport.MsgForward {
+		w.forwards++
+		w.trace(Event{
+			Kind: KindHopForward, Batch: m.Batch, Conn: m.Conn, Node: int(from),
+			Hop: len(m.Path) - 1, Detail: attemptDetail(m.Attempt),
+		})
 	}
-	if ca, ok := w.curRec.router.(transport.ChurnAware); ok {
-		ca.MarkLive(id)
+	key := [2]int{m.Batch, m.Conn}
+	w.msgSeq[key]++
+	seq := w.msgSeq[key]
+	lat := sim.Time(w.plan.Latency)
+	for _, fs := range w.msgFaults {
+		if fs.used || fs.Batch != m.Batch || fs.Conn != m.Conn || fs.Msg != seq {
+			continue
+		}
+		fs.used = true
+		w.traceFault(fs.Fault, fmt.Sprintf("msg %d (%s %d->%d)", seq, m.Kind, from, to))
+		switch fs.Kind {
+		case FaultDrop: // accepted, never delivered
+		case FaultDelay, FaultReorder:
+			w.deliverAfter(lat+sim.Time(fs.Delay), from, to, m)
+		case FaultDuplicate:
+			// Each copy accumulates its own forward path.
+			dup := m
+			dup.Path = append([]overlay.NodeID(nil), m.Path...)
+			w.deliverAfter(lat, from, to, m)
+			w.deliverAfter(lat+sim.Time(fs.Delay), from, to, dup)
+		}
+		return true
 	}
+	w.deliverAfter(lat, from, to, m)
+	return true
 }
 
-// availMap aggregates probe-observed session times into availability
-// shares. It deliberately avoids Estimator.Availability/Snapshot (their
-// sums iterate Go maps, whose order is randomized) and instead walks the
-// sorted online set so the result is identical on every run.
+func (w *world) deliverAfter(d sim.Time, from, to overlay.NodeID, m transport.Message) {
+	w.eng.AfterFunc(d, func(*sim.Engine) { w.deliver(from, to, m) })
+}
+
+// deliver hands m to its target's station for m's batch, or reports an
+// offline target to the driver, which marks it dead and NACKs or reroutes.
+// A CONFIRM reaching its initiator is the event log's confirm.
+func (w *world) deliver(from, to overlay.NodeID, m transport.Message) {
+	if !w.net.Online(to) {
+		w.cDrops.Inc()
+		w.drv.Undeliverable(from, to, m)
+		return
+	}
+	if m.Kind == transport.MsgConfirm && to == m.Initiator {
+		w.trace(Event{
+			Kind: KindConfirm, Batch: m.Batch, Conn: m.Conn, Node: int(to),
+			Hop: len(m.Path), Detail: pathDetail(m.Attempt, m.Path),
+		})
+	}
+	w.drv.Handle(w.batches[m.Batch-1].station(to), m)
+}
+
+// availMap pools probe-observed session times into one availability share
+// per online node — its session time summed over every other online
+// observer, normalised over the online set — because the live routers
+// take a single share per node where Estimator.Availability is one
+// observer's share of its own neighbours. Probe-lying nodes report 1.
 func (w *world) availMap() map[overlay.NodeID]float64 {
 	online := w.net.OnlineIDs()
 	raw := make(map[overlay.NodeID]float64, len(online))
@@ -349,20 +366,13 @@ func (w *world) buildRouter(topo transport.Topology, avail map[overlay.NodeID]fl
 	}
 }
 
-func (w *world) routerFor(batch int) transport.Router {
-	if batch >= 1 && batch <= len(w.batches) {
-		return w.batches[batch-1].router
-	}
-	return nil
-}
-
 // startBatch opens escrow, snapshots the topology, builds the router and
 // launches the batch's first connection.
 func (w *world) startBatch(b int) {
 	rec := &batchRecord{
-		batch:     b,
-		receipts:  make(map[overlay.NodeID][]payment.Receipt),
-		delivered: make(map[int]deliveredConn),
+		batch:    b,
+		stations: make(map[overlay.NodeID]*transport.Station),
+		receipts: make(map[overlay.NodeID][]payment.Receipt),
 	}
 	w.batches = append(w.batches, rec)
 	w.curRec = rec
@@ -384,6 +394,9 @@ func (w *world) startBatch(b int) {
 
 	topo := transport.SnapshotTopology(w.net)
 	rec.router = w.buildRouter(topo, w.availMap())
+	// Joining the initiator registers the router for the driver's
+	// liveness marks: offline targets and churn reach it from now on.
+	w.drv.Joined(rec.initiator, rec.router)
 
 	minter, err := payment.NewReceiptMinter([]byte(fmt.Sprintf("faultsim-batch-%d-%d", w.plan.Seed, b)))
 	if err != nil {
@@ -415,306 +428,53 @@ func (w *world) nextBatch() {
 	b := w.curRec.batch
 	w.curRec = nil
 	if b >= w.plan.Batches {
-		w.finished = true
 		w.eng.Stop()
 		return
 	}
 	w.eng.AfterFunc(sim.Time(w.plan.ProbePeriod/2), func(*sim.Engine) { w.startBatch(b + 1) })
 }
 
+// launchConn hands connection c of the current batch to the driver. The
+// batch's connections run one after another, as RunBatch runs them.
 func (w *world) launchConn(c int) {
 	rec := w.curRec
-	w.cur = &connState{batch: rec.batch, conn: c, attempt: 1, backoff: w.plan.BackoffBase, prevSpan: rec.root}
-	w.cLaunches.Inc()
 	w.trace(Event{
 		Kind: KindLaunch, Batch: rec.batch, Conn: c, Node: int(rec.initiator),
 		Detail: fmt.Sprintf("responder %d budget %d", rec.responder, w.plan.Budget),
 	})
-	w.startAttempt()
-}
-
-// startAttempt arms the attempt deadline and injects the first forward
-// message at the initiator.
-func (w *world) startAttempt() {
-	cur, rec := w.cur, w.curRec
-	if !w.net.Online(rec.initiator) {
-		w.failConn("offline", "initiator offline")
-		return
-	}
-	attempt := cur.attempt
-	launch := w.emit(telemetry.SpanLaunch, rec.root)
-	cur.launchSpan, cur.prevSpan = launch, launch
-	w.eng.AfterFunc(sim.Time(w.plan.AttemptTimeout), func(*sim.Engine) {
-		if w.cur != cur || cur.attempt != attempt || cur.resolved {
-			return
-		}
-		cur.resolved = true
-		w.cTimeouts.Inc()
-		w.trace(Event{
-			Kind: KindTimeout, Batch: cur.batch, Conn: cur.conn, Node: int(rec.initiator),
-			Detail: fmt.Sprintf("attempt %d", attempt),
-		})
-		cur.prevSpan = w.emit(telemetry.SpanTimeout, launch)
-		w.retryOrFail("timeout", "attempt deadline")
+	timeout := time.Duration(w.plan.MaxAttempts) * sim.Time(w.plan.AttemptTimeout).Duration()
+	err := w.drv.Start(rec.initiator, rec.responder, rec.batch, c, w.plan.Budget, timeout, func(o transport.Outcome) {
+		w.connDone(rec, c, false, o)
 	})
-	w.send(wmsg{
-		kind: wFwd, batch: cur.batch, conn: cur.conn, attempt: attempt,
-		from: overlay.None, to: rec.initiator,
-		initiator: rec.initiator, responder: rec.responder,
-		remaining: w.plan.Budget,
-		trace:     rec.trace, span: launch,
-	})
+	if err != nil {
+		w.connDone(rec, c, true, transport.Outcome{Err: err})
+	}
 }
 
-// send pushes a message onto the wire, applying at most one matching
-// message fault.
-func (w *world) send(m wmsg) {
-	w.cSends.Inc()
-	key := [2]int{m.batch, m.conn}
-	w.msgSeq[key]++
-	seq := w.msgSeq[key]
-	lat := sim.Time(w.plan.Latency)
-	for _, fs := range w.msgFaults {
-		if fs.used || fs.Batch != m.batch || fs.Conn != m.conn || fs.Msg != seq {
-			continue
+// connDone logs a connection's completion — its reported reformations,
+// then delivered or failed — mints the receipts a delivered path earns,
+// and moves on to the next connection or the batch's settlement.
+func (w *world) connDone(rec *batchRecord, c int, refused bool, o transport.Outcome) {
+	rec.conns = append(rec.conns, connOutcome{refused: refused, path: o.Path, attempt: o.Attempt, reforms: o.Reformations})
+	ev := Event{Batch: rec.batch, Conn: c, Node: int(rec.initiator)}
+	for i := 1; i <= o.Reformations; i++ {
+		ev.Kind, ev.Detail = KindReformation, fmt.Sprintf("reformation %d", i)
+		w.trace(ev)
+	}
+	if o.Err != nil {
+		ev.Kind, ev.Detail = KindFailed, o.Err.Error()
+		if refused {
+			ev.Detail = "refused: " + ev.Detail
 		}
-		fs.used = true
-		w.traceFault(fs.Fault, fmt.Sprintf("msg %d (%s %d->%d)", seq, m.kind, m.from, m.to))
-		switch fs.Kind {
-		case FaultDrop:
-			return
-		case FaultDelay, FaultReorder:
-			w.eng.AfterFunc(lat+sim.Time(fs.Delay), func(*sim.Engine) { w.deliver(m) })
-			return
-		case FaultDuplicate:
-			w.eng.AfterFunc(lat, func(*sim.Engine) { w.deliver(m) })
-			w.eng.AfterFunc(lat+sim.Time(fs.Delay), func(*sim.Engine) { w.deliver(m) })
-			return
+		w.trace(ev)
+	} else {
+		ev.Kind, ev.Hop, ev.Detail = KindDelivered, len(o.Path), pathDetail(o.Attempt, o.Path)
+		w.trace(ev)
+		for i := 1; i <= len(o.Path)-2; i++ {
+			f := o.Path[i]
+			rec.receipts[f] = append(rec.receipts[f], rec.minter.Mint(c, i, payment.AccountID(f)))
 		}
 	}
-	w.eng.AfterFunc(lat, func(*sim.Engine) { w.deliver(m) })
-}
-
-// deliver hands a message to its target, or handles the target being
-// offline: forwards NACK back from the last live hop, reverse messages
-// route around the corpse (or die at a dead initiator, where the attempt
-// timeout cleans up).
-func (w *world) deliver(m wmsg) {
-	if !w.net.Online(m.to) {
-		w.cDrops.Inc()
-		w.markDead(m.to)
-		switch m.kind {
-		case wFwd:
-			w.nackBack(m, len(m.path)-1, fmt.Sprintf("next hop %d offline", m.to))
-		default:
-			if m.hop > 0 {
-				m.hop--
-				m.to = m.path[m.hop]
-				w.send(m)
-			}
-		}
-		return
-	}
-	if m.kind == wFwd {
-		w.handleForward(m)
-		return
-	}
-	w.handleReverse(m)
-}
-
-// handleForward appends the receiving node to the path and either confirms
-// (responder reached) or routes onward; an exhausted hop budget forwards
-// straight to the responder, exactly like the live runtime.
-func (w *world) handleForward(m wmsg) {
-	self := m.to
-	path := append(append([]overlay.NodeID(nil), m.path...), self)
-	m.path = path
-	if self == m.responder {
-		hop := len(path) - 2
-		if hop < 0 {
-			hop = 0
-		}
-		respondSpan := m.span
-		if id := w.spans.Emit(telemetry.Span{
-			Trace: m.trace, Parent: m.span, Kind: telemetry.SpanRespond,
-			Batch: m.batch, Conn: m.conn, Hop: len(path) - 1, Node: int(self),
-		}); id != 0 {
-			respondSpan = id
-		}
-		w.send(wmsg{
-			kind: wConfirm, batch: m.batch, conn: m.conn, attempt: m.attempt,
-			initiator: m.initiator, responder: m.responder,
-			path: path, hop: hop, to: path[hop],
-			trace: m.trace, span: respondSpan,
-		})
-		return
-	}
-	w.cHops.Inc()
-	w.trace(Event{
-		Kind: KindHopForward, Batch: m.batch, Conn: m.conn, Node: int(self),
-		Hop: len(path) - 1, Detail: fmt.Sprintf("attempt %d", m.attempt),
-	})
-	if id := w.spans.Emit(telemetry.Span{
-		Trace: m.trace, Parent: m.span, Kind: telemetry.SpanHop,
-		Batch: m.batch, Conn: m.conn, Hop: len(path) - 1, Node: int(self),
-	}); id != 0 {
-		m.span = id
-	}
-	next := m.responder
-	if m.remaining > 0 {
-		if router := w.routerFor(m.batch); router != nil {
-			pred := overlay.None
-			if len(path) >= 2 {
-				pred = path[len(path)-2]
-			}
-			nh, deliverNow := router.NextHop(self, pred, m.initiator, m.responder, m.batch, m.conn, m.remaining)
-			if !deliverNow && nh != overlay.None {
-				next = nh
-			}
-		}
-	}
-	out := m
-	out.from = self
-	out.to = next
-	out.remaining = m.remaining - 1
-	w.send(out)
-}
-
-// handleReverse relays a confirm/nack one hop toward the initiator, or
-// accepts it on arrival at path[0].
-func (w *world) handleReverse(m wmsg) {
-	if m.hop <= 0 {
-		if m.kind == wConfirm {
-			w.acceptConfirm(m)
-		} else {
-			w.acceptNack(m)
-		}
-		return
-	}
-	m.hop--
-	m.to = m.path[m.hop]
-	w.send(m)
-}
-
-// nackBack originates a NACK at path[fromIdx] (or directly at the
-// initiator when the path is empty).
-func (w *world) nackBack(m wmsg, fromIdx int, reason string) {
-	nackSpan := w.spans.Emit(telemetry.Span{
-		Trace: m.trace, Parent: m.span, Kind: telemetry.SpanNack,
-		Batch: m.batch, Conn: m.conn, Hop: len(m.path), Node: int(m.initiator), Detail: reason,
-	})
-	n := wmsg{
-		kind: wNack, batch: m.batch, conn: m.conn, attempt: m.attempt,
-		initiator: m.initiator, responder: m.responder,
-		path: m.path, reason: reason,
-		trace: m.trace, span: nackSpan,
-	}
-	if fromIdx < 0 || len(m.path) == 0 {
-		w.acceptNack(n)
-		return
-	}
-	n.hop = fromIdx
-	n.to = m.path[fromIdx]
-	w.send(n)
-}
-
-// current reports whether m addresses the in-flight attempt; anything else
-// is stale (late duplicate, superseded attempt, settled batch).
-func (w *world) current(m wmsg) bool {
-	cur := w.cur
-	return cur != nil && cur.batch == m.batch && cur.conn == m.conn &&
-		cur.attempt == m.attempt && !cur.resolved
-}
-
-func (w *world) acceptConfirm(m wmsg) {
-	if !w.current(m) {
-		w.cStale.Inc()
-		return
-	}
-	cur, rec := w.cur, w.curRec
-	cur.resolved = true
-	w.cDelivered.Inc()
-	w.trace(Event{
-		Kind: KindDelivered, Batch: m.batch, Conn: m.conn, Node: int(m.initiator),
-		Hop:    len(m.path),
-		Detail: fmt.Sprintf("attempt %d path %d after %d reformations", m.attempt, len(m.path), cur.reforms),
-	})
-	parent := m.span
-	if parent == 0 {
-		parent = cur.launchSpan
-	}
-	w.emit(telemetry.SpanDeliver, parent)
-	rec.delivered[m.conn] = deliveredConn{path: append([]overlay.NodeID(nil), m.path...), attempt: m.attempt}
-	for i := 1; i <= len(m.path)-2; i++ {
-		f := m.path[i]
-		rec.receipts[f] = append(rec.receipts[f], rec.minter.Mint(m.conn, i, payment.AccountID(f)))
-	}
-	w.finishConn()
-}
-
-func (w *world) acceptNack(m wmsg) {
-	if !w.current(m) {
-		w.cStale.Inc()
-		return
-	}
-	w.cur.resolved = true
-	w.cNacks.Inc()
-	w.trace(Event{
-		Kind: KindNack, Batch: m.batch, Conn: m.conn, Node: int(m.initiator),
-		Hop: len(m.path), Detail: m.reason,
-	})
-	if m.span != 0 {
-		w.cur.prevSpan = m.span
-	}
-	w.retryOrFail("nack", m.reason)
-}
-
-// retryOrFail either schedules a path reformation after backoff or fails
-// the connection for good. Every traced NACK/timeout flows through here,
-// which is what makes the reformation-accounting invariant exact.
-func (w *world) retryOrFail(cause, reason string) {
-	cur := w.cur
-	if cur.attempt >= w.plan.MaxAttempts {
-		w.failConn(cause, reason)
-		return
-	}
-	pause := cur.backoff
-	cur.backoff *= 2
-	if cur.backoff > w.plan.BackoffMax {
-		cur.backoff = w.plan.BackoffMax
-	}
-	w.eng.AfterFunc(sim.Time(pause), func(*sim.Engine) {
-		if w.cur != cur {
-			return
-		}
-		cur.reforms++
-		cur.attempt++
-		cur.resolved = false
-		w.cReforms.Inc()
-		w.trace(Event{
-			Kind: KindReformation, Batch: cur.batch, Conn: cur.conn, Node: int(w.curRec.initiator),
-			Detail: fmt.Sprintf("attempt %d", cur.attempt),
-		})
-		w.emit(telemetry.SpanReform, cur.prevSpan)
-		w.startAttempt()
-	})
-}
-
-func (w *world) failConn(cause, reason string) {
-	cur, rec := w.cur, w.curRec
-	cur.resolved = true
-	w.cFailed.Inc()
-	w.trace(Event{
-		Kind: KindFailed, Batch: cur.batch, Conn: cur.conn, Node: int(rec.initiator),
-		Detail: fmt.Sprintf("cause=%s: %s", cause, reason),
-	})
-	w.emit(telemetry.SpanFail, cur.prevSpan)
-	w.finishConn()
-}
-
-func (w *world) finishConn() {
-	c := w.cur.conn
-	w.cur = nil
 	if c < w.plan.Conns {
 		w.eng.AfterFunc(0, func(*sim.Engine) { w.launchConn(c + 1) })
 		return

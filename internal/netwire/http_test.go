@@ -46,6 +46,14 @@ func TestNetwireMetricsExposition(t *testing.T) {
 	if !c.Probe(0, 1, 2*time.Second) {
 		t.Fatal("probe failed")
 	}
+	// The probe's frames_total{sent} is counted once its write returns,
+	// which can be after the ack already resolved Probe: wait for it.
+	sentProbes := reg.Counter("netwire_frames_total", telemetry.Labels{"dir": "sent", "kind": "probe"})
+	for deadline := time.Now().Add(5 * time.Second); sentProbes.Value() < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the probe's write was never counted")
+		}
+	}
 
 	srv, err := telemetry.Serve("127.0.0.1:0", reg, nil)
 	if err != nil {
@@ -74,6 +82,7 @@ func TestNetwireMetricsExposition(t *testing.T) {
 		"netwire_deadline_hits_total", "netwire_messages_total",
 		"netwire_nacks_total", "netwire_contract_rejects_total",
 		"netwire_timeouts_total", "netwire_reformations_total",
+		"netwire_stale_replies_total",
 		"netwire_connections_total", "netwire_settlements_total",
 		"netwire_connect_latency_seconds", "netwire_path_length_hops",
 		"netwire_nack_hops",
@@ -102,6 +111,7 @@ func TestNetwireMetricsExposition(t *testing.T) {
 		`netwire_messages_total{kind="dropped"}`,
 		`netwire_connections_total{result="ok"}`,
 		`netwire_connections_total{result="fail"}`,
+		`netwire_stale_replies_total`,
 		`netwire_bytes_total{dir="sent"}`,
 		`netwire_bytes_total{dir="recv"}`,
 		`transport_spne_cache_total{result="hit"}`,

@@ -12,6 +12,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"time"
 )
 
 // Time is virtual simulation time in seconds.
@@ -25,6 +26,15 @@ func Minutes(m float64) Time { return Time(m * 60) }
 
 // Hours returns a Time representing h hours.
 func Hours(h float64) Time { return Time(h * 3600) }
+
+// FromDuration returns d as a Time. For |d| below 2^51 ns (about 26 days)
+// the conversion round-trips: FromDuration(d).Duration() == d, and equal
+// nanosecond sums map to equal Times, so a nanosecond schedule keeps its
+// ties on the engine.
+func FromDuration(d time.Duration) Time { return Time(float64(d) / 1e9) }
+
+// Duration returns t as a time.Duration, rounded to the nanosecond.
+func (t Time) Duration() time.Duration { return time.Duration(math.Round(float64(t) * 1e9)) }
 
 // Event is a scheduled callback. Fire runs when the simulation clock
 // reaches the event's time.
@@ -65,14 +75,40 @@ func (h *eventHeap) Pop() any {
 	return it
 }
 
+// Timer is an event that can be withdrawn before it fires; schedule one
+// with NewTimer.
+type Timer struct {
+	e    *Engine
+	fn   func()
+	done bool
+}
+
+// Fire runs the timer's function.
+func (t *Timer) Fire(*Engine) {
+	t.done = true
+	t.fn()
+}
+
+// Stop withdraws the timer, reporting whether it was still pending. The
+// entry stays queued, but the engine discards it without moving the clock.
+func (t *Timer) Stop() bool {
+	if t.done {
+		return false
+	}
+	t.done = true
+	t.e.withdrawn++
+	return true
+}
+
 // Engine is a discrete-event simulation engine. The zero value is not
 // usable; construct with NewEngine.
 type Engine struct {
-	now     Time
-	queue   eventHeap
-	seq     uint64
-	stopped bool
-	fired   uint64
+	now       Time
+	queue     eventHeap
+	seq       uint64
+	stopped   bool
+	fired     uint64
+	withdrawn int // stopped Timers still queued
 }
 
 // NewEngine returns an engine with the clock at zero and an empty event
@@ -87,8 +123,9 @@ func (e *Engine) Now() Time { return e.now }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events currently scheduled.
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending returns the number of events currently scheduled, stopped
+// Timers excluded.
+func (e *Engine) Pending() int { return len(e.queue) - e.withdrawn }
 
 // Schedule enqueues ev to fire at absolute time at. Scheduling in the past
 // panics: it would make the clock non-monotone.
@@ -113,13 +150,21 @@ func (e *Engine) AfterFunc(delay Time, fn func(e *Engine)) {
 	e.After(delay, EventFunc(fn))
 }
 
+// NewTimer schedules fn at absolute time at and returns the Timer that
+// can withdraw it.
+func (e *Engine) NewTimer(at Time, fn func()) *Timer {
+	t := &Timer{e: e, fn: fn}
+	e.Schedule(at, t)
+	return t
+}
+
 // Stop halts the run loop after the currently firing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Step fires the single earliest pending event, advancing the clock to its
 // timestamp. It reports whether an event was fired.
 func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
+	if !e.live() {
 		return false
 	}
 	it := heap.Pop(&e.queue).(item)
@@ -127,6 +172,19 @@ func (e *Engine) Step() bool {
 	e.fired++
 	it.ev.Fire(e)
 	return true
+}
+
+// live discards stopped Timers from the head of the queue and reports
+// whether a live event remains.
+func (e *Engine) live() bool {
+	for len(e.queue) > 0 {
+		if t, ok := e.queue[0].ev.(*Timer); !ok || !t.done {
+			return true
+		}
+		heap.Pop(&e.queue)
+		e.withdrawn--
+	}
+	return false
 }
 
 // Run fires events until the queue empties or Stop is called.
@@ -141,10 +199,7 @@ func (e *Engine) Run() {
 // after the deadline remain pending.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
-	for !e.stopped {
-		if len(e.queue) == 0 || e.queue[0].at > deadline {
-			break
-		}
+	for !e.stopped && e.live() && e.queue[0].at <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {

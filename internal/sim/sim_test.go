@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestClockStartsAtZero(t *testing.T) {
@@ -205,6 +206,49 @@ func TestTimeHelpers(t *testing.T) {
 	}
 	if Time(90).Seconds() != 90 {
 		t.Fatal("Seconds wrong")
+	}
+}
+
+// TestTimerStopWithdraws: a stopped Timer neither fires nor moves the
+// clock, not even as the head RunUntil peeks at, and Pending leaves it out.
+func TestTimerStopWithdraws(t *testing.T) {
+	e := NewEngine()
+	var fired []string
+	a := e.NewTimer(1, func() { fired = append(fired, "a") })
+	e.NewTimer(5, func() { fired = append(fired, "b") })
+	c := e.NewTimer(30, func() { fired = append(fired, "c") })
+	if !a.Stop() || a.Stop() {
+		t.Fatal("Stop should report pending exactly once")
+	}
+	if e.Pending() != 2 {
+		t.Fatalf("pending = %d, want 2", e.Pending())
+	}
+	e.RunUntil(10)
+	if len(fired) != 1 || fired[0] != "b" || e.Now() != 10 {
+		t.Fatalf("fired %v, clock %v", fired, e.Now())
+	}
+	c.Stop()
+	e.Run()
+	if len(fired) != 1 || e.Now() != 10 || e.Pending() != 0 {
+		t.Fatalf("fired %v, clock %v, pending %d after the last timer was stopped", fired, e.Now(), e.Pending())
+	}
+	if c.Stop() {
+		t.Fatal("a withdrawn timer reported pending")
+	}
+}
+
+// TestDurationRoundTrip: a nanosecond schedule survives the trip through
+// Time, and equal nanosecond sums stay equal Times (ties keep FIFO order).
+func TestDurationRoundTrip(t *testing.T) {
+	const ms = time.Millisecond
+	for _, d := range []time.Duration{0, 1, 175 * ms, 600 * ms, time.Hour, 7*24*time.Hour + 3} {
+		if got := FromDuration(d).Duration(); got != d {
+			t.Fatalf("%v round-trips to %v", d, got)
+		}
+	}
+	// How a clock on the engine schedules: now as a Duration, plus d.
+	if FromDuration(FromDuration(100*ms).Duration()+200*ms) != FromDuration(300*ms) {
+		t.Fatal("equal nanosecond sums map to different Times")
 	}
 }
 

@@ -29,23 +29,10 @@ func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 50 * time.Millisecond}
 }
 
-// connResult is the terminal event of one connection attempt: a completed
-// path (with sealed records under the secure protocol) or an error. fatal
-// marks errors a retry cannot fix (e.g. an unverifiable contract).
-type connResult struct {
-	path    []overlay.NodeID
-	records []onion.PathRecord
-	err     error
-	fatal   bool
-	// span is the causal span the terminal message carried: the responder's
-	// respond span for a confirm, the nack span for a NACK. The initiator
-	// parents its deliver/fail span on it.
-	span telemetry.SpanID
-}
-
 // Driver is the one implementation of the §2.2 forwarding protocol and
-// its bounded-retry reformation loop: the initiator side (Connect and the
-// batch runners built on it) and, in protocol.go, the forwarder side.
+// its bounded-retry reformation: the initiator side (Start, Connect and
+// the batch runners built on them) and, in protocol.go, the forwarder
+// side.
 // Everything a backend contributes is behind Link, so a backend embeds a
 // Driver and is otherwise only links.
 type Driver struct {
@@ -61,11 +48,11 @@ type Driver struct {
 	markers   []ChurnAware
 	markerSet map[ChurnAware]struct{}
 
-	// pending maps a launched attempt's id to the channel its terminal
-	// result arrives on. An entry lives from launch to the attempt's
-	// outcome — resolved, timed out or abandoned — and no longer.
+	// pending maps a launched attempt's id to its connection's record. An
+	// entry lives from launch until the first of the attempt's terminal
+	// CONFIRM/NACK and its window timer claims it (DESIGN.md §3t).
 	pendMu     sync.Mutex
-	pending    map[int]chan connResult
+	pending    map[int]*connRec
 	attemptSeq int
 }
 
@@ -80,7 +67,7 @@ func NewDriver(link Link, metricPrefix string) *Driver {
 		metricPrefix: metricPrefix,
 		inst:         newProtocolMetrics(telemetry.NewRegistry(), metricPrefix),
 		markerSet:    make(map[ChurnAware]struct{}),
-		pending:      make(map[int]chan connResult),
+		pending:      make(map[int]*connRec),
 	}
 }
 
@@ -112,11 +99,13 @@ func (d *Driver) SetSpans(r *telemetry.SpanRecorder) { d.spans = r }
 // Spans returns the attached span recorder, or nil.
 func (d *Driver) Spans() *telemetry.SpanRecorder { return d.spans }
 
-// SetClock replaces the protocol clock — attempt deadlines and retry
-// backoff read it, and so does the link's latency model. Pass a
-// *vclock.Virtual (usually with AutoAdvance running) to make
-// timing-dependent tests deterministic and wall-clock free. Call before
-// traffic starts; not safe to race with in-flight connections.
+// SetClock replaces the protocol clock — attempt windows and retry
+// backoff are its AfterFunc callbacks, and the link's latency model reads
+// it too. Pass a *vclock.Virtual (usually with AutoAdvance running) to
+// make timing-dependent tests deterministic and wall-clock free, or a
+// vclock.Engine clock to run the protocol inside a single-threaded
+// discrete-event world. Call before traffic starts; not safe to race with
+// in-flight connections.
 func (d *Driver) SetClock(c vclock.Clock) {
 	if c == nil {
 		c = vclock.Real()
@@ -174,169 +163,281 @@ func (d *Driver) churnAware() []ChurnAware {
 	return append([]ChurnAware(nil), d.markers...)
 }
 
-// register opens a pending attempt and returns its id and result channel.
-func (d *Driver) register() (int, <-chan connResult) {
-	ch := make(chan connResult, 1)
-	d.pendMu.Lock()
-	d.attemptSeq++
-	id := d.attemptSeq
-	d.pending[id] = ch
-	d.pendMu.Unlock()
-	return id, ch
+// Outcome is one connection's terminal result: the realised path (I … R)
+// with the sealed records the secure protocol collected, or the error
+// that ended it.
+type Outcome struct {
+	Path    []overlay.NodeID
+	Records []onion.PathRecord
+	// Attempt is the Message.Attempt of the attempt whose CONFIRM
+	// delivered; zero on failure.
+	Attempt      int
+	Reformations int
+	Err          error
 }
 
-// resolve delivers an attempt's terminal result, if anyone still waits.
-func (d *Driver) resolve(attempt int, res connResult) {
-	d.pendMu.Lock()
-	ch, ok := d.pending[attempt]
-	delete(d.pending, attempt)
-	d.pendMu.Unlock()
-	if ok {
-		ch <- res // buffered; exactly one resolver wins the delete
+// connRec is one connection's initiator-side state machine. Nothing
+// blocks in it: each attempt's window and each backoff pause is a clock
+// AfterFunc callback, and the pending table hands each attempt to exactly
+// one of its resolving CONFIRM/NACK and its window timer. Whichever
+// goroutine holds the record moves it on — the launching caller, the one
+// that claimed an attempt, or a pause callback — and none touches it after
+// handing it to the next.
+type connRec struct {
+	d                    *Driver
+	retry                RetryPolicy
+	initiator, responder overlay.NodeID
+	batch, conn, budget  int
+	contract             *onion.SignedContract
+
+	start, deadline      time.Time
+	per, window, backoff time.Duration
+	// attempt is the per-connection ordinal of initiator-side spans, not
+	// Message.Attempt — that one is a driver-wide id.
+	attempt, reforms int
+	lastErr          error
+	timer            *vclock.Timer // the live attempt's window: set under pendMu, stopped by the reply that claims it
+	// Span context: the batch trace, its root, the live attempt's launch
+	// and the last causal step the next reform or fail span parents on.
+	trace, root, launch, prev telemetry.SpanID
+
+	out  Outcome
+	done func(Outcome) // Start's callback; nil when a caller waits on wg
+	wg   sync.WaitGroup
+}
+
+// Start launches one connection from initiator to responder with the
+// given hop budget and returns without waiting for it: done receives the
+// outcome on whichever goroutine finishes the connection — inline on a
+// vclock.Engine clock. Mid-path departures are retried per the
+// RetryPolicy (path reformation) within timeout, each attempt getting an
+// even share of it as its window. A connection refused up front (unknown
+// initiator or responder, I == R) is an error, and done is not called.
+func (d *Driver) Start(initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration, done func(Outcome)) error {
+	return d.start(&connRec{done: done}, initiator, responder, batch, conn, budget, timeout, nil)
+}
+
+// connect runs one connection and waits for its outcome.
+func (d *Driver) connect(initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration, contract *onion.SignedContract) Outcome {
+	c := &connRec{}
+	c.wg.Add(1)
+	if err := d.start(c, initiator, responder, batch, conn, budget, timeout, contract); err != nil {
+		return Outcome{Err: err}
 	}
+	c.wg.Wait()
+	return c.out
 }
 
-// abandon closes a pending attempt nobody will wait for any more.
-func (d *Driver) abandon(attempt int) {
-	d.pendMu.Lock()
-	delete(d.pending, attempt)
-	d.pendMu.Unlock()
-}
-
-// connect runs one connection with bounded retry: each attempt gets an
-// even share of timeout as its deadline; a timed-out or NACKed attempt is
-// relaunched — a path reformation — after exponential backoff, until the
-// policy's attempt budget or the overall deadline runs out. It returns the
-// terminal result plus the number of reformations performed.
-func (d *Driver) connect(initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration, contract *onion.SignedContract) (connResult, int, error) {
+func (d *Driver) start(c *connRec, initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration, contract *onion.SignedContract) error {
 	if d.link.Local(initiator) == nil {
-		return connResult{}, 0, fmt.Errorf("transport: unknown initiator %d", initiator)
+		return fmt.Errorf("transport: unknown initiator %d", initiator)
 	}
 	if !d.link.Addressable(responder) {
-		return connResult{}, 0, fmt.Errorf("transport: unknown responder %d", responder)
+		return fmt.Errorf("transport: unknown responder %d", responder)
 	}
 	if initiator == responder {
-		return connResult{}, 0, errors.New("transport: initiator == responder")
+		return errors.New("transport: initiator == responder")
 	}
-	policy := d.retry
-	start := d.clock.Now()
-	// Span context: one trace per (batch, I, R), its root re-opened by
-	// every connection (the recorder deduplicates by id). The attempt
-	// coordinate of initiator-side spans is the per-connection ordinal,
-	// not Message.Attempt — that one is a driver-wide counter.
-	trace, root := d.spans.Root(batch, int(initiator), int(responder))
-	emit := func(kind telemetry.SpanKind, parent telemetry.SpanID, attempt int) telemetry.SpanID {
-		return d.spans.Emit(telemetry.Span{
-			Trace: trace, Parent: parent, Kind: kind,
-			Batch: batch, Conn: conn, Attempt: attempt, Node: int(initiator),
-		})
+	c.d, c.retry = d, d.retry
+	c.initiator, c.responder = initiator, responder
+	c.batch, c.conn, c.budget, c.contract = batch, conn, budget, contract
+	c.start = d.clock.Now()
+	c.deadline = c.start.Add(timeout)
+	if c.per = timeout / time.Duration(c.retry.MaxAttempts); c.per <= 0 {
+		c.per = timeout
 	}
-	deadline := start.Add(timeout)
-	per := timeout / time.Duration(policy.MaxAttempts)
-	if per <= 0 {
-		per = timeout
+	c.backoff = c.retry.BaseBackoff
+	// One trace per (batch, I, R), its root re-opened by every connection
+	// (the recorder deduplicates by id).
+	c.trace, c.root = d.spans.Root(batch, int(initiator), int(responder))
+	c.prev = c.root
+	c.next()
+	return nil
+}
+
+// next moves on from an attempt that ended without delivering — or, from
+// attempt 0, starts the first: the connection fails once the attempt
+// budget or the deadline is spent; otherwise the next attempt launches,
+// after the backoff pause when one is due.
+func (c *connRec) next() {
+	if c.attempt == c.retry.MaxAttempts {
+		c.fail(nil)
+		return
 	}
-	backoff := policy.BaseBackoff
-	reforms := 0
-	lastAttempt := 1
-	var lastErr error
-	prevSpan := root // last causal step; the next reform or fail span parents on it
-	for attempt := 1; attempt <= policy.MaxAttempts; attempt++ {
-		lastAttempt = attempt
-		remaining := d.clock.Until(deadline)
-		if remaining <= 0 {
-			break
+	c.attempt++
+	remaining := c.d.clock.Until(c.deadline)
+	switch {
+	case remaining <= 0:
+		c.fail(nil)
+	case c.attempt == 1:
+		c.launchAttempt(remaining)
+	case c.backoff <= 0:
+		c.reform(remaining)
+	default:
+		pause := min(c.backoff, remaining)
+		if c.backoff *= 2; c.retry.MaxBackoff > 0 && c.backoff > c.retry.MaxBackoff {
+			c.backoff = c.retry.MaxBackoff
 		}
-		if attempt > 1 {
-			if backoff > 0 {
-				pause := backoff
-				if pause > remaining {
-					pause = remaining
-				}
-				d.clock.Sleep(pause)
-				if backoff *= 2; policy.MaxBackoff > 0 && backoff > policy.MaxBackoff {
-					backoff = policy.MaxBackoff
-				}
-				if remaining = d.clock.Until(deadline); remaining <= 0 {
-					break
-				}
-			}
-			reforms++
-			d.inst.reformations.Inc()
-			emit(telemetry.SpanReform, prevSpan, attempt)
-		}
-		window := per
-		if window > remaining {
-			window = remaining
-		}
-		launch := emit(telemetry.SpanLaunch, root, attempt)
-		prevSpan = launch
-		st := d.link.Local(initiator)
-		if st == nil {
-			d.inst.failures.Inc()
-			emit(telemetry.SpanFail, prevSpan, attempt)
-			return connResult{}, reforms, fmt.Errorf("transport: initiator %d departed", initiator)
-		}
-		// The first FORWARD is handed to the initiator's own handler: a
-		// node does not message itself, so the launch crosses no link.
-		aid, done := d.register()
-		timer := d.clock.NewTimer(window)
-		d.handleForward(st, Message{
-			Kind:      MsgForward,
-			Batch:     batch,
-			Conn:      conn,
-			Attempt:   aid,
-			From:      overlay.None,
-			Initiator: initiator,
-			Responder: responder,
-			Remaining: budget,
-			Deadline:  d.clock.Now().Add(window),
-			Contract:  contract,
-			Trace:     trace,
-			Span:      launch,
-		})
-		select {
-		case res := <-done:
-			timer.Stop()
-			if res.err == nil {
-				d.inst.connects.Inc()
-				d.inst.connectLatency.Observe(d.clock.Since(start).Seconds())
-				d.inst.pathLen.Observe(float64(len(res.path)))
-				parent := res.span
-				if parent == 0 {
-					parent = launch
-				}
-				emit(telemetry.SpanDeliver, parent, attempt)
-				return res, reforms, nil
-			}
-			lastErr = res.err
-			if res.span != 0 {
-				prevSpan = res.span
-			}
-			if res.fatal {
-				d.inst.failures.Inc()
-				emit(telemetry.SpanFail, prevSpan, attempt)
-				return connResult{}, reforms, res.err
-			}
-		case <-timer.C:
-			d.abandon(aid)
-			d.inst.timeouts.Inc()
-			lastErr = fmt.Errorf("transport: attempt %d of connection %d/%d timed out after %v", attempt, batch, conn, window)
-			prevSpan = emit(telemetry.SpanTimeout, launch, attempt)
-		}
+		c.d.clock.AfterFunc(pause, c.resume)
 	}
-	d.inst.failures.Inc()
-	if lastErr == nil {
-		lastErr = fmt.Errorf("transport: connection %d/%d timed out after %v", batch, conn, timeout)
+}
+
+// resume ends a backoff pause.
+func (c *connRec) resume() {
+	if remaining := c.d.clock.Until(c.deadline); remaining > 0 {
+		c.reform(remaining)
+	} else {
+		c.fail(nil)
 	}
-	emit(telemetry.SpanFail, prevSpan, lastAttempt)
-	return connResult{}, reforms, fmt.Errorf("transport: connection %d/%d failed after %d reformations: %w", batch, conn, reforms, lastErr)
+}
+
+// reform counts a path reformation and relaunches.
+func (c *connRec) reform(remaining time.Duration) {
+	c.reforms++
+	c.d.inst.reformations.Inc()
+	c.emit(telemetry.SpanReform, c.prev)
+	c.launchAttempt(remaining)
+}
+
+// launchAttempt opens an attempt: it registers the attempt, arms its
+// window timer and hands the first FORWARD to the initiator's own
+// handler — a node does not message itself, so the launch crosses no
+// link. The message is built first: once the timer is armed, the record
+// may belong to whichever goroutine claims the attempt.
+func (c *connRec) launchAttempt(remaining time.Duration) {
+	d := c.d
+	c.window = min(c.per, remaining)
+	c.launch = c.emit(telemetry.SpanLaunch, c.root)
+	c.prev = c.launch
+	st := d.link.Local(c.initiator)
+	if st == nil {
+		c.fail(fmt.Errorf("transport: initiator %d departed", c.initiator))
+		return
+	}
+	m := Message{
+		Kind:      MsgForward,
+		Batch:     c.batch,
+		Conn:      c.conn,
+		From:      overlay.None,
+		Initiator: c.initiator,
+		Responder: c.responder,
+		Remaining: c.budget,
+		Deadline:  d.clock.Now().Add(c.window),
+		Contract:  c.contract,
+		Trace:     c.trace,
+		Span:      c.launch,
+	}
+	d.pendMu.Lock()
+	d.attemptSeq++
+	aid := d.attemptSeq
+	d.pending[aid] = c
+	d.pendMu.Unlock()
+	m.Attempt = aid
+	timer := d.clock.AfterFunc(c.window, func() { d.expire(aid) })
+	// Only a reply resolving the attempt stops the timer, and no reply
+	// exists before handleForward; a window that already expired has
+	// claimed the attempt, and the record with it.
+	d.pendMu.Lock()
+	if d.pending[aid] == c {
+		c.timer = timer
+	}
+	d.pendMu.Unlock()
+	d.handleForward(st, m)
+}
+
+// claim takes attempt aid out of the pending table, returning its record,
+// or nil when the attempt was already resolved or abandoned.
+func (d *Driver) claim(aid int) *connRec {
+	d.pendMu.Lock()
+	defer d.pendMu.Unlock()
+	c := d.pending[aid]
+	delete(d.pending, aid)
+	return c
+}
+
+// expire is an attempt window's timer: unless a reply claimed the attempt
+// first, it is abandoned and the connection moves on.
+func (d *Driver) expire(aid int) {
+	c := d.claim(aid)
+	if c == nil {
+		return
+	}
+	d.inst.timeouts.Inc()
+	c.lastErr = fmt.Errorf("transport: attempt %d of connection %d/%d timed out after %v", c.attempt, c.batch, c.conn, c.window)
+	c.prev = c.emit(telemetry.SpanTimeout, c.launch)
+	c.next()
+}
+
+// resolve takes the CONFIRM or NACK that reached its initiator. A reply
+// whose attempt was already resolved or abandoned is stale: counted, and
+// otherwise dropped.
+func (d *Driver) resolve(m Message) {
+	c := d.claim(m.Attempt)
+	if c == nil {
+		d.inst.staleReplies.Inc()
+		return
+	}
+	c.timer.Stop()
+	if m.Kind == MsgConfirm {
+		d.inst.connects.Inc()
+		d.inst.connectLatency.Observe(d.clock.Since(c.start).Seconds())
+		d.inst.pathLen.Observe(float64(len(m.Path)))
+		// The responder's respond span closes the forward chain; the
+		// deliver span parents on it.
+		parent := m.Span
+		if parent == 0 {
+			parent = c.launch
+		}
+		c.emit(telemetry.SpanDeliver, parent)
+		c.finish(Outcome{Path: m.Path, Records: m.Records, Attempt: m.Attempt, Reformations: c.reforms})
+		return
+	}
+	c.lastErr = fmt.Errorf("transport: %s", m.Reason)
+	if m.Span != 0 {
+		c.prev = m.Span
+	}
+	if m.Fatal {
+		c.fail(c.lastErr) // no reformation fixes a bad contract
+		return
+	}
+	c.next()
+}
+
+// fail ends the connection with err, or — for nil — with the last
+// attempt's error once the attempt budget or the deadline ran out.
+func (c *connRec) fail(err error) {
+	c.d.inst.failures.Inc()
+	c.emit(telemetry.SpanFail, c.prev)
+	if err == nil {
+		if c.lastErr == nil {
+			c.lastErr = fmt.Errorf("transport: connection %d/%d timed out after %v", c.batch, c.conn, c.deadline.Sub(c.start))
+		}
+		err = fmt.Errorf("transport: connection %d/%d failed after %d reformations: %w", c.batch, c.conn, c.reforms, c.lastErr)
+	}
+	c.finish(Outcome{Reformations: c.reforms, Err: err})
+}
+
+func (c *connRec) finish(out Outcome) {
+	if c.done != nil {
+		c.done(out)
+		return
+	}
+	c.out = out
+	c.wg.Done()
+}
+
+// emit records an initiator-side span of the current attempt.
+func (c *connRec) emit(kind telemetry.SpanKind, parent telemetry.SpanID) telemetry.SpanID {
+	return c.d.spans.Emit(telemetry.Span{
+		Trace: c.trace, Parent: parent, Kind: kind,
+		Batch: c.batch, Conn: c.conn, Attempt: c.attempt, Node: int(c.initiator),
+	})
 }
 
 // Connect runs one connection from initiator to responder with the given
-// hop budget and returns the realised path (I … R). It blocks until a
-// confirm returns or the timeout expires; mid-path departures are retried
-// per the RetryPolicy (path reformation) within that timeout.
+// hop budget and returns the realised path (I … R). It returns once a
+// confirm arrives or the connection fails; mid-path departures are retried
+// per the RetryPolicy (path reformation) within timeout.
 func (d *Driver) Connect(initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration) ([]overlay.NodeID, error) {
 	path, _, err := d.ConnectDetail(initiator, responder, batch, conn, budget, timeout)
 	return path, err
@@ -345,8 +446,8 @@ func (d *Driver) Connect(initiator, responder overlay.NodeID, batch, conn, budge
 // ConnectDetail runs one connection like Connect and additionally returns
 // the number of path reformations performed.
 func (d *Driver) ConnectDetail(initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration) ([]overlay.NodeID, int, error) {
-	res, reforms, err := d.connect(initiator, responder, batch, conn, budget, timeout, nil)
-	return res.path, reforms, err
+	out := d.connect(initiator, responder, batch, conn, budget, timeout, nil)
+	return out.Path, out.Reformations, out.Err
 }
 
 // RunBatch executes k connections sequentially (recurring connections of

@@ -10,26 +10,34 @@ import (
 
 	"p2panon/internal/onion"
 	"p2panon/internal/overlay"
+	"p2panon/internal/sim"
 	"p2panon/internal/telemetry"
 	"p2panon/internal/vclock"
 )
 
-// scriptClock is a virtual clock that never blocks: Sleep advances it on
-// the spot and both Sleep and NewTimer log their argument, so a test reads
-// the driver's exact backoff and attempt-window schedule.
+// scriptClock is an engine clock that logs every AfterFunc it is asked
+// for, so a test reads the driver's exact schedule: a connection's
+// timers alternate attempt window, backoff pause, window, pause, …
 type scriptClock struct {
-	*vclock.Virtual
-	sleeps, windows []time.Duration
+	vclock.Clock
+	timers []time.Duration
 }
 
-func (c *scriptClock) Sleep(d time.Duration) {
-	c.sleeps = append(c.sleeps, d)
-	c.Advance(d)
+func (c *scriptClock) AfterFunc(d time.Duration, fn func()) *vclock.Timer {
+	c.timers = append(c.timers, d)
+	return c.Clock.AfterFunc(d, fn)
 }
 
-func (c *scriptClock) NewTimer(d time.Duration) *vclock.Timer {
-	c.windows = append(c.windows, d)
-	return c.Virtual.NewTimer(d)
+// split returns the logged attempt windows and backoff pauses.
+func (c *scriptClock) split() (windows, pauses []time.Duration) {
+	for i, d := range c.timers {
+		if i%2 == 0 {
+			windows = append(windows, d)
+		} else {
+			pauses = append(pauses, d)
+		}
+	}
+	return windows, pauses
 }
 
 // fate is what the scripted link does with one message.
@@ -48,7 +56,6 @@ const (
 // into the driver, so a whole connection runs on the test's goroutine.
 type scriptLink struct {
 	d        *Driver
-	clk      *scriptClock
 	stations map[overlay.NodeID]*Station
 	script   func(from, to overlay.NodeID, m Message) fate
 	hideFrom int // Local answers nil from this call on (0 = never)
@@ -83,7 +90,6 @@ func (l *scriptLink) Send(from, to overlay.NodeID, m Message) bool {
 		return false
 	case swallow:
 		l.held = append(l.held, held{to, m})
-		l.clk.Advance(l.clk.Until(m.Deadline))
 	case lose:
 		l.d.Undeliverable(from, to, m)
 	case tamper:
@@ -140,8 +146,9 @@ func spanTree(rec *telemetry.SpanRecorder) []string {
 }
 
 // TestDriverOverScriptedLink drives every outcome of the connection
-// driver over a scripted link on a virtual clock and pins, per outcome,
-// the attempt windows, the backoff sleeps, the causal span tree and that
+// driver over a scripted link on an engine clock — the whole connection,
+// timers included, runs on the test's goroutine — and pins, per outcome,
+// the attempt windows, the backoff pauses, the causal span tree and that
 // the pending-attempt table is empty afterwards.
 func TestDriverOverScriptedLink(t *testing.T) {
 	bk, err := onion.NewBatchKey(nil)
@@ -201,7 +208,7 @@ func TestDriverOverScriptedLink(t *testing.T) {
 		wantReforms int
 		wantSends   int
 		wantWindows []time.Duration
-		wantSleeps  []time.Duration
+		wantPauses  []time.Duration
 		wantSpans   []string
 	}{
 		{
@@ -234,7 +241,7 @@ func TestDriverOverScriptedLink(t *testing.T) {
 			wantReforms: 1,
 			wantSends:   9, // 0→1, 1→2 refused, NACK 1→0; then 3 out, 3 back
 			wantWindows: []time.Duration{300 * ms, 300 * ms},
-			wantSleeps:  []time.Duration{100 * ms},
+			wantPauses:  []time.Duration{100 * ms},
 			wantSpans:   viaBackup,
 		},
 		{
@@ -247,7 +254,7 @@ func TestDriverOverScriptedLink(t *testing.T) {
 			wantReforms: 1,
 			wantSends:   9, // the NACK starts at node 1 itself and goes straight to 0
 			wantWindows: []time.Duration{300 * ms, 300 * ms},
-			wantSleeps:  []time.Duration{100 * ms},
+			wantPauses:  []time.Duration{100 * ms},
 			wantSpans:   viaBackup,
 		},
 		{
@@ -278,7 +285,7 @@ func TestDriverOverScriptedLink(t *testing.T) {
 			wantReforms: 1,
 			wantSends:   8, // 0→1, 1→2 swallowed; then 3 out, 3 back
 			wantWindows: []time.Duration{300 * ms, 300 * ms},
-			wantSleeps:  []time.Duration{100 * ms},
+			wantPauses:  []time.Duration{100 * ms},
 			wantSpans: []string{
 				"batch a0 h0 n0 <- -",
 				"hop a0 h0 n0 <- launch a1 h0 n0",
@@ -307,7 +314,7 @@ func TestDriverOverScriptedLink(t *testing.T) {
 			wantReforms: 3,
 			wantSends:   4,
 			wantWindows: []time.Duration{175 * ms, 175 * ms, 175 * ms, 100 * ms},
-			wantSleeps:  []time.Duration{100 * ms, 200 * ms, 300 * ms},
+			wantPauses:  []time.Duration{100 * ms, 200 * ms, 300 * ms},
 			wantSpans: []string{
 				"batch a0 h0 n0 <- -",
 				"hop a0 h0 n0 <- launch a1 h0 n0",
@@ -354,9 +361,10 @@ func TestDriverOverScriptedLink(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			clk := &scriptClock{Virtual: vclock.NewVirtual(time.Time{})}
+			eng := sim.NewEngine()
+			clk := &scriptClock{Clock: vclock.Engine(eng)}
 			r := &backupRouter{dead: make(map[overlay.NodeID]bool)}
-			l := &scriptLink{clk: clk, stations: make(map[overlay.NodeID]*Station), script: tc.script, hideFrom: tc.hideFrom}
+			l := &scriptLink{stations: make(map[overlay.NodeID]*Station), script: tc.script, hideFrom: tc.hideFrom}
 			d := NewDriver(l, "transport")
 			l.d = d
 			d.SetClock(clk)
@@ -371,34 +379,44 @@ func TestDriverOverScriptedLink(t *testing.T) {
 			if tc.secure {
 				c = contract
 			}
-			res, reforms, err := d.connect(tc.initiator, 4, 1, 1, 8, tc.timeout, c)
+			var res Outcome
+			finished := false
+			err := d.start(&connRec{done: func(o Outcome) { res, finished = o, true }}, tc.initiator, 4, 1, 1, 8, tc.timeout, c)
+			eng.Run()
+			if err == nil {
+				if !finished {
+					t.Fatal("the engine ran dry before the connection finished")
+				}
+				err = res.Err
+			}
 			switch {
 			case tc.wantErr == "" && err != nil:
 				t.Fatal(err)
 			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
 				t.Fatalf("error %v, want one containing %q", err, tc.wantErr)
 			}
-			if !reflect.DeepEqual(res.path, tc.wantPath) {
-				t.Errorf("path %v, want %v", res.path, tc.wantPath)
+			if !reflect.DeepEqual(res.Path, tc.wantPath) {
+				t.Errorf("path %v, want %v", res.Path, tc.wantPath)
 			}
-			if reforms != tc.wantReforms {
-				t.Errorf("reformations %d, want %d", reforms, tc.wantReforms)
+			if res.Reformations != tc.wantReforms {
+				t.Errorf("reformations %d, want %d", res.Reformations, tc.wantReforms)
 			}
 			if l.sends != tc.wantSends {
 				t.Errorf("link saw %d sends, want %d", l.sends, tc.wantSends)
 			}
-			if !reflect.DeepEqual(clk.windows, tc.wantWindows) {
-				t.Errorf("attempt windows %v, want %v", clk.windows, tc.wantWindows)
+			windows, pauses := clk.split()
+			if !reflect.DeepEqual(windows, tc.wantWindows) {
+				t.Errorf("attempt windows %v, want %v", windows, tc.wantWindows)
 			}
-			if !reflect.DeepEqual(clk.sleeps, tc.wantSleeps) {
-				t.Errorf("backoff sleeps %v, want %v", clk.sleeps, tc.wantSleeps)
+			if !reflect.DeepEqual(pauses, tc.wantPauses) {
+				t.Errorf("backoff pauses %v, want %v", pauses, tc.wantPauses)
 			}
 			sort.Strings(tc.wantSpans)
 			if got := spanTree(rec); !reflect.DeepEqual(got, tc.wantSpans) {
 				t.Errorf("span tree:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(tc.wantSpans, "\n  "))
 			}
-			if tc.secure && tc.wantErr == "" && len(res.records) != len(res.path)-2 {
-				t.Errorf("%d sealed records for path %v", len(res.records), res.path)
+			if tc.secure && tc.wantErr == "" && len(res.Records) != len(res.Path)-2 {
+				t.Errorf("%d sealed records for path %v", len(res.Records), res.Path)
 			}
 			// A NACK carries neither the signed contract nor the records
 			// sealed so far: no reverse-path node reads them.
@@ -414,13 +432,16 @@ func TestDriverOverScriptedLink(t *testing.T) {
 				t.Errorf("%d attempts still pending after the outcome", len(d.pending))
 			}
 			// A message of an abandoned attempt that surfaces late runs its
-			// course — the CONFIRM reaches the initiator — and resolves
-			// nothing.
+			// course — the CONFIRM reaches the initiator — resolves nothing
+			// and is counted stale.
 			for _, h := range l.held {
-				before := rec.Total()
+				before, stale := rec.Total(), d.inst.staleReplies.Value()
 				d.Handle(l.stations[h.to], h.m)
 				if rec.Total() == before {
 					t.Error("late message was not handled")
+				}
+				if got := d.inst.staleReplies.Value(); got != stale+1 {
+					t.Errorf("stale replies %d after a late CONFIRM, want %d", got, stale+1)
 				}
 				if len(d.pending) != 0 {
 					t.Errorf("late message left %d attempts pending", len(d.pending))

@@ -20,6 +20,17 @@ const (
 	MsgNack
 )
 
+// String names the kind as the netwire frame kinds do.
+func (k MsgKind) String() string {
+	switch k {
+	case MsgForward:
+		return "forward"
+	case MsgConfirm:
+		return "confirm"
+	}
+	return "nack"
+}
+
 // Message is what travels over links, by value. Every backend carries
 // exactly these fields — in-process through channels, over TCP inside a
 // netwire.Frame — so the forwarding state machine below is written once.
@@ -227,11 +238,7 @@ func (d *Driver) relayBack(self overlay.NodeID, m Message) {
 			return
 		}
 	}
-	res := connResult{path: m.Path, records: m.Records, span: m.Span}
-	if m.Kind == MsgNack {
-		res = connResult{err: fmt.Errorf("transport: %s", m.Reason), fatal: m.Fatal, span: m.Span}
-	}
-	d.resolve(m.Attempt, res)
+	d.resolve(m)
 }
 
 // reverseRoute sends a CONFIRM/NACK from node self to Path[Hop], skipping

@@ -32,11 +32,11 @@ func (d *Driver) ConnectSecure(initiator, responder overlay.NodeID, contract *on
 	if !contract.Verify() {
 		return nil, errors.New("transport: contract signature invalid")
 	}
-	res, _, err := d.connect(initiator, responder, int(contract.BatchID), conn, budget, timeout, contract)
-	if err != nil {
-		return nil, err
+	res := d.connect(initiator, responder, int(contract.BatchID), conn, budget, timeout, contract)
+	if res.Err != nil {
+		return nil, res.Err
 	}
-	return &SecureOutcome{Path: res.path, Records: res.records}, nil
+	return &SecureOutcome{Path: res.Path, Records: res.Records}, nil
 }
 
 // RunSecureBatch runs k secure connections, validates every one with the
@@ -54,18 +54,18 @@ func (d *Driver) RunSecureBatch(initiator, responder overlay.NodeID, contract *o
 	}
 	out := NewBatchOutcome()
 	for conn := 1; conn <= k; conn++ {
-		res, reforms, err := d.connect(initiator, responder, int(contract.BatchID), conn, budget, timeout, contract)
-		out.Reformations += reforms
-		if err != nil {
-			return out, err
+		res := d.connect(initiator, responder, int(contract.BatchID), conn, budget, timeout, contract)
+		out.Reformations += res.Reformations
+		if res.Err != nil {
+			return out, res.Err
 		}
-		validated, err := bk.RecreatePath(contract, uint64(conn), initiator, responder, res.records)
+		validated, err := bk.RecreatePath(contract, uint64(conn), initiator, responder, res.Records)
 		if err != nil {
 			return out, fmt.Errorf("transport: connection %d failed validation: %w", conn, err)
 		}
-		if len(validated) != len(res.path) {
+		if len(validated) != len(res.Path) {
 			return out, fmt.Errorf("transport: connection %d: validated path length %d != observed %d",
-				conn, len(validated), len(res.path))
+				conn, len(validated), len(res.Path))
 		}
 		out.Record(validated, initiator)
 	}

@@ -278,6 +278,36 @@ func TestSendZeroLatencyAllocs(t *testing.T) {
 	}
 }
 
+// TestConnectZeroLatencyAllocs pins the initiator's cost in allocations:
+// one 5-hop, zero-latency, in-process connection on the real clock. The
+// connection record, its attempt's AfterFunc timer and the window
+// callback are the initiator's share; messages and the growing path are
+// the rest (DESIGN.md §3t).
+func TestConnectZeroLatencyAllocs(t *testing.T) {
+	n := NewNetwork(0)
+	defer n.Close()
+	next := RouterFunc(func(self, pred, initiator, responder overlay.NodeID, batch, conn, remaining int) (overlay.NodeID, bool) {
+		return self + 1, false
+	})
+	for id := overlay.NodeID(0); id <= 5; id++ {
+		if _, err := n.AddPeer(id, next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		conn++
+		if path, _, err := n.ConnectDetail(0, 5, 1, conn, 8, 10*time.Second); err != nil || len(path) != 6 {
+			t.Fatalf("path %v, err %v", path, err)
+		}
+	})
+	// 8 since the initiator runs on clock callbacks; the blocking loop
+	// before it cost 11.
+	if allocs > 8 {
+		t.Fatalf("a 5-hop connection allocates %.2f times, want <= 8", allocs)
+	}
+}
+
 func TestCloseIdempotentAndStopsPeers(t *testing.T) {
 	topo := buildTopo(5, 2, 15)
 	r := NewRandomRouter(topo, dist.NewSource(16))
@@ -499,7 +529,8 @@ func TestContractRejectionNacksInitiator(t *testing.T) {
 	bad := *contract
 	bad.Pf = 9999 // breaks the signature
 	start := vc.Now()
-	_, reforms, err := n.connect(0, 3, 5, 1, 10, 5*time.Second, &bad)
+	out := n.connect(0, 3, 5, 1, 10, 5*time.Second, &bad)
+	reforms, err := out.Reformations, out.Err
 	if err == nil {
 		t.Fatal("unverifiable contract completed a connection")
 	}

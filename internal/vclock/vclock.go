@@ -1,27 +1,31 @@
 // Package vclock abstracts the wall clock behind a Clock interface so the
-// same timing-dependent code — retry backoff, attempt deadlines, link
-// latency — can run against the real clock in production and against a
-// deterministic virtual clock in tests and the fault-injection harness.
+// same timing-dependent code — attempt windows, retry backoff, link
+// latency — runs against the real clock in production and against virtual
+// time in tests and in the fault-injection harness.
 //
-// The Virtual clock keeps a heap of waiters (sleeps, timers, delayed
-// funcs) and only moves when told to: either explicitly via Advance, or
-// through AutoAdvance, which watches for quiescence — no clock activity
-// for a grace period of real time — and then fires the earliest pending
-// waiter. Auto-advance is what lets a concurrent runtime like the live
-// transport run its full backoff/timeout schedule in microseconds of real
-// time: whenever every goroutine is blocked on the clock, the clock jumps
-// straight to the next deadline instead of letting the test sleep through
-// it (the root cause of the wall-clock flakiness this package replaces).
+// Virtual time has one implementation, sim.Engine's event queue, and two
+// faces over it. Engine is the single-threaded face: a timer's function
+// runs inline when the engine reaches it, which is how faultsim drives the
+// live transport inside its deterministic world. Virtual is the
+// concurrent face: a locked engine that only moves when told to, either
+// explicitly via Advance or through AutoAdvance, which watches for
+// quiescence — no clock activity for a grace period of real time — and
+// then fires the earliest pending timer. Auto-advance is what lets a
+// concurrent runtime like the live transport run its full backoff/timeout
+// schedule in microseconds of real time: whenever every goroutine is
+// waiting on the clock, the clock jumps straight to the next deadline.
 package vclock
 
 import (
-	"container/heap"
 	"sync"
 	"time"
+
+	"p2panon/internal/sim"
 )
 
 // Clock is the timing surface the transport runtime consumes. Real()
-// returns the system-clock implementation; NewVirtual a controllable one.
+// returns the system-clock implementation; NewVirtual and Engine virtual
+// ones.
 type Clock interface {
 	// Now returns the current time on this clock.
 	Now() time.Time
@@ -29,13 +33,11 @@ type Clock interface {
 	Since(t time.Time) time.Duration
 	// Until returns t.Sub(Now()).
 	Until(t time.Time) time.Duration
-	// Sleep blocks the calling goroutine for d (no-op when d <= 0).
-	Sleep(d time.Duration)
 	// NewTimer returns a timer that sends on its channel C once the clock
 	// reaches now+d.
 	NewTimer(d time.Duration) *Timer
-	// AfterFunc runs fn in its own goroutine once the clock reaches
-	// now+d.
+	// AfterFunc runs fn once the clock reaches now+d: in its own goroutine
+	// on the real and Virtual clocks, inline on an Engine clock.
 	AfterFunc(d time.Duration, fn func()) *Timer
 }
 
@@ -43,12 +45,27 @@ type Clock interface {
 type Timer struct {
 	// C delivers the firing time for timers made with NewTimer; it is nil
 	// for AfterFunc timers.
-	C    <-chan time.Time
-	stop func() bool
+	C <-chan time.Time
+
+	real *time.Timer
+	ev   *sim.Timer
+	v    *Virtual // set when ev lives on a Virtual clock's engine
 }
 
 // Stop cancels the timer, reporting whether it was still pending.
-func (t *Timer) Stop() bool { return t.stop() }
+func (t *Timer) Stop() bool {
+	switch {
+	case t.real != nil:
+		return t.real.Stop()
+	case t.ev == nil:
+		return false // fired on creation
+	case t.v != nil:
+		t.v.mu.Lock()
+		defer t.v.mu.Unlock()
+		t.v.activity++
+	}
+	return t.ev.Stop()
+}
 
 // realClock implements Clock on the system clock.
 type realClock struct{}
@@ -59,75 +76,88 @@ func Real() Clock { return realClock{} }
 func (realClock) Now() time.Time                  { return time.Now() }
 func (realClock) Since(t time.Time) time.Duration { return time.Since(t) }
 func (realClock) Until(t time.Time) time.Duration { return time.Until(t) }
-func (realClock) Sleep(d time.Duration)           { time.Sleep(d) }
 
 func (realClock) NewTimer(d time.Duration) *Timer {
 	t := time.NewTimer(d)
-	return &Timer{C: t.C, stop: t.Stop}
+	return &Timer{C: t.C, real: t}
 }
 
 func (realClock) AfterFunc(d time.Duration, fn func()) *Timer {
-	t := time.AfterFunc(d, fn)
-	return &Timer{stop: t.Stop}
-}
-
-// waiter is one pending sleep/timer/func on a virtual clock.
-type waiter struct {
-	at        time.Time
-	seq       uint64
-	cancelled bool
-	fire      func(now time.Time)
-}
-
-// waiterHeap orders waiters by deadline, FIFO on ties (like sim.Engine).
-type waiterHeap []*waiter
-
-func (h waiterHeap) Len() int { return len(h) }
-func (h waiterHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
-	}
-	return h[i].seq < h[j].seq
-}
-func (h waiterHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *waiterHeap) Push(x any)   { *h = append(*h, x.(*waiter)) }
-func (h *waiterHeap) Pop() any {
-	old := *h
-	n := len(old)
-	w := old[n-1]
-	*h = old[:n-1]
-	return w
-}
-
-// Virtual is a deterministic manual/auto-advancing clock.
-type Virtual struct {
-	mu    sync.Mutex
-	start time.Time
-	now   time.Time
-	heap  waiterHeap
-	seq   uint64
-	// activity counts every registration, cancellation and advance;
-	// AutoAdvance uses it to detect quiescence.
-	activity uint64
+	return &Timer{real: time.AfterFunc(d, fn)}
 }
 
 // Epoch is the default virtual start time: the Unix epoch, so virtual
 // timestamps are recognisable in traces.
 var Epoch = time.Unix(0, 0).UTC()
 
+// engineClock is the Engine face: times are the epoch plus the engine's
+// clock, and timers are engine events.
+type engineClock struct {
+	e     *sim.Engine
+	epoch time.Time
+}
+
+// Engine returns a Clock over e that reads e's time on Epoch and schedules
+// every timer as an event on e: an AfterFunc function runs inline when the
+// engine reaches it. The clock is as single-threaded as the engine itself.
+func Engine(e *sim.Engine) Clock { return newEngineClock(e, Epoch) }
+
+func newEngineClock(e *sim.Engine, epoch time.Time) engineClock {
+	if epoch.IsZero() {
+		epoch = Epoch
+	}
+	return engineClock{e: e, epoch: epoch}
+}
+
+func (c engineClock) Now() time.Time                  { return c.epoch.Add(c.e.Now().Duration()) }
+func (c engineClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
+func (c engineClock) Until(t time.Time) time.Duration { return t.Sub(c.Now()) }
+
+// schedule queues fn d from now. The deadline is summed in nanoseconds,
+// so deadlines that are equal as Durations are equal on the engine and
+// fire in scheduling order; a non-positive d fires at the current time,
+// after the events already queued for it.
+func (c engineClock) schedule(d time.Duration, fn func()) *sim.Timer {
+	at := sim.FromDuration(c.e.Now().Duration() + d)
+	if now := c.e.Now(); at < now {
+		at = now
+	}
+	return c.e.NewTimer(at, fn)
+}
+
+func (c engineClock) NewTimer(d time.Duration) *Timer {
+	ch := make(chan time.Time, 1)
+	return &Timer{C: ch, ev: c.schedule(d, func() { ch <- c.Now() })}
+}
+
+func (c engineClock) AfterFunc(d time.Duration, fn func()) *Timer {
+	return &Timer{ev: c.schedule(d, fn)}
+}
+
+// Virtual is a deterministic manual/auto-advancing clock: an Engine face
+// behind a lock whose timers hand their work off the engine — AfterFunc
+// functions to their own goroutines, NewTimer firings to buffered
+// channels — so no caller code runs under the lock.
+type Virtual struct {
+	mu  sync.Mutex
+	eng *sim.Engine
+	clk engineClock
+	// activity counts every registration, cancellation and advance;
+	// AutoAdvance uses it to detect quiescence.
+	activity uint64
+}
+
 // NewVirtual returns a virtual clock starting at start (Epoch if zero).
 func NewVirtual(start time.Time) *Virtual {
-	if start.IsZero() {
-		start = Epoch
-	}
-	return &Virtual{start: start, now: start}
+	eng := sim.NewEngine()
+	return &Virtual{eng: eng, clk: newEngineClock(eng, start)}
 }
 
 // Now returns the current virtual time.
 func (v *Virtual) Now() time.Time {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.now
+	return v.clk.Now()
 }
 
 // Since returns the virtual time elapsed since t.
@@ -140,127 +170,55 @@ func (v *Virtual) Until(t time.Time) time.Duration { return t.Sub(v.Now()) }
 func (v *Virtual) Elapsed() time.Duration {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.now.Sub(v.start)
+	return v.eng.Now().Duration()
 }
 
-// Pending returns the number of live (uncancelled) waiters.
+// Pending returns the number of live (unstopped, unfired) timers.
 func (v *Virtual) Pending() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	n := 0
-	for _, w := range v.heap {
-		if !w.cancelled {
-			n++
-		}
-	}
-	return n
+	return v.eng.Pending()
 }
 
-// add registers a waiter d from now and returns it. A non-positive d
-// fires immediately (matching time.NewTimer semantics), still off the
-// registering goroutine's critical path.
-func (v *Virtual) add(d time.Duration, fire func(now time.Time)) *waiter {
-	v.mu.Lock()
-	v.seq++
-	v.activity++
-	w := &waiter{at: v.now.Add(d), seq: v.seq, fire: fire}
-	if d <= 0 {
-		now := v.now
-		v.mu.Unlock()
-		fire(now)
-		return w
-	}
-	heap.Push(&v.heap, w)
-	v.mu.Unlock()
-	return w
-}
-
-// cancel marks w cancelled, reporting whether it had not yet fired.
-func (v *Virtual) cancel(w *waiter) bool {
+// add registers fire d from now. A non-positive d fires at once (matching
+// time.NewTimer semantics) and returns a timer that is no longer pending.
+func (v *Virtual) add(d time.Duration, fire func(now time.Time)) *Timer {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.activity++
-	if w.cancelled {
-		return false
-	}
-	w.cancelled = true
-	return true
-}
-
-// Sleep blocks until the virtual clock reaches now+d.
-func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
-		return
+		fire(v.clk.Now())
+		return &Timer{}
 	}
-	ch := make(chan struct{})
-	v.add(d, func(time.Time) { close(ch) })
-	<-ch
+	return &Timer{ev: v.clk.schedule(d, func() { fire(v.clk.Now()) }), v: v}
 }
 
 // NewTimer returns a timer firing at virtual now+d.
 func (v *Virtual) NewTimer(d time.Duration) *Timer {
 	ch := make(chan time.Time, 1)
-	w := v.add(d, func(now time.Time) {
-		select {
-		case ch <- now:
-		default:
-		}
-	})
-	return &Timer{C: ch, stop: func() bool { return v.cancel(w) }}
+	t := v.add(d, func(now time.Time) { ch <- now })
+	t.C = ch
+	return t
 }
 
 // AfterFunc runs fn in its own goroutine at virtual now+d.
 func (v *Virtual) AfterFunc(d time.Duration, fn func()) *Timer {
-	w := v.add(d, func(time.Time) { go fn() })
-	return &Timer{stop: func() bool { return v.cancel(w) }}
+	return v.add(d, func(time.Time) { go fn() })
 }
 
-// fireNextLocked pops and fires the earliest live waiter (if any),
-// advancing the clock to its deadline. Caller holds v.mu; the waiter's
-// fire runs with the lock held (all fire funcs are non-blocking:
-// channel close, buffered send, or go statement).
-func (v *Virtual) fireNextLocked() bool {
-	for len(v.heap) > 0 {
-		w := heap.Pop(&v.heap).(*waiter)
-		if w.cancelled {
-			continue
-		}
-		w.cancelled = true
-		v.now = w.at
-		v.activity++
-		w.fire(v.now)
-		return true
-	}
-	return false
-}
-
-// Advance moves the clock forward by d, firing every waiter whose
-// deadline falls inside the window, in deadline order.
+// Advance moves the clock forward by d, firing every timer whose deadline
+// falls inside the window, in deadline order.
 func (v *Virtual) Advance(d time.Duration) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	target := v.now.Add(d)
 	v.activity++
-	for len(v.heap) > 0 {
-		// Skip cancelled heads so the deadline peek is live.
-		if v.heap[0].cancelled {
-			heap.Pop(&v.heap)
-			continue
-		}
-		if v.heap[0].at.After(target) {
-			break
-		}
-		v.fireNextLocked()
-	}
-	if v.now.Before(target) {
-		v.now = target
-	}
+	v.eng.RunUntil(sim.FromDuration(v.eng.Now().Duration() + d))
 }
 
-// AutoAdvance starts a watchdog that fires the earliest pending waiter
+// AutoAdvance starts a watchdog that fires the earliest pending timer
 // whenever the clock has been quiescent — no registrations, cancellations
 // or advances — for one grace period of real time. It returns a stop
-// function (idempotent). With every goroutine blocked on the clock,
+// function (idempotent). With every goroutine waiting on the clock,
 // activity stalls and the watchdog steps virtual time to the next
 // deadline; while goroutines are actively using the clock, it stays out
 // of the way. grace trades determinism margin against real-time speed;
@@ -283,12 +241,10 @@ func (v *Virtual) AutoAdvance(grace time.Duration) (stop func()) {
 			case <-tick.C:
 			}
 			v.mu.Lock()
-			act := v.activity
-			if seen && act == last && len(v.heap) > 0 {
-				v.fireNextLocked()
-				act = v.activity
+			if seen && v.activity == last && v.eng.Step() {
+				v.activity++
 			}
-			last, seen = act, true
+			last, seen = v.activity, true
 			v.mu.Unlock()
 		}
 	}()

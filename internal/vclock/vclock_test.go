@@ -7,6 +7,10 @@ import (
 	"time"
 )
 
+// sleep blocks the calling goroutine until c reaches now+d: the one
+// blocking wait a caller builds from a timer.
+func sleep(c Clock, d time.Duration) { <-c.NewTimer(d).C }
+
 func TestVirtualAdvanceFiresInDeadlineOrder(t *testing.T) {
 	v := NewVirtual(time.Time{})
 	var mu sync.Mutex
@@ -40,7 +44,7 @@ func TestVirtualSleepWakesOnAdvance(t *testing.T) {
 	v := NewVirtual(time.Time{})
 	done := make(chan struct{})
 	go func() {
-		v.Sleep(time.Hour)
+		sleep(v, time.Hour)
 		close(done)
 	}()
 	// Wait for the sleeper to register.
@@ -51,7 +55,7 @@ func TestVirtualSleepWakesOnAdvance(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("Sleep(1h) did not wake after Advance(1h)")
+		t.Fatal("sleep(1h) did not wake after Advance(1h)")
 	}
 	if v.Elapsed() != time.Hour {
 		t.Fatalf("elapsed %v", v.Elapsed())
@@ -83,8 +87,8 @@ func TestVirtualZeroDelayFiresImmediately(t *testing.T) {
 	default:
 		t.Fatal("zero-delay timer did not fire immediately")
 	}
-	v.Sleep(0) // must not block
-	v.Sleep(-1 * time.Second)
+	sleep(v, 0) // must not block
+	sleep(v, -1*time.Second)
 }
 
 func TestAutoAdvanceDrainsSequentialSleeps(t *testing.T) {
@@ -94,9 +98,9 @@ func TestAutoAdvanceDrainsSequentialSleeps(t *testing.T) {
 	start := time.Now()
 	// Three sequential virtual sleeps totalling 600ms of virtual time must
 	// complete in real milliseconds.
-	v.Sleep(100 * time.Millisecond)
-	v.Sleep(200 * time.Millisecond)
-	v.Sleep(300 * time.Millisecond)
+	sleep(v, 100*time.Millisecond)
+	sleep(v, 200*time.Millisecond)
+	sleep(v, 300*time.Millisecond)
 	if v.Elapsed() != 600*time.Millisecond {
 		t.Fatalf("virtual elapsed %v, want 600ms", v.Elapsed())
 	}
@@ -115,7 +119,7 @@ func TestAutoAdvanceConcurrentWaiters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v.Sleep(time.Duration(i) * 10 * time.Millisecond)
+			sleep(v, time.Duration(i)*10*time.Millisecond)
 			fired.Add(1)
 		}(i)
 	}
@@ -133,9 +137,9 @@ func TestAutoAdvanceConcurrentWaiters(t *testing.T) {
 func TestRealClockBasics(t *testing.T) {
 	c := Real()
 	t0 := c.Now()
-	c.Sleep(time.Millisecond)
+	sleep(c, time.Millisecond)
 	if c.Since(t0) <= 0 {
-		t.Fatal("Since not positive after Sleep")
+		t.Fatal("Since not positive after sleep")
 	}
 	if c.Until(t0.Add(time.Hour)) <= 0 {
 		t.Fatal("Until not positive for a future time")
