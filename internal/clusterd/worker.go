@@ -277,9 +277,9 @@ func (w *worker) collect(m *Msg) error {
 		if nd == nil {
 			continue
 		}
-		if c := nd.Credited(m.Batch); c != 0 {
+		if c, forwards := nd.Settled(m.Batch); c != 0 {
 			obs = append(obs, CreditEntry{
-				Node: n, Forwards: nd.Forwards(m.Batch), PayoffBits: math.Float64bits(c),
+				Node: n, Forwards: forwards, PayoffBits: math.Float64bits(c),
 			})
 		}
 	}

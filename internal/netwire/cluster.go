@@ -175,13 +175,13 @@ func (c *Cluster) Join(id overlay.NodeID, r transport.Router) error {
 		return fmt.Errorf("netwire: listen: %w", err)
 	}
 	nd := &Node{
-		Station:  transport.NewStation(id, r),
-		c:        c,
-		ln:       ln,
-		links:    make(map[overlay.NodeID]*link),
-		inbound:  make(map[net.Conn]struct{}),
-		credited: make(map[int]float64),
-		killed:   make(chan struct{}),
+		Station: transport.NewStation(id, r),
+		c:       c,
+		ln:      ln,
+		links:   make(map[overlay.NodeID]*link),
+		inbound: make(map[net.Conn]struct{}),
+		settled: make(map[int]settlement),
+		killed:  make(chan struct{}),
 	}
 	c.mu.Lock()
 	if _, dup := c.nodes[id]; dup {
@@ -310,13 +310,16 @@ func (c *Cluster) Send(from, to overlay.NodeID, m transport.Message) bool {
 
 // SettleBatch distributes a completed batch's split payment over the
 // wire: every member of the forwarder set receives a Settle frame with
-// its m·P_f + P_r/‖π‖ share, which the receiving node credits. Returns
-// how many settle frames were accepted for delivery.
+// its m·P_f + P_r/‖π‖ share, which the receiving node credits. The batch
+// closes on the initiator here and on each member as its frame lands
+// (Driver.Settled). Returns how many settle frames were accepted for
+// delivery.
 func (c *Cluster) SettleBatch(initiator overlay.NodeID, batch int, out *transport.BatchOutcome, contract core.Contract) (int, error) {
 	nd := c.Node(initiator)
 	if nd == nil {
 		return 0, fmt.Errorf("netwire: unknown initiator %d", initiator)
 	}
+	c.Settled(nd.Station, batch)
 	// The settle frames carry the batch root as trace context; the
 	// receiving node emits the settle span, so the log records settlement
 	// where it actually happened — yet with the same ids the in-process

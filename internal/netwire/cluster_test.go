@@ -16,6 +16,7 @@ import (
 	"p2panon/internal/dist"
 	"p2panon/internal/onion"
 	"p2panon/internal/overlay"
+	"p2panon/internal/quality"
 	"p2panon/internal/transport"
 	"p2panon/internal/wire"
 )
@@ -440,6 +441,74 @@ func TestFrameMessageConversion(t *testing.T) {
 		}
 		if got := f.message(m.Deadline); !reflect.DeepEqual(got, m) {
 			t.Fatalf("round trip lost fields:\n got %+v\nwant %+v", got, m)
+		}
+	}
+}
+
+// TestBatchStateBoundedOverTCP is the TCP counterpart of transport's
+// in-process bound: 10³ batches settled over loopback, up to three open at
+// a time. Once a batch's Settle frames have landed, no node holds a
+// forwarding count for it, each member's settled record keeps its own
+// count, and the router's histories number no more than the batches still
+// open.
+func TestBatchStateBoundedOverTCP(t *testing.T) {
+	const nodes, batches, window = 8, 1_000, 3
+	topo := buildTopo(nodes, 4, 23)
+	avail := make(map[overlay.NodeID]float64, nodes)
+	for id := range topo {
+		avail[id] = 0.5
+	}
+	contract := core.Contract{Pf: 1, Pr: 10}
+	r := transport.NewUtilityRouter(topo, quality.DefaultWeights(), contract, avail)
+	c := startCluster(t, topo, r)
+	rng := dist.NewSource(24)
+	type openBatch struct {
+		id        int
+		initiator overlay.NodeID
+		out       *transport.BatchOutcome
+	}
+	var open []openBatch
+	for b := 1; b <= batches; b++ {
+		i := overlay.NodeID(rng.Intn(nodes))
+		resp := overlay.NodeID(rng.Intn(nodes - 1))
+		if resp >= i {
+			resp++
+		}
+		out, err := c.RunBatch(i, resp, b, 2, 4, 10*time.Second)
+		if err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		open = append(open, openBatch{b, i, out})
+		if len(open) == window {
+			s := open[0]
+			open = open[1:]
+			if _, err := c.SettleBatch(s.initiator, s.id, s.out, contract); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for id := range s.out.Set {
+				for {
+					payoff, forwards := c.Node(id).Settled(s.id)
+					if payoff != 0 {
+						if forwards != s.out.Forwards[id] {
+							t.Fatalf("batch %d: node %d settled with %d forwards, want %d", s.id, id, forwards, s.out.Forwards[id])
+						}
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("batch %d: node %d never settled", s.id, id)
+					}
+					time.Sleep(50 * time.Microsecond)
+				}
+			}
+			for id := range topo {
+				if got := c.Node(id).Forwards(s.id); got != 0 {
+					t.Fatalf("batch %d settled: node %d still counts %d forwards", s.id, id, got)
+				}
+			}
+		}
+		if got := r.OpenBatches(); got > len(open) {
+			t.Fatalf("after batch %d: router holds %d histories for %d open batches", b, got, len(open))
 		}
 	}
 }

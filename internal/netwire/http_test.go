@@ -82,7 +82,7 @@ func TestNetwireMetricsExposition(t *testing.T) {
 		"netwire_deadline_hits_total", "netwire_messages_total",
 		"netwire_nacks_total", "netwire_contract_rejects_total",
 		"netwire_timeouts_total", "netwire_reformations_total",
-		"netwire_stale_replies_total",
+		"netwire_stale_replies_total", "netwire_closed_batch_total",
 		"netwire_connections_total", "netwire_settlements_total",
 		"netwire_connect_latency_seconds", "netwire_path_length_hops",
 		"netwire_nack_hops",
@@ -112,6 +112,7 @@ func TestNetwireMetricsExposition(t *testing.T) {
 		`netwire_connections_total{result="ok"}`,
 		`netwire_connections_total{result="fail"}`,
 		`netwire_stale_replies_total`,
+		`netwire_closed_batch_total`,
 		`netwire_bytes_total{dir="sent"}`,
 		`netwire_bytes_total{dir="recv"}`,
 		`transport_spne_cache_total{result="hit"}`,

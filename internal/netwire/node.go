@@ -25,24 +25,41 @@ type Node struct {
 	c  *Cluster
 	ln net.Listener
 
-	mu       sync.Mutex
-	links    map[overlay.NodeID]*link
-	inbound  map[net.Conn]struct{}
-	credited map[int]float64 // batch -> settled payoff received
+	mu      sync.Mutex
+	links   map[overlay.NodeID]*link
+	inbound map[net.Conn]struct{}
+	settled map[int]settlement // batch -> what its Settle frame left here
 
 	killed   chan struct{}
 	killOnce sync.Once
+}
+
+// settlement is what a batch's Settle frame left at a node: the payoff it
+// credited and the node's own forwarding count, moved out of the station
+// as the batch closed.
+type settlement struct {
+	payoff   float64
+	forwards int
 }
 
 // Addr returns the node's listen address.
 func (nd *Node) Addr() string { return nd.ln.Addr().String() }
 
 // Credited returns the split payment this node has received for a batch
-// via Settle frames.
+// via its Settle frame.
 func (nd *Node) Credited(batch int) float64 {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	return nd.credited[batch]
+	return nd.settled[batch].payoff
+}
+
+// Settled returns the payoff a batch's Settle frame credited here and this
+// node's forwarding count for the batch as of the settle; zeros until the
+// frame lands.
+func (nd *Node) Settled(batch int) (payoff float64, forwards int) {
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	return nd.settled[batch].payoff, nd.settled[batch].forwards
 }
 
 // kill shuts the node down abruptly: listener closed, every connection
@@ -163,8 +180,15 @@ func (nd *Node) handleFrame(f *Frame, abs time.Time) {
 	case KindProbeAck:
 		nd.c.resolveProbe(f.Nonce)
 	case KindSettle:
+		// The batch closes here. A settle for a batch already closed is
+		// refused; otherwise the node's own forwarding count moves into the
+		// settled record beside the credit.
+		forwards, ok := nd.c.Settled(nd.Station, f.Batch)
+		if !ok {
+			return
+		}
 		nd.mu.Lock()
-		nd.credited[f.Batch] += f.Payoff
+		nd.settled[f.Batch] = settlement{payoff: f.Payoff, forwards: forwards}
 		nd.mu.Unlock()
 		nd.c.metrics.settles.Inc()
 		// The settle span is minted where the credit lands, from the batch

@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"p2panon/internal/core"
 	"p2panon/internal/onion"
 	"p2panon/internal/overlay"
+	"p2panon/internal/quality"
 	"p2panon/internal/sim"
 	"p2panon/internal/telemetry"
 	"p2panon/internal/vclock"
@@ -448,5 +450,64 @@ func TestDriverOverScriptedLink(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestClosedBatchRefused settles a batch over the scripted link, then
+// replays a duplicate of a FORWARD it carried: the station that closed the
+// batch refuses it — nothing sent, no routing, no history or count
+// re-created — and counts it, as it counts a second settle. The record of
+// closed batches has closedCap slots.
+func TestClosedBatchRefused(t *testing.T) {
+	topo := Topology{0: {1}, 1: {0, 2}, 2: {1, 4}, 4: {2}}
+	r := NewUtilityRouter(topo, quality.DefaultWeights(), core.Contract{Pf: 1, Pr: 10}, nil)
+	var dup Message
+	l := &scriptLink{stations: make(map[overlay.NodeID]*Station), script: func(from, to overlay.NodeID, m Message) fate {
+		if to == 1 && m.Kind == MsgForward {
+			dup = m
+		}
+		return deliver
+	}}
+	d := NewDriver(l, "transport")
+	l.d = d
+	for id := range topo {
+		l.stations[id] = NewStation(id, r)
+	}
+	const batch = 5
+	out, err := d.RunBatch(0, 4, batch, 3, 8, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relay := l.stations[1]
+	if relay.Forwards(batch) != 3 || r.OpenBatches() != 1 {
+		t.Fatalf("before settle: relay forwards %d, router histories %d; want 3 and 1", relay.Forwards(batch), r.OpenBatches())
+	}
+
+	d.Settled(l.stations[0], batch)
+	for id := range out.Set {
+		d.Settled(l.stations[id], batch)
+	}
+	closed := d.Telemetry().Counter("transport_closed_batch_total", nil)
+	sends := l.sends
+	d.Handle(relay, dup)
+	if got := closed.Value(); got != 1 {
+		t.Errorf("closed_batch_total %d after a duplicate FORWARD, want 1", got)
+	}
+	if l.sends != sends {
+		t.Errorf("the duplicate FORWARD was routed: %d sends", l.sends-sends)
+	}
+	if _, held := r.batches[batch]; held || len(relay.forwards) != 0 {
+		t.Errorf("closed batch re-created: router history %v, relay counts %v", held, relay.forwards)
+	}
+	if _, ok := d.Settled(relay, batch); ok || closed.Value() != 2 {
+		t.Errorf("second settle accepted=%v, closed_batch_total %d; want refused and 2", ok, closed.Value())
+	}
+
+	// The record is closedCap slots: closing a batch congruent to this one
+	// mod closedCap evicts it, and its messages are no longer recognised.
+	relay.CloseBatch(batch + closedCap)
+	if relay.isClosed(batch) || !relay.isClosed(batch+closedCap) {
+		t.Errorf("after closing %d: batch %d remembered %v, batch %d remembered %v",
+			batch+closedCap, batch, relay.isClosed(batch), batch+closedCap, relay.isClosed(batch+closedCap))
 	}
 }

@@ -76,15 +76,26 @@ type Message struct {
 	Span  telemetry.SpanID
 }
 
-// Station is one hosted node's protocol state: its routing brain and its
-// forwarding-instance counts. A backend embeds one in its node type and
-// hands it to Driver.Handle with every message it delivers there.
+// closedCap is the size of a station's record of closed batches, so that
+// it can refuse their late messages: batch b is remembered until the
+// station closes another batch congruent to b mod closedCap. A message
+// for a batch it no longer remembers is handled as one for an open batch
+// (DESIGN.md §3u).
+const closedCap = 256
+
+// Station is one hosted node's protocol state: its routing brain, its
+// forwarding-instance counts and the batches it has closed. A backend
+// embeds one in its node type and hands it to Driver.Handle with every
+// message it delivers there.
 type Station struct {
 	ID     overlay.NodeID
 	router Router
 
 	mu       sync.Mutex
-	forwards map[int]int // batch -> forwarding instances by this node
+	forwards map[int]int // batch -> forwarding instances by this node, until the batch closes
+	// closed[b mod closedCap] is b+1 for the last batch b closed in that
+	// slot, 0 for none.
+	closed [closedCap]int
 }
 
 // NewStation returns the protocol state of node id routing with r.
@@ -92,11 +103,39 @@ func NewStation(id overlay.NodeID, r Router) *Station {
 	return &Station{ID: id, router: r, forwards: make(map[int]int)}
 }
 
-// Forwards returns this node's forwarding-instance count for a batch.
+// Forwards returns this node's forwarding-instance count for a batch, or
+// zero once the batch has closed here.
 func (s *Station) Forwards(batch int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.forwards[batch]
+}
+
+// CloseBatch ends batch at this station, where its settlement landed: the
+// forwarding count goes, and so does the router's state for the batch if
+// the router is a BatchCloser. From then on Driver.Handle refuses the
+// batch's messages here. It returns the count it dropped, or false and
+// drops nothing when the station had already closed the batch.
+func (s *Station) CloseBatch(batch int) (forwards int, ok bool) {
+	s.mu.Lock()
+	slot := &s.closed[uint(batch)%closedCap]
+	if ok = *slot != batch+1; ok {
+		forwards = s.forwards[batch]
+		delete(s.forwards, batch)
+		*slot = batch + 1
+	}
+	s.mu.Unlock()
+	if c, closer := s.router.(BatchCloser); ok && closer {
+		c.CloseBatch(batch)
+	}
+	return forwards, ok
+}
+
+// isClosed reports whether the station remembers closing batch.
+func (s *Station) isClosed(batch int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed[uint(batch)%closedCap] == batch+1
 }
 
 // Link is all the connection driver knows about a backend: how a message
@@ -118,13 +157,31 @@ type Link interface {
 }
 
 // Handle is the link's delivery entry point: m arrived at hosted node st.
+// A message for a batch st has closed is refused and counted: it is
+// neither routed nor relayed, and re-creates no state.
 func (d *Driver) Handle(st *Station, m Message) {
+	if st.isClosed(m.Batch) {
+		d.inst.closedBatch.Inc()
+		return
+	}
 	switch m.Kind {
 	case MsgForward:
 		d.handleForward(st, m)
 	case MsgConfirm, MsgNack:
 		d.relayBack(st.ID, m)
 	}
+}
+
+// Settled is the link's settlement entry point: batch's settlement reached
+// hosted node st, and the batch closes there (Station.CloseBatch). It
+// returns st's forwarding count for the batch. A settle for a batch st
+// had already closed is refused like any other message for it: false,
+// and counted.
+func (d *Driver) Settled(st *Station, batch int) (forwards int, ok bool) {
+	if forwards, ok = st.CloseBatch(batch); !ok {
+		d.inst.closedBatch.Inc()
+	}
+	return forwards, ok
 }
 
 // Undeliverable is the link's failure entry point: m, which Send accepted

@@ -106,15 +106,17 @@ type UtilityRouter struct {
 	c     core.Contract
 	avail []float64
 	dead  []bool
-	// batches holds each batch's routing history, selectivity's input.
+	// batches holds the routing history, selectivity's input, of each
+	// batch from its first recorded hop until CloseBatch drops it when the
+	// batch's settlement reaches a station routing with this router.
 	batches map[int]*batchHist
 }
 
 // batchHist is one batch's routing history: the directed edges its
 // connections used, each with the number of distinct connections that
 // used it, so a connection reusing an edge — a cycle, a re-attempt —
-// counts once. Edges are int32 pairs like the rows': no batch's history
-// is ever dropped, so its keys are kept small.
+// counts once. Edges are int32 pairs like the rows': every batch open at
+// once holds a history, so its keys are kept small.
 type batchHist struct {
 	uses  map[[2]int32]int32
 	seen  map[connEdge]struct{} // the (conn, edge) pairs counted in uses
@@ -186,6 +188,22 @@ func (r *UtilityRouter) setDead(id overlay.NodeID, dead bool) {
 	r.mu.Lock()
 	r.dead[id] = dead
 	r.mu.Unlock()
+}
+
+// CloseBatch implements BatchCloser: the batch's history goes. A
+// UtilityIIRouter closes through this method too; its cached
+// prescriptions are bounded by spneCacheCap and left to eviction.
+func (r *UtilityRouter) CloseBatch(batch int) {
+	r.mu.Lock()
+	delete(r.batches, batch)
+	r.mu.Unlock()
+}
+
+// OpenBatches returns how many batches the router holds a history for.
+func (r *UtilityRouter) OpenBatches() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.batches)
 }
 
 // NextHop implements Router: maximise P_f + q·P_r (costs are uniform in

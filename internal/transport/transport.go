@@ -68,6 +68,15 @@ type ChurnAware interface {
 	MarkLive(overlay.NodeID)
 }
 
+// BatchCloser is implemented by routers that keep per-batch state. A
+// station calls CloseBatch when the batch's settlement reaches it, and
+// the router drops what it kept for the batch. A router that does not
+// implement it — a wrapper that forwards only NextHop, say — keeps its
+// state.
+type BatchCloser interface {
+	CloseBatch(batch int)
+}
+
 // Peer is one concurrently running overlay member: its protocol station
 // plus the inbox goroutine that feeds it.
 type Peer struct {
@@ -390,10 +399,18 @@ func (o *BatchOutcome) Payoff(id overlay.NodeID, c core.Contract) float64 {
 // emitted under the batch's trace root, mirroring the TCP backend's
 // Settle frames so both backends produce identical settlement spans.
 // In-process there is no wire to cross, so the credit is implicit in the
-// outcome itself; it returns how many members were settled.
+// outcome itself; the batch closes on the initiator and on every member
+// (Driver.Settled). It returns how many members were settled.
 func (n *Network) SettleBatch(initiator overlay.NodeID, batch int, out *BatchOutcome, contract core.Contract) (int, error) {
-	if n.Peer(initiator) == nil {
+	p := n.Peer(initiator)
+	if p == nil {
 		return 0, fmt.Errorf("transport: unknown initiator %d", initiator)
+	}
+	n.Settled(p.Station, batch)
+	for id := range out.Set {
+		if m := n.Peer(id); m != nil {
+			n.Settled(m.Station, batch)
+		}
 	}
 	if spans := n.Spans(); spans != nil && len(out.Paths) > 0 {
 		first := out.Paths[0]

@@ -721,3 +721,53 @@ func TestUtilityIIRouterConcurrentBatches(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchStateBoundedInProcess settles 10⁴ batches over the in-process
+// backend, up to three open at a time, and checks after every step that
+// the router's histories and every station's forwarding counts number no
+// more than the batches open: a long run keeps no state for a settled
+// batch.
+func TestBatchStateBoundedInProcess(t *testing.T) {
+	const nodes, batches, window = 16, 10_000, 3
+	topo := buildTopo(nodes, 4, 21)
+	r := NewUtilityIIRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), uniformAvail(nodes))
+	n := startNetwork(t, topo, r)
+	contract := core.Contract{Pf: 1, Pr: 10}
+	rng := dist.NewSource(22)
+	type openBatch struct {
+		id        int
+		initiator overlay.NodeID
+		out       *BatchOutcome
+	}
+	var open []openBatch
+	for b := 1; b <= batches; b++ {
+		i := overlay.NodeID(rng.Intn(nodes))
+		resp := overlay.NodeID(rng.Intn(nodes - 1))
+		if resp >= i {
+			resp++
+		}
+		out, err := n.RunBatch(i, resp, b, 2, 4, 5*time.Second)
+		if err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		open = append(open, openBatch{b, i, out})
+		if len(open) == window {
+			if _, err := n.SettleBatch(open[0].initiator, open[0].id, open[0].out, contract); err != nil {
+				t.Fatal(err)
+			}
+			open = open[1:]
+		}
+		if got := r.OpenBatches(); got > len(open) {
+			t.Fatalf("after batch %d: router holds %d histories for %d open batches", b, got, len(open))
+		}
+		for id := range topo {
+			st := n.Peer(id).Station
+			st.mu.Lock()
+			got := len(st.forwards)
+			st.mu.Unlock()
+			if got > len(open) {
+				t.Fatalf("after batch %d: node %d holds %d forwarding counts for %d open batches", b, id, got, len(open))
+			}
+		}
+	}
+}
