@@ -18,7 +18,10 @@ import (
 // sending side's directory entry for To points at the relay instead of
 // the real listener. Because the directory is per worker process,
 // shaping granularity is (From's worker → To); compositions that need
-// node-granular shaping place one node per worker.
+// node-granular shaping place one node per worker. What passes the relay
+// is the connections From dials to To, and a connection carries frames
+// both ways: a connection To dialed to From is not shaped, so a pair
+// shaped in both directions is declared twice.
 type LinkShape struct {
 	From int `json:"from"`
 	To   int `json:"to"`

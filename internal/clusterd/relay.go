@@ -14,7 +14,10 @@ import (
 // handshake dies at once); Drop reads and discards forever without
 // answering (the sender's handshake times out); Delay pipes both
 // directions but holds each forward-path chunk back by the configured
-// amount.
+// amount. A connection carries frames both ways (netwire's links are
+// unordered pairs), so only the frames From writes on a connection it
+// dialed are shaped; To's replies on it come back unshaped, and a
+// connection To dialed does not pass the relay at all.
 type relay struct {
 	shape  LinkShape
 	ln     net.Listener
@@ -99,8 +102,9 @@ func (r *relay) serve(src net.Conn) {
 	defer r.untrack(dst)
 	defer dst.Close()
 	done := make(chan struct{}, 2)
-	go func() { // reverse path (HelloAck): unshaped
+	go func() { // reverse path (HelloAck, and the To end's frames): unshaped
 		io.Copy(src, dst)
+		closeWrite(src)
 		done <- struct{}{}
 	}()
 	go func() { // forward path: per-chunk delay
@@ -120,9 +124,21 @@ func (r *relay) serve(src net.Conn) {
 				break
 			}
 		}
+		closeWrite(dst)
 		done <- struct{}{}
 	}()
-	<-done // either side closing tears the pipe down
+	// A half-close passes through, so a node that retires the connection
+	// still reads what its peer wrote meanwhile; the pipe ends when both
+	// directions have.
+	<-done
+	<-done
+}
+
+// closeWrite half-closes a piped connection's sending side.
+func closeWrite(c net.Conn) {
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.CloseWrite()
+	}
 }
 
 // Close stops the listener and every piped connection, then waits for

@@ -26,11 +26,13 @@ type Config struct {
 	// mirroring transport.NewNetwork's link latency model (0 = none).
 	Latency time.Duration
 	// DialTimeout/HandshakeTimeout bound connection establishment;
-	// WriteTimeout bounds one frame write; IdleTimeout closes inbound
-	// connections with no traffic; EnqueueTimeout is how long a sender
-	// blocks on a full outbound queue before the frame is refused. These
-	// socket guards run on the real clock — the kernel does not speak
-	// virtual time; only the protocol schedule follows SetClock.
+	// WriteTimeout bounds one frame write; IdleTimeout retires a
+	// connection an end has read nothing from for that long (that end
+	// stops writing it, and the peer re-dials for its next frame);
+	// EnqueueTimeout is how long a sender blocks on a full outbound queue
+	// before the frame is refused. These socket guards run on the real
+	// clock — the kernel does not speak virtual time; only the protocol
+	// schedule follows SetClock.
 	DialTimeout, HandshakeTimeout, WriteTimeout, IdleTimeout, EnqueueTimeout time.Duration
 	// QueueCap is the per-peer outbound queue bound.
 	QueueCap int
@@ -179,7 +181,7 @@ func (c *Cluster) Join(id overlay.NodeID, r transport.Router) error {
 		c:       c,
 		ln:      ln,
 		links:   make(map[overlay.NodeID]*link),
-		inbound: make(map[net.Conn]struct{}),
+		conns:   make(map[net.Conn]struct{}),
 		settled: make(map[int]settlement),
 		killed:  make(chan struct{}),
 	}

@@ -2,9 +2,11 @@ package netwire
 
 import (
 	"net"
+	"sync"
 	"time"
 
 	"p2panon/internal/overlay"
+	"p2panon/internal/wire"
 )
 
 // outFrame is one queued outbound frame plus the absolute attempt
@@ -16,11 +18,13 @@ type outFrame struct {
 	abs time.Time
 }
 
-// link is the per-peer connection manager: a bounded outbound queue
-// drained by one writer goroutine that dials on demand, keeps the
-// connection pooled for reuse, applies write deadlines, and reports
-// delivery failures back to its owner so the protocol can NACK and route
-// around the corpse.
+// link is a node's end of its one connection with a peer: a bounded
+// outbound queue drained by one writer goroutine, which writes to the
+// connection either end dialed. When the link has none, the next frame
+// dials, and the peer adopts what it accepts (Node.adopt); both ends read
+// the connection, so a reply leaves on the socket its request came in on.
+// Delivery failures go back to the owner so the protocol can NACK and
+// route around the corpse.
 type link struct {
 	owner *Node
 	peer  peerRef
@@ -28,11 +32,13 @@ type link struct {
 	outbox chan outFrame
 	closed chan struct{}
 
-	// conn is owned by the writer goroutine exclusively (no lock); it is
-	// nil between failures so the next frame re-dials. So is wbuf, the
-	// buffer every frame of the link is encoded into and written from.
+	// mu guards conn and own, and is held across each dial and write, so a
+	// connection is swapped or released only between frames. conn is nil
+	// when the link has none; own marks one this node dialed.
+	mu   sync.Mutex
 	conn net.Conn
-	wbuf []byte
+	own  bool
+	wbuf []byte // the writer's encode buffer
 }
 
 // peerRef names the link's remote end.
@@ -92,18 +98,32 @@ func (l *link) close() {
 	}
 }
 
-// writeLoop drains the outbox: dial on demand (with handshake), stamp the
-// remaining deadline budget, write under a write deadline, and on any
-// failure drop the pooled connection and report the frame undeliverable.
+// release clears the link's connection if it is conn, so the next frame
+// dials instead of writing into a connection that is ending. A nil link
+// (a connection read but never written) has nothing to clear.
+func (l *link) release(conn net.Conn) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	if l.conn == conn {
+		l.conn = nil
+	}
+	l.mu.Unlock()
+}
+
+// retire half-closes a connection this end will write no more: the peer
+// reads what was written, then EOF, and its reader ends the connection.
+func retire(conn net.Conn) {
+	if tc, ok := conn.(*net.TCPConn); ok {
+		tc.CloseWrite()
+	}
+}
+
+// writeLoop drains the outbox until the link closes or its node dies;
+// the connection is closed by its reader (Node.kill closes them all).
 func (l *link) writeLoop() {
 	defer l.owner.c.wg.Done()
-	defer func() {
-		if l.conn != nil {
-			l.conn.Close()
-			l.owner.c.metrics.connsOpen.Add(-1)
-			l.conn = nil
-		}
-	}()
 	for {
 		var of outFrame
 		select {
@@ -115,7 +135,12 @@ func (l *link) writeLoop() {
 			l.failQueued()
 			return
 		}
-		l.deliver(of)
+		l.mu.Lock()
+		ok := l.deliver(of)
+		l.mu.Unlock()
+		if !ok {
+			l.owner.onDeliveryFail(l.peer.id, of)
+		}
 	}
 }
 
@@ -133,32 +158,35 @@ func (l *link) failQueued() {
 	}
 }
 
-// deliver writes one frame, dialing first if the pooled connection is
-// gone. Frames whose attempt deadline has already passed die here,
-// silently — the initiator's attempt timer is due anyway.
-func (l *link) deliver(of outFrame) {
+// deliver writes one frame under l.mu, dialing first if the link has no
+// connection; false means the frame is undeliverable. Frames whose
+// attempt deadline has already passed die here, silently — the
+// initiator's attempt timer is due anyway.
+func (l *link) deliver(of outFrame) bool {
 	c := l.owner.c
 	if !of.abs.IsZero() && c.Clock().Now().After(of.abs) {
 		c.metrics.deadlineExpired.Inc()
-		return
+		return true
 	}
 	if l.conn == nil {
-		conn, err := l.dial()
+		conn, in, err := l.dial()
+		if err == nil && !l.owner.track(conn) {
+			err = errNodeKilled
+		}
 		if err != nil {
 			c.metrics.dialsFail.Inc()
 			c.logf("node %d: dial peer %d: %v", l.owner.ID, l.peer.id, err)
-			l.owner.onDeliveryFail(l.peer.id, of)
-			return
+			return false
 		}
 		c.metrics.dialsOK.Inc()
-		c.metrics.connsOpen.Add(1)
-		l.conn = conn
+		l.conn, l.own = conn, true
+		go l.owner.readLoop(conn, in, l)
 	}
 	if !of.abs.IsZero() {
 		of.f.DeadlineMicros = c.Clock().Until(of.abs).Microseconds()
 		if of.f.DeadlineMicros <= 0 {
 			c.metrics.deadlineExpired.Inc()
-			return
+			return true
 		}
 	}
 	l.conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
@@ -174,45 +202,45 @@ func (l *link) deliver(of outFrame) {
 			c.metrics.deadlineWrite.Inc()
 		}
 		c.logf("node %d: write %s to peer %d: %v", l.owner.ID, of.f.Kind, l.peer.id, err)
-		l.conn.Close()
+		l.conn.Close() // its reader ends it
 		l.conn = nil
-		c.metrics.connsOpen.Add(-1)
-		l.owner.onDeliveryFail(l.peer.id, of)
-		return
+		return false
 	}
 	c.metrics.noteSent(of.f.Kind, len(buf))
+	return true
 }
 
 // dial opens and handshakes a fresh connection to the peer: Hello out,
-// HelloAck (right version, right node) back, both under deadlines.
-func (l *link) dial() (net.Conn, error) {
+// HelloAck (right version, right node) back, both under deadlines. The
+// ack is read through the stream the connection's reader goes on with,
+// so a frame the peer sends right behind it is not lost.
+func (l *link) dial() (net.Conn, *wire.Stream, error) {
 	c := l.owner.c
 	addr, ok := l.peer.addr()
 	if !ok {
-		return nil, errUnknownPeer
+		return nil, nil, errUnknownPeer
 	}
 	conn, err := net.DialTimeout("tcp", addr, c.cfg.DialTimeout)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	conn.SetDeadline(time.Now().Add(c.cfg.HandshakeTimeout))
 	hello := &Frame{Kind: KindHello, Node: l.owner.ID, Nonce: c.nonce.Add(1)}
-	if n, err := WriteFrame(conn, hello); err != nil {
-		conn.Close()
-		return nil, err
-	} else {
+	in := envelope.NewStream(conn, connBuf)
+	var ack Frame
+	n, err := WriteFrame(conn, hello)
+	if err == nil {
 		c.metrics.noteSent(KindHello, n)
+		n, err = readFrame(in, &ack)
 	}
-	ack, n, err := ReadFrame(conn)
+	if err == nil && (ack.Kind != KindHelloAck || ack.Node != l.peer.id) {
+		err = errBadHandshake
+	}
 	if err != nil {
 		conn.Close()
-		return nil, err
+		return nil, nil, err
 	}
 	c.metrics.noteRecv(KindHelloAck, n)
-	if ack.Kind != KindHelloAck || ack.Node != l.peer.id {
-		conn.Close()
-		return nil, errBadHandshake
-	}
 	conn.SetDeadline(time.Time{})
-	return conn, nil
+	return conn, in, nil
 }

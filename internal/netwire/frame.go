@@ -467,11 +467,11 @@ func ReadFrame(r io.Reader) (*Frame, int, error) {
 	return f, n, nil
 }
 
-// connBuf is the buffer a connection keeps per direction: the read-ahead
-// of an inbound connection's frame stream, and the most a link's writer
-// keeps of the buffer it encodes into. The mean protocol frame is ~125
-// bytes, so one Read of the socket brings in a whole frame, usually
-// several; a frame past connBuf gets a one-off buffer either way.
+// connBuf is the buffer a connection keeps per direction at each end: the
+// read-ahead of its frame stream, and the most a link's writer keeps of
+// the buffer it encodes into. The mean protocol frame is ~125 bytes, so
+// one Read of the socket brings in a whole frame, usually several; a
+// frame past connBuf gets a one-off buffer either way.
 const connBuf = 2048
 
 // readFrame reads the next frame of s into f, a Frame the caller owns

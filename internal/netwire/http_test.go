@@ -115,6 +115,7 @@ func TestNetwireMetricsExposition(t *testing.T) {
 		`netwire_closed_batch_total`,
 		`netwire_bytes_total{dir="sent"}`,
 		`netwire_bytes_total{dir="recv"}`,
+		`netwire_conns_open`,
 		`transport_spne_cache_total{result="hit"}`,
 		`transport_spne_cache_total{result="miss"}`,
 		`transport_spne_cache_entries`,
@@ -150,6 +151,11 @@ func TestNetwireMetricsExposition(t *testing.T) {
 		if got := scrapeValue(t, body, series); got < min {
 			t.Errorf("%s = %d, want >= %d", series, got, min)
 		}
+	}
+	// Every node is hosted here, so each open connection is counted once
+	// at each of its two ends.
+	if open := scrapeValue(t, body, `netwire_conns_open`); open < 2 || open%2 != 0 {
+		t.Errorf("netwire_conns_open = %d, want an even count of at least 2", open)
 	}
 
 	// Histograms must expose cumulative buckets with le labels.

@@ -46,7 +46,7 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 	reg.Help(metricFramesTotal, "wire frames by direction and kind")
 	reg.Help(metricBytesTotal, "wire bytes by direction (frame headers included)")
 	reg.Help(metricQueueDepth, "deepest any per-peer outbound queue has been")
-	reg.Help(metricConnsOpen, "open TCP connections (both directions)")
+	reg.Help(metricConnsOpen, "open TCP connections, each counted once per end that holds it, dialed or accepted")
 	reg.Help(metricDeadlineHits, "socket deadline hits (op=read|write) and frames dropped past their attempt deadline (op=expired)")
 	reg.Help(metricMessagesTotal, "protocol messages handed to links (kind=sent) and lost to unreachable peers (kind=dropped)")
 	reg.Help(metricSettlesTotal, "settlement frames delivered to forwarders")

@@ -10,25 +10,28 @@ import (
 	"p2panon/internal/overlay"
 	"p2panon/internal/telemetry"
 	"p2panon/internal/transport"
+	"p2panon/internal/wire"
 )
 
 var (
 	errUnknownPeer  = errors.New("netwire: peer has no known address")
 	errBadHandshake = errors.New("netwire: handshake rejected")
+	errNodeKilled   = errors.New("netwire: node killed")
 )
 
 // Node is one cluster member: its protocol station, a TCP listener on
-// 127.0.0.1 and the per-peer outbound links — the socket-backed analogue
-// of transport.Peer.
+// 127.0.0.1 and one link per peer, over the one connection the pair
+// shares whichever end dialed it — the socket-backed analogue of
+// transport.Peer.
 type Node struct {
 	*transport.Station
 	c  *Cluster
 	ln net.Listener
 
 	mu      sync.Mutex
-	links   map[overlay.NodeID]*link
-	inbound map[net.Conn]struct{}
-	settled map[int]settlement // batch -> what its Settle frame left here
+	links   map[overlay.NodeID]*link // one per peer it exchanged frames with
+	conns   map[net.Conn]struct{}    // every open connection, accepted or dialed
+	settled map[int]settlement       // batch -> what its Settle frame left here
 
 	killed   chan struct{}
 	killOnce sync.Once
@@ -63,15 +66,14 @@ func (nd *Node) Settled(batch int) (payoff float64, forwards int) {
 }
 
 // kill shuts the node down abruptly: listener closed, every connection
-// torn, links failing their queues — exactly what a crashed process looks
-// like to its peers.
+// torn — accepted or dialed, which ends its reader — and links failing
+// their queues: exactly what a crashed process looks like to its peers.
 func (nd *Node) kill() {
 	nd.killOnce.Do(func() {
-		close(nd.killed)
-		nd.ln.Close()
 		nd.mu.Lock()
-		conns := make([]net.Conn, 0, len(nd.inbound))
-		for c := range nd.inbound {
+		close(nd.killed)
+		conns := make([]net.Conn, 0, len(nd.conns))
+		for c := range nd.conns {
 			conns = append(conns, c)
 		}
 		links := make([]*link, 0, len(nd.links))
@@ -79,6 +81,7 @@ func (nd *Node) kill() {
 			links = append(links, l)
 		}
 		nd.mu.Unlock()
+		nd.ln.Close()
 		for _, c := range conns {
 			c.Close()
 		}
@@ -88,73 +91,133 @@ func (nd *Node) kill() {
 	})
 }
 
+// track registers an open connection, accepted or dialed, so kill can
+// close it, counts it in netwire_conns_open, and adds the reader it is
+// about to get to the cluster's wait group. Once the node is killed it
+// closes the connection instead and returns false.
+func (nd *Node) track(conn net.Conn) bool {
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	select {
+	case <-nd.killed:
+		conn.Close()
+		return false
+	default:
+	}
+	nd.conns[conn] = struct{}{}
+	nd.c.metrics.connsOpen.Add(1)
+	nd.c.wg.Add(1)
+	return true
+}
+
 // acceptLoop takes inbound connections until the listener closes.
 func (nd *Node) acceptLoop() {
 	defer nd.c.wg.Done()
 	for {
 		conn, err := nd.ln.Accept()
-		if err != nil {
+		if err != nil || !nd.track(conn) {
 			return
 		}
-		nd.mu.Lock()
-		select {
-		case <-nd.killed:
-			nd.mu.Unlock()
-			conn.Close()
-			return
-		default:
-		}
-		nd.inbound[conn] = struct{}{}
-		nd.mu.Unlock()
-		nd.c.metrics.connsOpen.Add(1)
-		nd.c.wg.Add(1)
-		go nd.readLoop(conn)
+		go nd.readLoop(conn, nil, nil)
 	}
 }
 
-// readLoop handshakes one inbound connection and then dispatches its
-// frames until error or shutdown.
-func (nd *Node) readLoop(conn net.Conn) {
-	defer nd.c.wg.Done()
-	defer func() {
-		conn.Close()
-		nd.mu.Lock()
-		delete(nd.inbound, conn)
-		nd.mu.Unlock()
-		nd.c.metrics.connsOpen.Add(-1)
-	}()
+// handshake answers an inbound connection's Hello and returns the link
+// the connection now serves, or nil if it is only read (adopt).
+func (nd *Node) handshake(conn net.Conn, in *wire.Stream, f *Frame) (*link, error) {
 	conn.SetDeadline(time.Now().Add(nd.c.cfg.HandshakeTimeout))
-	// One read-ahead stream for the whole connection, handshake included:
-	// the dialer's first protocol frame may arrive in the Hello's segment.
-	// Every frame decodes into this one Frame: a protocol frame is copied
-	// into a transport.Message before it is handled, and no handler keeps
-	// the pointer.
-	in := envelope.NewStream(conn, connBuf)
-	var f Frame
-	n, err := readFrame(in, &f)
+	n, err := readFrame(in, f)
 	if err == nil && f.Kind != KindHello {
 		err = fmt.Errorf("first frame is %s, want %s", f.Kind, KindHello)
 	}
 	if err != nil {
 		nd.c.metrics.dialsRejected.Inc()
 		nd.c.logf("node %d: inbound handshake: %v", nd.ID, err)
-		return
+		return nil, err
 	}
 	nd.c.metrics.noteRecv(KindHello, n)
-	ack := &Frame{Kind: KindHelloAck, Node: nd.ID, Nonce: f.Nonce}
-	if n, err := WriteFrame(conn, ack); err != nil {
-		return
-	} else {
-		nd.c.metrics.noteSent(KindHelloAck, n)
+	if n, err = WriteFrame(conn, &Frame{Kind: KindHelloAck, Node: nd.ID, Nonce: f.Nonce}); err != nil {
+		return nil, err
 	}
+	nd.c.metrics.noteSent(KindHelloAck, n)
+	return nd.adopt(f.Node, conn), nil
+}
+
+// adopt makes an inbound connection whose Hello named peer this node's
+// link to that peer, and returns the link, if the peer is in the
+// directory and the link has no connection — or has one this node dialed
+// to a lower-ID peer, which yields: of a pair's two dials the lower ID's
+// survives, and the other is retired. Otherwise the connection is read
+// but never written, and adopt returns nil: a second Hello naming a
+// linked peer cannot take that peer's traffic (DESIGN.md §3v).
+func (nd *Node) adopt(peer overlay.NodeID, conn net.Conn) *link {
+	if peer == nd.ID || !nd.c.Addressable(peer) {
+		return nil
+	}
+	l := nd.linkTo(peer)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.conn != nil {
+		if !l.own || peer > nd.ID {
+			return nil
+		}
+		retire(l.conn)
+	}
+	l.conn, l.own = conn, false
+	return l
+}
+
+// readLoop dispatches one connection's frames until it ends. An accepted
+// connection arrives with a nil stream and handshakes first; a dialed one
+// brings the stream its HelloAck came through and its link. A connection
+// that stays silent for IdleTimeout is retired — released from its link
+// and half-closed — and read on until the peer's EOF, so a frame the peer
+// wrote meanwhile is still handled; the peer's next frame re-dials. On
+// EOF or any error the link is released and the connection closed.
+func (nd *Node) readLoop(conn net.Conn, in *wire.Stream, l *link) {
+	defer nd.c.wg.Done()
+	defer func() {
+		l.release(conn)
+		conn.Close()
+		nd.mu.Lock()
+		delete(nd.conns, conn)
+		nd.mu.Unlock()
+		nd.c.metrics.connsOpen.Add(-1)
+	}()
+	// Every frame decodes into this one Frame: a protocol frame is copied
+	// into a transport.Message before it is handled, and no handler keeps
+	// the pointer.
+	var f Frame
+	if in == nil {
+		// One read-ahead stream for the whole connection, handshake
+		// included: the dialer's first protocol frame may arrive in the
+		// Hello's segment.
+		in = envelope.NewStream(conn, connBuf)
+		var err error
+		if l, err = nd.handshake(conn, in, &f); err != nil {
+			return
+		}
+	} else {
+		f.Node = l.peer.id
+	}
+	peer := f.Node // whom the Hello named, at either end
+	idle := false
 	for {
 		conn.SetReadDeadline(time.Now().Add(nd.c.cfg.IdleTimeout))
 		n, err := readFrame(in, &f)
 		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				nd.c.metrics.deadlineRead.Inc()
+			ne, ok := err.(net.Error)
+			if !ok || !ne.Timeout() {
+				return
 			}
-			return
+			nd.c.metrics.deadlineRead.Inc()
+			if idle || n > 0 { // silent twice, or stalled inside a frame
+				return
+			}
+			idle = true
+			l.release(conn)
+			retire(conn)
+			continue
 		}
 		nd.c.metrics.noteRecv(f.Kind, n)
 		select {
@@ -166,17 +229,17 @@ func (nd *Node) readLoop(conn net.Conn) {
 		if f.DeadlineMicros > 0 {
 			abs = nd.c.Clock().Now().Add(time.Duration(f.DeadlineMicros) * time.Microsecond)
 		}
-		nd.handleFrame(&f, abs)
+		nd.handleFrame(peer, &f, abs)
 	}
 }
 
-// handleFrame dispatches one protocol frame.
-func (nd *Node) handleFrame(f *Frame, abs time.Time) {
+// handleFrame dispatches one frame that came from peer.
+func (nd *Node) handleFrame(peer overlay.NodeID, f *Frame, abs time.Time) {
 	switch f.Kind {
 	case KindForward, KindConfirm, KindNack:
 		nd.c.Handle(nd.Station, f.message(abs))
 	case KindProbe:
-		nd.sendMsg(f.Node, &Frame{Kind: KindProbeAck, Node: nd.ID, Nonce: f.Nonce}, time.Time{})
+		nd.sendMsg(peer, &Frame{Kind: KindProbeAck, Nonce: f.Nonce}, time.Time{})
 	case KindProbeAck:
 		nd.c.resolveProbe(f.Nonce)
 	case KindSettle:
@@ -282,7 +345,7 @@ func (nd *Node) sendMsg(to overlay.NodeID, f *Frame, abs time.Time) bool {
 		nd.c.wg.Add(1)
 		go func() {
 			defer nd.c.wg.Done()
-			nd.handleFrame(f, abs)
+			nd.handleFrame(nd.ID, f, abs)
 		}()
 		return true
 	}
