@@ -1,310 +1,25 @@
-// Package bench holds the top-level benchmark harness: one testing.B
-// benchmark per table/figure of the paper (see DESIGN.md's experiment
-// index). Each benchmark regenerates its artifact at paper scale (N=40,
-// 100 pairs, 2000 transmissions, churn on) and logs the rows/series the
-// paper reports. Run with:
+// Package bench measures the unit every paper experiment is built from:
+// one full simulation at paper scale (N=40, 100 pairs, 2000
+// transmissions, churn on; experiment.Default). Run with:
 //
 //	go test -bench=. -benchmem
 //
-// The benchmarks are sized so a full -bench=. pass completes in well under
-// a minute; cmd/experiments runs the same harness with more trials and the
-// complete sweeps.
+// The tables and figures themselves are regenerated by cmd/experiments,
+// whose golden test runs every section of the quick suite; the end-to-end
+// benchmark of the live system is benchmark/ (see benchmark/README.md).
 package bench
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"p2panon/internal/core"
 	"p2panon/internal/experiment"
-	"p2panon/internal/report"
 )
-
-// benchFractions is the reduced f sweep used by the benchmarks (the CLI
-// runs the full 0..0.9 grid).
-var benchFractions = []float64{0.1, 0.5, 0.9}
-
-var allStrategies = []core.Strategy{core.Random, core.UtilityI, core.UtilityII}
-
-func logTable(b *testing.B, t *report.Table) {
-	b.Helper()
-	var sb strings.Builder
-	if err := t.Render(&sb); err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("\n%s", sb.String())
-}
 
 func base(seed uint64) experiment.Setup {
 	s := experiment.Default()
 	s.Seed = seed
 	return s
-}
-
-// BenchmarkFig3PayoffVsMaliciousUM1 regenerates Figure 3: average payoff
-// for a non-malicious node under Utility Model I vs malicious fraction.
-func BenchmarkFig3PayoffVsMaliciousUM1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := experiment.PayoffVsMalicious(base(uint64(i)+1), core.UtilityI, benchFractions, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, report.SeriesTable("Fig. 3: avg good-node payoff vs f (UM-I)", "f", s))
-		}
-	}
-}
-
-// BenchmarkFig4PayoffVsMaliciousUM2 regenerates Figure 4: the same series
-// under Utility Model II.
-func BenchmarkFig4PayoffVsMaliciousUM2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := experiment.PayoffVsMalicious(base(uint64(i)+1), core.UtilityII, benchFractions, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, report.SeriesTable("Fig. 4: avg good-node payoff vs f (UM-II)", "f", s))
-		}
-	}
-}
-
-// BenchmarkTable2RoutingEfficiency regenerates Table 2: routing efficiency
-// for Utility Model I over the τ × f grid with the per-τ mean row.
-func BenchmarkTable2RoutingEfficiency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiment.RunTable2(base(uint64(i)+1), experiment.DefaultTaus, []float64{0.1, 0.5, 0.9}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, report.Table2Render(tab))
-		}
-	}
-}
-
-// BenchmarkFig5ForwarderSetSize regenerates Figure 5: average forwarder-set
-// size ‖π‖ per routing strategy vs malicious fraction.
-func BenchmarkFig5ForwarderSetSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ss, err := experiment.ForwarderSetVsMalicious(base(uint64(i)+1), experiment.Fig5Strategies, benchFractions, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, report.MultiSeriesTable("Fig. 5: avg ‖π‖ vs f", "f", ss))
-		}
-	}
-}
-
-// BenchmarkFig6PayoffCDF regenerates Figure 6: the CDF of good-node
-// payoffs at f = 0.1 for all three strategies.
-func BenchmarkFig6PayoffCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cdfs, err := experiment.PayoffCDFs(base(uint64(i)+1), allStrategies, 0.1, 2, 15)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, report.CDFSummaryTable("Fig. 6: payoff distribution, f=0.1", cdfs))
-		}
-	}
-}
-
-// BenchmarkFig7PayoffCDF regenerates Figure 7: the CDF at f = 0.5.
-func BenchmarkFig7PayoffCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cdfs, err := experiment.PayoffCDFs(base(uint64(i)+1), allStrategies, 0.5, 2, 15)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, report.CDFSummaryTable("Fig. 7: payoff distribution, f=0.5", cdfs))
-		}
-	}
-}
-
-// BenchmarkFig12Scenario regenerates the Figures 1-2 illustration: ‖π‖ and
-// routing-benefit share under flapping random routing vs stable routing.
-func BenchmarkFig12Scenario(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiment.RunFig12(8, 100, uint64(i)+3)
-		if i == 0 {
-			t := &report.Table{
-				Title:   "Figs. 1-2 scenario",
-				Headers: []string{"scenario", "‖π‖", "Pr share"},
-			}
-			t.AddRow("random + flapping X", fmt.Sprintf("%d", res.RandomSetSize), report.F(res.RandomShare))
-			t.AddRow("stable utility", fmt.Sprintf("%d", res.StableSetSize), report.F(res.StableShare))
-			logTable(b, t)
-		}
-	}
-}
-
-// BenchmarkProp1Reformation regenerates the Proposition 1 study: empirical
-// new-edge probability E[X] under random vs utility routing, with the
-// analytic expressions alongside.
-func BenchmarkProp1Reformation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunProp1(base(uint64(i)+1), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			t := &report.Table{Title: "Prop. 1", Headers: []string{"quantity", "value"}}
-			t.AddRow("random measured", report.F4(res.RandomRate))
-			t.AddRow("random bound 1-k/N", report.F4(res.RandomBound))
-			t.AddRow("utility measured", report.F4(res.UtilityRate))
-			t.AddRow("utility prod(1-p_i)", report.F4(res.UtilityPredict))
-			logTable(b, t)
-		}
-	}
-}
-
-// BenchmarkProp23Participation regenerates the Propositions 2-3 study:
-// participation response as P_f crosses the cost thresholds.
-func BenchmarkProp23Participation(b *testing.B) {
-	pfs := []float64{3, 6.9, 7.1, 50}
-	for i := 0; i < b.N; i++ {
-		pts, err := experiment.RunParticipation(base(uint64(i)+1), pfs, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			t := &report.Table{
-				Title:   "Props. 2-3 (C^p=5, C^t=2)",
-				Headers: []string{"P_f", "decline rate", "direct fraction", "Prop3"},
-			}
-			for _, p := range pts {
-				t.AddRow(report.F(p.Pf), report.F4(p.DeclineRate), report.F4(p.DirectFraction),
-					fmt.Sprintf("%v", p.Prop3Satisfied))
-			}
-			logTable(b, t)
-		}
-	}
-}
-
-// BenchmarkAblationTau regenerates the τ-sensitivity ablation (ABL-TAU).
-func BenchmarkAblationTau(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := experiment.RunTauAblation(base(uint64(i)+1), []float64{0.5, 2, 8}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			t := &report.Table{Title: "Ablation: tau", Headers: []string{"tau", "‖π‖", "payoff", "efficiency"}}
-			for _, p := range pts {
-				t.AddRow(report.F(p.Tau), report.F(p.AvgSetSize), report.F(p.AvgPayoff), report.F(p.Efficiency))
-			}
-			logTable(b, t)
-		}
-	}
-}
-
-// BenchmarkAblationWeights regenerates the w_s/w_a weighting ablation
-// (ABL-W).
-func BenchmarkAblationWeights(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := experiment.RunWeightAblation(base(uint64(i)+1), []float64{0, 0.5, 1}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			t := &report.Table{Title: "Ablation: w_s", Headers: []string{"w_s", "‖π‖", "new-edge rate"}}
-			for _, p := range pts {
-				t.AddRow(report.F(p.Ws), report.F(p.AvgSetSize), report.F4(p.NewEdgeRate))
-			}
-			logTable(b, t)
-		}
-	}
-}
-
-// BenchmarkAblationTermination regenerates the termination-mode ablation
-// (ABL-TERM): hop-budget vs Crowds-coin forwarding under the same
-// incentive mechanism.
-func BenchmarkAblationTermination(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := experiment.RunTerminationAblation(base(uint64(i)+1), []float64{0.66, 0.9}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			t := &report.Table{Title: "Termination ablation", Headers: []string{"mode", "p_f", "L", "‖π‖", "Q"}}
-			for _, p := range pts {
-				pf := "-"
-				if p.Mode == core.CrowdsCoin {
-					pf = report.F(p.ForwardProb)
-				}
-				t.AddRow(p.Mode.String(), pf, report.F(p.AvgLen), report.F(p.AvgSetSize), report.F(p.AvgQuality))
-			}
-			logTable(b, t)
-		}
-	}
-}
-
-// BenchmarkReputationComparison regenerates the CMP-REP study: colluders'
-// capture of forwarding work under reputation routing vs the incentive
-// mechanism.
-func BenchmarkReputationComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cmp, err := experiment.RunReputationComparison(base(uint64(i)+1), 0.1, 200, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			t := &report.Table{Title: "Reputation vs incentive (coalition 10%)", Headers: []string{"system", "capture"}}
-			t.AddRow("population share", report.F4(cmp.PopulationShare))
-			t.AddRow("reputation (late)", report.F4(cmp.ReputationLate))
-			t.AddRow("incentive UM-I", report.F4(cmp.IncentiveCapture))
-			logTable(b, t)
-		}
-	}
-}
-
-// BenchmarkIntersectionAttack regenerates the intersection-attack study
-// (ATK-INT): candidate-set collapse per strategy under churn.
-func BenchmarkIntersectionAttack(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := base(uint64(i) + 1)
-		res, err := experiment.RunIntersection(s, allStrategies, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			t := &report.Table{
-				Title:   "Intersection attack",
-				Headers: []string{"strategy", "final set", "identified", "degree", "‖π‖"},
-			}
-			for _, x := range res {
-				t.AddRow(x.Strategy.String(), report.F(x.AvgFinalSet), report.F4(x.IdentifiedRate),
-					report.F4(x.AvgDegree), report.F(x.AvgForwarderSet))
-			}
-			logTable(b, t)
-		}
-	}
-}
-
-// BenchmarkAvailabilityAttack regenerates the §5 availability-attack study
-// (ATK-AVAIL).
-func BenchmarkAvailabilityAttack(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := base(uint64(i) + 1)
-		s.MaliciousFraction = 0.2
-		res, err := experiment.RunAvailabilityAttack(s, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			t := &report.Table{
-				Title:   "Availability attack (f=0.2)",
-				Headers: []string{"behaviour", "capture", "guess accuracy"},
-			}
-			t.AddRow("churning", report.F4(res.BaselineCapture), "-")
-			t.AddRow("always-online", report.F4(res.AttackCapture), report.F4(res.GuessAccuracy))
-			logTable(b, t)
-		}
-	}
 }
 
 // BenchmarkSingleRunUM1 measures the cost of one full paper-scale
@@ -330,83 +45,6 @@ func BenchmarkSingleRunUM2(b *testing.B) {
 		s.Strategy = core.UtilityII
 		if _, err := experiment.Run(s); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTrajectory regenerates the TRAJ convergence study: the Prop. 1
-// dynamics of new-edge rate and cumulative ‖π‖ per connection index.
-func BenchmarkTrajectory(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		trajs, err := experiment.RunTrajectory(base(uint64(i)+1), []core.Strategy{core.Random, core.UtilityI}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			t := &report.Table{Title: "Convergence (first 8 connections)",
-				Headers: []string{"conn", "rand newE", "UM-I newE", "UM-I ‖π‖"}}
-			rr, u := trajs[core.Random], trajs[core.UtilityI]
-			for j := 0; j < 8 && j < len(rr) && j < len(u); j++ {
-				t.AddRow(fmt.Sprintf("%d", u[j].Conn),
-					report.F4(rr[j].NewEdgeRate), report.F4(u[j].NewEdgeRate), report.F(u[j].CumSetSize))
-			}
-			logTable(b, t)
-		}
-	}
-}
-
-// BenchmarkTrafficAnalysis regenerates the §5 traffic-analysis study
-// (ATK-TRAFFIC): a global observer correlating activity epochs.
-func BenchmarkTrafficAnalysis(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunTrafficAnalysis(base(uint64(i)+1), 600, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			t := &report.Table{Title: "Traffic analysis (10-min epochs)", Headers: []string{"metric", "value"}}
-			t.AddRow("initiator mean rank", report.F(res.MeanRank))
-			t.AddRow("identified rate", report.F4(res.IdentifiedRate))
-			t.AddRow("mean correlation", report.F4(res.MeanScore))
-			logTable(b, t)
-		}
-	}
-}
-
-// BenchmarkAblationChurn regenerates the churn-intensity study
-// (ABL-CHURN): how the mechanism degrades as sessions shorten.
-func BenchmarkAblationChurn(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := experiment.RunChurnAblation(base(uint64(i)+1), []float64{15, 60, 240}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			t := &report.Table{Title: "Churn sensitivity", Headers: []string{"median (min)", "‖π‖", "new-edge", "skipped"}}
-			for _, p := range pts {
-				t.AddRow(report.F(p.MedianSessionMin), report.F(p.AvgSetSize),
-					report.F4(p.NewEdgeRate), report.F4(p.SkippedFraction))
-			}
-			logTable(b, t)
-		}
-	}
-}
-
-// BenchmarkScaleN regenerates the SCALE study at reduced size: the
-// utility/random separation across population sizes, with parallel trials.
-func BenchmarkScaleN(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := experiment.RunScale(base(uint64(i)+1), []int{40, 120}, 2, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			t := &report.Table{Title: "Scale sweep", Headers: []string{"N", "random ‖π‖", "UM-I ‖π‖", "separation"}}
-			for _, p := range pts {
-				t.AddRow(fmt.Sprintf("%d", p.N), report.F(p.RandomSetSize),
-					report.F(p.UtilitySetSize), report.F(p.SeparationRatio))
-			}
-			logTable(b, t)
 		}
 	}
 }

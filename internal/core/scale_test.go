@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -11,8 +10,8 @@ import (
 )
 
 // scaleSystem builds a static overlay of n nodes (bulk-joined, degree 5)
-// with warmed probes and one UM-II batch, the configuration the N-sweep
-// benchmarks and the working-memory tests share.
+// with warmed probes and one UM-II batch, the configuration the cold-solve
+// allocation pin and the working-memory tests share.
 func scaleSystem(tb testing.TB, n int, seed uint64) (*System, *Batch) {
 	tb.Helper()
 	rng := dist.NewSource(seed)
@@ -148,24 +147,33 @@ func TestScorersBoundedByLiveBatches(t *testing.T) {
 	}
 }
 
-// BenchmarkScaleFrontier is the N-sweep scale frontier (BENCH_PR6.json):
-// one op = one topology invalidation plus one UM-II connection, i.e. one
-// demand-driven solve from nothing at population N on a static overlay.
-// The cone of a budget ≤ 6 holds a few thousand cells whatever N is, so
-// the curve is flat where the full solve it replaced grew with N. The
-// 10²–10⁴ points run in CI against the committed baseline; 10⁵ is the
-// acceptance point for the O(n·d) memory model.
-func BenchmarkScaleFrontier(b *testing.B) {
-	for _, n := range []int{100, 1_000, 10_000, 100_000} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			sys, batch := scaleSystem(b, n, 11)
-			batch.RunConnection() // warm caches outside the timed region
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sys.Net.Touch()
-				batch.RunConnection()
-			}
+// TestColdSolveAllocsFlatInN pins the scale frontier's allocation count:
+// one topology invalidation plus one UM-II connection — a demand-driven
+// solve from nothing — allocates the same at N = 10² and N = 10⁴, and no
+// more than coldSolveAllocs. The cone of a budget ≤ 6 holds a few
+// thousand cells whatever N is; a solve that allocated per node of the
+// population would show here first.
+func TestColdSolveAllocsFlatInN(t *testing.T) {
+	if testing.Short() {
+		t.Skip("N=1e4 build in -short mode")
+	}
+	const coldSolveAllocs = 9
+	var first float64
+	for i, n := range []int{100, 10_000} {
+		sys, b := scaleSystem(t, n, 11)
+		b.RunConnection() // warm: builds memo, rows, base rows, scorers
+		allocs := testing.AllocsPerRun(1, func() {
+			sys.Net.Touch()
+			b.RunConnection()
 		})
+		t.Logf("N=%d: %.0f allocations per cold solve", n, allocs)
+		if allocs > coldSolveAllocs {
+			t.Errorf("N=%d: a cold solve allocates %.0f times, want <= %d", n, allocs, coldSolveAllocs)
+		}
+		if i == 0 {
+			first = allocs
+		} else if allocs != first {
+			t.Errorf("N=%d: a cold solve allocates %.0f times, %.0f at N=100", n, allocs, first)
+		}
 	}
 }

@@ -266,3 +266,64 @@ func TestAggregateClaimWireRoundTrip(t *testing.T) {
 		t.Fatal("decoded claim does not verify")
 	}
 }
+
+// TestSettleAggregatedEpochAllocs pins the aggregated settlement's
+// allocation count: one epoch of 10⁴ receipts, 32 per forwarder, decoded
+// from their wire forms, escrowed, verified and paid, allocates about 4
+// times per claim and none per receipt (1 255 in all), plus a few when a
+// GC empties the verifier's pool mid-run.
+func TestSettleAggregatedEpochAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates inside the digest")
+	}
+	const n, perClaim = 10_000, 32
+	m := minter(t)
+	b := newBank(sharedBank(t).key)
+	if err := b.OpenAccount(1, 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	forwarders := n / perClaim
+	limit := 4*forwarders + 16
+	wire := make([][]byte, forwarders)
+	for f := range wire {
+		fid := AccountID(100 + f)
+		if err := b.OpenAccount(fid, 0); err != nil {
+			t.Fatal(err)
+		}
+		count := perClaim
+		if f == forwarders-1 {
+			count = n - perClaim*(forwarders-1)
+		}
+		chain := NewClaimChain(fid)
+		for i := 0; i < count; i++ {
+			if err := chain.Add(m.Mint(i, 1, fid)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		enc, err := EncodeAggregateClaim(chain.Claim())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire[f] = enc
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		esc, err := b.OpenEscrow(1, n*10+1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		claims := make([]AggregateClaim, forwarders)
+		for f, enc := range wire {
+			if claims[f], err = DecodeAggregateClaim(enc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		payouts, _, err := esc.SettleAggregated(m, 10, 1000, claims)
+		if err != nil || len(payouts) != forwarders {
+			t.Fatalf("%d of %d claims paid, err %v", len(payouts), forwarders, err)
+		}
+	})
+	t.Logf("%.0f allocations per epoch of %d receipts", allocs, n)
+	if allocs > float64(limit) {
+		t.Fatalf("an epoch allocates %.0f times, want <= %d", allocs, limit)
+	}
+}

@@ -6,9 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"sort"
+	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // AccountID identifies a bank account. The simulator uses overlay node IDs
@@ -24,55 +23,30 @@ var (
 	ErrBadAmount         = errors.New("payment: non-positive amount")
 )
 
-// DefaultShards is the shard count NewBank uses. Sixteen shards keep the
-// per-shard maps small and give deposit-heavy settlement traffic sixteen
-// independent locks; tests that need the serial semantics verbatim build a
-// one-shard bank with NewBankShards.
-const DefaultShards = 16
-
-// bankShard holds one partition of the account map. The sorted slice is a
-// lazily rebuilt snapshot of the shard's IDs in ascending order; it is
-// immutable once built (rebuilds allocate a fresh slice), so Accounts can
-// merge shard snapshots after dropping the shard locks.
-type bankShard struct {
-	mu       sync.Mutex
-	accounts map[AccountID]Amount
-	sorted   []AccountID
-	dirty    bool
-}
-
-// spentShard holds one partition of the spent-serial set. Serial numbers
-// are random 32-byte strings, so the first bytes spread uniformly.
-type spentShard struct {
-	mu    sync.Mutex
-	spent map[[32]byte]AccountID
-}
-
 // Bank is the central settlement entity of §2.2. It holds accounts, signs
 // blind withdrawals, accepts deposits, and detects double spending. All
 // methods are safe for concurrent use (the transport runtime talks to the
 // bank from many goroutines).
 //
-// State is sharded: accounts and spent serials live in P lock-striped
-// partitions keyed by AccountID (resp. serial prefix), so deposits against
-// different accounts do not contend. Cross-shard operations take locks in
-// ascending shard order — Transfer locks the lower-numbered shard first —
-// which makes the lock graph acyclic and deadlock-free. Whole-bank reads
-// (TotalBalance, Float, VerifyConservation, Save) lock every shard in that
-// same ascending order and therefore see a consistent snapshot: no
-// operation can be mid-flight across shards while all locks are held.
+// One mutex guards the whole ledger — accounts, spent serials, the
+// issued/redeemed counters and the audit trail — so every operation and
+// every whole-bank read (TotalBalance, Float, VerifyConservation, Save)
+// sees one consistent state. The RSA work of a withdrawal or a deposit
+// runs outside it; only the map updates are serialized.
 type Bank struct {
-	key       *rsa.PrivateKey
-	shards    []bankShard
-	spent     []spentShard
-	shardBits uint // shardOf shifts by 64-shardBits; len(shards) == 1<<shardBits
+	key *rsa.PrivateKey
 
-	// issued/redeemed are bumped only while holding the shard lock of the
-	// account being debited/credited, so locking all shards quiesces them
-	// and the conservation invariant TotalBalance + Float = const can be
-	// read exactly.
-	issued   atomic.Int64 // total withdrawn (escrowed in tokens)
-	redeemed atomic.Int64 // total deposited back
+	mu       sync.Mutex
+	accounts map[AccountID]Amount
+	spent    map[[32]byte]AccountID
+	sorted   []AccountID // Accounts' ascending IDs; nil after an account opens
+	issued   Amount      // total withdrawn (escrowed in tokens)
+	redeemed Amount      // total deposited back
+
+	// ledger is the audit trail, nil until EnableAudit; statements
+	// interleave operations across all accounts under one sequence.
+	ledger   map[AccountID][]LedgerEntry
+	auditSeq uint64
 
 	// workers is the lazily built pool the per-token RSA work of a
 	// settlement epoch — blind signing and deposit verification — fans
@@ -80,90 +54,26 @@ type Bank struct {
 	workersMu sync.Mutex
 	workers   *workPool
 
-	// The audit ledger stays global — statements interleave operations
-	// across all accounts under one sequence. auditMu is a leaf lock:
-	// it is only ever taken while holding at most the shard locks of the
-	// operation being recorded, and no shard lock is ever taken under it.
-	auditing atomic.Bool
-	auditMu  sync.Mutex
-	ledger   map[AccountID][]LedgerEntry
-	auditSeq uint64
-
 	// tele holds the nil-safe counter set bound by Instrument.
 	tele bankInstruments
 }
 
 // NewBank creates a bank with a fresh RSA key of the given size (>= 1024
-// bits; 2048 recommended outside tests) and DefaultShards lock shards.
+// bits; 2048 recommended outside tests).
 func NewBank(bits int) (*Bank, error) {
-	return NewBankShards(bits, DefaultShards)
-}
-
-// NewBankShards creates a bank with an explicit shard count (rounded up to
-// a power of two, clamped to ≥ 1). One shard reproduces the old
-// global-lock bank exactly; benchmarks use it as the serial baseline.
-func NewBankShards(bits, shards int) (*Bank, error) {
 	key, err := rsa.GenerateKey(rand.Reader, bits)
 	if err != nil {
 		return nil, fmt.Errorf("payment: generating bank key: %w", err)
 	}
-	b := newBankState(shards)
-	b.key = key
-	return b, nil
+	return newBank(key), nil
 }
 
-// newBankState builds the sharded containers without key material.
-func newBankState(shards int) *Bank {
-	bits := uint(0)
-	for 1<<bits < shards {
-		bits++
-	}
-	n := 1 << bits
-	b := &Bank{
-		shards:    make([]bankShard, n),
-		spent:     make([]spentShard, n),
-		shardBits: bits,
-	}
-	for i := range b.shards {
-		b.shards[i].accounts = make(map[AccountID]Amount)
-	}
-	for i := range b.spent {
-		b.spent[i].spent = make(map[[32]byte]AccountID)
-	}
-	return b
-}
-
-// shardIndex maps an account to its shard by Fibonacci hashing:
-// sequential node IDs (the common case) spread across shards instead of
-// clustering. A shift of 64 (one shard) is defined in Go and yields 0.
-func (b *Bank) shardIndex(id AccountID) int {
-	h := uint64(id) * 0x9e3779b97f4a7c15
-	return int(h >> (64 - b.shardBits))
-}
-
-func (b *Bank) shardOf(id AccountID) *bankShard {
-	return &b.shards[b.shardIndex(id)]
-}
-
-// spentShardOf maps a serial to its spent partition by prefix.
-func (b *Bank) spentShardOf(serial [32]byte) *spentShard {
-	h := uint64(serial[0]) | uint64(serial[1])<<8 | uint64(serial[2])<<16 | uint64(serial[3])<<24
-	h *= 0x9e3779b97f4a7c15
-	return &b.spent[h>>(64-b.shardBits)]
-}
-
-// lockAll acquires every account-shard lock in ascending order. While all
-// are held no account mutation (and therefore no issued/redeemed bump) can
-// be in flight, so the caller sees a consistent whole-bank snapshot.
-func (b *Bank) lockAll() {
-	for i := range b.shards {
-		b.shards[i].mu.Lock()
-	}
-}
-
-func (b *Bank) unlockAll() {
-	for i := range b.shards {
-		b.shards[i].mu.Unlock()
+// newBank builds an empty bank around key.
+func newBank(key *rsa.PrivateKey) *Bank {
+	return &Bank{
+		key:      key,
+		accounts: make(map[AccountID]Amount),
+		spent:    make(map[[32]byte]AccountID),
 	}
 }
 
@@ -176,14 +86,13 @@ func (b *Bank) OpenAccount(id AccountID, opening Amount) error {
 	if opening < 0 {
 		return ErrBadAmount
 	}
-	s := b.shardOf(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.accounts[id]; ok {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if _, ok := b.accounts[id]; ok {
 		return fmt.Errorf("payment: account %d already exists", id)
 	}
-	s.accounts[id] = opening
-	s.dirty = true
+	b.accounts[id] = opening
+	b.sorted = nil
 	b.audit(id, "open", opening, opening, id)
 	return nil
 }
@@ -192,21 +101,19 @@ func (b *Bank) OpenAccount(id AccountID, opening Amount) error {
 // (used for the internal escrow holding account; no audit line, matching
 // the original implicit creation).
 func (b *Bank) ensureAccount(id AccountID) {
-	s := b.shardOf(id)
-	s.mu.Lock()
-	if _, ok := s.accounts[id]; !ok {
-		s.accounts[id] = 0
-		s.dirty = true
+	b.mu.Lock()
+	if _, ok := b.accounts[id]; !ok {
+		b.accounts[id] = 0
+		b.sorted = nil
 	}
-	s.mu.Unlock()
+	b.mu.Unlock()
 }
 
 // Balance returns the account's balance.
 func (b *Bank) Balance(id AccountID) (Amount, error) {
-	s := b.shardOf(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	bal, ok := s.accounts[id]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	bal, ok := b.accounts[id]
 	if !ok {
 		return 0, ErrUnknownAccount
 	}
@@ -216,7 +123,7 @@ func (b *Bank) Balance(id AccountID) (Amount, error) {
 // Withdraw debits the account by the request's denomination and signs the
 // blinded value. The bank never sees the serial, so the token it enables
 // cannot be traced back to this withdrawal. The RSA exponentiation runs
-// outside the shard lock — only the ledger mutation is serialized.
+// outside the lock — only the ledger mutation is serialized.
 func (b *Bank) Withdraw(id AccountID, req *WithdrawalRequest) (*big.Int, error) {
 	if req == nil || req.Denom() <= 0 {
 		return nil, ErrBadAmount
@@ -254,16 +161,15 @@ func (b *Bank) sign(c *big.Int) *big.Int {
 }
 
 // debitAll debits id by every request's denomination in order (the payee
-// a request names plays no part), all or nothing, under one hold of its
-// shard lock: a settlement epoch that the account cannot cover in full
-// debits nothing. On ErrInsufficientFunds it returns the index of the
-// first token the balance does not reach, which is the one a
-// token-by-token loop would have failed at.
+// a request names plays no part), all or nothing, under one hold of the
+// lock: a settlement epoch that the account cannot cover in full debits
+// nothing. On ErrInsufficientFunds it returns the index of the first
+// token the balance does not reach, which is the one a token-by-token
+// loop would have failed at.
 func (b *Bank) debitAll(id AccountID, reqs []DepositRequest) (int, error) {
-	s := b.shardOf(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	bal, ok := s.accounts[id]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	bal, ok := b.accounts[id]
 	if !ok {
 		return 0, ErrUnknownAccount
 	}
@@ -277,8 +183,8 @@ func (b *Bank) debitAll(id AccountID, reqs []DepositRequest) (int, error) {
 		bal -= reqs[i].Token.Denom
 		b.audit(id, "withdraw", reqs[i].Token.Denom, bal, id)
 	}
-	b.issued.Add(int64(s.accounts[id] - bal))
-	s.accounts[id] = bal
+	b.issued += b.accounts[id] - bal
+	b.accounts[id] = bal
 	return 0, nil
 }
 
@@ -286,12 +192,11 @@ func (b *Bank) debitAll(id AccountID, reqs []DepositRequest) (int, error) {
 // never be redeemed: its signing exchange or its deposit failed and the
 // token is discarded.
 func (b *Bank) voidWithdrawal(id AccountID, amt Amount) {
-	s := b.shardOf(id)
-	s.mu.Lock()
-	s.accounts[id] += amt
-	b.issued.Add(-int64(amt))
-	b.audit(id, "withdraw-void", amt, s.accounts[id], id)
-	s.mu.Unlock()
+	b.mu.Lock()
+	b.accounts[id] += amt
+	b.issued -= amt
+	b.audit(id, "withdraw-void", amt, b.accounts[id], id)
+	b.mu.Unlock()
 }
 
 // Deposit verifies a token and credits the depositor. A replayed serial is
@@ -304,165 +209,92 @@ func (b *Bank) Deposit(id AccountID, tok Token) (err error) {
 
 // deposit applies one deposit with the signature verdict precomputed (the
 // batch path verifies signatures in a worker pool first). The check order
-// — unknown account, bad signature, double spend — matches the serial
-// bank bit for bit, so batch and single deposits attribute errors
-// identically.
-//
-// Stages never hold two locks at once: existence is checked under the
-// account shard, the serial is claimed under the spent shard, and the
-// credit lands back under the account shard. Accounts are never deleted,
-// so the existence check cannot be invalidated in between; between the
-// serial claim and the credit the invariant still holds because redeemed
-// is bumped together with the credit.
+// — unknown account, bad signature, double spend — is the same on both
+// paths, so batch and single deposits attribute errors identically. The
+// serial is claimed and the credit lands in one hold of the lock: no
+// reader can see one without the other.
 func (b *Bank) deposit(id AccountID, tok Token, sigValid bool) error {
-	s := b.shardOf(id)
-	s.mu.Lock()
-	_, ok := s.accounts[id]
-	s.mu.Unlock()
-	if !ok {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if _, ok := b.accounts[id]; !ok {
 		return ErrUnknownAccount
 	}
 	if !sigValid {
 		return ErrBadSignature
 	}
-	sp := b.spentShardOf(tok.Serial)
-	sp.mu.Lock()
-	if first, dup := sp.spent[tok.Serial]; dup {
-		sp.mu.Unlock()
+	if first, dup := b.spent[tok.Serial]; dup {
 		return fmt.Errorf("%w (first deposited by account %d)", ErrDoubleSpend, first)
 	}
-	sp.spent[tok.Serial] = id
-	sp.mu.Unlock()
-	s.mu.Lock()
-	s.accounts[id] += tok.Denom
-	b.redeemed.Add(int64(tok.Denom))
-	b.audit(id, "deposit", tok.Denom, s.accounts[id], id)
-	s.mu.Unlock()
+	b.spent[tok.Serial] = id
+	b.accounts[id] += tok.Denom
+	b.redeemed += tok.Denom
+	b.audit(id, "deposit", tok.Denom, b.accounts[id], id)
 	return nil
 }
 
 // Transfer moves credits between accounts directly (used for escrow
 // refunds and fee-free settlement paths that do not need unlinkability).
-// Cross-shard transfers take both shard locks in ascending shard order —
-// the deterministic two-phase ordering that keeps concurrent transfers
-// deadlock-free.
 func (b *Bank) Transfer(from, to AccountID, amt Amount) error {
 	if amt <= 0 {
 		return ErrBadAmount
 	}
-	fi, ti := b.shardIndex(from), b.shardIndex(to)
-	sf, st := &b.shards[fi], &b.shards[ti]
-	lockOrdered(sf, st, fi, ti)
-	defer unlockOrdered(sf, st, fi, ti)
-	fb, ok := sf.accounts[from]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	fb, ok := b.accounts[from]
 	if !ok {
 		return ErrUnknownAccount
 	}
-	if _, ok := st.accounts[to]; !ok {
+	if _, ok := b.accounts[to]; !ok {
 		return ErrUnknownAccount
 	}
 	if fb < amt {
 		return ErrInsufficientFunds
 	}
-	sf.accounts[from] = fb - amt
-	st.accounts[to] += amt
-	b.audit(from, "transfer-out", amt, sf.accounts[from], to)
-	b.audit(to, "transfer-in", amt, st.accounts[to], from)
+	b.accounts[from] = fb - amt
+	b.accounts[to] += amt
+	b.audit(from, "transfer-out", amt, b.accounts[from], to)
+	b.audit(to, "transfer-in", amt, b.accounts[to], from)
 	return nil
-}
-
-// lockOrdered locks one or two shards lower index first — the two-phase
-// ordering that makes the cross-shard lock graph acyclic.
-func lockOrdered(a, c *bankShard, ai, ci int) {
-	switch {
-	case ai == ci:
-		a.mu.Lock()
-	case ai < ci:
-		a.mu.Lock()
-		c.mu.Lock()
-	default:
-		c.mu.Lock()
-		a.mu.Lock()
-	}
-}
-
-func unlockOrdered(a, c *bankShard, ai, ci int) {
-	a.mu.Unlock()
-	if ai != ci {
-		c.mu.Unlock()
-	}
 }
 
 // TotalBalance returns the sum over all accounts. Together with Float
 // (tokens issued but not yet redeemed) it states the conservation
 // invariant: TotalBalance + Float is constant across all operations.
 func (b *Bank) TotalBalance() Amount {
-	b.lockAll()
-	defer b.unlockAll()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	var total Amount
-	for i := range b.shards {
-		for _, bal := range b.shards[i].accounts {
-			total += bal
-		}
+	for _, bal := range b.accounts {
+		total += bal
 	}
 	return total
 }
 
-// Float returns the value of tokens issued but not yet redeemed. All
-// shards are locked so the two counters are read at a quiescent point.
+// Float returns the value of tokens issued but not yet redeemed.
 func (b *Bank) Float() Amount {
-	b.lockAll()
-	defer b.unlockAll()
-	return Amount(b.issued.Load() - b.redeemed.Load())
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.issued - b.redeemed
 }
 
-// Accounts returns all account IDs in ascending order. Each shard keeps a
-// pre-sorted immutable snapshot that is rebuilt only after an account was
-// opened in it, so a warm call is one k-way merge and a single output
-// allocation — no sorting under any lock.
+// Accounts returns all account IDs in ascending order. The sorted list is
+// cached until the next account opens, so a warm call is one copy.
 func (b *Bank) Accounts() []AccountID {
-	snaps := make([][]AccountID, len(b.shards))
-	total := 0
-	for i := range b.shards {
-		s := &b.shards[i]
-		s.mu.Lock()
-		if s.dirty {
-			sorted := make([]AccountID, 0, len(s.accounts))
-			for id := range s.accounts {
-				sorted = append(sorted, id)
-			}
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-			s.sorted = sorted
-			s.dirty = false
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.sorted == nil {
+		b.sorted = make([]AccountID, 0, len(b.accounts))
+		for id := range b.accounts {
+			b.sorted = append(b.sorted, id)
 		}
-		snaps[i] = s.sorted
-		s.mu.Unlock()
-		total += len(snaps[i])
+		slices.Sort(b.sorted)
 	}
-	out := make([]AccountID, 0, total)
-	for len(out) < total {
-		best := -1
-		for i, snap := range snaps {
-			if len(snap) == 0 {
-				continue
-			}
-			if best < 0 || snap[0] < snaps[best][0] {
-				best = i
-			}
-		}
-		out = append(out, snaps[best][0])
-		snaps[best] = snaps[best][1:]
-	}
-	return out
+	return slices.Clone(b.sorted)
 }
 
 // SpentCount returns the number of redeemed serials (for reporting).
 func (b *Bank) SpentCount() int {
-	n := 0
-	for i := range b.spent {
-		b.spent[i].mu.Lock()
-		n += len(b.spent[i].spent)
-		b.spent[i].mu.Unlock()
-	}
-	return n
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.spent)
 }

@@ -18,14 +18,6 @@ import (
 // the scratch power behind every public-exponent operation, the
 // allocation pins that keep the diet honest, and the epoch fan-out.
 
-// bankWithKey builds an empty bank around an existing key, so two banks
-// can be compared signature for signature.
-func bankWithKey(key *rsa.PrivateKey) *Bank {
-	b := newBankState(DefaultShards)
-	b.key = key
-	return b
-}
-
 // fixtureBank loads the benchmark's 2048-bit snapshot: the key size the
 // allocation pin is stated for, without a keygen in the test.
 func fixtureBank(t *testing.T) *Bank {
@@ -81,11 +73,11 @@ func TestSignSelfCheckFallsBack(t *testing.T) {
 
 	key := *good.key
 	key.Precomputed.Dp = new(big.Int).Add(key.Precomputed.Dp, big.NewInt(2))
-	if got := bankWithKey(&key).sign(c); got.Cmp(want) != 0 {
+	if got := newBank(&key).sign(c); got.Cmp(want) != 0 {
 		t.Fatalf("corrupted Dp: sign = %x, want %x", got, want)
 	}
 	key.D = new(big.Int).Add(key.D, big.NewInt(2))
-	if got := bankWithKey(&key).sign(c); got.Cmp(want) == 0 {
+	if got := newBank(&key).sign(c); got.Cmp(want) == 0 {
 		t.Fatal("corrupted Dp and D still signed correctly: the self-check did not run")
 	}
 }
@@ -197,7 +189,7 @@ func TestLoadBankSignsThroughCRT(t *testing.T) {
 	want := new(big.Int).Exp(c, b.key.D, b.key.N)
 	key := *b.key
 	key.D = big.NewInt(3) // only the fallback reads D
-	if got := bankWithKey(&key).sign(c); got.Cmp(want) != 0 {
+	if got := newBank(&key).sign(c); got.Cmp(want) != 0 {
 		t.Fatal("restored bank did not sign through its CRT values")
 	}
 }
@@ -208,7 +200,7 @@ func TestLoadBankRejectsMultiPrimeKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := bankWithKey(key).Save(&buf); err != nil {
+	if err := newBank(key).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadBank(&buf); err == nil {
@@ -252,7 +244,7 @@ func TestSettlementPoolWidthInvariant(t *testing.T) {
 	}
 	run := func(width int) outcome {
 		t.Helper()
-		b := bankWithKey(sharedBank(t).key)
+		b := newBank(sharedBank(t).key)
 		b.setPoolWidth(width)
 		s, claims := epochFixture(t, b, 100000)
 		payouts, err := s.Run(claims)
@@ -284,7 +276,7 @@ func TestSettlementPoolWidthInvariant(t *testing.T) {
 }
 
 func TestSettlementUnderfundedDebitsNothing(t *testing.T) {
-	b := bankWithKey(sharedBank(t).key)
+	b := newBank(sharedBank(t).key)
 	// 138 + 68 + 103 = 309 owed; 250 covers the first two forwarders.
 	s, claims := epochFixture(t, b, 250)
 	payouts, err := s.Run(claims)
@@ -354,7 +346,7 @@ func TestSettlementErrorAttributionMatchesSerialLoop(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mk := func() *Bank {
-				b := bankWithKey(sharedBank(t).key)
+				b := newBank(sharedBank(t).key)
 				b.OpenAccount(1, tc.funds)
 				b.OpenAccount(10, 0)
 				b.OpenAccount(11, 0)
@@ -386,7 +378,7 @@ func TestSettlementErrorAttributionMatchesSerialLoop(t *testing.T) {
 // token was credited twice or lost between the shared pool's workers.
 func TestConcurrentSettlementsConserve(t *testing.T) {
 	const initiators, rounds, forwarders = 4, 3, 5
-	b := bankWithKey(sharedBank(t).key)
+	b := newBank(sharedBank(t).key)
 	b.setPoolWidth(3)
 	m := minter(t)
 	for i := 0; i < initiators; i++ {

@@ -18,9 +18,6 @@ func (b *Bank) setPoolWidth(n int) {
 	}
 }
 
-// Shards returns the bank's shard count.
-func (b *Bank) Shards() int { return len(b.shards) }
-
 // DepositAll deposits every token, stopping at the first failure and
 // reporting how many succeeded.
 func (b *Bank) DepositAll(id AccountID, tokens []Token) (int, error) {

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"maps"
 	"time"
 )
 
@@ -21,11 +22,8 @@ type LedgerEntry struct {
 // recorded only when auditing is enabled (EnableAudit); otherwise it
 // returns nil.
 func (b *Bank) Statement(id AccountID) []LedgerEntry {
-	if !b.auditing.Load() {
-		return nil
-	}
-	b.auditMu.Lock()
-	defer b.auditMu.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	entries := b.ledger[id]
 	if len(entries) == 0 {
 		return nil
@@ -38,23 +36,19 @@ func (b *Bank) Statement(id AccountID) []LedgerEntry {
 // EnableAudit switches per-account ledger recording on. Operations before
 // the call are not back-filled.
 func (b *Bank) EnableAudit() {
-	b.auditMu.Lock()
+	b.mu.Lock()
 	if b.ledger == nil {
 		b.ledger = make(map[AccountID][]LedgerEntry)
 	}
-	b.auditMu.Unlock()
-	b.auditing.Store(true)
+	b.mu.Unlock()
 }
 
 // audit appends a ledger entry when auditing is on. The caller holds the
-// shard lock of the mutated account and passes the post-operation balance
-// explicitly (the ledger cannot reach into another shard). auditMu is a
-// leaf lock under the shard locks, giving statements one global sequence.
+// lock and passes the post-operation balance.
 func (b *Bank) audit(id AccountID, kind string, amt, balance Amount, peer AccountID) {
-	if !b.auditing.Load() {
+	if b.ledger == nil {
 		return
 	}
-	b.auditMu.Lock()
 	b.auditSeq++
 	b.ledger[id] = append(b.ledger[id], LedgerEntry{
 		Seq:     b.auditSeq,
@@ -63,12 +57,9 @@ func (b *Bank) audit(id AccountID, kind string, amt, balance Amount, peer Accoun
 		Balance: balance,
 		Peer:    peer,
 	})
-	b.auditMu.Unlock()
 }
 
-// bankState is the gob-serialisable snapshot of a bank. The format is
-// shard-agnostic — maps are merged on Save and redistributed on Load — so
-// snapshots survive shard-count changes between writer and reader.
+// bankState is the gob-serialisable snapshot of a bank.
 type bankState struct {
 	Key      *rsa.PrivateKey
 	Accounts map[AccountID]Amount
@@ -79,44 +70,33 @@ type bankState struct {
 }
 
 // Save serialises the bank's full state (key, accounts, spent list) to w
-// with encoding/gob. The snapshot contains the private key: treat the
-// output as secret material.
+// with encoding/gob. The state is copied in one hold of the lock, so the
+// snapshot is consistent: a deposit is in it whole (serial spent, account
+// credited, redeemed bumped) or not at all. Encoding runs after the lock
+// is released. The snapshot contains the private key: treat the output as
+// secret material.
 func (b *Bank) Save(w io.Writer) error {
-	b.lockAll()
-	accounts := make(map[AccountID]Amount)
-	for i := range b.shards {
-		for id, bal := range b.shards[i].accounts {
-			accounts[id] = bal
-		}
-	}
+	b.mu.Lock()
 	st := bankState{
 		Key:      b.key,
-		Accounts: accounts,
-		Issued:   Amount(b.issued.Load()),
-		Redeemed: Amount(b.redeemed.Load()),
+		Accounts: maps.Clone(b.accounts),
+		Spent:    maps.Clone(b.spent),
+		Issued:   b.issued,
+		Redeemed: b.redeemed,
 		SavedAt:  time.Now(),
 	}
-	b.unlockAll()
-	st.Spent = make(map[[32]byte]AccountID)
-	for i := range b.spent {
-		sp := &b.spent[i]
-		sp.mu.Lock()
-		for serial, id := range sp.spent {
-			st.Spent[serial] = id
-		}
-		sp.mu.Unlock()
-	}
+	b.mu.Unlock()
 	if err := gob.NewEncoder(w).Encode(&st); err != nil {
 		return fmt.Errorf("payment: saving bank: %w", err)
 	}
 	return nil
 }
 
-// LoadBank restores a bank from a Save snapshot, distributing the state
-// over DefaultShards. The restored bank validates its key material before
-// use and rebuilds the CRT values Bank.sign works through (gob does not
-// carry crypto/rsa's unexported precomputed state); a key that is not
-// two-prime has none and is rejected rather than signed with slowly.
+// LoadBank restores a bank from a Save snapshot. The restored bank
+// validates its key material before use and rebuilds the CRT values
+// Bank.sign works through (gob does not carry crypto/rsa's unexported
+// precomputed state); a key that is not two-prime has none and is
+// rejected rather than signed with slowly.
 func LoadBank(r io.Reader) (*Bank, error) {
 	var st bankState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
@@ -132,18 +112,10 @@ func LoadBank(r io.Reader) (*Bank, error) {
 	if pre := st.Key.Precomputed; len(st.Key.Primes) != 2 || pre.Dp == nil || pre.Dq == nil || pre.Qinv == nil {
 		return nil, fmt.Errorf("payment: snapshot key is not a two-prime key with CRT values")
 	}
-	b := newBankState(DefaultShards)
-	b.key = st.Key
-	for id, bal := range st.Accounts {
-		s := b.shardOf(id)
-		s.accounts[id] = bal
-		s.dirty = true
-	}
-	for serial, id := range st.Spent {
-		b.spentShardOf(serial).spent[serial] = id
-	}
-	b.issued.Store(int64(st.Issued))
-	b.redeemed.Store(int64(st.Redeemed))
+	b := newBank(st.Key)
+	maps.Copy(b.accounts, st.Accounts)
+	maps.Copy(b.spent, st.Spent)
+	b.issued, b.redeemed = st.Issued, st.Redeemed
 	return b, nil
 }
 
@@ -151,25 +123,22 @@ func LoadBank(r io.Reader) (*Bank, error) {
 // error if total balances plus outstanding float do not equal opening
 // balances plus issued-and-unredeemed value. Because the bank never
 // creates money outside OpenAccount, the invariant reduces to checking
-// that issued >= redeemed and all balances are non-negative. All shards
-// are locked for the duration, so the verdict is over one consistent
-// snapshot.
+// that issued >= redeemed and all balances are non-negative, over one
+// hold of the lock.
 func (b *Bank) VerifyConservation() error {
-	b.lockAll()
-	defer b.unlockAll()
-	if r, i := b.redeemed.Load(), b.issued.Load(); r > i {
-		return fmt.Errorf("payment: redeemed %d exceeds issued %d", r, i)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.redeemed > b.issued {
+		return fmt.Errorf("payment: redeemed %d exceeds issued %d", b.redeemed, b.issued)
 	}
 	// Report the lowest offending account so the error is deterministic
 	// whatever the map iteration order.
 	worst := AccountID(0)
 	var worstBal Amount
 	found := false
-	for i := range b.shards {
-		for id, bal := range b.shards[i].accounts {
-			if bal < 0 && (!found || id < worst) {
-				worst, worstBal, found = id, bal, true
-			}
+	for id, bal := range b.accounts {
+		if bal < 0 && (!found || id < worst) {
+			worst, worstBal, found = id, bal, true
 		}
 	}
 	if found {

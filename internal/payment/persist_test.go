@@ -2,7 +2,9 @@ package payment
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
+	"sync"
 	"testing"
 )
 
@@ -50,6 +52,71 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := restored.VerifyConservation(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSaveDuringDepositsIsConsistent saves and decodes snapshots while
+// four goroutines deposit 400 unit tokens. A snapshot must hold each
+// deposit whole or not at all: every spent serial credited (Redeemed ==
+// len(Spent) with unit tokens), and balances plus float equal to what
+// was opened. A torn snapshot restores a bank where a spent serial's
+// credit never landed — its value stuck in the float, a retry refused as
+// a double spend.
+func TestSaveDuringDepositsIsConsistent(t *testing.T) {
+	const accounts, perAccount, rounds = 4, 100, 10
+	snapshots := 0
+	for round := 0; round < rounds; round++ {
+		b := newBank(sharedBank(t).key)
+		tokens := make([][]Token, accounts)
+		for a := range tokens {
+			id := AccountID(a + 1)
+			if err := b.OpenAccount(id, perAccount); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < perAccount; i++ {
+				tokens[a] = append(tokens[a], withdrawToken(t, b, id, 1))
+			}
+		}
+		var deposits sync.WaitGroup
+		done := make(chan struct{})
+		for a := range tokens {
+			deposits.Add(1)
+			go func(id AccountID, toks []Token) {
+				defer deposits.Done()
+				for _, tok := range toks {
+					if err := b.Deposit(id, tok); err != nil {
+						t.Error(err)
+					}
+				}
+			}(AccountID(a+1), tokens[a])
+		}
+		go func() { deposits.Wait(); close(done) }()
+		for saving := true; saving; {
+			select {
+			case <-done:
+				saving = false // one last snapshot of the settled bank
+			default:
+			}
+			var buf bytes.Buffer
+			if err := b.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			var st bankState
+			if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
+				t.Fatal(err)
+			}
+			snapshots++
+			var total Amount
+			for _, bal := range st.Accounts {
+				total += bal
+			}
+			if st.Redeemed != Amount(len(st.Spent)) || total+st.Issued-st.Redeemed != accounts*perAccount {
+				deposits.Wait()
+				t.Fatalf("round %d: torn snapshot: %d serials spent, %d redeemed, balances %d + float %d",
+					round, len(st.Spent), st.Redeemed, total, st.Issued-st.Redeemed)
+			}
+		}
+	}
+	t.Logf("%d consistent snapshots over %d rounds", snapshots, rounds)
 }
 
 func TestLoadBankRejectsGarbage(t *testing.T) {
@@ -130,17 +197,16 @@ func TestVerifyConservationDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt internals directly (white-box).
-	s := b.shardOf(1)
-	s.mu.Lock()
-	s.accounts[1] = -5
-	s.mu.Unlock()
+	b.mu.Lock()
+	b.accounts[1] = -5
+	b.mu.Unlock()
 	if err := b.VerifyConservation(); err == nil {
 		t.Fatal("negative balance not detected")
 	}
-	s.mu.Lock()
-	s.accounts[1] = 100
-	s.mu.Unlock()
-	b.redeemed.Store(b.issued.Load() + 1)
+	b.mu.Lock()
+	b.accounts[1] = 100
+	b.redeemed = b.issued + 1
+	b.mu.Unlock()
 	if err := b.VerifyConservation(); err == nil {
 		t.Fatal("over-redemption not detected")
 	}

@@ -1,54 +1,20 @@
 package payment
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// The sharded bank must be observationally identical to the one-shard
-// (serial) bank: same balances, same errors in the same order, same
-// conservation arithmetic — for any operation stream, including the
-// hostile ones (double spends, tampered signatures). The property test
-// drives both banks with one seeded stream and compares after every
-// step. CI runs it under -race, which also exercises the staged deposit
-// lock protocol.
-
-// bankPair drives two banks through identical operations. Tokens differ
-// between the banks (each signs under its own key), so withdrawals are
-// mirrored: position i of each held slice came from the same op.
-type bankPair struct {
-	t                *testing.T
-	serial, sharded  *Bank
-	heldSer, heldShd []Token
-}
-
-func newBankPair(t *testing.T) *bankPair {
-	t.Helper()
-	ser, err := NewBankShards(1024, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shd, err := NewBankShards(1024, DefaultShards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ser.Shards() != 1 || shd.Shards() != DefaultShards {
-		t.Fatalf("shard counts %d/%d", ser.Shards(), shd.Shards())
-	}
-	return &bankPair{t: t, serial: ser, sharded: shd}
-}
-
-// sameErr requires both banks to fail (or succeed) identically. Error
-// strings may differ in attribution detail (double-spend names the first
-// depositor), so comparison is by nil-ness plus the leading sentinel.
-func (p *bankPair) sameErr(step int, op string, e1, e2 error) {
-	p.t.Helper()
-	if (e1 == nil) != (e2 == nil) {
-		p.t.Fatalf("step %d %s: serial err %v, sharded err %v", step, op, e1, e2)
-	}
-}
+// The bank under a seeded hostile operation stream — overdrawn
+// withdrawals, double spends, tampered signatures, overdrawn and self
+// transfers, unknown accounts — against a plain model of balances and
+// spent tokens: every operation fails with the model's sentinel (or
+// succeeds when the model says it must), balances track the model, and
+// conservation holds after every step.
 
 func tryWithdraw(b *Bank, from AccountID, denom Amount) (Token, error) {
 	req, err := NewWithdrawalRequest(b.PublicKey(), denom, nil)
@@ -68,40 +34,7 @@ func tamper(tok Token) Token {
 	return tok
 }
 
-func (p *bankPair) compareState(step int) {
-	p.t.Helper()
-	a1, a2 := p.serial.Accounts(), p.sharded.Accounts()
-	if len(a1) != len(a2) {
-		p.t.Fatalf("step %d: %d vs %d accounts", step, len(a1), len(a2))
-	}
-	for i := range a1 {
-		if a1[i] != a2[i] {
-			p.t.Fatalf("step %d: account list diverges at %d: %d vs %d", step, i, a1[i], a2[i])
-		}
-		b1, _ := p.serial.Balance(a1[i])
-		b2, _ := p.sharded.Balance(a2[i])
-		if b1 != b2 {
-			p.t.Fatalf("step %d: balance of %d diverges: %d vs %d", step, a1[i], b1, b2)
-		}
-	}
-	if t1, t2 := p.serial.TotalBalance(), p.sharded.TotalBalance(); t1 != t2 {
-		p.t.Fatalf("step %d: total balance %d vs %d", step, t1, t2)
-	}
-	if f1, f2 := p.serial.Float(), p.sharded.Float(); f1 != f2 {
-		p.t.Fatalf("step %d: float %d vs %d", step, f1, f2)
-	}
-	if s1, s2 := p.serial.SpentCount(), p.sharded.SpentCount(); s1 != s2 {
-		p.t.Fatalf("step %d: spent count %d vs %d", step, s1, s2)
-	}
-	if err := p.serial.VerifyConservation(); err != nil {
-		p.t.Fatalf("step %d: serial conservation: %v", step, err)
-	}
-	if err := p.sharded.VerifyConservation(); err != nil {
-		p.t.Fatalf("step %d: sharded conservation: %v", step, err)
-	}
-}
-
-func TestShardedBankMatchesSerialProperty(t *testing.T) {
+func TestBankHostileStreamProperty(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4}
 	if testing.Short() {
 		seeds = seeds[:1]
@@ -110,15 +43,22 @@ func TestShardedBankMatchesSerialProperty(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			p := newBankPair(t)
+			b := freshBank(t)
 			rng := rand.New(rand.NewSource(seed))
-			const nAcc = 12
+			const nAcc, opening = 12, 1000
+			bal := make(map[AccountID]Amount)
 			for id := AccountID(1); id <= nAcc; id++ {
-				if err := p.serial.OpenAccount(id, 1000); err != nil {
+				if err := b.OpenAccount(id, opening); err != nil {
 					t.Fatal(err)
 				}
-				if err := p.sharded.OpenAccount(id, 1000); err != nil {
-					t.Fatal(err)
+				bal[id] = opening
+			}
+			var held []Token
+			deposited := make(map[int]bool) // index into held
+			want := func(step int, op string, got, sentinel error) {
+				t.Helper()
+				if (sentinel == nil) != (got == nil) || (sentinel != nil && !errors.Is(got, sentinel)) {
+					t.Fatalf("step %d %s: err %v, want %v", step, op, got, sentinel)
 				}
 			}
 			steps := 150
@@ -131,55 +71,68 @@ func TestShardedBankMatchesSerialProperty(t *testing.T) {
 				switch op := rng.Intn(10); {
 				case op < 3: // withdraw (sometimes more than the balance holds)
 					denom := Amount(1 + rng.Intn(1500))
-					t1, e1 := tryWithdraw(p.serial, from, denom)
-					t2, e2 := tryWithdraw(p.sharded, from, denom)
-					p.sameErr(step, "withdraw", e1, e2)
-					if e1 == nil {
-						p.heldSer = append(p.heldSer, t1)
-						p.heldShd = append(p.heldShd, t2)
+					tok, err := tryWithdraw(b, from, denom)
+					if denom > bal[from] {
+						want(step, "withdraw", err, ErrInsufficientFunds)
+						break
 					}
-				case op < 6 && len(p.heldSer) > 0: // deposit a held token
-					i := rng.Intn(len(p.heldSer))
-					e1 := p.serial.Deposit(to, p.heldSer[i])
-					e2 := p.sharded.Deposit(to, p.heldShd[i])
-					p.sameErr(step, "deposit", e1, e2)
-					// Leave the token in place: redepositing it later is the
-					// double-spend injection, and both banks must agree then too.
-				case op < 7 && len(p.heldSer) > 0: // tampered signature
-					i := rng.Intn(len(p.heldSer))
-					e1 := p.serial.Deposit(to, tamper(p.heldSer[i]))
-					e2 := p.sharded.Deposit(to, tamper(p.heldShd[i]))
-					p.sameErr(step, "tampered deposit", e1, e2)
+					want(step, "withdraw", err, nil)
+					bal[from] -= denom
+					held = append(held, tok)
+				case op < 6 && len(held) > 0: // deposit a held token
+					// Left in place: redepositing it later is the
+					// double-spend injection.
+					i := rng.Intn(len(held))
+					err := b.Deposit(to, held[i])
+					if deposited[i] {
+						want(step, "deposit", err, ErrDoubleSpend)
+						break
+					}
+					want(step, "deposit", err, nil)
+					deposited[i] = true
+					bal[to] += held[i].Denom
+				case op < 7 && len(held) > 0: // tampered signature
+					want(step, "tampered deposit", b.Deposit(to, tamper(held[rng.Intn(len(held))])), ErrBadSignature)
 				case op < 9: // transfer (sometimes overdrawn, sometimes self)
 					amt := Amount(1 + rng.Intn(1500))
-					e1 := p.serial.Transfer(from, to, amt)
-					e2 := p.sharded.Transfer(from, to, amt)
-					p.sameErr(step, "transfer", e1, e2)
+					err := b.Transfer(from, to, amt)
+					if amt > bal[from] {
+						want(step, "transfer", err, ErrInsufficientFunds)
+						break
+					}
+					want(step, "transfer", err, nil)
+					bal[from] -= amt
+					bal[to] += amt
 				default: // unknown-account traffic
-					e1 := p.serial.Deposit(AccountID(9999), Token{})
-					e2 := p.sharded.Deposit(AccountID(9999), Token{})
-					p.sameErr(step, "unknown deposit", e1, e2)
+					want(step, "unknown deposit", b.Deposit(AccountID(9999), Token{}), ErrUnknownAccount)
 				}
-				if step%10 == 0 {
-					p.compareState(step)
+				for id, w := range bal {
+					if got, _ := b.Balance(id); got != w {
+						t.Fatalf("step %d: balance of %d is %d, model %d", step, id, got, w)
+					}
+				}
+				if got := b.TotalBalance() + b.Float(); got != nAcc*opening {
+					t.Fatalf("step %d: TotalBalance + Float = %d, want %d", step, got, nAcc*opening)
+				}
+				if got := b.SpentCount(); got != len(deposited) {
+					t.Fatalf("step %d: %d serials spent, model %d", step, got, len(deposited))
+				}
+				if err := b.VerifyConservation(); err != nil {
+					t.Fatalf("step %d: %v", step, err)
 				}
 			}
-			p.compareState(steps)
 		})
 	}
 }
 
-// TestShardedSettlementMatchesSerial runs a full escrow settlement —
-// including forged and duplicated receipts — on both banks and demands
-// identical payouts, refunds and post-state.
-func TestShardedSettlementMatchesSerial(t *testing.T) {
-	p := newBankPair(t)
+// TestSettleFromEscrowHostileReceipts runs an escrow settlement whose
+// claims carry a duplicated and a forged receipt: each is paid for the
+// receipts that verify, once, and the rest of the lock is refunded.
+func TestSettleFromEscrowHostileReceipts(t *testing.T) {
+	b := freshBank(t)
 	m := minter(t)
 	for id := AccountID(1); id <= 8; id++ {
-		if err := p.serial.OpenAccount(id, 10_000); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.sharded.OpenAccount(id, 10_000); err != nil {
+		if err := b.OpenAccount(id, 10_000); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,32 +141,25 @@ func TestShardedSettlementMatchesSerial(t *testing.T) {
 		{Forwarder: 3, Receipts: []Receipt{m.Mint(1, 2, 3), m.Mint(1, 2, 3)}}, // duplicate
 		{Forwarder: 4, Receipts: []Receipt{{Conn: 9, Hop: 9, Forwarder: 4}}},  // forged
 	}
-	settleOn := func(b *Bank) ([]Payout, Amount) {
-		t.Helper()
-		esc, err := b.OpenEscrow(1, 1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payouts, refund, err := esc.SettleFromEscrow(m, 10, 90, claims)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return payouts, refund
+	esc, err := b.OpenEscrow(1, 1000)
+	if err != nil {
+		t.Fatal(err)
 	}
-	po1, r1 := settleOn(p.serial)
-	po2, r2 := settleOn(p.sharded)
-	if r1 != r2 {
-		t.Fatalf("refund %d vs %d", r1, r2)
+	payouts, refund, err := esc.SettleFromEscrow(m, 10, 90, claims)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(po1) != len(po2) {
-		t.Fatalf("payouts %v vs %v", po1, po2)
+	// ‖π‖ = 2, share 45: forwarder 2 gets 2·10+45, forwarder 3 1·10+45.
+	want := []Payout{{Forwarder: 2, Forwards: 2, Amount: 65}, {Forwarder: 3, Forwards: 1, Amount: 55}}
+	if !slices.Equal(payouts, want) || refund != 1000-120 {
+		t.Fatalf("payouts %v refund %d, want %v refund %d", payouts, refund, want, 1000-120)
 	}
-	for i := range po1 {
-		if po1[i] != po2[i] {
-			t.Fatalf("payout %d: %+v vs %+v", i, po1[i], po2[i])
-		}
+	if got := b.TotalBalance() + b.Float(); got != 80_000 {
+		t.Fatalf("TotalBalance + Float = %d, want 80000", got)
 	}
-	p.compareState(-1)
+	if err := b.VerifyConservation(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestDepositBatchMatchesSerialDeposits pins the batch path's error
@@ -221,14 +167,7 @@ func TestShardedSettlementMatchesSerial(t *testing.T) {
 // and unknown-account deposits returns exactly the errors a serial
 // Deposit loop produces, in the same positions.
 func TestDepositBatchMatchesSerialDeposits(t *testing.T) {
-	mkBank := func() *Bank {
-		b, err := NewBankShards(1024, DefaultShards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	loop, batch := mkBank(), mkBank()
+	loop, batch := freshBank(t), freshBank(t)
 	mkReqs := func(b *Bank) []DepositRequest {
 		t.Helper()
 		if err := b.OpenAccount(1, 1000); err != nil {
@@ -271,21 +210,20 @@ func TestDepositBatchMatchesSerialDeposits(t *testing.T) {
 	}
 }
 
-// TestAccountsSnapshotAllocs pins the merge path: once the per-shard
-// sorted snapshots are warm, Accounts performs the k-way merge with only
-// the output allocation.
+// TestAccountsSnapshotAllocs pins the cached path: once the sorted list is
+// warm, Accounts is one copy of it.
 func TestAccountsSnapshotAllocs(t *testing.T) {
 	b := sharedBank(t)
 	for id := AccountID(100); id < 180; id++ {
 		b.OpenAccount(id, 1)
 	}
-	b.Accounts() // warm the per-shard sorted caches
+	b.Accounts() // warm the sorted cache
 	allocs := testing.AllocsPerRun(50, func() {
 		if got := b.Accounts(); len(got) == 0 {
 			t.Fatal("no accounts")
 		}
 	})
-	if allocs > 2 {
-		t.Fatalf("Accounts allocates %.1f times per call, want <= 2", allocs)
+	if allocs > 1 {
+		t.Fatalf("Accounts allocates %.1f times per call, want <= 1", allocs)
 	}
 }
