@@ -98,6 +98,15 @@ func main() {
 			if err != nil {
 				return err
 			}
+			// The live rule's point at f = 0: one short replay per live
+			// router through the in-process backend.
+			for _, strat := range allStrategies {
+				size, _, err := experiment.LiveShape(base.Seed, strat)
+				if err != nil {
+					return err
+				}
+				ss = append(ss, experiment.Series{Name: "setsize-live-" + strat.String(), Points: []experiment.FigPoint{{Mean: size}}})
+			}
 			return emit("fig5", report.MultiSeriesTable("Fig. 5: avg ‖π‖ vs f", "f", ss))
 		})
 	}
@@ -146,6 +155,13 @@ func main() {
 			t.AddRow("random routing, analytic lower bound 1-k/N", report.F4(res.RandomBound))
 			t.AddRow("utility routing, measured", report.F4(res.UtilityRate))
 			t.AddRow("utility routing, analytic prod(1-p_i)", report.F4(res.UtilityPredict))
+			for _, strat := range []core.Strategy{core.Random, core.UtilityI} {
+				_, rate, err := experiment.LiveShape(base.Seed, strat)
+				if err != nil {
+					return err
+				}
+				t.AddRow(fmt.Sprintf("%s routing, live (inproc replay)", strings.TrimSuffix(strat.String(), "-I")), report.F4(rate))
+			}
 			return emit("prop1", t)
 		})
 	}

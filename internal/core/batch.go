@@ -61,11 +61,11 @@ type Batch struct {
 	scorers map[overlay.NodeID]*quality.Scorer
 	closed  bool
 
-	// cands and scored are per-hop scratch buffers (candidate filter and
-	// Model-I utility ranking), reused to keep the routing loop
-	// allocation-free.
-	cands  []overlay.NodeID
-	scored []scoredCand
+	// rule is the batch's instance of the shared routing rule, with its
+	// per-hop scratch; fill is row, bound once so that handing it to the
+	// system's rows (Rows.Fill) on a memo reset allocates nothing.
+	rule Rule
+	fill func(i int)
 }
 
 // spneStamp records the version vector a stage game was solved under: the
@@ -79,26 +79,6 @@ type spneStamp struct {
 	probe uint64
 	hist  uint64
 	k     int
-}
-
-// scoredCand is one Model-I candidate with its utility and edge quality.
-type scoredCand struct {
-	id overlay.NodeID
-	u  float64
-	q  float64
-}
-
-// scoredLess orders Model-I candidates: descending utility, then
-// descending edge quality (the paper's tie-break), then ascending ID for
-// determinism. Distinct IDs make it a strict total order.
-func scoredLess(a, c scoredCand) bool {
-	if a.u != c.u {
-		return a.u > c.u
-	}
-	if a.q != c.q {
-		return a.q > c.q
-	}
-	return a.id < c.id
 }
 
 type edge struct{ from, to overlay.NodeID }
@@ -117,7 +97,7 @@ func (s *System) NewBatch(initiator, responder overlay.NodeID, c Contract, strat
 	}
 	s.batches++
 	s.open++
-	return &Batch{
+	b := &Batch{
 		ID:        s.batches,
 		Initiator: initiator,
 		Responder: responder,
@@ -127,7 +107,10 @@ func (s *System) NewBatch(initiator, responder overlay.NodeID, c Contract, strat
 		fset:      quality.NewForwarderSet(),
 		forwards:  make(map[overlay.NodeID]int),
 		edges:     make(map[edge]struct{}),
-	}, nil
+	}
+	b.rule = Rule{View: b, Contract: c, Cost: s.cfg.Cost, TopKJitter: s.cfg.TopKJitter, Rng: s.rng}
+	b.fill = b.row
+	return b, nil
 }
 
 // Connections returns the number of completed connections k.
@@ -230,12 +213,11 @@ func (b *Batch) RunConnection() *PathResult {
 			!b.sys.rng.Bernoulli(b.sys.cfg.ForwardProb) {
 			deliver = true
 		}
-		var next overlay.NodeID
-		var q float64
-		if deliver {
-			next, q = b.Responder, 1
-		} else {
-			next, q = b.chooseNext(cur, pred, remaining, spne, res)
+		next, q, declined := b.Responder, 1.0, 0
+		if !deliver {
+			next, q, declined = b.chooseNext(cur, pred, remaining, spne)
+			res.Declined += declined
+			b.declines += declined
 		}
 		b.recordHop(res, cur, pred, next, q)
 		if next == b.Responder {
@@ -289,136 +271,64 @@ func (b *Batch) buildSourcePath(budget int) []overlay.NodeID {
 	return append([]overlay.NodeID(nil), pool[:budget]...)
 }
 
-// chooseNext picks cur's successor for the current connection, honouring
-// the holder's strategy, candidate acceptance, and the hop budget. It
-// returns the responder when no forwarding candidate is available.
-func (b *Batch) chooseNext(cur, pred overlay.NodeID, remaining int, spne [][]game.Decision, res *PathResult) (overlay.NodeID, float64) {
-	holderIsMalicious := b.sys.Net.Node(cur).Malicious
-	strat := b.Strategy
-	if holderIsMalicious {
-		strat = Random // adversaries route randomly, whatever the contract says
+// chooseNext picks cur's successor for the current connection. Good
+// holders route by the shared rule (Route), a Model-II holder with its
+// SPNE prescription; the Random strategy and malicious holders pick
+// uniformly among the same candidates. It returns the responder when no
+// candidate accepts, and counts the requests declined on the way.
+func (b *Batch) chooseNext(cur, pred overlay.NodeID, remaining int, spne [][]game.Decision) (overlay.NodeID, float64, int) {
+	h := Hop{Cur: cur, Pred: pred, Initiator: b.Initiator, Responder: b.Responder, Prescribed: overlay.None}
+	node := b.sys.Net.Node(cur)
+	if b.Strategy == Random || node.Malicious {
+		// Adversaries route randomly, whatever the contract says.
+		return b.chooseRandom(h, node.Neighbors)
 	}
-
-	candidates := b.candidates(cur, pred)
-	if len(candidates) == 0 {
-		return b.Responder, 1
+	if spne != nil {
+		// (cur, remaining) lies in the cone solved at connection start:
+		// every hop follows an edge of the holder's row.
+		h.Prescribed = overlay.NodeID(spne[remaining][cur].Next)
 	}
-
-	switch strat {
-	case Random:
-		// Uniform choice; skip decliners by resampling without
-		// replacement. candidates is this batch's scratch buffer and is
-		// not read again this hop, so the shuffle can run in place.
-		shuffleIDs(b.sys.rng, candidates)
-		for _, v := range candidates {
-			if b.sys.accepts(v, b.Contract) {
-				return v, b.scorer(cur).Edge(v, b.Responder, b.k)
-			}
-			res.Declined++
-			b.declines++
-		}
-		return b.Responder, 1
-
-	case UtilityII:
-		if spne != nil {
-			// (cur, remaining) lies in the cone solved at connection
-			// start: every hop follows an edge of the holder's row.
-			d := spne[remaining][cur]
-			// The SPNE table is computed over walks; refuse an immediate
-			// return to the predecessor (A→B→A cycling) and fall back to
-			// the local rule instead, like the candidate filter does for
-			// the other strategies.
-			if d.Next >= 0 && overlay.NodeID(d.Next) != pred {
-				next := overlay.NodeID(d.Next)
-				if next == b.Responder {
-					return b.Responder, 1
-				}
-				if b.sys.accepts(next, b.Contract) {
-					return next, b.scorer(cur).Edge(next, b.Responder, b.k)
-				}
-				res.Declined++
-				b.declines++
-				// SPNE target declined: fall through to Model I's local
-				// choice among the remaining candidates.
-			}
-		}
-		fallthrough
-
-	default: // UtilityI
-		return b.chooseUtilityI(cur, pred, candidates, res)
-	}
+	b.rule.Prof = b.sys.Prof // a caller may swap the profiler between hops
+	return Route(&b.rule, h, node.Neighbors, b.sys.Net.Up())
 }
 
-// chooseUtilityI implements Model I: evaluate U(cur, v) for every
-// candidate, walk them in descending utility (ties broken by higher edge
-// quality, then lower ID for determinism), and return the first acceptor.
-func (b *Batch) chooseUtilityI(cur, pred overlay.NodeID, candidates []overlay.NodeID, res *PathResult) (overlay.NodeID, float64) {
-	sc := b.scorer(cur)
-	scoredCands := b.scored[:0]
-	for _, v := range candidates {
-		var q float64
-		if b.sys.cfg.PositionAware {
-			q = sc.EdgeAt(pred, v, b.Responder, b.k)
-		} else {
-			q = sc.Edge(v, b.Responder, b.k)
-		}
-		u := b.Contract.Pf + q*b.Contract.Pr -
-			(b.sys.cfg.Cost.Participation + b.sys.cfg.Cost.Transmission(int(cur), int(v)))
-		scoredCands = append(scoredCands, scoredCand{id: v, u: u, q: q})
-	}
-	b.scored = scoredCands
-	// Insertion sort on (utility desc, quality desc — the paper's
-	// tie-break — then ID asc). The ordering is a strict total order, so
-	// this matches what any correct sort produces, without sort.Slice's
-	// closure allocation on a hot per-hop path.
-	for i := 1; i < len(scoredCands); i++ {
-		for j := i; j > 0 && scoredLess(scoredCands[j], scoredCands[j-1]); j-- {
-			scoredCands[j], scoredCands[j-1] = scoredCands[j-1], scoredCands[j]
-		}
-	}
-	// §5 availability-attack countermeasure: jitter the argmax across the
-	// top-K candidates so an always-online adversary cannot deterministically
-	// park itself on the stable path.
-	if k := b.sys.cfg.TopKJitter; k > 1 && len(scoredCands) > 1 {
-		if k > len(scoredCands) {
-			k = len(scoredCands)
-		}
-		pick := b.sys.rng.Intn(k)
-		scoredCands[0], scoredCands[pick] = scoredCands[pick], scoredCands[0]
-	}
-	for _, s := range scoredCands {
-		if b.sys.accepts(s.id, b.Contract) {
-			return s.id, s.q
-		}
-		res.Declined++
-		b.declines++
-	}
-	return b.Responder, 1
-}
-
-// candidates returns cur's viable forwarding candidates: online neighbors
-// other than the immediate predecessor, the responder and the initiator.
-// (R is reached by explicit delivery; routing back through I would reveal
-// nothing useful and unbalance the length normalisation.)
-// The returned slice is the batch's reusable scratch buffer: it is valid
-// only until the next candidates call.
-func (b *Batch) candidates(cur, pred overlay.NodeID) []overlay.NodeID {
-	// Time-only bracket: this runs once per hop and the body is O(d), so
-	// the full alloc-sampling bracket would dwarf what it measures.
+// chooseRandom is the Random strategy: a uniform choice among the
+// candidates, skipping decliners by resampling without replacement.
+func (b *Batch) chooseRandom(h Hop, nbrs []overlay.NodeID) (overlay.NodeID, float64, int) {
 	ph := b.sys.Prof.StartTimer(telemetry.PhaseOverlayCandidates)
-	defer ph.End()
-	out := b.cands[:0]
-	for _, v := range b.sys.Net.Node(cur).Neighbors {
-		if v == pred || v == b.Responder || v == b.Initiator || v == cur {
-			continue
+	cands := Candidates(b.rule.cands[:0], h, nbrs, b.sys.Net.Up())
+	ph.End()
+	b.rule.cands = cands
+	shuffleIDs(b.sys.rng, cands)
+	for declined, v := range cands {
+		if b.Accepts(v) {
+			return v, b.scorer(h.Cur).Edge(v, b.Responder, b.k), declined
 		}
-		if !b.sys.Net.Online(v) {
-			continue
-		}
-		out = append(out, v)
 	}
-	b.cands = out
-	return out
+	return b.Responder, 1, len(cands)
+}
+
+// Quality implements View: q(cur, v) by cur's scorer for this batch —
+// position-aware when Config.PositionAware and pred is a node.
+func (b *Batch) Quality(cur, pred, v overlay.NodeID) float64 {
+	sc := b.scorer(cur)
+	if b.sys.cfg.PositionAware && pred != overlay.None {
+		return sc.EdgeAt(pred, v, b.Responder, b.k)
+	}
+	return sc.Edge(v, b.Responder, b.k)
+}
+
+// Accepts implements View: a good node v forwards under the batch's
+// contract when Prop. 3's participation condition P_f > C^p + C^t holds
+// for it, with C^t its cheapest online link (a rational participant
+// forwards on its cheapest acceptable link); malicious nodes always
+// accept.
+func (b *Batch) Accepts(v overlay.NodeID) bool {
+	s := b.sys
+	if s.Net.Node(v).Malicious || !s.cfg.Participation {
+		return true
+	}
+	return game.ForwardingDominant(b.Contract.Pf, s.cfg.Cost.Participation, s.minTransmission(v))
 }
 
 // recordHop updates history, forwarding counts and edge bookkeeping for
@@ -512,14 +422,8 @@ func (b *Batch) spneTable(start overlay.NodeID, hops int) [][]game.Decision {
 		s.createEstimators(b.Responder)
 		b.spneStamp = now
 	}
-	g := &game.PathGame{
-		Nodes:     s.Net.Len(),
-		Responder: int(b.Responder),
-		Pf:        b.Contract.Pf,
-		Pr:        b.Contract.Pr,
-		Cost:      s.cfg.Cost,
-		MaxHops:   s.cfg.MaxHops,
-	}
+	g := &s.stage
+	g.Nodes, g.Responder, g.Pf, g.Pr = s.Net.Len(), int(b.Responder), b.Contract.Pf, b.Contract.Pr
 	reuse := fresh && s.memoOwner == b.ID
 	if reuse {
 		s.solverStats.Incremental++
@@ -537,18 +441,20 @@ func (b *Batch) spneTable(start overlay.NodeID, hops int) [][]game.Decision {
 		// O(n²) scan through the map-free closure — the reference the
 		// demand-driven cells are pinned bit-identical against.
 		if !reuse {
-			g.EdgeQuality = func(i, j int) float64 {
+			dense := *g
+			dense.Adjacency = nil
+			dense.EdgeQuality = func(i, j int) float64 {
 				return b.stageEdgeQuality(overlay.NodeID(i), overlay.NodeID(j))
 			}
-			s.dense = g.SolveInto(s.dense)
+			s.dense = dense.SolveInto(s.dense)
 		}
 		return s.dense
 	}
 	ph := s.Prof.Start(telemetry.PhaseSolveInduction)
 	if !reuse {
 		s.resetMemo(g.Nodes)
+		s.rows.Fill = b.fill
 	}
-	g.Adjacency = b.row
 	cells := g.SolveFrom(&s.memo, int(start), hops)
 	ph.End()
 	s.solverStats.FrontierCells += cells
@@ -556,53 +462,29 @@ func (b *Batch) spneTable(start overlay.NodeID, hops int) [][]game.Decision {
 	return s.memo.Table()
 }
 
-// row is the stage game's Adjacency for the batch that owns the memo:
-// node i's candidate successors, ascending, with their edge qualities.
-// Rows are built on first use and kept until the memo is reset, so a
-// solve touches only the nodes of its cone. A row is the node's base row
-// (System.baseRow: batch-independent topology and availability) minus I,
-// R and offline candidates, with the delivery edge (i, R) = 1 spliced in
-// at R's ascending position — the sparse induction then visits successors
-// in exactly the order a dense scan over j would, so every epsilon
-// tie-break lands identically. Selectivity is non-zero only on the edges
-// of nodes holding quality-relevant history, so only those rows are
-// rescored through the batch's scorer. R and offline nodes have no row.
-func (b *Batch) row(i int) ([]int32, []float64) {
+// row builds node i's stage-game row for the batch that owns the memo
+// (Rows.Fill): its candidate successors, ascending, with their edge
+// qualities, built through the shared builder on first use and kept until
+// the memo is reset, so a solve touches only the nodes of its cone. A row
+// starts from the node's base row (System.baseRow: batch-independent
+// topology and availability). Selectivity is non-zero only on the edges of
+// nodes holding quality-relevant history, so only those rows are rescored
+// through the batch's scorer. R and offline nodes have no row.
+func (b *Batch) row(i int) {
 	s := b.sys
-	if !s.rowBuilt[i] {
-		s.rowBuilt[i] = true
-		lo := len(s.rowSucc)
-		if id := overlay.NodeID(i); id != b.Responder && s.Net.Online(id) {
-			base := s.baseRow(id)
-			var sc *quality.Scorer
-			if _, ok := b.histNodes[id]; ok {
-				sc = b.scorer(id)
-			}
-			deliver := int32(b.Responder)
-			delivered := false
-			for a, j := range base.succ {
-				if !delivered && j >= deliver {
-					s.addEdge(deliver, 1)
-					delivered = true
-				}
-				v := overlay.NodeID(j)
-				if v == b.Responder || v == b.Initiator || !s.Net.Online(v) {
-					continue
-				}
-				q := base.qual[a]
-				if sc != nil {
-					q = sc.Edge(v, b.Responder, b.k)
-				}
-				s.addEdge(j, q)
-			}
-			if !delivered {
-				s.addEdge(deliver, 1)
-			}
-		}
-		s.rowOff[i], s.rowLen[i] = int32(lo), int32(len(s.rowSucc)-lo)
+	id := overlay.NodeID(i)
+	if id == b.Responder || !s.Net.Online(id) {
+		s.rows.Build(i, nil, nil, -1, -1, false, nil)
+		return
 	}
-	lo, hi := s.rowOff[i], s.rowOff[i]+s.rowLen[i]
-	return s.rowSucc[lo:hi], s.rowQual[lo:hi]
+	base := s.baseRow(id)
+	succ, qual := s.rows.Build(i, base.succ, base.qual, int32(b.Initiator), int32(b.Responder), true, s.Net.Up())
+	if _, ok := b.histNodes[id]; ok {
+		sc := b.scorer(id)
+		for a, j := range succ {
+			qual[a] = sc.Edge(overlay.NodeID(j), b.Responder, b.k)
+		}
+	}
 }
 
 // stageEdgeQuality returns q(i, j) for the stage game, or -1 when the edge

@@ -222,14 +222,11 @@ type System struct {
 	memoOwner int
 	dense     [][]game.Decision
 
-	// The memo owner's stage-game rows, built lazily for cone nodes (see
-	// Batch.row): once rowBuilt[i], node i's row is
-	// rowSucc/rowQual[rowOff[i]:][:rowLen[i]]. A memo reset empties the
-	// arenas and clears rowBuilt.
-	rowBuilt       []bool
-	rowOff, rowLen []int32
-	rowSucc        []int32
-	rowQual        []float64
+	// rows are the memo owner's stage-game rows, built lazily for cone
+	// nodes (see Batch.row); a memo reset empties them. stage is the
+	// Model-II stage game over them, its Adjacency bound once.
+	rows  Rows
+	stage game.PathGame
 
 	// base holds the batch-independent part of every node's row (see
 	// baseRow), revalidated per use rather than per overlay or probe
@@ -302,34 +299,20 @@ func NewSystem(cfg Config, net *overlay.Network, probes *probe.Set, rng *dist.So
 	if net == nil || probes == nil || rng == nil {
 		return nil, fmt.Errorf("core: nil dependency (net=%v probes=%v rng=%v)", net == nil, probes == nil, rng == nil)
 	}
-	return &System{
+	s := &System{
 		Net:    net,
 		Probes: probes,
 		Hist:   history.NewStore(cfg.HistoryCapacity),
 		cfg:    cfg,
 		rng:    rng,
 		minCt:  make(map[overlay.NodeID]float64),
-	}, nil
+	}
+	s.stage = game.PathGame{Adjacency: s.rows.Adjacency(), Cost: cfg.Cost, MaxHops: cfg.MaxHops}
+	return s, nil
 }
 
 // Config returns the system configuration.
 func (s *System) Config() Config { return s.cfg }
-
-// accepts reports whether node agrees to forward under contract c: good
-// nodes apply Prop. 3's participation condition P_f > C^p + C^t(node→next
-// best guess ≈ uniform cost); malicious nodes always accept.
-func (s *System) accepts(node overlay.NodeID, c Contract) bool {
-	if s.Net.Node(node).Malicious {
-		return true
-	}
-	if !s.cfg.Participation {
-		return true
-	}
-	// Use the node's cheapest outgoing link as C^t: a rational node that
-	// participates will forward on its cheapest acceptable link.
-	minCt := s.minTransmission(node)
-	return game.ForwardingDominant(c.Pf, s.cfg.Cost.Participation, minCt)
-}
 
 // minTransmission returns the minimum C^t over node's online neighbors
 // (or 0 when it has none — delivery to R is then its only move). The
@@ -420,21 +403,11 @@ func (s *System) baseRow(id overlay.NodeID) *baseRow {
 	return br
 }
 
-// addEdge appends one candidate to the row under construction.
-func (s *System) addEdge(j int32, q float64) {
-	s.rowSucc, s.rowQual = append(s.rowSucc, j), append(s.rowQual, q)
-}
-
 // resetMemo forgets every solved cell and built row and sizes the solve
 // state for n nodes. Base rows survive: they revalidate themselves.
 func (s *System) resetMemo(n int) {
 	s.memo.Reset(n, s.cfg.MaxHops)
-	if len(s.rowBuilt) != n {
-		s.rowBuilt = make([]bool, n)
-		s.rowOff, s.rowLen = make([]int32, n), make([]int32, n)
-	}
-	clear(s.rowBuilt) // one byte per node: noise beside the epoch-marked table
-	s.rowSucc, s.rowQual = s.rowSucc[:0], s.rowQual[:0]
+	s.rows.Reset(n)
 	if len(s.base) < n {
 		s.base = append(s.base, make([]baseRow, n-len(s.base))...)
 	}
@@ -447,5 +420,5 @@ func (s *System) resetMemo(n int) {
 // node like the estimators they are read from.
 func (s *System) releaseSolve() {
 	s.memo, s.memoOwner, s.dense = game.Memo{}, 0, nil
-	s.rowBuilt, s.rowOff, s.rowLen, s.rowSucc, s.rowQual = nil, nil, nil, nil, nil
+	s.rows = Rows{} // Adjacency stays bound to &s.rows
 }

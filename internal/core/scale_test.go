@@ -49,7 +49,7 @@ func TestScaleFrontierWorkingMemory(t *testing.T) {
 
 	// (a) retained rows are O(n·d): every node has ≤ degree+1 slots.
 	maxSlots := n * (sys.Net.Degree() + 1)
-	if c := cap(sys.rowSucc); c == 0 || c > maxSlots {
+	if c := cap(sys.rows.succ); c == 0 || c > maxSlots {
 		t.Fatalf("solve rows hold %d candidate slots, O(n·d) bound is %d", c, maxSlots)
 	}
 
@@ -85,7 +85,7 @@ func TestSolveScratchReleasedOnClose(t *testing.T) {
 	}
 	b.RunConnection()
 	held := func() bool {
-		return sys.memo.Table() != nil && sys.rowBuilt != nil && sys.rowSucc != nil
+		return sys.memo.Table() != nil && sys.rows.built != nil && sys.rows.succ != nil
 	}
 	if !held() {
 		t.Fatal("no solve state after a UM-II connection")
@@ -100,7 +100,7 @@ func TestSolveScratchReleasedOnClose(t *testing.T) {
 	if sys.memo.Table() != nil || sys.dense != nil || sys.memoOwner != 0 {
 		t.Fatal("closing the last batch left the memo pinned")
 	}
-	if sys.rowBuilt != nil || sys.rowOff != nil || sys.rowLen != nil || sys.rowSucc != nil || sys.rowQual != nil {
+	if sys.rows.built != nil || sys.rows.off != nil || sys.rows.n != nil || sys.rows.succ != nil || sys.rows.qual != nil {
 		t.Fatal("closing the last batch left the rows pinned")
 	}
 }
@@ -157,7 +157,7 @@ func TestColdSolveAllocsFlatInN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("N=1e4 build in -short mode")
 	}
-	const coldSolveAllocs = 9
+	const coldSolveAllocs = 8
 	var first float64
 	for i, n := range []int{100, 10_000} {
 		sys, b := scaleSystem(t, n, 11)

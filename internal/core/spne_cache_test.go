@@ -163,6 +163,27 @@ func newBenchSystem(tb testing.TB, n int, seed uint64) *System {
 	return sys
 }
 
+// TestSPNEMemoHitAllocsZero pins the steady-state path of a static
+// overlay: asking for a solved root with every input unchanged allocates
+// nothing. The stage game's Adjacency is bound once per batch; binding it
+// per call cost one closure allocation each time.
+func TestSPNEMemoHitAllocsZero(t *testing.T) {
+	sys := newBenchSystem(t, 64, 13)
+	batch, err := sys.NewBatch(0, 63, Contract{Pf: 75, Pr: 150}, UtilityII)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch.spneTable(batch.Initiator, sys.cfg.MaxHops) // warm the memo
+	if allocs := testing.AllocsPerRun(100, func() {
+		batch.spneTable(batch.Initiator, sys.cfg.MaxHops)
+	}); allocs != 0 {
+		t.Fatalf("memo-hit spneTable allocates %.0f times, want 0", allocs)
+	}
+	if st := sys.SolverStats(); st.Incremental < 100 || st.Solves != 1 {
+		t.Fatalf("pin did not exercise memo hits: %+v", st)
+	}
+}
+
 // BenchmarkScorerReuse measures the per-hop scorer lookup the routing loop
 // performs — a hit in the batch's scorer cache.
 func BenchmarkScorerReuse(b *testing.B) {

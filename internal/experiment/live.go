@@ -198,6 +198,43 @@ func RunLive(s LiveSetup) (*LiveOutcome, error) {
 	return out, nil
 }
 
+// LiveShape replays DefaultLive's workload, seeded with seed, under strat
+// through the in-process backend and returns the live rule's point for
+// Fig. 5 and Prop. 1: the mean forwarder-set size ‖π‖ and the mean
+// new-edge rate E[X] over the replay's batches. The rate follows
+// core.Batch.NewEdgeRate: the share of a batch's traversed edges absent
+// from its earlier connections, an edge first seen earlier in the same
+// connection counting as new once.
+func LiveShape(seed uint64, strat core.Strategy) (setSize, newEdge float64, err error) {
+	s := DefaultLive()
+	s.Seed, s.Strategy = seed, strat
+	out, err := RunLive(s)
+	if err != nil {
+		return 0, 0, err
+	}
+	type edge struct{ from, to overlay.NodeID }
+	var sizes, rates []float64
+	for _, o := range out.Outcomes {
+		seen := make(map[edge]struct{})
+		fresh, total := 0, 0
+		for _, path := range o.Paths {
+			for i := 1; i < len(path); i++ {
+				e := edge{path[i-1], path[i]}
+				total++
+				if _, old := seen[e]; !old {
+					seen[e] = struct{}{}
+					fresh++
+				}
+			}
+		}
+		if total > 0 {
+			sizes = append(sizes, float64(o.SetSize()))
+			rates = append(rates, float64(fresh)/float64(total))
+		}
+	}
+	return stats.Mean(sizes), stats.Mean(rates), nil
+}
+
 // busiestForwarders ranks interior forwarders by accumulated forwarding
 // instances (ties to the lower ID) and returns the top n — the peers whose
 // departure hits the most in-use paths, maximising observable mid-batch

@@ -215,6 +215,11 @@ func (n *Network) Online(id NodeID) bool {
 	return id >= 0 && int(id) < len(n.up) && n.up[id]
 }
 
+// Up returns the dense online flags Online reads, indexed by node ID. The
+// slice is the network's own: read it, never write it, and ask again
+// after a Join.
+func (n *Network) Up() []bool { return n.up }
+
 // OnlineIDs returns the online node IDs in ascending order — the node
 // table's own order. The slice is freshly allocated.
 func (n *Network) OnlineIDs() []NodeID {

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"slices"
 	"sync"
 
 	"p2panon/internal/core"
@@ -32,84 +31,118 @@ func SnapshotTopology(net *overlay.Network) Topology {
 	return topo
 }
 
-// candidatesOf filters a peer's neighbors like core does: drop the
-// predecessor, the initiator and the responder (delivery is the explicit
-// fallback, and routing back through I would expose it for nothing), plus
-// any peer known to have departed.
-func (t Topology) candidatesOf(self, pred, initiator, responder overlay.NodeID, dead map[overlay.NodeID]struct{}) []overlay.NodeID {
-	var out []overlay.NodeID
-	for _, v := range t[self] {
-		if v == pred || v == initiator || v == responder || v == self {
-			continue
-		}
-		if _, gone := dead[v]; gone {
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
+// liveness is a router's lock and its belief of which peers are up,
+// indexed by node id over the topology's vertex space (max id + 1 over its
+// keys and neighbors), so an id outside it is nobody's candidate. It
+// implements ChurnAware.
+type liveness struct {
+	mu sync.Mutex
+	up []bool
 }
 
-// RandomRouter forwards to a uniformly random candidate; with none it
-// delivers. Safe for concurrent use; implements ChurnAware so reformed
-// paths avoid peers found dead.
+// init sizes the vertex space for topo, every peer believed alive.
+func (l *liveness) init(topo Topology) {
+	maxID := overlay.NodeID(0)
+	for id, nbs := range topo {
+		maxID = max(maxID, id)
+		for _, v := range nbs {
+			maxID = max(maxID, v)
+		}
+	}
+	l.up = make([]bool, maxID+1)
+	for i := range l.up {
+		l.up[i] = true
+	}
+}
+
+// MarkDead implements ChurnAware: id is excluded from future candidates.
+func (l *liveness) MarkDead(id overlay.NodeID) { l.set(id, false) }
+
+// MarkLive implements ChurnAware: a rejoined id becomes routable again.
+func (l *liveness) MarkLive(id overlay.NodeID) { l.set(id, true) }
+
+func (l *liveness) set(id overlay.NodeID, alive bool) {
+	if id < 0 || int(id) >= len(l.up) {
+		return
+	}
+	l.mu.Lock()
+	l.up[id] = alive
+	l.mu.Unlock()
+}
+
+// RandomRouter forwards to a uniformly random candidate (core.Candidates
+// over the topology's neighbor order); with none it delivers. Safe for
+// concurrent use; implements ChurnAware so reformed paths avoid peers
+// found dead.
 type RandomRouter struct {
-	mu   sync.Mutex
-	topo Topology
-	rng  *dist.Source
-	dead map[overlay.NodeID]struct{}
+	liveness
+	topo  Topology
+	rng   *dist.Source
+	cands []overlay.NodeID
 }
 
 // NewRandomRouter builds a random router over a topology snapshot.
 func NewRandomRouter(topo Topology, rng *dist.Source) *RandomRouter {
-	return &RandomRouter{topo: topo, rng: rng, dead: make(map[overlay.NodeID]struct{})}
-}
-
-// MarkDead implements ChurnAware: id is excluded from future candidates.
-func (r *RandomRouter) MarkDead(id overlay.NodeID) {
-	r.mu.Lock()
-	r.dead[id] = struct{}{}
-	r.mu.Unlock()
-}
-
-// MarkLive implements ChurnAware: a rejoined id becomes routable again.
-func (r *RandomRouter) MarkLive(id overlay.NodeID) {
-	r.mu.Lock()
-	delete(r.dead, id)
-	r.mu.Unlock()
+	r := &RandomRouter{topo: topo, rng: rng}
+	r.init(topo)
+	return r
 }
 
 // NextHop implements Router.
 func (r *RandomRouter) NextHop(self, pred, initiator, responder overlay.NodeID, batch, conn, remaining int) (overlay.NodeID, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cands := r.topo.candidatesOf(self, pred, initiator, responder, r.dead)
-	if len(cands) == 0 {
+	h := core.Hop{Cur: self, Pred: pred, Initiator: initiator, Responder: responder}
+	r.cands = core.Candidates(r.cands[:0], h, r.topo[self], r.up)
+	if len(r.cands) == 0 {
 		return overlay.None, true
 	}
-	return dist.Choice(r.rng, cands), false
+	return dist.Choice(r.rng, r.cands), false
 }
 
-// UtilityRouter implements Utility Model I over the live runtime: per-peer
-// per-batch history (selectivity) plus static availability scores, scored
-// with the configured weights. Safe for concurrent use; implements
-// ChurnAware so reformed paths avoid peers found dead.
+// UtilityRouter implements Utility Model I over the live runtime: every
+// hop is chosen by the simulator's rule (core.Route) over per-batch
+// history (selectivity) and static availability scores, with no costs:
+// the live runtime's cost model is zero, so a peer accepts any contract
+// with P_f > 0 (Prop. 3). Safe for concurrent use; implements ChurnAware
+// so reformed paths avoid peers found dead.
 type UtilityRouter struct {
-	mu sync.Mutex
+	liveness
 	// nbrs[id] is id's neighbor list from the topology snapshot, sorted
 	// ascending and duplicate free (game.SortUnique, once at construction);
-	// nil for an id that is not a key of the topology. Its length is the
-	// stage game's vertex space, max node id + 1, over which avail and dead
-	// are indexed too: an id outside it is nobody's candidate.
+	// nil for an id that is not a key of the topology. It spans the vertex
+	// space, over which avail is indexed too.
 	nbrs  [][]int32
 	w     quality.Weights
-	c     core.Contract
 	avail []float64
-	dead  []bool
 	// batches holds the routing history, selectivity's input, of each
 	// batch from its first recorded hop until CloseBatch drops it when the
 	// batch's settlement reaches a station routing with this router.
 	batches map[int]*batchHist
+
+	// rule is the shared routing rule; view is its View, pointed at the
+	// batch and connection of the hop being chosen.
+	rule core.Rule
+	view hopView
+}
+
+// hopView is the live router's core.View for one hop: scores from the
+// batch's history as of connection conn and the static availabilities.
+type hopView struct {
+	r    *UtilityRouter
+	h    *batchHist
+	conn int
+}
+
+// Quality implements core.View. The live score is position-free.
+func (v *hopView) Quality(cur, _, to overlay.NodeID) float64 {
+	return v.r.w.Edge(v.h.selectivity([2]int32{int32(cur), int32(to)}, v.conn), v.r.avail[to])
+}
+
+// Accepts implements core.View: Prop. 3's participation condition under
+// the zero cost model, the same for every peer.
+func (v *hopView) Accepts(overlay.NodeID) bool {
+	return game.ForwardingDominant(v.r.rule.Contract.Pf, v.r.rule.Cost.Participation, 0)
 }
 
 // batchHist is one batch's routing history: the directed edges its
@@ -118,9 +151,8 @@ type UtilityRouter struct {
 // counts once. Edges are int32 pairs like the rows': every batch open at
 // once holds a history, so its keys are kept small.
 type batchHist struct {
-	uses  map[[2]int32]int32
-	seen  map[connEdge]struct{} // the (conn, edge) pairs counted in uses
-	conns map[int]struct{}      // connections that recorded a hop
+	uses map[[2]int32]int32
+	seen map[connEdge]struct{} // the (conn, edge) pairs counted in uses
 }
 
 type connEdge struct {
@@ -128,14 +160,16 @@ type connEdge struct {
 	edge [2]int32
 }
 
-// selectivity is σ(e) for the batch's next connection k: the share of the
-// k−1 connections that have recorded a hop so far (the one in flight
-// included once it has) that used e. A nil history has σ = 0 everywhere.
-func (h *batchHist) selectivity(e [2]int32) float64 {
-	if h == nil {
+// selectivity is σ(e) for connection conn (1-based) of the batch, as the
+// simulator's history computes it (§2.3): the edge's uses over the conn−1
+// earlier connections, capped at 1 — a use by the connection in flight
+// counts, so a cycle can reach the cap. The first connection, and a nil
+// history, have σ = 0 everywhere.
+func (h *batchHist) selectivity(e [2]int32, conn int) float64 {
+	if h == nil || conn <= 1 {
 		return 0
 	}
-	return float64(h.uses[e]) / float64(len(h.conns))
+	return min(float64(h.uses[e])/float64(conn-1), 1)
 }
 
 // NewUtilityRouter builds a Model-I router. avail maps node → availability
@@ -144,50 +178,25 @@ func NewUtilityRouter(topo Topology, w quality.Weights, c core.Contract, avail m
 	if err := w.Validate(); err != nil {
 		panic(err)
 	}
-	maxID := overlay.NodeID(0)
-	for id, nbs := range topo {
-		maxID = max(maxID, id)
-		for _, v := range nbs {
-			maxID = max(maxID, v)
-		}
-	}
-	nbrs := make([][]int32, maxID+1)
+	r := &UtilityRouter{w: w, batches: make(map[int]*batchHist), rule: core.Rule{Contract: c}}
+	r.init(topo)
+	r.nbrs = make([][]int32, len(r.up))
 	for id, nbs := range topo {
 		row := make([]int32, len(nbs))
 		for a, v := range nbs {
 			row[a] = int32(v)
 		}
-		nbrs[id] = row[:game.SortUnique(row)]
+		r.nbrs[id] = row[:game.SortUnique(row)]
 	}
-	dense := make([]float64, len(nbrs))
+	r.avail = make([]float64, len(r.up))
 	for id, a := range avail {
-		if id >= 0 && id <= maxID {
-			dense[id] = a
+		if id >= 0 && int(id) < len(r.avail) {
+			r.avail[id] = a
 		}
 	}
-	return &UtilityRouter{
-		nbrs:    nbrs,
-		w:       w,
-		c:       c,
-		avail:   dense,
-		dead:    make([]bool, len(nbrs)),
-		batches: make(map[int]*batchHist),
-	}
-}
-
-// MarkDead implements ChurnAware: id is excluded from future candidates.
-func (r *UtilityRouter) MarkDead(id overlay.NodeID) { r.setDead(id, true) }
-
-// MarkLive implements ChurnAware: a rejoined id becomes routable again.
-func (r *UtilityRouter) MarkLive(id overlay.NodeID) { r.setDead(id, false) }
-
-func (r *UtilityRouter) setDead(id overlay.NodeID, dead bool) {
-	if id < 0 || int(id) >= len(r.dead) {
-		return
-	}
-	r.mu.Lock()
-	r.dead[id] = dead
-	r.mu.Unlock()
+	r.view.r = r
+	r.rule.View = &r.view
+	return r
 }
 
 // CloseBatch implements BatchCloser: the batch's history goes. A
@@ -206,34 +215,27 @@ func (r *UtilityRouter) OpenBatches() int {
 	return len(r.batches)
 }
 
-// NextHop implements Router: maximise P_f + q·P_r (costs are uniform in
-// the live demo, so they do not affect the argmax), ties to higher q then
-// lower ID — strict > over the ascending neighbor list. Candidates are
-// filtered as Topology.candidatesOf does.
+// NextHop implements Router: Model I by the shared rule.
 func (r *UtilityRouter) NextHop(self, pred, initiator, responder overlay.NodeID, batch, conn, remaining int) (overlay.NodeID, bool) {
+	next, _, deliver := r.route(core.Hop{Cur: self, Pred: pred, Initiator: initiator, Responder: responder, Prescribed: overlay.None}, batch, conn)
+	return next, deliver
+}
+
+// route chooses the hop h of connection conn by core.Route, records it in
+// the batch's history and returns it with the quality it was chosen at.
+func (r *UtilityRouter) route(h core.Hop, batch, conn int) (overlay.NodeID, float64, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if self < 0 || int(self) >= len(r.nbrs) {
-		return overlay.None, true
+	if h.Cur < 0 || int(h.Cur) >= len(r.nbrs) {
+		return overlay.None, 1, true
 	}
-	h := r.batches[batch]
-	// Edge never scores below 0, so the first candidate displaces the
-	// sentinel and best stays None only when there is no candidate.
-	best, bestQ := overlay.None, -1.0
-	for _, j := range r.nbrs[self] {
-		v := overlay.NodeID(j)
-		if v == pred || v == initiator || v == responder || v == self || r.dead[j] {
-			continue
-		}
-		if q := r.w.Edge(h.selectivity([2]int32{int32(self), j}), r.avail[j]); q > bestQ {
-			best, bestQ = v, q
-		}
+	r.view.h, r.view.conn = r.batches[batch], conn
+	next, q, _ := core.Route(&r.rule, h, r.nbrs[h.Cur], r.up)
+	if next == h.Responder {
+		return overlay.None, 1, true
 	}
-	if best == overlay.None {
-		return overlay.None, true
-	}
-	r.record(batch, conn, self, best)
-	return best, false
+	r.record(batch, conn, h.Cur, next)
+	return next, q, false
 }
 
 // record adds the hop from→to of connection conn to the batch's history.
@@ -241,7 +243,7 @@ func (r *UtilityRouter) NextHop(self, pred, initiator, responder overlay.NodeID,
 func (r *UtilityRouter) record(batch, conn int, from, to overlay.NodeID) {
 	h := r.batches[batch]
 	if h == nil {
-		h = &batchHist{uses: make(map[[2]int32]int32), seen: make(map[connEdge]struct{}), conns: make(map[int]struct{})}
+		h = &batchHist{uses: make(map[[2]int32]int32), seen: make(map[connEdge]struct{})}
 		r.batches[batch] = h
 	}
 	e := [2]int32{int32(from), int32(to)}
@@ -249,7 +251,6 @@ func (r *UtilityRouter) record(batch, conn int, from, to overlay.NodeID) {
 		h.seen[connEdge{conn, e}] = struct{}{}
 		h.uses[e]++
 	}
-	h.conns[conn] = struct{}{}
 }
 
 // spneCacheCap bounds how many connections' prescriptions the Model-II
@@ -259,14 +260,15 @@ func (r *UtilityRouter) record(batch, conn int, from, to overlay.NodeID) {
 const spneCacheCap = 64
 
 // UtilityIIRouter implements Utility Model II over the live runtime: at
-// each hop it plays the SPNE prescription of the bounded path game from
-// itself to the responder over the topology snapshot — edge qualities from
-// the same per-batch selectivity and static availability the Model-I
-// router uses. The game is built as sparse neighbor rows (see fillRows) and
-// solved once per (batch, conn), since qualities are stable within a
-// connection — and only the cone of cells the connection's play can reach
-// (game.SolveFrom from its first holder and budget); the prescriptions of
-// the spneCacheCap most recently solved connections are kept. Safe for
+// each hop it plays, through the shared rule (core.Route), the SPNE
+// prescription of the bounded path game from itself to the responder over
+// the topology snapshot — edge qualities from the same per-batch
+// selectivity and static availability the Model-I router uses. The game's
+// rows are built through the simulator's row builder (core.Rows), lazily
+// for the cone of cells the connection's play can reach (game.SolveFrom
+// from its first holder and budget), once per (batch, conn), since
+// qualities are stable within a connection; the prescriptions of the
+// spneCacheCap most recently solved connections are kept. Safe for
 // concurrent use.
 type UtilityIIRouter struct {
 	*UtilityRouter
@@ -279,18 +281,23 @@ type UtilityIIRouter struct {
 	slots  [spneCacheCap]spneCacheEntry
 	solved int
 
-	// The stage game and its storage, reused by every solve: CSR rows
-	// (row/succ/qual, O(n·d)) and the memo SolveFrom fills, sized for the
-	// largest budget solved so far (memoHops) so a shorter one reuses it.
+	// The stage game and its storage, reused by every solve: the rows and
+	// the memo SolveFrom fills, sized for the largest budget solved so far
+	// (memoHops) so a shorter one reuses it.
 	game     game.PathGame
-	row      []int32
-	succ     []int32
-	qual     []float64
+	rows     core.Rows
 	memo     game.Memo
 	memoHops int
-	// base[v] is the quality of an edge into v that no connection of the
-	// batch has used, Edge(0, α(v)): every row entry starts from it.
-	base []float64
+	// nbrQ[i] is aligned with nbrs[i]: the quality of an edge into each
+	// neighbor that no connection of the batch has used, Edge(0, α) — the
+	// base row core.Rows.Build starts from.
+	nbrQ [][]float64
+	// The solve in progress: its endpoints, the batch's history and
+	// connection, and holder[i], whether that history names an edge out of
+	// i (only those rows are rescored).
+	initiator, responder overlay.NodeID
+	stage                hopView
+	holder               []bool
 
 	// SPNE cache instrumentation, bound by Instrument (nil-safe when not).
 	cacheHits, cacheMisses, cacheEvictions *telemetry.Counter
@@ -323,27 +330,22 @@ func (e *spneCacheEntry) at(h, nodes int, self overlay.NodeID) overlay.NodeID {
 // NewUtilityIIRouter builds a Model-II router over the topology snapshot.
 func NewUtilityIIRouter(topo Topology, w quality.Weights, c core.Contract, avail map[overlay.NodeID]float64) *UtilityIIRouter {
 	r := &UtilityIIRouter{UtilityRouter: NewUtilityRouter(topo, w, c, avail)}
-	edges := 0
-	for _, nb := range r.nbrs {
-		if nb != nil {
-			edges += len(nb) + 1 // every neighbor plus the delivery edge
+	r.nbrQ = make([][]float64, len(r.nbrs))
+	for i, nb := range r.nbrs {
+		r.nbrQ[i] = make([]float64, len(nb))
+		for a, j := range nb {
+			r.nbrQ[i][a] = w.Edge(0, r.avail[j])
 		}
 	}
-	r.row = make([]int32, len(r.nbrs)+1)
-	r.succ = make([]int32, edges)
-	r.qual = make([]float64, edges)
-	r.base = make([]float64, len(r.nbrs))
-	for v, a := range r.avail {
-		r.base[v] = w.Edge(0, a)
-	}
+	r.holder = make([]bool, len(r.nbrs))
+	r.stage.r = r.UtilityRouter
+	r.rows.Fill = r.row
 	r.game = game.PathGame{
-		Nodes: len(r.nbrs),
-		Adjacency: func(i int) ([]int32, []float64) {
-			lo, hi := r.row[i], r.row[i+1]
-			return r.succ[lo:hi], r.qual[lo:hi]
-		},
-		Pf: r.c.Pf,
-		Pr: r.c.Pr,
+		Nodes:     len(r.nbrs),
+		Adjacency: r.rows.Adjacency(),
+		Pf:        c.Pf,
+		Pr:        c.Pr,
+		Cost:      r.rule.Cost,
 	}
 	return r
 }
@@ -389,19 +391,14 @@ func (r *UtilityIIRouter) dropCache() {
 
 // NextHop implements Router via SPNE play.
 func (r *UtilityIIRouter) NextHop(self, pred, initiator, responder overlay.NodeID, batch, conn, remaining int) (overlay.NodeID, bool) {
-	next := r.prescribed(self, initiator, responder, batch, conn, remaining)
-	if next < 0 || next == pred {
-		// No feasible continuation, or an immediate return (the table is
-		// computed over walks): fall back to the local Model-I rule.
-		return r.UtilityRouter.NextHop(self, pred, initiator, responder, batch, conn, remaining)
-	}
-	if next == responder {
-		return overlay.None, true
-	}
-	r.mu.Lock()
-	r.record(batch, conn, self, next)
-	r.mu.Unlock()
-	return next, false
+	next, _, deliver := r.nextHop(self, pred, initiator, responder, batch, conn, remaining)
+	return next, deliver
+}
+
+// nextHop is NextHop that also returns the quality the hop was chosen at.
+func (r *UtilityIIRouter) nextHop(self, pred, initiator, responder overlay.NodeID, batch, conn, remaining int) (overlay.NodeID, float64, bool) {
+	p := r.prescribed(self, initiator, responder, batch, conn, remaining)
+	return r.route(core.Hop{Cur: self, Pred: pred, Initiator: initiator, Responder: responder, Prescribed: p}, batch, conn)
 }
 
 // prescribed returns the SPNE successor of self with remaining hops left
@@ -434,7 +431,7 @@ func (r *UtilityIIRouter) prescribed(self, initiator, responder overlay.NodeID, 
 		r.solved++
 		r.cacheEntries.Set(int64(min(r.solved, spneCacheCap)))
 	}
-	r.solve(self, initiator, responder, batch, remaining)
+	r.solve(self, initiator, responder, batch, conn, remaining)
 	e.key, e.responder, e.budget = key, responder, remaining
 	e.next = e.next[:0]
 	for h, stage := range r.memo.Table()[:remaining+1] {
@@ -461,21 +458,28 @@ func (r *UtilityIIRouter) cached(key [2]int) *spneCacheEntry {
 	return nil
 }
 
-// solve builds the stage game of one connection of batch and solves, into
-// r.memo, the cone of cells the play from (start, budget) can reach; the
-// next solve overwrites it. Rows, history and the dead set are read under
-// one hold of mu, so a solve sees one consistent state. Caller holds
-// cacheMu.
-func (r *UtilityIIRouter) solve(start, initiator, responder overlay.NodeID, batch, budget int) {
+// solve solves, into r.memo, the cone of cells the play of connection
+// conn of batch from (start, budget) can reach, building the rows it
+// visits; the next solve overwrites it. The solve holds mu throughout, so
+// rows, history and liveness are read in one consistent state. Caller
+// holds cacheMu.
+func (r *UtilityIIRouter) solve(start, initiator, responder overlay.NodeID, batch, conn, budget int) {
 	r.mu.Lock()
-	r.fillRows(initiator, responder, batch)
-	startDead := r.dead[start]
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	r.initiator, r.responder = initiator, responder
+	r.stage.h, r.stage.conn = r.batches[batch], conn
+	clear(r.holder)
+	if h := r.stage.h; h != nil {
+		for e := range h.uses {
+			r.holder[e[0]] = true
+		}
+	}
+	r.rows.Reset(len(r.nbrs))
 	r.game.Responder = int(responder)
 	r.memoHops = max(r.memoHops, budget)
 	r.memo.Reset(len(r.nbrs), r.memoHops)
 	r.game.SolveFrom(&r.memo, int(start), budget)
-	if startDead {
+	if !r.up[start] {
 		// A holder believed dead has no row, yet its Model-I fallback still
 		// forwards to one of its neighbors: the play goes on from there.
 		for _, j := range r.nbrs[start] {
@@ -484,57 +488,25 @@ func (r *UtilityIIRouter) solve(start, initiator, responder overlay.NodeID, batc
 	}
 }
 
-// fillRows writes the stage game's sparse adjacency into the CSR scratch.
-// Node i gets a row iff it is a key of the topology, alive and not R. The
-// row lists, ascending, i's live neighbors other than i itself and I,
-// scored w_s·σ + w_a·α, and — for every such i, neighbor of R or not — the
-// delivery edge (i, R) with the literal quality 1 at R's ascending
-// position, unless R is dead. Ascending order makes the sparse induction
-// break ties exactly as a dense scan over j would.
-//
-// σ is zero on every edge the batch's history does not name, where the
-// score is the base quality; the edges it names are rescored afterwards,
-// so the cost of history is its length, not the graph's. Caller holds mu.
-func (r *UtilityIIRouter) fillRows(initiator, responder overlay.NodeID, batch int) {
-	deliver, skip := int32(responder), int32(initiator)
-	pos := int32(0)
-	for i, nb := range r.nbrs {
-		r.row[i] = pos
-		if nb == nil || int32(i) == deliver || r.dead[i] {
-			continue
-		}
-		delivered := r.dead[deliver]
-		for _, j := range nb {
-			if !delivered && j >= deliver {
-				r.succ[pos], r.qual[pos] = deliver, 1
-				pos++
-				delivered = true
-			}
-			if j == deliver || j == int32(i) || j == skip || r.dead[j] {
-				continue
-			}
-			r.succ[pos], r.qual[pos] = j, r.base[j]
-			pos++
-		}
-		if !delivered {
-			r.succ[pos], r.qual[pos] = deliver, 1
-			pos++
-		}
-	}
-	r.row[len(r.nbrs)] = pos
-
-	h := r.batches[batch]
-	if h == nil {
+// row builds node i's row of the solve in progress (core.Rows.Fill). Node i
+// gets a row iff it is a key of the topology, alive and not R: its live
+// neighbors other than i itself and I, scored w_s·σ + w_a·α, and — for
+// every such i, neighbor of R or not — the delivery edge (i, R) unless R
+// is dead (core.Rows.Build). σ is zero on every edge the batch's history
+// does not name, where the score is the base quality; so only the rows of
+// nodes the history names an edge out of are rescored. Caller holds mu.
+func (r *UtilityIIRouter) row(i int) {
+	resp := int32(r.responder)
+	if r.nbrs[i] == nil || int32(i) == resp || !r.up[i] {
+		r.rows.Build(i, nil, nil, -1, -1, false, nil)
 		return
 	}
-	for e := range h.uses {
-		from, to := e[0], e[1]
-		if to == int32(responder) {
-			continue // the delivery edge is never scored
-		}
-		lo := r.row[from]
-		if a, ok := slices.BinarySearch(r.succ[lo:r.row[from+1]], to); ok {
-			r.qual[lo+int32(a)] = r.w.Edge(h.selectivity(e), r.avail[to])
+	succ, qual := r.rows.Build(i, r.nbrs[i], r.nbrQ[i], int32(r.initiator), resp, r.up[resp], r.up)
+	if r.holder[i] {
+		for a, j := range succ {
+			if j != resp {
+				qual[a] = r.stage.Quality(overlay.NodeID(i), overlay.None, overlay.NodeID(j))
+			}
 		}
 	}
 }

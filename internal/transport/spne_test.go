@@ -13,11 +13,11 @@ import (
 )
 
 // liveEdgeQuality is the dense stage game the Model-II router solved
-// before it built sparse rows, kept as the oracle fillRows is pinned
+// before it built sparse rows, kept as the oracle its rows are pinned
 // against: q(i, j) asked pair by pair over the raw topology snapshot —
 // delivery edges have quality 1; overlay edges score w_s·σ + w_a·α;
 // everything else is absent.
-func (r *UtilityIIRouter) liveEdgeQuality(topo Topology, i, j, initiator, responder overlay.NodeID, batch int) float64 {
+func (r *UtilityIIRouter) liveEdgeQuality(topo Topology, i, j, initiator, responder overlay.NodeID, batch, conn int) float64 {
 	if i == j || i == responder {
 		return -1
 	}
@@ -25,7 +25,7 @@ func (r *UtilityIIRouter) liveEdgeQuality(topo Topology, i, j, initiator, respon
 		return -1
 	}
 	r.mu.Lock()
-	iDead, jDead := r.dead[i], r.dead[j]
+	iDead, jDead := !r.up[i], !r.up[j]
 	r.mu.Unlock()
 	if iDead || jDead {
 		return -1
@@ -47,21 +47,21 @@ func (r *UtilityIIRouter) liveEdgeQuality(topo Topology, i, j, initiator, respon
 		return -1
 	}
 	r.mu.Lock()
-	sigma := r.batches[batch].selectivity([2]int32{int32(i), int32(j)})
+	sigma := r.batches[batch].selectivity([2]int32{int32(i), int32(j)}, conn)
 	r.mu.Unlock()
 	return r.w.Edge(sigma, r.avail[j])
 }
 
 // denseTable solves the oracle game with the dense full-sweep solver.
-func (r *UtilityIIRouter) denseTable(topo Topology, initiator, responder overlay.NodeID, batch, budget int) [][]game.Decision {
+func (r *UtilityIIRouter) denseTable(topo Topology, initiator, responder overlay.NodeID, batch, conn, budget int) [][]game.Decision {
 	g := &game.PathGame{
 		Nodes:     len(r.nbrs),
 		Responder: int(responder),
 		EdgeQuality: func(i, j int) float64 {
-			return r.liveEdgeQuality(topo, overlay.NodeID(i), overlay.NodeID(j), initiator, responder, batch)
+			return r.liveEdgeQuality(topo, overlay.NodeID(i), overlay.NodeID(j), initiator, responder, batch, conn)
 		},
-		Pf:      r.c.Pf,
-		Pr:      r.c.Pr,
+		Pf:      r.rule.Contract.Pf,
+		Pr:      r.rule.Contract.Pr,
 		MaxHops: budget,
 	}
 	return g.Solve()
@@ -89,7 +89,7 @@ func requireKnownCells(t *testing.T, m *game.Memo, want [][]game.Decision) {
 	}
 }
 
-// awkwardWorld draws a topology with everything fillRows has to get right
+// awkwardWorld draws a topology with everything the rows have to get right
 // beyond the tidy snapshots SnapshotTopology produces: repeated and self
 // entries in neighbor lists, ids that are listed as neighbors but are not
 // keys (one inside the key range, two past it), a key with no neighbors,
@@ -162,7 +162,7 @@ func TestLiveSparseMatchesDense(t *testing.T) {
 			case 1: // dead responder: no delivery edge anywhere
 				responder = dead[0]
 			}
-			if r.dead[responder] {
+			if !r.up[responder] {
 				deadR++
 			}
 			for _, v := range topo[initiator] {
@@ -186,11 +186,14 @@ func TestLiveSparseMatchesDense(t *testing.T) {
 					withHistory++
 				}
 				for budget := 1; budget <= 5; budget++ {
-					r.solve(initiator, initiator, responder, batch, budget)
+					// The connection after batch 1's six, so σ > 0 where
+					// the history names an edge.
+					const conn = 7
+					r.solve(initiator, initiator, responder, batch, conn, budget)
 					if !r.memo.Known(budget, int(initiator)) {
 						t.Fatalf("seed %d: root (%d, %d) not solved", seed, initiator, budget)
 					}
-					requireKnownCells(t, &r.memo, r.denseTable(topo, initiator, responder, batch, budget))
+					requireKnownCells(t, &r.memo, r.denseTable(topo, initiator, responder, batch, conn, budget))
 					for i := range r.nbrs {
 						succ, _ := r.game.Adjacency(i)
 						for a := 1; a < len(succ); a++ {
@@ -230,7 +233,6 @@ func TestConeClosedUnderDeviation(t *testing.T) {
 		rng := dist.NewSource(seed + 3000)
 		corpse := overlay.NodeID(rng.Intn(ids))
 		r.MarkDead(corpse)
-		dead := map[overlay.NodeID]struct{}{corpse: {}}
 		for batch := 1; batch <= 4; batch++ {
 			initiator := overlay.NodeID(rng.Intn(ids))
 			if batch == 1 {
@@ -244,7 +246,7 @@ func TestConeClosedUnderDeviation(t *testing.T) {
 			}
 			for conn := 1; conn <= 6; conn++ {
 				budget := 1 + rng.Intn(6)
-				want := r.denseTable(topo, initiator, responder, batch, budget)
+				want := r.denseTable(topo, initiator, responder, batch, conn, budget)
 				_, m0, _, _ := cacheCounts(r)
 				self, pred := initiator, overlay.None
 				for remaining := budget; remaining > 0; remaining-- {
@@ -265,7 +267,7 @@ func TestConeClosedUnderDeviation(t *testing.T) {
 					case 1: // the Model-I fallback
 						next, deliver = r.UtilityRouter.NextHop(self, pred, initiator, responder, batch, conn, remaining)
 					default: // a holder that routes at random
-						cands := topo.candidatesOf(self, pred, initiator, responder, dead)
+						cands := core.Candidates(nil, core.Hop{Cur: self, Pred: pred, Initiator: initiator, Responder: responder}, topo[self], r.up)
 						if deliver = len(cands) == 0; !deliver {
 							next = cands[rng.Intn(len(cands))]
 							r.record(batch, conn, self, next)
@@ -291,39 +293,42 @@ func TestConeClosedUnderDeviation(t *testing.T) {
 }
 
 // TestBatchHistoryCountsConnections pins what selectivity counts: per
-// edge, the distinct connections that used it, over the distinct
-// connections that recorded a hop. A connection reusing an edge — a cycle,
-// a re-attempt — counts once; connections of one batch may interleave; k
-// rises as soon as a connection records its first hop; batches are apart.
+// edge, the distinct connections that used it, over the conn−1
+// connections before the one asking, capped at 1 (§2.3, the simulator's
+// rule). A connection reusing an edge — a cycle, a re-attempt — counts
+// once; connections of one batch may interleave; the first connection
+// sees σ = 0; batches are apart.
 func TestBatchHistoryCountsConnections(t *testing.T) {
 	topo := Topology{0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
 	r := NewUtilityRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), uniformAvail(3))
-	sigma := func(from, to overlay.NodeID) float64 {
-		return r.batches[1].selectivity([2]int32{int32(from), int32(to)})
+	sigma := func(from, to overlay.NodeID, conn int) float64 {
+		return r.batches[1].selectivity([2]int32{int32(from), int32(to)}, conn)
 	}
 	for _, s := range []struct {
 		conn     int
 		from, to overlay.NodeID
-		conns    int
-		s01, s12 float64 // σ(0→1), σ(1→2) afterwards
+		s01, s12 float64 // σ(0→1), σ(1→2) for connection 3 afterwards
 	}{
-		{1, 0, 1, 1, 1, 0},             // conn 1's first hop
-		{1, 1, 0, 1, 1, 0},             // a cycle back to 0 …
-		{1, 0, 1, 1, 1, 0},             // … and the same edge again: once
-		{2, 1, 2, 2, 0.5, 0.5},         // conn 2's first hop: k rises
-		{1, 1, 2, 2, 0.5, 1},           // conn 1 again, after conn 2
-		{2, 1, 2, 2, 0.5, 1},           // conn 2's re-attempt re-records its hop
-		{3, 0, 1, 3, 2.0 / 3, 2.0 / 3}, // conn 3
+		{1, 0, 1, 0.5, 0}, // conn 1's first hop
+		{1, 1, 0, 0.5, 0}, // a cycle back to 0 …
+		{1, 0, 1, 0.5, 0}, // … and the same edge again: once
+		{2, 1, 2, 0.5, 0.5},
+		{1, 1, 2, 0.5, 1}, // conn 1 again, after conn 2
+		{2, 1, 2, 0.5, 1}, // conn 2's re-attempt re-records its hop
+		{3, 0, 1, 1, 1},   // conn 3's own hop counts
 	} {
 		r.record(1, s.conn, s.from, s.to)
-		if got := len(r.batches[1].conns); got != s.conns {
-			t.Fatalf("after conn %d %d→%d: %d connections, want %d", s.conn, s.from, s.to, got, s.conns)
-		}
-		if a, b := sigma(0, 1), sigma(1, 2); a != s.s01 || b != s.s12 {
+		if a, b := sigma(0, 1, 3), sigma(1, 2, 3); a != s.s01 || b != s.s12 {
 			t.Fatalf("after conn %d %d→%d: σ(0→1) = %v, σ(1→2) = %v, want %v, %v", s.conn, s.from, s.to, a, b, s.s01, s.s12)
 		}
 	}
-	if got := r.batches[2].selectivity([2]int32{0, 1}); got != 0 {
+	if got := sigma(0, 1, 2); got != 1 {
+		t.Fatalf("σ(0→1) for conn 2 = %v, want the cap 1 (two uses over one earlier connection)", got)
+	}
+	if got := sigma(0, 1, 1); got != 0 {
+		t.Fatalf("first connection sees σ = %v", got)
+	}
+	if got := r.batches[2].selectivity([2]int32{0, 1}, 3); got != 0 {
 		t.Fatalf("batch without history has σ = %v", got)
 	}
 }
@@ -399,7 +404,7 @@ func TestSPNECacheBounded(t *testing.T) {
 	if _, m1, _, _ := cacheCounts(r); m1-m0 != 1 {
 		t.Fatalf("evicted connection's next hop counted %d misses, want 1", m1-m0)
 	}
-	want := overlay.NodeID(r.denseTable(topo, initiator, responder, batch, budget-1)[budget-1][first].Next)
+	want := overlay.NodeID(r.denseTable(topo, initiator, responder, batch, 1, budget-1)[budget-1][first].Next)
 	if deliver || second != want {
 		t.Fatalf("evicted connection re-solved to %d (deliver=%v), oracle says %d", second, deliver, want)
 	}
@@ -470,7 +475,8 @@ func TestSPNEWarmSolveAllocs(t *testing.T) {
 
 // BenchmarkLiveSolve is the in-process guard for the code the live router
 // shares with the simulator's solver: one op is one cache-miss prescribed
-// — fillRows with its σ overlay, game.SolveFrom's cone from (I, budget)
+// — the cone's rows built by core.Rows with their σ overlay,
+// game.SolveFrom's cone from (I, budget)
 // through solveCell, the prescription copy — at inproc_um2_agg's shape
 // (128 peers, degree 6, budget 5), with history on the batch so rows score
 // σ > 0. A change to internal/game is measured by building this package's
