@@ -17,11 +17,9 @@
 // checks every system invariant and exits non-zero on a violation. With
 // -trace-out the world's event log is written as JSONL — byte-identical
 // across runs of the same plan; the flag belongs to -faults alone (a live
-// run's record is its span log, -span-out). The plan's
-// settle_queue/settle_delay fields size the bounded async settlement queue
-// and the virtual-clock delay after batch close at which the world drains
-// it (the deterministic drain point of the payment pipeline; defaults 4
-// jobs / 0.5 s).
+// run's record is its span log, -span-out). The plan's settle_delay field
+// is the virtual-clock delay after batch close at which the world settles
+// the batch out of its escrow (default 0.5 s).
 //
 // -span-out captures the causal span log: in -faults mode the virtual-clock
 // span trees of the deterministic world (byte-identical across runs of the

@@ -51,8 +51,9 @@ const (
 	// FaultInflate pads Node's settlement claim for Batch with Count
 	// forged and duplicated receipts (the §5 inflated-forwarding cheat).
 	FaultInflate = "inflate"
-	// FaultDoubleSpend submits Node's settlement claim for Batch twice,
-	// so an unguarded settlement pays the same receipts two times.
+	// FaultDoubleSpend pays Node's settled payout for Batch a second time,
+	// outside the payout rule: the planted defect that proves the
+	// conservation checker bites.
 	FaultDoubleSpend = "double-spend"
 	// FaultDoubleDeposit has Node withdraw a blind token and deposit it
 	// twice at time At; the bank must reject the replayed serial.
@@ -108,11 +109,9 @@ type Plan struct {
 	// Probing.
 	ProbePeriod float64 `json:"probe_period,omitempty"` // seconds, 0 = default
 
-	// Settlement pipeline: batch close enqueues the settlement job on a
-	// bounded queue and the world drains it SettleDelay virtual seconds
-	// later — the deterministic drain point of the async settlement stage.
-	SettleQueue int     `json:"settle_queue,omitempty"` // queue capacity
-	SettleDelay float64 `json:"settle_delay,omitempty"` // seconds to drain
+	// SettleDelay is the virtual time, in seconds, between a batch's close
+	// and its settlement; the batch's funds stay in escrow meanwhile.
+	SettleDelay float64 `json:"settle_delay,omitempty"`
 
 	// TraceCap bounds the event log and the span recorder alike; the
 	// trace-capacity invariant fails if the run logs more events than this.
@@ -172,9 +171,6 @@ func (p Plan) Normalize() Plan {
 	if p.ProbePeriod == 0 {
 		p.ProbePeriod = 60
 	}
-	if p.SettleQueue == 0 {
-		p.SettleQueue = 4
-	}
 	if p.SettleDelay == 0 {
 		p.SettleDelay = 0.5
 	}
@@ -210,8 +206,8 @@ func (p Plan) Validate() error {
 	if p.Pf < 0 || p.Pr < 0 || p.Opening <= 0 {
 		return errors.New("faultsim: bad incentive parameters")
 	}
-	if p.SettleQueue < 1 || p.SettleDelay < 0 {
-		return errors.New("faultsim: bad settlement pipeline parameters")
+	if p.SettleDelay < 0 {
+		return errors.New("faultsim: negative settle delay")
 	}
 	for i, f := range p.Faults {
 		switch f.Kind {

@@ -115,7 +115,6 @@ type world struct {
 
 	batches      []*batchRecord
 	curRec       *batchRecord
-	settleQ      *payment.SettleQueue
 	anySettleErr bool
 }
 
@@ -135,7 +134,6 @@ func newWorld(p Plan) (*world, error) {
 		accounts:  make(map[overlay.NodeID]struct{}),
 		msgSeq:    make(map[[2]int]int),
 		probeLies: make(map[overlay.NodeID]bool),
-		settleQ:   payment.NewSettleQueue(p.SettleQueue),
 	}
 	w.net = overlay.NewNetwork(p.Degree, rng.Split())
 	w.probes = probe.NewSet(w.net, rng.Split(), sim.Time(p.ProbePeriod))
@@ -203,7 +201,6 @@ func pathDetail(attempt int, path []overlay.NodeID) string {
 func (w *world) setup() {
 	w.bank.Instrument(w.reg)
 	w.net.Instrument(w.reg)
-	w.settleQ.Instrument(w.reg)
 	w.net.OnChurn(func(id overlay.NodeID, s overlay.State) {
 		switch s {
 		case overlay.Online:
@@ -483,13 +480,12 @@ func (w *world) connDone(rec *batchRecord, c int, refused bool, o transport.Outc
 }
 
 // settleBatch assembles claims from the minted receipts (sorted by
-// forwarder for determinism), applies any settlement faults, mirrors the
-// bank's rejection rule into expectRejected, and hands the job to the
-// bounded settlement queue. The queue is drained SettleDelay virtual
-// seconds later — the deterministic drain point of the async pipeline.
-// The funds sit in escrow for that whole window, so a crash between
-// enqueue and drain loses nothing: settlement runs against the escrow
-// account, not the (possibly dead) initiator.
+// forwarder for determinism), applies any claim faults, mirrors the bank's
+// rejection rule into expectRejected, and settles the batch SettleDelay
+// virtual seconds later — the deterministic settle point. The funds sit in
+// escrow for that whole window, so a crash before the settle loses
+// nothing: settlement runs against the escrow account, not the (possibly
+// dead) initiator.
 func (w *world) settleBatch() {
 	rec := w.curRec
 	fwds := make([]overlay.NodeID, 0, len(rec.receipts))
@@ -504,86 +500,46 @@ func (w *world) settleBatch() {
 			Receipts:  append([]payment.Receipt(nil), rec.receipts[f]...),
 		})
 	}
-	for i := range w.plan.Faults {
-		f := w.plan.Faults[i]
-		if f.Batch != rec.batch {
-			continue
-		}
-		switch f.Kind {
-		case FaultInflate:
+	for _, f := range w.plan.Faults {
+		if f.Kind == FaultInflate && f.Batch == rec.batch {
 			claims = w.applyInflate(rec, claims, f)
-		case FaultDoubleSpend:
-			claims = w.applyDoubleSpend(claims, f)
 		}
 	}
 	rec.expectRejected = expectRejected(rec.minter, claims)
-
-	job := payment.SettleJob{
-		Batch: rec.batch, Escrow: rec.escrow, Minter: rec.minter,
-		Pf: payment.Amount(w.plan.Pf), Pr: payment.Amount(w.plan.Pr),
-		Claims: claims,
-	}
-	if err := w.settleQ.Enqueue(job); err != nil {
-		// Backpressure: drain on the spot to free a slot, then retry. The
-		// world runs one batch at a time, so this only trips when a plan
-		// sets settle_queue below the number of undrained batches.
-		for _, res := range w.settleQ.Drain() {
-			w.applySettleResult(res)
-		}
-		if err := w.settleQ.Enqueue(job); err != nil {
-			w.applySettleResult(settleNow(job))
-			w.nextBatch()
-			return
-		}
-	}
-	w.eng.AfterFunc(sim.Time(w.plan.SettleDelay), func(*sim.Engine) { w.drainSettlements() })
+	w.eng.AfterFunc(sim.Time(w.plan.SettleDelay), func(*sim.Engine) { w.settle(rec, claims) })
 }
 
-// settleNow executes a job synchronously — the fallback when the queue
-// refuses it even after a drain (it was closed).
-func settleNow(j payment.SettleJob) payment.SettleResult {
-	res := payment.SettleResult{Batch: j.Batch}
-	res.Payouts, res.Refund, res.Err = j.Escrow.SettleFromEscrow(j.Minter, j.Pf, j.Pr, j.Claims)
-	return res
-}
-
-// drainSettlements is the virtual-clock drain point: settle every queued
-// job, fold the outcomes back into their batch records, then advance to
-// the next batch.
-func (w *world) drainSettlements() {
-	for _, res := range w.settleQ.Drain() {
-		w.applySettleResult(res)
-	}
-	w.nextBatch()
-}
-
-// applySettleResult folds one settlement outcome into its batch record,
-// emitting the same trace event and payout spans the inline settlement
-// used to.
-func (w *world) applySettleResult(res payment.SettleResult) {
-	if res.Batch < 1 || res.Batch > len(w.batches) {
-		return
-	}
-	rec := w.batches[res.Batch-1]
-	rec.payouts, rec.refund = res.Payouts, res.Refund
-	if res.Err != nil {
-		rec.settleErr = res.Err
+// settle pays the batch out of its escrow, folds the outcome into the
+// batch record — the settled trace event and one payout span per
+// forwarder — plays any double-spend fault, then starts the next batch.
+func (w *world) settle(rec *batchRecord, claims []payment.Claim) {
+	pf, pr := payment.Amount(w.plan.Pf), payment.Amount(w.plan.Pr)
+	payouts, refund, err := rec.escrow.SettleFromEscrow(rec.minter, pf, pr, claims)
+	rec.payouts, rec.refund = payouts, refund
+	if err != nil {
+		rec.settleErr = err
 		w.anySettleErr = true
 		rec.escrow.Close() // best effort: return whatever is still locked
 	} else {
 		rec.settled = true
 		w.trace(Event{
 			Kind: KindSettled, Batch: rec.batch, Node: int(rec.initiator),
-			Detail: fmt.Sprintf("%d payouts, refund %d", len(res.Payouts), res.Refund),
+			Detail: fmt.Sprintf("%d payouts, refund %d", len(payouts), refund),
 		})
-		for _, po := range res.Payouts {
+		for _, po := range payouts {
 			w.spans.Emit(telemetry.Span{
 				Trace: rec.trace, Parent: rec.root, Kind: telemetry.SpanSettle,
 				Batch: rec.batch, Node: int(po.Forwarder),
 				Detail: fmt.Sprintf("payoff=%d forwards=%d", po.Amount, po.Forwards),
 			})
 		}
+		for _, f := range w.plan.Faults {
+			if f.Kind == FaultDoubleSpend && f.Batch == rec.batch {
+				w.applyDoubleSpend(rec, f)
+			}
+		}
 	}
+	w.nextBatch()
 }
 
 // applyInflate pads the target's claim with forged receipts plus one
@@ -613,44 +569,41 @@ func (w *world) applyInflate(rec *batchRecord, claims []payment.Claim, f Fault) 
 	return claims
 }
 
-// applyDoubleSpend submits a claim twice. SettleFromEscrow has no
-// cross-claim dedup, so the duplicate is paid again and inflates ‖π‖ —
-// the planted defect the payment-conservation invariant must catch.
-func (w *world) applyDoubleSpend(claims []payment.Claim, f Fault) []payment.Claim {
-	if len(claims) == 0 {
-		w.traceFault(f, "no claims to duplicate (noop)")
-		return claims
+// applyDoubleSpend pays Node's payout of the settled batch a second time
+// (the first payout when Node was not paid), from a fresh escrow of the
+// initiator's: the planted defect — money the payout rule never owed —
+// that the payment-conservation invariant must catch.
+func (w *world) applyDoubleSpend(rec *batchRecord, f Fault) {
+	if len(rec.payouts) == 0 {
+		w.traceFault(f, "no payouts to repeat (noop)")
+		return
 	}
-	idx := 0
-	for i := range claims {
-		if claims[i].Forwarder == payment.AccountID(f.Node) {
-			idx = i
-			break
+	po := rec.payouts[0]
+	for _, p := range rec.payouts {
+		if p.Forwarder == payment.AccountID(f.Node) {
+			po = p
 		}
 	}
-	dup := payment.Claim{
-		Forwarder: claims[idx].Forwarder,
-		Receipts:  append([]payment.Receipt(nil), claims[idx].Receipts...),
+	esc, err := w.bank.OpenEscrow(payment.AccountID(rec.initiator), po.Amount)
+	if err == nil {
+		if err = esc.Pay(po.Forwarder, po.Amount); err == nil {
+			_, err = esc.Close()
+		}
 	}
-	claims = append(claims, dup)
-	w.traceFault(f, fmt.Sprintf("claim of forwarder %d submitted twice", dup.Forwarder))
-	return claims
+	w.traceFault(f, fmt.Sprintf("forwarder %d paid %d a second time, err=%v", po.Forwarder, po.Amount, err))
 }
 
-// expectRejected mirrors the settlement's own CountValid/countRejected
-// arithmetic so the invariant layer can predict the bank's
-// rejected-receipt cheat counter exactly.
+// expectRejected mirrors the bank's payout rule so the invariant layer can
+// predict its rejected-receipt cheat counter exactly: every receipt is
+// rejected except the valid ones of a forwarder's first accepted claim.
 func expectRejected(minter *payment.ReceiptMinter, claims []payment.Claim) int {
-	acceptedBy := make(map[payment.AccountID]int, len(claims))
-	for _, c := range claims {
-		if m := minter.CountValid(c.Forwarder, c.Receipts); m > 0 {
-			acceptedBy[c.Forwarder] = m
-		}
-	}
+	paid := make(map[payment.AccountID]bool, len(claims))
 	rejected := 0
 	for _, c := range claims {
-		if d := len(c.Receipts) - acceptedBy[c.Forwarder]; d > 0 {
-			rejected += d
+		rejected += len(c.Receipts)
+		if m := minter.CountValid(c.Forwarder, c.Receipts); m > 0 && !paid[c.Forwarder] {
+			paid[c.Forwarder] = true
+			rejected -= m
 		}
 	}
 	return rejected

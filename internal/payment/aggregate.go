@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"hash"
-	"sort"
 )
 
 // Receipt aggregation (the settlement fast path): instead of presenting m
@@ -131,34 +130,6 @@ func (c *ClaimChain) Claim() AggregateClaim {
 	out := AggregateClaim{Forwarder: c.forwarder, Entries: c.entries}
 	c.h.Sum(out.Chain[:0])
 	return out
-}
-
-// BuildAggregate rolls a receipt pile into an aggregate claim: receipts
-// naming other forwarders are dropped, the rest are sorted into canonical
-// (conn, hop) order and deduplicated (first MAC wins, like CountValid),
-// then folded. This is the settlement-side convenience for callers that
-// collected receipts unordered; live forwarders feed a ClaimChain
-// directly.
-func BuildAggregate(f AccountID, rs []Receipt) AggregateClaim {
-	own := make([]Receipt, 0, len(rs))
-	for _, r := range rs {
-		if r.Forwarder == f {
-			own = append(own, r)
-		}
-	}
-	sort.Slice(own, func(i, j int) bool {
-		if own[i].Conn != own[j].Conn {
-			return own[i].Conn < own[j].Conn
-		}
-		return own[i].Hop < own[j].Hop
-	})
-	c := NewClaimChain(f)
-	for _, r := range own {
-		// Add rejects exactly the duplicates (and the overflow past
-		// MaxAggEntries); sorted input cannot otherwise be out of order.
-		_ = c.Add(r)
-	}
-	return c.Claim()
 }
 
 // shaDigest is the stdlib SHA-256 digest's real surface: a hash that can

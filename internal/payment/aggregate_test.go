@@ -1,7 +1,10 @@
 package payment
 
 import (
+	"reflect"
 	"testing"
+
+	"p2panon/internal/telemetry"
 )
 
 func mintChain(t *testing.T, m *ReceiptMinter, f AccountID, coords ...[2]int) ([]Receipt, AggregateClaim) {
@@ -127,83 +130,175 @@ func TestVerifyAggregateFastMatchesSlow(t *testing.T) {
 	}
 }
 
-func TestBuildAggregateSortsDedupsAndFilters(t *testing.T) {
-	m := minter(t)
-	rs := []Receipt{
-		m.Mint(3, 1, 7),
-		m.Mint(1, 2, 7),
-		m.Mint(1, 2, 7), // duplicate
-		m.Mint(2, 2, 8), // other forwarder
-		m.Mint(1, 1, 7),
-	}
-	claim := BuildAggregate(7, rs)
-	if len(claim.Entries) != 3 {
-		t.Fatalf("entries %v", claim.Entries)
-	}
-	want := []AggEntry{{1, 1}, {1, 2}, {3, 1}}
-	for i, e := range claim.Entries {
-		if e != want[i] {
-			t.Fatalf("entry %d: %v, want %v", i, e, want[i])
+// settleOutcome is what one settle leaves behind: the payouts, every
+// account's balance and the bank's settlement and rejected-receipt
+// counters.
+type settleOutcome struct {
+	payouts     []Payout
+	balances    map[AccountID]Amount
+	settlements int64
+	rejected    int64
+}
+
+// settlePaths are the three settle entry points, each fed the same
+// per-receipt claims: "aggregated" folds every claim into a ClaimChain
+// first, so the claims must be chain-representable (receipts of one
+// forwarder, strictly increasing).
+var settlePaths = []string{"blind", "escrow", "aggregated"}
+
+// settleVia settles claims through one entry point on a fresh bank with
+// the shared test key: account 1 is the initiator with 10 000 credits,
+// accounts 2–12 are forwarders with none.
+func settleVia(t *testing.T, path string, m *ReceiptMinter, pf, pr Amount, claims []Claim) settleOutcome {
+	t.Helper()
+	b := newBank(sharedBank(t).key)
+	reg := telemetry.NewRegistry()
+	b.Instrument(reg)
+	for id := AccountID(1); id <= 12; id++ {
+		opening := Amount(0)
+		if id == 1 {
+			opening = 10_000
+		}
+		if err := b.OpenAccount(id, opening); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// The aggregate accepts exactly what CountValid counts for the same pile.
-	if got, want := m.VerifyAggregate(&claim), m.CountValid(7, rs); got != want {
-		t.Fatalf("aggregate %d vs CountValid %d", got, want)
+	var payouts []Payout
+	var err error
+	switch path {
+	case "blind":
+		payouts, err = (&Settlement{Bank: b, Minter: m, Initiator: 1, Pf: pf, Pr: pr}).Run(claims)
+	case "escrow", "aggregated":
+		esc, oerr := b.OpenEscrow(1, 5_000)
+		if oerr != nil {
+			t.Fatal(oerr)
+		}
+		if path == "escrow" {
+			payouts, _, err = esc.SettleFromEscrow(m, pf, pr, claims)
+			break
+		}
+		agg := make([]AggregateClaim, len(claims))
+		for i, c := range claims {
+			chain := NewClaimChain(c.Forwarder)
+			for _, r := range c.Receipts {
+				if err := chain.Add(r); err != nil {
+					t.Fatalf("claim %d is not chain-representable: %v", i, err)
+				}
+			}
+			agg[i] = chain.Claim()
+		}
+		payouts, _, err = esc.SettleAggregated(m, pf, pr, agg)
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if err := b.VerifyConservation(); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	out := settleOutcome{payouts: payouts, balances: make(map[AccountID]Amount)}
+	for _, id := range b.Accounts() {
+		out.balances[id], _ = b.Balance(id)
+	}
+	snap := reg.Snapshot()
+	out.settlements = paymentCounter(snap, metricSettlementsTotal, nil)
+	out.rejected = paymentCounter(snap, metricCheatsTotal, map[string]string{"kind": "rejected_receipt"})
+	return out
+}
+
+// TestAggregatedSettlementMatchesPerReceipt is the equivalence table of
+// the three settle entry points: for the same receipts, Settlement.Run,
+// SettleFromEscrow and SettleAggregated return the same payouts and leave
+// the same balances and counters — clean claims, wholly forged claims and
+// claims naming an already claimed forwarder alike. (A chain cannot carry
+// a partly valid claim, so every claim here is valid or forged whole.)
+func TestAggregatedSettlementMatchesPerReceipt(t *testing.T) {
+	m := minter(t)
+	r2 := []Receipt{m.Mint(1, 1, 2), m.Mint(2, 1, 2), m.Mint(3, 1, 2)}
+	r3 := []Receipt{m.Mint(1, 2, 3)}
+	forged := []Receipt{{Conn: 5, Hop: 1, Forwarder: 4}, {Conn: 6, Hop: 1, Forwarder: 4}}
+	stolen := []Receipt{{Conn: 1, Hop: 1, Forwarder: 4, MAC: r2[0].MAC}}
+	for _, tc := range []struct {
+		name         string
+		claims       []Claim
+		wantForwards map[AccountID]int
+		wantRejected int64
+	}{
+		{"clean", []Claim{{2, r2}, {3, r3}}, map[AccountID]int{2: 3, 3: 1}, 0},
+		{"forged", []Claim{{2, r2}, {4, forged}, {3, r3}}, map[AccountID]int{2: 3, 3: 1}, 2},
+		{"stolen MAC", []Claim{{4, stolen}, {3, r3}}, map[AccountID]int{3: 1}, 1},
+		{"claim repeated", []Claim{{3, r3}, {2, r2}, {3, r3}}, map[AccountID]int{2: 3, 3: 1}, 1},
+		{"claim split", []Claim{{2, r2[:1]}, {3, r3}, {2, r2[1:]}}, map[AccountID]int{2: 1, 3: 1}, 2},
+		{"forgery before genuine", []Claim{{3, []Receipt{{Conn: 9, Hop: 9, Forwarder: 3}}}, {3, r3}}, map[AccountID]int{3: 1}, 1},
+		{"nothing valid", []Claim{{4, forged}}, nil, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ref settleOutcome
+			for i, path := range settlePaths {
+				got := settleVia(t, path, m, 10, 90, tc.claims)
+				if len(got.payouts) != len(tc.wantForwards) {
+					t.Fatalf("%s: payouts %+v, want forwards %v", path, got.payouts, tc.wantForwards)
+				}
+				for j, p := range got.payouts {
+					if p.Forwards != tc.wantForwards[p.Forwarder] || (j > 0 && got.payouts[j-1].Forwarder >= p.Forwarder) {
+						t.Fatalf("%s: payouts %+v, want forwards %v in forwarder order", path, got.payouts, tc.wantForwards)
+					}
+				}
+				if got.settlements != 1 || got.rejected != tc.wantRejected {
+					t.Fatalf("%s: settlements %d rejected %d, want 1 and %d", path, got.settlements, got.rejected, tc.wantRejected)
+				}
+				if i == 0 {
+					ref = got
+					continue
+				}
+				if !reflect.DeepEqual(got.payouts, ref.payouts) {
+					t.Fatalf("%s payouts %+v, %s %+v", path, got.payouts, settlePaths[0], ref.payouts)
+				}
+				for id := AccountID(1); id <= 12; id++ {
+					if got.balances[id] != ref.balances[id] {
+						t.Fatalf("account %d: %s %d, %s %d", id, path, got.balances[id], settlePaths[0], ref.balances[id])
+					}
+				}
+			}
+		})
 	}
 }
 
-// TestAggregatedSettlementMatchesPerReceipt is the equivalence pin: for
-// clean claims, the aggregated escrow settlement pays exactly what the
-// per-receipt settlement pays.
-func TestAggregatedSettlementMatchesPerReceipt(t *testing.T) {
+// TestOneClaimPerForwarder: a forwarder named by more than one claim is
+// paid once, ‖π‖ and every honest share count distinct forwarders, and the
+// refused claim's receipts count as rejected — on every settle path.
+// P_f = 10, P_r = 30; forwarder 10 earned two receipts, 11 one, so the
+// honest payouts are 35 and 25.
+func TestOneClaimPerForwarder(t *testing.T) {
 	m := minter(t)
-	run := func(aggregated bool) ([]Payout, Amount, *Bank) {
-		t.Helper()
-		b := freshBank(t)
-		for id := AccountID(1); id <= 4; id++ {
-			if err := b.OpenAccount(id, 10_000); err != nil {
-				t.Fatal(err)
+	r10 := []Receipt{m.Mint(1, 1, 10), m.Mint(2, 1, 10)}
+	r11 := []Receipt{m.Mint(1, 2, 11)}
+	split := []Claim{{10, r10[:1]}, {10, r10[1:]}, {11, r11}}
+	twice := []Claim{{10, r10}, {11, r11}, {10, r10}}
+	for _, tc := range []struct {
+		name, path   string
+		claims       []Claim
+		want         []Payout
+		wantRejected int64
+	}{
+		// The split forwarder is paid for its first claim only.
+		{"split per-receipt claims", "escrow", split, []Payout{{10, 1, 25}, {11, 1, 25}}, 1},
+		{"same aggregate claim twice", "aggregated", twice, []Payout{{10, 2, 35}, {11, 1, 25}}, 2},
+		{"blind path", "blind", split, []Payout{{10, 1, 25}, {11, 1, 25}}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := settleVia(t, tc.path, m, 10, 30, tc.claims)
+			if !reflect.DeepEqual(got.payouts, tc.want) {
+				t.Fatalf("payouts %+v, want %+v", got.payouts, tc.want)
 			}
-		}
-		esc, err := b.OpenEscrow(1, 1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2 := []Receipt{m.Mint(1, 1, 2), m.Mint(2, 1, 2), m.Mint(3, 1, 2)}
-		r3 := []Receipt{m.Mint(1, 2, 3)}
-		var payouts []Payout
-		var refund Amount
-		if aggregated {
-			claims := []AggregateClaim{BuildAggregate(2, r2), BuildAggregate(3, r3)}
-			payouts, refund, err = esc.SettleAggregated(m, 10, 90, claims)
-		} else {
-			claims := []Claim{{Forwarder: 2, Receipts: r2}, {Forwarder: 3, Receipts: r3}}
-			payouts, refund, err = esc.SettleFromEscrow(m, 10, 90, claims)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return payouts, refund, b
-	}
-	poA, rA, bA := run(true)
-	poS, rS, bS := run(false)
-	if rA != rS {
-		t.Fatalf("refund %d vs %d", rA, rS)
-	}
-	if len(poA) != len(poS) {
-		t.Fatalf("payouts %v vs %v", poA, poS)
-	}
-	for i := range poA {
-		if poA[i] != poS[i] {
-			t.Fatalf("payout %d: %+v vs %+v", i, poA[i], poS[i])
-		}
-	}
-	for id := AccountID(1); id <= 4; id++ {
-		ba, _ := bA.Balance(id)
-		bs, _ := bS.Balance(id)
-		if ba != bs {
-			t.Fatalf("account %d: %d vs %d", id, ba, bs)
-		}
+			for _, p := range tc.want {
+				if got.balances[p.Forwarder] != p.Amount {
+					t.Fatalf("forwarder %d holds %d, want %d", p.Forwarder, got.balances[p.Forwarder], p.Amount)
+				}
+			}
+			if got.rejected != tc.wantRejected {
+				t.Fatalf("rejected_receipt %d, want %d", got.rejected, tc.wantRejected)
+			}
+		})
 	}
 }
 

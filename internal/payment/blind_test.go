@@ -333,7 +333,8 @@ func TestSettlementErrorAttributionMatchesSerialLoop(t *testing.T) {
 		{Forwarder: 11, Receipts: []Receipt{m.Mint(2, 1, 11)}},
 		{Forwarder: 21, Receipts: []Receipt{m.Mint(3, 1, 21)}}, // no account
 	}
-	payouts := []Payout{{10, 1, 60}, {20, 2, 95}, {11, 1, 60}, {21, 1, 60}}
+	// The bank pays in forwarder order, whatever order the claims came in.
+	payouts := []Payout{{10, 1, 60}, {11, 1, 60}, {20, 2, 95}, {21, 1, 60}}
 	for _, tc := range []struct {
 		name     string
 		funds    Amount

@@ -98,31 +98,8 @@ func (e *Escrow) SettleFromEscrow(minter *ReceiptMinter, pf, pr Amount, claims [
 	if minter == nil {
 		return nil, 0, errors.New("payment: nil minter")
 	}
-	if pf < 0 || pr < 0 {
-		return nil, 0, ErrBadAmount
-	}
-	accepted := make([]Payout, 0, len(claims))
-	for _, c := range claims {
-		m := minter.CountValid(c.Forwarder, c.Receipts)
-		if m > 0 {
-			accepted = append(accepted, Payout{Forwarder: c.Forwarder, Forwards: m})
-		}
-	}
-	if len(accepted) > 0 {
-		share := pr / Amount(len(accepted))
-		for i := range accepted {
-			accepted[i].Amount = Amount(accepted[i].Forwards)*pf + share
-			if err := e.Pay(accepted[i].Forwarder, accepted[i].Amount); err != nil {
-				return accepted[:i], 0, err
-			}
-		}
-	}
-	refund, err := e.Close()
-	if err != nil {
-		return accepted, 0, err
-	}
-	e.bank.noteSettlement(accepted, countRejected(claims, accepted))
-	return accepted, refund, nil
+	accepted, rejected := minter.verifyClaims(claims)
+	return e.settle(pf, pr, accepted, rejected)
 }
 
 // SettleAggregated is SettleFromEscrow over rolled-up chain claims: one
@@ -135,33 +112,32 @@ func (e *Escrow) SettleAggregated(minter *ReceiptMinter, pf, pr Amount, claims [
 	if minter == nil {
 		return nil, 0, errors.New("payment: nil minter")
 	}
-	if pf < 0 || pr < 0 {
-		return nil, 0, ErrBadAmount
-	}
 	accepted := make([]Payout, 0, len(claims))
 	rejected := 0
 	verify := minter.aggregateVerifier()
 	for i := range claims {
-		m := verify(&claims[i])
-		if m > 0 {
-			accepted = append(accepted, Payout{Forwarder: claims[i].Forwarder, Forwards: m})
-		} else {
-			rejected += len(claims[i].Entries)
+		n := verify(&claims[i])
+		rejected += len(claims[i].Entries) - n
+		if n > 0 {
+			accepted = append(accepted, Payout{Forwarder: claims[i].Forwarder, Forwards: n})
 		}
 	}
-	if len(accepted) > 0 {
-		share := pr / Amount(len(accepted))
-		for i := range accepted {
-			accepted[i].Amount = Amount(accepted[i].Forwards)*pf + share
-			if err := e.Pay(accepted[i].Forwarder, accepted[i].Amount); err != nil {
-				return accepted[:i], 0, err
+	return e.settle(pf, pr, accepted, rejected)
+}
+
+// settle is the escrow payer under Bank.settle: every payout is drawn
+// from the lock, then the escrow closes and refunds the rest.
+func (e *Escrow) settle(pf, pr Amount, accepted []Payout, rejected int) ([]Payout, Amount, error) {
+	var refund Amount
+	payouts, err := e.bank.settle(pf, pr, accepted, rejected, func(ps []Payout) ([]Payout, error) {
+		for i, p := range ps {
+			if err := e.Pay(p.Forwarder, p.Amount); err != nil {
+				return ps[:i], err
 			}
 		}
-	}
-	refund, err := e.Close()
-	if err != nil {
-		return accepted, 0, err
-	}
-	e.bank.noteSettlement(accepted, rejected)
-	return accepted, refund, nil
+		var err error
+		refund, err = e.Close()
+		return ps, err
+	})
+	return payouts, refund, err
 }

@@ -163,3 +163,51 @@ func TestSettleFromEscrowUnderfundedCommitment(t *testing.T) {
 		t.Fatal("underfunded settlement succeeded")
 	}
 }
+
+// TestEscrowHoldsFundsUntilSettled: between opening and settlement — the
+// window a crashed or slow settler leaves open — every escrowed credit
+// sits locked in the holding account, nothing is lost, and settling the
+// escrows later (they outlive their initiator's attention) restores the
+// flow.
+func TestEscrowHoldsFundsUntilSettled(t *testing.T) {
+	b := escrowBank(t)
+	m := minter(t)
+	total := b.TotalBalance()
+	var escrows []*Escrow
+	for i := 0; i < 2; i++ {
+		e, err := b.OpenEscrow(1, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		escrows = append(escrows, e)
+	}
+	if got := b.TotalBalance(); got != total {
+		t.Fatalf("total balance %d while escrowed, want %d", got, total)
+	}
+	if bal, _ := b.Balance(escrowAccount); bal != 200 {
+		t.Fatalf("escrow account holds %d, want the two 100-locks", bal)
+	}
+	if err := b.VerifyConservation(); err != nil {
+		t.Fatal(err)
+	}
+
+	for i, e := range escrows {
+		claims := []Claim{{Forwarder: 10, Receipts: []Receipt{m.Mint(i+1, 1, 10)}}}
+		payouts, refund, err := e.SettleFromEscrow(m, 10, 50, claims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(payouts) != 1 || payouts[0].Amount != 60 || refund != 40 {
+			t.Fatalf("escrow %d: payouts %v refund %d", i, payouts, refund)
+		}
+	}
+	if bal, _ := b.Balance(escrowAccount); bal != 0 {
+		t.Fatalf("escrow account retains %d after settlement", bal)
+	}
+	if got := b.TotalBalance(); got != total {
+		t.Fatalf("total balance %d after settlement, want %d", got, total)
+	}
+	if err := b.VerifyConservation(); err != nil {
+		t.Fatal(err)
+	}
+}

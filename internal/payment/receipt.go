@@ -1,12 +1,14 @@
 package payment
 
 import (
+	"cmp"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -182,38 +184,69 @@ type Payout struct {
 	Amount    Amount
 }
 
-// Run validates all claims and pays each entitled forwarder. The routing
-// benefit P_r is divided evenly with integer division; the remainder stays
-// with the initiator (documented bias < ‖π‖ credits per batch). It
-// returns the payouts in forwarder order.
+// Run validates all claims and pays each entitled forwarder through
+// blind tokens, under the payout rule of Bank.settle. It returns the
+// payouts in forwarder order.
 func (s *Settlement) Run(claims []Claim) ([]Payout, error) {
 	if s.Bank == nil || s.Minter == nil {
 		return nil, errors.New("payment: settlement missing bank or minter")
 	}
-	if s.Pf < 0 || s.Pr < 0 {
-		return nil, ErrBadAmount
-	}
-	// First pass: validate claims, establish ‖π‖.
-	accepted := make([]Payout, 0, len(claims))
+	accepted, rejected := s.Minter.verifyClaims(claims)
+	return s.Bank.settle(s.Pf, s.Pr, accepted, rejected, func(ps []Payout) ([]Payout, error) {
+		return nil, s.payBlindBatch(ps)
+	})
+}
+
+// verifyClaims is the per-receipt verifier: a claim is accepted for the
+// CountValid of its receipts, and every receipt CountValid discards is
+// counted as rejected.
+func (m *ReceiptMinter) verifyClaims(claims []Claim) (accepted []Payout, rejected int) {
+	accepted = make([]Payout, 0, len(claims))
 	for _, c := range claims {
-		m := s.Minter.CountValid(c.Forwarder, c.Receipts)
-		if m > 0 {
-			accepted = append(accepted, Payout{Forwarder: c.Forwarder, Forwards: m})
+		n := m.CountValid(c.Forwarder, c.Receipts)
+		rejected += len(c.Receipts) - n
+		if n > 0 {
+			accepted = append(accepted, Payout{Forwarder: c.Forwarder, Forwards: n})
 		}
 	}
-	if len(accepted) == 0 {
-		s.Bank.noteSettlement(nil, countRejected(claims, nil))
-		return nil, nil
+	return accepted, rejected
+}
+
+// settle is the paper's payout rule, the one every settle path runs
+// between its verifier and its payer. accepted holds the verified
+// (forwarder, m) pairs in submission order and rejected the receipts
+// refused while verifying. A forwarder is paid for its first accepted
+// claim only: a later claim naming it again is refused whole and its
+// receipts count as rejected, so ‖π‖ counts distinct forwarders. Each
+// forwarder gets m·P_f + P_r/‖π‖ with integer division, the remainder
+// staying with the initiator (a bias below ‖π‖ credits per batch). pay
+// moves the money; when it fails, its result (the payouts it completed)
+// comes back with the error and nothing is recorded. The payouts come
+// back in forwarder order, nil when there are none.
+func (b *Bank) settle(pf, pr Amount, accepted []Payout, rejected int, pay func([]Payout) ([]Payout, error)) ([]Payout, error) {
+	if pf < 0 || pr < 0 {
+		return nil, ErrBadAmount
 	}
-	share := s.Pr / Amount(len(accepted))
+	slices.SortStableFunc(accepted, func(x, y Payout) int { return cmp.Compare(x.Forwarder, y.Forwarder) })
+	n := 0
+	for _, p := range accepted {
+		if n > 0 && accepted[n-1].Forwarder == p.Forwarder {
+			rejected += p.Forwards
+			continue
+		}
+		accepted[n] = p
+		n++
+	}
+	if accepted = accepted[:n]; n == 0 {
+		accepted = nil
+	}
 	for i := range accepted {
-		accepted[i].Amount = Amount(accepted[i].Forwards)*s.Pf + share
+		accepted[i].Amount = Amount(accepted[i].Forwards)*pf + pr/Amount(n)
 	}
-	// Second pass: move the money through blind tokens.
-	if err := s.payBlindBatch(accepted); err != nil {
-		return nil, err
+	if paid, err := pay(accepted); err != nil {
+		return paid, err
 	}
-	s.Bank.noteSettlement(accepted, countRejected(claims, accepted))
+	b.noteSettlement(accepted, rejected)
 	return accepted, nil
 }
 
@@ -236,6 +269,9 @@ func (s *Settlement) payBlindBatch(accepted []Payout) error {
 		for _, denom := range SplitDenominations(accepted[i].Amount) {
 			reqs = append(reqs, DepositRequest{Account: accepted[i].Forwarder, Token: Token{Denom: denom}})
 		}
+	}
+	if len(reqs) == 0 {
+		return nil
 	}
 	if i, err := s.Bank.payBlind(s.Initiator, reqs); err != nil {
 		return fmt.Errorf("payment: paying forwarder %d: %w", reqs[i].Account, err)

@@ -78,19 +78,3 @@ func (b *Bank) noteSettlement(payouts []Payout, rejectedReceipts int) {
 	b.tele.settledCredits.Add(credits)
 	b.tele.cheatRejected.Add(int64(rejectedReceipts))
 }
-
-// countRejected returns how many of the claims' receipts CountValid
-// discarded, given the accepted per-forwarder counts.
-func countRejected(claims []Claim, accepted []Payout) int {
-	acceptedBy := make(map[AccountID]int, len(accepted))
-	for _, p := range accepted {
-		acceptedBy[p.Forwarder] = p.Forwards
-	}
-	rejected := 0
-	for _, c := range claims {
-		if d := len(c.Receipts) - acceptedBy[c.Forwarder]; d > 0 {
-			rejected += d
-		}
-	}
-	return rejected
-}
