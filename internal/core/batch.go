@@ -452,7 +452,7 @@ func (b *Batch) spneTable(start overlay.NodeID, hops int) [][]game.Decision {
 	}
 	ph := s.Prof.Start(telemetry.PhaseSolveInduction)
 	if !reuse {
-		s.resetMemo(g.Nodes)
+		s.resetMemo(g.Nodes, b.Responder)
 		s.rows.Fill = b.fill
 	}
 	cells := g.SolveFrom(&s.memo, int(start), hops)
@@ -469,16 +469,13 @@ func (b *Batch) spneTable(start overlay.NodeID, hops int) [][]game.Decision {
 // starts from the node's base row (System.baseRow: batch-independent
 // topology and availability). Selectivity is non-zero only on the edges of
 // nodes holding quality-relevant history, so only those rows are rescored
-// through the batch's scorer. R and offline nodes have no row.
+// through the batch's scorer. R and offline nodes have no row (Rows), and
+// every other node delivers to R.
 func (b *Batch) row(i int) {
 	s := b.sys
 	id := overlay.NodeID(i)
-	if id == b.Responder || !s.Net.Online(id) {
-		s.rows.Build(i, nil, nil, -1, -1, false, nil)
-		return
-	}
 	base := s.baseRow(id)
-	succ, qual := s.rows.Build(i, base.succ, base.qual, int32(b.Initiator), int32(b.Responder), true, s.Net.Up())
+	succ, qual := s.rows.Build(i, base.succ, base.qual, int32(b.Initiator), s.Net.Up())
 	if _, ok := b.histNodes[id]; ok {
 		sc := b.scorer(id)
 		for a, j := range succ {

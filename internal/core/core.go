@@ -262,7 +262,8 @@ type SolverStats struct {
 	// Fallbacks counts the resets that discarded a memo another solve had
 	// filled (every reset but the first after a release).
 	Fallbacks int
-	// FrontierCells totals the cells computed: the cones, not the table.
+	// FrontierCells totals the cells computed: the cones' cells at stages
+	// ≥ 1, not the table. A cone solve never fills stage 0.
 	FrontierCells int
 }
 
@@ -307,7 +308,8 @@ func NewSystem(cfg Config, net *overlay.Network, probes *probe.Set, rng *dist.So
 		rng:    rng,
 		minCt:  make(map[overlay.NodeID]float64),
 	}
-	s.stage = game.PathGame{Adjacency: s.rows.Adjacency(), Cost: cfg.Cost, MaxHops: cfg.MaxHops}
+	s.rows.Up = func(i int) bool { return s.Net.Online(overlay.NodeID(i)) }
+	s.stage = game.PathGame{Adjacency: s.rows.Adjacency(), Deliver: s.rows.Deliver(), Cost: cfg.Cost, MaxHops: cfg.MaxHops}
 	return s, nil
 }
 
@@ -404,10 +406,12 @@ func (s *System) baseRow(id overlay.NodeID) *baseRow {
 }
 
 // resetMemo forgets every solved cell and built row and sizes the solve
-// state for n nodes. Base rows survive: they revalidate themselves.
-func (s *System) resetMemo(n int) {
+// state for n nodes and a game whose responder is r; in the simulator
+// every holder may deliver to R. Base rows survive: they revalidate
+// themselves.
+func (s *System) resetMemo(n int, r overlay.NodeID) {
 	s.memo.Reset(n, s.cfg.MaxHops)
-	s.rows.Reset(n)
+	s.rows.Reset(n, int32(r), true)
 	if len(s.base) < n {
 		s.base = append(s.base, make([]baseRow, n-len(s.base))...)
 	}
@@ -420,5 +424,5 @@ func (s *System) resetMemo(n int) {
 // node like the estimators they are read from.
 func (s *System) releaseSolve() {
 	s.memo, s.memoOwner, s.dense = game.Memo{}, 0, nil
-	s.rows = Rows{} // Adjacency stays bound to &s.rows
+	s.rows = Rows{Up: s.rows.Up} // Adjacency and Deliver stay bound to &s.rows
 }

@@ -53,22 +53,26 @@ func (m *Memo) Known(hops, node int) bool {
 // stale storage. The table is overwritten by later SolveFrom calls.
 func (m *Memo) Table() [][]Decision { return m.table }
 
-// SolveFrom solves, into m, every cell the play from (start, hops) can
-// reach and returns how many cells it computed. It discovers the cone top
-// down through Adjacency — cell (i, h) needs (j, h−1) for each candidate j
-// of i — then fills it bottom up with the same solveCell the full sweeps
-// use, so every computed cell is bit-identical to SolveInto's. Cells
-// already Known are reused and not descended from: a second root under
-// the same epoch, or a larger budget, only adds what is missing. When hops
-// reaches the graph's diameter the cone is the full table and the cost
-// that of a full sweep, never more.
+// SolveFrom solves, into m, every cell above stage 0 the play from
+// (start, hops) can reach and returns how many cells it computed. It
+// discovers the cone top down through Adjacency — cell (i, h) needs
+// (j, h−1) for each candidate j of i — down to stage 1, then fills it
+// bottom up: stage 1 from Deliver alone (deliverCell), every later stage
+// with the same solveCell the full sweeps use, so every computed cell is
+// bit-identical to SolveInto's. Stage 0 is never read, since a stage-1
+// cell has R as its only feasible move, and is solved only for a root
+// with hops = 0. Cells already Known are reused and not descended from: a
+// second root under the same epoch, or a larger budget, only adds what is
+// missing. When hops reaches the graph's diameter the cone is the full
+// table less stage 0, and the cost that of a full sweep, never more.
 //
-// The game must use Adjacency, and m must have been Reset for g.Nodes and
-// at least hops stages. Rows are read during the call only; the caller
-// must keep them unchanged between a Reset and the last read of a cell.
+// The game must set Adjacency and Deliver, and m must have been Reset
+// for g.Nodes and at least hops stages. Rows are read during the call
+// only; the caller must keep them unchanged between a Reset and the last
+// read of a cell.
 func (g *PathGame) SolveFrom(m *Memo, start, hops int) (computed int) {
-	if g.Adjacency == nil {
-		panic("game: SolveFrom needs Adjacency")
+	if g.Adjacency == nil || g.Deliver == nil {
+		panic("game: SolveFrom needs Adjacency and Deliver")
 	}
 	if hops < 0 || hops >= len(m.table) || len(m.table[hops]) != g.Nodes || start < 0 || start >= g.Nodes {
 		panic(fmt.Sprintf("game: SolveFrom(%d, %d): memo not Reset for %d nodes and that budget", start, hops, g.Nodes))
@@ -76,12 +80,21 @@ func (g *PathGame) SolveFrom(m *Memo, start, hops int) (computed int) {
 	if m.mark[hops][start] == m.epoch {
 		return 0
 	}
-	for h := 0; h <= hops; h++ {
+	if hops == 0 {
+		m.mark[0][start] = m.epoch
+		q := negInf
+		if start == g.Responder {
+			q = 0
+		}
+		m.table[0][start] = Decision{Node: start, Next: -1, Utility: negInf, Quality: q}
+		return 1
+	}
+	for h := 1; h <= hops; h++ {
 		m.todo[h] = m.todo[h][:0]
 	}
 	m.mark[hops][start] = m.epoch
 	m.todo[hops] = append(m.todo[hops], int32(start))
-	for h := hops; h > 0; h-- {
+	for h := hops; h > 1; h-- {
 		below, pending := m.mark[h-1], m.todo[h-1]
 		for _, i := range m.todo[h] {
 			if int(i) == g.Responder {
@@ -97,15 +110,11 @@ func (g *PathGame) SolveFrom(m *Memo, start, hops int) (computed int) {
 		}
 		m.todo[h-1] = pending
 	}
-	for _, i := range m.todo[0] {
-		q := negInf
-		if int(i) == g.Responder {
-			q = 0
-		}
-		m.table[0][i] = Decision{Node: int(i), Next: -1, Utility: negInf, Quality: q}
+	for _, i := range m.todo[1] {
+		m.table[1][i] = g.deliverCell(int(i))
 	}
-	computed = len(m.todo[0])
-	for h := 1; h <= hops; h++ {
+	computed = len(m.todo[1])
+	for h := 2; h <= hops; h++ {
 		prev, cur := m.table[h-1], m.table[h]
 		for _, i := range m.todo[h] {
 			cur[i] = g.solveCell(prev, int(i))

@@ -31,21 +31,24 @@ func randomSparseGame(rng *dist.Source) (*PathGame, map[[2]int]float64) {
 		Nodes:     n,
 		Responder: n - 1,
 		Adjacency: sparseView(n, edges),
+		Deliver:   deliverView(edges, n-1),
 		Pf:        10, Pr: 20,
 		Cost:    UniformCost(1, 1),
 		MaxHops: 6,
 	}, edges
 }
 
-// cone marks, independently of SolveFrom, the cells the play from
-// (start, hops) can reach: (i, h) reaches (j, h−1) over every existing
-// edge of a non-responder i.
+// cone marks, independently of SolveFrom, the cells above stage 0 the
+// play from (start, hops) can reach — and the root alone when hops = 0:
+// (i, h) reaches (j, h−1) over every existing edge of a non-responder i
+// while h ≥ 2. A stage-1 cell reads no stage-0 cell: its only move is the
+// delivery edge, and V(R, 0) = 0 is a constant.
 func cone(g *PathGame, edges map[[2]int]float64, in [][]bool, start, hops int) {
 	if in[hops][start] {
 		return
 	}
 	in[hops][start] = true
-	if hops == 0 || start == g.Responder {
+	if hops <= 1 || start == g.Responder {
 		return
 	}
 	for j := 0; j < g.Nodes; j++ {
@@ -57,9 +60,10 @@ func cone(g *PathGame, edges map[[2]int]float64, in [][]bool, start, hops int) {
 
 // Property: on random sparse games SolveFrom computes exactly the cone of
 // its root — every cell in it bit-equal to SolveInto's, nothing outside
-// it — a second root under the same epoch only adds the cells its own
-// cone is missing, a repeated root computes nothing, and Reset forgets
-// everything.
+// it, no stage-0 cell for a root with hops ≥ 1 — a second root under the
+// same epoch only adds the cells its own cone is missing, a repeated root
+// computes nothing, a root with hops = 0 solves its one stage-0 cell, and
+// Reset forgets everything.
 func TestQuickSolveFromMatchesSolveInto(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := dist.NewSource(seed)
@@ -76,7 +80,8 @@ func TestQuickSolveFromMatchesSolveInto(t *testing.T) {
 			{rng.Intn(g.Nodes), 1 + rng.Intn(3)},
 			{rng.Intn(g.Nodes), 4 + rng.Intn(3)},
 		}
-		roots = append(roots, [2]int{roots[0][0], g.MaxHops}, roots[1])
+		roots = append(roots, [2]int{roots[0][0], g.MaxHops}, roots[1], [2]int{rng.Intn(g.Nodes), 0})
+		const repeat = 3 // roots[3] repeats roots[1]
 		for r, root := range roots {
 			cone(g, edges, want, root[0], root[1])
 			size := 0
@@ -92,11 +97,17 @@ func TestQuickSolveFromMatchesSolveInto(t *testing.T) {
 				}
 			}
 			got := g.SolveFrom(&m, root[0], root[1])
-			if got != size-known || (r == len(roots)-1 && got != 0) {
+			if got != size-known || (r == repeat && got != 0) {
 				t.Logf("seed %d root %d %v: computed %d cells, cone adds %d", seed, r, root, got, size-known)
 				return false
 			}
 			known = size
+			for i := 0; root[1] >= 1 && i < g.Nodes; i++ {
+				if m.Known(0, i) {
+					t.Logf("seed %d root %d %v: stage-0 cell %d solved", seed, r, root, i)
+					return false
+				}
+			}
 			for h := range want {
 				for i, in := range want[h] {
 					if m.Known(h, i) != in {

@@ -306,6 +306,13 @@ type PathGame struct {
 	// no outgoing edges returns empty slices. The slices are only read
 	// during a solve and never retained.
 	Adjacency func(i int) (succ []int32, qual []float64)
+	// Deliver, which SolveFrom requires beside Adjacency, returns q(i, R)
+	// of i's delivery edge, or a negative value when i has none. It must
+	// agree with R's entry in Adjacency(i): under the last-edge rule the
+	// one finite stage-0 cell is R's, so a holder with one hop left has
+	// that edge as its only move and SolveFrom fills stage 1 from it
+	// without building a row.
+	Deliver func(i int) float64
 	// Pf, Pr are the contract's forwarding and routing benefits.
 	Pf, Pr float64
 	// Cost is the cost model used for C^p and C^t.
@@ -491,6 +498,24 @@ func (g *PathGame) solveCell(prev []Decision, i int) Decision {
 		if u > best.Utility+1e-12 ||
 			(math.Abs(u-best.Utility) <= 1e-12 && pathQ > best.Quality+1e-12) {
 			best = Decision{Node: i, Next: j, Utility: u, Quality: pathQ}
+		}
+	}
+	return best
+}
+
+// deliverCell is solveCell at stage 1, where V(j, 0) is finite for j = R
+// only: it evaluates solveCell's expression for that one candidate, so
+// the cell is bit-identical to the one a full row would yield.
+func (g *PathGame) deliverCell(i int) Decision {
+	if i == g.Responder {
+		return Decision{Node: i, Next: -1, Utility: negInf, Quality: 0}
+	}
+	best := Decision{Node: i, Next: -1, Utility: negInf, Quality: negInf}
+	if q := g.Deliver(i); q >= 0 {
+		pathQ := q + 0 // V(R, 0)
+		u := g.Pf + pathQ*g.Pr - (g.Cost.Participation + g.Cost.Transmission(i, g.Responder))
+		if u > best.Utility+1e-12 {
+			best = Decision{Node: i, Next: g.Responder, Utility: u, Quality: pathQ}
 		}
 	}
 	return best

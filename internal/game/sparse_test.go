@@ -23,6 +23,17 @@ func sparseView(n int, edges map[[2]int]float64) func(int) ([]int32, []float64) 
 	return func(i int) ([]int32, []float64) { return succ[i], qual[i] }
 }
 
+// deliverView is the Deliver that agrees with sparseView over the same
+// edge map: q(i, r), or −1 when the map has no edge (i, r).
+func deliverView(edges map[[2]int]float64, r int) func(int) float64 {
+	return func(i int) float64 {
+		if q, ok := edges[[2]int{i, r}]; ok {
+			return q
+		}
+		return -1
+	}
+}
+
 // sparseGame is randomPathGame on the sparse formulation.
 func sparseGame(seed uint64) *PathGame {
 	n, edges := randomPathEdges(seed)
@@ -129,6 +140,7 @@ func starGame(n int) *PathGame {
 		Nodes:     n,
 		Responder: n - 1,
 		Adjacency: sparseView(n, edges),
+		Deliver:   deliverView(edges, n-1),
 		Pf:        10, Pr: 20,
 		Cost:    UniformCost(1, 1),
 		MaxHops: 8,

@@ -3,6 +3,7 @@ package netwire
 import (
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"p2panon/internal/overlay"
@@ -19,18 +20,20 @@ type outFrame struct {
 }
 
 // link is a node's end of its one connection with a peer: a bounded
-// outbound queue drained by one writer goroutine, which writes to the
-// connection either end dialed. When the link has none, the next frame
-// dials, and the peer adopts what it accepts (Node.adopt); both ends read
-// the connection, so a reply leaves on the socket its request came in on.
+// outbound queue drained by one writer goroutine, started at the link's
+// first frame, which writes to the connection either end dialed. When
+// the link has none, the next frame dials, and the peer adopts what it
+// accepts (Node.adopt); both ends read the connection, so a reply leaves
+// on the socket its request came in on.
 // Delivery failures go back to the owner so the protocol can NACK and
 // route around the corpse.
 type link struct {
 	owner *Node
 	peer  peerRef
 
-	outbox chan outFrame
-	closed chan struct{}
+	outbox  chan outFrame
+	closed  chan struct{}
+	writing atomic.Bool // the writer has started
 
 	// mu guards conn and own, and is held across each dial and write, so a
 	// connection is swapped or released only between frames. conn is nil
@@ -54,9 +57,29 @@ func (nd *Node) newLink(to overlay.NodeID, addr func() (string, bool)) *link {
 		outbox: make(chan outFrame, nd.c.cfg.QueueCap),
 		closed: make(chan struct{}),
 	}
-	nd.c.wg.Add(1)
-	go l.writeLoop()
 	return l
+}
+
+// startWriter starts the link's writer for its first frame, so a link
+// that only ever receives holds no goroutine. The wait group's add is
+// ordered against kill, and so against Close, under the node's lock the
+// way track orders its own: once the node is killed nothing starts and
+// the frame is refused.
+func (l *link) startWriter() bool {
+	nd := l.owner
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	select {
+	case <-nd.killed:
+		return false
+	default:
+	}
+	if !l.writing.Load() {
+		l.writing.Store(true)
+		nd.c.wg.Add(1)
+		go l.writeLoop()
+	}
+	return true
 }
 
 // enqueue hands a frame to the link with backpressure: a full queue
@@ -64,6 +87,9 @@ func (nd *Node) newLink(to overlay.NodeID, addr func() (string, bool)) *link {
 // socket layer, not the protocol schedule) before refusing. A refusal is
 // the synchronous drop signal, like transport's send to a departed peer.
 func (l *link) enqueue(of outFrame) bool {
+	if !l.writing.Load() && !l.startWriter() {
+		return false
+	}
 	select {
 	case l.outbox <- of:
 		l.owner.c.metrics.queueDepth.SetMax(int64(len(l.outbox)))

@@ -340,9 +340,11 @@ func NewUtilityIIRouter(topo Topology, w quality.Weights, c core.Contract, avail
 	r.holder = make([]bool, len(r.nbrs))
 	r.stage.r = r.UtilityRouter
 	r.rows.Fill = r.row
+	r.rows.Up = func(i int) bool { return r.nbrs[i] != nil && r.up[i] }
 	r.game = game.PathGame{
 		Nodes:     len(r.nbrs),
 		Adjacency: r.rows.Adjacency(),
+		Deliver:   r.rows.Deliver(),
 		Pf:        c.Pf,
 		Pr:        c.Pr,
 		Cost:      r.rule.Cost,
@@ -474,7 +476,7 @@ func (r *UtilityIIRouter) solve(start, initiator, responder overlay.NodeID, batc
 			r.holder[e[0]] = true
 		}
 	}
-	r.rows.Reset(len(r.nbrs))
+	r.rows.Reset(len(r.nbrs), int32(responder), r.up[responder])
 	r.game.Responder = int(responder)
 	r.memoHops = max(r.memoHops, budget)
 	r.memo.Reset(len(r.nbrs), r.memoHops)
@@ -489,22 +491,17 @@ func (r *UtilityIIRouter) solve(start, initiator, responder overlay.NodeID, batc
 }
 
 // row builds node i's row of the solve in progress (core.Rows.Fill). Node i
-// gets a row iff it is a key of the topology, alive and not R: its live
-// neighbors other than i itself and I, scored w_s·σ + w_a·α, and — for
-// every such i, neighbor of R or not — the delivery edge (i, R) unless R
-// is dead (core.Rows.Build). σ is zero on every edge the batch's history
-// does not name, where the score is the base quality; so only the rows of
-// nodes the history names an edge out of are rescored. Caller holds mu.
+// gets a row iff it is a key of the topology and alive (Rows.Up) and not
+// R: its live neighbors other than i itself and I, scored w_s·σ + w_a·α,
+// and — for every such i, neighbor of R or not — the delivery edge (i, R)
+// unless R is dead. σ is zero on every edge the batch's history does not
+// name, where the score is the base quality; so only the rows of nodes
+// the history names an edge out of are rescored. Caller holds mu.
 func (r *UtilityIIRouter) row(i int) {
-	resp := int32(r.responder)
-	if r.nbrs[i] == nil || int32(i) == resp || !r.up[i] {
-		r.rows.Build(i, nil, nil, -1, -1, false, nil)
-		return
-	}
-	succ, qual := r.rows.Build(i, r.nbrs[i], r.nbrQ[i], int32(r.initiator), resp, r.up[resp], r.up)
+	succ, qual := r.rows.Build(i, r.nbrs[i], r.nbrQ[i], int32(r.initiator), r.up)
 	if r.holder[i] {
 		for a, j := range succ {
-			if j != resp {
+			if j != int32(r.responder) {
 				qual[a] = r.stage.Quality(overlay.NodeID(i), overlay.None, overlay.NodeID(j))
 			}
 		}

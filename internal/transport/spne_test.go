@@ -216,6 +216,51 @@ func TestLiveSparseMatchesDense(t *testing.T) {
 	}
 }
 
+// TestDeliverAgreesWithRows pins the one delivery rule core.Rows holds for
+// the live router: with R marked dead and then alive again, over worlds
+// with keyless ids, dead forwarders and history-rescored rows, Deliver(i)
+// is non-negative exactly when the row Adjacency(i) builds holds R, at a
+// bit-equal quality — and no node delivers to a dead R.
+func TestDeliverAgreesWithRows(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		topo, avail, ids := awkwardWorld(seed)
+		r := NewUtilityIIRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), avail)
+		rng := dist.NewSource(seed + 4000)
+		for conn := 1; conn <= 3; conn++ {
+			walk(r, 0, overlay.NodeID(ids-3), 1, conn, 4) // history: rescored rows
+		}
+		r.MarkDead(overlay.NodeID(rng.Intn(ids)))
+		responder := topo[0][0]
+		for _, alive := range []bool{false, true} {
+			if alive {
+				r.MarkLive(responder)
+			} else {
+				r.MarkDead(responder)
+			}
+			r.solve(0, 0, responder, 1, 4, 2)
+			delivering := 0
+			for i := range r.nbrs {
+				dq, rq := r.game.Deliver(i), -1.0
+				succ, qual := r.game.Adjacency(i)
+				for a, j := range succ {
+					if j == int32(responder) {
+						rq = qual[a]
+					}
+				}
+				if (dq >= 0) != (rq >= 0) || (dq >= 0 && math.Float64bits(dq) != math.Float64bits(rq)) {
+					t.Fatalf("seed %d, R alive %v: node %d: Deliver = %v, row's edge to R = %v (row %v)", seed, alive, i, dq, rq, succ)
+				}
+				if dq >= 0 {
+					delivering++
+				}
+			}
+			if (delivering > 0) != alive {
+				t.Fatalf("seed %d, R alive %v: %d nodes deliver", seed, alive, delivering)
+			}
+		}
+	}
+}
+
 // TestConeClosedUnderDeviation plays connections whose holders deviate at
 // will — each hop goes to the prescription, to the Model-I fallback's
 // choice or to a uniformly random candidate of the holder — and checks
