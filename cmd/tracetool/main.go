@@ -255,28 +255,19 @@ func attribute(tr *tree) []forwarderStat {
 	return out
 }
 
-// parseSettleDetail decodes the payoff a settle span carries. The live
-// backends emit transport.SettleDetail's exact form payoff=%016x
-// (Float64bits); faultsim emits decimal credits payoff=%d [forwards=%d].
+// parseSettleDetail decodes the payoff a settle span carries, in the one
+// form every emitter writes: transport.SettleDetail's payoff=%016x, the
+// payoff's exact float bits.
 func parseSettleDetail(detail string) (float64, bool) {
-	const prefix = "payoff="
-	if !strings.HasPrefix(detail, prefix) {
+	tok, ok := strings.CutPrefix(detail, "payoff=")
+	if !ok || len(tok) != 16 {
 		return 0, false
 	}
-	tok := detail[len(prefix):]
-	if i := strings.IndexByte(tok, ' '); i >= 0 {
-		tok = tok[:i]
-	}
-	if len(tok) == 16 {
-		if bits, err := strconv.ParseUint(tok, 16, 64); err == nil {
-			return math.Float64frombits(bits), true
-		}
-	}
-	v, err := strconv.ParseInt(tok, 10, 64)
+	bits, err := strconv.ParseUint(tok, 16, 64)
 	if err != nil {
 		return 0, false
 	}
-	return float64(v), true
+	return math.Float64frombits(bits), true
 }
 
 // render prints one trace's flame summary.

@@ -176,8 +176,9 @@ func TestTCPClusterSpanTree(t *testing.T) {
 	}
 }
 
-// TestAttributeFaultsimDetail pins the decimal settle-detail form and the
-// dwell computation on a hand-built timestamped trace.
+// TestAttributeFaultsimDetail pins the settle-detail form every emitter,
+// the fault world included, writes (transport.SettleDetail), and the dwell
+// computation on a hand-built timestamped trace.
 func TestAttributeFaultsimDetail(t *testing.T) {
 	root := telemetry.NewSpanID(1, telemetry.SpanBatch, 0, 0, 0, 0)
 	hop := telemetry.NewSpanID(root, telemetry.SpanHop, 1, 0, 1, 2)
@@ -187,7 +188,7 @@ func TestAttributeFaultsimDetail(t *testing.T) {
 		{Trace: 1, ID: root, Kind: telemetry.SpanBatch, Node: 0, TimeMicros: 10},
 		{Trace: 1, ID: hop, Parent: root, Kind: telemetry.SpanHop, Conn: 1, Hop: 1, Node: 2, TimeMicros: 40},
 		{Trace: 1, ID: resp, Parent: hop, Kind: telemetry.SpanRespond, Conn: 1, Hop: 2, Node: 4, TimeMicros: 90},
-		{Trace: 1, ID: settle, Parent: root, Kind: telemetry.SpanSettle, Node: 2, Detail: "payoff=23 forwards=1"},
+		{Trace: 1, ID: settle, Parent: root, Kind: telemetry.SpanSettle, Node: 2, Detail: transport.SettleDetail(23)},
 	}
 	trees := buildTrees(spans)
 	if len(trees) != 1 {
@@ -204,5 +205,11 @@ func TestAttributeFaultsimDetail(t *testing.T) {
 	crit := criticalPath(trees[0])
 	if len(crit) != 3 || crit[len(crit)-1].ID != resp {
 		t.Fatalf("bad critical path: %d spans", len(crit))
+	}
+	// The old decimal form is no payoff at all.
+	for _, d := range []string{"payoff=23 forwards=1", "payoff=1234567890123456 forwards=1"} {
+		if pay, ok := parseSettleDetail(d); ok {
+			t.Errorf("parseSettleDetail(%q) = %v, want refused", d, pay)
+		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"p2panon/internal/onion"
 	"p2panon/internal/overlay"
 	"p2panon/internal/telemetry"
-	"p2panon/internal/trace"
 	"p2panon/internal/transport"
 	"p2panon/internal/vclock"
 )
@@ -84,13 +83,10 @@ func (m *MultiCluster) RemovePeer(id overlay.NodeID) {
 	m.partOf(id).RemovePeer(id)
 }
 
-// Connect delegates to the initiator's runtime; the responder may live
-// in any part.
-func (m *MultiCluster) Connect(initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration) ([]overlay.NodeID, error) {
-	return m.partOf(initiator).Connect(initiator, responder, batch, conn, budget, timeout)
-}
-
-// ConnectDetail delegates to the initiator's runtime.
+// ConnectDetail delegates to the initiator's runtime; the responder may
+// live in any part. An interleaved trace replays through
+// transport.RunTrace(m.ConnectDetail, …), each connection dispatched to
+// its initiator's part.
 func (m *MultiCluster) ConnectDetail(initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration) ([]overlay.NodeID, int, error) {
 	return m.partOf(initiator).ConnectDetail(initiator, responder, batch, conn, budget, timeout)
 }
@@ -105,13 +101,6 @@ func (m *MultiCluster) RunBatch(initiator, responder overlay.NodeID, batch, k, b
 // remote peer.
 func (m *MultiCluster) RunSecureBatch(initiator, responder overlay.NodeID, contract *onion.SignedContract, bk *onion.BatchKey, k, budget int, timeout time.Duration) (*transport.BatchOutcome, error) {
 	return m.partOf(initiator).RunSecureBatch(initiator, responder, contract, bk, k, budget, timeout)
-}
-
-// RunTrace replays a trace workload with the same interleaving and
-// accounting as a single runtime, dispatching each connection to its
-// initiator's part.
-func (m *MultiCluster) RunTrace(pairs []trace.Pair, opt transport.TraceOptions) *transport.TraceResult {
-	return transport.RunTrace(m.ConnectDetail, pairs, opt)
 }
 
 // SettleBatch delegates to the initiator's runtime; settle frames cross

@@ -6,11 +6,12 @@
 // totals — is executed against every backend through the shared
 // transport.Conductor surface, and each deterministic case additionally
 // emits a canonical transcript that must be byte-identical across
-// backends. The protocol itself runs once, in transport.Driver; what can
-// still drift is what each backend's links answer (when a send is
-// refused, when a message expires, where a settlement lands), and a
-// change that makes them drift fails here before it can mislead an
-// experiment.
+// backends. The protocol itself runs once, in transport.Driver, and so
+// does the landing of a settlement (Driver.Settled closes, counts and
+// spans it wherever it arrives); what can still drift is what each
+// backend's links answer (when a send is refused, when a message
+// expires, which members a settle reaches), and a change that makes them
+// drift fails here before it can mislead an experiment.
 //
 // The suite lives in a non-test file so future backends (e.g. a faultsim
 // wrapper, a UDP codec) register themselves with one Backend literal and
@@ -255,6 +256,7 @@ func cases() []tcase {
 		{name: "settlement-totals", run: caseSettlementTotals},
 		{name: "secure-batch", run: caseSecureBatch},
 		{name: "span-transcript", run: caseSpanTranscript},
+		{name: "settle-after-departure", run: caseSettleAfterDeparture},
 	}
 }
 
@@ -381,7 +383,7 @@ func caseChurnMidBatch(t *testing.T, b Backend) []string {
 	cd.SetRetry(transport.RetryPolicy{MaxAttempts: 4, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 8 * time.Millisecond})
 	const k = 6
 	pairs := []trace.Pair{{Index: 0, Initiator: 0, Responder: 3, Connections: k}}
-	res := cd.RunTrace(pairs, transport.TraceOptions{
+	res := transport.RunTrace(cd.ConnectDetail, pairs, transport.TraceOptions{
 		Budget:  4,
 		Timeout: 8 * time.Second,
 		Before: func(i int, sofar *transport.TraceResult) {
@@ -514,6 +516,68 @@ func caseSpanTranscript(t *testing.T, b Backend) []string {
 		t.Fatalf("recorded %d spans, want %d", got, want)
 	}
 	return spanLines(t, rec)
+}
+
+// caseSettleAfterDeparture pins where a settlement lands: forwarder 2 of
+// a 2-connection batch over a forced 5-line departs before the settle, so
+// the settle reaches the initiator and members 1 and 3 only — one credit
+// and one settle span each, none for the departed node — and settling the
+// batch again is refused everywhere it lands, crediting and spanning
+// nothing. Settle frames land asynchronously on the socket backends, so
+// the case polls the recorder and the counters before each reading.
+func caseSettleAfterDeparture(t *testing.T, b Backend) []string {
+	// Instrumented before the first node starts, as Instrument requires.
+	cd := b.New(t, 0)
+	reg := telemetry.NewRegistry()
+	cd.Instrument(reg)
+	for id := 0; id < 5; id++ {
+		if err := cd.Join(overlay.NodeID(id), lineRouter()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := attachSpans(cd)
+	// The protocol families are named from the backend's prefix.
+	counter := func(suffix string) int64 {
+		return reg.Counter("transport"+suffix, nil).Value() + reg.Counter("netwire"+suffix, nil).Value()
+	}
+	waitFor := func(what string, want int64, got func() int64) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for got() < want && time.Now().Before(deadline) {
+			time.Sleep(2 * time.Millisecond)
+		}
+		if n := got(); n != want {
+			t.Fatalf("%s = %d, want %d", what, n, want)
+		}
+	}
+
+	out, err := cd.RunBatch(0, 4, 3, 2, 8, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cd.RemovePeer(2)
+	contract := core.Contract{Pf: 1.5, Pr: 20}
+	if _, err := cd.SettleBatch(0, 3, out, contract); err != nil {
+		t.Fatal(err)
+	}
+	// Per connection: launch, a hop span per non-responder path member,
+	// respond, deliver; the batch root; a settle span per member reached.
+	want := int64(1 + 2)
+	for _, p := range out.Paths {
+		want += 1 + int64(len(p)-1) + 1 + 1
+	}
+	waitFor("spans", want, func() int64 { return int64(rec.Total()) })
+	waitFor("settlements", 2, func() int64 { return counter("_settlements_total") })
+
+	if _, err := cd.SettleBatch(0, 3, out, contract); err != nil {
+		t.Fatal(err)
+	}
+	// Refused at the initiator and at members 1 and 3.
+	waitFor("closed-batch refusals", 3, func() int64 { return counter("_closed_batch_total") })
+	waitFor("spans after the repeat", want, func() int64 { return int64(rec.Total()) })
+	lines := []string{fmt.Sprintf("settlements=%d closed-batch=%d",
+		counter("_settlements_total"), counter("_closed_batch_total"))}
+	return append(lines, spanLines(t, rec)...)
 }
 
 // caseSecureBatch runs the §5 protocol over both backends: contract

@@ -175,7 +175,7 @@ func RunLive(s LiveSetup) (*LiveOutcome, error) {
 	// instruments may already carry counts from earlier runs, and Delta
 	// keeps the outcome per-window regardless.
 	pre := live.Metrics()
-	res := live.RunTrace(pairs, transport.TraceOptions{
+	res := transport.RunTrace(live.ConnectDetail, pairs, transport.TraceOptions{
 		Budget:  s.Budget,
 		Timeout: s.Timeout,
 		Before: func(k int, sofar *transport.TraceResult) {

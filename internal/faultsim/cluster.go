@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"p2panon/internal/telemetry"
+	"p2panon/internal/transport"
 )
 
 // Cluster-artifact invariant names, alongside the single-process set.
@@ -104,7 +105,7 @@ func CheckClusterArtifact(p Plan, batches []ClusterBatch, observed []ClusterCred
 
 	// (3) Double-settle, from the span side: at most one settle span per
 	// (batch, node), exactly one per expected line, detail carrying the
-	// owed bits (transport.SettleDetail's payoff=%016x form).
+	// owed bits in the one settle-detail form, transport.SettleDetail.
 	settles := make(map[line]int)
 	settleDetail := make(map[line]string)
 	for _, s := range spans {
@@ -124,7 +125,7 @@ func CheckClusterArtifact(p Plan, batches []ClusterBatch, observed []ClusterCred
 		switch n := settles[k]; {
 		case n == 0:
 			add(InvDoubleSettle, "batch %d node %d: no settle span for owed credit", k.batch, k.node)
-		case settleDetail[k] != fmt.Sprintf("payoff=%016x", e.PayoffBits):
+		case settleDetail[k] != transport.SettleDetail(math.Float64frombits(e.PayoffBits)):
 			add(InvDoubleSettle, "batch %d node %d: settle span detail %q, want bits %016x",
 				k.batch, k.node, settleDetail[k], e.PayoffBits)
 		}

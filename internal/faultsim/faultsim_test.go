@@ -379,6 +379,42 @@ func TestMidConnectionCrash(t *testing.T) {
 	}
 }
 
+// TestLateMessageAfterSettleRefused duplicates batch 1's first FORWARD —
+// the initiator's, to the first forwarder — and holds the copy back past
+// the batch's settle. The settle closed the forwarder's station, as a
+// live settle closes the stations it reaches, so the copy is refused and
+// counted instead of routed, and every invariant still holds. The second
+// batch only keeps the world running past the first one's settle.
+func TestLateMessageAfterSettleRefused(t *testing.T) {
+	p := Plan{Seed: 5, Batches: 2, Conns: 1}.Normalize()
+	p.Faults = []Fault{{Kind: FaultDuplicate, Batch: 1, Conn: 1, Msg: 1, Delay: 2 * p.SettleDelay}}
+	w, err := newWorld(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.setup()
+	w.eng.Run()
+	if v := w.checkInvariants(); len(v) != 0 {
+		t.Fatalf("violations: %v", v)
+	}
+	rec := w.batches[0]
+	if !rec.settled || len(rec.conns) != 1 || len(rec.conns[0].path) < 3 {
+		t.Fatalf("batch 1: settled %v, connections %+v; want one settled connection with a forwarder", rec.settled, rec.conns)
+	}
+	if got := w.reg.Counter("transport_closed_batch_total", nil).Value(); got < 1 {
+		t.Fatalf("transport_closed_batch_total = %d: the late copy was not refused", got)
+	}
+	copies := 0
+	for _, ev := range w.events {
+		if ev.Kind == KindHopForward && ev.Batch == 1 && ev.Hop == 1 {
+			copies++
+		}
+	}
+	if copies != 1 {
+		t.Fatalf("first forwarder handed on %d FORWARDs, want the original's only", copies)
+	}
+}
+
 // TestValidateRejectsBadPlans spot-checks schedule validation.
 func TestValidateRejectsBadPlans(t *testing.T) {
 	cases := []Plan{

@@ -214,16 +214,19 @@ func (w *world) checkInvariants() []Violation {
 			add(InvReconcile, "%s: %d != %d", rc.what, rc.got, rc.want)
 		}
 	}
-	var settledBatches int64
-	var wantRejected int64
+	var settledBatches, payouts, wantRejected int64
 	for _, rec := range w.batches {
 		if rec.settled {
 			settledBatches++
+			payouts += int64(len(rec.payouts))
 			wantRejected += int64(rec.expectRejected)
 		}
 	}
 	if got := w.reg.Counter("payment_settlements_total", nil).Value(); got != settledBatches {
 		add(InvReconcile, "payment_settlements_total = %d, want %d settled batches", got, settledBatches)
+	}
+	if got := w.reg.Counter(metricSettlements, nil).Value(); got != payouts {
+		add(InvReconcile, "%s = %d, want the settled batches' %d payouts", metricSettlements, got, payouts)
 	}
 	if got, want := kindCount[KindSettled], settledBatches; got != want {
 		add(InvReconcile, "trace holds %d settled events, want %d", got, want)

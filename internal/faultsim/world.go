@@ -28,9 +28,10 @@ const (
 	metricFaults = "faultsim_faults_injected_total"
 
 	// The driver's instruments the world reads back.
-	metricConns   = "transport_connections_total" // label result: ok|fail
-	metricReforms = "transport_reformations_total"
-	metricStale   = "transport_stale_replies_total"
+	metricConns       = "transport_connections_total" // label result: ok|fail
+	metricReforms     = "transport_reformations_total"
+	metricStale       = "transport_stale_replies_total"
+	metricSettlements = "transport_settlements_total"
 )
 
 // connOutcome is one connection's completion as the driver reported it.
@@ -510,8 +511,11 @@ func (w *world) settleBatch() {
 }
 
 // settle pays the batch out of its escrow, folds the outcome into the
-// batch record — the settled trace event and one payout span per
-// forwarder — plays any double-spend fault, then starts the next batch.
+// batch record — the settled trace event — and lands it on the batch's
+// stations as the live backends do (Driver.Settled): the initiator's
+// closes, and each paid forwarder's closes with a credit, counted and
+// spanned. From then on those stations refuse the batch's late
+// messages. It plays any double-spend fault, then starts the next batch.
 func (w *world) settle(rec *batchRecord, claims []payment.Claim) {
 	pf, pr := payment.Amount(w.plan.Pf), payment.Amount(w.plan.Pr)
 	payouts, refund, err := rec.escrow.SettleFromEscrow(rec.minter, pf, pr, claims)
@@ -526,12 +530,10 @@ func (w *world) settle(rec *batchRecord, claims []payment.Claim) {
 			Kind: KindSettled, Batch: rec.batch, Node: int(rec.initiator),
 			Detail: fmt.Sprintf("%d payouts, refund %d", len(payouts), refund),
 		})
+		w.drv.Settled(rec.station(rec.initiator), rec.batch, nil)
 		for _, po := range payouts {
-			w.spans.Emit(telemetry.Span{
-				Trace: rec.trace, Parent: rec.root, Kind: telemetry.SpanSettle,
-				Batch: rec.batch, Node: int(po.Forwarder),
-				Detail: fmt.Sprintf("payoff=%d forwards=%d", po.Amount, po.Forwards),
-			})
+			credit := transport.Credit{Payoff: float64(po.Amount), Trace: rec.trace, Root: rec.root}
+			w.drv.Settled(rec.station(overlay.NodeID(po.Forwarder)), rec.batch, &credit)
 		}
 		for _, f := range w.plan.Faults {
 			if f.Kind == FaultDoubleSpend && f.Batch == rec.batch {

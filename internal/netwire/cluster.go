@@ -311,25 +311,17 @@ func (c *Cluster) Send(from, to overlay.NodeID, m transport.Message) bool {
 }
 
 // SettleBatch distributes a completed batch's split payment over the
-// wire: every member of the forwarder set receives a Settle frame with
-// its m·P_f + P_r/‖π‖ share, which the receiving node credits. The batch
-// closes on the initiator here and on each member as its frame lands
-// (Driver.Settled). Returns how many settle frames were accepted for
-// delivery.
+// wire: the batch closes on the initiator here, and every member of the
+// forwarder set receives a Settle frame with its m·P_f + P_r/‖π‖ share
+// and the batch root, which the receiving node lands (Driver.Settled) —
+// so the credit, its count and its span are recorded where it actually
+// happened, with the ids the in-process backend derives. Returns how
+// many settle frames were accepted for delivery.
 func (c *Cluster) SettleBatch(initiator overlay.NodeID, batch int, out *transport.BatchOutcome, contract core.Contract) (int, error) {
-	nd := c.Node(initiator)
-	if nd == nil {
-		return 0, fmt.Errorf("netwire: unknown initiator %d", initiator)
-	}
-	c.Settled(nd.Station, batch)
-	// The settle frames carry the batch root as trace context; the
-	// receiving node emits the settle span, so the log records settlement
-	// where it actually happened — yet with the same ids the in-process
-	// backend derives, because both hash the same causal coordinates.
-	var trace, root telemetry.SpanID
-	if len(out.Paths) > 0 {
-		first := out.Paths[0]
-		trace, root = c.Spans().Root(batch, int(initiator), int(first[len(first)-1]))
+	trace, root, err := c.SettleInitiator(initiator, batch, out)
+	nd := c.Node(initiator) // nil only if the initiator departed since
+	if err != nil || nd == nil {
+		return 0, err
 	}
 	sent := 0
 	for id := range out.Set {

@@ -57,7 +57,7 @@ func TestClusterConnectOverTCP(t *testing.T) {
 	topo := buildTopo(10, 4, 1)
 	r := transport.NewRandomRouter(topo, dist.NewSource(2))
 	c := startCluster(t, topo, r)
-	path, err := c.Connect(0, 9, 1, 1, 4, 5*time.Second)
+	path, _, err := c.ConnectDetail(0, 9, 1, 1, 4, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,10 +253,10 @@ func TestClusterUnknownResponder(t *testing.T) {
 	topo := buildTopo(4, 3, 31)
 	r := transport.NewRandomRouter(topo, dist.NewSource(32))
 	c := startCluster(t, topo, r)
-	if _, err := c.Connect(0, 99, 1, 1, 3, time.Second); err == nil {
+	if _, _, err := c.ConnectDetail(0, 99, 1, 1, 3, time.Second); err == nil {
 		t.Fatal("connection to an unknown responder succeeded")
 	}
-	if _, err := c.Connect(0, 0, 1, 1, 3, time.Second); err == nil {
+	if _, _, err := c.ConnectDetail(0, 0, 1, 1, 3, time.Second); err == nil {
 		t.Fatal("self-connection succeeded")
 	}
 }

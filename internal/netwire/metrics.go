@@ -4,7 +4,7 @@ import "p2panon/internal/telemetry"
 
 // Netwire metric names as exposed on the Prometheus endpoint. The frame
 // and byte counters are split by direction, dials by result. The
-// protocol families (netwire_nacks_total, netwire_connections_total, …)
+// protocol families (netwire_nacks_total, netwire_settlements_total, …)
 // are bound by the shared transport.Driver from the "netwire" prefix, so
 // the two backends read alike on one dashboard.
 const (
@@ -15,7 +15,6 @@ const (
 	metricConnsOpen     = "netwire_conns_open"
 	metricDeadlineHits  = "netwire_deadline_hits_total" // label op: read|write|expired
 	metricMessagesTotal = "netwire_messages_total"      // label kind: sent|dropped
-	metricSettlesTotal  = "netwire_settlements_total"
 )
 
 // metrics is the cluster's own instrument set: the socket-layer counters
@@ -35,7 +34,6 @@ type metrics struct {
 
 	sent    *telemetry.Counter
 	dropped *telemetry.Counter
-	settles *telemetry.Counter
 
 	framesSent map[Kind]*telemetry.Counter
 	framesRecv map[Kind]*telemetry.Counter
@@ -49,7 +47,6 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 	reg.Help(metricConnsOpen, "open TCP connections, each counted once per end that holds it, dialed or accepted")
 	reg.Help(metricDeadlineHits, "socket deadline hits (op=read|write) and frames dropped past their attempt deadline (op=expired)")
 	reg.Help(metricMessagesTotal, "protocol messages handed to links (kind=sent) and lost to unreachable peers (kind=dropped)")
-	reg.Help(metricSettlesTotal, "settlement frames delivered to forwarders")
 	m := &metrics{
 		dialsOK:         reg.Counter(metricDialsTotal, telemetry.Labels{"result": "ok"}),
 		dialsFail:       reg.Counter(metricDialsTotal, telemetry.Labels{"result": "fail"}),
@@ -63,7 +60,6 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		deadlineExpired: reg.Counter(metricDeadlineHits, telemetry.Labels{"op": "expired"}),
 		sent:            reg.Counter(metricMessagesTotal, telemetry.Labels{"kind": "sent"}),
 		dropped:         reg.Counter(metricMessagesTotal, telemetry.Labels{"kind": "dropped"}),
-		settles:         reg.Counter(metricSettlesTotal, nil),
 		framesSent:      make(map[Kind]*telemetry.Counter),
 		framesRecv:      make(map[Kind]*telemetry.Counter),
 	}
@@ -94,7 +90,7 @@ func (m *metrics) reset() {
 	for _, c := range []*telemetry.Counter{
 		m.dialsOK, m.dialsFail, m.dialsRejected, m.bytesSent, m.bytesRecv,
 		m.deadlineRead, m.deadlineWrite, m.deadlineExpired,
-		m.sent, m.dropped, m.settles,
+		m.sent, m.dropped,
 	} {
 		c.Reset()
 	}

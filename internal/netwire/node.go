@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"p2panon/internal/overlay"
-	"p2panon/internal/telemetry"
 	"p2panon/internal/transport"
 	"p2panon/internal/wire"
 )
@@ -243,24 +242,14 @@ func (nd *Node) handleFrame(peer overlay.NodeID, f *Frame, abs time.Time) {
 	case KindProbeAck:
 		nd.c.resolveProbe(f.Nonce)
 	case KindSettle:
-		// The batch closes here. A settle for a batch already closed is
-		// refused; otherwise the node's own forwarding count moves into the
-		// settled record beside the credit.
-		forwards, ok := nd.c.Settled(nd.Station, f.Batch)
-		if !ok {
-			return
-		}
-		nd.mu.Lock()
-		nd.settled[f.Batch] = settlement{payoff: f.Payoff, forwards: forwards}
-		nd.mu.Unlock()
-		nd.c.metrics.settles.Inc()
-		// The settle span is minted where the credit lands, from the batch
-		// root the frame carried — same id the in-process backend derives.
-		if spans := nd.c.Spans(); spans != nil && f.Trace != 0 {
-			spans.Emit(telemetry.Span{
-				Trace: f.Trace, Parent: f.Span, Kind: telemetry.SpanSettle,
-				Batch: f.Batch, Node: int(nd.ID), Detail: transport.SettleDetail(f.Payoff),
-			})
+		// The credit lands here, under the batch root the frame carried
+		// (Driver.Settled). Unless the batch had already closed, the node's
+		// own forwarding count moves into the settled record beside it.
+		credit := transport.Credit{Payoff: f.Payoff, Trace: f.Trace, Root: f.Span}
+		if forwards, ok := nd.c.Settled(nd.Station, f.Batch, &credit); ok {
+			nd.mu.Lock()
+			nd.settled[f.Batch] = settlement{payoff: f.Payoff, forwards: forwards}
+			nd.mu.Unlock()
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"p2panon/internal/onion"
 	"p2panon/internal/overlay"
 	"p2panon/internal/telemetry"
-	"p2panon/internal/trace"
 	"p2panon/internal/vclock"
 )
 
@@ -24,19 +23,18 @@ type Conductor interface {
 	Join(id overlay.NodeID, r Router) error
 	RemovePeer(id overlay.NodeID)
 
-	// Connect runs one connection; ConnectDetail additionally reports
-	// how many path reformations the attempt needed. RunBatch and
-	// RunTrace are the batched/interleaved drivers built on it.
-	Connect(initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration) ([]overlay.NodeID, error)
+	// ConnectDetail runs one connection and reports how many path
+	// reformations it needed; RunBatch runs a batch of them. An
+	// interleaved trace replays through RunTrace(cd.ConnectDetail, …).
 	ConnectDetail(initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration) ([]overlay.NodeID, int, error)
 	RunBatch(initiator, responder overlay.NodeID, batch, k, budget int, timeout time.Duration) (*BatchOutcome, error)
-	RunTrace(pairs []trace.Pair, opt TraceOptions) *TraceResult
 
 	// RunSecureBatch is RunBatch under the §5 protocol: k
 	// contract-carrying connections, forwarder-sealed path records,
 	// initiator-side validation with the batch key. SettleBatch
 	// distributes a completed batch's split payment and returns how many
-	// forwarders were notified.
+	// forwarders were notified; wherever it lands, Driver.Settled closes,
+	// counts and spans it.
 	RunSecureBatch(initiator, responder overlay.NodeID, contract *onion.SignedContract, bk *onion.BatchKey, k, budget int, timeout time.Duration) (*BatchOutcome, error)
 	SettleBatch(initiator overlay.NodeID, batch int, out *BatchOutcome, contract core.Contract) (int, error)
 

@@ -12,7 +12,7 @@ import (
 	"p2panon/internal/vclock"
 )
 
-// RetryPolicy bounds Connect's reformation behaviour: up to MaxAttempts
+// RetryPolicy bounds a connection's reformation behaviour: up to MaxAttempts
 // path formations per connection, separated by exponential backoff
 // starting at BaseBackoff and capped at MaxBackoff. Each attempt gets an
 // even share of the connection's total timeout as its deadline.
@@ -30,8 +30,8 @@ func DefaultRetryPolicy() RetryPolicy {
 }
 
 // Driver is the one implementation of the §2.2 forwarding protocol and
-// its bounded-retry reformation: the initiator side (Start, Connect and
-// the batch runners built on them) and, in protocol.go, the forwarder
+// its bounded-retry reformation: the initiator side (Start, ConnectDetail
+// and the batch runners built on them) and, in protocol.go, the forwarder
 // side.
 // Everything a backend contributes is behind Link, so a backend embeds a
 // Driver and is otherwise only links.
@@ -117,7 +117,7 @@ func (d *Driver) SetClock(c vclock.Clock) {
 func (d *Driver) Clock() vclock.Clock { return d.clock }
 
 // SetRetry replaces the retry policy. Not safe to call concurrently with
-// Connect.
+// a connection.
 func (d *Driver) SetRetry(p RetryPolicy) {
 	if p.MaxAttempts < 1 {
 		p.MaxAttempts = 1
@@ -434,17 +434,11 @@ func (c *connRec) emit(kind telemetry.SpanKind, parent telemetry.SpanID) telemet
 	})
 }
 
-// Connect runs one connection from initiator to responder with the given
-// hop budget and returns the realised path (I … R). It returns once a
-// confirm arrives or the connection fails; mid-path departures are retried
-// per the RetryPolicy (path reformation) within timeout.
-func (d *Driver) Connect(initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration) ([]overlay.NodeID, error) {
-	path, _, err := d.ConnectDetail(initiator, responder, batch, conn, budget, timeout)
-	return path, err
-}
-
-// ConnectDetail runs one connection like Connect and additionally returns
-// the number of path reformations performed.
+// ConnectDetail runs one connection from initiator to responder with the
+// given hop budget and returns the realised path (I … R) and the number
+// of path reformations performed. It returns once a confirm arrives or
+// the connection fails; mid-path departures are retried per the
+// RetryPolicy (path reformation) within timeout.
 func (d *Driver) ConnectDetail(initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration) ([]overlay.NodeID, int, error) {
 	out := d.connect(initiator, responder, batch, conn, budget, timeout, nil)
 	return out.Path, out.Reformations, out.Err

@@ -453,11 +453,13 @@ func TestDriverOverScriptedLink(t *testing.T) {
 	}
 }
 
-// TestClosedBatchRefused settles a batch over the scripted link, then
-// replays a duplicate of a FORWARD it carried: the station that closed the
-// batch refuses it — nothing sent, no routing, no history or count
-// re-created — and counts it, as it counts a second settle. The record of
-// closed batches has closedCap slots.
+// TestClosedBatchRefused settles a batch over the scripted link — each
+// member's credited landing counted once and spanned once, the
+// initiator's close neither — then replays a duplicate of a FORWARD it
+// carried: the station that closed the batch refuses it — nothing sent,
+// no routing, no history or count re-created — and counts it, as it
+// counts a second settle, which emits no span. The record of closed
+// batches has closedCap slots.
 func TestClosedBatchRefused(t *testing.T) {
 	topo := Topology{0: {1}, 1: {0, 2}, 2: {1, 4}, 4: {2}}
 	r := NewUtilityRouter(topo, quality.DefaultWeights(), core.Contract{Pf: 1, Pr: 10}, nil)
@@ -483,9 +485,37 @@ func TestClosedBatchRefused(t *testing.T) {
 		t.Fatalf("before settle: relay forwards %d, router histories %d; want 3 and 1", relay.Forwards(batch), r.OpenBatches())
 	}
 
-	d.Settled(l.stations[0], batch)
+	// The settle lands on the initiator, crediting nothing, then on each
+	// member: one count and one settle span per credit, under the root.
+	rec := telemetry.NewSpanRecorder(16)
+	d.SetSpans(rec)
+	trace, root, err := d.SettleInitiator(0, batch, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	contract := core.Contract{Pf: 1, Pr: 10}
 	for id := range out.Set {
-		d.Settled(l.stations[id], batch)
+		d.Settled(l.stations[id], batch, &Credit{Payoff: out.Payoff(id, contract), Trace: trace, Root: root})
+	}
+	settlements := d.Telemetry().Counter("transport_settlements_total", nil)
+	if got := settlements.Value(); got != int64(len(out.Set)) {
+		t.Errorf("settlements_total %d after settling %d members, want one per member", got, len(out.Set))
+	}
+	settleSpans := func() map[int]string {
+		got := make(map[int]string)
+		for _, s := range rec.Spans() {
+			if s.Kind == telemetry.SpanSettle && s.Parent == root {
+				got[s.Node] = s.Detail
+			}
+		}
+		return got
+	}
+	want := make(map[int]string)
+	for id := range out.Set {
+		want[int(id)] = SettleDetail(out.Payoff(id, contract))
+	}
+	if got := settleSpans(); !reflect.DeepEqual(got, want) || rec.Total() != 1+len(want) {
+		t.Errorf("settle spans %v of %d spans, want %v and the root", got, rec.Total(), want)
 	}
 	closed := d.Telemetry().Counter("transport_closed_batch_total", nil)
 	sends := l.sends
@@ -499,8 +529,12 @@ func TestClosedBatchRefused(t *testing.T) {
 	if _, held := r.batches[batch]; held || len(relay.forwards) != 0 {
 		t.Errorf("closed batch re-created: router history %v, relay counts %v", held, relay.forwards)
 	}
-	if _, ok := d.Settled(relay, batch); ok || closed.Value() != 2 {
+	spans := rec.Total()
+	if _, ok := d.Settled(relay, batch, &Credit{Payoff: 99, Trace: trace, Root: root}); ok || closed.Value() != 2 {
 		t.Errorf("second settle accepted=%v, closed_batch_total %d; want refused and 2", ok, closed.Value())
+	}
+	if rec.Total() != spans || settlements.Value() != int64(len(out.Set)) {
+		t.Errorf("a refused settle left %d new spans and settlements_total %d", rec.Total()-spans, settlements.Value())
 	}
 
 	// The record is closedCap slots: closing a batch congruent to this one

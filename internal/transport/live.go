@@ -56,8 +56,3 @@ func RunTrace(connect func(initiator, responder overlay.NodeID, batch, conn, bud
 	}
 	return res
 }
-
-// RunTrace replays a trace workload over this runtime.
-func (d *Driver) RunTrace(pairs []trace.Pair, opt TraceOptions) *TraceResult {
-	return RunTrace(d.ConnectDetail, pairs, opt)
-}

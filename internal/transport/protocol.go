@@ -172,16 +172,53 @@ func (d *Driver) Handle(st *Station, m Message) {
 	}
 }
 
-// Settled is the link's settlement entry point: batch's settlement reached
-// hosted node st, and the batch closes there (Station.CloseBatch). It
-// returns st's forwarding count for the batch. A settle for a batch st
-// had already closed is refused like any other message for it: false,
-// and counted.
-func (d *Driver) Settled(st *Station, batch int) (forwards int, ok bool) {
+// Credit is what a settlement pays one forwarder-set member: its payoff
+// m·P_f + P_r/‖π‖ and the batch root (Trace, Root) its settle span
+// parents on, zeros when spans are off.
+type Credit struct {
+	Payoff      float64
+	Trace, Root telemetry.SpanID
+}
+
+// Settled is the one place a settlement lands, on every backend and in
+// the fault world: batch's settlement reached hosted node st, and the
+// batch closes there (Station.CloseBatch). It returns st's forwarding
+// count for the batch. A settle for a batch st had already closed is
+// refused like any other message for it: false, counted, and nothing
+// else. Otherwise a credit — nil for the initiator's own close, which
+// credits nothing — is counted and recorded as a settle span at st.
+func (d *Driver) Settled(st *Station, batch int, c *Credit) (forwards int, ok bool) {
 	if forwards, ok = st.CloseBatch(batch); !ok {
 		d.inst.closedBatch.Inc()
+		return 0, false
 	}
-	return forwards, ok
+	if c != nil {
+		d.inst.settlements.Inc()
+		if c.Trace != 0 {
+			d.spans.Emit(telemetry.Span{
+				Trace: c.Trace, Parent: c.Root, Kind: telemetry.SpanSettle,
+				Batch: batch, Node: int(st.ID), Detail: SettleDetail(c.Payoff),
+			})
+		}
+	}
+	return forwards, true
+}
+
+// SettleInitiator is the initiator's side of every backend's SettleBatch:
+// it closes batch at the initiator (Settled, crediting nothing) and
+// returns the batch root the members' settle spans parent on — the trace
+// of the batch's first path, zeros when spans are off or out has no path.
+func (d *Driver) SettleInitiator(initiator overlay.NodeID, batch int, out *BatchOutcome) (trace, root telemetry.SpanID, err error) {
+	st := d.link.Local(initiator)
+	if st == nil {
+		return 0, 0, fmt.Errorf("transport: unknown initiator %d", initiator)
+	}
+	d.Settled(st, batch, nil)
+	if len(out.Paths) > 0 {
+		first := out.Paths[0]
+		trace, root = d.spans.Root(batch, int(initiator), int(first[len(first)-1]))
+	}
+	return trace, root, nil
 }
 
 // Undeliverable is the link's failure entry point: m, which Send accepted

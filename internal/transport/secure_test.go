@@ -1,13 +1,16 @@
 package transport
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"p2panon/internal/core"
 	"p2panon/internal/onion"
+	"p2panon/internal/overlay"
 	"p2panon/internal/quality"
+	"p2panon/internal/telemetry"
 )
 
 func secureSetup(t *testing.T, seed uint64) (*Network, *onion.SignedContract, *onion.BatchKey, Topology) {
@@ -26,26 +29,29 @@ func secureSetup(t *testing.T, seed uint64) (*Network, *onion.SignedContract, *o
 	return n, contract, bk, topo
 }
 
+// TestConnectSecureRecordsValidate: one secure connection's sealed
+// records validate with the batch key, and the path they recreate is the
+// one the FORWARD walked, hop by hop.
 func TestConnectSecureRecordsValidate(t *testing.T) {
 	n, contract, bk, _ := secureSetup(t, 31)
-	res, err := n.ConnectSecure(0, 24, contract, 1, 4, 5*time.Second)
+	rec := telemetry.NewSpanRecorder(64)
+	n.SetSpans(rec)
+	out, err := n.RunSecureBatch(0, 24, contract, bk, 1, 4, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Records) != len(res.Path)-2 {
-		t.Fatalf("records %d for path %v", len(res.Records), res.Path)
+	if len(out.Paths) != 1 || out.Reformations != 0 {
+		t.Fatalf("%d paths after %d reformations, want 1 and 0", len(out.Paths), out.Reformations)
 	}
-	validated, err := bk.RecreatePath(contract, 1, 0, 24, res.Records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(validated) != len(res.Path) {
-		t.Fatalf("validated %v vs observed %v", validated, res.Path)
-	}
-	for i := range validated {
-		if validated[i] != res.Path[i] {
-			t.Fatalf("validated %v vs observed %v", validated, res.Path)
+	validated := out.Paths[0]
+	observed := make([]overlay.NodeID, len(validated))
+	for _, s := range rec.Spans() {
+		if (s.Kind == telemetry.SpanHop || s.Kind == telemetry.SpanRespond) && s.Hop < len(observed) {
+			observed[s.Hop] = overlay.NodeID(s.Node)
 		}
+	}
+	if len(validated) < 3 || !reflect.DeepEqual(validated, observed) {
+		t.Fatalf("validated %v vs observed %v", validated, observed)
 	}
 }
 
@@ -76,17 +82,22 @@ func TestRunSecureBatchEndToEnd(t *testing.T) {
 	}
 }
 
+// TestConnectSecureRejectsTamperedContract: a tampered or nil contract
+// is refused before any message leaves the initiator.
 func TestConnectSecureRejectsTamperedContract(t *testing.T) {
-	n, contract, _, _ := secureSetup(t, 33)
+	n, contract, bk, _ := secureSetup(t, 33)
 	bad := *contract
 	bad.Pf = 9999 // breaks the signature
-	if _, err := n.ConnectSecure(0, 24, &bad, 1, 4, time.Second); err == nil {
+	if _, err := n.RunSecureBatch(0, 24, &bad, bk, 1, 4, time.Second); err == nil {
 		t.Fatal("tampered contract accepted")
 	} else if !strings.Contains(err.Error(), "signature") {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	if _, err := n.ConnectSecure(0, 24, nil, 1, 4, time.Second); err == nil {
+	if _, err := n.RunSecureBatch(0, 24, nil, bk, 1, 4, time.Second); err == nil {
 		t.Fatal("nil contract accepted")
+	}
+	if m := n.Metrics(); m.Sent != 0 || m.Connects+m.Failures != 0 {
+		t.Fatalf("refused contracts put traffic on the network: %+v", m)
 	}
 }
 
@@ -96,36 +107,34 @@ func TestConnectSecureWrongBatchKeyFailsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.RunSecureBatch(0, 24, contract, other, 2, 4, 5*time.Second); err == nil {
+	if _, err := n.RunSecureBatch(0, 24, contract, other, 1, 4, 5*time.Second); err == nil {
 		t.Fatal("wrong batch key validated records")
 	}
 }
 
 func TestConnectSecureValidationArguments(t *testing.T) {
 	n, contract, bk, _ := secureSetup(t, 35)
-	if _, err := n.ConnectSecure(0, 0, contract, 1, 4, time.Second); err == nil {
+	if _, err := n.RunSecureBatch(0, 0, contract, bk, 1, 4, time.Second); err == nil {
 		t.Fatal("I == R accepted")
 	}
-	if _, err := n.ConnectSecure(99, 24, contract, 1, 4, time.Second); err == nil {
+	if _, err := n.RunSecureBatch(99, 24, contract, bk, 1, 4, time.Second); err == nil {
 		t.Fatal("unknown initiator accepted")
 	}
 	if _, err := n.RunSecureBatch(0, 24, contract, nil, 1, 4, time.Second); err == nil {
 		t.Fatal("nil batch key accepted")
 	}
-	_ = bk
 }
 
 func TestSecureAndPlainInterleave(t *testing.T) {
 	// Plain and secure connections share the same network and peers.
 	n, contract, bk, _ := secureSetup(t, 36)
-	if _, err := n.Connect(0, 24, 9, 1, 4, 5*time.Second); err != nil {
+	if _, _, err := n.ConnectDetail(0, 24, 8, 1, 4, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	res, err := n.ConnectSecure(0, 24, contract, 2, 4, 5*time.Second)
-	if err != nil {
+	if _, err := n.RunSecureBatch(0, 24, contract, bk, 1, 4, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bk.RecreatePath(contract, 2, 0, 24, res.Records); err != nil {
+	if _, _, err := n.ConnectDetail(0, 24, 8, 2, 4, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 }

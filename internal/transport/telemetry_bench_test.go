@@ -32,7 +32,7 @@ func benchConnect(b *testing.B, latency time.Duration, reg *telemetry.Registry, 
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := net.Connect(0, 11, 1, i, 16, 5*time.Second); err != nil {
+		if _, _, err := net.ConnectDetail(0, 11, 1, i, 16, 5*time.Second); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -57,7 +57,7 @@ func TestTracerRecordsConnectionLifecycle(t *testing.T) {
 	rec := telemetry.NewSpanRecorder(1024)
 	net.SetSpans(rec)
 
-	path, err := net.Connect(0, 5, 1, 1, 8, 2*time.Second)
+	path, _, err := net.ConnectDetail(0, 5, 1, 1, 8, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,14 +111,14 @@ func TestTracerRecordsConnectionLifecycle(t *testing.T) {
 func TestMetricsResetAndDelta(t *testing.T) {
 	net := newLineNetwork(t, 5)
 	defer net.Close()
-	if _, err := net.Connect(0, 4, 1, 1, 8, 2*time.Second); err != nil {
+	if _, _, err := net.ConnectDetail(0, 4, 1, 1, 8, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	first := net.Metrics()
 	if first.Connects != 1 || first.Sent == 0 {
 		t.Fatalf("unexpected first window: %v", first)
 	}
-	if _, err := net.Connect(0, 4, 1, 2, 8, 2*time.Second); err != nil {
+	if _, _, err := net.ConnectDetail(0, 4, 1, 2, 8, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	window := net.Metrics().Delta(first)
@@ -139,7 +139,7 @@ func TestMetricsResetAndDelta(t *testing.T) {
 		t.Fatalf("reset left %v", zero)
 	}
 	// The network stays fully usable after a reset.
-	if _, err := net.Connect(0, 4, 1, 3, 8, 2*time.Second); err != nil {
+	if _, _, err := net.ConnectDetail(0, 4, 1, 3, 8, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if got := net.Metrics().Connects; got != 1 {
@@ -168,7 +168,7 @@ func TestNackHistogramAndTrace(t *testing.T) {
 	}
 	rec := telemetry.NewSpanRecorder(256)
 	net.SetSpans(rec)
-	_, err := net.Connect(0, 3, 1, 1, 8, 200*time.Millisecond)
+	_, _, err := net.ConnectDetail(0, 3, 1, 1, 8, 200*time.Millisecond)
 	if err == nil {
 		t.Fatal("connect to the departed responder unexpectedly succeeded")
 	}
@@ -216,7 +216,7 @@ func TestSPNECacheCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := net.Connect(0, 5, 1, 1, 8, 2*time.Second); err != nil {
+	if _, _, err := net.ConnectDetail(0, 5, 1, 1, 8, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()

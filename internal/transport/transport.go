@@ -22,7 +22,7 @@
 // concurrently with in-flight traffic. A send to a departed peer fails
 // synchronously and the holder NACKs back along the reverse path, so the
 // initiator learns of a mid-path departure without waiting out its timeout;
-// Connect then reforms the path — bounded retries with exponential backoff —
+// the driver then reforms the path — bounded retries with exponential backoff —
 // which is exactly the "path reformation" event Prop. 1 counts. Routers that
 // implement ChurnAware are told about peers found dead (failure detection by
 // failed delivery, as a deployment would observe it) so reformed paths avoid
@@ -184,7 +184,7 @@ func (n *Network) Peer(id overlay.NodeID) *Peer {
 // NACKing whatever was queued in its inbox, and subsequent sends to it
 // fail synchronously (the sender NACKs the initiator, which reforms the
 // path — exactly like a real mid-path departure). Removing an unknown peer
-// is a no-op. Safe to call concurrently with AddPeer, Connect and
+// is a no-op. Safe to call concurrently with AddPeer, ConnectDetail and
 // in-flight traffic.
 func (n *Network) RemovePeer(id overlay.NodeID) {
 	n.mu.Lock()
@@ -394,33 +394,23 @@ func (o *BatchOutcome) Payoff(id overlay.NodeID, c core.Contract) float64 {
 	return float64(o.Forwards[id])*c.Pf + c.Pr/float64(len(o.Set))
 }
 
-// SettleBatch accounts a completed batch's split payment: every member
-// of the forwarder set is credited m·P_f + P_r/‖π‖ and a settle span is
-// emitted under the batch's trace root, mirroring the TCP backend's
-// Settle frames so both backends produce identical settlement spans.
-// In-process there is no wire to cross, so the credit is implicit in the
-// outcome itself; the batch closes on the initiator and on every member
-// (Driver.Settled). It returns how many members were settled.
+// SettleBatch accounts a completed batch's split payment in place: the
+// batch closes on the initiator and on every member of the forwarder set
+// that is still a peer, each member credited m·P_f + P_r/‖π‖ where it
+// lands (Driver.Settled). In-process there is no wire to cross, so the
+// credit is implicit in the outcome itself, and a departed member is
+// neither credited nor spanned. It returns how many members were reached.
 func (n *Network) SettleBatch(initiator overlay.NodeID, batch int, out *BatchOutcome, contract core.Contract) (int, error) {
-	p := n.Peer(initiator)
-	if p == nil {
-		return 0, fmt.Errorf("transport: unknown initiator %d", initiator)
+	trace, root, err := n.SettleInitiator(initiator, batch, out)
+	if err != nil {
+		return 0, err
 	}
-	n.Settled(p.Station, batch)
+	reached := 0
 	for id := range out.Set {
-		if m := n.Peer(id); m != nil {
-			n.Settled(m.Station, batch)
+		if p := n.Peer(id); p != nil {
+			n.Settled(p.Station, batch, &Credit{Payoff: out.Payoff(id, contract), Trace: trace, Root: root})
+			reached++
 		}
 	}
-	if spans := n.Spans(); spans != nil && len(out.Paths) > 0 {
-		first := out.Paths[0]
-		trace, root := spans.Root(batch, int(initiator), int(first[len(first)-1]))
-		for id := range out.Set {
-			spans.Emit(telemetry.Span{
-				Trace: trace, Parent: root, Kind: telemetry.SpanSettle,
-				Batch: batch, Node: int(id), Detail: SettleDetail(out.Payoff(id, contract)),
-			})
-		}
-	}
-	return len(out.Set), nil
+	return reached, nil
 }

@@ -73,7 +73,7 @@ func TestConnectCompletesEndToEnd(t *testing.T) {
 	topo := buildTopo(20, 5, 1)
 	r := NewRandomRouter(topo, dist.NewSource(2))
 	n := startNetwork(t, topo, r)
-	path, err := n.Connect(0, 19, 1, 1, 4, 5*time.Second)
+	path, _, err := n.ConnectDetail(0, 19, 1, 1, 4, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,13 +89,13 @@ func TestConnectValidation(t *testing.T) {
 	topo := buildTopo(5, 2, 3)
 	r := NewRandomRouter(topo, dist.NewSource(4))
 	n := startNetwork(t, topo, r)
-	if _, err := n.Connect(0, 0, 1, 1, 3, time.Second); err == nil {
+	if _, _, err := n.ConnectDetail(0, 0, 1, 1, 3, time.Second); err == nil {
 		t.Fatal("I == R accepted")
 	}
-	if _, err := n.Connect(99, 0, 1, 1, 3, time.Second); err == nil {
+	if _, _, err := n.ConnectDetail(99, 0, 1, 1, 3, time.Second); err == nil {
 		t.Fatal("unknown initiator accepted")
 	}
-	if _, err := n.Connect(0, 99, 1, 1, 3, time.Second); err == nil {
+	if _, _, err := n.ConnectDetail(0, 99, 1, 1, 3, time.Second); err == nil {
 		t.Fatal("unknown responder accepted")
 	}
 }
@@ -123,7 +123,7 @@ func TestHopBudgetForcesDelivery(t *testing.T) {
 	r := NewRandomRouter(topo, dist.NewSource(8))
 	n := startNetwork(t, topo, r)
 	for i := 0; i < 20; i++ {
-		path, err := n.Connect(0, 19, 1, i+1, 3, 5*time.Second)
+		path, _, err := n.ConnectDetail(0, 19, 1, i+1, 3, 5*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestLatencyDelivery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	path, err := n.Connect(0, 2, 1, 1, 1, 5*time.Second)
+	path, _, err := n.ConnectDetail(0, 2, 1, 1, 1, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestRemovePeerReformsAndSucceeds(t *testing.T) {
 	r := NewRandomRouter(topo, dist.NewSource(18))
 	n := startNetwork(t, topo, r)
 	vc := virtualize(t, n)
-	if _, err := n.Connect(0, 3, 1, 1, 10, time.Second); err != nil {
+	if _, _, err := n.ConnectDetail(0, 3, 1, 1, 10, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	n.RemovePeer(2)
@@ -406,7 +406,7 @@ func TestNackFailsFastOnMidFlightResponderDeparture(t *testing.T) {
 		}
 	}
 	start := vc.Now()
-	_, err := n.Connect(0, 3, 1, 1, 10, 10*time.Second)
+	_, _, err := n.ConnectDetail(0, 3, 1, 1, 10, 10*time.Second)
 	if err == nil {
 		t.Fatal("connection to mid-flight-departed responder succeeded")
 	}
@@ -424,7 +424,7 @@ func TestNackFailsFastOnMidFlightResponderDeparture(t *testing.T) {
 		t.Fatalf("failure not counted: %v", m)
 	}
 	// Other responders are unaffected.
-	if _, err := n.Connect(0, 2, 1, 2, 10, 5*time.Second); err != nil {
+	if _, _, err := n.ConnectDetail(0, 2, 1, 2, 10, 5*time.Second); err != nil {
 		t.Fatalf("responder 2 is still alive: %v", err)
 	}
 }
@@ -449,7 +449,7 @@ func TestBackoffScheduleOnVirtualClock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, err := n.Connect(0, 3, 1, 1, 10, time.Minute)
+	_, _, err := n.ConnectDetail(0, 3, 1, 1, 10, time.Minute)
 	if err == nil {
 		t.Fatal("connection through a permanently dead relay succeeded")
 	}
@@ -576,7 +576,7 @@ func TestRunTraceReplaysWorkloadUnderChurn(t *testing.T) {
 	}
 	total := trace.TotalConnections(pairs)
 	removed := false
-	res := n.RunTrace(pairs, TraceOptions{
+	res := RunTrace(n.ConnectDetail, pairs, TraceOptions{
 		Budget:  5,
 		Timeout: 5 * time.Second,
 		Before: func(k int, sofar *TraceResult) {
