@@ -125,9 +125,6 @@ func (m *MultiCluster) Instrument(reg *telemetry.Registry) {
 // shared instruments, so any part's view is the whole world's.
 func (m *MultiCluster) Metrics() transport.MetricsSnapshot { return m.parts[0].Metrics() }
 
-// ResetMetrics zeroes the shared instruments.
-func (m *MultiCluster) ResetMetrics() { m.parts[0].ResetMetrics() }
-
 // SetRetry fans the reformation policy out to every part.
 func (m *MultiCluster) SetRetry(p transport.RetryPolicy) {
 	for _, c := range m.parts {

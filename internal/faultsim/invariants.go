@@ -209,6 +209,7 @@ func (w *world) checkInvariants() []Violation {
 		{"failed events vs " + metricConns + "{result=fail}+refused", kindCount[KindFailed], fail + refused},
 		{"reformation events vs " + metricReforms, kindCount[KindReformation], w.reg.Counter(metricReforms, nil).Value()},
 		{"fault events vs " + metricFaults, kindCount[KindFault], w.cFaults.Value()},
+		{metricMalformed + " (the world drops, delays and copies, never forges)", w.reg.Counter(metricMalformed, nil).Value(), 0},
 	} {
 		if rc.got != rc.want {
 			add(InvReconcile, "%s: %d != %d", rc.what, rc.got, rc.want)

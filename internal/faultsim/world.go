@@ -31,6 +31,7 @@ const (
 	metricConns       = "transport_connections_total" // label result: ok|fail
 	metricReforms     = "transport_reformations_total"
 	metricStale       = "transport_stale_replies_total"
+	metricMalformed   = "transport_malformed_total"
 	metricSettlements = "transport_settlements_total"
 )
 

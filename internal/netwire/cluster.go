@@ -159,12 +159,6 @@ func (c *Cluster) Metrics() transport.MetricsSnapshot {
 	return s
 }
 
-// ResetMetrics zeroes the cluster's instruments.
-func (c *Cluster) ResetMetrics() {
-	c.Driver.ResetMetrics()
-	c.metrics.reset()
-}
-
 // Join spins up a node: a listener on an ephemeral 127.0.0.1 port, the
 // accept loop, and a directory entry its peers dial. ChurnAware routers
 // are registered for liveness marks, like the in-process backend.

@@ -83,7 +83,7 @@ func TestNetwireMetricsExposition(t *testing.T) {
 		"netwire_nacks_total", "netwire_contract_rejects_total",
 		"netwire_timeouts_total", "netwire_reformations_total",
 		"netwire_stale_replies_total", "netwire_closed_batch_total",
-		"netwire_connections_total", "netwire_settlements_total",
+		"netwire_malformed_total", "netwire_connections_total", "netwire_settlements_total",
 		"netwire_connect_latency_seconds", "netwire_path_length_hops",
 		"netwire_nack_hops",
 		"transport_spne_cache_total", "transport_spne_cache_entries",
@@ -113,6 +113,7 @@ func TestNetwireMetricsExposition(t *testing.T) {
 		`netwire_connections_total{result="fail"}`,
 		`netwire_stale_replies_total`,
 		`netwire_closed_batch_total`,
+		`netwire_malformed_total`,
 		`netwire_bytes_total{dir="sent"}`,
 		`netwire_bytes_total{dir="recv"}`,
 		`netwire_conns_open`,
@@ -151,6 +152,10 @@ func TestNetwireMetricsExposition(t *testing.T) {
 		if got := scrapeValue(t, body, series); got < min {
 			t.Errorf("%s = %d, want >= %d", series, got, min)
 		}
+	}
+	// An honest run has no malformed reply.
+	if got := scrapeValue(t, body, `netwire_malformed_total`); got != 0 {
+		t.Errorf("netwire_malformed_total = %d on an honest run, want 0", got)
 	}
 	// Every node is hosted here, so each open connection is counted once
 	// at each of its two ends.

@@ -154,6 +154,8 @@ func TestSimultaneousDialKeepsOneConnection(t *testing.T) {
 // node 1, and node 2, which node 1 dialed. Node 1 answers the handshake
 // and reads what the impostor sends, but writes it nothing: the probe ack
 // the impostor asks for, and node 1's own traffic, go to the real peer.
+// A last impostor names no member and sends a CONFIRM whose Hop indexes
+// nothing: node 1 refuses and counts it, and keeps serving.
 func TestImpostorHelloGetsNothing(t *testing.T) {
 	c := NewCluster(Config{})
 	t.Cleanup(c.Close)
@@ -190,6 +192,30 @@ func TestImpostorHelloGetsNothing(t *testing.T) {
 		if f, _, err := ReadFrame(imp); err == nil {
 			t.Fatalf("impostor naming %d received a %s frame", named, f.Kind)
 		}
+	}
+	// A Hello naming no member is answered too, and the connection read:
+	// a CONFIRM on it whose Hop lies past its one-node path is refused and
+	// counted, and node 1 stays up to answer a member's probe.
+	imp, err := net.Dial("tcp", c.Node(1).Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer imp.Close()
+	imp.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := WriteFrame(imp, &Frame{Kind: KindHello, Node: 77, Nonce: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if ack, _, err := ReadFrame(imp); err != nil || ack.Kind != KindHelloAck {
+		t.Fatalf("handshake naming 77: %v %v", ack, err)
+	}
+	forged := &Frame{Kind: KindConfirm, Batch: 1, Conn: 1, Attempt: 1, Path: []overlay.NodeID{0}, Hop: 5}
+	if _, err := WriteFrame(imp, forged); err != nil {
+		t.Fatal(err)
+	}
+	malformed := c.Telemetry().Counter("netwire_malformed_total", nil)
+	waitFor(t, "the forged CONFIRM counted malformed", func() bool { return malformed.Value() == 1 })
+	if !c.Probe(0, 1, 5*time.Second) {
+		t.Fatal("node 1 stopped answering after the forged CONFIRM")
 	}
 	if got := c.metrics.dialsOK.Value(); got != 2 {
 		t.Fatalf("%d dials, want 2: the impostors displaced a link", got)

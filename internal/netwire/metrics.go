@@ -84,22 +84,3 @@ func (m *metrics) noteRecv(k Kind, bytes int) {
 	}
 	m.bytesRecv.Add(int64(bytes))
 }
-
-// reset zeroes the cluster's own instruments.
-func (m *metrics) reset() {
-	for _, c := range []*telemetry.Counter{
-		m.dialsOK, m.dialsFail, m.dialsRejected, m.bytesSent, m.bytesRecv,
-		m.deadlineRead, m.deadlineWrite, m.deadlineExpired,
-		m.sent, m.dropped,
-	} {
-		c.Reset()
-	}
-	for _, c := range m.framesSent {
-		c.Reset()
-	}
-	for _, c := range m.framesRecv {
-		c.Reset()
-	}
-	m.queueDepth.Reset()
-	m.connsOpen.Reset()
-}

@@ -39,10 +39,9 @@ type Conductor interface {
 	SettleBatch(initiator overlay.NodeID, batch int, out *BatchOutcome, contract core.Contract) (int, error)
 
 	// Instrument rebinds metrics into a shared registry; Metrics returns
-	// the common counter snapshot.
+	// the common counter snapshot, which MetricsSnapshot.Delta windows.
 	Instrument(reg *telemetry.Registry)
 	Metrics() MetricsSnapshot
-	ResetMetrics()
 
 	// SetSpans attaches the causal span recorder (nil disables), the one
 	// lifecycle record: every connection then emits a deterministic span

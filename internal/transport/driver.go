@@ -50,7 +50,8 @@ type Driver struct {
 
 	// pending maps a launched attempt's id to its connection's record. An
 	// entry lives from launch until the first of the attempt's terminal
-	// CONFIRM/NACK and its window timer claims it (DESIGN.md §3t).
+	// CONFIRM/NACK and its window timer claims it (DESIGN.md §3t); a reply
+	// claims it only at the attempt's own initiator (resolve).
 	pendMu     sync.Mutex
 	pending    map[int]*connRec
 	attemptSeq int
@@ -368,13 +369,28 @@ func (d *Driver) expire(aid int) {
 	c.next()
 }
 
-// resolve takes the CONFIRM or NACK that reached its initiator. A reply
-// whose attempt was already resolved or abandoned is stale: counted, and
-// otherwise dropped.
-func (d *Driver) resolve(m Message) {
-	c := d.claim(m.Attempt)
-	if c == nil {
+// resolve is the reverse walk's last step: reply m, whose path ends at
+// last, reached index 0 of its path at node self. It claims the pending
+// attempt it names only if that attempt is self's own and, for a CONFIRM,
+// the path runs from self to the attempt's responder over at least two
+// nodes; any other reply leaves the attempt pending and counts as
+// malformed. A reply whose attempt was already resolved or abandoned is
+// stale: counted, and otherwise dropped.
+func (d *Driver) resolve(self, last overlay.NodeID, m Message) {
+	d.pendMu.Lock()
+	c := d.pending[m.Attempt]
+	owner := c != nil && self == c.initiator &&
+		(m.Kind == MsgNack || len(m.Path) >= 2 && last == c.responder)
+	if owner {
+		delete(d.pending, m.Attempt)
+	}
+	d.pendMu.Unlock()
+	switch {
+	case c == nil:
 		d.inst.staleReplies.Inc()
+		return
+	case !owner:
+		d.inst.malformed.Inc()
 		return
 	}
 	c.timer.Stop()

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -60,7 +61,8 @@ type scriptLink struct {
 	d        *Driver
 	stations map[overlay.NodeID]*Station
 	script   func(from, to overlay.NodeID, m Message) fate
-	hideFrom int // Local answers nil from this call on (0 = never)
+	hideFrom int            // Local answers nil from this call on (0 = never)
+	at       overlay.NodeID // the station whose handler is running
 	locals   int
 	sends    int
 	nacks    []Message // every NACK the link was handed
@@ -98,11 +100,19 @@ func (l *scriptLink) Send(from, to overlay.NodeID, m Message) bool {
 		bad := *m.Contract
 		bad.Pf++
 		m.Contract = &bad
-		l.d.Handle(l.stations[to], m)
+		l.handle(to, m)
 	default:
-		l.d.Handle(l.stations[to], m)
+		l.handle(to, m)
 	}
 	return true
+}
+
+// handle delivers m to station to, which is the running station meanwhile.
+func (l *scriptLink) handle(to overlay.NodeID, m Message) {
+	at := l.at
+	l.at = to
+	l.d.Handle(l.stations[to], m)
+	l.at = at
 }
 
 // backupRouter walks 0 → 1 → 2 → 4, switching node 1's successor to the
@@ -433,6 +443,9 @@ func TestDriverOverScriptedLink(t *testing.T) {
 			if len(d.pending) != 0 {
 				t.Errorf("%d attempts still pending after the outcome", len(d.pending))
 			}
+			if got := d.inst.malformed.Value(); got != 0 {
+				t.Errorf("%d honest replies counted malformed", got)
+			}
 			// A message of an abandoned attempt that surfaces late runs its
 			// course — the CONFIRM reaches the initiator — resolves nothing
 			// and is counted stale.
@@ -544,4 +557,177 @@ func TestClosedBatchRefused(t *testing.T) {
 		t.Errorf("after closing %d: batch %d remembered %v, batch %d remembered %v",
 			batch+closedCap, batch, relay.isClosed(batch), batch+closedCap, relay.isClosed(batch+closedCap))
 	}
+}
+
+// TestForgedReplyRefused delivers hand-made replies through Network.Send
+// on a line of five in-process nodes while node 0's attempt to node 4 is
+// held at node 3: a Hop past the end of the path, a Hop below its start,
+// a one-node path at the initiator, and a path that starts at node 2 and
+// so ends its walk there. Each is refused and counted malformed — no node
+// panics and the attempt stays pending — and once released the attempt
+// completes over the honest path.
+func TestForgedReplyRefused(t *testing.T) {
+	cases := []struct {
+		name string
+		at   overlay.NodeID
+		m    Message
+	}{
+		{"hop-past-path", 1, Message{Kind: MsgConfirm, Path: []overlay.NodeID{0}, Hop: 5}},
+		{"hop-below-path", 2, Message{Kind: MsgConfirm, Path: []overlay.NodeID{0, 3, 4}, Hop: -1}},
+		{"one-node-path", 0, Message{Kind: MsgConfirm, Path: []overlay.NodeID{0}, Hop: 0}},
+		{"not-the-initiator", 2, Message{Kind: MsgConfirm, Path: []overlay.NodeID{2, 4}, Hop: 0}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			held, release := make(chan struct{}), make(chan struct{})
+			free := sync.OnceFunc(func() { close(release) })
+			line := RouterFunc(func(self, pred, initiator, responder overlay.NodeID, batch, conn, remaining int) (overlay.NodeID, bool) {
+				if self == 3 {
+					close(held)
+					<-release
+				}
+				return self + 1, false
+			})
+			net := NewNetwork(0)
+			t.Cleanup(net.Close)
+			t.Cleanup(free) // runs first: node 3 must let go before Close waits for it
+			for id := overlay.NodeID(0); id < 5; id++ {
+				if _, err := net.AddPeer(id, line); err != nil {
+					t.Fatal(err)
+				}
+			}
+			type result struct {
+				out *BatchOutcome
+				err error
+			}
+			done := make(chan result, 1)
+			go func() {
+				out, err := net.RunBatch(0, 4, 1, 1, 8, 10*time.Second)
+				done <- result{out, err}
+			}()
+			<-held
+			pending := func() (ids []int) {
+				net.pendMu.Lock()
+				defer net.pendMu.Unlock()
+				for id := range net.pending {
+					ids = append(ids, id)
+				}
+				return ids
+			}
+			aid := pending()
+			if len(aid) != 1 {
+				t.Fatalf("%d attempts pending, want 1", len(aid))
+			}
+			m := tc.m
+			m.Batch, m.Conn, m.Attempt, m.Initiator, m.Responder = 1, 1, aid[0], 0, 4
+			if !net.Send(3, tc.at, m) {
+				t.Fatalf("node %d refused the reply", tc.at)
+			}
+			malformed := net.Telemetry().Counter("transport_malformed_total", nil)
+			for deadline := time.Now().Add(5 * time.Second); malformed.Value() == 0; time.Sleep(time.Millisecond) {
+				select {
+				case r := <-done:
+					t.Fatalf("the forged reply resolved the attempt: path %v, err %v", r.out.Paths, r.err)
+				default:
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the forged reply was never counted malformed")
+				}
+			}
+			if got := pending(); len(got) != 1 || got[0] != aid[0] {
+				t.Fatalf("attempts pending %v after the forged reply, want %v", got, aid)
+			}
+			free()
+			r := <-done
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			if want := [][]overlay.NodeID{{0, 1, 2, 3, 4}}; !reflect.DeepEqual(r.out.Paths, want) {
+				t.Errorf("paths %v, want %v", r.out.Paths, want)
+			}
+			stale := net.Telemetry().Counter("transport_stale_replies_total", nil)
+			if malformed.Value() != 1 || stale.Value() != 0 {
+				t.Errorf("malformed %d, stale %d; want 1 and 0", malformed.Value(), stale.Value())
+			}
+		})
+	}
+}
+
+// FuzzDriverHandle throws arbitrary CONFIRMs and NACKs — any batch, conn,
+// attempt and Hop, a path of up to 16 ids, hosted or not — at a station of
+// a driver over the scripted link while one attempt from 0 to 4 is
+// pending, its FORWARD swallowed on the way to 4. Each send the reply
+// makes meets a fate the input picks. Whatever arrives, nothing panics,
+// and the attempt resolves only at its initiator, and as a delivery only
+// over a path from 0 to 4. FORWARDs are not fuzzed: their Remaining is
+// unbounded and sizes the UM-II memo.
+func FuzzDriverHandle(f *testing.F) {
+	// The four forged replies of TestForgedReplyRefused, an honest
+	// CONFIRM arriving at node 1 and an honest NACK from node 2. Path
+	// bytes b name node b%7−1 (−1 and 5 are hosted nowhere).
+	f.Add(uint8(1), true, 1, 1, 1, 5, []byte{1}, []byte{0})
+	f.Add(uint8(2), true, 1, 1, 1, -1, []byte{1, 4, 5}, []byte{0})
+	f.Add(uint8(0), true, 1, 1, 1, 0, []byte{1}, []byte{0})
+	f.Add(uint8(2), true, 1, 1, 1, 0, []byte{3, 5}, []byte{0})
+	f.Add(uint8(1), true, 1, 1, 1, 1, []byte{1, 2, 3, 5}, []byte{0, 1, 3})
+	f.Add(uint8(2), false, 1, 1, 1, 2, []byte{1, 2, 3}, []byte{1, 0})
+	f.Fuzz(func(t *testing.T, at uint8, confirm bool, batch, conn, attempt, hop int, path, fates []byte) {
+		l := &scriptLink{stations: make(map[overlay.NodeID]*Station), script: func(from, to overlay.NodeID, m Message) fate {
+			if to == 4 && m.Kind == MsgForward {
+				return swallow
+			}
+			return deliver
+		}}
+		d := NewDriver(l, "transport")
+		l.d = d
+		d.SetClock(vclock.Engine(sim.NewEngine()))
+		d.SetRetry(RetryPolicy{MaxAttempts: 1})
+		r := &backupRouter{dead: make(map[overlay.NodeID]bool)}
+		for id := overlay.NodeID(0); id <= 4; id++ {
+			l.stations[id] = NewStation(id, r)
+			d.Joined(id, r)
+		}
+		var res *Outcome
+		var resolvedAt overlay.NodeID
+		if err := d.start(&connRec{done: func(o Outcome) { res, resolvedAt = &o, l.at }}, 0, 4, 1, 1, 8, time.Second, nil); err != nil {
+			t.Fatal(err)
+		}
+		if len(d.pending) != 1 || res != nil {
+			t.Fatalf("%d attempts pending before the reply, outcome %v", len(d.pending), res)
+		}
+
+		sends := 0
+		l.script = func(from, to overlay.NodeID, m Message) fate {
+			switch {
+			case l.stations[to] == nil:
+				return refuse // no link reaches a node hosted nowhere
+			case len(fates) == 0:
+				return deliver
+			}
+			sends++
+			return [...]fate{deliver, refuse, swallow, lose}[fates[(sends-1)%len(fates)]%4]
+		}
+		m := Message{Kind: MsgNack, Batch: batch, Conn: conn, Attempt: attempt, Hop: hop}
+		if confirm {
+			m.Kind = MsgConfirm
+		}
+		for _, b := range path[:min(len(path), 16)] {
+			m.Path = append(m.Path, overlay.NodeID(int(b%7)-1))
+		}
+		l.at = overlay.NodeID(at % 5)
+		d.Handle(l.stations[l.at], m)
+
+		if res == nil {
+			if len(d.pending) != 1 {
+				t.Fatalf("no outcome, yet %d attempts pending", len(d.pending))
+			}
+			return
+		}
+		if resolvedAt != 0 {
+			t.Fatalf("the attempt resolved at node %d, not its initiator 0", resolvedAt)
+		}
+		if p := res.Path; res.Err == nil && (len(p) < 2 || p[0] != 0 || p[len(p)-1] != 4) {
+			t.Fatalf("the attempt delivered over %v, not a path from 0 to 4", p)
+		}
+	})
 }

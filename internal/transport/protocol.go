@@ -158,7 +158,9 @@ type Link interface {
 
 // Handle is the link's delivery entry point: m arrived at hosted node st.
 // A message for a batch st has closed is refused and counted: it is
-// neither routed nor relayed, and re-creates no state.
+// neither routed nor relayed, and re-creates no state. A CONFIRM/NACK is
+// admitted only if its Hop indexes its Path and names st there; any other
+// reply is refused and counted malformed, and otherwise ignored.
 func (d *Driver) Handle(st *Station, m Message) {
 	if st.isClosed(m.Batch) {
 		d.inst.closedBatch.Inc()
@@ -168,7 +170,11 @@ func (d *Driver) Handle(st *Station, m Message) {
 	case MsgForward:
 		d.handleForward(st, m)
 	case MsgConfirm, MsgNack:
-		d.relayBack(st.ID, m)
+		if m.Hop < 0 || m.Hop >= len(m.Path) || m.Path[m.Hop] != st.ID {
+			d.inst.malformed.Inc()
+			return
+		}
+		d.back(st.ID, m)
 	}
 }
 
@@ -224,18 +230,16 @@ func (d *Driver) SettleInitiator(initiator overlay.NodeID, batch int, out *Batch
 // Undeliverable is the link's failure entry point: m, which Send accepted
 // from node from for node to, could not be delivered. The corpse is
 // marked and the protocol kept moving — a lost FORWARD becomes a NACK
-// toward the initiator, a lost CONFIRM/NACK is rerouted one reverse-path
-// member further down.
+// toward the initiator, a lost CONFIRM/NACK walks on from the reverse-path
+// member below to.
 func (d *Driver) Undeliverable(from, to overlay.NodeID, m Message) {
 	d.MarkDead(to)
 	switch m.Kind {
 	case MsgForward:
-		d.nackBack(from, m, len(m.Path)-1, fmt.Sprintf("next hop %d departed", to), false)
+		d.nackBack(from, m, fmt.Sprintf("next hop %d departed", to), false)
 	case MsgConfirm, MsgNack:
-		if m.Hop > 0 {
-			m.Hop--
-			d.reverseRoute(from, m)
-		}
+		m.Hop--
+		d.back(from, m)
 	}
 }
 
@@ -254,21 +258,9 @@ func (d *Driver) handleForward(st *Station, m Message) {
 		}); id != 0 {
 			respondSpan = id
 		}
-		d.reverseRoute(st.ID, Message{
-			Kind:      MsgConfirm,
-			Batch:     m.Batch,
-			Conn:      m.Conn,
-			Attempt:   m.Attempt,
-			Initiator: m.Initiator,
-			Responder: m.Responder,
-			Path:      m.Path,
-			Hop:       hop - 1, // index of our predecessor
-			Deadline:  m.Deadline,
-			Contract:  m.Contract,
-			Records:   m.Records,
-			Trace:     m.Trace,
-			Span:      respondSpan,
-		})
+		confirm := reply(m, MsgConfirm, respondSpan)
+		confirm.Contract, confirm.Records = m.Contract, m.Records
+		d.back(st.ID, confirm)
 		return
 	}
 	// Secure protocol: verify the contract before doing any work (a
@@ -277,7 +269,7 @@ func (d *Driver) handleForward(st *Station, m Message) {
 	// timeout. The rejection is fatal: no reformation fixes a bad contract.
 	if m.Contract != nil && !m.Contract.Verify() {
 		d.inst.contractRejects.Inc()
-		d.nackBack(st.ID, m, hop-1, "contract failed verification", true)
+		d.nackBack(st.ID, m, "contract failed verification", true)
 		return
 	}
 	// Interior forwarding instance (the initiator does not count).
@@ -313,73 +305,64 @@ func (d *Driver) handleForward(st *Station, m Message) {
 	m.Remaining--
 	if !d.link.Send(st.ID, next, m) {
 		// Synchronous drop: the chosen successor departed. Mark it dead
-		// and NACK back along the path (starting at our predecessor — we
-		// already know) so the initiator reforms at once.
+		// and NACK back along the path so the initiator reforms at once.
 		d.MarkDead(next)
-		d.nackBack(st.ID, m, hop-1, fmt.Sprintf("next hop %d departed", next), false)
+		d.nackBack(st.ID, m, fmt.Sprintf("next hop %d departed", next), false)
 	}
 }
 
-// relayBack moves a CONFIRM/NACK that reached node self one reverse-path
-// member closer to the initiator, collapsing consecutive entries of self
-// (a walk may revisit a node, and a node does not message itself). At
-// index 0 — the initiator, necessarily self — the attempt resolves.
-func (d *Driver) relayBack(self overlay.NodeID, m Message) {
-	for m.Hop > 0 {
-		m.Hop--
-		if m.Path[m.Hop] != self {
-			d.reverseRoute(self, m)
-			return
-		}
-	}
-	d.resolve(m)
-}
-
-// reverseRoute sends a CONFIRM/NACK from node self to Path[Hop], skipping
-// reverse-path members the link refuses. If even the initiator is gone
-// the message dies — nobody is waiting for it.
-func (d *Driver) reverseRoute(self overlay.NodeID, m Message) {
-	for {
-		if d.link.Send(self, m.Path[m.Hop], m) {
-			return
-		}
-		d.MarkDead(m.Path[m.Hop])
-		if m.Hop == 0 {
-			return
-		}
-		m.Hop--
-	}
-}
-
-// nackBack generates, at node self, a NACK for m that enters the reverse
-// path at Path[fromIdx]. When that member is self — or fromIdx is below
-// zero, the failure being the initiator's own — the NACK is relayed from
-// here rather than sent.
-func (d *Driver) nackBack(self overlay.NodeID, m Message, fromIdx int, reason string, fatal bool) {
-	d.inst.nacks.Inc()
-	d.inst.nackHops.Observe(float64(len(m.Path)))
-	nackSpan := d.spans.Emit(telemetry.Span{
-		Trace: m.Trace, Parent: m.Span, Kind: telemetry.SpanNack,
-		Batch: m.Batch, Conn: m.Conn, Hop: len(m.Path), Node: int(m.Initiator), Detail: reason,
-	})
-	nack := Message{
-		Kind:      MsgNack,
+// reply builds the CONFIRM or NACK answering m at the last node of
+// m.Path: the attempt, its endpoints, deadline and trace, span as the
+// causal step to parent on, and the frozen path with Hop at that last
+// node, from where back walks it home.
+func reply(m Message, kind MsgKind, span telemetry.SpanID) Message {
+	return Message{
+		Kind:      kind,
 		Batch:     m.Batch,
 		Conn:      m.Conn,
 		Attempt:   m.Attempt,
 		Initiator: m.Initiator,
 		Responder: m.Responder,
 		Path:      m.Path,
-		Hop:       fromIdx,
+		Hop:       len(m.Path) - 1,
 		Deadline:  m.Deadline,
-		Reason:    reason,
-		Fatal:     fatal,
 		Trace:     m.Trace,
-		Span:      nackSpan,
+		Span:      span,
 	}
-	if fromIdx < 0 || m.Path[fromIdx] == self {
-		d.relayBack(self, nack)
-		return
+}
+
+// back is the one reverse walk: it moves a CONFIRM/NACK held by node self
+// toward the initiator, trying Path[Hop], Path[Hop−1], … in turn. It skips
+// entries equal to self (a walk may revisit a node, and a node does not
+// message itself), marks dead and passes over members the link refuses,
+// and at index 0 — self's own entry — resolves the attempt. If even the
+// initiator refuses, the message dies: nobody is waiting for it. Callers
+// keep Hop below len(Path).
+func (d *Driver) back(self overlay.NodeID, m Message) {
+	for ; m.Hop >= 0; m.Hop-- {
+		switch to := m.Path[m.Hop]; {
+		case to != self:
+			if d.link.Send(self, to, m) {
+				return
+			}
+			d.MarkDead(to)
+		case m.Hop == 0:
+			d.resolve(self, m.Path[len(m.Path)-1], m)
+			return
+		}
 	}
-	d.reverseRoute(self, nack)
+}
+
+// nackBack generates, at node self, a NACK for m and walks it home from
+// the last node of m's path: self, which back skips, unless self is a
+// departing peer NACKing a FORWARD that reached its inbox.
+func (d *Driver) nackBack(self overlay.NodeID, m Message, reason string, fatal bool) {
+	d.inst.nacks.Inc()
+	d.inst.nackHops.Observe(float64(len(m.Path)))
+	nack := reply(m, MsgNack, d.spans.Emit(telemetry.Span{
+		Trace: m.Trace, Parent: m.Span, Kind: telemetry.SpanNack,
+		Batch: m.Batch, Conn: m.Conn, Hop: len(m.Path), Node: int(m.Initiator), Detail: reason,
+	}))
+	nack.Reason, nack.Fatal = reason, fatal
+	d.back(self, nack)
 }

@@ -398,7 +398,12 @@ func (r *UtilityIIRouter) NextHop(self, pred, initiator, responder overlay.NodeI
 }
 
 // nextHop is NextHop that also returns the quality the hop was chosen at.
+// A holder or responder outside the topology has no game to solve: the
+// answer is "deliver", as UtilityRouter.route gives an unknown holder.
 func (r *UtilityIIRouter) nextHop(self, pred, initiator, responder overlay.NodeID, batch, conn, remaining int) (overlay.NodeID, float64, bool) {
+	if self < 0 || int(self) >= len(r.nbrs) || responder < 0 || int(responder) >= len(r.nbrs) {
+		return overlay.None, 1, true
+	}
 	p := r.prescribed(self, initiator, responder, batch, conn, remaining)
 	return r.route(core.Hop{Cur: self, Pred: pred, Initiator: initiator, Responder: responder, Prescribed: p}, batch, conn)
 }

@@ -108,6 +108,9 @@ func TestTracerRecordsConnectionLifecycle(t *testing.T) {
 	}
 }
 
+// TestMetricsResetAndDelta windows the counters the one way the runtime
+// offers: a later snapshot minus an earlier one holds exactly the traffic
+// between them.
 func TestMetricsResetAndDelta(t *testing.T) {
 	net := newLineNetwork(t, 5)
 	defer net.Close()
@@ -131,19 +134,6 @@ func TestMetricsResetAndDelta(t *testing.T) {
 	}
 	if window.Sent <= 0 || window.Sent >= net.Metrics().Sent {
 		t.Fatalf("windowed sent = %d out of range (lifetime %d)", window.Sent, net.Metrics().Sent)
-	}
-
-	net.ResetMetrics()
-	zero := net.Metrics()
-	if zero.Sent != 0 || zero.Connects != 0 || zero.ConnectLatency.Count != 0 || zero.InboxHighWater != 0 {
-		t.Fatalf("reset left %v", zero)
-	}
-	// The network stays fully usable after a reset.
-	if _, _, err := net.ConnectDetail(0, 4, 1, 3, 8, 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := net.Metrics().Connects; got != 1 {
-		t.Fatalf("post-reset connects = %d, want 1", got)
 	}
 }
 

@@ -137,15 +137,6 @@ func (n *Network) Metrics() MetricsSnapshot {
 	return s
 }
 
-// ResetMetrics zeroes the runtime's counters and histograms.
-func (n *Network) ResetMetrics() {
-	n.Driver.ResetMetrics()
-	n.metrics.sent.Reset()
-	n.metrics.dropped.Reset()
-	n.metrics.expired.Reset()
-	n.metrics.inboxHighWater.Reset()
-}
-
 // AddPeer spawns a peer goroutine with the given router. Adding the same
 // ID twice is an error. If the router is ChurnAware it is registered for
 // liveness notifications and told the ID is live (a re-joining peer

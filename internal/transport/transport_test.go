@@ -679,6 +679,11 @@ func TestUtilityIIRouterReachesResponder(t *testing.T) {
 			t.Fatalf("bad path %v", p)
 		}
 	}
+	// A FORWARD naming a responder outside the topology has no game to
+	// solve: the router answers "deliver", and the link refuses the send.
+	if next, deliver := r.NextHop(3, 2, 0, 1000, 2, 1, 5); !deliver || next != overlay.None {
+		t.Fatalf("unknown responder: next %d deliver %v, want deliver", next, deliver)
+	}
 }
 
 func TestUtilityIIRouterShrinksForwarderSet(t *testing.T) {
