@@ -25,7 +25,9 @@ type Batch struct {
 	k        int // connections completed so far
 	fset     *quality.ForwarderSet
 	forwards map[overlay.NodeID]int // m per forwarder
-	edges    map[edge]struct{}      // union of directed edges over π¹…π^k
+	// hist is the batch's routing history over π¹…π^k, σ's input: made
+	// at the first recorded hop, dropped by Close.
+	hist *history.Table
 
 	newEdges   int // edges that were not present in earlier connections
 	totalEdges int
@@ -37,29 +39,23 @@ type Batch struct {
 
 	// histQual counts quality-relevant history mutations of this batch:
 	// recorded rows whose successor is not R (delivery rows never feed a
-	// scored edge), plus any row at all when capacity eviction is active.
-	// Together with the overlay and probe versions it stamps the batch's
-	// stage game below, mirroring the transport router's cache semantics:
-	// a solve is reused only while every input it consumed is unchanged.
+	// scored edge). Together with the overlay and probe versions it stamps
+	// the batch's stage game below, mirroring the transport router's cache
+	// semantics: a solve is reused only while every input it consumed is
+	// unchanged.
 	histQual uint64
 
 	// histNodes is the set of nodes holding quality-relevant history for
-	// this batch — exactly the nodes whose scorer output can depend on
-	// the history version or the connection index k (everything else has
-	// selectivity 0 whatever k is). Only their stage-game rows are scored
-	// through the scorer; every other row is the system's base row.
+	// this batch — exactly the nodes whose edge qualities can depend on
+	// the history or the connection index k (everything else has
+	// selectivity 0 whatever k is). Only their stage-game rows are
+	// rescored; every other row is the system's base row.
 	histNodes map[overlay.NodeID]struct{}
 
 	// spneStamp is the version vector of the batch's last Utility Model II
 	// solve (see spneTable).
 	spneStamp spneStamp
-
-	// scorers caches the batch's per-node edge-quality scorers: the
-	// routing loop asks for one per hop. They live and die with the batch
-	// (Close drops them), so a long run holds scorers for its live batches
-	// only.
-	scorers map[overlay.NodeID]*quality.Scorer
-	closed  bool
+	closed    bool
 
 	// rule is the batch's instance of the shared routing rule, with its
 	// per-hop scratch; fill is row, bound once so that handing it to the
@@ -80,8 +76,6 @@ type spneStamp struct {
 	hist  uint64
 	k     int
 }
-
-type edge struct{ from, to overlay.NodeID }
 
 // NewBatch registers a new batch on the system. Initiator and responder
 // must be distinct existing nodes.
@@ -106,7 +100,6 @@ func (s *System) NewBatch(initiator, responder overlay.NodeID, c Contract, strat
 		sys:       s,
 		fset:      quality.NewForwarderSet(),
 		forwards:  make(map[overlay.NodeID]int),
-		edges:     make(map[edge]struct{}),
 	}
 	b.rule = Rule{View: b, Contract: c, Cost: s.cfg.Cost, TopKJitter: s.cfg.TopKJitter, Rng: s.rng}
 	b.fill = b.row
@@ -121,6 +114,10 @@ func (b *Batch) ForwarderSet() *quality.ForwarderSet { return b.fset }
 
 // Forwards returns forwarder id's forwarding-instance count m.
 func (b *Batch) Forwards(id overlay.NodeID) int { return b.forwards[id] }
+
+// History returns the batch's routing history: nil before its first hop
+// and after Close.
+func (b *Batch) History() *history.Table { return b.hist }
 
 // Declines returns how many forwarding requests were declined so far.
 func (b *Batch) Declines() int { return b.declines }
@@ -247,9 +244,9 @@ func (b *Batch) runFixedPath(res *PathResult, budget int) {
 	cur := b.Initiator
 	pred := overlay.None
 	res.Nodes = append(res.Nodes, cur)
-	sc := b.scorer(b.Initiator)
 	for _, next := range b.fixedPath {
-		b.recordHop(res, cur, pred, next, sc.Edge(next, b.Responder, b.k))
+		// The baseline scores every hop as the initiator sees it.
+		b.recordHop(res, cur, pred, next, b.Quality(b.Initiator, overlay.None, next))
 		pred, cur = cur, next
 	}
 	b.recordHop(res, cur, pred, b.Responder, 1)
@@ -302,20 +299,27 @@ func (b *Batch) chooseRandom(h Hop, nbrs []overlay.NodeID) (overlay.NodeID, floa
 	shuffleIDs(b.sys.rng, cands)
 	for declined, v := range cands {
 		if b.Accepts(v) {
-			return v, b.scorer(h.Cur).Edge(v, b.Responder, b.k), declined
+			return v, b.Quality(h.Cur, overlay.None, v), declined
 		}
 	}
 	return b.Responder, 1, len(cands)
 }
 
-// Quality implements View: q(cur, v) by cur's scorer for this batch —
-// position-aware when Config.PositionAware and pred is a node.
+// Quality implements View: q(cur, v) = w_s·σ + w_a·α for the k-th
+// connection, σ from the batch's history — position-aware when
+// Config.PositionAware and pred is a node — and α from cur's estimator.
+// The delivery edge has quality 1, the paper's last-edge rule.
 func (b *Batch) Quality(cur, pred, v overlay.NodeID) float64 {
-	sc := b.scorer(cur)
-	if b.sys.cfg.PositionAware && pred != overlay.None {
-		return sc.EdgeAt(pred, v, b.Responder, b.k)
+	if v == b.Responder {
+		return 1
 	}
-	return sc.Edge(v, b.Responder, b.k)
+	var sigma float64
+	if b.sys.cfg.PositionAware && pred != overlay.None {
+		sigma = b.hist.SelectivityAt(pred, cur, v, b.k)
+	} else {
+		sigma = b.hist.Selectivity(cur, v, b.k)
+	}
+	return b.sys.cfg.Weights.Edge(sigma, b.sys.Probes.For(cur).Availability(v))
 }
 
 // Accepts implements View: a good node v forwards under the batch's
@@ -325,7 +329,7 @@ func (b *Batch) Quality(cur, pred, v overlay.NodeID) float64 {
 // accept.
 func (b *Batch) Accepts(v overlay.NodeID) bool {
 	s := b.sys
-	if s.Net.Node(v).Malicious || !s.cfg.Participation {
+	if s.Net.Node(v).Malicious {
 		return true
 	}
 	return game.ForwardingDominant(b.Contract.Pf, s.cfg.Cost.Participation, s.minTransmission(v))
@@ -339,13 +343,21 @@ func (b *Batch) recordHop(res *PathResult, cur, pred, next overlay.NodeID, q flo
 
 	// History: every node on the path (including I) records the hop it
 	// routed, keyed by this connection, with its predecessor for position
-	// disambiguation (§2.3, Table 1).
-	b.sys.Hist.For(cur, b.ID).Record(history.ConnID(b.k), pred, next)
+	// disambiguation (§2.3, Table 1). An edge no earlier hop of the batch
+	// used is new (Prop. 1's X = 1), so one a connection traverses twice
+	// counts as new once.
+	if b.hist == nil {
+		b.hist = history.New(b.sys.cfg.PositionAware)
+	}
+	b.totalEdges++
+	if b.hist.Record(b.k, pred, cur, next) {
+		res.NewEdges++
+		b.newEdges++
+	}
 	// A row with successor R never feeds a scored edge (candidates exclude
 	// R and the delivery edge is fixed at 1), so it leaves cached SPNE
-	// qualities exact — unless capacity eviction is on, when recording it
-	// can push a quality-relevant row out.
-	if next != b.Responder || b.sys.cfg.HistoryCapacity > 0 {
+	// qualities exact.
+	if next != b.Responder {
 		b.histQual++
 		if b.histNodes == nil {
 			b.histNodes = make(map[overlay.NodeID]struct{})
@@ -357,44 +369,13 @@ func (b *Batch) recordHop(res *PathResult, cur, pred, next overlay.NodeID, q flo
 	if cur != b.Initiator {
 		b.forwards[cur]++
 	}
-
-	e := edge{cur, next}
-	b.totalEdges++
-	if _, seen := b.edges[e]; !seen {
-		// Only edges encountered in *earlier* connections count as old;
-		// an edge first seen earlier in this same connection is still new
-		// exactly once.
-		res.NewEdges++
-		b.newEdges++
-		b.edges[e] = struct{}{}
-	}
-}
-
-// scorer returns node's edge-quality scorer for this batch. The cached
-// entry is revalidated against the current profile and estimator pointers
-// — both are stable for a live batch, and a mismatch (the node's first
-// recorded row materialising its profile) rebuilds. The profile is
-// Peeked, not created: a node that never forwarded scores with a nil
-// profile (selectivity 0, exactly what an empty profile yields).
-func (b *Batch) scorer(node overlay.NodeID) *quality.Scorer {
-	h := b.sys.Hist.Peek(node, b.ID)
-	p := b.sys.Probes.For(node)
-	if sc := b.scorers[node]; sc != nil && sc.History == h && sc.Probe == p {
-		return sc
-	}
-	sc := quality.NewScorer(b.sys.cfg.Weights, h, p)
-	if b.scorers == nil {
-		b.scorers = make(map[overlay.NodeID]*quality.Scorer)
-	}
-	b.scorers[node] = sc
-	return sc
 }
 
 // spneTable returns the Utility Model II prescription table with every
 // cell the play from (start, hops) can reach solved: the L-stage path
 // game over the current online overlay, where each online node i ≠ R has
 // edges to its online neighbors (other than I and R) with q from i's own
-// scorer, plus the delivery edge (i, R) with quality 1.
+// history rows and estimator, plus the delivery edge (i, R) with quality 1.
 //
 // The solve is demand-driven (game.SolveFrom): only the cone of (start,
 // hops) is computed, over rows built for cone nodes only, into the
@@ -469,17 +450,16 @@ func (b *Batch) spneTable(start overlay.NodeID, hops int) [][]game.Decision {
 // starts from the node's base row (System.baseRow: batch-independent
 // topology and availability). Selectivity is non-zero only on the edges of
 // nodes holding quality-relevant history, so only those rows are rescored
-// through the batch's scorer. R and offline nodes have no row (Rows), and
-// every other node delivers to R.
+// (Quality). R and offline nodes have no row (Rows), and every other node
+// delivers to R.
 func (b *Batch) row(i int) {
 	s := b.sys
 	id := overlay.NodeID(i)
 	base := s.baseRow(id)
 	succ, qual := s.rows.Build(i, base.succ, base.qual, int32(b.Initiator), s.Net.Up())
 	if _, ok := b.histNodes[id]; ok {
-		sc := b.scorer(id)
 		for a, j := range succ {
-			qual[a] = sc.Edge(overlay.NodeID(j), b.Responder, b.k)
+			qual[a] = b.Quality(id, overlay.None, overlay.NodeID(j))
 		}
 	}
 }
@@ -502,7 +482,7 @@ func (b *Batch) stageEdgeQuality(i, j overlay.NodeID) float64 {
 	if !b.sys.Net.IsNeighbor(i, j) {
 		return -1
 	}
-	return b.scorer(i).Edge(j, b.Responder, b.k)
+	return b.Quality(i, overlay.None, j)
 }
 
 // shuffleIDs is a tiny Fisher-Yates over node IDs using the system RNG.

@@ -21,7 +21,6 @@ import (
 
 	"p2panon/internal/dist"
 	"p2panon/internal/game"
-	"p2panon/internal/history"
 	"p2panon/internal/overlay"
 	"p2panon/internal/probe"
 	"p2panon/internal/quality"
@@ -110,6 +109,13 @@ func (c Contract) Tau() float64 {
 	return c.Pr / c.Pf
 }
 
+// Payoff is the paper's payout to a member of a forwarder set of size
+// members that forwarded m times: m·P_f + P_r/‖π‖. Every payout is
+// computed here, so payoffs agree to the bit wherever they are checked.
+func (c Contract) Payoff(m, size int) float64 {
+	return float64(m)*c.Pf + c.Pr/float64(size)
+}
+
 // ContractWithTau builds a contract from a forwarding benefit and τ.
 func ContractWithTau(pf, tau float64) Contract {
 	return Contract{Pf: pf, Pr: tau * pf}
@@ -132,13 +138,6 @@ type Config struct {
 	Termination Termination
 	// ForwardProb is Crowds' p_f, used when Termination is CrowdsCoin.
 	ForwardProb float64
-	// HistoryCapacity bounds per-node history profiles (0 = unlimited).
-	HistoryCapacity int
-	// Participation gates whether a good node accepts a forwarding
-	// request. When true (the default behaviour), a node declines unless
-	// Prop. 3's condition P_f > C^p + C^t holds for it. Malicious nodes
-	// always accept.
-	Participation bool
 	// PositionAware switches Utility Model I's selectivity to the
 	// predecessor-differentiated form of §2.3: a node occupying two
 	// positions on the same recurring path scores each position's
@@ -160,9 +159,6 @@ func DefaultConfig() Config {
 		Cost:    game.UniformCost(5, 2),
 		MinHops: 2,
 		MaxHops: 6,
-		// History is unbounded within a batch: k ≤ 20 connections.
-		HistoryCapacity: 0,
-		Participation:   true,
 	}
 }
 
@@ -176,21 +172,17 @@ func (c Config) validate() error {
 	if c.Termination == CrowdsCoin && (c.ForwardProb <= 0 || c.ForwardProb >= 1) {
 		return fmt.Errorf("core: Crowds forward probability %g outside (0, 1)", c.ForwardProb)
 	}
-	if c.HistoryCapacity < 0 {
-		return fmt.Errorf("core: history capacity %d", c.HistoryCapacity)
-	}
 	if c.TopKJitter < 0 {
 		return fmt.Errorf("core: top-K jitter %d", c.TopKJitter)
 	}
 	return nil
 }
 
-// System ties together the overlay, the per-node probing estimators and
-// the per-(node, batch) history profiles, and stamps out batches.
+// System ties together the overlay and the per-node probing estimators,
+// and stamps out batches; each batch keeps its own history.
 type System struct {
 	Net    *overlay.Network
 	Probes *probe.Set
-	Hist   *history.Store
 
 	// Prof, when non-nil, receives per-phase wall-time and allocation
 	// brackets from the routing loop (telemetry phase taxonomy: the
@@ -303,7 +295,6 @@ func NewSystem(cfg Config, net *overlay.Network, probes *probe.Set, rng *dist.So
 	s := &System{
 		Net:    net,
 		Probes: probes,
-		Hist:   history.NewStore(cfg.HistoryCapacity),
 		cfg:    cfg,
 		rng:    rng,
 		minCt:  make(map[overlay.NodeID]float64),

@@ -59,7 +59,6 @@ func TestConfigValidation(t *testing.T) {
 		{Weights: quality.Weights{Selectivity: 0.9, Availability: 0.9}, MinHops: 1, MaxHops: 2},
 		func() Config { c := DefaultConfig(); c.MinHops = 0; return c }(),
 		func() Config { c := DefaultConfig(); c.MaxHops = 1; c.MinHops = 3; return c }(),
-		func() Config { c := DefaultConfig(); c.HistoryCapacity = -1; return c }(),
 	}
 	rng := dist.NewSource(1)
 	net := overlay.NewNetwork(3, rng.Split())
@@ -453,12 +452,12 @@ func TestBatchCloseDropsHistory(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.RunConnection()
 	}
-	if sys.Hist.Size() == 0 {
+	if len(b.hist.Successors(b.Initiator)) == 0 {
 		t.Fatal("no history accumulated")
 	}
 	b.Settle()
 	b.Close()
-	if sys.Hist.Size() != 0 {
-		t.Fatalf("history not dropped: %d profiles", sys.Hist.Size())
+	if b.hist != nil {
+		t.Fatal("history not dropped")
 	}
 }

@@ -32,11 +32,10 @@ func (b *Batch) Settle() []NodePayoff {
 	if size == 0 {
 		return nil
 	}
-	share := b.Contract.Pr / float64(size)
 	out := make([]NodePayoff, 0, size)
 	for _, id := range b.fset.Members() {
 		m := b.forwards[id]
-		income := float64(m)*b.Contract.Pf + share
+		income := b.Contract.Payoff(m, size)
 		cost := b.sys.cfg.Cost.Participation + b.transmissionCost(id)
 		out = append(out, NodePayoff{
 			Node:      id,
@@ -52,14 +51,11 @@ func (b *Batch) Settle() []NodePayoff {
 }
 
 // transmissionCost sums C^t over the successors id actually forwarded to,
-// reconstructed from its history profile for this batch. Peek suffices: a
-// forwarder by definition recorded rows, and a node with no profile has
-// no transmissions (nil-safe Profile queries return empty).
+// ascending, reconstructed from the batch's history: id's own rows.
 func (b *Batch) transmissionCost(id overlay.NodeID) float64 {
-	prof := b.sys.Hist.Peek(id, b.ID)
 	total := 0.0
-	for _, succ := range prof.Successors() {
-		uses := prof.EdgeUses(succ)
+	for _, succ := range b.hist.Successors(id) {
+		uses := b.hist.Uses(id, succ)
 		total += float64(uses) * b.sys.cfg.Cost.Transmission(int(id), int(succ))
 	}
 	return total
@@ -110,18 +106,17 @@ func (b *Batch) GoodPayoffs() []NodePayoff {
 	return out
 }
 
-// Close forgets the batch's history profiles across all nodes and its
-// scorers — the paper settles and discards batch state once the initiator
-// has paid (§2.2's payment "only after all the connections in π are
-// completed"). Call after Settle; further RunConnection calls would
-// rebuild history from scratch. The cost is the batch's own state; the
-// system's shared solve state is released when the last open batch closes.
+// Close forgets the batch's history — the paper settles and discards
+// batch state once the initiator has paid (§2.2's payment "only after all
+// the connections in π are completed"). Call after Settle; further
+// RunConnection calls would rebuild history from scratch. The cost is the
+// batch's own state; the system's shared solve state is released when the
+// last open batch closes.
 func (b *Batch) Close() {
-	b.sys.Hist.DropBatch(b.ID)
-	// The dropped profiles back any solve stamped for this batch; a
+	b.hist = nil
+	// The dropped history backs any solve stamped for this batch; a
 	// (hypothetical) later connection must not resurrect it.
 	b.spneStamp = spneStamp{}
-	b.scorers = nil
 	if !b.closed {
 		b.closed = true
 		if b.sys.open--; b.sys.open == 0 {

@@ -45,7 +45,7 @@ func TestScaleFrontierWorkingMemory(t *testing.T) {
 	}
 	const n = 100_000
 	sys, b := scaleSystem(t, n, 11)
-	b.RunConnection() // warm: builds memo, rows, base rows, scorers
+	b.RunConnection() // warm: builds memo, rows, base rows
 
 	// (a) retained rows are O(n·d): every node has ≤ degree+1 slots.
 	maxSlots := n * (sys.Net.Degree() + 1)
@@ -105,11 +105,12 @@ func TestSolveScratchReleasedOnClose(t *testing.T) {
 	}
 }
 
-// TestScorersBoundedByLiveBatches is the regression for the scorer leak:
-// over 50 open/run/settle/close cycles with two batches live at a time,
-// the scorers held anywhere must stay bounded by what the live batches
-// can have touched — one per holder of one of their hops — and a closed
-// batch must hold none.
+// TestScorersBoundedByLiveBatches is the regression for the scorer leak,
+// now over the batches' history tables: over 50 open/run/settle/close
+// cycles with two batches live at a time, a table is held by each live
+// batch and by no closed one, and a live table names no more edges out of
+// its holders than the batch's hops — so history stays bounded by the
+// batches open, not by the run's length.
 func TestScorersBoundedByLiveBatches(t *testing.T) {
 	const conns = 4
 	sys, first := scaleSystem(t, 300, 21)
@@ -130,18 +131,23 @@ func TestScorersBoundedByLiveBatches(t *testing.T) {
 		live[0].Close()
 		live = live[1:]
 
-		held := 0
-		for _, ab := range all {
-			held += len(ab.scorers)
-		}
-		// Each connection has at most MaxHops+1 holders, and a live batch
-		// has run at most 2·conns connections.
-		if bound := len(live) * 2 * conns * (sys.cfg.MaxHops + 1); held == 0 || held > bound {
-			t.Fatalf("cycle %d: %d scorers held for %d live batches (bound %d)", cycle, held, len(live), bound)
+		for _, lb := range live {
+			if lb.hist == nil {
+				t.Fatalf("cycle %d: live batch %d holds no table", cycle, lb.ID)
+			}
+			edges := 0
+			for _, id := range sys.Net.AllIDs() {
+				edges += len(lb.hist.Successors(id))
+			}
+			// Each connection has at most MaxHops+1 hops, and a live batch
+			// has run at most 2·conns connections.
+			if bound := 2 * conns * (sys.cfg.MaxHops + 1); edges == 0 || edges > bound {
+				t.Fatalf("cycle %d: batch %d holds %d edges (bound %d)", cycle, lb.ID, edges, bound)
+			}
 		}
 		for _, ab := range all[:len(all)-len(live)] {
-			if ab.scorers != nil {
-				t.Fatalf("cycle %d: closed batch %d still holds %d scorers", cycle, ab.ID, len(ab.scorers))
+			if ab.hist != nil {
+				t.Fatalf("cycle %d: closed batch %d still holds its table", cycle, ab.ID)
 			}
 		}
 	}
@@ -161,7 +167,7 @@ func TestColdSolveAllocsFlatInN(t *testing.T) {
 	var first float64
 	for i, n := range []int{100, 10_000} {
 		sys, b := scaleSystem(t, n, 11)
-		b.RunConnection() // warm: builds memo, rows, base rows, scorers
+		b.RunConnection() // warm: builds memo, rows, base rows
 		allocs := testing.AllocsPerRun(1, func() {
 			sys.Net.Touch()
 			b.RunConnection()

@@ -184,21 +184,6 @@ func TestSPNEMemoHitAllocsZero(t *testing.T) {
 	}
 }
 
-// BenchmarkScorerReuse measures the per-hop scorer lookup the routing loop
-// performs — a hit in the batch's scorer cache.
-func BenchmarkScorerReuse(b *testing.B) {
-	sys := newBenchSystem(b, 64, 11)
-	batch, err := sys.NewBatch(0, 63, Contract{Pf: 75, Pr: 150}, UtilityII)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = batch.scorer(overlay.NodeID(i % 64))
-	}
-}
-
 // BenchmarkSPNESimCache measures asking for a solved root with every
 // input unchanged — the steady-state path of a static overlay.
 func BenchmarkSPNESimCache(b *testing.B) {

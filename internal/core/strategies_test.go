@@ -253,9 +253,39 @@ func TestPositionAwareRoutingWorks(t *testing.T) {
 	}
 	bu, _ := sys.NewBatch(0, 39, ContractWithTau(75, 2), UtilityI)
 	br, _ := sys.NewBatch(1, 38, ContractWithTau(75, 2), Random)
+	var paths [][]overlay.NodeID
 	for i := 0; i < 20; i++ {
-		bu.RunConnection()
+		paths = append(paths, bu.RunConnection().Nodes)
 		br.RunConnection()
+	}
+	// The quality the rule reads is w_s·σ + w_a·α: σ over the connections
+	// on which the holder, at the same position, took the same edge, read
+	// here off the realised paths, and α from the holder's estimator. A
+	// hop from the initiator scores position-free; the delivery edge
+	// scores 1.
+	type hop struct{ pred, cur, next overlay.NodeID }
+	uses := make(map[hop]map[int]bool)
+	for c, p := range paths {
+		for i := 0; i+1 < len(p); i++ {
+			h := hop{overlay.None, p[i], p[i+1]}
+			if i > 0 {
+				h.pred = p[i-1]
+			}
+			if uses[h] == nil {
+				uses[h] = make(map[int]bool)
+			}
+			uses[h][c] = true
+		}
+	}
+	for h, conns := range uses {
+		want := 1.0
+		if h.next != bu.Responder {
+			sigma := min(float64(len(conns))/float64(len(paths)-1), 1)
+			want = cfg.Weights.Edge(sigma, probes.For(h.cur).Availability(h.next))
+		}
+		if got := bu.Quality(h.cur, h.pred, h.next); got != want {
+			t.Fatalf("q(%d→%d after %d) = %v, want %v", h.cur, h.next, h.pred, got, want)
+		}
 	}
 	if bu.ForwarderSet().Size() >= br.ForwarderSet().Size() {
 		t.Fatalf("position-aware utility ‖π‖=%d not below random %d",

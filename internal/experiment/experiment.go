@@ -359,23 +359,10 @@ func Run(s Setup) (*Result, error) {
 	return h.result(), nil
 }
 
-// RunTrials runs the same setup with trial-indexed seeds and returns all
-// results.
+// RunTrials runs the same setup with trial-indexed seeds, one trial at a
+// time, and returns all results (RunTrialsParallel with one worker).
 func RunTrials(s Setup, trials int) ([]*Result, error) {
-	if trials < 1 {
-		return nil, fmt.Errorf("experiment: trials=%d", trials)
-	}
-	out := make([]*Result, trials)
-	for t := 0; t < trials; t++ {
-		s := s
-		s.Seed = s.Seed + uint64(t)*0x9e37
-		r, err := Run(s)
-		if err != nil {
-			return nil, err
-		}
-		out[t] = r
-	}
-	return out, nil
+	return RunTrialsParallel(s, trials, 1)
 }
 
 // PoolPayoffs concatenates the good-payoff samples of several results.

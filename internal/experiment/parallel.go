@@ -10,10 +10,11 @@ import (
 	"p2panon/internal/stats"
 )
 
-// RunTrialsParallel is RunTrials fanned out over worker goroutines: each
+// RunTrialsParallel runs trials of the setup over up to workers goroutines
+// (GOMAXPROCS when workers < 1), trial t seeded s.Seed + t·0x9e37. Each
 // trial owns its whole simulation (overlay, engine, RNG), so trials are
-// embarrassingly parallel and the results are bit-identical to the serial
-// runner — the per-trial seeds are the same, only wall-clock time changes.
+// embarrassingly parallel and the results are bit-identical whatever the
+// worker count — only wall-clock time changes.
 func RunTrialsParallel(s Setup, trials, workers int) ([]*Result, error) {
 	if trials < 1 {
 		return nil, fmt.Errorf("experiment: trials=%d", trials)
@@ -35,7 +36,7 @@ func RunTrialsParallel(s Setup, trials, workers int) ([]*Result, error) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			st := s
-			st.Seed = s.Seed + uint64(t)*0x9e37 // identical seeding to RunTrials
+			st.Seed = s.Seed + uint64(t)*0x9e37
 			out[t], errs[t] = Run(st)
 		}(t)
 	}

@@ -6,7 +6,7 @@ import (
 
 func TestParallelTrialsMatchSerial(t *testing.T) {
 	s := Quick()
-	serial, err := RunTrials(s, 4)
+	serial, err := RunTrialsParallel(s, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"p2panon/internal/core"
 	"p2panon/internal/telemetry"
 	"p2panon/internal/transport"
 )
@@ -70,7 +71,7 @@ func CheckClusterArtifact(p Plan, batches []ClusterBatch, observed []ClusterCred
 	for _, b := range batches {
 		for _, e := range b.Expected {
 			if b.SetSize > 0 {
-				want := float64(e.Forwards)*float64(p.Pf) + float64(p.Pr)/float64(b.SetSize)
+				want := core.Contract{Pf: float64(p.Pf), Pr: float64(p.Pr)}.Payoff(e.Forwards, b.SetSize)
 				if math.Float64bits(want) != e.PayoffBits {
 					add(InvConservation, "batch %d node %d: claimed payoff bits %016x, rule says %016x",
 						b.Batch, e.Node, e.PayoffBits, math.Float64bits(want))

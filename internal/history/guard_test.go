@@ -9,83 +9,69 @@ import (
 )
 
 // TestSelectivitySmallKAgainstScanOracle is the k ≤ 1 audit regression:
-// the indexed selectivity must match the full-scan oracle bit for bit
+// the table's selectivity must match the full-scan oracle bit for bit
 // across the whole k range, and in particular the degenerate k values
 // (0, 1, negative) must yield exactly 0 — never ±Inf or NaN, which a raw
 // division by k−1 would leak straight into the SPNE utility comparisons.
 func TestSelectivitySmallKAgainstScanOracle(t *testing.T) {
 	rng := dist.NewSource(99)
-	p := NewProfile(0, 0)
+	h := New(true)
+	var rows []row
 	for c := 1; c <= 40; c++ {
 		hops := 1 + rng.Intn(3)
-		for h := 0; h < hops; h++ {
-			pred := overlay.NodeID(rng.Intn(8)) - 1 // includes overlay.None
-			succ := overlay.NodeID(rng.Intn(10))
-			p.Record(ConnID(c), pred, succ)
+		for i := 0; i < hops; i++ {
+			r := row{conn: c, pred: overlay.NodeID(rng.Intn(8)) - 1, from: 0, to: overlay.NodeID(rng.Intn(10))}
+			h.Record(r.conn, r.pred, r.from, r.to)
+			rows = append(rows, r)
 		}
 	}
 	for k := -2; k <= 45; k++ {
 		for succ := overlay.NodeID(0); succ < 12; succ++ {
-			got := p.Selectivity(succ, k)
-			want := p.scanSelectivity(succ, k)
+			got := h.Selectivity(0, succ, k)
+			want := scanSelectivity(rows, 0, succ, k)
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("Selectivity(%d, %d) = %x, scan oracle %x",
+				t.Fatalf("Selectivity(0, %d, %d) = %x, scan oracle %x",
 					succ, k, math.Float64bits(got), math.Float64bits(want))
 			}
 			if math.IsInf(got, 0) || math.IsNaN(got) || got < 0 || got > 1 {
-				t.Fatalf("Selectivity(%d, %d) = %v escapes [0, 1]", succ, k, got)
+				t.Fatalf("Selectivity(0, %d, %d) = %v escapes [0, 1]", succ, k, got)
 			}
 			if k <= 1 && got != 0 {
-				t.Fatalf("Selectivity(%d, %d) = %v, want 0 for k ≤ 1", succ, k, got)
+				t.Fatalf("Selectivity(0, %d, %d) = %v, want 0 for k ≤ 1", succ, k, got)
 			}
-			at := p.SelectivityAt(4, succ, k)
+			at := h.SelectivityAt(4, 0, succ, k)
 			if math.IsInf(at, 0) || math.IsNaN(at) || at < 0 || at > 1 {
-				t.Fatalf("SelectivityAt(4, %d, %d) = %v escapes [0, 1]", succ, k, at)
+				t.Fatalf("SelectivityAt(4, 0, %d, %d) = %v escapes [0, 1]", succ, k, at)
 			}
 			if k <= 1 && at != 0 {
-				t.Fatalf("SelectivityAt(4, %d, %d) = %v, want 0 for k ≤ 1", succ, k, at)
+				t.Fatalf("SelectivityAt(4, 0, %d, %d) = %v, want 0 for k ≤ 1", succ, k, at)
 			}
 		}
 	}
 }
 
-// TestNilProfileQueries pins the nil-receiver contract the sparse solve
-// leans on: Store.Peek returns nil for never-recorded (node, batch) pairs
-// and every query on a nil *Profile behaves exactly like an empty profile,
-// so scoring a cold node allocates nothing.
+// TestNilProfileQueries pins the nil-receiver contract the routers lean
+// on: a batch that has recorded nothing has no table, and every query on
+// a nil *Table behaves exactly like an empty table.
 func TestNilProfileQueries(t *testing.T) {
-	var p *Profile
-	if p.Len() != 0 || p.Connections() != 0 || p.Version() != 0 {
-		t.Fatal("nil profile not empty")
+	var h *Table
+	if h.Uses(1, 3) != 0 || h.UsesAt(1, 1, 3) != 0 {
+		t.Fatal("nil table reports edge uses")
 	}
-	if p.EdgeUses(3) != 0 || p.EdgeUsesAt(1, 3) != 0 {
-		t.Fatal("nil profile reports edge uses")
-	}
-	if got := p.Selectivity(3, 5); got != 0 {
+	if got := h.Selectivity(1, 3, 5); got != 0 {
 		t.Fatalf("nil Selectivity = %v", got)
 	}
-	if got := p.SelectivityAt(1, 3, 5); got != 0 {
+	if got := h.SelectivityAt(1, 1, 3, 5); got != 0 {
 		t.Fatalf("nil SelectivityAt = %v", got)
 	}
-	if p.EntriesFor(1) != nil {
-		t.Fatal("nil EntriesFor not nil")
-	}
-	if got := p.Successors(); len(got) != 0 {
+	if got := h.Successors(1); len(got) != 0 {
 		t.Fatalf("nil Successors = %v", got)
 	}
-
-	s := NewStore(0)
-	if s.Peek(7, 0) != nil {
-		t.Fatal("Peek invented a profile")
-	}
-	live := s.For(7, 0)
-	if live == nil {
-		t.Fatal("For did not create a profile")
-	}
-	if s.Peek(7, 0) != live {
-		t.Fatal("Peek does not see the profile For created")
-	}
-	if s.Peek(7, 1) != nil || s.Peek(8, 0) != nil {
-		t.Fatal("Peek leaks across (node, batch) keys")
+	holds := make([]bool, 4)
+	h.Tails(holds)
+	for _, b := range holds {
+		if b {
+			t.Fatal("nil table marked a tail")
+		}
 	}
 }

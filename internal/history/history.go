@@ -1,378 +1,165 @@
-// Package history implements the per-node connection history profile of
-// §2.3 (Table 1): every node s stores, for each connection that passed
-// through it, the connection identifier together with the predecessor and
-// successor hops. H^{k-1}(s) — the entries accumulated over connections
-// π¹…π^{k-1} of a batch — yields the *selectivity* of an outgoing edge:
+// Package history implements the connection history of §2.3 (Table 1):
+// every node s stores, for each connection of a batch that passed through
+// it, the connection identifier together with the predecessor and
+// successor hops. The history of connections π¹…π^{k-1} yields the
+// *selectivity* of an outgoing edge:
 //
 //	σ(s, v) = (# past connections of the batch routed s→v) / (k − 1)
 //
-// The predecessor is stored so that a node occupying two different
-// positions on the same path can distinguish its two outgoing edges.
+// A batch keeps one Table, keyed by directed edge. The row keyed (s, v)
+// is s's own Table-1 row for its successor v, so the table is the union
+// of the nodes' profiles, and σ(s, v) reads s's rows only. The simulator's
+// batches and the live routers both count σ here.
 //
-// Selectivity queries sit on the routing hot path — they run once per
-// candidate per hop per connection across every experiment sweep — so the
-// profile maintains incremental indexes (distinct-connection counts per
-// successor and per (predecessor, successor) position) updated on Record
-// and eviction. EdgeUses, EdgeUsesAt and Connections are O(1) lookups and
-// allocation-free; the straightforward full-entry scans are kept as
-// unexported oracles for the equivalence tests.
+// The predecessor is stored, when a batch asks for positions, so that a
+// node occupying two different positions on the same path can distinguish
+// its two outgoing edges.
 package history
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 
 	"p2panon/internal/overlay"
 )
 
-// ConnID identifies one connection π^i within a batch π.
-type ConnID int
+// edge is a directed edge (tail, head), kept as int32 ids: every batch
+// open at once holds a table, so its keys are kept small.
+type edge [2]int32
 
-// Entry is one row of a node's history profile (the paper's Table 1).
-type Entry struct {
-	Conn        ConnID
-	Predecessor overlay.NodeID // overlay.None when the recording node was first hop after I
-	Successor   overlay.NodeID
+// posEdge is an edge together with the predecessor its tail received the
+// payload from.
+type posEdge struct {
+	pred int32
+	e    edge
 }
 
-// posKey identifies a position-differentiated outgoing edge: the payload
-// arrived from Pred and left toward Succ.
-type posKey struct {
-	pred, succ overlay.NodeID
+// Table is one batch's routing history: the directed edges its
+// connections used, each with the number of distinct connections that used
+// it, so a connection reusing an edge — a cycle, a re-attempt — counts
+// once, and connections of the batch may interleave. Queries are
+// allocation free, and a nil *Table is an empty history.
+type Table struct {
+	uses map[edge]int32
+	seen map[connKey[edge]]struct{}
+	// The position index, nil unless the table was made with positions.
+	pos     map[posEdge]int32
+	posSeen map[connKey[posEdge]]struct{}
 }
 
-// rowKey is a full (connection, predecessor, successor) triple; rowMult
-// counts exact duplicate rows so eviction can tell when a triple is gone.
-type rowKey struct {
-	conn       ConnID
-	pred, succ overlay.NodeID
+// connKey pairs a connection with the key it used: the set of pairs
+// already counted.
+type connKey[K comparable] struct {
+	conn int
+	k    K
 }
 
-// connSuccKey pairs a connection with a successor for the distinct-conn
-// count behind EdgeUses.
-type connSuccKey struct {
-	conn ConnID
-	succ overlay.NodeID
-}
-
-// Profile is the history store of a single node for a single (I, R) batch.
-// The zero value is not usable; construct with NewProfile.
-type Profile struct {
-	owner   overlay.NodeID
-	entries []Entry
-	// Incremental indexes. Each *Mult map counts stored rows sharing a
-	// key; the matching *Distinct structures count keys with multiplicity
-	// > 0, which is exactly the "distinct connections" the paper's
-	// selectivity needs. All are updated in O(1) on Record and eviction.
-	rowMult      map[rowKey]int      // exact (conn, pred, succ) row multiplicity
-	posDistinct  map[posKey]int      // distinct conns per (pred, succ) edge position
-	edgeMult     map[connSuccKey]int // rows per (conn, succ)
-	succDistinct map[overlay.NodeID]int
-	connMult     map[ConnID]int // rows per conn
-	predMult     map[overlay.NodeID]int
-	conns        int // distinct connections recorded
-	capacity     int // max entries retained, 0 = unlimited
-	version      uint64
-}
-
-// NewProfile creates an empty history profile for the given node.
-// capacity bounds the number of retained entries (oldest evicted first);
-// 0 means unlimited. The paper notes the amount of stored history
-// influences edge quality — capacity models that knob.
-func NewProfile(owner overlay.NodeID, capacity int) *Profile {
-	if capacity < 0 {
-		panic(fmt.Sprintf("history: capacity %d", capacity))
+// New returns an empty table; positions keeps the (predecessor, edge)
+// index that UsesAt and SelectivityAt read.
+func New(positions bool) *Table {
+	t := &Table{uses: make(map[edge]int32), seen: make(map[connKey[edge]]struct{})}
+	if positions {
+		t.pos = make(map[posEdge]int32)
+		t.posSeen = make(map[connKey[posEdge]]struct{})
 	}
-	return &Profile{
-		owner:        owner,
-		rowMult:      make(map[rowKey]int),
-		posDistinct:  make(map[posKey]int),
-		edgeMult:     make(map[connSuccKey]int),
-		succDistinct: make(map[overlay.NodeID]int),
-		connMult:     make(map[ConnID]int),
-		predMult:     make(map[overlay.NodeID]int),
-		capacity:     capacity,
+	return t
+}
+
+func key(from, to overlay.NodeID) edge { return edge{int32(from), int32(to)} }
+
+// Record stores one forwarding instance of connection conn: the holder
+// from, having received the payload from pred (overlay.None if from is
+// the initiator), sent it to to. It reports whether the edge is new to
+// the batch: no connection, this one included, used it before.
+func (t *Table) Record(conn int, pred, from, to overlay.NodeID) (first bool) {
+	e := key(from, to)
+	first = t.uses[e] == 0
+	count(t.uses, t.seen, conn, e)
+	if t.pos != nil {
+		count(t.pos, t.posSeen, conn, posEdge{int32(pred), e})
+	}
+	return first
+}
+
+// count adds one use of k by connection conn, unless conn used it before.
+func count[K comparable](uses map[K]int32, seen map[connKey[K]]struct{}, conn int, k K) {
+	if _, counted := seen[connKey[K]{conn, k}]; !counted {
+		seen[connKey[K]{conn, k}] = struct{}{}
+		uses[k]++
 	}
 }
 
-// Owner returns the node whose history this is.
-func (p *Profile) Owner() overlay.NodeID { return p.owner }
-
-// Query methods are nil-receiver safe: a nil *Profile behaves as an empty
-// one. Store.Peek hands routing-side readers nil for nodes that never
-// recorded anything, so scale-frontier solves do not materialise the six
-// index maps per node just to read zero selectivities. Only Record (a
-// write) requires a real profile.
-
-// Len returns the number of stored entries.
-func (p *Profile) Len() int {
-	if p == nil {
+// Uses returns the number of distinct connections that used from→to.
+func (t *Table) Uses(from, to overlay.NodeID) int {
+	if t == nil {
 		return 0
 	}
-	return len(p.entries)
+	return int(t.uses[key(from, to)])
 }
 
-// Connections returns the number of distinct connections recorded.
-func (p *Profile) Connections() int {
-	if p == nil {
+// UsesAt returns the number of distinct connections on which from,
+// holding the payload received from pred, forwarded to to — the
+// position-differentiated count §2.3's predecessor trick enables. It is 0
+// for a table made without positions.
+func (t *Table) UsesAt(pred, from, to overlay.NodeID) int {
+	if t == nil {
 		return 0
 	}
-	return p.conns
+	return int(t.pos[posEdge{int32(pred), key(from, to)}])
 }
 
-// Version returns a counter incremented on every mutation (Record or
-// eviction); callers cache derived values against it.
-func (p *Profile) Version() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.version
-}
-
-// Record stores one forwarding instance: the owner forwarded connection
-// cid, received from pred (overlay.None if the owner was the first hop),
-// and sent to succ.
-func (p *Profile) Record(cid ConnID, pred, succ overlay.NodeID) {
-	p.version++
-	p.entries = append(p.entries, Entry{Conn: cid, Predecessor: pred, Successor: succ})
-	rk := rowKey{cid, pred, succ}
-	p.rowMult[rk]++
-	if p.rowMult[rk] == 1 {
-		p.posDistinct[posKey{pred, succ}]++
-	}
-	ek := connSuccKey{cid, succ}
-	p.edgeMult[ek]++
-	if p.edgeMult[ek] == 1 {
-		p.succDistinct[succ]++
-	}
-	p.connMult[cid]++
-	if p.connMult[cid] == 1 {
-		p.conns++
-	}
-	p.predMult[pred]++
-	if p.capacity > 0 && len(p.entries) > p.capacity {
-		p.evictOldest()
-	}
-}
-
-// evictOldest removes the oldest entry, decrementing the incremental
-// indexes in O(1).
-func (p *Profile) evictOldest() {
-	p.version++
-	old := p.entries[0]
-	p.entries = p.entries[1:]
-	rk := rowKey{old.Conn, old.Predecessor, old.Successor}
-	if p.rowMult[rk]--; p.rowMult[rk] == 0 {
-		delete(p.rowMult, rk)
-		pk := posKey{old.Predecessor, old.Successor}
-		if p.posDistinct[pk]--; p.posDistinct[pk] == 0 {
-			delete(p.posDistinct, pk)
-		}
-	}
-	ek := connSuccKey{old.Conn, old.Successor}
-	if p.edgeMult[ek]--; p.edgeMult[ek] == 0 {
-		delete(p.edgeMult, ek)
-		if p.succDistinct[old.Successor]--; p.succDistinct[old.Successor] == 0 {
-			delete(p.succDistinct, old.Successor)
-		}
-	}
-	if p.connMult[old.Conn]--; p.connMult[old.Conn] == 0 {
-		delete(p.connMult, old.Conn)
-		p.conns--
-	}
-	if p.predMult[old.Predecessor]--; p.predMult[old.Predecessor] == 0 {
-		delete(p.predMult, old.Predecessor)
-	}
-}
-
-// EdgeUses returns the number of distinct recorded connections that used
-// the edge owner→succ. O(1), allocation-free.
-func (p *Profile) EdgeUses(succ overlay.NodeID) int {
-	if p == nil {
-		return 0
-	}
-	return p.succDistinct[succ]
-}
-
-// Selectivity returns σ(owner, succ) for the k-th connection of the batch:
-// the ratio of entries for the edge to the maximum possible (k−1). The
+// Selectivity returns σ(from, to) for the k-th connection of the batch:
+// the edge's uses over the k−1 earlier connections, capped at 1 — a use by
+// the connection in flight counts, so a cycle can reach the cap. The
 // k ≤ 1 guard is load-bearing, not cosmetic: σ feeds edge quality and
 // through it the SPNE payoffs, so a raw division by k−1 would leak ±Inf
 // (k = 1) or a negative σ (k ≤ 0) into every utility comparison of the
 // stage game. For the first connection there is no history and
 // selectivity is defined as 0; non-positive k (a caller bug) degrades to
 // the same harmless value.
-func (p *Profile) Selectivity(succ overlay.NodeID, k int) float64 {
-	if p == nil || k <= 1 {
-		return 0
-	}
-	sigma := float64(p.EdgeUses(succ)) / float64(k-1)
-	if sigma > 1 {
-		sigma = 1
-	}
-	return sigma
+func (t *Table) Selectivity(from, to overlay.NodeID, k int) float64 {
+	return sigma(t.Uses(from, to), k)
 }
 
-// EntriesFor returns the stored entries whose predecessor matches pred,
-// letting a node distinguish its outgoing edges by path position as §2.3
-// describes. The result is sized exactly from the predecessor index; nil
-// when no entry matches.
-func (p *Profile) EntriesFor(pred overlay.NodeID) []Entry {
-	if p == nil {
+// SelectivityAt is the position-aware variant of Selectivity: σ counted
+// only over the connections on which from held the payload received from
+// pred, so a node that occupies two positions on the same recurring path
+// scores each position's outgoing edge independently ("a node can
+// differentiate between outgoing edges for two different positions on the
+// same path", §2.3).
+func (t *Table) SelectivityAt(pred, from, to overlay.NodeID, k int) float64 {
+	return sigma(t.UsesAt(pred, from, to), k)
+}
+
+func sigma(uses, k int) float64 {
+	if k <= 1 {
+		return 0
+	}
+	return min(float64(uses)/float64(k-1), 1)
+}
+
+// Successors returns the distinct successors from forwarded to, ascending.
+func (t *Table) Successors(from overlay.NodeID) []overlay.NodeID {
+	if t == nil {
 		return nil
 	}
-	n := p.predMult[pred]
-	if n == 0 {
-		return nil
-	}
-	out := make([]Entry, 0, n)
-	for _, e := range p.entries {
-		if e.Predecessor == pred {
-			out = append(out, e)
+	var out []overlay.NodeID
+	for e := range t.uses {
+		if e[0] == int32(from) {
+			out = append(out, overlay.NodeID(e[1]))
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 
-// EdgeUsesAt returns the number of distinct recorded connections on which
-// the owner, holding the payload received from pred, forwarded to succ —
-// the position-differentiated count §2.3's predecessor trick enables.
-// O(1), allocation-free.
-func (p *Profile) EdgeUsesAt(pred, succ overlay.NodeID) int {
-	if p == nil {
-		return 0
+// Tails sets holds[s] for every node s that forwarded on some connection
+// of the batch: the nodes whose σ may be non-zero. holds must span every
+// recorded id.
+func (t *Table) Tails(holds []bool) {
+	if t == nil {
+		return
 	}
-	return p.posDistinct[posKey{pred, succ}]
-}
-
-// SelectivityAt is the position-aware variant of Selectivity: σ computed
-// only over history rows whose predecessor matches pred, so a node that
-// occupies two positions on the same recurring path scores each position's
-// outgoing edge independently ("a node can differentiate between outgoing
-// edges for two different positions on the same path", §2.3). The k ≤ 1
-// guard mirrors Selectivity's: no ±Inf/NaN may reach utility math.
-func (p *Profile) SelectivityAt(pred, succ overlay.NodeID, k int) float64 {
-	if p == nil || k <= 1 {
-		return 0
-	}
-	sigma := float64(p.EdgeUsesAt(pred, succ)) / float64(k-1)
-	if sigma > 1 {
-		sigma = 1
-	}
-	return sigma
-}
-
-// scanEdgeUses is the pre-index full-scan implementation of EdgeUses, kept
-// as the oracle the equivalence tests check the incremental index against.
-func (p *Profile) scanEdgeUses(succ overlay.NodeID) int {
-	conns := make(map[ConnID]struct{})
-	for _, e := range p.entries {
-		if e.Successor == succ {
-			conns[e.Conn] = struct{}{}
-		}
-	}
-	return len(conns)
-}
-
-// scanEdgeUsesAt is the pre-index full-scan implementation of EdgeUsesAt
-// (test oracle).
-func (p *Profile) scanEdgeUsesAt(pred, succ overlay.NodeID) int {
-	conns := make(map[ConnID]struct{})
-	for _, e := range p.entries {
-		if e.Predecessor == pred && e.Successor == succ {
-			conns[e.Conn] = struct{}{}
-		}
-	}
-	return len(conns)
-}
-
-// scanSelectivity is the scan-version oracle for Selectivity: the same
-// k ≤ 1 definition over the full-scan edge-use count. The regression
-// suite checks the indexed hot path against it, including the small-k
-// guard values.
-func (p *Profile) scanSelectivity(succ overlay.NodeID, k int) float64 {
-	if p == nil || k <= 1 {
-		return 0
-	}
-	sigma := float64(p.scanEdgeUses(succ)) / float64(k-1)
-	if sigma > 1 {
-		sigma = 1
-	}
-	return sigma
-}
-
-// scanConnections is the full-scan implementation of Connections (test
-// oracle).
-func (p *Profile) scanConnections() int {
-	conns := make(map[ConnID]struct{})
-	for _, e := range p.entries {
-		conns[e.Conn] = struct{}{}
-	}
-	return len(conns)
-}
-
-// Successors returns the distinct successors recorded, ascending.
-func (p *Profile) Successors() []overlay.NodeID {
-	if p == nil {
-		return nil
-	}
-	out := make([]overlay.NodeID, 0, len(p.succDistinct))
-	for v := range p.succDistinct {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Store is the collection of history profiles for all nodes, keyed by
-// (node, batch). The paper scopes history to the recurring connections
-// between one (I, R) pair; Store keys batches by an opaque integer.
-type Store struct {
-	capacity int
-	profiles map[storeKey]*Profile
-}
-
-type storeKey struct {
-	node  overlay.NodeID
-	batch int
-}
-
-// NewStore creates an empty store whose profiles retain at most capacity
-// entries each (0 = unlimited).
-func NewStore(capacity int) *Store {
-	return &Store{capacity: capacity, profiles: make(map[storeKey]*Profile)}
-}
-
-// For returns (creating on first use) node's profile for the given batch.
-func (s *Store) For(node overlay.NodeID, batch int) *Profile {
-	k := storeKey{node, batch}
-	p, ok := s.profiles[k]
-	if !ok {
-		p = NewProfile(node, s.capacity)
-		s.profiles[k] = p
-	}
-	return p
-}
-
-// Peek returns node's profile for the batch, or nil when nothing was ever
-// recorded for it. Profile query methods are nil-receiver safe, so
-// read-only consumers (edge scoring, settlement) can use Peek directly
-// instead of For — at scale-frontier populations, materialising a profile
-// (six index maps) for every node a solve merely *scores* would dominate
-// the working set.
-func (s *Store) Peek(node overlay.NodeID, batch int) *Profile {
-	return s.profiles[storeKey{node, batch}]
-}
-
-// DropBatch forgets every profile of the given batch (payments settled,
-// history no longer needed).
-func (s *Store) DropBatch(batch int) {
-	for k := range s.profiles {
-		if k.batch == batch {
-			delete(s.profiles, k)
-		}
+	for e := range t.uses {
+		holds[e[0]] = true
 	}
 }
-
-// Size returns the number of live profiles.
-func (s *Store) Size() int { return len(s.profiles) }

@@ -9,65 +9,67 @@ import (
 )
 
 func TestEmptyProfile(t *testing.T) {
-	p := NewProfile(3, 0)
-	if p.Owner() != 3 {
-		t.Fatalf("owner = %d", p.Owner())
+	h := New(true)
+	if h.Uses(3, 1) != 0 || h.UsesAt(overlay.None, 3, 1) != 0 {
+		t.Fatal("empty table reports uses")
 	}
-	if p.Len() != 0 || p.Connections() != 0 {
-		t.Fatal("empty profile not empty")
-	}
-	if p.Selectivity(1, 5) != 0 {
+	if h.Selectivity(3, 1, 5) != 0 {
 		t.Fatal("selectivity without history should be 0")
+	}
+	if got := h.Successors(3); len(got) != 0 {
+		t.Fatalf("successors = %v", got)
 	}
 }
 
 func TestRecordAndEdgeUses(t *testing.T) {
-	p := NewProfile(0, 0)
-	p.Record(1, overlay.None, 7)
-	p.Record(2, 4, 7)
-	p.Record(3, 4, 9)
-	if p.EdgeUses(7) != 2 {
-		t.Fatalf("EdgeUses(7) = %d", p.EdgeUses(7))
+	h := New(false)
+	h.Record(1, overlay.None, 0, 7)
+	h.Record(2, 4, 0, 7)
+	h.Record(3, 4, 0, 9)
+	if h.Uses(0, 7) != 2 {
+		t.Fatalf("Uses(0, 7) = %d", h.Uses(0, 7))
 	}
-	if p.EdgeUses(9) != 1 {
-		t.Fatalf("EdgeUses(9) = %d", p.EdgeUses(9))
+	if h.Uses(0, 9) != 1 {
+		t.Fatalf("Uses(0, 9) = %d", h.Uses(0, 9))
 	}
-	if p.EdgeUses(12) != 0 {
-		t.Fatalf("EdgeUses(12) = %d", p.EdgeUses(12))
-	}
-	if p.Connections() != 3 {
-		t.Fatalf("connections = %d", p.Connections())
+	if h.Uses(0, 12) != 0 {
+		t.Fatalf("Uses(0, 12) = %d", h.Uses(0, 12))
 	}
 }
 
 func TestSameConnectionCountedOnce(t *testing.T) {
 	// A node appearing twice on the same path with the same successor
-	// still contributes one connection to that edge.
-	p := NewProfile(0, 0)
-	p.Record(1, 4, 7)
-	p.Record(1, 9, 7)
-	if p.EdgeUses(7) != 1 {
-		t.Fatalf("EdgeUses = %d, want 1 (same cid)", p.EdgeUses(7))
+	// still contributes one connection to that edge; only the first
+	// record of an edge is new to the batch.
+	h := New(true)
+	if !h.Record(1, 4, 0, 7) {
+		t.Fatal("first use of 0→7 not new")
 	}
-	if p.Len() != 2 {
-		t.Fatalf("Len = %d", p.Len())
+	if h.Record(1, 9, 0, 7) {
+		t.Fatal("second use of 0→7 reported new")
+	}
+	if h.Uses(0, 7) != 1 {
+		t.Fatalf("Uses = %d, want 1 (same conn)", h.Uses(0, 7))
+	}
+	if h.UsesAt(4, 0, 7) != 1 || h.UsesAt(9, 0, 7) != 1 {
+		t.Fatalf("UsesAt = %d, %d, want 1, 1", h.UsesAt(4, 0, 7), h.UsesAt(9, 0, 7))
 	}
 }
 
 func TestSelectivityDefinition(t *testing.T) {
 	// σ(s,v) = uses / (k-1), per §2.3.
-	p := NewProfile(0, 0)
-	p.Record(1, overlay.None, 7)
-	p.Record(2, overlay.None, 7)
-	p.Record(3, overlay.None, 9)
-	// For the 4th connection: edge →7 used in 2 of 3 prior connections.
-	if got, want := p.Selectivity(7, 4), 2.0/3.0; math.Abs(got-want) > 1e-12 {
+	h := New(false)
+	h.Record(1, overlay.None, 0, 7)
+	h.Record(2, overlay.None, 0, 7)
+	h.Record(3, overlay.None, 0, 9)
+	// For the 4th connection: edge 0→7 used in 2 of 3 prior connections.
+	if got, want := h.Selectivity(0, 7, 4), 2.0/3.0; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("sigma = %g, want %g", got, want)
 	}
-	if got, want := p.Selectivity(9, 4), 1.0/3.0; math.Abs(got-want) > 1e-12 {
+	if got, want := h.Selectivity(0, 9, 4), 1.0/3.0; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("sigma = %g, want %g", got, want)
 	}
-	if got := p.Selectivity(11, 4); got != 0 {
+	if got := h.Selectivity(0, 11, 4); got != 0 {
 		t.Fatalf("unused edge sigma = %g", got)
 	}
 }
@@ -75,40 +77,22 @@ func TestSelectivityDefinition(t *testing.T) {
 func TestSelectivityClampedToOne(t *testing.T) {
 	// If a node recorded more uses than k-1 (possible when k is an
 	// undercount from the caller's perspective), clamp.
-	p := NewProfile(0, 0)
-	p.Record(1, overlay.None, 7)
-	p.Record(2, overlay.None, 7)
-	p.Record(3, overlay.None, 7)
-	if got := p.Selectivity(7, 2); got != 1 {
+	h := New(false)
+	h.Record(1, overlay.None, 0, 7)
+	h.Record(2, overlay.None, 0, 7)
+	h.Record(3, overlay.None, 0, 7)
+	if got := h.Selectivity(0, 7, 2); got != 1 {
 		t.Fatalf("sigma = %g, want clamp at 1", got)
 	}
 }
 
-func TestEntriesForPredecessor(t *testing.T) {
-	p := NewProfile(0, 0)
-	p.Record(1, 4, 7)
-	p.Record(1, 9, 8)
-	p.Record(2, 4, 7)
-	got := p.EntriesFor(4)
-	if len(got) != 2 {
-		t.Fatalf("EntriesFor(4) = %v", got)
-	}
-	for _, e := range got {
-		if e.Predecessor != 4 || e.Successor != 7 {
-			t.Fatalf("wrong entry %+v", e)
-		}
-	}
-	if len(p.EntriesFor(overlay.None)) != 0 {
-		t.Fatal("None predecessor should have no entries here")
-	}
-}
-
 func TestSuccessorsSorted(t *testing.T) {
-	p := NewProfile(0, 0)
-	p.Record(1, overlay.None, 9)
-	p.Record(2, overlay.None, 3)
-	p.Record(3, overlay.None, 6)
-	got := p.Successors()
+	h := New(false)
+	h.Record(1, overlay.None, 0, 9)
+	h.Record(2, overlay.None, 0, 3)
+	h.Record(3, overlay.None, 0, 6)
+	h.Record(3, 0, 6, 2) // another tail's row
+	got := h.Successors(0)
 	want := []overlay.NodeID{3, 6, 9}
 	if len(got) != len(want) {
 		t.Fatalf("successors = %v", got)
@@ -120,110 +104,43 @@ func TestSuccessorsSorted(t *testing.T) {
 	}
 }
 
-func TestCapacityEviction(t *testing.T) {
-	p := NewProfile(0, 2)
-	p.Record(1, overlay.None, 7)
-	p.Record(2, overlay.None, 8)
-	p.Record(3, overlay.None, 9) // evicts cid 1
-	if p.Len() != 2 {
-		t.Fatalf("Len = %d", p.Len())
-	}
-	if p.EdgeUses(7) != 0 {
-		t.Fatal("evicted edge still counted")
-	}
-	if p.Connections() != 2 {
-		t.Fatalf("connections = %d", p.Connections())
-	}
-}
-
-func TestEvictionKeepsSharedCounts(t *testing.T) {
-	p := NewProfile(0, 2)
-	p.Record(1, 4, 7)
-	p.Record(1, 9, 7) // same (cid, successor); evicting one keeps the edge
-	p.Record(2, 4, 8) // evicts first entry
-	if p.EdgeUses(7) != 1 {
-		t.Fatalf("EdgeUses(7) = %d; shared (cid,succ) lost on eviction", p.EdgeUses(7))
-	}
-	if p.Connections() != 2 {
-		t.Fatalf("connections = %d", p.Connections())
-	}
-}
-
-func TestEvictionDropsConnOnlyWhenGone(t *testing.T) {
-	p := NewProfile(0, 2)
-	p.Record(1, 4, 7)
-	p.Record(1, 7, 9) // same conn, different edge
-	p.Record(2, 4, 8) // evicts (1,4,7)
-	if p.EdgeUses(7) != 0 {
-		t.Fatal("evicted edge still counted")
-	}
-	if p.Connections() != 2 { // conn 1 still present via second entry
-		t.Fatalf("connections = %d", p.Connections())
-	}
-}
-
-func TestNegativeCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewProfile(0, -1)
-}
-
+// TestStoreIsolatesBatches: each batch has its own table, and within one
+// a row is its tail's alone — the table is the union of the nodes'
+// profiles, so no node's σ reads another node's rows.
 func TestStoreIsolatesBatches(t *testing.T) {
-	s := NewStore(0)
-	s.For(1, 100).Record(1, overlay.None, 7)
-	if s.For(1, 200).EdgeUses(7) != 0 {
+	a, b := New(false), New(false)
+	a.Record(1, overlay.None, 1, 7)
+	if b.Uses(1, 7) != 0 {
 		t.Fatal("batches not isolated")
 	}
-	if s.For(2, 100).EdgeUses(7) != 0 {
+	if a.Uses(2, 7) != 0 || a.Selectivity(2, 7, 2) != 0 {
 		t.Fatal("nodes not isolated")
 	}
-	if s.Size() != 3 {
-		t.Fatalf("size = %d", s.Size())
+	holds := make([]bool, 8)
+	a.Tails(holds)
+	for id, h := range holds {
+		if h != (id == 1) {
+			t.Fatalf("Tails marked %v", holds)
+		}
 	}
 }
 
-func TestStoreForIdempotent(t *testing.T) {
-	s := NewStore(0)
-	a := s.For(1, 1)
-	b := s.For(1, 1)
-	if a != b {
-		t.Fatal("For not idempotent")
-	}
-}
-
-func TestStoreDropBatch(t *testing.T) {
-	s := NewStore(0)
-	s.For(1, 100).Record(1, overlay.None, 7)
-	s.For(2, 100).Record(1, 1, 8)
-	s.For(1, 200).Record(1, overlay.None, 9)
-	s.DropBatch(100)
-	if s.Size() != 1 {
-		t.Fatalf("size after drop = %d", s.Size())
-	}
-	if s.For(1, 200).EdgeUses(9) != 1 {
-		t.Fatal("wrong batch dropped")
-	}
-}
-
-// Property: selectivity is always within [0, 1] and EdgeUses never exceeds
+// Property: selectivity is always within [0, 1] and Uses never exceeds
 // the number of distinct connections.
 func TestQuickSelectivityBounds(t *testing.T) {
 	f := func(ops []uint8, k uint8) bool {
-		p := NewProfile(0, 0)
+		h := New(false)
+		conns := make(map[int]bool)
 		for i, op := range ops {
-			cid := ConnID(op % 8)
-			succ := overlay.NodeID(op % 5)
-			pred := overlay.NodeID(i % 3)
-			p.Record(cid, pred, succ)
+			conn := int(op % 8)
+			conns[conn] = true
+			h.Record(conn, overlay.NodeID(i%3), 0, overlay.NodeID(op%5))
 		}
 		for succ := overlay.NodeID(0); succ < 5; succ++ {
-			if p.EdgeUses(succ) > p.Connections() {
+			if h.Uses(0, succ) > len(conns) {
 				return false
 			}
-			sigma := p.Selectivity(succ, int(k))
+			sigma := h.Selectivity(0, succ, int(k))
 			if sigma < 0 || sigma > 1 {
 				return false
 			}
@@ -235,65 +152,53 @@ func TestQuickSelectivityBounds(t *testing.T) {
 	}
 }
 
-// Property: with capacity c, Len never exceeds c.
-func TestQuickCapacityInvariant(t *testing.T) {
-	f := func(ops []uint8) bool {
-		const c = 5
-		p := NewProfile(0, c)
-		for _, op := range ops {
-			p.Record(ConnID(op%10), overlay.NodeID(op%3), overlay.NodeID(op%7))
-			if p.Len() > c {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestEdgeUsesAtDifferentiatesPositions(t *testing.T) {
-	p := NewProfile(0, 0)
+	h := New(true)
 	// Node 0 occupies two positions on recurring paths: after pred 4 it
 	// forwards to 7; after pred 9 it forwards to 8.
-	p.Record(1, 4, 7)
-	p.Record(1, 9, 8)
-	p.Record(2, 4, 7)
-	p.Record(2, 9, 8)
-	if got := p.EdgeUsesAt(4, 7); got != 2 {
-		t.Fatalf("EdgeUsesAt(4,7) = %d", got)
+	h.Record(1, 4, 0, 7)
+	h.Record(1, 9, 0, 8)
+	h.Record(2, 4, 0, 7)
+	h.Record(2, 9, 0, 8)
+	if got := h.UsesAt(4, 0, 7); got != 2 {
+		t.Fatalf("UsesAt(4, 0, 7) = %d", got)
 	}
-	if got := p.EdgeUsesAt(9, 7); got != 0 {
-		t.Fatalf("EdgeUsesAt(9,7) = %d", got)
+	if got := h.UsesAt(9, 0, 7); got != 0 {
+		t.Fatalf("UsesAt(9, 0, 7) = %d", got)
 	}
-	if got := p.EdgeUsesAt(4, 8); got != 0 {
-		t.Fatalf("EdgeUsesAt(4,8) = %d", got)
+	if got := h.UsesAt(4, 0, 8); got != 0 {
+		t.Fatalf("UsesAt(4, 0, 8) = %d", got)
 	}
 	// Position-agnostic count sees both connections per successor.
-	if got := p.EdgeUses(7); got != 2 {
-		t.Fatalf("EdgeUses(7) = %d", got)
+	if got := h.Uses(0, 7); got != 2 {
+		t.Fatalf("Uses(0, 7) = %d", got)
+	}
+	// A table made without positions keeps no position index.
+	p := New(false)
+	p.Record(1, 4, 0, 7)
+	if got := p.UsesAt(4, 0, 7); got != 0 {
+		t.Fatalf("position-free table: UsesAt = %d", got)
 	}
 }
 
 func TestSelectivityAtDefinition(t *testing.T) {
-	p := NewProfile(0, 0)
-	p.Record(1, 4, 7)
-	p.Record(2, 4, 7)
-	p.Record(3, 9, 7) // same successor, different position
+	h := New(true)
+	h.Record(1, 4, 0, 7)
+	h.Record(2, 4, 0, 7)
+	h.Record(3, 9, 0, 7) // same successor, different position
 	// At position pred=4 for the 4th connection: 2 of 3 prior.
-	if got, want := p.SelectivityAt(4, 7, 4), 2.0/3.0; math.Abs(got-want) > 1e-12 {
+	if got, want := h.SelectivityAt(4, 0, 7, 4), 2.0/3.0; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("sigma = %g, want %g", got, want)
 	}
 	// Unknown position: zero.
-	if got := p.SelectivityAt(12, 7, 4); got != 0 {
+	if got := h.SelectivityAt(12, 0, 7, 4); got != 0 {
 		t.Fatalf("sigma = %g", got)
 	}
-	if got := p.SelectivityAt(4, 7, 1); got != 0 {
+	if got := h.SelectivityAt(4, 0, 7, 1); got != 0 {
 		t.Fatal("k<=1 selectivity should be 0")
 	}
 	// Clamp: more uses than k-1.
-	if got := p.SelectivityAt(4, 7, 2); got != 1 {
+	if got := h.SelectivityAt(4, 0, 7, 2); got != 1 {
 		t.Fatalf("sigma = %g, want clamp", got)
 	}
 }

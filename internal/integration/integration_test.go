@@ -211,8 +211,8 @@ func TestChurnProbeRoutingPipeline(t *testing.T) {
 }
 
 // TestCoalitionSeesSubsetOfHistory: what a colluding coalition extracts
-// from paths must be consistent with the history profiles the nodes
-// recorded — the §5 attack uses exactly the Table 1 rows.
+// from paths must be consistent with the history rows the nodes recorded
+// — the §5 attack uses exactly the Table 1 rows.
 func TestCoalitionSeesSubsetOfHistory(t *testing.T) {
 	sys, net := buildSystem(t, 30, 11)
 	var members []overlay.NodeID
@@ -226,17 +226,42 @@ func TestCoalitionSeesSubsetOfHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// rows[s][v] holds the connections on which s forwarded to v, read off
+	// the observed paths.
+	rows := make(map[overlay.NodeID]map[overlay.NodeID]map[int]bool)
 	for c := 0; c < 10; c++ {
 		res := batch.RunConnection()
 		coalition.ObservePath(res)
+		for i := 1; i+1 < len(res.Nodes); i++ {
+			s, v := res.Nodes[i], res.Nodes[i+1]
+			if rows[s] == nil {
+				rows[s] = make(map[overlay.NodeID]map[int]bool)
+			}
+			if rows[s][v] == nil {
+				rows[s][v] = make(map[int]bool)
+			}
+			rows[s][v][res.Conn] = true
+		}
 	}
-	// Every coalition observation must match a recorded history entry of
-	// the observer: (conn, pred, succ) rows exist in the observer profile.
+	// Every coalition observation must match a recorded history row of
+	// the observer: its table rows are the (connection, successor) pairs
+	// of its forwards, one per forward unless it took an edge twice on
+	// one connection.
+	hist := batch.History()
 	for _, id := range members {
-		prof := sys.Hist.For(id, batch.ID)
-		obsForwards := batch.Forwards(id)
-		if prof.Len() != obsForwards {
-			t.Fatalf("node %d history %d entries, forwarded %d times", id, prof.Len(), obsForwards)
+		succ := hist.Successors(id)
+		if len(succ) != len(rows[id]) {
+			t.Fatalf("node %d: history successors %v, observed %d", id, succ, len(rows[id]))
+		}
+		uses := 0
+		for _, v := range succ {
+			if got, want := hist.Uses(id, v), len(rows[id][v]); got != want {
+				t.Fatalf("node %d: %d→%d used on %d connections, observed %d", id, id, v, got, want)
+			}
+			uses += hist.Uses(id, v)
+		}
+		if uses > batch.Forwards(id) {
+			t.Fatalf("node %d history %d rows, forwarded %d times", id, uses, batch.Forwards(id))
 		}
 	}
 	_ = attack.Entropy // keep attack import honest if assertions change

@@ -1,9 +1,10 @@
 // Package quality computes the paper's edge- and path-quality metrics
 // (§2.1, §2.3):
 //
-//   - edge quality  q(s,v) = w_s·σ(s,v) + w_a·α_s(v), with w_s + w_a = 1;
-//   - the last edge of a path has quality 1 because it ends at the
-//     responder R;
+//   - edge quality  q(s,v) = w_s·σ(s,v) + w_a·α_s(v), with w_s + w_a = 1
+//     (Weights.Edge; σ comes from the batch's history, α from the
+//     holder's probing estimator, and the last edge of a path, which
+//     ends at the responder R, has quality 1);
 //   - path quality of a batch, Q(π) = L / ‖π‖, where L is the average path
 //     length and ‖π‖ the size of the union forwarder set.
 package quality
@@ -11,9 +12,7 @@ package quality
 import (
 	"fmt"
 
-	"p2panon/internal/history"
 	"p2panon/internal/overlay"
-	"p2panon/internal/probe"
 )
 
 // Weights holds the selectivity/availability weighting (w_s, w_a). The
@@ -52,48 +51,6 @@ func (w Weights) Edge(sigma, alpha float64) float64 {
 		return 1
 	}
 	return q
-}
-
-// Scorer bundles the two estimators an individual node consults to score
-// its outgoing edges: its history profile (selectivity) and its probing
-// estimator (availability).
-type Scorer struct {
-	W       Weights
-	History *history.Profile
-	Probe   *probe.Estimator
-}
-
-// NewScorer constructs a Scorer, panicking on invalid weights so that
-// configuration mistakes surface at construction, not mid-simulation.
-func NewScorer(w Weights, h *history.Profile, p *probe.Estimator) *Scorer {
-	if err := w.Validate(); err != nil {
-		panic(err)
-	}
-	return &Scorer{W: w, History: h, Probe: p}
-}
-
-// Edge returns q(s, v) for the k-th connection of the batch. If v is the
-// responder itself the quality is 1, per the paper's last-edge rule.
-func (sc *Scorer) Edge(v, responder overlay.NodeID, k int) float64 {
-	if v == responder {
-		return 1
-	}
-	sigma := sc.History.Selectivity(v, k)
-	alpha := sc.Probe.Availability(v)
-	return sc.W.Edge(sigma, alpha)
-}
-
-// EdgeAt is the position-aware variant of Edge: selectivity is computed
-// only over history rows recorded with the given predecessor, so a node
-// occupying two positions on a recurring path scores each position's
-// outgoing edges independently (§2.3's predecessor differentiation).
-func (sc *Scorer) EdgeAt(pred, v, responder overlay.NodeID, k int) float64 {
-	if v == responder {
-		return 1
-	}
-	sigma := sc.History.SelectivityAt(pred, v, k)
-	alpha := sc.Probe.Availability(v)
-	return sc.W.Edge(sigma, alpha)
 }
 
 // PathQuality returns the paper's batch path-quality metric

@@ -5,10 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"p2panon/internal/dist"
-	"p2panon/internal/history"
 	"p2panon/internal/overlay"
-	"p2panon/internal/probe"
 )
 
 func TestWeightsValidate(t *testing.T) {
@@ -53,80 +50,6 @@ func TestEdgeClamps(t *testing.T) {
 	if got := w.Edge(-3, -3); got != 0 {
 		t.Fatalf("under-range not clamped: %g", got)
 	}
-}
-
-func buildScorer(t *testing.T) (*Scorer, *overlay.Network) {
-	t.Helper()
-	rng := dist.NewSource(5)
-	net := overlay.NewNetwork(4, rng.Split())
-	for i := 0; i < 12; i++ {
-		net.Join(0, false)
-	}
-	for _, id := range net.AllIDs() {
-		net.RefreshNeighbors(id)
-	}
-	h := history.NewProfile(0, 0)
-	p := probe.NewEstimator(0, net, rng.Split(), 60)
-	return NewScorer(DefaultWeights(), h, p), net
-}
-
-func TestScorerLastEdgeRule(t *testing.T) {
-	sc, _ := buildScorer(t)
-	responder := overlay.NodeID(11)
-	if got := sc.Edge(responder, responder, 5); got != 1 {
-		t.Fatalf("edge to responder = %g, want 1", got)
-	}
-}
-
-func TestScorerCombinesHistoryAndProbe(t *testing.T) {
-	sc, net := buildScorer(t)
-	nb := net.NeighborsOf(0)
-	v := nb[0]
-	// Availability after 2 ticks: uniform across 4 live neighbors = 0.25.
-	sc.Probe.Tick()
-	sc.Probe.Tick()
-	// History: v used in 1 of 2 past connections -> sigma = 0.5 at k=3.
-	sc.History.Record(1, overlay.None, v)
-	sc.History.Record(2, overlay.None, nb[1])
-	got := sc.Edge(v, overlay.NodeID(999), 3)
-	want := 0.5*0.5 + 0.5*0.25
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("edge quality %g, want %g", got, want)
-	}
-}
-
-// TestScorerEdgeAllocationFree pins the hot-path guarantee the routing
-// loop depends on: with the history position indexes and the cached probe
-// total, Edge and EdgeAt perform no allocations per call.
-func TestScorerEdgeAllocationFree(t *testing.T) {
-	sc, net := buildScorer(t)
-	sc.Probe.Tick()
-	sc.Probe.Tick()
-	nb := net.NeighborsOf(0)
-	for c := 1; c <= 4; c++ {
-		sc.History.Record(history.ConnID(c), nb[c%len(nb)], nb[(c+1)%len(nb)])
-	}
-	v, pred := nb[0], nb[1]
-	r := overlay.NodeID(11)
-	if got := testing.AllocsPerRun(200, func() {
-		sc.Edge(v, r, 5)
-	}); got != 0 {
-		t.Errorf("Edge allocates %.1f per call, want 0", got)
-	}
-	if got := testing.AllocsPerRun(200, func() {
-		sc.EdgeAt(pred, v, r, 5)
-	}); got != 0 {
-		t.Errorf("EdgeAt allocates %.1f per call, want 0", got)
-	}
-}
-
-func TestNewScorerPanicsOnBadWeights(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewScorer(Weights{0.9, 0.9}, nil, nil)
 }
 
 func TestPathQuality(t *testing.T) {
@@ -250,26 +173,5 @@ func TestQuickForwarderSetSize(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEdgeAtUsesPositionHistory(t *testing.T) {
-	sc, net := buildScorer(t)
-	nb := net.NeighborsOf(0)
-	v := nb[0]
-	sc.Probe.Tick()
-	sc.Probe.Tick()
-	// History: edge →v used from position pred=4 only.
-	sc.History.Record(1, 4, v)
-	sc.History.Record(2, 9, nb[1])
-	// At position 4 the selectivity contributes; at position 9 it does not.
-	at4 := sc.EdgeAt(4, v, overlay.NodeID(999), 3)
-	at9 := sc.EdgeAt(9, v, overlay.NodeID(999), 3)
-	if at4 <= at9 {
-		t.Fatalf("position-aware quality: at4=%g should exceed at9=%g", at4, at9)
-	}
-	// Responder rule still applies.
-	if got := sc.EdgeAt(4, overlay.NodeID(7), overlay.NodeID(7), 3); got != 1 {
-		t.Fatalf("EdgeAt to responder = %g", got)
 	}
 }

@@ -82,14 +82,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Reset zeroes the counter (for windowed reporting). Nil-safe.
-func (c *Counter) Reset() {
-	if c == nil {
-		return
-	}
-	c.v.Store(0)
-}
-
 // Gauge is an instantaneous atomic value (depth, high-water mark, size).
 type Gauge struct{ v atomic.Int64 }
 
@@ -131,14 +123,6 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Reset zeroes the gauge. Nil-safe.
-func (g *Gauge) Reset() {
-	if g == nil {
-		return
-	}
-	g.v.Store(0)
-}
-
 // Histogram counts observations in fixed buckets with precomputed upper
 // bounds (log-scale by construction via LogBuckets, or any ascending
 // bounds). Observation is one binary search plus two atomic adds — no
@@ -171,20 +155,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// Reset zeroes all buckets. Concurrent observations may land on either
-// side of the reset; cross-bucket exactness is not guaranteed mid-flight.
-// Nil-safe.
-func (h *Histogram) Reset() {
-	if h == nil {
-		return
-	}
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sumBits.Store(0)
 }
 
 // Snapshot copies the current bucket counts. The zero HistogramSnapshot
@@ -403,29 +373,6 @@ func (r *Registry) Histogram(name string, bounds []float64, labels Labels) *Hist
 		return nil
 	}
 	return r.lookup(name, labels, kindHistogram, func(s *series) { s.hist = newHistogram(bounds) }).hist
-}
-
-// Reset zeroes every registered instrument. Nil-safe.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	ss := make([]*series, 0, len(r.series))
-	for _, s := range r.series {
-		ss = append(ss, s)
-	}
-	r.mu.Unlock()
-	for _, s := range ss {
-		switch s.kind {
-		case kindCounter:
-			s.counter.Reset()
-		case kindGauge:
-			s.gauge.Reset()
-		case kindHistogram:
-			s.hist.Reset()
-		}
-	}
 }
 
 // sorted returns all series ordered by (name, labelKey) for stable

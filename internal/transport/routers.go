@@ -6,6 +6,7 @@ import (
 	"p2panon/internal/core"
 	"p2panon/internal/dist"
 	"p2panon/internal/game"
+	"p2panon/internal/history"
 	"p2panon/internal/overlay"
 	"p2panon/internal/quality"
 	"p2panon/internal/telemetry"
@@ -117,8 +118,10 @@ type UtilityRouter struct {
 	avail []float64
 	// batches holds the routing history, selectivity's input, of each
 	// batch from its first recorded hop until CloseBatch drops it when the
-	// batch's settlement reaches a station routing with this router.
-	batches map[int]*batchHist
+	// batch's settlement reaches a station routing with this router. Only
+	// forwarding hops are recorded: a delivery row never feeds a scored
+	// edge.
+	batches map[int]*history.Table
 
 	// rule is the shared routing rule; view is its View, pointed at the
 	// batch and connection of the hop being chosen.
@@ -130,13 +133,13 @@ type UtilityRouter struct {
 // batch's history as of connection conn and the static availabilities.
 type hopView struct {
 	r    *UtilityRouter
-	h    *batchHist
+	h    *history.Table
 	conn int
 }
 
 // Quality implements core.View. The live score is position-free.
 func (v *hopView) Quality(cur, _, to overlay.NodeID) float64 {
-	return v.r.w.Edge(v.h.selectivity([2]int32{int32(cur), int32(to)}, v.conn), v.r.avail[to])
+	return v.r.w.Edge(v.h.Selectivity(cur, to, v.conn), v.r.avail[to])
 }
 
 // Accepts implements core.View: Prop. 3's participation condition under
@@ -145,40 +148,13 @@ func (v *hopView) Accepts(overlay.NodeID) bool {
 	return game.ForwardingDominant(v.r.rule.Contract.Pf, v.r.rule.Cost.Participation, 0)
 }
 
-// batchHist is one batch's routing history: the directed edges its
-// connections used, each with the number of distinct connections that
-// used it, so a connection reusing an edge — a cycle, a re-attempt —
-// counts once. Edges are int32 pairs like the rows': every batch open at
-// once holds a history, so its keys are kept small.
-type batchHist struct {
-	uses map[[2]int32]int32
-	seen map[connEdge]struct{} // the (conn, edge) pairs counted in uses
-}
-
-type connEdge struct {
-	conn int
-	edge [2]int32
-}
-
-// selectivity is σ(e) for connection conn (1-based) of the batch, as the
-// simulator's history computes it (§2.3): the edge's uses over the conn−1
-// earlier connections, capped at 1 — a use by the connection in flight
-// counts, so a cycle can reach the cap. The first connection, and a nil
-// history, have σ = 0 everywhere.
-func (h *batchHist) selectivity(e [2]int32, conn int) float64 {
-	if h == nil || conn <= 1 {
-		return 0
-	}
-	return min(float64(h.uses[e])/float64(conn-1), 1)
-}
-
 // NewUtilityRouter builds a Model-I router. avail maps node → availability
 // estimate in [0, 1] (e.g. from probe snapshots before going live).
 func NewUtilityRouter(topo Topology, w quality.Weights, c core.Contract, avail map[overlay.NodeID]float64) *UtilityRouter {
 	if err := w.Validate(); err != nil {
 		panic(err)
 	}
-	r := &UtilityRouter{w: w, batches: make(map[int]*batchHist), rule: core.Rule{Contract: c}}
+	r := &UtilityRouter{w: w, batches: make(map[int]*history.Table), rule: core.Rule{Contract: c}}
 	r.init(topo)
 	r.nbrs = make([][]int32, len(r.up))
 	for id, nbs := range topo {
@@ -243,14 +219,10 @@ func (r *UtilityRouter) route(h core.Hop, batch, conn int) (overlay.NodeID, floa
 func (r *UtilityRouter) record(batch, conn int, from, to overlay.NodeID) {
 	h := r.batches[batch]
 	if h == nil {
-		h = &batchHist{uses: make(map[[2]int32]int32), seen: make(map[connEdge]struct{})}
+		h = history.New(false)
 		r.batches[batch] = h
 	}
-	e := [2]int32{int32(from), int32(to)}
-	if _, counted := h.seen[connEdge{conn, e}]; !counted {
-		h.seen[connEdge{conn, e}] = struct{}{}
-		h.uses[e]++
-	}
+	h.Record(conn, overlay.None, from, to)
 }
 
 // spneCacheCap bounds how many connections' prescriptions the Model-II
@@ -476,11 +448,7 @@ func (r *UtilityIIRouter) solve(start, initiator, responder overlay.NodeID, batc
 	r.initiator, r.responder = initiator, responder
 	r.stage.h, r.stage.conn = r.batches[batch], conn
 	clear(r.holder)
-	if h := r.stage.h; h != nil {
-		for e := range h.uses {
-			r.holder[e[0]] = true
-		}
-	}
+	r.stage.h.Tails(r.holder)
 	r.rows.Reset(len(r.nbrs), int32(responder), r.up[responder])
 	r.game.Responder = int(responder)
 	r.memoHops = max(r.memoHops, budget)

@@ -47,7 +47,7 @@ func (r *UtilityIIRouter) liveEdgeQuality(topo Topology, i, j, initiator, respon
 		return -1
 	}
 	r.mu.Lock()
-	sigma := r.batches[batch].selectivity([2]int32{int32(i), int32(j)}, conn)
+	sigma := r.batches[batch].Selectivity(i, j, conn)
 	r.mu.Unlock()
 	return r.w.Edge(sigma, r.avail[j])
 }
@@ -347,7 +347,7 @@ func TestBatchHistoryCountsConnections(t *testing.T) {
 	topo := Topology{0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
 	r := NewUtilityRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), uniformAvail(3))
 	sigma := func(from, to overlay.NodeID, conn int) float64 {
-		return r.batches[1].selectivity([2]int32{int32(from), int32(to)}, conn)
+		return r.batches[1].Selectivity(from, to, conn)
 	}
 	for _, s := range []struct {
 		conn     int
@@ -373,7 +373,7 @@ func TestBatchHistoryCountsConnections(t *testing.T) {
 	if got := sigma(0, 1, 1); got != 0 {
 		t.Fatalf("first connection sees σ = %v", got)
 	}
-	if got := r.batches[2].selectivity([2]int32{0, 1}, 3); got != 0 {
+	if got := r.batches[2].Selectivity(0, 1, 3); got != 0 {
 		t.Fatalf("batch without history has σ = %v", got)
 	}
 }

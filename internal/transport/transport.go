@@ -382,7 +382,7 @@ func (o *BatchOutcome) Payoff(id overlay.NodeID, c core.Contract) float64 {
 	if _, member := o.Set[id]; !member {
 		return 0
 	}
-	return float64(o.Forwards[id])*c.Pf + c.Pr/float64(len(o.Set))
+	return c.Payoff(o.Forwards[id], len(o.Set))
 }
 
 // SettleBatch accounts a completed batch's split payment in place: the
