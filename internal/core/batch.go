@@ -186,9 +186,9 @@ func (b *Batch) RunConnection() *PathResult {
 	// reach; every good holder then plays its prescription. The solve is
 	// rooted here, before the first hop is recorded: rows read history, so
 	// the walk's own hops must never leak into the game it is playing.
-	var spne [][]game.Decision
-	if b.Strategy == UtilityII {
-		spne = b.spneTable(b.Initiator, budget)
+	spne := b.Strategy == UtilityII
+	if spne {
+		b.spneTable(b.Initiator, budget)
 	}
 
 	cur := b.Initiator
@@ -273,17 +273,15 @@ func (b *Batch) buildSourcePath(budget int) []overlay.NodeID {
 // SPNE prescription; the Random strategy and malicious holders pick
 // uniformly among the same candidates. It returns the responder when no
 // candidate accepts, and counts the requests declined on the way.
-func (b *Batch) chooseNext(cur, pred overlay.NodeID, remaining int, spne [][]game.Decision) (overlay.NodeID, float64, int) {
+func (b *Batch) chooseNext(cur, pred overlay.NodeID, remaining int, spne bool) (overlay.NodeID, float64, int) {
 	h := Hop{Cur: cur, Pred: pred, Initiator: b.Initiator, Responder: b.Responder, Prescribed: overlay.None}
 	node := b.sys.Net.Node(cur)
 	if b.Strategy == Random || node.Malicious {
 		// Adversaries route randomly, whatever the contract says.
 		return b.chooseRandom(h, node.Neighbors)
 	}
-	if spne != nil {
-		// (cur, remaining) lies in the cone solved at connection start:
-		// every hop follows an edge of the holder's row.
-		h.Prescribed = overlay.NodeID(spne[remaining][cur].Next)
+	if spne {
+		h.Prescribed = b.prescribed(cur, remaining)
 	}
 	b.rule.Prof = b.sys.Prof // a caller may swap the profiler between hops
 	return Route(&b.rule, h, node.Neighbors, b.sys.Net.Up())
@@ -371,8 +369,8 @@ func (b *Batch) recordHop(res *PathResult, cur, pred, next overlay.NodeID, q flo
 	}
 }
 
-// spneTable returns the Utility Model II prescription table with every
-// cell the play from (start, hops) can reach solved: the L-stage path
+// spneTable solves every cell of the Utility Model II stage game the play
+// from (start, hops) can reach, for prescribed to read: the L-stage path
 // game over the current online overlay, where each online node i ≠ R has
 // edges to its online neighbors (other than I and R) with q from i's own
 // history rows and estimator, plus the delivery edge (i, R) with quality 1.
@@ -383,8 +381,7 @@ func (b *Batch) recordHop(res *PathResult, cur, pred, next overlay.NodeID, q flo
 // it — while this batch solved last and its stamp is fresh, i.e. every
 // input the game consumed (overlay topology, probe estimates, this
 // batch's quality-relevant history and, when history matters, the
-// connection index) is unchanged; otherwise it is reset. Cells outside
-// the solved cones hold stale storage and must not be read.
+// connection index) is unchanged; otherwise it is reset.
 //
 // Estimator creation is the one RNG-consuming side effect of a solve, so
 // it is not left to the lazy rows: whenever the batch's stamp went stale
@@ -392,7 +389,7 @@ func (b *Batch) recordHop(res *PathResult, cur, pred, next overlay.NodeID, q flo
 // order — and not when the memo merely changed hands between interleaved
 // batches (the stamp is then fresh, and an unchanged overlay version means
 // the pass that stamped it already covered the same online set).
-func (b *Batch) spneTable(start overlay.NodeID, hops int) [][]game.Decision {
+func (b *Batch) spneTable(start overlay.NodeID, hops int) {
 	s := b.sys
 	now := spneStamp{valid: true, net: s.Net.Version(), probe: s.Probes.Version(), hist: b.histQual}
 	if b.histQual != 0 {
@@ -429,7 +426,7 @@ func (b *Batch) spneTable(start overlay.NodeID, hops int) [][]game.Decision {
 			}
 			s.dense = dense.SolveInto(s.dense)
 		}
-		return s.dense
+		return
 	}
 	ph := s.Prof.Start(telemetry.PhaseSolveInduction)
 	if !reuse {
@@ -440,7 +437,21 @@ func (b *Batch) spneTable(start overlay.NodeID, hops int) [][]game.Decision {
 	ph.End()
 	s.solverStats.FrontierCells += cells
 	s.mCells.Add(int64(cells))
-	return s.memo.Table()
+}
+
+// prescribed returns the SPNE successor of cur with hops of budget left,
+// read from the game spneTable last solved for the batch — through
+// game.PathGame.Cell, or from the dense oracle's full table. (cur, hops)
+// lies in the cone solved at connection start: every hop follows an edge
+// of the holder's row. The dense oracle keeps its own table because it
+// never resets the rows, whose delivery rule Cell reads at stage 1.
+func (b *Batch) prescribed(cur overlay.NodeID, hops int) overlay.NodeID {
+	s := b.sys
+	if s.forceDense {
+		return overlay.NodeID(s.dense[hops][cur].Next)
+	}
+	d, _ := s.stage.Cell(&s.memo, hops, int(cur))
+	return overlay.NodeID(d.Next)
 }
 
 // row builds node i's stage-game row for the batch that owns the memo
@@ -456,7 +467,7 @@ func (b *Batch) row(i int) {
 	s := b.sys
 	id := overlay.NodeID(i)
 	base := s.baseRow(id)
-	succ, qual := s.rows.Build(i, base.succ, base.qual, int32(b.Initiator), s.Net.Up())
+	succ, qual := s.rows.Build(i, base.succ, base.qual, int32(b.Initiator))
 	if _, ok := b.histNodes[id]; ok {
 		for a, j := range succ {
 			qual[a] = b.Quality(id, overlay.None, overlay.NodeID(j))

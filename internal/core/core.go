@@ -299,7 +299,6 @@ func NewSystem(cfg Config, net *overlay.Network, probes *probe.Set, rng *dist.So
 		rng:    rng,
 		minCt:  make(map[overlay.NodeID]float64),
 	}
-	s.rows.Up = func(i int) bool { return s.Net.Online(overlay.NodeID(i)) }
 	s.stage = game.PathGame{Adjacency: s.rows.Adjacency(), Deliver: s.rows.Deliver(), Cost: cfg.Cost, MaxHops: cfg.MaxHops}
 	return s, nil
 }
@@ -359,14 +358,17 @@ func (s *System) createEstimators(r overlay.NodeID) {
 // every batch without history on the edge scores them at,
 // Weights.Edge(0, α). succ is valid while the owner's neighbor list is
 // unchanged (nbrVer, the overlay's NeighborsVersion stamp; 0 = never
-// built); qual is valid while, in addition, the owner's estimator has not
-// ticked (est, probes). A probe round alone therefore only rescores the
-// row.
+// built); at, each successor's position in the owner's estimator list
+// (probe.Estimator.Index), while in addition that list is unchanged (est,
+// lists); qual while, in addition, the estimator has not ticked (probes).
+// A probe round alone therefore only rescores the row, in O(d).
 type baseRow struct {
 	nbrVer uint64
 	est    *probe.Estimator
+	lists  uint64
 	probes int
 	succ   []int32
+	at     []int32
 	qual   []float64
 }
 
@@ -374,7 +376,7 @@ type baseRow struct {
 func (s *System) baseRow(id overlay.NodeID) *baseRow {
 	br := &s.base[id]
 	est := s.Probes.For(id)
-	resorted := false
+	stale := false
 	if v := s.Net.NeighborsVersion(id); br.nbrVer != v {
 		br.nbrVer = v
 		br.succ = br.succ[:0]
@@ -384,13 +386,21 @@ func (s *System) baseRow(id overlay.NodeID) *baseRow {
 			}
 		}
 		br.succ = br.succ[:game.SortUnique(br.succ)]
-		resorted = true
+		stale = true
 	}
-	if resorted || br.est != est || br.probes != est.Probes() {
-		br.est, br.probes = est, est.Probes()
-		br.qual = br.qual[:0]
+	if stale || br.est != est || br.lists != est.Lists() {
+		br.est, br.lists = est, est.Lists()
+		br.at = br.at[:0]
 		for _, v := range br.succ {
-			br.qual = append(br.qual, s.cfg.Weights.Edge(0, est.Availability(overlay.NodeID(v))))
+			br.at = append(br.at, int32(est.Index(overlay.NodeID(v))))
+		}
+		stale = true
+	}
+	if stale || br.probes != est.Probes() {
+		br.probes = est.Probes()
+		br.qual = br.qual[:0]
+		for _, k := range br.at {
+			br.qual = append(br.qual, s.cfg.Weights.Edge(0, est.AvailabilityAt(int(k))))
 		}
 	}
 	return br
@@ -398,11 +408,12 @@ func (s *System) baseRow(id overlay.NodeID) *baseRow {
 
 // resetMemo forgets every solved cell and built row and sizes the solve
 // state for n nodes and a game whose responder is r; in the simulator
-// every holder may deliver to R. Base rows survive: they revalidate
+// every online node other than R holds a row, and every holder may
+// deliver to R. Base rows survive: they revalidate
 // themselves.
 func (s *System) resetMemo(n int, r overlay.NodeID) {
 	s.memo.Reset(n, s.cfg.MaxHops)
-	s.rows.Reset(n, int32(r), true)
+	s.rows.Reset(n, int32(r), true, s.Net.Up())
 	if len(s.base) < n {
 		s.base = append(s.base, make([]baseRow, n-len(s.base))...)
 	}
@@ -415,5 +426,5 @@ func (s *System) resetMemo(n int, r overlay.NodeID) {
 // node like the estimators they are read from.
 func (s *System) releaseSolve() {
 	s.memo, s.memoOwner, s.dense = game.Memo{}, 0, nil
-	s.rows = Rows{Up: s.rows.Up} // Adjacency and Deliver stay bound to &s.rows
+	s.rows = Rows{} // Adjacency and Deliver stay bound to &s.rows
 }

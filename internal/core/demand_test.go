@@ -61,20 +61,9 @@ func runRootedScript(t *testing.T, dense bool) ([]rootedConn, [][]NodePayoff) {
 	for c := 0; c < conns; c++ {
 		for k, b := range live {
 			rc := rootedConn{batch: k, res: b.RunConnection()}
-			tbl := sys.dense
-			if !dense {
-				tbl = sys.memo.Table()
-				rc.known = make([][]bool, len(tbl))
-			}
-			rc.table = make([][]game.Decision, len(tbl))
-			for h := range tbl {
-				rc.table[h] = append([]game.Decision(nil), tbl[h]...)
-				if !dense {
-					rc.known[h] = make([]bool, len(tbl[h]))
-					for i := range tbl[h] {
-						rc.known[h][i] = sys.memo.Known(h, i)
-					}
-				}
+			rc.table, rc.known = solvedTable(sys)
+			if dense {
+				rc.known = nil
 			}
 			out = append(out, rc)
 		}
@@ -121,7 +110,8 @@ func TestDemandSolveRootedAtConnectionStart(t *testing.T) {
 			}
 			rooted := false
 			for h := range o.table {
-				rooted = rooted || d.known[h][d.res.Nodes[0]]
+				// Stage 1 is read for any node; a solved root is stage ≥ 2.
+				rooted = rooted || h >= 2 && d.known[h][d.res.Nodes[0]]
 				for i := range o.table[h] {
 					if !d.known[h][i] {
 						continue

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"p2panon/internal/dist"
+	"p2panon/internal/game"
 	"p2panon/internal/overlay"
 	"p2panon/internal/probe"
 	"p2panon/internal/sim"
@@ -12,8 +13,11 @@ import (
 
 // requireDeliverAgrees checks the stage game's two views of the delivery
 // rule against each other on every node: Deliver(i) ≥ 0 exactly when the
-// row Adjacency(i) builds holds R, at a bit-equal quality.
-func requireDeliverAgrees(t *testing.T, step string, sys *System, r overlay.NodeID) {
+// row Adjacency(i) builds holds R, at a bit-equal quality. And it checks
+// the contract SolveFrom's closed-form stage 2 rests on: every successor
+// other than R in a built row holds a row itself, with the Deliver of the
+// row's own node. It returns how many successors it checked.
+func requireDeliverAgrees(t *testing.T, step string, sys *System, r overlay.NodeID) (successors int) {
 	t.Helper()
 	for i := 0; i < sys.Net.Len(); i++ {
 		dq := sys.stage.Deliver(i)
@@ -22,10 +26,37 @@ func requireDeliverAgrees(t *testing.T, step string, sys *System, r overlay.Node
 		for a, j := range succ {
 			if j == int32(r) {
 				rq = qual[a]
+				continue
+			}
+			successors++
+			if !sys.rows.Holds(int(j)) || !sameBits(sys.stage.Deliver(int(j)), dq) {
+				t.Fatalf("%s: node %d's successor %d: holds a row %v, Deliver %v, node's %v", step, i, j, sys.rows.Holds(int(j)), sys.stage.Deliver(int(j)), dq)
 			}
 		}
 		if (dq >= 0) != (rq >= 0) || (dq >= 0 && math.Float64bits(dq) != math.Float64bits(rq)) {
 			t.Fatalf("%s: node %d: Deliver = %v, row's edge to R = %v (row %v)", step, i, dq, rq, succ)
+		}
+	}
+	return successors
+}
+
+// requireStageOneMatchesOracle holds the stage-1 read (game.PathGame.Cell,
+// answered from Deliver alone) to stage 1 of the dense oracle for b's
+// game, on every node.
+func requireStageOneMatchesOracle(t *testing.T, step string, b *Batch) {
+	t.Helper()
+	sys := b.sys
+	oracle := game.PathGame{
+		Nodes: sys.Net.Len(), Responder: int(b.Responder),
+		EdgeQuality: func(i, j int) float64 {
+			return b.stageEdgeQuality(overlay.NodeID(i), overlay.NodeID(j))
+		},
+		Pf: b.Contract.Pf, Pr: b.Contract.Pr, Cost: sys.cfg.Cost, MaxHops: 1,
+	}
+	want := oracle.Solve()[1]
+	for i := range want {
+		if got, ok := sys.stage.Cell(&sys.memo, 1, i); !ok || !sameCell(got, want[i]) {
+			t.Fatalf("%s: stage-1 read of node %d = %+v (%v), dense oracle %+v", step, i, got, ok, want[i])
 		}
 	}
 }
@@ -33,13 +64,16 @@ func requireDeliverAgrees(t *testing.T, step string, sys *System, r overlay.Node
 // TestDeliverAgreesWithRows pins the one delivery rule core.Rows holds:
 // through churn that takes forwarders and R offline, probe rounds and
 // connections that give holders history (rescored rows), the closed-form
-// Deliver a cone solve fills stage 1 from agrees with the built rows.
+// Deliver agrees with the built rows, every row successor other than R
+// holds a row with the same Deliver, and the stage-1 read equals the
+// dense oracle's stage 1 on every node.
 func TestDeliverAgreesWithRows(t *testing.T) {
 	for _, seed := range []uint64{2, 9} {
 		sys, b := scaleSystem(t, 300, seed)
 		rng := dist.NewSource(seed + 100)
 		now := sim.Time(0)
 		var down []overlay.NodeID
+		successors, deadR := 0, 0
 		for round := 0; round < 24; round++ {
 			now += 60
 			switch round % 4 {
@@ -62,10 +96,14 @@ func TestDeliverAgreesWithRows(t *testing.T) {
 			b.RunConnection()
 			sys.Net.Touch() // a fresh memo and rows for this batch
 			b.spneTable(b.Initiator, 2)
-			requireDeliverAgrees(t, "round", sys, b.Responder)
+			successors += requireDeliverAgrees(t, "round", sys, b.Responder)
+			requireStageOneMatchesOracle(t, "round", b)
+			if !sys.Net.Online(b.Responder) {
+				deadR++
+			}
 		}
-		if len(b.histNodes) == 0 {
-			t.Fatal("no holder has history: no rescored row was checked")
+		if len(b.histNodes) == 0 || successors == 0 || deadR == 0 {
+			t.Fatalf("seed %d: %d holders with history, %d successors, %d rounds with R offline: the script no longer covers the rule", seed, len(b.histNodes), successors, deadR)
 		}
 	}
 }

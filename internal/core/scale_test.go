@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -85,7 +86,7 @@ func TestSolveScratchReleasedOnClose(t *testing.T) {
 	}
 	b.RunConnection()
 	held := func() bool {
-		return sys.memo.Table() != nil && sys.rows.built != nil && sys.rows.succ != nil
+		return !reflect.ValueOf(sys.memo).IsZero() && sys.rows.built != nil && sys.rows.succ != nil
 	}
 	if !held() {
 		t.Fatal("no solve state after a UM-II connection")
@@ -97,7 +98,7 @@ func TestSolveScratchReleasedOnClose(t *testing.T) {
 		t.Fatal("Batch.Close released the solve state while another batch is open")
 	}
 	other.Close()
-	if sys.memo.Table() != nil || sys.dense != nil || sys.memoOwner != 0 {
+	if !reflect.ValueOf(sys.memo).IsZero() || sys.dense != nil || sys.memoOwner != 0 {
 		t.Fatal("closing the last batch left the memo pinned")
 	}
 	if sys.rows.built != nil || sys.rows.off != nil || sys.rows.n != nil || sys.rows.succ != nil || sys.rows.qual != nil {

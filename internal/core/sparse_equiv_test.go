@@ -51,22 +51,42 @@ type equivRun struct {
 }
 
 // fullTable asks the batch's solver for every (i, h) and returns a copy of
-// the resulting table (the backing storage is overwritten by later
-// solves). On the demand-driven solver the roots accumulate in one memo,
-// so every cell ends up solved; the dense oracle returns its full table
-// from the first ask on.
+// the resulting table. On the demand-driven solver the roots accumulate in
+// one memo, so every cell ends up solved; the dense oracle holds its full
+// table from the first ask on.
 func fullTable(b *Batch) [][]game.Decision {
-	var tbl [][]game.Decision
 	for h := 0; h <= b.sys.cfg.MaxHops; h++ {
 		for i := 0; i < b.sys.Net.Len(); i++ {
-			tbl = b.spneTable(overlay.NodeID(i), h)
+			b.spneTable(overlay.NodeID(i), h)
 		}
 	}
-	out := make([][]game.Decision, len(tbl))
+	tbl, _ := solvedTable(b.sys)
+	return tbl
+}
+
+// solvedTable copies the table the system's last solve left as
+// Batch.prescribed reads it — the dense oracle's full table, or every
+// cell through game.PathGame.Cell, stage 1 from the delivery rule — and
+// reports which cells hold a value of the game (all, on the oracle). The
+// copy outlives the storage later solves overwrite.
+func solvedTable(sys *System) (tbl [][]game.Decision, known [][]bool) {
+	tbl = make([][]game.Decision, sys.cfg.MaxHops+1)
+	known = make([][]bool, len(tbl))
 	for h := range tbl {
-		out[h] = append([]game.Decision(nil), tbl[h]...)
+		if sys.forceDense {
+			tbl[h] = append([]game.Decision(nil), sys.dense[h]...)
+			known[h] = make([]bool, len(tbl[h]))
+			for i := range known[h] {
+				known[h][i] = true
+			}
+			continue
+		}
+		tbl[h], known[h] = make([]game.Decision, sys.stage.Nodes), make([]bool, sys.stage.Nodes)
+		for i := range tbl[h] {
+			tbl[h][i], known[h][i] = sys.stage.Cell(&sys.memo, h, i)
+		}
 	}
-	return out
+	return tbl, known
 }
 
 // runConnection runs b's next connection and folds the cells it computed

@@ -196,7 +196,7 @@ func BenchmarkSPNESimCache(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = batch.spneTable(batch.Initiator, sys.cfg.MaxHops)
+		batch.spneTable(batch.Initiator, sys.cfg.MaxHops)
 	}
 }
 
@@ -212,6 +212,6 @@ func BenchmarkSPNESolveCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys.Net.Touch()
-		_ = batch.spneTable(batch.Initiator, sys.cfg.MaxHops)
+		batch.spneTable(batch.Initiator, sys.cfg.MaxHops)
 	}
 }

@@ -48,28 +48,63 @@ func (m *Memo) Known(hops, node int) bool {
 	return m.epoch != 0 && m.mark[hops][node] == m.epoch
 }
 
-// Table returns the memo's decision table, indexed [hops][node] like
-// Solve's. Only Known cells hold values of the current game; the rest is
-// stale storage. The table is overwritten by later SolveFrom calls.
-func (m *Memo) Table() [][]Decision { return m.table }
+// Cell returns the decision of cell (hops, node) of the game g and
+// whether it holds a value of that game: the one read of a demand-driven
+// solve. A stage-1 cell is answered for any node from Deliver alone
+// (deliverCell), since SolveFrom never stores one unless asked for it as
+// a root; every other stage reads m, where only the cells a SolveFrom
+// since the last Reset solved hold values. m must hold cells of g, and
+// what g reads — its rows and its delivery rule — must be unchanged since
+// they were solved.
+func (g *PathGame) Cell(m *Memo, hops, node int) (Decision, bool) {
+	if hops == 1 {
+		return g.deliverCell(node), true
+	}
+	return m.table[hops][node], m.Known(hops, node)
+}
 
-// SolveFrom solves, into m, every cell above stage 0 the play from
+// StageNext is Cell over a whole stage, for a caller that keeps every
+// prescription of a solve: it appends to dst, for nodes 0 … Nodes−1, the
+// successor Cell(m, hops, node) prescribes, or unknown where Cell holds
+// no value. One call per stage instead of one per cell, which a caller
+// copying the table would otherwise pay on every cell.
+func (g *PathGame) StageNext(dst []int32, m *Memo, hops int, unknown int32) []int32 {
+	if hops == 1 {
+		for i := 0; i < g.Nodes; i++ {
+			dst = append(dst, int32(g.deliverCell(i).Next))
+		}
+		return dst
+	}
+	for i, d := range m.table[hops] {
+		next := unknown
+		if m.Known(hops, i) {
+			next = int32(d.Next)
+		}
+		dst = append(dst, next)
+	}
+	return dst
+}
+
+// SolveFrom solves, into m, every cell at stage 2 and above the play from
 // (start, hops) can reach and returns how many cells it computed. It
 // discovers the cone top down through Adjacency — cell (i, h) needs
-// (j, h−1) for each candidate j of i — down to stage 1, then fills it
-// bottom up: stage 1 from Deliver alone (deliverCell), every later stage
-// with the same solveCell the full sweeps use, so every computed cell is
-// bit-identical to SolveInto's. Stage 0 is never read, since a stage-1
-// cell has R as its only feasible move, and is solved only for a root
-// with hops = 0. Cells already Known are reused and not descended from: a
-// second root under the same epoch, or a larger budget, only adds what is
-// missing. When hops reaches the graph's diameter the cone is the full
-// table less stage 0, and the cost that of a full sweep, never more.
+// (j, h−1) for each candidate j of i — down to stage 2, then fills it
+// bottom up: stage 2 from each cell's own row and Deliver
+// (penultimateCell), every later stage with the same solveCell the full
+// sweeps use, so every computed cell is bit-identical to SolveInto's.
+// Stages 1 and 0 are never stored — a stage-2 cell reads V(j, 1) in
+// closed form, and Cell answers stage 1 from Deliver — unless the root
+// itself has hops ≤ 1; then its one cell is solved. Cells already Known
+// are reused and not descended from: a second root under the same epoch,
+// or a larger budget, only adds what is missing. When hops reaches the
+// graph's diameter the cone is the full table less stages 0 and 1, and
+// the cost that of a full sweep, never more.
 //
-// The game must set Adjacency and Deliver, and m must have been Reset
-// for g.Nodes and at least hops stages. Rows are read during the call
-// only; the caller must keep them unchanged between a Reset and the last
-// read of a cell.
+// The game must set Adjacency and Deliver, with Deliver one value over
+// each row's successors other than R and the row's own node (PathGame.
+// Deliver), and m must have been Reset for g.Nodes and at least hops
+// stages. Rows are read during the call only; the caller must keep them
+// unchanged between a Reset and the last read of a cell.
 func (g *PathGame) SolveFrom(m *Memo, start, hops int) (computed int) {
 	if g.Adjacency == nil || g.Deliver == nil {
 		panic("game: SolveFrom needs Adjacency and Deliver")
@@ -80,21 +115,24 @@ func (g *PathGame) SolveFrom(m *Memo, start, hops int) (computed int) {
 	if m.mark[hops][start] == m.epoch {
 		return 0
 	}
-	if hops == 0 {
-		m.mark[0][start] = m.epoch
+	m.mark[hops][start] = m.epoch
+	switch hops {
+	case 0:
 		q := negInf
 		if start == g.Responder {
 			q = 0
 		}
 		m.table[0][start] = Decision{Node: start, Next: -1, Utility: negInf, Quality: q}
 		return 1
+	case 1:
+		m.table[1][start] = g.deliverCell(start)
+		return 1
 	}
-	for h := 1; h <= hops; h++ {
+	for h := 2; h <= hops; h++ {
 		m.todo[h] = m.todo[h][:0]
 	}
-	m.mark[hops][start] = m.epoch
 	m.todo[hops] = append(m.todo[hops], int32(start))
-	for h := hops; h > 1; h-- {
+	for h := hops; h > 2; h-- {
 		below, pending := m.mark[h-1], m.todo[h-1]
 		for _, i := range m.todo[h] {
 			if int(i) == g.Responder {
@@ -110,11 +148,11 @@ func (g *PathGame) SolveFrom(m *Memo, start, hops int) (computed int) {
 		}
 		m.todo[h-1] = pending
 	}
-	for _, i := range m.todo[1] {
-		m.table[1][i] = g.deliverCell(int(i))
+	for _, i := range m.todo[2] {
+		m.table[2][i] = g.penultimateCell(int(i))
 	}
-	computed = len(m.todo[1])
-	for h := 2; h <= hops; h++ {
+	computed = len(m.todo[2])
+	for h := 3; h <= hops; h++ {
 		prev, cur := m.table[h-1], m.table[h]
 		for _, i := range m.todo[h] {
 			cur[i] = g.solveCell(prev, int(i))

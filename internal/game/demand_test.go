@@ -9,9 +9,12 @@ import (
 
 // randomSparseGame draws a game in the simulator's shape: 20–59 vertices,
 // three candidate successors each (one in eight with a negative quality,
-// i.e. listed but absent), and a delivery edge to R for a third of them.
+// i.e. listed but absent), and — under the rows' delivery rule, which
+// SolveFrom's Deliver contract asks for — a delivery edge to R from every
+// vertex or, in one game in four (R unreachable), from none.
 func randomSparseGame(rng *dist.Source) (*PathGame, map[[2]int]float64) {
 	n := 20 + rng.Intn(40)
+	deliver := rng.Intn(4) != 0
 	edges := make(map[[2]int]float64)
 	for i := 0; i < n-1; i++ {
 		for c := 0; c < 3; c++ {
@@ -23,7 +26,7 @@ func randomSparseGame(rng *dist.Source) (*PathGame, map[[2]int]float64) {
 				edges[[2]int{i, j}] = q
 			}
 		}
-		if rng.Intn(3) == 0 {
+		if deliver {
 			edges[[2]int{i, n - 1}] = 1
 		}
 	}
@@ -38,17 +41,17 @@ func randomSparseGame(rng *dist.Source) (*PathGame, map[[2]int]float64) {
 	}, edges
 }
 
-// cone marks, independently of SolveFrom, the cells above stage 0 the
-// play from (start, hops) can reach — and the root alone when hops = 0:
-// (i, h) reaches (j, h−1) over every existing edge of a non-responder i
-// while h ≥ 2. A stage-1 cell reads no stage-0 cell: its only move is the
-// delivery edge, and V(R, 0) = 0 is a constant.
+// cone marks, independently of SolveFrom, the cells at stage 2 and above
+// the play from (start, hops) can reach — and the root alone when hops ≤
+// 1: (i, h) reaches (j, h−1) over every existing edge of a non-responder
+// i while h ≥ 3. A stage-2 cell reads no stored stage-1 cell: V(j, 1) is
+// in closed form, 0 for R and the one delivery quality for every other j.
 func cone(g *PathGame, edges map[[2]int]float64, in [][]bool, start, hops int) {
 	if in[hops][start] {
 		return
 	}
 	in[hops][start] = true
-	if hops <= 1 || start == g.Responder {
+	if hops <= 2 || start == g.Responder {
 		return
 	}
 	for j := 0; j < g.Nodes; j++ {
@@ -60,10 +63,11 @@ func cone(g *PathGame, edges map[[2]int]float64, in [][]bool, start, hops int) {
 
 // Property: on random sparse games SolveFrom computes exactly the cone of
 // its root — every cell in it bit-equal to SolveInto's, nothing outside
-// it, no stage-0 cell for a root with hops ≥ 1 — a second root under the
-// same epoch only adds the cells its own cone is missing, a repeated root
-// computes nothing, a root with hops = 0 solves its one stage-0 cell, and
-// Reset forgets everything.
+// it, no stage-0 or stage-1 cell for a root with hops ≥ 2 — a second root
+// under the same epoch only adds the cells its own cone is missing, a
+// repeated root computes nothing, a root with hops ≤ 1 solves its one
+// cell, the stage-1 read (Cell) equals SolveInto's stage 1 for every
+// node, StageNext reads what Cell reads, and Reset forgets everything.
 func TestQuickSolveFromMatchesSolveInto(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := dist.NewSource(seed)
@@ -102,20 +106,27 @@ func TestQuickSolveFromMatchesSolveInto(t *testing.T) {
 				return false
 			}
 			known = size
-			for i := 0; root[1] >= 1 && i < g.Nodes; i++ {
-				if m.Known(0, i) {
-					t.Logf("seed %d root %d %v: stage-0 cell %d solved", seed, r, root, i)
-					return false
+			for h := 0; h <= 1 && root[1] >= 2; h++ {
+				for i := 0; i < g.Nodes; i++ {
+					if m.Known(h, i) && !(h == roots[0][1] && i == roots[0][0]) {
+						t.Logf("seed %d root %d %v: stage-%d cell %d solved", seed, r, root, h, i)
+						return false
+					}
 				}
 			}
 			for h := range want {
+				stage := g.StageNext(nil, &m, h, -2)
 				for i, in := range want[h] {
+					if d, ok := g.Cell(&m, h, i); !ok && stage[i] != -2 || ok && stage[i] != int32(d.Next) {
+						t.Logf("seed %d root %d: StageNext(%d)[%d] = %d, Cell %+v, %v", seed, r, h, i, stage[i], d, ok)
+						return false
+					}
 					if m.Known(h, i) != in {
 						t.Logf("seed %d root %d: Known(%d,%d) = %v, cone says %v", seed, r, h, i, !in, in)
 						return false
 					}
-					if in && !sameCell(m.Table()[h][i], full[h][i]) {
-						t.Logf("seed %d root %d: cell (%d,%d) = %+v, SolveInto %+v", seed, r, h, i, m.Table()[h][i], full[h][i])
+					if got, ok := g.Cell(&m, h, i); ok != (in || h == 1) || ok && !sameCell(got, full[h][i]) {
+						t.Logf("seed %d root %d: Cell(%d,%d) = %+v, %v; SolveInto %+v, cone says %v", seed, r, h, i, got, ok, full[h][i], in)
 						return false
 					}
 				}

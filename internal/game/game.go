@@ -310,8 +310,11 @@ type PathGame struct {
 	// of i's delivery edge, or a negative value when i has none. It must
 	// agree with R's entry in Adjacency(i): under the last-edge rule the
 	// one finite stage-0 cell is R's, so a holder with one hop left has
-	// that edge as its only move and SolveFrom fills stage 1 from it
-	// without building a row.
+	// that edge as its only move, and its stage-1 cell is read from
+	// Deliver alone (deliverCell). SolveFrom also requires Deliver(j) =
+	// Deliver(i) for every successor j ≠ R of every row Adjacency(i), so
+	// that a stage-2 cell reads one delivery value for all its successors
+	// (penultimateCell) and no stage-1 cell is ever stored.
 	Deliver func(i int) float64
 	// Pf, Pr are the contract's forwarding and routing benefits.
 	Pf, Pr float64
@@ -493,14 +496,20 @@ func (g *PathGame) solveCell(prev []Decision, i int) Decision {
 		}
 		pathQ := q + cont
 		u := g.Pf + pathQ*g.Pr - (g.Cost.Participation + g.Cost.Transmission(i, j))
-		// Maximise utility; break ties toward higher quality as §2.2
-		// prescribes, then toward the lower index for determinism.
-		if u > best.Utility+1e-12 ||
-			(math.Abs(u-best.Utility) <= 1e-12 && pathQ > best.Quality+1e-12) {
+		if improves(u, pathQ, &best) {
 			best = Decision{Node: i, Next: j, Utility: u, Quality: pathQ}
 		}
 	}
 	return best
+}
+
+// improves reports whether a move of utility u and path quality pathQ
+// beats best: maximise utility, break ties toward higher quality as §2.2
+// prescribes, then — since candidates arrive in ascending order and only a
+// strict gain replaces best — toward the lower index for determinism.
+func improves(u, pathQ float64, best *Decision) bool {
+	return u > best.Utility+1e-12 ||
+		(math.Abs(u-best.Utility) <= 1e-12 && pathQ > best.Quality+1e-12)
 }
 
 // deliverCell is solveCell at stage 1, where V(j, 0) is finite for j = R
@@ -516,6 +525,46 @@ func (g *PathGame) deliverCell(i int) Decision {
 		u := g.Pf + pathQ*g.Pr - (g.Cost.Participation + g.Cost.Transmission(i, g.Responder))
 		if u > best.Utility+1e-12 {
 			best = Decision{Node: i, Next: g.Responder, Utility: u, Quality: pathQ}
+		}
+	}
+	return best
+}
+
+// penultimateCell is solveCell at stage 2, with V(j, 1) in closed form:
+// 0 for j = R, and deliverCell(j)'s quality for every other successor —
+// Deliver(j) + V(R, 0), finite exactly when Deliver(j) ≥ 0. The Deliver
+// contract makes Deliver(j) = Deliver(i) for every such j, so the cell
+// reads Deliver once, for i itself, and is bit-identical to the one
+// solveCell computes over a stored stage 1.
+func (g *PathGame) penultimateCell(i int) Decision {
+	if i == g.Responder {
+		return Decision{Node: i, Next: -1, Utility: negInf, Quality: 0}
+	}
+	best := Decision{Node: i, Next: -1, Utility: negInf, Quality: negInf}
+	succ, qual := g.Adjacency(i)
+	if len(succ) == 0 {
+		return best
+	}
+	relay := negInf // V(j, 1) of every successor j ≠ R
+	if q := g.Deliver(i); q >= 0 {
+		relay = q + 0 // V(R, 0)
+	}
+	for idx, j32 := range succ {
+		j, q := int(j32), qual[idx]
+		if j == i || q < 0 {
+			continue // self loop / no edge
+		}
+		cont := relay
+		if j == g.Responder {
+			cont = 0 // V(R, 1)
+		}
+		if math.IsInf(cont, -1) {
+			continue // j cannot reach R in one hop
+		}
+		pathQ := q + cont
+		u := g.Pf + pathQ*g.Pr - (g.Cost.Participation + g.Cost.Transmission(i, j))
+		if improves(u, pathQ, &best) {
+			best = Decision{Node: i, Next: j, Utility: u, Quality: pathQ}
 		}
 	}
 	return best

@@ -33,6 +33,7 @@ import (
 	"p2panon/internal/overlay"
 	"p2panon/internal/payment"
 	"p2panon/internal/telemetry"
+	"p2panon/internal/transport"
 	"p2panon/internal/wire"
 
 	"crypto/ecdh"
@@ -147,7 +148,7 @@ func (k Kind) String() string {
 }
 
 // Codec errors. The first six are internal/wire's shared set under this
-// package's names; the last three are the frame format's own.
+// package's names; the last four are the frame format's own.
 var (
 	ErrShortFrame   = wire.ErrShort
 	ErrBadVersion   = wire.ErrVersion
@@ -158,6 +159,7 @@ var (
 	ErrBadFlags     = errors.New("netwire: unknown flag bits set")
 	ErrBadKey       = errors.New("netwire: malformed contract key")
 	ErrEmptyTrace   = errors.New("netwire: trace-context extension present but all-zero")
+	ErrBadHop       = errors.New("netwire: hop budget outside [0, transport.MaxBudget] or negative hop index")
 )
 
 // Frame is the decoded form of one wire frame. Which fields are
@@ -403,6 +405,7 @@ func (f *Frame) decodeMessage(r *wire.Reader) {
 	f.Responder = overlay.NodeID(r.I64())
 	f.Remaining = int(r.I64())
 	f.Hop = int(r.I64())
+	r.Check(f.Remaining >= 0 && f.Remaining <= transport.MaxBudget && f.Hop >= 0, ErrBadHop)
 	f.DeadlineMicros = r.I64()
 	flags := r.U8()
 	r.Check(flags&^byte(flagKnownMask) == 0, ErrBadFlags)
@@ -475,11 +478,21 @@ func ReadFrame(r io.Reader) (*Frame, int, error) {
 const connBuf = 2048
 
 // readFrame reads the next frame of s into f, a Frame the caller owns
-// (see decodeBody), and returns the bytes consumed.
+// (see decodeBody), and returns the bytes consumed. A frame that arrived
+// whole but does not decode is a badFrame error.
 func readFrame(s *wire.Stream, f *Frame) (int, error) {
 	body, n, err := s.Next()
 	if err != nil {
 		return n, err
 	}
-	return n, f.decodeBody(body)
+	if err := f.decodeBody(body); err != nil {
+		return n, badFrame{err}
+	}
+	return n, nil
 }
+
+// badFrame is a decode error of a frame the stream delivered whole: the
+// peer sent it malformed, rather than the connection failing.
+type badFrame struct{ error }
+
+func (e badFrame) Unwrap() error { return e.error }

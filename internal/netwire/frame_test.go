@@ -14,6 +14,7 @@ import (
 	"p2panon/internal/overlay"
 	"p2panon/internal/payment"
 	"p2panon/internal/telemetry"
+	"p2panon/internal/transport"
 )
 
 // testContract builds a valid signed contract for codec tests.
@@ -258,6 +259,13 @@ func TestDecodeFrameErrors(t *testing.T) {
 	oversize := make([]byte, 4)
 	binary.BigEndian.PutUint32(oversize, MaxFrameSize+1)
 
+	// Overwrite Remaining (the seventh field) or Hop (the eighth).
+	field := func(k int, v int64) []byte {
+		out := append([]byte(nil), msg...)
+		binary.BigEndian.PutUint64(out[4+2+8*k:], uint64(v))
+		return out
+	}
+
 	cases := []struct {
 		name string
 		data []byte
@@ -274,6 +282,10 @@ func TestDecodeFrameErrors(t *testing.T) {
 		{"zero kind", encodeRaw([]byte{Version, 0}), ErrBadKind},
 		{"unknown flag bits", badFlags, ErrBadFlags},
 		{"path over cap", longPath, ErrFieldTooLong},
+		{"budget over cap", field(6, transport.MaxBudget+1), ErrBadHop},
+		{"hostile budget", field(6, 1<<40), ErrBadHop},
+		{"negative budget", field(6, -1), ErrBadHop},
+		{"negative hop", field(7, -1), ErrBadHop},
 		{"body-internal truncation", encodeRaw([]byte{Version, byte(KindHello), 1, 2}), ErrShortFrame},
 	}
 	for _, tc := range cases {

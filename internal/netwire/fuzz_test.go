@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/iotest"
 
+	"p2panon/internal/overlay"
 	"p2panon/internal/wire"
 )
 
@@ -58,6 +59,19 @@ func FuzzFrameWire(f *testing.F) {
 	badFlags := append([]byte(nil), msg...)
 	badFlags[4+2+72] = 0xff // flags byte: unknown bits
 	f.Add(badFlags)
+
+	// A hop budget past transport.MaxBudget and a negative hop index:
+	// encodable, refused at decode.
+	for _, bad := range []*Frame{
+		{Kind: KindForward, Batch: 3, Attempt: 8, Responder: 5, Remaining: 1 << 40},
+		{Kind: KindConfirm, Batch: 3, Attempt: 8, Responder: 5, Path: []overlay.NodeID{0, 5}, Hop: -1},
+	} {
+		buf, err := bad.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame, err := DecodeFrame(data)

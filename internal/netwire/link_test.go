@@ -222,6 +222,51 @@ func TestImpostorHelloGetsNothing(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeFrameRefused sends node 1 frames that decode only up to
+// their hop fields, each on its own connection after a Hello naming no
+// member: a FORWARD whose Remaining is 1<<40 — which would size a UM-II
+// router's memo at 2^40 stages — a FORWARD with a negative Remaining and a
+// CONFIRM with a negative Hop. Each is a decode error: node 1 counts it
+// malformed, closes that connection and keeps serving.
+func TestOutOfRangeFrameRefused(t *testing.T) {
+	c := NewCluster(Config{})
+	t.Cleanup(c.Close)
+	for id := overlay.NodeID(0); id < 3; id++ {
+		if err := c.Join(id, lineRouter); err != nil {
+			t.Fatal(err)
+		}
+	}
+	malformed := c.Telemetry().Counter("netwire_malformed_total", nil)
+	for n, bad := range []*Frame{
+		{Kind: KindForward, Batch: 1, Conn: 1, Attempt: 1, Responder: 2, Remaining: 1 << 40, Path: []overlay.NodeID{0}},
+		{Kind: KindForward, Batch: 1, Conn: 1, Attempt: 1, Responder: 2, Remaining: -1, Path: []overlay.NodeID{0}},
+		{Kind: KindConfirm, Batch: 1, Conn: 1, Attempt: 1, Responder: 2, Path: []overlay.NodeID{0, 1, 2}, Hop: -1},
+	} {
+		imp, err := net.Dial("tcp", c.Node(1).Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer imp.Close()
+		imp.SetDeadline(time.Now().Add(10 * time.Second))
+		if _, err := WriteFrame(imp, &Frame{Kind: KindHello, Node: 77, Nonce: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if ack, _, err := ReadFrame(imp); err != nil || ack.Kind != KindHelloAck {
+			t.Fatalf("handshake naming 77: %v %v", ack, err)
+		}
+		if _, err := WriteFrame(imp, bad); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "the frame counted malformed", func() bool { return malformed.Value() == int64(n+1) })
+		if _, _, err := ReadFrame(imp); err == nil {
+			t.Fatal("the connection that carried the frame stayed open and wrote a frame")
+		}
+		if !c.Probe(0, 1, 5*time.Second) {
+			t.Fatalf("node 1 stopped answering after frame %d", n)
+		}
+	}
+}
+
 // TestCloseLeavesNothingOpen runs a settled batch and a kill, then closes
 // the cluster: every socket, dialed or accepted, is closed, the gauge
 // that counts them reads 0, and no goroutine outlives Close.

@@ -205,6 +205,13 @@ func (nd *Node) readLoop(conn net.Conn, in *wire.Stream, l *link) {
 		conn.SetReadDeadline(time.Now().Add(nd.c.cfg.IdleTimeout))
 		n, err := readFrame(in, &f)
 		if err != nil {
+			if errors.As(err, new(badFrame)) {
+				// A malformed frame: counted, and the connection it came on
+				// is closed; the node serves on.
+				nd.c.Malformed()
+				nd.c.logf("node %d: frame from %d: %v", nd.ID, peer, err)
+				return
+			}
 			ne, ok := err.(net.Error)
 			if !ok || !ne.Timeout() {
 				return

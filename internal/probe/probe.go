@@ -62,6 +62,9 @@ type Estimator struct {
 	spareNbr     []overlay.NodeID
 	spareSession []float64
 	probes       int
+	// lists counts the rounds that changed the tracked list, so an index
+	// into it (Index) can be kept until the next one.
+	lists uint64
 
 	// total caches Σ_v t_s(v), summed in nbr order, so Availability scans
 	// only for the neighbor it is asked about (the routing layer queries
@@ -117,6 +120,10 @@ func (est *Estimator) Owner() overlay.NodeID { return est.owner }
 // Probes returns how many probing rounds have run.
 func (est *Estimator) Probes() int { return est.probes }
 
+// Lists returns how many probing rounds changed the tracked neighbor list.
+// A position Index returned stays valid while it is unchanged.
+func (est *Estimator) Lists() uint64 { return est.lists }
+
 // Tick runs one probing period in one pass over the neighbor list: a new
 // neighbor gets a rand(0,T) initial session time, a known one is credited
 // T when live and decayed when dead; neighbors that vanished from the list
@@ -171,6 +178,7 @@ func (est *Estimator) Tick() {
 		nbr := append(est.spareNbr[:0], current...)
 		est.spareNbr, est.spareSession = est.nbr, est.session
 		est.nbr, est.session = nbr, session
+		est.lists++
 	}
 	est.ticks.Inc()
 	est.credits.Add(credits)
@@ -193,22 +201,38 @@ func (est *Estimator) SessionTime(u overlay.NodeID) float64 {
 // has a well-defined score from the first connection. The sum runs in
 // neighbor-list order, so equal estimators give bit-equal shares.
 func (est *Estimator) Availability(u overlay.NodeID) float64 {
-	if !est.totalValid {
-		total := 0.0
-		for _, t := range est.session {
-			total += t
-		}
-		est.total = total
-		est.totalValid = true
-	}
-	k := slices.Index(est.nbr, u)
+	return est.AvailabilityAt(est.Index(u))
+}
+
+// Index returns u's position in the tracked neighbor list, or −1 when u
+// is not tracked: the argument AvailabilityAt takes, valid while Lists is
+// unchanged.
+func (est *Estimator) Index(u overlay.NodeID) int { return slices.Index(est.nbr, u) }
+
+// AvailabilityAt is Availability of the neighbor at position k of the
+// tracked list (Index), 0 for k < 0, in O(1): a caller that keeps the
+// positions of a fixed set of neighbors rescores them without a scan.
+func (est *Estimator) AvailabilityAt(k int) float64 {
 	if k < 0 {
 		return 0
+	}
+	if !est.totalValid {
+		est.sum()
 	}
 	if est.total <= 0 {
 		return 1 / float64(len(est.nbr))
 	}
 	return est.session[k] / est.total
+}
+
+// sum caches Σ_v t_s(v), summed in list order.
+func (est *Estimator) sum() {
+	total := 0.0
+	for _, t := range est.session {
+		total += t
+	}
+	est.total = total
+	est.totalValid = true
 }
 
 // Snapshot returns the availability of every tracked neighbor. The shares

@@ -213,7 +213,8 @@ type connRec struct {
 // vclock.Engine clock. Mid-path departures are retried per the
 // RetryPolicy (path reformation) within timeout, each attempt getting an
 // even share of it as its window. A connection refused up front (unknown
-// initiator or responder, I == R) is an error, and done is not called.
+// initiator or responder, I == R, a budget outside [0, MaxBudget]) is an
+// error, and done is not called.
 func (d *Driver) Start(initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration, done func(Outcome)) error {
 	return d.start(&connRec{done: done}, initiator, responder, batch, conn, budget, timeout, nil)
 }
@@ -238,6 +239,9 @@ func (d *Driver) start(c *connRec, initiator, responder overlay.NodeID, batch, c
 	}
 	if initiator == responder {
 		return errors.New("transport: initiator == responder")
+	}
+	if budget < 0 || budget > MaxBudget {
+		return fmt.Errorf("transport: hop budget %d outside [0, %d]", budget, MaxBudget)
 	}
 	c.d, c.retry = d, d.retry
 	c.initiator, c.responder = initiator, responder

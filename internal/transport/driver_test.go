@@ -653,25 +653,35 @@ func TestForgedReplyRefused(t *testing.T) {
 	}
 }
 
-// FuzzDriverHandle throws arbitrary CONFIRMs and NACKs — any batch, conn,
-// attempt and Hop, a path of up to 16 ids, hosted or not — at a station of
-// a driver over the scripted link while one attempt from 0 to 4 is
-// pending, its FORWARD swallowed on the way to 4. Each send the reply
-// makes meets a fate the input picks. Whatever arrives, nothing panics,
-// and the attempt resolves only at its initiator, and as a delivery only
-// over a path from 0 to 4. FORWARDs are not fuzzed: their Remaining is
-// unbounded and sizes the UM-II memo.
+// FuzzDriverHandle throws arbitrary FORWARDs, CONFIRMs and NACKs — any
+// batch, conn, attempt, Hop, Remaining and responder, a path of up to 16
+// ids, hosted or not — at a station of a driver over the scripted link
+// while one attempt from 0 to 4 is pending, its FORWARD swallowed on the
+// way to 4. The stations route with a UtilityIIRouter over the line
+// 0–1–2–3–4, so an admitted FORWARD sizes and fills its memo. Each send
+// the message makes meets a fate the input picks. Whatever arrives,
+// nothing panics, a FORWARD whose Remaining lies outside [0, MaxBudget] is
+// refused and counted (malformed, or first as one for a closed batch)
+// without a send, and the attempt resolves only at
+// its initiator, and as a delivery only over a path from 0 to 4.
 func FuzzDriverHandle(f *testing.F) {
 	// The four forged replies of TestForgedReplyRefused, an honest
-	// CONFIRM arriving at node 1 and an honest NACK from node 2. Path
-	// bytes b name node b%7−1 (−1 and 5 are hosted nowhere).
-	f.Add(uint8(1), true, 1, 1, 1, 5, []byte{1}, []byte{0})
-	f.Add(uint8(2), true, 1, 1, 1, -1, []byte{1, 4, 5}, []byte{0})
-	f.Add(uint8(0), true, 1, 1, 1, 0, []byte{1}, []byte{0})
-	f.Add(uint8(2), true, 1, 1, 1, 0, []byte{3, 5}, []byte{0})
-	f.Add(uint8(1), true, 1, 1, 1, 1, []byte{1, 2, 3, 5}, []byte{0, 1, 3})
-	f.Add(uint8(2), false, 1, 1, 1, 2, []byte{1, 2, 3}, []byte{1, 0})
-	f.Fuzz(func(t *testing.T, at uint8, confirm bool, batch, conn, attempt, hop int, path, fates []byte) {
+	// CONFIRM arriving at node 1 and an honest NACK from node 2; then
+	// FORWARDs: the hostile budget of TestHostileBudgetRefused, a
+	// negative one, an honest one that completes the pending attempt, and
+	// one to a responder hosted nowhere. Path bytes b name node b%7−1 (−1
+	// and 5 are hosted nowhere); kind is forward, confirm, nack mod 3.
+	f.Add(uint8(1), uint8(1), 1, 1, 1, 5, 0, int8(4), []byte{1}, []byte{0})
+	f.Add(uint8(2), uint8(1), 1, 1, 1, -1, 0, int8(4), []byte{1, 4, 5}, []byte{0})
+	f.Add(uint8(0), uint8(1), 1, 1, 1, 0, 0, int8(4), []byte{1}, []byte{0})
+	f.Add(uint8(2), uint8(1), 1, 1, 1, 0, 0, int8(4), []byte{3, 5}, []byte{0})
+	f.Add(uint8(1), uint8(1), 1, 1, 1, 1, 0, int8(4), []byte{1, 2, 3, 5}, []byte{0, 1, 3})
+	f.Add(uint8(2), uint8(2), 1, 1, 1, 2, 0, int8(4), []byte{1, 2, 3}, []byte{1, 0})
+	f.Add(uint8(1), uint8(0), 1, 1, 1, 0, 1<<40, int8(4), []byte{1}, []byte{})
+	f.Add(uint8(1), uint8(0), 1, 1, 1, 0, -1, int8(4), []byte{1}, []byte{})
+	f.Add(uint8(1), uint8(0), 1, 1, 1, 0, 7, int8(4), []byte{1}, []byte{})
+	f.Add(uint8(2), uint8(0), 1, 1, 1, 0, 3, int8(9), []byte{1, 2}, []byte{0, 3})
+	f.Fuzz(func(t *testing.T, at, kind uint8, batch, conn, attempt, hop, remaining int, responder int8, path, fates []byte) {
 		l := &scriptLink{stations: make(map[overlay.NodeID]*Station), script: func(from, to overlay.NodeID, m Message) fate {
 			if to == 4 && m.Kind == MsgForward {
 				return swallow
@@ -682,7 +692,8 @@ func FuzzDriverHandle(f *testing.F) {
 		l.d = d
 		d.SetClock(vclock.Engine(sim.NewEngine()))
 		d.SetRetry(RetryPolicy{MaxAttempts: 1})
-		r := &backupRouter{dead: make(map[overlay.NodeID]bool)}
+		line := Topology{0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2, 4}, 4: {3}}
+		r := NewUtilityIIRouter(line, quality.DefaultWeights(), core.ContractWithTau(75, 2), uniformAvail(5))
 		for id := overlay.NodeID(0); id <= 4; id++ {
 			l.stations[id] = NewStation(id, r)
 			d.Joined(id, r)
@@ -693,7 +704,7 @@ func FuzzDriverHandle(f *testing.F) {
 			t.Fatal(err)
 		}
 		if len(d.pending) != 1 || res != nil {
-			t.Fatalf("%d attempts pending before the reply, outcome %v", len(d.pending), res)
+			t.Fatalf("%d attempts pending before the message, outcome %v", len(d.pending), res)
 		}
 
 		sends := 0
@@ -707,16 +718,20 @@ func FuzzDriverHandle(f *testing.F) {
 			sends++
 			return [...]fate{deliver, refuse, swallow, lose}[fates[(sends-1)%len(fates)]%4]
 		}
-		m := Message{Kind: MsgNack, Batch: batch, Conn: conn, Attempt: attempt, Hop: hop}
-		if confirm {
-			m.Kind = MsgConfirm
-		}
+		m := Message{Kind: [...]MsgKind{MsgForward, MsgConfirm, MsgNack}[kind%3], Batch: batch, Conn: conn,
+			Attempt: attempt, Hop: hop, Remaining: remaining, Responder: overlay.NodeID(responder), From: overlay.None}
 		for _, b := range path[:min(len(path), 16)] {
 			m.Path = append(m.Path, overlay.NodeID(int(b%7)-1))
+			m.From = m.Path[len(m.Path)-1]
 		}
 		l.at = overlay.NodeID(at % 5)
+		refused, linkSends := d.inst.malformed.Value()+d.inst.closedBatch.Value(), l.sends
 		d.Handle(l.stations[l.at], m)
 
+		if now := d.inst.malformed.Value() + d.inst.closedBatch.Value(); m.Kind == MsgForward &&
+			(remaining < 0 || remaining > MaxBudget) && (now != refused+1 || l.sends != linkSends) {
+			t.Fatalf("a FORWARD with Remaining %d: %d refusals counted, %d sends", remaining, now-refused, l.sends-linkSends)
+		}
 		if res == nil {
 			if len(d.pending) != 1 {
 				t.Fatalf("no outcome, yet %d attempts pending", len(d.pending))
@@ -730,4 +745,51 @@ func FuzzDriverHandle(f *testing.F) {
 			t.Fatalf("the attempt delivered over %v, not a path from 0 to 4", p)
 		}
 	})
+}
+
+// TestHostileBudgetRefused sends a UM-II station FORWARDs whose Remaining
+// lies outside [0, MaxBudget]: 1<<40, which would size the router's memo
+// at (2^40+1)×3 cells, and −1. Each is refused and counted malformed
+// before it reaches the router, whose memo stays within MaxBudget, and
+// the station keeps serving an honest connection. A connection asking
+// for a budget past MaxBudget is refused up front.
+func TestHostileBudgetRefused(t *testing.T) {
+	topo := Topology{0: {1}, 1: {0, 2}, 2: {1}}
+	r := NewUtilityIIRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), uniformAvail(3))
+	net := NewNetwork(0)
+	t.Cleanup(net.Close)
+	for id := overlay.NodeID(0); id < 3; id++ {
+		if _, err := net.AddPeer(id, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	malformed := net.Telemetry().Counter("transport_malformed_total", nil)
+	for n, remaining := range []int{1 << 40, -1, MaxBudget + 1} {
+		m := Message{Kind: MsgForward, Batch: 1, Conn: 1, Attempt: 1, From: 0, Initiator: 0, Responder: 2,
+			Remaining: remaining, Path: []overlay.NodeID{0}}
+		if !net.Send(0, 1, m) {
+			t.Fatal("node 1 refused the FORWARD")
+		}
+		for deadline := time.Now().Add(5 * time.Second); malformed.Value() != int64(n+1); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("the FORWARD with Remaining %d was never counted malformed (%d)", remaining, malformed.Value())
+			}
+		}
+	}
+	if _, _, err := net.ConnectDetail(0, 2, 2, 1, MaxBudget+1, 5*time.Second); err == nil {
+		t.Fatalf("a budget of %d was accepted", MaxBudget+1)
+	}
+	out, err := net.RunBatch(0, 2, 3, 2, 4, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]overlay.NodeID{{0, 1, 2}, {0, 1, 2}}; !reflect.DeepEqual(out.Paths, want) {
+		t.Errorf("paths %v, want %v", out.Paths, want)
+	}
+	r.cacheMu.Lock()
+	hops := r.memoHops
+	r.cacheMu.Unlock()
+	if got := malformed.Value(); got != 3 || hops > MaxBudget {
+		t.Errorf("malformed %d, memo sized for %d hops; want 3 and at most %d", got, hops, MaxBudget)
+	}
 }

@@ -76,6 +76,14 @@ type Message struct {
 	Span  telemetry.SpanID
 }
 
+// MaxBudget caps a connection's hop budget, the Remaining a FORWARD
+// carries: Driver.start refuses a larger budget, and Driver.Handle refuses
+// a FORWARD whose Remaining lies outside [0, MaxBudget] (netwire refuses
+// the frame already). The UM-II router sizes its memo by Remaining, so an
+// unbounded one could demand any amount of memory. Every budget the
+// system draws is at most 16.
+const MaxBudget = 64
+
 // closedCap is the size of a station's record of closed batches, so that
 // it can refuse their late messages: batch b is remembered until the
 // station closes another batch congruent to b mod closedCap. A message
@@ -158,9 +166,10 @@ type Link interface {
 
 // Handle is the link's delivery entry point: m arrived at hosted node st.
 // A message for a batch st has closed is refused and counted: it is
-// neither routed nor relayed, and re-creates no state. A CONFIRM/NACK is
-// admitted only if its Hop indexes its Path and names st there; any other
-// reply is refused and counted malformed, and otherwise ignored.
+// neither routed nor relayed, and re-creates no state. A FORWARD is
+// admitted only if its Remaining lies in [0, MaxBudget], a CONFIRM/NACK
+// only if its Hop indexes its Path and names st there; any other message
+// is refused and counted malformed, and otherwise ignored.
 func (d *Driver) Handle(st *Station, m Message) {
 	if st.isClosed(m.Batch) {
 		d.inst.closedBatch.Inc()
@@ -168,6 +177,10 @@ func (d *Driver) Handle(st *Station, m Message) {
 	}
 	switch m.Kind {
 	case MsgForward:
+		if m.Remaining < 0 || m.Remaining > MaxBudget {
+			d.inst.malformed.Inc()
+			return
+		}
 		d.handleForward(st, m)
 	case MsgConfirm, MsgNack:
 		if m.Hop < 0 || m.Hop >= len(m.Path) || m.Path[m.Hop] != st.ID {
@@ -177,6 +190,10 @@ func (d *Driver) Handle(st *Station, m Message) {
 		d.back(st.ID, m)
 	}
 }
+
+// Malformed counts, in <prefix>_malformed_total beside the messages
+// Handle refuses, a message a link received but could not decode.
+func (d *Driver) Malformed() { d.inst.malformed.Inc() }
 
 // Credit is what a settlement pays one forwarder-set member: its payoff
 // m·P_f + P_r/‖π‖ and the batch root (Trace, Root) its settle span
@@ -302,7 +319,7 @@ func (d *Driver) handleForward(st *Station, m Message) {
 		}
 	}
 	m.From = st.ID
-	m.Remaining--
+	m.Remaining = max(m.Remaining-1, 0) // a spent budget rides the last edge, to R, as 0
 	if !d.link.Send(st.ID, next, m) {
 		// Synchronous drop: the chosen successor departed. Mark it dead
 		// and NACK back along the path so the initiator reforms at once.

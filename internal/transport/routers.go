@@ -264,6 +264,9 @@ type UtilityIIRouter struct {
 	// neighbor that no connection of the batch has used, Edge(0, α) — the
 	// base row core.Rows.Build starts from.
 	nbrQ [][]float64
+	// routable[i]: node i is a key of the topology and believed alive,
+	// the rows' up (core.Rows.Reset), refreshed by every solve.
+	routable []bool
 	// The solve in progress: its endpoints, the batch's history and
 	// connection, and holder[i], whether that history names an edge out of
 	// i (only those rows are rescored).
@@ -310,9 +313,9 @@ func NewUtilityIIRouter(topo Topology, w quality.Weights, c core.Contract, avail
 		}
 	}
 	r.holder = make([]bool, len(r.nbrs))
+	r.routable = make([]bool, len(r.nbrs))
 	r.stage.r = r.UtilityRouter
 	r.rows.Fill = r.row
-	r.rows.Up = func(i int) bool { return r.nbrs[i] != nil && r.up[i] }
 	r.game = game.PathGame{
 		Nodes:     len(r.nbrs),
 		Adjacency: r.rows.Adjacency(),
@@ -410,18 +413,8 @@ func (r *UtilityIIRouter) prescribed(self, initiator, responder overlay.NodeID, 
 		r.solved++
 		r.cacheEntries.Set(int64(min(r.solved, spneCacheCap)))
 	}
-	r.solve(self, initiator, responder, batch, conn, remaining)
 	e.key, e.responder, e.budget = key, responder, remaining
-	e.next = e.next[:0]
-	for h, stage := range r.memo.Table()[:remaining+1] {
-		for i, d := range stage {
-			next := int32(unsolved)
-			if r.memo.Known(h, i) {
-				next = int32(d.Next)
-			}
-			e.next = append(e.next, next)
-		}
-	}
+	r.solve(e, self, initiator, batch, conn)
 	return e.at(remaining, nodes, self)
 }
 
@@ -438,18 +431,24 @@ func (r *UtilityIIRouter) cached(key [2]int) *spneCacheEntry {
 }
 
 // solve solves, into r.memo, the cone of cells the play of connection
-// conn of batch from (start, budget) can reach, building the rows it
-// visits; the next solve overwrites it. The solve holds mu throughout, so
-// rows, history and liveness are read in one consistent state. Caller
-// holds cacheMu.
-func (r *UtilityIIRouter) solve(start, initiator, responder overlay.NodeID, batch, conn, budget int) {
+// conn of batch from (start, e.budget) to e.responder can reach, building
+// the rows it visits, and fills e with the prescriptions read from it
+// (game.PathGame.Cell); the next solve overwrites the memo. The solve
+// holds mu throughout, so rows, history and liveness — which the stage-1
+// reads consult too — are read in one consistent state. Caller holds
+// cacheMu.
+func (r *UtilityIIRouter) solve(e *spneCacheEntry, start, initiator overlay.NodeID, batch, conn int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	responder, budget := e.responder, e.budget
 	r.initiator, r.responder = initiator, responder
 	r.stage.h, r.stage.conn = r.batches[batch], conn
 	clear(r.holder)
 	r.stage.h.Tails(r.holder)
-	r.rows.Reset(len(r.nbrs), int32(responder), r.up[responder])
+	for i, nb := range r.nbrs {
+		r.routable[i] = nb != nil && r.up[i]
+	}
+	r.rows.Reset(len(r.nbrs), int32(responder), r.up[responder], r.routable)
 	r.game.Responder = int(responder)
 	r.memoHops = max(r.memoHops, budget)
 	r.memo.Reset(len(r.nbrs), r.memoHops)
@@ -461,17 +460,29 @@ func (r *UtilityIIRouter) solve(start, initiator, responder overlay.NodeID, batc
 			r.game.SolveFrom(&r.memo, int(j), budget-1)
 		}
 	}
+	// A node that holds no row has no move at any stage. The cone leaves
+	// out a keyless neighbor (rows drop it), yet a Model-I step can still
+	// reach it, and its read must not miss.
+	e.next = e.next[:0]
+	for h := 0; h <= budget; h++ {
+		e.next = r.game.StageNext(e.next, &r.memo, h, unsolved)
+		for i, next := range e.next[h*len(r.nbrs):] {
+			if next == unsolved && !r.rows.Holds(i) {
+				e.next[h*len(r.nbrs)+i] = -1
+			}
+		}
+	}
 }
 
 // row builds node i's row of the solve in progress (core.Rows.Fill). Node i
-// gets a row iff it is a key of the topology and alive (Rows.Up) and not
+// gets a row iff it is a key of the topology and alive (routable) and not
 // R: its live neighbors other than i itself and I, scored w_s·σ + w_a·α,
 // and — for every such i, neighbor of R or not — the delivery edge (i, R)
 // unless R is dead. σ is zero on every edge the batch's history does not
 // name, where the score is the base quality; so only the rows of nodes
 // the history names an edge out of are rescored. Caller holds mu.
 func (r *UtilityIIRouter) row(i int) {
-	succ, qual := r.rows.Build(i, r.nbrs[i], r.nbrQ[i], int32(r.initiator), r.up)
+	succ, qual := r.rows.Build(i, r.nbrs[i], r.nbrQ[i], int32(r.initiator))
 	if r.holder[i] {
 		for a, j := range succ {
 			if j != int32(r.responder) {

@@ -67,20 +67,28 @@ func (r *UtilityIIRouter) denseTable(topo Topology, initiator, responder overlay
 	return g.Solve()
 }
 
-// requireKnownCells compares every cell m holds a value for with the
-// oracle's, bit for bit.
-func requireKnownCells(t *testing.T, m *game.Memo, want [][]game.Decision) {
+// solveConn solves connection conn of batch from start with the given
+// budget as a cache miss does, into a scratch entry it returns.
+func (r *UtilityIIRouter) solveConn(start, initiator, responder overlay.NodeID, batch, conn, budget int) *spneCacheEntry {
+	e := &spneCacheEntry{responder: responder, budget: budget}
+	r.cacheMu.Lock()
+	defer r.cacheMu.Unlock()
+	r.solve(e, start, initiator, batch, conn)
+	return e
+}
+
+// requireSolvedCells compares every cell the router's last solve holds a
+// value for, read as the cache fill reads it (game.PathGame.Cell), with
+// the oracle's, bit for bit.
+func requireSolvedCells(t *testing.T, r *UtilityIIRouter, want [][]game.Decision) {
 	t.Helper()
-	got := m.Table()
 	for h := range want {
-		if len(got[h]) != len(want[h]) {
-			t.Fatalf("stage %d: %d cells, want %d", h, len(got[h]), len(want[h]))
-		}
 		for i, w := range want[h] {
-			if !m.Known(h, i) {
+			g, ok := r.game.Cell(&r.memo, h, i)
+			if !ok {
 				continue
 			}
-			if g := got[h][i]; g.Node != w.Node || g.Next != w.Next ||
+			if g.Node != w.Node || g.Next != w.Next ||
 				math.Float64bits(g.Utility) != math.Float64bits(w.Utility) ||
 				math.Float64bits(g.Quality) != math.Float64bits(w.Quality) {
 				t.Fatalf("table[%d][%d] = %+v, want %+v", h, i, g, w)
@@ -189,11 +197,11 @@ func TestLiveSparseMatchesDense(t *testing.T) {
 					// The connection after batch 1's six, so σ > 0 where
 					// the history names an edge.
 					const conn = 7
-					r.solve(initiator, initiator, responder, batch, conn, budget)
+					r.solveConn(initiator, initiator, responder, batch, conn, budget)
 					if !r.memo.Known(budget, int(initiator)) {
 						t.Fatalf("seed %d: root (%d, %d) not solved", seed, initiator, budget)
 					}
-					requireKnownCells(t, &r.memo, r.denseTable(topo, initiator, responder, batch, conn, budget))
+					requireSolvedCells(t, r, r.denseTable(topo, initiator, responder, batch, conn, budget))
 					for i := range r.nbrs {
 						succ, _ := r.game.Adjacency(i)
 						for a := 1; a < len(succ); a++ {
@@ -220,8 +228,14 @@ func TestLiveSparseMatchesDense(t *testing.T) {
 // the live router: with R marked dead and then alive again, over worlds
 // with keyless ids, dead forwarders and history-rescored rows, Deliver(i)
 // is non-negative exactly when the row Adjacency(i) builds holds R, at a
-// bit-equal quality — and no node delivers to a dead R.
+// bit-equal quality — and no node delivers to a dead R. It also pins the
+// contract SolveFrom's closed-form stage 2 rests on: every successor
+// other than R in a built row holds a row, with the Deliver of the row's
+// own node — a dead holder and a neighbor that is no topology key are
+// dropped from every row — and the stage-1 read equals the dense oracle's
+// stage 1 on every node.
 func TestDeliverAgreesWithRows(t *testing.T) {
+	var deadDropped, keylessDropped int
 	for seed := uint64(1); seed <= 8; seed++ {
 		topo, avail, ids := awkwardWorld(seed)
 		r := NewUtilityIIRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), avail)
@@ -237,7 +251,7 @@ func TestDeliverAgreesWithRows(t *testing.T) {
 			} else {
 				r.MarkDead(responder)
 			}
-			r.solve(0, 0, responder, 1, 4, 2)
+			r.solveConn(0, 0, responder, 1, 4, 2)
 			delivering := 0
 			for i := range r.nbrs {
 				dq, rq := r.game.Deliver(i), -1.0
@@ -245,6 +259,10 @@ func TestDeliverAgreesWithRows(t *testing.T) {
 				for a, j := range succ {
 					if j == int32(responder) {
 						rq = qual[a]
+						continue
+					}
+					if !r.rows.Holds(int(j)) || math.Float64bits(r.game.Deliver(int(j))) != math.Float64bits(dq) {
+						t.Fatalf("seed %d, R alive %v: node %d's successor %d: holds a row %v, Deliver %v, node's %v", seed, alive, i, j, r.rows.Holds(int(j)), r.game.Deliver(int(j)), dq)
 					}
 				}
 				if (dq >= 0) != (rq >= 0) || (dq >= 0 && math.Float64bits(dq) != math.Float64bits(rq)) {
@@ -253,11 +271,30 @@ func TestDeliverAgreesWithRows(t *testing.T) {
 				if dq >= 0 {
 					delivering++
 				}
+				for _, j := range r.nbrs[i] {
+					if len(succ) == 0 || j == int32(responder) || j == int32(i) || j == 0 {
+						continue // no row, or not a neighbor the row could keep
+					}
+					if !r.up[j] {
+						deadDropped++
+					} else if r.nbrs[j] == nil {
+						keylessDropped++
+					}
+				}
 			}
 			if (delivering > 0) != alive {
 				t.Fatalf("seed %d, R alive %v: %d nodes deliver", seed, alive, delivering)
 			}
+			want := r.denseTable(topo, 0, responder, 1, 4, 1)[1]
+			for i := range want {
+				if got, ok := r.game.Cell(&r.memo, 1, i); !ok || got != want[i] {
+					t.Fatalf("seed %d, R alive %v: stage-1 read of node %d = %+v (%v), dense oracle %+v", seed, alive, i, got, ok, want[i])
+				}
+			}
 		}
+	}
+	if deadDropped == 0 || keylessDropped == 0 {
+		t.Fatalf("%d dead and %d keyless neighbors met a row: the worlds no longer cover the contract", deadDropped, keylessDropped)
 	}
 }
 
