@@ -3,18 +3,17 @@
 // nodes in its own internal/netwire runtime), coordinates batch
 // start/settle across them over the control protocol's barriers,
 // applies the composition's crash/restart faults at batch boundaries,
-// shapes declared links at orchestrator relays, and writes the merged
-// run artifact — per-worker span logs and telemetry snapshots, the
-// causally merged spans.jsonl, and results.json with the invariant
-// verdict.
+// and writes the merged run artifact — per-worker span logs and
+// telemetry snapshots, the causally merged spans.jsonl, and
+// results.json with the invariant verdict.
 //
 // Usage:
 //
 //	clusterd -comp composition.json [-workers 3] [-out dir] [-v]
 //	clusterd -gen 7 [-workers 3] [-nodes 9] [-batches 4] [-out dir]
 //
-// A composition is the faultsim Plan JSON schema plus "workers" and
-// "links" (see internal/clusterd). With -gen N a fault-free
+// A composition is the faultsim Plan JSON schema plus "workers" (see
+// internal/clusterd); an unknown key is refused, not ignored. With -gen N a fault-free
 // composition is derived from seed N and the -nodes/-batches knobs.
 // Workers default to re-executing this binary; -worker-bin points at
 // an alternative binary accepting -cluster-worker/-cluster-index
@@ -36,7 +35,7 @@ import (
 )
 
 func main() {
-	compPath := flag.String("comp", "", "composition JSON path (faultsim plan schema + workers/links)")
+	compPath := flag.String("comp", "", "composition JSON path (faultsim plan schema + workers)")
 	gen := flag.Uint64("gen", 0, "generate a fault-free composition from this seed instead of -comp")
 	workers := flag.Int("workers", 0, "override the composition's worker-process count")
 	nodes := flag.Int("nodes", 9, "node count for -gen compositions")

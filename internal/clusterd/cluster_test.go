@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -261,103 +262,6 @@ func TestClusterOrphansExitWhenOrchestratorDies(t *testing.T) {
 	}
 }
 
-// TestRelayShapes pins the three link-shaping behaviors at the socket
-// level: partitioned links die on contact, dropped links never answer,
-// delayed links deliver late but intact.
-func TestRelayShapes(t *testing.T) {
-	// Echo target.
-	target, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer target.Close()
-	go func() {
-		for {
-			c, err := target.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				buf := make([]byte, 256)
-				for {
-					n, err := c.Read(buf)
-					if n > 0 {
-						c.Write(buf[:n])
-					}
-					if err != nil {
-						return
-					}
-				}
-			}(c)
-		}
-	}()
-	addr := func() (string, bool) { return target.Addr().String(), true }
-
-	t.Run("partition", func(t *testing.T) {
-		r, err := newRelay(LinkShape{Partition: true}, addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		conn, err := net.Dial("tcp", r.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, err := conn.Read(make([]byte, 1)); err == nil {
-			t.Fatal("partitioned link answered")
-		}
-	})
-	t.Run("drop", func(t *testing.T) {
-		r, err := newRelay(LinkShape{Drop: true}, addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		conn, err := net.Dial("tcp", r.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		if _, err := conn.Write([]byte("hello?")); err != nil {
-			t.Fatal(err)
-		}
-		conn.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
-		if _, err := conn.Read(make([]byte, 1)); err == nil {
-			t.Fatal("dropped link answered")
-		}
-	})
-	t.Run("delay", func(t *testing.T) {
-		r, err := newRelay(LinkShape{Delay: 0.15}, addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		conn, err := net.Dial("tcp", r.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		start := time.Now()
-		if _, err := conn.Write([]byte("ping")); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 4)
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, err := conn.Read(buf); err != nil {
-			t.Fatal(err)
-		}
-		if elapsed := time.Since(start); elapsed < 100*time.Millisecond {
-			t.Fatalf("delayed link echoed in %v", elapsed)
-		}
-		if string(buf) != "ping" {
-			t.Fatalf("payload corrupted: %q", buf)
-		}
-	})
-}
-
 // TestCompositionWorkload pins the derived schedule: a pure function
 // of the composition, identically derived by every process.
 func TestCompositionWorkload(t *testing.T) {
@@ -422,13 +326,6 @@ func TestCompositionValidate(t *testing.T) {
 	}{
 		{"defaults", Composition{Plan: base}, true},
 		{"too many workers", Composition{Plan: base, Workers: 65}, false},
-		{"link out of range", Composition{Plan: base, Links: []LinkShape{{From: 0, To: 99}}}, false},
-		{"self loop", Composition{Plan: base, Links: []LinkShape{{From: 2, To: 2}}}, false},
-		{"negative delay", Composition{Plan: base, Links: []LinkShape{{From: 0, To: 1, Delay: -1}}}, false},
-		{"conflicting shapes", Composition{Plan: base, Workers: 3, Links: []LinkShape{
-			{From: 0, To: 1, Drop: true}, {From: 3, To: 1, Partition: true}, // both from worker 0
-		}}, false},
-		{"shaped link", Composition{Plan: base, Links: []LinkShape{{From: 0, To: 1, Drop: true}}}, true},
 	}
 	for _, tc := range cases {
 		err := tc.comp.Validate()
@@ -442,12 +339,11 @@ func TestCompositionValidate(t *testing.T) {
 }
 
 // TestCompositionJSONRoundTrip pins the declarative schema: the plan
-// fields inline beside workers/links, and load validates.
+// fields inline beside workers, and load validates.
 func TestCompositionJSONRoundTrip(t *testing.T) {
 	comp := Composition{
 		Plan:    faultsim.Plan{Seed: 3, Nodes: 6, Batches: 2},
 		Workers: 3,
-		Links:   []LinkShape{{From: 0, To: 1, Delay: 0.05}},
 	}
 	path := filepath.Join(t.TempDir(), "comp.json")
 	if err := SaveComposition(path, comp); err != nil {
@@ -471,9 +367,67 @@ func TestCompositionJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Seed != comp.Seed || got.Workers != comp.Workers || len(got.Links) != 1 {
+	if got.Seed != comp.Seed || got.Workers != comp.Workers {
 		t.Fatalf("round trip: %+v", got)
 	}
+}
+
+// TestUnknownFieldsRefused pins the fail-closed schema: a composition
+// that still declares the retired "links" field, a plan with a misspelt
+// field, and a worker's config carrying either are refused with an
+// error naming the field, never run without it.
+func TestUnknownFieldsRefused(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	const links = `{"seed": 3, "nodes": 6, "workers": 3, "links": [{"from": 0, "to": 1, "drop": true}]}`
+	const misspelt = `{"seed": 3, "nodes": 6, "batchs": 2}`
+	refused := func(what string, err error, field string) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), `"`+field+`"`) {
+			t.Errorf("%s: got %v, want an error naming %q", what, err, field)
+		}
+	}
+	_, err := LoadComposition(write("links.json", links))
+	refused("composition with links", err, "links")
+	_, err = LoadComposition(write("misspelt-comp.json", misspelt))
+	refused("composition with misspelt field", err, "batchs")
+	_, err = faultsim.LoadPlan(write("misspelt-plan.json", misspelt))
+	refused("plan with misspelt field", err, "batchs")
+	_, err = faultsim.LoadPlan(write("trailing.json", `{"seed": 3} {}`))
+	if err == nil {
+		t.Error("plan with trailing data accepted")
+	}
+
+	// The worker decodes its MsgConfig the same way and reports why.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	done := make(chan error, 1)
+	go func() { done <- RunWorker(ln.Addr().String(), 0) }()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if m, _, err := ReadMsg(conn); err != nil || m.Kind != MsgHello {
+		t.Fatalf("hello: %v", err)
+	}
+	if _, err := WriteMsg(conn, &Msg{Kind: MsgConfig, Worker: 0, Workers: 3, Comp: []byte(links)}); err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := ReadMsg(conn)
+	if err != nil || m.Kind != MsgError || !strings.Contains(m.Text, `"links"`) {
+		t.Fatalf("worker answered a config with links by %+v (%v), want an error naming the field", m, err)
+	}
+	refused("worker config with links", <-done, "links")
 }
 
 // TestRingRouterWalk pins the deterministic ring walk and its churn

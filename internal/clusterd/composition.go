@@ -8,43 +8,20 @@ import (
 	"sync"
 	"time"
 
+	"p2panon/internal/dist"
 	"p2panon/internal/faultsim"
 	"p2panon/internal/overlay"
 	"p2panon/internal/transport"
 )
 
-// LinkShape declares orchestrator-side shaping of one directed link.
-// Shaped traffic is routed through a relay the orchestrator runs: the
-// sending side's directory entry for To points at the relay instead of
-// the real listener. Because the directory is per worker process,
-// shaping granularity is (From's worker → To); compositions that need
-// node-granular shaping place one node per worker. What passes the relay
-// is the connections From dials to To, and a connection carries frames
-// both ways: a connection To dialed to From is not shaped, so a pair
-// shaped in both directions is declared twice.
-type LinkShape struct {
-	From int `json:"from"`
-	To   int `json:"to"`
-	// Delay holds each chunk of From→To traffic back this many seconds.
-	Delay float64 `json:"delay,omitempty"`
-	// Drop black-holes the link: connections are accepted and read but
-	// nothing is ever forwarded or answered, so the sender's handshake
-	// times out — a silently lossy path.
-	Drop bool `json:"drop,omitempty"`
-	// Partition refuses connections outright: the sender sees an
-	// immediate dial failure, the crisp partition signal.
-	Partition bool `json:"partition,omitempty"`
-}
-
 // Composition declares one multi-process cluster run: the faultsim Plan
 // schema for world shape, workload, timing, incentives and the fault
-// schedule, plus the process count and link-shaping rules. A plan that
-// drives the single-process faultsim world drives a process cluster
-// unchanged; only Workers and Links are new.
+// schedule, plus the process count. A plan that drives the
+// single-process faultsim world drives a process cluster unchanged;
+// only Workers is new.
 type Composition struct {
 	faultsim.Plan
-	Workers int         `json:"workers,omitempty"`
-	Links   []LinkShape `json:"links,omitempty"`
+	Workers int `json:"workers,omitempty"`
 }
 
 // Normalize fills zero fields with defaults. The reformation budget is
@@ -70,24 +47,6 @@ func (c Composition) Validate() error {
 	}
 	if c.Workers < 1 || c.Workers > 64 {
 		return fmt.Errorf("clusterd: %d workers, want 1..64", c.Workers)
-	}
-	type key struct{ w, to int }
-	seen := make(map[key]LinkShape)
-	for i, l := range c.Links {
-		if l.From < 0 || l.From >= c.Nodes || l.To < 0 || l.To >= c.Nodes {
-			return fmt.Errorf("clusterd: link %d names node outside 0..%d", i, c.Nodes-1)
-		}
-		if l.From == l.To {
-			return fmt.Errorf("clusterd: link %d shapes a self-loop", i)
-		}
-		if l.Delay < 0 {
-			return fmt.Errorf("clusterd: link %d has negative delay", i)
-		}
-		k := key{c.Owner(l.From), l.To}
-		if prev, dup := seen[k]; dup && prev != l {
-			return fmt.Errorf("clusterd: links from worker %d to node %d conflict (one node per worker gives node-granular shaping)", k.w, l.To)
-		}
-		seen[k] = l
 	}
 	return nil
 }
@@ -128,16 +87,16 @@ type BatchSpec struct {
 
 // Workload derives the run's batch schedule from the seed: every worker
 // computes the same schedule independently, the orchestrator only
-// coordinates when each batch starts. The (I, R) stream uses its own
-// splitmix64 generator (seeded like faultsim's plan generator) so the
-// schedule is a pure function of the composition.
+// coordinates when each batch starts. The (I, R) stream is its own
+// splitmix64 stream, independent of the faultsim world's and the plan
+// generator's, so the schedule is a pure function of the composition.
 func (c Composition) Workload() []BatchSpec {
-	rng := newWlRNG(c.Seed)
+	rng := dist.SplitMix64(c.Seed ^ 0x9e3779b97f4a7c15)
 	timeout := time.Duration(c.AttemptTimeout * float64(c.MaxAttempts) * float64(time.Second))
 	specs := make([]BatchSpec, 0, c.Batches)
 	for b := 1; b <= c.Batches; b++ {
-		i := int(rng.next() % uint64(c.Nodes))
-		r := int(rng.next() % uint64(c.Nodes-1))
+		i := int(rng.Next() % uint64(c.Nodes))
+		r := int(rng.Next() % uint64(c.Nodes-1))
 		if r >= i {
 			r++
 		}
@@ -184,7 +143,7 @@ func LoadComposition(path string) (Composition, error) {
 		return Composition{}, err
 	}
 	var c Composition
-	if err := json.Unmarshal(data, &c); err != nil {
+	if err := faultsim.UnmarshalStrict(data, &c); err != nil {
 		return Composition{}, fmt.Errorf("clusterd: parsing %s: %w", path, err)
 	}
 	if err := c.Validate(); err != nil {
@@ -200,20 +159,6 @@ func SaveComposition(path string, c Composition) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// wlRNG is the workload's splitmix64 stream, independent of both the
-// faultsim world RNG and the plan generator.
-type wlRNG struct{ x uint64 }
-
-func newWlRNG(seed uint64) *wlRNG { return &wlRNG{x: seed ^ 0x9e3779b97f4a7c15} }
-
-func (r *wlRNG) next() uint64 {
-	r.x += 0x9e3779b97f4a7c15
-	z := r.x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // RingRouter is the cluster's deterministic churn-aware router: the

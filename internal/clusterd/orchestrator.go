@@ -40,9 +40,9 @@ type RunResult struct {
 
 // Orchestrator runs one composition across real worker processes: it
 // spawns them, coordinates batch start/settle over the control
-// protocol's signal/await/release barriers, applies boundary faults,
-// shapes declared links at relays, and collects every worker's span
-// log and telemetry snapshot into the merged run artifact. Workers
+// protocol's signal/await/release barriers, applies the plan's
+// crash/restart faults at batch boundaries, and collects every worker's
+// span log and telemetry snapshot into the merged run artifact. Workers
 // exit on their own when the control connection dies, so children
 // never outlive a crashed orchestrator; Run additionally kills and
 // reaps whatever is still running before it returns.
@@ -150,8 +150,13 @@ func (o *Orchestrator) barrier(ctx context.Context, workers []*workerConn, name 
 			return fmt.Errorf("clusterd: worker %d signalled %q at barrier %q", w.index, m.Name, name)
 		}
 	}
+	return broadcast(workers, &Msg{Kind: MsgRelease, Name: name})
+}
+
+// broadcast sends one message to every worker, in index order.
+func broadcast(workers []*workerConn, m *Msg) error {
 	for _, w := range workers {
-		if err := w.send(&Msg{Kind: MsgRelease, Name: name}); err != nil {
+		if err := w.send(m); err != nil {
 			return err
 		}
 	}
@@ -185,19 +190,15 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 
 	cmds := make([]*exec.Cmd, comp.Workers)
 	workers := make([]*workerConn, comp.Workers)
-	var relays []*relay
 	var logs []*os.File
 	defer func() {
 		// Teardown in dependency order: control connections first (a
-		// worker that lost its connection exits by itself), then the
-		// relays, then reap every child that is still around.
+		// worker that lost its connection exits by itself), then reap
+		// every child that is still around.
 		for _, w := range workers {
 			if w != nil {
 				w.conn.Close()
 			}
-		}
-		for _, r := range relays {
-			r.Close()
 		}
 		reap(cmds)
 		for _, f := range logs {
@@ -249,75 +250,27 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 		go w.readLoop()
 	}
 
-	// Configure, then collect each worker's dial-back directory
-	// fragment into the live directory the relays also resolve from.
+	// Configure, then merge each worker's dial-back directory fragment
+	// into the one directory every worker receives.
 	for _, w := range workers {
 		if err := w.send(&Msg{Kind: MsgConfig, Worker: w.index, Workers: comp.Workers, Comp: compJSON}); err != nil {
 			return nil, err
 		}
 	}
-	var dirMu sync.Mutex
 	dir := make(map[int]string)
 	for _, w := range workers {
 		m, err := o.expect(ctx, w, MsgAddrs)
 		if err != nil {
 			return nil, err
 		}
-		dirMu.Lock()
 		for _, e := range m.Addrs {
 			dir[e.Node] = e.Addr
 		}
-		dirMu.Unlock()
 	}
 	if len(dir) != comp.Nodes {
 		return nil, fmt.Errorf("clusterd: directory has %d nodes, want %d", len(dir), comp.Nodes)
 	}
-
-	// Start relays for shaped links and compute per-worker views:
-	// a shaped sender's entry for the target points at the relay.
-	relayFor := make(map[[2]int]*relay)
-	for _, l := range comp.Links {
-		key := [2]int{comp.Owner(l.From), l.To}
-		if _, dup := relayFor[key]; dup {
-			continue
-		}
-		to := l.To
-		r, err := newRelay(l, func() (string, bool) {
-			dirMu.Lock()
-			defer dirMu.Unlock()
-			a, ok := dir[to]
-			return a, ok
-		})
-		if err != nil {
-			return nil, err
-		}
-		relayFor[key] = r
-		relays = append(relays, r)
-	}
-	broadcastDirs := func() error {
-		dirMu.Lock()
-		snap := make(map[int]string, len(dir))
-		for n, a := range dir {
-			snap[n] = a
-		}
-		dirMu.Unlock()
-		for _, w := range workers {
-			view := make(map[int]string, len(snap))
-			for n, a := range snap {
-				view[n] = a
-			}
-			for key, r := range relayFor {
-				if key[0] == w.index {
-					view[key[1]] = r.Addr()
-				}
-			}
-			if err := w.send(&Msg{Kind: MsgAddrs, Addrs: sortedAddrEntries(view)}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := broadcastDirs(); err != nil {
+	if err := broadcast(workers, &Msg{Kind: MsgAddrs, Addrs: sortedAddrEntries(dir)}); err != nil {
 		return nil, err
 	}
 	if err := o.barrier(ctx, workers, "ready"); err != nil {
@@ -330,11 +283,8 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 	for _, spec := range comp.Workload() {
 		b := spec.Batch
 		for _, f := range comp.BoundaryFaults(b) {
-			fm := &Msg{Kind: MsgFault, Fault: f.Kind, Node: f.Node, Batch: b}
-			for _, w := range workers {
-				if err := w.send(fm); err != nil {
-					return nil, err
-				}
+			if err := broadcast(workers, &Msg{Kind: MsgFault, Fault: f.Kind, Node: f.Node, Batch: b}); err != nil {
+				return nil, err
 			}
 			if f.Kind == faultsim.FaultRestart {
 				owner := workers[comp.Owner(f.Node)]
@@ -342,12 +292,10 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 				if err != nil {
 					return nil, fmt.Errorf("restart of node %d: %w", f.Node, err)
 				}
-				dirMu.Lock()
 				for _, e := range m.Addrs {
 					dir[e.Node] = e.Addr
 				}
-				dirMu.Unlock()
-				if err := broadcastDirs(); err != nil {
+				if err := broadcast(workers, &Msg{Kind: MsgAddrs, Addrs: sortedAddrEntries(dir)}); err != nil {
 					return nil, err
 				}
 			}
@@ -357,10 +305,8 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 		// Per-connection ordering makes an await-free release safe here:
 		// every fault and directory update above is already queued ahead
 		// of it on each control connection.
-		for _, w := range workers {
-			if err := w.send(&Msg{Kind: MsgRelease, Name: fmt.Sprintf("start-%d", b)}); err != nil {
-				return nil, err
-			}
+		if err := broadcast(workers, &Msg{Kind: MsgRelease, Name: fmt.Sprintf("start-%d", b)}); err != nil {
+			return nil, err
 		}
 		owner := workers[comp.Owner(int(spec.Initiator))]
 		rm, err := o.expect(ctx, owner, MsgResult)
@@ -370,22 +316,16 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 		if rm.Batch != b {
 			return nil, fmt.Errorf("clusterd: result for batch %d, want %d", rm.Batch, b)
 		}
-		cb := faultsim.ClusterBatch{
+		result.Batches = append(result.Batches, faultsim.ClusterBatch{
 			Batch: b, Initiator: int(spec.Initiator), Responder: int(spec.Responder),
-			SetSize: rm.SetSize, Failed: rm.Failed,
-		}
-		for _, e := range rm.Credits {
-			cb.Expected = append(cb.Expected, faultsim.ClusterCredit{
-				Batch: b, Node: e.Node, Forwards: e.Forwards, PayoffBits: e.PayoffBits,
-			})
-		}
-		result.Batches = append(result.Batches, cb)
+			SetSize: rm.SetSize, Failed: rm.Failed, Expected: rm.Credits,
+		})
 
 		// Credit confirmation: each worker polls its nodes until the
 		// expected settle frames landed, reports what it saw, and the
 		// done barrier fences the batch off from the next boundary.
 		for _, w := range workers {
-			var mine []CreditEntry
+			var mine []faultsim.ClusterCredit
 			for _, e := range rm.Credits {
 				if comp.Owner(e.Node) == w.index {
 					mine = append(mine, e)
@@ -403,11 +343,7 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 			if cm.Batch != b {
 				return nil, fmt.Errorf("clusterd: worker %d: credits for batch %d, want %d", w.index, cm.Batch, b)
 			}
-			for _, e := range cm.Credits {
-				result.Observed = append(result.Observed, faultsim.ClusterCredit{
-					Batch: b, Node: e.Node, Forwards: e.Forwards, PayoffBits: e.PayoffBits,
-				})
-			}
+			result.Observed = append(result.Observed, cm.Credits...)
 		}
 		if err := o.barrier(ctx, workers, fmt.Sprintf("done-%d", b)); err != nil {
 			return nil, err
@@ -416,10 +352,8 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 	}
 
 	// Shutdown: every worker uploads its artifacts and exits.
-	for _, w := range workers {
-		if err := w.send(&Msg{Kind: MsgShutdown}); err != nil {
-			return nil, err
-		}
+	if err := broadcast(workers, &Msg{Kind: MsgShutdown}); err != nil {
+		return nil, err
 	}
 	spansByWorker := make([][]telemetry.Span, comp.Workers)
 	for _, w := range workers {

@@ -1,21 +1,21 @@
 // Package clusterd is the multi-process cluster orchestrator: it
 // launches real node processes from a declarative composition (the
-// faultsim Plan schema plus a worker count and link-shaping rules),
-// coordinates batch start/settle across them with a small length-
-// prefixed sync/barrier protocol, shapes per-link behavior at
-// orchestrator-run relays, and collects every process's span log and
-// telemetry snapshot into one causally merged run artifact. The data
-// plane is internal/netwire unchanged — each worker hosts a subset of
-// the world's nodes in its own netwire.Cluster and reaches remote
-// peers through dial-back addresses the orchestrator broadcasts.
+// faultsim Plan schema plus a worker count), coordinates batch
+// start/settle across them with a small length-prefixed sync/barrier
+// protocol, injects the plan's crash/restart churn at batch boundaries,
+// and collects every process's span log and telemetry snapshot into one
+// causally merged run artifact. The data plane is internal/netwire
+// unchanged — each worker hosts a subset of the world's nodes in its
+// own netwire.Cluster and reaches remote peers through dial-back
+// addresses the orchestrator broadcasts.
 package clusterd
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
+	"p2panon/internal/faultsim"
 	"p2panon/internal/wire"
 )
 
@@ -50,7 +50,7 @@ const (
 	MsgConfig
 	// MsgAddrs carries a node→address directory fragment: a worker's
 	// dial-back addresses after joining its nodes, or the orchestrator's
-	// merged (possibly relay-shaped) view broadcast to every worker.
+	// merged directory, one message broadcast to every worker.
 	MsgAddrs
 	// MsgSignal is a worker's arrival at a named barrier.
 	MsgSignal
@@ -130,19 +130,6 @@ type AddrEntry struct {
 	Addr string
 }
 
-// CreditEntry is one settle line: a forwarder, its accepted forwarding
-// count for the batch, and the exact payoff float bits it is owed (or
-// was observed to receive). Bits, not floats, travel: settlement
-// equality is bit equality.
-type CreditEntry struct {
-	Node       int
-	Forwards   int
-	PayoffBits uint64
-}
-
-// Payoff returns the payoff as a float64.
-func (e CreditEntry) Payoff() float64 { return math.Float64frombits(e.PayoffBits) }
-
 // Msg is one control-protocol message; which fields matter depends on
 // Kind (see the MsgKind constants).
 type Msg struct {
@@ -163,10 +150,15 @@ type Msg struct {
 	Batch                         int  // result, collect, credits; fault boundary
 	Initiator, Responder, SetSize int  // result
 	Failed                        bool // result
-	Credits                       []CreditEntry
-	ArtifactKind                  string // artifact
-	Data                          []byte // artifact
-	Text                          string // error
+
+	// Credits (result, collect, credits): strictly ascending by Node.
+	// Each line's Batch does not travel; the decoder stamps it from the
+	// message's.
+	Credits []faultsim.ClusterCredit
+
+	ArtifactKind string // artifact
+	Data         []byte // artifact
+	Text         string // error
 }
 
 // bodyCap bounds a kind's body size, checked before any body is
@@ -309,7 +301,7 @@ func readName(r *wire.Reader, max int) string {
 	return s
 }
 
-func appendCredits(b []byte, entries []CreditEntry) ([]byte, error) {
+func appendCredits(b []byte, entries []faultsim.ClusterCredit) ([]byte, error) {
 	if len(entries) > maxEntries {
 		return nil, ErrMsgEntryCount
 	}
@@ -330,19 +322,19 @@ func appendCredits(b []byte, entries []CreditEntry) ([]byte, error) {
 	return b, nil
 }
 
-// readCredits decodes a credit list, its entry count bounded and its
-// bytes present before anything is allocated.
-func readCredits(r *wire.Reader) []CreditEntry {
+// readCredits decodes a credit list of batch, its entry count bounded
+// and its bytes present before anything is allocated.
+func readCredits(r *wire.Reader, batch int) []faultsim.ClusterCredit {
 	n := r.U32()
 	r.Check(n <= maxEntries, ErrMsgEntryCount)
 	raw := wire.NewReader(r.Take(16 * n))
 	if r.Err() != nil {
 		return nil
 	}
-	entries := make([]CreditEntry, n)
+	entries := make([]faultsim.ClusterCredit, n)
 	prev := -1
 	for i := range entries {
-		e := CreditEntry{Node: raw.U32(), Forwards: raw.U32(), PayoffBits: raw.U64()}
+		e := faultsim.ClusterCredit{Batch: batch, Node: raw.U32(), Forwards: raw.U32(), PayoffBits: raw.U64()}
 		r.Check(e.Node > prev, ErrMsgOrder)
 		prev, entries[i] = e.Node, e
 	}
@@ -386,10 +378,10 @@ func DecodeMsg(body []byte) (*Msg, error) {
 		failed := r.U8()
 		r.Check(failed <= 1, ErrMsgField)
 		m.Failed = failed == 1
-		m.Credits = readCredits(&r)
+		m.Credits = readCredits(&r, m.Batch)
 	case MsgCollect, MsgCredits:
 		m.Batch = r.U32()
-		m.Credits = readCredits(&r)
+		m.Credits = readCredits(&r, m.Batch)
 	case MsgArtifact:
 		m.ArtifactKind = readName(&r, maxArtifactKind)
 		m.Data = append([]byte(nil), r.Bytes32(maxBody)...)

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"p2panon/internal/faultsim"
 )
 
 // sampleMsgs covers every message kind with representative payloads.
@@ -23,12 +25,12 @@ func sampleMsgs() []*Msg {
 		{Kind: MsgSignal, Name: "ready"},
 		{Kind: MsgRelease, Name: "start-3"},
 		{Kind: MsgFault, Fault: "crash", Node: 5, Batch: 2},
-		{Kind: MsgResult, Batch: 2, Initiator: 8, Responder: 1, SetSize: 3, Credits: []CreditEntry{
-			{Node: 2, Forwards: 1, PayoffBits: 0x407e000000000000},
-			{Node: 4, Forwards: 2, PayoffBits: 0x4080000000000000},
+		{Kind: MsgResult, Batch: 2, Initiator: 8, Responder: 1, SetSize: 3, Credits: []faultsim.ClusterCredit{
+			{Batch: 2, Node: 2, Forwards: 1, PayoffBits: 0x407e000000000000},
+			{Batch: 2, Node: 4, Forwards: 2, PayoffBits: 0x4080000000000000},
 		}},
 		{Kind: MsgResult, Batch: 3, Initiator: 0, Responder: 4, Failed: true},
-		{Kind: MsgCollect, Batch: 2, Credits: []CreditEntry{{Node: 4, Forwards: 2, PayoffBits: 1}}},
+		{Kind: MsgCollect, Batch: 2, Credits: []faultsim.ClusterCredit{{Batch: 2, Node: 4, Forwards: 2, PayoffBits: 1}}},
 		{Kind: MsgCredits, Batch: 2},
 		{Kind: MsgArtifact, ArtifactKind: "spans", Data: []byte("{}\n{}\n")},
 		{Kind: MsgArtifact, ArtifactKind: "telemetry"},
@@ -130,10 +132,10 @@ func TestEncodeMsgRejections(t *testing.T) {
 			{Node: 2, Addr: "a"}, {Node: 2, Addr: "b"},
 		}}, ErrMsgOrder},
 		{"empty addr", &Msg{Kind: MsgAddrs, Addrs: []AddrEntry{{Node: 0}}}, ErrMsgField},
-		{"unsorted credits", &Msg{Kind: MsgCredits, Credits: []CreditEntry{
+		{"unsorted credits", &Msg{Kind: MsgCredits, Credits: []faultsim.ClusterCredit{
 			{Node: 5}, {Node: 4},
 		}}, ErrMsgOrder},
-		{"negative forwards", &Msg{Kind: MsgCredits, Credits: []CreditEntry{
+		{"negative forwards", &Msg{Kind: MsgCredits, Credits: []faultsim.ClusterCredit{
 			{Node: 1, Forwards: -1},
 		}}, ErrMsgField},
 		{"empty artifact kind", &Msg{Kind: MsgArtifact, Data: []byte("x")}, ErrMsgField},

@@ -2,7 +2,6 @@ package clusterd
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net"
@@ -83,7 +82,7 @@ func (w *worker) serve() error {
 		return fmt.Errorf("clusterd: worker %d: bad config message", w.index)
 	}
 	var comp Composition
-	if err := json.Unmarshal(m.Comp, &comp); err != nil {
+	if err := faultsim.UnmarshalStrict(m.Comp, &comp); err != nil {
 		return fmt.Errorf("clusterd: worker %d: composition: %w", w.index, err)
 	}
 	w.comp = comp.Normalize()
@@ -230,15 +229,15 @@ func (w *worker) runBatch(spec BatchSpec) error {
 }
 
 // creditEntries renders the outcome's owed credits canonically.
-func creditEntries(out *transport.BatchOutcome, contract core.Contract) []CreditEntry {
+func creditEntries(out *transport.BatchOutcome, contract core.Contract) []faultsim.ClusterCredit {
 	ids := make([]overlay.NodeID, 0, len(out.Set))
 	for id := range out.Set {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	entries := make([]CreditEntry, 0, len(ids))
+	entries := make([]faultsim.ClusterCredit, 0, len(ids))
 	for _, id := range ids {
-		entries = append(entries, CreditEntry{
+		entries = append(entries, faultsim.ClusterCredit{
 			Node:       int(id),
 			Forwards:   out.Forwards[id],
 			PayoffBits: math.Float64bits(out.Payoff(id, contract)),
@@ -266,7 +265,7 @@ func (w *worker) collect(m *Msg) error {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	var obs []CreditEntry
+	var obs []faultsim.ClusterCredit
 	locals := make([]int, 0, len(w.local))
 	for n := range w.local {
 		locals = append(locals, n)
@@ -278,7 +277,7 @@ func (w *worker) collect(m *Msg) error {
 			continue
 		}
 		if c, forwards := nd.Settled(m.Batch); c != 0 {
-			obs = append(obs, CreditEntry{
+			obs = append(obs, faultsim.ClusterCredit{
 				Node: n, Forwards: forwards, PayoffBits: math.Float64bits(c),
 			})
 		}

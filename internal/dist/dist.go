@@ -24,12 +24,17 @@ type Source struct {
 	s [4]uint64
 }
 
-// splitmix64 is used to seed the xoshiro state from a single 64-bit seed and
-// to derive child stream seeds. It is the recommended seeding procedure for
-// the xoshiro family.
-func splitmix64(x *uint64) uint64 {
+// SplitMix64 is a splitmix64 stream: its value is the generator state.
+// It seeds the xoshiro state from a single 64-bit seed and derives child
+// stream seeds (the recommended seeding procedure for the xoshiro
+// family), and it is the small stand-alone stream for derivations that
+// must not draw from any Source, such as generated fault plans.
+type SplitMix64 uint64
+
+// Next returns the stream's next 64 bits.
+func (x *SplitMix64) Next() uint64 {
 	*x += 0x9e3779b97f4a7c15
-	z := *x
+	z := uint64(*x)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -38,9 +43,9 @@ func splitmix64(x *uint64) uint64 {
 // NewSource returns a Source seeded deterministically from seed.
 func NewSource(seed uint64) *Source {
 	var src Source
-	x := seed
+	x := SplitMix64(seed)
 	for i := range src.s {
-		src.s[i] = splitmix64(&x)
+		src.s[i] = x.Next()
 	}
 	// xoshiro must not start from the all-zero state; splitmix64 of any
 	// seed cannot produce four zero words, but guard anyway.

@@ -26,9 +26,6 @@ type ClusterCredit struct {
 	PayoffBits uint64 `json:"payoff_bits"`
 }
 
-// Payoff returns the payoff as a float64.
-func (c ClusterCredit) Payoff() float64 { return math.Float64frombits(c.PayoffBits) }
-
 // ClusterBatch is one batch's outcome in a cluster run artifact: the
 // pair, the forwarder-set size, whether the batch failed, and the
 // credits the contract says each forwarder is owed.

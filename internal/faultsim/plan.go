@@ -23,10 +23,13 @@
 package faultsim
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+
+	"p2panon/internal/dist"
 )
 
 // Fault kinds. Message faults (drop, delay, duplicate, reorder) match the
@@ -237,13 +240,27 @@ func LoadPlan(path string) (Plan, error) {
 		return Plan{}, err
 	}
 	var p Plan
-	if err := json.Unmarshal(data, &p); err != nil {
+	if err := UnmarshalStrict(data, &p); err != nil {
 		return Plan{}, fmt.Errorf("faultsim: parsing %s: %w", path, err)
 	}
 	if err := p.Validate(); err != nil {
 		return Plan{}, err
 	}
 	return p, nil
+}
+
+// UnmarshalStrict is json.Unmarshal that refuses unknown keys, so a plan
+// (or a schema embedding one) with a misspelt or retired field fails
+// closed instead of running without it. The error names the field.
+// Like Unmarshal, it refuses anything but JSON white space after the
+// value.
+func UnmarshalStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil || len(bytes.Trim(data[dec.InputOffset():], " \t\r\n")) == 0 {
+		return err
+	}
+	return errors.New("faultsim: data after the top-level JSON value")
 }
 
 // SavePlan writes the plan as indented JSON.
@@ -262,45 +279,33 @@ func SavePlan(path string, p Plan) error {
 // bites, not to pass. CI runs GeneratePlan over a seed range.
 func GeneratePlan(seed uint64) Plan {
 	p := Plan{Seed: seed, Churn: true}.Normalize()
-	// An independent generator stream: the world consumes the seed itself.
-	rng := newPlanRNG(seed)
+	// An independent generator stream, drawn from no dist.Source: the
+	// world consumes the seed itself, and a generated plan never perturbs
+	// world randomness.
+	rng := dist.SplitMix64(seed ^ 0x6a09e667f3bcc909)
 	kinds := []string{
 		FaultDrop, FaultDelay, FaultDuplicate, FaultReorder,
 		FaultCrash, FaultRestart, FaultInflate, FaultDoubleDeposit, FaultProbeLie,
 	}
-	n := 4 + int(rng.next()%5) // 4..8 faults
+	n := 4 + int(rng.Next()%5) // 4..8 faults
 	for i := 0; i < n; i++ {
-		kind := kinds[rng.next()%uint64(len(kinds))]
+		kind := kinds[rng.Next()%uint64(len(kinds))]
 		f := Fault{Kind: kind}
 		switch kind {
 		case FaultDrop, FaultDelay, FaultDuplicate, FaultReorder:
-			f.Batch = 1 + int(rng.next()%uint64(p.Batches))
-			f.Conn = 1 + int(rng.next()%uint64(p.Conns))
-			f.Msg = 1 + int(rng.next()%6)
-			f.Delay = 0.05 + float64(rng.next()%40)/100 // 0.05..0.44s
+			f.Batch = 1 + int(rng.Next()%uint64(p.Batches))
+			f.Conn = 1 + int(rng.Next()%uint64(p.Conns))
+			f.Msg = 1 + int(rng.Next()%6)
+			f.Delay = 0.05 + float64(rng.Next()%40)/100 // 0.05..0.44s
 		case FaultCrash, FaultRestart, FaultDoubleDeposit, FaultProbeLie:
-			f.Node = int(rng.next() % uint64(p.Nodes))
-			f.At = float64(rng.next() % 120) // inside the first batches
+			f.Node = int(rng.Next() % uint64(p.Nodes))
+			f.At = float64(rng.Next() % 120) // inside the first batches
 		case FaultInflate:
-			f.Batch = 1 + int(rng.next()%uint64(p.Batches))
-			f.Node = int(rng.next() % uint64(p.Nodes))
-			f.Count = 1 + int(rng.next()%4)
+			f.Batch = 1 + int(rng.Next()%uint64(p.Batches))
+			f.Node = int(rng.Next() % uint64(p.Nodes))
+			f.Count = 1 + int(rng.Next()%4)
 		}
 		p.Faults = append(p.Faults, f)
 	}
 	return p
-}
-
-// planRNG is a tiny splitmix64 stream for plan generation, independent of
-// the dist package so generated plans never perturb world randomness.
-type planRNG struct{ x uint64 }
-
-func newPlanRNG(seed uint64) *planRNG { return &planRNG{x: seed ^ 0x6a09e667f3bcc909} }
-
-func (r *planRNG) next() uint64 {
-	r.x += 0x9e3779b97f4a7c15
-	z := r.x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
