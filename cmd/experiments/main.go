@@ -49,10 +49,6 @@ func main() {
 		base = experiment.Quick()
 	}
 	base.Seed = *seed
-	// Share the section pool's width with the intra-run sharded probe
-	// rounds. Output stays byte-identical for any -jobs value — the golden
-	// test compares -jobs 8 against -jobs 1.
-	base.ProbeWorkers = *jobs
 
 	selected := map[string]bool{}
 	if *only != "" {

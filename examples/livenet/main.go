@@ -18,7 +18,6 @@ import (
 	"p2panon/internal/core"
 	"p2panon/internal/dist"
 	"p2panon/internal/overlay"
-	"p2panon/internal/probe"
 	"p2panon/internal/quality"
 	"p2panon/internal/report"
 	"p2panon/internal/telemetry"
@@ -28,8 +27,7 @@ import (
 func main() {
 	rng := dist.NewSource(99)
 
-	// Build the structural overlay, warm availability estimates, then
-	// snapshot it for the live runtime.
+	// Build the structural overlay, then snapshot it for the live runtime.
 	net := overlay.NewNetwork(5, rng.Split())
 	const n = 30
 	for i := 0; i < n; i++ {
@@ -38,17 +36,10 @@ func main() {
 	for _, id := range net.AllIDs() {
 		net.RefreshNeighbors(id)
 	}
-	probes := probe.NewSet(net, rng.Split(), probe.DefaultPeriod)
-	for i := 0; i < 5; i++ {
-		probes.TickAll()
-	}
 	topo := transport.SnapshotTopology(net)
+	// Every online node gets the same availability score, 1/n.
 	avail := make(map[overlay.NodeID]float64, n)
 	for _, id := range net.OnlineIDs() {
-		// A node's global availability score: average of its neighbors'
-		// views (good enough for the live demo).
-		est := probes.For(id)
-		_ = est
 		avail[id] = 1.0 / float64(n)
 	}
 

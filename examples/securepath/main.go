@@ -1,52 +1,49 @@
-// Securepath wires the routing layer to the §5 cryptographic machinery:
-// the initiator publishes a *signed* contract with an ephemeral batch key,
-// runs real connections through the overlay, every forwarder seals a path
-// record to the batch key, and the initiator recreates and validates each
-// path from the records — detecting a forwarder that lies about its hop.
+// Securepath runs a batch under the §5 protocol on live peers: the
+// initiator publishes a *signed* contract carrying an ephemeral batch key,
+// every forwarder verifies the contract and seals a path record to that
+// key, and the initiator recreates and validates each path from the
+// records (transport.RunSecureBatch). A contract altered after signing is
+// refused before any traffic.
 package main
 
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"p2panon/internal/core"
 	"p2panon/internal/dist"
 	"p2panon/internal/onion"
 	"p2panon/internal/overlay"
-	"p2panon/internal/probe"
+	"p2panon/internal/quality"
+	"p2panon/internal/transport"
 )
 
 func main() {
 	rng := dist.NewSource(31337)
 
-	// Overlay with warmed probes.
+	// Overlay, snapshotted into goroutine peers routing by Utility Model I.
 	net := overlay.NewNetwork(5, rng.Split())
-	for i := 0; i < 25; i++ {
+	const n = 25
+	for i := 0; i < n; i++ {
 		net.Join(0, false)
 	}
 	for _, id := range net.AllIDs() {
 		net.RefreshNeighbors(id)
 	}
-	probes := probe.NewSet(net, rng.Split(), probe.DefaultPeriod)
-	for i := 0; i < 5; i++ {
-		probes.TickAll()
+	topo := transport.SnapshotTopology(net)
+	avail := make(map[overlay.NodeID]float64, n)
+	for id := range topo {
+		avail[id] = 1.0 / n
 	}
-	sys, err := core.NewSystem(core.DefaultConfig(), net, probes, rng.Split())
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Every node gets a long-term identity; a registry plays the key
-	// directory.
-	registry := onion.NewRegistry()
-	idents := make(map[overlay.NodeID]*onion.Identity)
-	for _, id := range net.AllIDs() {
-		ident, err := onion.NewIdentity(id, nil)
-		if err != nil {
+	contractVals := core.Contract{Pf: 75, Pr: 150}
+	router := transport.NewUtilityRouter(topo, quality.DefaultWeights(), contractVals, avail)
+	live := transport.NewNetwork(0)
+	defer live.Close()
+	for id := range topo {
+		if _, err := live.AddPeer(id, router); err != nil {
 			log.Fatal(err)
 		}
-		idents[id] = ident
-		registry.Add(ident.Public())
 	}
 
 	// The initiator mints a batch key and signs the contract under a
@@ -56,82 +53,32 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	contract, _, err := onion.NewSignedContract(1, 75, 150, batchKey.Public())
+	contract, err := onion.NewSignedContract(1, contractVals.Pf, contractVals.Pr, batchKey.Public())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("contract signed under pseudonym; verifies: %v (P_f=%g, P_r=%g)\n\n",
 		contract.Verify(), contract.Pf, contract.Pr)
 
-	batch, err := sys.NewBatch(initiator, responder,
-		core.Contract{Pf: contract.Pf, Pr: contract.Pr}, core.UtilityI)
+	// Every path in the outcome was recreated from the forwarders' sealed
+	// records and validated; a failed validation would abort the batch.
+	const k = 5
+	out, err := live.RunSecureBatch(initiator, responder, contract, batchKey, k, 5, 10*time.Second)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("secure batch: %v", err)
 	}
-
-	// Link-encrypt a payload over the first hop to show the channel.
-	for c := 1; c <= 5; c++ {
-		res := batch.RunConnection()
-
-		// Hop-by-hop link encryption demo for the first edge.
-		if c == 1 && len(res.Nodes) > 2 {
-			from, to := res.Nodes[0], res.Nodes[1]
-			toPub, _ := registry.Lookup(to)
-			ct, err := idents[from].LinkSeal(toPub, []byte("payload"), []byte("conn-1"))
-			if err != nil {
-				log.Fatal(err)
-			}
-			fromPub, _ := registry.Lookup(from)
-			pt, err := idents[to].LinkOpen(fromPub, ct, []byte("conn-1"))
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("link %d→%d: %d-byte AEAD frame decrypts to %q\n\n", from, to, len(ct), pt)
-		}
-
-		// Each forwarder seals its record; the responder's confirmation
-		// carries them back.
-		var records []onion.PathRecord
-		for i := 1; i < len(res.Nodes)-1; i++ {
-			rec, err := onion.NewPathRecord(contract, uint64(c), i, res.Nodes[i], res.Nodes[i-1], res.Nodes[i+1])
-			if err != nil {
-				log.Fatal(err)
-			}
-			records = append(records, rec)
-		}
-
-		// Initiator-side validation.
-		path, err := batchKey.RecreatePath(contract, uint64(c), initiator, responder, records)
-		if err != nil {
-			log.Fatalf("connection %d failed validation: %v", c, err)
-		}
-		fmt.Printf("connection %d: recreated path %v — matches routing layer: %v\n",
-			c, path, equal(path, res.Nodes))
-
-		// A cheating forwarder on the last connection claims an extra hop.
-		if c == 5 {
-			forged, err := onion.NewPathRecord(contract, uint64(c), len(records)+1, 7, 3, 9)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if _, err := batchKey.RecreatePath(contract, uint64(c), initiator, responder,
-				append(records, forged)); err != nil {
-				fmt.Printf("\nforged extra record rejected: %v\n", err)
-			} else {
-				log.Fatal("forged record was accepted")
-			}
-		}
+	for c, path := range out.Paths {
+		fmt.Printf("connection %d: validated path %v\n", c+1, path)
 	}
-}
+	fmt.Printf("\n%d connections validated, ‖π‖ = %d\n", len(out.Paths), out.SetSize())
 
-func equal(a, b []overlay.NodeID) bool {
-	if len(a) != len(b) {
-		return false
+	// Raising P_f after signing breaks the signature: the batch is refused
+	// before a single FORWARD leaves the initiator.
+	tampered := *contract
+	tampered.Pf *= 2
+	_, err = live.RunSecureBatch(initiator, responder, &tampered, batchKey, 1, 5, time.Second)
+	if err == nil {
+		log.Fatal("tampered contract was accepted")
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	fmt.Printf("tampered contract (P_f=%g) refused: %v\n", tampered.Pf, err)
 }

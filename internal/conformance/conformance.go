@@ -589,7 +589,7 @@ func caseSecureBatch(t *testing.T, b Backend) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	contract, _, err := onion.NewSignedContract(7, 1.5, 20, bk.Public())
+	contract, err := onion.NewSignedContract(7, 1.5, 20, bk.Public())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,9 @@ import (
 // rows where TestSparseDenseEquivalence's TickAll rounds invalidate all of
 // them. Every round runs a connection and snapshots the solved table, so
 // a divergence is pinned to the exact event that introduced it.
-func runSingleEventScript(t *testing.T, n int, seed uint64, workers int, dense bool) *equivRun {
+func runSingleEventScript(t *testing.T, n int, seed uint64, dense bool) *equivRun {
 	t.Helper()
-	sys := equivSystem(t, n, seed, workers, dense)
+	sys := equivSystem(t, n, seed, dense)
 	b, err := sys.NewBatch(0, overlay.NodeID(n-1), Contract{Pf: 75, Pr: 150}, UtilityII)
 	if err != nil {
 		t.Fatal(err)
@@ -80,13 +80,11 @@ func TestSingleEventChurnEquivalence(t *testing.T) {
 		{400, 2026},
 	}
 	for _, tc := range cases {
-		dense := runSingleEventScript(t, tc.n, tc.seed, 1, true)
-		for _, workers := range []int{1, 3} {
-			sparse := runSingleEventScript(t, tc.n, tc.seed, workers, false)
-			label := fmt.Sprintf("N=%d/seed=%d/workers=%d", tc.n, tc.seed, workers)
-			requireSameRun(t, label, sparse, dense)
-			requireSmallCones(t, label, tc.n, sparse)
-		}
+		dense := runSingleEventScript(t, tc.n, tc.seed, true)
+		sparse := runSingleEventScript(t, tc.n, tc.seed, false)
+		label := fmt.Sprintf("N=%d/seed=%d", tc.n, tc.seed)
+		requireSameRun(t, label, sparse, dense)
+		requireSmallCones(t, label, tc.n, sparse)
 	}
 }
 

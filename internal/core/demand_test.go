@@ -31,7 +31,7 @@ type rootedConn struct {
 func runRootedScript(t *testing.T, dense bool) ([]rootedConn, [][]NodePayoff) {
 	t.Helper()
 	const n, batches, conns = 80, 6, 8
-	sys := equivSystem(t, n, 9, 1, dense)
+	sys := equivSystem(t, n, 9, dense)
 	bad := func(id overlay.NodeID) bool { return sys.Net.Node(id).Malicious }
 	var initiators []overlay.NodeID
 	badNeighbors := map[overlay.NodeID]int{}
@@ -139,7 +139,7 @@ func TestDemandSolveRootedAtConnectionStart(t *testing.T) {
 	})
 
 	t.Run("memo changes hands under a fresh stamp", func(t *testing.T) {
-		sys := equivSystem(t, 60, 5, 1, false)
+		sys := equivSystem(t, 60, 5, false)
 		a, err := sys.NewBatch(0, 59, Contract{Pf: 75, Pr: 150}, UtilityII)
 		if err != nil {
 			t.Fatal(err)

@@ -15,9 +15,8 @@ import (
 // equivSystem builds one system for the demand-vs-dense equivalence runs.
 // Everything that consumes randomness is derived from seed alone, so two
 // calls with the same seed build byte-identical worlds regardless of the
-// workers (sharded probe rounds) and dense knobs, which must not
-// influence transcripts.
-func equivSystem(t *testing.T, n int, seed uint64, workers int, dense bool) *System {
+// dense knob, which must not influence transcripts.
+func equivSystem(t *testing.T, n int, seed uint64, dense bool) *System {
 	t.Helper()
 	rng := dist.NewSource(seed)
 	net := overlay.NewNetwork(5, rng.Split())
@@ -28,7 +27,6 @@ func equivSystem(t *testing.T, n int, seed uint64, workers int, dense bool) *Sys
 		net.RefreshNeighbors(id)
 	}
 	probes := probe.NewSet(net, rng.Split(), 60)
-	probes.Workers = workers
 	for i := 0; i < 3; i++ {
 		probes.TickAll()
 	}
@@ -101,9 +99,9 @@ func (r *equivRun) runConnection(b *Batch) *PathResult {
 
 // runEquivScript drives one system through a deterministic churn /
 // probe-tick / connection script and records its observable outputs.
-func runEquivScript(t *testing.T, n int, seed uint64, workers int, dense bool) *equivRun {
+func runEquivScript(t *testing.T, n int, seed uint64, dense bool) *equivRun {
 	t.Helper()
-	sys := equivSystem(t, n, seed, workers, dense)
+	sys := equivSystem(t, n, seed, dense)
 	b, err := sys.NewBatch(0, overlay.NodeID(n-1), Contract{Pf: 75, Pr: 150}, UtilityII)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +221,7 @@ func requireSmallCones(t *testing.T, label string, n int, run *equivRun) {
 // the retained dense SolveInto oracle bit for bit after every round
 // (Float64bits on utilities and qualities), with identical chosen paths
 // and edge qualities and identical UM-II settled payoffs, across churn,
-// probe ticks (serial and sharded) and history accumulation.
+// probe ticks and history accumulation.
 func TestSparseDenseEquivalence(t *testing.T) {
 	cases := []struct {
 		n    int
@@ -236,12 +234,10 @@ func TestSparseDenseEquivalence(t *testing.T) {
 		{400, 31},
 	}
 	for _, tc := range cases {
-		dense := runEquivScript(t, tc.n, tc.seed, 1, true)
-		for _, workers := range []int{1, 3} {
-			sparse := runEquivScript(t, tc.n, tc.seed, workers, false)
-			label := fmt.Sprintf("N=%d/seed=%d/workers=%d", tc.n, tc.seed, workers)
-			requireSameRun(t, label, sparse, dense)
-			requireSmallCones(t, label, tc.n, sparse)
-		}
+		dense := runEquivScript(t, tc.n, tc.seed, true)
+		sparse := runEquivScript(t, tc.n, tc.seed, false)
+		label := fmt.Sprintf("N=%d/seed=%d", tc.n, tc.seed)
+		requireSameRun(t, label, sparse, dense)
+		requireSmallCones(t, label, tc.n, sparse)
 	}
 }

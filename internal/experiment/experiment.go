@@ -58,12 +58,6 @@ type Setup struct {
 	// WarmupProbes ticks the estimators before the workload starts so
 	// availability scores are informative from the first connection.
 	WarmupProbes int
-	// ProbeWorkers shards every probe round over contiguous node regions
-	// (probe.Set.Workers). The sharded ticks are RNG-free past their
-	// sequential estimator prefetch, so transcripts are byte-identical
-	// whatever the value (the -jobs golden test pins this). 0 or 1 ticks
-	// serially.
-	ProbeWorkers int
 	// Seed drives all randomness.
 	Seed uint64
 	// Telemetry, when non-nil, receives the run's instruments: overlay
@@ -221,7 +215,6 @@ func newHarness(s Setup) (*harness, error) {
 	}
 
 	probes := probe.NewSet(net, rng.Split(), s.ProbePeriod)
-	probes.Workers = s.ProbeWorkers
 	probes.Prof = s.Profile
 	probes.Instrument(s.Telemetry)
 	for i := 0; i < s.WarmupProbes; i++ {

@@ -60,7 +60,7 @@ func TestFullSecurePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	contract, _, err := onion.NewSignedContract(1, contractVals.Pf, contractVals.Pr, bk.Public())
+	contract, err := onion.NewSignedContract(1, contractVals.Pf, contractVals.Pr, bk.Public())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -272,7 +272,7 @@ func TestNackFrameCarriesNoContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	contract, _, err := onion.NewSignedContract(1, 75, 150, bk.Public())
+	contract, err := onion.NewSignedContract(1, 75, 150, bk.Public())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func testContract(t testing.TB, batch uint64) *onion.SignedContract {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _, err := onion.NewSignedContract(batch, 1.5, 20, bk.Public())
+	c, err := onion.NewSignedContract(batch, 1.5, 20, bk.Public())
 	if err != nil {
 		t.Fatal(err)
 	}

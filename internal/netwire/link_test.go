@@ -267,6 +267,46 @@ func TestOutOfRangeFrameRefused(t *testing.T) {
 	}
 }
 
+// TestStrayFrameKindRefused sends node 1, after a Hello naming member 0,
+// a frame of a kind that is valid only in the handshake or that no node
+// sends: a Claim, and on a fresh cluster a second Hello. Each decodes
+// cleanly, is counted malformed and closes its connection, which then
+// reads EOF; node 1 keeps serving.
+func TestStrayFrameKindRefused(t *testing.T) {
+	for _, stray := range []*Frame{claimFrame(2), {Kind: KindHello, Node: 2, Nonce: 2}} {
+		c := NewCluster(Config{})
+		t.Cleanup(c.Close)
+		for id := overlay.NodeID(0); id < 3; id++ {
+			if err := c.Join(id, lineRouter); err != nil {
+				t.Fatal(err)
+			}
+		}
+		imp, err := net.Dial("tcp", c.Node(1).Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer imp.Close()
+		imp.SetDeadline(time.Now().Add(10 * time.Second))
+		if _, err := WriteFrame(imp, &Frame{Kind: KindHello, Node: 0, Nonce: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if ack, _, err := ReadFrame(imp); err != nil || ack.Kind != KindHelloAck {
+			t.Fatalf("handshake naming 0: %v %v", ack, err)
+		}
+		if _, err := WriteFrame(imp, stray); err != nil {
+			t.Fatal(err)
+		}
+		malformed := c.Telemetry().Counter("netwire_malformed_total", nil)
+		waitFor(t, "the "+stray.Kind.String()+" frame counted malformed", func() bool { return malformed.Value() == 1 })
+		if f, _, err := ReadFrame(imp); err != io.EOF {
+			t.Fatalf("after a stray %s frame: read %v, %v; want EOF", stray.Kind, f, err)
+		}
+		if !c.Probe(2, 1, 5*time.Second) {
+			t.Fatalf("node 1 stopped answering after a stray %s frame", stray.Kind)
+		}
+	}
+}
+
 // TestCloseLeavesNothingOpen runs a settled batch and a kill, then closes
 // the cluster: every socket, dialed or accepted, is closed, the gauge
 // that counts them reads 0, and no goroutine outlives Close.

@@ -204,10 +204,14 @@ func (nd *Node) readLoop(conn net.Conn, in *wire.Stream, l *link) {
 	for {
 		conn.SetReadDeadline(time.Now().Add(nd.c.cfg.IdleTimeout))
 		n, err := readFrame(in, &f)
+		if err == nil && (f.Kind == KindHello || f.Kind == KindHelloAck || f.Kind == KindClaim) {
+			err = badFrame{fmt.Errorf("%s after the handshake", f.Kind)}
+		}
 		if err != nil {
 			if errors.As(err, new(badFrame)) {
-				// A malformed frame: counted, and the connection it came on
-				// is closed; the node serves on.
+				// A malformed frame, or one of a kind that is not valid
+				// after the handshake: counted, and the connection it came
+				// on is closed; the node serves on.
 				nd.c.Malformed()
 				nd.c.logf("node %d: frame from %d: %v", nd.ID, peer, err)
 				return

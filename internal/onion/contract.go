@@ -38,18 +38,18 @@ func contractDigest(batchID uint64, pf, pr float64, batchPub *ecdh.PublicKey) []
 }
 
 // NewSignedContract creates and signs a contract under a fresh
-// pseudonymous key pair (returned so the initiator can sign follow-ups if
-// needed).
-func NewSignedContract(batchID uint64, pf, pr float64, batchPub *ecdh.PublicKey) (*SignedContract, ed25519.PrivateKey, error) {
+// pseudonymous key pair. The private half is discarded: a contract is
+// signed once, and a new batch gets a new pseudonym.
+func NewSignedContract(batchID uint64, pf, pr float64, batchPub *ecdh.PublicKey) (*SignedContract, error) {
 	if pf < 0 || pr < 0 {
-		return nil, nil, fmt.Errorf("onion: negative contract (%g, %g)", pf, pr)
+		return nil, fmt.Errorf("onion: negative contract (%g, %g)", pf, pr)
 	}
 	if batchPub == nil {
-		return nil, nil, errors.New("onion: nil batch key")
+		return nil, errors.New("onion: nil batch key")
 	}
 	pub, priv, err := ed25519.GenerateKey(nil)
 	if err != nil {
-		return nil, nil, fmt.Errorf("onion: pseudonym keygen: %w", err)
+		return nil, fmt.Errorf("onion: pseudonym keygen: %w", err)
 	}
 	c := &SignedContract{
 		BatchID:  batchID,
@@ -59,7 +59,7 @@ func NewSignedContract(batchID uint64, pf, pr float64, batchPub *ecdh.PublicKey)
 		SigPub:   pub,
 	}
 	c.Sig = ed25519.Sign(priv, contractDigest(batchID, pf, pr, batchPub))
-	return c, priv, nil
+	return c, nil
 }
 
 // Verify reports whether the contract's signature is valid under its

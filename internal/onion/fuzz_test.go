@@ -58,7 +58,7 @@ func FuzzRecreatePathNeverPanics(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	c, _, err := NewSignedContract(9, 50, 100, bk.Public())
+	c, err := NewSignedContract(9, 50, 100, bk.Public())
 	if err != nil {
 		f.Fatal(err)
 	}

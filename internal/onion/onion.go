@@ -1,18 +1,22 @@
-// Package onion implements the cryptographic operations of route formation
-// and verification that the paper's §5 defers to its technical report:
+// Package onion implements the cryptographic steps of route formation
+// and verification that the paper's §5 defers to its technical report,
+// the three the live protocol (transport.RunSecureBatch) runs:
 //
-//   - per-node identities (X25519 key-agreement + Ed25519 signing keys);
-//   - authenticated link encryption between neighbors (static-static ECDH
-//     → HKDF-SHA256 → AES-256-GCM);
 //   - signed contracts, so forwarders can verify the (P_f, P_r)
 //     commitment really originates from the batch's (pseudonymous)
 //     initiator before doing work;
+//   - an ephemeral batch key per batch, carried in the contract, that
+//     only the initiator can open (ECIES-style: X25519 → HKDF-SHA256 →
+//     AES-256-GCM);
 //   - per-hop path records: each forwarder seals (cid, self, pred, succ)
-//     to the initiator's *ephemeral* batch key (ECIES-style), and the
-//     records travel back with the confirmation. The initiator decrypts
-//     and chains them to "recreate the path and validate it" (§2.2) —
-//     detecting dropped, forged, reordered or spliced records — without
-//     any forwarder learning who the initiator is.
+//     to the batch key, and the records travel back with the
+//     confirmation. The initiator decrypts and chains them to "recreate
+//     the path and validate it" (§2.2) — detecting dropped, forged,
+//     reordered or spliced records — without any forwarder learning who
+//     the initiator is.
+//
+// Nodes hold no long-term keys: links between neighbours are trusted by
+// deployment, not authenticated here.
 //
 // All primitives are from the Go standard library (crypto/ecdh,
 // crypto/ed25519, crypto/aes, crypto/cipher, crypto/hmac, crypto/sha256).
@@ -22,81 +26,13 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/ecdh"
-	"crypto/ed25519"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-
-	"p2panon/internal/overlay"
 )
-
-// Identity is a node's long-term key material. The key-agreement key
-// encrypts links and records; the signing key authenticates contracts.
-type Identity struct {
-	Node    overlay.NodeID
-	kex     *ecdh.PrivateKey
-	signKey ed25519.PrivateKey
-}
-
-// PublicIdentity is the shareable half of an Identity.
-type PublicIdentity struct {
-	Node   overlay.NodeID
-	KexPub *ecdh.PublicKey
-	SigPub ed25519.PublicKey
-}
-
-// NewIdentity generates fresh keys for a node. rng defaults to
-// crypto/rand.Reader.
-func NewIdentity(node overlay.NodeID, rng io.Reader) (*Identity, error) {
-	if rng == nil {
-		rng = rand.Reader
-	}
-	kex, err := ecdh.X25519().GenerateKey(rng)
-	if err != nil {
-		return nil, fmt.Errorf("onion: generating key-agreement key: %w", err)
-	}
-	_, sign, err := ed25519.GenerateKey(rng)
-	if err != nil {
-		return nil, fmt.Errorf("onion: generating signing key: %w", err)
-	}
-	return &Identity{Node: node, kex: kex, signKey: sign}, nil
-}
-
-// Public returns the identity's public half.
-func (id *Identity) Public() PublicIdentity {
-	return PublicIdentity{
-		Node:   id.Node,
-		KexPub: id.kex.PublicKey(),
-		SigPub: id.signKey.Public().(ed25519.PublicKey),
-	}
-}
-
-// Registry maps node IDs to public identities — the (out-of-band) key
-// directory a deployment would ship with overlay membership.
-type Registry struct {
-	byNode map[overlay.NodeID]PublicIdentity
-}
-
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byNode: make(map[overlay.NodeID]PublicIdentity)}
-}
-
-// Add registers a public identity, replacing any previous entry.
-func (r *Registry) Add(p PublicIdentity) { r.byNode[p.Node] = p }
-
-// Lookup returns the identity for a node.
-func (r *Registry) Lookup(node overlay.NodeID) (PublicIdentity, bool) {
-	p, ok := r.byNode[node]
-	return p, ok
-}
-
-// Len returns the number of registered identities.
-func (r *Registry) Len() int { return len(r.byNode) }
 
 // ---------------------------------------------------------------------------
 // HKDF-SHA256 (RFC 5869) — small and self-contained.
@@ -149,55 +85,6 @@ func open(aead cipher.AEAD, ct, aad []byte) ([]byte, error) {
 		return nil, errors.New("onion: ciphertext too short")
 	}
 	return aead.Open(nil, ct[:aead.NonceSize()], ct[aead.NonceSize():], aad)
-}
-
-// ---------------------------------------------------------------------------
-// Link encryption: static-static DH between neighbors.
-// ---------------------------------------------------------------------------
-
-// linkInfo builds a direction-independent context string so both ends
-// derive the same key.
-func linkInfo(a, b overlay.NodeID) []byte {
-	lo, hi := a, b
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	var buf [19]byte
-	copy(buf[:3], "lnk")
-	binary.BigEndian.PutUint64(buf[3:11], uint64(lo))
-	binary.BigEndian.PutUint64(buf[11:19], uint64(hi))
-	return buf[:]
-}
-
-// LinkSeal encrypts a payload from id to the peer with public identity
-// peer, authenticated with the additional data aad.
-func (id *Identity) LinkSeal(peer PublicIdentity, plaintext, aad []byte) ([]byte, error) {
-	secret, err := id.kex.ECDH(peer.KexPub)
-	if err != nil {
-		return nil, fmt.Errorf("onion: link ECDH: %w", err)
-	}
-	aead, err := aeadFromSecret(secret, linkInfo(id.Node, peer.Node))
-	if err != nil {
-		return nil, err
-	}
-	return seal(aead, plaintext, aad)
-}
-
-// LinkOpen decrypts a payload sent over the (id, peer) link.
-func (id *Identity) LinkOpen(peer PublicIdentity, ct, aad []byte) ([]byte, error) {
-	secret, err := id.kex.ECDH(peer.KexPub)
-	if err != nil {
-		return nil, fmt.Errorf("onion: link ECDH: %w", err)
-	}
-	aead, err := aeadFromSecret(secret, linkInfo(id.Node, peer.Node))
-	if err != nil {
-		return nil, err
-	}
-	pt, err := open(aead, ct, aad)
-	if err != nil {
-		return nil, fmt.Errorf("onion: link open: %w", err)
-	}
-	return pt, nil
 }
 
 // ---------------------------------------------------------------------------

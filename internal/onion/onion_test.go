@@ -8,35 +8,6 @@ import (
 	"p2panon/internal/overlay"
 )
 
-func ident(t *testing.T, node overlay.NodeID) *Identity {
-	t.Helper()
-	id, err := NewIdentity(node, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return id
-}
-
-func TestIdentityAndRegistry(t *testing.T) {
-	a := ident(t, 1)
-	pub := a.Public()
-	if pub.Node != 1 || pub.KexPub == nil || len(pub.SigPub) == 0 {
-		t.Fatalf("public identity %+v", pub)
-	}
-	r := NewRegistry()
-	r.Add(pub)
-	got, ok := r.Lookup(1)
-	if !ok || got.Node != 1 {
-		t.Fatal("lookup failed")
-	}
-	if _, ok := r.Lookup(2); ok {
-		t.Fatal("phantom identity")
-	}
-	if r.Len() != 1 {
-		t.Fatalf("len %d", r.Len())
-	}
-}
-
 func TestHKDFDeterministicAndLengths(t *testing.T) {
 	a := hkdf([]byte("secret"), []byte("salt"), []byte("info"), 64)
 	b := hkdf([]byte("secret"), []byte("salt"), []byte("info"), 64)
@@ -53,69 +24,6 @@ func TestHKDFDeterministicAndLengths(t *testing.T) {
 	d := hkdf([]byte("secret"), nil, []byte("info"), 16)
 	if len(d) != 16 {
 		t.Fatalf("length %d", len(d))
-	}
-}
-
-func TestLinkSealOpenRoundTrip(t *testing.T) {
-	a, b := ident(t, 1), ident(t, 2)
-	msg := []byte("payload through the anonymity overlay")
-	aad := []byte("conn-7")
-	ct, err := a.LinkSeal(b.Public(), msg, aad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := b.LinkOpen(a.Public(), ct, aad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pt, msg) {
-		t.Fatal("round trip mismatch")
-	}
-}
-
-func TestLinkDirectionSymmetry(t *testing.T) {
-	// The link key is direction independent: b→a works the same way.
-	a, b := ident(t, 1), ident(t, 2)
-	ct, err := b.LinkSeal(a.Public(), []byte("reverse"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := a.LinkOpen(b.Public(), ct, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(pt) != "reverse" {
-		t.Fatal("reverse direction failed")
-	}
-}
-
-func TestLinkTamperRejected(t *testing.T) {
-	a, b := ident(t, 1), ident(t, 2)
-	ct, err := a.LinkSeal(b.Public(), []byte("msg"), []byte("aad"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mut := append([]byte(nil), ct...)
-	mut[len(mut)-1] ^= 1
-	if _, err := b.LinkOpen(a.Public(), mut, []byte("aad")); err == nil {
-		t.Fatal("tampered ciphertext opened")
-	}
-	if _, err := b.LinkOpen(a.Public(), ct, []byte("other-aad")); err == nil {
-		t.Fatal("wrong AAD accepted")
-	}
-	if _, err := b.LinkOpen(a.Public(), ct[:3], []byte("aad")); err == nil {
-		t.Fatal("truncated ciphertext accepted")
-	}
-}
-
-func TestLinkWrongPeerRejected(t *testing.T) {
-	a, b, c := ident(t, 1), ident(t, 2), ident(t, 3)
-	ct, err := a.LinkSeal(b.Public(), []byte("for b only"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.LinkOpen(a.Public(), ct, nil); err == nil {
-		t.Fatal("third party decrypted link traffic")
 	}
 }
 
@@ -161,12 +69,9 @@ func TestBatchOpenWrongKeyFails(t *testing.T) {
 
 func TestSignedContract(t *testing.T) {
 	bk, _ := NewBatchKey(nil)
-	c, priv, err := NewSignedContract(7, 75, 150, bk.Public())
+	c, err := NewSignedContract(7, 75, 150, bk.Public())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if priv == nil {
-		t.Fatal("no pseudonym key returned")
 	}
 	if !c.Verify() {
 		t.Fatal("fresh contract does not verify")
@@ -189,10 +94,10 @@ func TestSignedContract(t *testing.T) {
 
 func TestSignedContractValidation(t *testing.T) {
 	bk, _ := NewBatchKey(nil)
-	if _, _, err := NewSignedContract(1, -1, 0, bk.Public()); err == nil {
+	if _, err := NewSignedContract(1, -1, 0, bk.Public()); err == nil {
 		t.Fatal("negative Pf accepted")
 	}
-	if _, _, err := NewSignedContract(1, 1, 1, nil); err == nil {
+	if _, err := NewSignedContract(1, 1, 1, nil); err == nil {
 		t.Fatal("nil batch key accepted")
 	}
 	empty := &SignedContract{}
@@ -221,7 +126,7 @@ func contractKey(t *testing.T) (*SignedContract, *BatchKey) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _, err := NewSignedContract(42, 75, 150, bk.Public())
+	c, err := NewSignedContract(42, 75, 150, bk.Public())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,12 +335,6 @@ var errFail = &failError{}
 type failError struct{}
 
 func (*failError) Error() string { return "injected entropy failure" }
-
-func TestNewIdentityEntropyFailure(t *testing.T) {
-	if _, err := NewIdentity(1, &failReader{n: 0}); err == nil {
-		t.Fatal("identity created without entropy")
-	}
-}
 
 func TestNewBatchKeyEntropyFailure(t *testing.T) {
 	if _, err := NewBatchKey(&failReader{n: 0}); err == nil {

@@ -20,8 +20,6 @@ package probe
 import (
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"p2panon/internal/dist"
 	"p2panon/internal/overlay"
@@ -73,9 +71,8 @@ type Estimator struct {
 	totalValid bool
 
 	// setVersion, when non-nil, is the owning Set's change counter; Tick
-	// bumps it (atomically — region-sharded TickAll runs estimators
-	// concurrently) so availability-keyed caches (e.g. solved SPNE
-	// tables) can invalidate.
+	// bumps it so availability-keyed caches (e.g. solved SPNE tables) can
+	// invalidate.
 	setVersion *uint64
 
 	// nil (no-op) until Instrument binds them.
@@ -137,11 +134,9 @@ func (est *Estimator) Tick() {
 	est.probes++
 	est.totalValid = false
 	if est.setVersion != nil {
-		atomic.AddUint64(est.setVersion, 1)
+		*est.setVersion++
 	}
-	// The owner's own list, not a copy: Tick only reads the overlay, and a
-	// sharded TickAll runs no overlay mutation alongside its workers, so
-	// concurrent ticks are concurrent pure reads.
+	// The owner's own list, not a copy: Tick only reads the overlay.
 	current := est.net.Node(est.owner).Neighbors
 	var credits, decays, inits int64
 	if slices.Equal(current, est.nbr) {
@@ -273,14 +268,6 @@ type Set struct {
 	byNode []*Estimator
 	n      int
 
-	// Workers, when > 1, shards TickAll over contiguous regions of the
-	// online-ID list. Estimator creation (which consumes RNG splits and
-	// fills byNode) is hoisted into a sequential ascending-ID prefetch
-	// first, and each estimator's Tick touches only its own state plus
-	// atomics, so the sharded rounds are byte-identical to serial ones
-	// whatever the value.
-	Workers int
-
 	// Prof, when non-nil, brackets every TickAll round under the
 	// telemetry probe.tick phase. It observes only wall time and global
 	// alloc counters — never the estimators — so transcripts are
@@ -288,13 +275,13 @@ type Set struct {
 	Prof *telemetry.PhaseProfiler
 
 	// version counts estimate updates across the whole set: every Tick of
-	// a member estimator advances it (atomically). Equal versions
-	// guarantee unchanged availability scores.
+	// a member estimator advances it. Equal versions guarantee unchanged
+	// availability scores.
 	version uint64
 }
 
 // Version returns the set-wide estimate-change counter.
-func (s *Set) Version() uint64 { return atomic.LoadUint64(&s.version) }
+func (s *Set) Version() uint64 { return s.version }
 
 // Len returns how many estimators the set holds; equal to the overlay's
 // node count, no node is missing one.
@@ -341,11 +328,9 @@ func (s *Set) For(id overlay.NodeID) *Estimator {
 // TickAll runs one probing period for every online node, creating
 // estimators lazily for nodes that appeared since the previous round.
 // This is the batch-mode equivalent of attaching every estimator to the
-// engine, and is what the discrete-event simulator uses. When Workers
-// > 1 the ticks are sharded by node region: creation stays sequential in
-// ascending ID order (it splits the set RNG), the per-estimator ticks
-// draw only from their own streams, and the shared change counters are
-// atomic — so the transcript is identical to a serial round.
+// engine, and is what the discrete-event simulator uses. All estimators
+// are created first, in ascending ID order (creation splits the set RNG),
+// and then ticked in that order.
 func (s *Set) TickAll() {
 	ph := s.Prof.Start(telemetry.PhaseProbeTick)
 	defer ph.End()
@@ -354,32 +339,9 @@ func (s *Set) TickAll() {
 	for i, id := range ids {
 		ests[i] = s.For(id)
 	}
-	workers := s.Workers
-	if workers > len(ests) {
-		workers = len(ests)
+	for _, est := range ests {
+		est.Tick()
 	}
-	if workers <= 1 {
-		for _, est := range ests {
-			est.Tick()
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (len(ests) + workers - 1) / workers
-	for lo := 0; lo < len(ests); lo += chunk {
-		hi := lo + chunk
-		if hi > len(ests) {
-			hi = len(ests)
-		}
-		wg.Add(1)
-		go func(part []*Estimator) {
-			defer wg.Done()
-			for _, est := range part {
-				est.Tick()
-			}
-		}(ests[lo:hi])
-	}
-	wg.Wait()
 }
 
 // Attach schedules TickAll every probing period. It returns a cancel

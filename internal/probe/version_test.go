@@ -34,6 +34,25 @@ func TestSetVersionAdvancesPerTick(t *testing.T) {
 	}
 }
 
+// TestTickAllVersionCount pins the version bump: one TickAll over m
+// online nodes advances the set version by exactly m.
+func TestTickAllVersionCount(t *testing.T) {
+	rng := dist.NewSource(5)
+	net := overlay.NewNetwork(5, rng.Split())
+	for i := 0; i < 20; i++ {
+		net.Join(0, false)
+	}
+	for _, id := range net.AllIDs() {
+		net.RefreshNeighbors(id)
+	}
+	set := NewSet(net, rng.Split(), 60)
+	before := set.Version()
+	set.TickAll()
+	if got, want := set.Version()-before, uint64(20); got != want {
+		t.Fatalf("version advanced %d, want %d", got, want)
+	}
+}
+
 // TestAvailabilityCachedTotalMatchesFreshSum drives churn through several
 // ticks and checks the cached-total Availability is bit-equal to a fresh
 // sum over the tracked session times in neighbor-list order.

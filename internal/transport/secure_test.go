@@ -22,7 +22,7 @@ func secureSetup(t *testing.T, seed uint64) (*Network, *onion.SignedContract, *o
 	if err != nil {
 		t.Fatal(err)
 	}
-	contract, _, err := onion.NewSignedContract(9, 75, 150, bk.Public())
+	contract, err := onion.NewSignedContract(9, 75, 150, bk.Public())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -522,7 +522,7 @@ func TestContractRejectionNacksInitiator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	contract, _, err := onion.NewSignedContract(5, 75, 150, bk.Public())
+	contract, err := onion.NewSignedContract(5, 75, 150, bk.Public())
 	if err != nil {
 		t.Fatal(err)
 	}
