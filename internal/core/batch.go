@@ -59,7 +59,7 @@ type Batch struct {
 
 	// rule is the batch's instance of the shared routing rule, with its
 	// per-hop scratch; fill is row, bound once so that handing it to the
-	// system's rows (Rows.Fill) on a memo reset allocates nothing.
+	// system (System.fill) on a memo reset allocates nothing.
 	rule Rule
 	fill func(i int)
 }
@@ -420,7 +420,9 @@ func (b *Batch) spneTable(start overlay.NodeID, hops int) {
 		// demand-driven cells are pinned bit-identical against.
 		if !reuse {
 			dense := *g
-			dense.Adjacency = nil
+			// The oracle's edges carry the rule themselves
+			// (stageEdgeQuality), and the rule reads rows only.
+			dense.Adjacency, dense.Rule = nil, game.RowRule{}
 			dense.EdgeQuality = func(i, j int) float64 {
 				return b.stageEdgeQuality(overlay.NodeID(i), overlay.NodeID(j))
 			}
@@ -430,8 +432,7 @@ func (b *Batch) spneTable(start overlay.NodeID, hops int) {
 	}
 	ph := s.Prof.Start(telemetry.PhaseSolveInduction)
 	if !reuse {
-		s.resetMemo(g.Nodes, b.Responder)
-		s.rows.Fill = b.fill
+		s.resetMemo(b)
 	}
 	cells := g.SolveFrom(&s.memo, int(start), hops)
 	ph.End()
@@ -454,25 +455,27 @@ func (b *Batch) prescribed(cur overlay.NodeID, hops int) overlay.NodeID {
 	return overlay.NodeID(d.Next)
 }
 
-// row builds node i's stage-game row for the batch that owns the memo
-// (Rows.Fill): its candidate successors, ascending, with their edge
-// qualities, built through the shared builder on first use and kept until
-// the memo is reset, so a solve touches only the nodes of its cone. A row
-// starts from the node's base row (System.baseRow: batch-independent
-// topology and availability). Selectivity is non-zero only on the edges of
-// nodes holding quality-relevant history, so only those rows are rescored
-// (Quality). R and offline nodes have no row (Rows), and every other node
-// delivers to R.
+// row sets node i's stage-game row for the batch that owns the memo
+// (System.fill) on its first use, kept until the memo is reset, so a
+// solve touches only the nodes of its cone. A row is the node's base row
+// (System.baseRow: batch-independent topology and availability), read in
+// place; the solver's rule (game.RowRule, set by resetMemo) drops R, the
+// initiator and offline nodes from it and adds the delivery edge.
+// Selectivity is non-zero only on the edges of nodes holding
+// quality-relevant history, so only those rows get an overlay, rescored
+// through Quality.
 func (b *Batch) row(i int) {
 	s := b.sys
-	id := overlay.NodeID(i)
-	base := s.baseRow(id)
-	succ, qual := s.rows.Build(i, base.succ, base.qual, int32(b.Initiator))
-	if _, ok := b.histNodes[id]; ok {
-		for a, j := range succ {
-			qual[a] = b.Quality(id, overlay.None, overlay.NodeID(j))
-		}
+	if s.rowAt[i] != rowHolder {
+		s.rowAt[i] = rowBase
+		return
 	}
+	off, n := s.baseRow(overlay.NodeID(i))
+	lo := len(s.overlay)
+	for _, j := range s.base.succ[off : off+n] {
+		s.overlay = append(s.overlay, b.Quality(overlay.NodeID(i), overlay.None, overlay.NodeID(j)))
+	}
+	s.rowAt[i] = int32(lo + 1)
 }
 
 // stageEdgeQuality returns q(i, j) for the stage game, or -1 when the edge

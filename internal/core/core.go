@@ -214,17 +214,25 @@ type System struct {
 	memoOwner int
 	dense     [][]game.Decision
 
-	// rows are the memo owner's stage-game rows, built lazily for cone
-	// nodes (see Batch.row); a memo reset empties them. stage is the
-	// Model-II stage game over them, its Adjacency bound once.
-	rows  Rows
-	stage game.PathGame
+	// stage is the Model-II stage game, its Adjacency bound once and its
+	// row rule set by every memo reset. A row is the node's base row, read
+	// in place, or — for a node whose edges the memo owner's history
+	// names — the same successors with a σ overlay, the one copy a row
+	// gets. Rows are set on first use since the memo reset (fill, the
+	// owner's Batch.row), so a cone solve touches the rows of the cone's
+	// nodes at stage 2 and above only. rowAt[i] says how node i's row is
+	// set: unset (0, or rowHolder for a history holder), its base row
+	// (rowBase), or k+1 for an overlay scored into overlay[k:].
+	stage   game.PathGame
+	rowAt   []int32
+	overlay []float64
+	fill    func(i int)
 
 	// base holds the batch-independent part of every node's row (see
 	// baseRow), revalidated per use rather than per overlay or probe
 	// version: one churn event or probe round invalidates only the rows it
 	// actually touched. It outlives the memo.
-	base []baseRow
+	base baseRows
 
 	// solverStats accumulates the solve counters system-wide.
 	solverStats SolverStats
@@ -299,7 +307,24 @@ func NewSystem(cfg Config, net *overlay.Network, probes *probe.Set, rng *dist.So
 		rng:    rng,
 		minCt:  make(map[overlay.NodeID]float64),
 	}
-	s.stage = game.PathGame{Adjacency: s.rows.Adjacency(), Deliver: s.rows.Deliver(), Cost: cfg.Cost, MaxHops: cfg.MaxHops}
+	// The stage game's Adjacency: node i's base row, with its σ
+	// overlay's qualities when it has one. A base row is unchanged while
+	// the memo is reused — its stamp covers the overlay and probe
+	// versions — so baseRow returns it after two compares. A closure, not
+	// a method value, so that a solve's per-cell lookup is one call.
+	adjacency := func(i int) ([]int32, []float64) {
+		at := s.rowAt[i]
+		if at <= 0 && at != rowBase {
+			s.fill(i)
+			at = s.rowAt[i]
+		}
+		off, n := s.baseRow(overlay.NodeID(i))
+		if at == rowBase {
+			return s.base.succ[off : off+n], s.base.qual[off : off+n]
+		}
+		return s.base.succ[off : off+n], s.overlay[at-1 : at-1+n]
+	}
+	s.stage = game.PathGame{Adjacency: adjacency, Cost: cfg.Cost, MaxHops: cfg.MaxHops}
 	return s, nil
 }
 
@@ -353,78 +378,110 @@ func (s *System) createEstimators(r overlay.NodeID) {
 	}
 }
 
-// baseRow is the batch-independent part of one node's stage-game row: its
-// neighbors ascending and duplicate free (self dropped) with the quality
-// every batch without history on the edge scores them at,
-// Weights.Edge(0, α). succ is valid while the owner's neighbor list is
-// unchanged (nbrVer, the overlay's NeighborsVersion stamp; 0 = never
-// built); at, each successor's position in the owner's estimator list
-// (probe.Estimator.Index), while in addition that list is unchanged (est,
-// lists); qual while, in addition, the estimator has not ticked (probes).
-// A probe round alone therefore only rescores the row, in O(d).
-type baseRow struct {
-	nbrVer uint64
-	est    *probe.Estimator
-	lists  uint64
-	probes int
-	succ   []int32
-	at     []int32
-	qual   []float64
+// baseRows holds every node's base row, the batch-independent part of
+// its stage-game row, in one flat arena, and beside it each
+// successor's position in the owner's estimator list
+// (probe.Estimator.Index). Node id's row is the arena slot meta[id]
+// names; a row that outgrows its slot moves to the arena's end.
+type baseRows struct {
+	succ []int32
+	qual []float64
+	at   []int32
+	meta []baseMeta
 }
 
-// baseRow returns id's base row, rebuilding in place what is stale.
-func (s *System) baseRow(id overlay.NodeID) *baseRow {
-	br := &s.base[id]
-	est := s.Probes.For(id)
-	stale := false
-	if v := s.Net.NeighborsVersion(id); br.nbrVer != v {
-		br.nbrVer = v
-		br.succ = br.succ[:0]
-		for _, u := range s.Net.Node(id).Neighbors {
-			if u != id {
-				br.succ = append(br.succ, int32(u))
+// baseMeta is one row's slot and stamps. The row is current while the
+// owner's neighbor list (nbrVer, the overlay's NeighborsVersion stamp)
+// and the probe set (probeVer, its Version + 1; 0 = never built) are
+// unchanged: two dense compares. Past them, the successors are valid
+// while nbrVer holds; at while in addition the estimator's list is
+// unchanged (lists); the qualities while, in addition, the estimator has
+// not ticked (probes). A probe round alone therefore only rescores the
+// row, in O(d).
+type baseMeta struct {
+	nbrVer, probeVer uint64
+	lists            uint64
+	probes           int
+	off, n, cap      int32
+}
+
+// baseRow returns the arena span of id's base row, rebuilding in place
+// what is stale.
+func (s *System) baseRow(id overlay.NodeID) (off, n int32) {
+	br := &s.base
+	m := &br.meta[id]
+	probeVer := s.Probes.Version() + 1
+	if nv := s.Net.NeighborsVersion(id); m.nbrVer != nv || m.probeVer != probeVer {
+		est := s.Probes.For(id)
+		stale := m.nbrVer != nv || m.probeVer == 0
+		if stale {
+			nbrs := s.Net.Node(id).Neighbors
+			if len(nbrs) > int(m.cap) {
+				m.off, m.cap = int32(len(br.succ)), int32(len(nbrs))
+				br.succ = append(br.succ, make([]int32, len(nbrs))...)
+				br.qual = append(br.qual, make([]float64, len(nbrs))...)
+				br.at = append(br.at, make([]int32, len(nbrs))...)
+			}
+			succ := br.succ[m.off:m.off]
+			for _, u := range nbrs {
+				if u != id {
+					succ = append(succ, int32(u))
+				}
+			}
+			m.n = int32(game.SortUnique(succ))
+		}
+		lo, hi := m.off, m.off+m.n
+		if stale || m.lists != est.Lists() {
+			m.lists = est.Lists()
+			for a, v := range br.succ[lo:hi] {
+				br.at[lo+int32(a)] = int32(est.Index(overlay.NodeID(v)))
+			}
+			stale = true
+		}
+		if stale || m.probes != est.Probes() {
+			m.probes = est.Probes()
+			for a, k := range br.at[lo:hi] {
+				br.qual[lo+int32(a)] = s.cfg.Weights.Edge(0, est.AvailabilityAt(int(k)))
 			}
 		}
-		br.succ = br.succ[:game.SortUnique(br.succ)]
-		stale = true
+		m.nbrVer, m.probeVer = nv, probeVer
 	}
-	if stale || br.est != est || br.lists != est.Lists() {
-		br.est, br.lists = est, est.Lists()
-		br.at = br.at[:0]
-		for _, v := range br.succ {
-			br.at = append(br.at, int32(est.Index(overlay.NodeID(v))))
-		}
-		stale = true
-	}
-	if stale || br.probes != est.Probes() {
-		br.probes = est.Probes()
-		br.qual = br.qual[:0]
-		for _, k := range br.at {
-			br.qual = append(br.qual, s.cfg.Weights.Edge(0, est.AvailabilityAt(int(k))))
-		}
-	}
-	return br
+	return m.off, m.n
 }
 
-// resetMemo forgets every solved cell and built row and sizes the solve
-// state for n nodes and a game whose responder is r; in the simulator
-// every online node other than R holds a row, and every holder may
-// deliver to R. Base rows survive: they revalidate
-// themselves.
-func (s *System) resetMemo(n int, r overlay.NodeID) {
+// rowBase and rowHolder are System.rowAt's marks: a row set to its base
+// row, and the unset row of a node whose edges the owner's history names.
+const rowBase, rowHolder = -1, -2
+
+// resetMemo forgets every solved cell and set row and sizes the solve
+// state for the game of b: in the simulator every online node other than
+// R holds a row, the initiator is dropped from every row, and every
+// holder may deliver to R. b's history holders are snapshotted into
+// rowAt, one mark per node instead of a map lookup per row. Base rows
+// survive: they revalidate themselves.
+func (s *System) resetMemo(b *Batch) {
+	n := s.Net.Len()
 	s.memo.Reset(n, s.cfg.MaxHops)
-	s.rows.Reset(n, int32(r), true, s.Net.Up())
-	if len(s.base) < n {
-		s.base = append(s.base, make([]baseRow, n-len(s.base))...)
+	s.stage.Rule = game.RowRule{Holds: s.Net.Up(), Initiator: int(b.Initiator), Deliver: true}
+	if len(s.rowAt) != n {
+		s.rowAt = make([]int32, n)
+	}
+	clear(s.rowAt) // four bytes per node: noise beside the solve it serves
+	for id := range b.histNodes {
+		s.rowAt[id] = rowHolder
+	}
+	s.overlay, s.fill = s.overlay[:0], b.fill
+	if len(s.base.meta) < n {
+		s.base.meta = append(s.base.meta, make([]baseMeta, n-len(s.base.meta))...)
 	}
 }
 
-// releaseSolve drops the memo and the rows. Called when the last open
-// batch closes, so a settled large run does not pin its working set; the
-// next solve rebuilds at the size it actually needs. Base rows stay: they
-// are no batch's scratch but a view of overlay and probe state, O(d) per
-// node like the estimators they are read from.
+// releaseSolve drops the solve state a closed batch no longer needs: the
+// memo, the dense table, the overlays and the holder snapshot. Base rows
+// are kept: they belong to the node like the estimators they are read
+// from.
 func (s *System) releaseSolve() {
 	s.memo, s.memoOwner, s.dense = game.Memo{}, 0, nil
-	s.rows = Rows{} // Adjacency and Deliver stay bound to &s.rows
+	s.rowAt, s.overlay, s.fill = nil, nil, nil
+	s.stage.Rule = game.RowRule{}
 }

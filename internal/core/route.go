@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"p2panon/internal/game"
 	"p2panon/internal/overlay"
 	"p2panon/internal/telemetry"
@@ -138,119 +136,4 @@ func Route[T ~int | ~int32](r *Rule, h Hop, nbrs []T, up []bool) (next overlay.N
 		declined++
 	}
 	return h.Responder, 1, declined
-}
-
-// Rows is a Model-II stage game's adjacency (game.PathGame.Adjacency) and
-// delivery edges (Deliver), built row by row on first use so that a cone
-// solve (game.SolveFrom) builds the rows of the cone's nodes at stage 2
-// and above only. The simulator's solve and the live Model-II router both
-// build their rows through it, and it holds the one delivery rule they
-// share: node i holds a row iff it is up (Reset's up) and not R, and a
-// row holds the delivery edge (i, R), at the literal quality 1 of the
-// last-edge rule, iff R can be delivered to (Reset's deliver). Every
-// successor other than R in a row holds a row itself (Build), so Deliver
-// is one value over a row's node and its successors — the contract
-// SolveFrom's closed-form stage 2 rests on.
-type Rows struct {
-	// Fill builds node i's row through Build; Adjacency calls it on the
-	// row's first use since the last Reset, for a node that holds one.
-	Fill func(i int)
-
-	resp    int32
-	deliver bool
-	up      []bool
-	built   []bool
-	off, n  []int32
-	succ    []int32
-	qual    []float64
-}
-
-// Reset forgets every row and sizes the builder for nodes vertices, for
-// the game whose responder is resp; deliver says whether R can be
-// delivered to, and up[i] whether node i is known to the game and up (an
-// id past its end is not). up is read, never written, until the next
-// Reset.
-func (r *Rows) Reset(nodes int, resp int32, deliver bool, up []bool) {
-	if len(r.built) != nodes {
-		r.built = make([]bool, nodes)
-		r.off, r.n = make([]int32, nodes), make([]int32, nodes)
-	}
-	clear(r.built) // one byte per node: noise beside the solve it serves
-	r.succ, r.qual = r.succ[:0], r.qual[:0]
-	r.resp, r.deliver, r.up = resp, deliver, up
-}
-
-// Holds reports whether node i has a row at all: it is up and not R.
-func (r *Rows) Holds(i int) bool { return int32(i) != r.resp && i < len(r.up) && r.up[i] }
-
-// Adjacency returns the stage game's Adjacency over these rows: node i's
-// candidate successors, ascending, with their edge qualities; a node that
-// holds no row has none. It is a closure, not a method value, so that a
-// solve's per-cell lookup is one call.
-func (r *Rows) Adjacency() func(i int) ([]int32, []float64) {
-	return func(i int) ([]int32, []float64) {
-		if !r.built[i] {
-			if r.Holds(i) {
-				r.Fill(i)
-			} else {
-				r.built[i], r.off[i], r.n[i] = true, 0, 0
-			}
-		}
-		lo, hi := r.off[i], r.off[i]+r.n[i]
-		return r.succ[lo:hi], r.qual[lo:hi]
-	}
-}
-
-// Deliver returns the stage game's Deliver over these rows: 1 when node
-// i's row holds the delivery edge, −1 otherwise — read from the rule, so
-// no row is built.
-func (r *Rows) Deliver() func(i int) float64 {
-	return func(i int) float64 {
-		if r.deliver && r.Holds(i) {
-			return 1
-		}
-		return -1
-	}
-}
-
-// Build builds node i's row from its base row — its neighbours ascending
-// and duplicate free, each with the quality of an edge no history names,
-// Weights.Edge(0, α). It drops i itself, skip (the initiator) and every
-// neighbour that holds no row — R, and any node Reset's up does not
-// report, by the predicate Deliver reads — so every successor other than
-// R holds a row (a row-less one could never continue anyway: its
-// quality-to-go is −∞ at every stage). It puts the delivery edge (i, R),
-// when the rule gives i one, with the literal quality 1 at R's ascending
-// position: the sparse induction then visits successors in exactly the
-// order a dense scan over j would, so every epsilon tie-break lands
-// identically. The row is returned for the caller to rescore, in place,
-// the edges its batch's history names.
-func (r *Rows) Build(i int, base []int32, baseQ []float64, skip int32) ([]int32, []float64) {
-	lo, hi := len(r.succ), len(r.succ)+len(base)+1
-	if hi > cap(r.succ) || hi > cap(r.qual) {
-		r.succ, r.qual = slices.Grow(r.succ, hi-lo), slices.Grow(r.qual, hi-lo)
-	}
-	succ, qual := r.succ[lo:hi], r.qual[lo:hi]
-	resp, deliver := r.resp, r.deliver
-	w := 0
-	for a, j := range base {
-		if deliver && j >= resp {
-			succ[w], qual[w] = resp, 1
-			w++
-			deliver = false
-		}
-		if j == int32(i) || j == skip || !r.Holds(int(j)) {
-			continue
-		}
-		succ[w], qual[w] = j, baseQ[a]
-		w++
-	}
-	if deliver {
-		succ[w], qual[w] = resp, 1
-		w++
-	}
-	r.succ, r.qual = r.succ[:lo+w], r.qual[:lo+w]
-	r.built[i] = true
-	r.off[i], r.n[i] = int32(lo), int32(w)
-	return succ[:w], qual[:w]
 }

@@ -11,30 +11,107 @@ import (
 	"p2panon/internal/sim"
 )
 
-// requireDeliverAgrees checks the stage game's two views of the delivery
-// rule against each other on every node: Deliver(i) ≥ 0 exactly when the
-// row Adjacency(i) builds holds R, at a bit-equal quality. And it checks
-// the contract SolveFrom's closed-form stage 2 rests on: every successor
-// other than R in a built row holds a row itself, with the Deliver of the
-// row's own node. It returns how many successors it checked.
-func requireDeliverAgrees(t *testing.T, step string, sys *System, r overlay.NodeID) (successors int) {
+// solverRow is the one view the row tests check: node i's row as the
+// solver reads it (game.PathGame.AppendRow, under the rule the last memo
+// reset set), whether i holds a row by that rule, and q(i, R) of the
+// delivery edge the rule gives it (−1 for none).
+func solverRow(g *game.PathGame, i int) (succ []int32, qual []float64, holds bool, deliver float64) {
+	r := &g.Rule
+	holds = i != g.Responder && i < len(r.Holds) && r.Holds[i]
+	deliver = -1
+	if holds && r.Deliver {
+		deliver = 1
+	}
+	succ, qual = g.AppendRow(nil, nil, i)
+	return succ, qual, holds, deliver
+}
+
+// spliceRow is the reference the rule is held to: the spliced copy the
+// rows were built as before the solver read base rows in place. From
+// base, node i's row as the game's Adjacency returns it, it drops i, the
+// initiator and every neighbour that holds no row (R included), and puts
+// the delivery edge at quality 1 at R's ascending position.
+func spliceRow(g *game.PathGame, i int) ([]int32, []float64) {
+	r := &g.Rule
+	holds := func(j int) bool { return j != g.Responder && j < len(r.Holds) && r.Holds[j] }
+	if !holds(i) {
+		return nil, nil
+	}
+	base, baseQ := g.Adjacency(i)
+	resp, deliver := int32(g.Responder), r.Deliver
+	var succ []int32
+	var qual []float64
+	for a, j := range base {
+		if deliver && j >= resp {
+			succ, qual = append(succ, resp), append(qual, 1)
+			deliver = false
+		}
+		if j == int32(i) || j == int32(r.Initiator) || !holds(int(j)) {
+			continue
+		}
+		succ, qual = append(succ, j), append(qual, baseQ[a])
+	}
+	if deliver {
+		succ, qual = append(succ, resp), append(qual, 1)
+	}
+	return succ, qual
+}
+
+// requireSameRow holds the solver's view of node i's row to a reference,
+// entry for entry, qualities by Float64bits.
+func requireSameRow(t *testing.T, step string, i int, succ []int32, qual []float64, wantS []int32, wantQ []float64) {
 	t.Helper()
-	for i := 0; i < sys.Net.Len(); i++ {
-		dq := sys.stage.Deliver(i)
+	same := len(succ) == len(wantS)
+	for a := 0; same && a < len(succ); a++ {
+		same = succ[a] == wantS[a] && sameBits(qual[a], wantQ[a])
+	}
+	if !same {
+		t.Fatalf("%s: node %d's row %v %v, reference %v %v", step, i, succ, qual, wantS, wantQ)
+	}
+}
+
+// requireRowShape checks the row the solver reads for node i (solverRow)
+// and returns it: strictly ascending — R visited once — without i itself
+// or the initiator, and no longer than maxLen.
+func requireRowShape(t *testing.T, step string, g *game.PathGame, i, maxLen int) (succ []int32, qual []float64, holds bool, deliver float64) {
+	t.Helper()
+	succ, qual, holds, deliver = solverRow(g, i)
+	for a, j := range succ {
+		if a > 0 && succ[a-1] >= j || j == int32(i) || j == int32(g.Rule.Initiator) || len(succ) > maxLen {
+			t.Fatalf("%s: node %d's row %v: not strictly ascending, longer than %d, or holds %d itself or the initiator %d", step, i, succ, maxLen, i, g.Rule.Initiator)
+		}
+	}
+	return succ, qual, holds, deliver
+}
+
+// requireDeliverAgrees checks the stage game's two views of the delivery
+// rule against each other on every node: the rule's delivery edge exists
+// exactly when the row the solver reads holds R, at a bit-equal quality.
+// And it checks the contract SolveFrom's closed-form stage 2 rests on:
+// every successor other than R in a row holds a row itself, with the
+// delivery edge of the row's own node; a row is strictly ascending (R
+// visited once) and holds neither its own node nor the initiator; a node
+// that holds no row has none. It returns how many successors it checked.
+func requireDeliverAgrees(t *testing.T, step string, g *game.PathGame) (successors int) {
+	t.Helper()
+	for i := 0; i < g.Nodes; i++ {
+		succ, qual, holds, dq := requireRowShape(t, step, g, i, g.Nodes)
+		if !holds && len(succ) != 0 {
+			t.Fatalf("%s: node %d holds no row, yet reads %v", step, i, succ)
+		}
 		rq := -1.0
-		succ, qual := sys.stage.Adjacency(i)
 		for a, j := range succ {
-			if j == int32(r) {
+			if j == int32(g.Responder) {
 				rq = qual[a]
 				continue
 			}
 			successors++
-			if !sys.rows.Holds(int(j)) || !sameBits(sys.stage.Deliver(int(j)), dq) {
-				t.Fatalf("%s: node %d's successor %d: holds a row %v, Deliver %v, node's %v", step, i, j, sys.rows.Holds(int(j)), sys.stage.Deliver(int(j)), dq)
+			if _, _, jh, jq := solverRow(g, int(j)); !jh || !sameBits(jq, dq) {
+				t.Fatalf("%s: node %d's successor %d: holds a row %v, delivery %v, node's %v", step, i, j, jh, jq, dq)
 			}
 		}
 		if (dq >= 0) != (rq >= 0) || (dq >= 0 && math.Float64bits(dq) != math.Float64bits(rq)) {
-			t.Fatalf("%s: node %d: Deliver = %v, row's edge to R = %v (row %v)", step, i, dq, rq, succ)
+			t.Fatalf("%s: node %d: delivery edge %v, row's edge to R = %v (row %v)", step, i, dq, rq, succ)
 		}
 	}
 	return successors
@@ -61,49 +138,103 @@ func requireStageOneMatchesOracle(t *testing.T, step string, b *Batch) {
 	}
 }
 
-// TestDeliverAgreesWithRows pins the one delivery rule core.Rows holds:
-// through churn that takes forwarders and R offline, probe rounds and
-// connections that give holders history (rescored rows), the closed-form
-// Deliver agrees with the built rows, every row successor other than R
-// holds a row with the same Deliver, and the stage-1 read equals the
+// churnRounds is the churn world the row tests share: on a 300-node
+// system, one UM-II batch whose R sits mid-range (so rows list
+// successors on both sides of it), and 24 rounds in which nodes other
+// than I leave — R every eighth round — and rejoin, probe rounds run and
+// connections give holders history (σ overlays). After each round's
+// connection it re-solves the batch's game from a fresh memo and calls
+// check. It returns how many rounds ended with R offline.
+func churnRounds(t *testing.T, seed uint64, check func(b *Batch)) (deadR int) {
+	t.Helper()
+	sys, _ := scaleSystem(t, 300, seed)
+	b, err := sys.NewBatch(0, 150, Contract{Pf: 75, Pr: 150}, UtilityII)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := dist.NewSource(seed + 100)
+	now := sim.Time(0)
+	var down []overlay.NodeID
+	for round := 0; round < 24; round++ {
+		now += 60
+		switch round % 4 {
+		case 0, 1: // a node other than I leaves, R every fourth time
+			id := overlay.NodeID(1 + rng.Intn(sys.Net.Len()-1))
+			if round%8 == 0 {
+				id = b.Responder
+			}
+			if sys.Net.Online(id) {
+				sys.Net.Leave(now, id, false)
+				down = append(down, id)
+			}
+		case 2: // the earliest departure rejoins, then a probe round
+			if len(down) > 0 {
+				sys.Net.Rejoin(now, down[0])
+				down = down[1:]
+			}
+			sys.Probes.TickAll()
+		}
+		b.RunConnection()
+		sys.Net.Touch() // a fresh memo and rows for this batch
+		b.spneTable(b.Initiator, 2)
+		check(b)
+		if !sys.Net.Online(b.Responder) {
+			deadR++
+		}
+	}
+	if len(b.histNodes) == 0 {
+		t.Fatalf("seed %d: no holder with history: the script no longer covers σ overlays", seed)
+	}
+	return deadR
+}
+
+// TestDeliverAgreesWithRows pins the one delivery rule the solver's row
+// rule holds: through the churn world, the rule's delivery edge agrees
+// with the rows the solver reads, every row successor other than R holds
+// a row with the same delivery edge, and the stage-1 read equals the
 // dense oracle's stage 1 on every node.
 func TestDeliverAgreesWithRows(t *testing.T) {
 	for _, seed := range []uint64{2, 9} {
-		sys, b := scaleSystem(t, 300, seed)
-		rng := dist.NewSource(seed + 100)
-		now := sim.Time(0)
-		var down []overlay.NodeID
-		successors, deadR := 0, 0
-		for round := 0; round < 24; round++ {
-			now += 60
-			switch round % 4 {
-			case 0, 1: // a node other than I leaves, R every fourth time
-				id := overlay.NodeID(1 + rng.Intn(sys.Net.Len()-1))
-				if round%8 == 0 {
-					id = b.Responder
-				}
-				if sys.Net.Online(id) {
-					sys.Net.Leave(now, id, false)
-					down = append(down, id)
-				}
-			case 2: // the earliest departure rejoins, then a probe round
-				if len(down) > 0 {
-					sys.Net.Rejoin(now, down[0])
-					down = down[1:]
-				}
-				sys.Probes.TickAll()
-			}
-			b.RunConnection()
-			sys.Net.Touch() // a fresh memo and rows for this batch
-			b.spneTable(b.Initiator, 2)
-			successors += requireDeliverAgrees(t, "round", sys, b.Responder)
+		successors := 0
+		deadR := churnRounds(t, seed, func(b *Batch) {
+			successors += requireDeliverAgrees(t, "round", &b.sys.stage)
 			requireStageOneMatchesOracle(t, "round", b)
-			if !sys.Net.Online(b.Responder) {
-				deadR++
-			}
+		})
+		if successors == 0 || deadR == 0 {
+			t.Fatalf("seed %d: %d successors, %d rounds with R offline: the script no longer covers the rule", seed, successors, deadR)
 		}
-		if len(b.histNodes) == 0 || successors == 0 || deadR == 0 {
-			t.Fatalf("seed %d: %d holders with history, %d successors, %d rounds with R offline: the script no longer covers the rule", seed, len(b.histNodes), successors, deadR)
+	}
+}
+
+// TestSolverRowsMatchSplicedRows holds the rows the solver reads in place
+// to the spliced copies they replaced: through the churn world, on every
+// node, the row as the solver's rule reads it equals spliceRow over the
+// same Adjacency row, and the dense oracle's edges out of the node (every
+// j in ascending order with stageEdgeQuality ≥ 0), entry for entry with
+// Float64bits.
+func TestSolverRowsMatchSplicedRows(t *testing.T) {
+	for _, seed := range []uint64{2, 9, 17} {
+		rows := 0
+		churnRounds(t, seed, func(b *Batch) {
+			g := &b.sys.stage
+			for i := 0; i < g.Nodes; i++ {
+				succ, qual, _, _ := solverRow(g, i)
+				wantS, wantQ := spliceRow(g, i)
+				requireSameRow(t, "spliced", i, succ, qual, wantS, wantQ)
+				wantS, wantQ = wantS[:0], wantQ[:0]
+				for j := 0; j < g.Nodes; j++ {
+					if q := b.stageEdgeQuality(overlay.NodeID(i), overlay.NodeID(j)); q >= 0 {
+						wantS, wantQ = append(wantS, int32(j)), append(wantQ, q)
+					}
+				}
+				requireSameRow(t, "dense", i, succ, qual, wantS, wantQ)
+				if len(succ) > 0 {
+					rows++
+				}
+			}
+		})
+		if rows == 0 {
+			t.Fatalf("seed %d: no row compared", seed)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"p2panon/internal/dist"
@@ -48,9 +49,23 @@ func TestScaleFrontierWorkingMemory(t *testing.T) {
 	sys, b := scaleSystem(t, n, 11)
 	b.RunConnection() // warm: builds memo, rows, base rows
 
-	// (a) retained rows are O(n·d): every node has ≤ degree+1 slots.
-	maxSlots := n * (sys.Net.Degree() + 1)
-	if c := cap(sys.rows.succ); c == 0 || c > maxSlots {
+	// (a) retained rows are O(n·d): every row the solver read holds ≤
+	// degree+1 entries, as does every row that lists I or R, and the
+	// storage behind them — base rows, σ overlays — at most degree+1 slots
+	// per node.
+	d := sys.Net.Degree()
+	for i := 0; i < n; i++ {
+		read := false
+		for h := 2; h <= sys.cfg.MaxHops; h++ {
+			read = read || sys.memo.Known(h, i)
+		}
+		nbrs := sys.Net.Node(overlay.NodeID(i)).Neighbors
+		if read || slices.Contains(nbrs, b.Initiator) || slices.Contains(nbrs, b.Responder) {
+			requireRowShape(t, "cone", &sys.stage, i, d+1)
+		}
+	}
+	maxSlots := n * (d + 1)
+	if c := cap(sys.base.succ) + cap(sys.overlay); c == 0 || c > maxSlots {
 		t.Fatalf("solve rows hold %d candidate slots, O(n·d) bound is %d", c, maxSlots)
 	}
 
@@ -74,10 +89,11 @@ func TestScaleFrontierWorkingMemory(t *testing.T) {
 }
 
 // TestSolveScratchReleasedOnClose pins that the system's shared solve
-// scratch — memo and rows — outlives a Close while another batch is still
-// open (no re-allocation on every Close) and is dropped entirely when the
-// last one closes: a finished large run must not pin its working set for
-// the process lifetime.
+// scratch — memo, rows and the rule they are read under — outlives a
+// Close while another batch is still open (no re-allocation on every
+// Close), every row the solver reads still well formed, and is dropped
+// entirely when the last one closes: a finished large run must not pin
+// its working set for the process lifetime.
 func TestSolveScratchReleasedOnClose(t *testing.T) {
 	sys, b := scaleSystem(t, 500, 6)
 	other, err := sys.NewBatch(1, 2, Contract{Pf: 75, Pr: 150}, UtilityII)
@@ -86,7 +102,16 @@ func TestSolveScratchReleasedOnClose(t *testing.T) {
 	}
 	b.RunConnection()
 	held := func() bool {
-		return !reflect.ValueOf(sys.memo).IsZero() && sys.rows.built != nil && sys.rows.succ != nil
+		if reflect.ValueOf(sys.memo).IsZero() || sys.rowAt == nil || sys.stage.Rule.Holds == nil {
+			return false
+		}
+		rows := 0
+		for i := 0; i < sys.Net.Len(); i++ {
+			if succ, _, _, _ := requireRowShape(t, "held", &sys.stage, i, sys.Net.Degree()+1); len(succ) > 0 {
+				rows++
+			}
+		}
+		return rows > 0
 	}
 	if !held() {
 		t.Fatal("no solve state after a UM-II connection")
@@ -101,7 +126,7 @@ func TestSolveScratchReleasedOnClose(t *testing.T) {
 	if !reflect.ValueOf(sys.memo).IsZero() || sys.dense != nil || sys.memoOwner != 0 {
 		t.Fatal("closing the last batch left the memo pinned")
 	}
-	if sys.rows.built != nil || sys.rows.off != nil || sys.rows.n != nil || sys.rows.succ != nil || sys.rows.qual != nil {
+	if sys.rowAt != nil || sys.overlay != nil || sys.fill != nil || !reflect.ValueOf(sys.stage.Rule).IsZero() {
 		t.Fatal("closing the last batch left the rows pinned")
 	}
 }

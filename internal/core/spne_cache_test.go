@@ -215,3 +215,76 @@ func BenchmarkSPNESolveCold(b *testing.B) {
 		batch.spneTable(batch.Initiator, sys.cfg.MaxHops)
 	}
 }
+
+// BenchmarkConeWorld is the in-process A/B for the simulator's solver,
+// as BenchmarkLiveSolve is for the live router: one op is one connection
+// of sim_um2_churn's step — 2000 nodes of degree 6, generations of 16
+// interleaved UM-II batches of 10 connections, each connection preceded
+// by one churn event (64 nodes take turns leaving and rejoining) and
+// every 8th by a probe round, each generation settled and closed. A
+// change to internal/core or internal/game is measured by building this
+// package's test binary at the parent commit and at the change (go test
+// -c) and alternating the two.
+func BenchmarkConeWorld(b *testing.B) {
+	const nodes, degree, batches, conns, churnSet, tickEvery = 2000, 6, 16, 10, 64, 8
+	rng := dist.NewSource(46)
+	net := overlay.NewNetwork(degree, rng.Split())
+	net.GrowUniform(0, nodes)
+	probes := probe.NewSet(net, rng.Split(), probe.DefaultPeriod)
+	probes.TickAll()
+	probes.TickAll()
+	sys, err := NewSystem(DefaultConfig(), net, probes, rng.Split())
+	if err != nil {
+		b.Fatal(err)
+	}
+	churn := dist.SampleWithoutReplacement(rng, nodes, churnSet)
+	inChurn := make(map[int]bool, churnSet)
+	for _, i := range churn {
+		inChurn[i] = true
+	}
+	stable := func() overlay.NodeID { // endpoints never leave
+		for {
+			if i := rng.Intn(nodes); !inChurn[i] {
+				return overlay.NodeID(i)
+			}
+		}
+	}
+	events, now := 0, sim.Time(0)
+	live := make([]*Batch, batches)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for op := 0; op < b.N; {
+		for k := range live {
+			i, r := stable(), stable()
+			for r == i {
+				r = stable()
+			}
+			if live[k], err = sys.NewBatch(i, r, Contract{Pf: 75, Pr: 150}, UtilityII); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for c := 0; c < conns && op < b.N; c++ {
+			for _, batch := range live {
+				if op == b.N {
+					break
+				}
+				now += 60
+				if id := overlay.NodeID(churn[(events/2)%churnSet]); events%2 == 0 {
+					net.Leave(now, id, false)
+				} else {
+					net.Rejoin(now, id)
+				}
+				if events%tickEvery == 0 {
+					probes.TickAll()
+				}
+				events++
+				batch.RunConnection()
+				op++
+			}
+		}
+		for _, batch := range live {
+			batch.Settle()
+			batch.Close()
+		}
+	}
+}

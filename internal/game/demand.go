@@ -50,12 +50,12 @@ func (m *Memo) Known(hops, node int) bool {
 
 // Cell returns the decision of cell (hops, node) of the game g and
 // whether it holds a value of that game: the one read of a demand-driven
-// solve. A stage-1 cell is answered for any node from Deliver alone
-// (deliverCell), since SolveFrom never stores one unless asked for it as
+// solve. A stage-1 cell is answered for any node from its delivery edge
+// alone (deliverCell), since SolveFrom never stores one unless asked for it as
 // a root; every other stage reads m, where only the cells a SolveFrom
-// since the last Reset solved hold values. m must hold cells of g, and
-// what g reads — its rows and its delivery rule — must be unchanged since
-// they were solved.
+// since the last Reset solved hold values. g must have an active Rule,
+// m must hold cells of g, and what g reads — its rows and its rule — must
+// be unchanged since they were solved.
 func (g *PathGame) Cell(m *Memo, hops, node int) (Decision, bool) {
 	if hops == 1 {
 		return g.deliverCell(node), true
@@ -87,27 +87,26 @@ func (g *PathGame) StageNext(dst []int32, m *Memo, hops int, unknown int32) []in
 
 // SolveFrom solves, into m, every cell at stage 2 and above the play from
 // (start, hops) can reach and returns how many cells it computed. It
-// discovers the cone top down through Adjacency — cell (i, h) needs
-// (j, h−1) for each candidate j of i — down to stage 2, then fills it
-// bottom up: stage 2 from each cell's own row and Deliver
-// (penultimateCell), every later stage with the same solveCell the full
-// sweeps use, so every computed cell is bit-identical to SolveInto's.
+// discovers the cone top down through the rows as the rule reads them —
+// cell (i, h) needs (j, h−1) for each candidate j of i — down to stage 2,
+// then fills it bottom up: stage 2 from each cell's own row and delivery
+// edge (penultimateCell), every later stage with the same solveCell the
+// full sweeps use, so every computed cell is bit-identical to SolveInto's.
 // Stages 1 and 0 are never stored — a stage-2 cell reads V(j, 1) in
-// closed form, and Cell answers stage 1 from Deliver — unless the root
-// itself has hops ≤ 1; then its one cell is solved. Cells already Known
-// are reused and not descended from: a second root under the same epoch,
-// or a larger budget, only adds what is missing. When hops reaches the
-// graph's diameter the cone is the full table less stages 0 and 1, and
-// the cost that of a full sweep, never more.
+// closed form, and Cell answers stage 1 from the delivery edge — unless
+// the root itself has hops ≤ 1; then its one cell is solved. Cells
+// already Known are reused and not descended from: a second root under
+// the same epoch, or a larger budget, only adds what is missing. When
+// hops reaches the graph's diameter the cone is the full table less
+// stages 0 and 1, and the cost that of a full sweep, never more.
 //
-// The game must set Adjacency and Deliver, with Deliver one value over
-// each row's successors other than R and the row's own node (PathGame.
-// Deliver), and m must have been Reset for g.Nodes and at least hops
-// stages. Rows are read during the call only; the caller must keep them
+// The game must set Adjacency and an active Rule, whose delivery edges
+// the closed-form stages 1 and 2 read (PathGame.Rule); and m must have
+// been Reset for g.Nodes and at least hops stages. Rows are read during the call only; the caller must keep them
 // unchanged between a Reset and the last read of a cell.
 func (g *PathGame) SolveFrom(m *Memo, start, hops int) (computed int) {
-	if g.Adjacency == nil || g.Deliver == nil {
-		panic("game: SolveFrom needs Adjacency and Deliver")
+	if g.Adjacency == nil || g.Rule.Holds == nil {
+		panic("game: SolveFrom needs Adjacency and an active row rule")
 	}
 	if hops < 0 || hops >= len(m.table) || len(m.table[hops]) != g.Nodes || start < 0 || start >= g.Nodes {
 		panic(fmt.Sprintf("game: SolveFrom(%d, %d): memo not Reset for %d nodes and that budget", start, hops, g.Nodes))
@@ -115,6 +114,7 @@ func (g *PathGame) SolveFrom(m *Memo, start, hops int) (computed int) {
 	if m.mark[hops][start] == m.epoch {
 		return 0
 	}
+	g.prepare()
 	m.mark[hops][start] = m.epoch
 	switch hops {
 	case 0:
@@ -134,13 +134,14 @@ func (g *PathGame) SolveFrom(m *Memo, start, hops int) (computed int) {
 	m.todo[hops] = append(m.todo[hops], int32(start))
 	for h := hops; h > 2; h-- {
 		below, pending := m.mark[h-1], m.todo[h-1]
+		var row rowView
 		for _, i := range m.todo[h] {
 			if int(i) == g.Responder {
 				continue // R's cell is constant and reads nothing
 			}
-			succ, qual := g.Adjacency(int(i))
-			for idx, j := range succ {
-				if j != i && qual[idx] >= 0 && below[j] != m.epoch {
+			g.open(&row, int(i))
+			for a := 0; a < row.n; a++ {
+				if j, _, ok := row.at(a); ok && below[j] != m.epoch {
 					below[j] = m.epoch
 					pending = append(pending, j)
 				}

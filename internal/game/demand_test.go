@@ -9,9 +9,9 @@ import (
 
 // randomSparseGame draws a game in the simulator's shape: 20–59 vertices,
 // three candidate successors each (one in eight with a negative quality,
-// i.e. listed but absent), and — under the rows' delivery rule, which
-// SolveFrom's Deliver contract asks for — a delivery edge to R from every
-// vertex or, in one game in four (R unreachable), from none.
+// i.e. listed but absent), and — under the active row rule SolveFrom
+// asks for — a delivery edge to R from every vertex or, in one game in
+// four (R unreachable), from none.
 func randomSparseGame(rng *dist.Source) (*PathGame, map[[2]int]float64) {
 	n := 20 + rng.Intn(40)
 	deliver := rng.Intn(4) != 0
@@ -34,7 +34,7 @@ func randomSparseGame(rng *dist.Source) (*PathGame, map[[2]int]float64) {
 		Nodes:     n,
 		Responder: n - 1,
 		Adjacency: sparseView(n, edges),
-		Deliver:   deliverView(edges, n-1),
+		Rule:      holdAll(n, deliver),
 		Pf:        10, Pr: 20,
 		Cost:    UniformCost(1, 1),
 		MaxHops: 6,

@@ -297,25 +297,28 @@ type PathGame struct {
 	// does not exist. Exactly one of EdgeQuality and Adjacency must be set.
 	EdgeQuality func(i, j int) float64
 	// Adjacency, when non-nil, supplies the sparse neighbor-local view of
-	// the game: i's candidate successors with their edge qualities, in
-	// ASCENDING vertex order. The induction then visits only the ≤ d
-	// candidates each node actually has instead of scanning all n vertices,
-	// and — because the dense loop also scans j ascending — reproduces the
-	// dense solver's epsilon tie-breaks bit for bit. Entries with a
-	// negative quality are skipped like missing dense edges; a vertex with
-	// no outgoing edges returns empty slices. The slices are only read
-	// during a solve and never retained.
+	// the game: i's row, its candidate successors with their edge
+	// qualities, in ASCENDING vertex order and duplicate free. The solver
+	// reads every row through Rule, so a row may be a node's unfiltered
+	// base row; under the zero Rule it is read as it is. The induction then
+	// visits only the ≤ d candidates each node actually has instead of
+	// scanning all n vertices, and — because the dense loop also scans j
+	// ascending — reproduces the dense solver's epsilon tie-breaks bit for
+	// bit. Entries with a negative quality, and i itself, are skipped like
+	// missing dense edges; a vertex with no outgoing edges returns empty
+	// slices, and a row names vertices 0 … Nodes−1 only. The slices are
+	// only read during a solve and never retained.
 	Adjacency func(i int) (succ []int32, qual []float64)
-	// Deliver, which SolveFrom requires beside Adjacency, returns q(i, R)
-	// of i's delivery edge, or a negative value when i has none. It must
-	// agree with R's entry in Adjacency(i): under the last-edge rule the
-	// one finite stage-0 cell is R's, so a holder with one hop left has
-	// that edge as its only move, and its stage-1 cell is read from
-	// Deliver alone (deliverCell). SolveFrom also requires Deliver(j) =
-	// Deliver(i) for every successor j ≠ R of every row Adjacency(i), so
-	// that a stage-2 cell reads one delivery value for all its successors
-	// (penultimateCell) and no stage-1 cell is ever stored.
-	Deliver func(i int) float64
+	// Rule is the stage game's row rule, applied by every read of an
+	// Adjacency row (RowRule), and the one source of the delivery edges
+	// (i, R). SolveFrom and Cell need an active rule: under it a holder
+	// with one hop left has the delivery edge as its only move, its
+	// stage-1 cell is read from that edge alone (deliverCell), and every
+	// successor other than R of a row has the row's own delivery edge,
+	// so a stage-2 cell reads one delivery value for all its successors
+	// (penultimateCell) and no stage-1 cell is ever stored. The zero
+	// value reads rows as they are, for SolveInto over pre-filtered rows.
+	Rule RowRule
 	// Pf, Pr are the contract's forwarding and routing benefits.
 	Pf, Pr float64
 	// Cost is the cost model used for C^p and C^t.
@@ -326,6 +329,141 @@ type PathGame struct {
 	// solve actually did (stages swept, stages skipped by the fixed-point
 	// exit).
 	Stats *SolveStats
+
+	// visit[j] says whether a row visits successor j under Rule: j holds
+	// a row and is not the initiator. Every solve recomputes it from Rule
+	// (prepare), so that a row's read tests one flag per entry.
+	visit []bool
+}
+
+// RowRule is the stage game's row rule (§2.4.3): which of a row's
+// entries the induction visits. Under an active rule (Holds non-nil)
+// vertex i holds a row iff Holds[i] and i ≠ R, and a vertex that holds
+// none has an empty row. A row drops i itself, Initiator, and every
+// successor that holds no row — R included, and any node Holds does not
+// report — so every successor other than R holds a row itself (a
+// row-less one could never continue anyway: its quality-to-go is −∞ at
+// every stage). When Deliver is set, every row also visits the delivery
+// edge (i, R), at the literal quality 1 of the last-edge rule, at R's
+// ascending position: the induction then visits successors in exactly
+// the order a dense scan over j would, so every epsilon tie-break lands
+// identically. So Adjacency may return a node's base row — its
+// neighbors at the quality of an edge no history names — and no row is
+// ever spliced. The zero value is the identity: rows are read as they
+// are, and no vertex has a delivery edge but the one its row lists.
+type RowRule struct {
+	// Holds is indexed by vertex and read, never written, during a solve;
+	// an id past its end holds no row.
+	Holds []bool
+	// Initiator is the vertex no row visits: routing back through I
+	// would reveal nothing useful. An id outside 0 … Nodes−1 names none.
+	Initiator int
+	// Deliver says whether R can be delivered to: it gives every vertex
+	// that holds a row the delivery edge.
+	Deliver bool
+}
+
+// holds reports whether vertex i holds a row under an active rule r of a
+// game whose responder is resp.
+func (r *RowRule) holds(i, resp int) bool {
+	return i != resp && uint(i) < uint(len(r.Holds)) && r.Holds[i]
+}
+
+// deliver returns q(i, R) of i's delivery edge under the game's active
+// rule, or −1 when it has none.
+func (g *PathGame) deliver(i int) float64 {
+	if r := &g.Rule; r.Deliver && r.holds(i, g.Responder) {
+		return 1
+	}
+	return -1
+}
+
+// prepare readies visit for a solve under the game's rule: Holds with
+// R and the initiator dropped, one flag per vertex.
+func (g *PathGame) prepare() {
+	r := &g.Rule
+	if r.Holds == nil {
+		return
+	}
+	if len(g.visit) != g.Nodes {
+		g.visit = make([]bool, g.Nodes)
+	}
+	clear(g.visit[copy(g.visit, r.Holds):])
+	g.visit[g.Responder] = false
+	if uint(r.Initiator) < uint(g.Nodes) {
+		g.visit[r.Initiator] = false
+	}
+}
+
+// rowView is one row as the rule reads it: positions 0 … n−1, which at
+// visits in ascending vertex order. Every read of a row — SolveFrom's
+// discovery, penultimateCell, solveCell and edgeQ — loops over them, so
+// the rule is written once, and at is small enough to be inlined into
+// each loop.
+type rowView struct {
+	succ []int32
+	qual []float64
+	// n counts the positions: the row's entries, and one for the delivery
+	// edge when the rule gives the row one. deliver says that edge is
+	// still to come; back is 1 once it came, for the entries after it.
+	n, back int
+	deliver bool
+	// self is the row's vertex and resp R; visit is the game's, under an
+	// active rule.
+	self, resp int32
+	visit      []bool
+}
+
+// open sets v to vertex i's row under the game's rule; the game must
+// have been prepared for it. (It fills v in place: a view returned by
+// value is copied on every read.)
+func (g *PathGame) open(v *rowView, i int) {
+	r := &g.Rule
+	v.succ, v.qual, v.n, v.back, v.deliver = nil, nil, 0, 0, false
+	v.self, v.visit = int32(i), nil
+	if r.Holds != nil && !r.holds(i, g.Responder) {
+		return // no row
+	}
+	succ, qual := g.Adjacency(i)
+	v.succ, v.qual, v.n = succ, qual, len(succ)
+	if r.Holds != nil {
+		v.resp, v.visit = int32(g.Responder), g.visit
+		if r.Deliver {
+			v.n, v.deliver = len(succ)+1, true
+		}
+	}
+}
+
+// AppendRow appends to succ and qual vertex i's row as the solver reads
+// it: the entries the rule visits, in the order it visits them. It is the
+// view the row contract is checked on, outside the solver.
+func (g *PathGame) AppendRow(succ []int32, qual []float64, i int) ([]int32, []float64) {
+	g.prepare()
+	var row rowView
+	g.open(&row, i)
+	for a := 0; a < row.n; a++ {
+		if j, q, ok := row.at(a); ok {
+			succ, qual = append(succ, j), append(qual, q)
+		}
+	}
+	return succ, qual
+}
+
+// at returns the entry at position a, and whether the rule visits it;
+// a row's positions must be read in order, each once. The delivery edge
+// (i, R) comes, at quality 1, at the first position whose entry is past
+// R, or after the last; every other position is the row's entry, dropped
+// when it is i itself, no edge (a negative quality) or, under an active
+// rule, not a successor the rule visits — the initiator, R, or a node
+// that holds no row.
+func (v *rowView) at(a int) (int32, float64, bool) {
+	a -= v.back
+	if v.deliver && (a == len(v.succ) || v.succ[a] >= v.resp) {
+		v.deliver, v.back = false, 1
+		return v.resp, 1, true
+	}
+	j, q := v.succ[a], v.qual[a]
+	return j, q, j != v.self && q >= 0 && (v.visit == nil || v.visit[j])
 }
 
 // SolveStats reports what a solve did, for telemetry and tests.
@@ -381,6 +519,7 @@ func (g *PathGame) SolveInto(table [][]Decision) [][]Decision {
 	}
 	st := g.stats()
 	*st = SolveStats{Converged: g.MaxHops}
+	g.prepare()
 	// h = 0: only R itself has a (trivially) complete path.
 	for i := 0; i < g.Nodes; i++ {
 		q := negInf
@@ -431,6 +570,9 @@ func (g *PathGame) validate() {
 	if (g.EdgeQuality == nil) == (g.Adjacency == nil) {
 		panic("game: PathGame needs exactly one of EdgeQuality and Adjacency")
 	}
+	if g.EdgeQuality != nil && g.Rule.Holds != nil {
+		panic("game: the row rule reads Adjacency rows; an EdgeQuality game takes none")
+	}
 }
 
 func (g *PathGame) stats() *SolveStats {
@@ -461,10 +603,10 @@ func (g *PathGame) sweepStage(prev, cur []Decision) {
 }
 
 // solveCell computes the stage decision for vertex i given the previous
-// stage's quality-to-go row. The sparse branch visits i's candidate list
-// in ascending vertex order — the same order the dense scan uses — so the
-// epsilon tie-breaks, and therefore the chosen successors, are identical
-// between the two formulations.
+// stage's quality-to-go row. The sparse branch visits i's row as the rule
+// reads it, in ascending vertex order — the same order the dense scan
+// uses — so the epsilon tie-breaks, and therefore the chosen successors,
+// are identical between the two formulations.
 func (g *PathGame) solveCell(prev []Decision, i int) Decision {
 	if i == g.Responder {
 		// R holds the payload: the path is complete.
@@ -473,17 +615,20 @@ func (g *PathGame) solveCell(prev []Decision, i int) Decision {
 	best := Decision{Node: i, Next: -1, Utility: negInf, Quality: negInf}
 	// One loop body for both formulations, so the edge rule cannot fork:
 	// the sparse branch walks i's row, the dense oracle every j.
-	var succ []int32
-	var qual []float64
+	var row rowView
 	sparse, n := g.Adjacency != nil, g.Nodes
 	if sparse {
-		succ, qual = g.Adjacency(i)
-		n = len(succ)
+		g.open(&row, i)
+		n = row.n
 	}
 	for idx := 0; idx < n; idx++ {
 		j, q := idx, 0.0
 		if sparse {
-			j, q = int(succ[idx]), qual[idx]
+			jj, qq, ok := row.at(idx)
+			if !ok {
+				continue
+			}
+			j, q = int(jj), qq
 		} else if j != i {
 			q = g.EdgeQuality(i, j)
 		}
@@ -516,11 +661,14 @@ func improves(u, pathQ float64, best *Decision) bool {
 // only: it evaluates solveCell's expression for that one candidate, so
 // the cell is bit-identical to the one a full row would yield.
 func (g *PathGame) deliverCell(i int) Decision {
+	if g.Rule.Holds == nil {
+		panic("game: a stage-1 cell reads the delivery edge of an active row rule")
+	}
 	if i == g.Responder {
 		return Decision{Node: i, Next: -1, Utility: negInf, Quality: 0}
 	}
 	best := Decision{Node: i, Next: -1, Utility: negInf, Quality: negInf}
-	if q := g.Deliver(i); q >= 0 {
+	if q := g.deliver(i); q >= 0 {
 		pathQ := q + 0 // V(R, 0)
 		u := g.Pf + pathQ*g.Pr - (g.Cost.Participation + g.Cost.Transmission(i, g.Responder))
 		if u > best.Utility+1e-12 {
@@ -532,28 +680,27 @@ func (g *PathGame) deliverCell(i int) Decision {
 
 // penultimateCell is solveCell at stage 2, with V(j, 1) in closed form:
 // 0 for j = R, and deliverCell(j)'s quality for every other successor —
-// Deliver(j) + V(R, 0), finite exactly when Deliver(j) ≥ 0. The Deliver
-// contract makes Deliver(j) = Deliver(i) for every such j, so the cell
-// reads Deliver once, for i itself, and is bit-identical to the one
-// solveCell computes over a stored stage 1.
+// q(j, R) + V(R, 0), finite exactly when j has a delivery edge. The
+// active rule gives every such j the delivery edge of i itself, so the
+// cell reads it once, for i, and is bit-identical to the one solveCell
+// computes over a stored stage 1.
 func (g *PathGame) penultimateCell(i int) Decision {
 	if i == g.Responder {
 		return Decision{Node: i, Next: -1, Utility: negInf, Quality: 0}
 	}
 	best := Decision{Node: i, Next: -1, Utility: negInf, Quality: negInf}
-	succ, qual := g.Adjacency(i)
-	if len(succ) == 0 {
-		return best
-	}
+	var row rowView
+	g.open(&row, i)
 	relay := negInf // V(j, 1) of every successor j ≠ R
-	if q := g.Deliver(i); q >= 0 {
+	if q := g.deliver(i); q >= 0 {
 		relay = q + 0 // V(R, 0)
 	}
-	for idx, j32 := range succ {
-		j, q := int(j32), qual[idx]
-		if j == i || q < 0 {
-			continue // self loop / no edge
+	for a := 0; a < row.n; a++ {
+		j32, q, ok := row.at(a)
+		if !ok {
+			continue
 		}
+		j := int(j32)
 		cont := relay
 		if j == g.Responder {
 			cont = 0 // V(R, 1)
@@ -597,26 +744,20 @@ func SortUnique(xs []int32) int {
 }
 
 // edgeQ returns q(i, j) under either formulation (−1 when absent); the
-// sparse lookup binary-searches i's candidate list, which the Adjacency
-// contract guarantees is in ascending vertex order. Used by the
+// sparse lookup walks i's row as the rule reads it. Used by the
 // off-hot-path helpers (verification, brute force) so they accept both
-// views without paying O(d) per probe.
+// views.
 func (g *PathGame) edgeQ(i, j int) float64 {
 	if g.Adjacency == nil {
 		return g.EdgeQuality(i, j)
 	}
-	succ, qual := g.Adjacency(i)
-	lo, hi := 0, len(succ)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if int(succ[mid]) < j {
-			lo = mid + 1
-		} else {
-			hi = mid
+	g.prepare()
+	var row rowView
+	g.open(&row, i)
+	for a := 0; a < row.n; a++ {
+		if k, q, ok := row.at(a); ok && int(k) == j {
+			return q
 		}
-	}
-	if lo < len(succ) && int(succ[lo]) == j {
-		return qual[lo]
 	}
 	return -1
 }

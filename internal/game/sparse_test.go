@@ -23,15 +23,17 @@ func sparseView(n int, edges map[[2]int]float64) func(int) ([]int32, []float64) 
 	return func(i int) ([]int32, []float64) { return succ[i], qual[i] }
 }
 
-// deliverView is the Deliver that agrees with sparseView over the same
-// edge map: q(i, r), or −1 when the map has no edge (i, r).
-func deliverView(edges map[[2]int]float64, r int) func(int) float64 {
-	return func(i int) float64 {
-		if q, ok := edges[[2]int{i, r}]; ok {
-			return q
-		}
-		return -1
+// holdAll is the active row rule of a game with no initiator in which
+// every vertex but R holds a row: it drops only R from the rows, and
+// gives every row the delivery edge at quality 1 when deliver is set —
+// what sparseView's rows say when each lists (i, R) at quality 1, or no
+// vertex lists it.
+func holdAll(n int, deliver bool) RowRule {
+	holds := make([]bool, n)
+	for i := range holds {
+		holds[i] = true
 	}
+	return RowRule{Holds: holds, Initiator: -1, Deliver: deliver}
 }
 
 // sparseGame is randomPathGame on the sparse formulation.
@@ -62,8 +64,8 @@ func requireSameTable(t *testing.T, label string, got, want [][]Decision) {
 }
 
 // TestEdgeQBinarySearch is the lookup regression for the sparse edgeQ:
-// on random graphs the binary search over the ascending candidate row
-// must agree with the edge map for every pair — present edges bit-exact,
+// on random graphs the lookup over the ascending candidate row must
+// agree with the edge map for every pair — present edges bit-exact,
 // absent edges (including rows with no successors at all) −1.
 func TestEdgeQBinarySearch(t *testing.T) {
 	for seed := uint64(0); seed < 50; seed++ {
@@ -140,7 +142,7 @@ func starGame(n int) *PathGame {
 		Nodes:     n,
 		Responder: n - 1,
 		Adjacency: sparseView(n, edges),
-		Deliver:   deliverView(edges, n-1),
+		Rule:      holdAll(n, true),
 		Pf:        10, Pr: 20,
 		Cost:    UniformCost(1, 1),
 		MaxHops: 8,
@@ -155,7 +157,7 @@ func starGame(n int) *PathGame {
 func TestSolveFixedPointExit(t *testing.T) {
 	const n = 6
 	dg := starGame(n)
-	dg.Adjacency = nil
+	dg.Adjacency, dg.Rule = nil, RowRule{}
 	edges := make(map[[2]int]float64)
 	for i := 0; i < n-1; i++ {
 		edges[[2]int{i, n - 1}] = 1

@@ -330,17 +330,21 @@ func (s *Set) For(id overlay.NodeID) *Estimator {
 // This is the batch-mode equivalent of attaching every estimator to the
 // engine, and is what the discrete-event simulator uses. All estimators
 // are created first, in ascending ID order (creation splits the set RNG),
-// and then ticked in that order.
+// and then ticked in that order: two passes over the overlay's online
+// flags, so a round allocates nothing once every node has its estimator.
 func (s *Set) TickAll() {
 	ph := s.Prof.Start(telemetry.PhaseProbeTick)
 	defer ph.End()
-	ids := s.net.OnlineIDs()
-	ests := make([]*Estimator, len(ids))
-	for i, id := range ids {
-		ests[i] = s.For(id)
+	up := s.net.Up()
+	for id, online := range up {
+		if online {
+			s.For(overlay.NodeID(id))
+		}
 	}
-	for _, est := range ests {
-		est.Tick()
+	for id, online := range up {
+		if online {
+			s.byNode[id].Tick()
+		}
 	}
 }
 

@@ -114,6 +114,26 @@ func TestSetForKnownAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestTickAllAllocatesNothing pins that a probing round over the whole
+// set — every 8th connection of the benchmark's churn world — touches no
+// heap once every online node has its estimator: TickAll walks the
+// overlay's online flags in place instead of collecting the online ids
+// and their estimators into fresh slices. Two nodes are offline, so the
+// walk skips entries and the decay branch runs.
+func TestTickAllAllocatesNothing(t *testing.T) {
+	net := buildNet(t, 64, 6, 4)
+	net.Leave(1, 3, false)
+	net.Leave(1, 40, false)
+	set := NewSet(net, dist.NewSource(9), DefaultPeriod)
+	set.TickAll() // creates every online node's estimator
+	if allocs := testing.AllocsPerRun(100, set.TickAll); allocs != 0 {
+		t.Fatalf("TickAll allocates %v objects per round, want 0", allocs)
+	}
+	if set.Len() != net.OnlineCount() {
+		t.Fatalf("%d estimators for %d online nodes", set.Len(), net.OnlineCount())
+	}
+}
+
 func TestAvailabilityNormalises(t *testing.T) {
 	net := buildNet(t, 12, 5, 5)
 	est := NewEstimator(0, net, dist.NewSource(6), 60)

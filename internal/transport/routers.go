@@ -235,11 +235,14 @@ const spneCacheCap = 64
 // each hop it plays, through the shared rule (core.Route), the SPNE
 // prescription of the bounded path game from itself to the responder over
 // the topology snapshot — edge qualities from the same per-batch
-// selectivity and static availability the Model-I router uses. The game's
-// rows are built through the simulator's row builder (core.Rows), lazily
-// for the cone of cells the connection's play can reach (game.SolveFrom
-// from its first holder and budget), once per (batch, conn), since
-// qualities are stable within a connection; the prescriptions of the
+// selectivity and static availability the Model-I router uses. A game
+// row is the node's neighbor list, read in place at the base qualities,
+// or — for a node the batch's history names an edge out of — the same
+// list with a σ overlay; the solver applies the row rule itself
+// (game.RowRule). The game covers the cone of cells the connection's play
+// can reach (game.SolveFrom from its first holder and budget), solved
+// once per (batch, conn), since qualities are stable within a
+// connection; the prescriptions of the
 // spneCacheCap most recently solved connections are kept. Safe for
 // concurrent use.
 type UtilityIIRouter struct {
@@ -253,26 +256,27 @@ type UtilityIIRouter struct {
 	slots  [spneCacheCap]spneCacheEntry
 	solved int
 
-	// The stage game and its storage, reused by every solve: the rows and
-	// the memo SolveFrom fills, sized for the largest budget solved so far
+	// The stage game and its storage, reused by every solve: the memo
+	// SolveFrom fills, sized for the largest budget solved so far
 	// (memoHops) so a shorter one reuses it.
 	game     game.PathGame
-	rows     core.Rows
 	memo     game.Memo
 	memoHops int
 	// nbrQ[i] is aligned with nbrs[i]: the quality of an edge into each
-	// neighbor that no connection of the batch has used, Edge(0, α) — the
-	// base row core.Rows.Build starts from.
+	// neighbor that no connection of the batch has used, Edge(0, α). With
+	// nbrs[i] it is node i's base row, which its game row reads in place.
 	nbrQ [][]float64
-	// routable[i]: node i is a key of the topology and believed alive,
-	// the rows' up (core.Rows.Reset), refreshed by every solve.
+	// routable[i]: node i is a key of the topology and believed alive —
+	// the nodes that hold a row under the game's rule — refreshed by every
+	// solve.
 	routable []bool
-	// The solve in progress: its endpoints, the batch's history and
-	// connection, and holder[i], whether that history names an edge out of
-	// i (only those rows are rescored).
-	initiator, responder overlay.NodeID
-	stage                hopView
-	holder               []bool
+	// The solve in progress: its batch's history and connection, and
+	// holder[i], whether that history names an edge out of i. Only those
+	// rows are scored anew, each into ovQ[i], a span of overlay.
+	stage   hopView
+	holder  []bool
+	ovQ     [][]float64
+	overlay []float64
 
 	// SPNE cache instrumentation, bound by Instrument (nil-safe when not).
 	cacheHits, cacheMisses, cacheEvictions *telemetry.Counter
@@ -314,15 +318,19 @@ func NewUtilityIIRouter(topo Topology, w quality.Weights, c core.Contract, avail
 	}
 	r.holder = make([]bool, len(r.nbrs))
 	r.routable = make([]bool, len(r.nbrs))
+	r.ovQ = make([][]float64, len(r.nbrs))
 	r.stage.r = r.UtilityRouter
-	r.rows.Fill = r.row
 	r.game = game.PathGame{
-		Nodes:     len(r.nbrs),
-		Adjacency: r.rows.Adjacency(),
-		Deliver:   r.rows.Deliver(),
-		Pf:        c.Pf,
-		Pr:        c.Pr,
-		Cost:      r.rule.Cost,
+		Nodes: len(r.nbrs),
+		Adjacency: func(i int) ([]int32, []float64) {
+			if r.holder[i] {
+				return r.nbrs[i], r.ovQ[i]
+			}
+			return r.nbrs[i], r.nbrQ[i]
+		},
+		Pf:   c.Pf,
+		Pr:   c.Pr,
+		Cost: r.rule.Cost,
 	}
 	return r
 }
@@ -431,25 +439,37 @@ func (r *UtilityIIRouter) cached(key [2]int) *spneCacheEntry {
 }
 
 // solve solves, into r.memo, the cone of cells the play of connection
-// conn of batch from (start, e.budget) to e.responder can reach, building
-// the rows it visits, and fills e with the prescriptions read from it
-// (game.PathGame.Cell); the next solve overwrites the memo. The solve
-// holds mu throughout, so rows, history and liveness — which the stage-1
-// reads consult too — are read in one consistent state. Caller holds
-// cacheMu.
+// conn of batch from (start, e.budget) to e.responder can reach, and
+// fills e with the prescriptions read from it (game.PathGame.Cell); the
+// next solve overwrites the memo. The game's rule gives a row only to a
+// node that is a key of the topology and alive (routable) and not R,
+// drops the node itself, I and every neighbor that holds no row, and
+// adds the delivery edge (i, R) unless R is dead. σ is zero on every edge
+// the batch's history does not name, where the score is the base
+// quality; so only the rows of nodes the history names an edge out of
+// get an overlay, scored w_s·σ + w_a·α before the solve. The solve holds
+// mu throughout, so rows, history and liveness — which the stage-1 reads
+// consult too — are read in one consistent state. Caller holds cacheMu.
 func (r *UtilityIIRouter) solve(e *spneCacheEntry, start, initiator overlay.NodeID, batch, conn int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	responder, budget := e.responder, e.budget
-	r.initiator, r.responder = initiator, responder
 	r.stage.h, r.stage.conn = r.batches[batch], conn
 	clear(r.holder)
 	r.stage.h.Tails(r.holder)
+	r.overlay = r.overlay[:0]
 	for i, nb := range r.nbrs {
 		r.routable[i] = nb != nil && r.up[i]
+		if r.holder[i] {
+			lo := len(r.overlay)
+			for _, j := range nb {
+				r.overlay = append(r.overlay, r.stage.Quality(overlay.NodeID(i), overlay.None, overlay.NodeID(j)))
+			}
+			r.ovQ[i] = r.overlay[lo:]
+		}
 	}
-	r.rows.Reset(len(r.nbrs), int32(responder), r.up[responder], r.routable)
 	r.game.Responder = int(responder)
+	r.game.Rule = game.RowRule{Holds: r.routable, Initiator: int(initiator), Deliver: r.up[responder]}
 	r.memoHops = max(r.memoHops, budget)
 	r.memo.Reset(len(r.nbrs), r.memoHops)
 	r.game.SolveFrom(&r.memo, int(start), budget)
@@ -467,26 +487,8 @@ func (r *UtilityIIRouter) solve(e *spneCacheEntry, start, initiator overlay.Node
 	for h := 0; h <= budget; h++ {
 		e.next = r.game.StageNext(e.next, &r.memo, h, unsolved)
 		for i, next := range e.next[h*len(r.nbrs):] {
-			if next == unsolved && !r.rows.Holds(i) {
+			if next == unsolved && (!r.routable[i] || i == int(responder)) {
 				e.next[h*len(r.nbrs)+i] = -1
-			}
-		}
-	}
-}
-
-// row builds node i's row of the solve in progress (core.Rows.Fill). Node i
-// gets a row iff it is a key of the topology and alive (routable) and not
-// R: its live neighbors other than i itself and I, scored w_s·σ + w_a·α,
-// and — for every such i, neighbor of R or not — the delivery edge (i, R)
-// unless R is dead. σ is zero on every edge the batch's history does not
-// name, where the score is the base quality; so only the rows of nodes
-// the history names an edge out of are rescored. Caller holds mu.
-func (r *UtilityIIRouter) row(i int) {
-	succ, qual := r.rows.Build(i, r.nbrs[i], r.nbrQ[i], int32(r.initiator))
-	if r.holder[i] {
-		for a, j := range succ {
-			if j != int32(r.responder) {
-				qual[a] = r.stage.Quality(overlay.NodeID(i), overlay.None, overlay.NodeID(j))
 			}
 		}
 	}

@@ -224,16 +224,111 @@ func TestLiveSparseMatchesDense(t *testing.T) {
 	}
 }
 
-// TestDeliverAgreesWithRows pins the one delivery rule core.Rows holds for
-// the live router: with R marked dead and then alive again, over worlds
-// with keyless ids, dead forwarders and history-rescored rows, Deliver(i)
-// is non-negative exactly when the row Adjacency(i) builds holds R, at a
-// bit-equal quality — and no node delivers to a dead R. It also pins the
-// contract SolveFrom's closed-form stage 2 rests on: every successor
-// other than R in a built row holds a row, with the Deliver of the row's
-// own node — a dead holder and a neighbor that is no topology key are
-// dropped from every row — and the stage-1 read equals the dense oracle's
-// stage 1 on every node.
+// solverRow is the one view the live row tests check: node i's row as the
+// solver reads it (game.PathGame.AppendRow, under the rule the last solve
+// set), whether i holds a row by that rule, and q(i, R) of the delivery
+// edge the rule gives it (−1 for none).
+func solverRow(g *game.PathGame, i int) (succ []int32, qual []float64, holds bool, deliver float64) {
+	r := &g.Rule
+	holds = i != g.Responder && i < len(r.Holds) && r.Holds[i]
+	deliver = -1
+	if holds && r.Deliver {
+		deliver = 1
+	}
+	succ, qual = g.AppendRow(nil, nil, i)
+	return succ, qual, holds, deliver
+}
+
+// spliceRow is the reference the rule is held to: the spliced copy the
+// rows were built as before the solver read base rows in place (core's
+// row tests keep the same one). From node i's row as the game's Adjacency
+// returns it, it drops i, the initiator and every neighbor that holds no
+// row (R included), and puts the delivery edge at quality 1 at R's
+// ascending position.
+func spliceRow(g *game.PathGame, i int) ([]int32, []float64) {
+	r := &g.Rule
+	holds := func(j int) bool { return j != g.Responder && j < len(r.Holds) && r.Holds[j] }
+	if !holds(i) {
+		return nil, nil
+	}
+	base, baseQ := g.Adjacency(i)
+	resp, deliver := int32(g.Responder), r.Deliver
+	var succ []int32
+	var qual []float64
+	for a, j := range base {
+		if deliver && j >= resp {
+			succ, qual = append(succ, resp), append(qual, 1)
+			deliver = false
+		}
+		if j == int32(i) || j == int32(r.Initiator) || !holds(int(j)) {
+			continue
+		}
+		succ, qual = append(succ, j), append(qual, baseQ[a])
+	}
+	if deliver {
+		succ, qual = append(succ, resp), append(qual, 1)
+	}
+	return succ, qual
+}
+
+// TestSolverRowsMatchSplicedRows holds the rows the live solver reads in
+// place to the spliced copies they replaced: over awkward worlds with
+// history (σ overlays), dead forwarders, R dead and alive and several
+// initiators, on every node, the row as the solver's rule reads it equals
+// spliceRow over the same Adjacency row, entry for entry with
+// Float64bits.
+func TestSolverRowsMatchSplicedRows(t *testing.T) {
+	rows, overlays := 0, 0
+	for seed := uint64(1); seed <= 12; seed++ {
+		topo, avail, ids := awkwardWorld(seed)
+		r := NewUtilityIIRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), avail)
+		rng := dist.NewSource(seed + 5000)
+		for conn := 1; conn <= 3; conn++ {
+			walk(r, 0, overlay.NodeID(ids-3), 1, conn, 4)
+		}
+		r.MarkDead(overlay.NodeID(rng.Intn(ids)))
+		for pair := 0; pair < 6; pair++ {
+			initiator, responder := overlay.NodeID(rng.Intn(ids)), overlay.NodeID(rng.Intn(ids))
+			if pair == 1 {
+				r.MarkDead(responder)
+			}
+			r.solveConn(initiator, initiator, responder, 1, 4, 3)
+			for i := range r.nbrs {
+				succ, qual, _, _ := solverRow(&r.game, i)
+				wantS, wantQ := spliceRow(&r.game, i)
+				same := len(succ) == len(wantS)
+				for a := 0; same && a < len(succ); a++ {
+					same = succ[a] == wantS[a] && math.Float64bits(qual[a]) == math.Float64bits(wantQ[a])
+				}
+				if !same {
+					t.Fatalf("seed %d pair %d: node %d's row %v %v, spliced %v %v", seed, pair, i, succ, qual, wantS, wantQ)
+				}
+				if len(succ) > 0 {
+					rows++
+				}
+				if r.holder[i] && len(succ) > 0 {
+					overlays++
+				}
+			}
+			r.MarkLive(responder)
+		}
+	}
+	if rows == 0 || overlays == 0 {
+		t.Fatalf("%d rows, %d of them σ overlays: the worlds no longer cover the rule", rows, overlays)
+	}
+}
+
+// TestDeliverAgreesWithRows pins the one delivery rule the solver's row
+// rule holds for the live router: with R marked dead and then alive
+// again, over worlds with keyless ids, dead forwarders and history
+// (σ overlays), the rule gives node i a delivery edge exactly when the row
+// the solver reads holds R, at a bit-equal quality — and no node delivers
+// to a dead R. It also pins the contract SolveFrom's closed-form stage 2
+// rests on: every row is strictly ascending (R visited once) without its
+// own node or the initiator, and every successor other than R holds a
+// row, with the delivery edge of the row's own node — a dead holder and a
+// neighbor that is no topology key are dropped from every row — and the
+// stage-1 read equals the dense oracle's stage 1 on every node.
 func TestDeliverAgreesWithRows(t *testing.T) {
 	var deadDropped, keylessDropped int
 	for seed := uint64(1); seed <= 8; seed++ {
@@ -254,19 +349,22 @@ func TestDeliverAgreesWithRows(t *testing.T) {
 			r.solveConn(0, 0, responder, 1, 4, 2)
 			delivering := 0
 			for i := range r.nbrs {
-				dq, rq := r.game.Deliver(i), -1.0
-				succ, qual := r.game.Adjacency(i)
+				succ, qual, _, dq := solverRow(&r.game, i)
+				rq := -1.0
 				for a, j := range succ {
+					if a > 0 && succ[a-1] >= j || j == int32(i) || j == 0 {
+						t.Fatalf("seed %d, R alive %v: node %d's row %v: not strictly ascending, or holds %d itself or the initiator 0", seed, alive, i, succ, i)
+					}
 					if j == int32(responder) {
 						rq = qual[a]
 						continue
 					}
-					if !r.rows.Holds(int(j)) || math.Float64bits(r.game.Deliver(int(j))) != math.Float64bits(dq) {
-						t.Fatalf("seed %d, R alive %v: node %d's successor %d: holds a row %v, Deliver %v, node's %v", seed, alive, i, j, r.rows.Holds(int(j)), r.game.Deliver(int(j)), dq)
+					if _, _, jh, jq := solverRow(&r.game, int(j)); !jh || math.Float64bits(jq) != math.Float64bits(dq) {
+						t.Fatalf("seed %d, R alive %v: node %d's successor %d: holds a row %v, delivery %v, node's %v", seed, alive, i, j, jh, jq, dq)
 					}
 				}
 				if (dq >= 0) != (rq >= 0) || (dq >= 0 && math.Float64bits(dq) != math.Float64bits(rq)) {
-					t.Fatalf("seed %d, R alive %v: node %d: Deliver = %v, row's edge to R = %v (row %v)", seed, alive, i, dq, rq, succ)
+					t.Fatalf("seed %d, R alive %v: node %d: delivery edge %v, row's edge to R = %v (row %v)", seed, alive, i, dq, rq, succ)
 				}
 				if dq >= 0 {
 					delivering++
@@ -557,13 +655,14 @@ func TestSPNEWarmSolveAllocs(t *testing.T) {
 
 // BenchmarkLiveSolve is the in-process guard for the code the live router
 // shares with the simulator's solver: one op is one cache-miss prescribed
-// — the cone's rows built by core.Rows with their σ overlay,
-// game.SolveFrom's cone from (I, budget)
-// through solveCell, the prescription copy — at inproc_um2_agg's shape
-// (128 peers, degree 6, budget 5), with history on the batch so rows score
-// σ > 0. A change to internal/game is measured by building this package's
-// test binary at the parent commit and at the change (go test -c) and
-// alternating the two.
+// — the σ overlays of the history's holders, game.SolveFrom's cone from
+// (I, budget) over the neighbor lists read in place under the row rule
+// (game.RowRule) through solveCell, the prescription copy — at
+// inproc_um2_agg's shape (128 peers, degree 6, budget 5), with history on
+// the batch so rows score σ > 0. A change to internal/game is measured by
+// building this package's test binary at the parent commit and at the
+// change (go test -c) and alternating the two; BenchmarkConeWorld in
+// internal/core is the same for the simulator's solve.
 func BenchmarkLiveSolve(b *testing.B) {
 	const n, budget = 128, 5
 	topo := buildTopo(n, 6, 32)
