@@ -13,8 +13,8 @@ import (
 // invariant verdict. The spec is either a plan JSON path (typically a
 // reproducer saved by a failing CI check) or "gen:<seed>" to synthesise a
 // noise plan from a seed. Returns the process exit code: 0 when every
-// invariant held, 1 on violations, 2 on an unusable spec.
-func runFaults(spec, traceOut, spanOut string) int {
+// invariant held, 1 on violations, 2 on an unusable spec or plan.
+func runFaults(spec, spanOut string) int {
 	var plan faultsim.Plan
 	if rest, ok := strings.CutPrefix(spec, "gen:"); ok {
 		seed, err := strconv.ParseUint(rest, 10, 64)
@@ -27,7 +27,7 @@ func runFaults(spec, traceOut, spanOut string) int {
 		var err error
 		plan, err = faultsim.LoadPlan(spec)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "anonsim: -faults: %v\n", err)
+			fmt.Fprintf(os.Stderr, "anonsim: fault plan rejected: %v\n", err)
 			return 2
 		}
 	}
@@ -51,16 +51,8 @@ func runFaults(spec, traceOut, spanOut string) int {
 	fmt.Printf("  recovery:           %d nacks, %d timeouts, %d reformations\n",
 		res.Nacks, res.Timeouts, res.Reformations)
 	fmt.Printf("  faults injected:    %d\n", res.FaultsInjected)
-	fmt.Printf("  trace:              %d events (%d dropped)\n", len(res.Events), res.TraceDropped)
 	fmt.Printf("  spans:              %d (%d dropped)\n", len(res.Spans), res.SpanDropped)
 
-	if traceOut != "" {
-		if err := os.WriteFile(traceOut, res.TraceJSONL(), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "anonsim: writing fault trace: %v\n", err)
-			return 2
-		}
-		fmt.Printf("  trace written to:   %s\n", traceOut)
-	}
 	if spanOut != "" {
 		if err := os.WriteFile(spanOut, res.SpanJSONL(), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "anonsim: writing span log: %v\n", err)
@@ -77,6 +69,6 @@ func runFaults(spec, traceOut, spanOut string) int {
 	for _, v := range res.Violations {
 		fmt.Printf("  - %s\n", v)
 	}
-	fmt.Printf("\nreplay with: anonsim -faults <this plan> (same seed => identical trace)\n")
+	fmt.Printf("\nreplay with: anonsim -faults <this plan> (same seed => identical span log)\n")
 	return 1
 }

@@ -7,23 +7,21 @@
 //	anonsim [-n 40] [-d 5] [-f 0.1] [-strategy utility-I] [-tau 2]
 //	        [-pairs 100] [-tx 2000] [-maxconn 20] [-churn] [-seed 1] [-v]
 //	        [-live] [-live-removals 2] [-net inproc|tcp]
-//	        [-metrics-addr :9090] [-trace-out trace.jsonl] [-metrics-every 5s]
+//	        [-metrics-addr :9090] [-metrics-every 5s]
 //	        [-span-out spans.jsonl] [-phase-report phases.json]
 //	        [-faults plan.json | -faults gen:<seed>]
 //
 // With -faults, anonsim runs a deterministic fault-injection plan (see
 // internal/faultsim) instead of the simulator: it loads the plan JSON (or
 // generates one from a seed with gen:<seed>), replays the seeded world,
-// checks every system invariant and exits non-zero on a violation. With
-// -trace-out the world's event log is written as JSONL — byte-identical
-// across runs of the same plan; the flag belongs to -faults alone (a live
-// run's record is its span log, -span-out). The plan's settle_delay field
-// is the virtual-clock delay after batch close at which the world settles
-// the batch out of its escrow (default 0.5 s).
+// checks every system invariant and exits non-zero on a violation (2 when
+// the plan is rejected). The plan's settle_delay field is the
+// virtual-clock delay after batch close at which the world settles the
+// batch out of its escrow (default 0.5 s).
 //
 // -span-out captures the causal span log: in -faults mode the virtual-clock
-// span trees of the deterministic world (byte-identical across runs of the
-// same plan), in -live mode the spans the conductor's nodes mint from
+// span trees of the deterministic world, its applied faults included
+// (byte-identical across runs of the same plan), in -live mode the spans the conductor's nodes mint from
 // carried trace context. Feed the file to cmd/tracetool to reconstruct each
 // batch's I → forwarders → R → settlement tree, its critical path and the
 // per-forwarder attribution. -phase-report profiles the simulator's stages
@@ -90,7 +88,6 @@ func main() {
 	liveRemovals := flag.Int("live-removals", 2, "busiest forwarders removed mid-run in the live replay")
 	netBackend := flag.String("net", "inproc", "live-replay forwarding backend: inproc | tcp (real 127.0.0.1 sockets via internal/netwire; implies -live)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live telemetry on this address (Prometheus /metrics, JSON /metrics.json, /trace, pprof); :0 picks a free port")
-	traceOut := flag.String("trace-out", "", "with -faults: write the fault world's event log as JSONL to this file (a live run's record is -span-out)")
 	traceCap := flag.Int("trace-cap", 65536, "span-recorder capacity; spans past it are counted as dropped")
 	metricsEvery := flag.Duration("metrics-every", 0, "log a telemetry snapshot table to stderr at this interval (0 = off)")
 	spanOut := flag.String("span-out", "", "write the causal span log as JSONL to this file (faultsim world or -live replay; read it with tracetool)")
@@ -109,11 +106,7 @@ func main() {
 	}
 
 	if *faults != "" {
-		os.Exit(runFaults(*faults, *traceOut, *spanOut))
-	}
-	if *traceOut != "" {
-		fmt.Fprintln(os.Stderr, "anonsim: -trace-out writes the -faults event log only; a live run's lifecycle record is its span log, use -span-out")
-		os.Exit(2)
+		os.Exit(runFaults(*faults, *spanOut))
 	}
 
 	switch *netBackend {

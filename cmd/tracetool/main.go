@@ -154,8 +154,8 @@ func buildTree(trace telemetry.SpanID, spans []telemetry.Span) *tree {
 // criticalPath returns the root→leaf chain that dominates the trace's
 // latency: the path maximising the leaf timestamp when the log carries a
 // clock, and the deepest path (ties to the first child, i.e. canonical
-// order) otherwise. Settlement spans are excluded — they are post-batch
-// bookkeeping, not connection latency.
+// order) otherwise. Settlement and fault spans are excluded — post-batch
+// bookkeeping and a fault world's record, not connection latency.
 func criticalPath(tr *tree) []*node {
 	var best []*node
 	better := func(a, b []*node) bool {
@@ -173,7 +173,7 @@ func criticalPath(tr *tree) []*node {
 		path = append(path, n)
 		leaf := true
 		for _, c := range n.children {
-			if c.Kind == telemetry.SpanSettle {
+			if c.Kind == telemetry.SpanSettle || c.Kind == telemetry.SpanFault {
 				continue
 			}
 			leaf = false

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"p2panon/internal/core"
+	"p2panon/internal/overlay"
 	"p2panon/internal/telemetry"
 	"p2panon/internal/transport"
 )
@@ -48,10 +49,8 @@ type ClusterBatch struct {
 // world state.
 func CheckClusterArtifact(p Plan, batches []ClusterBatch, observed []ClusterCredit, spans []telemetry.Span, dropped int) []Violation {
 	p = p.Normalize()
-	var out []Violation
-	add := func(inv, format string, args ...any) {
-		out = append(out, Violation{Invariant: inv, Detail: fmt.Sprintf(format, args...)})
-	}
+	var out violations
+	add := out.add
 
 	// (1) Settlement: every batch completes and settles.
 	for _, b := range batches {
@@ -101,6 +100,12 @@ func CheckClusterArtifact(p Plan, batches []ClusterBatch, observed []ClusterCred
 		}
 	}
 
+	// Capacity, orphans and path contiguity; the settle-span check below
+	// is only meaningful over a complete log.
+	if _, complete := checkSpanLog(&out, spans, uint64(dropped)); !complete {
+		return out
+	}
+
 	// (3) Double-settle, from the span side: at most one settle span per
 	// (batch, node), exactly one per expected line, detail carrying the
 	// owed bits in the one settle-detail form, transport.SettleDetail.
@@ -128,51 +133,71 @@ func CheckClusterArtifact(p Plan, batches []ClusterBatch, observed []ClusterCred
 				k.batch, k.node, settleDetail[k], e.PayoffBits)
 		}
 	}
+	return out
+}
 
-	// (4) Path contiguity: a delivery at hop h is backed by hop spans at
-	// every hop 1..h-1 of the same (trace, conn) — no process's leg of
-	// the path is missing from the merge.
-	type leg struct {
-		trace telemetry.SpanID
-		conn  int
-		hop   int
+// checkSpanLog runs the checks both checkers make over a span log alone,
+// and reports whether the log was complete. Capacity comes first: spans
+// dropped by a recorder void every span-side check, so they are reported
+// alone and the caller skips its own span-backed checks. Over a complete
+// log, every non-root span's parent must be in it (no orphans: ids chain
+// parent→child across process boundaries), and every deliver span's
+// parent chain must be contiguous (spanPath). It returns the path each
+// chain names, by connection, for a caller that knows what was delivered.
+func checkSpanLog(out *violations, spans []telemetry.Span, dropped uint64) (map[connKey][]overlay.NodeID, bool) {
+	if dropped > 0 {
+		out.add(InvTraceCapacity, "%d spans dropped; span-backed invariants skipped", dropped)
+		return nil, false
 	}
-	hops := make(map[leg]bool)
+	byID := make(map[telemetry.SpanID]telemetry.Span, len(spans))
 	for _, s := range spans {
-		if s.Kind == telemetry.SpanHop {
-			hops[leg{s.Trace, s.Conn, s.Hop}] = true
-		}
+		byID[s.ID] = s
 	}
+	paths := make(map[connKey][]overlay.NodeID)
 	for _, s := range spans {
-		if s.Kind != telemetry.SpanRespond {
-			continue
-		}
-		for h := 1; h < s.Hop; h++ {
-			if !hops[leg{s.Trace, s.Conn, h}] {
-				add(InvContiguity, "trace %s conn %d: respond at hop %d but no hop span at %d",
-					s.Trace, s.Conn, s.Hop, h)
-			}
-		}
-	}
-
-	// (5) Orphans: ids chain parent→child across process boundaries, so
-	// after a complete merge every non-root parent must resolve.
-	ids := make(map[telemetry.SpanID]bool, len(spans))
-	for _, s := range spans {
-		ids[s.ID] = true
-	}
-	for _, s := range spans {
-		if s.Parent != 0 && !ids[s.Parent] {
-			add(InvSpanOrphan, "span %s (%s, batch %d, node %d): parent %s not in merged log",
+		if _, ok := byID[s.Parent]; s.Parent != 0 && !ok {
+			out.add(InvSpanOrphan, "span %s (%s, batch %d, node %d): parent %s not in log",
 				s.ID, s.Kind, s.Batch, s.Node, s.Parent)
 		}
+		if s.Kind != telemetry.SpanDeliver {
+			continue
+		}
+		path, err := spanPath(byID, s)
+		if err != nil {
+			out.add(InvContiguity, "batch %d conn %d: %v", s.Batch, s.Conn, err)
+			continue
+		}
+		paths[connKey{s.Batch, s.Conn}] = path
 	}
+	return paths, true
+}
 
-	// (6) Capacity: a recorder that dropped spans voids the span-side
-	// checks above, so it is its own violation.
-	if dropped > 0 {
-		add(InvTraceCapacity, "%d spans dropped across workers", dropped)
+// spanPath walks deliver span d back through its parents — the respond
+// span, hop spans at positions n−2 … 0, then the launch of d's attempt —
+// and returns the path the chain names, I first. A station emits a hop or
+// respond span only for a FORWARD the link delivered to it, and each id
+// hashes its parent's, so the chain names exactly the stations that
+// carried the delivering attempt.
+func spanPath(byID map[telemetry.SpanID]telemetry.Span, d telemetry.Span) ([]overlay.NodeID, error) {
+	s, ok := byID[d.Parent]
+	if !ok || s.Kind != telemetry.SpanRespond || s.Hop < 1 {
+		return nil, fmt.Errorf("deliver span %s does not parent on a respond span past hop 0", d.ID)
 	}
-
-	return out
+	path := make([]overlay.NodeID, s.Hop+1)
+	for h := s.Hop; ; h-- {
+		path[h] = overlay.NodeID(s.Node)
+		p, ok := byID[s.Parent]
+		switch {
+		case !ok:
+			return nil, fmt.Errorf("%s span at hop %d: parent %s not in log", s.Kind, h, s.Parent)
+		case h > 0 && (p.Kind != telemetry.SpanHop || p.Hop != h-1):
+			return nil, fmt.Errorf("%s span at hop %d: parent is %s at hop %d, want hop at %d", s.Kind, h, p.Kind, p.Hop, h-1)
+		case h == 0 && (p.Kind != telemetry.SpanLaunch || p.Trace != d.Trace || p.Conn != d.Conn || p.Attempt != d.Attempt):
+			return nil, fmt.Errorf("hop 0: parent is %s of conn %d attempt %d, want the launch of conn %d attempt %d",
+				p.Kind, p.Conn, p.Attempt, d.Conn, d.Attempt)
+		case h == 0:
+			return path, nil
+		}
+		s = p
+	}
 }

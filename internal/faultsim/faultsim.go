@@ -2,67 +2,26 @@ package faultsim
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"p2panon/internal/telemetry"
 )
 
-// EventKind names an entry of the world's event log.
-type EventKind string
-
-// The lifecycle the world logs. Launch is the world handing a connection
-// to the driver. The link logs each hop-forward as a forwarder hands it a
-// FORWARD, and the confirm as a CONFIRM reaches its initiator. Each
-// connection's completion logs the reformations the driver reported, then
-// delivered or failed. Settled marks a batch's payment, fault the
-// application of a scheduled fault.
-const (
-	KindLaunch      EventKind = "launch"
-	KindHopForward  EventKind = "hop-forward"
-	KindConfirm     EventKind = "confirm"
-	KindReformation EventKind = "reformation"
-	KindDelivered   EventKind = "delivered"
-	KindFailed      EventKind = "failed"
-	KindSettled     EventKind = "settled"
-	KindFault       EventKind = "fault"
-)
-
-// Event is one entry of the event log, the harness's own record of a run,
-// kept apart from the driver's span log on purpose: invariants 4–6 check
-// one against the other. It is fed from the link and from connection
-// completions, never from inside the protocol: a duplicated FORWARD is
-// two hop events, a stale CONFIRM a confirm event that resolved nothing,
-// a fault has no span. Node is the acting peer (the forwarder for hop
-// events, the initiator for connection-level ones), Hop its path position
-// where meaningful, Time the virtual clock on a fixed epoch.
-type Event struct {
-	Time   time.Time `json:"t"`
-	Kind   EventKind `json:"kind"`
-	Batch  int       `json:"batch"`
-	Conn   int       `json:"conn"`
-	Node   int       `json:"node"`
-	Hop    int       `json:"hop,omitempty"`
-	Detail string    `json:"detail,omitempty"`
-}
-
-// Result is everything one deterministic run produced: the full event
-// trace, the invariant verdict and the headline counters. Nacks, Timeouts,
+// Result is everything one deterministic run produced: the causal span
+// log, the invariant verdict and the headline counters. Nacks, Timeouts,
 // Reformations and Stale are the driver's own instruments; Nacks counts
 // NACKs generated, Stale replies that found their attempt already over.
+// Hops counts the FORWARDs the link was handed.
 type Result struct {
 	Plan       Plan
-	Events     []Event
 	Violations []Violation
 
 	Sends, OfflineDrops, Stale                    int64
 	Launches, Hops, Nacks, Timeouts, Reformations int64
 	Delivered, Failed, FaultsInjected             int64
 	SettledBatches, SkippedBatches, FailedSettles int
-	TraceDropped                                  uint64
 	VirtualSeconds                                float64
 
 	Spans       []telemetry.Span
@@ -72,25 +31,10 @@ type Result struct {
 // OK reports whether every invariant held.
 func (r *Result) OK() bool { return len(r.Violations) == 0 }
 
-// TraceJSONL renders the event trace as JSON lines, oldest first. Two runs
-// of the same plan must produce byte-identical output — that equality IS
-// the determinism guarantee, and the test suite asserts it.
-func (r *Result) TraceJSONL() []byte {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, ev := range r.Events {
-		if err := enc.Encode(ev); err != nil {
-			// Event is a plain struct of scalars; encoding cannot fail.
-			panic(err)
-		}
-	}
-	return buf.Bytes()
-}
-
-// SpanJSONL renders the causal span log as JSON lines in canonical order.
-// Spans carry virtual-clock timestamps, so like TraceJSONL the output is
-// byte-identical across runs of the same plan — replay-compatible with the
-// event trace and readable by cmd/tracetool.
+// SpanJSONL renders the causal span log as JSON lines in canonical order,
+// readable by cmd/tracetool. Spans carry virtual-clock timestamps, and two
+// runs of the same plan must render byte-identical output — that equality
+// is the determinism guarantee, and the test suite asserts it.
 func (r *Result) SpanJSONL() []byte {
 	var buf bytes.Buffer
 	if err := telemetry.WriteSpansJSONL(&buf, r.Spans); err != nil {
@@ -118,7 +62,6 @@ func Run(p Plan) (*Result, error) {
 	m := w.drv.Metrics()
 	res := &Result{
 		Plan:           p,
-		Events:         w.events,
 		Sends:          w.cSends.Value(),
 		OfflineDrops:   w.cDrops.Value(),
 		Stale:          w.reg.Counter(metricStale, nil).Value(),
@@ -130,7 +73,6 @@ func Run(p Plan) (*Result, error) {
 		Delivered:      m.Connects,
 		Failed:         m.Failures,
 		FaultsInjected: w.cFaults.Value(),
-		TraceDropped:   w.eventsDropped,
 		VirtualSeconds: float64(w.eng.Now()),
 		Spans:          w.spans.Spans(),
 		SpanDropped:    w.spans.Dropped(),
@@ -151,7 +93,7 @@ func Run(p Plan) (*Result, error) {
 			res.FailedSettles++
 		}
 	}
-	res.Violations = w.checkInvariants()
+	res.Violations = w.checkInvariants(res.Spans, res.SpanDropped)
 	return res, nil
 }
 

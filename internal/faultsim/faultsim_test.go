@@ -2,40 +2,18 @@ package faultsim
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"p2panon/internal/core"
 	"p2panon/internal/overlay"
-	"p2panon/internal/vclock"
+	"p2panon/internal/telemetry"
 )
-
-// TestDeterministicTraces is the core replay guarantee: the same plan run
-// twice produces byte-identical event traces and identical counters.
-func TestDeterministicTraces(t *testing.T) {
-	p := GeneratePlan(42)
-	r1, err := Run(p)
-	if err != nil {
-		t.Fatalf("first run: %v", err)
-	}
-	r2, err := Run(p)
-	if err != nil {
-		t.Fatalf("second run: %v", err)
-	}
-	t1, t2 := r1.TraceJSONL(), r2.TraceJSONL()
-	if !bytes.Equal(t1, t2) {
-		t.Fatalf("traces differ across identical runs: %d vs %d bytes", len(t1), len(t2))
-	}
-	if len(t1) == 0 {
-		t.Fatal("empty trace — the world did not run")
-	}
-	if r1.Sends != r2.Sends || r1.Delivered != r2.Delivered || r1.Failed != r2.Failed ||
-		r1.Nacks != r2.Nacks || r1.Timeouts != r2.Timeouts || r1.VirtualSeconds != r2.VirtualSeconds {
-		t.Fatalf("counters differ across identical runs:\n%+v\n%+v", r1, r2)
-	}
-}
 
 // TestBenignPlansHoldInvariants: generated noise plans (drops, delays,
 // duplicates, reorders, crashes, restarts, inflated claims, double
@@ -184,10 +162,36 @@ func TestSeededPlans(t *testing.T) {
 	}
 }
 
+// TestDeterministicTraces is the core replay guarantee: the same plan run
+// twice produces a byte-identical span log and identical counters.
+func TestDeterministicTraces(t *testing.T) {
+	p := GeneratePlan(42)
+	r1, err := Run(p)
+	if err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	r2, err := Run(p)
+	if err != nil {
+		t.Fatalf("second run: %v", err)
+	}
+	t1, t2 := r1.SpanJSONL(), r2.SpanJSONL()
+	if !bytes.Equal(t1, t2) {
+		t.Fatalf("traces differ across identical runs: %d vs %d bytes", len(t1), len(t2))
+	}
+	if len(t1) == 0 {
+		t.Fatal("empty trace — the world did not run")
+	}
+	if r1.Sends != r2.Sends || r1.Hops != r2.Hops || r1.Delivered != r2.Delivered || r1.Failed != r2.Failed ||
+		r1.Nacks != r2.Nacks || r1.Timeouts != r2.Timeouts || r1.VirtualSeconds != r2.VirtualSeconds {
+		t.Fatalf("counters differ across identical runs:\n%+v\n%+v", r1, r2)
+	}
+}
+
 // TestSeededPlansSpanDeterminism extends the replay guarantee to the
-// causal span log: the same plan run twice must produce byte-identical
-// SpanJSONL output, including the virtual-clock timestamps. The name
-// shares the TestSeededPlans prefix so the CI faultsim -race job runs it.
+// causal span log's contents: across seeds, the same plan run twice must
+// produce byte-identical SpanJSONL output, including the virtual-clock
+// timestamps. The name shares the TestSeededPlans prefix so the CI
+// faultsim -race job runs it.
 func TestSeededPlansSpanDeterminism(t *testing.T) {
 	for _, seed := range []uint64{42, 101} {
 		p := GeneratePlan(seed)
@@ -221,36 +225,26 @@ func TestSeededPlansSpanDeterminism(t *testing.T) {
 	}
 }
 
-// TestEventLogCapacity pins the event log's bound: a run that logs more
-// than Plan.TraceCap events keeps the oldest TraceCap of them — a prefix
-// of the unbounded run's log — counts the rest, and reports trace-capacity
-// instead of judging invariants 4–6 over a truncated history.
-func TestEventLogCapacity(t *testing.T) {
-	full, err := Run(Plan{Seed: 5, Batches: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestSpanLogCapacity pins the span log's bound: a run that records more
+// than Plan.TraceCap spans keeps TraceCap of them, counts the rest, and
+// reports trace-capacity instead of judging invariants 4–6 over a
+// truncated history.
+func TestSpanLogCapacity(t *testing.T) {
 	const limit = 8
-	if len(full.Events) <= limit || full.TraceDropped != 0 || !full.OK() {
-		t.Fatalf("reference run: %d events, %d dropped, violations %v", len(full.Events), full.TraceDropped, full.Violations)
-	}
 	res, err := Run(Plan{Seed: 5, Batches: 1, TraceCap: limit})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := full.TraceJSONL(); !bytes.HasPrefix(want, res.TraceJSONL()) || len(res.Events) != limit {
-		t.Fatalf("capped log is not the first %d events of the full one:\n%s", limit, res.TraceJSONL())
-	}
-	if want := uint64(len(full.Events) - limit); res.TraceDropped != want {
-		t.Fatalf("dropped %d events, want %d", res.TraceDropped, want)
+	if len(res.Spans) != limit || res.SpanDropped == 0 {
+		t.Fatalf("capped run kept %d spans and dropped %d, want %d kept and some dropped", len(res.Spans), res.SpanDropped, limit)
 	}
 	fired := false
 	for _, v := range res.Violations {
 		switch v.Invariant {
 		case InvTraceCapacity:
 			fired = true
-		case InvContiguity, InvReformation, InvReconcile:
-			t.Fatalf("trace-backed invariant judged a truncated log: %v", v)
+		case InvContiguity, InvReformation, InvReconcile, InvSpanOrphan:
+			t.Fatalf("span-backed invariant judged a truncated log: %v", v)
 		}
 	}
 	if !fired {
@@ -268,7 +262,7 @@ func cleanWorld(t *testing.T, p Plan) *world {
 	}
 	w.setup()
 	w.eng.Run()
-	if v := w.checkInvariants(); len(v) != 0 {
+	if v := w.checkInvariants(w.spans.Spans(), w.spans.Dropped()); len(v) != 0 {
 		t.Fatalf("clean plan violates %v", v)
 	}
 	return w
@@ -288,10 +282,9 @@ func firstDelivered(t *testing.T, w *world) *connOutcome {
 	return nil
 }
 
-// requireViolation re-runs the checkers and requires inv among the result.
-func requireViolation(t *testing.T, w *world, inv string) {
+// requireViolation requires inv among vs.
+func requireViolation(t *testing.T, vs []Violation, inv string) {
 	t.Helper()
-	vs := w.checkInvariants()
 	for _, v := range vs {
 		if v.Invariant == inv {
 			return
@@ -301,15 +294,16 @@ func requireViolation(t *testing.T, w *world, inv string) {
 }
 
 // TestContiguityCatchesUncarriedPath: invariant 4 reads delivered paths
-// from the driver's completions and the CONFIRMs and FORWARDs from the
-// link, so a delivered path the wire never carried must not pass.
+// from the driver's completions and holds each to the stations its
+// deliver span's parent chain names, so a delivered path the wire never
+// carried must not pass.
 func TestContiguityCatchesUncarriedPath(t *testing.T) {
 	w := cleanWorld(t, Plan{Seed: 5, Batches: 2})
 	c := firstDelivered(t, w)
 	forged := append([]overlay.NodeID(nil), c.path...)
 	forged[len(forged)/2] = overlay.NodeID(w.plan.Nodes + 1000) // no such node
 	c.path = forged
-	requireViolation(t, w, InvContiguity)
+	requireViolation(t, w.checkInvariants(w.spans.Spans(), 0), InvContiguity)
 }
 
 // TestReformationCountCatchesMisreport: invariant 5 holds each
@@ -318,7 +312,38 @@ func TestContiguityCatchesUncarriedPath(t *testing.T) {
 func TestReformationCountCatchesMisreport(t *testing.T) {
 	w := cleanWorld(t, Plan{Seed: 5, Batches: 2})
 	firstDelivered(t, w).reforms++
-	requireViolation(t, w, InvReformation)
+	requireViolation(t, w.checkInvariants(w.spans.Spans(), 0), InvReformation)
+}
+
+// TestReconcileCatchesMissingDeliverSpan: invariant 6 holds the span log
+// to the driver's counters, so a log missing one deliver span must not
+// pass.
+func TestReconcileCatchesMissingDeliverSpan(t *testing.T) {
+	w := cleanWorld(t, Plan{Seed: 5, Batches: 2})
+	spans := w.spans.Spans()
+	i := slices.IndexFunc(spans, func(s telemetry.Span) bool { return s.Kind == telemetry.SpanDeliver })
+	if i < 0 {
+		t.Fatal("no deliver span")
+	}
+	requireViolation(t, w.checkInvariants(slices.Delete(spans, i, i+1), 0), InvReconcile)
+}
+
+// TestClusterArtifactCatchesMissingHop: a merged log that lost a
+// forwarder's hop span breaks the chain of the deliver span above it and
+// orphans the span that parented on it.
+func TestClusterArtifactCatchesMissingHop(t *testing.T) {
+	w := cleanWorld(t, Plan{Seed: 5, Batches: 1})
+	spans := w.spans.Spans()
+	if vs := CheckClusterArtifact(w.plan, nil, nil, spans, 0); len(vs) != 0 {
+		t.Fatalf("clean log violates %v", vs)
+	}
+	i := slices.IndexFunc(spans, func(s telemetry.Span) bool { return s.Kind == telemetry.SpanHop && s.Hop == 1 })
+	if i < 0 {
+		t.Fatal("no forwarder hop span")
+	}
+	vs := CheckClusterArtifact(w.plan, nil, nil, slices.Delete(spans, i, i+1), 0)
+	requireViolation(t, vs, InvContiguity)
+	requireViolation(t, vs, InvSpanOrphan)
 }
 
 // TestMidConnectionCrash crashes a node while a FORWARD or a CONFIRM is
@@ -332,9 +357,9 @@ func TestMidConnectionCrash(t *testing.T) {
 	// Connection 2's launch time and path, from a clean run.
 	w := cleanWorld(t, base)
 	var at float64
-	for _, ev := range w.events {
-		if ev.Conn == 2 && ev.Kind == KindLaunch {
-			at = ev.Time.Sub(vclock.Epoch).Seconds()
+	for _, s := range w.spans.Spans() {
+		if s.Kind == telemetry.SpanLaunch && s.Conn == 2 && s.Attempt == 1 {
+			at = float64(s.TimeMicros) / 1e6
 		}
 	}
 	path := w.batches[0].conns[1].path
@@ -344,27 +369,27 @@ func TestMidConnectionCrash(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		victim overlay.NodeID
-		check  func(t *testing.T, res *Result)
+		check  func(t *testing.T, res *Result, conns []connOutcome)
 	}{
-		{"forwarder", path[1], func(t *testing.T, res *Result) {
+		{"forwarder", path[1], func(t *testing.T, res *Result, conns []connOutcome) {
 			if res.Nacks == 0 || res.OfflineDrops == 0 || res.Reformations == 0 || res.Failed != 0 {
 				t.Errorf("nacks %d, offline drops %d, reformations %d, failed %d: want a NACK, a drop and a reformation, no failure",
 					res.Nacks, res.OfflineDrops, res.Reformations, res.Failed)
 			}
 		}},
-		{"initiator", path[0], func(t *testing.T, res *Result) {
-			refused, departed := 0, 0
-			for _, ev := range res.Events {
+		{"initiator", path[0], func(t *testing.T, res *Result, conns []connOutcome) {
+			refused, failed := 0, 0
+			for _, c := range conns {
 				switch {
-				case ev.Kind != KindFailed:
-				case strings.HasPrefix(ev.Detail, "refused: "):
+				case c.refused:
 					refused++
-				case strings.Contains(ev.Detail, "departed"):
-					departed++
+				case c.path == nil:
+					failed++
 				}
 			}
-			if res.Delivered != 1 || departed != 1 || refused != res.Plan.Conns-2 || res.Timeouts == 0 {
-				t.Errorf("delivered %d, departed %d, refused %d, timeouts %d", res.Delivered, departed, refused, res.Timeouts)
+			if res.Delivered != 1 || failed != 1 || conns[1].path != nil || refused != res.Plan.Conns-2 || res.Timeouts == 0 {
+				t.Errorf("delivered %d, failed %d, refused %d, timeouts %d; want conn 1 delivered, conn 2 failed, the rest refused",
+					res.Delivered, failed, refused, res.Timeouts)
 			}
 		}},
 	} {
@@ -374,7 +399,7 @@ func TestMidConnectionCrash(t *testing.T) {
 			// the wire, and the victim is gone when it or its CONFIRM lands.
 			p.Faults = []Fault{{Kind: FaultCrash, At: at + 0.005, Node: int(tc.victim)}}
 			res := Check(t, p)
-			tc.check(t, res)
+			tc.check(t, res, cleanWorld(t, p).batches[0].conns)
 		})
 	}
 }
@@ -383,20 +408,17 @@ func TestMidConnectionCrash(t *testing.T) {
 // the initiator's, to the first forwarder — and holds the copy back past
 // the batch's settle. The settle closed the forwarder's station, as a
 // live settle closes the stations it reaches, so the copy is refused and
-// counted instead of routed, and every invariant still holds. The second
-// batch only keeps the world running past the first one's settle.
+// counted instead of routed: the link is handed exactly the FORWARDs of
+// the fault-free plan, and every invariant still holds. The second batch
+// only keeps the world running past the first one's settle.
 func TestLateMessageAfterSettleRefused(t *testing.T) {
 	p := Plan{Seed: 5, Batches: 2, Conns: 1}.Normalize()
-	p.Faults = []Fault{{Kind: FaultDuplicate, Batch: 1, Conn: 1, Msg: 1, Delay: 2 * p.SettleDelay}}
-	w, err := newWorld(p)
+	clean, err := Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.setup()
-	w.eng.Run()
-	if v := w.checkInvariants(); len(v) != 0 {
-		t.Fatalf("violations: %v", v)
-	}
+	p.Faults = []Fault{{Kind: FaultDuplicate, Batch: 1, Conn: 1, Msg: 1, Delay: 2 * p.SettleDelay}}
+	w := cleanWorld(t, p)
 	rec := w.batches[0]
 	if !rec.settled || len(rec.conns) != 1 || len(rec.conns[0].path) < 3 {
 		t.Fatalf("batch 1: settled %v, connections %+v; want one settled connection with a forwarder", rec.settled, rec.conns)
@@ -404,14 +426,8 @@ func TestLateMessageAfterSettleRefused(t *testing.T) {
 	if got := w.reg.Counter("transport_closed_batch_total", nil).Value(); got < 1 {
 		t.Fatalf("transport_closed_batch_total = %d: the late copy was not refused", got)
 	}
-	copies := 0
-	for _, ev := range w.events {
-		if ev.Kind == KindHopForward && ev.Batch == 1 && ev.Hop == 1 {
-			copies++
-		}
-	}
-	if copies != 1 {
-		t.Fatalf("first forwarder handed on %d FORWARDs, want the original's only", copies)
+	if w.forwards != clean.Hops {
+		t.Fatalf("link handed %d FORWARDs, the fault-free plan %d: the late copy was routed", w.forwards, clean.Hops)
 	}
 }
 
@@ -424,6 +440,12 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		{Faults: []Fault{{Kind: FaultDrop}}},          // missing batch/conn/msg
 		{Faults: []Fault{{Kind: FaultCrash, At: -1}}}, // negative time
 		{Faults: []Fault{{Kind: FaultDoubleSpend}}},   // missing batch
+		{TraceCap: -1},
+		{ProbePeriod: -5},
+		{MaxAttempts: -1},
+		{Budget: -3},
+		{Conns: -2},
+		{Batches: -1},
 	}
 	for i, p := range cases {
 		if err := p.Validate(); err == nil {
@@ -432,6 +454,20 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 	}
 	if err := GeneratePlan(1).Validate(); err != nil {
 		t.Errorf("generated plan invalid: %v", err)
+	}
+}
+
+// TestClusterArtifactSkipsTruncatedLog: dropped spans void the span-side
+// checks of a cluster artifact, so an owed credit whose settle span was
+// dropped is reported as trace-capacity alone, not as a double-settle.
+func TestClusterArtifactSkipsTruncatedLog(t *testing.T) {
+	p := Plan{Seed: 1}.Normalize()
+	credit := ClusterCredit{Batch: 1, Node: 2, Forwards: 1,
+		PayoffBits: math.Float64bits(core.Contract{Pf: float64(p.Pf), Pr: float64(p.Pr)}.Payoff(1, 1))}
+	batches := []ClusterBatch{{Batch: 1, Initiator: 0, Responder: 1, SetSize: 1, Expected: []ClusterCredit{credit}}}
+	vs := CheckClusterArtifact(p, batches, []ClusterCredit{credit}, nil, 1)
+	if len(vs) != 1 || vs[0].Invariant != InvTraceCapacity {
+		t.Fatalf("violations %v, want %s alone", vs, InvTraceCapacity)
 	}
 }
 

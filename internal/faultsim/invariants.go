@@ -2,6 +2,7 @@ package faultsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"p2panon/internal/overlay"
@@ -14,10 +15,10 @@ const (
 	InvSettlement    = "settlement"           // every non-skipped batch settles without error
 	InvConservation  = "payment-conservation" // credits are conserved and land where the rules say
 	InvDoubleSettle  = "double-settle"        // no forwarder is paid twice in one batch
-	InvContiguity    = "path-contiguity"      // delivered paths arrived as a CONFIRM over logged hop-forwards
+	InvContiguity    = "path-contiguity"      // each deliver span's parent chain names exactly its path
 	InvReformation   = "reformation-count"    // per connection, launches, reform spans and reported reformations agree
-	InvReconcile     = "telemetry-reconcile"  // counters agree with the trace and the mirrored expectations
-	InvTraceCapacity = "trace-capacity"       // neither the event log nor the span log overflowed
+	InvReconcile     = "telemetry-reconcile"  // counters agree with the span log and the mirrored expectations
+	InvTraceCapacity = "trace-capacity"       // the span log did not overflow
 )
 
 // Violation is one invariant failure found after a run.
@@ -28,12 +29,21 @@ type Violation struct {
 
 func (v Violation) String() string { return v.Invariant + ": " + v.Detail }
 
-// checkInvariants runs every post-run checker and returns the violations.
-func (w *world) checkInvariants() []Violation {
-	var out []Violation
-	add := func(inv, format string, args ...any) {
-		out = append(out, Violation{Invariant: inv, Detail: fmt.Sprintf(format, args...)})
-	}
+// violations collects what a checker finds.
+type violations []Violation
+
+func (vs *violations) add(inv, format string, args ...any) {
+	*vs = append(*vs, Violation{Invariant: inv, Detail: fmt.Sprintf(format, args...)})
+}
+
+// connKey names one connection of a run.
+type connKey struct{ batch, conn int }
+
+// checkInvariants runs every post-run checker over the world's state and
+// its span log: spans, short of the dropped ones the recorder refused.
+func (w *world) checkInvariants(spans []telemetry.Span, dropped uint64) []Violation {
+	var out violations
+	add := out.add
 
 	// (1) Settlement: any batch that tried to settle and errored.
 	for _, rec := range w.batches {
@@ -109,55 +119,23 @@ func (w *world) checkInvariants() []Violation {
 		}
 	}
 
-	// (7) Trace capacity first: the log- and span-backed checkers below
-	// are only meaningful over complete histories.
-	if dropped := w.spans.Dropped(); w.eventsDropped > 0 || dropped > 0 {
-		add(InvTraceCapacity, "event log dropped %d events, span log %d spans (cap %d); trace-backed invariants skipped",
-			w.eventsDropped, dropped, w.plan.TraceCap)
+	// (7) Trace capacity first, then the span log's own checks; (4)–(6)
+	// below are only meaningful over a complete log.
+	paths, complete := checkSpanLog(&out, spans, dropped)
+	if !complete {
 		return out
 	}
-	type connKey struct{ batch, conn int }
-	type logKey struct {
-		connKey
-		kind      EventKind
-		hop, node int
-		detail    string
-	}
-	logged := make(map[logKey]bool)
-	kindCount := make(map[EventKind]int64)
-	for _, ev := range w.events {
-		kindCount[ev.Kind]++
-		switch ev.Kind {
-		case KindHopForward:
-			logged[logKey{connKey{ev.Batch, ev.Conn}, ev.Kind, ev.Hop, ev.Node, ev.Detail}] = true
-		case KindConfirm:
-			logged[logKey{connKey{ev.Batch, ev.Conn}, ev.Kind, 0, 0, ev.Detail}] = true
-		}
-	}
 
-	// (4) Path contiguity: every delivered path arrived at its initiator as
-	// the CONFIRM of the delivering attempt, and the link carried that
-	// attempt's FORWARD from each position but the responder's. "At least
-	// one": a duplicated message can legitimately be logged twice.
-	var refused int64
+	// (4) Path contiguity: every delivered path is exactly the one its
+	// deliver span's parent chain names.
 	for _, rec := range w.batches {
 		for i, c := range rec.conns {
-			k := connKey{rec.batch, i + 1}
-			if c.refused {
-				refused++
-			}
 			if c.path == nil {
 				continue
 			}
-			if !logged[logKey{k, KindConfirm, 0, 0, pathDetail(c.attempt, c.path)}] {
-				add(InvContiguity, "batch %d conn %d: delivered path %v (attempt %d) never reached the initiator as a CONFIRM",
-					k.batch, k.conn, c.path, c.attempt)
-			}
-			for h := 0; h+1 < len(c.path); h++ {
-				if !logged[logKey{k, KindHopForward, h, int(c.path[h]), attemptDetail(c.attempt)}] {
-					add(InvContiguity, "batch %d conn %d: delivered path %v has no hop-forward at position %d (node %d, attempt %d)",
-						k.batch, k.conn, c.path, h, c.path[h], c.attempt)
-				}
+			if got, ok := paths[connKey{rec.batch, i + 1}]; !ok || !slices.Equal(got, c.path) {
+				add(InvContiguity, "batch %d conn %d: delivered path %v, deliver span chain names %v",
+					rec.batch, i+1, c.path, got)
 			}
 		}
 	}
@@ -167,10 +145,12 @@ func (w *world) checkInvariants() []Violation {
 	// the driver reported, and the connection ends in exactly one deliver
 	// or fail. A refused connection has no spans at all.
 	type tally struct{ launch, reform, terminal int }
-	spans := make(map[connKey]tally)
-	for _, s := range w.spans.Spans() {
+	tallies := make(map[connKey]tally)
+	kinds := make(map[telemetry.SpanKind]int64)
+	for _, s := range spans {
+		kinds[s.Kind]++
 		k := connKey{s.Batch, s.Conn}
-		t := spans[k]
+		t := tallies[k]
 		switch s.Kind {
 		case telemetry.SpanLaunch:
 			t.launch++
@@ -179,11 +159,11 @@ func (w *world) checkInvariants() []Violation {
 		case telemetry.SpanDeliver, telemetry.SpanFail:
 			t.terminal++
 		}
-		spans[k] = t
+		tallies[k] = t
 	}
 	for _, rec := range w.batches {
 		for i, c := range rec.conns {
-			t := spans[connKey{rec.batch, i + 1}]
+			t := tallies[connKey{rec.batch, i + 1}]
 			launched := 1
 			if c.refused {
 				launched = 0
@@ -195,20 +175,20 @@ func (w *world) checkInvariants() []Violation {
 		}
 	}
 
-	// (6) Reconciliation: the event log and the driver's instruments are
-	// two independent records of the same run; they must agree with each
-	// other and with the expectations mirrored during injection.
+	// (6) Reconciliation: the span log and the driver's instruments must
+	// agree with each other and with the expectations mirrored during
+	// injection.
 	ok := w.reg.Counter(metricConns, telemetry.Labels{"result": "ok"}).Value()
 	fail := w.reg.Counter(metricConns, telemetry.Labels{"result": "fail"}).Value()
 	for _, rc := range []struct {
 		what      string
 		got, want int64
 	}{
-		{"launch events vs connections ok+fail+refused", kindCount[KindLaunch], ok + fail + refused},
-		{"delivered events vs " + metricConns + "{result=ok}", kindCount[KindDelivered], ok},
-		{"failed events vs " + metricConns + "{result=fail}+refused", kindCount[KindFailed], fail + refused},
-		{"reformation events vs " + metricReforms, kindCount[KindReformation], w.reg.Counter(metricReforms, nil).Value()},
-		{"fault events vs " + metricFaults, kindCount[KindFault], w.cFaults.Value()},
+		{"deliver spans vs " + metricConns + "{result=ok}", kinds[telemetry.SpanDeliver], ok},
+		{"fail spans vs " + metricConns + "{result=fail}", kinds[telemetry.SpanFail], fail},
+		{"reform spans vs " + metricReforms, kinds[telemetry.SpanReform], w.reg.Counter(metricReforms, nil).Value()},
+		{"fault spans vs " + metricFaults, kinds[telemetry.SpanFault], w.cFaults.Value()},
+		{"settle spans vs " + metricSettlements, kinds[telemetry.SpanSettle], w.reg.Counter(metricSettlements, nil).Value()},
 		{metricMalformed + " (the world drops, delays and copies, never forges)", w.reg.Counter(metricMalformed, nil).Value(), 0},
 	} {
 		if rc.got != rc.want {
@@ -228,9 +208,6 @@ func (w *world) checkInvariants() []Violation {
 	}
 	if got := w.reg.Counter(metricSettlements, nil).Value(); got != payouts {
 		add(InvReconcile, "%s = %d, want the settled batches' %d payouts", metricSettlements, got, payouts)
-	}
-	if got, want := kindCount[KindSettled], settledBatches; got != want {
-		add(InvReconcile, "trace holds %d settled events, want %d", got, want)
 	}
 	dsCounter := w.reg.Counter("payment_cheats_detected_total", telemetry.Labels{"kind": "double_spend"})
 	if got := dsCounter.Value(); got != int64(w.expectCheatsDS) {

@@ -7,7 +7,7 @@
 // mid-batch, inflated forwarding claims, settlement double-spends, probe
 // lies — and after the run a set of system-wide invariant checkers must
 // hold. Because the world is deterministic, the same (plan, seed)
-// produces a byte-identical event trace on every run, a failing plan
+// produces a byte-identical span log on every run, a failing plan
 // replays exactly, and Shrink can bisect a fault schedule down to a
 // minimal reproducer.
 //
@@ -116,8 +116,8 @@ type Plan struct {
 	// and its settlement; the batch's funds stay in escrow meanwhile.
 	SettleDelay float64 `json:"settle_delay,omitempty"`
 
-	// TraceCap bounds the event log and the span recorder alike; the
-	// trace-capacity invariant fails if the run logs more events than this.
+	// TraceCap bounds the span recorder; the trace-capacity invariant fails
+	// if the run records more spans than this.
 	TraceCap int `json:"trace_cap,omitempty"`
 
 	// KeyBits sizes the bank's RSA key (small keys keep runs fast; the
@@ -194,6 +194,9 @@ func (p Plan) Validate() error {
 	}
 	if p.Degree < 1 {
 		return fmt.Errorf("faultsim: degree %d", p.Degree)
+	}
+	if p.Batches < 1 || p.Conns < 1 || p.Budget < 1 || p.MaxAttempts < 1 || p.TraceCap < 1 || p.ProbePeriod <= 0 {
+		return errors.New("faultsim: batches, conns, budget, max_attempts, trace_cap and probe_period must be positive")
 	}
 	if p.MaliciousFraction < 0 || p.MaliciousFraction > 1 {
 		return fmt.Errorf("faultsim: malicious fraction %g", p.MaliciousFraction)

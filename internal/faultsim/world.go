@@ -20,8 +20,8 @@ import (
 
 // Harness metric names: the link's own accounting. Sends and offline drops
 // have no per-send reconciliation; injected faults are reconciled against
-// the log's fault events. The protocol's counters are the driver's
-// transport_* instruments, bound into the world's registry.
+// the fault spans. The protocol's counters are the driver's transport_*
+// instruments, bound into the world's registry.
 const (
 	metricSends  = "faultsim_sends_total"
 	metricDrops  = "faultsim_offline_drops_total"
@@ -39,7 +39,6 @@ const (
 type connOutcome struct {
 	refused bool             // the driver refused it up front (initiator offline)
 	path    []overlay.NodeID // nil unless delivered
-	attempt int              // Message.Attempt of the delivering attempt
 	reforms int
 }
 
@@ -74,9 +73,11 @@ func (rec *batchRecord) station(id overlay.NodeID) *transport.Station {
 	return st
 }
 
-// faultSlot is a message fault awaiting its matching send.
+// faultSlot is a message fault awaiting its matching send; i is its
+// index in the plan.
 type faultSlot struct {
 	Fault
+	i    int
 	used bool
 }
 
@@ -97,9 +98,9 @@ type world struct {
 	reg    *telemetry.Registry
 	spans  *telemetry.SpanRecorder
 
-	// The event log: at most plan.TraceCap entries, the overflow counted.
-	events        []Event
-	eventsDropped uint64
+	// The per-run root: node faults, which fire at a time rather than in
+	// a batch, parent their fault spans on it.
+	runTrace, runRoot telemetry.SpanID
 
 	rng       *dist.Source // world randomness (endpoints, churn, probes)
 	routerRNG *dist.Source // router randomness, split per batch
@@ -169,32 +170,21 @@ func newWorld(p Plan) (*world, error) {
 	return w, nil
 }
 
-// trace stamps ev with the virtual clock and appends it to the event log.
-func (w *world) trace(ev Event) {
-	if len(w.events) >= w.plan.TraceCap {
-		w.eventsDropped++
-		return
-	}
-	ev.Time = w.clk.Now()
-	w.events = append(w.events, ev)
-}
-
-// traceFault records the application of a scheduled fault. Counter and
-// event move together so reconciliation can compare them.
-func (w *world) traceFault(f Fault, detail string) {
+// traceFault records the application of plan fault i as a fault span on
+// the root of batch rec, or on the run root when rec is nil. Counter and
+// span move together so reconciliation can compare them. The span's Hop
+// is the fault's plan index, so two faults on one node are two spans.
+func (w *world) traceFault(rec *batchRecord, i int, detail string) {
+	f := w.plan.Faults[i]
 	w.cFaults.Inc()
-	w.trace(Event{
-		Kind: KindFault, Batch: f.Batch, Conn: f.Conn, Node: f.Node,
-		Detail: fmt.Sprintf("%s: %s", f.Kind, detail),
-	})
-}
-
-// attemptDetail and pathDetail are the event details invariant 4 matches
-// a delivered connection against.
-func attemptDetail(attempt int) string { return fmt.Sprintf("attempt %d", attempt) }
-
-func pathDetail(attempt int, path []overlay.NodeID) string {
-	return fmt.Sprintf("attempt %d path %v", attempt, path)
+	s := telemetry.Span{
+		Trace: w.runTrace, Parent: w.runRoot, Kind: telemetry.SpanFault,
+		Conn: f.Conn, Hop: i, Node: f.Node, Detail: fmt.Sprintf("%s: %s", f.Kind, detail),
+	}
+	if rec != nil {
+		s.Trace, s.Parent, s.Batch = rec.trace, rec.root, rec.batch
+	}
+	w.spans.Emit(s)
 }
 
 // setup wires the world together and schedules everything up to the first
@@ -227,13 +217,13 @@ func (w *world) setup() {
 	w.churn.Start(w.eng)
 	w.probes.Attach(w.eng)
 
-	for i := range w.plan.Faults {
-		f := w.plan.Faults[i]
+	w.runTrace, w.runRoot = w.spans.Root(0, int(overlay.None), int(overlay.None))
+	for i, f := range w.plan.Faults {
 		switch f.Kind {
 		case FaultCrash, FaultRestart, FaultDoubleDeposit, FaultProbeLie:
-			w.eng.AfterFunc(sim.Time(f.At), func(*sim.Engine) { w.applyNodeFault(f) })
+			w.eng.AfterFunc(sim.Time(f.At), func(*sim.Engine) { w.applyNodeFault(i) })
 		case FaultDrop, FaultDelay, FaultDuplicate, FaultReorder:
-			w.msgFaults = append(w.msgFaults, &faultSlot{Fault: f})
+			w.msgFaults = append(w.msgFaults, &faultSlot{Fault: f, i: i})
 		}
 	}
 
@@ -258,15 +248,11 @@ func (w *world) Addressable(id overlay.NodeID) bool { return w.net.Exists(id) }
 // Send implements transport.Link. Every message is accepted; the plan's
 // first message fault matching its (batch, conn, per-connection index)
 // drops, delays, duplicates or holds it back, and otherwise it arrives
-// Latency later. A FORWARD handed over is the event log's hop-forward.
+// Latency later.
 func (w *world) Send(from, to overlay.NodeID, m transport.Message) bool {
 	w.cSends.Inc()
 	if m.Kind == transport.MsgForward {
 		w.forwards++
-		w.trace(Event{
-			Kind: KindHopForward, Batch: m.Batch, Conn: m.Conn, Node: int(from),
-			Hop: len(m.Path) - 1, Detail: attemptDetail(m.Attempt),
-		})
 	}
 	key := [2]int{m.Batch, m.Conn}
 	w.msgSeq[key]++
@@ -277,7 +263,7 @@ func (w *world) Send(from, to overlay.NodeID, m transport.Message) bool {
 			continue
 		}
 		fs.used = true
-		w.traceFault(fs.Fault, fmt.Sprintf("msg %d (%s %d->%d)", seq, m.Kind, from, to))
+		w.traceFault(w.batches[m.Batch-1], fs.i, fmt.Sprintf("msg %d (%s %d->%d)", seq, m.Kind, from, to))
 		switch fs.Kind {
 		case FaultDrop: // accepted, never delivered
 		case FaultDelay, FaultReorder:
@@ -301,18 +287,11 @@ func (w *world) deliverAfter(d sim.Time, from, to overlay.NodeID, m transport.Me
 
 // deliver hands m to its target's station for m's batch, or reports an
 // offline target to the driver, which marks it dead and NACKs or reroutes.
-// A CONFIRM reaching its initiator is the event log's confirm.
 func (w *world) deliver(from, to overlay.NodeID, m transport.Message) {
 	if !w.net.Online(to) {
 		w.cDrops.Inc()
 		w.drv.Undeliverable(from, to, m)
 		return
-	}
-	if m.Kind == transport.MsgConfirm && to == m.Initiator {
-		w.trace(Event{
-			Kind: KindConfirm, Batch: m.Batch, Conn: m.Conn, Node: int(to),
-			Hop: len(m.Path), Detail: pathDetail(m.Attempt, m.Path),
-		})
 	}
 	w.drv.Handle(w.batches[m.Batch-1].station(to), m)
 }
@@ -437,10 +416,6 @@ func (w *world) nextBatch() {
 // batch's connections run one after another, as RunBatch runs them.
 func (w *world) launchConn(c int) {
 	rec := w.curRec
-	w.trace(Event{
-		Kind: KindLaunch, Batch: rec.batch, Conn: c, Node: int(rec.initiator),
-		Detail: fmt.Sprintf("responder %d budget %d", rec.responder, w.plan.Budget),
-	})
 	timeout := time.Duration(w.plan.MaxAttempts) * sim.Time(w.plan.AttemptTimeout).Duration()
 	err := w.drv.Start(rec.initiator, rec.responder, rec.batch, c, w.plan.Budget, timeout, func(o transport.Outcome) {
 		w.connDone(rec, c, false, o)
@@ -450,25 +425,12 @@ func (w *world) launchConn(c int) {
 	}
 }
 
-// connDone logs a connection's completion — its reported reformations,
-// then delivered or failed — mints the receipts a delivered path earns,
-// and moves on to the next connection or the batch's settlement.
+// connDone records a connection's outcome, mints the receipts a
+// delivered path earns, and moves on to the next connection or the
+// batch's settlement.
 func (w *world) connDone(rec *batchRecord, c int, refused bool, o transport.Outcome) {
-	rec.conns = append(rec.conns, connOutcome{refused: refused, path: o.Path, attempt: o.Attempt, reforms: o.Reformations})
-	ev := Event{Batch: rec.batch, Conn: c, Node: int(rec.initiator)}
-	for i := 1; i <= o.Reformations; i++ {
-		ev.Kind, ev.Detail = KindReformation, fmt.Sprintf("reformation %d", i)
-		w.trace(ev)
-	}
-	if o.Err != nil {
-		ev.Kind, ev.Detail = KindFailed, o.Err.Error()
-		if refused {
-			ev.Detail = "refused: " + ev.Detail
-		}
-		w.trace(ev)
-	} else {
-		ev.Kind, ev.Hop, ev.Detail = KindDelivered, len(o.Path), pathDetail(o.Attempt, o.Path)
-		w.trace(ev)
+	rec.conns = append(rec.conns, connOutcome{refused: refused, path: o.Path, reforms: o.Reformations})
+	if o.Err == nil {
 		for i := 1; i <= len(o.Path)-2; i++ {
 			f := o.Path[i]
 			rec.receipts[f] = append(rec.receipts[f], rec.minter.Mint(c, i, payment.AccountID(f)))
@@ -502,9 +464,9 @@ func (w *world) settleBatch() {
 			Receipts:  append([]payment.Receipt(nil), rec.receipts[f]...),
 		})
 	}
-	for _, f := range w.plan.Faults {
+	for i, f := range w.plan.Faults {
 		if f.Kind == FaultInflate && f.Batch == rec.batch {
-			claims = w.applyInflate(rec, claims, f)
+			claims = w.applyInflate(rec, claims, i)
 		}
 	}
 	rec.expectRejected = expectRejected(rec.minter, claims)
@@ -512,7 +474,7 @@ func (w *world) settleBatch() {
 }
 
 // settle pays the batch out of its escrow, folds the outcome into the
-// batch record — the settled trace event — and lands it on the batch's
+// batch record and lands it on the batch's
 // stations as the live backends do (Driver.Settled): the initiator's
 // closes, and each paid forwarder's closes with a credit, counted and
 // spanned. From then on those stations refuse the batch's late
@@ -527,18 +489,14 @@ func (w *world) settle(rec *batchRecord, claims []payment.Claim) {
 		rec.escrow.Close() // best effort: return whatever is still locked
 	} else {
 		rec.settled = true
-		w.trace(Event{
-			Kind: KindSettled, Batch: rec.batch, Node: int(rec.initiator),
-			Detail: fmt.Sprintf("%d payouts, refund %d", len(payouts), refund),
-		})
 		w.drv.Settled(rec.station(rec.initiator), rec.batch, nil)
 		for _, po := range payouts {
 			credit := transport.Credit{Payoff: float64(po.Amount), Trace: rec.trace, Root: rec.root}
 			w.drv.Settled(rec.station(overlay.NodeID(po.Forwarder)), rec.batch, &credit)
 		}
-		for _, f := range w.plan.Faults {
+		for i, f := range w.plan.Faults {
 			if f.Kind == FaultDoubleSpend && f.Batch == rec.batch {
-				w.applyDoubleSpend(rec, f)
+				w.applyDoubleSpend(rec, i)
 			}
 		}
 	}
@@ -548,7 +506,8 @@ func (w *world) settle(rec *batchRecord, claims []payment.Claim) {
 // applyInflate pads the target's claim with forged receipts plus one
 // duplicate of a real receipt when it has any — the §5 inflated forwarding
 // count. A correct settlement rejects every one of them.
-func (w *world) applyInflate(rec *batchRecord, claims []payment.Claim, f Fault) []payment.Claim {
+func (w *world) applyInflate(rec *batchRecord, claims []payment.Claim, i int) []payment.Claim {
+	f := w.plan.Faults[i]
 	target := payment.AccountID(f.Node)
 	idx := -1
 	for i := range claims {
@@ -561,14 +520,14 @@ func (w *world) applyInflate(rec *batchRecord, claims []payment.Claim, f Fault) 
 		claims = append(claims, payment.Claim{Forwarder: target})
 		idx = len(claims) - 1
 	}
-	for i := 0; i < f.Count; i++ {
+	for j := 0; j < f.Count; j++ {
 		claims[idx].Receipts = append(claims[idx].Receipts,
-			payment.Receipt{Conn: 100000 + i, Hop: i, Forwarder: target})
+			payment.Receipt{Conn: 100000 + j, Hop: j, Forwarder: target})
 	}
 	if rs := rec.receipts[overlay.NodeID(f.Node)]; len(rs) > 0 {
 		claims[idx].Receipts = append(claims[idx].Receipts, rs[0])
 	}
-	w.traceFault(f, fmt.Sprintf("claim of node %d padded with %d forged receipts", f.Node, f.Count))
+	w.traceFault(rec, i, fmt.Sprintf("claim of node %d padded with %d forged receipts", f.Node, f.Count))
 	return claims
 }
 
@@ -576,9 +535,10 @@ func (w *world) applyInflate(rec *batchRecord, claims []payment.Claim, f Fault) 
 // (the first payout when Node was not paid), from a fresh escrow of the
 // initiator's: the planted defect — money the payout rule never owed —
 // that the payment-conservation invariant must catch.
-func (w *world) applyDoubleSpend(rec *batchRecord, f Fault) {
+func (w *world) applyDoubleSpend(rec *batchRecord, i int) {
+	f := w.plan.Faults[i]
 	if len(rec.payouts) == 0 {
-		w.traceFault(f, "no payouts to repeat (noop)")
+		w.traceFault(rec, i, "no payouts to repeat (noop)")
 		return
 	}
 	po := rec.payouts[0]
@@ -593,7 +553,7 @@ func (w *world) applyDoubleSpend(rec *batchRecord, f Fault) {
 			_, err = esc.Close()
 		}
 	}
-	w.traceFault(f, fmt.Sprintf("forwarder %d paid %d a second time, err=%v", po.Forwarder, po.Amount, err))
+	w.traceFault(rec, i, fmt.Sprintf("forwarder %d paid %d a second time, err=%v", po.Forwarder, po.Amount, err))
 }
 
 // expectRejected mirrors the bank's payout rule so the invariant layer can
@@ -612,10 +572,11 @@ func expectRejected(minter *payment.ReceiptMinter, claims []payment.Claim) int {
 	return rejected
 }
 
-// applyNodeFault fires a time-scheduled fault. Faults whose precondition
-// no longer holds (crashing an offline node, restarting an online one)
-// degrade to traced no-ops so shrunk plans stay replayable.
-func (w *world) applyNodeFault(f Fault) {
+// applyNodeFault fires time-scheduled plan fault i. Faults whose
+// precondition no longer holds (crashing an offline node, restarting an
+// online one) degrade to traced no-ops so shrunk plans stay replayable.
+func (w *world) applyNodeFault(i int) {
+	f := w.plan.Faults[i]
 	id := overlay.NodeID(f.Node)
 	now := w.eng.Now()
 	var detail string
@@ -640,7 +601,7 @@ func (w *world) applyNodeFault(f Fault) {
 		w.probeLies[id] = true
 		detail = fmt.Sprintf("node %d reports availability 1.0 from now on", f.Node)
 	}
-	w.traceFault(f, detail)
+	w.traceFault(nil, i, detail)
 }
 
 // applyDoubleDeposit withdraws one blind token and deposits it twice. The

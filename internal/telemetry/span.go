@@ -13,8 +13,8 @@ import (
 
 // SpanKind names a node in the causal tree of one traced connection
 // batch: the batch root, per-attempt launches, forwarder hops, the
-// responder's accept, the initiator-side terminal outcomes, and
-// post-batch settlement.
+// responder's accept, the initiator-side terminal outcomes, post-batch
+// settlement, and the faults a fault-injection world applies.
 type SpanKind string
 
 const (
@@ -28,6 +28,7 @@ const (
 	SpanReform  SpanKind = "reform"  // I abandons the attempt and retries
 	SpanFail    SpanKind = "fail"    // I gives the connection up for good
 	SpanSettle  SpanKind = "settle"  // a forwarder-set member is paid
+	SpanFault   SpanKind = "fault"   // faultsim applies a scheduled fault
 )
 
 // kindRank orders kinds causally for the canonical span log: roots

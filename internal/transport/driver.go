@@ -168,11 +168,8 @@ func (d *Driver) churnAware() []ChurnAware {
 // with the sealed records the secure protocol collected, or the error
 // that ended it.
 type Outcome struct {
-	Path    []overlay.NodeID
-	Records []onion.PathRecord
-	// Attempt is the Message.Attempt of the attempt whose CONFIRM
-	// delivered; zero on failure.
-	Attempt      int
+	Path         []overlay.NodeID
+	Records      []onion.PathRecord
 	Reformations int
 	Err          error
 }
@@ -409,7 +406,7 @@ func (d *Driver) resolve(self, last overlay.NodeID, m Message) {
 			parent = c.launch
 		}
 		c.emit(telemetry.SpanDeliver, parent)
-		c.finish(Outcome{Path: m.Path, Records: m.Records, Attempt: m.Attempt, Reformations: c.reforms})
+		c.finish(Outcome{Path: m.Path, Records: m.Records, Reformations: c.reforms})
 		return
 	}
 	c.lastErr = fmt.Errorf("transport: %s", m.Reason)
