@@ -24,17 +24,14 @@ var staleDocNames = []string{
 	"Batch.edges", "Batch.scorers", "Config.HistoryCapacity",
 	"Config.Participation", "Config.SolveWorkers", "Counter.Reset",
 	"Frame.readFrom", "Gauge.Reset", "Histogram.ObserveDuration",
-	"Histogram.Reset", "HistogramSnapshot.Merge", "Memo.Table",
-	"Node.credited", "Node.handleForward", "Node.nackBack",
-	"PathGame.Pool", "PathGame.Predecessors", "PathGame.Workers",
-	"PathGame.consider", "Peer.handleForward", "Registry.Reset",
-	"Result.Dropped", "SolveStats.FrontierCells",
-	"SolverStats.StagesSkipped", "SpanRecorder.TraceID", "System.Hist",
-	"Topology.candidatesOf", "conformance.SecureBatcher",
-	"core.buildSparseRows", "core.refreshRow", "core.solve_induction",
-	"core.solve_rows", "experiment.LiveSetup.Tracer",
-	"experiment.Setup.ProbeWorkers", "game.Pool", "game.ResolveInto",
-	"game.SpliceRow", "history.Profile", "history.Store",
+	"Histogram.Reset", "HistogramSnapshot.Merge", "Node.credited",
+	"Node.handleForward", "Node.nackBack", "Peer.handleForward",
+	"Registry.Reset", "Result.Dropped", "SolverStats.StagesSkipped",
+	"SpanRecorder.TraceID", "System.Hist", "Topology.candidatesOf",
+	"conformance.SecureBatcher", "core.buildSparseRows",
+	"core.refreshRow", "core.solve_induction", "core.solve_rows",
+	"experiment.LiveSetup.Tracer", "experiment.Setup.ProbeWorkers",
+	"game.ResolveInto", "history.Profile", "history.Store",
 	"history.Store.Peek", "link.to", "netwire.append",
 	"netwire.frameReader", "netwire.frameStream", "node.Malicious",
 	"onion.Identity", "probe.Set.Workers", "quality.Scorer",

@@ -14,6 +14,10 @@ type Memo struct {
 	mark  [][]uint32 // mark[h][i] == epoch ⇔ table[h][i] is solved
 	epoch uint32
 	todo  [][]int32 // per-stage discovery lists, reused across calls
+	// roots counts the roots SolveFrom solved since the last Reset, and
+	// hops is the budget of the latest: with one root, todo[2 … hops]
+	// still list its cone, which Refresh re-solves.
+	roots, hops int
 }
 
 // Reset forgets every solved cell and sizes the memo for games of nodes
@@ -40,6 +44,7 @@ func (m *Memo) Reset(nodes, maxHops int) {
 		}
 		m.epoch = 1
 	}
+	m.roots = 0
 }
 
 // Known reports whether cell (hops, node) has been solved since the last
@@ -65,20 +70,21 @@ func (g *PathGame) Cell(m *Memo, hops, node int) (Decision, bool) {
 
 // StageNext is Cell over a whole stage, for a caller that keeps every
 // prescription of a solve: it appends to dst, for nodes 0 … Nodes−1, the
-// successor Cell(m, hops, node) prescribes, or unknown where Cell holds
-// no value. One call per stage instead of one per cell, which a caller
-// copying the table would otherwise pay on every cell.
-func (g *PathGame) StageNext(dst []int32, m *Memo, hops int, unknown int32) []int32 {
+// successor Cell(m, hops, node) prescribes, or unknown[node] where Cell
+// holds no value. One call per stage instead of one per cell, which a
+// caller copying the table would otherwise pay on every cell.
+func (g *PathGame) StageNext(dst []int32, m *Memo, hops int, unknown []int32) []int32 {
 	if hops == 1 {
 		for i := 0; i < g.Nodes; i++ {
 			dst = append(dst, int32(g.deliverCell(i).Next))
 		}
 		return dst
 	}
-	for i, d := range m.table[hops] {
-		next := unknown
-		if m.Known(hops, i) {
-			next = int32(d.Next)
+	mark, epoch, table := m.mark[hops], m.epoch, m.table[hops]
+	for i := range table {
+		next := unknown[i]
+		if epoch != 0 && mark[i] == epoch { // Known(hops, i)
+			next = int32(table[i].Next)
 		}
 		dst = append(dst, next)
 	}
@@ -102,8 +108,9 @@ func (g *PathGame) StageNext(dst []int32, m *Memo, hops int, unknown int32) []in
 //
 // The game must set Adjacency and an active Rule, whose delivery edges
 // the closed-form stages 1 and 2 read (PathGame.Rule); and m must have
-// been Reset for g.Nodes and at least hops stages. Rows are read during the call only; the caller must keep them
-// unchanged between a Reset and the last read of a cell.
+// been Reset for g.Nodes and at least hops stages. Rows are read during
+// the call only; the caller must keep them unchanged until the last read
+// of a cell, or re-solve the cells that read them (Refresh).
 func (g *PathGame) SolveFrom(m *Memo, start, hops int) (computed int) {
 	if g.Adjacency == nil || g.Rule.Holds == nil {
 		panic("game: SolveFrom needs Adjacency and an active row rule")
@@ -116,6 +123,7 @@ func (g *PathGame) SolveFrom(m *Memo, start, hops int) (computed int) {
 	}
 	g.prepare()
 	m.mark[hops][start] = m.epoch
+	m.roots, m.hops = m.roots+1, hops
 	switch hops {
 	case 0:
 		q := negInf
@@ -161,4 +169,43 @@ func (g *PathGame) SolveFrom(m *Memo, start, hops int) (computed int) {
 		computed += len(m.todo[h])
 	}
 	return computed
+}
+
+// Refresh re-solves, in place, the cone the one SolveFrom since m's last
+// Reset discovered, after the qualities of the rows marked dirty changed,
+// and returns how many cells it computed. It reuses that call's discovery
+// lists, so it needs what the discovery read unchanged: the rule, and
+// which entries each row holds (no quality may cross 0). A stage-2 cell
+// reads its own row alone (penultimateCell), so only a dirty row's is
+// recomputed; every cell at stage 3 and above reads the stage below and
+// is recomputed (solveCell). Every cell is then bit-identical to the one
+// a Reset and SolveFrom over the same rows would compute. dirty is
+// indexed by vertex and must span the cone. When m does not hold exactly
+// one cone — no root, or a second root solved into it — Refresh does
+// nothing and returns ok == false.
+func (g *PathGame) Refresh(m *Memo, dirty []bool) (computed int, ok bool) {
+	if g.Adjacency == nil || g.Rule.Holds == nil {
+		panic("game: Refresh needs Adjacency and an active row rule")
+	}
+	if m.roots != 1 {
+		return 0, false
+	}
+	if m.hops < 2 {
+		return 0, true // the root reads its delivery edge only, or nothing
+	}
+	g.prepare()
+	for _, i := range m.todo[2] {
+		if dirty[i] {
+			m.table[2][i] = g.penultimateCell(int(i))
+			computed++
+		}
+	}
+	for h := 3; h <= m.hops; h++ {
+		prev, cur := m.table[h-1], m.table[h]
+		for _, i := range m.todo[h] {
+			cur[i] = g.solveCell(prev, int(i))
+		}
+		computed += len(m.todo[h])
+	}
+	return computed, true
 }

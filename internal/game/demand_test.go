@@ -80,6 +80,10 @@ func TestQuickSolveFromMatchesSolveInto(t *testing.T) {
 		var m Memo
 		m.Reset(g.Nodes, g.MaxHops)
 		known := 0
+		unknown := make([]int32, g.Nodes)
+		for i := range unknown {
+			unknown[i] = -2 - int32(i%2)
+		}
 		roots := [][2]int{
 			{rng.Intn(g.Nodes), 1 + rng.Intn(3)},
 			{rng.Intn(g.Nodes), 4 + rng.Intn(3)},
@@ -115,9 +119,9 @@ func TestQuickSolveFromMatchesSolveInto(t *testing.T) {
 				}
 			}
 			for h := range want {
-				stage := g.StageNext(nil, &m, h, -2)
+				stage := g.StageNext(nil, &m, h, unknown)
 				for i, in := range want[h] {
-					if d, ok := g.Cell(&m, h, i); !ok && stage[i] != -2 || ok && stage[i] != int32(d.Next) {
+					if d, ok := g.Cell(&m, h, i); !ok && stage[i] != unknown[i] || ok && stage[i] != int32(d.Next) {
 						t.Logf("seed %d root %d: StageNext(%d)[%d] = %d, Cell %+v, %v", seed, r, h, i, stage[i], d, ok)
 						return false
 					}
@@ -166,5 +170,86 @@ func TestMemoEpochWrap(t *testing.T) {
 	}
 	if got := g.SolveFrom(&m, 0, 2); got == 0 {
 		t.Fatal("SolveFrom reused a cell from before the wrap")
+	}
+}
+
+// Property: after the qualities of some rows change — each staying on the
+// side of 0 it was on, so the rows hold the same entries — Refresh with
+// those rows marked dirty leaves every cell of the cone bit-equal to a
+// cold Reset and SolveFrom over the changed rows, computing the dirty
+// stage-2 cells and every cell above; and it refuses a memo that holds
+// no cone or two.
+func TestQuickRefreshMatchesSolveFrom(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := dist.NewSource(seed)
+		g, _ := randomSparseGame(rng)
+		succ := make([][]int32, g.Nodes)
+		qual := make([][]float64, g.Nodes)
+		for i := range succ {
+			s, q := g.Adjacency(i)
+			succ[i], qual[i] = s, append([]float64(nil), q...)
+		}
+		g.Adjacency = func(i int) ([]int32, []float64) { return succ[i], qual[i] }
+		start, hops := rng.Intn(g.Nodes), 2+rng.Intn(g.MaxHops-1)
+		var m, cold Memo
+		m.Reset(g.Nodes, g.MaxHops)
+		if _, ok := g.Refresh(&m, nil); ok {
+			t.Logf("seed %d: Refresh accepted an empty memo", seed)
+			return false
+		}
+		g.SolveFrom(&m, start, hops)
+		dirty := make([]bool, g.Nodes)
+		for round := 0; round < 4; round++ {
+			clear(dirty)
+			for i := range qual {
+				if rng.Intn(3) != 0 {
+					continue
+				}
+				dirty[i] = true
+				for a, q := range qual[i] {
+					if q >= 0 && succ[i][a] != int32(g.Responder) {
+						qual[i][a] = rng.Float64()
+					}
+				}
+			}
+			got, ok := g.Refresh(&m, dirty)
+			cold.Reset(g.Nodes, g.MaxHops)
+			g.SolveFrom(&cold, start, hops)
+			want := 0
+			for h := 2; h <= hops; h++ {
+				for i := 0; i < g.Nodes; i++ {
+					if !cold.Known(h, i) {
+						if m.Known(h, i) {
+							t.Logf("seed %d: cell (%d,%d) outside the cone is known", seed, h, i)
+							return false
+						}
+						continue
+					}
+					if h > 2 || dirty[i] {
+						want++
+					}
+					a, aok := g.Cell(&m, h, i)
+					b, _ := g.Cell(&cold, h, i)
+					if !aok || !sameCell(a, b) {
+						t.Logf("seed %d round %d: cell (%d,%d) = %+v (%v), cold %+v", seed, round, h, i, a, aok, b)
+						return false
+					}
+				}
+			}
+			if !ok || got != want {
+				t.Logf("seed %d round %d: Refresh = %d, %v; want %d cells", seed, round, got, ok, want)
+				return false
+			}
+		}
+		if g.SolveFrom(&m, (start+1)%g.Nodes, hops) > 0 {
+			if _, ok := g.Refresh(&m, dirty); ok {
+				t.Logf("seed %d: Refresh accepted a memo holding two cones", seed)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

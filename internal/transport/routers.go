@@ -175,9 +175,8 @@ func NewUtilityRouter(topo Topology, w quality.Weights, c core.Contract, avail m
 	return r
 }
 
-// CloseBatch implements BatchCloser: the batch's history goes. A
-// UtilityIIRouter closes through this method too; its cached
-// prescriptions are bounded by spneCacheCap and left to eviction.
+// CloseBatch implements BatchCloser: the batch's history goes.
+// UtilityIIRouter.CloseBatch closes through it too.
 func (r *UtilityRouter) CloseBatch(batch int) {
 	r.mu.Lock()
 	delete(r.batches, batch)
@@ -242,9 +241,11 @@ const spneCacheCap = 64
 // (game.RowRule). The game covers the cone of cells the connection's play
 // can reach (game.SolveFrom from its first holder and budget), solved
 // once per (batch, conn), since qualities are stable within a
-// connection; the prescriptions of the
-// spneCacheCap most recently solved connections are kept. Safe for
-// concurrent use.
+// connection; the prescriptions of the spneCacheCap most recently solved
+// connections are kept. The cone itself is kept for the next connection
+// of the batch: only σ changes between two, on the rows of the nodes the
+// history names, so that connection re-solves only what reads them
+// (game.PathGame.Refresh). Safe for concurrent use.
 type UtilityIIRouter struct {
 	*UtilityRouter
 
@@ -262,14 +263,30 @@ type UtilityIIRouter struct {
 	game     game.PathGame
 	memo     game.Memo
 	memoHops int
+	// The kept cone: the key of the solve that last filled memo cold
+	// (coneKept says memo still holds it), and coneDirty, the holders of
+	// that solve and of every solve since — the rows a refresh re-reads.
+	// A row stays dirty once the history named it: were the history
+	// dropped, the row would fall back to its base row, and that changes
+	// it too.
+	cone      coneKey
+	coneKept  bool
+	coneDirty []bool
+	// coneLow is the kept cone's prescriptions at stages 0 and 1, as its
+	// cold solve filled them: they read the rule alone, so a refresh
+	// copies them instead of reading them anew.
+	coneLow []int32
 	// nbrQ[i] is aligned with nbrs[i]: the quality of an edge into each
 	// neighbor that no connection of the batch has used, Edge(0, α). With
 	// nbrs[i] it is node i's base row, which its game row reads in place.
 	nbrQ [][]float64
 	// routable[i]: node i is a key of the topology and believed alive —
 	// the nodes that hold a row under the game's rule — refreshed by every
-	// solve.
+	// solve. unknown[i] is what the cache reads for a cell of i outside
+	// the cone: −1 for a node that holds no row, which has no move at any
+	// stage, and unsolved for every other.
 	routable []bool
+	unknown  []int32
 	// The solve in progress: its batch's history and connection, and
 	// holder[i], whether that history names an edge out of i. Only those
 	// rows are scored anew, each into ovQ[i], a span of overlay.
@@ -281,6 +298,16 @@ type UtilityIIRouter struct {
 	// SPNE cache instrumentation, bound by Instrument (nil-safe when not).
 	cacheHits, cacheMisses, cacheEvictions *telemetry.Counter
 	cacheEntries                           *telemetry.Gauge
+	coneCold, coneRefresh                  *telemetry.Counter
+}
+
+// coneKey names a cone: everything a solve reads that the history and
+// liveness do not. Two solves of one key read the same rows but for the
+// σ overlays of the history's holders.
+type coneKey struct {
+	batch                       int
+	start, initiator, responder overlay.NodeID
+	budget                      int
 }
 
 // unsolved marks a cache cell outside the solved cone. The play never
@@ -317,7 +344,9 @@ func NewUtilityIIRouter(topo Topology, w quality.Weights, c core.Contract, avail
 		}
 	}
 	r.holder = make([]bool, len(r.nbrs))
+	r.coneDirty = make([]bool, len(r.nbrs))
 	r.routable = make([]bool, len(r.nbrs))
+	r.unknown = make([]int32, len(r.nbrs))
 	r.ovQ = make([][]float64, len(r.nbrs))
 	r.stage.r = r.UtilityRouter
 	r.game = game.PathGame{
@@ -336,42 +365,55 @@ func NewUtilityIIRouter(topo Topology, w quality.Weights, c core.Contract, avail
 }
 
 // Instrument binds the router's SPNE cache instruments into reg — hits,
-// misses, evictions and the current entry count — so game-layer solve
-// reuse and the cache bound are visible on the exposition endpoint. Call
-// before traffic starts.
+// misses, evictions, the current entry count and how each miss solved
+// its cone — so game-layer solve reuse and the cache bound are visible on
+// the exposition endpoint. Call before traffic starts.
 func (r *UtilityIIRouter) Instrument(reg *telemetry.Registry) {
 	reg.Help(metricSPNECacheTotal, "SPNE table lookups served from cache (result=hit) vs solved fresh (result=miss)")
 	reg.Help(metricSPNECacheEntries, "connections whose SPNE prescription is cached (bounded)")
 	reg.Help(metricSPNECacheEvicted, "cached SPNE prescriptions displaced by a newer solve")
+	reg.Help(metricSPNECone, "SPNE solves that solved their cone from nothing (kind=cold) vs re-solved the kept one (kind=refresh)")
 	r.cacheHits = reg.Counter(metricSPNECacheTotal, telemetry.Labels{"result": "hit"})
 	r.cacheMisses = reg.Counter(metricSPNECacheTotal, telemetry.Labels{"result": "miss"})
 	r.cacheEvictions = reg.Counter(metricSPNECacheEvicted, nil)
 	r.cacheEntries = reg.Gauge(metricSPNECacheEntries, nil)
+	r.coneCold = reg.Counter(metricSPNECone, telemetry.Labels{"kind": "cold"})
+	r.coneRefresh = reg.Counter(metricSPNECone, telemetry.Labels{"kind": "refresh"})
 }
 
 // MarkDead implements ChurnAware: besides excluding id from candidates,
-// cached prescriptions are discarded — they may route through the corpse,
-// and a reformed attempt must re-solve without it.
-func (r *UtilityIIRouter) MarkDead(id overlay.NodeID) {
-	r.UtilityRouter.MarkDead(id)
-	r.dropCache()
-}
+// cached prescriptions and the kept cone are discarded — they may route
+// through the corpse, and a reformed attempt must re-solve without it.
+func (r *UtilityIIRouter) MarkDead(id overlay.NodeID) { r.setLiveness(id, false) }
 
 // MarkLive implements ChurnAware; stale prescriptions solved without the
 // returned peer are merely conservative, but dropping them lets routing
 // use it again immediately.
-func (r *UtilityIIRouter) MarkLive(id overlay.NodeID) {
-	r.UtilityRouter.MarkLive(id)
-	r.dropCache()
-}
+func (r *UtilityIIRouter) MarkLive(id overlay.NodeID) { r.setLiveness(id, true) }
 
-// dropCache empties the cache and restarts its eviction order; the slots
-// keep their storage for the next occupants.
-func (r *UtilityIIRouter) dropCache() {
+// setLiveness changes id's liveness and drops the cache in one step
+// under cacheMu, so that no solve reads the new liveness against a cone
+// discovered under the old. The slots keep their storage for the next
+// occupants; the eviction order restarts.
+func (r *UtilityIIRouter) setLiveness(id overlay.NodeID, alive bool) {
 	r.cacheMu.Lock()
+	defer r.cacheMu.Unlock()
+	r.liveness.set(id, alive)
 	r.solved = 0
 	r.cacheEntries.Set(0)
-	r.cacheMu.Unlock()
+	r.coneKept = false
+}
+
+// CloseBatch implements BatchCloser: the batch's history goes, and so
+// does the kept cone if it is the batch's. Its cached prescriptions stay,
+// bounded by spneCacheCap, until they are evicted.
+func (r *UtilityIIRouter) CloseBatch(batch int) {
+	r.cacheMu.Lock()
+	defer r.cacheMu.Unlock()
+	r.UtilityRouter.CloseBatch(batch)
+	if r.cone.batch == batch {
+		r.coneKept = false
+	}
 }
 
 // NextHop implements Router via SPNE play.
@@ -426,6 +468,26 @@ func (r *UtilityIIRouter) prescribed(self, initiator, responder overlay.NodeID, 
 	return e.at(remaining, nodes, self)
 }
 
+// refresh re-solves the kept cone in place if it is key's, and reports
+// whether it did. Between two solves of one key only the rows of the
+// history's holders change (σ moves with the connection's index and the
+// batch's new hops); the rule and every other row are as they were when
+// the cone was discovered, since a liveness change forgets the cone. A
+// row that was a holder's since then is marked dirty too. Caller holds
+// cacheMu and mu.
+func (r *UtilityIIRouter) refresh(key coneKey) bool {
+	if !r.coneKept || r.cone != key {
+		return false
+	}
+	for i, h := range r.holder {
+		if h {
+			r.coneDirty[i] = true
+		}
+	}
+	_, ok := r.game.Refresh(&r.memo, r.coneDirty)
+	return ok
+}
+
 // cached returns the live entry for key, or nil. It scans the ring from the
 // newest solve backwards: a connection in flight is among the latest
 // solves, so the scan usually ends at its first probe. Caller holds cacheMu.
@@ -449,17 +511,25 @@ func (r *UtilityIIRouter) cached(key [2]int) *spneCacheEntry {
 // quality; so only the rows of nodes the history names an edge out of
 // get an overlay, scored w_s·σ + w_a·α before the solve. The solve holds
 // mu throughout, so rows, history and liveness — which the stage-1 reads
-// consult too — are read in one consistent state. Caller holds cacheMu.
+// consult too — are read in one consistent state. When the memo still
+// holds the cone of the same key, filled under the same liveness, only
+// the cells that read a holder's row are re-solved (refresh); otherwise
+// the cone is solved cold and kept. Caller holds cacheMu.
 func (r *UtilityIIRouter) solve(e *spneCacheEntry, start, initiator overlay.NodeID, batch, conn int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	responder, budget := e.responder, e.budget
+	key := coneKey{batch, start, initiator, responder, budget}
 	r.stage.h, r.stage.conn = r.batches[batch], conn
 	clear(r.holder)
 	r.stage.h.Tails(r.holder)
 	r.overlay = r.overlay[:0]
 	for i, nb := range r.nbrs {
 		r.routable[i] = nb != nil && r.up[i]
+		r.unknown[i] = unsolved
+		if !r.routable[i] || i == int(responder) {
+			r.unknown[i] = -1
+		}
 		if r.holder[i] {
 			lo := len(r.overlay)
 			for _, j := range nb {
@@ -470,26 +540,37 @@ func (r *UtilityIIRouter) solve(e *spneCacheEntry, start, initiator overlay.Node
 	}
 	r.game.Responder = int(responder)
 	r.game.Rule = game.RowRule{Holds: r.routable, Initiator: int(initiator), Deliver: r.up[responder]}
-	r.memoHops = max(r.memoHops, budget)
-	r.memo.Reset(len(r.nbrs), r.memoHops)
-	r.game.SolveFrom(&r.memo, int(start), budget)
-	if !r.up[start] {
-		// A holder believed dead has no row, yet its Model-I fallback still
-		// forwards to one of its neighbors: the play goes on from there.
-		for _, j := range r.nbrs[start] {
-			r.game.SolveFrom(&r.memo, int(j), budget-1)
-		}
-	}
-	// A node that holds no row has no move at any stage. The cone leaves
-	// out a keyless neighbor (rows drop it), yet a Model-I step can still
-	// reach it, and its read must not miss.
-	e.next = e.next[:0]
-	for h := 0; h <= budget; h++ {
-		e.next = r.game.StageNext(e.next, &r.memo, h, unsolved)
-		for i, next := range e.next[h*len(r.nbrs):] {
-			if next == unsolved && (!r.routable[i] || i == int(responder)) {
-				e.next[h*len(r.nbrs)+i] = -1
+	refreshed := r.refresh(key)
+	if refreshed {
+		r.coneRefresh.Inc()
+	} else {
+		r.memoHops = max(r.memoHops, budget)
+		r.memo.Reset(len(r.nbrs), r.memoHops)
+		r.game.SolveFrom(&r.memo, int(start), budget)
+		if !r.up[start] {
+			// A holder believed dead has no row, yet its Model-I fallback
+			// still forwards to one of its neighbors: the play goes on from
+			// there. The memo then holds more than one cone, which Refresh
+			// refuses.
+			for _, j := range r.nbrs[start] {
+				r.game.SolveFrom(&r.memo, int(j), budget-1)
 			}
 		}
+		r.cone, r.coneKept = key, true
+		copy(r.coneDirty, r.holder)
+		r.coneCold.Inc()
+	}
+	// A node that holds no row reads −1 (unknown): the cone leaves out a
+	// keyless neighbor (rows drop it), yet a Model-I step can still reach
+	// it, and its read must not miss.
+	e.next = e.next[:0]
+	if refreshed {
+		e.next = append(e.next, r.coneLow...)
+	}
+	for h := len(e.next) / len(r.nbrs); h <= budget; h++ {
+		e.next = r.game.StageNext(e.next, &r.memo, h, r.unknown)
+	}
+	if !refreshed {
+		r.coneLow = append(r.coneLow[:0], e.next[:min(2, budget+1)*len(r.nbrs)]...)
 	}
 }

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"p2panon/internal/core"
@@ -472,6 +474,225 @@ func TestConeClosedUnderDeviation(t *testing.T) {
 	}
 }
 
+// lockstepWalk plays one connection on two routers at once, hop by hop
+// as the transport does, and fails unless both choose every hop alike,
+// so that their paths match; after each hop that solved on warm it calls
+// check. Before every call cold forgets its kept cone, so each of its
+// solves is a Reset and SolveFrom. between, when set, runs before each
+// hop with the budget left.
+func lockstepWalk(t *testing.T, warm, cold *UtilityIIRouter, initiator, responder overlay.NodeID, batch, conn, budget int, between func(remaining int), check func()) {
+	t.Helper()
+	self, pred := initiator, overlay.None
+	for remaining := budget; remaining > 0; remaining-- {
+		if between != nil {
+			between(remaining)
+		}
+		_, m0, _, _ := cacheCounts(warm)
+		forgetCone(cold)
+		next, deliver := warm.NextHop(self, pred, initiator, responder, batch, conn, remaining)
+		cnext, cdeliver := cold.NextHop(self, pred, initiator, responder, batch, conn, remaining)
+		if next != cnext || deliver != cdeliver {
+			t.Fatalf("batch %d conn %d at (%d, %d): refreshing router chose %d (deliver %v), cold %d (deliver %v)",
+				batch, conn, remaining, self, next, deliver, cnext, cdeliver)
+		}
+		if _, m1, _, _ := cacheCounts(warm); m1 > m0 {
+			check()
+		}
+		if deliver {
+			return
+		}
+		self, pred = next, self
+	}
+}
+
+// forgetCone drops r's kept cone, so that its next solve is cold.
+func forgetCone(r *UtilityIIRouter) {
+	r.cacheMu.Lock()
+	r.coneKept = false
+	r.cacheMu.Unlock()
+}
+
+// requireSameCone compares the cones two routers' last solves left, cell
+// by cell (PathGame.Cell, stages 2 … the memo's depth): the same cells
+// known, each with the same successor and Float64bits-equal utility and
+// quality. It returns how many cells it compared.
+func requireSameCone(t *testing.T, label string, warm, cold *UtilityIIRouter) (cells int) {
+	t.Helper()
+	if warm.memoHops != cold.memoHops {
+		t.Fatalf("%s: memo depths %d and %d", label, warm.memoHops, cold.memoHops)
+	}
+	for h := 2; h <= warm.memoHops; h++ {
+		for i := range warm.nbrs {
+			a, aok := warm.game.Cell(&warm.memo, h, i)
+			b, bok := cold.game.Cell(&cold.memo, h, i)
+			if aok != bok || aok && (a.Next != b.Next ||
+				math.Float64bits(a.Utility) != math.Float64bits(b.Utility) ||
+				math.Float64bits(a.Quality) != math.Float64bits(b.Quality)) {
+				t.Fatalf("%s: cell (%d, %d) = %+v (known %v), cold solve %+v (known %v)", label, h, i, a, aok, b, bok)
+			}
+			if aok {
+				cells++
+			}
+		}
+	}
+	return cells
+}
+
+// TestConeRefreshMatchesCold runs a router that keeps its batch's cone
+// beside one that solves every cone cold, on the same calls, and holds
+// the two to the same cells and the same paths after every solve: at
+// N = 40 and N = 128, over 36 batches of ten connections with per-batch
+// history, a peer marked dead and live again mid-batch, a connection
+// evicted from the cache re-solving mid-path, initiators believed dead
+// (the dead-start branch's second root) and closed batches whose ids
+// the next batch uses again, with the same pair and budget.
+func TestConeRefreshMatchesCold(t *testing.T) {
+	for _, n := range []int{40, 128} {
+		topo := buildTopo(n, 6, uint64(n))
+		rng := dist.NewSource(uint64(n) + 7)
+		avail := make(map[overlay.NodeID]float64, n)
+		for i := 0; i < n; i++ {
+			avail[overlay.NodeID(i)] = rng.Float64()
+		}
+		warm := NewUtilityIIRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), avail)
+		cold := NewUtilityIIRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), avail)
+		warm.Instrument(telemetry.NewRegistry())
+		cold.Instrument(telemetry.NewRegistry())
+		both := func(f func(r *UtilityIIRouter)) { f(warm); f(cold) }
+		var solves, refreshed, cells, churned, evicted, deadStarts, reused int
+		var lastRefresh int64
+		// displace solves a cache's worth of connections of batch from
+		// start to end, comparing each pair of solves, so that no
+		// connection solved before is cached any more.
+		displace := func(batch int, start, end overlay.NodeID, budget int) {
+			for c := 1; c <= spneCacheCap; c++ {
+				forgetCone(cold)
+				both(func(r *UtilityIIRouter) { r.prescribed(start, start, end, batch, 100+c, budget) })
+				requireSameCone(t, fmt.Sprintf("N=%d batch %d conn %d", n, batch, 100+c), warm, cold)
+			}
+			lastRefresh = warm.coneRefresh.Value()
+		}
+		batch := 0
+		var initiator, responder overlay.NodeID
+		var budget int
+		for b := 1; b <= 36; b++ {
+			if b%6 == 0 {
+				reused++ // the batch before closed; its id, pair and budget come again
+			} else {
+				batch++
+				initiator = overlay.NodeID(rng.Intn(n))
+				responder = overlay.NodeID(rng.Intn(n - 1))
+				if responder >= initiator {
+					responder++
+				}
+				budget = 3 + rng.Intn(4)
+			}
+			deadStart := b%7 == 3
+			if deadStart {
+				both(func(r *UtilityIIRouter) { r.MarkDead(initiator) })
+				deadStarts++
+			}
+			corpse := overlay.None
+			for conn := 1; conn <= 10; conn++ {
+				var between func(int)
+				switch {
+				case conn == 4 && b%3 == 1:
+					// A forwarder dies before this connection and comes
+					// back before connection 7.
+					for corpse = initiator; corpse == initiator || corpse == responder; {
+						corpse = overlay.NodeID(rng.Intn(n))
+					}
+					both(func(r *UtilityIIRouter) { r.MarkDead(corpse) })
+					churned++
+				case conn == 7 && corpse != overlay.None:
+					both(func(r *UtilityIIRouter) { r.MarkLive(corpse) })
+				case conn == 6 && b%4 == 2:
+					// A cache's worth of other connections displaces this
+					// one after its first hop; its next hop re-solves from
+					// where it stands.
+					between = func(remaining int) {
+						if remaining == budget-1 {
+							displace(batch+1000, responder, initiator, budget)
+							evicted++
+						}
+					}
+				}
+				label := fmt.Sprintf("N=%d batch %d (#%d) conn %d", n, batch, b, conn)
+				lockstepWalk(t, warm, cold, initiator, responder, batch, conn, budget, between, func() {
+					solves++
+					cells += requireSameCone(t, label, warm, cold)
+					if r := warm.coneRefresh.Value(); r > lastRefresh {
+						if deadStart {
+							// Its cone has a second root, which Refresh refuses.
+							t.Fatalf("%s: refreshed a cone solved from a dead initiator", label)
+						}
+						refreshed, lastRefresh = refreshed+1, r
+					}
+				})
+			}
+			if deadStart {
+				both(func(r *UtilityIIRouter) { r.MarkLive(initiator) })
+			}
+			if b%6 == 5 {
+				// The next batch uses this id again: its connections must
+				// miss the cache, as a new batch's do, and find the
+				// batch's cone no longer kept.
+				displace(batch, initiator, responder, budget)
+			}
+			both(func(r *UtilityIIRouter) { r.CloseBatch(batch) })
+		}
+		t.Logf("N=%d: %d connection solves compared (%d cells), %d of them refreshes", n, solves, cells, refreshed)
+		if refreshed < solves/2 || churned == 0 || evicted == 0 || deadStarts == 0 || reused == 0 {
+			t.Fatalf("N=%d: %d refreshes of %d solves; %d churned, %d evicted, %d dead starts, %d reused ids: the test no longer covers the kept cone",
+				n, refreshed, solves, churned, evicted, deadStarts, reused)
+		}
+		if c := cold.coneRefresh.Value(); c != 0 {
+			t.Fatalf("N=%d: the cold router refreshed %d times", n, c)
+		}
+	}
+}
+
+// TestKeptConeUnderConcurrentChurn drives one router from several
+// goroutines at once — batches of connections that refresh the kept cone,
+// a peer marked dead and live, batches closed as they finish — for the
+// race detector: the kept cone, its dirty rows and the liveness it was
+// discovered under are touched only under the router's locks. Run it
+// with -race -count=10.
+func TestKeptConeUnderConcurrentChurn(t *testing.T) {
+	const n, budget = 40, 5
+	topo := buildTopo(n, 6, 33)
+	r := NewUtilityIIRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), uniformAvail(n))
+	r.Instrument(telemetry.NewRegistry())
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; b < 20; b++ {
+				batch := 100*w + b
+				for conn := 1; conn <= 10; conn++ {
+					if calls := walk(r, overlay.NodeID(w), overlay.NodeID(n-1-w), batch, conn, budget); calls > budget {
+						t.Errorf("batch %d conn %d: %d NextHop calls over a budget of %d", batch, conn, calls, budget)
+					}
+				}
+				r.CloseBatch(batch)
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			r.MarkDead(overlay.NodeID(10 + i%20))
+			r.MarkLive(overlay.NodeID(10 + i%20))
+		}
+	}()
+	wg.Wait()
+	if r.coneRefresh.Value() == 0 {
+		t.Fatal("no solve refreshed a kept cone")
+	}
+}
+
 // TestBatchHistoryCountsConnections pins what selectivity counts: per
 // edge, the distinct connections that used it, over the conn−1
 // connections before the one asking, capped at 1 (§2.3, the simulator's
@@ -623,11 +844,12 @@ func TestSPNECacheBounded(t *testing.T) {
 	}
 }
 
-// TestSPNEWarmSolveAllocs pins the steady state: with the cache full and
-// every buffer grown, solving a new connection — rows, the cone, evicting
-// and reusing the oldest entry's storage — allocates nothing, and neither
-// does an evicted connection's re-solve one hop shorter (the memo keeps
-// the size of the longest budget seen).
+// TestSPNEWarmSolveAllocs pins the steady state of DESIGN.md §3q: with
+// the cache full and every buffer grown, solving a new connection cold —
+// rows, the cone, evicting and reusing the oldest entry's storage —
+// allocates nothing, and neither does an evicted connection's re-solve
+// one hop shorter (the memo keeps the size of the longest budget seen),
+// nor the next connection's refresh of the batch's kept cone.
 func TestSPNEWarmSolveAllocs(t *testing.T) {
 	const n, budget = 40, 5
 	topo := buildTopo(n, 6, 32)
@@ -651,34 +873,72 @@ func TestSPNEWarmSolveAllocs(t *testing.T) {
 	if _, misses, evictions, _ := cacheCounts(r); evictions == 0 || misses < 400 {
 		t.Fatalf("pin did not exercise eviction: %d misses, %d evictions", misses, evictions)
 	}
-}
-
-// BenchmarkLiveSolve is the in-process guard for the code the live router
-// shares with the simulator's solver: one op is one cache-miss prescribed
-// — the σ overlays of the history's holders, game.SolveFrom's cone from
-// (I, budget) over the neighbor lists read in place under the row rule
-// (game.RowRule) through solveCell, the prescription copy — at
-// inproc_um2_agg's shape (128 peers, degree 6, budget 5), with history on
-// the batch so rows score σ > 0. A change to internal/game is measured by
-// building this package's test binary at the parent commit and at the
-// change (go test -c) and alternating the two; BenchmarkConeWorld in
-// internal/core is the same for the simulator's solve.
-func BenchmarkLiveSolve(b *testing.B) {
-	const n, budget = 128, 5
-	topo := buildTopo(n, 6, 32)
-	r := NewUtilityIIRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), uniformAvail(n))
-	for conn := 1; conn <= 3; conn++ {
-		walk(r, 0, n-1, 1, conn, budget)
-	}
-	conn := 100
-	for i := 0; i < 2*spneCacheCap; i++ { // fill the cache, grow every buffer
+	// The next connection of the batch from the same root: a refresh.
+	refresh := func() {
 		conn++
 		r.prescribed(0, 0, n-1, 1, conn, budget)
 	}
+	refresh()
+	r0 := r.coneRefresh.Value()
+	if allocs := testing.AllocsPerRun(200, refresh); allocs != 0 {
+		t.Fatalf("refresh allocates %.0f times, want 0", allocs)
+	}
+	if got := r.coneRefresh.Value() - r0; got < 200 {
+		t.Fatalf("pin did not exercise the refresh: %d refreshes", got)
+	}
+}
+
+// liveSolveRouter is the Model-II router both live-solve benchmarks time,
+// at inproc_um2_agg's shape (128 peers, degree 6, budget 5): batches 1
+// and 2 hold the same history, so rows score σ > 0, and the cache is
+// full with every buffer grown.
+func liveSolveRouter() (r *UtilityIIRouter, n, budget int) {
+	n, budget = 128, 5
+	topo := buildTopo(n, 6, 32)
+	r = NewUtilityIIRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), uniformAvail(n))
+	for batch := 1; batch <= 2; batch++ {
+		for conn := 1; conn <= 3; conn++ {
+			walk(r, 0, overlay.NodeID(n-1), batch, conn, budget)
+		}
+	}
+	for conn := 101; conn <= 100+2*spneCacheCap; conn++ {
+		r.prescribed(0, 0, overlay.NodeID(n-1), 1+conn%2, conn, budget)
+	}
+	return r, n, budget
+}
+
+// BenchmarkLiveSolve is the in-process guard for the code the live router
+// shares with the simulator's solver: one op is one cold cache-miss
+// prescribed — the σ overlays of the history's holders, game.SolveFrom's
+// cone from (I, budget) over the neighbor lists read in place under the
+// row rule (game.RowRule) through solveCell, the prescription copy. Ops
+// alternate between two batches, so none finds its batch's cone kept.
+// A change to internal/game is measured by building this package's test
+// binary at the parent commit and at the change (go test -c) and
+// alternating the two; BenchmarkConeWorld in internal/core is the same
+// for the simulator's solve.
+func BenchmarkLiveSolve(b *testing.B) {
+	r, n, budget := liveSolveRouter()
+	conn := 1000
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		conn++
-		r.prescribed(0, 0, n-1, 1, conn, budget)
+		r.prescribed(0, 0, overlay.NodeID(n-1), 1+conn%2, conn, budget)
+	}
+}
+
+// BenchmarkLiveRefresh is BenchmarkLiveSolve on the per-connection path
+// of inproc_um2_agg: every op is the next connection of one batch from
+// the same root, which re-solves the kept cone (game.PathGame.Refresh)
+// instead of solving it cold.
+func BenchmarkLiveRefresh(b *testing.B) {
+	r, n, budget := liveSolveRouter()
+	conn := 1000
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conn++
+		r.prescribed(0, 0, overlay.NodeID(n-1), 1, conn, budget)
 	}
 }

@@ -190,8 +190,12 @@ func TestNackHistogramAndTrace(t *testing.T) {
 	}
 }
 
+// TestSPNECacheCounters reads the Model-II router's counters off the
+// registry after real connections: one miss per connection, and how each
+// solved its cone — the first connection of a batch cold, the nine after
+// it on the kept cone, and the one after a MarkDead cold again.
 func TestSPNECacheCounters(t *testing.T) {
-	topo := lineTopology(6)
+	topo := lineTopology(7) // 0 … 5 carry the connections; 6 is a spare
 	avail := map[overlay.NodeID]float64{}
 	for id := range topo {
 		avail[id] = 0.5
@@ -206,17 +210,34 @@ func TestSPNECacheCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := net.ConnectDetail(0, 5, 1, 1, 8, 2*time.Second); err != nil {
-		t.Fatal(err)
+	counts := func() (misses, cold, refresh int64) {
+		for _, c := range reg.Snapshot().Counters {
+			switch {
+			case c.Name == metricSPNECacheTotal && c.Labels["result"] == "miss":
+				misses = c.Value
+			case c.Name == metricSPNECone && c.Labels["kind"] == "cold":
+				cold = c.Value
+			case c.Name == metricSPNECone && c.Labels["kind"] == "refresh":
+				refresh = c.Value
+			}
+		}
+		return misses, cold, refresh
 	}
-	snap := reg.Snapshot()
-	var misses int64
-	for _, c := range snap.Counters {
-		if c.Name == metricSPNECacheTotal && c.Labels["result"] == "miss" {
-			misses = c.Value
+	connect := func(conn int) {
+		if _, _, err := net.ConnectDetail(0, 5, 1, conn, 8, 2*time.Second); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if misses == 0 {
-		t.Fatalf("no SPNE cache misses recorded: %+v", snap.Counters)
+	for conn := 1; conn <= 10; conn++ {
+		connect(conn)
+	}
+	if misses, cold, refresh := counts(); misses != 10 || cold != 1 || refresh != 9 {
+		t.Fatalf("a 10-connection batch: %d misses, %d cold, %d refreshed; want 10, 1, 9", misses, cold, refresh)
+	}
+	r.MarkDead(6)
+	connect(11)
+	connect(12)
+	if misses, cold, refresh := counts(); misses != 12 || cold != 2 || refresh != 10 {
+		t.Fatalf("after MarkDead: %d misses, %d cold, %d refreshed; want 12, 2, 10", misses, cold, refresh)
 	}
 }
