@@ -24,7 +24,7 @@ var staleDocNames = []string{
 	"Batch.edges", "Batch.scorers", "Config.HistoryCapacity",
 	"Config.Participation", "Config.SolveWorkers", "Counter.Reset",
 	"Frame.readFrom", "Gauge.Reset", "Histogram.ObserveDuration",
-	"Histogram.Reset", "HistogramSnapshot.Merge", "Node.credited",
+	"Histogram.Reset", "HistogramSnapshot.Merge",
 	"Node.handleForward", "Node.nackBack", "Peer.handleForward",
 	"Registry.Reset", "Result.Dropped", "SolverStats.StagesSkipped",
 	"SpanRecorder.TraceID", "System.Hist", "Topology.candidatesOf",

@@ -222,6 +222,30 @@ func TestClusterReportsDroppedSpans(t *testing.T) {
 	t.Fatalf("dropped=%d but no %s violation: %v", res.Dropped, faultsim.InvTraceCapacity, res.Violations)
 }
 
+// TestClusterRunReportsArtifactWriteError: an artifact file that cannot
+// be written fails the run, so no caller reads a verdict whose
+// results.json is not there. A directory squats on that name.
+func TestClusterRunReportsArtifactWriteError(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "results.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	comp := Composition{
+		Plan:    faultsim.Plan{Seed: 7, Nodes: 6, Batches: 1, Conns: 2},
+		Workers: 2,
+	}
+	orch := &Orchestrator{Comp: comp, Spawn: selfSpawn(t, nil), Dir: dir, Logf: t.Logf}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	res, err := orch.Run(ctx)
+	if err == nil {
+		t.Fatalf("run with an unwritable results.json succeeded: %d batches, %d violations", len(res.Batches), len(res.Violations))
+	}
+	if !strings.Contains(err.Error(), "results.json") {
+		t.Fatalf("run failed with %v, want the results.json write error", err)
+	}
+}
+
 // TestClusterOrphansExitWhenOrchestratorDies pins the self-reaping
 // property: a worker whose control connection dies exits on its own,
 // with no orchestrator left to kill it.

@@ -25,15 +25,13 @@ import (
 type SpawnFunc func(worker int, orchAddr string) (*exec.Cmd, error)
 
 // RunResult is the merged artifact of one cluster run: every batch's
-// outcome with the credits its contract owes, the credits the workers
-// observed landing, the causally merged span log, and the invariant
-// violations found over all of it.
+// outcome with the credits its contract owes, the causally merged span
+// log, and the invariant violations found over the two.
 type RunResult struct {
-	Batches    []faultsim.ClusterBatch  `json:"batches"`
-	Observed   []faultsim.ClusterCredit `json:"observed,omitempty"`
-	Violations []faultsim.Violation     `json:"violations,omitempty"`
-	Duplicates int                      `json:"duplicate_spans"`
-	Dropped    int                      `json:"dropped_spans,omitempty"`
+	Batches    []faultsim.ClusterBatch `json:"batches"`
+	Violations []faultsim.Violation    `json:"violations,omitempty"`
+	Duplicates int                     `json:"duplicate_spans"`
+	Dropped    int                     `json:"dropped_spans,omitempty"`
 
 	Spans []telemetry.Span `json:"-"` // written separately as spans.jsonl
 }
@@ -163,7 +161,8 @@ func broadcast(workers []*workerConn, m *Msg) error {
 	return nil
 }
 
-// Run executes the composition and returns the merged artifact.
+// Run executes the composition and returns the merged artifact. An
+// artifact file that cannot be written fails the run.
 func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 	comp := o.Comp.Normalize()
 	if err := comp.Validate(); err != nil {
@@ -318,12 +317,12 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 		}
 		result.Batches = append(result.Batches, faultsim.ClusterBatch{
 			Batch: b, Initiator: int(spec.Initiator), Responder: int(spec.Responder),
-			SetSize: rm.SetSize, Failed: rm.Failed, Expected: rm.Credits,
+			Failed: rm.Failed, Expected: rm.Credits,
 		})
 
-		// Credit confirmation: each worker polls its nodes until the
-		// expected settle frames landed, reports what it saw, and the
-		// done barrier fences the batch off from the next boundary.
+		// Credit fence: each worker polls its nodes until the owed settle
+		// frames landed, and the done barrier fences the batch off from
+		// the next boundary.
 		for _, w := range workers {
 			var mine []faultsim.ClusterCredit
 			for _, e := range rm.Credits {
@@ -335,20 +334,10 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 				return nil, err
 			}
 		}
-		for _, w := range workers {
-			cm, err := o.expect(ctx, w, MsgCredits)
-			if err != nil {
-				return nil, err
-			}
-			if cm.Batch != b {
-				return nil, fmt.Errorf("clusterd: worker %d: credits for batch %d, want %d", w.index, cm.Batch, b)
-			}
-			result.Observed = append(result.Observed, cm.Credits...)
-		}
 		if err := o.barrier(ctx, workers, fmt.Sprintf("done-%d", b)); err != nil {
 			return nil, err
 		}
-		o.logf("batch %d settled: ‖π‖=%d failed=%v", b, rm.SetSize, rm.Failed)
+		o.logf("batch %d settled: ‖π‖=%d failed=%v", b, len(rm.Credits), rm.Failed)
 	}
 
 	// Shutdown: every worker uploads its artifacts and exits.
@@ -366,6 +355,7 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 			if m.Kind != MsgArtifact {
 				return nil, fmt.Errorf("clusterd: worker %d: got %s during shutdown", w.index, m.Kind)
 			}
+			name := fmt.Sprintf("worker-%d.%s", w.index, m.ArtifactKind)
 			switch m.ArtifactKind {
 			case "spans":
 				spans, err := telemetry.ReadSpans(bytes.NewReader(m.Data))
@@ -374,10 +364,10 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 				}
 				spansByWorker[w.index] = spans
 				gotSpans = true
-				o.saveArtifact(fmt.Sprintf("worker-%d.spans.jsonl", w.index), m.Data)
+				name += ".jsonl"
 			case "telemetry":
 				gotTel = true
-				o.saveArtifact(fmt.Sprintf("worker-%d.telemetry.json", w.index), m.Data)
+				name += ".json"
 			case "dropped":
 				n, err := strconv.Atoi(string(m.Data))
 				if err != nil {
@@ -385,8 +375,10 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 				}
 				result.Dropped += n
 				gotDropped = true
-			default:
-				o.saveArtifact(fmt.Sprintf("worker-%d.%s", w.index, m.ArtifactKind), m.Data)
+				continue
+			}
+			if err := o.saveArtifact(name, m.Data); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -394,29 +386,36 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 	merged, dups := telemetry.MergeSpans(spansByWorker...)
 	result.Spans = merged
 	result.Duplicates = dups
-	result.Violations = faultsim.CheckClusterArtifact(comp.Plan, result.Batches, result.Observed, merged, result.Dropped)
+	result.Violations = faultsim.CheckClusterArtifact(comp.Plan, result.Batches, merged, result.Dropped)
 	if o.Dir != "" {
 		var buf bytes.Buffer
 		if err := telemetry.WriteSpansJSONL(&buf, merged); err != nil {
 			return nil, err
 		}
-		o.saveArtifact("spans.jsonl", buf.Bytes())
+		if err := o.saveArtifact("spans.jsonl", buf.Bytes()); err != nil {
+			return nil, err
+		}
 		res, err := json.MarshalIndent(result, "", "  ")
 		if err != nil {
 			return nil, err
 		}
-		o.saveArtifact("results.json", append(res, '\n'))
+		if err := o.saveArtifact("results.json", append(res, '\n')); err != nil {
+			return nil, err
+		}
 	}
 	o.logf("run complete: %d spans (%d duplicate), %d violations", len(merged), dups, len(result.Violations))
 	return result, nil
 }
 
 // saveArtifact writes one artifact file when a directory is set.
-func (o *Orchestrator) saveArtifact(name string, data []byte) {
+func (o *Orchestrator) saveArtifact(name string, data []byte) error {
 	if o.Dir == "" {
-		return
+		return nil
 	}
-	os.WriteFile(filepath.Join(o.Dir, name), data, 0o644)
+	if err := os.WriteFile(filepath.Join(o.Dir, name), data, 0o644); err != nil {
+		return fmt.Errorf("clusterd: save artifact: %w", err)
+	}
+	return nil
 }
 
 // reap waits briefly for every child, then kills and reaps whatever is

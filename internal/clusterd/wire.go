@@ -26,7 +26,7 @@ import (
 // body: fixed field order, minimal lengths, strictly ascending entry
 // lists, no trailing bytes — the property FuzzBarrierWire pins.
 const (
-	WireVersion = 1
+	WireVersion = 2
 
 	maxBody         = 1 << 22 // absolute body bound (artifact uploads)
 	maxName         = 128     // barrier names
@@ -62,11 +62,9 @@ const (
 	// MsgResult reports a settled batch from the initiator's owner: the
 	// outcome's forwarder set with per-node forwards and payoff bits.
 	MsgResult
-	// MsgCollect asks a worker to confirm the expected settle credits
-	// for its locally hosted nodes have landed.
+	// MsgCollect hands a worker the owed credits of its locally hosted
+	// nodes; it signals the batch's done barrier once they have landed.
 	MsgCollect
-	// MsgCredits is the worker's observed-credit reply to MsgCollect.
-	MsgCredits
 	// MsgArtifact uploads one run artifact (span JSONL, telemetry JSON,
 	// debug log) from a worker during shutdown.
 	MsgArtifact
@@ -97,8 +95,6 @@ func (k MsgKind) String() string {
 		return "result"
 	case MsgCollect:
 		return "collect"
-	case MsgCredits:
-		return "credits"
 	case MsgArtifact:
 		return "artifact"
 	case MsgShutdown:
@@ -147,13 +143,10 @@ type Msg struct {
 	Fault string // fault: "crash" | "restart"
 	Node  int    // fault
 
-	Batch                         int  // result, collect, credits; fault boundary
-	Initiator, Responder, SetSize int  // result
-	Failed                        bool // result
+	Batch  int  // result, collect; fault boundary
+	Failed bool // result
 
-	// Credits (result, collect, credits): strictly ascending by Node.
-	// Each line's Batch does not travel; the decoder stamps it from the
-	// message's.
+	// Credits (result, collect): strictly ascending by Node.
 	Credits []faultsim.ClusterCredit
 
 	ArtifactKind string // artifact
@@ -176,7 +169,7 @@ func bodyCap(k byte) int {
 		return 2 + 2 + maxFaultKind + 4 + 4
 	case MsgError:
 		return 2 + 2 + maxText
-	case MsgConfig, MsgAddrs, MsgResult, MsgCollect, MsgCredits, MsgArtifact:
+	case MsgConfig, MsgAddrs, MsgResult, MsgCollect, MsgArtifact:
 		return maxBody
 	default:
 		return -1
@@ -256,19 +249,17 @@ func appendPayload(b []byte, m *Msg) ([]byte, error) {
 			b = wire.AppendU32(wire.AppendU32(b, m.Node), m.Batch)
 		}
 	case MsgResult:
-		if m.Batch < 0 || m.Initiator < 0 || m.Responder < 0 || m.SetSize < 0 {
+		if m.Batch < 0 {
 			return nil, ErrMsgField
 		}
-		for _, v := range []int{m.Batch, m.Initiator, m.Responder, m.SetSize} {
-			b = wire.AppendU32(b, v)
-		}
+		b = wire.AppendU32(b, m.Batch)
 		if m.Failed {
 			b = append(b, 1)
 		} else {
 			b = append(b, 0)
 		}
 		b, err = appendCredits(b, m.Credits)
-	case MsgCollect, MsgCredits:
+	case MsgCollect:
 		if m.Batch < 0 {
 			return nil, ErrMsgField
 		}
@@ -322,9 +313,9 @@ func appendCredits(b []byte, entries []faultsim.ClusterCredit) ([]byte, error) {
 	return b, nil
 }
 
-// readCredits decodes a credit list of batch, its entry count bounded
-// and its bytes present before anything is allocated.
-func readCredits(r *wire.Reader, batch int) []faultsim.ClusterCredit {
+// readCredits decodes a credit list, its entry count bounded and its
+// bytes present before anything is allocated.
+func readCredits(r *wire.Reader) []faultsim.ClusterCredit {
 	n := r.U32()
 	r.Check(n <= maxEntries, ErrMsgEntryCount)
 	raw := wire.NewReader(r.Take(16 * n))
@@ -334,7 +325,7 @@ func readCredits(r *wire.Reader, batch int) []faultsim.ClusterCredit {
 	entries := make([]faultsim.ClusterCredit, n)
 	prev := -1
 	for i := range entries {
-		e := faultsim.ClusterCredit{Batch: batch, Node: raw.U32(), Forwards: raw.U32(), PayoffBits: raw.U64()}
+		e := faultsim.ClusterCredit{Node: raw.U32(), Forwards: raw.U32(), PayoffBits: raw.U64()}
 		r.Check(e.Node > prev, ErrMsgOrder)
 		prev, entries[i] = e.Node, e
 	}
@@ -374,14 +365,14 @@ func DecodeMsg(body []byte) (*Msg, error) {
 		m.Fault = readName(&r, maxFaultKind)
 		m.Node, m.Batch = r.U32(), r.U32()
 	case MsgResult:
-		m.Batch, m.Initiator, m.Responder, m.SetSize = r.U32(), r.U32(), r.U32(), r.U32()
+		m.Batch = r.U32()
 		failed := r.U8()
 		r.Check(failed <= 1, ErrMsgField)
 		m.Failed = failed == 1
-		m.Credits = readCredits(&r, m.Batch)
-	case MsgCollect, MsgCredits:
+		m.Credits = readCredits(&r)
+	case MsgCollect:
 		m.Batch = r.U32()
-		m.Credits = readCredits(&r, m.Batch)
+		m.Credits = readCredits(&r)
 	case MsgArtifact:
 		m.ArtifactKind = readName(&r, maxArtifactKind)
 		m.Data = append([]byte(nil), r.Bytes32(maxBody)...)

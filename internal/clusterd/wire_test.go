@@ -25,13 +25,13 @@ func sampleMsgs() []*Msg {
 		{Kind: MsgSignal, Name: "ready"},
 		{Kind: MsgRelease, Name: "start-3"},
 		{Kind: MsgFault, Fault: "crash", Node: 5, Batch: 2},
-		{Kind: MsgResult, Batch: 2, Initiator: 8, Responder: 1, SetSize: 3, Credits: []faultsim.ClusterCredit{
-			{Batch: 2, Node: 2, Forwards: 1, PayoffBits: 0x407e000000000000},
-			{Batch: 2, Node: 4, Forwards: 2, PayoffBits: 0x4080000000000000},
+		{Kind: MsgResult, Batch: 2, Credits: []faultsim.ClusterCredit{
+			{Node: 2, Forwards: 1, PayoffBits: 0x407e000000000000},
+			{Node: 4, Forwards: 2, PayoffBits: 0x4080000000000000},
 		}},
-		{Kind: MsgResult, Batch: 3, Initiator: 0, Responder: 4, Failed: true},
-		{Kind: MsgCollect, Batch: 2, Credits: []faultsim.ClusterCredit{{Batch: 2, Node: 4, Forwards: 2, PayoffBits: 1}}},
-		{Kind: MsgCredits, Batch: 2},
+		{Kind: MsgResult, Batch: 3, Failed: true},
+		{Kind: MsgCollect, Batch: 2, Credits: []faultsim.ClusterCredit{{Node: 4, Forwards: 2, PayoffBits: 1}}},
+		{Kind: MsgCollect, Batch: 2},
 		{Kind: MsgArtifact, ArtifactKind: "spans", Data: []byte("{}\n{}\n")},
 		{Kind: MsgArtifact, ArtifactKind: "telemetry"},
 		{Kind: MsgShutdown},
@@ -132,10 +132,10 @@ func TestEncodeMsgRejections(t *testing.T) {
 			{Node: 2, Addr: "a"}, {Node: 2, Addr: "b"},
 		}}, ErrMsgOrder},
 		{"empty addr", &Msg{Kind: MsgAddrs, Addrs: []AddrEntry{{Node: 0}}}, ErrMsgField},
-		{"unsorted credits", &Msg{Kind: MsgCredits, Credits: []faultsim.ClusterCredit{
+		{"unsorted credits", &Msg{Kind: MsgCollect, Credits: []faultsim.ClusterCredit{
 			{Node: 5}, {Node: 4},
 		}}, ErrMsgOrder},
-		{"negative forwards", &Msg{Kind: MsgCredits, Credits: []faultsim.ClusterCredit{
+		{"negative forwards", &Msg{Kind: MsgCollect, Credits: []faultsim.ClusterCredit{
 			{Node: 1, Forwards: -1},
 		}}, ErrMsgField},
 		{"empty artifact kind", &Msg{Kind: MsgArtifact, Data: []byte("x")}, ErrMsgField},
@@ -158,7 +158,7 @@ func TestDecodeMsgRejections(t *testing.T) {
 	}
 	hello := valid(&Msg{Kind: MsgHello, Worker: 1})
 	signal := valid(&Msg{Kind: MsgSignal, Name: "ready"})
-	result := valid(&Msg{Kind: MsgResult, Batch: 1, SetSize: 1})
+	result := valid(&Msg{Kind: MsgResult, Batch: 1})
 	cases := []struct {
 		name string
 		body []byte
@@ -173,15 +173,15 @@ func TestDecodeMsgRejections(t *testing.T) {
 		{"oversized hello", append(append([]byte(nil), hello...), 0), ErrMsgOversized},
 		{"trailing signal bytes", append(append([]byte(nil), signal...), 0), ErrMsgTrailing},
 		{"trailing shutdown bytes", []byte{WireVersion, byte(MsgShutdown), 7}, ErrMsgOversized},
-		{"result failed flag 2", flipByte(result, 2+16, 2), ErrMsgField},
+		{"result failed flag 2", flipByte(result, 2+4, 2), ErrMsgField},
 		{"truncated result credits", result[:len(result)-2], ErrMsgShort},
 		// A credits count far beyond the entry bound, with no bytes
 		// behind it.
-		{"credit count bound", []byte{WireVersion, byte(MsgCredits),
+		{"credit count bound", []byte{WireVersion, byte(MsgCollect),
 			0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff}, ErrMsgEntryCount},
 		{"addr count bound", []byte{WireVersion, byte(MsgAddrs),
 			0xff, 0xff, 0xff, 0xff}, ErrMsgEntryCount},
-		{"unsorted credits", []byte{WireVersion, byte(MsgCredits),
+		{"unsorted credits", []byte{WireVersion, byte(MsgCollect),
 			0, 0, 0, 1, // batch
 			0, 0, 0, 2, // two entries
 			0, 0, 0, 5, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, // node 5

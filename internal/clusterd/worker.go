@@ -166,7 +166,7 @@ func (w *worker) applyAddrs(m *Msg) {
 		w.lastTo[e.Node] = e.Addr
 		w.cluster.RegisterPeer(overlay.NodeID(e.Node), e.Addr)
 		if !first {
-			w.cluster.NoteLive(overlay.NodeID(e.Node))
+			w.cluster.MarkLive(overlay.NodeID(e.Node))
 		}
 	}
 }
@@ -183,7 +183,7 @@ func (w *worker) applyFault(m *Msg) error {
 		if w.local[m.Node] {
 			w.cluster.RemovePeer(id)
 		}
-		w.cluster.NoteDead(id)
+		w.cluster.MarkDead(id)
 	case faultsim.FaultRestart:
 		if w.local[m.Node] {
 			if w.cluster.Node(id) == nil {
@@ -191,12 +191,12 @@ func (w *worker) applyFault(m *Msg) error {
 					return err
 				}
 			}
-			w.cluster.NoteLive(id)
+			w.cluster.MarkLive(id)
 			return w.send(&Msg{Kind: MsgAddrs, Addrs: []AddrEntry{
 				{Node: m.Node, Addr: w.cluster.Node(id).Addr()},
 			}})
 		}
-		w.cluster.NoteLive(id)
+		w.cluster.MarkLive(id)
 	default:
 		return fmt.Errorf("clusterd: worker %d: unsupported fault %q", w.index, m.Fault)
 	}
@@ -209,10 +209,7 @@ func (w *worker) runBatch(spec BatchSpec) error {
 	if w.comp.Owner(int(spec.Initiator)) != w.index {
 		return nil
 	}
-	res := &Msg{
-		Kind: MsgResult, Batch: spec.Batch,
-		Initiator: int(spec.Initiator), Responder: int(spec.Responder),
-	}
+	res := &Msg{Kind: MsgResult, Batch: spec.Batch}
 	out, err := w.cluster.RunBatch(spec.Initiator, spec.Responder, spec.Batch, spec.Conns, spec.Budget, spec.Timeout)
 	if err != nil {
 		res.Failed = true
@@ -223,7 +220,6 @@ func (w *worker) runBatch(spec BatchSpec) error {
 		res.Failed = true
 		return w.send(res)
 	}
-	res.SetSize = out.SetSize()
 	res.Credits = creditEntries(out, contract)
 	return w.send(res)
 }
@@ -246,44 +242,18 @@ func creditEntries(out *transport.BatchOutcome, contract core.Contract) []faults
 	return entries
 }
 
-// collect polls the expected settle credits for this worker's nodes
-// until they all landed (settle frames are asynchronous), reports the
-// observed credits, and signals the batch's done barrier.
+// collect polls the owed credits of this worker's nodes until they all
+// landed (settle frames are asynchronous), then signals the batch's done
+// barrier.
 func (w *worker) collect(m *Msg) error {
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		landed := true
-		for _, e := range m.Credits {
-			nd := w.cluster.Node(overlay.NodeID(e.Node))
-			if nd == nil || math.Float64bits(nd.Credited(m.Batch)) != e.PayoffBits {
-				landed = false
-				break
-			}
-		}
-		if landed || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	var obs []faultsim.ClusterCredit
-	locals := make([]int, 0, len(w.local))
-	for n := range w.local {
-		locals = append(locals, n)
-	}
-	sort.Ints(locals)
-	for _, n := range locals {
-		nd := w.cluster.Node(overlay.NodeID(n))
-		if nd == nil {
+	for i := 0; i < len(m.Credits) && time.Now().Before(deadline); {
+		e := m.Credits[i]
+		if nd := w.cluster.Node(overlay.NodeID(e.Node)); nd != nil && math.Float64bits(nd.Credited(m.Batch)) == e.PayoffBits {
+			i++
 			continue
 		}
-		if c, forwards := nd.Settled(m.Batch); c != 0 {
-			obs = append(obs, faultsim.ClusterCredit{
-				Node: n, Forwards: forwards, PayoffBits: math.Float64bits(c),
-			})
-		}
-	}
-	if err := w.send(&Msg{Kind: MsgCredits, Batch: m.Batch, Credits: obs}); err != nil {
-		return err
+		time.Sleep(2 * time.Millisecond)
 	}
 	return w.send(&Msg{Kind: MsgSignal, Name: fmt.Sprintf("done-%d", m.Batch)})
 }

@@ -17,37 +17,37 @@ const (
 	InvSpanOrphan = "span-orphan"
 )
 
-// ClusterCredit is one settle line of a multi-process cluster run: a
+// ClusterCredit is one owed line of a multi-process cluster batch: a
 // forwarder, its accepted forwarding count for the batch, and the exact
 // payoff float bits. Bits, not decimals, so equality is bit equality.
 type ClusterCredit struct {
-	Batch      int    `json:"batch"`
 	Node       int    `json:"node"`
 	Forwards   int    `json:"forwards"`
 	PayoffBits uint64 `json:"payoff_bits"`
 }
 
 // ClusterBatch is one batch's outcome in a cluster run artifact: the
-// pair, the forwarder-set size, whether the batch failed, and the
-// credits the contract says each forwarder is owed.
+// pair, whether the batch failed, and the credits the contract says each
+// forwarder is owed — one line per member of the forwarder set, so ‖π‖
+// is len(Expected).
 type ClusterBatch struct {
 	Batch     int             `json:"batch"`
 	Initiator int             `json:"initiator"`
 	Responder int             `json:"responder"`
-	SetSize   int             `json:"setsize"`
 	Failed    bool            `json:"failed,omitempty"`
 	Expected  []ClusterCredit `json:"expected,omitempty"`
 }
 
 // CheckClusterArtifact runs the post-run invariants over a merged
-// multi-process artifact: per-batch results, the credits every worker
-// observed landing on its nodes, the causally merged span log, and the
-// total number of spans any recorder dropped. The plan supplies the
-// contract to replay the payout rule against. It is the cross-process
-// analogue of the single-world checkInvariants: the same invariant
-// names report, but the evidence is collected artifacts, not live
-// world state.
-func CheckClusterArtifact(p Plan, batches []ClusterBatch, observed []ClusterCredit, spans []telemetry.Span, dropped int) []Violation {
+// multi-process artifact: per-batch results, the causally merged span
+// log, and the total number of spans any recorder dropped. The plan
+// supplies the contract to replay the payout rule against. It is the
+// cross-process analogue of the single-world checkInvariants: the same
+// invariant names report, but the evidence is collected artifacts, not
+// live world state. What landed where is read from the span log alone:
+// a settle span is emitted where a credit lands (Driver.Settled), and a
+// hop span wherever a non-initiator station counts a forward.
+func CheckClusterArtifact(p Plan, batches []ClusterBatch, spans []telemetry.Span, dropped int) []Violation {
 	p = p.Normalize()
 	var out violations
 	add := out.add
@@ -60,66 +60,53 @@ func CheckClusterArtifact(p Plan, batches []ClusterBatch, observed []ClusterCred
 	}
 
 	// (2) Conservation: replay the payout rule m·P_f + P_r/‖π‖ over each
-	// batch's forwarder set and demand both the initiator's claim and the
-	// workers' observations agree bit-for-bit.
+	// batch's forwarder set and demand the initiator's claim agree
+	// bit-for-bit.
+	contract := core.Contract{Pf: float64(p.Pf), Pr: float64(p.Pr)}
 	type line struct{ batch, node int }
 	expected := make(map[line]ClusterCredit)
+	initiator := make(map[int]int, len(batches))
 	for _, b := range batches {
+		initiator[b.Batch] = b.Initiator
 		for _, e := range b.Expected {
-			if b.SetSize > 0 {
-				want := core.Contract{Pf: float64(p.Pf), Pr: float64(p.Pr)}.Payoff(e.Forwards, b.SetSize)
-				if math.Float64bits(want) != e.PayoffBits {
-					add(InvConservation, "batch %d node %d: claimed payoff bits %016x, rule says %016x",
-						b.Batch, e.Node, e.PayoffBits, math.Float64bits(want))
-				}
+			if want := contract.Payoff(e.Forwards, len(b.Expected)); math.Float64bits(want) != e.PayoffBits {
+				add(InvConservation, "batch %d node %d: claimed payoff bits %016x, rule says %016x",
+					b.Batch, e.Node, e.PayoffBits, math.Float64bits(want))
 			}
 			expected[line{b.Batch, e.Node}] = e
 		}
 	}
-	seen := make(map[line]ClusterCredit)
-	for _, o := range observed {
-		k := line{o.Batch, o.Node}
-		if _, dup := seen[k]; dup {
-			add(InvDoubleSettle, "batch %d node %d observed twice", o.Batch, o.Node)
-			continue
-		}
-		seen[k] = o
-		e, ok := expected[k]
-		if !ok {
-			add(InvConservation, "batch %d node %d: credited %016x but owed nothing", o.Batch, o.Node, o.PayoffBits)
-			continue
-		}
-		if o.PayoffBits != e.PayoffBits || o.Forwards != e.Forwards {
-			add(InvConservation, "batch %d node %d: observed (%d fwd, %016x), expected (%d fwd, %016x)",
-				o.Batch, o.Node, o.Forwards, o.PayoffBits, e.Forwards, e.PayoffBits)
-		}
-	}
-	for k, e := range expected {
-		if _, ok := seen[k]; !ok {
-			add(InvConservation, "batch %d node %d: owed %016x, nothing landed", k.batch, k.node, e.PayoffBits)
-		}
-	}
 
-	// Capacity, orphans and path contiguity; the settle-span check below
-	// is only meaningful over a complete log.
+	// Capacity, orphans and path contiguity; the checks below read the
+	// span log and are only meaningful over a complete one.
 	if _, complete := checkSpanLog(&out, spans, uint64(dropped)); !complete {
 		return out
 	}
 
-	// (3) Double-settle, from the span side: at most one settle span per
-	// (batch, node), exactly one per expected line, detail carrying the
-	// owed bits in the one settle-detail form, transport.SettleDetail.
+	// (3) What landed: one settle span per owed line and none elsewhere,
+	// its detail carrying the owed bits in the one settle-detail form,
+	// transport.SettleDetail, and the forwarder's own count of forwards —
+	// its hop spans in the batch, away from the initiator — equal to the
+	// owed line's.
 	settles := make(map[line]int)
 	settleDetail := make(map[line]string)
+	hops := make(map[line]int)
 	for _, s := range spans {
-		if s.Kind != telemetry.SpanSettle {
-			continue
-		}
 		k := line{s.Batch, s.Node}
-		settles[k]++
-		settleDetail[k] = s.Detail
+		switch s.Kind {
+		case telemetry.SpanSettle:
+			settles[k]++
+			settleDetail[k] = s.Detail
+		case telemetry.SpanHop:
+			if i, ok := initiator[s.Batch]; ok && s.Node != i {
+				hops[k]++
+			}
+		}
 	}
 	for k, n := range settles {
+		if _, owed := expected[k]; !owed {
+			add(InvConservation, "batch %d node %d: settle span %q but owed nothing", k.batch, k.node, settleDetail[k])
+		}
 		if n > 1 {
 			add(InvDoubleSettle, "batch %d node %d: %d settle spans", k.batch, k.node, n)
 		}
@@ -131,6 +118,10 @@ func CheckClusterArtifact(p Plan, batches []ClusterBatch, observed []ClusterCred
 		case settleDetail[k] != transport.SettleDetail(math.Float64frombits(e.PayoffBits)):
 			add(InvDoubleSettle, "batch %d node %d: settle span detail %q, want bits %016x",
 				k.batch, k.node, settleDetail[k], e.PayoffBits)
+		}
+		if hops[k] != e.Forwards {
+			add(InvConservation, "batch %d node %d: %d hop spans, owed line says %d forwards",
+				k.batch, k.node, hops[k], e.Forwards)
 		}
 	}
 	return out

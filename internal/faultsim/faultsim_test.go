@@ -13,6 +13,7 @@ import (
 	"p2panon/internal/core"
 	"p2panon/internal/overlay"
 	"p2panon/internal/telemetry"
+	"p2panon/internal/transport"
 )
 
 // TestBenignPlansHoldInvariants: generated noise plans (drops, delays,
@@ -328,22 +329,97 @@ func TestReconcileCatchesMissingDeliverSpan(t *testing.T) {
 	requireViolation(t, w.checkInvariants(slices.Delete(spans, i, i+1), 0), InvReconcile)
 }
 
+// clusterFixture runs a clean one-batch world and returns it as a cluster
+// artifact would carry it: the batch with the credits each paid forwarder
+// is owed, and the span log. Its plan's P_r divides evenly among the
+// forwarder set, so the payment rail's integer split is the contract's
+// float one and the owed lines replay bit for bit.
+func clusterFixture(t *testing.T) (Plan, []ClusterBatch, []telemetry.Span) {
+	t.Helper()
+	w := cleanWorld(t, Plan{Seed: 5, Batches: 1, Pr: 840})
+	rec := w.batches[0]
+	b := ClusterBatch{Batch: rec.batch, Initiator: int(rec.initiator), Responder: int(rec.responder)}
+	for _, po := range rec.payouts {
+		b.Expected = append(b.Expected, ClusterCredit{
+			Node: int(po.Forwarder), Forwards: po.Forwards, PayoffBits: math.Float64bits(float64(po.Amount)),
+		})
+	}
+	if len(b.Expected) == 0 {
+		t.Fatal("clean batch paid no forwarder")
+	}
+	spans := w.spans.Spans()
+	if vs := CheckClusterArtifact(w.plan, []ClusterBatch{b}, spans, 0); len(vs) != 0 {
+		t.Fatalf("clean artifact violates %v", vs)
+	}
+	return w.plan, []ClusterBatch{b}, spans
+}
+
 // TestClusterArtifactCatchesMissingHop: a merged log that lost a
 // forwarder's hop span breaks the chain of the deliver span above it and
 // orphans the span that parented on it.
 func TestClusterArtifactCatchesMissingHop(t *testing.T) {
-	w := cleanWorld(t, Plan{Seed: 5, Batches: 1})
-	spans := w.spans.Spans()
-	if vs := CheckClusterArtifact(w.plan, nil, nil, spans, 0); len(vs) != 0 {
-		t.Fatalf("clean log violates %v", vs)
-	}
+	p, batches, spans := clusterFixture(t)
 	i := slices.IndexFunc(spans, func(s telemetry.Span) bool { return s.Kind == telemetry.SpanHop && s.Hop == 1 })
 	if i < 0 {
 		t.Fatal("no forwarder hop span")
 	}
-	vs := CheckClusterArtifact(w.plan, nil, nil, slices.Delete(spans, i, i+1), 0)
+	vs := CheckClusterArtifact(p, batches, slices.Delete(spans, i, i+1), 0)
 	requireViolation(t, vs, InvContiguity)
 	requireViolation(t, vs, InvSpanOrphan)
+}
+
+// TestClusterArtifactCatchesCreditBugs plants one credit bug at a time in
+// a clean artifact's span log — the only record of what landed where —
+// and requires exactly the one violation it breaks. A planted span gets a
+// fresh id and keeps its parent, so the causal checks stay quiet.
+func TestClusterArtifactCatchesCreditBugs(t *testing.T) {
+	p, batches, clean := clusterFixture(t)
+	b := batches[0]
+	owed := b.Expected[0]
+	find := func(t *testing.T, spans []telemetry.Span, kind telemetry.SpanKind, node int) int {
+		t.Helper()
+		i := slices.IndexFunc(spans, func(s telemetry.Span) bool { return s.Kind == kind && s.Node == node })
+		if i < 0 {
+			t.Fatalf("no %s span at node %d", kind, node)
+		}
+		return i
+	}
+	planted := func(s telemetry.Span) telemetry.Span {
+		s.ID ^= 0x5eed
+		return s
+	}
+	for _, tc := range []struct {
+		name  string
+		plant func(t *testing.T, spans []telemetry.Span) []telemetry.Span
+		want  string
+	}{
+		{"settle span for a line owed nothing", func(t *testing.T, spans []telemetry.Span) []telemetry.Span {
+			s := planted(spans[find(t, spans, telemetry.SpanSettle, owed.Node)])
+			s.Node = b.Responder
+			return append(spans, s)
+		}, InvConservation},
+		{"owed line with no settle span", func(t *testing.T, spans []telemetry.Span) []telemetry.Span {
+			i := find(t, spans, telemetry.SpanSettle, owed.Node)
+			return slices.Delete(spans, i, i+1)
+		}, InvDoubleSettle},
+		{"two settle spans for one line", func(t *testing.T, spans []telemetry.Span) []telemetry.Span {
+			return append(spans, planted(spans[find(t, spans, telemetry.SpanSettle, owed.Node)]))
+		}, InvDoubleSettle},
+		{"settled payoff bits differ", func(t *testing.T, spans []telemetry.Span) []telemetry.Span {
+			spans[find(t, spans, telemetry.SpanSettle, owed.Node)].Detail = transport.SettleDetail(math.Float64frombits(owed.PayoffBits + 1))
+			return spans
+		}, InvDoubleSettle},
+		{"hop spans differ from the owed forwards", func(t *testing.T, spans []telemetry.Span) []telemetry.Span {
+			return append(spans, planted(spans[find(t, spans, telemetry.SpanHop, owed.Node)]))
+		}, InvConservation},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			vs := CheckClusterArtifact(p, batches, tc.plant(t, slices.Clone(clean)), 0)
+			if len(vs) != 1 || vs[0].Invariant != tc.want {
+				t.Fatalf("violations %v, want one %s", vs, tc.want)
+			}
+		})
+	}
 }
 
 // TestMidConnectionCrash crashes a node while a FORWARD or a CONFIRM is
@@ -462,10 +538,10 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 // dropped is reported as trace-capacity alone, not as a double-settle.
 func TestClusterArtifactSkipsTruncatedLog(t *testing.T) {
 	p := Plan{Seed: 1}.Normalize()
-	credit := ClusterCredit{Batch: 1, Node: 2, Forwards: 1,
+	credit := ClusterCredit{Node: 2, Forwards: 1,
 		PayoffBits: math.Float64bits(core.Contract{Pf: float64(p.Pf), Pr: float64(p.Pr)}.Payoff(1, 1))}
-	batches := []ClusterBatch{{Batch: 1, Initiator: 0, Responder: 1, SetSize: 1, Expected: []ClusterCredit{credit}}}
-	vs := CheckClusterArtifact(p, batches, []ClusterCredit{credit}, nil, 1)
+	batches := []ClusterBatch{{Batch: 1, Initiator: 0, Responder: 1, Expected: []ClusterCredit{credit}}}
+	vs := CheckClusterArtifact(p, batches, nil, 1)
 	if len(vs) != 1 || vs[0].Invariant != InvTraceCapacity {
 		t.Fatalf("violations %v, want %s alone", vs, InvTraceCapacity)
 	}

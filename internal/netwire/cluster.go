@@ -176,7 +176,7 @@ func (c *Cluster) Join(id overlay.NodeID, r transport.Router) error {
 		ln:      ln,
 		links:   make(map[overlay.NodeID]*link),
 		conns:   make(map[net.Conn]struct{}),
-		settled: make(map[int]settlement),
+		settled: make(map[int]float64),
 		killed:  make(chan struct{}),
 	}
 	c.mu.Lock()
@@ -225,15 +225,6 @@ func (c *Cluster) RegisterPeer(id overlay.NodeID, addr string) {
 	}
 	c.mu.Unlock()
 }
-
-// NoteDead feeds an externally learned death (an orchestrator's fault
-// notice for a peer in another process) to every ChurnAware router, the
-// same signal a failed local delivery produces.
-func (c *Cluster) NoteDead(id overlay.NodeID) { c.MarkDead(id) }
-
-// NoteLive is NoteDead's inverse: a restarted remote peer is marked live
-// again so routers may draw it.
-func (c *Cluster) NoteLive(id overlay.NodeID) { c.MarkLive(id) }
 
 // RemovePeer models an abrupt departure: the node's listener and every
 // connection close immediately; peers discover the corpse by failed

@@ -427,10 +427,10 @@ func TestFrameMessageConversion(t *testing.T) {
 
 // TestBatchStateBoundedOverTCP is the TCP counterpart of transport's
 // in-process bound: 10³ batches settled over loopback, up to three open at
-// a time. Once a batch's Settle frames have landed, no node holds a
-// forwarding count for it, each member's settled record keeps its own
-// count, and the router's histories number no more than the batches still
-// open.
+// a time. Until its settle, each member's station counts the forwards the
+// outcome credits it with; once the batch's Settle frames have landed, no
+// node holds a forwarding count for it, each member is credited, and the
+// router's histories number no more than the batches still open.
 func TestBatchStateBoundedOverTCP(t *testing.T) {
 	const nodes, batches, window = 8, 1_000, 3
 	topo := buildTopo(nodes, 4, 23)
@@ -462,19 +462,17 @@ func TestBatchStateBoundedOverTCP(t *testing.T) {
 		if len(open) == window {
 			s := open[0]
 			open = open[1:]
+			for id := range s.out.Set {
+				if got := c.Node(id).Forwards(s.id); got != s.out.Forwards[id] {
+					t.Fatalf("batch %d: node %d counts %d forwards before its settle, want %d", s.id, id, got, s.out.Forwards[id])
+				}
+			}
 			if _, err := c.SettleBatch(s.initiator, s.id, s.out, contract); err != nil {
 				t.Fatal(err)
 			}
 			deadline := time.Now().Add(10 * time.Second)
 			for id := range s.out.Set {
-				for {
-					payoff, forwards := c.Node(id).Settled(s.id)
-					if payoff != 0 {
-						if forwards != s.out.Forwards[id] {
-							t.Fatalf("batch %d: node %d settled with %d forwards, want %d", s.id, id, forwards, s.out.Forwards[id])
-						}
-						break
-					}
+				for c.Node(id).Credited(s.id) == 0 {
 					if time.Now().After(deadline) {
 						t.Fatalf("batch %d: node %d never settled", s.id, id)
 					}

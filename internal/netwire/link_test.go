@@ -389,7 +389,7 @@ func quiescedRun(t *testing.T) (*Cluster, int) {
 		}
 		for id := range out.Set {
 			note(i, id)
-			waitFor(t, "a settle frame", func() bool { p, _ := c.Node(id).Settled(b); return p != 0 })
+			waitFor(t, "a settle frame", func() bool { return c.Node(id).Credited(b) != 0 })
 		}
 	}
 	return c, len(pairs)

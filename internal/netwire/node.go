@@ -30,18 +30,10 @@ type Node struct {
 	mu      sync.Mutex
 	links   map[overlay.NodeID]*link // one per peer it exchanged frames with
 	conns   map[net.Conn]struct{}    // every open connection, accepted or dialed
-	settled map[int]settlement       // batch -> what its Settle frame left here
+	settled map[int]float64          // batch -> the payoff its Settle frame credited here
 
 	killed   chan struct{}
 	killOnce sync.Once
-}
-
-// settlement is what a batch's Settle frame left at a node: the payoff it
-// credited and the node's own forwarding count, moved out of the station
-// as the batch closed.
-type settlement struct {
-	payoff   float64
-	forwards int
 }
 
 // Addr returns the node's listen address.
@@ -52,16 +44,7 @@ func (nd *Node) Addr() string { return nd.ln.Addr().String() }
 func (nd *Node) Credited(batch int) float64 {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	return nd.settled[batch].payoff
-}
-
-// Settled returns the payoff a batch's Settle frame credited here and this
-// node's forwarding count for the batch as of the settle; zeros until the
-// frame lands.
-func (nd *Node) Settled(batch int) (payoff float64, forwards int) {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	return nd.settled[batch].payoff, nd.settled[batch].forwards
+	return nd.settled[batch]
 }
 
 // kill shuts the node down abruptly: listener closed, every connection
@@ -254,12 +237,11 @@ func (nd *Node) handleFrame(peer overlay.NodeID, f *Frame, abs time.Time) {
 		nd.c.resolveProbe(f.Nonce)
 	case KindSettle:
 		// The credit lands here, under the batch root the frame carried
-		// (Driver.Settled). Unless the batch had already closed, the node's
-		// own forwarding count moves into the settled record beside it.
+		// (Driver.Settled), unless the batch had already closed.
 		credit := transport.Credit{Payoff: f.Payoff, Trace: f.Trace, Root: f.Span}
-		if forwards, ok := nd.c.Settled(nd.Station, f.Batch, &credit); ok {
+		if _, ok := nd.c.Settled(nd.Station, f.Batch, &credit); ok {
 			nd.mu.Lock()
-			nd.settled[f.Batch] = settlement{payoff: f.Payoff, forwards: forwards}
+			nd.settled[f.Batch] = f.Payoff
 			nd.mu.Unlock()
 		}
 	}
