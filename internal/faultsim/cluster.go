@@ -1,8 +1,10 @@
 package faultsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"p2panon/internal/core"
 	"p2panon/internal/overlay"
@@ -87,7 +89,8 @@ func CheckClusterArtifact(p Plan, batches []ClusterBatch, spans []telemetry.Span
 	// its detail carrying the owed bits in the one settle-detail form,
 	// transport.SettleDetail, and the forwarder's own count of forwards —
 	// its hop spans in the batch, away from the initiator — equal to the
-	// owed line's.
+	// owed line's. Lines are checked in ascending (batch, node) order, so
+	// one artifact always reports the same list.
 	settles := make(map[line]int)
 	settleDetail := make(map[line]string)
 	hops := make(map[line]int)
@@ -103,16 +106,29 @@ func CheckClusterArtifact(p Plan, batches []ClusterBatch, spans []telemetry.Span
 			}
 		}
 	}
-	for k, n := range settles {
+	lines := make([]line, 0, len(expected)+len(settles))
+	for k := range expected {
+		lines = append(lines, k)
+	}
+	for k := range settles {
 		if _, owed := expected[k]; !owed {
+			lines = append(lines, k)
+		}
+	}
+	slices.SortFunc(lines, func(a, b line) int { return cmp.Or(cmp.Compare(a.batch, b.batch), cmp.Compare(a.node, b.node)) })
+	for _, k := range lines {
+		e, owed := expected[k]
+		n := settles[k]
+		if !owed {
 			add(InvConservation, "batch %d node %d: settle span %q but owed nothing", k.batch, k.node, settleDetail[k])
 		}
 		if n > 1 {
 			add(InvDoubleSettle, "batch %d node %d: %d settle spans", k.batch, k.node, n)
 		}
-	}
-	for k, e := range expected {
-		switch n := settles[k]; {
+		if !owed {
+			continue
+		}
+		switch {
 		case n == 0:
 			add(InvDoubleSettle, "batch %d node %d: no settle span for owed credit", k.batch, k.node)
 		case settleDetail[k] != transport.SettleDetail(math.Float64frombits(e.PayoffBits)):

@@ -2,6 +2,7 @@ package faultsim
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -419,6 +420,47 @@ func TestClusterArtifactCatchesCreditBugs(t *testing.T) {
 				t.Fatalf("violations %v, want one %s", vs, tc.want)
 			}
 		})
+	}
+}
+
+// TestClusterArtifactReportsInLineOrder plants two owed lines without
+// their settle spans and one settle span owed nothing, and requires the
+// checker to report the three in ascending (batch, node) order, the same
+// list on each of 20 calls.
+func TestClusterArtifactReportsInLineOrder(t *testing.T) {
+	p, batches, spans := clusterFixture(t)
+	b := batches[0]
+	if len(b.Expected) < 2 {
+		t.Fatalf("clean batch owes %d lines, want two to drop", len(b.Expected))
+	}
+	var unowed telemetry.Span
+	for _, e := range b.Expected[:2] {
+		i := slices.IndexFunc(spans, func(s telemetry.Span) bool { return s.Kind == telemetry.SpanSettle && s.Node == e.Node })
+		if i < 0 {
+			t.Fatalf("no settle span at node %d", e.Node)
+		}
+		unowed = spans[i]
+		spans = slices.Delete(spans, i, i+1)
+	}
+	unowed.ID ^= 0x5eed
+	unowed.Node = b.Responder
+	spans = append(spans, unowed)
+	first := CheckClusterArtifact(p, batches, spans, 0)
+	if len(first) != 3 {
+		t.Fatalf("violations %v, want three", first)
+	}
+	last := -1
+	for _, v := range first {
+		var batch, node int
+		if _, err := fmt.Sscanf(v.Detail, "batch %d node %d", &batch, &node); err != nil || batch != b.Batch || node <= last {
+			t.Fatalf("violations %v: not in ascending (batch, node) order", first)
+		}
+		last = node
+	}
+	for call := 2; call <= 20; call++ {
+		if vs := CheckClusterArtifact(p, batches, spans, 0); !slices.Equal(vs, first) {
+			t.Fatalf("call %d reported %v, the first %v", call, vs, first)
+		}
 	}
 }
 

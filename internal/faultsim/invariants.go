@@ -106,16 +106,21 @@ func (w *world) checkInvariants(spans []telemetry.Span, dropped uint64) []Violat
 	}
 
 	// (3) Double-settle: the bank's actual payout list pays one forwarder
-	// at most once per batch.
+	// at most once per batch. Reported by ascending forwarder.
 	for _, rec := range w.batches {
 		seen := make(map[payment.AccountID]int)
 		for _, p := range rec.payouts {
 			seen[p.Forwarder]++
 		}
+		var twice []payment.AccountID
 		for f, n := range seen {
 			if n > 1 {
-				add(InvDoubleSettle, "batch %d: forwarder %d settled %d times", rec.batch, f, n)
+				twice = append(twice, f)
 			}
+		}
+		slices.Sort(twice)
+		for _, f := range twice {
+			add(InvDoubleSettle, "batch %d: forwarder %d settled %d times", rec.batch, f, seen[f])
 		}
 	}
 

@@ -68,29 +68,6 @@ func (g *PathGame) Cell(m *Memo, hops, node int) (Decision, bool) {
 	return m.table[hops][node], m.Known(hops, node)
 }
 
-// StageNext is Cell over a whole stage, for a caller that keeps every
-// prescription of a solve: it appends to dst, for nodes 0 … Nodes−1, the
-// successor Cell(m, hops, node) prescribes, or unknown[node] where Cell
-// holds no value. One call per stage instead of one per cell, which a
-// caller copying the table would otherwise pay on every cell.
-func (g *PathGame) StageNext(dst []int32, m *Memo, hops int, unknown []int32) []int32 {
-	if hops == 1 {
-		for i := 0; i < g.Nodes; i++ {
-			dst = append(dst, int32(g.deliverCell(i).Next))
-		}
-		return dst
-	}
-	mark, epoch, table := m.mark[hops], m.epoch, m.table[hops]
-	for i := range table {
-		next := unknown[i]
-		if epoch != 0 && mark[i] == epoch { // Known(hops, i)
-			next = int32(table[i].Next)
-		}
-		dst = append(dst, next)
-	}
-	return dst
-}
-
 // SolveFrom solves, into m, every cell at stage 2 and above the play from
 // (start, hops) can reach and returns how many cells it computed. It
 // discovers the cone top down through the rows as the rule reads them —

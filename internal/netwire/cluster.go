@@ -311,14 +311,12 @@ func (c *Cluster) SettleBatch(initiator overlay.NodeID, batch int, out *transpor
 	sent := 0
 	for id := range out.Set {
 		f := &Frame{
-			Kind:     KindSettle,
-			Batch:    batch,
-			Node:     id,
-			SetSize:  out.SetSize(),
-			Forwards: out.Forwards[id],
-			Payoff:   out.Payoff(id, contract),
-			Trace:    trace,
-			Span:     root,
+			Kind:   KindSettle,
+			Batch:  batch,
+			Node:   id,
+			Payoff: out.Payoff(id, contract),
+			Trace:  trace,
+			Span:   root,
 		}
 		if nd.sendMsg(id, f, time.Time{}) {
 			sent++

@@ -42,7 +42,7 @@ import (
 // Version is the wire-protocol version this codec speaks. A frame with
 // any other version is rejected at decode — the dialer learns about the
 // mismatch from the handshake failing.
-const Version = 1
+const Version = 2
 
 // MaxFrameSize bounds a frame body (version + kind + payload). It keeps a
 // hostile length prefix from asking the reader for gigabytes.
@@ -106,7 +106,7 @@ func BodyCap(k Kind) int {
 	case KindProbe, KindProbeAck:
 		return 2 + 8 // nonce
 	case KindSettle:
-		return 2 + 5*8 + traceTailSize // batch, node, set size, forwards, payoff + optional trace context
+		return 2 + 3*8 + traceTailSize // batch, node, payoff + optional trace context
 	case KindForward, KindConfirm, KindNack, KindClaim:
 		return MaxFrameSize
 	default:
@@ -189,8 +189,7 @@ type Frame struct {
 	Records                    []onion.PathRecord
 
 	// Settle: the initiator's split-payment notice for one batch.
-	SetSize, Forwards int
-	Payoff            float64
+	Payoff float64
 
 	// Claim: a forwarder's aggregate settlement claim for Batch. The
 	// payload embeds payment's canonical claim encoding, so the payment
@@ -241,8 +240,6 @@ func (f *Frame) appendBody(out []byte) ([]byte, error) {
 	case KindSettle:
 		out = wire.AppendI64(out, int64(f.Batch))
 		out = wire.AppendI64(out, int64(f.Node))
-		out = wire.AppendI64(out, int64(f.SetSize))
-		out = wire.AppendI64(out, int64(f.Forwards))
 		out = wire.AppendU64(out, math.Float64bits(f.Payoff))
 	case KindClaim:
 		if f.AggClaim == nil {
@@ -375,8 +372,6 @@ func (f *Frame) decodeBody(body []byte) error {
 	case KindSettle:
 		f.Batch = int(r.I64())
 		f.Node = overlay.NodeID(r.I64())
-		f.SetSize = int(r.I64())
-		f.Forwards = int(r.I64())
 		f.Payoff = math.Float64frombits(r.U64())
 	case KindClaim:
 		f.Batch = int(r.I64())

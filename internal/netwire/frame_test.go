@@ -44,8 +44,6 @@ func randomFrame(t testing.TB, rng *rand.Rand, kind Kind) *Frame {
 	case KindSettle:
 		f.Batch = rng.Intn(1 << 20)
 		f.Node = overlay.NodeID(rng.Int63n(1 << 40))
-		f.SetSize = rng.Intn(100)
-		f.Forwards = rng.Intn(100)
 		f.Payoff = rng.NormFloat64() * 10
 	case KindClaim:
 		f.Batch = rng.Intn(1 << 20)
@@ -133,7 +131,6 @@ func TestFrameRoundTrip(t *testing.T) {
 			g.From != f.From || g.Initiator != f.Initiator || g.Responder != f.Responder ||
 			g.Remaining != f.Remaining || g.Hop != f.Hop || g.Reason != f.Reason ||
 			g.Fatal != f.Fatal || g.DeadlineMicros != f.DeadlineMicros ||
-			g.SetSize != f.SetSize || g.Forwards != f.Forwards ||
 			g.Trace != f.Trace || g.Span != f.Span ||
 			math.Float64bits(g.Payoff) != math.Float64bits(f.Payoff) ||
 			len(g.Path) != len(f.Path) || len(g.Records) != len(f.Records) {
@@ -312,7 +309,7 @@ func TestBodyCapEnforcedPerKind(t *testing.T) {
 		{KindProbeAck, 10},
 		{KindHello, 18 + traceTailSize},
 		{KindHelloAck, 18 + traceTailSize},
-		{KindSettle, 42 + traceTailSize},
+		{KindSettle, 26 + traceTailSize},
 	}
 	for _, tc := range cases {
 		t.Run(tc.kind.String(), func(t *testing.T) {
@@ -409,7 +406,7 @@ func TestTraceContextExtension(t *testing.T) {
 
 	// A zero tail on a fixed-layout kind: length says "extension present",
 	// content says "absent" — re-encoding would drop it, so reject.
-	settle := &Frame{Kind: KindSettle, Batch: 1, Node: 2, SetSize: 3, Forwards: 4, Payoff: 5}
+	settle := &Frame{Kind: KindSettle, Batch: 1, Node: 2, Payoff: 5}
 	buf, err := settle.Encode()
 	if err != nil {
 		t.Fatal(err)

@@ -422,13 +422,13 @@ func TestQuiescedWireCounts(t *testing.T) {
 }
 
 // What quiescedRun sends besides handshakes, as measured with one-way
-// links: 311 720 bytes in all, 82 dials (one per ordered pair) of 44
+// links: 310 568 bytes in all, 82 dials (one per ordered pair) of 44
 // handshake bytes each.
 const (
 	quiescedForwards      = 1200
 	quiescedConfirms      = 1200
 	quiescedSettles       = 72
-	quiescedProtocolBytes = 311_720 - 82*44
+	quiescedProtocolBytes = 310_568 - 82*44
 )
 
 // TestProbeAckReturnsToProber probes between two nodes of a cluster that

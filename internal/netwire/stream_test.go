@@ -188,7 +188,7 @@ func TestFrameStreamSteadyStateAllocs(t *testing.T) {
 	}{
 		{"forward", forwardFrame(t, false), 1},
 		{"nack with reason", nack, 2},
-		{"settle", &Frame{Kind: KindSettle, Batch: 12, Node: 4, SetSize: 3, Forwards: 7, Payoff: 1.5, Trace: 1, Span: 2}, 0},
+		{"settle", &Frame{Kind: KindSettle, Batch: 12, Node: 4, Payoff: 1.5, Trace: 1, Span: 2}, 0},
 	} {
 		s := envelope.NewStream(&loop{wire: mustEncode(t, tc.f)}, connBuf)
 		var f Frame

@@ -224,12 +224,6 @@ func (r *UtilityRouter) record(batch, conn int, from, to overlay.NodeID) {
 	h.Record(conn, overlay.None, from, to)
 }
 
-// spneCacheCap bounds how many connections' prescriptions the Model-II
-// router keeps. A connection reads its entry once per hop and never again
-// after it confirms, so the cache only has to outlast the connections in
-// flight at once; a long run's memory no longer grows with its length.
-const spneCacheCap = 64
-
 // UtilityIIRouter implements Utility Model II over the live runtime: at
 // each hop it plays, through the shared rule (core.Route), the SPNE
 // prescription of the bounded path game from itself to the responder over
@@ -241,8 +235,9 @@ const spneCacheCap = 64
 // (game.RowRule). The game covers the cone of cells the connection's play
 // can reach (game.SolveFrom from its first holder and budget), solved
 // once per (batch, conn), since qualities are stable within a
-// connection; the prescriptions of the spneCacheCap most recently solved
-// connections are kept. The cone itself is kept for the next connection
+// connection. The router keeps the one game it solved last, and the
+// connection it was solved for reads every later hop from it in place
+// (game.PathGame.Cell). The cone itself is kept for the next connection
 // of the batch: only σ changes between two, on the rows of the nodes the
 // history names, so that connection re-solves only what reads them
 // (game.PathGame.Refresh). Safe for concurrent use.
@@ -251,11 +246,6 @@ type UtilityIIRouter struct {
 
 	// cacheMu guards everything below; it is taken before mu, never after.
 	cacheMu sync.Mutex
-	// slots is a ring in solve order: the solved-th solve since the cache
-	// was last emptied lands in slot solved % spneCacheCap, evicting what
-	// was there, so min(solved, spneCacheCap) slots are live.
-	slots  [spneCacheCap]spneCacheEntry
-	solved int
 
 	// The stage game and its storage, reused by every solve: the memo
 	// SolveFrom fills, sized for the largest budget solved so far
@@ -263,42 +253,35 @@ type UtilityIIRouter struct {
 	game     game.PathGame
 	memo     game.Memo
 	memoHops int
-	// The kept cone: the key of the solve that last filled memo cold
-	// (coneKept says memo still holds it), and coneDirty, the holders of
-	// that solve and of every solve since — the rows a refresh re-reads.
-	// A row stays dirty once the history named it: were the history
-	// dropped, the row would fall back to its base row, and that changes
-	// it too.
+	// The kept solve: cone is the key of the latest solve, which filled
+	// memo cold or refreshed the cone of the same key, and stage.conn its
+	// connection; coneKept says memo still holds it. coneDirty holds the
+	// holders of the cone's cold solve and of every solve since — the rows
+	// a refresh re-reads. A row stays dirty once the history named it: were
+	// the history dropped, the row would fall back to its base row, and
+	// that changes it too.
 	cone      coneKey
 	coneKept  bool
 	coneDirty []bool
-	// coneLow is the kept cone's prescriptions at stages 0 and 1, as its
-	// cold solve filled them: they read the rule alone, so a refresh
-	// copies them instead of reading them anew.
-	coneLow []int32
 	// nbrQ[i] is aligned with nbrs[i]: the quality of an edge into each
 	// neighbor that no connection of the batch has used, Edge(0, α). With
 	// nbrs[i] it is node i's base row, which its game row reads in place.
 	nbrQ [][]float64
 	// routable[i]: node i is a key of the topology and believed alive —
 	// the nodes that hold a row under the game's rule — refreshed by every
-	// solve. unknown[i] is what the cache reads for a cell of i outside
-	// the cone: −1 for a node that holds no row, which has no move at any
-	// stage, and unsolved for every other.
+	// solve.
 	routable []bool
-	unknown  []int32
-	// The solve in progress: its batch's history and connection, and
-	// holder[i], whether that history names an edge out of i. Only those
-	// rows are scored anew, each into ovQ[i], a span of overlay.
+	// The latest solve: its batch's history and connection, and holder[i],
+	// whether that history names an edge out of i. Only those rows are
+	// scored anew, each into ovQ[i], a span of overlay.
 	stage   hopView
 	holder  []bool
 	ovQ     [][]float64
 	overlay []float64
 
-	// SPNE cache instrumentation, bound by Instrument (nil-safe when not).
-	cacheHits, cacheMisses, cacheEvictions *telemetry.Counter
-	cacheEntries                           *telemetry.Gauge
-	coneCold, coneRefresh                  *telemetry.Counter
+	// SPNE read instrumentation, bound by Instrument (nil-safe when not).
+	cacheHits, cacheMisses *telemetry.Counter
+	coneCold, coneRefresh  *telemetry.Counter
 }
 
 // coneKey names a cone: everything a solve reads that the history and
@@ -308,29 +291,6 @@ type coneKey struct {
 	batch                       int
 	start, initiator, responder overlay.NodeID
 	budget                      int
-}
-
-// unsolved marks a cache cell outside the solved cone. The play never
-// reads one (every hop follows an edge of the holder's row, and the cone
-// holds the cells of all of them); if it did, the read would count as a
-// miss and re-solve from there.
-const unsolved = -2
-
-// spneCacheEntry is one connection's solved game, reduced to what NextHop
-// reads: next[h*nodes+i] is the successor prescribed to i with h hops of
-// budget left (−1 for none, unsolved outside the cone). Its storage is
-// reused by the slot's next occupant.
-type spneCacheEntry struct {
-	key       [2]int // (batch, conn)
-	responder overlay.NodeID
-	budget    int
-	next      []int32
-}
-
-// at reads the prescription for self with h hops left from a table that is
-// nodes wide.
-func (e *spneCacheEntry) at(h, nodes int, self overlay.NodeID) overlay.NodeID {
-	return overlay.NodeID(e.next[h*nodes+int(self)])
 }
 
 // NewUtilityIIRouter builds a Model-II router over the topology snapshot.
@@ -346,7 +306,6 @@ func NewUtilityIIRouter(topo Topology, w quality.Weights, c core.Contract, avail
 	r.holder = make([]bool, len(r.nbrs))
 	r.coneDirty = make([]bool, len(r.nbrs))
 	r.routable = make([]bool, len(r.nbrs))
-	r.unknown = make([]int32, len(r.nbrs))
 	r.ovQ = make([][]float64, len(r.nbrs))
 	r.stage.r = r.UtilityRouter
 	r.game = game.PathGame{
@@ -364,49 +323,41 @@ func NewUtilityIIRouter(topo Topology, w quality.Weights, c core.Contract, avail
 	return r
 }
 
-// Instrument binds the router's SPNE cache instruments into reg — hits,
-// misses, evictions, the current entry count and how each miss solved
-// its cone — so game-layer solve reuse and the cache bound are visible on
-// the exposition endpoint. Call before traffic starts.
+// Instrument binds the router's SPNE instruments into reg — reads served
+// by the kept solve (hits) and reads that solved (misses), and how each
+// miss solved its cone — so game-layer solve reuse is visible on the
+// exposition endpoint. Call before traffic starts.
 func (r *UtilityIIRouter) Instrument(reg *telemetry.Registry) {
-	reg.Help(metricSPNECacheTotal, "SPNE table lookups served from cache (result=hit) vs solved fresh (result=miss)")
-	reg.Help(metricSPNECacheEntries, "connections whose SPNE prescription is cached (bounded)")
-	reg.Help(metricSPNECacheEvicted, "cached SPNE prescriptions displaced by a newer solve")
+	reg.Help(metricSPNECacheTotal, "SPNE prescriptions read from the kept solve (result=hit) vs solved fresh (result=miss)")
 	reg.Help(metricSPNECone, "SPNE solves that solved their cone from nothing (kind=cold) vs re-solved the kept one (kind=refresh)")
 	r.cacheHits = reg.Counter(metricSPNECacheTotal, telemetry.Labels{"result": "hit"})
 	r.cacheMisses = reg.Counter(metricSPNECacheTotal, telemetry.Labels{"result": "miss"})
-	r.cacheEvictions = reg.Counter(metricSPNECacheEvicted, nil)
-	r.cacheEntries = reg.Gauge(metricSPNECacheEntries, nil)
 	r.coneCold = reg.Counter(metricSPNECone, telemetry.Labels{"kind": "cold"})
 	r.coneRefresh = reg.Counter(metricSPNECone, telemetry.Labels{"kind": "refresh"})
 }
 
 // MarkDead implements ChurnAware: besides excluding id from candidates,
-// cached prescriptions and the kept cone are discarded — they may route
-// through the corpse, and a reformed attempt must re-solve without it.
+// the kept solve is discarded — it may route through the corpse, and a
+// reformed attempt must re-solve without it.
 func (r *UtilityIIRouter) MarkDead(id overlay.NodeID) { r.setLiveness(id, false) }
 
-// MarkLive implements ChurnAware; stale prescriptions solved without the
-// returned peer are merely conservative, but dropping them lets routing
-// use it again immediately.
+// MarkLive implements ChurnAware; a kept solve without the returned peer
+// is merely conservative, but dropping it lets routing use it again
+// immediately.
 func (r *UtilityIIRouter) MarkLive(id overlay.NodeID) { r.setLiveness(id, true) }
 
-// setLiveness changes id's liveness and drops the cache in one step
-// under cacheMu, so that no solve reads the new liveness against a cone
-// discovered under the old. The slots keep their storage for the next
-// occupants; the eviction order restarts.
+// setLiveness changes id's liveness and forgets the kept solve in one
+// step under cacheMu, so that no solve reads the new liveness against a
+// cone discovered under the old.
 func (r *UtilityIIRouter) setLiveness(id overlay.NodeID, alive bool) {
 	r.cacheMu.Lock()
 	defer r.cacheMu.Unlock()
 	r.liveness.set(id, alive)
-	r.solved = 0
-	r.cacheEntries.Set(0)
 	r.coneKept = false
 }
 
 // CloseBatch implements BatchCloser: the batch's history goes, and so
-// does the kept cone if it is the batch's. Its cached prescriptions stay,
-// bounded by spneCacheCap, until they are evicted.
+// does the kept solve if it is the batch's.
 func (r *UtilityIIRouter) CloseBatch(batch int) {
 	r.cacheMu.Lock()
 	defer r.cacheMu.Unlock()
@@ -434,38 +385,42 @@ func (r *UtilityIIRouter) nextHop(self, pred, initiator, responder overlay.NodeI
 }
 
 // prescribed returns the SPNE successor of self with remaining hops left
-// in this connection's game, solving it if the cache does not hold it. The
-// solve is rooted at the connection's first read — its initiator and full
-// budget, before the first hop is recorded — and covers the cone of cells
-// the play from there can reach. A connection whose entry was evicted or
-// dropped mid-path re-solves from where it stands, against the history as
-// it stands now, exactly as it does after MarkDead.
+// in this connection's game, solving it unless the kept solve is this
+// connection's and answers the read. The solve is rooted at the
+// connection's first read — its initiator and full budget, before the
+// first hop is recorded — and covers the cone of cells the play from
+// there can reach. A connection read after another connection's solve, or
+// after a liveness change, re-solves from where it stands, against the
+// history as it stands now.
 func (r *UtilityIIRouter) prescribed(self, initiator, responder overlay.NodeID, batch, conn, remaining int) overlay.NodeID {
-	key := [2]int{batch, conn}
-	nodes := len(r.nbrs)
 	r.cacheMu.Lock()
 	defer r.cacheMu.Unlock()
-	e := r.cached(key)
-	if e != nil && e.responder == responder && e.budget >= remaining {
-		if next := e.at(remaining, nodes, self); next != unsolved {
-			r.cacheHits.Inc()
-			return next
-		}
+	if next, ok := r.kept(self, responder, batch, conn, remaining); ok {
+		r.cacheHits.Inc()
+		return next
 	}
 	r.cacheMisses.Inc()
-	if e == nil {
-		// A key that is cached but no longer fits is re-solved in place;
-		// a new one takes the oldest solve's slot.
-		e = &r.slots[r.solved%spneCacheCap]
-		if r.solved >= spneCacheCap {
-			r.cacheEvictions.Inc()
-		}
-		r.solved++
-		r.cacheEntries.Set(int64(min(r.solved, spneCacheCap)))
+	r.solve(self, initiator, responder, batch, conn, remaining)
+	next, _ := r.kept(self, responder, batch, conn, remaining)
+	return next
+}
+
+// kept reads the prescription for self with remaining hops left from the
+// kept solve, if that solve is connection conn's of batch toward
+// responder with a budget of at least remaining, and reports whether it
+// held one. A node that holds no row, and R, read −1: they have no move
+// at any stage, and the cone leaves out a keyless neighbor (rows drop
+// it), yet a Model-I step can still reach it, and its read must not miss.
+// Caller holds cacheMu.
+func (r *UtilityIIRouter) kept(self, responder overlay.NodeID, batch, conn, remaining int) (overlay.NodeID, bool) {
+	k := r.cone
+	if !r.coneKept || r.stage.conn != conn || k.batch != batch || k.responder != responder || remaining > k.budget {
+		return overlay.None, false
 	}
-	e.key, e.responder, e.budget = key, responder, remaining
-	r.solve(e, self, initiator, batch, conn)
-	return e.at(remaining, nodes, self)
+	if d, ok := r.game.Cell(&r.memo, remaining, int(self)); ok {
+		return overlay.NodeID(d.Next), true
+	}
+	return overlay.None, !r.routable[self] || self == responder
 }
 
 // refresh re-solves the kept cone in place if it is key's, and reports
@@ -488,37 +443,23 @@ func (r *UtilityIIRouter) refresh(key coneKey) bool {
 	return ok
 }
 
-// cached returns the live entry for key, or nil. It scans the ring from the
-// newest solve backwards: a connection in flight is among the latest
-// solves, so the scan usually ends at its first probe. Caller holds cacheMu.
-func (r *UtilityIIRouter) cached(key [2]int) *spneCacheEntry {
-	for age := 1; age <= min(r.solved, spneCacheCap); age++ {
-		if e := &r.slots[(r.solved-age)%spneCacheCap]; e.key == key {
-			return e
-		}
-	}
-	return nil
-}
-
 // solve solves, into r.memo, the cone of cells the play of connection
-// conn of batch from (start, e.budget) to e.responder can reach, and
-// fills e with the prescriptions read from it (game.PathGame.Cell); the
-// next solve overwrites the memo. The game's rule gives a row only to a
-// node that is a key of the topology and alive (routable) and not R,
-// drops the node itself, I and every neighbor that holds no row, and
-// adds the delivery edge (i, R) unless R is dead. σ is zero on every edge
-// the batch's history does not name, where the score is the base
+// conn of batch from (start, budget) to responder can reach, and keeps
+// it; the next solve overwrites the memo. The game's rule gives a row
+// only to a node that is a key of the topology and alive (routable) and
+// not R, drops the node itself, I and every neighbor that holds no row,
+// and adds the delivery edge (i, R) unless R is dead. σ is zero on every
+// edge the batch's history does not name, where the score is the base
 // quality; so only the rows of nodes the history names an edge out of
 // get an overlay, scored w_s·σ + w_a·α before the solve. The solve holds
-// mu throughout, so rows, history and liveness — which the stage-1 reads
-// consult too — are read in one consistent state. When the memo still
-// holds the cone of the same key, filled under the same liveness, only
-// the cells that read a holder's row are re-solved (refresh); otherwise
-// the cone is solved cold and kept. Caller holds cacheMu.
-func (r *UtilityIIRouter) solve(e *spneCacheEntry, start, initiator overlay.NodeID, batch, conn int) {
+// mu throughout, so rows, history and liveness are read in one
+// consistent state. When the memo still holds the cone of the same key,
+// filled under the same liveness, only the cells that read a holder's
+// row are re-solved (refresh); otherwise the cone is solved cold. Caller
+// holds cacheMu.
+func (r *UtilityIIRouter) solve(start, initiator, responder overlay.NodeID, batch, conn, budget int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	responder, budget := e.responder, e.budget
 	key := coneKey{batch, start, initiator, responder, budget}
 	r.stage.h, r.stage.conn = r.batches[batch], conn
 	clear(r.holder)
@@ -526,10 +467,6 @@ func (r *UtilityIIRouter) solve(e *spneCacheEntry, start, initiator overlay.Node
 	r.overlay = r.overlay[:0]
 	for i, nb := range r.nbrs {
 		r.routable[i] = nb != nil && r.up[i]
-		r.unknown[i] = unsolved
-		if !r.routable[i] || i == int(responder) {
-			r.unknown[i] = -1
-		}
 		if r.holder[i] {
 			lo := len(r.overlay)
 			for _, j := range nb {
@@ -540,37 +477,23 @@ func (r *UtilityIIRouter) solve(e *spneCacheEntry, start, initiator overlay.Node
 	}
 	r.game.Responder = int(responder)
 	r.game.Rule = game.RowRule{Holds: r.routable, Initiator: int(initiator), Deliver: r.up[responder]}
-	refreshed := r.refresh(key)
-	if refreshed {
+	if r.refresh(key) {
 		r.coneRefresh.Inc()
-	} else {
-		r.memoHops = max(r.memoHops, budget)
-		r.memo.Reset(len(r.nbrs), r.memoHops)
-		r.game.SolveFrom(&r.memo, int(start), budget)
-		if !r.up[start] {
-			// A holder believed dead has no row, yet its Model-I fallback
-			// still forwards to one of its neighbors: the play goes on from
-			// there. The memo then holds more than one cone, which Refresh
-			// refuses.
-			for _, j := range r.nbrs[start] {
-				r.game.SolveFrom(&r.memo, int(j), budget-1)
-			}
+		return
+	}
+	r.memoHops = max(r.memoHops, budget)
+	r.memo.Reset(len(r.nbrs), r.memoHops)
+	r.game.SolveFrom(&r.memo, int(start), budget)
+	if !r.up[start] {
+		// A holder believed dead has no row, yet its Model-I fallback
+		// still forwards to one of its neighbors: the play goes on from
+		// there. The memo then holds more than one cone, which Refresh
+		// refuses.
+		for _, j := range r.nbrs[start] {
+			r.game.SolveFrom(&r.memo, int(j), budget-1)
 		}
-		r.cone, r.coneKept = key, true
-		copy(r.coneDirty, r.holder)
-		r.coneCold.Inc()
 	}
-	// A node that holds no row reads −1 (unknown): the cone leaves out a
-	// keyless neighbor (rows drop it), yet a Model-I step can still reach
-	// it, and its read must not miss.
-	e.next = e.next[:0]
-	if refreshed {
-		e.next = append(e.next, r.coneLow...)
-	}
-	for h := len(e.next) / len(r.nbrs); h <= budget; h++ {
-		e.next = r.game.StageNext(e.next, &r.memo, h, r.unknown)
-	}
-	if !refreshed {
-		r.coneLow = append(r.coneLow[:0], e.next[:min(2, budget+1)*len(r.nbrs)]...)
-	}
+	r.cone, r.coneKept = key, true
+	copy(r.coneDirty, r.holder)
+	r.coneCold.Inc()
 }

@@ -70,17 +70,15 @@ func (r *UtilityIIRouter) denseTable(topo Topology, initiator, responder overlay
 }
 
 // solveConn solves connection conn of batch from start with the given
-// budget as a cache miss does, into a scratch entry it returns.
-func (r *UtilityIIRouter) solveConn(start, initiator, responder overlay.NodeID, batch, conn, budget int) *spneCacheEntry {
-	e := &spneCacheEntry{responder: responder, budget: budget}
+// budget as a miss does, into the router's kept solve.
+func (r *UtilityIIRouter) solveConn(start, initiator, responder overlay.NodeID, batch, conn, budget int) {
 	r.cacheMu.Lock()
 	defer r.cacheMu.Unlock()
-	r.solve(e, start, initiator, batch, conn)
-	return e
+	r.solve(start, initiator, responder, batch, conn, budget)
 }
 
 // requireSolvedCells compares every cell the router's last solve holds a
-// value for, read as the cache fill reads it (game.PathGame.Cell), with
+// value for, read as a prescription is read (game.PathGame.Cell), with
 // the oracle's, bit for bit.
 func requireSolvedCells(t *testing.T, r *UtilityIIRouter, want [][]game.Decision) {
 	t.Helper()
@@ -402,9 +400,10 @@ func TestDeliverAgreesWithRows(t *testing.T) {
 // will — each hop goes to the prescription, to the Model-I fallback's
 // choice or to a uniformly random candidate of the holder — and checks
 // that the cone solved at the connection's first read holds every cell
-// the walk reads: no read finds an unsolved cell, every prescription
-// equals the full table's (the dense oracle as of connection start), and
-// each connection costs exactly one miss. One batch per world starts at a
+// the walk reads: after the first, no read finds a cell the kept solve
+// holds no value for (Cell's ok flag), every prescription equals the full
+// table's (the dense oracle as of connection start), and each connection
+// costs exactly one miss. One batch per world starts at a
 // node the router believes dead.
 func TestConeClosedUnderDeviation(t *testing.T) {
 	var reads, deviations int
@@ -429,10 +428,10 @@ func TestConeClosedUnderDeviation(t *testing.T) {
 			for conn := 1; conn <= 6; conn++ {
 				budget := 1 + rng.Intn(6)
 				want := r.denseTable(topo, initiator, responder, batch, conn, budget)
-				_, m0, _, _ := cacheCounts(r)
+				_, m0 := cacheCounts(r)
 				self, pred := initiator, overlay.None
 				for remaining := budget; remaining > 0; remaining-- {
-					if e := r.cached([2]int{batch, conn}); e != nil && e.at(remaining, len(r.nbrs), self) == unsolved {
+					if _, ok := r.kept(self, responder, batch, conn, remaining); remaining < budget && !ok {
 						t.Fatalf("seed %d batch %d conn %d: cell (%d, %d) is outside the cone", seed, batch, conn, remaining, self)
 					}
 					got := r.prescribed(self, initiator, responder, batch, conn, remaining)
@@ -463,7 +462,7 @@ func TestConeClosedUnderDeviation(t *testing.T) {
 					}
 					self, pred = next, self
 				}
-				if _, m1, _, _ := cacheCounts(r); m1-m0 != 1 {
+				if _, m1 := cacheCounts(r); m1-m0 != 1 {
 					t.Fatalf("seed %d batch %d conn %d: %d misses, want 1", seed, batch, conn, m1-m0)
 				}
 			}
@@ -476,10 +475,11 @@ func TestConeClosedUnderDeviation(t *testing.T) {
 
 // lockstepWalk plays one connection on two routers at once, hop by hop
 // as the transport does, and fails unless both choose every hop alike,
-// so that their paths match; after each hop that solved on warm it calls
-// check. Before every call cold forgets its kept cone, so each of its
-// solves is a Reset and SolveFrom. between, when set, runs before each
-// hop with the budget left.
+// so that their paths match, and solve on the same hops; after each hop
+// that solved it calls check. Before every call that solves on warm,
+// cold forgets its kept cone, so each of its solves is a Reset and
+// SolveFrom. between, when set, runs before each hop with the budget
+// left.
 func lockstepWalk(t *testing.T, warm, cold *UtilityIIRouter, initiator, responder overlay.NodeID, batch, conn, budget int, between func(remaining int), check func()) {
 	t.Helper()
 	self, pred := initiator, overlay.None
@@ -487,15 +487,22 @@ func lockstepWalk(t *testing.T, warm, cold *UtilityIIRouter, initiator, responde
 		if between != nil {
 			between(remaining)
 		}
-		_, m0, _, _ := cacheCounts(warm)
-		forgetCone(cold)
+		_, m0 := cacheCounts(warm)
+		_, c0 := cacheCounts(cold)
+		if _, hit := warm.kept(self, responder, batch, conn, remaining); !hit {
+			forgetCone(cold)
+		}
 		next, deliver := warm.NextHop(self, pred, initiator, responder, batch, conn, remaining)
 		cnext, cdeliver := cold.NextHop(self, pred, initiator, responder, batch, conn, remaining)
 		if next != cnext || deliver != cdeliver {
 			t.Fatalf("batch %d conn %d at (%d, %d): refreshing router chose %d (deliver %v), cold %d (deliver %v)",
 				batch, conn, remaining, self, next, deliver, cnext, cdeliver)
 		}
-		if _, m1, _, _ := cacheCounts(warm); m1 > m0 {
+		_, m1 := cacheCounts(warm)
+		if _, c1 := cacheCounts(cold); m1-m0 != c1-c0 {
+			t.Fatalf("batch %d conn %d at (%d, %d): refreshing router missed %d times, cold %d", batch, conn, remaining, self, m1-m0, c1-c0)
+		}
+		if m1 > m0 {
 			check()
 		}
 		if deliver {
@@ -543,7 +550,7 @@ func requireSameCone(t *testing.T, label string, warm, cold *UtilityIIRouter) (c
 // the two to the same cells and the same paths after every solve: at
 // N = 40 and N = 128, over 36 batches of ten connections with per-batch
 // history, a peer marked dead and live again mid-batch, a connection
-// evicted from the cache re-solving mid-path, initiators believed dead
+// re-solving mid-path after other connections' solves, initiators believed dead
 // (the dead-start branch's second root) and closed batches whose ids
 // the next batch uses again, with the same pair and budget.
 func TestConeRefreshMatchesCold(t *testing.T) {
@@ -559,13 +566,13 @@ func TestConeRefreshMatchesCold(t *testing.T) {
 		warm.Instrument(telemetry.NewRegistry())
 		cold.Instrument(telemetry.NewRegistry())
 		both := func(f func(r *UtilityIIRouter)) { f(warm); f(cold) }
-		var solves, refreshed, cells, churned, evicted, deadStarts, reused int
+		var solves, refreshed, cells, churned, displaced, deadStarts, reused int
 		var lastRefresh int64
-		// displace solves a cache's worth of connections of batch from
-		// start to end, comparing each pair of solves, so that no
-		// connection solved before is cached any more.
+		// displace solves three connections of batch from start to end,
+		// comparing each pair of solves, so that the kept solve is no
+		// longer any connection's solved before.
 		displace := func(batch int, start, end overlay.NodeID, budget int) {
-			for c := 1; c <= spneCacheCap; c++ {
+			for c := 1; c <= 3; c++ {
 				forgetCone(cold)
 				both(func(r *UtilityIIRouter) { r.prescribed(start, start, end, batch, 100+c, budget) })
 				requireSameCone(t, fmt.Sprintf("N=%d batch %d conn %d", n, batch, 100+c), warm, cold)
@@ -607,13 +614,12 @@ func TestConeRefreshMatchesCold(t *testing.T) {
 				case conn == 7 && corpse != overlay.None:
 					both(func(r *UtilityIIRouter) { r.MarkLive(corpse) })
 				case conn == 6 && b%4 == 2:
-					// A cache's worth of other connections displaces this
-					// one after its first hop; its next hop re-solves from
-					// where it stands.
+					// Other connections solve after this one's first hop;
+					// its next hop re-solves from where it stands.
 					between = func(remaining int) {
 						if remaining == budget-1 {
 							displace(batch+1000, responder, initiator, budget)
-							evicted++
+							displaced++
 						}
 					}
 				}
@@ -635,16 +641,16 @@ func TestConeRefreshMatchesCold(t *testing.T) {
 			}
 			if b%6 == 5 {
 				// The next batch uses this id again: its connections must
-				// miss the cache, as a new batch's do, and find the
-				// batch's cone no longer kept.
+				// miss, as a new batch's do, and find the batch's cone no
+				// longer kept.
 				displace(batch, initiator, responder, budget)
 			}
 			both(func(r *UtilityIIRouter) { r.CloseBatch(batch) })
 		}
 		t.Logf("N=%d: %d connection solves compared (%d cells), %d of them refreshes", n, solves, cells, refreshed)
-		if refreshed < solves/2 || churned == 0 || evicted == 0 || deadStarts == 0 || reused == 0 {
-			t.Fatalf("N=%d: %d refreshes of %d solves; %d churned, %d evicted, %d dead starts, %d reused ids: the test no longer covers the kept cone",
-				n, refreshed, solves, churned, evicted, deadStarts, reused)
+		if refreshed < solves/2 || churned == 0 || displaced == 0 || deadStarts == 0 || reused == 0 {
+			t.Fatalf("N=%d: %d refreshes of %d solves; %d churned, %d displaced, %d dead starts, %d reused ids: the test no longer covers the kept cone",
+				n, refreshed, solves, churned, displaced, deadStarts, reused)
 		}
 		if c := cold.coneRefresh.Value(); c != 0 {
 			t.Fatalf("N=%d: the cold router refreshed %d times", n, c)
@@ -749,107 +755,121 @@ func walk(r Router, initiator, responder overlay.NodeID, batch, conn, budget int
 	return calls
 }
 
-func cacheCounts(r *UtilityIIRouter) (hits, misses, evictions, entries int64) {
-	return r.cacheHits.Value(), r.cacheMisses.Value(), r.cacheEvictions.Value(), r.cacheEntries.Value()
+func cacheCounts(r *UtilityIIRouter) (hits, misses int64) {
+	return r.cacheHits.Value(), r.cacheMisses.Value()
 }
 
-// TestSPNECacheBounded drives ten times the cache's capacity in
-// connections and checks the bound, the counters the benchmark reads, and
-// that a connection whose entry was evicted or dropped mid-path re-solves
-// against the current state.
-func TestSPNECacheBounded(t *testing.T) {
+// TestSPNEKeptSolveBounded drives 640 connections one after another and
+// checks what the router keeps: one solve per connection, every later
+// hop read from it (the counters the benchmark reads), and one memo,
+// sized for the longest budget, whatever the run's length. MarkDead,
+// MarkLive and CloseBatch each forget the kept solve, and a connection
+// dropped mid-path by MarkDead re-solves around the corpse.
+func TestSPNEKeptSolveBounded(t *testing.T) {
 	const n, budget = 40, 5
 	topo := buildTopo(n, 6, 31)
 	r := NewUtilityIIRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), uniformAvail(n))
 	r.Instrument(telemetry.NewRegistry())
 
-	conns := 0
-	for batch := 1; conns < 10*spneCacheCap; batch++ {
+	conns, calls := 0, 0
+	for batch := 1; conns < 640; batch++ {
 		initiator, responder := overlay.NodeID(batch%n), overlay.NodeID((batch+n/2)%n)
 		for conn := 1; conn <= 10; conn++ {
-			h0, m0, _, _ := cacheCounts(r)
-			calls := walk(r, initiator, responder, batch, conn, budget)
-			conns++
-			hits, misses, evictions, entries := cacheCounts(r)
-			if calls != budget {
-				t.Fatalf("batch %d conn %d took %d NextHop calls, want %d", batch, conn, calls, budget)
+			if c := walk(r, initiator, responder, batch, conn, budget); c != budget {
+				t.Fatalf("batch %d conn %d took %d NextHop calls, want %d", batch, conn, c, budget)
 			}
-			if misses-m0 != 1 || hits-h0 != int64(calls-1) {
-				t.Fatalf("batch %d conn %d: %d misses and %d hits over %d calls, want 1 and %d",
-					batch, conn, misses-m0, hits-h0, calls, calls-1)
+			conns, calls = conns+1, calls+budget
+			if hits, misses := cacheCounts(r); misses != int64(conns) || hits != int64(calls-conns) {
+				t.Fatalf("after %d connections of %d calls: %d misses and %d hits, want %d and %d",
+					conns, calls, misses, hits, conns, calls-conns)
 			}
-			if want := int64(min(conns, spneCacheCap)); entries != want {
-				t.Fatalf("after %d connections: %d entries, want %d", conns, entries, want)
-			}
-			if want := int64(max(conns-spneCacheCap, 0)); evictions != want {
-				t.Fatalf("after %d connections: %d evictions, want %d", conns, evictions, want)
+			if !r.coneKept || r.cone.batch != batch || r.stage.conn != conn || r.memoHops != budget {
+				t.Fatalf("batch %d conn %d: kept solve %+v of conn %d (kept %v), memo %d stages deep; want this connection's, %d deep",
+					batch, conn, r.cone, r.stage.conn, r.coneKept, r.memoHops, budget)
 			}
 		}
 	}
 
-	// An evicted connection: its first hop is solved and cached, then a
-	// cache's worth of other connections displaces it. Its second hop is a
-	// miss that re-solves — with the first hop now in the batch's history —
-	// and agrees with the oracle for that state.
+	// A dropped connection: the hop its kept prescription names next is
+	// found dead. MarkDead forgets the kept solve, and the re-solve routes
+	// around the corpse.
 	const batch = 1000
 	initiator, responder := overlay.NodeID(0), overlay.NodeID(n-1)
 	first, _ := r.NextHop(initiator, overlay.None, initiator, responder, batch, 1, budget)
-	for conn := 1; conn <= spneCacheCap; conn++ {
-		walk(r, 1, overlay.NodeID(n-2), batch+1, conn, budget)
-	}
-	if r.cached([2]int{batch, 1}) != nil {
-		t.Fatal("connection survived a cache's worth of later solves")
-	}
-	_, m0, _, _ := cacheCounts(r)
-	second, deliver := r.NextHop(first, initiator, initiator, responder, batch, 1, budget-1)
-	if _, m1, _, _ := cacheCounts(r); m1-m0 != 1 {
-		t.Fatalf("evicted connection's next hop counted %d misses, want 1", m1-m0)
-	}
-	want := overlay.NodeID(r.denseTable(topo, initiator, responder, batch, 1, budget-1)[budget-1][first].Next)
-	if deliver || second != want {
-		t.Fatalf("evicted connection re-solved to %d (deliver=%v), oracle says %d", second, deliver, want)
-	}
-
-	// A dropped connection: the hop its cached prescription names next is
-	// found dead. MarkDead empties the cache and its eviction order, and
-	// the re-solve routes around the corpse.
-	first, _ = r.NextHop(initiator, overlay.None, initiator, responder, batch, 2, budget)
-	corpse := r.prescribed(first, initiator, responder, batch, 2, budget-1)
+	corpse := r.prescribed(first, initiator, responder, batch, 1, budget-1)
 	if corpse < 0 || corpse == responder {
 		t.Fatalf("prescription at %d is %d, need a forwarder to kill", first, corpse)
 	}
 	r.MarkDead(corpse)
-	if _, _, _, entries := cacheCounts(r); entries != 0 || r.cached([2]int{batch, 2}) != nil {
-		t.Fatalf("MarkDead left %d entries, dropped connection still cached: %v", entries, r.cached([2]int{batch, 2}) != nil)
+	if r.coneKept {
+		t.Fatal("MarkDead left the kept solve")
 	}
-	_, m0, ev0, _ := cacheCounts(r)
-	second, _ = r.NextHop(first, initiator, initiator, responder, batch, 2, budget-1)
+	_, m0 := cacheCounts(r)
+	second, _ := r.NextHop(first, initiator, initiator, responder, batch, 1, budget-1)
 	if second == corpse {
 		t.Fatalf("re-solve still routes through dead peer %d", corpse)
 	}
-	if _, m1, _, entries := cacheCounts(r); m1-m0 != 1 || entries != 1 {
-		t.Fatalf("after MarkDead: %d misses, %d entries, want 1 and 1", m1-m0, entries)
-	}
-	// The eviction order restarted too: the cache fills to its capacity
-	// again before anything is evicted.
-	for conn := 1; conn < spneCacheCap+5; conn++ {
-		walk(r, 1, overlay.NodeID(n-2), batch+2, conn, budget)
-	}
-	if _, _, ev1, entries := cacheCounts(r); ev1-ev0 != 5 || entries != spneCacheCap {
-		t.Fatalf("after refill: %d evictions, %d entries, want 5 and %d", ev1-ev0, entries, spneCacheCap)
+	if _, m1 := cacheCounts(r); m1-m0 != 1 {
+		t.Fatalf("after MarkDead: %d misses, want 1", m1-m0)
 	}
 	r.MarkLive(corpse)
-	if _, _, _, entries := cacheCounts(r); entries != 0 {
-		t.Fatalf("MarkLive left %d entries", entries)
+	if r.coneKept {
+		t.Fatal("MarkLive left the kept solve")
+	}
+	r.prescribed(initiator, initiator, responder, batch, 2, budget)
+	r.CloseBatch(batch)
+	if r.coneKept {
+		t.Fatal("CloseBatch left the batch's kept solve")
+	}
+}
+
+// TestInterleavedConnectionResolves pins what a connection reads after
+// another connection's solve: connection A takes a hop, a connection of
+// another batch solves, then A reads again. The read is a miss, and it
+// prescribes what a fresh router's cold solve from A's (self, remaining)
+// prescribes over the same history and liveness — A's own first hop
+// included.
+func TestInterleavedConnectionResolves(t *testing.T) {
+	const n, budget = 40, 5
+	topo := buildTopo(n, 6, 31)
+	r := NewUtilityIIRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), uniformAvail(n))
+	r.Instrument(telemetry.NewRegistry())
+	initiator, responder := overlay.NodeID(0), overlay.NodeID(n-1)
+	r.MarkDead(overlay.NodeID(n / 2))
+	for conn := 1; conn <= 3; conn++ {
+		walk(r, initiator, responder, 1, conn, budget) // history, so rows score σ > 0
+	}
+	const batch, conn = 1, 4
+	first, deliver := r.NextHop(initiator, overlay.None, initiator, responder, batch, conn, budget)
+	if deliver {
+		t.Fatal("connection A delivered at its first hop")
+	}
+	walk(r, 1, overlay.NodeID(n-2), batch+1, 1, budget)
+	_, m0 := cacheCounts(r)
+	got := r.prescribed(first, initiator, responder, batch, conn, budget-1)
+	if _, m1 := cacheCounts(r); m1-m0 != 1 {
+		t.Fatalf("A's read after another connection's solve counted %d misses, want 1", m1-m0)
+	}
+
+	fresh := NewUtilityIIRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), uniformAvail(n))
+	fresh.Instrument(telemetry.NewRegistry())
+	fresh.MarkDead(overlay.NodeID(n / 2))
+	fresh.batches[batch] = r.batches[batch] // the same history, A's first hop included
+	want := fresh.prescribed(first, initiator, responder, batch, conn, budget-1)
+	if fresh.coneCold.Value() != 1 {
+		t.Fatal("the fresh router did not solve cold")
+	}
+	if got != want {
+		t.Fatalf("A re-solved to %d at (%d, %d); a fresh router's cold solve says %d", got, budget-1, first, want)
 	}
 }
 
 // TestSPNEWarmSolveAllocs pins the steady state of DESIGN.md §3q: with
-// the cache full and every buffer grown, solving a new connection cold —
-// rows, the cone, evicting and reusing the oldest entry's storage —
-// allocates nothing, and neither does an evicted connection's re-solve
-// one hop shorter (the memo keeps the size of the longest budget seen),
-// nor the next connection's refresh of the batch's kept cone.
+// every buffer grown, a read the kept solve answers, solving a new
+// connection cold — rows, the cone — and re-solving one hop shorter a
+// connection read after another's solve (the memo keeps the size of the
+// longest budget seen) allocate nothing, and neither does the next
+// connection's refresh of the batch's kept cone.
 func TestSPNEWarmSolveAllocs(t *testing.T) {
 	const n, budget = 40, 5
 	topo := buildTopo(n, 6, 32)
@@ -862,16 +882,26 @@ func TestSPNEWarmSolveAllocs(t *testing.T) {
 	solve := func() {
 		conn++
 		r.prescribed(0, 0, n-1, 1, conn, budget)
-		r.prescribed(1, 0, n-1, 1, conn-spneCacheCap, budget-1) // evicted by now
+		r.prescribed(1, 0, n-1, 1, conn-1, budget-1) // read after conn's solve
 	}
-	for i := 0; i < 2*spneCacheCap; i++ {
+	for i := 0; i < 10; i++ {
 		solve()
 	}
+	c0 := r.coneCold.Value()
 	if allocs := testing.AllocsPerRun(200, solve); allocs != 0 {
 		t.Fatalf("warm solve allocates %.0f times, want 0", allocs)
 	}
-	if _, misses, evictions, _ := cacheCounts(r); evictions == 0 || misses < 400 {
-		t.Fatalf("pin did not exercise eviction: %d misses, %d evictions", misses, evictions)
+	if got := r.coneCold.Value() - c0; got < 400 {
+		t.Fatalf("pin did not exercise the cold solve: %d cold solves", got)
+	}
+	// The connection solved last, read again: a hit.
+	hit := func() { r.prescribed(1, 0, n-1, 1, conn-1, budget-1) }
+	h0, m0 := cacheCounts(r)
+	if allocs := testing.AllocsPerRun(200, hit); allocs != 0 {
+		t.Fatalf("hit allocates %.0f times, want 0", allocs)
+	}
+	if h1, m1 := cacheCounts(r); h1-h0 < 200 || m1 != m0 {
+		t.Fatalf("pin did not exercise the hit: %d hits, %d misses", h1-h0, m1-m0)
 	}
 	// The next connection of the batch from the same root: a refresh.
 	refresh := func() {
@@ -890,8 +920,8 @@ func TestSPNEWarmSolveAllocs(t *testing.T) {
 
 // liveSolveRouter is the Model-II router both live-solve benchmarks time,
 // at inproc_um2_agg's shape (128 peers, degree 6, budget 5): batches 1
-// and 2 hold the same history, so rows score σ > 0, and the cache is
-// full with every buffer grown.
+// and 2 hold the same history, so rows score σ > 0, and every buffer is
+// grown.
 func liveSolveRouter() (r *UtilityIIRouter, n, budget int) {
 	n, budget = 128, 5
 	topo := buildTopo(n, 6, 32)
@@ -901,7 +931,7 @@ func liveSolveRouter() (r *UtilityIIRouter, n, budget int) {
 			walk(r, 0, overlay.NodeID(n-1), batch, conn, budget)
 		}
 	}
-	for conn := 101; conn <= 100+2*spneCacheCap; conn++ {
+	for conn := 101; conn <= 110; conn++ {
 		r.prescribed(0, 0, overlay.NodeID(n-1), 1+conn%2, conn, budget)
 	}
 	return r, n, budget
