@@ -31,8 +31,8 @@
 // sim_phase_seconds histogram family.
 //
 // With -live, the simulator summary is followed by a live replay: the same
-// strategy routes real connections over the goroutine-per-peer transport
-// while the busiest forwarders are removed mid-run, and the resulting
+// strategy routes real connections over the in-process message-passing
+// transport while the busiest forwarders are removed mid-run, and the resulting
 // reformation counts and transport metrics are printed next to the
 // simulator's new-edge rate (Prop. 1's two measurements side by side).
 //

@@ -25,7 +25,7 @@ var staleDocNames = []string{
 	"Config.Participation", "Config.SolveWorkers", "Counter.Reset",
 	"Frame.readFrom", "Gauge.Reset", "Histogram.ObserveDuration",
 	"Histogram.Reset", "HistogramSnapshot.Merge",
-	"Node.handleForward", "Node.nackBack", "Peer.handleForward",
+	"Node.handleForward", "Node.nackBack",
 	"Registry.Reset", "Result.Dropped", "SolverStats.StagesSkipped",
 	"SpanRecorder.TraceID", "System.Hist", "Topology.candidatesOf",
 	"conformance.SecureBatcher", "core.buildSparseRows",

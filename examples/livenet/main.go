@@ -1,6 +1,6 @@
-// Livenet runs the overlay as real concurrent peers: one goroutine per
-// node, channels as links with a small latency, and the same Utility
-// Model I routing logic driving next-hop choices. It runs a batch of
+// Livenet runs the overlay as message-passing peers on the in-process
+// transport: links with a small latency, and the same Utility Model I
+// and II routing logic driving next-hop choices. It runs a batch of
 // recurring connections for several (I, R) pairs concurrently, then — in a
 // churn phase — removes the busiest forwarder mid-batch to show the
 // transport NACKing, reforming paths around the corpse and counting every
@@ -66,7 +66,7 @@ func main() {
 		if id%2 == 0 {
 			r = routerII
 		}
-		if _, err := live.AddPeer(id, r); err != nil {
+		if err := live.Join(id, r); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -87,7 +87,7 @@ func main() {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	fmt.Printf("livenet: %d peers as goroutines, 200µs links, %d concurrent batches in %v\n\n",
+	fmt.Printf("livenet: %d peers, 200µs links, %d concurrent batches in %v\n\n",
 		n, len(pairs), elapsed.Round(time.Millisecond))
 	for i, pr := range pairs {
 		if errs[i] != nil {

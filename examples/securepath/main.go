@@ -22,7 +22,7 @@ import (
 func main() {
 	rng := dist.NewSource(31337)
 
-	// Overlay, snapshotted into goroutine peers routing by Utility Model I.
+	// Overlay, snapshotted into in-process peers routing by Utility Model I.
 	net := overlay.NewNetwork(5, rng.Split())
 	const n = 25
 	for i := 0; i < n; i++ {
@@ -41,7 +41,7 @@ func main() {
 	live := transport.NewNetwork(0)
 	defer live.Close()
 	for id := range topo {
-		if _, err := live.AddPeer(id, router); err != nil {
+		if err := live.Join(id, router); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -16,9 +16,9 @@ import (
 	"p2panon/internal/transport"
 )
 
-// LiveSetup parameterises a live (goroutine-per-peer) replay of a trace
+// LiveSetup parameterises a live (message-passing) replay of a trace
 // workload under mid-run churn, used to measure Prop. 1's reformation
-// behaviour on the concurrent runtime rather than in the deterministic
+// behaviour on the live runtime rather than in the deterministic
 // simulator.
 type LiveSetup struct {
 	// N, Degree shape the overlay snapshot the live routers consult.

@@ -50,7 +50,7 @@ func TestFullSecurePipeline(t *testing.T) {
 	live := transport.NewNetwork(0)
 	defer live.Close()
 	for id := range topo {
-		if _, err := live.AddPeer(id, router); err != nil {
+		if err := live.Join(id, router); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,7 +128,7 @@ func TestFullSecurePipeline(t *testing.T) {
 		if p.Forwards != out.Forwards[id] {
 			t.Fatalf("forwarder %d: paid m=%d, transport m=%d", id, p.Forwards, out.Forwards[id])
 		}
-		if got := live.Peer(id).Forwards(int(contract.BatchID)); got != p.Forwards {
+		if got := live.Local(id).Forwards(int(contract.BatchID)); got != p.Forwards {
 			t.Fatalf("forwarder %d: peer counted %d, paid %d", id, got, p.Forwards)
 		}
 	}

@@ -155,7 +155,7 @@ func (c *Cluster) Metrics() transport.MetricsSnapshot {
 	s.Sent = c.metrics.sent.Value()
 	s.Dropped = c.metrics.dropped.Value()
 	s.Expired = c.metrics.deadlineExpired.Value()
-	s.InboxHighWater = c.metrics.queueDepth.Value()
+	s.QueueHighWater = c.metrics.queueDepth.Value()
 	return s
 }
 

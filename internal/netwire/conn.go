@@ -172,7 +172,8 @@ func (l *link) writeLoop() {
 
 // failQueued drains and fails whatever is still queued when the link
 // closes, so in-flight connections fail fast instead of timing out —
-// netwire's analogue of a departing transport peer draining its inbox.
+// netwire's analogue of transport.Network failing the deliveries still
+// queued for a departed peer.
 func (l *link) failQueued() {
 	for {
 		select {

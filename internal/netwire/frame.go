@@ -2,7 +2,7 @@
 // same forwarding protocol — FORWARD out, CONFIRM/NACK back along the
 // reverse path, bounded-retry path reformation — run by the same
 // transport.Driver, but carried over real TCP connections with a
-// length-prefixed, versioned frame codec instead of in-process channels.
+// length-prefixed, versioned frame codec instead of an in-process queue.
 // The package holds only what is socket about that: listeners, per-peer
 // links, the handshake, the Frame ↔ transport.Message conversion at the
 // read/write boundary, and the probe/settle/claim frames. A

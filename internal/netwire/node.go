@@ -20,8 +20,8 @@ var (
 
 // Node is one cluster member: its protocol station, a TCP listener on
 // 127.0.0.1 and one link per peer, over the one connection the pair
-// shares whichever end dialed it — the socket-backed analogue of
-// transport.Peer.
+// shares whichever end dialed it — the socket-backed analogue of a
+// station joined to a transport.Network.
 type Node struct {
 	*transport.Station
 	c  *Cluster

@@ -4,7 +4,7 @@
 //
 // The engine is single-threaded by design — determinism is a hard
 // requirement for reproducing the paper's experiments — while the separate
-// transport package provides a concurrent goroutine-per-peer runtime that
+// transport package provides a live message-passing runtime that
 // exercises the same routing code.
 package sim
 

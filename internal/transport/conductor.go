@@ -13,7 +13,7 @@ import (
 // Conductor is the backend-independent surface of a live forwarding
 // runtime: everything experiment.RunLive, the churn hooks and the
 // conformance suite need to drive traffic, without caring whether the
-// links are in-process channels (*Network) or real TCP sockets
+// links are an in-process queue (*Network) or real TCP sockets
 // (netwire.Cluster). Both backends implement exactly this surface, and
 // the shared conformance suite (internal/conformance) executes the same
 // behavioral table against each so the two can never drift.
@@ -54,15 +54,9 @@ type Conductor interface {
 	SetRetry(RetryPolicy)
 	SetClock(c vclock.Clock)
 
-	// Close shuts the runtime down and waits for its goroutines.
+	// Close shuts the runtime down and waits for any goroutines it
+	// started.
 	Close()
-}
-
-// Join adds a peer, discarding the *Peer handle — the Conductor-shaped
-// entry point shared with socket backends (which have no *Peer to return).
-func (n *Network) Join(id overlay.NodeID, r Router) error {
-	_, err := n.AddPeer(id, r)
-	return err
 }
 
 var _ Conductor = (*Network)(nil)

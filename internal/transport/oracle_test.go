@@ -208,7 +208,7 @@ func (w *oracleWorld) runLive(t *testing.T, strat core.Strategy, bs []oracleBatc
 		tap := &qualityTap{choose: w.liveChooser(strat, ob.contract), quals: make(map[[2]int][]float64)}
 		live := NewNetwork(0)
 		for _, id := range w.net.AllIDs() {
-			if _, err := live.AddPeer(id, tap); err != nil {
+			if err := live.Join(id, tap); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -32,7 +32,7 @@ func (k MsgKind) String() string {
 }
 
 // Message is what travels over links, by value. Every backend carries
-// exactly these fields — in-process through channels, over TCP inside a
+// exactly these fields — in-process through one FIFO, over TCP inside a
 // netwire.Frame — so the forwarding state machine below is written once.
 type Message struct {
 	Kind  MsgKind
@@ -371,8 +371,7 @@ func (d *Driver) back(self overlay.NodeID, m Message) {
 }
 
 // nackBack generates, at node self, a NACK for m and walks it home from
-// the last node of m's path: self, which back skips, unless self is a
-// departing peer NACKing a FORWARD that reached its inbox.
+// the last node of m's path: self, which back skips.
 func (d *Driver) nackBack(self overlay.NodeID, m Message, reason string, fatal bool) {
 	d.inst.nacks.Inc()
 	d.inst.nackHops.Observe(float64(len(m.Path)))

@@ -10,7 +10,7 @@ import (
 
 // benchConnect drives repeated end-to-end connects over a 12-node line
 // with zero link latency, so every message pays the full hot path — send,
-// inbox depth note, span emission, histogram observations at completion —
+// queue depth note, span emission, histogram observations at completion —
 // with nothing to hide behind. Comparing the three variants bounds the
 // telemetry overhead quoted in DESIGN.md §3b: Bare is the default private
 // registry, MetricsOnly rebinds into a shared registry (the -metrics-addr
@@ -22,7 +22,7 @@ func benchConnect(b *testing.B, latency time.Duration, reg *telemetry.Registry, 
 	net := NewNetwork(latency)
 	defer net.Close()
 	for id := range topo {
-		if _, err := net.AddPeer(id, router); err != nil {
+		if err := net.Join(id, router); err != nil {
 			b.Fatal(err)
 		}
 	}

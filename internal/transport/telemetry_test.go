@@ -34,7 +34,7 @@ func newLineNetwork(t testing.TB, n int) *Network {
 	router := NewRandomRouter(topo, dist.NewSource(7))
 	net := NewNetwork(0)
 	for id := range topo {
-		if _, err := net.AddPeer(id, router); err != nil {
+		if err := net.Join(id, router); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,7 +152,7 @@ func TestNackHistogramAndTrace(t *testing.T) {
 				return r.NextHop(self, pred, initiator, responder, batch, conn, remaining)
 			})
 		}
-		if _, err := net.AddPeer(id, router); err != nil {
+		if err := net.Join(id, router); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,7 +206,7 @@ func TestSPNECacheCounters(t *testing.T) {
 	net := NewNetwork(0)
 	defer net.Close()
 	for id := range topo {
-		if _, err := net.AddPeer(id, r); err != nil {
+		if err := net.Join(id, r); err != nil {
 			t.Fatal(err)
 		}
 	}

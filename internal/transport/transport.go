@@ -1,10 +1,8 @@
-// Package transport provides a concurrent, message-passing runtime for the
-// forwarding overlay: one goroutine per peer, channels as links, and an
-// optional per-link latency model. It is the "live" counterpart of the
-// deterministic discrete-event simulator — the same contracts, utility
-// routing and payoff bookkeeping, but with peers that really run
-// concurrently and communicate only by messages, as the paper's deployed
-// system would.
+// Package transport provides the live, message-passing runtime for the
+// forwarding overlay: the same contracts, utility routing and payoff
+// bookkeeping as the deterministic discrete-event simulator, but with
+// peers that communicate only by messages, as the paper's deployed system
+// would.
 //
 // The forwarding protocol mirrors §2.2: a FORWARD message carries the
 // contract (P_f, P_r) and the hop budget; each holder picks a successor
@@ -15,10 +13,11 @@
 // That protocol and its retry loop exist once, in Driver (driver.go for
 // the initiator side, protocol.go for the forwarder side), written
 // against the small Link interface. Network, in this file, is the
-// in-process link — peer registry, inbox goroutines, latency timers,
-// drain-on-leave — and package netwire supplies the TCP one.
+// in-process link — a peer registry, one FIFO of deliveries drained by
+// whichever goroutine finds it idle, and latency timers — and package
+// netwire supplies the TCP one.
 //
-// The runtime is churn-safe: peers may join and leave (AddPeer/RemovePeer)
+// The runtime is churn-safe: peers may join and leave (Join/RemovePeer)
 // concurrently with in-flight traffic. A send to a departed peer fails
 // synchronously and the holder NACKs back along the reverse path, so the
 // initiator learns of a mid-path departure without waiting out its timeout;
@@ -77,40 +76,39 @@ type BatchCloser interface {
 	CloseBatch(batch int)
 }
 
-// Peer is one concurrently running overlay member: its protocol station
-// plus the inbox goroutine that feeds it.
-type Peer struct {
-	*Station
-	inbox chan Message
-	leave chan struct{} // closed by RemovePeer
-	net   *Network
-}
-
-// Network is the in-process backend: the shared connection Driver over a
-// link model of one goroutine and one inbox per peer, with an optional
-// per-link latency. All methods are safe for concurrent use; in
-// particular AddPeer and RemovePeer may race freely with in-flight
-// traffic.
+// Network is the in-process backend: the shared connection Driver over
+// one FIFO of accepted deliveries, with an optional per-link latency. It
+// starts no goroutine. The goroutine whose send finds the FIFO idle drains
+// it, handing each delivery to its target's station with no lock held, so
+// a handler's own sends queue behind it instead of recursing. All methods
+// are safe for concurrent use; in particular Join and RemovePeer may race
+// freely with in-flight traffic.
 type Network struct {
 	*Driver
 
-	mu    sync.RWMutex
-	peers map[overlay.NodeID]*Peer
+	mu       sync.Mutex
+	peers    map[overlay.NodeID]*Station
+	queue    []delivery // accepted and not yet handed over: queue[head:]
+	head     int
+	draining bool // a goroutine is inside drain
+	closed   bool
 
 	latency time.Duration
 	metrics *linkMetrics
-	wg      sync.WaitGroup
-	quit    chan struct{}
-	once    sync.Once
+}
+
+// delivery is one message the link accepted from node from for node to.
+type delivery struct {
+	from, to overlay.NodeID
+	msg      Message
 }
 
 // NewNetwork creates a runtime with the given per-link latency (0 for
 // as-fast-as-possible) and the default retry policy.
 func NewNetwork(latency time.Duration) *Network {
 	n := &Network{
-		peers:   make(map[overlay.NodeID]*Peer),
+		peers:   make(map[overlay.NodeID]*Station),
 		latency: latency,
-		quit:    make(chan struct{}),
 	}
 	n.Driver = NewDriver(n, "transport")
 	n.metrics = newLinkMetrics(n.Telemetry())
@@ -133,98 +131,70 @@ func (n *Network) Metrics() MetricsSnapshot {
 	s.Sent = n.metrics.sent.Value()
 	s.Dropped = n.metrics.dropped.Value()
 	s.Expired = n.metrics.expired.Value()
-	s.InboxHighWater = n.metrics.inboxHighWater.Value()
+	s.QueueHighWater = n.metrics.queueHighWater.Value()
 	return s
 }
 
-// AddPeer spawns a peer goroutine with the given router. Adding the same
-// ID twice is an error. If the router is ChurnAware it is registered for
-// liveness notifications and told the ID is live (a re-joining peer
-// becomes routable again).
-func (n *Network) AddPeer(id overlay.NodeID, r Router) (*Peer, error) {
+// Join adds a peer routing with r. Joining the same ID twice is an error.
+// If the router is ChurnAware it is registered for liveness notifications
+// and told the ID is live (a re-joining peer becomes routable again).
+func (n *Network) Join(id overlay.NodeID, r Router) error {
 	if r == nil {
-		return nil, errors.New("transport: nil router")
-	}
-	p := &Peer{
-		Station: NewStation(id, r),
-		inbox:   make(chan Message, 64),
-		leave:   make(chan struct{}),
-		net:     n,
+		return errors.New("transport: nil router")
 	}
 	n.mu.Lock()
 	if _, dup := n.peers[id]; dup {
 		n.mu.Unlock()
-		return nil, fmt.Errorf("transport: duplicate peer %d", id)
+		return fmt.Errorf("transport: duplicate peer %d", id)
 	}
-	n.peers[id] = p
-	n.wg.Add(1)
+	n.peers[id] = NewStation(id, r)
 	n.mu.Unlock()
 	n.Joined(id, r)
-	go p.loop()
-	return p, nil
-}
-
-// Peer returns the peer with the given ID, or nil.
-func (n *Network) Peer(id overlay.NodeID) *Peer {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.peers[id]
-}
-
-// RemovePeer models live churn: the peer leaves, its goroutine exits after
-// NACKing whatever was queued in its inbox, and subsequent sends to it
-// fail synchronously (the sender NACKs the initiator, which reforms the
-// path — exactly like a real mid-path departure). Removing an unknown peer
-// is a no-op. Safe to call concurrently with AddPeer, ConnectDetail and
-// in-flight traffic.
-func (n *Network) RemovePeer(id overlay.NodeID) {
-	n.mu.Lock()
-	p, ok := n.peers[id]
-	if ok {
-		delete(n.peers, id)
-	}
-	n.mu.Unlock()
-	if !ok {
-		return
-	}
-	close(p.leave)
-}
-
-// Close shuts every peer down and waits for their goroutines to exit.
-func (n *Network) Close() {
-	n.once.Do(func() { close(n.quit) })
-	n.wg.Wait()
-}
-
-// closed reports whether Close has been called.
-func (n *Network) closed() bool {
-	select {
-	case <-n.quit:
-		return true
-	default:
-		return false
-	}
-}
-
-// Local implements Link: the station of a joined peer.
-func (n *Network) Local(id overlay.NodeID) *Station {
-	if p := n.Peer(id); p != nil {
-		return p.Station
-	}
 	return nil
 }
 
-// Addressable implements Link: in-process, only joined peers are.
-func (n *Network) Addressable(id overlay.NodeID) bool { return n.Peer(id) != nil }
+// RemovePeer models live churn: the peer leaves, deliveries to it still
+// queued fail as they come up (a FORWARD becomes a NACK, a reply walks on
+// around it), and subsequent sends to it fail synchronously (the sender
+// NACKs the initiator, which reforms the path — exactly like a real
+// mid-path departure). Removing an unknown peer is a no-op. Safe to call
+// concurrently with Join, ConnectDetail and in-flight traffic.
+func (n *Network) RemovePeer(id overlay.NodeID) {
+	n.mu.Lock()
+	delete(n.peers, id)
+	n.mu.Unlock()
+}
 
-// Send implements Link: msg reaches the inbox of peer `to` after the link
+// Close marks the network closed and discards what is queued: from then
+// on no peer is addressable, so every send fails and every connection is
+// refused. A second Close does nothing.
+func (n *Network) Close() {
+	n.mu.Lock()
+	n.closed = true
+	n.queue, n.head = nil, 0
+	n.mu.Unlock()
+}
+
+// Local implements Link: the station of a joined peer, or nil once the
+// network is closed.
+func (n *Network) Local(id overlay.NodeID) *Station {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return nil
+	}
+	return n.peers[id]
+}
+
+// Addressable implements Link: in-process, only joined peers are.
+func (n *Network) Addressable(id overlay.NodeID) bool { return n.Local(id) != nil }
+
+// Send implements Link: msg joins the FIFO for peer `to` after the link
 // latency. It returns false — the synchronous drop signal — when the
-// target is unknown or has departed. With a non-zero latency the delivery
-// is asynchronous, and a target that departs in flight is reported
-// through lost.
+// target is unknown or has departed. A target that departs after the
+// link accepted the message is reported when the delivery comes up.
 func (n *Network) Send(from, to overlay.NodeID, msg Message) bool {
-	p := n.Peer(to)
-	if p == nil {
+	if !n.Addressable(to) {
 		n.metrics.dropped.Add(1)
 		return false
 	}
@@ -238,27 +208,21 @@ func (n *Network) Send(from, to overlay.NodeID, msg Message) bool {
 	}
 	n.metrics.sent.Add(1)
 	if n.latency > 0 {
-		n.sendLater(p, from, to, msg)
+		n.sendLater(from, to, msg)
 		return true
 	}
-	if !n.deliver(p, msg) {
-		n.metrics.dropped.Add(1)
-		return false
-	}
+	n.enqueue(from, to, msg)
 	return true
 }
 
-// sendLater delivers msg to p after the link latency. It is Send's latency
+// sendLater queues msg after the link latency. It is Send's latency
 // branch, kept out of Send because the timer closure's capture moves the
 // message it names to the heap: inside Send that was every message, at
 // zero latency too.
-func (n *Network) sendLater(p *Peer, from, to overlay.NodeID, msg Message) {
+func (n *Network) sendLater(from, to overlay.NodeID, msg Message) {
 	n.Clock().AfterFunc(n.latency, func() {
-		if n.expired(msg) {
-			return
-		}
-		if !n.deliver(p, msg) {
-			n.lost(from, to, msg)
+		if !n.expired(msg) {
+			n.enqueue(from, to, msg)
 		}
 	})
 }
@@ -275,65 +239,52 @@ func (n *Network) expired(msg Message) bool {
 	return true
 }
 
-// deliver enqueues msg into p's inbox, failing when the peer has left or
-// the network is shutting down.
-func (n *Network) deliver(p *Peer, msg Message) bool {
-	select {
-	case <-p.leave:
-		return false
-	case <-n.quit:
-		return false
-	default:
-	}
-	select {
-	case p.inbox <- msg:
-		n.metrics.inboxHighWater.SetMax(int64(len(p.inbox)))
-		return true
-	case <-p.leave:
-		return false
-	case <-n.quit:
-		return false
-	}
-}
-
-// lost accounts a message the link had accepted for peer `to`, which
-// departed before taking it, and lets the driver recover.
-func (n *Network) lost(from, to overlay.NodeID, msg Message) {
-	if n.closed() {
+// enqueue appends a delivery to the FIFO and, if no goroutine is draining
+// it, drains it on this one. A closed network discards the delivery.
+func (n *Network) enqueue(from, to overlay.NodeID, msg Message) {
+	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
 		return
 	}
-	n.metrics.dropped.Add(1)
-	n.Undeliverable(from, to, msg)
-}
-
-// loop is the peer's goroutine body.
-func (p *Peer) loop() {
-	defer p.net.wg.Done()
-	for {
-		select {
-		case <-p.net.quit:
-			return
-		case <-p.leave:
-			p.drain()
-			return
-		case msg := <-p.inbox:
-			p.net.Handle(p.Station, msg)
-		}
+	if len(n.queue) == cap(n.queue) && n.head > 0 {
+		// Slide the live part down before growing, so a FIFO that never
+		// empties keeps only its depth.
+		k := copy(n.queue, n.queue[n.head:])
+		n.queue, n.head = n.queue[:k], 0
+	}
+	n.queue = append(n.queue, delivery{from, to, msg})
+	n.metrics.queueHighWater.SetMax(int64(len(n.queue) - n.head))
+	idle := !n.draining
+	n.draining = true
+	n.mu.Unlock()
+	if idle {
+		n.drain()
 	}
 }
 
-// drain empties the inbox of a departing peer so in-flight connections
-// fail fast: queued FORWARDs are NACKed to their initiators, queued
-// CONFIRMs/NACKs are rerouted around us. (A message enqueued after the
-// drain is lost and caught by the attempt timeout.)
-func (p *Peer) drain() {
+// drain hands the FIFO's deliveries to their stations in order until it
+// is empty or the network closes. A delivery whose target left after the
+// link accepted it goes to Undeliverable.
+func (n *Network) drain() {
 	for {
-		select {
-		case msg := <-p.inbox:
-			p.net.lost(p.ID, p.ID, msg)
-		default:
+		n.mu.Lock()
+		if n.closed || n.head == len(n.queue) {
+			n.queue, n.head = n.queue[:0], 0
+			n.draining = false
+			n.mu.Unlock()
 			return
 		}
+		d := n.queue[n.head]
+		n.head++
+		st := n.peers[d.to]
+		n.mu.Unlock()
+		if st == nil {
+			n.metrics.dropped.Add(1)
+			n.Undeliverable(d.from, d.to, d.msg)
+			continue
+		}
+		n.Handle(st, d.msg)
 	}
 }
 
@@ -398,8 +349,8 @@ func (n *Network) SettleBatch(initiator overlay.NodeID, batch int, out *BatchOut
 	}
 	reached := 0
 	for id := range out.Set {
-		if p := n.Peer(id); p != nil {
-			n.Settled(p.Station, batch, &Credit{Payoff: out.Payoff(id, contract), Trace: trace, Root: root})
+		if st := n.Local(id); st != nil {
+			n.Settled(st, batch, &Credit{Payoff: out.Payoff(id, contract), Trace: trace, Root: root})
 			reached++
 		}
 	}

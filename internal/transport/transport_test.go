@@ -1,6 +1,9 @@
 package transport
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +14,7 @@ import (
 	"p2panon/internal/onion"
 	"p2panon/internal/overlay"
 	"p2panon/internal/quality"
+	"p2panon/internal/sim"
 	"p2panon/internal/trace"
 	"p2panon/internal/vclock"
 )
@@ -61,7 +65,7 @@ func startNetwork(t *testing.T, topo Topology, r Router) *Network {
 	t.Helper()
 	n := NewNetwork(0)
 	for id := range topo {
-		if _, err := n.AddPeer(id, r); err != nil {
+		if err := n.Join(id, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,21 +104,21 @@ func TestConnectValidation(t *testing.T) {
 	}
 }
 
-func TestAddPeerValidation(t *testing.T) {
+func TestJoinValidation(t *testing.T) {
 	n := NewNetwork(0)
 	defer n.Close()
 	r := NewRandomRouter(buildTopo(3, 1, 5), dist.NewSource(6))
-	if _, err := n.AddPeer(1, nil); err == nil {
+	if err := n.Join(1, nil); err == nil {
 		t.Fatal("nil router accepted")
 	}
-	if _, err := n.AddPeer(1, r); err != nil {
+	if err := n.Join(1, r); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.AddPeer(1, r); err == nil {
+	if err := n.Join(1, r); err == nil {
 		t.Fatal("duplicate peer accepted")
 	}
-	if n.Peer(1) == nil || n.Peer(42) != nil {
-		t.Fatal("Peer lookup wrong")
+	if n.Local(1) == nil || n.Local(42) != nil {
+		t.Fatal("Local lookup wrong")
 	}
 }
 
@@ -156,10 +160,10 @@ func TestForwardCountsTracked(t *testing.T) {
 		t.Fatalf("forwards %v", out.Forwards)
 	}
 	// Peers' own accounting must agree.
-	if got := n.Peer(1).Forwards(7); got != 5 {
+	if got := n.Local(1).Forwards(7); got != 5 {
 		t.Fatalf("peer 1 counted %d", got)
 	}
-	if got := n.Peer(0).Forwards(7); got != 0 {
+	if got := n.Local(0).Forwards(7); got != 0 {
 		t.Fatalf("initiator counted %d forwards", got)
 	}
 }
@@ -234,7 +238,7 @@ func TestLatencyDelivery(t *testing.T) {
 	vc := virtualize(t, n)
 	r := NewRandomRouter(topo, dist.NewSource(14))
 	for id := range topo {
-		if _, err := n.AddPeer(id, r); err != nil {
+		if err := n.Join(id, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -258,20 +262,26 @@ func TestLatencyDelivery(t *testing.T) {
 
 // TestSendZeroLatencyAllocs pins that an in-process message crosses a
 // zero-latency link without a heap copy: the latency branch's timer
-// closure must not make Send's message escape.
+// closure must not make Send's message escape, and the FIFO's append
+// reuses its backing array.
 func TestSendZeroLatencyAllocs(t *testing.T) {
 	n := NewNetwork(0)
 	defer n.Close()
-	// A registered peer with no inbox goroutine: the pin drains the inbox
-	// itself, so the only code measured is Send's.
-	p := &Peer{Station: NewStation(2, RouterFunc(nil)), inbox: make(chan Message, 1), leave: make(chan struct{}), net: n}
-	n.peers[2] = p
+	if err := n.Join(2, RouterFunc(nil)); err != nil {
+		t.Fatal(err)
+	}
+	// Another goroutine holds the drain, so Send only appends; the pin
+	// empties the FIFO itself, and the only code measured is Send's.
+	n.draining = true
 	msg := Message{Kind: MsgForward, Batch: 1, Conn: 1, Initiator: 1, Responder: 3, Remaining: 4, Path: []overlay.NodeID{1}}
 	allocs := testing.AllocsPerRun(200, func() {
 		if !n.Send(1, 2, msg) {
 			t.Fatal("send to a registered peer dropped")
 		}
-		<-p.inbox
+		if len(n.queue) != 1 {
+			t.Fatalf("%d deliveries queued, want 1", len(n.queue))
+		}
+		n.queue = n.queue[:0]
 	})
 	if allocs != 0 {
 		t.Fatalf("zero-latency Send allocates %.0f times, want 0", allocs)
@@ -290,7 +300,7 @@ func TestConnectZeroLatencyAllocs(t *testing.T) {
 		return self + 1, false
 	})
 	for id := overlay.NodeID(0); id <= 5; id++ {
-		if _, err := n.AddPeer(id, next); err != nil {
+		if err := n.Join(id, next); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,35 +318,77 @@ func TestConnectZeroLatencyAllocs(t *testing.T) {
 	}
 }
 
-func TestCloseIdempotentAndStopsPeers(t *testing.T) {
+// TestCloseIdempotentAndRefusesTraffic pins Close: a second Close does
+// nothing, and after Close no peer is reachable — Send returns false and
+// counts a drop, and a connection is refused.
+func TestCloseIdempotentAndRefusesTraffic(t *testing.T) {
 	topo := buildTopo(5, 2, 15)
 	r := NewRandomRouter(topo, dist.NewSource(16))
-	n := NewNetwork(0)
-	for id := range topo {
-		n.AddPeer(id, r)
+	n := startNetwork(t, topo, r)
+	if _, _, err := n.ConnectDetail(0, 4, 1, 1, 3, time.Second); err != nil {
+		t.Fatal(err)
 	}
 	n.Close()
-	n.Close() // must not panic
+	n.Close()
+	before := n.Metrics()
+	if n.Send(0, 1, Message{Kind: MsgForward, Batch: 1, Conn: 2, Initiator: 0, Responder: 4, Path: []overlay.NodeID{0}}) {
+		t.Fatal("Send after Close accepted a message")
+	}
+	if got := n.Metrics().Dropped - before.Dropped; got != 1 {
+		t.Fatalf("Send after Close counted %d drops, want 1", got)
+	}
+	if _, _, err := n.ConnectDetail(0, 4, 1, 3, 3, time.Second); err == nil {
+		t.Fatal("ConnectDetail after Close succeeded")
+	}
 }
 
+// TestConcurrentBatches runs batches from several initiators at once over
+// one network, with zero link latency and with 50µs links on the real
+// clock. The callers and the latency timers' goroutines then contend for
+// the drain; the runtime must stay consistent (run with -race).
 func TestConcurrentBatches(t *testing.T) {
-	// Multiple initiators run batches concurrently over one network; the
-	// runtime must stay consistent (run with -race).
-	topo := buildTopo(30, 6, 17)
-	ur := NewUtilityRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), uniformAvail(30))
-	n := startNetwork(t, topo, ur)
-	const workers = 4
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			_, err := n.RunBatch(overlay.NodeID(w), overlay.NodeID(29-w), 100+w, 10, 5, 10*time.Second)
-			errs <- err
-		}(w)
+	for _, latency := range []time.Duration{0, 50 * time.Microsecond} {
+		t.Run(fmt.Sprintf("latency=%dus", latency.Microseconds()), func(t *testing.T) {
+			topo := buildTopo(30, 6, 17)
+			ur := NewUtilityRouter(topo, quality.DefaultWeights(), core.ContractWithTau(75, 2), uniformAvail(30))
+			n := NewNetwork(latency)
+			t.Cleanup(n.Close)
+			for id := range topo {
+				if err := n.Join(id, ur); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const workers = 4
+			errs := make(chan error, workers)
+			for w := 0; w < workers; w++ {
+				go func(w int) {
+					_, err := n.RunBatch(overlay.NodeID(w), overlay.NodeID(29-w), 100+w, 10, 5, 10*time.Second)
+					errs <- err
+				}(w)
+			}
+			for w := 0; w < workers; w++ {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
-	for w := 0; w < workers; w++ {
-		if err := <-errs; err != nil {
+}
+
+// TestJoinStartsNoGoroutine pins that the in-process backend runs no
+// goroutine of its own: joining 128 peers leaves the count unchanged.
+func TestJoinStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	n := NewNetwork(0)
+	t.Cleanup(n.Close)
+	r := NewRandomRouter(buildTopo(128, 4, 31), dist.NewSource(32))
+	for id := overlay.NodeID(0); id < 128; id++ {
+		if err := n.Join(id, r); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("joining 128 peers took the goroutine count from %d to %d", before, after)
 	}
 }
 
@@ -353,7 +405,7 @@ func TestRemovePeerReformsAndSucceeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.RemovePeer(2)
-	if n.Peer(2) != nil {
+	if n.Local(2) != nil {
 		t.Fatal("removed peer still listed")
 	}
 	start := vc.Now()
@@ -382,6 +434,66 @@ func TestRemovePeerReformsAndSucceeds(t *testing.T) {
 	n.RemovePeer(99) // unknown: no-op
 }
 
+// departingRouter is backupRouter with a departure on the clock: the
+// first time node 1 picks relay 2, it schedules 2's RemovePeer half a
+// link latency later, while that FORWARD is still on the wire.
+type departingRouter struct {
+	*backupRouter
+	n     *Network
+	armed bool
+}
+
+func (r *departingRouter) NextHop(self, pred, initiator, responder overlay.NodeID, batch, conn, remaining int) (overlay.NodeID, bool) {
+	next, deliver := r.backupRouter.NextHop(self, pred, initiator, responder, batch, conn, remaining)
+	if next == 2 && !r.armed {
+		r.armed = true
+		r.n.Clock().AfterFunc(r.n.latency/2, func() { r.n.RemovePeer(2) })
+	}
+	return next, deliver
+}
+
+// TestDepartureInFlight removes relay 2 after the link accepted a FORWARD
+// for it and before the delivery comes up, on an engine clock: the
+// delivery fails once, at its turn in the FIFO, and the driver NACKs the
+// initiator from the sender and reforms around 2. Exactly one drop, one
+// NACK and one reformation are counted.
+func TestDepartureInFlight(t *testing.T) {
+	eng := sim.NewEngine()
+	n := NewNetwork(100 * time.Microsecond)
+	t.Cleanup(n.Close)
+	n.SetClock(vclock.Engine(eng))
+	r := &departingRouter{backupRouter: &backupRouter{dead: map[overlay.NodeID]bool{}}, n: n}
+	for id := overlay.NodeID(0); id <= 4; id++ {
+		if err := n.Join(id, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out *Outcome
+	if err := n.Start(0, 4, 1, 1, 8, time.Second, func(o Outcome) { out = &o }); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if out == nil {
+		t.Fatal("the connection never finished")
+	}
+	if out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	if want := []overlay.NodeID{0, 1, 3, 4}; !reflect.DeepEqual(out.Path, want) {
+		t.Fatalf("reformed path %v, want %v", out.Path, want)
+	}
+	m := n.Metrics()
+	if m.Dropped != 1 || m.Nacks != 1 || m.Reformations != 1 || out.Reformations != 1 {
+		t.Fatalf("dropped %d nacks %d reformations %d (outcome %d), want 1 each: %v",
+			m.Dropped, m.Nacks, m.Reformations, out.Reformations, m)
+	}
+	// The NACK starts at the sender, node 1, which sends it straight to
+	// 0: three sends on the first attempt, six on the second.
+	if m.Sent != 9 {
+		t.Fatalf("sent %d, want 9: %v", m.Sent, m)
+	}
+}
+
 func TestNackFailsFastOnMidFlightResponderDeparture(t *testing.T) {
 	// The responder departs while the first FORWARD is in flight (a
 	// forwarder's router triggers the removal, making the race
@@ -401,7 +513,7 @@ func TestNackFailsFastOnMidFlightResponderDeparture(t *testing.T) {
 				return r.NextHop(self, pred, initiator, responder, batch, conn, remaining)
 			})
 		}
-		if _, err := n.AddPeer(id, router); err != nil {
+		if err := n.Join(id, router); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -445,7 +557,7 @@ func TestBackoffScheduleOnVirtualClock(t *testing.T) {
 		return 1, false // always route via the corpse
 	})
 	for _, id := range []overlay.NodeID{0, 2, 3} {
-		if _, err := n.AddPeer(id, pinned); err != nil {
+		if err := n.Join(id, pinned); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -490,7 +602,7 @@ func TestConcurrentChurnRace(t *testing.T) {
 		for _, id := range churned {
 			n.RemovePeer(id)
 			time.Sleep(500 * time.Microsecond)
-			if _, err := n.AddPeer(id, ur); err != nil {
+			if err := n.Join(id, ur); err != nil {
 				t.Errorf("re-add %d: %v", id, err)
 			}
 		}
@@ -627,7 +739,7 @@ func mirror(o *overlay.Network, live *Network, mkRouter func(overlay.NodeID) Rou
 	o.OnChurn(func(id overlay.NodeID, s overlay.State) {
 		switch s {
 		case overlay.Online:
-			_, _ = live.AddPeer(id, mkRouter(id)) // duplicate adds are no-ops
+			_ = live.Join(id, mkRouter(id)) // duplicate adds are no-ops
 		case overlay.Offline, overlay.Departed:
 			live.RemovePeer(id)
 		}
@@ -645,20 +757,20 @@ func TestMirrorFollowsOverlayChurn(t *testing.T) {
 		net.Join(0, false)
 	}
 	for _, id := range net.AllIDs() {
-		if live.Peer(id) == nil {
+		if live.Local(id) == nil {
 			t.Fatalf("joined node %d has no live peer", id)
 		}
 	}
 	net.Leave(10, 2, false)
-	if live.Peer(2) != nil {
+	if live.Local(2) != nil {
 		t.Fatal("offline node still has a live peer")
 	}
 	net.Rejoin(20, 2)
-	if live.Peer(2) == nil {
+	if live.Local(2) == nil {
 		t.Fatal("rejoined node has no live peer")
 	}
 	net.Leave(30, 5, true)
-	if live.Peer(5) != nil {
+	if live.Local(5) != nil {
 		t.Fatal("departed node still has a live peer")
 	}
 }
@@ -766,7 +878,7 @@ func TestBatchStateBoundedInProcess(t *testing.T) {
 			t.Fatalf("after batch %d: router holds %d histories for %d open batches", b, got, len(open))
 		}
 		for id := range topo {
-			st := n.Peer(id).Station
+			st := n.Local(id)
 			st.mu.Lock()
 			got := len(st.forwards)
 			st.mu.Unlock()
