@@ -24,20 +24,17 @@ var staleDocNames = []string{
 	"Batch.edges", "Batch.scorers", "Config.HistoryCapacity",
 	"Config.Participation", "Config.SolveWorkers", "Counter.Reset",
 	"Frame.readFrom", "Gauge.Reset", "Histogram.ObserveDuration",
-	"Histogram.Reset", "HistogramSnapshot.Merge",
-	"Node.handleForward", "Node.nackBack",
-	"Registry.Reset", "Result.Dropped", "SolverStats.StagesSkipped",
+	"Histogram.Reset", "HistogramSnapshot.Merge", "Node.handleForward",
+	"Node.nackBack", "Registry.Reset", "Result.Dropped",
 	"SpanRecorder.TraceID", "System.Hist", "Topology.candidatesOf",
-	"conformance.SecureBatcher", "core.buildSparseRows",
-	"core.refreshRow", "core.solve_induction", "core.solve_rows",
-	"experiment.LiveSetup.Tracer", "experiment.Setup.ProbeWorkers",
-	"game.ResolveInto", "history.Profile", "history.Store",
+	"conformance.SecureBatcher", "core.solve_induction",
+	"core.solve_rows", "experiment.LiveSetup.Tracer",
+	"experiment.Setup.ProbeWorkers", "history.Profile", "history.Store",
 	"history.Store.Peek", "link.to", "netwire.append",
 	"netwire.frameReader", "netwire.frameStream", "node.Malicious",
 	"onion.Identity", "probe.Set.Workers", "quality.Scorer",
-	"telemetry.PhaseSolveIncremental", "telemetry.Tracer",
-	"transport.Mirror", "transport.batchHist", "transport.message",
-	"wire.Append",
+	"telemetry.Tracer", "transport.Mirror", "transport.batchHist",
+	"transport.message", "wire.Append",
 }
 
 // docFiles are the documents whose backticked names must resolve.

@@ -1,6 +1,9 @@
 package game
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Memo is the storage of demand-driven solves (PathGame.SolveFrom): a
 // decision table plus per-cell epoch marks saying which cells hold a value
@@ -18,7 +21,24 @@ type Memo struct {
 	// hops is the budget of the latest: with one root, todo[2 … hops]
 	// still list its cone, which Refresh re-solves.
 	roots, hops int
+	// The cone's reverse index, built by its first Refresh (indexed) and
+	// kept until the next Reset: for 2 ≤ h < hops, the cells at stage h+1
+	// whose rows visit todo[h][p] are the chain of preds[h] that starts
+	// at first[h][p].
+	first   [][]int32
+	preds   [][]predEdge
+	indexed bool
+	// Refresh's working state: stale[h][p] says a successor todo[h][p]'s row
+	// visits changed its Quality at stage h−1; at[j] is j's position in
+	// the todo list being indexed.
+	stale [][]bool
+	at    []int32
 }
+
+// predEdge is one (cell, successor) pair of a cone's reverse index: the
+// cell's position in its stage's todo list, and the pair of the same
+// successor listed before it (−1 for none).
+type predEdge struct{ cell, next int32 }
 
 // Reset forgets every solved cell and sizes the memo for games of nodes
 // vertices and at most maxHops stages. Forgetting is one epoch bump; the
@@ -44,7 +64,7 @@ func (m *Memo) Reset(nodes, maxHops int) {
 		}
 		m.epoch = 1
 	}
-	m.roots = 0
+	m.roots, m.indexed = 0, false
 }
 
 // Known reports whether cell (hops, node) has been solved since the last
@@ -87,7 +107,10 @@ func (g *PathGame) Cell(m *Memo, hops, node int) (Decision, bool) {
 // the closed-form stages 1 and 2 read (PathGame.Rule); and m must have
 // been Reset for g.Nodes and at least hops stages. Rows are read during
 // the call only; the caller must keep them unchanged until the last read
-// of a cell, or re-solve the cells that read them (Refresh).
+// of a cell, or re-solve the cells that read them (Refresh). The
+// discovery lists stay in m for Refresh, and a root costs nothing more:
+// the cone's reverse index waits for its first Refresh, so a caller that
+// never refreshes never builds one.
 func (g *PathGame) SolveFrom(m *Memo, start, hops int) (computed int) {
 	if g.Adjacency == nil || g.Rule.Holds == nil {
 		panic("game: SolveFrom needs Adjacency and an active row rule")
@@ -150,16 +173,25 @@ func (g *PathGame) SolveFrom(m *Memo, start, hops int) (computed int) {
 
 // Refresh re-solves, in place, the cone the one SolveFrom since m's last
 // Reset discovered, after the qualities of the rows marked dirty changed,
-// and returns how many cells it computed. It reuses that call's discovery
-// lists, so it needs what the discovery read unchanged: the rule, and
-// which entries each row holds (no quality may cross 0). A stage-2 cell
-// reads its own row alone (penultimateCell), so only a dirty row's is
-// recomputed; every cell at stage 3 and above reads the stage below and
-// is recomputed (solveCell). Every cell is then bit-identical to the one
-// a Reset and SolveFrom over the same rows would compute. dirty is
-// indexed by vertex and must span the cone. When m does not hold exactly
-// one cone — no root, or a second root solved into it — Refresh does
-// nothing and returns ok == false.
+// and returns how many cells it recomputed. It propagates change instead
+// of sweeping: a stage-2 cell reads its own row alone (penultimateCell),
+// so it is recomputed only when its row is dirty; a cell at stage 3 and
+// above reads its own row and, of the stage below, only the Quality of
+// each successor its row visits (solveCell), so it is recomputed only
+// when its row is dirty or one of those successors' Quality changed its
+// Float64bits. Every other cell keeps a value computed from the same
+// inputs, so every cell is bit-identical to the one a Reset and SolveFrom
+// over the same rows would compute. A cone's first Refresh builds its
+// reverse index, the (cell, successor) pairs of its rows; SolveFrom pays
+// nothing for it.
+//
+// Refresh reuses the discovery lists and the row rule as that SolveFrom
+// prepared it, so g must be the game that solved m, and what the
+// discovery read unchanged since: the rule, and which entries each row
+// holds (no quality may cross 0). dirty is indexed by vertex and must
+// span the cone. When m does not hold exactly one cone — no root, or a
+// second root solved into it — Refresh does nothing and returns ok ==
+// false.
 func (g *PathGame) Refresh(m *Memo, dirty []bool) (computed int, ok bool) {
 	if g.Adjacency == nil || g.Rule.Holds == nil {
 		panic("game: Refresh needs Adjacency and an active row rule")
@@ -170,19 +202,83 @@ func (g *PathGame) Refresh(m *Memo, dirty []bool) (computed int, ok bool) {
 	if m.hops < 2 {
 		return 0, true // the root reads its delivery edge only, or nothing
 	}
-	g.prepare()
-	for _, i := range m.todo[2] {
-		if dirty[i] {
-			m.table[2][i] = g.penultimateCell(int(i))
-			computed++
-		}
+	if !m.indexed {
+		g.index(m)
 	}
-	for h := 3; h <= m.hops; h++ {
-		prev, cur := m.table[h-1], m.table[h]
-		for _, i := range m.todo[h] {
-			cur[i] = g.solveCell(prev, int(i))
+	for h := 2; h <= m.hops; h++ {
+		cur, stale := m.table[h], m.stale[h]
+		for p, i := range m.todo[h] {
+			if !dirty[i] && !stale[p] {
+				continue
+			}
+			stale[p] = false
+			was := cur[i].Quality
+			if h == 2 {
+				cur[i] = g.penultimateCell(int(i))
+			} else {
+				cur[i] = g.solveCell(m.table[h-1], int(i))
+			}
+			computed++
+			if h < m.hops && math.Float64bits(cur[i].Quality) != math.Float64bits(was) {
+				up, preds := m.stale[h+1], m.preds[h]
+				for e := m.first[h][p]; e >= 0; e = preds[e].next {
+					up[preds[e].cell] = true
+				}
+			}
 		}
-		computed += len(m.todo[h])
 	}
 	return computed, true
+}
+
+// index builds the reverse index of m's one cone: for every cell (i, h)
+// at stage 3 and above and every successor j its row visits, (i, h)
+// joins the chain of (j, h−1) — every pair, also when j was discovered
+// from another cell first. It readies stale too, all false. Its storage
+// is sized here, not by Reset, so that a memo that is never refreshed
+// never holds it.
+func (g *PathGame) index(m *Memo) {
+	if len(m.first) != len(m.table) {
+		m.first = make([][]int32, len(m.table))
+		m.preds = make([][]predEdge, len(m.table))
+		m.stale = make([][]bool, len(m.table))
+	}
+	if len(m.at) != g.Nodes {
+		m.at = make([]int32, g.Nodes)
+	}
+	for h := 2; h <= m.hops; h++ {
+		m.stale[h] = resized(m.stale[h], len(m.todo[h]))
+		clear(m.stale[h])
+	}
+	var row rowView
+	for h := 3; h <= m.hops; h++ {
+		below := m.todo[h-1]
+		for p, j := range below {
+			m.at[j] = int32(p)
+		}
+		first, preds := resized(m.first[h-1], len(below)), m.preds[h-1][:0]
+		for p := range first {
+			first[p] = -1
+		}
+		for p, i := range m.todo[h] {
+			g.open(&row, int(i)) // R and a node without a row visit nothing
+			for a := 0; a < row.n; a++ {
+				if j, _, ok := row.at(a); ok {
+					s := m.at[j]
+					preds = append(preds, predEdge{cell: int32(p), next: first[s]})
+					first[s] = int32(len(preds) - 1)
+				}
+			}
+		}
+		m.first[h-1], m.preds[h-1] = first, preds
+	}
+	m.indexed = true
+}
+
+// resized returns s with length n, reusing its array when it is large
+// enough; the contents are unspecified.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -1,6 +1,7 @@
 package game
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -167,9 +168,14 @@ func TestMemoEpochWrap(t *testing.T) {
 // Property: after the qualities of some rows change — each staying on the
 // side of 0 it was on, so the rows hold the same entries — Refresh with
 // those rows marked dirty leaves every cell of the cone bit-equal to a
-// cold Reset and SolveFrom over the changed rows, computing the dirty
-// stage-2 cells and every cell above; and it refuses a memo that holds
-// no cone or two.
+// cold Reset and SolveFrom over the changed rows, and recomputes exactly
+// the cells whose inputs moved: a stage-2 cell when its row is dirty, a
+// later one when its row is dirty or a successor its row visits changed
+// the Float64bits of its Quality at the stage below. Three kinds of round
+// take turns: random rows change at random; no row is dirty, and nothing
+// is recomputed; and dirty rows change only entries none of their cone
+// cells chose, so that no Quality moves and only the dirty cells are
+// recomputed. Refresh refuses a memo that holds no cone or two.
 func TestQuickRefreshMatchesSolveFrom(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := dist.NewSource(seed)
@@ -190,23 +196,46 @@ func TestQuickRefreshMatchesSolveFrom(t *testing.T) {
 		}
 		g.SolveFrom(&m, start, hops)
 		dirty := make([]bool, g.Nodes)
-		for round := 0; round < 4; round++ {
+		was := make([][]float64, hops+1) // each cone cell's Quality before the round
+		for h := range was {
+			was[h] = make([]float64, g.Nodes)
+		}
+		var visits []int32
+		for round := 0; round < 6; round++ {
+			kind := round % 3
 			clear(dirty)
+			for h := 2; h <= hops; h++ {
+				for i := range was[h] {
+					d, _ := g.Cell(&m, h, i)
+					was[h][i] = d.Quality
+				}
+			}
 			for i := range qual {
-				if rng.Intn(3) != 0 {
+				if kind == 1 || rng.Intn(3) != 0 {
 					continue
 				}
 				dirty[i] = true
+				chosen := make(map[int]bool)
+				for h := 2; h <= hops; h++ {
+					if d, ok := g.Cell(&m, h, i); ok {
+						chosen[d.Next] = true
+					}
+				}
 				for a, q := range qual[i] {
-					if q >= 0 && succ[i][a] != int32(g.Responder) {
+					j := succ[i][a]
+					switch {
+					case q < 0 || j == int32(g.Responder):
+					case kind == 0:
 						qual[i][a] = rng.Float64()
+					case !chosen[int(j)]:
+						qual[i][a] = q / 2
 					}
 				}
 			}
 			got, ok := g.Refresh(&m, dirty)
 			cold.Reset(g.Nodes, g.MaxHops)
 			g.SolveFrom(&cold, start, hops)
-			want := 0
+			want, dirtyCells := 0, 0
 			for h := 2; h <= hops; h++ {
 				for i := 0; i < g.Nodes; i++ {
 					if !cold.Known(h, i) {
@@ -216,8 +245,17 @@ func TestQuickRefreshMatchesSolveFrom(t *testing.T) {
 						}
 						continue
 					}
-					if h > 2 || dirty[i] {
+					moved := dirty[i]
+					visits, _ = g.AppendRow(visits[:0], nil, i)
+					for _, j := range visits {
+						b, _ := g.Cell(&cold, h-1, int(j))
+						moved = moved || h > 2 && math.Float64bits(b.Quality) != math.Float64bits(was[h-1][j])
+					}
+					if moved {
 						want++
+					}
+					if dirty[i] {
+						dirtyCells++
 					}
 					a, aok := g.Cell(&m, h, i)
 					b, _ := g.Cell(&cold, h, i)
@@ -227,8 +265,8 @@ func TestQuickRefreshMatchesSolveFrom(t *testing.T) {
 					}
 				}
 			}
-			if !ok || got != want {
-				t.Logf("seed %d round %d: Refresh = %d, %v; want %d cells", seed, round, got, ok, want)
+			if !ok || got != want || kind == 1 && got != 0 || kind == 2 && got != dirtyCells {
+				t.Logf("seed %d round %d (kind %d): Refresh = %d, %v; want %d cells, %d of them dirty", seed, round, kind, got, ok, want, dirtyCells)
 				return false
 			}
 		}

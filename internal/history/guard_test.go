@@ -68,7 +68,9 @@ func TestNilProfileQueries(t *testing.T) {
 		t.Fatalf("nil Successors = %v", got)
 	}
 	holds := make([]bool, 4)
-	h.Tails(holds)
+	if got := h.Tails(nil, holds); len(got) != 0 {
+		t.Fatalf("nil Tails = %v", got)
+	}
 	for _, b := range holds {
 		if b {
 			t.Fatal("nil table marked a tail")

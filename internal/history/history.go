@@ -152,14 +152,19 @@ func (t *Table) Successors(from overlay.NodeID) []overlay.NodeID {
 	return out
 }
 
-// Tails sets holds[s] for every node s that forwarded on some connection
-// of the batch: the nodes whose σ may be non-zero. holds must span every
-// recorded id.
-func (t *Table) Tails(holds []bool) {
+// Tails appends to dst every node s that forwarded on some connection of
+// the batch — the nodes whose σ may be non-zero — and is not yet set in
+// holds, sets holds[s] for each, and returns dst, in no particular order.
+// holds must span every recorded id.
+func (t *Table) Tails(dst []int32, holds []bool) []int32 {
 	if t == nil {
-		return
+		return dst
 	}
 	for e := range t.uses {
-		holds[e[0]] = true
+		if !holds[e[0]] {
+			holds[e[0]] = true
+			dst = append(dst, e[0])
+		}
 	}
+	return dst
 }

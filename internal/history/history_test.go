@@ -106,7 +106,8 @@ func TestSuccessorsSorted(t *testing.T) {
 
 // TestStoreIsolatesBatches: each batch has its own table, and within one
 // a row is its tail's alone — the table is the union of the nodes'
-// profiles, so no node's σ reads another node's rows.
+// profiles, so no node's σ reads another node's rows; Tails lists
+// each tail once, and not again once holds marks it.
 func TestStoreIsolatesBatches(t *testing.T) {
 	a, b := New(false), New(false)
 	a.Record(1, overlay.None, 1, 7)
@@ -116,12 +117,18 @@ func TestStoreIsolatesBatches(t *testing.T) {
 	if a.Uses(2, 7) != 0 || a.Selectivity(2, 7, 2) != 0 {
 		t.Fatal("nodes not isolated")
 	}
+	a.Record(2, overlay.None, 1, 3)
 	holds := make([]bool, 8)
-	a.Tails(holds)
+	if got := a.Tails(nil, holds); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("Tails listed %v, want [1]", got)
+	}
 	for id, h := range holds {
 		if h != (id == 1) {
 			t.Fatalf("Tails marked %v", holds)
 		}
+	}
+	if got := a.Tails(nil, holds); len(got) != 0 {
+		t.Fatalf("Tails listed %v again", got)
 	}
 }
 

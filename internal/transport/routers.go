@@ -255,26 +255,24 @@ type UtilityIIRouter struct {
 	memoHops int
 	// The kept solve: cone is the key of the latest solve, which filled
 	// memo cold or refreshed the cone of the same key, and stage.conn its
-	// connection; coneKept says memo still holds it. coneDirty holds the
-	// holders of the cone's cold solve and of every solve since — the rows
-	// a refresh re-reads. A row stays dirty once the history named it: were
-	// the history dropped, the row would fall back to its base row, and
-	// that changes it too.
-	cone      coneKey
-	coneKept  bool
-	coneDirty []bool
+	// connection; coneKept says memo still holds it.
+	cone     coneKey
+	coneKept bool
 	// nbrQ[i] is aligned with nbrs[i]: the quality of an edge into each
 	// neighbor that no connection of the batch has used, Edge(0, α). With
 	// nbrs[i] it is node i's base row, which its game row reads in place.
 	nbrQ [][]float64
 	// routable[i]: node i is a key of the topology and believed alive —
-	// the nodes that hold a row under the game's rule — refreshed by every
-	// solve.
+	// the nodes that hold a row under the game's rule — set by every cold
+	// solve; a liveness change forgets the cone, so no refresh needs it
+	// anew.
 	routable []bool
-	// The latest solve: its batch's history and connection, and holder[i],
-	// whether that history names an edge out of i. Only those rows are
-	// scored anew, each into ovQ[i], a span of overlay.
+	// The latest solve: its batch's history and connection, the nodes
+	// that history names an edge out of (holders), and holder[i], whether
+	// i is one. Only those rows are scored anew, each into ovQ[i], a span
+	// of overlay.
 	stage   hopView
+	holders []int32
 	holder  []bool
 	ovQ     [][]float64
 	overlay []float64
@@ -282,6 +280,7 @@ type UtilityIIRouter struct {
 	// SPNE read instrumentation, bound by Instrument (nil-safe when not).
 	cacheHits, cacheMisses *telemetry.Counter
 	coneCold, coneRefresh  *telemetry.Counter
+	cellsCold, cellsFresh  *telemetry.Counter
 }
 
 // coneKey names a cone: everything a solve reads that the history and
@@ -304,7 +303,6 @@ func NewUtilityIIRouter(topo Topology, w quality.Weights, c core.Contract, avail
 		}
 	}
 	r.holder = make([]bool, len(r.nbrs))
-	r.coneDirty = make([]bool, len(r.nbrs))
 	r.routable = make([]bool, len(r.nbrs))
 	r.ovQ = make([][]float64, len(r.nbrs))
 	r.stage.r = r.UtilityRouter
@@ -324,16 +322,20 @@ func NewUtilityIIRouter(topo Topology, w quality.Weights, c core.Contract, avail
 }
 
 // Instrument binds the router's SPNE instruments into reg — reads served
-// by the kept solve (hits) and reads that solved (misses), and how each
-// miss solved its cone — so game-layer solve reuse is visible on the
-// exposition endpoint. Call before traffic starts.
+// by the kept solve (hits) and reads that solved (misses), how each miss
+// solved its cone, and the cells each kind of solve computed — so
+// game-layer solve reuse is visible on the exposition endpoint. Call
+// before traffic starts.
 func (r *UtilityIIRouter) Instrument(reg *telemetry.Registry) {
 	reg.Help(metricSPNECacheTotal, "SPNE prescriptions read from the kept solve (result=hit) vs solved fresh (result=miss)")
 	reg.Help(metricSPNECone, "SPNE solves that solved their cone from nothing (kind=cold) vs re-solved the kept one (kind=refresh)")
+	reg.Help(metricSPNECells, "stage-game cells computed by cold SPNE solves (kind=cold) vs recomputed by refreshes of the kept cone (kind=refresh)")
 	r.cacheHits = reg.Counter(metricSPNECacheTotal, telemetry.Labels{"result": "hit"})
 	r.cacheMisses = reg.Counter(metricSPNECacheTotal, telemetry.Labels{"result": "miss"})
 	r.coneCold = reg.Counter(metricSPNECone, telemetry.Labels{"kind": "cold"})
 	r.coneRefresh = reg.Counter(metricSPNECone, telemetry.Labels{"kind": "refresh"})
+	r.cellsCold = reg.Counter(metricSPNECells, telemetry.Labels{"kind": "cold"})
+	r.cellsFresh = reg.Counter(metricSPNECells, telemetry.Labels{"kind": "refresh"})
 }
 
 // MarkDead implements ChurnAware: besides excluding id from candidates,
@@ -428,18 +430,15 @@ func (r *UtilityIIRouter) kept(self, responder overlay.NodeID, batch, conn, rema
 // history's holders change (σ moves with the connection's index and the
 // batch's new hops); the rule and every other row are as they were when
 // the cone was discovered, since a liveness change forgets the cone. A
-// row that was a holder's since then is marked dirty too. Caller holds
-// cacheMu and mu.
+// batch's history only grows, and CloseBatch forgets the batch's cone, so
+// the holders of this solve include those of every solve since the cold
+// one: they are the rows to re-read. Caller holds cacheMu and mu.
 func (r *UtilityIIRouter) refresh(key coneKey) bool {
 	if !r.coneKept || r.cone != key {
 		return false
 	}
-	for i, h := range r.holder {
-		if h {
-			r.coneDirty[i] = true
-		}
-	}
-	_, ok := r.game.Refresh(&r.memo, r.coneDirty)
+	cells, ok := r.game.Refresh(&r.memo, r.holder)
+	r.cellsFresh.Add(int64(cells))
 	return ok
 }
 
@@ -454,46 +453,48 @@ func (r *UtilityIIRouter) refresh(key coneKey) bool {
 // get an overlay, scored w_s·σ + w_a·α before the solve. The solve holds
 // mu throughout, so rows, history and liveness are read in one
 // consistent state. When the memo still holds the cone of the same key,
-// filled under the same liveness, only the cells that read a holder's
-// row are re-solved (refresh); otherwise the cone is solved cold. Caller
-// holds cacheMu.
+// filled under the same liveness and rule, only the cells whose inputs
+// moved are re-solved (refresh); otherwise the rule is set anew and the
+// cone solved cold. Caller holds cacheMu.
 func (r *UtilityIIRouter) solve(start, initiator, responder overlay.NodeID, batch, conn, budget int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	key := coneKey{batch, start, initiator, responder, budget}
 	r.stage.h, r.stage.conn = r.batches[batch], conn
-	clear(r.holder)
-	r.stage.h.Tails(r.holder)
-	r.overlay = r.overlay[:0]
-	for i, nb := range r.nbrs {
-		r.routable[i] = nb != nil && r.up[i]
-		if r.holder[i] {
-			lo := len(r.overlay)
-			for _, j := range nb {
-				r.overlay = append(r.overlay, r.stage.Quality(overlay.NodeID(i), overlay.None, overlay.NodeID(j)))
-			}
-			r.ovQ[i] = r.overlay[lo:]
-		}
+	for _, i := range r.holders {
+		r.holder[i] = false
 	}
-	r.game.Responder = int(responder)
-	r.game.Rule = game.RowRule{Holds: r.routable, Initiator: int(initiator), Deliver: r.up[responder]}
+	r.holders = r.stage.h.Tails(r.holders[:0], r.holder)
+	r.overlay = r.overlay[:0]
+	for _, i := range r.holders {
+		lo := len(r.overlay)
+		for _, j := range r.nbrs[i] {
+			r.overlay = append(r.overlay, r.stage.Quality(overlay.NodeID(i), overlay.None, overlay.NodeID(j)))
+		}
+		r.ovQ[i] = r.overlay[lo:]
+	}
 	if r.refresh(key) {
 		r.coneRefresh.Inc()
 		return
 	}
+	for i, nb := range r.nbrs {
+		r.routable[i] = nb != nil && r.up[i]
+	}
+	r.game.Responder = int(responder)
+	r.game.Rule = game.RowRule{Holds: r.routable, Initiator: int(initiator), Deliver: r.up[responder]}
 	r.memoHops = max(r.memoHops, budget)
 	r.memo.Reset(len(r.nbrs), r.memoHops)
-	r.game.SolveFrom(&r.memo, int(start), budget)
+	cells := r.game.SolveFrom(&r.memo, int(start), budget)
 	if !r.up[start] {
 		// A holder believed dead has no row, yet its Model-I fallback
 		// still forwards to one of its neighbors: the play goes on from
 		// there. The memo then holds more than one cone, which Refresh
 		// refuses.
 		for _, j := range r.nbrs[start] {
-			r.game.SolveFrom(&r.memo, int(j), budget-1)
+			cells += r.game.SolveFrom(&r.memo, int(j), budget-1)
 		}
 	}
 	r.cone, r.coneKept = key, true
-	copy(r.coneDirty, r.holder)
+	r.cellsCold.Add(int64(cells))
 	r.coneCold.Inc()
 }

@@ -918,6 +918,53 @@ func TestSPNEWarmSolveAllocs(t *testing.T) {
 	}
 }
 
+// TestLiveRefreshCells pins the work of a refresh, not only its time, at
+// BenchmarkLiveRefresh's shape (N = 128, d = 6, budget 5). The next
+// connection of the batch re-scores every holder's row, yet recomputes at
+// most 16 cells, where recomputing every cell above stage 2 and the dirty
+// ones at it takes 46: a cell whose row is no holder's, and whose
+// successors kept their Quality, keeps its value. Re-solving the same
+// connection on the same history moves no row's quality, so only the
+// holders' own cells are recomputed: no change propagates above them.
+func TestLiveRefreshCells(t *testing.T) {
+	r, n, budget := liveSolveRouter()
+	r.Instrument(telemetry.NewRegistry())
+	resp := overlay.NodeID(n - 1)
+	conn := 1000
+	for i := 0; i < 10; i++ {
+		conn++
+		c0, r0 := r.cellsFresh.Value(), r.coneRefresh.Value()
+		r.prescribed(0, 0, resp, 1, conn, budget)
+		cells := r.cellsFresh.Value() - c0
+		t.Logf("connection %d: %d cells recomputed", conn, cells)
+		if r.coneRefresh.Value() != r0+1 {
+			t.Fatalf("connection %d did not refresh the kept cone", conn)
+		}
+		if cells > 16 {
+			t.Fatalf("connection %d: a refresh recomputed %d cells, want at most 16", conn, cells)
+		}
+	}
+	own, above := 0, 0 // the holders' cells in the cone, and those above stage 2
+	for h := 2; h <= budget; h++ {
+		for i := range r.nbrs {
+			if _, ok := r.game.Cell(&r.memo, h, i); ok && r.holder[i] {
+				own++
+				if h > 2 {
+					above++
+				}
+			}
+		}
+	}
+	c0 := r.cellsFresh.Value()
+	r.cacheMu.Lock()
+	r.solve(0, 0, resp, 1, conn, budget)
+	r.cacheMu.Unlock()
+	if got := r.cellsFresh.Value() - c0; got != int64(own) {
+		t.Fatalf("re-solving connection %d on the same history recomputed %d cells, want the holders' own %d (%d above stage 2)", conn, got, own, above)
+	}
+	t.Logf("same history: %d cells recomputed, the holders' own (%d above stage 2)", own, above)
+}
+
 // liveSolveRouter is the Model-II router both live-solve benchmarks time,
 // at inproc_um2_agg's shape (128 peers, degree 6, budget 5): batches 1
 // and 2 hold the same history, so rows score σ > 0, and every buffer is

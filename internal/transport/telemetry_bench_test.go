@@ -16,10 +16,10 @@ import (
 // registry, MetricsOnly rebinds into a shared registry (the -metrics-addr
 // configuration), Traced adds the span recorder on top (the -span-out
 // configuration, ~14 spans per connect here), sized so it never drops.
-func benchConnect(b *testing.B, latency time.Duration, reg *telemetry.Registry, traced bool) {
+func benchConnect(b *testing.B, reg *telemetry.Registry, traced bool) {
 	topo := lineTopology(12)
 	router := NewRandomRouter(topo, dist.NewSource(7))
-	net := NewNetwork(latency)
+	net := NewNetwork(0)
 	defer net.Close()
 	for id := range topo {
 		if err := net.Join(id, router); err != nil {
@@ -41,18 +41,10 @@ func benchConnect(b *testing.B, latency time.Duration, reg *telemetry.Registry, 
 	}
 }
 
-func BenchmarkConnectBare(b *testing.B) { benchConnect(b, 0, nil, false) }
+func BenchmarkConnectBare(b *testing.B) { benchConnect(b, nil, false) }
 func BenchmarkConnectMetricsOnly(b *testing.B) {
-	benchConnect(b, 0, telemetry.NewRegistry(), false)
+	benchConnect(b, telemetry.NewRegistry(), false)
 }
 func BenchmarkConnectTraced(b *testing.B) {
-	benchConnect(b, 0, telemetry.NewRegistry(), true)
-}
-
-// The latency variants repeat the comparison over links with a 20µs
-// delay — still far faster than any real network — to show the tracing
-// cost disappearing as soon as messages spend any time in flight.
-func BenchmarkConnectLatencyBare(b *testing.B) { benchConnect(b, 20*time.Microsecond, nil, false) }
-func BenchmarkConnectLatencyTraced(b *testing.B) {
-	benchConnect(b, 20*time.Microsecond, telemetry.NewRegistry(), true)
+	benchConnect(b, telemetry.NewRegistry(), true)
 }

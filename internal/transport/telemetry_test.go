@@ -193,7 +193,9 @@ func TestNackHistogramAndTrace(t *testing.T) {
 // TestSPNECacheCounters reads the Model-II router's counters off the
 // registry after real connections: one miss per connection, and how each
 // solved its cone — the first connection of a batch cold, the nine after
-// it on the kept cone, and the one after a MarkDead cold again.
+// it on the kept cone, and the one after a MarkDead cold again — with the
+// cells each kind computed: a cold solve the whole cone, and the nine
+// refreshes fewer in all than nine cold solves.
 func TestSPNECacheCounters(t *testing.T) {
 	topo := lineTopology(7) // 0 … 5 carry the connections; 6 is a spare
 	avail := map[overlay.NodeID]float64{}
@@ -210,6 +212,7 @@ func TestSPNECacheCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	var coldCells, freshCells int64
 	counts := func() (misses, cold, refresh int64) {
 		for _, c := range reg.Snapshot().Counters {
 			switch {
@@ -219,9 +222,23 @@ func TestSPNECacheCounters(t *testing.T) {
 				cold = c.Value
 			case c.Name == metricSPNECone && c.Labels["kind"] == "refresh":
 				refresh = c.Value
+			case c.Name == metricSPNECells && c.Labels["kind"] == "cold":
+				coldCells = c.Value
+			case c.Name == metricSPNECells && c.Labels["kind"] == "refresh":
+				freshCells = c.Value
 			}
 		}
 		return misses, cold, refresh
+	}
+	cone := func() (cells int64) { // the kept cone's cells, stages 2 … budget
+		for h := 2; h <= r.memoHops; h++ {
+			for i := range r.nbrs {
+				if _, ok := r.game.Cell(&r.memo, h, i); ok {
+					cells++
+				}
+			}
+		}
+		return cells
 	}
 	connect := func(conn int) {
 		if _, _, err := net.ConnectDetail(0, 5, 1, conn, 8, 2*time.Second); err != nil {
@@ -234,10 +251,19 @@ func TestSPNECacheCounters(t *testing.T) {
 	if misses, cold, refresh := counts(); misses != 10 || cold != 1 || refresh != 9 {
 		t.Fatalf("a 10-connection batch: %d misses, %d cold, %d refreshed; want 10, 1, 9", misses, cold, refresh)
 	}
+	size := cone()
+	t.Logf("a 10-connection batch: a cone of %d cells; %d cells cold, %d refreshed", size, coldCells, freshCells)
+	if coldCells != size || freshCells <= 0 || freshCells >= 9*size {
+		t.Fatalf("a 10-connection batch over a cone of %d cells: %d cells cold, %d refreshed; want %d, and between 1 and %d",
+			size, coldCells, freshCells, size, 9*size-1)
+	}
 	r.MarkDead(6)
 	connect(11)
 	connect(12)
 	if misses, cold, refresh := counts(); misses != 12 || cold != 2 || refresh != 10 {
 		t.Fatalf("after MarkDead: %d misses, %d cold, %d refreshed; want 12, 2, 10", misses, cold, refresh)
+	}
+	if coldCells != size+cone() {
+		t.Fatalf("after MarkDead: %d cells cold, want the two cold cones' %d + %d", coldCells, size, cone())
 	}
 }
