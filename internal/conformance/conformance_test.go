@@ -14,10 +14,11 @@ import (
 )
 
 // Backends returns the three production backends: the in-process
-// goroutine-per-peer runtime, the TCP loopback cluster, and the
-// partitioned multi-runtime topology behind the process cluster —
-// every node lives in one of three netwire runtimes and frames between
-// them cross dial-back TCP links, exactly as clusterd workers talk.
+// runtime, which drains one FIFO of deliveries and starts no goroutine,
+// the TCP loopback cluster, and the partitioned multi-runtime topology
+// behind the process cluster — every node lives in one of three netwire
+// runtimes and frames between them cross dial-back TCP links, exactly as
+// clusterd workers talk.
 func Backends() []Backend {
 	return []Backend{
 		{

@@ -13,7 +13,9 @@ import (
 // log, the invariant verdict and the headline counters. Nacks, Timeouts,
 // Reformations and Stale are the driver's own instruments; Nacks counts
 // NACKs generated, Stale replies that found their attempt already over.
-// Hops counts the FORWARDs the link was handed.
+// Sends and OfflineDrops are the network's sent and dropped messages:
+// a fault-dropped message is not sent, a duplicated one is sent twice.
+// Hops counts the FORWARDs the driver handed the fault layer.
 type Result struct {
 	Plan       Plan
 	Violations []Violation
@@ -62,8 +64,8 @@ func Run(p Plan) (*Result, error) {
 	m := w.drv.Metrics()
 	res := &Result{
 		Plan:           p,
-		Sends:          w.cSends.Value(),
-		OfflineDrops:   w.cDrops.Value(),
+		Sends:          m.Sent,
+		OfflineDrops:   m.Dropped,
 		Stale:          w.reg.Counter(metricStale, nil).Value(),
 		Launches:       m.Connects + m.Failures,
 		Hops:           w.forwards,

@@ -13,6 +13,7 @@ import (
 
 	"p2panon/internal/core"
 	"p2panon/internal/overlay"
+	"p2panon/internal/payment"
 	"p2panon/internal/telemetry"
 	"p2panon/internal/transport"
 )
@@ -468,8 +469,10 @@ func TestClusterArtifactReportsInLineOrder(t *testing.T) {
 // in flight to it, which no generated plan does (their crashes land
 // before the first batch): the driver's offline-target handling must
 // hold every invariant. A crashed forwarder costs a NACK and one
-// reformation around it; a crashed initiator loses its CONFIRM, times
-// out, fails as departed, and the batch's later connections are refused.
+// reformation around it, and its pay for conn 1 reaches its account
+// though the settle, landing only on stations still hosted, skips it. A
+// crashed initiator loses its CONFIRM, times out, fails as departed, and
+// the batch's later connections are refused.
 func TestMidConnectionCrash(t *testing.T) {
 	base := Plan{Seed: 5, Batches: 1}
 	// Connection 2's launch time and path, from a clean run.
@@ -487,15 +490,40 @@ func TestMidConnectionCrash(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		victim overlay.NodeID
-		check  func(t *testing.T, res *Result, conns []connOutcome)
+		check  func(t *testing.T, res *Result, w *world, victim overlay.NodeID)
 	}{
-		{"forwarder", path[1], func(t *testing.T, res *Result, conns []connOutcome) {
+		{"forwarder", path[1], func(t *testing.T, res *Result, w *world, victim overlay.NodeID) {
 			if res.Nacks == 0 || res.OfflineDrops == 0 || res.Reformations == 0 || res.Failed != 0 {
 				t.Errorf("nacks %d, offline drops %d, reformations %d, failed %d: want a NACK, a drop and a reformation, no failure",
 					res.Nacks, res.OfflineDrops, res.Reformations, res.Failed)
 			}
+			if !slices.Contains(w.batches[0].conns[0].path, victim) {
+				t.Fatalf("conn 1 took %v, not through the victim %d", w.batches[0].conns[0].path, victim)
+			}
+			i := slices.IndexFunc(w.batches[0].payouts, func(po payment.Payout) bool { return po.Forwarder == payment.AccountID(victim) })
+			if i < 0 {
+				t.Fatalf("victim %d was not paid: %+v", victim, w.batches[0].payouts)
+			}
+			want := payment.Amount(res.Plan.Opening) + w.batches[0].payouts[i].Amount
+			if got, err := w.bank.Balance(payment.AccountID(victim)); err != nil || got != want {
+				t.Errorf("victim %d holds %d (err %v), want the opening plus its payout, %d", victim, got, err, want)
+			}
+			settles := 0
+			for _, s := range res.Spans {
+				if s.Kind != telemetry.SpanSettle {
+					continue
+				}
+				settles++
+				if s.Node == int(victim) {
+					t.Errorf("the crashed victim %d has a settle span", victim)
+				}
+			}
+			if settles != 1 {
+				t.Errorf("%d settle spans, want 1: the settle lands on the one payee still hosted", settles)
+			}
 		}},
-		{"initiator", path[0], func(t *testing.T, res *Result, conns []connOutcome) {
+		{"initiator", path[0], func(t *testing.T, res *Result, w *world, _ overlay.NodeID) {
+			conns := w.batches[0].conns
 			refused, failed := 0, 0
 			for _, c := range conns {
 				switch {
@@ -517,9 +545,47 @@ func TestMidConnectionCrash(t *testing.T) {
 			// the wire, and the victim is gone when it or its CONFIRM lands.
 			p.Faults = []Fault{{Kind: FaultCrash, At: at + 0.005, Node: int(tc.victim)}}
 			res := Check(t, p)
-			tc.check(t, res, cleanWorld(t, p).batches[0].conns)
+			tc.check(t, res, cleanWorld(t, p), tc.victim)
 		})
 	}
+}
+
+// TestLivenessMarksReachCurrentBatchOnly: every node of the world routes
+// with one batch router, which passes liveness marks to the current
+// batch's router alone. Marking batch 1's next hop dead after the run
+// must leave batch 1's routing as it was; the same mark while a late
+// batch is current must move that batch's.
+func TestLivenessMarksReachCurrentBatchOnly(t *testing.T) {
+	w := cleanWorld(t, Plan{Seed: 5, Batches: 30})
+	nextHop := func(rec *batchRecord) (overlay.NodeID, bool) {
+		next, deliver := rec.router.NextHop(rec.initiator, overlay.None, rec.initiator, rec.responder, rec.batch, 1, w.plan.Budget)
+		return next, !deliver
+	}
+	first := w.batches[0]
+	before, ok := nextHop(first)
+	if !ok {
+		t.Fatal("batch 1's initiator delivers straight to its responder")
+	}
+	w.drv.MarkDead(before)
+	if after, _ := nextHop(first); after != before {
+		t.Fatalf("batch 1 settled long ago, yet a liveness mark moved its next hop %d -> %d", before, after)
+	}
+	for i := len(w.batches) - 1; i > 0; i-- {
+		rec := w.batches[i]
+		if rec.skipped {
+			continue
+		}
+		if before, ok = nextHop(rec); !ok {
+			continue
+		}
+		w.curRec = rec
+		w.drv.MarkDead(before)
+		if after, _ := nextHop(rec); after == before {
+			t.Fatalf("the current batch %d still routes to %d, which was marked dead", rec.batch, before)
+		}
+		return
+	}
+	t.Fatal("no later batch routes its first hop")
 }
 
 // TestLateMessageAfterSettleRefused duplicates batch 1's first FORWARD —

@@ -200,19 +200,19 @@ func (w *world) checkInvariants(spans []telemetry.Span, dropped uint64) []Violat
 			add(InvReconcile, "%s: %d != %d", rc.what, rc.got, rc.want)
 		}
 	}
-	var settledBatches, payouts, wantRejected int64
+	var settledBatches, landed, wantRejected int64
 	for _, rec := range w.batches {
 		if rec.settled {
 			settledBatches++
-			payouts += int64(len(rec.payouts))
+			landed += int64(rec.landed)
 			wantRejected += int64(rec.expectRejected)
 		}
 	}
 	if got := w.reg.Counter("payment_settlements_total", nil).Value(); got != settledBatches {
 		add(InvReconcile, "payment_settlements_total = %d, want %d settled batches", got, settledBatches)
 	}
-	if got := w.reg.Counter(metricSettlements, nil).Value(); got != payouts {
-		add(InvReconcile, "%s = %d, want the settled batches' %d payouts", metricSettlements, got, payouts)
+	if got := w.reg.Counter(metricSettlements, nil).Value(); got != landed {
+		add(InvReconcile, "%s = %d, want the settled batches' %d payees online at settle", metricSettlements, got, landed)
 	}
 	dsCounter := w.reg.Counter("payment_cheats_detected_total", telemetry.Labels{"kind": "double_spend"})
 	if got := dsCounter.Value(); got != int64(w.expectCheatsDS) {

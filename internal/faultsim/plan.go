@@ -11,15 +11,15 @@
 // replays exactly, and Shrink can bisect a fault schedule down to a
 // minimal reproducer.
 //
-// The protocol under test is the one every live backend runs: the
-// world is a transport.Link for a transport.Driver whose clock is the
-// world's engine (vclock.Engine), so attempt windows, backoff pauses and
-// link latency are all events on one queue. The world carries each
-// message with the plan's latency and message faults, hands it to a
-// real transport.Station, and reports an offline target to the driver.
-// The routers, payment bank and escrow, churn driver, probe estimators
-// and telemetry are the production ones too; only the scheduler is
-// virtual.
+// The protocol and its runtime are the in-process backend's: the world
+// runs on a transport.Network whose clock is the world's engine
+// (vclock.Engine), so attempt windows, backoff pauses and link latency
+// are all events on one queue. The network hosts a station for every
+// online node, carries each message with the plan's latency and refuses
+// sends to offline nodes; its driver sends through a fault layer that
+// applies the plan's message faults in front of it. The routers,
+// payment bank and escrow, churn driver, probe estimators and telemetry
+// are the production ones too; only the scheduler is virtual.
 package faultsim
 
 import (

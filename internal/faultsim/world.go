@@ -18,13 +18,11 @@ import (
 	"p2panon/internal/vclock"
 )
 
-// Harness metric names: the link's own accounting. Sends and offline drops
-// have no per-send reconciliation; injected faults are reconciled against
-// the fault spans. The protocol's counters are the driver's transport_*
-// instruments, bound into the world's registry.
+// Harness metric names. Injected faults are the harness's own count,
+// reconciled against the fault spans. The protocol's and the network's
+// counters are the transport_* instruments, bound into the world's
+// registry.
 const (
-	metricSends  = "faultsim_sends_total"
-	metricDrops  = "faultsim_offline_drops_total"
 	metricFaults = "faultsim_faults_injected_total"
 
 	// The driver's instruments the world reads back.
@@ -51,26 +49,15 @@ type batchRecord struct {
 	escrow               *payment.Escrow
 	minter               *payment.ReceiptMinter
 	router               transport.Router
-	stations             map[overlay.NodeID]*transport.Station
 	receipts             map[overlay.NodeID][]payment.Receipt
 	conns                []connOutcome // index conn-1
 	payouts              []payment.Payout
 	refund               payment.Amount
 	settleErr            error
 	settled              bool
+	landed               int // payees online, by the overlay, when the batch settled
 	expectRejected       int
 	trace, root          telemetry.SpanID
-}
-
-// station returns node id's protocol station for this batch: a real
-// transport.Station routing with the batch's router.
-func (rec *batchRecord) station(id overlay.NodeID) *transport.Station {
-	st := rec.stations[id]
-	if st == nil {
-		st = transport.NewStation(id, rec.router)
-		rec.stations[id] = st
-	}
-	return st
 }
 
 // faultSlot is a message fault awaiting its matching send; i is its
@@ -82,15 +69,16 @@ type faultSlot struct {
 }
 
 // world is the deterministic protocol world: overlay, churn, probing,
-// routing, escrow settlement and the live transport.Driver — all
-// scheduled on one sim.Engine, which is also the driver's clock, so that a
-// (plan, seed) pair replays byte-identically. The world is the driver's
-// Link: it carries every message with the plan's latency and faults.
+// routing, escrow settlement and the in-process transport.Network — all
+// scheduled on one sim.Engine, which is also the network's clock, so that
+// a (plan, seed) pair replays byte-identically. The network hosts a
+// station for every online node and carries every message with the
+// plan's latency; its driver's link is the world's faultLink, which puts
+// the plan's message faults in front of it.
 type world struct {
 	plan   Plan
 	eng    *sim.Engine
-	clk    vclock.Clock
-	drv    *transport.Driver
+	drv    *transport.Network
 	net    *overlay.Network
 	churn  *churn.Driver
 	probes *probe.Set
@@ -105,8 +93,8 @@ type world struct {
 	rng       *dist.Source // world randomness (endpoints, churn, probes)
 	routerRNG *dist.Source // router randomness, split per batch
 
-	cSends, cDrops, cFaults *telemetry.Counter
-	forwards                int64 // FORWARDs handed to the link
+	cFaults  *telemetry.Counter
+	forwards int64 // FORWARDs handed to the link
 
 	accounts     map[overlay.NodeID]struct{}
 	openingTotal payment.Amount
@@ -150,12 +138,12 @@ func newWorld(p Plan) (*world, error) {
 		return int64(float64(w.eng.Now()) * 1e6)
 	})
 
-	// The plan's timing is the driver's retry policy: MaxAttempts windows
-	// of AttemptTimeout each, backoff doubling from BackoffBase to
-	// BackoffMax between them.
-	w.clk = vclock.Engine(w.eng)
-	w.drv = transport.NewDriver(w, "transport")
-	w.drv.SetClock(w.clk)
+	// The network's driver sends through the fault layer. The plan's
+	// timing is its retry policy: MaxAttempts windows of AttemptTimeout
+	// each, backoff doubling from BackoffBase to BackoffMax between them.
+	w.drv = transport.NewNetwork(sim.Time(p.Latency).Duration())
+	w.drv.Driver = transport.NewDriver(faultLink{w.drv, w}, "transport")
+	w.drv.SetClock(vclock.Engine(w.eng))
 	w.drv.SetRetry(transport.RetryPolicy{
 		MaxAttempts: p.MaxAttempts,
 		BaseBackoff: sim.Time(p.BackoffBase).Duration(),
@@ -164,8 +152,6 @@ func newWorld(p Plan) (*world, error) {
 	w.drv.Instrument(reg)
 	w.drv.SetSpans(w.spans)
 
-	w.cSends = reg.Counter(metricSends, nil)
-	w.cDrops = reg.Counter(metricDrops, nil)
 	w.cFaults = reg.Counter(metricFaults, nil)
 	return w, nil
 }
@@ -203,8 +189,9 @@ func (w *world) setup() {
 					w.openingTotal += opening
 				}
 			}
-			w.drv.MarkLive(id)
+			w.drv.Join(id, batchRouter{w})
 		case overlay.Offline, overlay.Departed:
+			w.drv.RemovePeer(id)
 			w.drv.MarkDead(id)
 		}
 	})
@@ -232,68 +219,81 @@ func (w *world) setup() {
 	w.eng.AfterFunc(sim.Time(2*w.plan.ProbePeriod+1), func(*sim.Engine) { w.startBatch(1) })
 }
 
-// Local implements transport.Link: an online node's station in the
-// current batch. The driver asks only for initiators.
-func (w *world) Local(id overlay.NodeID) *transport.Station {
-	if w.curRec == nil || !w.net.Online(id) {
-		return nil
-	}
-	return w.curRec.station(id)
+// faultLink is the network driver's link: the world's Network, with the
+// plan's message faults in front of its Send.
+type faultLink struct {
+	*transport.Network
+	w *world
 }
 
-// Addressable implements transport.Link: the world carries a message to
-// any node it has ever had; whether the node is up is decided on delivery.
-func (w *world) Addressable(id overlay.NodeID) bool { return w.net.Exists(id) }
-
-// Send implements transport.Link. Every message is accepted; the plan's
-// first message fault matching its (batch, conn, per-connection index)
-// drops, delays, duplicates or holds it back, and otherwise it arrives
-// Latency later.
-func (w *world) Send(from, to overlay.NodeID, m transport.Message) bool {
-	w.cSends.Inc()
+// Send implements transport.Link. The plan's first message fault matching
+// m's (batch, conn, per-connection index) drops it, or hands it (or a
+// copy) to the network Delay later, reporting a target gone by then to
+// the driver; any other message goes to the network as it is.
+func (l faultLink) Send(from, to overlay.NodeID, m transport.Message) bool {
+	w := l.w
 	if m.Kind == transport.MsgForward {
 		w.forwards++
 	}
 	key := [2]int{m.Batch, m.Conn}
 	w.msgSeq[key]++
 	seq := w.msgSeq[key]
-	lat := sim.Time(w.plan.Latency)
 	for _, fs := range w.msgFaults {
 		if fs.used || fs.Batch != m.Batch || fs.Conn != m.Conn || fs.Msg != seq {
 			continue
 		}
 		fs.used = true
 		w.traceFault(w.batches[m.Batch-1], fs.i, fmt.Sprintf("msg %d (%s %d->%d)", seq, m.Kind, from, to))
-		switch fs.Kind {
-		case FaultDrop: // accepted, never delivered
-		case FaultDelay, FaultReorder:
-			w.deliverAfter(lat+sim.Time(fs.Delay), from, to, m)
-		case FaultDuplicate:
-			// Each copy accumulates its own forward path.
-			dup := m
-			dup.Path = append([]overlay.NodeID(nil), m.Path...)
-			w.deliverAfter(lat, from, to, m)
-			w.deliverAfter(lat+sim.Time(fs.Delay), from, to, dup)
+		if fs.Kind == FaultDrop {
+			return true // accepted, never delivered
 		}
-		return true
+		ok, later := true, m
+		if fs.Kind == FaultDuplicate {
+			// Each copy accumulates its own forward path.
+			later.Path = append([]overlay.NodeID(nil), m.Path...)
+			ok = l.Network.Send(from, to, m)
+		}
+		l.Clock().AfterFunc(sim.Time(fs.Delay).Duration(), func() {
+			if !l.Network.Send(from, to, later) {
+				l.Undeliverable(from, to, later)
+			}
+		})
+		return ok
 	}
-	w.deliverAfter(lat, from, to, m)
-	return true
+	return l.Network.Send(from, to, m)
 }
 
-func (w *world) deliverAfter(d sim.Time, from, to overlay.NodeID, m transport.Message) {
-	w.eng.AfterFunc(d, func(*sim.Engine) { w.deliver(from, to, m) })
+// batchRouter is every node's router on the world's Network: it routes a
+// message with its batch's router, closes a batch in that router, and
+// passes liveness marks to the current batch's router, so a settled
+// batch's router is left alone.
+type batchRouter struct{ w *world }
+
+// NextHop implements transport.Router with the batch's own router.
+func (r batchRouter) NextHop(self, pred, initiator, responder overlay.NodeID, batch, conn, remaining int) (overlay.NodeID, bool) {
+	return r.w.batches[batch-1].router.NextHop(self, pred, initiator, responder, batch, conn, remaining)
 }
 
-// deliver hands m to its target's station for m's batch, or reports an
-// offline target to the driver, which marks it dead and NACKs or reroutes.
-func (w *world) deliver(from, to overlay.NodeID, m transport.Message) {
-	if !w.net.Online(to) {
-		w.cDrops.Inc()
-		w.drv.Undeliverable(from, to, m)
-		return
+// CloseBatch implements transport.BatchCloser: a settle that lands on a
+// station drops the batch's state in the batch's router, as in-process.
+func (r batchRouter) CloseBatch(batch int) {
+	if c, ok := r.w.batches[batch-1].router.(transport.BatchCloser); ok {
+		c.CloseBatch(batch)
 	}
-	w.drv.Handle(w.batches[m.Batch-1].station(to), m)
+}
+
+// MarkDead and MarkLive implement transport.ChurnAware.
+func (r batchRouter) MarkDead(id overlay.NodeID) { r.mark(transport.ChurnAware.MarkDead, id) }
+func (r batchRouter) MarkLive(id overlay.NodeID) { r.mark(transport.ChurnAware.MarkLive, id) }
+
+// mark hands a liveness mark to the current batch's router, if it tracks
+// liveness; between batches the mark goes nowhere.
+func (r batchRouter) mark(f func(transport.ChurnAware, overlay.NodeID), id overlay.NodeID) {
+	if rec := r.w.curRec; rec != nil {
+		if ca, ok := rec.router.(transport.ChurnAware); ok {
+			f(ca, id)
+		}
+	}
 }
 
 // availMap pools probe-observed session times into one availability share
@@ -349,7 +349,6 @@ func (w *world) buildRouter(topo transport.Topology, avail map[overlay.NodeID]fl
 func (w *world) startBatch(b int) {
 	rec := &batchRecord{
 		batch:    b,
-		stations: make(map[overlay.NodeID]*transport.Station),
 		receipts: make(map[overlay.NodeID][]payment.Receipt),
 	}
 	w.batches = append(w.batches, rec)
@@ -372,9 +371,6 @@ func (w *world) startBatch(b int) {
 
 	topo := transport.SnapshotTopology(w.net)
 	rec.router = w.buildRouter(topo, w.availMap())
-	// Joining the initiator registers the router for the driver's
-	// liveness marks: offline targets and churn reach it from now on.
-	w.drv.Joined(rec.initiator, rec.router)
 
 	minter, err := payment.NewReceiptMinter([]byte(fmt.Sprintf("faultsim-batch-%d-%d", w.plan.Seed, b)))
 	if err != nil {
@@ -474,11 +470,13 @@ func (w *world) settleBatch() {
 }
 
 // settle pays the batch out of its escrow, folds the outcome into the
-// batch record and lands it on the batch's
-// stations as the live backends do (Driver.Settled): the initiator's
-// closes, and each paid forwarder's closes with a credit, counted and
-// spanned. From then on those stations refuse the batch's late
-// messages. It plays any double-spend fault, then starts the next batch.
+// batch record and lands it on the stations the network still hosts, as
+// Network.SettleBatch does (Driver.Settled): the initiator's closes, and
+// each paid forwarder's closes with a credit, counted and spanned. From
+// then on those stations refuse the batch's late messages. A payee that
+// crashed is paid by the bank all the same, but gets no settle; landed
+// counts the payees the overlay shows online, for reconciliation. It
+// plays any double-spend fault, then starts the next batch.
 func (w *world) settle(rec *batchRecord, claims []payment.Claim) {
 	pf, pr := payment.Amount(w.plan.Pf), payment.Amount(w.plan.Pr)
 	payouts, refund, err := rec.escrow.SettleFromEscrow(rec.minter, pf, pr, claims)
@@ -489,10 +487,17 @@ func (w *world) settle(rec *batchRecord, claims []payment.Claim) {
 		rec.escrow.Close() // best effort: return whatever is still locked
 	} else {
 		rec.settled = true
-		w.drv.Settled(rec.station(rec.initiator), rec.batch, nil)
+		if st := w.drv.Local(rec.initiator); st != nil {
+			w.drv.Settled(st, rec.batch, nil)
+		}
 		for _, po := range payouts {
-			credit := transport.Credit{Payoff: float64(po.Amount), Trace: rec.trace, Root: rec.root}
-			w.drv.Settled(rec.station(overlay.NodeID(po.Forwarder)), rec.batch, &credit)
+			id := overlay.NodeID(po.Forwarder)
+			if w.net.Online(id) {
+				rec.landed++
+			}
+			if st := w.drv.Local(id); st != nil {
+				w.drv.Settled(st, rec.batch, &transport.Credit{Payoff: float64(po.Amount), Trace: rec.trace, Root: rec.root})
+			}
 		}
 		for i, f := range w.plan.Faults {
 			if f.Kind == FaultDoubleSpend && f.Batch == rec.batch {
