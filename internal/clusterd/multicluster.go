@@ -11,7 +11,6 @@ import (
 	"p2panon/internal/overlay"
 	"p2panon/internal/telemetry"
 	"p2panon/internal/transport"
-	"p2panon/internal/vclock"
 )
 
 // MultiCluster is a world of nodes partitioned across several distinct
@@ -132,13 +131,6 @@ func (m *MultiCluster) SetRetry(p transport.RetryPolicy) {
 	}
 }
 
-// SetClock fans the protocol clock out to every part.
-func (m *MultiCluster) SetClock(clk vclock.Clock) {
-	for _, c := range m.parts {
-		c.SetClock(clk)
-	}
-}
-
 // SetSpans attaches one shared span recorder to every part: ids derive
 // from causal coordinates carried in the frames, so which part records
 // a span first never shows in the canonical log.
@@ -147,9 +139,6 @@ func (m *MultiCluster) SetSpans(r *telemetry.SpanRecorder) {
 		c.SetSpans(r)
 	}
 }
-
-// Spans returns the shared recorder.
-func (m *MultiCluster) Spans() *telemetry.SpanRecorder { return m.parts[0].Spans() }
 
 // Close closes every part.
 func (m *MultiCluster) Close() {

@@ -19,8 +19,8 @@ import (
 
 // Config parameterises the socket layer. The zero value of any field is
 // replaced with its default; the protocol schedule (attempt windows,
-// retry backoff) is configured separately via SetRetry/SetClock, exactly
-// like the in-process backend.
+// retry backoff) is configured separately, through the embedded Driver's
+// SetRetry and SetClock, exactly like the in-process backend.
 type Config struct {
 	// Latency is an artificial per-send delay on the cluster clock,
 	// mirroring transport.NewNetwork's link latency model (0 = none).
@@ -30,9 +30,9 @@ type Config struct {
 	// connection an end has read nothing from for that long (that end
 	// stops writing it, and the peer re-dials for its next frame);
 	// EnqueueTimeout is how long a sender blocks on a full outbound queue
-	// before the frame is refused. These socket guards run on the real
-	// clock — the kernel does not speak virtual time; only the protocol
-	// schedule follows SetClock.
+	// before the frame is refused. These socket guards, like Probe's
+	// timeout, run on the real clock — the kernel does not speak virtual
+	// time; only the protocol schedule and Latency follow SetClock.
 	DialTimeout, HandshakeTimeout, WriteTimeout, IdleTimeout, EnqueueTimeout time.Duration
 	// QueueCap is the per-peer outbound queue bound.
 	QueueCap int
@@ -327,7 +327,9 @@ func (c *Cluster) SettleBatch(initiator overlay.NodeID, batch int, out *transpor
 
 // Probe sends a liveness probe from one node to another and reports
 // whether the ProbeAck came back within the timeout — the wire-level
-// availability check (the sim's probe.Set models the same signal).
+// availability check (the sim's probe.Set models the same signal). The
+// timeout is a socket-level wait, so it runs on the real clock whatever
+// SetClock was given.
 func (c *Cluster) Probe(from, to overlay.NodeID, timeout time.Duration) bool {
 	nd := c.Node(from)
 	if nd == nil {
@@ -346,7 +348,7 @@ func (c *Cluster) Probe(from, to overlay.NodeID, timeout time.Duration) bool {
 	if !nd.sendMsg(to, &Frame{Kind: KindProbe, Node: from, Nonce: nonce}, time.Time{}) {
 		return false
 	}
-	timer := c.Clock().NewTimer(timeout)
+	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case <-ch:

@@ -7,7 +7,6 @@ import (
 	"p2panon/internal/onion"
 	"p2panon/internal/overlay"
 	"p2panon/internal/telemetry"
-	"p2panon/internal/vclock"
 )
 
 // Conductor is the backend-independent surface of a live forwarding
@@ -47,12 +46,9 @@ type Conductor interface {
 	// lifecycle record: every connection then emits a deterministic span
 	// tree whose ids derive from causal coordinates, not arrival order.
 	SetSpans(r *telemetry.SpanRecorder)
-	Spans() *telemetry.SpanRecorder
 
-	// SetRetry and SetClock configure reformation behaviour and the
-	// timing source (virtual in deterministic tests).
+	// SetRetry configures reformation behaviour: attempts and backoff.
 	SetRetry(RetryPolicy)
-	SetClock(c vclock.Clock)
 
 	// Close shuts the runtime down and waits for any goroutines it
 	// started.

@@ -102,11 +102,12 @@ func (d *Driver) Spans() *telemetry.SpanRecorder { return d.spans }
 
 // SetClock replaces the protocol clock — attempt windows and retry
 // backoff are its AfterFunc callbacks, and the link's latency model reads
-// it too. Pass a *vclock.Virtual (usually with AutoAdvance running) to
-// make timing-dependent tests deterministic and wall-clock free, or a
-// vclock.Engine clock to run the protocol inside a single-threaded
-// discrete-event world. Call before traffic starts; not safe to race with
-// in-flight connections.
+// it too. Pass a vclock.Engine clock to run the protocol inside a
+// single-threaded discrete-event world, deterministic and wall-clock
+// free, as faultsim and the timing tests do: a connection then runs
+// through Start plus running the engine, because ConnectDetail, RunBatch
+// and RunSecureBatch wait on the caller. Call before traffic starts; not
+// safe to race with in-flight connections.
 func (d *Driver) SetClock(c vclock.Clock) {
 	if c == nil {
 		c = vclock.Real()
@@ -207,7 +208,8 @@ type connRec struct {
 // Start launches one connection from initiator to responder with the
 // given hop budget and returns without waiting for it: done receives the
 // outcome on whichever goroutine finishes the connection — inline on a
-// vclock.Engine clock. Mid-path departures are retried per the
+// vclock.Engine clock, where the caller runs the engine after Start
+// until done has been called. Mid-path departures are retried per the
 // RetryPolicy (path reformation) within timeout, each attempt getting an
 // even share of it as its window. A connection refused up front (unknown
 // initiator or responder, I == R, a budget outside [0, MaxBudget]) is an

@@ -45,20 +45,38 @@ func uniformAvail(n int) map[overlay.NodeID]float64 {
 	return m
 }
 
-// virtualize puts n on an auto-advancing virtual clock so retry backoff
-// and attempt deadlines consume zero wall time: whenever every goroutine
-// is blocked on the clock, it jumps straight to the next deadline. Timing
-// assertions then read virtual elapsed time and are exact, not flaky.
-func virtualize(t *testing.T, n *Network) *vclock.Virtual {
+// engineNet is a Network on an engine clock. Its connections run through
+// run, so retry backoff, attempt windows and link latency take no wall
+// time, and timing assertions read engine time, exact to the nanosecond.
+type engineNet struct {
+	*Network
+	eng *sim.Engine
+}
+
+// onEngine puts n on a fresh engine clock.
+func onEngine(n *Network) engineNet {
+	eng := sim.NewEngine()
+	n.SetClock(vclock.Engine(eng))
+	return engineNet{n, eng}
+}
+
+// run starts one connection (under contract when it is non-nil), runs
+// the engine until its queue drains and returns the outcome with the
+// engine time from the start to the outcome.
+func (e engineNet) run(t *testing.T, initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration, contract *onion.SignedContract) (Outcome, time.Duration) {
 	t.Helper()
-	vc := vclock.NewVirtual(time.Time{})
-	// 5ms of real-time quiescence before each virtual jump: generous
-	// against -race scheduler stalls, still thousands of times faster than
-	// sleeping through real backoff schedules.
-	stop := vc.AutoAdvance(5 * time.Millisecond)
-	t.Cleanup(stop)
-	n.SetClock(vc)
-	return vc
+	start := e.eng.Now().Duration()
+	var out *Outcome
+	var took time.Duration
+	done := func(o Outcome) { out, took = &o, e.eng.Now().Duration()-start }
+	if err := e.start(&connRec{done: done}, initiator, responder, batch, conn, budget, timeout, contract); err != nil {
+		t.Fatal(err)
+	}
+	e.eng.Run()
+	if out == nil {
+		t.Fatal("the connection never finished")
+	}
+	return *out, took
 }
 
 func startNetwork(t *testing.T, topo Topology, r Router) *Network {
@@ -235,28 +253,28 @@ func TestLatencyDelivery(t *testing.T) {
 	topo := Topology{0: {1}, 1: {}, 2: {}}
 	n := NewNetwork(100 * time.Microsecond)
 	defer n.Close()
-	vc := virtualize(t, n)
+	en := onEngine(n)
 	r := NewRandomRouter(topo, dist.NewSource(14))
 	for id := range topo {
 		if err := n.Join(id, r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	path, _, err := n.ConnectDetail(0, 2, 1, 1, 1, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	out, elapsed := en.run(t, 0, 2, 1, 1, 1, 5*time.Second, nil)
+	if out.Err != nil {
+		t.Fatal(out.Err)
 	}
-	if len(path) < 2 {
-		t.Fatalf("path %v", path)
+	if len(out.Path) < 2 {
+		t.Fatalf("path %v", out.Path)
 	}
 	// Forward leg + confirm leg each cross at least one link, so at least
-	// two link latencies of virtual time must have passed — and because
-	// the clock only moves in link-latency hops here, the elapsed virtual
+	// two link latencies of engine time must have passed — and because
+	// the clock only moves in link-latency hops here, the elapsed engine
 	// time is an exact multiple of it.
-	if elapsed := vc.Elapsed(); elapsed < 200*time.Microsecond {
-		t.Fatalf("latency not applied: virtual elapsed %v", elapsed)
+	if elapsed < 200*time.Microsecond {
+		t.Fatalf("latency not applied: engine time elapsed %v", elapsed)
 	} else if elapsed%(100*time.Microsecond) != 0 {
-		t.Fatalf("virtual elapsed %v is not a whole number of link latencies", elapsed)
+		t.Fatalf("engine time elapsed %v is not a whole number of link latencies", elapsed)
 	}
 }
 
@@ -400,30 +418,27 @@ func TestRemovePeerReformsAndSucceeds(t *testing.T) {
 	topo := Topology{0: {1}, 1: {2}, 2: {3}, 3: {}}
 	r := NewRandomRouter(topo, dist.NewSource(18))
 	n := startNetwork(t, topo, r)
-	vc := virtualize(t, n)
-	if _, _, err := n.ConnectDetail(0, 3, 1, 1, 10, time.Second); err != nil {
-		t.Fatal(err)
+	en := onEngine(n)
+	if out, _ := en.run(t, 0, 3, 1, 1, 10, time.Second, nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	n.RemovePeer(2)
 	if n.Local(2) != nil {
 		t.Fatal("removed peer still listed")
 	}
-	start := vc.Now()
-	out, err := n.RunBatch(0, 3, 1, 1, 10, time.Second)
-	if err != nil {
-		t.Fatalf("connection did not reform around removed peer: %v", err)
+	out, elapsed := en.run(t, 0, 3, 1, 1, 10, time.Second, nil)
+	if out.Err != nil {
+		t.Fatalf("connection did not reform around removed peer: %v", out.Err)
 	}
-	if elapsed := vc.Since(start); elapsed > time.Second {
-		t.Fatalf("reformation blew the deadline: virtual elapsed %v", elapsed)
+	if elapsed > time.Second {
+		t.Fatalf("reformation blew the deadline: engine time elapsed %v", elapsed)
 	}
 	if out.Reformations < 1 {
 		t.Fatalf("reformations = %d, want >= 1", out.Reformations)
 	}
-	for _, p := range out.Paths {
-		for _, id := range p {
-			if id == 2 {
-				t.Fatalf("reformed path %v goes through the removed peer", p)
-			}
+	for _, id := range out.Path {
+		if id == 2 {
+			t.Fatalf("reformed path %v goes through the removed peer", out.Path)
 		}
 	}
 	m := n.Metrics()
@@ -458,24 +473,16 @@ func (r *departingRouter) NextHop(self, pred, initiator, responder overlay.NodeI
 // initiator from the sender and reforms around 2. Exactly one drop, one
 // NACK and one reformation are counted.
 func TestDepartureInFlight(t *testing.T) {
-	eng := sim.NewEngine()
 	n := NewNetwork(100 * time.Microsecond)
 	t.Cleanup(n.Close)
-	n.SetClock(vclock.Engine(eng))
+	en := onEngine(n)
 	r := &departingRouter{backupRouter: &backupRouter{dead: map[overlay.NodeID]bool{}}, n: n}
 	for id := overlay.NodeID(0); id <= 4; id++ {
 		if err := n.Join(id, r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var out *Outcome
-	if err := n.Start(0, 4, 1, 1, 8, time.Second, func(o Outcome) { out = &o }); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if out == nil {
-		t.Fatal("the connection never finished")
-	}
+	out, _ := en.run(t, 0, 4, 1, 1, 8, time.Second, nil)
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -504,7 +511,7 @@ func TestNackFailsFastOnMidFlightResponderDeparture(t *testing.T) {
 	r := NewRandomRouter(topo, dist.NewSource(19))
 	n := NewNetwork(0)
 	t.Cleanup(n.Close)
-	vc := virtualize(t, n)
+	en := onEngine(n)
 	for id := range topo {
 		router := Router(r)
 		if id == 1 {
@@ -517,41 +524,40 @@ func TestNackFailsFastOnMidFlightResponderDeparture(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	start := vc.Now()
-	_, _, err := n.ConnectDetail(0, 3, 1, 1, 10, 10*time.Second)
-	if err == nil {
+	out, elapsed := en.run(t, 0, 3, 1, 1, 10, 10*time.Second, nil)
+	if out.Err == nil {
 		t.Fatal("connection to mid-flight-departed responder succeeded")
 	}
-	if !strings.Contains(err.Error(), "departed") {
-		t.Fatalf("unexpected error: %v", err)
+	if !strings.Contains(out.Err.Error(), "departed") {
+		t.Fatalf("unexpected error: %v", out.Err)
 	}
-	// Every attempt fails on a synchronous NACK, so the only virtual time
-	// spent is retry backoff — far below the 10s timeout the old
-	// wall-clock version could sleep through.
-	if elapsed := vc.Since(start); elapsed > time.Second {
-		t.Fatalf("NACK-driven failure took %v of virtual time, want well under the 10s timeout", elapsed)
+	// Every attempt fails on a synchronous NACK, so the only engine time
+	// spent is retry backoff — far below the 10s timeout a wall-clock
+	// version could sleep through.
+	if elapsed > time.Second {
+		t.Fatalf("NACK-driven failure took %v of engine time, want well under the 10s timeout", elapsed)
 	}
 	m := n.Metrics()
 	if m.Nacks == 0 || m.Failures == 0 {
 		t.Fatalf("failure not counted: %v", m)
 	}
 	// Other responders are unaffected.
-	if _, _, err := n.ConnectDetail(0, 2, 1, 2, 10, 5*time.Second); err != nil {
-		t.Fatalf("responder 2 is still alive: %v", err)
+	if out, _ := en.run(t, 0, 2, 1, 2, 10, 5*time.Second, nil); out.Err != nil {
+		t.Fatalf("responder 2 is still alive: %v", out.Err)
 	}
 }
 
-func TestBackoffScheduleOnVirtualClock(t *testing.T) {
+func TestBackoffScheduleOnEngineClock(t *testing.T) {
 	// Every attempt fails on a synchronous NACK (the only interior relay is
 	// removed and the random router keeps picking it until MarkDead teaches
 	// it otherwise — here we pin the router so it never learns), so the only
-	// virtual time Connect consumes is its backoff schedule. With base
+	// engine time the connection consumes is its backoff schedule. With base
 	// 100ms doubling to a 300ms cap over 4 attempts, that schedule is
 	// exactly 100+200+300 = 600ms — an equality no wall-clock test could
 	// assert without flaking.
 	n := NewNetwork(0)
 	t.Cleanup(n.Close)
-	vc := virtualize(t, n)
+	en := onEngine(n)
 	n.SetRetry(RetryPolicy{MaxAttempts: 4, BaseBackoff: 100 * time.Millisecond, MaxBackoff: 300 * time.Millisecond})
 	pinned := RouterFunc(func(self, pred, initiator, responder overlay.NodeID, batch, conn, remaining int) (overlay.NodeID, bool) {
 		return 1, false // always route via the corpse
@@ -561,12 +567,12 @@ func TestBackoffScheduleOnVirtualClock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, _, err := n.ConnectDetail(0, 3, 1, 1, 10, time.Minute)
-	if err == nil {
+	out, elapsed := en.run(t, 0, 3, 1, 1, 10, time.Minute, nil)
+	if out.Err == nil {
 		t.Fatal("connection through a permanently dead relay succeeded")
 	}
-	if got := vc.Elapsed(); got != 600*time.Millisecond {
-		t.Fatalf("virtual backoff schedule consumed %v, want exactly 600ms", got)
+	if elapsed != 600*time.Millisecond {
+		t.Fatalf("backoff schedule consumed %v of engine time, want exactly 600ms", elapsed)
 	}
 	m := n.Metrics()
 	if m.Reformations != 3 || m.Nacks != 4 {
@@ -629,7 +635,7 @@ func TestContractRejectionNacksInitiator(t *testing.T) {
 	topo := Topology{0: {1}, 1: {2}, 2: {3}, 3: {}}
 	r := NewRandomRouter(topo, dist.NewSource(26))
 	n := startNetwork(t, topo, r)
-	vc := virtualize(t, n)
+	en := onEngine(n)
 	bk, err := onion.NewBatchKey(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -640,8 +646,7 @@ func TestContractRejectionNacksInitiator(t *testing.T) {
 	}
 	bad := *contract
 	bad.Pf = 9999 // breaks the signature
-	start := vc.Now()
-	out := n.connect(0, 3, 5, 1, 10, 5*time.Second, &bad)
+	out, elapsed := en.run(t, 0, 3, 5, 1, 10, 5*time.Second, &bad)
 	reforms, err := out.Reformations, out.Err
 	if err == nil {
 		t.Fatal("unverifiable contract completed a connection")
@@ -653,9 +658,9 @@ func TestContractRejectionNacksInitiator(t *testing.T) {
 		t.Fatalf("fatal NACK still reformed %d times", reforms)
 	}
 	// A fatal NACK skips every retry, so no backoff is ever slept: the
-	// virtual clock must not have moved at all.
-	if elapsed := vc.Since(start); elapsed != 0 {
-		t.Fatalf("fatal NACK consumed %v of virtual time, want 0", elapsed)
+	// engine clock must not have moved at all.
+	if elapsed != 0 {
+		t.Fatalf("fatal NACK consumed %v of engine time, want 0", elapsed)
 	}
 	m := n.Metrics()
 	if m.ContractRejects == 0 || m.Nacks == 0 {

@@ -1,154 +1,116 @@
 package vclock
 
 import (
-	"sync"
-	"sync/atomic"
+	"reflect"
 	"testing"
 	"time"
+
+	"p2panon/internal/sim"
 )
 
-// sleep blocks the calling goroutine until c reaches now+d: the one
-// blocking wait a caller builds from a timer.
-func sleep(c Clock, d time.Duration) { <-c.NewTimer(d).C }
+// firing is one timer run: its name and the clock's reading then, as an
+// offset from Epoch.
+type firing struct {
+	name string
+	at   time.Duration
+}
 
-func TestVirtualAdvanceFiresInDeadlineOrder(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	var mu sync.Mutex
-	var order []int
-	v.AfterFunc(30*time.Millisecond, func() { mu.Lock(); order = append(order, 3); mu.Unlock() })
-	v.AfterFunc(10*time.Millisecond, func() { mu.Lock(); order = append(order, 1); mu.Unlock() })
-	v.AfterFunc(20*time.Millisecond, func() { mu.Lock(); order = append(order, 2); mu.Unlock() })
-	v.Advance(50 * time.Millisecond)
-	// AfterFunc bodies run in their own goroutines; wait for all three.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		n := len(order)
-		mu.Unlock()
-		if n == 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d funcs ran", n)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	// The firing (clock-advance) order is deterministic even though the
-	// bodies run concurrently afterwards; check the clock landed exactly.
-	if got := v.Elapsed(); got != 50*time.Millisecond {
-		t.Fatalf("elapsed %v, want 50ms", got)
+// record returns an AfterFunc body that appends a firing named name to
+// log.
+func record(c Clock, log *[]firing, name string) func() {
+	return func() { *log = append(*log, firing{name, c.Since(Epoch)}) }
+}
+
+func TestEngineFiresInDeadlineOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	c := Engine(eng)
+	var log []firing
+	c.AfterFunc(30*time.Millisecond, record(c, &log, "c"))
+	c.AfterFunc(10*time.Millisecond, record(c, &log, "a"))
+	c.AfterFunc(20*time.Millisecond, record(c, &log, "b"))
+	eng.Run()
+	want := []firing{{"a", 10 * time.Millisecond}, {"b", 20 * time.Millisecond}, {"c", 30 * time.Millisecond}}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("fired %v, want %v", log, want)
 	}
 }
 
-func TestVirtualSleepWakesOnAdvance(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	done := make(chan struct{})
-	go func() {
-		sleep(v, time.Hour)
-		close(done)
-	}()
-	// Wait for the sleeper to register.
-	for v.Pending() == 0 {
-		time.Sleep(50 * time.Microsecond)
-	}
-	v.Advance(time.Hour)
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("sleep(1h) did not wake after Advance(1h)")
-	}
-	if v.Elapsed() != time.Hour {
-		t.Fatalf("elapsed %v", v.Elapsed())
+// TestEngineEqualDeadlinesKeepSchedulingOrder pins the nanosecond sum:
+// 100 ms + 700 ms and 0 + 800 ms are one deadline, so the timer scheduled
+// first fires first. Summed as float seconds, 0.1 + 0.7 falls below 0.8
+// and the later timer would overtake the earlier one.
+func TestEngineEqualDeadlinesKeepSchedulingOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	c := Engine(eng)
+	var log []firing
+	c.AfterFunc(800*time.Millisecond, record(c, &log, "first"))
+	c.AfterFunc(100*time.Millisecond, func() {
+		c.AfterFunc(700*time.Millisecond, record(c, &log, "second"))
+	})
+	eng.Run()
+	want := []firing{{"first", 800 * time.Millisecond}, {"second", 800 * time.Millisecond}}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("fired %v, want %v", log, want)
 	}
 }
 
-func TestVirtualTimerStop(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	tm := v.NewTimer(time.Second)
+func TestEngineTimerStop(t *testing.T) {
+	eng := sim.NewEngine()
+	c := Engine(eng)
+	ran := false
+	tm := c.AfterFunc(time.Second, func() { ran = true })
+	if eng.Pending() != 1 {
+		t.Fatalf("pending %d, want 1", eng.Pending())
+	}
 	if !tm.Stop() {
-		t.Fatal("first Stop reported already-fired")
+		t.Fatal("Stop before firing reported the timer already done")
 	}
-	if tm.Stop() {
-		t.Fatal("second Stop reported pending")
+	if eng.Pending() != 0 {
+		t.Fatalf("pending %d after Stop, want 0", eng.Pending())
 	}
-	v.Advance(2 * time.Second)
-	select {
-	case <-tm.C:
-		t.Fatal("stopped timer fired")
-	default:
+	eng.Run()
+	if ran {
+		t.Fatal("stopped timer ran")
 	}
-}
-
-func TestVirtualZeroDelayFiresImmediately(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	tm := v.NewTimer(0)
-	select {
-	case <-tm.C:
-	default:
-		t.Fatal("zero-delay timer did not fire immediately")
+	if got := c.Since(Epoch); got != 0 {
+		t.Fatalf("clock moved to %v for a stopped timer", got)
 	}
-	sleep(v, 0) // must not block
-	sleep(v, -1*time.Second)
-}
-
-func TestAutoAdvanceDrainsSequentialSleeps(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	stop := v.AutoAdvance(200 * time.Microsecond)
-	defer stop()
-	start := time.Now()
-	// Three sequential virtual sleeps totalling 600ms of virtual time must
-	// complete in real milliseconds.
-	sleep(v, 100*time.Millisecond)
-	sleep(v, 200*time.Millisecond)
-	sleep(v, 300*time.Millisecond)
-	if v.Elapsed() != 600*time.Millisecond {
-		t.Fatalf("virtual elapsed %v, want 600ms", v.Elapsed())
-	}
-	if real := time.Since(start); real > 5*time.Second {
-		t.Fatalf("auto-advance took %v of real time", real)
+	fired := c.AfterFunc(time.Millisecond, func() {})
+	eng.Run()
+	if fired.Stop() {
+		t.Fatal("Stop after firing reported the timer pending")
 	}
 }
 
-func TestAutoAdvanceConcurrentWaiters(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	stop := v.AutoAdvance(200 * time.Microsecond)
-	defer stop()
-	var fired atomic.Int64
-	var wg sync.WaitGroup
-	for i := 1; i <= 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sleep(v, time.Duration(i)*10*time.Millisecond)
-			fired.Add(1)
-		}(i)
+// TestEngineNonPositiveDelay pins that a timer due now or in the past
+// fires at the current time, queued behind the events already due then.
+func TestEngineNonPositiveDelay(t *testing.T) {
+	eng := sim.NewEngine()
+	c := Engine(eng)
+	var log []firing
+	c.AfterFunc(100*time.Millisecond, func() {
+		record(c, &log, "p")()
+		c.AfterFunc(-5*time.Millisecond, record(c, &log, "past"))
+		c.AfterFunc(0, record(c, &log, "now"))
+	})
+	c.AfterFunc(100*time.Millisecond, record(c, &log, "q"))
+	eng.Run()
+	ms := 100 * time.Millisecond
+	want := []firing{{"p", ms}, {"q", ms}, {"past", ms}, {"now", ms}}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("fired %v, want %v", log, want)
 	}
-	wg.Wait()
-	if fired.Load() != 8 {
-		t.Fatalf("fired %d of 8 sleepers", fired.Load())
-	}
-	if v.Elapsed() != 80*time.Millisecond {
-		t.Fatalf("virtual elapsed %v, want 80ms", v.Elapsed())
-	}
-	stop()
-	stop() // idempotent
 }
 
 func TestRealClockBasics(t *testing.T) {
 	c := Real()
 	t0 := c.Now()
-	sleep(c, time.Millisecond)
+	time.Sleep(time.Millisecond)
 	if c.Since(t0) <= 0 {
 		t.Fatal("Since not positive after sleep")
 	}
 	if c.Until(t0.Add(time.Hour)) <= 0 {
 		t.Fatal("Until not positive for a future time")
-	}
-	tm := c.NewTimer(time.Millisecond)
-	select {
-	case <-tm.C:
-	case <-time.After(2 * time.Second):
-		t.Fatal("real timer did not fire")
 	}
 	done := make(chan struct{})
 	c.AfterFunc(time.Millisecond, func() { close(done) })
