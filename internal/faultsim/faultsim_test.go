@@ -615,6 +615,63 @@ func TestLateMessageAfterSettleRefused(t *testing.T) {
 	}
 }
 
+// pathTap is the fault link with a record of every CONFIRM a responder
+// hands it, as sent: its Path shares the array the message carried.
+type pathTap struct {
+	faultLink
+	confirms *[]transport.Message
+}
+
+// Send implements transport.Link.
+func (l pathTap) Send(from, to overlay.NodeID, m transport.Message) bool {
+	if m.Kind == transport.MsgConfirm && from == m.Responder {
+		*l.confirms = append(*l.confirms, m)
+	}
+	return l.faultLink.Send(from, to, m)
+}
+
+// TestDuplicatedForwardKeepsTwoPaths: the driver appends a FORWARD's hops
+// in place, into one array per attempt, so the duplicate fault must give
+// its copy a path of its own. Duplicating the initiator's first FORWARD
+// under the random router sends the two copies on different walks to the
+// responder; once the run is over, each CONFIRM's path must still be
+// exactly the one its respond span's chain names.
+func TestDuplicatedForwardKeepsTwoPaths(t *testing.T) {
+	p := Plan{Seed: 5, Batches: 1, Conns: 1, Router: "random"}.Normalize()
+	p.Faults = []Fault{{Kind: FaultDuplicate, Batch: 1, Conn: 1, Msg: 1, Delay: p.Latency / 2}}
+	w, err := newWorld(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var confirms []transport.Message
+	w.drive(pathTap{faultLink{w.drv, w}, &confirms})
+	w.setup()
+	w.eng.Run()
+	spans := w.spans.Spans()
+	if v := w.checkInvariants(spans, w.spans.Dropped()); len(v) != 0 {
+		t.Fatalf("invariants: %v", v)
+	}
+	if len(confirms) != 2 {
+		t.Fatalf("%d CONFIRMs left the responder, want one per copy", len(confirms))
+	}
+	if slices.Equal(confirms[0].Path, confirms[1].Path) {
+		t.Fatalf("both copies walked %v; the check needs walks that part", confirms[0].Path)
+	}
+	byID := make(map[telemetry.SpanID]telemetry.Span, len(spans))
+	for _, s := range spans {
+		byID[s.ID] = s
+	}
+	for i, m := range confirms {
+		want, err := spanPath(byID, telemetry.Span{Trace: m.Trace, Parent: m.Span, Conn: m.Conn, Attempt: 1})
+		if err != nil {
+			t.Fatalf("copy %d: %v", i+1, err)
+		}
+		if !slices.Equal(m.Path, want) {
+			t.Errorf("copy %d carries path %v, its span chain names %v", i+1, m.Path, want)
+		}
+	}
+}
+
 // TestValidateRejectsBadPlans spot-checks schedule validation.
 func TestValidateRejectsBadPlans(t *testing.T) {
 	cases := []Plan{

@@ -138,22 +138,28 @@ func newWorld(p Plan) (*world, error) {
 		return int64(float64(w.eng.Now()) * 1e6)
 	})
 
-	// The network's driver sends through the fault layer. The plan's
-	// timing is its retry policy: MaxAttempts windows of AttemptTimeout
-	// each, backoff doubling from BackoffBase to BackoffMax between them.
 	w.drv = transport.NewNetwork(sim.Time(p.Latency).Duration())
-	w.drv.Driver = transport.NewDriver(faultLink{w.drv, w}, "transport")
+	w.drive(faultLink{w.drv, w})
+
+	w.cFaults = reg.Counter(metricFaults, nil)
+	return w, nil
+}
+
+// drive gives the world's network a driver that sends through link — the
+// fault layer, faultLink. The plan's timing is its retry policy:
+// MaxAttempts windows of AttemptTimeout each, backoff doubling from
+// BackoffBase to BackoffMax between them.
+func (w *world) drive(link transport.Link) {
+	p := w.plan
+	w.drv.Driver = transport.NewDriver(link, "transport")
 	w.drv.SetClock(vclock.Engine(w.eng))
 	w.drv.SetRetry(transport.RetryPolicy{
 		MaxAttempts: p.MaxAttempts,
 		BaseBackoff: sim.Time(p.BackoffBase).Duration(),
 		MaxBackoff:  sim.Time(p.BackoffMax).Duration(),
 	})
-	w.drv.Instrument(reg)
+	w.drv.Instrument(w.reg)
 	w.drv.SetSpans(w.spans)
-
-	w.cFaults = reg.Counter(metricFaults, nil)
-	return w, nil
 }
 
 // traceFault records the application of plan fault i as a fault span on
@@ -249,7 +255,9 @@ func (l faultLink) Send(from, to overlay.NodeID, m transport.Message) bool {
 		}
 		ok, later := true, m
 		if fs.Kind == FaultDuplicate {
-			// Each copy accumulates its own forward path.
+			// Each copy accumulates its own forward path: the driver
+			// appends hops in place, so two copies sharing one array
+			// would overwrite each other's.
 			later.Path = append([]overlay.NodeID(nil), m.Path...)
 			ok = l.Network.Send(from, to, m)
 		}

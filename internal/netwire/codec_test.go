@@ -61,6 +61,34 @@ func TestFrameCodecColdAllocs(t *testing.T) {
 	}
 }
 
+// TestDecodedForwardPathHasRoom pins the receiver's side of a FORWARD: the
+// decoded path has room for the hop that receives it, so the append that
+// opens Driver.handleForward allocates nothing.
+func TestDecodedForwardPathHasRoom(t *testing.T) {
+	const runs = 100
+	buf := mustEncode(t, probeFrame())
+	frames := make([]*Frame, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range frames {
+		f, err := DecodeFrame(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = f
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		f := frames[i]
+		i++
+		f.Path = append(f.Path, 4)
+	})
+	if allocs != 0 {
+		t.Fatalf("appending the receiving hop to a decoded FORWARD's path: %v allocs, want 0", allocs)
+	}
+	if got := frames[0].Path; len(got) != 5 || got[4] != 4 {
+		t.Fatalf("path after the append: %v", got)
+	}
+}
+
 // BenchmarkFrameCodec times the frame codec on its own, outside the
 // benchmark module: the probe forward and a 10-entry claim frame, each
 // through Encode, AppendTo into a warm buffer (a link writer's steady

@@ -408,7 +408,13 @@ func (f *Frame) decodeMessage(r *wire.Reader) {
 	pathLen := r.U16()
 	r.Check(pathLen <= maxPathLen, ErrFieldTooLong)
 	if b := r.Take(8 * pathLen); len(b) > 0 {
-		f.Path = make([]overlay.NodeID, pathLen)
+		// A FORWARD's path has room for the hop that receives it, so
+		// the receiver's append does not copy it.
+		room := pathLen
+		if f.Kind == KindForward {
+			room++
+		}
+		f.Path = make([]overlay.NodeID, pathLen, room)
 		for i := range f.Path {
 			f.Path[i] = overlay.NodeID(int64(binary.BigEndian.Uint64(b[8*i:])))
 		}

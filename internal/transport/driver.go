@@ -245,6 +245,8 @@ func (d *Driver) start(c *connRec, initiator, responder overlay.NodeID, batch, c
 	c.d, c.retry = d, d.retry
 	c.initiator, c.responder = initiator, responder
 	c.batch, c.conn, c.budget, c.contract = batch, conn, budget, contract
+	// The first attempt reads no clock of its own: it launches at the
+	// connection's start, with the whole timeout left.
 	c.start = d.clock.Now()
 	c.deadline = c.start.Add(timeout)
 	if c.per = timeout / time.Duration(c.retry.MaxAttempts); c.per <= 0 {
@@ -269,14 +271,18 @@ func (c *connRec) next() {
 		return
 	}
 	c.attempt++
-	remaining := c.d.clock.Until(c.deadline)
+	now := c.start
+	if c.attempt > 1 {
+		now = c.d.clock.Now()
+	}
+	remaining := c.deadline.Sub(now)
 	switch {
 	case remaining <= 0:
 		c.fail(nil)
 	case c.attempt == 1:
-		c.launchAttempt(remaining)
+		c.launchAttempt(now, remaining)
 	case c.backoff <= 0:
-		c.reform(remaining)
+		c.reform(now, remaining)
 	default:
 		pause := min(c.backoff, remaining)
 		if c.backoff *= 2; c.retry.MaxBackoff > 0 && c.backoff > c.retry.MaxBackoff {
@@ -288,27 +294,31 @@ func (c *connRec) next() {
 
 // resume ends a backoff pause.
 func (c *connRec) resume() {
-	if remaining := c.d.clock.Until(c.deadline); remaining > 0 {
-		c.reform(remaining)
+	now := c.d.clock.Now()
+	if remaining := c.deadline.Sub(now); remaining > 0 {
+		c.reform(now, remaining)
 	} else {
 		c.fail(nil)
 	}
 }
 
 // reform counts a path reformation and relaunches.
-func (c *connRec) reform(remaining time.Duration) {
+func (c *connRec) reform(now time.Time, remaining time.Duration) {
 	c.reforms++
 	c.d.inst.reformations.Inc()
 	c.emit(telemetry.SpanReform, c.prev)
-	c.launchAttempt(remaining)
+	c.launchAttempt(now, remaining)
 }
 
-// launchAttempt opens an attempt: it registers the attempt, arms its
-// window timer and hands the first FORWARD to the initiator's own
-// handler — a node does not message itself, so the launch crosses no
-// link. The message is built first: once the timer is armed, the record
-// may belong to whichever goroutine claims the attempt.
-func (c *connRec) launchAttempt(remaining time.Duration) {
+// launchAttempt opens an attempt at instant now: it registers the
+// attempt, arms its window timer and hands the first FORWARD to the
+// initiator's own handler — a node does not message itself, so the
+// launch crosses no link. The message is built first: once the timer is
+// armed, the record may belong to whichever goroutine claims the attempt.
+// Its Path is allocated once, for the longest walk the budget allows (I,
+// budget forwarders, R), and every hop appends in place: the attempt's
+// one FORWARD owns it, and a link that delivers a copy clones it.
+func (c *connRec) launchAttempt(now time.Time, remaining time.Duration) {
 	d := c.d
 	c.window = min(c.per, remaining)
 	c.launch = c.emit(telemetry.SpanLaunch, c.root)
@@ -326,7 +336,8 @@ func (c *connRec) launchAttempt(remaining time.Duration) {
 		Initiator: c.initiator,
 		Responder: c.responder,
 		Remaining: c.budget,
-		Deadline:  d.clock.Now().Add(c.window),
+		Path:      make([]overlay.NodeID, 0, c.budget+2),
+		Deadline:  now.Add(c.window),
 		Contract:  c.contract,
 		Trace:     c.trace,
 		Span:      c.launch,

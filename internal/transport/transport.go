@@ -87,7 +87,7 @@ type Network struct {
 	*Driver
 
 	mu       sync.Mutex
-	peers    map[overlay.NodeID]*Station
+	peers    []*Station // by overlay id; nil where no peer is joined
 	queue    []delivery // accepted and not yet handed over: queue[head:]
 	head     int
 	draining bool // a goroutine is inside drain
@@ -103,13 +103,15 @@ type delivery struct {
 	msg      Message
 }
 
+// clockEvery is how many deliveries a drain pass hands over per clock
+// read: the instant it judges deadlines by is at most this many handovers
+// old.
+const clockEvery = 16
+
 // NewNetwork creates a runtime with the given per-link latency (0 for
 // as-fast-as-possible) and the default retry policy.
 func NewNetwork(latency time.Duration) *Network {
-	n := &Network{
-		peers:   make(map[overlay.NodeID]*Station),
-		latency: latency,
-	}
+	n := &Network{latency: latency}
 	n.Driver = NewDriver(n, "transport")
 	n.metrics = newLinkMetrics(n.Telemetry())
 	return n
@@ -135,17 +137,25 @@ func (n *Network) Metrics() MetricsSnapshot {
 	return s
 }
 
-// Join adds a peer routing with r. Joining the same ID twice is an error.
-// If the router is ChurnAware it is registered for liveness notifications
-// and told the ID is live (a re-joining peer becomes routable again).
+// Join adds a peer routing with r. A negative id (overlay.None among
+// them) is refused, and so is joining the same id twice. The registry is
+// a slice indexed by id, sized by the largest id joined. If the router is
+// ChurnAware it is registered for liveness notifications and told the ID
+// is live (a re-joining peer becomes routable again).
 func (n *Network) Join(id overlay.NodeID, r Router) error {
 	if r == nil {
 		return errors.New("transport: nil router")
 	}
+	if id < 0 {
+		return fmt.Errorf("transport: negative peer id %d", id)
+	}
 	n.mu.Lock()
-	if _, dup := n.peers[id]; dup {
+	if int(id) < len(n.peers) && n.peers[id] != nil {
 		n.mu.Unlock()
 		return fmt.Errorf("transport: duplicate peer %d", id)
+	}
+	if grow := int(id) + 1 - len(n.peers); grow > 0 {
+		n.peers = append(n.peers, make([]*Station, grow)...)
 	}
 	n.peers[id] = NewStation(id, r)
 	n.mu.Unlock()
@@ -161,7 +171,9 @@ func (n *Network) Join(id overlay.NodeID, r Router) error {
 // concurrently with Join, ConnectDetail and in-flight traffic.
 func (n *Network) RemovePeer(id overlay.NodeID) {
 	n.mu.Lock()
-	delete(n.peers, id)
+	if uint(id) < uint(len(n.peers)) {
+		n.peers[id] = nil
+	}
 	n.mu.Unlock()
 }
 
@@ -175,15 +187,23 @@ func (n *Network) Close() {
 	n.mu.Unlock()
 }
 
+// station returns the station of joined peer id: nil for an id no peer
+// holds, negative or past the registry, and for every id once the network
+// is closed. The caller holds n.mu.
+func (n *Network) station(id overlay.NodeID) *Station {
+	if n.closed || uint(id) >= uint(len(n.peers)) {
+		return nil
+	}
+	return n.peers[id]
+}
+
 // Local implements Link: the station of a joined peer, or nil once the
 // network is closed.
 func (n *Network) Local(id overlay.NodeID) *Station {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return nil
-	}
-	return n.peers[id]
+	st := n.station(id)
+	n.mu.Unlock()
+	return st
 }
 
 // Addressable implements Link: in-process, only joined peers are.
@@ -192,13 +212,40 @@ func (n *Network) Addressable(id overlay.NodeID) bool { return n.Local(id) != ni
 // Send implements Link: msg joins the FIFO for peer `to` after the link
 // latency. It returns false — the synchronous drop signal — when the
 // target is unknown or has departed. A target that departs after the
-// link accepted the message is reported when the delivery comes up.
+// link accepted the message is reported when the delivery comes up. At
+// zero latency the target check, the count and the append are one
+// critical section, and the attempt deadline is judged when the delivery
+// leaves the FIFO (drain).
 func (n *Network) Send(from, to overlay.NodeID, msg Message) bool {
+	if n.latency > 0 {
+		return n.sendLater(from, to, msg)
+	}
+	n.mu.Lock()
+	if n.station(to) == nil {
+		n.mu.Unlock()
+		n.metrics.dropped.Add(1)
+		return false
+	}
+	n.metrics.sent.Add(1)
+	idle := n.push(from, to, &msg)
+	n.mu.Unlock()
+	if idle {
+		n.drain()
+	}
+	return true
+}
+
+// sendLater is Send's latency branch: it checks the target and the
+// deadline now and queues msg after the link latency, unless the deadline
+// has passed by then. It is kept out of Send because the timer closure's
+// capture moves the message it names to the heap: inside Send that was
+// every message, at zero latency too.
+func (n *Network) sendLater(from, to overlay.NodeID, msg Message) bool {
 	if !n.Addressable(to) {
 		n.metrics.dropped.Add(1)
 		return false
 	}
-	if n.expired(msg) {
+	if n.expired(msg.Deadline, n.Clock().Now()) {
 		// The attempt's deadline passed while this message was being
 		// relayed: it dies in the network (counted, no NACK — the
 		// initiator's own attempt timer is already due). Reporting true
@@ -207,32 +254,20 @@ func (n *Network) Send(from, to overlay.NodeID, msg Message) bool {
 		return true
 	}
 	n.metrics.sent.Add(1)
-	if n.latency > 0 {
-		n.sendLater(from, to, msg)
-		return true
-	}
-	n.enqueue(from, to, msg)
+	n.Clock().AfterFunc(n.latency, func() {
+		if !n.expired(msg.Deadline, n.Clock().Now()) {
+			n.enqueue(from, to, &msg)
+		}
+	})
 	return true
 }
 
-// sendLater queues msg after the link latency. It is Send's latency
-// branch, kept out of Send because the timer closure's capture moves the
-// message it names to the heap: inside Send that was every message, at
-// zero latency too.
-func (n *Network) sendLater(from, to overlay.NodeID, msg Message) {
-	n.Clock().AfterFunc(n.latency, func() {
-		if !n.expired(msg) {
-			n.enqueue(from, to, msg)
-		}
-	})
-}
-
-// expired reports (and counts) a message whose per-attempt deadline has
-// passed. The deadline travels with the message — set once at launch —
-// so every relay point applies the same timeout the initiator does,
+// expired reports (and counts) a message whose per-attempt deadline lies
+// before now. The deadline travels with the message — set once at launch
+// — so every relay point applies the same timeout the initiator does,
 // mirroring the read/write deadlines of the socket backend.
-func (n *Network) expired(msg Message) bool {
-	if msg.Deadline.IsZero() || !n.Clock().Now().After(msg.Deadline) {
+func (n *Network) expired(deadline, now time.Time) bool {
+	if deadline.IsZero() || !now.After(deadline) {
 		return false
 	}
 	n.metrics.expired.Add(1)
@@ -241,32 +276,45 @@ func (n *Network) expired(msg Message) bool {
 
 // enqueue appends a delivery to the FIFO and, if no goroutine is draining
 // it, drains it on this one. A closed network discards the delivery.
-func (n *Network) enqueue(from, to overlay.NodeID, msg Message) {
+func (n *Network) enqueue(from, to overlay.NodeID, msg *Message) {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
 		return
 	}
-	if len(n.queue) == cap(n.queue) && n.head > 0 {
-		// Slide the live part down before growing, so a FIFO that never
-		// empties keeps only its depth.
-		k := copy(n.queue, n.queue[n.head:])
-		n.queue, n.head = n.queue[:k], 0
-	}
-	n.queue = append(n.queue, delivery{from, to, msg})
-	n.metrics.queueHighWater.SetMax(int64(len(n.queue) - n.head))
-	idle := !n.draining
-	n.draining = true
+	idle := n.push(from, to, msg)
 	n.mu.Unlock()
 	if idle {
 		n.drain()
 	}
 }
 
+// push appends a delivery to the FIFO and reports whether it was idle, in
+// which case the caller is now its drainer. The caller holds n.mu.
+func (n *Network) push(from, to overlay.NodeID, msg *Message) (idle bool) {
+	if len(n.queue) == cap(n.queue) && n.head > 0 {
+		// Slide the live part down before growing, so a FIFO that never
+		// empties keeps only its depth.
+		k := copy(n.queue, n.queue[n.head:])
+		n.queue, n.head = n.queue[:k], 0
+	}
+	n.queue = append(n.queue, delivery{from, to, *msg})
+	n.metrics.queueHighWater.SetMax(int64(len(n.queue) - n.head))
+	idle = !n.draining
+	n.draining = true
+	return idle
+}
+
 // drain hands the FIFO's deliveries to their stations in order until it
-// is empty or the network closes. A delivery whose target left after the
-// link accepted it goes to Undeliverable.
+// is empty or the network closes. A delivery past its attempt deadline
+// dies here, counted as expired; one whose target left after the link
+// accepted it goes to Undeliverable. The pass reads the clock before its
+// first handover and again every clockEvery handovers, so however many
+// other callers' deliveries it serves, no deadline is judged on an
+// instant older than that.
 func (n *Network) drain() {
+	var now time.Time
+	fresh := 0 // handovers left before now is read again
 	for {
 		n.mu.Lock()
 		if n.closed || n.head == len(n.queue) {
@@ -277,14 +325,22 @@ func (n *Network) drain() {
 		}
 		d := n.queue[n.head]
 		n.head++
-		st := n.peers[d.to]
+		st := n.station(d.to)
 		n.mu.Unlock()
-		if st == nil {
+		if fresh == 0 {
+			now, fresh = n.Clock().Now(), clockEvery
+		}
+		fresh--
+		switch {
+		case n.expired(d.msg.Deadline, now):
+			// Dead in the network, as in sendLater: no NACK, the
+			// initiator's attempt timer is already due.
+		case st == nil:
 			n.metrics.dropped.Add(1)
 			n.Undeliverable(d.from, d.to, d.msg)
-			continue
+		default:
+			n.Handle(st, d.msg)
 		}
-		n.Handle(st, d.msg)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -137,6 +138,18 @@ func TestJoinValidation(t *testing.T) {
 	}
 	if n.Local(1) == nil || n.Local(42) != nil {
 		t.Fatal("Local lookup wrong")
+	}
+	// The registry is a slice indexed by id: a negative id is refused,
+	// and one before, past or outside it names no peer.
+	for _, id := range []overlay.NodeID{overlay.None, -7} {
+		if err := n.Join(id, r); err == nil {
+			t.Fatalf("negative id %d accepted", id)
+		}
+	}
+	for _, id := range []overlay.NodeID{overlay.None, -7, 0, 2, 42} {
+		if n.Local(id) != nil || n.Addressable(id) {
+			t.Fatalf("id %d, which no peer holds, is addressable", id)
+		}
 	}
 }
 
@@ -309,8 +322,8 @@ func TestSendZeroLatencyAllocs(t *testing.T) {
 // TestConnectZeroLatencyAllocs pins the initiator's cost in allocations:
 // one 5-hop, zero-latency, in-process connection on the real clock. The
 // connection record, its attempt's AfterFunc timer and the window
-// callback are the initiator's share; messages and the growing path are
-// the rest (DESIGN.md §3t).
+// callback are the initiator's share; the attempt's path, allocated once
+// at its full length, is the fifth (DESIGN.md §3t).
 func TestConnectZeroLatencyAllocs(t *testing.T) {
 	n := NewNetwork(0)
 	defer n.Close()
@@ -329,10 +342,125 @@ func TestConnectZeroLatencyAllocs(t *testing.T) {
 			t.Fatalf("path %v, err %v", path, err)
 		}
 	})
-	// 8 since the initiator runs on clock callbacks; the blocking loop
-	// before it cost 11.
-	if allocs > 8 {
-		t.Fatalf("a 5-hop connection allocates %.2f times, want <= 8", allocs)
+	if allocs > 5 {
+		t.Fatalf("a 5-hop connection allocates %.2f times, want <= 5", allocs)
+	}
+}
+
+// countingClock is the real clock with its reads counted: Now, Since and
+// Until each read it once.
+type countingClock struct {
+	vclock.Clock
+	reads atomic.Int64
+}
+
+func (c *countingClock) Now() time.Time {
+	c.reads.Add(1)
+	return c.Clock.Now()
+}
+
+func (c *countingClock) Since(t time.Time) time.Duration {
+	c.reads.Add(1)
+	return c.Clock.Since(t)
+}
+
+func (c *countingClock) Until(t time.Time) time.Duration {
+	c.reads.Add(1)
+	return c.Clock.Until(t)
+}
+
+// TestConnectClockReads pins the clock reads of one zero-latency
+// connection over a line: the start (which the first launch shares), the
+// drain pass's first read and one more every clockEvery handovers, and
+// the connect latency at the CONFIRM. Ten messages read it 3 times; 34
+// cross clockEvery twice and read it 5 times.
+func TestConnectClockReads(t *testing.T) {
+	for _, tc := range []struct {
+		nodes int
+		reads int64
+	}{
+		{6, 3},  // 5 FORWARDs and 5 CONFIRM steps
+		{18, 5}, // 17 and 17: the drain reads before handovers 1, 17 and 33
+	} {
+		n := NewNetwork(0)
+		clock := &countingClock{Clock: vclock.Real()}
+		n.SetClock(clock)
+		last := overlay.NodeID(tc.nodes - 1)
+		next := RouterFunc(func(self, pred, initiator, responder overlay.NodeID, batch, conn, remaining int) (overlay.NodeID, bool) {
+			return self + 1, false
+		})
+		for id := overlay.NodeID(0); id <= last; id++ {
+			if err := n.Join(id, next); err != nil {
+				t.Fatal(err)
+			}
+		}
+		path, _, err := n.ConnectDetail(0, last, 1, 1, tc.nodes-2, 10*time.Second)
+		n.Close()
+		if err != nil || len(path) != tc.nodes {
+			t.Fatalf("%d nodes: path %v, err %v", tc.nodes, path, err)
+		}
+		if msgs := n.Metrics().Sent; msgs != int64(2*(tc.nodes-1)) {
+			t.Fatalf("%d nodes: %d messages sent, want %d", tc.nodes, msgs, 2*(tc.nodes-1))
+		}
+		if got := clock.reads.Load(); got != tc.reads {
+			t.Errorf("a %d-message connection reads the clock %d times, want %d", 2*(tc.nodes-1), got, tc.reads)
+		}
+	}
+}
+
+// jumpClock is an engine clock whose Now, Since and Until run ahead of
+// the engine by jump once jumped is set; timers keep the engine's time.
+type jumpClock struct {
+	vclock.Clock
+	jump   time.Duration
+	jumped bool
+}
+
+func (c *jumpClock) Now() time.Time {
+	if c.jumped {
+		return c.Clock.Now().Add(c.jump)
+	}
+	return c.Clock.Now()
+}
+
+func (c *jumpClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
+func (c *jumpClock) Until(t time.Time) time.Duration { return t.Sub(c.Now()) }
+
+// TestExpiredAtHandover pins where a zero-latency message expires: when
+// it leaves the FIFO. The clock jumps past the attempt's deadline while
+// the initiator routes its first hop, so the FORWARD it sends counts as
+// sent and then as expired, reaches no router but the initiator's, and
+// the attempt times out at its window as it would on a wire.
+func TestExpiredAtHandover(t *testing.T) {
+	n := NewNetwork(0)
+	defer n.Close()
+	en := onEngine(n)
+	clock := &jumpClock{Clock: n.Clock(), jump: time.Hour}
+	n.SetClock(clock)
+	var routed []overlay.NodeID
+	next := RouterFunc(func(self, pred, initiator, responder overlay.NodeID, batch, conn, remaining int) (overlay.NodeID, bool) {
+		routed = append(routed, self)
+		clock.jumped = true
+		return self + 1, false
+	})
+	for id := overlay.NodeID(0); id <= 3; id++ {
+		if err := n.Join(id, next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, took := en.run(t, 0, 3, 1, 1, 2, 3*time.Second, nil)
+	if out.Err == nil || !strings.Contains(out.Err.Error(), "timed out after 1s") {
+		t.Fatalf("outcome %+v, want the attempt timed out", out)
+	}
+	if took != time.Second {
+		t.Fatalf("the connection ended after %v of engine time, want its 1s window", took)
+	}
+	if !reflect.DeepEqual(routed, []overlay.NodeID{0}) {
+		t.Fatalf("routers of %v ran, want only the initiator's", routed)
+	}
+	m := n.Metrics()
+	if m.Sent != 1 || m.Expired != 1 || m.Dropped != 0 || m.Timeouts != 1 || m.Reformations != 0 || m.Failures != 1 {
+		t.Fatalf("metrics %v: want 1 sent and expired, 1 timeout, no reformation, 1 failure", m)
 	}
 }
 
