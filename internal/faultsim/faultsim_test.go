@@ -623,9 +623,9 @@ type pathTap struct {
 }
 
 // Send implements transport.Link.
-func (l pathTap) Send(from, to overlay.NodeID, m transport.Message) bool {
+func (l pathTap) Send(from, to overlay.NodeID, m *transport.Message) bool {
 	if m.Kind == transport.MsgConfirm && from == m.Responder {
-		*l.confirms = append(*l.confirms, m)
+		*l.confirms = append(*l.confirms, *m)
 	}
 	return l.faultLink.Send(from, to, m)
 }

@@ -233,10 +233,11 @@ type faultLink struct {
 }
 
 // Send implements transport.Link. The plan's first message fault matching
-// m's (batch, conn, per-connection index) drops it, or hands it (or a
-// copy) to the network Delay later, reporting a target gone by then to
-// the driver; any other message goes to the network as it is.
-func (l faultLink) Send(from, to overlay.NodeID, m transport.Message) bool {
+// m's (batch, conn, per-connection index) drops it, or hands a copy of it
+// (besides it, for a duplicate) to the network Delay later, reporting a
+// target gone by then to the driver; any other message goes to the
+// network as it is.
+func (l faultLink) Send(from, to overlay.NodeID, m *transport.Message) bool {
 	w := l.w
 	if m.Kind == transport.MsgForward {
 		w.forwards++
@@ -253,17 +254,18 @@ func (l faultLink) Send(from, to overlay.NodeID, m transport.Message) bool {
 		if fs.Kind == FaultDrop {
 			return true // accepted, never delivered
 		}
-		ok, later := true, m
+		ok, later := true, *m
 		if fs.Kind == FaultDuplicate {
 			// Each copy accumulates its own forward path: the driver
 			// appends hops in place, so two copies sharing one array
-			// would overwrite each other's.
+			// would overwrite each other's. (The world runs the plain
+			// protocol, so no copy carries a secure load to share.)
 			later.Path = append([]overlay.NodeID(nil), m.Path...)
 			ok = l.Network.Send(from, to, m)
 		}
 		l.Clock().AfterFunc(sim.Time(fs.Delay).Duration(), func() {
-			if !l.Network.Send(from, to, later) {
-				l.Undeliverable(from, to, later)
+			if !l.Network.Send(from, to, &later) {
+				l.Undeliverable(from, to, &later)
 			}
 		})
 		return ok

@@ -22,70 +22,184 @@ import (
 	"p2panon/internal/overlay"
 )
 
-// edge is a directed edge (tail, head), kept as int32 ids: every batch
-// open at once holds a table, so its keys are kept small.
-type edge [2]int32
-
-// posEdge is an edge together with the predecessor its tail received the
-// payload from.
-type posEdge struct {
-	pred int32
-	e    edge
-}
-
 // Table is one batch's routing history: the directed edges its
 // connections used, each with the number of distinct connections that used
 // it, so a connection reusing an edge — a cycle, a re-attempt — counts
-// once, and connections of the batch may interleave. Queries are
+// once. Counts are exact for any order and any values of the connection
+// ids: connections of the batch may interleave and repeat. Queries are
 // allocation free, and a nil *Table is an empty history.
+//
+// The table holds no Go map on its hot path. Each of its one or two
+// indexes (edges, and (predecessor, edge) pairs when made with positions)
+// is a flat slice of records, each with its distinct-connection count and
+// the set of connections that used it: a 64-bit window from the first
+// such connection, so the connections of a batch in order fill one word,
+// and a spill map, made on first need, for a connection outside it. A
+// small index is scanned; a larger one is found through an open-addressed
+// hash of record positions. Recording a known edge for a connection
+// inside its window allocates nothing.
 type Table struct {
-	uses map[edge]int32
-	seen map[connKey[edge]]struct{}
-	// The position index, nil unless the table was made with positions.
-	pos     map[posEdge]int32
-	posSeen map[connKey[posEdge]]struct{}
+	edges store
+	pos   *store // nil unless the table was made with positions
 }
 
-// connKey pairs a connection with the key it used: the set of pairs
-// already counted.
-type connKey[K comparable] struct {
+// rowKey names a record: its tail's predecessor (0 in the edge index), tail
+// and head, as int32 ids — every batch open at once holds a table, so its
+// records are kept small.
+type rowKey struct{ pred, from, to int32 }
+
+// record is one key's row: uses distinct connections used it, namely the
+// members of base+i for each bit i of set and those the store's spill
+// holds for it.
+type record struct {
+	key  rowKey
+	uses int32
+	base int
+	set  uint64
+}
+
+// spillKey is a (record, connection) pair outside the record's window.
+type spillKey struct {
+	rec  int32
 	conn int
-	k    K
+}
+
+// scanMax is the most records a store finds by scanning; past it, slots
+// index them.
+const scanMax = 8
+
+// store is one index of a table: its records, in the order their keys
+// were first recorded, and the means to find one by key.
+type store struct {
+	recs []record
+	// slots is an open-addressed hash of record positions (position+1, 0
+	// for an empty slot), at most half full; nil while the store is small
+	// enough to scan.
+	slots []int32
+	spill map[spillKey]struct{}
 }
 
 // New returns an empty table; positions keeps the (predecessor, edge)
 // index that UsesAt and SelectivityAt read.
 func New(positions bool) *Table {
-	t := &Table{uses: make(map[edge]int32), seen: make(map[connKey[edge]]struct{})}
+	t := &Table{}
 	if positions {
-		t.pos = make(map[posEdge]int32)
-		t.posSeen = make(map[connKey[posEdge]]struct{})
+		t.pos = &store{}
 	}
 	return t
 }
 
-func key(from, to overlay.NodeID) edge { return edge{int32(from), int32(to)} }
+func edgeKey(from, to overlay.NodeID) rowKey { return rowKey{0, int32(from), int32(to)} }
 
 // Record stores one forwarding instance of connection conn: the holder
 // from, having received the payload from pred (overlay.None if from is
 // the initiator), sent it to to. It reports whether the edge is new to
 // the batch: no connection, this one included, used it before.
 func (t *Table) Record(conn int, pred, from, to overlay.NodeID) (first bool) {
-	e := key(from, to)
-	first = t.uses[e] == 0
-	count(t.uses, t.seen, conn, e)
+	first = t.edges.count(conn, edgeKey(from, to))
 	if t.pos != nil {
-		count(t.pos, t.posSeen, conn, posEdge{int32(pred), e})
+		t.pos.count(conn, rowKey{int32(pred), int32(from), int32(to)})
 	}
 	return first
 }
 
-// count adds one use of k by connection conn, unless conn used it before.
-func count[K comparable](uses map[K]int32, seen map[connKey[K]]struct{}, conn int, k K) {
-	if _, counted := seen[connKey[K]{conn, k}]; !counted {
-		seen[connKey[K]{conn, k}] = struct{}{}
-		uses[k]++
+// count adds one use of k by connection conn, unless conn used it before,
+// and reports whether k is new to the store.
+func (s *store) count(conn int, k rowKey) (isNew bool) {
+	i := s.find(k)
+	if i < 0 {
+		s.insert(record{key: k, uses: 1, base: conn, set: 1})
+		return true
 	}
+	r := &s.recs[i]
+	// The window's offsets wrap modulo 2⁶⁴, so each bit names exactly one
+	// connection id whatever base is.
+	if d := uint(conn - r.base); d < 64 {
+		if r.set&(1<<d) == 0 {
+			r.set |= 1 << d
+			r.uses++
+		}
+		return false
+	}
+	sk := spillKey{int32(i), conn}
+	if _, seen := s.spill[sk]; !seen {
+		if s.spill == nil {
+			s.spill = make(map[spillKey]struct{})
+		}
+		s.spill[sk] = struct{}{}
+		r.uses++
+	}
+	return false
+}
+
+// hash mixes a key's three ids into the low bits a slot index keeps.
+func (k rowKey) hash() uint64 {
+	h := (uint64(uint32(k.from))<<32 | uint64(uint32(k.to))) ^ uint64(uint32(k.pred))*0x9e3779b97f4a7c15
+	h *= 0xff51afd7ed558ccd
+	return h ^ h>>29
+}
+
+// find returns the position of k's record, or -1.
+func (s *store) find(k rowKey) int {
+	if s.slots == nil {
+		for i := range s.recs {
+			if s.recs[i].key == k {
+				return i
+			}
+		}
+		return -1
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := k.hash() & mask; ; i = (i + 1) & mask {
+		p := s.slots[i]
+		if p == 0 {
+			return -1
+		}
+		if s.recs[p-1].key == k {
+			return int(p - 1)
+		}
+	}
+}
+
+// insert appends r, whose key the store does not hold, and indexes it
+// once the store outgrows a scan.
+func (s *store) insert(r record) {
+	s.recs = append(s.recs, r)
+	switch n := len(s.recs); {
+	case n <= scanMax:
+	case 2*n > len(s.slots):
+		s.rehash(max(4*scanMax, 2*len(s.slots)))
+	default:
+		s.place(int32(n))
+	}
+}
+
+// rehash indexes every record in fresh slots of the given size, a power
+// of two.
+func (s *store) rehash(size int) {
+	s.slots = make([]int32, size)
+	for p := range s.recs {
+		s.place(int32(p + 1))
+	}
+}
+
+// place puts record position p−1 in the first free slot of its probe
+// sequence.
+func (s *store) place(p int32) {
+	mask := uint64(len(s.slots) - 1)
+	i := s.recs[p-1].key.hash() & mask
+	for s.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	s.slots[i] = p
+}
+
+// uses returns k's distinct-connection count, 0 for a key not held.
+func (s *store) uses(k rowKey) int {
+	if i := s.find(k); i >= 0 {
+		return int(s.recs[i].uses)
+	}
+	return 0
 }
 
 // Uses returns the number of distinct connections that used from→to.
@@ -93,7 +207,7 @@ func (t *Table) Uses(from, to overlay.NodeID) int {
 	if t == nil {
 		return 0
 	}
-	return int(t.uses[key(from, to)])
+	return t.edges.uses(edgeKey(from, to))
 }
 
 // UsesAt returns the number of distinct connections on which from,
@@ -101,10 +215,10 @@ func (t *Table) Uses(from, to overlay.NodeID) int {
 // position-differentiated count §2.3's predecessor trick enables. It is 0
 // for a table made without positions.
 func (t *Table) UsesAt(pred, from, to overlay.NodeID) int {
-	if t == nil {
+	if t == nil || t.pos == nil {
 		return 0
 	}
-	return int(t.pos[posEdge{int32(pred), key(from, to)}])
+	return t.pos.uses(rowKey{int32(pred), int32(from), int32(to)})
 }
 
 // Selectivity returns σ(from, to) for the k-th connection of the batch:
@@ -143,9 +257,9 @@ func (t *Table) Successors(from overlay.NodeID) []overlay.NodeID {
 		return nil
 	}
 	var out []overlay.NodeID
-	for e := range t.uses {
-		if e[0] == int32(from) {
-			out = append(out, overlay.NodeID(e[1]))
+	for i := range t.edges.recs {
+		if k := t.edges.recs[i].key; k.from == int32(from) {
+			out = append(out, overlay.NodeID(k.to))
 		}
 	}
 	slices.Sort(out)
@@ -154,16 +268,17 @@ func (t *Table) Successors(from overlay.NodeID) []overlay.NodeID {
 
 // Tails appends to dst every node s that forwarded on some connection of
 // the batch — the nodes whose σ may be non-zero — and is not yet set in
-// holds, sets holds[s] for each, and returns dst, in no particular order.
+// holds, sets holds[s] for each, and returns dst, in the order their first
+// edges were recorded.
 // holds must span every recorded id.
 func (t *Table) Tails(dst []int32, holds []bool) []int32 {
 	if t == nil {
 		return dst
 	}
-	for e := range t.uses {
-		if !holds[e[0]] {
-			holds[e[0]] = true
-			dst = append(dst, e[0])
+	for i := range t.edges.recs {
+		if s := t.edges.recs[i].key.from; !holds[s] {
+			holds[s] = true
+			dst = append(dst, s)
 		}
 	}
 	return dst

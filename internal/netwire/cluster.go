@@ -290,7 +290,7 @@ func (c *Cluster) Addressable(id overlay.NodeID) bool {
 
 // Send implements transport.Link: the message leaves through the link
 // node from keeps to node to. A node that is gone sends nothing.
-func (c *Cluster) Send(from, to overlay.NodeID, m transport.Message) bool {
+func (c *Cluster) Send(from, to overlay.NodeID, m *transport.Message) bool {
 	nd := c.Node(from)
 	return nd != nil && nd.sendMsg(to, frameOf(m), m.Deadline)
 }
@@ -318,7 +318,7 @@ func (c *Cluster) SettleBatch(initiator overlay.NodeID, batch int, out *transpor
 			Trace:  trace,
 			Span:   root,
 		}
-		if nd.sendMsg(id, f, time.Time{}) {
+		if nd.sendMsg(id, f, 0) {
 			sent++
 		}
 	}
@@ -345,7 +345,7 @@ func (c *Cluster) Probe(from, to overlay.NodeID, timeout time.Duration) bool {
 		delete(c.probes, nonce)
 		c.probeMu.Unlock()
 	}()
-	if !nd.sendMsg(to, &Frame{Kind: KindProbe, Node: from, Nonce: nonce}, time.Time{}) {
+	if !nd.sendMsg(to, &Frame{Kind: KindProbe, Node: from, Nonce: nonce}, 0) {
 		return false
 	}
 	timer := time.NewTimer(timeout)

@@ -397,27 +397,36 @@ func TestInboundHandshakeRejectsNonHello(t *testing.T) {
 
 // TestFrameMessageConversion pins the read/write boundary: every field of
 // a protocol message survives frameOf and message, and the three message
-// kinds land on the three frame kinds.
+// kinds land on the three frame kinds. A NACK's reason code and subject
+// travel as the reason text alone, and only a FORWARD's From as the
+// frame's From.
 func TestFrameMessageConversion(t *testing.T) {
-	kinds := map[transport.MsgKind]Kind{
-		transport.MsgForward: KindForward,
-		transport.MsgConfirm: KindConfirm,
-		transport.MsgNack:    KindNack,
+	cases := []struct {
+		m          transport.Message
+		kind       Kind
+		from       overlay.NodeID
+		reasonText string
+	}{
+		{transport.Message{Kind: transport.MsgForward, From: 4}, KindForward, 4, ""},
+		{transport.Message{Kind: transport.MsgConfirm}, KindConfirm, 0, ""},
+		{transport.Message{Kind: transport.MsgNack, Reason: transport.NackDeparted, From: 4}, KindNack, 0, "next hop 4 departed"},
+		{transport.Message{Kind: transport.MsgNack, Reason: transport.NackContract}, KindNack, 0, "contract failed verification"},
 	}
-	for mk, fk := range kinds {
-		m := transport.Message{
-			Kind: mk, Batch: 1, Conn: 2, Attempt: 3,
-			From: 4, Initiator: 5, Responder: 6, Remaining: 7,
-			Path: []overlay.NodeID{5, 4}, Hop: 1,
-			Deadline: time.Unix(9, 0),
-			Reason:   "r", Fatal: true,
+	for _, tc := range cases {
+		m := tc.m
+		m.Batch, m.Conn, m.Attempt = 1, 2, 3
+		m.Initiator, m.Responder, m.Remaining = 5, 6, 7
+		m.Path, m.Hop = []overlay.NodeID{5, 4}, 1
+		m.Deadline, m.Fatal = 9e9, true
+		m.Secure = &transport.SecureLoad{
 			Contract: &onion.SignedContract{BatchID: 1},
 			Records:  []onion.PathRecord{{Sealed: []byte{1}}},
-			Trace:    10, Span: 11,
 		}
-		f := frameOf(m)
-		if f.Kind != fk {
-			t.Fatalf("message kind %d became frame kind %s, want %s", mk, f.Kind, fk)
+		m.Trace, m.Span = 10, 11
+		f := frameOf(&m)
+		if f.Kind != tc.kind || f.From != tc.from || f.Reason != tc.reasonText {
+			t.Fatalf("message %v became frame kind %s from %d reason %q, want %s from %d reason %q",
+				m.Kind, f.Kind, f.From, f.Reason, tc.kind, tc.from, tc.reasonText)
 		}
 		if got := f.message(m.Deadline); !reflect.DeepEqual(got, m) {
 			t.Fatalf("round trip lost fields:\n got %+v\nwant %+v", got, m)

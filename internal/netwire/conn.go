@@ -11,12 +11,13 @@ import (
 )
 
 // outFrame is one queued outbound frame plus the absolute attempt
-// deadline it travels under (zero = none). The deadline is re-stamped
+// deadline it travels under, in nanoseconds on the cluster clock as
+// transport.Message carries it (zero = none). The deadline is re-stamped
 // into DeadlineMicros at write time, so each hop forwards exactly the
 // budget that remains.
 type outFrame struct {
 	f   *Frame
-	abs time.Time
+	abs int64
 }
 
 // link is a node's end of its one connection with a peer: a bounded
@@ -191,7 +192,7 @@ func (l *link) failQueued() {
 // initiator's attempt timer is due anyway.
 func (l *link) deliver(of outFrame) bool {
 	c := l.owner.c
-	if !of.abs.IsZero() && c.Clock().Now().After(of.abs) {
+	if of.abs != 0 && c.Clock().Now().UnixNano() > of.abs {
 		c.metrics.deadlineExpired.Inc()
 		return true
 	}
@@ -209,8 +210,8 @@ func (l *link) deliver(of outFrame) bool {
 		l.conn, l.own = conn, true
 		go l.owner.readLoop(conn, in, l)
 	}
-	if !of.abs.IsZero() {
-		of.f.DeadlineMicros = c.Clock().Until(of.abs).Microseconds()
+	if of.abs != 0 {
+		of.f.DeadlineMicros = (of.abs - c.Clock().Now().UnixNano()) / int64(time.Microsecond)
 		if of.f.DeadlineMicros <= 0 {
 			c.metrics.deadlineExpired.Inc()
 			return true

@@ -167,9 +167,10 @@ func (nd *Node) readLoop(conn net.Conn, in *wire.Stream, l *link) {
 		nd.c.metrics.connsOpen.Add(-1)
 	}()
 	// Every frame decodes into this one Frame: a protocol frame is copied
-	// into a transport.Message before it is handled, and no handler keeps
-	// the pointer.
+	// into this one transport.Message before it is handled, and no handler
+	// keeps a pointer to either.
 	var f Frame
+	var msg transport.Message
 	if in == nil {
 		// One read-ahead stream for the whole connection, handshake
 		// included: the dialer's first protocol frame may arrive in the
@@ -218,21 +219,24 @@ func (nd *Node) readLoop(conn net.Conn, in *wire.Stream, l *link) {
 			return
 		default:
 		}
-		var abs time.Time
+		var abs int64
 		if f.DeadlineMicros > 0 {
-			abs = nd.c.Clock().Now().Add(time.Duration(f.DeadlineMicros) * time.Microsecond)
+			abs = nd.c.Clock().Now().UnixNano() + f.DeadlineMicros*int64(time.Microsecond)
 		}
-		nd.handleFrame(peer, &f, abs)
+		nd.handleFrame(peer, &f, abs, &msg)
 	}
 }
 
-// handleFrame dispatches one frame that came from peer.
-func (nd *Node) handleFrame(peer overlay.NodeID, f *Frame, abs time.Time) {
+// handleFrame dispatches one frame that came from peer; abs is its
+// attempt deadline on the cluster clock in nanoseconds, 0 for none. A
+// protocol frame becomes m, which the driver owns for the call.
+func (nd *Node) handleFrame(peer overlay.NodeID, f *Frame, abs int64, m *transport.Message) {
 	switch f.Kind {
 	case KindForward, KindConfirm, KindNack:
-		nd.c.Handle(nd.Station, f.message(abs))
+		*m = f.message(abs)
+		nd.c.Handle(nd.Station, m)
 	case KindProbe:
-		nd.sendMsg(peer, &Frame{Kind: KindProbeAck, Nonce: f.Nonce}, time.Time{})
+		nd.sendMsg(peer, &Frame{Kind: KindProbeAck, Nonce: f.Nonce}, 0)
 	case KindProbeAck:
 		nd.c.resolveProbe(f.Nonce)
 	case KindSettle:
@@ -248,32 +252,40 @@ func (nd *Node) handleFrame(peer overlay.NodeID, f *Frame, abs time.Time) {
 }
 
 // frameOf renders a protocol message as a frame. DeadlineMicros stays
-// zero here: the link stamps the budget that remains when it writes.
-func frameOf(m transport.Message) *Frame {
-	return &Frame{
+// zero here: the link stamps the budget that remains when it writes. A
+// frame's From is a FORWARD's sender only: a NACK's subject, its
+// message's From, travels in the reason text.
+func frameOf(m *transport.Message) *Frame {
+	f := &Frame{
 		Kind:      KindForward + Kind(m.Kind),
 		Batch:     m.Batch,
 		Conn:      m.Conn,
 		Attempt:   m.Attempt,
-		From:      m.From,
 		Initiator: m.Initiator,
 		Responder: m.Responder,
 		Remaining: m.Remaining,
 		Hop:       m.Hop,
 		Path:      m.Path,
-		Reason:    m.Reason,
+		Reason:    m.Reason.Text(m.From),
 		Fatal:     m.Fatal,
-		Contract:  m.Contract,
-		Records:   m.Records,
 		Trace:     m.Trace,
 		Span:      m.Span,
 	}
+	if m.Kind == transport.MsgForward {
+		f.From = m.From
+	}
+	if s := m.Secure; s != nil {
+		f.Contract, f.Records = s.Contract, s.Records
+	}
+	return f
 }
 
 // message is frameOf's inverse for a Forward/Confirm/Nack frame, with the
-// attempt deadline the caller re-anchored on the local clock.
-func (f *Frame) message(deadline time.Time) transport.Message {
-	return transport.Message{
+// attempt deadline the caller re-anchored on the local clock. A NACK's
+// reason text becomes its code and subject; records come only with a
+// contract, the secure load.
+func (f *Frame) message(deadline int64) transport.Message {
+	m := transport.Message{
 		Kind:      transport.MsgKind(f.Kind - KindForward),
 		Batch:     f.Batch,
 		Conn:      f.Conn,
@@ -285,13 +297,17 @@ func (f *Frame) message(deadline time.Time) transport.Message {
 		Hop:       f.Hop,
 		Path:      f.Path,
 		Deadline:  deadline,
-		Reason:    f.Reason,
 		Fatal:     f.Fatal,
-		Contract:  f.Contract,
-		Records:   f.Records,
 		Trace:     f.Trace,
 		Span:      f.Span,
 	}
+	if f.Kind == KindNack {
+		m.Reason, m.From = transport.ParseNackReason(f.Reason)
+	}
+	if f.Contract != nil {
+		m.Secure = &transport.SecureLoad{Contract: f.Contract, Records: f.Records}
+	}
+	return m
 }
 
 // onDeliveryFail is the link writer's failure callback: the frame could
@@ -304,7 +320,8 @@ func (nd *Node) onDeliveryFail(to overlay.NodeID, of outFrame) {
 	}
 	c.metrics.dropped.Inc()
 	if isProtocol(of.f.Kind) {
-		c.Undeliverable(nd.ID, to, of.f.message(of.abs))
+		m := of.f.message(of.abs)
+		c.Undeliverable(nd.ID, to, &m)
 	} else {
 		c.MarkDead(to)
 	}
@@ -316,7 +333,7 @@ func (nd *Node) onDeliveryFail(to overlay.NodeID, of outFrame) {
 // handoff is delayed on the cluster clock, mirroring transport's link
 // latency model. Returns false when the frame was refused synchronously
 // (node killed, queue full past backpressure).
-func (nd *Node) sendMsg(to overlay.NodeID, f *Frame, abs time.Time) bool {
+func (nd *Node) sendMsg(to overlay.NodeID, f *Frame, abs int64) bool {
 	select {
 	case <-nd.killed:
 		return false
@@ -327,7 +344,7 @@ func (nd *Node) sendMsg(to overlay.NodeID, f *Frame, abs time.Time) bool {
 		nd.c.wg.Add(1)
 		go func() {
 			defer nd.c.wg.Done()
-			nd.handleFrame(nd.ID, f, abs)
+			nd.handleFrame(nd.ID, f, abs, new(transport.Message))
 		}()
 		return true
 	}

@@ -200,6 +200,11 @@ type connRec struct {
 	// and the last causal step the next reform or fail span parents on.
 	trace, root, launch, prev telemetry.SpanID
 
+	// first is the first attempt's FORWARD. Links borrow messages by
+	// pointer, so a launch cannot live on its launcher's stack; the record
+	// is allocated anyway.
+	first Message
+
 	out  Outcome
 	done func(Outcome) // Start's callback; nil when a caller waits on wg
 	wg   sync.WaitGroup
@@ -317,7 +322,10 @@ func (c *connRec) reform(now time.Time, remaining time.Duration) {
 // armed, the record may belong to whichever goroutine claims the attempt.
 // Its Path is allocated once, for the longest walk the budget allows (I,
 // budget forwarders, R), and every hop appends in place: the attempt's
-// one FORWARD owns it, and a link that delivers a copy clones it.
+// one FORWARD owns it, and a link that delivers a copy clones it. The
+// first attempt's message is the record's own; a reformation's is
+// allocated, since the first may still be in its launcher's hands — a
+// window can expire, on another goroutine, while the launch routes.
 func (c *connRec) launchAttempt(now time.Time, remaining time.Duration) {
 	d := c.d
 	c.window = min(c.per, remaining)
@@ -328,7 +336,11 @@ func (c *connRec) launchAttempt(now time.Time, remaining time.Duration) {
 		c.fail(fmt.Errorf("transport: initiator %d departed", c.initiator))
 		return
 	}
-	m := Message{
+	m := &c.first
+	if c.attempt > 1 {
+		m = new(Message)
+	}
+	*m = Message{
 		Kind:      MsgForward,
 		Batch:     c.batch,
 		Conn:      c.conn,
@@ -337,10 +349,12 @@ func (c *connRec) launchAttempt(now time.Time, remaining time.Duration) {
 		Responder: c.responder,
 		Remaining: c.budget,
 		Path:      make([]overlay.NodeID, 0, c.budget+2),
-		Deadline:  now.Add(c.window),
-		Contract:  c.contract,
+		Deadline:  now.Add(c.window).UnixNano(),
 		Trace:     c.trace,
 		Span:      c.launch,
+	}
+	if c.contract != nil {
+		m.Secure = &SecureLoad{Contract: c.contract}
 	}
 	d.pendMu.Lock()
 	d.attemptSeq++
@@ -390,7 +404,7 @@ func (d *Driver) expire(aid int) {
 // nodes; any other reply leaves the attempt pending and counts as
 // malformed. A reply whose attempt was already resolved or abandoned is
 // stale: counted, and otherwise dropped.
-func (d *Driver) resolve(self, last overlay.NodeID, m Message) {
+func (d *Driver) resolve(self, last overlay.NodeID, m *Message) {
 	d.pendMu.Lock()
 	c := d.pending[m.Attempt]
 	owner := c != nil && self == c.initiator &&
@@ -419,10 +433,14 @@ func (d *Driver) resolve(self, last overlay.NodeID, m Message) {
 			parent = c.launch
 		}
 		c.emit(telemetry.SpanDeliver, parent)
-		c.finish(Outcome{Path: m.Path, Records: m.Records, Reformations: c.reforms})
+		out := Outcome{Path: m.Path, Reformations: c.reforms}
+		if m.Secure != nil {
+			out.Records = m.Secure.Records
+		}
+		c.finish(out)
 		return
 	}
-	c.lastErr = fmt.Errorf("transport: %s", m.Reason)
+	c.lastErr = fmt.Errorf("transport: %s", m.Reason.Text(m.From))
 	if m.Span != 0 {
 		c.prev = m.Span
 	}
@@ -456,8 +474,12 @@ func (c *connRec) finish(out Outcome) {
 	c.wg.Done()
 }
 
-// emit records an initiator-side span of the current attempt.
+// emit records an initiator-side span of the current attempt; with
+// spans off it builds none.
 func (c *connRec) emit(kind telemetry.SpanKind, parent telemetry.SpanID) telemetry.SpanID {
+	if c.trace == 0 {
+		return 0
+	}
 	return c.d.spans.Emit(telemetry.Span{
 		Trace: c.trace, Parent: parent, Kind: kind,
 		Batch: c.batch, Conn: c.conn, Attempt: c.attempt, Node: int(c.initiator),

@@ -83,7 +83,10 @@ func (l *scriptLink) Local(id overlay.NodeID) *Station {
 
 func (l *scriptLink) Addressable(id overlay.NodeID) bool { return l.stations[id] != nil }
 
-func (l *scriptLink) Send(from, to overlay.NodeID, m Message) bool {
+// Send implements Link. Like any link that keeps or re-delivers what it
+// was lent, it works on its own copy of m.
+func (l *scriptLink) Send(from, to overlay.NodeID, pm *Message) bool {
+	m := *pm
 	l.sends++
 	if m.Kind == MsgNack {
 		l.nacks = append(l.nacks, m)
@@ -94,11 +97,11 @@ func (l *scriptLink) Send(from, to overlay.NodeID, m Message) bool {
 	case swallow:
 		l.held = append(l.held, held{to, m})
 	case lose:
-		l.d.Undeliverable(from, to, m)
+		l.d.Undeliverable(from, to, &m)
 	case tamper:
-		bad := *m.Contract
+		bad := *m.Secure.Contract
 		bad.Pf++
-		m.Contract = &bad
+		m.Secure = &SecureLoad{Contract: &bad, Records: m.Secure.Records}
 		l.handle(to, m)
 	default:
 		l.handle(to, m)
@@ -110,7 +113,7 @@ func (l *scriptLink) Send(from, to overlay.NodeID, m Message) bool {
 func (l *scriptLink) handle(to overlay.NodeID, m Message) {
 	at := l.at
 	l.at = to
-	l.d.Handle(l.stations[to], m)
+	l.d.Handle(l.stations[to], &m)
 	l.at = at
 }
 
@@ -432,8 +435,8 @@ func TestDriverOverScriptedLink(t *testing.T) {
 			// A NACK carries neither the signed contract nor the records
 			// sealed so far: no reverse-path node reads them.
 			for _, n := range l.nacks {
-				if n.Contract != nil || n.Records != nil {
-					t.Errorf("NACK carries contract=%v records=%d", n.Contract != nil, len(n.Records))
+				if n.Secure != nil {
+					t.Errorf("NACK carries a secure load: %+v", *n.Secure)
 				}
 			}
 			if tc.secure && len(l.nacks) == 0 {
@@ -450,7 +453,7 @@ func TestDriverOverScriptedLink(t *testing.T) {
 			// and is counted stale.
 			for _, h := range l.held {
 				before, stale := rec.Total(), d.inst.staleReplies.Value()
-				d.Handle(l.stations[h.to], h.m)
+				d.Handle(l.stations[h.to], &h.m)
 				if rec.Total() == before {
 					t.Error("late message was not handled")
 				}
@@ -531,7 +534,7 @@ func TestClosedBatchRefused(t *testing.T) {
 	}
 	closed := d.Telemetry().Counter("transport_closed_batch_total", nil)
 	sends := l.sends
-	d.Handle(relay, dup)
+	d.Handle(relay, &dup)
 	if got := closed.Value(); got != 1 {
 		t.Errorf("closed_batch_total %d after a duplicate FORWARD, want 1", got)
 	}
@@ -594,7 +597,7 @@ func TestForgedReplyRefused(t *testing.T) {
 					}
 					net.pendMu.Unlock()
 					m.Batch, m.Conn, m.Initiator, m.Responder = 1, 1, 0, 4
-					if !net.Send(3, tc.at, m) {
+					if !net.Send(3, tc.at, &m) {
 						t.Errorf("node %d refused the reply", tc.at)
 					}
 				}
@@ -694,9 +697,10 @@ func FuzzDriverHandle(f *testing.F) {
 		}
 		l.at = overlay.NodeID(at % 5)
 		refused, linkSends := d.inst.malformed.Value()+d.inst.closedBatch.Value(), l.sends
-		d.Handle(l.stations[l.at], m)
+		forward := m.Kind == MsgForward
+		d.Handle(l.stations[l.at], &m)
 
-		if now := d.inst.malformed.Value() + d.inst.closedBatch.Value(); m.Kind == MsgForward &&
+		if now := d.inst.malformed.Value() + d.inst.closedBatch.Value(); forward &&
 			(remaining < 0 || remaining > MaxBudget) && (now != refused+1 || l.sends != linkSends) {
 			t.Fatalf("a FORWARD with Remaining %d: %d refusals counted, %d sends", remaining, now-refused, l.sends-linkSends)
 		}
@@ -735,7 +739,7 @@ func TestHostileBudgetRefused(t *testing.T) {
 	for n, remaining := range []int{1 << 40, -1, MaxBudget + 1} {
 		m := Message{Kind: MsgForward, Batch: 1, Conn: 1, Attempt: 1, From: 0, Initiator: 0, Responder: 2,
 			Remaining: remaining, Path: []overlay.NodeID{0}}
-		if !net.Send(0, 1, m) {
+		if !net.Send(0, 1, &m) {
 			t.Fatal("node 1 refused the FORWARD")
 		}
 		if malformed.Value() != int64(n+1) {

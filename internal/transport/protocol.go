@@ -2,8 +2,10 @@ package transport
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"p2panon/internal/onion"
 	"p2panon/internal/overlay"
@@ -31,17 +33,34 @@ func (k MsgKind) String() string {
 	return "nack"
 }
 
-// Message is what travels over links, by value. Every backend carries
-// exactly these fields — in-process through one FIFO, over TCP inside a
+// Message is what travels over links. Every backend carries exactly
+// these fields — in-process through one FIFO, over TCP inside a
 // netwire.Frame — so the forwarding state machine below is written once.
+// A message has one owner. A handler is handed a *Message and owns it
+// for the call: it changes it in place, so a FORWARD it passes on is the
+// message it got, one hop on, and a CONFIRM or NACK is the FORWARD
+// turned around. Link.Send only borrows it: a link that keeps a message
+// past Send (the in-process FIFO, faultsim's delays and duplicates) keeps
+// its own copy. The Path and Secure a message points to are its
+// attempt's one FORWARD's, so a link that hands one message on twice
+// gives the second its own. Fields constant for a whole attempt are kept
+// small: the deadline is an int64, the NACK reason a byte, and the
+// secure protocol's load one pointer that plain mode leaves nil.
 type Message struct {
-	Kind  MsgKind
+	Kind MsgKind
+	// Reason and Fatal describe a NACK: why its attempt failed, and
+	// whether no reformation can fix that.
+	Reason NackReason
+	Fatal  bool
+
 	Batch int
 	Conn  int
 	// Attempt names the initiator's pending attempt this message belongs
 	// to; the terminal CONFIRM/NACK resolves it. A late message of an
 	// abandoned attempt finds nothing to resolve.
-	Attempt   int
+	Attempt int
+	// From is a FORWARD's sender, and a NACK's subject: the next hop whose
+	// departure it reports (NackDeparted), zero otherwise.
 	From      overlay.NodeID
 	Initiator overlay.NodeID
 	Responder overlay.NodeID
@@ -52,28 +71,77 @@ type Message struct {
 	Path []overlay.NodeID
 	Hop  int
 
-	// Deadline is the attempt's absolute expiry, stamped at launch and
-	// carried by every message of the attempt (forward, confirm and NACK
-	// legs alike). A message still in flight past it is dropped silently
-	// by the link — the initiator's attempt timer is already due, so
-	// nobody is waiting for it. Zero means no deadline.
-	Deadline time.Time
+	// Deadline is the attempt's absolute expiry in nanoseconds on the
+	// driver's clock (its Now().UnixNano()), stamped at launch and carried
+	// by every message of the attempt (forward, confirm and NACK legs
+	// alike). A message still in flight past it is dropped silently by
+	// the link — the initiator's attempt timer is already due, so nobody
+	// is waiting for it. Zero means no deadline.
+	Deadline int64
 
-	// Reason/Fatal describe a NACK.
-	Reason string
-	Fatal  bool
-
-	// Secure-protocol fields (§5): a signed contract that forwarders
-	// verify before working and the sealed per-hop records they
-	// contribute. A NACK carries neither: no reverse-path node reads them.
-	Contract *onion.SignedContract
-	Records  []onion.PathRecord
+	// Secure is the §5 secure protocol's load, nil in plain mode. A NACK
+	// carries none: no reverse-path node reads it.
+	Secure *SecureLoad
 
 	// Trace context: the connection's trace id and the span of the last
 	// causal step, which the next handler parents its own span on. Zero
 	// when span recording is off.
 	Trace telemetry.SpanID
 	Span  telemetry.SpanID
+}
+
+// SecureLoad is what a message of the secure protocol (§5) carries on
+// top of a plain one: the signed contract forwarders verify before
+// working, and the sealed per-hop records they contribute.
+type SecureLoad struct {
+	Contract *onion.SignedContract
+	Records  []onion.PathRecord
+}
+
+// NackReason says, in one byte, why a NACK's attempt failed. Text names
+// it where it is logged — the NACK's span and the initiator's error — and
+// netwire spells it on the wire.
+type NackReason uint8
+
+// The reasons a driver gives, and NackUnknown for a reason a peer sent
+// that this build does not name.
+const (
+	NackNone     NackReason = iota // no reason: a CONFIRM, or a NACK that gave none
+	NackDeparted                   // the next hop, the NACK's From, departed
+	NackContract                   // the signed contract failed verification
+	NackUnknown
+)
+
+const departedPrefix, departedSuffix = "next hop ", " departed"
+
+// Text renders the reason of a NACK whose From is subject.
+func (r NackReason) Text(subject overlay.NodeID) string {
+	switch r {
+	case NackNone:
+		return ""
+	case NackDeparted:
+		return departedPrefix + strconv.Itoa(int(subject)) + departedSuffix
+	case NackContract:
+		return "contract failed verification"
+	}
+	return "unrecognised nack reason"
+}
+
+// ParseNackReason is Text's inverse: the reason and subject a rendered
+// reason names. A text Text does not render is NackUnknown.
+func ParseNackReason(text string) (NackReason, overlay.NodeID) {
+	switch text {
+	case NackNone.Text(0):
+		return NackNone, 0
+	case NackContract.Text(0):
+		return NackContract, 0
+	}
+	mid, pre := strings.CutPrefix(text, departedPrefix)
+	mid, suf := strings.CutSuffix(mid, departedSuffix)
+	if id, err := strconv.Atoi(mid); pre && suf && err == nil && strconv.Itoa(id) == mid {
+		return NackDeparted, overlay.NodeID(id)
+	}
+	return NackUnknown, 0
 }
 
 // MaxBudget caps a connection's hop budget, the Remaining a FORWARD
@@ -102,8 +170,9 @@ type Station struct {
 	mu       sync.Mutex
 	forwards map[int]int // batch -> forwarding instances by this node, until the batch closes
 	// closed[b mod closedCap] is b+1 for the last batch b closed in that
-	// slot, 0 for none.
-	closed [closedCap]int
+	// slot, 0 for none. Written under mu, read without it: Handle admits
+	// a message on one atomic load.
+	closed [closedCap]atomic.Int64
 }
 
 // NewStation returns the protocol state of node id routing with r.
@@ -127,10 +196,10 @@ func (s *Station) Forwards(batch int) int {
 func (s *Station) CloseBatch(batch int) (forwards int, ok bool) {
 	s.mu.Lock()
 	slot := &s.closed[uint(batch)%closedCap]
-	if ok = *slot != batch+1; ok {
+	if ok = slot.Load() != int64(batch)+1; ok {
 		forwards = s.forwards[batch]
 		delete(s.forwards, batch)
-		*slot = batch + 1
+		slot.Store(int64(batch) + 1)
 	}
 	s.mu.Unlock()
 	if c, closer := s.router.(BatchCloser); ok && closer {
@@ -141,9 +210,17 @@ func (s *Station) CloseBatch(batch int) (forwards int, ok bool) {
 
 // isClosed reports whether the station remembers closing batch.
 func (s *Station) isClosed(batch int) bool {
+	return s.closed[uint(batch)%closedCap].Load() == int64(batch)+1
+}
+
+// countForward counts one forwarding instance in batch, unless the batch
+// closed since Handle admitted the message: a closed batch keeps no count.
+func (s *Station) countForward(batch int) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed[uint(batch)%closedCap] == batch+1
+	if !s.isClosed(batch) {
+		s.forwards[batch]++
+	}
+	s.mu.Unlock()
 }
 
 // Link is all the connection driver knows about a backend: how a message
@@ -155,8 +232,9 @@ type Link interface {
 	// Send hands m to the link on behalf of node from, addressed to node
 	// to. False is the synchronous drop signal: the target is known gone
 	// or the link refuses the message. A message past its Deadline may be
-	// accepted and die in the link, like a late packet on a wire.
-	Send(from, to overlay.NodeID, m Message) bool
+	// accepted and die in the link, like a late packet on a wire. Send
+	// borrows m for the call; a link that keeps it copies it.
+	Send(from, to overlay.NodeID, m *Message) bool
 	// Local returns the station of a node this runtime hosts, or nil.
 	Local(id overlay.NodeID) *Station
 	// Addressable reports whether a message can be addressed to id: a
@@ -169,8 +247,9 @@ type Link interface {
 // neither routed nor relayed, and re-creates no state. A FORWARD is
 // admitted only if its Remaining lies in [0, MaxBudget], a CONFIRM/NACK
 // only if its Hop indexes its Path and names st there; any other message
-// is refused and counted malformed, and otherwise ignored.
-func (d *Driver) Handle(st *Station, m Message) {
+// is refused and counted malformed, and otherwise ignored. The driver
+// owns m for the call and keeps no pointer to it.
+func (d *Driver) Handle(st *Station, m *Message) {
 	if st.isClosed(m.Batch) {
 		d.inst.closedBatch.Inc()
 		return
@@ -248,20 +327,21 @@ func (d *Driver) SettleInitiator(initiator overlay.NodeID, batch int, out *Batch
 // from node from for node to, could not be delivered. The corpse is
 // marked and the protocol kept moving — a lost FORWARD becomes a NACK
 // toward the initiator, a lost CONFIRM/NACK walks on from the reverse-path
-// member below to.
-func (d *Driver) Undeliverable(from, to overlay.NodeID, m Message) {
+// member below to. The driver owns m for the call, as in Handle.
+func (d *Driver) Undeliverable(from, to overlay.NodeID, m *Message) {
 	d.MarkDead(to)
 	switch m.Kind {
 	case MsgForward:
-		d.nackBack(from, m, fmt.Sprintf("next hop %d departed", to), false)
+		d.nackBack(from, m, NackDeparted, to, false)
 	case MsgConfirm, MsgNack:
 		m.Hop--
 		d.back(from, m)
 	}
 }
 
-// handleForward is one stage of path formation.
-func (d *Driver) handleForward(st *Station, m Message) {
+// handleForward is one stage of path formation: m, one hop on, is the
+// FORWARD it sends, or becomes the CONFIRM or NACK it sends back.
+func (d *Driver) handleForward(st *Station, m *Message) {
 	m.Path = append(m.Path, st.ID)
 	hop := len(m.Path) - 1
 	if st.ID == m.Responder {
@@ -269,39 +349,30 @@ func (d *Driver) handleForward(st *Station, m Message) {
 		// respond span closes the forward chain; the confirm carries it so
 		// the initiator can parent its deliver span on it.
 		respondSpan := m.Span
-		if id := d.spans.Emit(telemetry.Span{
-			Trace: m.Trace, Parent: m.Span, Kind: telemetry.SpanRespond,
-			Batch: m.Batch, Conn: m.Conn, Hop: hop, Node: int(st.ID),
-		}); id != 0 {
+		if id := d.span(m, telemetry.SpanRespond, hop, st.ID, ""); id != 0 {
 			respondSpan = id
 		}
-		confirm := reply(m, MsgConfirm, respondSpan)
-		confirm.Contract, confirm.Records = m.Contract, m.Records
-		d.back(st.ID, confirm)
+		reply(m, MsgConfirm, respondSpan)
+		d.back(st.ID, m)
 		return
 	}
 	// Secure protocol: verify the contract before doing any work (a
 	// rational forwarder will not forward for an unverifiable commitment)
 	// and NACK the initiator so it fails fast instead of waiting out its
 	// timeout. The rejection is fatal: no reformation fixes a bad contract.
-	if m.Contract != nil && !m.Contract.Verify() {
+	if m.Secure != nil && !m.Secure.Contract.Verify() {
 		d.inst.contractRejects.Inc()
-		d.nackBack(st.ID, m, "contract failed verification", true)
+		d.nackBack(st.ID, m, NackContract, 0, true)
 		return
 	}
 	// Interior forwarding instance (the initiator does not count).
 	if st.ID != m.Initiator {
-		st.mu.Lock()
-		st.forwards[m.Batch]++
-		st.mu.Unlock()
+		st.countForward(m.Batch)
 	}
 	// Chain the causal span: this hop's span hashes its predecessor's, so
 	// the id is derivable from carried context alone — the property that
 	// lets nodes in other processes mint the ids a single runtime would.
-	if id := d.spans.Emit(telemetry.Span{
-		Trace: m.Trace, Parent: m.Span, Kind: telemetry.SpanHop,
-		Batch: m.Batch, Conn: m.Conn, Hop: hop, Node: int(st.ID),
-	}); id != 0 {
+	if id := d.span(m, telemetry.SpanHop, hop, st.ID, ""); id != 0 {
 		m.Span = id
 	}
 	next := m.Responder
@@ -312,10 +383,10 @@ func (d *Driver) handleForward(st *Station, m Message) {
 	}
 	// Secure protocol: seal this hop's record to the batch key. The hop
 	// index is this forwarder's position (interior nodes so far).
-	if m.Contract != nil && st.ID != m.Initiator {
-		rec, err := onion.NewPathRecord(m.Contract, uint64(m.Conn), hop, st.ID, m.From, next)
+	if m.Secure != nil && st.ID != m.Initiator {
+		rec, err := onion.NewPathRecord(m.Secure.Contract, uint64(m.Conn), hop, st.ID, m.From, next)
 		if err == nil {
-			m.Records = append(m.Records, rec)
+			m.Secure.Records = append(m.Secure.Records, rec)
 		}
 	}
 	m.From = st.ID
@@ -324,28 +395,33 @@ func (d *Driver) handleForward(st *Station, m Message) {
 		// Synchronous drop: the chosen successor departed. Mark it dead
 		// and NACK back along the path so the initiator reforms at once.
 		d.MarkDead(next)
-		d.nackBack(st.ID, m, fmt.Sprintf("next hop %d departed", next), false)
+		d.nackBack(st.ID, m, NackDeparted, next, false)
 	}
 }
 
-// reply builds the CONFIRM or NACK answering m at the last node of
-// m.Path: the attempt, its endpoints, deadline and trace, span as the
-// causal step to parent on, and the frozen path with Hop at that last
-// node, from where back walks it home.
-func reply(m Message, kind MsgKind, span telemetry.SpanID) Message {
-	return Message{
-		Kind:      kind,
-		Batch:     m.Batch,
-		Conn:      m.Conn,
-		Attempt:   m.Attempt,
-		Initiator: m.Initiator,
-		Responder: m.Responder,
-		Path:      m.Path,
-		Hop:       len(m.Path) - 1,
-		Deadline:  m.Deadline,
-		Trace:     m.Trace,
-		Span:      span,
+// span records a span of m's connection at node, parented on m.Span,
+// and returns its id: 0, with no span built, while m carries no trace.
+func (d *Driver) span(m *Message, kind telemetry.SpanKind, hop int, node overlay.NodeID, detail string) telemetry.SpanID {
+	if m.Trace == 0 {
+		return 0
 	}
+	return d.spans.Emit(telemetry.Span{
+		Trace: m.Trace, Parent: m.Span, Kind: kind,
+		Batch: m.Batch, Conn: m.Conn, Hop: hop, Node: int(node), Detail: detail,
+	})
+}
+
+// reply turns the FORWARD m, at the last node of its path, into the
+// CONFIRM or NACK answering it: the attempt, its endpoints, deadline,
+// trace and secure load stay, span becomes the causal step to parent on,
+// the path freezes with Hop at that last node, from where back walks it
+// home, and the forward leg's From and Remaining are cleared, as is any
+// NACK reason the FORWARD arrived with.
+func reply(m *Message, kind MsgKind, span telemetry.SpanID) {
+	m.Kind, m.Span = kind, span
+	m.Hop = len(m.Path) - 1
+	m.From, m.Remaining = 0, 0
+	m.Reason, m.Fatal = NackNone, false
 }
 
 // back is the one reverse walk: it moves a CONFIRM/NACK held by node self
@@ -355,7 +431,7 @@ func reply(m Message, kind MsgKind, span telemetry.SpanID) Message {
 // and at index 0 — self's own entry — resolves the attempt. If even the
 // initiator refuses, the message dies: nobody is waiting for it. Callers
 // keep Hop below len(Path).
-func (d *Driver) back(self overlay.NodeID, m Message) {
+func (d *Driver) back(self overlay.NodeID, m *Message) {
 	for ; m.Hop >= 0; m.Hop-- {
 		switch to := m.Path[m.Hop]; {
 		case to != self:
@@ -370,15 +446,13 @@ func (d *Driver) back(self overlay.NodeID, m Message) {
 	}
 }
 
-// nackBack generates, at node self, a NACK for m and walks it home from
-// the last node of m's path: self, which back skips.
-func (d *Driver) nackBack(self overlay.NodeID, m Message, reason string, fatal bool) {
+// nackBack turns m, at node self, into a NACK for reason about subject
+// and walks it home from the last node of m's path: self, which back
+// skips. The NACK drops the secure load.
+func (d *Driver) nackBack(self overlay.NodeID, m *Message, reason NackReason, subject overlay.NodeID, fatal bool) {
 	d.inst.nacks.Inc()
 	d.inst.nackHops.Observe(float64(len(m.Path)))
-	nack := reply(m, MsgNack, d.spans.Emit(telemetry.Span{
-		Trace: m.Trace, Parent: m.Span, Kind: telemetry.SpanNack,
-		Batch: m.Batch, Conn: m.Conn, Hop: len(m.Path), Node: int(m.Initiator), Detail: reason,
-	}))
-	nack.Reason, nack.Fatal = reason, fatal
-	d.back(self, nack)
+	reply(m, MsgNack, d.span(m, telemetry.SpanNack, len(m.Path), m.Initiator, reason.Text(subject)))
+	m.Reason, m.From, m.Fatal, m.Secure = reason, subject, fatal, nil
+	d.back(self, m)
 }

@@ -4,7 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"p2panon/internal/core"
 	"p2panon/internal/dist"
+	"p2panon/internal/overlay"
+	"p2panon/internal/quality"
 	"p2panon/internal/telemetry"
 )
 
@@ -47,4 +50,47 @@ func BenchmarkConnectMetricsOnly(b *testing.B) {
 }
 func BenchmarkConnectTraced(b *testing.B) {
 	benchConnect(b, telemetry.NewRegistry(), true)
+}
+
+// BenchmarkConnectUM1 is one connection of the inproc_um1_blind workload
+// without its settlement: 32 in-process peers of degree 6 sharing one
+// Model-I router, hop budget 5, batches of 10 connections between a
+// seeded (I, R) pair, each batch closed by SettleBatch. One op is one
+// connection, so the UM-I hop — the router's history and choice, and the
+// message crossing the FIFO — is what it times.
+func BenchmarkConnectUM1(b *testing.B) {
+	const nodes, perBatch = 32, 10
+	topo := buildTopo(nodes, 6, 3)
+	contract := core.Contract{Pf: 1, Pr: 10}
+	router := NewUtilityRouter(topo, quality.DefaultWeights(), contract, uniformAvail(nodes))
+	net := NewNetwork(0)
+	defer net.Close()
+	for id := range topo {
+		if err := net.Join(id, router); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := dist.NewSource(11)
+	var out *BatchOutcome
+	var i, r overlay.NodeID
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		batch, conn := n/perBatch+1, n%perBatch+1
+		if conn == 1 {
+			i = overlay.NodeID(rng.Intn(nodes))
+			r = (i + 1 + overlay.NodeID(rng.Intn(nodes-1))) % nodes
+			out = NewBatchOutcome()
+		}
+		path, _, err := net.ConnectDetail(i, r, batch, conn, 5, 5*time.Second)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out.Record(path, i)
+		if conn == perBatch || n == b.N-1 {
+			if _, err := net.SettleBatch(i, batch, out, contract); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }

@@ -86,12 +86,17 @@ type BatchCloser interface {
 type Network struct {
 	*Driver
 
-	mu       sync.Mutex
-	peers    []*Station // by overlay id; nil where no peer is joined
-	queue    []delivery // accepted and not yet handed over: queue[head:]
-	head     int
-	draining bool // a goroutine is inside drain
-	closed   bool
+	mu    sync.Mutex
+	peers []*Station // by overlay id; nil where no peer is joined
+	// ring holds the deliveries accepted and not yet handed over: count
+	// of them from ring[head] on, wrapping. Its length is a power of two.
+	// While held, the drainer is handing over the delivery in the slot
+	// before head, in place, and no push reuses that slot.
+	ring        []delivery
+	head, count int
+	held        bool
+	draining    bool // a goroutine is inside drain
+	closed      bool
 
 	latency time.Duration
 	metrics *linkMetrics
@@ -183,7 +188,7 @@ func (n *Network) RemovePeer(id overlay.NodeID) {
 func (n *Network) Close() {
 	n.mu.Lock()
 	n.closed = true
-	n.queue, n.head = nil, 0
+	n.ring, n.head, n.count, n.held = nil, 0, 0, false
 	n.mu.Unlock()
 }
 
@@ -216,9 +221,9 @@ func (n *Network) Addressable(id overlay.NodeID) bool { return n.Local(id) != ni
 // zero latency the target check, the count and the append are one
 // critical section, and the attempt deadline is judged when the delivery
 // leaves the FIFO (drain).
-func (n *Network) Send(from, to overlay.NodeID, msg Message) bool {
+func (n *Network) Send(from, to overlay.NodeID, msg *Message) bool {
 	if n.latency > 0 {
-		return n.sendLater(from, to, msg)
+		return n.sendLater(from, to, *msg)
 	}
 	n.mu.Lock()
 	if n.station(to) == nil {
@@ -227,7 +232,7 @@ func (n *Network) Send(from, to overlay.NodeID, msg Message) bool {
 		return false
 	}
 	n.metrics.sent.Add(1)
-	idle := n.push(from, to, &msg)
+	idle := n.push(from, to, msg)
 	n.mu.Unlock()
 	if idle {
 		n.drain()
@@ -236,16 +241,16 @@ func (n *Network) Send(from, to overlay.NodeID, msg Message) bool {
 }
 
 // sendLater is Send's latency branch: it checks the target and the
-// deadline now and queues msg after the link latency, unless the deadline
-// has passed by then. It is kept out of Send because the timer closure's
-// capture moves the message it names to the heap: inside Send that was
-// every message, at zero latency too.
+// deadline now and queues msg, its own copy, after the link latency,
+// unless the deadline has passed by then. It is kept out of Send because
+// the timer closure's capture moves the message it names to the heap:
+// inside Send that was every message, at zero latency too.
 func (n *Network) sendLater(from, to overlay.NodeID, msg Message) bool {
 	if !n.Addressable(to) {
 		n.metrics.dropped.Add(1)
 		return false
 	}
-	if n.expired(msg.Deadline, n.Clock().Now()) {
+	if n.expired(msg.Deadline, n.Clock().Now().UnixNano()) {
 		// The attempt's deadline passed while this message was being
 		// relayed: it dies in the network (counted, no NACK — the
 		// initiator's own attempt timer is already due). Reporting true
@@ -255,7 +260,7 @@ func (n *Network) sendLater(from, to overlay.NodeID, msg Message) bool {
 	}
 	n.metrics.sent.Add(1)
 	n.Clock().AfterFunc(n.latency, func() {
-		if !n.expired(msg.Deadline, n.Clock().Now()) {
+		if !n.expired(msg.Deadline, n.Clock().Now().UnixNano()) {
 			n.enqueue(from, to, &msg)
 		}
 	})
@@ -263,11 +268,12 @@ func (n *Network) sendLater(from, to overlay.NodeID, msg Message) bool {
 }
 
 // expired reports (and counts) a message whose per-attempt deadline lies
-// before now. The deadline travels with the message — set once at launch
-// — so every relay point applies the same timeout the initiator does,
-// mirroring the read/write deadlines of the socket backend.
-func (n *Network) expired(deadline, now time.Time) bool {
-	if deadline.IsZero() || !now.After(deadline) {
+// before now, both in nanoseconds on the driver's clock. The deadline
+// travels with the message — set once at launch — so every relay point
+// applies the same timeout the initiator does, mirroring the read/write
+// deadlines of the socket backend.
+func (n *Network) expired(deadline, now int64) bool {
+	if deadline == 0 || now <= deadline {
 		return false
 	}
 	n.metrics.expired.Add(1)
@@ -289,46 +295,60 @@ func (n *Network) enqueue(from, to overlay.NodeID, msg *Message) {
 	}
 }
 
-// push appends a delivery to the FIFO and reports whether it was idle, in
-// which case the caller is now its drainer. The caller holds n.mu.
+// push copies a delivery into the FIFO and reports whether it was idle,
+// in which case the caller is now its drainer. The ring grows only when
+// every slot is live or held, so a FIFO that never empties keeps about
+// its depth. The caller holds n.mu.
 func (n *Network) push(from, to overlay.NodeID, msg *Message) (idle bool) {
-	if len(n.queue) == cap(n.queue) && n.head > 0 {
-		// Slide the live part down before growing, so a FIFO that never
-		// empties keeps only its depth.
-		k := copy(n.queue, n.queue[n.head:])
-		n.queue, n.head = n.queue[:k], 0
+	if n.held && n.count+1 == len(n.ring) || n.count == len(n.ring) {
+		n.grow()
 	}
-	n.queue = append(n.queue, delivery{from, to, *msg})
-	n.metrics.queueHighWater.SetMax(int64(len(n.queue) - n.head))
+	d := &n.ring[(n.head+n.count)&(len(n.ring)-1)]
+	d.from, d.to, d.msg = from, to, *msg
+	n.count++
+	n.metrics.queueHighWater.SetMax(int64(n.count))
 	idle = !n.draining
 	n.draining = true
 	return idle
 }
 
+// grow moves the live deliveries, in order, to the front of a ring twice
+// the size. A slot the drainer holds stays behind in the old ring, which
+// nothing else reuses. The caller holds n.mu.
+func (n *Network) grow() {
+	ring := make([]delivery, max(16, 2*len(n.ring)))
+	k := copy(ring[:n.count], n.ring[n.head:])
+	copy(ring[k:n.count], n.ring)
+	n.ring, n.head, n.held = ring, 0, false
+}
+
 // drain hands the FIFO's deliveries to their stations in order until it
 // is empty or the network closes. A delivery past its attempt deadline
 // dies here, counted as expired; one whose target left after the link
-// accepted it goes to Undeliverable. The pass reads the clock before its
-// first handover and again every clockEvery handovers, so however many
-// other callers' deliveries it serves, no deadline is judged on an
-// instant older than that.
+// accepted it goes to Undeliverable. The handler gets the delivery in its
+// slot, which the drainer holds until it next takes the lock. The pass
+// reads the clock before its first handover and again every clockEvery
+// handovers, so however many other callers' deliveries it serves, no
+// deadline is judged on an instant older than that.
 func (n *Network) drain() {
-	var now time.Time
+	var now int64
 	fresh := 0 // handovers left before now is read again
 	for {
 		n.mu.Lock()
-		if n.closed || n.head == len(n.queue) {
-			n.queue, n.head = n.queue[:0], 0
+		n.held = false
+		if n.closed || n.count == 0 {
 			n.draining = false
 			n.mu.Unlock()
 			return
 		}
-		d := n.queue[n.head]
-		n.head++
+		d := &n.ring[n.head]
+		n.head = (n.head + 1) & (len(n.ring) - 1)
+		n.count--
+		n.held = true
 		st := n.station(d.to)
 		n.mu.Unlock()
 		if fresh == 0 {
-			now, fresh = n.Clock().Now(), clockEvery
+			now, fresh = n.Clock().Now().UnixNano(), clockEvery
 		}
 		fresh--
 		switch {
@@ -337,9 +357,9 @@ func (n *Network) drain() {
 			// initiator's attempt timer is already due.
 		case st == nil:
 			n.metrics.dropped.Add(1)
-			n.Undeliverable(d.from, d.to, d.msg)
+			n.Undeliverable(d.from, d.to, &d.msg)
 		default:
-			n.Handle(st, d.msg)
+			n.Handle(st, &d.msg)
 		}
 	}
 }

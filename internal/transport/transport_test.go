@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"p2panon/internal/core"
 	"p2panon/internal/dist"
@@ -306,16 +307,107 @@ func TestSendZeroLatencyAllocs(t *testing.T) {
 	n.draining = true
 	msg := Message{Kind: MsgForward, Batch: 1, Conn: 1, Initiator: 1, Responder: 3, Remaining: 4, Path: []overlay.NodeID{1}}
 	allocs := testing.AllocsPerRun(200, func() {
-		if !n.Send(1, 2, msg) {
+		if !n.Send(1, 2, &msg) {
 			t.Fatal("send to a registered peer dropped")
 		}
-		if len(n.queue) != 1 {
-			t.Fatalf("%d deliveries queued, want 1", len(n.queue))
+		if n.count != 1 {
+			t.Fatalf("%d deliveries queued, want 1", n.count)
 		}
-		n.queue = n.queue[:0]
+		n.count = 0
 	})
 	if allocs != 0 {
 		t.Fatalf("zero-latency Send allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestMessageSize pins the size of what the in-process hop copies: a
+// Message crosses the FIFO by value, one copy per hop, so its fields
+// constant for an attempt stay small (DESIGN.md §3aa).
+func TestMessageSize(t *testing.T) {
+	if size := unsafe.Sizeof(Message{}); size > 128 {
+		t.Fatalf("Message is %d bytes, want at most 128", size)
+	}
+}
+
+// TestCloseBatchRacesHandle closes batches on one station while another
+// goroutine hands it a FORWARD of each, in the same order: Handle reads
+// the closed record without the station's mutex, and CloseBatch writes it
+// under the mutex it also counts forwards under. Run under -race. Each
+// FORWARD is refused or routed (toward a peer that is gone, so it
+// crosses the station once), and whichever wins each batch, a closed
+// batch keeps no forwarding count.
+func TestCloseBatchRacesHandle(t *testing.T) {
+	n := NewNetwork(0)
+	t.Cleanup(n.Close)
+	var routed atomic.Int64
+	for id := overlay.NodeID(0); id < 2; id++ {
+		if err := n.Join(id, RouterFunc(func(self, _, _, _ overlay.NodeID, _, _, _ int) (overlay.NodeID, bool) {
+			routed.Add(1)
+			return self + 1, false
+		})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := n.Local(1)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for b := 1; b <= closedCap; b++ {
+			m := Message{Kind: MsgForward, Batch: b, Conn: 1, Attempt: b, From: 0, Initiator: 0, Responder: 3,
+				Remaining: 2, Path: []overlay.NodeID{0}}
+			n.Handle(st, &m)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for b := 1; b <= closedCap; b++ {
+			st.CloseBatch(b)
+		}
+	}()
+	wg.Wait()
+	st.mu.Lock()
+	left := len(st.forwards)
+	st.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d closed batches keep a forwarding count", left)
+	}
+	refused := n.Telemetry().Counter("transport_closed_batch_total", nil).Value()
+	if refused+routed.Load() != closedCap {
+		t.Fatalf("%d FORWARDs refused and %d routed, want %d in all", refused, routed.Load(), closedCap)
+	}
+}
+
+// TestHeldSlotSurvivesPushes: the drainer hands each delivery over in
+// its FIFO slot, so no push may reuse that slot while the handler runs.
+// Node 1's router, handling the connection's FORWARD, first sends 40
+// FORWARDs of a batch node 2 has closed — more than the FIFO holds, so it
+// wraps and grows under the held slot — and the connection must still
+// form over the line with its own fields.
+func TestHeldSlotSurvivesPushes(t *testing.T) {
+	n := NewNetwork(0)
+	t.Cleanup(n.Close)
+	const flood = 40
+	line := RouterFunc(func(self, _, _, _ overlay.NodeID, _, _, _ int) (overlay.NodeID, bool) {
+		if self == 1 {
+			for i := 0; i < flood; i++ {
+				n.Send(1, 2, &Message{Kind: MsgForward, Batch: 99, Conn: i, Initiator: 1, Responder: 3, Remaining: 1, Path: []overlay.NodeID{1}})
+			}
+		}
+		return self + 1, false
+	})
+	for id := overlay.NodeID(0); id < 4; id++ {
+		if err := n.Join(id, line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.Local(2).CloseBatch(99)
+	path, _, err := n.ConnectDetail(0, 3, 1, 1, 4, 5*time.Second)
+	if err != nil || !reflect.DeepEqual(path, []overlay.NodeID{0, 1, 2, 3}) {
+		t.Fatalf("path %v, err %v; want [0 1 2 3]", path, err)
+	}
+	if got := n.Telemetry().Counter("transport_closed_batch_total", nil).Value(); got != flood {
+		t.Fatalf("%d flooded FORWARDs refused, want %d", got, flood)
 	}
 }
 
@@ -477,7 +569,7 @@ func TestCloseIdempotentAndRefusesTraffic(t *testing.T) {
 	n.Close()
 	n.Close()
 	before := n.Metrics()
-	if n.Send(0, 1, Message{Kind: MsgForward, Batch: 1, Conn: 2, Initiator: 0, Responder: 4, Path: []overlay.NodeID{0}}) {
+	if n.Send(0, 1, &Message{Kind: MsgForward, Batch: 1, Conn: 2, Initiator: 0, Responder: 4, Path: []overlay.NodeID{0}}) {
 		t.Fatal("Send after Close accepted a message")
 	}
 	if got := n.Metrics().Dropped - before.Dropped; got != 1 {
