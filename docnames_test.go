@@ -125,6 +125,17 @@ func parseTree(t *testing.T) *declTree {
 		embeds:  make(map[string][]string),
 		strs:    make(map[string]bool),
 	}
+	walkTree(t, func(path string, f *ast.File) {
+		d.add(f, !strings.HasSuffix(path, "_test.go"))
+	})
+	return d
+}
+
+// walkTree parses every Go file under the working directory and hands it
+// to fn with its slash-separated path, skipping hidden directories (build
+// caches among them) and testdata.
+func walkTree(t *testing.T, fn func(path string, f *ast.File)) {
+	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
 		if err != nil {
@@ -140,13 +151,12 @@ func parseTree(t *testing.T) *declTree {
 		if err != nil {
 			return err
 		}
-		d.add(f, !strings.HasSuffix(path, "_test.go"))
+		fn(filepath.ToSlash(path), f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d
 }
 
 // add records one file's declarations, and its string literals unless

@@ -3,7 +3,7 @@
 //
 //   - the baseline adversary whose routing is random (its objective is to
 //     break anonymity, not to earn incentives) — this behaviour lives in
-//     core (the Malicious flag) and is configured from here;
+//     core, behind the overlay's per-node Malicious flag;
 //   - the availability attacker: malicious nodes that stay maximally
 //     available so that reforming paths drift through them;
 //   - colluding observers: malicious nodes that pool the (cid,
@@ -19,26 +19,6 @@ import (
 	"p2panon/internal/overlay"
 	"p2panon/internal/sim"
 )
-
-// MarkFraction flags ⌈f·N⌉ of the overlay's nodes as malicious, chosen by
-// the supplied picker (tests pass a deterministic sampler; production uses
-// dist.SampleWithoutReplacement). It returns the marked IDs ascending.
-func MarkFraction(net *overlay.Network, f float64, pick func(n, k int) []int) []overlay.NodeID {
-	n := net.Len()
-	k := int(f*float64(n) + 0.5)
-	if k > n {
-		k = n
-	}
-	idx := pick(n, k)
-	out := make([]overlay.NodeID, 0, k)
-	for _, i := range idx {
-		id := overlay.NodeID(i)
-		net.Node(id).Malicious = true
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // HighAvailability implements the §5 availability attack: it rejoins every
 // malicious node that churn pushed offline, keeping the coalition
@@ -122,9 +102,6 @@ func (c *Coalition) ObservePath(res *core.PathResult) int {
 	}
 	return gained
 }
-
-// Observations returns the number of stored observations.
-func (c *Coalition) Observations() int { return len(c.obs) }
 
 // FirstHopExposures returns, per connection, whether some coalition member
 // directly observed the true initiator as its predecessor — the

@@ -18,49 +18,18 @@ func testNet(t *testing.T, n int) *overlay.Network {
 	return net
 }
 
-func firstK(n, k int) []int {
-	out := make([]int, k)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-func TestMarkFraction(t *testing.T) {
-	net := testNet(t, 40)
-	marked := MarkFraction(net, 0.25, firstK)
-	if len(marked) != 10 {
-		t.Fatalf("marked %d, want 10", len(marked))
-	}
-	for _, id := range marked {
-		if !net.Node(id).Malicious {
-			t.Fatalf("node %d not malicious", id)
-		}
-	}
-	count := 0
-	for _, id := range net.AllIDs() {
-		if net.Node(id).Malicious {
-			count++
-		}
-	}
-	if count != 10 {
-		t.Fatalf("total malicious %d", count)
-	}
-}
-
-func TestMarkFractionClampsAtN(t *testing.T) {
-	net := testNet(t, 5)
-	marked := MarkFraction(net, 2.0, firstK)
-	if len(marked) != 5 {
-		t.Fatalf("marked %d, want all 5", len(marked))
+// markFirst flags nodes 0 … k−1 as malicious.
+func markFirst(net *overlay.Network, k int) {
+	for i := 0; i < k; i++ {
+		net.Node(overlay.NodeID(i)).Malicious = true
 	}
 }
 
 func TestHighAvailabilityRevives(t *testing.T) {
 	net := testNet(t, 10)
-	MarkFraction(net, 0.3, firstK) // nodes 0,1,2
-	net.Leave(10, 0, false)        // malicious offline
-	net.Leave(10, 5, false)        // good offline
+	markFirst(net, 3)       // nodes 0,1,2
+	net.Leave(10, 0, false) // malicious offline
+	net.Leave(10, 5, false) // good offline
 	revived := HighAvailability(net, 20)
 	if revived != 1 {
 		t.Fatalf("revived %d, want 1", revived)
@@ -75,7 +44,7 @@ func TestHighAvailabilityRevives(t *testing.T) {
 
 func TestHighAvailabilityIgnoresDeparted(t *testing.T) {
 	net := testNet(t, 10)
-	MarkFraction(net, 0.3, firstK)
+	markFirst(net, 3)
 	net.Leave(10, 1, true) // permanent departure
 	if revived := HighAvailability(net, 20); revived != 0 {
 		t.Fatalf("revived %d departed nodes", revived)
@@ -84,7 +53,7 @@ func TestHighAvailabilityIgnoresDeparted(t *testing.T) {
 
 func TestAttachHighAvailability(t *testing.T) {
 	net := testNet(t, 10)
-	MarkFraction(net, 0.2, firstK)
+	markFirst(net, 2)
 	e := sim.NewEngine()
 	cancel := AttachHighAvailability(e, net, 30)
 	e.AfterFunc(10, func(*sim.Engine) { net.Leave(10, 0, false) })
@@ -188,3 +157,6 @@ func TestGuessAccuracy(t *testing.T) {
 		t.Fatal("empty coalition accuracy should be 0")
 	}
 }
+
+// Observations returns the number of stored observations.
+func (c *Coalition) Observations() int { return len(c.obs) }

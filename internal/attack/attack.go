@@ -107,40 +107,3 @@ func Entropy(probs []float64) float64 {
 	}
 	return h
 }
-
-// DegreeFromProbs returns d = H(probs)/log2(n); the general (non-uniform)
-// degree of anonymity.
-func DegreeFromProbs(probs []float64, n int) float64 {
-	if n <= 1 {
-		return 0
-	}
-	hMax := math.Log2(float64(n))
-	if hMax == 0 {
-		return 0
-	}
-	d := Entropy(probs) / hMax
-	if d > 1 {
-		return 1
-	}
-	return d
-}
-
-// PredecessorPosterior builds the attacker's posterior over initiator
-// candidates from predecessor observations (counts of how often each node
-// was seen handing a payload to the first compromised hop). Crowds-style
-// analysis: the true initiator appears as the observed predecessor more
-// often than any relay.
-func PredecessorPosterior(counts map[overlay.NodeID]int) map[overlay.NodeID]float64 {
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	out := make(map[overlay.NodeID]float64, len(counts))
-	if total == 0 {
-		return out
-	}
-	for id, c := range counts {
-		out[id] = float64(c) / float64(total)
-	}
-	return out
-}

@@ -134,24 +134,6 @@ func TestDegreeFromProbs(t *testing.T) {
 	}
 }
 
-func TestPredecessorPosterior(t *testing.T) {
-	counts := map[overlay.NodeID]int{1: 6, 2: 2, 3: 2}
-	post := PredecessorPosterior(counts)
-	if math.Abs(post[1]-0.6) > 1e-12 {
-		t.Fatalf("posterior %v", post)
-	}
-	sum := 0.0
-	for _, p := range post {
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("posterior sums to %g", sum)
-	}
-	if got := PredecessorPosterior(nil); len(got) != 0 {
-		t.Fatal("empty counts should give empty posterior")
-	}
-}
-
 // Property: anonymity-set size is non-increasing in rounds; degree in
 // [0, 1].
 func TestQuickIntersectionMonotone(t *testing.T) {
@@ -199,4 +181,21 @@ func TestQuickInitiatorSurvives(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// DegreeFromProbs returns d = H(probs)/log2(n); the general (non-uniform)
+// degree of anonymity.
+func DegreeFromProbs(probs []float64, n int) float64 {
+	if n <= 1 {
+		return 0
+	}
+	hMax := math.Log2(float64(n))
+	if hMax == 0 {
+		return 0
+	}
+	d := Entropy(probs) / hMax
+	if d > 1 {
+		return 1
+	}
+	return d
 }

@@ -30,9 +30,6 @@ func NewTrafficCorrelator(responder overlay.NodeID) *TrafficCorrelator {
 	}
 }
 
-// Epochs returns the number of observation epochs recorded.
-func (tc *TrafficCorrelator) Epochs() int { return tc.epochs }
-
 // RecordEpoch folds in one observation epoch: sendCounts maps each node to
 // the number of messages it originated or forwarded in the epoch, and
 // received is the number of messages the responder received.
@@ -122,16 +119,6 @@ func (tc *TrafficCorrelator) Rank() []Suspect {
 		return out[i].Node < out[j].Node
 	})
 	return out
-}
-
-// TopSuspect returns the highest-ranked candidate, or (overlay.None, 0)
-// with no observations.
-func (tc *TrafficCorrelator) TopSuspect() (overlay.NodeID, float64) {
-	ranked := tc.Rank()
-	if len(ranked) == 0 {
-		return overlay.None, 0
-	}
-	return ranked[0].Node, ranked[0].Score
 }
 
 // RankOf returns the 1-based rank of the given node in the suspect list

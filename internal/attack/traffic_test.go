@@ -121,3 +121,16 @@ func TestCorrelatorEmpty(t *testing.T) {
 		t.Fatal("score of unobserved node")
 	}
 }
+
+// TopSuspect returns the highest-ranked candidate, or (overlay.None, 0)
+// with no observations.
+func (tc *TrafficCorrelator) TopSuspect() (overlay.NodeID, float64) {
+	ranked := tc.Rank()
+	if len(ranked) == 0 {
+		return overlay.None, 0
+	}
+	return ranked[0].Node, ranked[0].Score
+}
+
+// Epochs returns the number of observation epochs recorded.
+func (tc *TrafficCorrelator) Epochs() int { return tc.epochs }

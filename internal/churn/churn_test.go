@@ -23,7 +23,7 @@ func TestStaticSeedsExactlyN(t *testing.T) {
 	cfg := Config{N: 40, Static: true}
 	e, net, drv := setup(t, cfg, 1)
 	drv.Start(e)
-	e.RunUntil(sim.Hours(10))
+	e.RunUntil(sim.Time(10 * 3600))
 	if net.Len() != 40 {
 		t.Fatalf("Len = %d", net.Len())
 	}
@@ -72,7 +72,7 @@ func TestChurnProducesLeavesAndRejoins(t *testing.T) {
 	cfg.ArrivalRate = 0
 	e, net, drv := setup(t, cfg, 4)
 	drv.Start(e)
-	e.RunUntil(sim.Hours(24))
+	e.RunUntil(sim.Time(24 * 3600))
 	// After a day with median 60-minute sessions and 10% departure odds,
 	// there must be substantial state diversity.
 	states := map[overlay.State]int{}
@@ -91,7 +91,7 @@ func TestArrivalsReplaceDepartures(t *testing.T) {
 	cfg := DefaultConfig()
 	e, net, drv := setup(t, cfg, 5)
 	drv.Start(e)
-	e.RunUntil(sim.Hours(24))
+	e.RunUntil(sim.Time(24 * 3600))
 	if net.Len() <= cfg.N {
 		t.Fatalf("no arrivals: Len=%d", net.Len())
 	}
@@ -112,7 +112,7 @@ func TestSessionTimesFollowConfiguredMedian(t *testing.T) {
 	}
 	e, net, drv := setup(t, cfg, 6)
 	drv.Start(e)
-	e.RunUntil(sim.Hours(200))
+	e.RunUntil(sim.Time(200 * 3600))
 	sum := 0.0
 	for _, id := range net.AllIDs() {
 		sum += net.Availability(e.Now(), id)
@@ -131,7 +131,7 @@ func TestDeterministicChurn(t *testing.T) {
 		drv := NewDriver(cfg, net, rng.Split())
 		e := sim.NewEngine()
 		drv.Start(e)
-		e.RunUntil(sim.Hours(12))
+		e.RunUntil(sim.Time(12 * 3600))
 		return net.Len(), net.OnlineCount(), drv.Departures()
 	}
 	l1, o1, d1 := run()
@@ -235,7 +235,7 @@ func TestSessionDurationsConvergeToMedian(t *testing.T) {
 		// DepartProb 0: every node cycles sessions for the whole run, so the
 		// sample count grows with the horizon instead of the population.
 	}
-	horizon := sim.Hours(4)
+	horizon := sim.Time(4 * 3600)
 	durations := observeSessions(t, cfg, 99, horizon)
 	if len(durations) < 1000 {
 		t.Fatalf("only %d completed sessions; the churn process barely ran", len(durations))

@@ -370,11 +370,11 @@ func TestCompositionJSONRoundTrip(t *testing.T) {
 		Workers: 3,
 	}
 	path := filepath.Join(t.TempDir(), "comp.json")
-	if err := SaveComposition(path, comp); err != nil {
+	data, err := json.MarshalIndent(comp, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var flat map[string]any

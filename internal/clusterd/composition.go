@@ -1,7 +1,6 @@
 package clusterd
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
@@ -150,15 +149,6 @@ func LoadComposition(path string) (Composition, error) {
 		return Composition{}, err
 	}
 	return c, nil
-}
-
-// SaveComposition writes the composition as indented JSON.
-func SaveComposition(path string, c Composition) error {
-	data, err := json.MarshalIndent(c, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // RingRouter is the cluster's deterministic churn-aware router: the

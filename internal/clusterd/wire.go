@@ -180,17 +180,6 @@ func bodyCap(k byte) int {
 // caps.
 var envelope = wire.Envelope{Version: WireVersion, Max: maxBody, Cap: bodyCap}
 
-// EncodeMsg renders the canonical body (version, kind, payload) for m.
-// It validates the same bounds DecodeMsg enforces, so every encodable
-// message round-trips.
-func EncodeMsg(m *Msg) ([]byte, error) {
-	frame, err := encodeFrame(m)
-	if err != nil {
-		return nil, err
-	}
-	return frame[wire.PrefixSize:], nil
-}
-
 // WriteMsg frames and writes one message, returning bytes written.
 func WriteMsg(w io.Writer, m *Msg) (int, error) {
 	frame, err := encodeFrame(m)

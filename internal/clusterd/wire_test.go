@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"p2panon/internal/faultsim"
+	"p2panon/internal/wire"
 )
 
 // sampleMsgs covers every message kind with representative payloads.
@@ -41,7 +42,7 @@ func sampleMsgs() []*Msg {
 
 func TestMsgRoundTrip(t *testing.T) {
 	for _, m := range sampleMsgs() {
-		body, err := EncodeMsg(m)
+		body, err := encodeMsg(m)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", m.Kind, err)
 		}
@@ -53,7 +54,7 @@ func TestMsgRoundTrip(t *testing.T) {
 			t.Fatalf("%s: round trip:\n got %+v\nwant %+v", m.Kind, got, m)
 		}
 		// Canonical: re-encoding the decoded message is the identity.
-		re, err := EncodeMsg(got)
+		re, err := encodeMsg(got)
 		if err != nil {
 			t.Fatalf("%s: re-encode: %v", m.Kind, err)
 		}
@@ -141,7 +142,7 @@ func TestEncodeMsgRejections(t *testing.T) {
 		{"empty artifact kind", &Msg{Kind: MsgArtifact, Data: []byte("x")}, ErrMsgField},
 	}
 	for _, tc := range cases {
-		if _, err := EncodeMsg(tc.m); !errors.Is(err, tc.want) {
+		if _, err := encodeMsg(tc.m); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
@@ -150,7 +151,7 @@ func TestEncodeMsgRejections(t *testing.T) {
 func TestDecodeMsgRejections(t *testing.T) {
 	valid := func(m *Msg) []byte {
 		t.Helper()
-		b, err := EncodeMsg(m)
+		b, err := encodeMsg(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +240,7 @@ func TestReadMsgCaps(t *testing.T) {
 // panic or mis-parse.
 func FuzzBarrierWire(f *testing.F) {
 	for _, m := range sampleMsgs() {
-		body, err := EncodeMsg(m)
+		body, err := encodeMsg(m)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -260,7 +261,7 @@ func FuzzBarrierWire(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re, err := EncodeMsg(m)
+		re, err := encodeMsg(m)
 		if err != nil {
 			t.Fatalf("decoded message does not re-encode: %v", err)
 		}
@@ -282,4 +283,15 @@ func FuzzBarrierWire(f *testing.F) {
 			t.Fatalf("framed round trip diverges:\n got %+v\nwant %+v", got, m)
 		}
 	})
+}
+
+// encodeMsg renders the canonical body (version, kind, payload) for m: the
+// frame WriteMsg writes, without its length prefix. It validates the same
+// bounds DecodeMsg enforces, so every encodable message round-trips.
+func encodeMsg(m *Msg) ([]byte, error) {
+	frame, err := encodeFrame(m)
+	if err != nil {
+		return nil, err
+	}
+	return frame[wire.PrefixSize:], nil
 }

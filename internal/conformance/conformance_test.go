@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"p2panon/internal/clusterd"
 	"p2panon/internal/core"
 	"p2panon/internal/netwire"
 	"p2panon/internal/overlay"
@@ -40,7 +39,7 @@ func Backends() []Backend {
 		{
 			Name: "multiproc",
 			New: func(t testing.TB, latency time.Duration) transport.Conductor {
-				m := clusterd.NewMultiCluster(3, netwire.Config{Latency: latency})
+				m := NewMultiCluster(3, netwire.Config{Latency: latency})
 				t.Cleanup(m.Close)
 				return m
 			},

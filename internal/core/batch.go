@@ -414,22 +414,6 @@ func (b *Batch) spneTable(start overlay.NodeID, hops int) {
 		s.mMemoReset.Inc()
 		s.memoOwner = b.ID
 	}
-	if s.forceDense {
-		// Retained dense oracle (equivalence tests): the full table by an
-		// O(n²) scan through the map-free closure — the reference the
-		// demand-driven cells are pinned bit-identical against.
-		if !reuse {
-			dense := *g
-			// The oracle's edges carry the rule themselves
-			// (stageEdgeQuality), and the rule reads rows only.
-			dense.Adjacency, dense.Rule = nil, game.RowRule{}
-			dense.EdgeQuality = func(i, j int) float64 {
-				return b.stageEdgeQuality(overlay.NodeID(i), overlay.NodeID(j))
-			}
-			s.dense = dense.SolveInto(s.dense)
-		}
-		return
-	}
 	ph := s.Prof.Start(telemetry.PhaseSolveInduction)
 	if !reuse {
 		s.resetMemo(b)
@@ -441,16 +425,11 @@ func (b *Batch) spneTable(start overlay.NodeID, hops int) {
 }
 
 // prescribed returns the SPNE successor of cur with hops of budget left,
-// read from the game spneTable last solved for the batch — through
-// game.PathGame.Cell, or from the dense oracle's full table. (cur, hops)
-// lies in the cone solved at connection start: every hop follows an edge
-// of the holder's row. The dense oracle keeps its own table because it
-// never resets the rows, whose delivery rule Cell reads at stage 1.
+// read through game.PathGame.Cell from the game spneTable last solved for
+// the batch. (cur, hops) lies in the cone solved at connection start:
+// every hop follows an edge of the holder's row.
 func (b *Batch) prescribed(cur overlay.NodeID, hops int) overlay.NodeID {
 	s := b.sys
-	if s.forceDense {
-		return overlay.NodeID(s.dense[hops][cur].Next)
-	}
 	d, _ := s.stage.Cell(&s.memo, hops, int(cur))
 	return overlay.NodeID(d.Next)
 }
@@ -476,27 +455,6 @@ func (b *Batch) row(i int) {
 		s.overlay = append(s.overlay, b.Quality(overlay.NodeID(i), overlay.None, overlay.NodeID(j)))
 	}
 	s.rowAt[i] = int32(lo + 1)
-}
-
-// stageEdgeQuality returns q(i, j) for the stage game, or -1 when the edge
-// does not exist.
-func (b *Batch) stageEdgeQuality(i, j overlay.NodeID) float64 {
-	if i == j {
-		return -1
-	}
-	if !b.sys.Net.Online(i) || i == b.Responder {
-		return -1
-	}
-	if j == b.Responder {
-		return 1 // delivery edge, last-edge rule
-	}
-	if j == b.Initiator || !b.sys.Net.Online(j) {
-		return -1
-	}
-	if !b.sys.Net.IsNeighbor(i, j) {
-		return -1
-	}
-	return b.Quality(i, overlay.None, j)
 }
 
 // shuffleIDs is a tiny Fisher-Yates over node IDs using the system RNG.

@@ -208,11 +208,9 @@ type System struct {
 	// memo is the one demand-driven SPNE memo (game.SolveFrom), shared by
 	// every batch: it holds cells of the stage game of batch memoOwner (0
 	// = none) as of that batch's stamp, and is reset whenever another
-	// batch, or a stale stamp, asks for a solve. dense is the forceDense
-	// oracle's full table under the same ownership rule.
+	// batch, or a stale stamp, asks for a solve.
 	memo      game.Memo
 	memoOwner int
-	dense     [][]game.Decision
 
 	// stage is the Model-II stage game, its Adjacency bound once and its
 	// row rule set by every memo reset. A row is the node's base row, read
@@ -241,12 +239,6 @@ type System struct {
 	mCells      *telemetry.Counter
 	mMemoReused *telemetry.Counter
 	mMemoReset  *telemetry.Counter
-
-	// forceDense routes spneTable through the retained dense EdgeQuality
-	// oracle instead of the demand-driven solve. Test-only: the
-	// equivalence suites use it to prove the two produce bit-identical
-	// cells, paths and payoffs.
-	forceDense bool
 }
 
 // SolverStats accumulates what the Utility Model II solver did across a
@@ -477,11 +469,10 @@ func (s *System) resetMemo(b *Batch) {
 }
 
 // releaseSolve drops the solve state a closed batch no longer needs: the
-// memo, the dense table, the overlays and the holder snapshot. Base rows
-// are kept: they belong to the node like the estimators they are read
-// from.
+// memo, the overlays and the holder snapshot. Base rows are kept: they
+// belong to the node like the estimators they are read from.
 func (s *System) releaseSolve() {
-	s.memo, s.memoOwner, s.dense = game.Memo{}, 0, nil
+	s.memo, s.memoOwner = game.Memo{}, 0
 	s.rowAt, s.overlay, s.fill = nil, nil, nil
 	s.stage.Rule = game.RowRule{}
 }

@@ -2,36 +2,24 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"testing"
 
-	"p2panon/internal/game"
 	"p2panon/internal/overlay"
 )
 
-// rootedConn is one connection of a rooted-solve run: its path and edge
-// qualities, plus the decision table right after it ran — every cell on
-// the dense oracle (known == nil), the cells solved so far on the
-// demand-driven solver. Neither solver touches its table during the walk,
-// so both show the game as it stood when the connection started.
-type rootedConn struct {
-	batch int
-	res   *PathResult
-	table [][]game.Decision
-	known [][]bool
-}
-
 // runRootedScript runs eight connections on each of six batches, round
-// robin, so every solve finds the shared memo in another batch's hands.
-// The initiators are malicious nodes picked for having the most malicious
-// neighbors: a malicious holder routes at random without reading the
-// table, so these connections often record two hops — I's and a malicious
-// first relay's — before the first prescription is read.
-func runRootedScript(t *testing.T, dense bool) ([]rootedConn, [][]NodePayoff) {
+// robin, so every solve finds the shared memo in another batch's hands,
+// and holds each connection, and each batch's settled payoffs, to the
+// dense oracle (equivRun.runConnection). The initiators are malicious
+// nodes picked for having the most malicious neighbors: a malicious
+// holder routes at random without reading the table, so these connections
+// often record two hops — I's and a malicious first relay's — before the
+// first prescription is read. It returns how many did.
+func runRootedScript(t *testing.T) (lateReads int) {
 	t.Helper()
 	const n, batches, conns = 80, 6, 8
-	sys := equivSystem(t, n, 9, dense)
+	sys := equivSystem(t, n, 9)
 	bad := func(id overlay.NodeID) bool { return sys.Net.Node(id).Malicious }
 	var initiators []overlay.NodeID
 	badNeighbors := map[overlay.NodeID]int{}
@@ -49,30 +37,36 @@ func runRootedScript(t *testing.T, dense bool) ([]rootedConn, [][]NodePayoff) {
 		return badNeighbors[initiators[a]] > badNeighbors[initiators[b]]
 	})
 	live := make([]*Batch, batches)
+	runs := make([]*equivRun, batches)
 	for k := range live {
 		r := overlay.NodeID(n - 1 - 7*k) // 79, 72, …: none is ≡ 3 (mod 7)
 		b, err := sys.NewBatch(initiators[k], r, Contract{Pf: 75, Pr: 150}, UtilityII)
 		if err != nil {
 			t.Fatal(err)
 		}
-		live[k] = b
+		live[k], runs[k] = b, &equivRun{}
 	}
-	var out []rootedConn
 	for c := 0; c < conns; c++ {
 		for k, b := range live {
-			rc := rootedConn{batch: k, res: b.RunConnection()}
-			rc.table, rc.known = solvedTable(sys)
-			if dense {
-				rc.known = nil
+			label := fmt.Sprintf("batch %d", k)
+			res, known := runs[k].runConnection(t, label, b)
+			rooted := false
+			for h := range known {
+				// Stage 1 is read for any node; a solved root is stage ≥ 2.
+				rooted = rooted || h >= 2 && known[h][res.Nodes[0]]
 			}
-			out = append(out, rc)
+			if !rooted {
+				t.Fatalf("%s conn %d: no cell of the initiator is solved", label, res.Conn)
+			}
+			if p := res.Nodes; len(p) > 3 && isMalicious(p[1]) {
+				lateReads++
+			}
 		}
 	}
-	payoffs := make([][]NodePayoff, batches)
 	for k, b := range live {
-		payoffs[k] = b.Settle()
+		requireOraclePayoffs(t, fmt.Sprintf("batch %d", k), b, runs[k])
 	}
-	return out, payoffs
+	return lateReads
 }
 
 // TestDemandSolveRootedAtConnectionStart pins the two rules that keep the
@@ -90,56 +84,13 @@ func runRootedScript(t *testing.T, dense bool) ([]rootedConn, [][]NodePayoff) {
 // nothing, without another estimator-creation pass.
 func TestDemandSolveRootedAtConnectionStart(t *testing.T) {
 	t.Run("interleaved malicious initiators", func(t *testing.T) {
-		demand, demandPay := runRootedScript(t, false)
-		oracle, oraclePay := runRootedScript(t, true)
-		lateReads := 0
-		for c := range oracle {
-			d, o := demand[c], oracle[c]
-			label := fmt.Sprintf("conn %d (batch %d)", c, d.batch)
-			if fmt.Sprint(d.res.Nodes) != fmt.Sprint(o.res.Nodes) {
-				t.Fatalf("%s: path %v, oracle %v", label, d.res.Nodes, o.res.Nodes)
-			}
-			for e := range o.res.EdgeQualities {
-				if !sameBits(d.res.EdgeQualities[e], o.res.EdgeQualities[e]) {
-					t.Fatalf("%s edge %d: quality %x, oracle %x", label, e,
-						math.Float64bits(d.res.EdgeQualities[e]), math.Float64bits(o.res.EdgeQualities[e]))
-				}
-			}
-			if len(d.table) != len(o.table) {
-				t.Fatalf("%s: the connection ran without a solve", label)
-			}
-			rooted := false
-			for h := range o.table {
-				// Stage 1 is read for any node; a solved root is stage ≥ 2.
-				rooted = rooted || h >= 2 && d.known[h][d.res.Nodes[0]]
-				for i := range o.table[h] {
-					if !d.known[h][i] {
-						continue
-					}
-					if !sameCell(d.table[h][i], o.table[h][i]) {
-						t.Fatalf("%s: cell (%d,%d) = %+v, oracle at connection start %+v", label, h, i, d.table[h][i], o.table[h][i])
-					}
-				}
-			}
-			if !rooted {
-				t.Fatalf("%s: no cell of the initiator is solved", label)
-			}
-			if p := d.res.Nodes; len(p) > 3 && isMalicious(p[1]) {
-				lateReads++
-			}
-		}
-		if lateReads < 3 {
+		if lateReads := runRootedScript(t); lateReads < 3 {
 			t.Fatalf("only %d connections recorded two hops before the first table read; the script no longer exercises the rule", lateReads)
-		}
-		for k := range oraclePay {
-			if fmt.Sprint(demandPay[k]) != fmt.Sprint(oraclePay[k]) {
-				t.Fatalf("batch %d payoffs %v, oracle %v", k, demandPay[k], oraclePay[k])
-			}
 		}
 	})
 
 	t.Run("memo changes hands under a fresh stamp", func(t *testing.T) {
-		sys := equivSystem(t, 60, 5, false)
+		sys := equivSystem(t, 60, 5)
 		a, err := sys.NewBatch(0, 59, Contract{Pf: 75, Pr: 150}, UtilityII)
 		if err != nil {
 			t.Fatal(err)
@@ -169,8 +120,8 @@ func TestDemandSolveRootedAtConnectionStart(t *testing.T) {
 		if sys.Probes.Len() != created {
 			t.Fatalf("estimators went from %d to %d on a fresh stamp", created, sys.Probes.Len())
 		}
-		requireSameTable(t, "a after b", fullTable(a), freshOracleSolve(a))
-		requireSameTable(t, "b after a", fullTable(b), freshOracleSolve(b))
+		requireSameTable(t, "a after b", fullTable(a), solveDense(a).table)
+		requireSameTable(t, "b after a", fullTable(b), solveDense(b).table)
 	})
 }
 

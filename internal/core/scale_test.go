@@ -123,7 +123,7 @@ func TestSolveScratchReleasedOnClose(t *testing.T) {
 		t.Fatal("Batch.Close released the solve state while another batch is open")
 	}
 	other.Close()
-	if !reflect.ValueOf(sys.memo).IsZero() || sys.dense != nil || sys.memoOwner != 0 {
+	if !reflect.ValueOf(sys.memo).IsZero() || sys.memoOwner != 0 {
 		t.Fatal("closing the last batch left the memo pinned")
 	}
 	if sys.rowAt != nil || sys.overlay != nil || sys.fill != nil || !reflect.ValueOf(sys.stage.Rule).IsZero() {

@@ -10,25 +10,6 @@ import (
 	"p2panon/internal/sim"
 )
 
-// freshOracleSolve solves the batch's stage game from scratch through the
-// pre-index scan path: the map-free stageEdgeQuality oracle and a freshly
-// allocated table. It is the reference the batch's own solver is checked
-// against.
-func freshOracleSolve(b *Batch) [][]game.Decision {
-	g := &game.PathGame{
-		Nodes:     b.sys.Net.Len(),
-		Responder: int(b.Responder),
-		EdgeQuality: func(i, j int) float64 {
-			return b.stageEdgeQuality(overlay.NodeID(i), overlay.NodeID(j))
-		},
-		Pf:      b.Contract.Pf,
-		Pr:      b.Contract.Pr,
-		Cost:    b.sys.cfg.Cost,
-		MaxHops: b.sys.cfg.MaxHops,
-	}
-	return g.Solve()
-}
-
 func requireSameTable(t *testing.T, step string, got, want [][]game.Decision) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -62,7 +43,7 @@ func TestSPNECacheMatchesFreshSolve(t *testing.T) {
 			t.Fatal(err)
 		}
 		check := func(step string) {
-			requireSameTable(t, step, fullTable(b), freshOracleSolve(b))
+			requireSameTable(t, step, fullTable(b), solveDense(b).table)
 		}
 		check("initial")
 		now := sim.Time(0)
@@ -123,7 +104,7 @@ func TestSPNECacheHitReusesTable(t *testing.T) {
 	if st := sys.SolverStats(); st.Solves != longer.Solves+1 || st.Fallbacks != longer.Fallbacks+1 {
 		t.Fatalf("Touch did not reset the memo: %+v → %+v", longer, st)
 	}
-	requireSameTable(t, "after Touch", fullTable(b), freshOracleSolve(b))
+	requireSameTable(t, "after Touch", fullTable(b), solveDense(b).table)
 }
 
 // TestSPNECacheInvalidatedOnClose pins that closing a batch (dropping its

@@ -1,6 +1,6 @@
 // Package dist provides deterministic pseudo-random sources and the
 // probability distributions used throughout the simulator: uniform,
-// exponential, Poisson, Pareto and a handful of discrete helpers.
+// exponential, Pareto and a handful of discrete helpers.
 //
 // All randomness in the repository flows through a dist.Source so that every
 // experiment is exactly reproducible from a (configuration, seed) pair. A
@@ -134,44 +134,6 @@ func (r *Source) Exponential(rate float64) float64 {
 	u := r.Float64()
 	// 1-u is in (0,1], so Log is finite.
 	return -math.Log(1-u) / rate
-}
-
-// Poisson returns a draw from the Poisson distribution with mean lambda.
-// It uses Knuth's product method for small lambda and a normal
-// approximation (rounded, clamped at zero) for large lambda.
-func (r *Source) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda < 30 {
-		l := math.Exp(-lambda)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	n := r.Normal(lambda, math.Sqrt(lambda))
-	if n < 0 {
-		return 0
-	}
-	return int(n + 0.5)
-}
-
-// Normal returns a draw from the normal distribution with the given mean
-// and standard deviation, using the Box-Muller transform.
-func (r *Source) Normal(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
 }
 
 // Pareto describes a Pareto (Type I) distribution with scale Xm > 0 and

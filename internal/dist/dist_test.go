@@ -431,3 +431,41 @@ func TestMul64(t *testing.T) {
 		}
 	}
 }
+
+// Poisson returns a draw from the Poisson distribution with mean lambda.
+// It uses Knuth's product method for small lambda and a normal
+// approximation (rounded, clamped at zero) for large lambda.
+func (r *Source) Poisson(lambda float64) int {
+	if lambda <= 0 {
+		return 0
+	}
+	if lambda < 30 {
+		l := math.Exp(-lambda)
+		k := 0
+		p := 1.0
+		for {
+			p *= r.Float64()
+			if p <= l {
+				return k
+			}
+			k++
+		}
+	}
+	n := r.Normal(lambda, math.Sqrt(lambda))
+	if n < 0 {
+		return 0
+	}
+	return int(n + 0.5)
+}
+
+// Normal returns a draw from the normal distribution with the given mean
+// and standard deviation, using the Box-Muller transform.
+func (r *Source) Normal(mean, stddev float64) float64 {
+	u1 := r.Float64()
+	for u1 == 0 {
+		u1 = r.Float64()
+	}
+	u2 := r.Float64()
+	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+	return mean + stddev*z
+}

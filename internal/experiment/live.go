@@ -264,49 +264,3 @@ func busiestForwarders(sofar *transport.TraceResult, endpoints map[overlay.NodeI
 	}
 	return ids
 }
-
-// LiveReformationComparison sets the live runtime's reformation behaviour
-// against the simulator's Prop. 1 measurement: the live side counts actual
-// relaunched connections under mid-run departures, the simulated side the
-// new-edge rate E[X] under the paper's churn model. Both should show
-// utility routing reforming less than random routing.
-type LiveReformationComparison struct {
-	Random, Utility *LiveOutcome
-	// SimRandomNewEdge/SimUtilityNewEdge are the simulator's mean
-	// per-batch new-edge rates for the same two strategies.
-	SimRandomNewEdge, SimUtilityNewEdge float64
-}
-
-// CompareLiveReformation runs the live replay for random and Utility-I
-// routing (same seed, same workload shape) and a matching pair of
-// simulator runs, returning both sides' reformation measurements.
-func CompareLiveReformation(s LiveSetup) (*LiveReformationComparison, error) {
-	cmp := &LiveReformationComparison{}
-	var err error
-	rs := s
-	rs.Strategy = core.Random
-	if cmp.Random, err = RunLive(rs); err != nil {
-		return nil, err
-	}
-	us := s
-	us.Strategy = core.UtilityI
-	if cmp.Utility, err = RunLive(us); err != nil {
-		return nil, err
-	}
-	for _, strat := range []core.Strategy{core.Random, core.UtilityI} {
-		sim := Quick()
-		sim.Seed = s.Seed
-		sim.Strategy = strat
-		res, err := Run(sim)
-		if err != nil {
-			return nil, err
-		}
-		rate := stats.Mean(res.NewEdgeRates)
-		if strat == core.Random {
-			cmp.SimRandomNewEdge = rate
-		} else {
-			cmp.SimUtilityNewEdge = rate
-		}
-	}
-	return cmp, nil
-}

@@ -78,32 +78,6 @@ func TestRunLiveRejectsUnsupported(t *testing.T) {
 	}
 }
 
-func TestCompareLiveReformation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs four full studies")
-	}
-	s := DefaultLive()
-	s.Seed = 3
-	cmp, err := CompareLiveReformation(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.Random.Strategy != core.Random || cmp.Utility.Strategy != core.UtilityI {
-		t.Fatal("comparison ran wrong strategies")
-	}
-	for _, o := range []*LiveOutcome{cmp.Random, cmp.Utility} {
-		if o.Completed == 0 {
-			t.Fatalf("%v live run completed nothing", o.Strategy)
-		}
-	}
-	// Both measurement sides must be populated; cross-strategy ordering is
-	// a statistical claim (Prop. 1) asserted by the simulator experiments,
-	// not by one seed here.
-	if cmp.SimRandomNewEdge <= 0 || cmp.SimUtilityNewEdge <= 0 {
-		t.Fatalf("sim new-edge rates %g / %g", cmp.SimRandomNewEdge, cmp.SimUtilityNewEdge)
-	}
-}
-
 // TestRunLiveOverTCP replays the live churn study over the netwire TCP
 // loopback backend via the NewConductor hook: the same workload, routers
 // and mid-run removals, but every hop crossing a real socket. The study

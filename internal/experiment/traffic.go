@@ -155,15 +155,3 @@ func RunTrajectory(base Setup, strategies []core.Strategy, trials int) (map[core
 	}
 	return out, nil
 }
-
-// ConvergencePoint summarises a trajectory: the connection index by which
-// the per-connection new-edge rate first drops below the threshold, or -1
-// if it never does.
-func ConvergencePoint(pts []TrajectoryPoint, threshold float64) int {
-	for _, p := range pts {
-		if p.NewEdgeRate < threshold {
-			return p.Conn
-		}
-	}
-	return -1
-}

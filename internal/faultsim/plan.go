@@ -266,15 +266,6 @@ func UnmarshalStrict(data []byte, v any) error {
 	return errors.New("faultsim: data after the top-level JSON value")
 }
 
-// SavePlan writes the plan as indented JSON.
-func SavePlan(path string, p Plan) error {
-	data, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // GeneratePlan derives a benign noise plan from a seed: churn plus a
 // pseudo-random mix of message, node and claim faults that a correct
 // system must absorb without violating any invariant. It never schedules

@@ -9,14 +9,14 @@ import (
 // The participation condition of Proposition 2: with participation cost 5,
 // transmission cost 2, N = 40 peers, average path length 4 and k = 20
 // recurring connections, a forwarding benefit above 4.5 induces peers to
-// participate.
+// participate: 50 does, 4.5 itself does not (the inequality is strict).
 func ExampleParticipationThreshold() {
 	th := game.ParticipationThreshold(5, 2, 40, 4, 20)
 	fmt.Printf("threshold: %.2f\n", th)
-	fmt.Println(game.InducesParticipation(50, 5, 2, 40, 4, 20))
+	fmt.Println(50 > th, 4.5 > th)
 	// Output:
 	// threshold: 4.50
-	// true
+	// true false
 }
 
 // Proposition 3's dominance condition: forwarding dominates when the

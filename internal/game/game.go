@@ -1,46 +1,14 @@
-// Package game implements the game-theoretic machinery of §2.4: finite
-// normal-form games with dominant-strategy and Nash-equilibrium checks,
-// the L-stage path-formation game whose subgame-perfect Nash equilibrium
-// (SPNE) is computed by backward induction (Utility Model II), the
-// forwarding/routing strategy space, the cost model, and the paper's
-// Propositions 1–3 as checkable conditions.
+// Package game implements the game-theoretic machinery of §2.4 that the
+// simulator and the live routers run: the L-stage path-formation game
+// whose subgame-perfect Nash equilibrium (SPNE) is computed by backward
+// induction (Utility Model II), the cost model, and the paper's
+// Propositions 1–3 as thresholds and closed forms.
 package game
 
 import (
 	"fmt"
 	"math"
 )
-
-// ---------------------------------------------------------------------------
-// Strategy space (§2.4): SS_i = {1, …, i−1, i+1, …, N, NULL}.
-// ---------------------------------------------------------------------------
-
-// Choice is one of the three per-stage options the paper gives a node.
-type Choice uint8
-
-const (
-	// NotParticipate is the NULL strategy: decline to forward.
-	NotParticipate Choice = iota
-	// RouteRandom forwards to a uniformly random neighbor (the adversary
-	// model, and the baseline strategy).
-	RouteRandom
-	// RouteUtility forwards to the utility-maximising neighbor.
-	RouteUtility
-)
-
-// String returns the choice name.
-func (c Choice) String() string {
-	switch c {
-	case NotParticipate:
-		return "null"
-	case RouteRandom:
-		return "random"
-	case RouteUtility:
-		return "utility"
-	default:
-		return fmt.Sprintf("Choice(%d)", uint8(c))
-	}
-}
 
 // ---------------------------------------------------------------------------
 // Cost model (§2.4.1).
@@ -125,154 +93,12 @@ func ParticipationThreshold(cp, ct float64, n int, l float64, k int) float64 {
 	return cp*float64(n)/(l*float64(k)) + ct
 }
 
-// InducesParticipation reports Prop. 2's condition
-// P_f > C^p·N/(L·k) + C^t.
-func InducesParticipation(pf, cp, ct float64, n int, l float64, k int) bool {
-	return pf > ParticipationThreshold(cp, ct, n, l, k)
-}
-
 // ForwardingDominant reports Prop. 3's condition P_f > C^p + C^t, under
 // which forwarding is a dominant strategy for the forwarding stage: the
 // per-instance benefit alone covers the total per-instance cost, whatever
 // the other players do.
 func ForwardingDominant(pf, cp, ct float64) bool {
 	return pf > cp+ct
-}
-
-// ---------------------------------------------------------------------------
-// Finite normal-form games: dominance and Nash equilibria.
-// ---------------------------------------------------------------------------
-
-// NormalForm is a finite n-player normal-form game. Player p has
-// NumStrategies[p] pure strategies indexed from 0; Payoff returns each
-// player's payoff for a full strategy profile.
-type NormalForm struct {
-	NumStrategies []int
-	Payoff        func(profile []int) []float64
-}
-
-// Validate panics unless the game is well-formed.
-func (g *NormalForm) Validate() {
-	if len(g.NumStrategies) == 0 {
-		panic("game: no players")
-	}
-	for p, n := range g.NumStrategies {
-		if n < 1 {
-			panic(fmt.Sprintf("game: player %d has %d strategies", p, n))
-		}
-	}
-	if g.Payoff == nil {
-		panic("game: nil payoff function")
-	}
-}
-
-// forEachProfile enumerates every full strategy profile, invoking fn with
-// a reused slice (fn must not retain it).
-func (g *NormalForm) forEachProfile(fn func(profile []int)) {
-	profile := make([]int, len(g.NumStrategies))
-	var rec func(p int)
-	rec = func(p int) {
-		if p == len(profile) {
-			fn(profile)
-			return
-		}
-		for s := 0; s < g.NumStrategies[p]; s++ {
-			profile[p] = s
-			rec(p + 1)
-		}
-	}
-	rec(0)
-}
-
-// IsDominant reports whether strategy s is a (weakly) dominant strategy
-// for player p: for every profile of the opponents, s yields a payoff at
-// least as high as every alternative — and strictly higher against at
-// least one opponent profile for at least one alternative, unless the
-// player has a single strategy.
-func (g *NormalForm) IsDominant(p, s int) bool {
-	g.Validate()
-	if g.NumStrategies[p] == 1 {
-		return true
-	}
-	anyStrict := false
-	ok := true
-	g.forEachOpponentProfile(p, func(profile []int) {
-		profile[p] = s
-		us := g.Payoff(profile)[p]
-		for alt := 0; alt < g.NumStrategies[p]; alt++ {
-			if alt == s {
-				continue
-			}
-			profile[p] = alt
-			ua := g.Payoff(profile)[p]
-			if us < ua-1e-12 {
-				ok = false
-			}
-			if us > ua+1e-12 {
-				anyStrict = true
-			}
-		}
-	})
-	return ok && anyStrict
-}
-
-// forEachOpponentProfile enumerates profiles over all players; player p's
-// entry is left for the callback to set.
-func (g *NormalForm) forEachOpponentProfile(p int, fn func(profile []int)) {
-	profile := make([]int, len(g.NumStrategies))
-	var rec func(q int)
-	rec = func(q int) {
-		if q == len(profile) {
-			fn(profile)
-			return
-		}
-		if q == p {
-			rec(q + 1)
-			return
-		}
-		for s := 0; s < g.NumStrategies[q]; s++ {
-			profile[q] = s
-			rec(q + 1)
-		}
-	}
-	rec(0)
-}
-
-// IsNash reports whether profile is a pure-strategy Nash equilibrium: no
-// player can strictly improve by a unilateral deviation.
-func (g *NormalForm) IsNash(profile []int) bool {
-	g.Validate()
-	if len(profile) != len(g.NumStrategies) {
-		panic("game: profile length mismatch")
-	}
-	work := append([]int(nil), profile...)
-	base := g.Payoff(work)
-	for p := range g.NumStrategies {
-		orig := work[p]
-		for s := 0; s < g.NumStrategies[p]; s++ {
-			if s == orig {
-				continue
-			}
-			work[p] = s
-			if g.Payoff(work)[p] > base[p]+1e-12 {
-				return false
-			}
-		}
-		work[p] = orig
-	}
-	return true
-}
-
-// PureNash enumerates all pure-strategy Nash equilibria.
-func (g *NormalForm) PureNash() [][]int {
-	g.Validate()
-	var out [][]int
-	g.forEachProfile(func(profile []int) {
-		if g.IsNash(profile) {
-			out = append(out, append([]int(nil), profile...))
-		}
-	})
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -397,7 +223,7 @@ func (g *PathGame) prepare() {
 
 // rowView is one row as the rule reads it: positions 0 … n−1, which at
 // visits in ascending vertex order. Every read of a row — SolveFrom's
-// discovery, penultimateCell, solveCell and edgeQ — loops over them, so
+// discovery, penultimateCell, solveCell, AppendRow — loops over them, so
 // the rule is written once, and at is small enough to be inlined into
 // each loop.
 type rowView struct {
@@ -741,90 +567,6 @@ func SortUnique(xs []int32) int {
 		}
 	}
 	return w
-}
-
-// edgeQ returns q(i, j) under either formulation (−1 when absent); the
-// sparse lookup walks i's row as the rule reads it. Used by the
-// off-hot-path helpers (verification, brute force) so they accept both
-// views.
-func (g *PathGame) edgeQ(i, j int) float64 {
-	if g.Adjacency == nil {
-		return g.EdgeQuality(i, j)
-	}
-	g.prepare()
-	var row rowView
-	g.open(&row, i)
-	for a := 0; a < row.n; a++ {
-		if k, q, ok := row.at(a); ok && int(k) == j {
-			return q
-		}
-	}
-	return -1
-}
-
-// BestPath extracts the SPNE path from start to the responder using at
-// most MaxHops hops. It returns nil when no path exists within the budget.
-func (g *PathGame) BestPath(start int) []int {
-	table := g.Solve()
-	return extractPath(table, start, g.Responder, g.MaxHops)
-}
-
-func extractPath(table [][]Decision, start, responder, hops int) []int {
-	if start == responder {
-		return []int{start}
-	}
-	path := []int{start}
-	cur := start
-	for h := hops; h > 0; h-- {
-		d := table[h][cur]
-		if d.Next == -1 {
-			return nil
-		}
-		path = append(path, d.Next)
-		cur = d.Next
-		if cur == responder {
-			return path
-		}
-	}
-	return nil
-}
-
-// BruteForceBestQuality exhaustively searches all simple paths from start
-// to the responder of length <= maxHops and returns the maximum
-// edge-quality sum, or -Inf when unreachable. Exponential; used only by
-// tests to validate the backward induction.
-func (g *PathGame) BruteForceBestQuality(start, maxHops int) float64 {
-	visited := make([]bool, g.Nodes)
-	var rec func(i, hops int) float64
-	rec = func(i, hops int) float64 {
-		if i == g.Responder {
-			return 0
-		}
-		if hops == 0 {
-			return negInf
-		}
-		best := negInf
-		visited[i] = true
-		for j := 0; j < g.Nodes; j++ {
-			if j == i || visited[j] {
-				continue
-			}
-			q := g.edgeQ(i, j)
-			if q < 0 {
-				continue
-			}
-			cont := rec(j, hops-1)
-			if math.IsInf(cont, -1) {
-				continue
-			}
-			if q+cont > best {
-				best = q + cont
-			}
-		}
-		visited[i] = false
-		return best
-	}
-	return rec(start, maxHops)
 }
 
 // ---------------------------------------------------------------------------

@@ -8,12 +8,6 @@ import (
 	"p2panon/internal/dist"
 )
 
-func TestChoiceString(t *testing.T) {
-	if NotParticipate.String() != "null" || RouteRandom.String() != "random" || RouteUtility.String() != "utility" {
-		t.Fatal("Choice names wrong")
-	}
-}
-
 func TestCostModelTransmission(t *testing.T) {
 	c := CostModel{
 		Participation: 5,
@@ -46,12 +40,6 @@ func TestParticipationThreshold(t *testing.T) {
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("threshold = %g, want %g", got, want)
 	}
-	if !InducesParticipation(want+0.01, 10, 2, 40, 4, 20) {
-		t.Fatal("P_f above threshold should induce participation")
-	}
-	if InducesParticipation(want, 10, 2, 40, 4, 20) {
-		t.Fatal("P_f at threshold should not (strict inequality)")
-	}
 }
 
 func TestParticipationThresholdPanics(t *testing.T) {
@@ -72,128 +60,42 @@ func TestForwardingDominantCondition(t *testing.T) {
 	}
 }
 
-// forwardingGame builds the two-player forwarding stage game: each player
-// chooses Forward (0) or Null (1). Forwarding pays pf - cp - ct
-// unconditionally (the paper's per-instance accounting); Null pays 0.
-func forwardingGame(pf, cp, ct float64) *NormalForm {
-	pay := func(profile []int) []float64 {
-		out := make([]float64, 2)
-		for p, s := range profile {
-			if s == 0 {
-				out[p] = pf - cp - ct
-			}
-		}
-		return out
-	}
-	return &NormalForm{NumStrategies: []int{2, 2}, Payoff: pay}
-}
-
+// TestProp3DominantInStageGame holds Prop. 3's condition to the
+// forwarding stage game it summarises: each player chooses Forward, whose
+// stage payoff is pf − cp − ct whatever the others do (the paper's
+// per-instance accounting), or Null, which pays 0. Forward dominates
+// exactly when its payoff beats Null's, so ForwardingDominant must agree
+// with that comparison above, at and below cp + ct.
 func TestProp3DominantInStageGame(t *testing.T) {
-	// When P_f > C^p + C^t, Forward must be dominant for both players.
-	g := forwardingGame(10, 4, 5)
-	for p := 0; p < 2; p++ {
-		if !g.IsDominant(p, 0) {
-			t.Fatalf("Forward not dominant for player %d", p)
+	for _, tc := range []struct {
+		name        string
+		pf, cp, ct  float64
+		forwardWins bool
+	}{
+		{"above", 10, 4, 5, true},
+		{"just above", 9.5, 4, 5, true},
+		{"at", 9, 4, 5, false},
+		{"below", 8, 4, 5, false},
+		{"no costs, no benefit", 0, 0, 0, false},
+		{"no costs", 0.5, 0, 0, true},
+	} {
+		if got := ForwardingDominant(tc.pf, tc.cp, tc.ct); got != tc.forwardWins || got != (tc.pf-tc.cp-tc.ct > 0) {
+			t.Errorf("%s: ForwardingDominant(%g, %g, %g) = %v; Forward's payoff %g vs Null's 0",
+				tc.name, tc.pf, tc.cp, tc.ct, got, tc.pf-tc.cp-tc.ct)
 		}
-		if g.IsDominant(p, 1) {
-			t.Fatalf("Null dominant for player %d", p)
-		}
-	}
-	// And (Forward, Forward) is the unique pure Nash equilibrium.
-	eqs := g.PureNash()
-	if len(eqs) != 1 || eqs[0][0] != 0 || eqs[0][1] != 0 {
-		t.Fatalf("equilibria = %v", eqs)
 	}
 }
 
+// TestProp3FailsBelowThreshold checks the other side of Prop. 3: when
+// P_f < C^p + C^t, Forward's stage payoff pf − cp − ct is negative, so
+// Forward is not dominant and Null, which pays 0, is.
 func TestProp3FailsBelowThreshold(t *testing.T) {
-	// When P_f < C^p + C^t, Null is dominant instead.
-	g := forwardingGame(8, 4, 5)
-	if g.IsDominant(0, 0) {
+	pf, cp, ct := 8.0, 4.0, 5.0
+	if ForwardingDominant(pf, cp, ct) {
 		t.Fatal("Forward dominant despite negative margin")
 	}
-	if !g.IsDominant(0, 1) {
-		t.Fatal("Null should be dominant")
-	}
-}
-
-func TestPrisonersDilemmaNash(t *testing.T) {
-	// Defect/defect is the unique NE; cooperate/cooperate is not.
-	pd := &NormalForm{
-		NumStrategies: []int{2, 2},
-		Payoff: func(p []int) []float64 {
-			// 0 = cooperate, 1 = defect
-			switch {
-			case p[0] == 0 && p[1] == 0:
-				return []float64{3, 3}
-			case p[0] == 0 && p[1] == 1:
-				return []float64{0, 5}
-			case p[0] == 1 && p[1] == 0:
-				return []float64{5, 0}
-			default:
-				return []float64{1, 1}
-			}
-		},
-	}
-	if !pd.IsNash([]int{1, 1}) {
-		t.Fatal("defect/defect not NE")
-	}
-	if pd.IsNash([]int{0, 0}) {
-		t.Fatal("cooperate/cooperate is not an NE")
-	}
-	eqs := pd.PureNash()
-	if len(eqs) != 1 || eqs[0][0] != 1 || eqs[0][1] != 1 {
-		t.Fatalf("equilibria = %v", eqs)
-	}
-	if !pd.IsDominant(0, 1) || !pd.IsDominant(1, 1) {
-		t.Fatal("defect should be dominant")
-	}
-}
-
-func TestCoordinationGameMultipleNash(t *testing.T) {
-	g := &NormalForm{
-		NumStrategies: []int{2, 2},
-		Payoff: func(p []int) []float64 {
-			if p[0] == p[1] {
-				return []float64{1, 1}
-			}
-			return []float64{0, 0}
-		},
-	}
-	eqs := g.PureNash()
-	if len(eqs) != 2 {
-		t.Fatalf("coordination game has %d pure NE, want 2", len(eqs))
-	}
-	if g.IsDominant(0, 0) || g.IsDominant(0, 1) {
-		t.Fatal("coordination game has no dominant strategy")
-	}
-}
-
-func TestIsNashProfileLengthPanics(t *testing.T) {
-	g := forwardingGame(10, 1, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	g.IsNash([]int{0})
-}
-
-func TestNormalFormValidate(t *testing.T) {
-	bad := []*NormalForm{
-		{},
-		{NumStrategies: []int{2, 0}, Payoff: func([]int) []float64 { return nil }},
-		{NumStrategies: []int{2}},
-	}
-	for i, g := range bad {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("case %d: no panic", i)
-				}
-			}()
-			g.Validate()
-		}()
+	if forward, null := pf-cp-ct, 0.0; !(null > forward) {
+		t.Fatalf("Null should be dominant: Forward pays %g, Null %g", forward, null)
 	}
 }
 

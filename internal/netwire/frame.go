@@ -96,9 +96,10 @@ const (
 // a canonical frame of the given kind can occupy, or -1 for an unknown
 // kind. Fixed-layout kinds have exact sizes; the message kinds' field
 // caps sum past MaxFrameSize, so the global cap is their bound. Both
-// DecodeFrame and ReadFrame enforce it — ReadFrame before allocating the
-// body, so a corrupt or malicious peer cannot make a reader allocate
-// MaxFrameSize bytes for a frame kind whose payload is 8 bytes.
+// DecodeFrame and a connection's frame stream enforce it — the stream
+// before allocating the body, so a corrupt or malicious peer cannot make
+// a reader allocate MaxFrameSize bytes for a frame kind whose payload is
+// 8 bytes.
 func BodyCap(k Kind) int {
 	switch k {
 	case KindHello, KindHelloAck:
@@ -457,18 +458,6 @@ func WriteFrame(w io.Writer, f *Frame) (int, error) {
 		return 0, err
 	}
 	return w.Write(buf)
-}
-
-// ReadFrame reads exactly one frame from r — nothing past it, so frames
-// can be read off one stream call by call — returning it with the total
-// bytes consumed.
-func ReadFrame(r io.Reader) (*Frame, int, error) {
-	f := new(Frame)
-	n, err := readFrame(envelope.NewStream(r, wire.HeadSize), f)
-	if err != nil {
-		return nil, n, err
-	}
-	return f, n, nil
 }
 
 // connBuf is the buffer a connection keeps per direction at each end: the

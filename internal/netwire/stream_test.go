@@ -204,3 +204,15 @@ func TestFrameStreamSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// ReadFrame reads exactly one frame from r — nothing past it, so frames
+// can be read off one stream call by call — returning it with the total
+// bytes consumed.
+func ReadFrame(r io.Reader) (*Frame, int, error) {
+	f := new(Frame)
+	n, err := readFrame(envelope.NewStream(r, wire.HeadSize), f)
+	if err != nil {
+		return nil, n, err
+	}
+	return f, n, nil
+}

@@ -211,24 +211,6 @@ func (v *macVerifier) mac(conn, hop int) ([]byte, error) {
 	return buf[shaStateOff : shaStateOff+sha256.Size], nil
 }
 
-// VerifyAggregate re-derives the claim's chain under this minter's secret
-// and returns the accepted forwarding count: len(Entries) when the chain
-// matches, 0 otherwise (all-or-nothing). Each entry's receipt MAC is
-// recomputed by restoring the minter's precomputed key⊕ipad / key⊕opad
-// mid-states into one reused digest — the HMAC arithmetic without any
-// per-entry (or per-claim) instance setup — and folded into one streaming
-// SHA-256, so a claim verifies in O(m) with O(1) allocations.
-func (m *ReceiptMinter) VerifyAggregate(c *AggregateClaim) int {
-	v, ok := newMACVerifier(m.ipadState, m.opadState)
-	if !ok {
-		// The minter's construction-time self-check rejected the mid-state
-		// path (non-stdlib digest or a changed marshal format): take the
-		// plain crypto/hmac route instead.
-		return m.verifyAggregateSlow(c)
-	}
-	return m.verifyAggregateWith(v, sha256.New(), c)
-}
-
 // verifyAggregateWith is VerifyAggregate against caller-owned scratch: the
 // settlement loops hoist one verifier and one fold digest over a whole
 // claim batch instead of rebuilding them per claim. The order pre-check

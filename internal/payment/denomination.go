@@ -49,12 +49,3 @@ func (b *Bank) WithdrawAmount(id AccountID, amount Amount, rng io.Reader) ([]Tok
 	}
 	return tokens, nil
 }
-
-// TokensValue sums the denominations of a token set.
-func TokensValue(tokens []Token) Amount {
-	var total Amount
-	for _, t := range tokens {
-		total += t.Denom
-	}
-	return total
-}

@@ -76,7 +76,7 @@ func TestWithdrawAmountRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := TokensValue(tokens); got != 150 {
+	if got := tokensValue(tokens); got != 150 {
 		t.Fatalf("token value %d", got)
 	}
 	if len(tokens) != 4 { // 128+16+4+2
@@ -105,7 +105,7 @@ func TestWithdrawAmountInsufficientKeepsPartial(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	// The 128 token was withdrawn before the failure; caller keeps it.
-	if got := TokensValue(tokens); got != 128 {
+	if got := tokensValue(tokens); got != 128 {
 		t.Fatalf("partial tokens %d", got)
 	}
 	if bal, _ := b.Balance(1); bal != 2 {
@@ -146,4 +146,13 @@ func TestWithdrawAmountValidation(t *testing.T) {
 	if _, err := b.WithdrawAmount(1, -5, nil); !errors.Is(err, ErrBadAmount) {
 		t.Fatal("negative amount accepted")
 	}
+}
+
+// tokensValue sums the denominations of a token set.
+func tokensValue(tokens []Token) Amount {
+	var total Amount
+	for _, t := range tokens {
+		total += t.Denom
+	}
+	return total
 }

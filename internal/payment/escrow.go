@@ -40,13 +40,6 @@ func (b *Bank) OpenEscrow(initiator AccountID, amount Amount) (*Escrow, error) {
 	return &Escrow{bank: b, initiator: initiator, locked: amount}, nil
 }
 
-// Committed returns the amount still locked and payable.
-func (e *Escrow) Committed() Amount {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.locked - e.spent
-}
-
 // Pay releases amt from the escrow to a forwarder. It fails if the escrow
 // is closed or underfunded — the commitment can never be exceeded.
 func (e *Escrow) Pay(to AccountID, amt Amount) error {

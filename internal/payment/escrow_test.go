@@ -211,3 +211,10 @@ func TestEscrowHoldsFundsUntilSettled(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Committed returns the amount still locked and payable.
+func (e *Escrow) Committed() Amount {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.locked - e.spent
+}

@@ -44,65 +44,6 @@ func FuzzVerifyToken(f *testing.F) {
 	})
 }
 
-// FuzzTokenWire throws arbitrary byte strings at the token decoder: it
-// must never panic, and anything it accepts must re-encode to exactly the
-// input (canonical form). The seed corpus covers the interesting
-// boundaries — truncated headers, truncated and oversized signature
-// lengths, padded signatures and trailing garbage.
-func FuzzTokenWire(f *testing.F) {
-	b, err := NewBank(1024)
-	if err != nil {
-		f.Fatal(err)
-	}
-	b.OpenAccount(1, 1000)
-	req, err := NewWithdrawalRequest(b.PublicKey(), 10, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	blindSig, err := b.Withdraw(1, req)
-	if err != nil {
-		f.Fatal(err)
-	}
-	tok, err := req.Unblind(blindSig)
-	if err != nil {
-		f.Fatal(err)
-	}
-	genuine, err := EncodeToken(tok)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(genuine)
-	f.Add([]byte{})                                // empty
-	f.Add(genuine[:tokenHeaderSize-1])             // truncated header
-	f.Add(genuine[:tokenHeaderSize])               // header only, sig missing
-	f.Add(genuine[:len(genuine)-1])                // truncated signature
-	f.Add(append(append([]byte{}, genuine...), 0)) // trailing garbage
-	oversized := append([]byte{}, genuine...)
-	oversized[40], oversized[41] = 0xff, 0xff // sigLen 65535 > MaxSigBytes
-	f.Add(oversized)
-	padded := append([]byte{}, genuine[:tokenHeaderSize]...)
-	padded[40], padded[41] = 0, 3
-	padded = append(padded, 0, 1, 2) // leading-zero (non-canonical) sig
-	f.Add(padded)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, err := DecodeToken(data)
-		if err != nil {
-			return
-		}
-		re, err := EncodeToken(dec)
-		if err != nil {
-			t.Fatalf("decoded token failed to re-encode: %v", err)
-		}
-		if !bytes.Equal(re, data) {
-			t.Fatalf("non-canonical decode: %x re-encoded as %x", data, re)
-		}
-		// A forged decode must still never verify.
-		if VerifyToken(b.PublicKey(), dec) && !bytes.Equal(data, genuine) {
-			t.Fatal("forged wire token verified")
-		}
-	})
-}
-
 // FuzzReceiptWire covers the receipt round trip: arbitrary input never
 // panics the decoder, accepted input is canonical, and a structured
 // receipt survives encode→decode unchanged (including MAC validity).

@@ -4,81 +4,30 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/big"
 	"slices"
 
 	"p2panon/internal/wire"
 )
 
 // Wire encodings for the payment artifacts that cross the network: a
-// blind token handed to a forwarder (spend), a forwarding receipt and an
-// aggregate claim submitted at settlement. All are canonical — every
-// valid byte string decodes to exactly one value and re-encodes to the
-// same bytes — so they can be compared, deduplicated and MACed by their
-// encoding without a parse step. Each Encode is its Append form into a
-// buffer of the exact size.
+// forwarding receipt and an aggregate claim submitted at settlement. Both
+// are canonical — every valid byte string decodes to exactly one value
+// and re-encodes to the same bytes — so they can be compared, deduplicated
+// and MACed by their encoding without a parse step. Each Encode is its
+// Append form into a buffer of the exact size.
 //
-// Token:   8B denom (big-endian) | 32B serial | 2B sig length | sig bytes
 // Receipt: 8B conn | 8B hop | 8B forwarder | 32B MAC  (56 bytes fixed)
-
-// MaxSigBytes bounds a token signature: 1024 bytes covers an 8192-bit RSA
-// modulus, far beyond any key this repo generates. The cap keeps a hostile
-// length prefix from asking the decoder for megabytes.
-const MaxSigBytes = 1024
 
 // ReceiptWireSize is the fixed encoded size of a Receipt.
 const ReceiptWireSize = 8 + 8 + 8 + 32
-
-const tokenHeaderSize = 8 + 32 + 2
 
 // Wire decoding errors: internal/wire's shared set under this package's
 // names, plus the one malformation that is the payment formats' own.
 var (
 	ErrShortBuffer  = wire.ErrShort
 	ErrTrailingData = wire.ErrTrailing
-	ErrBadSigLength = wire.ErrField
-	ErrNonCanonical = errors.New("payment: non-canonical signature encoding")
+	ErrNonCanonical = errors.New("payment: non-canonical encoding")
 )
-
-// EncodeToken renders tok in the canonical wire format. It returns an
-// error on a nil or oversized signature rather than panicking: tokens
-// arrive from the payment layer but also from tests and fuzzers.
-func EncodeToken(tok Token) ([]byte, error) { return AppendToken(nil, tok) }
-
-// AppendToken appends tok's canonical encoding to dst, growing it once.
-func AppendToken(dst []byte, tok Token) ([]byte, error) {
-	if tok.Sig == nil || tok.Sig.Sign() < 0 {
-		return dst, errors.New("payment: token has no valid signature to encode")
-	}
-	sig := tok.Sig.Bytes() // minimal big-endian, empty for zero
-	out := wire.AppendI64(slices.Grow(dst, tokenHeaderSize+len(sig)), int64(tok.Denom))
-	out, err := wire.AppendBytes16(append(out, tok.Serial[:]...), sig, MaxSigBytes)
-	if err != nil {
-		return dst, err
-	}
-	return out, nil
-}
-
-// DecodeToken parses a canonical token encoding. It rejects truncated
-// buffers, oversized or padded (leading-zero) signatures, and trailing
-// garbage, so decode∘encode is the identity on valid tokens and encode∘
-// decode is the identity on valid byte strings.
-func DecodeToken(data []byte) (Token, error) {
-	r := wire.NewReader(data)
-	tok := Token{Denom: Amount(r.I64())}
-	copy(tok.Serial[:], r.Take(32))
-	sig := r.Bytes16(MaxSigBytes)
-	if err := r.Done(); err != nil {
-		return Token{}, err
-	}
-	if len(sig) > 0 && sig[0] == 0 {
-		// big.Int.Bytes never emits leading zeros; padded encodings would
-		// give one signature many byte forms.
-		return Token{}, ErrNonCanonical
-	}
-	tok.Sig = new(big.Int).SetBytes(sig)
-	return tok, nil
-}
 
 // EncodeReceipt renders r in the fixed 56-byte wire format. The buffer
 // is sized here, where the call inlines, so a caller that only decodes it

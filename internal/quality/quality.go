@@ -65,17 +65,6 @@ func PathQuality(avgPathLen float64, forwarderSet int) float64 {
 	return avgPathLen / float64(forwarderSet)
 }
 
-// PathEdgeSum returns a path's quality as the sum of its edge qualities
-// (§2.3: "The quality of a path π^k is then given by the sum of the
-// qualities of the individual edges").
-func PathEdgeSum(edgeQualities []float64) float64 {
-	total := 0.0
-	for _, q := range edgeQualities {
-		total += q
-	}
-	return total
-}
-
 // ForwarderSet tracks the union forwarder set ⋃ᵢ Fᵢ of a batch of
 // recurring connections — the quantity the system objective minimises.
 type ForwarderSet struct {

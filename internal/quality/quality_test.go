@@ -61,15 +61,6 @@ func TestPathQuality(t *testing.T) {
 	}
 }
 
-func TestPathEdgeSum(t *testing.T) {
-	if got := PathEdgeSum([]float64{0.5, 0.25, 1}); math.Abs(got-1.75) > 1e-12 {
-		t.Fatalf("sum = %g", got)
-	}
-	if got := PathEdgeSum(nil); got != 0 {
-		t.Fatalf("empty sum = %g", got)
-	}
-}
-
 func TestForwarderSetBasics(t *testing.T) {
 	fs := NewForwarderSet()
 	if fs.Size() != 0 || fs.Paths() != 0 || fs.AvgLen() != 0 {

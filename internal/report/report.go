@@ -7,7 +7,6 @@ package report
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
 
 	"p2panon/internal/experiment"
@@ -182,44 +181,6 @@ func CDFSummaryTable(title string, cdfs []experiment.CDFSeries) *Table {
 		t.AddRow(c.Name, F(c.Mean), F(c.Max), F(c.StdDev), F4(c.Gini), F4(c.Jain))
 	}
 	return t
-}
-
-// Sparkline renders values as a unicode mini-chart for quick terminal
-// inspection. Non-finite values render as the lowest tick, and the index
-// arithmetic is clamped so pathological ranges (±Inf endpoints) cannot
-// select an out-of-range rune.
-func Sparkline(vals []float64) string {
-	if len(vals) == 0 {
-		return ""
-	}
-	ticks := []rune("▁▂▃▄▅▆▇█")
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			continue
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	var b strings.Builder
-	for _, v := range vals {
-		idx := 0
-		if hi > lo && !math.IsNaN(v) && !math.IsInf(v, 0) {
-			idx = int((v - lo) / (hi - lo) * float64(len(ticks)-1))
-			if idx < 0 {
-				idx = 0
-			}
-			if idx >= len(ticks) {
-				idx = len(ticks) - 1
-			}
-		}
-		b.WriteRune(ticks[idx])
-	}
-	return b.String()
 }
 
 // Histogram renders a stats.Histogram as an ASCII bar chart. A nil or

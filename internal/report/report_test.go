@@ -156,20 +156,6 @@ func TestCDFTables(t *testing.T) {
 	}
 }
 
-func TestSparkline(t *testing.T) {
-	if Sparkline(nil) != "" {
-		t.Fatal("empty sparkline")
-	}
-	s := Sparkline([]float64{0, 1, 2, 3})
-	if len([]rune(s)) != 4 {
-		t.Fatalf("sparkline %q", s)
-	}
-	flat := Sparkline([]float64{5, 5, 5})
-	if flat != "▁▁▁" {
-		t.Fatalf("flat sparkline %q", flat)
-	}
-}
-
 func TestHistogramRender(t *testing.T) {
 	h := stats.NewHistogram(0, 10, 2)
 	h.Add(1)

@@ -1,38 +1,12 @@
 package report
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"unicode/utf8"
 
 	"p2panon/internal/stats"
 	"p2panon/internal/telemetry"
 )
-
-func TestSparklineEdgeCases(t *testing.T) {
-	if got := Sparkline(nil); got != "" {
-		t.Fatalf("empty input = %q", got)
-	}
-	// All-equal values must render the lowest tick, not divide by zero.
-	if got := Sparkline([]float64{5, 5, 5}); got != "▁▁▁" {
-		t.Fatalf("all-equal = %q", got)
-	}
-	// NaN and ±Inf must not panic or select out-of-range runes.
-	got := Sparkline([]float64{1, math.NaN(), 2, math.Inf(1), 3, math.Inf(-1)})
-	if utf8.RuneCountInString(got) != 6 {
-		t.Fatalf("mixed non-finite = %q (%d runes)", got, utf8.RuneCountInString(got))
-	}
-	// All-non-finite input renders, again without panicking.
-	if got := Sparkline([]float64{math.NaN(), math.Inf(1)}); utf8.RuneCountInString(got) != 2 {
-		t.Fatalf("all-non-finite = %q", got)
-	}
-	// Ordering sanity on a normal ramp: last rune is the tallest tick.
-	ramp := Sparkline([]float64{0, 1, 2, 3, 4, 5, 6, 7})
-	if !strings.HasSuffix(ramp, "█") || !strings.HasPrefix(ramp, "▁") {
-		t.Fatalf("ramp = %q", ramp)
-	}
-}
 
 func TestHistogramEdgeCases(t *testing.T) {
 	if got := Histogram("title", nil, 40); got != "title\n" {

@@ -14,7 +14,6 @@ package reputation
 
 import (
 	"fmt"
-	"sort"
 
 	"p2panon/internal/dist"
 	"p2panon/internal/overlay"
@@ -58,16 +57,6 @@ func (t *Table) Report(subject overlay.NodeID, delta float64) {
 		s = t.floor
 	}
 	t.scores[subject] = s
-}
-
-// Subjects returns all explicitly scored subjects, ascending.
-func (t *Table) Subjects() []overlay.NodeID {
-	out := make([]overlay.NodeID, 0, len(t.scores))
-	for id := range t.scores {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // SelectWeighted picks one candidate with probability proportional to its

@@ -2,6 +2,7 @@ package reputation
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -197,4 +198,14 @@ func TestQuickTableInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Subjects returns all explicitly scored subjects, ascending.
+func (t *Table) Subjects() []overlay.NodeID {
+	out := make([]overlay.NodeID, 0, len(t.scores))
+	for id := range t.scores {
+		out = append(out, id)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }

