@@ -66,9 +66,6 @@ type Driver struct {
 	cfg Config
 	net *overlay.Network
 	rng *dist.Source
-
-	joins      int
-	departures int
 }
 
 // NewDriver creates a churn driver. It panics on invalid configuration.
@@ -87,12 +84,6 @@ func NewDriver(cfg Config, net *overlay.Network, rng *dist.Source) *Driver {
 	}
 	return &Driver{cfg: cfg, net: net, rng: rng}
 }
-
-// Joins returns the total number of join events (first joins only).
-func (d *Driver) Joins() int { return d.joins }
-
-// Departures returns the number of permanent departures.
-func (d *Driver) Departures() int { return d.departures }
 
 // Start seeds the initial population at the engine's current time and
 // schedules all future churn. Exactly ⌈f·N⌉ of the initial nodes are
@@ -116,7 +107,6 @@ func (d *Driver) Start(e *sim.Engine) {
 // spawn joins a brand-new node and schedules the end of its first session.
 func (d *Driver) spawn(e *sim.Engine, malicious bool) {
 	node := d.net.Join(e.Now(), malicious)
-	d.joins++
 	if !d.cfg.Static {
 		d.scheduleSessionEnd(e, node.ID)
 	}
@@ -145,7 +135,6 @@ func (d *Driver) scheduleSessionEnd(e *sim.Engine, id overlay.NodeID) {
 		final := d.rng.Bernoulli(d.cfg.DepartProb)
 		d.net.Leave(e.Now(), id, final)
 		if final {
-			d.departures++
 			return
 		}
 		off := d.cfg.MeanOffTime

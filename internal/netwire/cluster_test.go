@@ -130,10 +130,11 @@ func TestClusterForwardCounts(t *testing.T) {
 	r := transport.NewRandomRouter(topo, dist.NewSource(5))
 	c := startCluster(t, topo, r)
 	const k = 4
-	if _, err := c.RunBatch(0, 2, 7, k, 1, 10*time.Second); err != nil {
+	out, err := c.RunBatch(0, 2, 7, k, 1, 10*time.Second)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Node(1).Forwards(7); got != k {
+	if got := out.Forwards[1]; got != k {
 		t.Fatalf("node 1 forwarded %d times, want %d", got, k)
 	}
 }
@@ -436,10 +437,9 @@ func TestFrameMessageConversion(t *testing.T) {
 
 // TestBatchStateBoundedOverTCP is the TCP counterpart of transport's
 // in-process bound: 10³ batches settled over loopback, up to three open at
-// a time. Until its settle, each member's station counts the forwards the
-// outcome credits it with; once the batch's Settle frames have landed, no
-// node holds a forwarding count for it, each member is credited, and the
-// router's histories number no more than the batches still open.
+// a time. Once a batch's Settle frames have landed, each member is
+// credited, and the router's histories number no more than the batches
+// still open.
 func TestBatchStateBoundedOverTCP(t *testing.T) {
 	const nodes, batches, window = 8, 1_000, 3
 	topo := buildTopo(nodes, 4, 23)
@@ -471,11 +471,6 @@ func TestBatchStateBoundedOverTCP(t *testing.T) {
 		if len(open) == window {
 			s := open[0]
 			open = open[1:]
-			for id := range s.out.Set {
-				if got := c.Node(id).Forwards(s.id); got != s.out.Forwards[id] {
-					t.Fatalf("batch %d: node %d counts %d forwards before its settle, want %d", s.id, id, got, s.out.Forwards[id])
-				}
-			}
 			if _, err := c.SettleBatch(s.initiator, s.id, s.out, contract); err != nil {
 				t.Fatal(err)
 			}
@@ -486,11 +481,6 @@ func TestBatchStateBoundedOverTCP(t *testing.T) {
 						t.Fatalf("batch %d: node %d never settled", s.id, id)
 					}
 					time.Sleep(50 * time.Microsecond)
-				}
-			}
-			for id := range topo {
-				if got := c.Node(id).Forwards(s.id); got != 0 {
-					t.Fatalf("batch %d settled: node %d still counts %d forwards", s.id, id, got)
 				}
 			}
 		}

@@ -243,7 +243,7 @@ func (nd *Node) handleFrame(peer overlay.NodeID, f *Frame, abs int64, m *transpo
 		// The credit lands here, under the batch root the frame carried
 		// (Driver.Settled), unless the batch had already closed.
 		credit := transport.Credit{Payoff: f.Payoff, Trace: f.Trace, Root: f.Span}
-		if _, ok := nd.c.Settled(nd.Station, f.Batch, &credit); ok {
+		if nd.c.Settled(nd.Station, f.Batch, &credit) {
 			nd.mu.Lock()
 			nd.settled[f.Batch] = f.Payoff
 			nd.mu.Unlock()

@@ -104,7 +104,6 @@ type Engine struct {
 	queue     eventHeap
 	seq       uint64
 	stopped   bool
-	fired     uint64
 	withdrawn int // stopped Timers still queued
 }
 
@@ -116,9 +115,6 @@ func NewEngine() *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// Fired returns the number of events executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events currently scheduled, stopped
 // Timers excluded.
@@ -166,7 +162,6 @@ func (e *Engine) Step() bool {
 	}
 	it := heap.Pop(&e.queue).(item)
 	e.now = it.at
-	e.fired++
 	it.ev.Fire(e)
 	return true
 }

@@ -217,8 +217,8 @@ type connRec struct {
 // until done has been called. Mid-path departures are retried per the
 // RetryPolicy (path reformation) within timeout, each attempt getting an
 // even share of it as its window. A connection refused up front (unknown
-// initiator or responder, I == R, a budget outside [0, MaxBudget]) is an
-// error, and done is not called.
+// initiator or responder, I == R, a budget outside [0, MaxBudget], a
+// negative batch) is an error, and done is not called.
 func (d *Driver) Start(initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration, done func(Outcome)) error {
 	return d.start(&connRec{done: done}, initiator, responder, batch, conn, budget, timeout, nil)
 }
@@ -246,6 +246,9 @@ func (d *Driver) start(c *connRec, initiator, responder overlay.NodeID, batch, c
 	}
 	if budget < 0 || budget > MaxBudget {
 		return fmt.Errorf("transport: hop budget %d outside [0, %d]", budget, MaxBudget)
+	}
+	if batch < 0 {
+		return fmt.Errorf("transport: negative batch %d", batch)
 	}
 	c.d, c.retry = d, d.retry
 	c.initiator, c.responder = initiator, responder

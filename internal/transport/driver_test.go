@@ -472,7 +472,7 @@ func TestDriverOverScriptedLink(t *testing.T) {
 // member's credited landing counted once and spanned once, the
 // initiator's close neither — then replays a duplicate of a FORWARD it
 // carried: the station that closed the batch refuses it — nothing sent,
-// no routing, no history or count re-created — and counts it, as it
+// no routing, no history re-created — and counts it, as it
 // counts a second settle, which emits no span. The record of closed
 // batches has closedCap slots.
 func TestClosedBatchRefused(t *testing.T) {
@@ -496,8 +496,8 @@ func TestClosedBatchRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	relay := l.stations[1]
-	if relay.Forwards(batch) != 3 || r.OpenBatches() != 1 {
-		t.Fatalf("before settle: relay forwards %d, router histories %d; want 3 and 1", relay.Forwards(batch), r.OpenBatches())
+	if out.Forwards[1] != 3 || r.OpenBatches() != 1 {
+		t.Fatalf("before settle: relay forwards %d, router histories %d; want 3 and 1", out.Forwards[1], r.OpenBatches())
 	}
 
 	// The settle lands on the initiator, crediting nothing, then on each
@@ -541,11 +541,11 @@ func TestClosedBatchRefused(t *testing.T) {
 	if l.sends != sends {
 		t.Errorf("the duplicate FORWARD was routed: %d sends", l.sends-sends)
 	}
-	if _, held := r.batches[batch]; held || len(relay.forwards) != 0 {
-		t.Errorf("closed batch re-created: router history %v, relay counts %v", held, relay.forwards)
+	if _, held := r.batches[batch]; held {
+		t.Error("closed batch re-created its router history")
 	}
 	spans := rec.Total()
-	if _, ok := d.Settled(relay, batch, &Credit{Payoff: 99, Trace: trace, Root: root}); ok || closed.Value() != 2 {
+	if ok := d.Settled(relay, batch, &Credit{Payoff: 99, Trace: trace, Root: root}); ok || closed.Value() != 2 {
 		t.Errorf("second settle accepted=%v, closed_batch_total %d; want refused and 2", ok, closed.Value())
 	}
 	if rec.Total() != spans || settlements.Value() != int64(len(out.Set)) {
@@ -761,5 +761,34 @@ func TestHostileBudgetRefused(t *testing.T) {
 	r.cacheMu.Unlock()
 	if got := malformed.Value(); got != 3 || hops > MaxBudget {
 		t.Errorf("malformed %d, memo sized for %d hops; want 3 and at most %d", got, hops, MaxBudget)
+	}
+}
+
+// TestNegativeBatchRefused: a batch id is never negative, and a negative
+// one must not read as a closed batch (a station's empty closed slot holds
+// 0, which is −1's mark). A connection for batch −1 is refused up front,
+// with an error and no message sent; a FORWARD or a settle for it is
+// counted malformed, not as a closed batch, and the settle evicts no
+// closed batch from the slot −1 maps to.
+func TestNegativeBatchRefused(t *testing.T) {
+	topo := Topology{0: {1}, 1: {0, 2}, 2: {1}}
+	n := startNetwork(t, topo, RouterFunc(func(self, _, _, _ overlay.NodeID, _, _, _ int) (overlay.NodeID, bool) {
+		return self + 1, false
+	}))
+	if _, _, err := n.ConnectDetail(0, 2, -1, 1, 4, time.Second); err == nil || n.Metrics().Sent != 0 {
+		t.Fatalf("batch −1: err %v after %d sends, want an error and none", err, n.Metrics().Sent)
+	}
+	malformed := n.Telemetry().Counter("transport_malformed_total", nil)
+	closed := n.Telemetry().Counter("transport_closed_batch_total", nil)
+	m := Message{Kind: MsgForward, Batch: -1, Conn: 1, Attempt: 1, From: 0, Initiator: 0, Responder: 2,
+		Remaining: 2, Path: []overlay.NodeID{0}}
+	n.Handle(n.Local(1), &m)
+	st := n.Local(1)
+	st.CloseBatch(closedCap - 1)
+	if n.Settled(st, -1, nil) || !st.isClosed(closedCap-1) {
+		t.Fatal("a settle for batch −1 was accepted or evicted a closed batch")
+	}
+	if malformed.Value() != 2 || closed.Value() != 0 || n.Metrics().Sent != 0 {
+		t.Fatalf("malformed %d, closed_batch %d, sends %d; want 2, 0 and 0", malformed.Value(), closed.Value(), n.Metrics().Sent)
 	}
 }

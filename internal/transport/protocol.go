@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"p2panon/internal/onion"
@@ -159,68 +158,50 @@ const MaxBudget = 64
 // (DESIGN.md §3u).
 const closedCap = 256
 
-// Station is one hosted node's protocol state: its routing brain, its
-// forwarding-instance counts and the batches it has closed. A backend
-// embeds one in its node type and hands it to Driver.Handle with every
-// message it delivers there.
+// Station is one hosted node's protocol state: its routing brain and the
+// batches it has closed. A backend embeds one in its node type and hands
+// it to Driver.Handle with every message it delivers there. A station
+// keeps no record of its forwards: the hop spans it emits and the
+// initiator's BatchOutcome are the record (DESIGN.md §3u).
 type Station struct {
 	ID     overlay.NodeID
 	router Router
-
-	mu       sync.Mutex
-	forwards map[int]int // batch -> forwarding instances by this node, until the batch closes
 	// closed[b mod closedCap] is b+1 for the last batch b closed in that
-	// slot, 0 for none. Written under mu, read without it: Handle admits
-	// a message on one atomic load.
+	// slot, 0 for none. CloseBatch claims a slot by CompareAndSwap and
+	// Handle admits a message on one atomic load, so no lock is taken.
 	closed [closedCap]atomic.Int64
 }
 
 // NewStation returns the protocol state of node id routing with r.
 func NewStation(id overlay.NodeID, r Router) *Station {
-	return &Station{ID: id, router: r, forwards: make(map[int]int)}
-}
-
-// Forwards returns this node's forwarding-instance count for a batch, or
-// zero once the batch has closed here.
-func (s *Station) Forwards(batch int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.forwards[batch]
+	return &Station{ID: id, router: r}
 }
 
 // CloseBatch ends batch at this station, where its settlement landed: the
-// forwarding count goes, and so does the router's state for the batch if
-// the router is a BatchCloser. From then on Driver.Handle refuses the
-// batch's messages here. It returns the count it dropped, or false and
-// drops nothing when the station had already closed the batch.
-func (s *Station) CloseBatch(batch int) (forwards int, ok bool) {
-	s.mu.Lock()
-	slot := &s.closed[uint(batch)%closedCap]
-	if ok = slot.Load() != int64(batch)+1; ok {
-		forwards = s.forwards[batch]
-		delete(s.forwards, batch)
-		slot.Store(int64(batch) + 1)
+// router's state for the batch goes if the router is a BatchCloser, and
+// from then on Driver.Handle refuses the batch's messages here. It
+// reports false, and closes nothing, when the station had already closed
+// the batch; of concurrent closes of one batch exactly one reports true.
+func (s *Station) CloseBatch(batch int) bool {
+	slot, mark := &s.closed[uint(batch)%closedCap], int64(batch)+1
+	for {
+		old := slot.Load()
+		if old == mark {
+			return false
+		}
+		if slot.CompareAndSwap(old, mark) {
+			break
+		}
 	}
-	s.mu.Unlock()
-	if c, closer := s.router.(BatchCloser); ok && closer {
+	if c, closer := s.router.(BatchCloser); closer {
 		c.CloseBatch(batch)
 	}
-	return forwards, ok
+	return true
 }
 
 // isClosed reports whether the station remembers closing batch.
 func (s *Station) isClosed(batch int) bool {
 	return s.closed[uint(batch)%closedCap].Load() == int64(batch)+1
-}
-
-// countForward counts one forwarding instance in batch, unless the batch
-// closed since Handle admitted the message: a closed batch keeps no count.
-func (s *Station) countForward(batch int) {
-	s.mu.Lock()
-	if !s.isClosed(batch) {
-		s.forwards[batch]++
-	}
-	s.mu.Unlock()
 }
 
 // Link is all the connection driver knows about a backend: how a message
@@ -244,12 +225,17 @@ type Link interface {
 
 // Handle is the link's delivery entry point: m arrived at hosted node st.
 // A message for a batch st has closed is refused and counted: it is
-// neither routed nor relayed, and re-creates no state. A FORWARD is
-// admitted only if its Remaining lies in [0, MaxBudget], a CONFIRM/NACK
-// only if its Hop indexes its Path and names st there; any other message
-// is refused and counted malformed, and otherwise ignored. The driver
-// owns m for the call and keeps no pointer to it.
+// neither routed nor relayed, and re-creates no state. A message is
+// admitted only if its Batch is not negative, a FORWARD only if its
+// Remaining lies in [0, MaxBudget], a CONFIRM/NACK only if its Hop
+// indexes its Path and names st there; any other message is refused and
+// counted malformed, and otherwise ignored. The driver owns m for the
+// call and keeps no pointer to it.
 func (d *Driver) Handle(st *Station, m *Message) {
+	if m.Batch < 0 {
+		d.inst.malformed.Inc()
+		return
+	}
 	if st.isClosed(m.Batch) {
 		d.inst.closedBatch.Inc()
 		return
@@ -284,15 +270,20 @@ type Credit struct {
 
 // Settled is the one place a settlement lands, on every backend and in
 // the fault world: batch's settlement reached hosted node st, and the
-// batch closes there (Station.CloseBatch). It returns st's forwarding
-// count for the batch. A settle for a batch st had already closed is
-// refused like any other message for it: false, counted, and nothing
-// else. Otherwise a credit — nil for the initiator's own close, which
-// credits nothing — is counted and recorded as a settle span at st.
-func (d *Driver) Settled(st *Station, batch int, c *Credit) (forwards int, ok bool) {
-	if forwards, ok = st.CloseBatch(batch); !ok {
+// batch closes there (Station.CloseBatch). A settle for a batch st had
+// already closed is refused like any other message for it: false,
+// counted, and nothing else; so is one for a negative batch, counted
+// malformed as Handle counts its messages. Otherwise a credit — nil for
+// the initiator's own close, which credits nothing — is counted and
+// recorded as a settle span at st.
+func (d *Driver) Settled(st *Station, batch int, c *Credit) bool {
+	if batch < 0 {
+		d.inst.malformed.Inc()
+		return false
+	}
+	if !st.CloseBatch(batch) {
 		d.inst.closedBatch.Inc()
-		return 0, false
+		return false
 	}
 	if c != nil {
 		d.inst.settlements.Inc()
@@ -303,7 +294,7 @@ func (d *Driver) Settled(st *Station, batch int, c *Credit) (forwards int, ok bo
 			})
 		}
 	}
-	return forwards, true
+	return true
 }
 
 // SettleInitiator is the initiator's side of every backend's SettleBatch:
@@ -365,13 +356,11 @@ func (d *Driver) handleForward(st *Station, m *Message) {
 		d.nackBack(st.ID, m, NackContract, 0, true)
 		return
 	}
-	// Interior forwarding instance (the initiator does not count).
-	if st.ID != m.Initiator {
-		st.countForward(m.Batch)
-	}
 	// Chain the causal span: this hop's span hashes its predecessor's, so
 	// the id is derivable from carried context alone — the property that
 	// lets nodes in other processes mint the ids a single runtime would.
+	// A hop span at a node other than the initiator is the record of one
+	// forwarding instance there.
 	if id := d.span(m, telemetry.SpanHop, hop, st.ID, ""); id != 0 {
 		m.Span = id
 	}

@@ -188,15 +188,8 @@ func TestForwardCountsTracked(t *testing.T) {
 	if out.SetSize() != 2 {
 		t.Fatalf("‖π‖ = %d, want 2", out.SetSize())
 	}
-	if out.Forwards[1] != 5 || out.Forwards[2] != 5 {
+	if out.Forwards[1] != 5 || out.Forwards[2] != 5 || out.Forwards[0] != 0 {
 		t.Fatalf("forwards %v", out.Forwards)
-	}
-	// Peers' own accounting must agree.
-	if got := n.Local(1).Forwards(7); got != 5 {
-		t.Fatalf("peer 1 counted %d", got)
-	}
-	if got := n.Local(0).Forwards(7); got != 0 {
-		t.Fatalf("initiator counted %d forwards", got)
 	}
 }
 
@@ -331,11 +324,10 @@ func TestMessageSize(t *testing.T) {
 
 // TestCloseBatchRacesHandle closes batches on one station while another
 // goroutine hands it a FORWARD of each, in the same order: Handle reads
-// the closed record without the station's mutex, and CloseBatch writes it
-// under the mutex it also counts forwards under. Run under -race. Each
+// the closed record with one atomic load while CloseBatch claims its slot
+// by CompareAndSwap, and neither takes a lock. Run under -race. Each
 // FORWARD is refused or routed (toward a peer that is gone, so it
-// crosses the station once), and whichever wins each batch, a closed
-// batch keeps no forwarding count.
+// crosses the station once), whichever wins its batch.
 func TestCloseBatchRacesHandle(t *testing.T) {
 	n := NewNetwork(0)
 	t.Cleanup(n.Close)
@@ -366,15 +358,82 @@ func TestCloseBatchRacesHandle(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	st.mu.Lock()
-	left := len(st.forwards)
-	st.mu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d closed batches keep a forwarding count", left)
-	}
 	refused := n.Telemetry().Counter("transport_closed_batch_total", nil).Value()
 	if refused+routed.Load() != closedCap {
 		t.Fatalf("%d FORWARDs refused and %d routed, want %d in all", refused, routed.Load(), closedCap)
+	}
+}
+
+// closeCounter is a BatchCloser router that counts, per batch, the
+// CloseBatch calls its stations make.
+type closeCounter struct {
+	RouterFunc
+	mu     sync.Mutex
+	closes map[int]int
+}
+
+func (r *closeCounter) CloseBatch(batch int) {
+	r.mu.Lock()
+	r.closes[batch]++
+	r.mu.Unlock()
+}
+
+// TestCloseBatchOnce closes batches on one station from several
+// goroutines at once: CloseBatch takes no lock, only a CompareAndSwap on
+// the batch's slot. Run under -race. First each round has every goroutine
+// close one batch, the rounds alternating between two batches congruent
+// mod closedCap, so each round's batch is open and exactly one call per
+// round reports true. Then each goroutine closes both batches in turn
+// many times: every true hands the slot from one batch to the other, so
+// over the whole test the two batches' trues alternate, and the batch
+// that holds the slot at the end has the last of them. The router sees
+// one CloseBatch per true.
+func TestCloseBatchOnce(t *testing.T) {
+	const workers, rounds, turns = 8, 50, 200
+	batches := [2]int{3, 3 + closedCap}
+	r := &closeCounter{closes: make(map[int]int)}
+	st := NewStation(1, r)
+	var won [2]atomic.Int64
+	run := func(closes func(w int)) {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				closes(w)
+			}(w)
+		}
+		wg.Wait()
+	}
+	for round := 0; round < rounds; round++ {
+		i := round % 2
+		before := won[i].Load()
+		run(func(int) {
+			if st.CloseBatch(batches[i]) {
+				won[i].Add(1)
+			}
+		})
+		if got := won[i].Load() - before; got != 1 {
+			t.Fatalf("round %d: %d closes of batch %d reported true, want 1", round, got, batches[i])
+		}
+	}
+	run(func(w int) {
+		for k := 0; k < turns; k++ {
+			if i := (w + k) % 2; st.CloseBatch(batches[i]) {
+				won[i].Add(1)
+			}
+		}
+	})
+	// The trues alternate from batches[0]: it is one ahead exactly when it
+	// holds the slot.
+	holds, lead := st.isClosed(batches[0]), won[0].Load()-won[1].Load()
+	if holds == st.isClosed(batches[1]) || holds != (lead == 1) || lead < 0 || lead > 1 {
+		t.Fatalf("trues %d and %d, batch %d holds the slot %v", won[0].Load(), won[1].Load(), batches[0], holds)
+	}
+	for i, b := range batches {
+		if r.closes[b] != int(won[i].Load()) {
+			t.Fatalf("batch %d: the router saw %d closes for %d trues", b, r.closes[b], won[i].Load())
+		}
 	}
 }
 
@@ -1066,9 +1125,8 @@ func TestUtilityIIRouterConcurrentBatches(t *testing.T) {
 
 // TestBatchStateBoundedInProcess settles 10⁴ batches over the in-process
 // backend, up to three open at a time, and checks after every step that
-// the router's histories and every station's forwarding counts number no
-// more than the batches open: a long run keeps no state for a settled
-// batch.
+// the router's histories number no more than the batches open: a long run
+// keeps no state for a settled batch.
 func TestBatchStateBoundedInProcess(t *testing.T) {
 	const nodes, batches, window = 16, 10_000, 3
 	topo := buildTopo(nodes, 4, 21)
@@ -1101,15 +1159,6 @@ func TestBatchStateBoundedInProcess(t *testing.T) {
 		}
 		if got := r.OpenBatches(); got > len(open) {
 			t.Fatalf("after batch %d: router holds %d histories for %d open batches", b, got, len(open))
-		}
-		for id := range topo {
-			st := n.Local(id)
-			st.mu.Lock()
-			got := len(st.forwards)
-			st.mu.Unlock()
-			if got > len(open) {
-				t.Fatalf("after batch %d: node %d holds %d forwarding counts for %d open batches", b, id, got, len(open))
-			}
 		}
 	}
 }
