@@ -101,14 +101,6 @@ type Contract struct {
 	Pr float64 // routing benefit shared by the forwarder set
 }
 
-// Tau returns τ = P_r / P_f, the ratio the paper sweeps in Table 2.
-func (c Contract) Tau() float64 {
-	if c.Pf == 0 {
-		return 0
-	}
-	return c.Pr / c.Pf
-}
-
 // Payoff is the paper's payout to a member of a forwarder set of size
 // members that forwarded m times: m·P_f + P_r/‖π‖. Every payout is
 // computed here, so payoffs agree to the bit wherever they are checked.

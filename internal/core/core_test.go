@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"p2panon/internal/dist"
@@ -138,7 +139,7 @@ func TestForwardersExcludeEndpoints(t *testing.T) {
 			}
 		}
 	}
-	if b.ForwarderSet().Contains(2) || b.ForwarderSet().Contains(17) {
+	if m := b.ForwarderSet().Members(); slices.Contains(m, 2) || slices.Contains(m, 17) {
 		t.Fatal("endpoint in forwarder set")
 	}
 }
@@ -460,4 +461,12 @@ func TestBatchCloseDropsHistory(t *testing.T) {
 	if b.hist != nil {
 		t.Fatal("history not dropped")
 	}
+}
+
+// Tau returns τ = P_r / P_f, the ratio the paper sweeps in Table 2.
+func (c Contract) Tau() float64 {
+	if c.Pf == 0 {
+		return 0
+	}
+	return c.Pr / c.Pf
 }

@@ -11,13 +11,16 @@ import (
 	"p2panon/internal/probe"
 )
 
-// scaleSystem builds a static overlay of n nodes (bulk-joined, degree 5)
-// with warmed probes and one UM-II batch, the configuration the cold-solve
-// allocation pin and the working-memory tests share.
+// scaleDegree is the neighbor-set size of scaleSystem's overlay.
+const scaleDegree = 5
+
+// scaleSystem builds a static overlay of n nodes (bulk-joined, degree
+// scaleDegree) with warmed probes and one UM-II batch, the configuration
+// the cold-solve allocation pin and the working-memory tests share.
 func scaleSystem(tb testing.TB, n int, seed uint64) (*System, *Batch) {
 	tb.Helper()
 	rng := dist.NewSource(seed)
-	net := overlay.NewNetwork(5, rng.Split())
+	net := overlay.NewNetwork(scaleDegree, rng.Split())
 	net.GrowUniform(0, n)
 	probes := probe.NewSet(net, rng.Split(), 60)
 	for i := 0; i < 2; i++ {
@@ -53,7 +56,7 @@ func TestScaleFrontierWorkingMemory(t *testing.T) {
 	// degree+1 entries, as does every row that lists I or R, and the
 	// storage behind them — base rows, σ overlays — at most degree+1 slots
 	// per node.
-	d := sys.Net.Degree()
+	d := scaleDegree
 	for i := 0; i < n; i++ {
 		read := false
 		for h := 2; h <= sys.cfg.MaxHops; h++ {
@@ -107,7 +110,7 @@ func TestSolveScratchReleasedOnClose(t *testing.T) {
 		}
 		rows := 0
 		for i := 0; i < sys.Net.Len(); i++ {
-			if succ, _, _, _ := requireRowShape(t, "held", &sys.stage, i, sys.Net.Degree()+1); len(succ) > 0 {
+			if succ, _, _, _ := requireRowShape(t, "held", &sys.stage, i, scaleDegree+1); len(succ) > 0 {
 				rows++
 			}
 		}

@@ -153,17 +153,6 @@ func ParetoFromMedian(median, alpha float64) Pareto {
 	return Pareto{Xm: median / math.Pow(2, 1/alpha), Alpha: alpha}
 }
 
-// Median returns the distribution's median, Xm·2^(1/α).
-func (p Pareto) Median() float64 { return p.Xm * math.Pow(2, 1/p.Alpha) }
-
-// Mean returns the distribution mean, or +Inf when Alpha <= 1.
-func (p Pareto) Mean() float64 {
-	if p.Alpha <= 1 {
-		return math.Inf(1)
-	}
-	return p.Alpha * p.Xm / (p.Alpha - 1)
-}
-
 // Sample draws from the Pareto distribution by inverse-CDF sampling.
 func (p Pareto) Sample(r *Source) float64 {
 	u := r.Float64()

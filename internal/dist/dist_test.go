@@ -469,3 +469,14 @@ func (r *Source) Normal(mean, stddev float64) float64 {
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 	return mean + stddev*z
 }
+
+// Mean returns the distribution mean, or +Inf when Alpha <= 1.
+func (p Pareto) Mean() float64 {
+	if p.Alpha <= 1 {
+		return math.Inf(1)
+	}
+	return p.Alpha * p.Xm / (p.Alpha - 1)
+}
+
+// Median returns the distribution's median, Xm·2^(1/α).
+func (p Pareto) Median() float64 { return p.Xm * math.Pow(2, 1/p.Alpha) }

@@ -258,10 +258,14 @@ func (l faultLink) Send(from, to overlay.NodeID, m *transport.Message) bool {
 		if fs.Kind == FaultDuplicate {
 			// Each copy accumulates its own forward path: the driver
 			// appends hops in place, so two copies sharing one array
-			// would overwrite each other's. (The world runs the plain
+			// would overwrite each other's, and the attempt's launch
+			// buffer is where the driver copies the path of whichever
+			// copy's CONFIRM resolves it. (The world runs the plain
 			// protocol, so no copy carries a secure load to share.)
+			now := *m
+			now.Path = append([]overlay.NodeID(nil), m.Path...)
 			later.Path = append([]overlay.NodeID(nil), m.Path...)
-			ok = l.Network.Send(from, to, m)
+			ok = l.Network.Send(from, to, &now)
 		}
 		l.Clock().AfterFunc(sim.Time(fs.Delay).Duration(), func() {
 			if !l.Network.Send(from, to, &later) {

@@ -288,11 +288,16 @@ func (c *Cluster) Addressable(id overlay.NodeID) bool {
 	return ok
 }
 
-// Send implements transport.Link: the message leaves through the link
-// node from keeps to node to. A node that is gone sends nothing.
+// Send implements transport.Link: the message is encoded into a buffer of
+// the link node from keeps to node to, and leaves through it. Nothing of
+// m is kept. A node that is gone sends nothing.
 func (c *Cluster) Send(from, to overlay.NodeID, m *transport.Message) bool {
 	nd := c.Node(from)
-	return nd != nil && nd.sendMsg(to, frameOf(m), m.Deadline)
+	if nd == nil {
+		return false
+	}
+	f := frameOf(m)
+	return nd.sendMsg(to, &f, m.Deadline)
 }
 
 // SettleBatch distributes a completed batch's split payment over the

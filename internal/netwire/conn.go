@@ -1,6 +1,7 @@
 package netwire
 
 import (
+	"encoding/binary"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -10,22 +11,27 @@ import (
 	"p2panon/internal/wire"
 )
 
-// outFrame is one queued outbound frame plus the absolute attempt
-// deadline it travels under, in nanoseconds on the cluster clock as
-// transport.Message carries it (zero = none). The deadline is re-stamped
-// into DeadlineMicros at write time, so each hop forwards exactly the
-// budget that remains.
+// outFrame is one queued outbound frame, encoded at send into a buffer of
+// its link's (link.buffer), plus the absolute attempt deadline it travels
+// under, in nanoseconds on the cluster clock as transport.Message carries
+// it (zero = none). The deadline is stamped into the frame's
+// DeadlineMicros at write time, so each hop forwards exactly the budget
+// that remains.
 type outFrame struct {
-	f   *Frame
+	b   []byte
 	abs int64
 }
 
+// kind is the frame's kind, read off its prologue.
+func (of outFrame) kind() Kind { return Kind(of.b[wire.PrefixSize+1]) }
+
 // link is a node's end of its one connection with a peer: a bounded
-// outbound queue drained by one writer goroutine, started at the link's
-// first frame, which writes to the connection either end dialed. When
-// the link has none, the next frame dials, and the peer adopts what it
-// accepts (Node.adopt); both ends read the connection, so a reply leaves
-// on the socket its request came in on.
+// outbound queue of encoded frames drained by one writer goroutine,
+// started at the link's first frame, which writes them to the connection
+// either end dialed and hands their buffers back for the next frames.
+// When the link has none, the next frame dials, and the peer adopts what
+// it accepts (Node.adopt); both ends read the connection, so a reply
+// leaves on the socket its request came in on.
 // Delivery failures go back to the owner so the protocol can NACK and
 // route around the corpse.
 type link struct {
@@ -33,6 +39,7 @@ type link struct {
 	peer  peerRef
 
 	outbox  chan outFrame
+	free    chan []byte // buffers of written frames, for the next sends
 	closed  chan struct{}
 	writing atomic.Bool // the writer has started
 
@@ -42,7 +49,6 @@ type link struct {
 	mu   sync.Mutex
 	conn net.Conn
 	own  bool
-	wbuf []byte // the writer's encode buffer
 }
 
 // peerRef names the link's remote end.
@@ -56,9 +62,42 @@ func (nd *Node) newLink(to overlay.NodeID, addr func() (string, bool)) *link {
 		owner:  nd,
 		peer:   peerRef{id: to, addr: addr},
 		outbox: make(chan outFrame, nd.c.cfg.QueueCap),
+		free:   make(chan []byte, freeBufs),
 		closed: make(chan struct{}),
 	}
 	return l
+}
+
+// A link keeps up to freeBufs buffers of written frames, each starting
+// at frameBuf bytes: room for a FORWARD with trace context over an 18-node
+// path. A connection's frames mostly cross one at a time, so a burst past
+// freeBufs frames in flight only costs the extra buffers' allocation.
+const (
+	freeBufs = 4
+	frameBuf = 256
+)
+
+// buffer returns an empty buffer to encode a frame into: one a written
+// frame left, or a fresh one while the sends in flight hold them all.
+func (l *link) buffer() []byte {
+	select {
+	case b := <-l.free:
+		return b
+	default:
+		return make([]byte, 0, frameBuf)
+	}
+}
+
+// recycle hands the buffer of a frame that is written, or will not be, to
+// the link's next sends. An outsized frame's buffer is not kept.
+func (l *link) recycle(b []byte) {
+	if cap(b) > connBuf {
+		return
+	}
+	select {
+	case l.free <- b[:0]:
+	default:
+	}
 }
 
 // startWriter starts the link's writer for its first frame, so a link
@@ -168,6 +207,7 @@ func (l *link) writeLoop() {
 		if !ok {
 			l.owner.onDeliveryFail(l.peer.id, of)
 		}
+		l.recycle(of.b)
 	}
 }
 
@@ -211,30 +251,24 @@ func (l *link) deliver(of outFrame) bool {
 		go l.owner.readLoop(conn, in, l)
 	}
 	if of.abs != 0 {
-		of.f.DeadlineMicros = (of.abs - c.Clock().Now().UnixNano()) / int64(time.Microsecond)
-		if of.f.DeadlineMicros <= 0 {
+		left := (of.abs - c.Clock().Now().UnixNano()) / int64(time.Microsecond)
+		if left <= 0 {
 			c.metrics.deadlineExpired.Inc()
 			return true
 		}
+		binary.BigEndian.PutUint64(of.b[deadlineAt:], uint64(left))
 	}
 	l.conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-	buf, err := of.f.AppendTo(l.wbuf[:0])
-	if err == nil {
-		if cap(buf) <= connBuf {
-			l.wbuf = buf // an outsized frame's buffer is not kept
-		}
-		_, err = l.conn.Write(buf)
-	}
-	if err != nil {
+	if _, err := l.conn.Write(of.b); err != nil {
 		if ne, ok := err.(net.Error); ok && ne.Timeout() {
 			c.metrics.deadlineWrite.Inc()
 		}
-		c.logf("node %d: write %s to peer %d: %v", l.owner.ID, of.f.Kind, l.peer.id, err)
+		c.logf("node %d: write %s to peer %d: %v", l.owner.ID, of.kind(), l.peer.id, err)
 		l.conn.Close() // its reader ends it
 		l.conn = nil
 		return false
 	}
-	c.metrics.noteSent(of.f.Kind, len(buf))
+	c.metrics.noteSent(of.kind(), len(of.b))
 	return true
 }
 
@@ -259,7 +293,7 @@ func (l *link) dial() (net.Conn, *wire.Stream, error) {
 	n, err := WriteFrame(conn, hello)
 	if err == nil {
 		c.metrics.noteSent(KindHello, n)
-		n, err = readFrame(in, &ack)
+		n, err = readFrame(in, &ack, nil)
 	}
 	if err == nil && (ack.Kind != KindHelloAck || ack.Node != l.peer.id) {
 		err = errBadHandshake

@@ -149,7 +149,7 @@ func (k Kind) String() string {
 }
 
 // Codec errors. The first six are internal/wire's shared set under this
-// package's names; the last four are the frame format's own.
+// package's names; the last five are the frame format's own.
 var (
 	ErrShortFrame   = wire.ErrShort
 	ErrBadVersion   = wire.ErrVersion
@@ -161,6 +161,7 @@ var (
 	ErrBadKey       = errors.New("netwire: malformed contract key")
 	ErrEmptyTrace   = errors.New("netwire: trace-context extension present but all-zero")
 	ErrBadHop       = errors.New("netwire: hop budget outside [0, transport.MaxBudget] or negative hop index")
+	ErrBadBatch     = errors.New("netwire: negative batch")
 )
 
 // Frame is the decoded form of one wire frame. Which fields are
@@ -338,14 +339,14 @@ func (f *Frame) decodeTrace(r *wire.Reader) {
 // DecodeFrame parses one complete frame (length prefix included) from
 // data, rejecting truncation, bad version, unknown kinds and trailing
 // garbage. Accepted input is canonical: re-encoding the result reproduces
-// data byte for byte.
+// data byte for byte. The frame's Path is its own.
 func DecodeFrame(data []byte) (*Frame, error) {
 	body, err := envelope.Body(data)
 	if err != nil {
 		return nil, err
 	}
 	f := new(Frame)
-	if err := f.decodeBody(body); err != nil {
+	if err := f.decodeBody(body, nil); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -356,8 +357,12 @@ func DecodeFrame(data []byte) (*Frame, error) {
 // reader may decode every frame of a connection into one Frame it owns;
 // on error f is unspecified. Nothing of body survives in f either — every
 // field kept is copied out — so body may be a window of a buffer the next
-// read overwrites.
-func (f *Frame) decodeBody(body []byte) error {
+// read overwrites. A message's Path is decoded into *path when that has
+// room, and a grown one is left there when it holds no more than an honest
+// path (maxKeptPath), so a reader that passes its own buffer allocates no
+// path once it has held its longest, and a hostile peer's long path pins
+// nothing; with a nil path each frame gets its own.
+func (f *Frame) decodeBody(body []byte, path *[]overlay.NodeID) error {
 	*f = Frame{Kind: Kind(body[1])}
 	r := wire.NewReader(body[2:])
 	switch f.Kind {
@@ -365,17 +370,19 @@ func (f *Frame) decodeBody(body []byte) error {
 		f.Node = overlay.NodeID(r.I64())
 		f.Nonce = r.U64()
 	case KindForward, KindConfirm, KindNack:
-		f.decodeMessage(&r)
+		f.decodeMessage(&r, path)
 		return r.Done()
 	case KindProbe, KindProbeAck:
 		f.Nonce = r.U64()
 		return r.Done()
 	case KindSettle:
 		f.Batch = int(r.I64())
+		r.Check(f.Batch >= 0, ErrBadBatch)
 		f.Node = overlay.NodeID(r.I64())
 		f.Payoff = math.Float64frombits(r.U64())
 	case KindClaim:
 		f.Batch = int(r.I64())
+		r.Check(f.Batch >= 0, ErrBadBatch)
 		if b := r.Bytes32(MaxFrameSize); r.Err() == nil {
 			claim, err := payment.DecodeAggregateClaim(b)
 			if err != nil {
@@ -392,8 +399,9 @@ func (f *Frame) decodeBody(body []byte) error {
 	return r.Done()
 }
 
-func (f *Frame) decodeMessage(r *wire.Reader) {
+func (f *Frame) decodeMessage(r *wire.Reader, path *[]overlay.NodeID) {
 	f.Batch = int(r.I64())
+	r.Check(f.Batch >= 0, ErrBadBatch)
 	f.Conn = int(r.I64())
 	f.Attempt = int(r.I64())
 	f.From = overlay.NodeID(r.I64())
@@ -415,7 +423,14 @@ func (f *Frame) decodeMessage(r *wire.Reader) {
 		if f.Kind == KindForward {
 			room++
 		}
-		f.Path = make([]overlay.NodeID, pathLen, room)
+		if path != nil && cap(*path) >= room {
+			f.Path = (*path)[:pathLen]
+		} else {
+			f.Path = make([]overlay.NodeID, pathLen, room)
+			if path != nil && room <= maxKeptPath {
+				*path = f.Path
+			}
+		}
 		for i := range f.Path {
 			f.Path[i] = overlay.NodeID(int64(binary.BigEndian.Uint64(b[8*i:])))
 		}
@@ -460,22 +475,35 @@ func WriteFrame(w io.Writer, f *Frame) (int, error) {
 	return w.Write(buf)
 }
 
-// connBuf is the buffer a connection keeps per direction at each end: the
-// read-ahead of its frame stream, and the most a link's writer keeps of
-// the buffer it encodes into. The mean protocol frame is ~125 bytes, so
-// one Read of the socket brings in a whole frame, usually several; a
-// frame past connBuf gets a one-off buffer either way.
+// connBuf is the read-ahead of a connection end's frame stream, and the
+// most a link keeps of a buffer a frame was encoded into. The mean
+// protocol frame is ~125 bytes, so one Read of the socket brings in a
+// whole frame, usually several; a frame past connBuf gets a one-off
+// buffer either way.
 const connBuf = 2048
 
-// readFrame reads the next frame of s into f, a Frame the caller owns
-// (see decodeBody), and returns the bytes consumed. A frame that arrived
-// whole but does not decode is a badFrame error.
-func readFrame(s *wire.Stream, f *Frame) (int, error) {
+// maxKeptPath is the most entries a reader keeps of a path buffer a
+// frame grew: the longest honest walk (I, MaxBudget forwarders, R) plus
+// the FORWARD's room for the hop that receives it. A longer path gets a
+// one-off buffer, as a link drops a write buffer past connBuf.
+const maxKeptPath = transport.MaxBudget + 3
+
+// deadlineAt is where DeadlineMicros sits in an encoded Forward, Confirm
+// or Nack frame: behind the length prefix, the version and kind bytes and
+// the eight fields before it. The field is fixed-width, so a link stamps
+// the budget that remains into a frame encoded earlier.
+const deadlineAt = wire.HeadSize + 8*8
+
+// readFrame reads the next frame of s into f, a Frame the caller owns,
+// and returns the bytes consumed; a message's Path goes into *path (see
+// decodeBody). A frame that arrived whole but does not decode is a
+// badFrame error.
+func readFrame(s *wire.Stream, f *Frame, path *[]overlay.NodeID) (int, error) {
 	body, n, err := s.Next()
 	if err != nil {
 		return n, err
 	}
-	if err := f.decodeBody(body); err != nil {
+	if err := f.decodeBody(body, path); err != nil {
 		return n, badFrame{err}
 	}
 	return n, nil

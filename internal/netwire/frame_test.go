@@ -176,6 +176,28 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDeadlineAtStampsDeadline pins deadlineAt to encodeMessage's field
+// order: stamping a value at that offset of an encoded message frame, as
+// a link's writer does, yields exactly the bytes of the same frame encoded
+// with that DeadlineMicros, so the stamp can land in no other field.
+func TestDeadlineAtStampsDeadline(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 60; trial++ {
+		f := randomFrame(t, rng, []Kind{KindForward, KindConfirm, KindNack}[trial%3])
+		buf := mustEncode(t, f)
+		stamp := rng.Int63()
+		binary.BigEndian.PutUint64(buf[deadlineAt:], uint64(stamp))
+		want := *f
+		want.DeadlineMicros = stamp
+		if !bytes.Equal(buf, mustEncode(t, &want)) {
+			t.Fatalf("trial %d (%s): a stamp at deadlineAt=%d is not the frame encoded with that deadline", trial, f.Kind, deadlineAt)
+		}
+		if g, err := DecodeFrame(buf); err != nil || g.DeadlineMicros != stamp {
+			t.Fatalf("trial %d (%s): stamped frame decodes to %+v, %v; want DeadlineMicros %d", trial, f.Kind, g, err, stamp)
+		}
+	}
+}
+
 // TestFrameRoundTripViaReader checks the stream reader agrees with the
 // buffer decoder, including the byte count — through ReadFrame, which
 // reads no further than each frame, and through a connection's read-ahead
@@ -193,6 +215,7 @@ func TestFrameRoundTripViaReader(t *testing.T) {
 	}
 	total := stream.Len()
 	ahead := envelope.NewStream(bytes.NewReader(stream.Bytes()), connBuf)
+	var path []overlay.NodeID // one path buffer for every frame, as a connection's reader keeps
 	read := 0
 	for i, want := range frames {
 		g, n, err := ReadFrame(&stream)
@@ -204,7 +227,7 @@ func TestFrameRoundTripViaReader(t *testing.T) {
 			t.Fatalf("frame %d: mismatch after stream round trip", i)
 		}
 		var h Frame
-		if m, err := readFrame(ahead, &h); err != nil || m != n {
+		if m, err := readFrame(ahead, &h, &path); err != nil || m != n {
 			t.Fatalf("frame %d through the read-ahead stream: n=%d (ReadFrame %d) err=%v", i, m, n, err)
 		}
 		if !bytes.Equal(mustEncode(t, &h), mustEncode(t, g)) {
@@ -214,7 +237,7 @@ func TestFrameRoundTripViaReader(t *testing.T) {
 	if read != total {
 		t.Fatalf("ReadFrame consumed %d bytes of %d written", read, total)
 	}
-	if _, err := readFrame(ahead, new(Frame)); err != io.EOF {
+	if _, err := readFrame(ahead, new(Frame), &path); err != io.EOF {
 		t.Fatalf("read-ahead stream after the last frame: %v, want io.EOF", err)
 	}
 }
@@ -256,7 +279,13 @@ func TestDecodeFrameErrors(t *testing.T) {
 	oversize := make([]byte, 4)
 	binary.BigEndian.PutUint32(oversize, MaxFrameSize+1)
 
-	// Overwrite Remaining (the seventh field) or Hop (the eighth).
+	settle, err := (&Frame{Kind: KindSettle, Batch: -1, Node: 4, Payoff: 1}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Overwrite Batch (the first field), Remaining (the seventh) or Hop
+	// (the eighth).
 	field := func(k int, v int64) []byte {
 		out := append([]byte(nil), msg...)
 		binary.BigEndian.PutUint64(out[4+2+8*k:], uint64(v))
@@ -283,6 +312,8 @@ func TestDecodeFrameErrors(t *testing.T) {
 		{"hostile budget", field(6, 1<<40), ErrBadHop},
 		{"negative budget", field(6, -1), ErrBadHop},
 		{"negative hop", field(7, -1), ErrBadHop},
+		{"negative batch", field(0, -1), ErrBadBatch},
+		{"settle for a negative batch", settle, ErrBadBatch},
 		{"body-internal truncation", encodeRaw([]byte{Version, byte(KindHello), 1, 2}), ErrShortFrame},
 	}
 	for _, tc := range cases {
@@ -345,7 +376,7 @@ func TestBodyCapEnforcedPerKind(t *testing.T) {
 			s := envelope.NewStream(bytes.NewReader(buf), connBuf)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			n, err = readFrame(s, new(Frame))
+			n, err = readFrame(s, new(Frame), nil)
 			runtime.ReadMemStats(&after)
 			if !errors.Is(err, ErrOversized) || n != 6 {
 				t.Fatalf("read-ahead stream: n=%d err=%v, want 6 and ErrOversized", n, err)

@@ -136,7 +136,8 @@ func streamAgrees(t *testing.T, data []byte) {
 		"read-ahead stream, byte per read": iotest.OneByteReader(bytes.NewReader(data)),
 	} {
 		var f Frame
-		n, err := readFrame(envelope.NewStream(src, connBuf), &f)
+		path := make([]overlay.NodeID, 0, 4) // a reader's buffer, too short for some paths
+		n, err := readFrame(envelope.NewStream(src, connBuf), &f, &path)
 		check(name, &f, n, err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -223,11 +224,12 @@ func TestImpostorHelloGetsNothing(t *testing.T) {
 }
 
 // TestOutOfRangeFrameRefused sends node 1 frames that decode only up to
-// their hop fields, each on its own connection after a Hello naming no
-// member: a FORWARD whose Remaining is 1<<40 — which would size a UM-II
-// router's memo at 2^40 stages — a FORWARD with a negative Remaining and a
-// CONFIRM with a negative Hop. Each is a decode error: node 1 counts it
-// malformed, closes that connection and keeps serving.
+// their hop or batch fields, each on its own connection after a Hello
+// naming no member: a FORWARD whose Remaining is 1<<40 — which would size
+// a UM-II router's memo at 2^40 stages — a FORWARD with a negative
+// Remaining, a CONFIRM with a negative Hop, and a FORWARD and a Settle
+// for batch −1. Each is a decode error: node 1 counts it malformed once,
+// closes that connection, which reads EOF, and keeps serving.
 func TestOutOfRangeFrameRefused(t *testing.T) {
 	c := NewCluster(Config{})
 	t.Cleanup(c.Close)
@@ -241,6 +243,8 @@ func TestOutOfRangeFrameRefused(t *testing.T) {
 		{Kind: KindForward, Batch: 1, Conn: 1, Attempt: 1, Responder: 2, Remaining: 1 << 40, Path: []overlay.NodeID{0}},
 		{Kind: KindForward, Batch: 1, Conn: 1, Attempt: 1, Responder: 2, Remaining: -1, Path: []overlay.NodeID{0}},
 		{Kind: KindConfirm, Batch: 1, Conn: 1, Attempt: 1, Responder: 2, Path: []overlay.NodeID{0, 1, 2}, Hop: -1},
+		{Kind: KindForward, Batch: -1, Conn: 1, Attempt: 1, Responder: 2, Remaining: 2, Path: []overlay.NodeID{0}},
+		{Kind: KindSettle, Batch: -1, Node: 1, Payoff: 3},
 	} {
 		imp, err := net.Dial("tcp", c.Node(1).Addr())
 		if err != nil {
@@ -257,9 +261,11 @@ func TestOutOfRangeFrameRefused(t *testing.T) {
 		if _, err := WriteFrame(imp, bad); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "the frame counted malformed", func() bool { return malformed.Value() == int64(n+1) })
-		if _, _, err := ReadFrame(imp); err == nil {
-			t.Fatal("the connection that carried the frame stayed open and wrote a frame")
+		if f, _, err := ReadFrame(imp); err != io.EOF {
+			t.Fatalf("after frame %d: read %v, %v; want EOF", n, f, err)
+		}
+		if got := malformed.Value(); got != int64(n+1) {
+			t.Fatalf("after frame %d: %d malformed, want %d", n, got, n+1)
 		}
 		if !c.Probe(0, 1, 5*time.Second) {
 			t.Fatalf("node 1 stopped answering after frame %d", n)
@@ -446,3 +452,73 @@ func TestProbeAckReturnsToProber(t *testing.T) {
 		t.Fatal("a probe between live nodes was not answered")
 	}
 }
+
+// TestOutcomePathSurvivesNextDecode runs two connections back to back
+// from node 0 to node 4, the first over relay 2 and the second over relay
+// 3; both CONFIRMs reach node 0 over its one connection with node 1,
+// whose reader decodes every path into one buffer. The first connection's
+// path must still read 0 1 2 4 once the second's CONFIRM was decoded
+// there: the driver keeps a copy, not the reader's buffer.
+func TestOutcomePathSurvivesNextDecode(t *testing.T) {
+	c := NewCluster(Config{})
+	t.Cleanup(c.Close)
+	r := transport.RouterFunc(func(self, pred, initiator, responder overlay.NodeID, batch, conn, remaining int) (overlay.NodeID, bool) {
+		switch self {
+		case 0:
+			return 1, false
+		case 1:
+			return overlay.NodeID(1 + conn), false
+		}
+		return 0, true
+	})
+	for id := overlay.NodeID(0); id < 5; id++ {
+		if err := c.Join(id, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, _, err := c.ConnectDetail(0, 4, 1, 1, 4, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, _, err := c.ConnectDetail(0, 4, 1, 2, 4, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(first, []overlay.NodeID{0, 1, 2, 4}) || !slices.Equal(second, []overlay.NodeID{0, 1, 3, 4}) {
+		t.Fatalf("paths %v and %v, want [0 1 2 4] and [0 1 3 4]", first, second)
+	}
+}
+
+// TestConnectOverTCPAllocs pins what a connection over a warmed 3-node
+// line costs the whole process: a frame is encoded at send into a buffer
+// its link recycles, and a path decoded into its reader's buffer, so no
+// allocation is left per frame — only the connection's own (its record,
+// launch buffer and window timer). The line's four frames used to add
+// two allocations each.
+func TestConnectOverTCPAllocs(t *testing.T) {
+	c := NewCluster(Config{})
+	t.Cleanup(c.Close)
+	for id := overlay.NodeID(0); id < 3; id++ {
+		if err := c.Join(id, lineRouter); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn := 0
+	connect := func() {
+		conn++
+		if _, _, err := c.ConnectDetail(0, 2, 1, conn, 2, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		connect() // dial both links and grow every buffer
+	}
+	if allocs := testing.AllocsPerRun(200, connect); allocs > connectAllocs {
+		t.Fatalf("%v allocations per connection over TCP, want <= %d", allocs, connectAllocs)
+	}
+}
+
+// connectAllocs is what TestConnectOverTCPAllocs measures for one
+// connection, under -race too: 5, where a Frame allocated per send and a
+// Path per receive made it 13.
+const connectAllocs = 5

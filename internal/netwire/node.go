@@ -108,7 +108,7 @@ func (nd *Node) acceptLoop() {
 // the connection now serves, or nil if it is only read (adopt).
 func (nd *Node) handshake(conn net.Conn, in *wire.Stream, f *Frame) (*link, error) {
 	conn.SetDeadline(time.Now().Add(nd.c.cfg.HandshakeTimeout))
-	n, err := readFrame(in, f)
+	n, err := readFrame(in, f, nil)
 	if err == nil && f.Kind != KindHello {
 		err = fmt.Errorf("first frame is %s, want %s", f.Kind, KindHello)
 	}
@@ -166,10 +166,12 @@ func (nd *Node) readLoop(conn net.Conn, in *wire.Stream, l *link) {
 		nd.mu.Unlock()
 		nd.c.metrics.connsOpen.Add(-1)
 	}()
-	// Every frame decodes into this one Frame: a protocol frame is copied
-	// into this one transport.Message before it is handled, and no handler
-	// keeps a pointer to either.
+	// Every frame decodes into this one Frame, its Path into this one
+	// buffer (up to an honest path's length; decodeBody): a protocol frame is copied into this one transport.Message
+	// before it is handled, and no handler keeps a pointer into any of them
+	// (Driver.Handle).
 	var f Frame
+	var path []overlay.NodeID
 	var msg transport.Message
 	if in == nil {
 		// One read-ahead stream for the whole connection, handshake
@@ -187,7 +189,7 @@ func (nd *Node) readLoop(conn net.Conn, in *wire.Stream, l *link) {
 	idle := false
 	for {
 		conn.SetReadDeadline(time.Now().Add(nd.c.cfg.IdleTimeout))
-		n, err := readFrame(in, &f)
+		n, err := readFrame(in, &f, &path)
 		if err == nil && (f.Kind == KindHello || f.Kind == KindHelloAck || f.Kind == KindClaim) {
 			err = badFrame{fmt.Errorf("%s after the handshake", f.Kind)}
 		}
@@ -255,8 +257,8 @@ func (nd *Node) handleFrame(peer overlay.NodeID, f *Frame, abs int64, m *transpo
 // zero here: the link stamps the budget that remains when it writes. A
 // frame's From is a FORWARD's sender only: a NACK's subject, its
 // message's From, travels in the reason text.
-func frameOf(m *transport.Message) *Frame {
-	f := &Frame{
+func frameOf(m *transport.Message) Frame {
+	f := Frame{
 		Kind:      KindForward + Kind(m.Kind),
 		Batch:     m.Batch,
 		Conn:      m.Conn,
@@ -310,58 +312,76 @@ func (f *Frame) message(deadline int64) transport.Message {
 	return m
 }
 
-// onDeliveryFail is the link writer's failure callback: the frame could
-// not be delivered to `to`. A protocol message goes back to the driver,
-// which marks the corpse and NACKs or reroutes; anything else just dies.
+// onDeliveryFail is the link's failure callback: the frame could not be
+// delivered to `to`. A protocol message is decoded back and goes to the
+// driver, which marks the corpse and NACKs or reroutes; anything else
+// just dies.
 func (nd *Node) onDeliveryFail(to overlay.NodeID, of outFrame) {
 	c := nd.c
 	if c.isClosed() {
 		return
 	}
 	c.metrics.dropped.Inc()
-	if isProtocol(of.f.Kind) {
-		m := of.f.message(of.abs)
+	if f, err := DecodeFrame(of.b); err == nil && isProtocol(f.Kind) {
+		m := f.message(of.abs)
 		c.Undeliverable(nd.ID, to, &m)
-	} else {
-		c.MarkDead(to)
+		return
 	}
+	c.MarkDead(to)
 }
 
-// sendMsg hands a frame to the link for `to`, creating the link on first
-// use. Frames to this node itself are delivered locally (a real wire
+// sendMsg encodes a frame and hands it to the link for `to`, creating the
+// link on first use; f is free again once it returns. Frames to this node
+// itself are delivered locally, decoded from their encoding (a real wire
 // would not carry them anyway). With a configured artificial latency the
 // handoff is delayed on the cluster clock, mirroring transport's link
 // latency model. Returns false when the frame was refused synchronously
-// (node killed, queue full past backpressure).
+// (node killed, queue full past backpressure, or a frame that does not
+// encode).
 func (nd *Node) sendMsg(to overlay.NodeID, f *Frame, abs int64) bool {
 	select {
 	case <-nd.killed:
 		return false
 	default:
 	}
-	if to == nd.ID {
+	var l *link
+	var buf []byte
+	if to != nd.ID {
+		l = nd.linkTo(to)
+		buf = l.buffer()
+	}
+	b, err := f.AppendTo(buf)
+	if err != nil {
+		nd.c.logf("node %d: encode %s for %d: %v", nd.ID, f.Kind, to, err)
+		return false
+	}
+	if l == nil {
 		nd.noteSentMsg(f.Kind)
 		nd.c.wg.Add(1)
 		go func() {
 			defer nd.c.wg.Done()
-			nd.handleFrame(nd.ID, f, abs, new(transport.Message))
+			if g, err := DecodeFrame(b); err == nil {
+				nd.handleFrame(nd.ID, g, abs, new(transport.Message))
+			}
 		}()
 		return true
 	}
-	l := nd.linkTo(to)
+	of := outFrame{b: b, abs: abs}
 	if nd.c.latency > 0 {
 		nd.noteSentMsg(f.Kind)
 		nd.c.Clock().AfterFunc(nd.c.latency, func() {
-			if !l.enqueue(outFrame{f: f, abs: abs}) {
-				nd.onDeliveryFail(to, outFrame{f: f, abs: abs})
+			if !l.enqueue(of) {
+				nd.onDeliveryFail(to, of)
+				l.recycle(of.b)
 			}
 		})
 		return true
 	}
-	if l.enqueue(outFrame{f: f, abs: abs}) {
+	if l.enqueue(of) {
 		nd.noteSentMsg(f.Kind)
 		return true
 	}
+	l.recycle(of.b)
 	return false
 }
 

@@ -31,18 +31,22 @@ func bigClaim(t testing.TB) *Frame {
 }
 
 // TestFrameStreamBoundaries feeds one byte stream — random frames of every
-// kind, then a near-cap claim, then a small frame — through the frame
-// reader under every segmentation a TCP stream can produce: all frames
-// coalesced into one segment, one byte per Read, and read-ahead buffers
-// small enough that frames straddle their end. Frame boundaries are a
-// property of the bytes, never of how they arrived.
+// kind, then a forward with the longest path the codec takes, a near-cap
+// claim and a small frame — through the frame reader under every
+// segmentation a TCP stream can produce: all frames coalesced into one
+// segment, one byte per Read, and read-ahead buffers small enough that
+// frames straddle their end. Frame boundaries are a property of the bytes,
+// never of how they arrived. The reader's path buffer never keeps more
+// than an honest path needs, whatever path a frame carried.
 func TestFrameStreamBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var frames []*Frame
 	for i := 0; i < 40; i++ {
 		frames = append(frames, randomFrame(t, rng, Kind(1+i%int(kindEnd-1))))
 	}
-	frames = append(frames, bigClaim(t), &Frame{Kind: KindProbe, Nonce: 5})
+	long := forwardFrame(t, false)
+	long.Path = make([]overlay.NodeID, maxPathLen)
+	frames = append(frames, long, bigClaim(t), &Frame{Kind: KindProbe, Nonce: 5})
 	var all []byte
 	var ends []int
 	for _, f := range frames {
@@ -61,18 +65,22 @@ func TestFrameStreamBoundaries(t *testing.T) {
 		for _, size := range []int{wire.HeadSize, 7, 64, 100, connBuf} {
 			s := envelope.NewStream(src(), size)
 			var f Frame
+			var path []overlay.NodeID
 			start := 0
 			for i, end := range ends {
-				n, err := readFrame(s, &f)
+				n, err := readFrame(s, &f, &path)
 				if err != nil || n != end-start {
 					t.Fatalf("%s, buffer %d, frame %d (%s): n=%d want %d, err=%v", name, size, i, frames[i].Kind, n, end-start, err)
 				}
 				if !bytes.Equal(mustEncode(t, &f), all[start:end]) {
 					t.Fatalf("%s, buffer %d, frame %d (%s): decoded frame re-encodes differently", name, size, i, frames[i].Kind)
 				}
+				if cap(path) > maxKeptPath {
+					t.Fatalf("%s, buffer %d, frame %d (%s): reader keeps a %d-entry path buffer, want <= %d", name, size, i, frames[i].Kind, cap(path), maxKeptPath)
+				}
 				start = end
 			}
-			if _, err := readFrame(s, &f); err != io.EOF {
+			if _, err := readFrame(s, &f, &path); err != io.EOF {
 				t.Fatalf("%s, buffer %d: after the last frame: %v, want io.EOF", name, size, err)
 			}
 		}
@@ -110,10 +118,10 @@ func TestFrameStreamEOF(t *testing.T) {
 		for _, size := range []int{wire.HeadSize, 16, connBuf} {
 			s := envelope.NewStream(bytes.NewReader(data), size)
 			var f Frame
-			if _, err := readFrame(s, &f); err != nil {
+			if _, err := readFrame(s, &f, nil); err != nil {
 				t.Fatalf("cut %d, buffer %d: first frame: %v", cut, size, err)
 			}
-			n, err := readFrame(s, &f)
+			n, err := readFrame(s, &f, nil)
 			check(t, cut, err)
 			if want := min(cut, wire.HeadSize); n > want {
 				t.Fatalf("cut %d, buffer %d: %d bytes reported consumed of a frame with %d present", cut, size, n, cut)
@@ -175,9 +183,9 @@ func (l *loop) Read(p []byte) (int, error) {
 }
 
 // TestFrameStreamSteadyStateAllocs pins the read side: a frame that fits
-// the read-ahead buffer is decoded in place, so the only allocations left
-// are what the frame hands on to the driver — its Path, plus the Reason of
-// a NACK.
+// the read-ahead buffer is decoded in place, its Path into the reader's
+// own buffer, so the only allocation left is the Reason a NACK hands on
+// to the driver.
 func TestFrameStreamSteadyStateAllocs(t *testing.T) {
 	nack := forwardFrame(t, false)
 	nack.Kind, nack.Reason = KindNack, "next hop 7 unreachable"
@@ -186,14 +194,15 @@ func TestFrameStreamSteadyStateAllocs(t *testing.T) {
 		f    *Frame
 		max  float64
 	}{
-		{"forward", forwardFrame(t, false), 1},
-		{"nack with reason", nack, 2},
+		{"forward", forwardFrame(t, false), 0},
+		{"nack with reason", nack, 1},
 		{"settle", &Frame{Kind: KindSettle, Batch: 12, Node: 4, Payoff: 1.5, Trace: 1, Span: 2}, 0},
 	} {
 		s := envelope.NewStream(&loop{wire: mustEncode(t, tc.f)}, connBuf)
 		var f Frame
+		var path []overlay.NodeID
 		if allocs := testing.AllocsPerRun(500, func() {
-			if _, err := readFrame(s, &f); err != nil {
+			if _, err := readFrame(s, &f, &path); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs > tc.max {
@@ -210,7 +219,7 @@ func TestFrameStreamSteadyStateAllocs(t *testing.T) {
 // bytes consumed.
 func ReadFrame(r io.Reader) (*Frame, int, error) {
 	f := new(Frame)
-	n, err := readFrame(envelope.NewStream(r, wire.HeadSize), f)
+	n, err := readFrame(envelope.NewStream(r, wire.HeadSize), f, nil)
 	if err != nil {
 		return nil, n, err
 	}

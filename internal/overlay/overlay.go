@@ -162,9 +162,6 @@ func (n *Network) notifyChurn(id NodeID, s State) {
 	}
 }
 
-// Degree returns the configured neighbor-set size d.
-func (n *Network) Degree() int { return n.degree }
-
 // Version returns the structural-change counter: it advances on every
 // Join, Rejoin and Leave, and on RefreshNeighbors calls that actually
 // modify a neighbor set. Equal versions guarantee an unchanged topology
@@ -420,29 +417,6 @@ func (n *Network) RefreshNeighbors(id NodeID) {
 		n.version++
 		n.nbrVer[id] = n.version
 	}
-}
-
-// Availability returns the node's ground-truth availability at time now:
-// the ratio of accumulated session time to lifetime, per the paper's §2.1
-// definition. A node observed for zero lifetime has availability 0.
-func (n *Network) Availability(now sim.Time, id NodeID) float64 {
-	node := n.Node(id)
-	total := node.TotalSession
-	if node.State == Online {
-		total += now - node.sessionStart
-	}
-	life := now - node.FirstJoin
-	if node.State == Departed {
-		life = node.FinalDeparture - node.FirstJoin
-	}
-	if life <= 0 {
-		return 0
-	}
-	a := float64(total) / float64(life)
-	if a > 1 {
-		a = 1
-	}
-	return a
 }
 
 // GoodOnline returns the online, non-malicious node IDs in ascending order.

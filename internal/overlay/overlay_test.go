@@ -371,3 +371,26 @@ func TestOnChurnNotifiesTransitions(t *testing.T) {
 		}
 	}
 }
+
+// Availability returns the node's ground-truth availability at time now:
+// the ratio of accumulated session time to lifetime, per the paper's §2.1
+// definition. A node observed for zero lifetime has availability 0.
+func (n *Network) Availability(now sim.Time, id NodeID) float64 {
+	node := n.Node(id)
+	total := node.TotalSession
+	if node.State == Online {
+		total += now - node.sessionStart
+	}
+	life := now - node.FirstJoin
+	if node.State == Departed {
+		life = node.FinalDeparture - node.FirstJoin
+	}
+	if life <= 0 {
+		return 0
+	}
+	a := float64(total) / float64(life)
+	if a > 1 {
+		a = 1
+	}
+	return a
+}

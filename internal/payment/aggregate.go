@@ -120,9 +120,6 @@ func (c *ClaimChain) Add(r Receipt) error {
 	return nil
 }
 
-// Len returns the number of folded receipts.
-func (c *ClaimChain) Len() int { return len(c.entries) }
-
 // Claim finalizes the chain and returns the aggregate claim. The chain is
 // sealed afterwards: settlement consumes it, further Adds error.
 func (c *ClaimChain) Claim() AggregateClaim {

@@ -441,3 +441,6 @@ func (m *ReceiptMinter) VerifyAggregate(c *AggregateClaim) int {
 	}
 	return m.verifyAggregateWith(v, sha256.New(), c)
 }
+
+// Len returns the number of folded receipts.
+func (c *ClaimChain) Len() int { return len(c.entries) }

@@ -142,20 +142,56 @@ func (m *ReceiptMinter) Verify(r Receipt) bool {
 // other forwarders are ignored — this is the settlement-side defence
 // against inflated forwarding counts.
 func (m *ReceiptMinter) CountValid(f AccountID, rs []Receipt) int {
-	seen := make(map[[2]int]struct{})
-	count := 0
-	for _, r := range rs {
-		if r.Forwarder != f || !m.Verify(r) {
-			continue
-		}
-		key := [2]int{r.Conn, r.Hop}
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		count++
+	rc := m.receiptCounter()
+	return rc.count(f, rs)
+}
+
+// receiptCounter is CountValid with its scratch hoisted, for loops that
+// count many claims: one MAC verifier over the minter's pad mid-states
+// instead of an HMAC instance per receipt, and one buffer of the valid
+// receipts' coordinates, sorted to count the distinct ones. Like the
+// verifier it is single-goroutine.
+type receiptCounter struct {
+	m    *ReceiptMinter
+	v    *macVerifier // nil when the mid-states failed their self-check
+	keys [][2]int
+}
+
+func (m *ReceiptMinter) receiptCounter() receiptCounter {
+	v, _ := newMACVerifier(m.ipadState, m.opadState)
+	return receiptCounter{m: m, v: v}
+}
+
+// count is CountValid(f, rs).
+func (rc *receiptCounter) count(f AccountID, rs []Receipt) int {
+	if rc.v != nil {
+		rc.v.setForwarder(f)
 	}
-	return count
+	keys := rc.keys[:0]
+	if cap(keys) < len(rs) {
+		keys = make([][2]int, 0, len(rs))
+	}
+	for i := range rs {
+		if r := &rs[i]; r.Forwarder == f && rc.valid(r) {
+			keys = append(keys, [2]int{r.Conn, r.Hop})
+		}
+	}
+	slices.SortFunc(keys, func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	rc.keys = keys
+	return len(slices.Compact(keys))
+}
+
+// valid reports whether r, which names the verifier's forwarder, is
+// authentic: Verify's verdict, from the mid-states when they serve.
+func (rc *receiptCounter) valid(r *Receipt) bool {
+	if rc.v != nil {
+		if mac, err := rc.v.mac(r.Conn, r.Hop); err == nil {
+			return hmac.Equal(mac, r.MAC[:])
+		}
+	}
+	return rc.m.Verify(*r)
 }
 
 // Claim is a forwarder's settlement submission for one batch.
@@ -199,11 +235,12 @@ func (s *Settlement) Run(claims []Claim) ([]Payout, error) {
 
 // verifyClaims is the per-receipt verifier: a claim is accepted for the
 // CountValid of its receipts, and every receipt CountValid discards is
-// counted as rejected.
+// counted as rejected. One receiptCounter serves every claim.
 func (m *ReceiptMinter) verifyClaims(claims []Claim) (accepted []Payout, rejected int) {
 	accepted = make([]Payout, 0, len(claims))
+	rc := m.receiptCounter()
 	for _, c := range claims {
-		n := m.CountValid(c.Forwarder, c.Receipts)
+		n := rc.count(c.Forwarder, c.Receipts)
 		rejected += len(c.Receipts) - n
 		if n > 0 {
 			accepted = append(accepted, Payout{Forwarder: c.Forwarder, Forwards: n})

@@ -372,3 +372,97 @@ func TestSettlementBatchVsSerialBalances(t *testing.T) {
 		t.Fatalf("balances diverge: batch %v, serial %v", got, want)
 	}
 }
+
+// countValidRef is the reference count: Verify per receipt, a map of the
+// (conn, hop) coordinates already counted.
+func countValidRef(m *ReceiptMinter, f AccountID, rs []Receipt) int {
+	seen := make(map[[2]int]bool)
+	for _, r := range rs {
+		if r.Forwarder == f && m.Verify(r) {
+			seen[[2]int{r.Conn, r.Hop}] = true
+		}
+	}
+	return len(seen)
+}
+
+// randomClaims draws claims over forwarders 1–4 mixing genuine receipts
+// with forged ones (a flipped MAC bit), exact duplicates, receipts minted
+// for another forwarder and random bytes, in random order.
+func randomClaims(m *ReceiptMinter, rng *rand.Rand) []Claim {
+	claims := make([]Claim, 1+rng.Intn(6))
+	for i := range claims {
+		f := AccountID(1 + rng.Intn(4))
+		claims[i].Forwarder = f
+		for j := rng.Intn(24); j > 0; j-- {
+			r := m.Mint(rng.Intn(6)-1, rng.Intn(5), f)
+			switch rng.Intn(5) {
+			case 1: // forged
+				r.MAC[rng.Intn(len(r.MAC))] ^= 1 << rng.Intn(8)
+			case 2: // duplicated
+				claims[i].Receipts = append(claims[i].Receipts, r)
+			case 3: // minted for another forwarder
+				r = m.Mint(r.Conn, r.Hop, f+1)
+			case 4: // random bytes
+				rng.Read(r.MAC[:])
+			}
+			claims[i].Receipts = append(claims[i].Receipts, r)
+		}
+		rng.Shuffle(len(claims[i].Receipts), func(a, b int) {
+			claims[i].Receipts[a], claims[i].Receipts[b] = claims[i].Receipts[b], claims[i].Receipts[a]
+		})
+	}
+	return claims
+}
+
+// TestCountValidMatchesVerify holds CountValid and verifyClaims to
+// Verify's verdicts on random claims, with the pad mid-states and with
+// the fallback a minter takes when they fail their self-check.
+func TestCountValidMatchesVerify(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	fast := minter(t)
+	slow := minter(t)
+	slow.ipadState, slow.opadState = nil, nil
+	for _, m := range []*ReceiptMinter{fast, slow} {
+		for round := 0; round < 200; round++ {
+			claims := randomClaims(m, rng)
+			accepted, rejected := m.verifyClaims(claims)
+			var want []Payout
+			wantRejected := 0
+			for _, c := range claims {
+				n := countValidRef(m, c.Forwarder, c.Receipts)
+				if got := m.CountValid(c.Forwarder, c.Receipts); got != n {
+					t.Fatalf("round %d: CountValid = %d, Verify counts %d", round, got, n)
+				}
+				if n > 0 {
+					want = append(want, Payout{Forwarder: c.Forwarder, Forwards: n})
+				}
+				wantRejected += len(c.Receipts) - n
+			}
+			if !reflect.DeepEqual(accepted, append(make([]Payout, 0), want...)) || rejected != wantRejected {
+				t.Fatalf("round %d: verifyClaims = %v, %d; want %v, %d", round, accepted, rejected, want, wantRejected)
+			}
+		}
+	}
+}
+
+// TestVerifyClaimsAllocs pins the per-receipt settlement's verification:
+// eight claims of 32 receipts cost a fixed handful of allocations — the
+// accepted slice, the counter's verifier and digest, and its coordinate
+// buffer — not an HMAC instance per receipt (1 849 in all when each
+// receipt built one).
+func TestVerifyClaimsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates inside the digest")
+	}
+	m := minter(t)
+	claims := make([]Claim, 8)
+	for i := range claims {
+		claims[i].Forwarder = AccountID(i + 1)
+		for j := 0; j < 32; j++ {
+			claims[i].Receipts = append(claims[i].Receipts, m.Mint(j/4, j%4, claims[i].Forwarder))
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { m.verifyClaims(claims) }); allocs > 4 {
+		t.Fatalf("verifyClaims over %d receipts: %v allocs, want <= 4", 8*32, allocs)
+	}
+}

@@ -43,7 +43,7 @@ const DecayOnMiss = 0.5
 
 // Estimator tracks one observer's availability estimates for its neighbor
 // set. Create one per node with NewEstimator and call Tick once per probing
-// period (the Attach helper schedules this on a sim engine).
+// period (a Set's Attach schedules every node's on a sim engine).
 type Estimator struct {
 	owner  overlay.NodeID
 	net    *overlay.Network
@@ -110,9 +110,6 @@ func (est *Estimator) Instrument(reg *telemetry.Registry) {
 	est.decays = reg.Counter(metricUpdatesTotal, telemetry.Labels{"result": "decay"})
 	est.inits = reg.Counter(metricUpdatesTotal, telemetry.Labels{"result": "init"})
 }
-
-// Owner returns the observing node's ID.
-func (est *Estimator) Owner() overlay.NodeID { return est.owner }
 
 // Probes returns how many probing rounds have run.
 func (est *Estimator) Probes() int { return est.probes }
@@ -238,21 +235,6 @@ func (est *Estimator) Snapshot() map[overlay.NodeID]float64 {
 		out[v] = est.Availability(v)
 	}
 	return out
-}
-
-// Attach schedules est.Tick every probing period on the engine, pausing
-// automatically while the owner is offline (an offline peer cannot probe)
-// and stopping for good when it departs. It returns a cancel function.
-func (est *Estimator) Attach(e *sim.Engine) (cancel func()) {
-	return e.Every(est.period, func(*sim.Engine) bool {
-		switch est.net.Node(est.owner).State {
-		case overlay.Departed:
-			return false
-		case overlay.Online:
-			est.Tick()
-		}
-		return true
-	})
 }
 
 // Set is a convenience bundle of one estimator per node, used by the

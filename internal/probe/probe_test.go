@@ -372,3 +372,21 @@ func TestQuickSnapshotNormalised(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Owner returns the observing node's ID.
+func (est *Estimator) Owner() overlay.NodeID { return est.owner }
+
+// Attach schedules est.Tick every probing period on the engine, pausing
+// automatically while the owner is offline (an offline peer cannot probe)
+// and stopping for good when it departs. It returns a cancel function.
+func (est *Estimator) Attach(e *sim.Engine) (cancel func()) {
+	return e.Every(est.period, func(*sim.Engine) bool {
+		switch est.net.Node(est.owner).State {
+		case overlay.Departed:
+			return false
+		case overlay.Online:
+			est.Tick()
+		}
+		return true
+	})
+}

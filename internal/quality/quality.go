@@ -93,12 +93,6 @@ func (fs *ForwarderSet) AddPath(forwarders []overlay.NodeID, hopLen int) {
 // Size returns ‖π‖, the number of distinct forwarders used by the batch.
 func (fs *ForwarderSet) Size() int { return len(fs.members) }
 
-// Contains reports whether id ever forwarded for this batch.
-func (fs *ForwarderSet) Contains(id overlay.NodeID) bool {
-	_, ok := fs.members[id]
-	return ok
-}
-
 // Members returns the forwarder IDs (unsorted; callers that need
 // determinism should sort).
 func (fs *ForwarderSet) Members() []overlay.NodeID {
@@ -117,9 +111,6 @@ func (fs *ForwarderSet) AvgLen() float64 {
 	}
 	return float64(fs.totalLen) / float64(fs.paths)
 }
-
-// Paths returns the number of connections recorded.
-func (fs *ForwarderSet) Paths() int { return fs.paths }
 
 // Quality returns Q(π) = AvgLen / Size for this batch.
 func (fs *ForwarderSet) Quality() float64 {

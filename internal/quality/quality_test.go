@@ -166,3 +166,12 @@ func TestQuickForwarderSetSize(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Contains reports whether id ever forwarded for this batch.
+func (fs *ForwarderSet) Contains(id overlay.NodeID) bool {
+	_, ok := fs.members[id]
+	return ok
+}
+
+// Paths returns the number of connections recorded.
+func (fs *ForwarderSet) Paths() int { return fs.paths }

@@ -90,9 +90,6 @@ func NewCoalition(members []overlay.NodeID, boost float64) *Coalition {
 	return &Coalition{members: m, Boost: boost}
 }
 
-// Members returns the coalition size.
-func (c *Coalition) Members() int { return len(c.members) }
-
 // Contains reports membership.
 func (c *Coalition) Contains(id overlay.NodeID) bool {
 	_, ok := c.members[id]

@@ -209,3 +209,6 @@ func (t *Table) Subjects() []overlay.NodeID {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
+
+// Members returns the coalition size.
+func (c *Coalition) Members() int { return len(c.members) }

@@ -69,14 +69,6 @@ func (a *Accumulator) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
 
-// Min returns the smallest observation, or NaN when empty.
-func (a *Accumulator) Min() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.min
-}
-
 // Max returns the largest observation, or NaN when empty.
 func (a *Accumulator) Max() float64 {
 	if a.n == 0 {
@@ -84,9 +76,6 @@ func (a *Accumulator) Max() float64 {
 	}
 	return a.max
 }
-
-// Sum returns n·mean, the total of all observations.
-func (a *Accumulator) Sum() float64 { return float64(a.n) * a.mean }
 
 // CI95 returns the half-width of the 95% confidence interval for the mean,
 // using the Student-t distribution. It returns 0 with fewer than two
@@ -166,9 +155,6 @@ func NewCDF(xs []float64) *CDF {
 	sort.Float64s(s)
 	return &CDF{sorted: s}
 }
-
-// N returns the sample size.
-func (c *CDF) N() int { return len(c.sorted) }
 
 // At returns the fraction of the sample that is <= x.
 func (c *CDF) At(x float64) float64 {
@@ -268,9 +254,6 @@ func (h *Histogram) Add(x float64) {
 	h.Counts[i]++
 	h.total++
 }
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int { return h.total }
 
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {

@@ -312,3 +312,20 @@ func (h *Histogram) Fraction(i int) float64 {
 	}
 	return float64(h.Counts[i]) / float64(h.total)
 }
+
+// Min returns the smallest observation, or NaN when empty.
+func (a *Accumulator) Min() float64 {
+	if a.n == 0 {
+		return math.NaN()
+	}
+	return a.min
+}
+
+// Sum returns n·mean, the total of all observations.
+func (a *Accumulator) Sum() float64 { return float64(a.n) * a.mean }
+
+// N returns the sample size.
+func (c *CDF) N() int { return len(c.sorted) }
+
+// Total returns the number of observations recorded.
+func (h *Histogram) Total() int { return h.total }

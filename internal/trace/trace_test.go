@@ -78,7 +78,7 @@ func TestGenerateContracts(t *testing.T) {
 		if p.Contract.Pf < 50 || p.Contract.Pf >= 100 {
 			t.Fatalf("P_f = %g out of range", p.Contract.Pf)
 		}
-		if tau := p.Contract.Tau(); tau < 3.999 || tau > 4.001 {
+		if tau := p.Contract.Pr / p.Contract.Pf; tau < 3.999 || tau > 4.001 {
 			t.Fatalf("tau = %g", tau)
 		}
 	}

@@ -97,9 +97,6 @@ func (d *Driver) Telemetry() *telemetry.Registry { return d.inst.reg }
 // connections.
 func (d *Driver) SetSpans(r *telemetry.SpanRecorder) { d.spans = r }
 
-// Spans returns the attached span recorder, or nil.
-func (d *Driver) Spans() *telemetry.SpanRecorder { return d.spans }
-
 // SetClock replaces the protocol clock — attempt windows and retry
 // backoff are its AfterFunc callbacks, and the link's latency model reads
 // it too. Pass a vclock.Engine clock to run the protocol inside a
@@ -204,6 +201,10 @@ type connRec struct {
 	// pointer, so a launch cannot live on its launcher's stack; the record
 	// is allocated anyway.
 	first Message
+	// path is the live attempt's launch buffer, the Path its FORWARD
+	// started with; the CONFIRM that resolves the attempt leaves its path
+	// there (resolve).
+	path []overlay.NodeID
 
 	out  Outcome
 	done func(Outcome) // Start's callback; nil when a caller waits on wg
@@ -323,12 +324,13 @@ func (c *connRec) reform(now time.Time, remaining time.Duration) {
 // initiator's own handler — a node does not message itself, so the
 // launch crosses no link. The message is built first: once the timer is
 // armed, the record may belong to whichever goroutine claims the attempt.
-// Its Path is allocated once, for the longest walk the budget allows (I,
-// budget forwarders, R), and every hop appends in place: the attempt's
-// one FORWARD owns it, and a link that delivers a copy clones it. The
-// first attempt's message is the record's own; a reformation's is
-// allocated, since the first may still be in its launcher's hands — a
-// window can expire, on another goroutine, while the launch routes.
+// Its Path, the launch buffer, is allocated once, for the longest walk
+// the budget allows (I, budget forwarders, R), and every hop appends in
+// place: the attempt's one FORWARD owns it, and a link that delivers
+// copies gives each its own. The first attempt's message is the record's
+// own; a reformation's is allocated, since the first may still be in its
+// launcher's hands — a window can expire, on another goroutine, while the
+// launch routes.
 func (c *connRec) launchAttempt(now time.Time, remaining time.Duration) {
 	d := c.d
 	c.window = min(c.per, remaining)
@@ -343,6 +345,7 @@ func (c *connRec) launchAttempt(now time.Time, remaining time.Duration) {
 	if c.attempt > 1 {
 		m = new(Message)
 	}
+	c.path = make([]overlay.NodeID, 0, c.budget+2)
 	*m = Message{
 		Kind:      MsgForward,
 		Batch:     c.batch,
@@ -351,7 +354,7 @@ func (c *connRec) launchAttempt(now time.Time, remaining time.Duration) {
 		Initiator: c.initiator,
 		Responder: c.responder,
 		Remaining: c.budget,
-		Path:      make([]overlay.NodeID, 0, c.budget+2),
+		Path:      c.path,
 		Deadline:  now.Add(c.window).UnixNano(),
 		Trace:     c.trace,
 		Span:      c.launch,
@@ -406,7 +409,10 @@ func (d *Driver) expire(aid int) {
 // the path runs from self to the attempt's responder over at least two
 // nodes; any other reply leaves the attempt pending and counts as
 // malformed. A reply whose attempt was already resolved or abandoned is
-// stale: counted, and otherwise dropped.
+// stale: counted, and otherwise dropped. The claiming CONFIRM's path is
+// the one path that outlives Handle, so it is copied into the attempt's
+// launch buffer; in-process it already is that buffer, and the copy is
+// onto itself.
 func (d *Driver) resolve(self, last overlay.NodeID, m *Message) {
 	d.pendMu.Lock()
 	c := d.pending[m.Attempt]
@@ -436,7 +442,7 @@ func (d *Driver) resolve(self, last overlay.NodeID, m *Message) {
 			parent = c.launch
 		}
 		c.emit(telemetry.SpanDeliver, parent)
-		out := Outcome{Path: m.Path, Reformations: c.reforms}
+		out := Outcome{Path: append(c.path[:0], m.Path...), Reformations: c.reforms}
 		if m.Secure != nil {
 			out.Records = m.Secure.Records
 		}

@@ -792,3 +792,6 @@ func TestNegativeBatchRefused(t *testing.T) {
 		t.Fatalf("malformed %d, closed_batch %d, sends %d; want 2, 0 and 0", malformed.Value(), closed.Value(), n.Metrics().Sent)
 	}
 }
+
+// Spans returns the attached span recorder, or nil.
+func (d *Driver) Spans() *telemetry.SpanRecorder { return d.spans }

@@ -42,7 +42,7 @@ func (k MsgKind) String() string {
 // past Send (the in-process FIFO, faultsim's delays and duplicates) keeps
 // its own copy. The Path and Secure a message points to are its
 // attempt's one FORWARD's, so a link that hands one message on twice
-// gives the second its own. Fields constant for a whole attempt are kept
+// gives each copy its own. Fields constant for a whole attempt are kept
 // small: the deadline is an int64, the NACK reason a byte, and the
 // secure protocol's load one pointer that plain mode leaves nil.
 type Message struct {
@@ -230,7 +230,10 @@ type Link interface {
 // Remaining lies in [0, MaxBudget], a CONFIRM/NACK only if its Hop
 // indexes its Path and names st there; any other message is refused and
 // counted malformed, and otherwise ignored. The driver owns m for the
-// call and keeps no pointer to it.
+// call and keeps no pointer to it or into its Path, which may be a buffer
+// the link reuses for its next message (netwire decodes every path of a
+// connection into one): the one path kept, the Outcome's, is copied into
+// the attempt's launch buffer (resolve).
 func (d *Driver) Handle(st *Station, m *Message) {
 	if m.Batch < 0 {
 		d.inst.malformed.Inc()

@@ -515,11 +515,6 @@ func (c *countingClock) Since(t time.Time) time.Duration {
 	return c.Clock.Since(t)
 }
 
-func (c *countingClock) Until(t time.Time) time.Duration {
-	c.reads.Add(1)
-	return c.Clock.Until(t)
-}
-
 // TestConnectClockReads pins the clock reads of one zero-latency
 // connection over a line: the start (which the first launch shares), the
 // drain pass's first read and one more every clockEvery handovers, and

@@ -25,8 +25,6 @@ type Clock interface {
 	Now() time.Time
 	// Since returns Now().Sub(t).
 	Since(t time.Time) time.Duration
-	// Until returns t.Sub(Now()).
-	Until(t time.Time) time.Duration
 	// AfterFunc runs fn once the clock reaches now+d: in its own goroutine
 	// on the real clock, inline on an Engine clock.
 	AfterFunc(d time.Duration, fn func()) *Timer
@@ -54,7 +52,6 @@ func Real() Clock { return realClock{} }
 
 func (realClock) Now() time.Time                  { return time.Now() }
 func (realClock) Since(t time.Time) time.Duration { return time.Since(t) }
-func (realClock) Until(t time.Time) time.Duration { return time.Until(t) }
 
 func (realClock) AfterFunc(d time.Duration, fn func()) *Timer {
 	return &Timer{real: time.AfterFunc(d, fn)}
@@ -75,7 +72,6 @@ func Engine(e *sim.Engine) Clock { return engineClock{e} }
 
 func (c engineClock) Now() time.Time                  { return Epoch.Add(c.e.Now().Duration()) }
 func (c engineClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
-func (c engineClock) Until(t time.Time) time.Duration { return t.Sub(c.Now()) }
 
 // AfterFunc queues fn d from now. The deadline is summed in nanoseconds,
 // so deadlines that are equal as Durations are equal on the engine and
