@@ -13,15 +13,22 @@
 //	clusterd -gen 7 [-workers 3] [-nodes 9] [-batches 4] [-out dir]
 //
 // A composition is the faultsim Plan JSON schema plus "workers" (see
-// internal/clusterd); an unknown key is refused, not ignored. With -gen N a fault-free
+// internal/clusterd); an unknown key is refused, not ignored, and so is
+// what the cluster cannot apply: a fault other than crash and restart,
+// "churn" and a positive "malicious_fraction". Every worker builds the
+// seeded static world of the live replay from "seed", "nodes" and
+// "degree", and routes with the live router "router" names (random,
+// utility for Model I, utility2 for Model II). With -gen N a fault-free
 // composition is derived from seed N and the -nodes/-batches knobs.
 // Workers default to re-executing this binary; -worker-bin points at
 // an alternative binary accepting -cluster-worker/-cluster-index
 // (cmd/anonsim does).
 //
 // The same composition run twice produces a byte-identical merged
-// spans.jsonl — the cross-process determinism contract. Exit status is
-// 1 on any invariant violation, 2 on usage errors.
+// spans.jsonl — the cross-process determinism contract; under the
+// utility router it is also the same for any -workers. Exit status is
+// 1 on any invariant violation, 2 on usage errors and on a composition
+// that fails validation.
 package main
 
 import (

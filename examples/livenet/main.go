@@ -98,8 +98,8 @@ func main() {
 			i+1, pr[0], pr[1], out.SetSize(), len(out.Paths))
 		fmt.Printf("  first path: %v\n", out.Paths[0])
 		fmt.Printf("  last path:  %v\n", out.Paths[len(out.Paths)-1])
-		for id := range out.Set {
-			fmt.Printf("  forwarder %2d: m=%2d, payoff %.2f\n", id, out.Forwards[id], out.Payoff(id, contract))
+		for id, m := range out.Forwards {
+			fmt.Printf("  forwarder %2d: m=%2d, payoff %.2f\n", id, m, out.Payoff(id, contract))
 		}
 	}
 

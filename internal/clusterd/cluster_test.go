@@ -93,37 +93,71 @@ func runComposition(t *testing.T, comp Composition, dir string) (*RunResult, []*
 	return res, spawned
 }
 
-// TestClusterRunDeterministic runs the same fault-free composition
-// twice across 3 real worker processes and requires byte-identical
-// merged span artifacts — the cross-process determinism contract.
-func TestClusterRunDeterministic(t *testing.T) {
-	comp := Composition{
-		Plan:    faultsim.Plan{Seed: 7, Nodes: 9, Batches: 3, Conns: 4},
-		Workers: 3,
+// runSpans runs one fault-free composition, requires every batch to
+// settle with no violation, and returns the merged span log.
+func runSpans(t *testing.T, comp Composition, dir string) []byte {
+	t.Helper()
+	res, _ := runComposition(t, comp, dir)
+	for _, b := range res.Batches {
+		if b.Failed {
+			t.Fatalf("batch %d failed in a fault-free run", b.Batch)
+		}
 	}
-	dirs := []string{artifactDir(t, "run1"), artifactDir(t, "run2")}
-	var logs [][]byte
-	for _, dir := range dirs {
-		res, _ := runComposition(t, comp, dir)
-		for _, b := range res.Batches {
-			if b.Failed {
-				t.Fatalf("batch %d failed in a fault-free run", b.Batch)
+	if len(res.Violations) != 0 {
+		t.Fatalf("violations: %v", res.Violations)
+	}
+	if len(res.Spans) == 0 {
+		t.Fatal("no spans collected")
+	}
+	log, err := os.ReadFile(filepath.Join(dir, "spans.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log
+}
+
+// TestClusterRunDeterministic runs the same fault-free composition
+// twice across 3 real worker processes under each live router and
+// requires byte-identical merged span artifacts — the cross-process
+// determinism contract. Under random, a 1-worker run differs: each
+// process draws from its own copy of the router's stream.
+func TestClusterRunDeterministic(t *testing.T) {
+	for _, router := range []string{"utility", "random", "utility2"} {
+		t.Run(router, func(t *testing.T) {
+			comp := Composition{
+				Plan:    faultsim.Plan{Seed: 7, Nodes: 9, Batches: 3, Conns: 4, Router: router},
+				Workers: 3,
 			}
-		}
-		if len(res.Violations) != 0 {
-			t.Fatalf("violations: %v", res.Violations)
-		}
-		if len(res.Spans) == 0 {
-			t.Fatal("no spans collected")
-		}
-		log, err := os.ReadFile(filepath.Join(dir, "spans.jsonl"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		logs = append(logs, log)
+			a := runSpans(t, comp, artifactDir(t, "run1"))
+			b := runSpans(t, comp, artifactDir(t, "run2"))
+			if !bytes.Equal(a, b) {
+				t.Fatalf("merged span logs diverge across runs:\nrun 1: %d bytes\nrun 2: %d bytes", len(a), len(b))
+			}
+			if router != "random" {
+				return
+			}
+			comp.Workers = 1
+			if bytes.Equal(runSpans(t, comp, artifactDir(t, "one")), a) {
+				t.Fatal("random routing wrote the same span log in 1 process as in 3")
+			}
+		})
+	}
+}
+
+// TestClusterSpansIndependentOfWorkers runs one fault-free Model-I
+// composition in one worker process and across three, and requires
+// byte-identical merged span logs: every worker builds the same seeded
+// world, and σ(s, v) reads only s's own uses, which s's own worker
+// records.
+func TestClusterSpansIndependentOfWorkers(t *testing.T) {
+	comp := Composition{Plan: faultsim.Plan{Seed: 5, Nodes: 12, Batches: 3, Conns: 4}}
+	var logs [][]byte
+	for _, workers := range []int{1, 3} {
+		comp.Workers = workers
+		logs = append(logs, runSpans(t, comp, artifactDir(t, fmt.Sprintf("workers-%d", workers))))
 	}
 	if !bytes.Equal(logs[0], logs[1]) {
-		t.Fatalf("merged span logs diverge across runs:\nrun 1: %d bytes\nrun 2: %d bytes", len(logs[0]), len(logs[1]))
+		t.Fatalf("merged span logs differ between 1 and 3 workers: %d vs %d bytes", len(logs[0]), len(logs[1]))
 	}
 }
 
@@ -343,21 +377,50 @@ func TestCompositionOwnership(t *testing.T) {
 // TestCompositionValidate pins the configuration errors.
 func TestCompositionValidate(t *testing.T) {
 	base := faultsim.Plan{Nodes: 6}
-	cases := []struct {
-		name string
-		comp Composition
-		ok   bool
-	}{
-		{"defaults", Composition{Plan: base}, true},
-		{"too many workers", Composition{Plan: base, Workers: 65}, false},
+	with := func(edit func(*faultsim.Plan)) faultsim.Plan {
+		p := base
+		edit(&p)
+		return p
+	}
+	withFaults := func(fs ...faultsim.Fault) Composition {
+		return Composition{Plan: with(func(p *faultsim.Plan) { p.Faults = fs })}
+	}
+	type testCase struct {
+		name  string
+		comp  Composition
+		ok    bool
+		names string // a refusal's error names this field or fault kind
+	}
+	cases := []testCase{
+		{"defaults", Composition{Plan: base}, true, ""},
+		{"too many workers", Composition{Plan: base, Workers: 65}, false, ""},
+		{"unknown router", Composition{Plan: with(func(p *faultsim.Plan) { p.Router = "ring" })}, false, "ring"},
+		{"churn", Composition{Plan: with(func(p *faultsim.Plan) { p.Churn = true })}, false, "churn"},
+		{"malicious nodes", Composition{Plan: with(func(p *faultsim.Plan) { p.MaliciousFraction = 0.2 })}, false, "malicious_fraction"},
+		{"crash and restart", withFaults(faultsim.Fault{Kind: faultsim.FaultCrash, At: 1, Node: 2},
+			faultsim.Fault{Kind: faultsim.FaultRestart, At: 2, Node: 2}), true, ""},
+	}
+	// Every fault the single-process world applies but the cluster cannot
+	// is refused by kind.
+	for _, f := range []faultsim.Fault{
+		{Kind: faultsim.FaultDrop, Batch: 1, Conn: 1, Msg: 1},
+		{Kind: faultsim.FaultDelay, Batch: 1, Conn: 1, Msg: 1, Delay: 0.1},
+		{Kind: faultsim.FaultDuplicate, Batch: 1, Conn: 1, Msg: 1},
+		{Kind: faultsim.FaultReorder, Batch: 1, Conn: 1, Msg: 1, Delay: 0.1},
+		{Kind: faultsim.FaultDoubleDeposit, At: 1, Node: 2},
+		{Kind: faultsim.FaultProbeLie, At: 1, Node: 2},
+		{Kind: faultsim.FaultInflate, Batch: 1, Node: 2},
+		{Kind: faultsim.FaultDoubleSpend, Batch: 1},
+	} {
+		cases = append(cases, testCase{string(f.Kind), withFaults(f), false, string(f.Kind)})
 	}
 	for _, tc := range cases {
 		err := tc.comp.Validate()
 		if tc.ok && err != nil {
 			t.Errorf("%s: unexpected error %v", tc.name, err)
 		}
-		if !tc.ok && err == nil {
-			t.Errorf("%s: error expected", tc.name)
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), tc.names)) {
+			t.Errorf("%s: got %v, want an error naming %q", tc.name, err, tc.names)
 		}
 	}
 }
@@ -454,36 +517,13 @@ func TestUnknownFieldsRefused(t *testing.T) {
 	refused("worker config with links", <-done, "links")
 }
 
-// TestRingRouterWalk pins the deterministic ring walk and its churn
-// response.
-func TestRingRouterWalk(t *testing.T) {
-	r := NewRingRouter(6)
-	// From 0 toward responder 3: next clockwise non-self hop is 1.
-	if hop, deliver := r.NextHop(0, 0, 0, 3, 1, 1, 6); deliver || hop != 1 {
-		t.Fatalf("hop=%d deliver=%v", hop, deliver)
-	}
-	r.MarkDead(1)
-	if hop, deliver := r.NextHop(0, 0, 0, 3, 1, 1, 6); deliver || hop != 2 {
-		t.Fatalf("around corpse: hop=%d deliver=%v", hop, deliver)
-	}
-	// From 2, responder 3 is adjacent: deliver.
-	if hop, deliver := r.NextHop(2, 0, 0, 3, 1, 1, 6); !deliver || hop != 3 {
-		t.Fatalf("delivery: hop=%d deliver=%v", hop, deliver)
-	}
-	r.MarkLive(1)
-	if hop, deliver := r.NextHop(0, 0, 0, 3, 1, 1, 6); deliver || hop != 1 {
-		t.Fatalf("revived: hop=%d deliver=%v", hop, deliver)
-	}
-}
-
 // TestFaultBoundary pins the fold from virtual fault times onto batch
-// boundaries and the crash/restart filter.
+// boundaries.
 func TestFaultBoundary(t *testing.T) {
 	comp := Composition{Plan: faultsim.Plan{Nodes: 6, Batches: 4, Faults: []faultsim.Fault{
 		{Kind: faultsim.FaultCrash, At: 1, Node: 2},
 		{Kind: faultsim.FaultRestart, At: 2, Node: 2},
-		{Kind: faultsim.FaultDrop, Batch: 2, Conn: 1, Msg: 1}, // sim-only: ignored
-		{Kind: faultsim.FaultCrash, At: 5, Node: 3},           // 1 + 5%4 = 2
+		{Kind: faultsim.FaultCrash, At: 5, Node: 3}, // 1 + 5%4 = 2
 	}}}.Normalize()
 	if fs := comp.BoundaryFaults(2); len(fs) != 2 || fs[0].Node != 2 || fs[1].Node != 3 {
 		t.Fatalf("boundary 2: %+v", fs)

@@ -1,10 +1,10 @@
 package clusterd
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"p2panon/internal/dist"
@@ -14,26 +14,25 @@ import (
 )
 
 // Composition declares one multi-process cluster run: the faultsim Plan
-// schema for world shape, workload, timing, incentives and the fault
-// schedule, plus the process count. A plan that drives the
-// single-process faultsim world drives a process cluster unchanged;
-// only Workers is new.
+// schema for world shape, routing strategy, workload, timing, incentives
+// and the fault schedule, plus the process count. Every worker builds the
+// same seeded static world (transport.StaticWorld over Seed, Nodes and
+// Degree) and routes with the live router that Router names, under the
+// contract (Pf, Pr).
+// The cluster runs on batch boundaries, not a virtual clock, so of the
+// plan's faults it applies crashes and restarts only; Validate refuses
+// the rest, session churn and malicious nodes rather than run without
+// them.
 type Composition struct {
 	faultsim.Plan
 	Workers int `json:"workers,omitempty"`
 }
 
-// Normalize fills zero fields with defaults. The reformation budget is
-// raised to the node count if below it: the ring router may need a
-// near-full lap when the responder sits just counter-clockwise of the
-// initiator.
+// Normalize fills zero fields with the plan's defaults and three workers.
 func (c Composition) Normalize() Composition {
 	c.Plan = c.Plan.Normalize()
 	if c.Workers == 0 {
 		c.Workers = 3
-	}
-	if c.Budget < c.Nodes {
-		c.Budget = c.Nodes
 	}
 	return c
 }
@@ -46,6 +45,17 @@ func (c Composition) Validate() error {
 	}
 	if c.Workers < 1 || c.Workers > 64 {
 		return fmt.Errorf("clusterd: %d workers, want 1..64", c.Workers)
+	}
+	if c.Churn {
+		return errors.New("clusterd: churn is not supported by the cluster")
+	}
+	if c.MaliciousFraction > 0 {
+		return fmt.Errorf("clusterd: malicious_fraction %g is not supported by the cluster", c.MaliciousFraction)
+	}
+	for i, f := range c.Faults {
+		if f.Kind != faultsim.FaultCrash && f.Kind != faultsim.FaultRestart {
+			return fmt.Errorf("clusterd: fault %d (%s) is not supported by the cluster, only crash and restart", i, f.Kind)
+		}
 	}
 	return nil
 }
@@ -114,20 +124,15 @@ func (c Composition) Workload() []BatchSpec {
 // FaultBoundary maps a node fault's virtual time onto the batch
 // boundary it applies before: the cluster runs on barriers, not a
 // virtual clock, so At is folded onto 1..Batches deterministically.
-// Only crash and restart faults are honored by the orchestrator;
-// message and settlement faults remain single-process faultsim tools.
 func (c Composition) FaultBoundary(f faultsim.Fault) int {
 	return 1 + int(f.At)%c.Batches
 }
 
-// BoundaryFaults returns the crash/restart faults applying before
-// batch b, in schedule order.
+// BoundaryFaults returns the faults applying before batch b, in schedule
+// order; Validate admits crashes and restarts only.
 func (c Composition) BoundaryFaults(b int) []faultsim.Fault {
 	var out []faultsim.Fault
 	for _, f := range c.Faults {
-		if f.Kind != faultsim.FaultCrash && f.Kind != faultsim.FaultRestart {
-			continue
-		}
 		if c.FaultBoundary(f) == b {
 			out = append(out, f)
 		}
@@ -149,55 +154,6 @@ func LoadComposition(path string) (Composition, error) {
 		return Composition{}, err
 	}
 	return c, nil
-}
-
-// RingRouter is the cluster's deterministic churn-aware router: the
-// world's nodes form a ring by id, the next hop is the first live
-// non-initiator node clockwise of self, and the message is delivered
-// when that node is the responder. Every process derives the same
-// routing decision from the same liveness knowledge, which keeps
-// fault-free runs byte-identical across processes while still routing
-// around corpses learned through MarkDead.
-type RingRouter struct {
-	n    int
-	mu   sync.Mutex
-	dead map[overlay.NodeID]bool
-}
-
-// NewRingRouter builds the router for a ring of n nodes.
-func NewRingRouter(n int) *RingRouter {
-	return &RingRouter{n: n, dead: make(map[overlay.NodeID]bool)}
-}
-
-// NextHop implements transport.Router.
-func (r *RingRouter) NextHop(self, pred, initiator, responder overlay.NodeID, batch, conn, remaining int) (overlay.NodeID, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for step := 1; step <= r.n; step++ {
-		cand := overlay.NodeID((int(self) + step) % r.n)
-		if cand == responder {
-			return responder, true
-		}
-		if cand == self || cand == initiator || r.dead[cand] {
-			continue
-		}
-		return cand, false
-	}
-	return responder, true
-}
-
-// MarkDead implements transport.ChurnAware.
-func (r *RingRouter) MarkDead(id overlay.NodeID) {
-	r.mu.Lock()
-	r.dead[id] = true
-	r.mu.Unlock()
-}
-
-// MarkLive implements transport.ChurnAware.
-func (r *RingRouter) MarkLive(id overlay.NodeID) {
-	r.mu.Lock()
-	delete(r.dead, id)
-	r.mu.Unlock()
 }
 
 // sortedAddrEntries renders a directory map canonically for the wire.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"p2panon/internal/core"
+	"p2panon/internal/dist"
 	"p2panon/internal/faultsim"
 	"p2panon/internal/netwire"
 	"p2panon/internal/overlay"
@@ -27,7 +28,7 @@ type worker struct {
 	index   int
 	comp    Composition
 	cluster *netwire.Cluster
-	router  *RingRouter
+	router  transport.Router
 	rec     *telemetry.SpanRecorder
 	specs   []BatchSpec
 	local   map[int]bool
@@ -95,7 +96,13 @@ func (w *worker) serve() error {
 	w.rec = telemetry.NewSpanRecorder(w.comp.TraceCap)
 	w.rec.SetSeed(int64(w.comp.Seed))
 	w.cluster.SetSpans(w.rec)
-	w.router = NewRingRouter(w.comp.Nodes)
+	// Every worker builds the same seeded world, so a node routes alike
+	// whichever process hosts it.
+	rng := dist.NewSource(w.comp.Seed)
+	_, topo, avail := transport.StaticWorld(w.comp.Nodes, w.comp.Degree, rng, nil)
+	if w.router, err = transport.NewRouter(w.comp.Strategy(), topo, w.comp.Contract(), avail, rng); err != nil {
+		return err
+	}
 
 	addrs := make(map[int]string)
 	for _, n := range w.comp.AssignedNodes(w.index) {
@@ -215,7 +222,7 @@ func (w *worker) runBatch(spec BatchSpec) error {
 		res.Failed = true
 		return w.send(res)
 	}
-	contract := core.Contract{Pf: float64(w.comp.Pf), Pr: float64(w.comp.Pr)}
+	contract := w.comp.Contract()
 	if _, err := w.cluster.SettleBatch(spec.Initiator, spec.Batch, out, contract); err != nil {
 		res.Failed = true
 		return w.send(res)
@@ -226,8 +233,8 @@ func (w *worker) runBatch(spec BatchSpec) error {
 
 // creditEntries renders the outcome's owed credits canonically.
 func creditEntries(out *transport.BatchOutcome, contract core.Contract) []faultsim.ClusterCredit {
-	ids := make([]overlay.NodeID, 0, len(out.Set))
-	for id := range out.Set {
+	ids := make([]overlay.NodeID, 0, len(out.Forwards))
+	for id := range out.Forwards {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })

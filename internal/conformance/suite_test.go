@@ -158,8 +158,8 @@ func spanLines(t *testing.T, rec *telemetry.SpanRecorder) []string {
 // forwarder the bit-identical amount no matter which wire carried it.
 func settlementLines(out *transport.BatchOutcome, c core.Contract) []string {
 	lines := []string{fmt.Sprintf("set-size=%d reformations=%d", out.SetSize(), out.Reformations)}
-	ids := make([]overlay.NodeID, 0, len(out.Set))
-	for id := range out.Set {
+	ids := make([]overlay.NodeID, 0, len(out.Forwards))
+	for id := range out.Forwards {
 		ids = append(ids, id)
 	}
 	for i := 1; i < len(ids); i++ { // insertion sort: tiny sets

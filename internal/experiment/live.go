@@ -8,8 +8,6 @@ import (
 	"p2panon/internal/core"
 	"p2panon/internal/dist"
 	"p2panon/internal/overlay"
-	"p2panon/internal/probe"
-	"p2panon/internal/quality"
 	"p2panon/internal/stats"
 	"p2panon/internal/telemetry"
 	"p2panon/internal/trace"
@@ -97,45 +95,13 @@ func RunLive(s LiveSetup) (*LiveOutcome, error) {
 		return nil, fmt.Errorf("experiment: live N %d too small", s.N)
 	}
 	rng := dist.NewSource(s.Seed)
-	net := overlay.NewNetwork(s.Degree, rng.Split())
-	net.Instrument(s.Telemetry)
-	for i := 0; i < s.N; i++ {
-		net.Join(0, false)
+	net, topo, avail := transport.StaticWorld(s.N, s.Degree, rng, s.Telemetry)
+	router, err := transport.NewRouter(s.Strategy, topo, core.ContractWithTau(75, 2), avail, rng)
+	if err != nil {
+		return nil, err
 	}
-	for _, id := range net.AllIDs() {
-		net.RefreshNeighbors(id)
-	}
-	probes := probe.NewSet(net, rng.Split(), probe.DefaultPeriod)
-	probes.Instrument(s.Telemetry)
-	for i := 0; i < 5; i++ {
-		probes.TickAll()
-	}
-	topo := transport.SnapshotTopology(net)
-	// A node's availability score: the mean of its neighbors' estimates.
-	avail := make(map[overlay.NodeID]float64, s.N)
-	views := make(map[overlay.NodeID][]float64)
-	for _, id := range net.OnlineIDs() {
-		for v, a := range probes.For(id).Snapshot() {
-			views[v] = append(views[v], a)
-		}
-	}
-	for id, vs := range views {
-		avail[id] = stats.Mean(vs)
-	}
-
-	contract := core.ContractWithTau(75, 2)
-	var router transport.Router
-	switch s.Strategy {
-	case core.Random:
-		router = transport.NewRandomRouter(topo, rng.Split())
-	case core.UtilityI:
-		router = transport.NewUtilityRouter(topo, quality.DefaultWeights(), contract, avail)
-	case core.UtilityII:
-		r := transport.NewUtilityIIRouter(topo, quality.DefaultWeights(), contract, avail)
+	if r, ok := router.(*transport.UtilityIIRouter); ok {
 		r.Instrument(s.Telemetry)
-		router = r
-	default:
-		return nil, fmt.Errorf("experiment: strategy %v has no live router", s.Strategy)
 	}
 
 	var live transport.Conductor

@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 
-	"p2panon/internal/core"
 	"p2panon/internal/overlay"
 	"p2panon/internal/telemetry"
 	"p2panon/internal/transport"
@@ -64,7 +63,7 @@ func CheckClusterArtifact(p Plan, batches []ClusterBatch, spans []telemetry.Span
 	// (2) Conservation: replay the payout rule m·P_f + P_r/‖π‖ over each
 	// batch's forwarder set and demand the initiator's claim agree
 	// bit-for-bit.
-	contract := core.Contract{Pf: float64(p.Pf), Pr: float64(p.Pr)}
+	contract := p.Contract()
 	type line struct{ batch, node int }
 	expected := make(map[line]ClusterCredit)
 	initiator := make(map[int]int, len(batches))

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"os"
 
+	"p2panon/internal/core"
 	"p2panon/internal/dist"
 )
 
@@ -127,6 +128,20 @@ type Plan struct {
 	Faults []Fault `json:"faults,omitempty"`
 }
 
+// routerStrategies maps a plan's router names to the strategies they
+// route with.
+var routerStrategies = map[string]core.Strategy{
+	"random":   core.Random,
+	"utility":  core.UtilityI,
+	"utility2": core.UtilityII,
+}
+
+// Strategy is the routing strategy the plan's Router names.
+func (p Plan) Strategy() core.Strategy { return routerStrategies[p.Router] }
+
+// Contract is the plan's incentive contract (P_f, P_r).
+func (p Plan) Contract() core.Contract { return core.Contract{Pf: float64(p.Pf), Pr: float64(p.Pr)} }
+
 // Normalize fills zero fields with defaults and returns the plan.
 func (p Plan) Normalize() Plan {
 	if p.Nodes == 0 {
@@ -201,9 +216,7 @@ func (p Plan) Validate() error {
 	if p.MaliciousFraction < 0 || p.MaliciousFraction > 1 {
 		return fmt.Errorf("faultsim: malicious fraction %g", p.MaliciousFraction)
 	}
-	switch p.Router {
-	case "random", "utility", "utility2":
-	default:
+	if _, ok := routerStrategies[p.Router]; !ok {
 		return fmt.Errorf("faultsim: unknown router %q", p.Router)
 	}
 	if p.Latency < 0 || p.AttemptTimeout <= 0 || p.BackoffBase < 0 || p.BackoffMax < 0 {

@@ -6,12 +6,10 @@ import (
 	"time"
 
 	"p2panon/internal/churn"
-	"p2panon/internal/core"
 	"p2panon/internal/dist"
 	"p2panon/internal/overlay"
 	"p2panon/internal/payment"
 	"p2panon/internal/probe"
-	"p2panon/internal/quality"
 	"p2panon/internal/sim"
 	"p2panon/internal/telemetry"
 	"p2panon/internal/transport"
@@ -346,18 +344,6 @@ func (w *world) availMap() map[overlay.NodeID]float64 {
 	return avail
 }
 
-func (w *world) buildRouter(topo transport.Topology, avail map[overlay.NodeID]float64) transport.Router {
-	c := core.Contract{Pf: float64(w.plan.Pf), Pr: float64(w.plan.Pr)}
-	switch w.plan.Router {
-	case "random":
-		return transport.NewRandomRouter(topo, w.routerRNG.Split())
-	case "utility2":
-		return transport.NewUtilityIIRouter(topo, quality.DefaultWeights(), c, avail)
-	default:
-		return transport.NewUtilityRouter(topo, quality.DefaultWeights(), c, avail)
-	}
-}
-
 // startBatch opens escrow, snapshots the topology, builds the router and
 // launches the batch's first connection.
 func (w *world) startBatch(b int) {
@@ -384,7 +370,8 @@ func (w *world) startBatch(b int) {
 	rec.trace, rec.root = w.spans.Root(b, int(rec.initiator), int(rec.responder))
 
 	topo := transport.SnapshotTopology(w.net)
-	rec.router = w.buildRouter(topo, w.availMap())
+	// Validate admitted the plan's router, so it has a live router.
+	rec.router, _ = transport.NewRouter(w.plan.Strategy(), topo, w.plan.Contract(), w.availMap(), w.routerRNG)
 
 	minter, err := payment.NewReceiptMinter([]byte(fmt.Sprintf("faultsim-batch-%d-%d", w.plan.Seed, b)))
 	if err != nil {

@@ -314,7 +314,7 @@ func (c *Cluster) SettleBatch(initiator overlay.NodeID, batch int, out *transpor
 		return 0, err
 	}
 	sent := 0
-	for id := range out.Set {
+	for id := range out.Forwards {
 		f := &Frame{
 			Kind:   KindSettle,
 			Batch:  batch,

@@ -92,7 +92,7 @@ func TestClusterRunBatchAndSettle(t *testing.T) {
 	// Settlement is asynchronous; poll until every forwarder is credited
 	// its m·P_f + P_r/‖π‖ share.
 	deadline := time.Now().Add(5 * time.Second)
-	for id := range out.Set {
+	for id := range out.Forwards {
 		want := out.Payoff(id, contract)
 		for {
 			got := c.Node(id).Credited(1)
@@ -475,7 +475,7 @@ func TestBatchStateBoundedOverTCP(t *testing.T) {
 				t.Fatal(err)
 			}
 			deadline := time.Now().Add(10 * time.Second)
-			for id := range s.out.Set {
+			for id := range s.out.Forwards {
 				for c.Node(id).Credited(s.id) == 0 {
 					if time.Now().After(deadline) {
 						t.Fatalf("batch %d: node %d never settled", s.id, id)

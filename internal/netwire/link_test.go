@@ -393,7 +393,7 @@ func quiescedRun(t *testing.T) (*Cluster, int) {
 		if _, err := c.SettleBatch(i, b, out, contract); err != nil {
 			t.Fatal(err)
 		}
-		for id := range out.Set {
+		for id := range out.Forwards {
 			note(i, id)
 			waitFor(t, "a settle frame", func() bool { return c.Node(id).Credited(b) != 0 })
 		}

@@ -509,12 +509,12 @@ func TestClosedBatchRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	contract := core.Contract{Pf: 1, Pr: 10}
-	for id := range out.Set {
+	for id := range out.Forwards {
 		d.Settled(l.stations[id], batch, &Credit{Payoff: out.Payoff(id, contract), Trace: trace, Root: root})
 	}
 	settlements := d.Telemetry().Counter("transport_settlements_total", nil)
-	if got := settlements.Value(); got != int64(len(out.Set)) {
-		t.Errorf("settlements_total %d after settling %d members, want one per member", got, len(out.Set))
+	if got := settlements.Value(); got != int64(len(out.Forwards)) {
+		t.Errorf("settlements_total %d after settling %d members, want one per member", got, len(out.Forwards))
 	}
 	settleSpans := func() map[int]string {
 		got := make(map[int]string)
@@ -526,7 +526,7 @@ func TestClosedBatchRefused(t *testing.T) {
 		return got
 	}
 	want := make(map[int]string)
-	for id := range out.Set {
+	for id := range out.Forwards {
 		want[int(id)] = SettleDetail(out.Payoff(id, contract))
 	}
 	if got := settleSpans(); !reflect.DeepEqual(got, want) || rec.Total() != 1+len(want) {
@@ -548,7 +548,7 @@ func TestClosedBatchRefused(t *testing.T) {
 	if ok := d.Settled(relay, batch, &Credit{Payoff: 99, Trace: trace, Root: root}); ok || closed.Value() != 2 {
 		t.Errorf("second settle accepted=%v, closed_batch_total %d; want refused and 2", ok, closed.Value())
 	}
-	if rec.Total() != spans || settlements.Value() != int64(len(out.Set)) {
+	if rec.Total() != spans || settlements.Value() != int64(len(out.Forwards)) {
 		t.Errorf("a refused settle left %d new spans and settlements_total %d", rec.Total()-spans, settlements.Value())
 	}
 

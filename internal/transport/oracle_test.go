@@ -230,7 +230,7 @@ func (w *oracleWorld) runLive(t *testing.T, strat core.Strategy, bs []oracleBatc
 			out[i].quals = append(out[i].quals, qs)
 		}
 		out[i].payoffs = make(map[overlay.NodeID]float64)
-		for id := range bo.Set {
+		for id := range bo.Forwards {
 			out[i].payoffs[id] = bo.Payoff(id, ob.contract)
 		}
 	}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"sync"
 
 	"p2panon/internal/core"
@@ -8,7 +9,9 @@ import (
 	"p2panon/internal/game"
 	"p2panon/internal/history"
 	"p2panon/internal/overlay"
+	"p2panon/internal/probe"
 	"p2panon/internal/quality"
+	"p2panon/internal/stats"
 	"p2panon/internal/telemetry"
 )
 
@@ -30,6 +33,59 @@ func SnapshotTopology(net *overlay.Network) Topology {
 		topo[id] = nbs
 	}
 	return topo
+}
+
+// StaticWorld builds the seeded static world the live routers run on: an
+// overlay of n online nodes (ids 0..n-1) of the given degree, probed for
+// five periods, its topology snapshot, and each node's availability score,
+// the mean of its neighbors' estimates. It draws two splits of rng, the
+// overlay's then the probes', so a caller that splits rng afterwards draws
+// the same streams on every run. reg, when non-nil, instruments the overlay
+// and the probes.
+func StaticWorld(n, degree int, rng *dist.Source, reg *telemetry.Registry) (*overlay.Network, Topology, map[overlay.NodeID]float64) {
+	net := overlay.NewNetwork(degree, rng.Split())
+	net.Instrument(reg)
+	for i := 0; i < n; i++ {
+		net.Join(0, false)
+	}
+	for _, id := range net.AllIDs() {
+		net.RefreshNeighbors(id)
+	}
+	probes := probe.NewSet(net, rng.Split(), probe.DefaultPeriod)
+	probes.Instrument(reg)
+	for i := 0; i < 5; i++ {
+		probes.TickAll()
+	}
+	// Each node's estimates are pooled in OnlineIDs order, so the float
+	// sums never see map order.
+	views := make(map[overlay.NodeID][]float64)
+	for _, id := range net.OnlineIDs() {
+		for v, a := range probes.For(id).Snapshot() {
+			views[v] = append(views[v], a)
+		}
+	}
+	avail := make(map[overlay.NodeID]float64, n)
+	for id, vs := range views {
+		avail[id] = stats.Mean(vs)
+	}
+	return net, SnapshotTopology(net), avail
+}
+
+// NewRouter builds the live router of strategy s over topo: a
+// RandomRouter drawing from a split of rng (the only draw, and only under
+// core.Random), a UtilityRouter (Model I) or a UtilityIIRouter (Model II)
+// scoring with the default weights, contract c and the availability
+// scores avail. core.FixedPath has no live router.
+func NewRouter(s core.Strategy, topo Topology, c core.Contract, avail map[overlay.NodeID]float64, rng *dist.Source) (Router, error) {
+	switch s {
+	case core.Random:
+		return NewRandomRouter(topo, rng.Split()), nil
+	case core.UtilityI:
+		return NewUtilityRouter(topo, quality.DefaultWeights(), c, avail), nil
+	case core.UtilityII:
+		return NewUtilityIIRouter(topo, quality.DefaultWeights(), c, avail), nil
+	}
+	return nil, fmt.Errorf("transport: strategy %v has no live router", s)
 }
 
 // liveness is a router's lock and its belief of which peers are up,

@@ -371,9 +371,11 @@ func SettleDetail(payoff float64) string {
 	return fmt.Sprintf("payoff=%016x", math.Float64bits(payoff))
 }
 
-// BatchOutcome aggregates a batch of connections: the union forwarder set,
-// per-forwarder instance counts, all realised paths, and how many path
-// reformations churn forced along the way (Prop. 1's event count).
+// BatchOutcome aggregates a batch of connections: the union forwarder set
+// π (the keys of Forwards) with each member's instance count, all realised
+// paths, and how many path reformations churn forced along the way (Prop.
+// 1's event count). Set repeats the keys of Forwards; benchmark/live.go is
+// its one reader.
 type BatchOutcome struct {
 	Paths        [][]overlay.NodeID
 	Forwards     map[overlay.NodeID]int
@@ -402,14 +404,15 @@ func (o *BatchOutcome) Record(path []overlay.NodeID, initiator overlay.NodeID) {
 }
 
 // SetSize returns ‖π‖.
-func (o *BatchOutcome) SetSize() int { return len(o.Set) }
+func (o *BatchOutcome) SetSize() int { return len(o.Forwards) }
 
 // Payoff returns a forwarder's income under contract c: m·P_f + P_r/‖π‖.
 func (o *BatchOutcome) Payoff(id overlay.NodeID, c core.Contract) float64 {
-	if _, member := o.Set[id]; !member {
+	m, member := o.Forwards[id]
+	if !member {
 		return 0
 	}
-	return c.Payoff(o.Forwards[id], len(o.Set))
+	return c.Payoff(m, len(o.Forwards))
 }
 
 // SettleBatch accounts a completed batch's split payment in place: the
@@ -424,7 +427,7 @@ func (n *Network) SettleBatch(initiator overlay.NodeID, batch int, out *BatchOut
 		return 0, err
 	}
 	reached := 0
-	for id := range out.Set {
+	for id := range out.Forwards {
 		if st := n.Local(id); st != nil {
 			n.Settled(st, batch, &Credit{Payoff: out.Payoff(id, contract), Trace: trace, Root: root})
 			reached++
