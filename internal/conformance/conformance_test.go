@@ -7,16 +7,19 @@ import (
 
 	"p2panon/internal/netwire"
 	"p2panon/internal/overlay"
+	"p2panon/internal/sim"
 	"p2panon/internal/telemetry"
 	"p2panon/internal/transport"
+	"p2panon/internal/vclock"
 )
 
-// Backends returns the three production backends: the in-process
-// runtime, which drains one FIFO of deliveries and starts no goroutine,
-// the TCP loopback cluster, and the partitioned multi-runtime topology
-// behind the process cluster — every node lives in one of three netwire
-// runtimes and frames between them cross dial-back TCP links, exactly as
-// clusterd workers talk.
+// Backends returns the four backends: the in-process runtime, which
+// drains one FIFO of deliveries and starts no goroutine, the TCP loopback
+// cluster, the partitioned multi-runtime topology behind the process
+// cluster — every node lives in one of three netwire runtimes and frames
+// between them cross dial-back TCP links, exactly as clusterd workers
+// talk — and the in-process runtime on an engine clock, the runtime the
+// fault world runs on.
 func Backends() []Backend {
 	return []Backend{
 		{
@@ -43,7 +46,32 @@ func Backends() []Backend {
 				return m
 			},
 		},
+		{
+			Name: "engine",
+			New: func(t testing.TB, latency time.Duration) transport.Conductor {
+				n := engineNetwork{transport.NewNetwork(latency), sim.NewEngine()}
+				n.SetClock(vclock.Engine(n.eng))
+				t.Cleanup(n.Close)
+				return n
+			},
+		},
 	}
+}
+
+// engineNetwork is the in-process network on a vclock.Engine clock. A
+// connection runs the engine until it has finished; reading Metrics runs
+// the rest of its queue, so a message still in flight when its
+// connection ended meets its fate first, as it would in time on a
+// backend whose clock runs by itself.
+type engineNetwork struct {
+	*transport.Network
+	eng *sim.Engine
+}
+
+// Metrics runs the engine's queue dry, then reads the network's counters.
+func (n engineNetwork) Metrics() transport.MetricsSnapshot {
+	n.eng.Run()
+	return n.Network.Metrics()
 }
 
 // TestBackendConformance runs the shared behavioral table against all

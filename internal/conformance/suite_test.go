@@ -1,6 +1,8 @@
-// Package conformance pins the behavioral contract shared by the two
-// forwarding backends: the in-process transport.Network and the TCP
-// loopback netwire.Cluster. One table of behavioral cases — delivery,
+// Package conformance pins the behavioral contract shared by the
+// forwarding backends: the in-process transport.Network, on the real
+// clock and on the engine clock the fault world runs it on, the TCP
+// loopback netwire.Cluster, and netwire runtimes partitioned as the
+// process cluster's workers are. One table of behavioral cases — delivery,
 // NACK-driven path reformation, churn mid-batch, the bounded-retry
 // schedule, per-message deadline expiry, and split-payment settlement
 // totals — is executed against every backend through the shared
@@ -14,9 +16,8 @@
 // drift fails here before it can mislead an experiment.
 //
 // No binary runs the suite, so it lives in test files: conformance is a
-// test-only package. A future backend (e.g. a faultsim wrapper, a UDP
-// codec) registers itself with one Backend literal in Backends and
-// inherits the whole table.
+// test-only package. A backend registers itself with one Backend literal
+// in Backends and inherits the whole table.
 package conformance
 
 import (

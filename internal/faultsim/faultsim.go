@@ -55,8 +55,7 @@ func Run(p Plan) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.setup()
-	w.eng.Run()
+	w.run()
 
 	m := w.drv.Metrics()
 	res := &Result{

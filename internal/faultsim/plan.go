@@ -14,7 +14,11 @@
 // The protocol and its runtime are the in-process backend's: the world
 // runs on a transport.Network whose clock is the world's engine
 // (vclock.Engine), so attempt windows, backoff pauses and link latency
-// are all events on one queue. The network hosts a station for every
+// are all events on one queue. The world is one loop over batches and
+// their connections; each connection is a ConnectDetail call, as on any
+// backend, which runs the engine until the connection has finished, and
+// between them the loop runs the engine to the next scheduled step. The
+// network hosts a station for every
 // online node, carries each message with the plan's latency and refuses
 // sends to offline nodes; its driver sends through a fault layer that
 // applies the plan's message faults in front of it. The routers,

@@ -30,9 +30,8 @@ func DefaultRetryPolicy() RetryPolicy {
 }
 
 // Driver is the one implementation of the §2.2 forwarding protocol and
-// its bounded-retry reformation: the initiator side (Start, ConnectDetail
-// and the batch runners built on them) and, in protocol.go, the forwarder
-// side.
+// its bounded-retry reformation: the initiator side (ConnectDetail and
+// the batch runners built on it) and, in protocol.go, the forwarder side.
 // Everything a backend contributes is behind Link, so a backend embeds a
 // Driver and is otherwise only links.
 type Driver struct {
@@ -101,10 +100,10 @@ func (d *Driver) SetSpans(r *telemetry.SpanRecorder) { d.spans = r }
 // backoff are its AfterFunc callbacks, and the link's latency model reads
 // it too. Pass a vclock.Engine clock to run the protocol inside a
 // single-threaded discrete-event world, deterministic and wall-clock
-// free, as faultsim and the timing tests do: a connection then runs
-// through Start plus running the engine, because ConnectDetail, RunBatch
-// and RunSecureBatch wait on the caller. Call before traffic starts; not
-// safe to race with in-flight connections.
+// free, as faultsim and the timing tests do: ConnectDetail, RunBatch and
+// RunSecureBatch then wait for a connection by running the engine on the
+// caller's goroutine. Call before traffic starts; not safe to race with
+// in-flight connections.
 func (d *Driver) SetClock(c vclock.Clock) {
 	if c == nil {
 		c = vclock.Real()
@@ -178,7 +177,7 @@ type Outcome struct {
 // one of its resolving CONFIRM/NACK and its window timer. Whichever
 // goroutine holds the record moves it on — the launching caller, the one
 // that claimed an attempt, or a pause callback — and none touches it after
-// handing it to the next.
+// handing it to the next, or after finish.
 type connRec struct {
 	d                    *Driver
 	retry                RetryPolicy
@@ -206,51 +205,58 @@ type connRec struct {
 	// there (resolve).
 	path []overlay.NodeID
 
-	out  Outcome
-	done func(Outcome) // Start's callback; nil when a caller waits on wg
-	wg   sync.WaitGroup
+	// out is the outcome, set once by finish, which also sets finished
+	// and releases wg.
+	out      Outcome
+	finished bool
+	wg       sync.WaitGroup
 }
 
-// Start launches one connection from initiator to responder with the
-// given hop budget and returns without waiting for it: done receives the
-// outcome on whichever goroutine finishes the connection — inline on a
-// vclock.Engine clock, where the caller runs the engine after Start
-// until done has been called. Mid-path departures are retried per the
-// RetryPolicy (path reformation) within timeout, each attempt getting an
-// even share of it as its window. A connection refused up front (unknown
-// initiator or responder, I == R, a budget outside [0, MaxBudget], a
-// negative batch) is an error, and done is not called.
-func (d *Driver) Start(initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration, done func(Outcome)) error {
-	return d.start(&connRec{done: done}, initiator, responder, batch, conn, budget, timeout, nil)
-}
+// ErrRefused is wrapped by the error of a connection refused up front:
+// one the driver never launched, so it made no attempt and no span.
+var ErrRefused = errors.New("refused")
 
-// connect runs one connection and waits for its outcome.
+// connect runs one connection and waits for its outcome: on the real
+// clock until whichever goroutine finishes it releases the record, on a
+// vclock.Engine clock by running the engine until the record has
+// finished — an error if the engine's queue runs dry first. Mid-path
+// departures are retried per the RetryPolicy (path reformation) within
+// timeout, each attempt getting an even share of it as its window. A
+// connection refused up front (unknown initiator or responder, I == R, a
+// budget outside [0, MaxBudget], a negative batch) fails with an error
+// that wraps ErrRefused.
 func (d *Driver) connect(initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration, contract *onion.SignedContract) Outcome {
 	c := &connRec{}
-	c.wg.Add(1)
 	if err := d.start(c, initiator, responder, batch, conn, budget, timeout, contract); err != nil {
 		return Outcome{Err: err}
+	}
+	if eng, ok := d.clock.(interface{ Step() bool }); ok {
+		for !c.finished {
+			if !eng.Step() {
+				return Outcome{Err: fmt.Errorf("transport: connection %d/%d: the engine ran dry before it finished", batch, conn)}
+			}
+		}
 	}
 	c.wg.Wait()
 	return c.out
 }
 
+// start validates a connection and launches its first attempt into c,
+// which holds the outcome once finished is set.
 func (d *Driver) start(c *connRec, initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration, contract *onion.SignedContract) error {
-	if d.link.Local(initiator) == nil {
-		return fmt.Errorf("transport: unknown initiator %d", initiator)
+	switch {
+	case d.link.Local(initiator) == nil:
+		return fmt.Errorf("transport: %w: unknown initiator %d", ErrRefused, initiator)
+	case !d.link.Addressable(responder):
+		return fmt.Errorf("transport: %w: unknown responder %d", ErrRefused, responder)
+	case initiator == responder:
+		return fmt.Errorf("transport: %w: initiator == responder", ErrRefused)
+	case budget < 0 || budget > MaxBudget:
+		return fmt.Errorf("transport: %w: hop budget %d outside [0, %d]", ErrRefused, budget, MaxBudget)
+	case batch < 0:
+		return fmt.Errorf("transport: %w: negative batch %d", ErrRefused, batch)
 	}
-	if !d.link.Addressable(responder) {
-		return fmt.Errorf("transport: unknown responder %d", responder)
-	}
-	if initiator == responder {
-		return errors.New("transport: initiator == responder")
-	}
-	if budget < 0 || budget > MaxBudget {
-		return fmt.Errorf("transport: hop budget %d outside [0, %d]", budget, MaxBudget)
-	}
-	if batch < 0 {
-		return fmt.Errorf("transport: negative batch %d", batch)
-	}
+	c.wg.Add(1)
 	c.d, c.retry = d, d.retry
 	c.initiator, c.responder = initiator, responder
 	c.batch, c.conn, c.budget, c.contract = batch, conn, budget, contract
@@ -475,11 +481,7 @@ func (c *connRec) fail(err error) {
 }
 
 func (c *connRec) finish(out Outcome) {
-	if c.done != nil {
-		c.done(out)
-		return
-	}
-	c.out = out
+	c.out, c.finished = out, true
 	c.wg.Done()
 }
 

@@ -66,6 +66,12 @@ type scriptLink struct {
 	sends    int
 	nacks    []Message // every NACK the link was handed
 	held     []held    // swallowed messages, for late replay
+
+	// watch is a connection whose finishing station finishedAt records:
+	// the station whose handler was running when it finished, or
+	// overlay.None while it has not.
+	watch      *connRec
+	finishedAt overlay.NodeID
 }
 
 type held struct {
@@ -114,6 +120,9 @@ func (l *scriptLink) handle(to overlay.NodeID, m Message) {
 	at := l.at
 	l.at = to
 	l.d.Handle(l.stations[to], &m)
+	if l.watch != nil && l.watch.finished && l.finishedAt == overlay.None {
+		l.finishedAt = to
+	}
 	l.at = at
 }
 
@@ -389,20 +398,20 @@ func TestDriverOverScriptedLink(t *testing.T) {
 				l.stations[id] = NewStation(id, r)
 				d.Joined(id, r)
 			}
-			var c *onion.SignedContract
+			var sc *onion.SignedContract
 			if tc.secure {
-				c = contract
+				sc = contract
 			}
-			var res Outcome
-			finished := false
-			err := d.start(&connRec{done: func(o Outcome) { res, finished = o, true }}, tc.initiator, 4, 1, 1, 8, tc.timeout, c)
+			c := &connRec{}
+			err := d.start(c, tc.initiator, 4, 1, 1, 8, tc.timeout, sc)
 			eng.Run()
 			if err == nil {
-				if !finished {
+				if !c.finished {
 					t.Fatal("the engine ran dry before the connection finished")
 				}
-				err = res.Err
+				err = c.out.Err
 			}
+			res := c.out
 			switch {
 			case tc.wantErr == "" && err != nil:
 				t.Fatal(err)
@@ -653,7 +662,7 @@ func FuzzDriverHandle(f *testing.F) {
 	f.Add(uint8(1), uint8(0), 1, 1, 1, 0, 7, int8(4), []byte{1}, []byte{})
 	f.Add(uint8(2), uint8(0), 1, 1, 1, 0, 3, int8(9), []byte{1, 2}, []byte{0, 3})
 	f.Fuzz(func(t *testing.T, at, kind uint8, batch, conn, attempt, hop, remaining int, responder int8, path, fates []byte) {
-		l := &scriptLink{stations: make(map[overlay.NodeID]*Station), script: func(from, to overlay.NodeID, m Message) fate {
+		l := &scriptLink{stations: make(map[overlay.NodeID]*Station), finishedAt: overlay.None, script: func(from, to overlay.NodeID, m Message) fate {
 			if to == 4 && m.Kind == MsgForward {
 				return swallow
 			}
@@ -669,14 +678,14 @@ func FuzzDriverHandle(f *testing.F) {
 			l.stations[id] = NewStation(id, r)
 			d.Joined(id, r)
 		}
-		var res *Outcome
-		var resolvedAt overlay.NodeID
-		if err := d.start(&connRec{done: func(o Outcome) { res, resolvedAt = &o, l.at }}, 0, 4, 1, 1, 8, time.Second, nil); err != nil {
+		c := &connRec{}
+		if err := d.start(c, 0, 4, 1, 1, 8, time.Second, nil); err != nil {
 			t.Fatal(err)
 		}
-		if len(d.pending) != 1 || res != nil {
-			t.Fatalf("%d attempts pending before the message, outcome %v", len(d.pending), res)
+		if len(d.pending) != 1 || c.finished {
+			t.Fatalf("%d attempts pending before the message, outcome %v", len(d.pending), c.out)
 		}
+		l.watch = c
 
 		sends := 0
 		l.script = func(from, to overlay.NodeID, m Message) fate {
@@ -695,25 +704,24 @@ func FuzzDriverHandle(f *testing.F) {
 			m.Path = append(m.Path, overlay.NodeID(int(b%7)-1))
 			m.From = m.Path[len(m.Path)-1]
 		}
-		l.at = overlay.NodeID(at % 5)
 		refused, linkSends := d.inst.malformed.Value()+d.inst.closedBatch.Value(), l.sends
 		forward := m.Kind == MsgForward
-		d.Handle(l.stations[l.at], &m)
+		l.handle(overlay.NodeID(at%5), m)
 
 		if now := d.inst.malformed.Value() + d.inst.closedBatch.Value(); forward &&
 			(remaining < 0 || remaining > MaxBudget) && (now != refused+1 || l.sends != linkSends) {
 			t.Fatalf("a FORWARD with Remaining %d: %d refusals counted, %d sends", remaining, now-refused, l.sends-linkSends)
 		}
-		if res == nil {
+		if !c.finished {
 			if len(d.pending) != 1 {
 				t.Fatalf("no outcome, yet %d attempts pending", len(d.pending))
 			}
 			return
 		}
-		if resolvedAt != 0 {
-			t.Fatalf("the attempt resolved at node %d, not its initiator 0", resolvedAt)
+		if l.finishedAt != 0 {
+			t.Fatalf("the attempt resolved at node %d, not its initiator 0", l.finishedAt)
 		}
-		if p := res.Path; res.Err == nil && (len(p) < 2 || p[0] != 0 || p[len(p)-1] != 4) {
+		if p := c.out.Path; c.out.Err == nil && (len(p) < 2 || p[0] != 0 || p[len(p)-1] != 4) {
 			t.Fatalf("the attempt delivered over %v, not a path from 0 to 4", p)
 		}
 	})

@@ -62,23 +62,25 @@ func onEngine(n *Network) engineNet {
 	return engineNet{n, eng}
 }
 
-// run starts one connection (under contract when it is non-nil), runs
-// the engine until its queue drains and returns the outcome with the
-// engine time from the start to the outcome.
+// run starts one connection (under contract when it is non-nil), steps
+// the engine until it has finished, then runs the engine until its queue
+// drains, and returns the outcome with the engine time from the start to
+// the outcome.
 func (e engineNet) run(t *testing.T, initiator, responder overlay.NodeID, batch, conn, budget int, timeout time.Duration, contract *onion.SignedContract) (Outcome, time.Duration) {
 	t.Helper()
 	start := e.eng.Now().Duration()
-	var out *Outcome
-	var took time.Duration
-	done := func(o Outcome) { out, took = &o, e.eng.Now().Duration()-start }
-	if err := e.start(&connRec{done: done}, initiator, responder, batch, conn, budget, timeout, contract); err != nil {
+	c := &connRec{}
+	if err := e.start(c, initiator, responder, batch, conn, budget, timeout, contract); err != nil {
 		t.Fatal(err)
 	}
-	e.eng.Run()
-	if out == nil {
-		t.Fatal("the connection never finished")
+	for !c.finished {
+		if !e.eng.Step() {
+			t.Fatal("the connection never finished")
+		}
 	}
-	return *out, took
+	took := e.eng.Now().Duration() - start
+	e.eng.Run()
+	return c.out, took
 }
 
 func startNetwork(t *testing.T, topo Topology, r Router) *Network {
