@@ -178,15 +178,6 @@ func (est *Estimator) Tick() {
 	est.inits.Add(inits)
 }
 
-// SessionTime returns the observed session time t_s(u) for neighbor u, or
-// 0 if u is not currently tracked.
-func (est *Estimator) SessionTime(u overlay.NodeID) float64 {
-	if k := slices.Index(est.nbr, u); k >= 0 {
-		return est.session[k]
-	}
-	return 0
-}
-
 // Availability returns α_s(u) = t_s(u) / Σ_v t_s(v), the paper's
 // normalised availability estimate, in [0, 1]. Before any session time has
 // accumulated it returns an uninformative uniform 1/|D(s)| so that routing

@@ -390,3 +390,12 @@ func (est *Estimator) Attach(e *sim.Engine) (cancel func()) {
 		return true
 	})
 }
+
+// SessionTime returns the observed session time t_s(u) for neighbor u, or
+// 0 if u is not currently tracked.
+func (est *Estimator) SessionTime(u overlay.NodeID) float64 {
+	if k := slices.Index(est.nbr, u); k >= 0 {
+		return est.session[k]
+	}
+	return 0
+}

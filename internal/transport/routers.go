@@ -37,8 +37,8 @@ func SnapshotTopology(net *overlay.Network) Topology {
 
 // StaticWorld builds the seeded static world the live routers run on: an
 // overlay of n online nodes (ids 0..n-1) of the given degree, probed for
-// five periods, its topology snapshot, and each node's availability score,
-// the mean of its neighbors' estimates. It draws two splits of rng, the
+// five periods, its topology snapshot, and each node's availability score
+// (PooledAvailability). It draws two splits of rng, the
 // overlay's then the probes', so a caller that splits rng afterwards draws
 // the same streams on every run. reg, when non-nil, instruments the overlay
 // and the probes.
@@ -56,19 +56,27 @@ func StaticWorld(n, degree int, rng *dist.Source, reg *telemetry.Registry) (*ove
 	for i := 0; i < 5; i++ {
 		probes.TickAll()
 	}
-	// Each node's estimates are pooled in OnlineIDs order, so the float
-	// sums never see map order.
+	return net, SnapshotTopology(net), PooledAvailability(net, probes)
+}
+
+// PooledAvailability pools the online nodes' probe estimates into one
+// availability score per node, the mean of the estimates its online
+// neighbors hold of it, in [0, 1]: the live routers take a single score
+// per node where an Estimator holds one observer's view of its own
+// neighbors. Estimates are pooled in OnlineIDs order, so the float sums
+// never see map order.
+func PooledAvailability(net *overlay.Network, probes *probe.Set) map[overlay.NodeID]float64 {
 	views := make(map[overlay.NodeID][]float64)
 	for _, id := range net.OnlineIDs() {
 		for v, a := range probes.For(id).Snapshot() {
 			views[v] = append(views[v], a)
 		}
 	}
-	avail := make(map[overlay.NodeID]float64, n)
+	avail := make(map[overlay.NodeID]float64, len(views))
 	for id, vs := range views {
 		avail[id] = stats.Mean(vs)
 	}
-	return net, SnapshotTopology(net), avail
+	return avail
 }
 
 // NewRouter builds the live router of strategy s over topo: a
