@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"strings"
 
 	"p2panon/internal/clusterd"
 )
@@ -59,8 +60,7 @@ func main() {
 
 	if *workerAddr != "" {
 		if err := clusterd.RunWorker(*workerAddr, *workerIndex); err != nil {
-			fmt.Fprintf(os.Stderr, "clusterd worker: %v\n", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		return
 	}
@@ -71,8 +71,7 @@ func main() {
 		var err error
 		comp, err = clusterd.LoadComposition(*compPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "clusterd: %v\n", err)
-			os.Exit(2)
+			fail(2, err)
 		}
 	case *gen != 0:
 		comp.Seed = *gen
@@ -88,8 +87,7 @@ func main() {
 
 	exe, err := os.Executable()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "clusterd: %v\n", err)
-		os.Exit(1)
+		fail(1, err)
 	}
 	spawn := func(worker int, orchAddr string) (*exec.Cmd, error) {
 		if *workerBin != "" {
@@ -108,8 +106,7 @@ func main() {
 	}
 	res, err := orch.Run(context.Background())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "clusterd: %v\n", err)
-		os.Exit(1)
+		fail(1, err)
 	}
 
 	settled := 0
@@ -127,4 +124,16 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("clusterd: all invariants hold")
+}
+
+// fail prints err under the command's prefix and exits with code. Most
+// errors from package clusterd carry that prefix already, and get no
+// second one.
+func fail(code int, err error) {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "clusterd: ") {
+		msg = "clusterd: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
+	os.Exit(code)
 }
