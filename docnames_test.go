@@ -24,9 +24,9 @@ var staleDocNames = []string{
 	"Batch.edges", "Batch.scorers", "Config.HistoryCapacity",
 	"Config.Participation", "Config.SolveWorkers", "Counter.Reset",
 	"Frame.readFrom", "Gauge.Reset", "Histogram.ObserveDuration",
-	"Histogram.Reset", "HistogramSnapshot.Merge", "Node.handleForward",
-	"Node.nackBack", "Registry.Reset", "Result.Dropped",
-	"SpanRecorder.TraceID", "System.Hist", "Topology.candidatesOf",
+	"Histogram.Reset", "HistogramSnapshot.Merge", "Registry.Reset",
+	"Result.Dropped", "SpanRecorder.TraceID", "System.Hist",
+	"Topology.candidatesOf",
 	"conformance.SecureBatcher", "core.solve_induction",
 	"core.solve_rows", "experiment.LiveSetup.Tracer",
 	"experiment.Setup.ProbeWorkers", "history.Profile", "history.Store",

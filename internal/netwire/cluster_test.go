@@ -293,7 +293,7 @@ func TestNackFrameCarriesNoContract(t *testing.T) {
 	}
 	defer out.Close()
 	out.SetDeadline(time.Now().Add(10 * time.Second))
-	if _, err := WriteFrame(out, &Frame{Kind: KindHello, Node: 0, Nonce: 1}); err != nil {
+	if _, err := WriteFrame(out, &Frame{Kind: KindHello, Node: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if ack, _, err := ReadFrame(out); err != nil || ack.Kind != KindHelloAck {
@@ -319,8 +319,9 @@ func TestNackFrameCarriesNoContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nack.Kind != KindNack || nack.Attempt != 7 || !strings.Contains(nack.Reason, "next hop 2 departed") {
-		t.Fatalf("got %s frame for attempt %d, reason %q; want the NACK for attempt 7", nack.Kind, nack.Attempt, nack.Reason)
+	if nack.Kind != KindNack || nack.Attempt != 7 || nack.Reason != transport.NackDeparted || nack.From != 2 {
+		t.Fatalf("got %s frame for attempt %d, reason %d about %d; want the NACK for attempt 7 about node 2",
+			nack.Kind, nack.Attempt, nack.Reason, nack.From)
 	}
 	// flags follows version, kind and the nine fixed 8-byte fields.
 	if flags := raw[wire.PrefixSize+2+9*8]; flags&flagContract != 0 {
@@ -366,7 +367,7 @@ func TestInboundHandshakeRejectsNonHello(t *testing.T) {
 		return conn
 	}
 
-	rude := dial(&Frame{Kind: KindProbe, Node: 0, Nonce: 9})
+	rude := dial(&Frame{Kind: KindProbe, Nonce: 9})
 	if _, err := rude.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("connection that opened with a probe: read %v, want io.EOF", err)
 	}
@@ -382,8 +383,8 @@ func TestInboundHandshakeRejectsNonHello(t *testing.T) {
 
 	// Hello and a settle in one segment: the ack comes back and the settle,
 	// already sitting in the read-ahead, is credited.
-	polite := dial(&Frame{Kind: KindHello, Node: 0, Nonce: 1}, &Frame{Kind: KindSettle, Batch: 4, Node: 1, Payoff: 2.5})
-	if ack, _, err := ReadFrame(polite); err != nil || ack.Kind != KindHelloAck || ack.Nonce != 1 {
+	polite := dial(&Frame{Kind: KindHello, Node: 0}, &Frame{Kind: KindSettle, Batch: 4, Payoff: 2.5})
+	if ack, _, err := ReadFrame(polite); err != nil || ack.Kind != KindHelloAck {
 		t.Fatalf("handshake: %v %v", ack, err)
 	}
 	for deadline := time.Now().Add(10 * time.Second); c.Node(1).Credited(4) != 2.5; time.Sleep(time.Millisecond) {
@@ -398,39 +399,41 @@ func TestInboundHandshakeRejectsNonHello(t *testing.T) {
 
 // TestFrameMessageConversion pins the read/write boundary: every field of
 // a protocol message survives frameOf and message, and the three message
-// kinds land on the three frame kinds. A NACK's reason code and subject
-// travel as the reason text alone, and only a FORWARD's From as the
-// frame's From.
+// kinds land on the three frame kinds. A NACK's reason travels as its
+// byte, and its subject in the frame's From, as a FORWARD's sender does.
 func TestFrameMessageConversion(t *testing.T) {
 	cases := []struct {
-		m          transport.Message
-		kind       Kind
-		from       overlay.NodeID
-		reasonText string
+		m    transport.Message
+		kind Kind
+		from overlay.NodeID
 	}{
-		{transport.Message{Kind: transport.MsgForward, From: 4}, KindForward, 4, ""},
-		{transport.Message{Kind: transport.MsgConfirm}, KindConfirm, 0, ""},
-		{transport.Message{Kind: transport.MsgNack, Reason: transport.NackDeparted, From: 4}, KindNack, 0, "next hop 4 departed"},
-		{transport.Message{Kind: transport.MsgNack, Reason: transport.NackContract}, KindNack, 0, "contract failed verification"},
+		{transport.Message{Kind: transport.MsgForward, From: 4}, KindForward, 4},
+		{transport.Message{Kind: transport.MsgConfirm}, KindConfirm, 0},
+		{transport.Message{Kind: transport.MsgNack, Reason: transport.NackDeparted, From: 4}, KindNack, 4},
+		{transport.Message{Kind: transport.MsgNack, Reason: transport.NackContract}, KindNack, 0},
 	}
 	for _, tc := range cases {
 		m := tc.m
 		m.Batch, m.Conn, m.Attempt = 1, 2, 3
 		m.Initiator, m.Responder, m.Remaining = 5, 6, 7
 		m.Path, m.Hop = []overlay.NodeID{5, 4}, 1
-		m.Deadline, m.Fatal = 9e9, true
+		m.Deadline = 9e9
 		m.Secure = &transport.SecureLoad{
 			Contract: &onion.SignedContract{BatchID: 1},
 			Records:  []onion.PathRecord{{Sealed: []byte{1}}},
 		}
 		m.Trace, m.Span = 10, 11
 		f := frameOf(&m)
-		if f.Kind != tc.kind || f.From != tc.from || f.Reason != tc.reasonText {
-			t.Fatalf("message %v became frame kind %s from %d reason %q, want %s from %d reason %q",
-				m.Kind, f.Kind, f.From, f.Reason, tc.kind, tc.from, tc.reasonText)
+		if f.Kind != tc.kind || f.From != tc.from || f.Reason != m.Reason {
+			t.Fatalf("message %v became frame kind %s from %d reason %d, want %s from %d reason %d",
+				m.Kind, f.Kind, f.From, f.Reason, tc.kind, tc.from, m.Reason)
 		}
-		if got := f.message(m.Deadline); !reflect.DeepEqual(got, m) {
+		got := f.message(m.Deadline)
+		if !reflect.DeepEqual(got, m) {
 			t.Fatalf("round trip lost fields:\n got %+v\nwant %+v", got, m)
+		}
+		if got.From != tc.from {
+			t.Fatalf("%v arrived from %d, want %d", m.Kind, got.From, tc.from)
 		}
 	}
 }

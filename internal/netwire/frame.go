@@ -5,7 +5,9 @@
 // length-prefixed, versioned frame codec instead of an in-process queue.
 // The package holds only what is socket about that: listeners, per-peer
 // links, the handshake, the Frame ↔ transport.Message conversion at the
-// read/write boundary, and the probe/settle/claim frames. A
+// read/write boundary — plain field copies: a NACK's reason travels as
+// its one-byte transport.NackReason and its subject in the frame's From,
+// as a FORWARD's sender does — and the probe/settle/claim frames. A
 // netwire.Cluster implements transport.Conductor, so the experiment
 // drivers, churn hooks and the backend-conformance suite run unchanged
 // over either backend.
@@ -42,7 +44,7 @@ import (
 // Version is the wire-protocol version this codec speaks. A frame with
 // any other version is rejected at decode — the dialer learns about the
 // mismatch from the handshake failing.
-const Version = 2
+const Version = 3
 
 // MaxFrameSize bounds a frame body (version + kind + payload). It keeps a
 // hostile length prefix from asking the reader for gigabytes.
@@ -52,15 +54,13 @@ const MaxFrameSize = 1 << 20
 // the hop budget in practice; the caps only guard the decoder.
 const (
 	maxPathLen    = 4096
-	maxReasonLen  = 4096
 	maxRecords    = 4096
 	maxRecordLen  = 4096
 	maxKeyLen     = 128
 	maxSigLen     = 256
-	flagFatal     = 1 << 0
-	flagContract  = 1 << 1
-	flagTrace     = 1 << 2
-	flagKnownMask = flagFatal | flagContract | flagTrace
+	flagContract  = 1 << 0
+	flagTrace     = 1 << 1
+	flagKnownMask = flagContract | flagTrace
 )
 
 // traceTailSize is the trace-context extension: trace id + parent span
@@ -103,11 +103,11 @@ const (
 func BodyCap(k Kind) int {
 	switch k {
 	case KindHello, KindHelloAck:
-		return 2 + 8 + 8 + traceTailSize // node + nonce + optional trace context
+		return 2 + 8 + traceTailSize // node + optional trace context
 	case KindProbe, KindProbeAck:
 		return 2 + 8 // nonce
 	case KindSettle:
-		return 2 + 3*8 + traceTailSize // batch, node, payoff + optional trace context
+		return 2 + 2*8 + traceTailSize // batch, payoff + optional trace context
 	case KindForward, KindConfirm, KindNack, KindClaim:
 		return MaxFrameSize
 	default:
@@ -149,7 +149,7 @@ func (k Kind) String() string {
 }
 
 // Codec errors. The first six are internal/wire's shared set under this
-// package's names; the last five are the frame format's own.
+// package's names; the last six are the frame format's own.
 var (
 	ErrShortFrame   = wire.ErrShort
 	ErrBadVersion   = wire.ErrVersion
@@ -162,6 +162,7 @@ var (
 	ErrEmptyTrace   = errors.New("netwire: trace-context extension present but all-zero")
 	ErrBadHop       = errors.New("netwire: hop budget outside [0, transport.MaxBudget] or negative hop index")
 	ErrBadBatch     = errors.New("netwire: negative batch")
+	ErrBadReason    = errors.New("netwire: nack reason does not fit the frame kind")
 )
 
 // Frame is the decoded form of one wire frame. Which fields are
@@ -170,22 +171,23 @@ var (
 type Frame struct {
 	Kind Kind
 
-	// Hello/HelloAck: the speaker's node ID and a handshake nonce.
-	// Probe/ProbeAck reuse Nonce as the echo token.
-	Node  overlay.NodeID
+	// Hello/HelloAck: the speaker's node ID.
+	Node overlay.NodeID
+	// Probe/ProbeAck: the echo token.
 	Nonce uint64
 
 	// Forward/Confirm/Nack: the protocol message, mirroring
 	// transport.Message field for field. Attempt distinguishes
 	// reformation attempts of one connection so a stale confirm cannot
-	// resolve a relaunched attempt. DeadlineMicros is the attempt budget
-	// remaining at send time in microseconds (0 = none).
+	// resolve a relaunched attempt. From is a FORWARD's sender and a
+	// NACK's subject; Reason is a NACK's reason, NackNone on the other
+	// two kinds. DeadlineMicros is the attempt budget remaining at send
+	// time in microseconds (0 = none).
 	Batch, Conn, Attempt       int
 	From, Initiator, Responder overlay.NodeID
 	Remaining, Hop             int
 	Path                       []overlay.NodeID
-	Reason                     string
-	Fatal                      bool
+	Reason                     transport.NackReason
 	DeadlineMicros             int64
 	Contract                   *onion.SignedContract
 	Records                    []onion.PathRecord
@@ -234,14 +236,12 @@ func (f *Frame) appendBody(out []byte) ([]byte, error) {
 	switch f.Kind {
 	case KindHello, KindHelloAck:
 		out = wire.AppendI64(out, int64(f.Node))
-		out = wire.AppendU64(out, f.Nonce)
 	case KindForward, KindConfirm, KindNack:
 		return f.encodeMessage(out)
 	case KindProbe, KindProbeAck:
 		return wire.AppendU64(out, f.Nonce), nil
 	case KindSettle:
 		out = wire.AppendI64(out, int64(f.Batch))
-		out = wire.AppendI64(out, int64(f.Node))
 		out = wire.AppendU64(out, math.Float64bits(f.Payoff))
 	case KindClaim:
 		if f.AggClaim == nil {
@@ -260,6 +260,9 @@ func (f *Frame) appendBody(out []byte) ([]byte, error) {
 }
 
 func (f *Frame) encodeMessage(out []byte) ([]byte, error) {
+	if !f.reasonFits() {
+		return nil, fmt.Errorf("%w: %s with reason %d", ErrBadReason, f.Kind, f.Reason)
+	}
 	for _, v := range []int64{
 		int64(f.Batch), int64(f.Conn), int64(f.Attempt),
 		int64(f.From), int64(f.Initiator), int64(f.Responder),
@@ -268,9 +271,6 @@ func (f *Frame) encodeMessage(out []byte) ([]byte, error) {
 		out = wire.AppendI64(out, v)
 	}
 	var flags byte
-	if f.Fatal {
-		flags |= flagFatal
-	}
 	if f.Contract != nil {
 		flags |= flagContract
 	}
@@ -285,10 +285,8 @@ func (f *Frame) encodeMessage(out []byte) ([]byte, error) {
 	for _, id := range f.Path {
 		out = wire.AppendI64(out, int64(id))
 	}
-	out, err := wire.AppendBytes16(out, f.Reason, maxReasonLen)
-	if err != nil {
-		return nil, err
-	}
+	out = append(out, byte(f.Reason))
+	var err error
 	if c := f.Contract; c != nil {
 		if c.BatchPub == nil {
 			return nil, ErrBadKey
@@ -316,6 +314,15 @@ func (f *Frame) encodeMessage(out []byte) ([]byte, error) {
 		}
 	}
 	return f.appendTraceTail(out), nil
+}
+
+// reasonFits reports whether the frame's reason fits its kind: a NACK
+// names why its attempt failed, and no other kind carries a reason.
+func (f *Frame) reasonFits() bool {
+	if f.Kind == KindNack {
+		return f.Reason == transport.NackDeparted || f.Reason == transport.NackContract
+	}
+	return f.Reason == transport.NackNone
 }
 
 // appendTraceTail serialises the trace-context extension when the frame
@@ -368,7 +375,6 @@ func (f *Frame) decodeBody(body []byte, path *[]overlay.NodeID) error {
 	switch f.Kind {
 	case KindHello, KindHelloAck:
 		f.Node = overlay.NodeID(r.I64())
-		f.Nonce = r.U64()
 	case KindForward, KindConfirm, KindNack:
 		f.decodeMessage(&r, path)
 		return r.Done()
@@ -378,7 +384,6 @@ func (f *Frame) decodeBody(body []byte, path *[]overlay.NodeID) error {
 	case KindSettle:
 		f.Batch = int(r.I64())
 		r.Check(f.Batch >= 0, ErrBadBatch)
-		f.Node = overlay.NodeID(r.I64())
 		f.Payoff = math.Float64frombits(r.U64())
 	case KindClaim:
 		f.Batch = int(r.I64())
@@ -413,7 +418,6 @@ func (f *Frame) decodeMessage(r *wire.Reader, path *[]overlay.NodeID) {
 	f.DeadlineMicros = r.I64()
 	flags := r.U8()
 	r.Check(flags&^byte(flagKnownMask) == 0, ErrBadFlags)
-	f.Fatal = flags&flagFatal != 0
 	pathLen := r.U16()
 	r.Check(pathLen <= maxPathLen, ErrFieldTooLong)
 	if b := r.Take(8 * pathLen); len(b) > 0 {
@@ -435,7 +439,8 @@ func (f *Frame) decodeMessage(r *wire.Reader, path *[]overlay.NodeID) {
 			f.Path[i] = overlay.NodeID(int64(binary.BigEndian.Uint64(b[8*i:])))
 		}
 	}
-	f.Reason = r.String16(maxReasonLen)
+	f.Reason = transport.NackReason(r.U8())
+	r.Check(f.reasonFits(), ErrBadReason)
 	if flags&flagContract != 0 {
 		c := &onion.SignedContract{}
 		c.BatchID = r.U64()

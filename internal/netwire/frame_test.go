@@ -38,12 +38,10 @@ func randomFrame(t testing.TB, rng *rand.Rand, kind Kind) *Frame {
 	switch kind {
 	case KindHello, KindHelloAck:
 		f.Node = overlay.NodeID(rng.Int63n(1 << 40))
-		f.Nonce = rng.Uint64()
 	case KindProbe, KindProbeAck:
 		f.Nonce = rng.Uint64()
 	case KindSettle:
 		f.Batch = rng.Intn(1 << 20)
-		f.Node = overlay.NodeID(rng.Int63n(1 << 40))
 		f.Payoff = rng.NormFloat64() * 10
 	case KindClaim:
 		f.Batch = rng.Intn(1 << 20)
@@ -77,9 +75,7 @@ func randomFrame(t testing.TB, rng *rand.Rand, kind Kind) *Frame {
 			f.Path = append(f.Path, overlay.NodeID(rng.Int63n(1<<40)))
 		}
 		if kind == KindNack {
-			reasons := []string{"", "next hop 7 unreachable", "contract failed verification"}
-			f.Reason = reasons[rng.Intn(len(reasons))]
-			f.Fatal = rng.Intn(2) == 1
+			f.Reason = transport.NackDeparted + transport.NackReason(rng.Intn(2))
 		}
 		if rng.Intn(2) == 1 {
 			f.Contract = testContract(t, uint64(f.Batch))
@@ -130,7 +126,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			g.Batch != f.Batch || g.Conn != f.Conn || g.Attempt != f.Attempt ||
 			g.From != f.From || g.Initiator != f.Initiator || g.Responder != f.Responder ||
 			g.Remaining != f.Remaining || g.Hop != f.Hop || g.Reason != f.Reason ||
-			g.Fatal != f.Fatal || g.DeadlineMicros != f.DeadlineMicros ||
+			g.DeadlineMicros != f.DeadlineMicros ||
 			g.Trace != f.Trace || g.Span != f.Span ||
 			math.Float64bits(g.Payoff) != math.Float64bits(f.Payoff) ||
 			len(g.Path) != len(f.Path) || len(g.Records) != len(f.Records) {
@@ -275,11 +271,24 @@ func TestDecodeFrameErrors(t *testing.T) {
 	// Declare a path longer than the cap.
 	longPath := append([]byte(nil), msg...)
 	binary.BigEndian.PutUint16(longPath[4+2+72+1:], maxPathLen+1)
+	// Set the reason byte, behind the flags and an empty path's length,
+	// of a NACK or a CONFIRM to r.
+	reason := func(kind Kind, r transport.NackReason) []byte {
+		f := &Frame{Kind: kind, Batch: 1, Conn: 1, Attempt: 1, Responder: 9}
+		if kind == KindNack {
+			f.Reason = transport.NackDeparted
+		}
+		out := mustEncode(t, f)
+		out[4+2+72+1+2] = byte(r)
+		return out
+	}
+	v2 := append([]byte(nil), valid...)
+	v2[4] = 2
 
 	oversize := make([]byte, 4)
 	binary.BigEndian.PutUint32(oversize, MaxFrameSize+1)
 
-	settle, err := (&Frame{Kind: KindSettle, Batch: -1, Node: 4, Payoff: 1}).Encode()
+	settle, err := (&Frame{Kind: KindSettle, Batch: -1, Payoff: 1}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,6 +323,10 @@ func TestDecodeFrameErrors(t *testing.T) {
 		{"negative hop", field(7, -1), ErrBadHop},
 		{"negative batch", field(0, -1), ErrBadBatch},
 		{"settle for a negative batch", settle, ErrBadBatch},
+		{"reason past NackContract", reason(KindNack, transport.NackContract+1), ErrBadReason},
+		{"nack without a reason", reason(KindNack, transport.NackNone), ErrBadReason},
+		{"confirm with a reason", reason(KindConfirm, transport.NackDeparted), ErrBadReason},
+		{"version 2", v2, ErrBadVersion},
 		{"body-internal truncation", encodeRaw([]byte{Version, byte(KindHello), 1, 2}), ErrShortFrame},
 	}
 	for _, tc := range cases {
@@ -338,9 +351,9 @@ func TestBodyCapEnforcedPerKind(t *testing.T) {
 	}{
 		{KindProbe, 10},
 		{KindProbeAck, 10},
-		{KindHello, 18 + traceTailSize},
-		{KindHelloAck, 18 + traceTailSize},
-		{KindSettle, 26 + traceTailSize},
+		{KindHello, 10 + traceTailSize},
+		{KindHelloAck, 10 + traceTailSize},
+		{KindSettle, 18 + traceTailSize},
 	}
 	for _, tc := range cases {
 		t.Run(tc.kind.String(), func(t *testing.T) {
@@ -398,13 +411,33 @@ func TestEncodeRejectsOversizedFields(t *testing.T) {
 	if _, err := f.Encode(); !errors.Is(err, ErrFieldTooLong) {
 		t.Fatalf("oversized path: got %v, want ErrFieldTooLong", err)
 	}
-	g := &Frame{Kind: KindNack, Reason: string(make([]byte, maxReasonLen+1))}
-	if _, err := g.Encode(); !errors.Is(err, ErrFieldTooLong) {
-		t.Fatalf("oversized reason: got %v, want ErrFieldTooLong", err)
-	}
 	h := &Frame{Kind: Kind(200)}
 	if _, err := h.Encode(); !errors.Is(err, ErrBadKind) {
 		t.Fatalf("bad kind: got %v, want ErrBadKind", err)
+	}
+}
+
+// TestEncodeRejectsBadReason checks Encode refuses a reason that does not
+// fit its kind, as the decoder does: a NACK must say why it failed, and
+// a FORWARD or CONFIRM carries no reason.
+func TestEncodeRejectsBadReason(t *testing.T) {
+	for _, tc := range []struct {
+		kind   Kind
+		reason transport.NackReason
+		ok     bool
+	}{
+		{KindNack, transport.NackDeparted, true},
+		{KindNack, transport.NackContract, true},
+		{KindNack, transport.NackNone, false},
+		{KindNack, transport.NackContract + 1, false},
+		{KindForward, transport.NackNone, true},
+		{KindForward, transport.NackContract, false},
+		{KindConfirm, transport.NackDeparted, false},
+	} {
+		_, err := (&Frame{Kind: tc.kind, Reason: tc.reason}).Encode()
+		if tc.ok != (err == nil) || !tc.ok && !errors.Is(err, ErrBadReason) {
+			t.Errorf("%s with reason %d: err %v, want ok=%v or ErrBadReason", tc.kind, tc.reason, err, tc.ok)
+		}
 	}
 }
 
@@ -415,6 +448,9 @@ func TestEncodeRejectsOversizedFields(t *testing.T) {
 func TestTraceContextExtension(t *testing.T) {
 	for _, kind := range []Kind{KindHello, KindHelloAck, KindForward, KindConfirm, KindNack, KindSettle} {
 		f := &Frame{Kind: kind, Trace: 0xdeadbeefcafe0001, Span: 0x0123456789abcdef}
+		if kind == KindNack {
+			f.Reason = transport.NackContract
+		}
 		buf, err := f.Encode()
 		if err != nil {
 			t.Fatalf("%v: encode: %v", kind, err)
@@ -426,7 +462,7 @@ func TestTraceContextExtension(t *testing.T) {
 		if g.Trace != f.Trace || g.Span != f.Span {
 			t.Fatalf("%v: trace context mangled: %+v", kind, g)
 		}
-		bare, err := (&Frame{Kind: kind}).Encode()
+		bare, err := (&Frame{Kind: kind, Reason: f.Reason}).Encode()
 		if err != nil {
 			t.Fatalf("%v: bare encode: %v", kind, err)
 		}
@@ -437,7 +473,7 @@ func TestTraceContextExtension(t *testing.T) {
 
 	// A zero tail on a fixed-layout kind: length says "extension present",
 	// content says "absent" — re-encoding would drop it, so reject.
-	settle := &Frame{Kind: KindSettle, Batch: 1, Node: 2, Payoff: 5}
+	settle := &Frame{Kind: KindSettle, Batch: 1, Payoff: 5}
 	buf, err := settle.Encode()
 	if err != nil {
 		t.Fatal(err)

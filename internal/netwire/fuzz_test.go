@@ -9,6 +9,7 @@ import (
 	"testing/iotest"
 
 	"p2panon/internal/overlay"
+	"p2panon/internal/transport"
 	"p2panon/internal/wire"
 )
 
@@ -72,6 +73,14 @@ func FuzzFrameWire(f *testing.F) {
 		}
 		f.Add(buf)
 	}
+
+	// A NACK whose reason byte names no reason: refused at decode.
+	nack, err := (&Frame{Kind: KindNack, Batch: 3, Attempt: 8, Responder: 5, Reason: transport.NackDeparted}).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	nack[4+2+72+1+2] = 0xff
+	f.Add(nack)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame, err := DecodeFrame(data)

@@ -80,7 +80,7 @@ func TestIdleCloseLosesNothing(t *testing.T) {
 	}
 	defer late.Close()
 	late.SetDeadline(time.Now().Add(10 * time.Second))
-	if _, err := WriteFrame(late, &Frame{Kind: KindHello, Node: 9, Nonce: 1}); err != nil {
+	if _, err := WriteFrame(late, &Frame{Kind: KindHello, Node: 9}); err != nil {
 		t.Fatal(err)
 	}
 	if ack, _, err := ReadFrame(late); err != nil || ack.Kind != KindHelloAck {
@@ -89,7 +89,7 @@ func TestIdleCloseLosesNothing(t *testing.T) {
 	if f, _, err := ReadFrame(late); err != io.EOF {
 		t.Fatalf("idle connection: read %v, %v; want node 1's EOF", f, err)
 	}
-	if _, err := WriteFrame(late, &Frame{Kind: KindSettle, Batch: 9, Node: 1, Payoff: 2.5}); err != nil {
+	if _, err := WriteFrame(late, &Frame{Kind: KindSettle, Batch: 9, Payoff: 2.5}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "the settle written after the retire", func() bool { return c.Node(1).Credited(9) == 2.5 })
@@ -175,14 +175,14 @@ func TestImpostorHelloGetsNothing(t *testing.T) {
 		}
 		defer imp.Close()
 		imp.SetDeadline(time.Now().Add(10 * time.Second))
-		if _, err := WriteFrame(imp, &Frame{Kind: KindHello, Node: named, Nonce: 1}); err != nil {
+		if _, err := WriteFrame(imp, &Frame{Kind: KindHello, Node: named}); err != nil {
 			t.Fatal(err)
 		}
 		if ack, _, err := ReadFrame(imp); err != nil || ack.Kind != KindHelloAck {
 			t.Fatalf("handshake naming %d: %v %v", named, ack, err)
 		}
 		acks := c.metrics.framesRecv[KindProbeAck].Value()
-		if _, err := WriteFrame(imp, &Frame{Kind: KindProbe, Node: named, Nonce: 99}); err != nil {
+		if _, err := WriteFrame(imp, &Frame{Kind: KindProbe, Nonce: 99}); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, "the ack of the impostor's probe", func() bool { return c.metrics.framesRecv[KindProbeAck].Value() > acks })
@@ -203,7 +203,7 @@ func TestImpostorHelloGetsNothing(t *testing.T) {
 	}
 	defer imp.Close()
 	imp.SetDeadline(time.Now().Add(10 * time.Second))
-	if _, err := WriteFrame(imp, &Frame{Kind: KindHello, Node: 77, Nonce: 1}); err != nil {
+	if _, err := WriteFrame(imp, &Frame{Kind: KindHello, Node: 77}); err != nil {
 		t.Fatal(err)
 	}
 	if ack, _, err := ReadFrame(imp); err != nil || ack.Kind != KindHelloAck {
@@ -227,9 +227,11 @@ func TestImpostorHelloGetsNothing(t *testing.T) {
 // their hop or batch fields, each on its own connection after a Hello
 // naming no member: a FORWARD whose Remaining is 1<<40 — which would size
 // a UM-II router's memo at 2^40 stages — a FORWARD with a negative
-// Remaining, a CONFIRM with a negative Hop, and a FORWARD and a Settle
-// for batch −1. Each is a decode error: node 1 counts it malformed once,
-// closes that connection, which reads EOF, and keeps serving.
+// Remaining, a CONFIRM with a negative Hop, a FORWARD and a Settle for
+// batch −1, and a NACK whose reason byte names no reason (which Encode
+// refuses, so its byte is set by hand). Each is a decode error: node 1
+// counts it malformed once, closes that connection, which reads EOF, and
+// keeps serving.
 func TestOutOfRangeFrameRefused(t *testing.T) {
 	c := NewCluster(Config{})
 	t.Cleanup(c.Close)
@@ -239,26 +241,35 @@ func TestOutOfRangeFrameRefused(t *testing.T) {
 		}
 	}
 	malformed := c.Telemetry().Counter("netwire_malformed_total", nil)
-	for n, bad := range []*Frame{
+	var inputs [][]byte
+	for _, bad := range []*Frame{
 		{Kind: KindForward, Batch: 1, Conn: 1, Attempt: 1, Responder: 2, Remaining: 1 << 40, Path: []overlay.NodeID{0}},
 		{Kind: KindForward, Batch: 1, Conn: 1, Attempt: 1, Responder: 2, Remaining: -1, Path: []overlay.NodeID{0}},
 		{Kind: KindConfirm, Batch: 1, Conn: 1, Attempt: 1, Responder: 2, Path: []overlay.NodeID{0, 1, 2}, Hop: -1},
 		{Kind: KindForward, Batch: -1, Conn: 1, Attempt: 1, Responder: 2, Remaining: 2, Path: []overlay.NodeID{0}},
-		{Kind: KindSettle, Batch: -1, Node: 1, Payoff: 3},
+		{Kind: KindSettle, Batch: -1, Payoff: 3},
 	} {
+		inputs = append(inputs, mustEncode(t, bad))
+	}
+	// The reason byte follows the flags, the path length and the path.
+	nack := mustEncode(t, &Frame{Kind: KindNack, Batch: 1, Conn: 1, Attempt: 1, Responder: 2,
+		Path: []overlay.NodeID{0, 1}, Hop: 1, Reason: transport.NackDeparted, From: 2})
+	nack[4+2+9*8+1+2+2*8] = byte(transport.NackContract + 1)
+	inputs = append(inputs, nack)
+	for n, bad := range inputs {
 		imp, err := net.Dial("tcp", c.Node(1).Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer imp.Close()
 		imp.SetDeadline(time.Now().Add(10 * time.Second))
-		if _, err := WriteFrame(imp, &Frame{Kind: KindHello, Node: 77, Nonce: 1}); err != nil {
+		if _, err := WriteFrame(imp, &Frame{Kind: KindHello, Node: 77}); err != nil {
 			t.Fatal(err)
 		}
 		if ack, _, err := ReadFrame(imp); err != nil || ack.Kind != KindHelloAck {
 			t.Fatalf("handshake naming 77: %v %v", ack, err)
 		}
-		if _, err := WriteFrame(imp, bad); err != nil {
+		if _, err := imp.Write(bad); err != nil {
 			t.Fatal(err)
 		}
 		if f, _, err := ReadFrame(imp); err != io.EOF {
@@ -279,7 +290,7 @@ func TestOutOfRangeFrameRefused(t *testing.T) {
 // cleanly, is counted malformed and closes its connection, which then
 // reads EOF; node 1 keeps serving.
 func TestStrayFrameKindRefused(t *testing.T) {
-	for _, stray := range []*Frame{claimFrame(2), {Kind: KindHello, Node: 2, Nonce: 2}} {
+	for _, stray := range []*Frame{claimFrame(2), {Kind: KindHello, Node: 2}} {
 		c := NewCluster(Config{})
 		t.Cleanup(c.Close)
 		for id := overlay.NodeID(0); id < 3; id++ {
@@ -293,7 +304,7 @@ func TestStrayFrameKindRefused(t *testing.T) {
 		}
 		defer imp.Close()
 		imp.SetDeadline(time.Now().Add(10 * time.Second))
-		if _, err := WriteFrame(imp, &Frame{Kind: KindHello, Node: 0, Nonce: 1}); err != nil {
+		if _, err := WriteFrame(imp, &Frame{Kind: KindHello, Node: 0}); err != nil {
 			t.Fatal(err)
 		}
 		if ack, _, err := ReadFrame(imp); err != nil || ack.Kind != KindHelloAck {
@@ -428,13 +439,14 @@ func TestQuiescedWireCounts(t *testing.T) {
 }
 
 // What quiescedRun sends besides handshakes, as measured with one-way
-// links: 310 568 bytes in all, 82 dials (one per ordered pair) of 44
-// handshake bytes each.
+// links at wire version 2 (310 568 bytes in all, 82 dials — one per
+// ordered pair — of 44 handshake bytes each), less what version 3 took
+// off: one byte of each message frame and eight of each settle frame.
 const (
 	quiescedForwards      = 1200
 	quiescedConfirms      = 1200
 	quiescedSettles       = 72
-	quiescedProtocolBytes = 310_568 - 82*44
+	quiescedProtocolBytes = 310_568 - 82*44 - (quiescedForwards + quiescedConfirms) - 8*quiescedSettles
 )
 
 // TestProbeAckReturnsToProber probes between two nodes of a cluster that

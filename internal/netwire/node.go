@@ -118,7 +118,7 @@ func (nd *Node) handshake(conn net.Conn, in *wire.Stream, f *Frame) (*link, erro
 		return nil, err
 	}
 	nd.c.metrics.noteRecv(KindHello, n)
-	if n, err = WriteFrame(conn, &Frame{Kind: KindHelloAck, Node: nd.ID, Nonce: f.Nonce}); err != nil {
+	if n, err = WriteFrame(conn, &Frame{Kind: KindHelloAck, Node: nd.ID}); err != nil {
 		return nil, err
 	}
 	nd.c.metrics.noteSent(KindHelloAck, n)
@@ -254,27 +254,22 @@ func (nd *Node) handleFrame(peer overlay.NodeID, f *Frame, abs int64, m *transpo
 }
 
 // frameOf renders a protocol message as a frame. DeadlineMicros stays
-// zero here: the link stamps the budget that remains when it writes. A
-// frame's From is a FORWARD's sender only: a NACK's subject, its
-// message's From, travels in the reason text.
+// zero here: the link stamps the budget that remains when it writes.
 func frameOf(m *transport.Message) Frame {
 	f := Frame{
 		Kind:      KindForward + Kind(m.Kind),
 		Batch:     m.Batch,
 		Conn:      m.Conn,
 		Attempt:   m.Attempt,
+		From:      m.From,
 		Initiator: m.Initiator,
 		Responder: m.Responder,
 		Remaining: m.Remaining,
 		Hop:       m.Hop,
 		Path:      m.Path,
-		Reason:    m.Reason.Text(m.From),
-		Fatal:     m.Fatal,
+		Reason:    m.Reason,
 		Trace:     m.Trace,
 		Span:      m.Span,
-	}
-	if m.Kind == transport.MsgForward {
-		f.From = m.From
 	}
 	if s := m.Secure; s != nil {
 		f.Contract, f.Records = s.Contract, s.Records
@@ -283,12 +278,12 @@ func frameOf(m *transport.Message) Frame {
 }
 
 // message is frameOf's inverse for a Forward/Confirm/Nack frame, with the
-// attempt deadline the caller re-anchored on the local clock. A NACK's
-// reason text becomes its code and subject; records come only with a
-// contract, the secure load.
+// attempt deadline the caller re-anchored on the local clock. Records
+// come only with a contract, the secure load.
 func (f *Frame) message(deadline int64) transport.Message {
 	m := transport.Message{
 		Kind:      transport.MsgKind(f.Kind - KindForward),
+		Reason:    f.Reason,
 		Batch:     f.Batch,
 		Conn:      f.Conn,
 		Attempt:   f.Attempt,
@@ -299,12 +294,8 @@ func (f *Frame) message(deadline int64) transport.Message {
 		Hop:       f.Hop,
 		Path:      f.Path,
 		Deadline:  deadline,
-		Fatal:     f.Fatal,
 		Trace:     f.Trace,
 		Span:      f.Span,
-	}
-	if f.Kind == KindNack {
-		m.Reason, m.From = transport.ParseNackReason(f.Reason)
 	}
 	if f.Contract != nil {
 		m.Secure = &transport.SecureLoad{Contract: f.Contract, Records: f.Records}

@@ -12,6 +12,7 @@ import (
 	"p2panon/internal/onion"
 	"p2panon/internal/overlay"
 	"p2panon/internal/payment"
+	"p2panon/internal/transport"
 	"p2panon/internal/wire"
 )
 
@@ -169,6 +170,32 @@ func TestAppendToWarmAllocsZero(t *testing.T) {
 	}
 }
 
+// TestNackSendAllocsZero pins the send side of a NACK: rendering a
+// departure NACK as a frame and encoding it into a warm buffer, as
+// Cluster.Send does, allocates nothing — its reason and subject are a
+// byte and a fixed-width field, not text.
+func TestNackSendAllocsZero(t *testing.T) {
+	m := transport.Message{
+		Kind: transport.MsgNack, Reason: transport.NackDeparted, From: 123,
+		Batch: 1, Conn: 2, Attempt: 3, Initiator: 0, Responder: 9,
+		Path: []overlay.NodeID{0, 4, 5}, Hop: 2, Trace: 7, Span: 8,
+	}
+	f := frameOf(&m)
+	buf := mustEncode(t, &f)
+	if allocs := testing.AllocsPerRun(200, func() {
+		f := frameOf(&m)
+		var err error
+		if buf, err = f.AppendTo(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("frameOf + AppendTo of a departure NACK: %v allocs, want 0", allocs)
+	}
+	if g, err := DecodeFrame(buf); err != nil || g.Reason != transport.NackDeparted || g.From != 123 {
+		t.Fatalf("encoded NACK decodes to %+v, %v", g, err)
+	}
+}
+
 // loop replays one byte string forever, one Read per call of whatever
 // fits — a socket that always has the next frames waiting.
 type loop struct {
@@ -184,19 +211,19 @@ func (l *loop) Read(p []byte) (int, error) {
 
 // TestFrameStreamSteadyStateAllocs pins the read side: a frame that fits
 // the read-ahead buffer is decoded in place, its Path into the reader's
-// own buffer, so the only allocation left is the Reason a NACK hands on
-// to the driver.
+// own buffer, so a buffered frame allocates nothing — a NACK's reason is
+// one byte.
 func TestFrameStreamSteadyStateAllocs(t *testing.T) {
 	nack := forwardFrame(t, false)
-	nack.Kind, nack.Reason = KindNack, "next hop 7 unreachable"
+	nack.Kind, nack.Reason, nack.From = KindNack, transport.NackDeparted, 7
 	for _, tc := range []struct {
 		name string
 		f    *Frame
 		max  float64
 	}{
 		{"forward", forwardFrame(t, false), 0},
-		{"nack with reason", nack, 1},
-		{"settle", &Frame{Kind: KindSettle, Batch: 12, Node: 4, Payoff: 1.5, Trace: 1, Span: 2}, 0},
+		{"nack with reason", nack, 0},
+		{"settle", &Frame{Kind: KindSettle, Batch: 12, Payoff: 1.5, Trace: 1, Span: 2}, 0},
 	} {
 		s := envelope.NewStream(&loop{wire: mustEncode(t, tc.f)}, connBuf)
 		var f Frame
@@ -208,7 +235,7 @@ func TestFrameStreamSteadyStateAllocs(t *testing.T) {
 		}); allocs > tc.max {
 			t.Errorf("%s: %v allocs per buffered frame read, want <= %v", tc.name, allocs, tc.max)
 		}
-		if f.Kind != tc.f.Kind || f.Batch != tc.f.Batch || len(f.Path) != len(tc.f.Path) || f.Reason != tc.f.Reason {
+		if f.Kind != tc.f.Kind || f.Batch != tc.f.Batch || len(f.Path) != len(tc.f.Path) || f.Reason != tc.f.Reason || f.From != tc.f.From {
 			t.Errorf("%s: last frame read is not the frame written: %+v", tc.name, f)
 		}
 	}

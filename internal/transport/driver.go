@@ -459,8 +459,8 @@ func (d *Driver) resolve(self, last overlay.NodeID, m *Message) {
 	if m.Span != 0 {
 		c.prev = m.Span
 	}
-	if m.Fatal {
-		c.fail(c.lastErr) // no reformation fixes a bad contract
+	if m.Reason.Fatal() {
+		c.fail(c.lastErr)
 		return
 	}
 	c.next()

@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"p2panon/internal/onion"
@@ -47,10 +46,8 @@ func (k MsgKind) String() string {
 // secure protocol's load one pointer that plain mode leaves nil.
 type Message struct {
 	Kind MsgKind
-	// Reason and Fatal describe a NACK: why its attempt failed, and
-	// whether no reformation can fix that.
+	// Reason is why a NACK's attempt failed; NackNone on every other kind.
 	Reason NackReason
-	Fatal  bool
 
 	Batch int
 	Conn  int
@@ -97,51 +94,32 @@ type SecureLoad struct {
 	Records  []onion.PathRecord
 }
 
-// NackReason says, in one byte, why a NACK's attempt failed. Text names
-// it where it is logged — the NACK's span and the initiator's error — and
-// netwire spells it on the wire.
+// NackReason says, in one byte, why a NACK's attempt failed: the form
+// it takes in a Message and on the wire. Text names it where it is logged
+// — the NACK's span and the initiator's error.
 type NackReason uint8
 
-// The reasons a driver gives, and NackUnknown for a reason a peer sent
-// that this build does not name.
+// The reasons a driver gives.
 const (
-	NackNone     NackReason = iota // no reason: a CONFIRM, or a NACK that gave none
+	NackNone     NackReason = iota // no reason: every kind but a NACK
 	NackDeparted                   // the next hop, the NACK's From, departed
 	NackContract                   // the signed contract failed verification
-	NackUnknown
 )
-
-const departedPrefix, departedSuffix = "next hop ", " departed"
 
 // Text renders the reason of a NACK whose From is subject.
 func (r NackReason) Text(subject overlay.NodeID) string {
 	switch r {
-	case NackNone:
-		return ""
 	case NackDeparted:
-		return departedPrefix + strconv.Itoa(int(subject)) + departedSuffix
+		return "next hop " + strconv.Itoa(int(subject)) + " departed"
 	case NackContract:
 		return "contract failed verification"
 	}
-	return "unrecognised nack reason"
+	return ""
 }
 
-// ParseNackReason is Text's inverse: the reason and subject a rendered
-// reason names. A text Text does not render is NackUnknown.
-func ParseNackReason(text string) (NackReason, overlay.NodeID) {
-	switch text {
-	case NackNone.Text(0):
-		return NackNone, 0
-	case NackContract.Text(0):
-		return NackContract, 0
-	}
-	mid, pre := strings.CutPrefix(text, departedPrefix)
-	mid, suf := strings.CutSuffix(mid, departedSuffix)
-	if id, err := strconv.Atoi(mid); pre && suf && err == nil && strconv.Itoa(id) == mid {
-		return NackDeparted, overlay.NodeID(id)
-	}
-	return NackUnknown, 0
-}
+// Fatal reports whether no reformation can fix the failure: a contract
+// that failed verification fails on every path.
+func (r NackReason) Fatal() bool { return r == NackContract }
 
 // MaxBudget caps a connection's hop budget, the Remaining a FORWARD
 // carries: Driver.start refuses a larger budget, and Driver.Handle refuses
@@ -326,7 +304,7 @@ func (d *Driver) Undeliverable(from, to overlay.NodeID, m *Message) {
 	d.MarkDead(to)
 	switch m.Kind {
 	case MsgForward:
-		d.nackBack(from, m, NackDeparted, to, false)
+		d.nackBack(from, m, NackDeparted, to)
 	case MsgConfirm, MsgNack:
 		m.Hop--
 		d.back(from, m)
@@ -356,7 +334,7 @@ func (d *Driver) handleForward(st *Station, m *Message) {
 	// timeout. The rejection is fatal: no reformation fixes a bad contract.
 	if m.Secure != nil && !m.Secure.Contract.Verify() {
 		d.inst.contractRejects.Inc()
-		d.nackBack(st.ID, m, NackContract, 0, true)
+		d.nackBack(st.ID, m, NackContract, 0)
 		return
 	}
 	// Chain the causal span: this hop's span hashes its predecessor's, so
@@ -387,7 +365,7 @@ func (d *Driver) handleForward(st *Station, m *Message) {
 		// Synchronous drop: the chosen successor departed. Mark it dead
 		// and NACK back along the path so the initiator reforms at once.
 		d.MarkDead(next)
-		d.nackBack(st.ID, m, NackDeparted, next, false)
+		d.nackBack(st.ID, m, NackDeparted, next)
 	}
 }
 
@@ -413,7 +391,7 @@ func reply(m *Message, kind MsgKind, span telemetry.SpanID) {
 	m.Kind, m.Span = kind, span
 	m.Hop = len(m.Path) - 1
 	m.From, m.Remaining = 0, 0
-	m.Reason, m.Fatal = NackNone, false
+	m.Reason = NackNone
 }
 
 // back is the one reverse walk: it moves a CONFIRM/NACK held by node self
@@ -441,10 +419,10 @@ func (d *Driver) back(self overlay.NodeID, m *Message) {
 // nackBack turns m, at node self, into a NACK for reason about subject
 // and walks it home from the last node of m's path: self, which back
 // skips. The NACK drops the secure load.
-func (d *Driver) nackBack(self overlay.NodeID, m *Message, reason NackReason, subject overlay.NodeID, fatal bool) {
+func (d *Driver) nackBack(self overlay.NodeID, m *Message, reason NackReason, subject overlay.NodeID) {
 	d.inst.nacks.Inc()
 	d.inst.nackHops.Observe(float64(len(m.Path)))
 	reply(m, MsgNack, d.span(m, telemetry.SpanNack, len(m.Path), m.Initiator, reason.Text(subject)))
-	m.Reason, m.From, m.Fatal, m.Secure = reason, subject, fatal, nil
+	m.Reason, m.From, m.Secure = reason, subject, nil
 	d.back(self, m)
 }

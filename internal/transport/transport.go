@@ -22,7 +22,10 @@
 // synchronously and the holder NACKs back along the reverse path, so the
 // initiator learns of a mid-path departure without waiting out its timeout;
 // the driver then reforms the path — bounded retries with exponential backoff —
-// which is exactly the "path reformation" event Prop. 1 counts. Routers that
+// which is exactly the "path reformation" event Prop. 1 counts. A NACK says
+// why in one NackReason byte, the form every backend carries it in, and its
+// subject, the departed next hop, in its From; a contract that failed
+// verification is the one reason no reformation fixes. Routers that
 // implement ChurnAware are told about peers found dead (failure detection by
 // failed delivery, as a deployment would observe it) so reformed paths avoid
 // them. Every drop, NACK, timeout and reformation is counted in the
