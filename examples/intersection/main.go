@@ -41,9 +41,6 @@ func demo(strat core.Strategy) {
 	cc.ArrivalRate = 0
 	drv := churn.NewDriver(cc, net, rng.Split())
 	drv.Start(engine)
-	for _, id := range net.AllIDs() {
-		net.RefreshNeighbors(id)
-	}
 
 	probes := probe.NewSet(net, rng.Split(), probe.DefaultPeriod)
 	for i := 0; i < 5; i++ {

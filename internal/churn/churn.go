@@ -85,10 +85,12 @@ func NewDriver(cfg Config, net *overlay.Network, rng *dist.Source) *Driver {
 	return &Driver{cfg: cfg, net: net, rng: rng}
 }
 
-// Start seeds the initial population at the engine's current time and
-// schedules all future churn. Exactly ⌈f·N⌉ of the initial nodes are
-// malicious, matching the paper's "a certain fraction f of nodes are
-// selected as adversaries".
+// Start seeds the initial population at the engine's current time,
+// schedules all future churn, and then tops up every node's neighbour
+// set: a node that joined early found only the few nodes before it, so
+// without the top-up every edge would point to an earlier joiner. Exactly
+// ⌈f·N⌉ of the initial nodes are malicious, matching the paper's "a
+// certain fraction f of nodes are selected as adversaries".
 func (d *Driver) Start(e *sim.Engine) {
 	malicious := int(d.cfg.MaliciousFraction*float64(d.cfg.N) + 0.5)
 	flags := make([]bool, d.cfg.N)
@@ -101,6 +103,9 @@ func (d *Driver) Start(e *sim.Engine) {
 	}
 	if !d.cfg.Static && d.cfg.ArrivalRate > 0 {
 		d.scheduleArrival(e)
+	}
+	for _, id := range d.net.AllIDs() {
+		d.net.RefreshNeighbors(id)
 	}
 }
 

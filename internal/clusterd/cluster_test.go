@@ -406,7 +406,6 @@ func TestCompositionValidate(t *testing.T) {
 		{Kind: faultsim.FaultDrop, Batch: 1, Conn: 1, Msg: 1},
 		{Kind: faultsim.FaultDelay, Batch: 1, Conn: 1, Msg: 1, Delay: 0.1},
 		{Kind: faultsim.FaultDuplicate, Batch: 1, Conn: 1, Msg: 1},
-		{Kind: faultsim.FaultReorder, Batch: 1, Conn: 1, Msg: 1, Delay: 0.1},
 		{Kind: faultsim.FaultDoubleDeposit, At: 1, Node: 2},
 		{Kind: faultsim.FaultProbeLie, At: 1, Node: 2},
 		{Kind: faultsim.FaultInflate, Batch: 1, Node: 2},

@@ -209,11 +209,6 @@ func newHarness(s Setup) (*harness, error) {
 	drv := churn.NewDriver(cc, net, rng.Split())
 	drv.Start(engine)
 
-	// Top up early joiners' neighbor sets.
-	for _, id := range net.AllIDs() {
-		net.RefreshNeighbors(id)
-	}
-
 	probes := probe.NewSet(net, rng.Split(), s.ProbePeriod)
 	probes.Prof = s.Profile
 	probes.Instrument(s.Telemetry)

@@ -214,7 +214,7 @@ func (w *world) setup() {
 		switch f.Kind {
 		case FaultCrash, FaultRestart, FaultDoubleDeposit, FaultProbeLie:
 			w.eng.AfterFunc(sim.Time(f.At), func(*sim.Engine) { w.applyNodeFault(i) })
-		case FaultDrop, FaultDelay, FaultDuplicate, FaultReorder:
+		case FaultDrop, FaultDelay, FaultDuplicate:
 			w.msgFaults = append(w.msgFaults, &faultSlot{Fault: f, i: i})
 		}
 	}

@@ -166,9 +166,6 @@ func TestChurnProbeRoutingPipeline(t *testing.T) {
 	cc.N = 40
 	drv := churn.NewDriver(cc, net, rng.Split())
 	drv.Start(engine)
-	for _, id := range net.AllIDs() {
-		net.RefreshNeighbors(id)
-	}
 	probes := probe.NewSet(net, rng.Split(), 60)
 	probes.Attach(engine)
 	sys, err := core.NewSystem(core.DefaultConfig(), net, probes, rng.Split())
