@@ -311,8 +311,8 @@ func runLive(strategy core.Strategy, backend string, n, d, pairs, tx, maxconn, r
 	ls.Telemetry = reg
 	ls.Spans = spans
 	if backend == "tcp" {
-		ls.NewConductor = func(latency time.Duration) transport.Conductor {
-			return netwire.NewCluster(netwire.Config{Latency: latency})
+		ls.NewConductor = func() transport.Conductor {
+			return netwire.NewCluster(netwire.Config{})
 		}
 	}
 	out, err := experiment.RunLive(ls)

@@ -14,6 +14,13 @@ import (
 	"p2panon/internal/transport"
 )
 
+// The live replay's per-connection hop budget and deadline. Its links
+// add no latency.
+const (
+	liveBudget  = 5
+	liveTimeout = 5 * time.Second
+)
+
 // LiveSetup parameterises a live (message-passing) replay of a trace
 // workload under mid-run churn, used to measure Prop. 1's reformation
 // behaviour on the live runtime rather than in the deterministic
@@ -23,11 +30,6 @@ type LiveSetup struct {
 	N, Degree int
 	// Pairs/Transmissions/MaxConnections are the trace workload knobs.
 	Pairs, Transmissions, MaxConnections int
-	// Budget is the per-connection hop budget; Timeout its deadline.
-	Budget  int
-	Timeout time.Duration
-	// Latency is the per-link delay of the live runtime.
-	Latency time.Duration
 	// Removals is how many of the busiest interior forwarders are
 	// removed halfway through the schedule (mid-batch departures).
 	Removals int
@@ -48,11 +50,11 @@ type LiveSetup struct {
 	// reads.
 	Spans *telemetry.SpanRecorder
 	// NewConductor, when non-nil, builds the forwarding backend the
-	// replay runs over — e.g. a netwire TCP loopback cluster — with the
-	// requested per-link latency. Nil uses the in-process
-	// transport.Network. Either backend passes the same conformance
-	// suite, so the study's measurements are comparable across wires.
-	NewConductor func(latency time.Duration) transport.Conductor
+	// replay runs over — e.g. a netwire TCP loopback cluster. Nil uses
+	// the in-process transport.Network. Either backend passes the same
+	// conformance suite, so the study's measurements are comparable
+	// across wires.
+	NewConductor func() transport.Conductor
 }
 
 // DefaultLive returns a compact live-churn study: 30 peers, 8 pairs of up
@@ -61,8 +63,6 @@ func DefaultLive() LiveSetup {
 	return LiveSetup{
 		N: 30, Degree: 6,
 		Pairs: 8, Transmissions: 64, MaxConnections: 10,
-		Budget:   5,
-		Timeout:  5 * time.Second,
 		Removals: 2,
 		Strategy: core.UtilityI,
 		Seed:     1,
@@ -106,9 +106,9 @@ func RunLive(s LiveSetup) (*LiveOutcome, error) {
 
 	var live transport.Conductor
 	if s.NewConductor != nil {
-		live = s.NewConductor(s.Latency)
+		live = s.NewConductor()
 	} else {
-		live = transport.NewNetwork(s.Latency)
+		live = transport.NewNetwork(0)
 	}
 	defer live.Close()
 	live.Instrument(s.Telemetry)
@@ -142,8 +142,8 @@ func RunLive(s LiveSetup) (*LiveOutcome, error) {
 	// keeps the outcome per-window regardless.
 	pre := live.Metrics()
 	res := transport.RunTrace(live.ConnectDetail, pairs, transport.TraceOptions{
-		Budget:  s.Budget,
-		Timeout: s.Timeout,
+		Budget:  liveBudget,
+		Timeout: liveTimeout,
 		Before: func(k int, sofar *transport.TraceResult) {
 			if s.Removals <= 0 || k != total/2 {
 				return

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"testing"
-	"time"
 
 	"p2panon/internal/core"
 	"p2panon/internal/netwire"
@@ -89,8 +88,8 @@ func TestRunLiveOverTCP(t *testing.T) {
 	s.Pairs, s.Transmissions, s.MaxConnections = 4, 16, 4
 	s.Removals = 1
 	s.Seed = 3
-	s.NewConductor = func(latency time.Duration) transport.Conductor {
-		return netwire.NewCluster(netwire.Config{Latency: latency})
+	s.NewConductor = func() transport.Conductor {
+		return netwire.NewCluster(netwire.Config{})
 	}
 	out, err := RunLive(s)
 	if err != nil {
