@@ -61,6 +61,22 @@ func TestFrameCodecColdAllocs(t *testing.T) {
 	}
 }
 
+// TestClaimFrameEncodeAllocs pins a claim frame's Encode, one per claim
+// per batch: one buffer, with and without trace context.
+func TestClaimFrameEncodeAllocs(t *testing.T) {
+	traced := claimFrame(10)
+	traced.Trace, traced.Span = 7, 9
+	for _, f := range []*Frame{claimFrame(10), traced} {
+		if allocs := testing.AllocsPerRun(200, func() {
+			if _, err := f.Encode(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 1 {
+			t.Errorf("trace %d: claim frame Encode allocates %v times, want 1", f.Trace, allocs)
+		}
+	}
+}
+
 // TestDecodedForwardPathHasRoom pins the receiver's side of a FORWARD: the
 // decoded path has room for the hop that receives it, so the append that
 // opens Driver.handleForward allocates nothing.

@@ -212,8 +212,15 @@ type Frame struct {
 func (f *Frame) hasTrace() bool { return f.Trace != 0 || f.Span != 0 }
 
 // Encode renders the frame in canonical wire form, length prefix
-// included.
-func (f *Frame) Encode() ([]byte, error) { return f.AppendTo(nil) }
+// included. A claim frame, whose size its entry count fixes, is encoded
+// into one buffer with room for its header, claim and trace context.
+func (f *Frame) Encode() ([]byte, error) {
+	var dst []byte
+	if f.Kind == KindClaim && f.AggClaim != nil {
+		dst = make([]byte, 0, wire.HeadSize+8+4+payment.AggClaimWireSize(len(f.AggClaim.Entries))+16)
+	}
+	return f.AppendTo(dst)
+}
 
 // AppendTo appends the frame's canonical wire form to dst — the body is
 // written straight behind the envelope's placeholder prefix and the

@@ -71,29 +71,29 @@ type ClaimChain struct {
 	lastConn  int
 	lastHop   int
 	sealed    bool
-	scratch   [32]byte // reused fold buffer; keeps Add allocation-free
+	// scratch carries the seed, each folded MAC and the final sum through
+	// the digest's Write and Sum: a buffer on the caller's stack would
+	// escape through the interface call. With it, Add allocates nothing
+	// until the entries outgrow inline, and a chain of up to 16 entries
+	// costs its struct and its digest.
+	scratch [32]byte
+	inline  [16]AggEntry
 }
 
 // NewClaimChain starts an empty chain for forwarder f.
 func NewClaimChain(f AccountID) *ClaimChain {
 	c := &ClaimChain{forwarder: f, h: sha256.New(), lastConn: -1, lastHop: -1}
-	seedChain(c.h, f)
+	c.entries = c.inline[:0]
+	seedChain(c.h, &c.scratch, f)
 	return c
 }
 
-func seedChain(h hash.Hash, f AccountID) {
-	var buf [8]byte
-	h.Write([]byte(aggDomainTag))
-	binary.BigEndian.PutUint64(buf[:], uint64(f))
-	h.Write(buf[:])
-}
-
-// foldEntry writes one receipt MAC into the stream through the caller's
-// scratch buffer — one Write per entry, no per-entry allocation (a slice
-// of the receipt's own MAC array would escape through the interface call).
-func foldEntry(h hash.Hash, scratch *[32]byte, mac []byte) {
-	copy(scratch[:], mac)
-	h.Write(scratch[:])
+// seedChain writes the chain's prefix, tag ‖ be64(f), into h through
+// scratch, which must not live on the caller's stack.
+func seedChain(h hash.Hash, scratch *[32]byte, f AccountID) {
+	n := copy(scratch[:], aggDomainTag)
+	binary.BigEndian.PutUint64(scratch[n:], uint64(f))
+	h.Write(scratch[:n+8])
 }
 
 // Add folds receipt r into the chain. The receipt must name the chain's
@@ -114,18 +114,20 @@ func (c *ClaimChain) Add(r Receipt) error {
 		return fmt.Errorf("payment: receipt (conn %d, hop %d) out of order after (conn %d, hop %d)",
 			r.Conn, r.Hop, c.lastConn, c.lastHop)
 	}
-	foldEntry(c.h, &c.scratch, r.MAC[:])
+	copy(c.scratch[:], r.MAC[:]) // r.MAC[:] would escape through Write
+	c.h.Write(c.scratch[:])
 	c.entries = append(c.entries, AggEntry{Conn: r.Conn, Hop: r.Hop})
 	c.lastConn, c.lastHop = r.Conn, r.Hop
 	return nil
 }
 
-// Claim finalizes the chain and returns the aggregate claim. The chain is
-// sealed afterwards: settlement consumes it, further Adds error.
+// Claim finalizes the chain and returns the aggregate claim, whose
+// Entries may share the chain's inline array. The chain is sealed
+// afterwards: settlement consumes it, further Adds error.
 func (c *ClaimChain) Claim() AggregateClaim {
 	c.sealed = true
 	out := AggregateClaim{Forwarder: c.forwarder, Entries: c.entries}
-	c.h.Sum(out.Chain[:0])
+	copy(out.Chain[:], c.h.Sum(c.scratch[:0]))
 	return out
 }
 
@@ -150,30 +152,62 @@ const (
 	outerMsgBits = (sha256.BlockSize + sha256.Size) * 8
 )
 
-// macVerifier recomputes receipt MACs from a minter's pad mid-states with
+// macVerifier recomputes receipt MACs from a key's pad mid-states with
 // no per-entry allocation: restore key⊕ipad, compress one pre-padded
 // block holding the 24-byte message, read the inner digest out of the
 // marshaled state, and repeat with key⊕opad for the outer pass — two
-// compressions per MAC, the HMAC arithmetic with all setup hoisted.
+// compressions per MAC, the HMAC arithmetic with all setup hoisted. A
+// minter embeds one; it is single-goroutine like any hash.Hash.
 type macVerifier struct {
-	d          shaDigest
-	ipad, opad []byte
+	d shaDigest
+	// ipad/opad are the marshaled SHA-256 states after absorbing key⊕ipad
+	// resp. key⊕opad, the fixed one-block prefixes of every HMAC under
+	// the key.
+	ipad, opad [shaStateLen]byte
 	bin        [sha256.BlockSize]byte // padded final block, inner hash
 	bout       [sha256.BlockSize]byte // padded final block, outer hash
 	st         [shaStateLen]byte
 }
 
-func newMACVerifier(ipadState, opadState []byte) (*macVerifier, bool) {
+// init derives key's pad mid-states with one digest, the one the
+// verifier keeps, following RFC 2104: a key longer than the block is
+// hashed first, then zero-padded and XORed with the ipad/opad constants.
+// It reports false when the stdlib digest lacks the marshaling surface.
+func (v *macVerifier) init(key []byte) bool {
 	d, ok := sha256.New().(shaDigest)
-	if !ok || len(ipadState) == 0 {
-		return nil, false
+	if !ok {
+		return false
 	}
-	v := &macVerifier{d: d, ipad: ipadState, opad: opadState}
+	v.d = d
+	if len(key) > sha256.BlockSize {
+		sum := sha256.Sum256(key)
+		key = sum[:]
+	}
+	if !v.padState(key, 0x36, &v.ipad) || !v.padState(key, 0x5c, &v.opad) {
+		return false
+	}
+	clear(v.bin[:])
 	v.bin[24] = shaPadEnd
 	binary.BigEndian.PutUint64(v.bin[56:64], innerMsgBits)
 	v.bout[sha256.Size] = shaPadEnd
 	binary.BigEndian.PutUint64(v.bout[56:64], outerMsgBits)
-	return v, true
+	return true
+}
+
+// padState marshals into st the digest's state after one block of
+// key⊕x. The block passes through bin, which init pads afterwards: a
+// stack buffer would escape through Write.
+func (v *macVerifier) padState(key []byte, x byte, st *[shaStateLen]byte) bool {
+	for i := range v.bin {
+		v.bin[i] = x
+		if i < len(key) {
+			v.bin[i] ^= key[i]
+		}
+	}
+	v.d.Reset()
+	v.d.Write(v.bin[:])
+	out, err := v.d.AppendBinary(st[:0])
+	return err == nil && len(out) == shaStateLen
 }
 
 // setForwarder fixes the forwarder field of the MAC message; one verifier
@@ -188,7 +222,7 @@ func (v *macVerifier) setForwarder(f AccountID) {
 func (v *macVerifier) mac(conn, hop int) ([]byte, error) {
 	binary.BigEndian.PutUint64(v.bin[0:8], uint64(conn))
 	binary.BigEndian.PutUint64(v.bin[8:16], uint64(hop))
-	if err := v.d.UnmarshalBinary(v.ipad); err != nil {
+	if err := v.d.UnmarshalBinary(v.ipad[:]); err != nil {
 		return nil, err
 	}
 	v.d.Write(v.bin[:]) // exactly one block: compressed directly, unbuffered
@@ -197,7 +231,7 @@ func (v *macVerifier) mac(conn, hop int) ([]byte, error) {
 		return nil, errors.New("payment: unexpected sha256 state size")
 	}
 	copy(v.bout[:sha256.Size], buf[shaStateOff:shaStateOff+sha256.Size])
-	if err := v.d.UnmarshalBinary(v.opad); err != nil {
+	if err := v.d.UnmarshalBinary(v.opad[:]); err != nil {
 		return nil, err
 	}
 	v.d.Write(v.bout[:])
@@ -208,46 +242,54 @@ func (v *macVerifier) mac(conn, hop int) ([]byte, error) {
 	return buf[shaStateOff : shaStateOff+sha256.Size], nil
 }
 
-// verifyAggregateWith is VerifyAggregate against caller-owned scratch: the
-// settlement loops hoist one verifier and one fold digest over a whole
-// claim batch instead of rebuilding them per claim. The order pre-check
-// runs here too, so it is safe on undecoded hostile input.
-func (m *ReceiptMinter) verifyAggregateWith(v *macVerifier, fold hash.Hash, c *AggregateClaim) int {
+// verifyAggregates is the chain-claim verifier: a claim is accepted for
+// its entry count when its chain re-derives, and a claim that does not
+// verify is rejected whole, its entries counted as rejected. Every claim
+// is verified through the minter's own verifier and fold digest, under
+// its mutex, so a batch's verification allocates only the accepted slice.
+func (m *ReceiptMinter) verifyAggregates(claims []AggregateClaim) (accepted []Payout, rejected int) {
+	accepted = make([]Payout, 0, len(claims))
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := range claims {
+		n := m.verifyAggregate(&claims[i])
+		rejected += len(claims[i].Entries) - n
+		if n > 0 {
+			accepted = append(accepted, Payout{Forwarder: claims[i].Forwarder, Forwards: n})
+		}
+	}
+	return accepted, rejected
+}
+
+// verifyAggregate re-derives c's chain under the minter's secret and
+// returns the accepted forwarding count: len(Entries) when the chain
+// matches, 0 otherwise (all-or-nothing). Each entry's MAC is recomputed
+// by the minter's verifier and folded into its fold digest; a minter
+// whose mid-states do not serve takes verifyAggregateSlow. The order
+// pre-check runs here too, so it is safe on undecoded hostile input. The
+// caller holds m.mu.
+func (m *ReceiptMinter) verifyAggregate(c *AggregateClaim) int {
+	if !m.fast {
+		return m.verifyAggregateSlow(c)
+	}
 	n := len(c.Entries)
 	if n == 0 || n > MaxAggEntries || !ascending(c.Entries) {
 		return 0
 	}
-	v.setForwarder(c.Forwarder)
-	fold.Reset()
-	seedChain(fold, c.Forwarder)
+	m.v.setForwarder(c.Forwarder)
+	m.fold.Reset()
+	seedChain(m.fold, &m.scratch, c.Forwarder)
 	for _, e := range c.Entries {
-		mac, err := v.mac(e.Conn, e.Hop)
+		mac, err := m.v.mac(e.Conn, e.Hop)
 		if err != nil {
 			return m.verifyAggregateSlow(c)
 		}
-		fold.Write(mac)
+		m.fold.Write(mac)
 	}
-	var got [32]byte
-	fold.Sum(got[:0])
-	if !hmac.Equal(got[:], c.Chain[:]) {
+	if !hmac.Equal(m.fold.Sum(m.scratch[:0]), c.Chain[:]) {
 		return 0
 	}
 	return n
-}
-
-// aggregateVerifier returns a claim-verification closure with the
-// verifier and fold digest hoisted, for loops that check many claims —
-// same results as calling VerifyAggregate per claim, minus the per-claim
-// setup. The closure is single-goroutine like any hash.Hash.
-func (m *ReceiptMinter) aggregateVerifier() func(*AggregateClaim) int {
-	v, ok := newMACVerifier(m.ipadState, m.opadState)
-	if !ok {
-		return m.verifyAggregateSlow
-	}
-	fold := sha256.New()
-	return func(c *AggregateClaim) int {
-		return m.verifyAggregateWith(v, fold, c)
-	}
 }
 
 // verifyAggregateSlow is the reference verification through crypto/hmac,
@@ -258,7 +300,7 @@ func (m *ReceiptMinter) verifyAggregateSlow(c *AggregateClaim) int {
 		return 0
 	}
 	fold := sha256.New()
-	seedChain(fold, c.Forwarder)
+	seedChain(fold, new([32]byte), c.Forwarder)
 	hm := hmac.New(sha256.New, m.key)
 	var in [24]byte
 	binary.BigEndian.PutUint64(in[16:24], uint64(c.Forwarder))

@@ -1,7 +1,7 @@
 package payment
 
 import (
-	"crypto/sha256"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -128,6 +128,110 @@ func TestVerifyAggregateFastMatchesSlow(t *testing.T) {
 		if m.VerifyAggregate(&claim) != 3 {
 			t.Fatalf("key %q: genuine claim rejected", secret)
 		}
+	}
+}
+
+// TestPadDerivationMatchesReference holds the minter's pad mid-states,
+// derived with one digest into its own arrays, to crypto/hmac for keys
+// below, at and past the block (past 64 bytes RFC 2104 hashes the key
+// first): Mint against receiptMAC, CountValid against Verify's count, and
+// SettleAggregated's payouts and per-claim verdicts against
+// verifyAggregateSlow's — for the minter and for one forced onto the slow
+// path.
+func TestPadDerivationMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for _, n := range []int{1, 32, 64, 65, 200} {
+		key := make([]byte, n)
+		rng.Read(key)
+		fast, err := NewReceiptMinter(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fast.fast {
+			t.Fatalf("%d-byte key: the mid-state path does not serve", n)
+		}
+		slow, err := NewReceiptMinter(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slow.fast = false
+		for _, m := range []*ReceiptMinter{fast, slow} {
+			for i := 0; i < 20; i++ {
+				conn, hop, f := rng.Intn(1<<20), rng.Intn(8), AccountID(rng.Intn(1<<20))
+				if got, want := m.Mint(conn, hop, f).MAC, receiptMAC(key, conn, hop, f); got != want {
+					t.Fatalf("%d-byte key, fast %v: Mint %x, receiptMAC %x", n, m.fast, got, want)
+				}
+			}
+			for round := 0; round < 20; round++ {
+				for _, c := range randomClaims(m, rng) {
+					if got, want := m.CountValid(c.Forwarder, c.Receipts), countValidRef(m, c.Forwarder, c.Receipts); got != want {
+						t.Fatalf("%d-byte key, fast %v: CountValid %d, Verify counts %d", n, m.fast, got, want)
+					}
+				}
+			}
+		}
+		// Forwarders 2–6 claim receipts at hops 1 and 2 of their own
+		// connections; 4's claim carries one flipped MAC bit, so its chain
+		// fails whole.
+		var claims []Claim
+		for f := AccountID(2); f <= 6; f++ {
+			c := Claim{Forwarder: f}
+			for conn := 0; conn < int(f); conn++ {
+				c.Receipts = append(c.Receipts, fast.Mint(conn, 1, f), fast.Mint(conn, 2, f))
+			}
+			if f == 4 {
+				c.Receipts[1].MAC[7] ^= 0x10
+			}
+			claims = append(claims, c)
+		}
+		for _, c := range claims {
+			chain := NewClaimChain(c.Forwarder)
+			for _, r := range c.Receipts {
+				if err := chain.Add(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			claim := chain.Claim()
+			if got, want := fast.VerifyAggregate(&claim), fast.verifyAggregateSlow(&claim); got != want {
+				t.Fatalf("%d-byte key, forwarder %d: verifies %d, verifyAggregateSlow %d", n, c.Forwarder, got, want)
+			}
+		}
+		got, want := settleVia(t, "aggregated", fast, 10, 90, claims), settleVia(t, "aggregated", slow, 10, 90, claims)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d-byte key: SettleAggregated %+v, on the slow path %+v", n, got, want)
+		}
+		if len(got.payouts) != 4 || got.rejected != 8 {
+			t.Fatalf("%d-byte key: payouts %+v, %d rejected; want 4 payouts and 8 rejected", n, got.payouts, got.rejected)
+		}
+	}
+}
+
+// TestClaimChainAllocs pins a chain's cost: NewClaimChain, 16 Adds and
+// Claim allocate the chain and its digest, nothing per receipt.
+func TestClaimChainAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates inside the digest")
+	}
+	m := minter(t)
+	rs := make([]Receipt, 16)
+	for i := range rs {
+		rs[i] = m.Mint(i, 1, 7)
+	}
+	var claim AggregateClaim
+	allocs := testing.AllocsPerRun(100, func() {
+		c := NewClaimChain(7)
+		for _, r := range rs {
+			if err := c.Add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		claim = c.Claim()
+	})
+	if allocs != 2 {
+		t.Fatalf("a 16-entry chain allocates %v times, want 2", allocs)
+	}
+	if m.VerifyAggregate(&claim) != 16 {
+		t.Fatal("the chain's claim does not verify")
 	}
 }
 
@@ -365,9 +469,12 @@ func TestAggregateClaimWireRoundTrip(t *testing.T) {
 
 // TestSettleAggregatedEpochAllocs pins the aggregated settlement's
 // allocation count: one epoch of 10⁴ receipts, 32 per forwarder, decoded
-// from their wire forms, escrowed, verified and paid, allocates about 4
-// times per claim and none per receipt (1 255 in all), plus a few when a
-// GC empties the verifier's pool mid-run.
+// from their wire forms, escrowed, verified and paid, allocates once per
+// claim (its decoded entries) and three times per epoch (the escrow, the
+// claims slice, the accepted payouts): 315 in all, 316 in one run of
+// forty. Verification itself runs on the minter's verifier and fold
+// digest and allocates nothing per claim or per receipt (1 255 in all
+// when it built a verifier per epoch and its chain sums escaped).
 func TestSettleAggregatedEpochAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates inside the digest")
@@ -379,7 +486,7 @@ func TestSettleAggregatedEpochAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	forwarders := n / perClaim
-	limit := 4*forwarders + 16
+	limit := forwarders + 4
 	wire := make([][]byte, forwarders)
 	for f := range wire {
 		fid := AccountID(100 + f)
@@ -426,20 +533,12 @@ func TestSettleAggregatedEpochAllocs(t *testing.T) {
 
 // VerifyAggregate re-derives the claim's chain under this minter's secret
 // and returns the accepted forwarding count: len(Entries) when the chain
-// matches, 0 otherwise (all-or-nothing). Each entry's receipt MAC is
-// recomputed by restoring the minter's precomputed key⊕ipad / key⊕opad
-// mid-states into one reused digest — the HMAC arithmetic without any
-// per-entry (or per-claim) instance setup — and folded into one streaming
-// SHA-256, so a claim verifies in O(m) with O(1) allocations.
+// matches, 0 otherwise (all-or-nothing) — verifyAggregate under the
+// minter's mutex.
 func (m *ReceiptMinter) VerifyAggregate(c *AggregateClaim) int {
-	v, ok := newMACVerifier(m.ipadState, m.opadState)
-	if !ok {
-		// The minter's construction-time self-check rejected the mid-state
-		// path (non-stdlib digest or a changed marshal format): take the
-		// plain crypto/hmac route instead.
-		return m.verifyAggregateSlow(c)
-	}
-	return m.verifyAggregateWith(v, sha256.New(), c)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.verifyAggregate(c)
 }
 
 // Len returns the number of folded receipts.

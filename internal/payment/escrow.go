@@ -105,16 +105,7 @@ func (e *Escrow) SettleAggregated(minter *ReceiptMinter, pf, pr Amount, claims [
 	if minter == nil {
 		return nil, 0, errors.New("payment: nil minter")
 	}
-	accepted := make([]Payout, 0, len(claims))
-	rejected := 0
-	verify := minter.aggregateVerifier()
-	for i := range claims {
-		n := verify(&claims[i])
-		rejected += len(claims[i].Entries) - n
-		if n > 0 {
-			accepted = append(accepted, Payout{Forwarder: claims[i].Forwarder, Forwards: n})
-		}
-	}
+	accepted, rejected := minter.verifyAggregates(claims)
 	return e.settle(pf, pr, accepted, rejected)
 }
 

@@ -4,10 +4,10 @@ import (
 	"cmp"
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"slices"
 	"sync"
 )
@@ -30,19 +30,20 @@ type Receipt struct {
 // to the initiator.
 type ReceiptMinter struct {
 	key []byte
-	// ipadState/opadState are the marshaled SHA-256 states after absorbing
-	// key⊕ipad resp. key⊕opad — the fixed one-block prefixes of every HMAC
-	// under this key. The aggregate verifier restores them per entry with
-	// UnmarshalBinary instead of building an HMAC instance per claim, which
-	// takes the pad setup (two compressions and several allocations) out of
-	// the hot path while producing bit-identical MACs.
-	ipadState, opadState []byte
+	// fast reports that v's pad mid-states serve: every process passes or
+	// fails the check once (midStatesServe). When false, every MAC is
+	// computed through crypto/hmac instead.
+	fast bool
 
-	// mint is the minter's own verifier over those states, nil when the
-	// self-check rejected them: Mint computes its MACs through it, under
-	// mu, instead of building an HMAC instance per receipt.
-	mu   sync.Mutex
-	mint *macVerifier
+	// mu guards the scratch below. Mint computes each MAC through v, the
+	// verifier over the key's pad mid-states, instead of building an HMAC
+	// instance per receipt; CountValid and SettleAggregated verify through
+	// it, and SettleAggregated folds through fold and scratch, so a batch
+	// minted, claimed and settled sets up its MAC state once.
+	mu      sync.Mutex
+	v       macVerifier
+	fold    hash.Hash
+	scratch [32]byte
 }
 
 // NewReceiptMinter creates a minter from a batch secret. The secret must be
@@ -54,53 +55,29 @@ func NewReceiptMinter(secret []byte) (*ReceiptMinter, error) {
 	key := make([]byte, len(secret))
 	copy(key, secret)
 	m := &ReceiptMinter{key: key}
-	m.ipadState, m.opadState = hmacPadStates(key)
-	// Self-check the mid-state fast path once against the crypto/hmac
-	// reference; if the digest's marshal format ever shifts, drop the
-	// states and every verification takes the slow path instead of
-	// silently rejecting genuine claims.
-	want := receiptMAC(key, 1, 2, 3)
-	if v, ok := newMACVerifier(m.ipadState, m.opadState); ok {
-		v.setForwarder(3)
-		if got, err := v.mac(1, 2); err == nil && hmac.Equal(got, want[:]) {
-			m.mint = v
-			return m, nil
-		}
+	if midStatesServe() && m.v.init(key) {
+		m.fast, m.fold = true, sha256.New()
 	}
-	m.ipadState, m.opadState = nil, nil
 	return m, nil
 }
 
-// hmacPadStates derives the two marshaled mid-states of HMAC-SHA256 under
-// key, following RFC 2104: a key longer than the block is hashed first,
-// then zero-padded and XORed with the ipad/opad constants.
-func hmacPadStates(key []byte) (ipadState, opadState []byte) {
-	k := key
-	if len(k) > sha256.BlockSize {
-		sum := sha256.Sum256(k)
-		k = sum[:]
+// midStatesServe checks the mid-state path once per process against the
+// crypto/hmac reference. What it checks is crypto/sha256's marshal
+// format, not a key — a key only fills the pads, which the verifier
+// derives the way RFC 2104 does — so one check serves every minter. If
+// the format ever shifts, every minter takes the slow path instead of
+// silently rejecting genuine claims.
+var midStatesServe = sync.OnceValue(func() bool {
+	key := []byte("p2panon/receipt/self-check")
+	var v macVerifier
+	if !v.init(key) {
+		return false
 	}
-	var ipad, opad [sha256.BlockSize]byte
-	copy(ipad[:], k)
-	copy(opad[:], k)
-	for i := range ipad {
-		ipad[i] ^= 0x36
-		opad[i] ^= 0x5c
-	}
-	return shaStateAfter(ipad[:]), shaStateAfter(opad[:])
-}
-
-// shaStateAfter returns the marshaled SHA-256 state after absorbing block.
-func shaStateAfter(block []byte) []byte {
-	d := sha256.New()
-	d.Write(block)
-	state, err := d.(encoding.BinaryMarshaler).MarshalBinary()
-	if err != nil {
-		// The stdlib sha256 digest always marshals.
-		panic(err)
-	}
-	return state
-}
+	v.setForwarder(3)
+	want := receiptMAC(key, 1, 2, 3)
+	got, err := v.mac(1, 2)
+	return err == nil && hmac.Equal(got, want[:])
+})
 
 func receiptMAC(key []byte, conn, hop int, f AccountID) [32]byte {
 	mac := hmac.New(sha256.New, key)
@@ -117,10 +94,10 @@ func receiptMAC(key []byte, conn, hop int, f AccountID) [32]byte {
 // Mint issues the receipt for forwarder f at hop hop of connection conn.
 func (m *ReceiptMinter) Mint(conn, hop int, f AccountID) Receipt {
 	r := Receipt{Conn: conn, Hop: hop, Forwarder: f}
-	if m.mint != nil {
+	if m.fast {
 		m.mu.Lock()
-		m.mint.setForwarder(f)
-		mac, err := m.mint.mac(conn, hop)
+		m.v.setForwarder(f)
+		mac, err := m.v.mac(conn, hop)
 		copy(r.MAC[:], mac)
 		m.mu.Unlock()
 		if err == nil {
@@ -142,30 +119,25 @@ func (m *ReceiptMinter) Verify(r Receipt) bool {
 // other forwarders are ignored — this is the settlement-side defence
 // against inflated forwarding counts.
 func (m *ReceiptMinter) CountValid(f AccountID, rs []Receipt) int {
-	rc := m.receiptCounter()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	rc := receiptCounter{m: m}
 	return rc.count(f, rs)
 }
 
-// receiptCounter is CountValid with its scratch hoisted, for loops that
-// count many claims: one MAC verifier over the minter's pad mid-states
-// instead of an HMAC instance per receipt, and one buffer of the valid
-// receipts' coordinates, sorted to count the distinct ones. Like the
-// verifier it is single-goroutine.
+// receiptCounter is CountValid with its coordinate buffer hoisted, for
+// loops that count many claims: the valid receipts' coordinates, sorted
+// to count the distinct ones. It checks MACs through the minter's
+// verifier, so its user holds the minter's mutex.
 type receiptCounter struct {
 	m    *ReceiptMinter
-	v    *macVerifier // nil when the mid-states failed their self-check
 	keys [][2]int
-}
-
-func (m *ReceiptMinter) receiptCounter() receiptCounter {
-	v, _ := newMACVerifier(m.ipadState, m.opadState)
-	return receiptCounter{m: m, v: v}
 }
 
 // count is CountValid(f, rs).
 func (rc *receiptCounter) count(f AccountID, rs []Receipt) int {
-	if rc.v != nil {
-		rc.v.setForwarder(f)
+	if rc.m.fast {
+		rc.m.v.setForwarder(f)
 	}
 	keys := rc.keys[:0]
 	if cap(keys) < len(rs) {
@@ -186,8 +158,8 @@ func (rc *receiptCounter) count(f AccountID, rs []Receipt) int {
 // valid reports whether r, which names the verifier's forwarder, is
 // authentic: Verify's verdict, from the mid-states when they serve.
 func (rc *receiptCounter) valid(r *Receipt) bool {
-	if rc.v != nil {
-		if mac, err := rc.v.mac(r.Conn, r.Hop); err == nil {
+	if rc.m.fast {
+		if mac, err := rc.m.v.mac(r.Conn, r.Hop); err == nil {
 			return hmac.Equal(mac, r.MAC[:])
 		}
 	}
@@ -238,7 +210,9 @@ func (s *Settlement) Run(claims []Claim) ([]Payout, error) {
 // counted as rejected. One receiptCounter serves every claim.
 func (m *ReceiptMinter) verifyClaims(claims []Claim) (accepted []Payout, rejected int) {
 	accepted = make([]Payout, 0, len(claims))
-	rc := m.receiptCounter()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	rc := receiptCounter{m: m}
 	for _, c := range claims {
 		n := rc.count(c.Forwarder, c.Receipts)
 		rejected += len(c.Receipts) - n

@@ -89,7 +89,7 @@ func TestMintMatchesReferenceMAC(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m.mint == nil {
+			if !m.fast {
 				t.Fatalf("%d-byte key: mid-state self-check failed, Mint would take the slow path", n)
 			}
 			slow := &ReceiptMinter{key: m.key}
@@ -120,6 +120,25 @@ func TestMintAllocsZero(t *testing.T) {
 	}
 	if !m.Verify(r) {
 		t.Fatal("receipt does not verify")
+	}
+}
+
+// TestNewReceiptMinterAllocs pins a minter's setup, paid once per batch:
+// the minter, its key copy, its verifier's digest (which also derives
+// the pad mid-states) and its fold digest. The format self-check runs
+// once per process, not per minter.
+func TestNewReceiptMinterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates inside the digest")
+	}
+	secret := []byte("batch-secret-0123456789abcdef!!")
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := NewReceiptMinter(secret); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("NewReceiptMinter allocates %v times, want <= 4", allocs)
 	}
 }
 
@@ -421,7 +440,7 @@ func TestCountValidMatchesVerify(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	fast := minter(t)
 	slow := minter(t)
-	slow.ipadState, slow.opadState = nil, nil
+	slow.fast = false
 	for _, m := range []*ReceiptMinter{fast, slow} {
 		for round := 0; round < 200; round++ {
 			claims := randomClaims(m, rng)

@@ -191,7 +191,7 @@ type connRec struct {
 	// Message.Attempt — that one is a driver-wide id.
 	attempt, reforms int
 	lastErr          error
-	timer            *vclock.Timer // the live attempt's window: set under pendMu, stopped by the reply that claims it
+	timer            vclock.Timer // the live attempt's window: set under pendMu, stopped by the reply that claims it
 	// Span context: the batch trace, its root, the live attempt's launch
 	// and the last causal step the next reform or fail span parents on.
 	trace, root, launch, prev telemetry.SpanID

@@ -25,7 +25,7 @@ type scriptClock struct {
 	timers []time.Duration
 }
 
-func (c *scriptClock) AfterFunc(d time.Duration, fn func()) *vclock.Timer {
+func (c *scriptClock) AfterFunc(d time.Duration, fn func()) vclock.Timer {
 	c.timers = append(c.timers, d)
 	return c.Clock.AfterFunc(d, fn)
 }

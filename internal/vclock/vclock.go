@@ -7,9 +7,12 @@
 // runs in its own goroutine. Engine is virtual time, sim.Engine's event
 // queue: a timer's function runs inline when the engine reaches it, so the
 // code scheduled on it is as single-threaded and as deterministic as the
-// engine itself. Waiting differs with the face: on the real clock a
-// caller blocks until another goroutine is done, on an Engine clock it
-// steps the engine (Step) until the event it waits for has fired. The
+// engine itself. AfterFunc hands back a Timer by value, the face's own
+// timer and nothing around it, so the window a connection arms per
+// attempt costs the wrapper no allocation. Waiting differs with the face:
+// on the real clock a caller blocks until another goroutine is done, on
+// an Engine clock it steps the engine (Step) until the event it waits for
+// has fired. The
 // transport's driver waits for a connection either way, so faultsim's
 // deterministic world runs its connections through the same
 // ConnectDetail as production, and the transport's timing tests step the
@@ -31,17 +34,18 @@ type Clock interface {
 	Since(t time.Time) time.Duration
 	// AfterFunc runs fn once the clock reaches now+d: in its own goroutine
 	// on the real clock, inline on an Engine clock.
-	AfterFunc(d time.Duration, fn func()) *Timer
+	AfterFunc(d time.Duration, fn func()) Timer
 }
 
-// Timer is the clock-agnostic analogue of time.Timer.
+// Timer is the clock-agnostic analogue of time.Timer: a value holding the
+// face's own timer, so arming one allocates only what that face does.
 type Timer struct {
 	real *time.Timer
 	ev   *sim.Timer
 }
 
 // Stop cancels the timer, reporting whether it was still pending.
-func (t *Timer) Stop() bool {
+func (t Timer) Stop() bool {
 	if t.real != nil {
 		return t.real.Stop()
 	}
@@ -57,8 +61,8 @@ func Real() Clock { return realClock{} }
 func (realClock) Now() time.Time                  { return time.Now() }
 func (realClock) Since(t time.Time) time.Duration { return time.Since(t) }
 
-func (realClock) AfterFunc(d time.Duration, fn func()) *Timer {
-	return &Timer{real: time.AfterFunc(d, fn)}
+func (realClock) AfterFunc(d time.Duration, fn func()) Timer {
+	return Timer{real: time.AfterFunc(d, fn)}
 }
 
 // Epoch is the virtual start time: the Unix epoch, so virtual timestamps
@@ -85,11 +89,11 @@ func (c engineClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
 // so deadlines that are equal as Durations are equal on the engine and
 // fire in scheduling order; a non-positive d fires at the current time,
 // after the events already queued for it.
-func (c engineClock) AfterFunc(d time.Duration, fn func()) *Timer {
+func (c engineClock) AfterFunc(d time.Duration, fn func()) Timer {
 	now := c.e.Now()
 	at := sim.FromDuration(now.Duration() + d)
 	if at < now {
 		at = now
 	}
-	return &Timer{ev: c.e.NewTimer(at, fn)}
+	return Timer{ev: c.e.NewTimer(at, fn)}
 }
