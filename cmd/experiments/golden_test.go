@@ -2,12 +2,39 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite "+digestFile+" from this build's run")
+
+// digestFile pins what `experiments -quick -trials 1 -seed 11` prints and
+// writes: a change that moves an experiment's output on purpose rewrites
+// it with -update, and says why.
+const digestFile = "testdata/quick_seed11.sha256"
+
+// outputDigest hashes a run's stdout and then its CSVs by name, each part
+// length-prefixed so that no two runs' parts can run together.
+func outputDigest(stdout string, csvs map[string]string) string {
+	names := make([]string, 0, len(csvs))
+	for name := range csvs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	fmt.Fprintf(h, "stdout %d\n%s", len(stdout), stdout)
+	for _, name := range names {
+		fmt.Fprintf(h, "%s %d\n%s", name, len(csvs[name]), csvs[name])
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
 
 // runMain invokes main() in-process with the given CLI arguments and
 // returns everything it wrote to stdout. Stderr (timings) is discarded:
@@ -74,6 +101,8 @@ func readCSVs(t *testing.T, dir string) map[string]string {
 // quick suite at -jobs 8 and -jobs 1 must produce byte-identical stdout
 // and byte-identical CSV files for a fixed seed. Any section leaking
 // completion-order or worker-count dependence into its output fails here.
+// The same run is held to the digest in testdata/quick_seed11.sha256, so
+// a change that moves any experiment's output fails here too.
 func TestOutputIndependentOfJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick suite twice")
@@ -106,6 +135,21 @@ func TestOutputIndependentOfJobs(t *testing.T) {
 		if body8 != body1 {
 			t.Errorf("%s differs between -jobs 8 and -jobs 1", name)
 		}
+	}
+
+	got := outputDigest(out1, csv1)
+	if *update {
+		if err := os.WriteFile(digestFile, []byte(got+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(digestFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := strings.TrimSpace(string(want)); got != w {
+		t.Errorf("output digest %s, want %s: stdout or a CSV moved", got, w)
 	}
 }
 
