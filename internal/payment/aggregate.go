@@ -23,10 +23,10 @@ import (
 //
 // The chain is all-or-nothing by construction: a forged, truncated,
 // reordered or extended entry list re-derives to a different value, so
-// the whole claim is rejected and the forwarder falls back to individual
-// receipts. Entries must be strictly increasing in (conn, hop) — the
-// canonical order — which makes duplicates unrepresentable and gives the
-// wire codec a unique encoding per claim.
+// SettleAggregated rejects the whole claim, pays none of it, and counts
+// every entry as a rejected receipt. Entries must be strictly increasing
+// in (conn, hop) — the canonical order — which makes duplicates
+// unrepresentable and gives the wire codec a unique encoding per claim.
 //
 //	chain = SHA256(tag ‖ be64(forwarder) ‖ MAC₁ ‖ MAC₂ ‖ … ‖ MACₘ)
 //
@@ -62,8 +62,8 @@ type AggregateClaim struct {
 
 // ClaimChain accumulates a forwarder's receipts into the running chain.
 // Receipts must be added in strictly increasing (conn, hop) order — the
-// order they are earned in a batch; an out-of-order or duplicate receipt
-// is rejected and the caller falls back to a per-receipt Claim.
+// order they are earned in a batch; Add returns an error for an
+// out-of-order or duplicate receipt and leaves the chain as it was.
 type ClaimChain struct {
 	forwarder AccountID
 	h         hash.Hash
