@@ -262,8 +262,8 @@ func main() {
 		}
 		fmt.Printf("phases: wrote breakdown to %s (dominant: %s)\n", *phaseReport, prof.Dominant())
 		sv := res.Solver
-		fmt.Printf("solver: %d memo resets (%d discarded a filled memo), %d connections reused the memo, %d cells computed\n",
-			sv.Solves, sv.Fallbacks, sv.Incremental, sv.FrontierCells)
+		fmt.Printf("solver: %d solves (%d discarded a filled memo), %d cells computed\n",
+			sv.Solves, sv.Fallbacks, sv.FrontierCells)
 	}
 }
 

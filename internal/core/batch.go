@@ -22,9 +22,8 @@ type Batch struct {
 
 	sys *System
 
-	k        int // connections completed so far
-	fset     *quality.ForwarderSet
-	forwards map[overlay.NodeID]int // m per forwarder
+	k    int                   // connections completed so far
+	fset *quality.ForwarderSet // ‖π‖ and each forwarder's m
 	// hist is the batch's routing history over π¹…π^k, σ's input: made
 	// at the first recorded hop, dropped by Close.
 	hist *history.Table
@@ -37,14 +36,6 @@ type Batch struct {
 	// sequence (excluding endpoints); rebuilt when a member goes offline.
 	fixedPath []overlay.NodeID
 
-	// histQual counts quality-relevant history mutations of this batch:
-	// recorded rows whose successor is not R (delivery rows never feed a
-	// scored edge). Together with the overlay and probe versions it stamps
-	// the batch's stage game below, mirroring the transport router's cache
-	// semantics: a solve is reused only while every input it consumed is
-	// unchanged.
-	histQual uint64
-
 	// histNodes is the set of nodes holding quality-relevant history for
 	// this batch — exactly the nodes whose edge qualities can depend on
 	// the history or the connection index k (everything else has
@@ -52,29 +43,13 @@ type Batch struct {
 	// rescored; every other row is the system's base row.
 	histNodes map[overlay.NodeID]struct{}
 
-	// spneStamp is the version vector of the batch's last Utility Model II
-	// solve (see spneTable).
-	spneStamp spneStamp
-	closed    bool
+	closed bool
 
 	// rule is the batch's instance of the shared routing rule, with its
 	// per-hop scratch; fill is row, bound once so that handing it to the
 	// system (System.fill) on a memo reset allocates nothing.
 	rule Rule
 	fill func(i int)
-}
-
-// spneStamp records the version vector a stage game was solved under: the
-// overlay structural version, the probe-set estimate version, the batch's
-// quality-relevant history version, and the connection index (left 0
-// while the batch has no quality-relevant history, because every
-// selectivity is then 0 whatever k is).
-type spneStamp struct {
-	valid bool
-	net   uint64
-	probe uint64
-	hist  uint64
-	k     int
 }
 
 // NewBatch registers a new batch on the system. Initiator and responder
@@ -99,7 +74,6 @@ func (s *System) NewBatch(initiator, responder overlay.NodeID, c Contract, strat
 		Strategy:  strat,
 		sys:       s,
 		fset:      quality.NewForwarderSet(),
-		forwards:  make(map[overlay.NodeID]int),
 	}
 	b.rule = Rule{View: b, Contract: c, Cost: s.cfg.Cost, TopKJitter: s.cfg.TopKJitter, Rng: s.rng}
 	b.fill = b.row
@@ -113,7 +87,7 @@ func (b *Batch) Connections() int { return b.k }
 func (b *Batch) ForwarderSet() *quality.ForwarderSet { return b.fset }
 
 // Forwards returns forwarder id's forwarding-instance count m.
-func (b *Batch) Forwards(id overlay.NodeID) int { return b.forwards[id] }
+func (b *Batch) Forwards(id overlay.NodeID) int { return b.fset.Forwards(id) }
 
 // History returns the batch's routing history: nil before its first hop
 // and after Close.
@@ -333,8 +307,11 @@ func (b *Batch) Accepts(v overlay.NodeID) bool {
 	return game.ForwardingDominant(b.Contract.Pf, s.cfg.Cost.Participation, s.minTransmission(v))
 }
 
-// recordHop updates history, forwarding counts and edge bookkeeping for
-// the traversal cur→next.
+// recordHop updates history and edge bookkeeping for the traversal
+// cur→next. Forwarding instances are credited by the forwarder set when
+// the connection ends: its Forwarders are every holder but I, since
+// candidates never include I and a fixed path's relays exclude the
+// endpoints.
 func (b *Batch) recordHop(res *PathResult, cur, pred, next overlay.NodeID, q float64) {
 	res.Nodes = append(res.Nodes, next)
 	res.EdgeQualities = append(res.EdgeQualities, q)
@@ -353,19 +330,13 @@ func (b *Batch) recordHop(res *PathResult, cur, pred, next overlay.NodeID, q flo
 		b.newEdges++
 	}
 	// A row with successor R never feeds a scored edge (candidates exclude
-	// R and the delivery edge is fixed at 1), so it leaves cached SPNE
-	// qualities exact.
+	// R and the delivery edge is fixed at 1), so it gives its holder no σ
+	// overlay.
 	if next != b.Responder {
-		b.histQual++
 		if b.histNodes == nil {
 			b.histNodes = make(map[overlay.NodeID]struct{})
 		}
 		b.histNodes[cur] = struct{}{}
-	}
-
-	// Forwarding instances are credited to interior nodes only.
-	if cur != b.Initiator {
-		b.forwards[cur]++
 	}
 }
 
@@ -377,47 +348,22 @@ func (b *Batch) recordHop(res *PathResult, cur, pred, next overlay.NodeID, q flo
 //
 // The solve is demand-driven (game.SolveFrom): only the cone of (start,
 // hops) is computed, over rows built for cone nodes only, into the
-// system's one memo. The memo is reused — a larger budget merely extends
-// it — while this batch solved last and its stamp is fresh, i.e. every
-// input the game consumed (overlay topology, probe estimates, this
-// batch's quality-relevant history and, when history matters, the
-// connection index) is unchanged; otherwise it is reset.
+// system's one memo, which every solve resets first.
 //
 // Estimator creation is the one RNG-consuming side effect of a solve, so
-// it is not left to the lazy rows: whenever the batch's stamp went stale
-// every online node other than R gets its estimator, in ascending ID
-// order — and not when the memo merely changed hands between interleaved
-// batches (the stamp is then fresh, and an unchanged overlay version means
-// the pass that stamped it already covered the same online set).
+// it is not left to the lazy rows: before every solve each online node
+// other than R gets its estimator, in ascending ID order.
 func (b *Batch) spneTable(start overlay.NodeID, hops int) {
 	s := b.sys
-	now := spneStamp{valid: true, net: s.Net.Version(), probe: s.Probes.Version(), hist: b.histQual}
-	if b.histQual != 0 {
-		now.k = b.k
-	}
-	fresh := b.spneStamp == now
-	if !fresh {
-		s.createEstimators(b.Responder)
-		b.spneStamp = now
-	}
+	s.createEstimators(b.Responder)
 	g := &s.stage
 	g.Nodes, g.Responder, g.Pf, g.Pr = s.Net.Len(), int(b.Responder), b.Contract.Pf, b.Contract.Pr
-	reuse := fresh && s.memoOwner == b.ID
-	if reuse {
-		s.solverStats.Incremental++
-		s.mMemoReused.Inc()
-	} else {
-		if s.memoOwner != 0 {
-			s.solverStats.Fallbacks++
-		}
-		s.solverStats.Solves++
-		s.mMemoReset.Inc()
-		s.memoOwner = b.ID
+	if s.fill != nil { // set by resetMemo, cleared by releaseSolve
+		s.solverStats.Fallbacks++
 	}
+	s.solverStats.Solves++
 	ph := s.Prof.Start(telemetry.PhaseSolveInduction)
-	if !reuse {
-		s.resetMemo(b)
-	}
+	s.resetMemo(b)
 	cells := g.SolveFrom(&s.memo, int(start), hops)
 	ph.End()
 	s.solverStats.FrontierCells += cells
@@ -434,7 +380,7 @@ func (b *Batch) prescribed(cur overlay.NodeID, hops int) overlay.NodeID {
 	return overlay.NodeID(d.Next)
 }
 
-// row sets node i's stage-game row for the batch that owns the memo
+// row sets node i's stage-game row for the batch that solved last
 // (System.fill) on its first use, kept until the memo is reset, so a
 // solve touches only the nodes of its cone. A row is the node's base row
 // (System.baseRow: batch-independent topology and availability), read in

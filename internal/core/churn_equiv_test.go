@@ -87,9 +87,9 @@ func TestSingleEventChurnEquivalence(t *testing.T) {
 }
 
 // TestSolveMetricsExposition scrapes a real /metrics endpoint after a
-// churn-heavy run and asserts the solver families are exposed with
-// exactly the documented label sets — the contract the ROADMAP's
-// telemetry item promises dashboards.
+// churn-heavy run and asserts the solver's family is exposed as
+// documented — the contract the ROADMAP's telemetry item promises
+// dashboards.
 func TestSolveMetricsExposition(t *testing.T) {
 	sys, b := scaleSystem(t, 300, 13)
 	reg := telemetry.NewRegistry()
@@ -105,11 +105,6 @@ func TestSolveMetricsExposition(t *testing.T) {
 		sys.Net.Rejoin(now, id)
 		b.RunConnection()
 	}
-	// Nothing moved since the last ask: the memo is reused, and a larger
-	// budget only extends it.
-	b.spneTable(b.Initiator, 2)
-	b.spneTable(b.Initiator, 3)
-
 	srv, err := telemetry.Serve("127.0.0.1:0", reg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -129,34 +124,23 @@ func TestSolveMetricsExposition(t *testing.T) {
 	}
 	body := string(raw)
 
-	for _, family := range []string{metricSolveCells, metricSolveMemo} {
-		if !strings.Contains(body, "# HELP "+family+" ") {
-			t.Errorf("missing HELP for %s", family)
-		}
-		if !strings.Contains(body, "# TYPE "+family+" ") {
-			t.Errorf("missing TYPE for %s", family)
-		}
+	if !strings.Contains(body, "# HELP "+metricSolveCells+" ") {
+		t.Errorf("missing HELP for %s", metricSolveCells)
+	}
+	if !strings.Contains(body, "# TYPE "+metricSolveCells+" ") {
+		t.Errorf("missing TYPE for %s", metricSolveCells)
 	}
 	st := sys.SolverStats()
-	for series, want := range map[string]int{
-		metricSolveCells:                      st.FrontierCells,
-		metricSolveMemo + `{result="reused"}`: st.Incremental,
-		metricSolveMemo + `{result="reset"}`:  st.Solves,
-	} {
-		if !strings.Contains(body, fmt.Sprintf("\n%s %d\n", series, want)) {
-			t.Errorf("series %s does not read %d", series, want)
-		}
+	if !strings.Contains(body, fmt.Sprintf("\n%s %d\n", metricSolveCells, st.FrontierCells)) {
+		t.Errorf("series %s does not read %d", metricSolveCells, st.FrontierCells)
 	}
 
 	// The scripted run above must be visible in the stats the series
-	// mirror: every churn round reset the memo, discarding the previous
-	// round's, the closing asks reused it, and the cones stayed far below
+	// mirror: every connection solved from a reset memo, each but the
+	// first discarding the previous one's, and the cones stayed far below
 	// the full table.
-	if st.Solves != 18 || st.Fallbacks != 17 {
-		t.Errorf("18 connections over moving inputs made %d resets, %d of a filled memo", st.Solves, st.Fallbacks)
-	}
-	if st.Incremental == 0 {
-		t.Error("asks over unchanged inputs did not reuse the memo")
+	if st.Solves != 17 || st.Fallbacks != 16 || st.Incremental != 0 {
+		t.Errorf("17 connections made %d solves, %d of a filled memo, %d reuses", st.Solves, st.Fallbacks, st.Incremental)
 	}
 	if full := st.Solves * (sys.cfg.MaxHops + 1) * sys.Net.Len(); st.FrontierCells == 0 || st.FrontierCells >= full/2 {
 		t.Errorf("%d cells computed; %d full tables hold %d", st.FrontierCells, st.Solves, full)

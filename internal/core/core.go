@@ -198,19 +198,17 @@ type System struct {
 	open int
 
 	// memo is the one demand-driven SPNE memo (game.SolveFrom), shared by
-	// every batch: it holds cells of the stage game of batch memoOwner (0
-	// = none) as of that batch's stamp, and is reset whenever another
-	// batch, or a stale stamp, asks for a solve.
-	memo      game.Memo
-	memoOwner int
+	// every batch: it holds cells of the last solve's stage game, and
+	// every solve resets it first.
+	memo game.Memo
 
 	// stage is the Model-II stage game, its Adjacency bound once and its
 	// row rule set by every memo reset. A row is the node's base row, read
-	// in place, or — for a node whose edges the memo owner's history
+	// in place, or — for a node whose edges the solving batch's history
 	// names — the same successors with a σ overlay, the one copy a row
 	// gets. Rows are set on first use since the memo reset (fill, the
-	// owner's Batch.row), so a cone solve touches the rows of the cone's
-	// nodes at stage 2 and above only. rowAt[i] says how node i's row is
+	// solving batch's Batch.row), so a cone solve touches the rows of the
+	// cone's nodes at stage 2 and above only. rowAt[i] says how node i's row is
 	// set: unset (0, or rowHolder for a history holder), its base row
 	// (rowBase), or k+1 for an overlay scored into overlay[k:].
 	stage   game.PathGame
@@ -227,24 +225,21 @@ type System struct {
 	// solverStats accumulates the solve counters system-wide.
 	solverStats SolverStats
 
-	// Solve telemetry; nil (no-op) until Instrument binds them.
-	mCells      *telemetry.Counter
-	mMemoReused *telemetry.Counter
-	mMemoReset  *telemetry.Counter
+	// Solve telemetry; nil (no-op) until Instrument binds it.
+	mCells *telemetry.Counter
 }
 
 // SolverStats accumulates what the Utility Model II solver did across a
 // System's lifetime, mirroring the solve_* telemetry for callers without
 // a registry (anonsim's phase report).
 type SolverStats struct {
-	// Solves counts memo resets: solves that started from nothing.
+	// Solves counts solves, each from a reset memo.
 	Solves int
-	// Incremental counts connections served from the memo as it stood —
-	// same batch, fresh stamp — computing at most the cells a larger
-	// budget adds.
+	// Incremental always reads 0: no solve reuses the memo. It stays
+	// while the benchmark's core.incremental_hit_ratio reads it.
 	Incremental int
-	// Fallbacks counts the resets that discarded a memo another solve had
-	// filled (every reset but the first after a release).
+	// Fallbacks counts the solves that discarded a memo an earlier solve
+	// had filled (every solve but the first after a release).
 	Fallbacks int
 	// FrontierCells totals the cells computed: the cones' cells at stages
 	// ≥ 1, not the table. A cone solve never fills stage 0.
@@ -254,24 +249,17 @@ type SolverStats struct {
 // SolverStats returns the accumulated solve counters.
 func (s *System) SolverStats() SolverStats { return s.solverStats }
 
-// Solve metric names (see System.Instrument).
-const (
-	metricSolveCells = "solve_cells_total"
-	metricSolveMemo  = "solve_memo_total"
-)
+// metricSolveCells is the solver's metric name (see System.Instrument).
+const metricSolveCells = "solve_cells_total"
 
 // Instrument binds the solver's telemetry into reg: the cells computed by
-// demand-driven solves, and per Utility Model II connection whether the
-// memo was reused as it stood or reset first.
+// demand-driven solves.
 func (s *System) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
 	reg.Help(metricSolveCells, "stage-game cells computed by demand-driven SPNE solves (the cones, not the full tables)")
-	reg.Help(metricSolveMemo, "Utility Model II connections by what their solve found (reused = same batch, fresh stamp; reset = solved from nothing)")
 	s.mCells = reg.Counter(metricSolveCells, nil)
-	s.mMemoReused = reg.Counter(metricSolveMemo, telemetry.Labels{"result": "reused"})
-	s.mMemoReset = reg.Counter(metricSolveMemo, telemetry.Labels{"result": "reset"})
 }
 
 // NewSystem constructs a routing system over an existing overlay. Probing
@@ -292,10 +280,9 @@ func NewSystem(cfg Config, net *overlay.Network, probes *probe.Set, rng *dist.So
 		minCt:  make(map[overlay.NodeID]float64),
 	}
 	// The stage game's Adjacency: node i's base row, with its σ
-	// overlay's qualities when it has one. A base row is unchanged while
-	// the memo is reused — its stamp covers the overlay and probe
-	// versions — so baseRow returns it after two compares. A closure, not
-	// a method value, so that a solve's per-cell lookup is one call.
+	// overlay's qualities when it has one. baseRow returns a row whose
+	// inputs have not moved after two compares. A closure, not a method
+	// value, so that a solve's per-cell lookup is one call.
 	adjacency := func(i int) ([]int32, []float64) {
 		at := s.rowAt[i]
 		if at <= 0 && at != rowBase {
@@ -434,7 +421,8 @@ func (s *System) baseRow(id overlay.NodeID) (off, n int32) {
 }
 
 // rowBase and rowHolder are System.rowAt's marks: a row set to its base
-// row, and the unset row of a node whose edges the owner's history names.
+// row, and the unset row of a node whose edges the solving batch's
+// history names.
 const rowBase, rowHolder = -1, -2
 
 // resetMemo forgets every solved cell and set row and sizes the solve
@@ -464,7 +452,7 @@ func (s *System) resetMemo(b *Batch) {
 // memo, the overlays and the holder snapshot. Base rows are kept: they
 // belong to the node like the estimators they are read from.
 func (s *System) releaseSolve() {
-	s.memo, s.memoOwner = game.Memo{}, 0
+	s.memo = game.Memo{}
 	s.rowAt, s.overlay, s.fill = nil, nil, nil
 	s.stage.Rule = game.RowRule{}
 }

@@ -34,7 +34,7 @@ func (b *Batch) Settle() []NodePayoff {
 	}
 	out := make([]NodePayoff, 0, size)
 	for _, id := range b.fset.Members() {
-		m := b.forwards[id]
+		m := b.fset.Forwards(id)
 		income := b.Contract.Payoff(m, size)
 		cost := b.sys.cfg.Cost.Participation + b.transmissionCost(id)
 		out = append(out, NodePayoff{
@@ -88,8 +88,8 @@ func (b *Batch) TotalPaid() float64 {
 		return 0
 	}
 	totalForwards := 0
-	for _, m := range b.forwards {
-		totalForwards += m
+	for _, id := range b.fset.Members() {
+		totalForwards += b.fset.Forwards(id)
 	}
 	return float64(totalForwards)*b.Contract.Pf + b.Contract.Pr
 }
@@ -114,9 +114,6 @@ func (b *Batch) GoodPayoffs() []NodePayoff {
 // last open batch closes.
 func (b *Batch) Close() {
 	b.hist = nil
-	// The dropped history backs any solve stamped for this batch; a
-	// (hypothetical) later connection must not resurrect it.
-	b.spneStamp = spneStamp{}
 	if !b.closed {
 		b.closed = true
 		if b.sys.open--; b.sys.open == 0 {

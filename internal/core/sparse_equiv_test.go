@@ -99,16 +99,18 @@ type equivRun struct {
 	connCells int
 }
 
-// fullTable asks the batch's solver for every (i, h) and returns a copy of
-// the resulting table. The roots accumulate in one memo, so every cell
-// ends up solved.
+// fullTable asks the batch's solver for every (i, h), one root per solve,
+// and returns the table of each root's cell as its own solve left it.
 func fullTable(b *Batch) [][]game.Decision {
-	for h := 0; h <= b.sys.cfg.MaxHops; h++ {
-		for i := 0; i < b.sys.Net.Len(); i++ {
+	s := b.sys
+	tbl := make([][]game.Decision, s.cfg.MaxHops+1)
+	for h := range tbl {
+		tbl[h] = make([]game.Decision, s.Net.Len())
+		for i := range tbl[h] {
 			b.spneTable(overlay.NodeID(i), h)
+			tbl[h][i], _ = s.stage.Cell(&s.memo, h, i)
 		}
 	}
-	tbl, _ := solvedTable(b.sys)
 	return tbl
 }
 

@@ -136,8 +136,8 @@ type Result struct {
 	Skipped int
 	// TotalDeclines counts NULL plays across all batches.
 	TotalDeclines int
-	// Solver aggregates the run's SPNE solve statistics: memo resets,
-	// connections that reused the memo, and the cells the cones computed
+	// Solver aggregates the run's SPNE solve statistics: solves, the ones
+	// that discarded a filled memo, and the cells the cones computed
 	// (-phase-report surfaces it).
 	Solver core.SolverStats
 }

@@ -66,9 +66,10 @@ func PathQuality(avgPathLen float64, forwarderSet int) float64 {
 }
 
 // ForwarderSet tracks the union forwarder set ⋃ᵢ Fᵢ of a batch of
-// recurring connections — the quantity the system objective minimises.
+// recurring connections — the quantity the system objective minimises —
+// and each member's forwarding-instance count m.
 type ForwarderSet struct {
-	members map[overlay.NodeID]struct{}
+	members map[overlay.NodeID]int // m per member
 	// lengths accumulates path lengths so the average L is available for
 	// Q(π).
 	totalLen int
@@ -77,14 +78,15 @@ type ForwarderSet struct {
 
 // NewForwarderSet returns an empty forwarder set.
 func NewForwarderSet() *ForwarderSet {
-	return &ForwarderSet{members: make(map[overlay.NodeID]struct{})}
+	return &ForwarderSet{members: make(map[overlay.NodeID]int)}
 }
 
 // AddPath records one completed connection: its intermediate forwarders
-// (excluding I and R) and its hop length.
+// (excluding I and R), one forwarding instance per occurrence, and its
+// hop length.
 func (fs *ForwarderSet) AddPath(forwarders []overlay.NodeID, hopLen int) {
 	for _, f := range forwarders {
-		fs.members[f] = struct{}{}
+		fs.members[f]++
 	}
 	fs.totalLen += hopLen
 	fs.paths++
@@ -92,6 +94,9 @@ func (fs *ForwarderSet) AddPath(forwarders []overlay.NodeID, hopLen int) {
 
 // Size returns ‖π‖, the number of distinct forwarders used by the batch.
 func (fs *ForwarderSet) Size() int { return len(fs.members) }
+
+// Forwards returns id's forwarding-instance count m: 0 for a non-member.
+func (fs *ForwarderSet) Forwards(id overlay.NodeID) int { return fs.members[id] }
 
 // Members returns the forwarder IDs (unsorted; callers that need
 // determinism should sort).

@@ -116,6 +116,22 @@ func TestForwarderSetMembersComplete(t *testing.T) {
 	}
 }
 
+// A member that holds the payload twice on one path, as a node on a
+// cycle does, forwards twice: m counts occurrences, ‖π‖ distinct members.
+func TestForwarderSetCountsEachInstance(t *testing.T) {
+	fs := NewForwarderSet()
+	fs.AddPath([]overlay.NodeID{4, 7, 4}, 4)
+	fs.AddPath([]overlay.NodeID{7}, 2)
+	if fs.Size() != 2 {
+		t.Fatalf("size = %d", fs.Size())
+	}
+	for id, want := range map[overlay.NodeID]int{4: 2, 7: 2, 9: 0} {
+		if got := fs.Forwards(id); got != want {
+			t.Errorf("Forwards(%d) = %d, want %d", id, got, want)
+		}
+	}
+}
+
 // Property: edge quality is within [0,1] for any valid weight split and
 // in-range inputs.
 func TestQuickEdgeBounds(t *testing.T) {
