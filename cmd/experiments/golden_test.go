@@ -20,8 +20,9 @@ var update = flag.Bool("update", false, "rewrite "+digestFile+" from this build'
 // it with -update, and says why.
 const digestFile = "testdata/quick_seed11.sha256"
 
-// outputDigest hashes a run's stdout and then its CSVs by name, each part
-// length-prefixed so that no two runs' parts can run together.
+// outputDigest hashes a run's stdout and then its CSVs in name order, each
+// part prefixed by its name and length so that no part can run into the
+// next.
 func outputDigest(stdout string, csvs map[string]string) string {
 	names := make([]string, 0, len(csvs))
 	for name := range csvs {
